@@ -117,33 +117,19 @@ let micro_tests () =
       (Staged.stage (fun () -> ignore (Generator.next generator)));
   ]
   @
-  (* Flat-vs-reference store differential micro-benchmarks: the same flow
-     list and TCAM read set through each backend, so `--micro` output
-     shows the cost of the representation itself, isolated from the
-     control loop. *)
+  (* Counter-store micro-benchmarks: one flow list and TCAM read set, so
+     `--micro` output shows the cost of the representation itself,
+     isolated from the control loop. *)
   let flows = Aggregate.fold agg ~init:[] ~f:(fun acc f -> f :: acc) in
   let tcam = Task.desired_rules task 0 in
-  let flat_agg = Aggregate.with_backend Aggregate.Flat (fun () -> Aggregate.of_flows flows) in
-  let ref_agg =
-    Aggregate.with_backend Aggregate.Reference (fun () -> Aggregate.of_flows flows)
-  in
-  let backend_pair name f =
-    [
-      Test.make ~name:(name ^ " [flat]") (Staged.stage (fun () -> f flat_agg));
-      Test.make ~name:(name ^ " [reference]") (Staged.stage (fun () -> f ref_agg));
-    ]
-  in
-  let build backend =
-    Staged.stage (fun () ->
-        ignore (Aggregate.with_backend backend (fun () -> Aggregate.of_flows flows)))
-  in
   [
-    Test.make ~name:"store.build (of_flows) [flat]" (build Aggregate.Flat);
-    Test.make ~name:"store.build (of_flows) [reference]" (build Aggregate.Reference);
+    Test.make ~name:"store.build (of_flows)"
+      (Staged.stage (fun () -> ignore (Aggregate.of_flows flows)));
+    Test.make ~name:"store.read_prefixes (TCAM batch)"
+      (Staged.stage (fun () -> ignore (Aggregate.read_prefixes agg tcam)));
+    Test.make ~name:"store.merge (self)"
+      (Staged.stage (fun () -> ignore (Aggregate.merge agg agg)));
   ]
-  @ backend_pair "store.read_prefixes (TCAM batch)" (fun a ->
-        ignore (Aggregate.read_prefixes a tcam))
-  @ backend_pair "store.merge (self)" (fun a -> ignore (Aggregate.merge a a))
 
 let run_micro ?snapshot_dir ~quick () =
   let open Bechamel in

@@ -159,20 +159,14 @@ let print_summary name (s : Metrics.summary) =
   if s.Metrics.robustness <> Metrics.no_faults then
     Format.printf "  robustness    %a@." Metrics.pp_robustness s.Metrics.robustness
 
-let backend_of = function
-  | "flat" -> Ok Dream_traffic.Aggregate.Flat
-  | "reference" -> Ok Dream_traffic.Aggregate.Reference
-  | s -> Error (sp "unknown store backend %S (expected flat or reference)" s)
-
 let run capacity num_switches switches_per_task tasks window duration epochs threshold bound kind
-    strategy fixed_k seed fault_rate fault_seed backend telemetry_dir profiling verbose =
+    strategy fixed_k seed fault_rate fault_seed telemetry_dir profiling verbose =
   let* scenario =
     scenario_of capacity num_switches switches_per_task tasks window duration epochs threshold
       bound kind seed
   in
   let* strategy = strategy_of strategy fixed_k in
   let* () = rate_in_range ~flag:"--fault-rate" fault_rate in
-  let* backend = backend_of backend in
   let* () =
     check ((not profiling) || telemetry_dir <> None) "--profile requires --telemetry DIR"
   in
@@ -192,7 +186,7 @@ let run capacity num_switches switches_per_task tasks window duration epochs thr
           Config.faults = Some (Fault_model.uniform ~seed:fault_seed fault_rate)
         }
     in
-    { base with Config.telemetry; store_backend = backend }
+    { base with Config.telemetry }
   in
   Format.printf "scenario: %a@." Scenario.pp scenario;
   Format.printf "expected concurrency: %.1f tasks@." (Scenario.concurrency scenario);
@@ -471,15 +465,6 @@ let rates =
 
 let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print per-task records.")
 
-let store_backend =
-  Arg.(
-    value & opt string "flat"
-    & info [ "backend" ]
-        ~doc:
-          "Counter store backend: $(b,flat) (off-heap arrays, the default) or $(b,reference) \
-           (boxed structures).  Byte-identical by construction; exposed for allocation A/B runs \
-           and the differential oracles.")
-
 let telemetry_dir =
   Arg.(
     value
@@ -507,7 +492,7 @@ let run_term =
   Term.term_result' ~usage:false
     Term.(
       scenario_args (const run) $ strategy $ fixed_k $ seed $ fault_rate $ fault_seed
-      $ store_backend $ telemetry_dir $ profiling $ verbose)
+      $ telemetry_dir $ profiling $ verbose)
 
 let run_cmd =
   let doc = "run one measurement experiment (optionally with fault injection)" in

@@ -9,7 +9,6 @@ module Dream_allocator = Dream_alloc.Dream_allocator
 module Journal = Dream_recovery.Journal
 module Task_spec = Dream_tasks.Task_spec
 module Source = Dream_traffic.Source
-module Aggregate = Dream_traffic.Aggregate
 
 (* The fixed chaos topology: small enough that a 500-schedule bank runs in
    seconds, rich enough that partitions (4 groups of 2 switches), storms
@@ -165,9 +164,9 @@ let noise_active (sched : Schedule.t) ~model_epoch =
       | _ -> false)
     sched.Schedule.events
 
-let run ?(canary = false) ?(backend = Aggregate.Flat) (sched : Schedule.t) =
+let run ?(canary = false) (sched : Schedule.t) =
   let scenario = scenario ~seed:sched.Schedule.seed ~horizon:sched.Schedule.horizon in
-  let config = { (base_config ~seed:sched.Schedule.seed) with Config.store_backend = backend } in
+  let config = base_config ~seed:sched.Schedule.seed in
   let controller =
     ref
       (Controller.create ~config ~strategy

@@ -39,11 +39,8 @@ type result = {
 
 val failed : result -> bool
 
-val run : ?canary:bool -> ?backend:Dream_traffic.Aggregate.backend -> Schedule.t -> result
-(** Execute one schedule.  [backend] (default [Flat]) selects the counter
-    store representation for the whole run; the bank's differential oracle
-    replays the empty schedule under [Reference] and demands a
-    byte-identical digest.  [canary] plants the guarded demonstration bug:
+val run : ?canary:bool -> Schedule.t -> result
+(** Execute one schedule.  [canary] plants the guarded demonstration bug:
     the first time a storm lands during an open partition window, one
     allocation is corrupted past switch capacity — the invariant oracle
     must catch it.  Never set outside tests and demonstrations. *)

@@ -19,7 +19,6 @@ type t = {
   faults : Dream_fault.Fault_model.spec option;
   degraded : degraded option;
   check_invariants : bool;
-  store_backend : Dream_traffic.Aggregate.backend;
   telemetry : Dream_obs.Telemetry.t option;
 }
 
@@ -36,7 +35,6 @@ let default =
     faults = None;
     degraded = None;
     check_invariants = false;
-    store_backend = Dream_traffic.Aggregate.Flat;
     telemetry = None;
   }
 

@@ -60,14 +60,6 @@ type t = {
       (** run {!Dream_recovery.Invariant.check_all} at the end of every
           epoch and tally violations in the robustness metrics.  Off by
           default: the checks walk every task's rule sets each epoch. *)
-  store_backend : Dream_traffic.Aggregate.backend;
-      (** which {!Dream_traffic.Aggregate} representation the run's epoch
-          data uses: [Flat] (the default) backs counter stores with flat
-          off-heap arrays and batched prefix reads; [Reference] keeps the
-          original boxed structures.  Both are byte-identical by
-          construction — the differential suite and the chaos oracle prove
-          it — so the flag exists for those oracles and for allocation
-          A/B runs, not for behaviour. *)
   telemetry : Dream_obs.Telemetry.t option;
       (** when set, the controller times every control-loop phase against
           the bundle's clock, records spans/events in its trace and

@@ -154,6 +154,10 @@ type t = {
   mutable delays : delay_sample list; (* newest first *)
   rules_installed : Ctr.t;
   rules_fetched : Ctr.t;
+  fast_path_builds : Ctr.t;
+  sort_fallbacks : Ctr.t;
+      (* per-switch aggregates of the epochs tasks read, split by whether
+         their build skipped the combine sort *)
   rob : rob;
   mutable recovered_now : Switch_id.Set.t; (* switches back up as of this tick *)
   mutable journal : Journal.sink option;
@@ -192,10 +196,6 @@ let create ~config ~strategy ~num_switches ~capacity =
         (Printf.sprintf "Controller.create: degraded.shed_max_staleness must be >= 1, got %d"
            d.Config.shed_max_staleness)
   | None -> ());
-  (* The store backend is process-global: epoch data built by switches and
-     generators must agree with the controller's choice, and a run is a
-     pure function of (seed, backend). *)
-  Aggregate.set_backend config.Config.store_backend;
   let switches = Switch.network ~num_switches ~capacity in
   let faults =
     Option.map (fun spec -> Fault_model.create spec ~num_switches) config.Config.faults
@@ -236,6 +236,8 @@ let create ~config ~strategy ~num_switches ~capacity =
     delays = [];
     rules_installed = Obs.Registry.counter registry "rules_installed";
     rules_fetched = Obs.Registry.counter registry "rules_fetched";
+    fast_path_builds = Obs.Registry.counter registry "aggregate_sorted_fast_path";
+    sort_fallbacks = Obs.Registry.counter registry "aggregate_sort_fallbacks";
     rob = rob_of_registry registry;
     recovered_now = Switch_id.Set.empty;
     journal = None;
@@ -547,11 +549,25 @@ let degrade_fresh t r sw_id pairs =
       if miss > 0.0 && Prefix.Set.mem p fresh then (p, v *. (1.0 -. miss)) else (p, v))
     pairs
 
+let count_fast_path _sw agg n = if Aggregate.sorted_fast_path agg then n + 1 else n
+
+(* Draw the task's next epoch of traffic and count how its per-switch
+   aggregates were built.  Pure observability: the counters never feed
+   back into simulation state.  [count_fast_path] is toplevel so the fold
+   allocates no closure. *)
+let next_epoch t r =
+  let data = Source.next r.source in
+  let per_switch = data.Epoch_data.per_switch in
+  let fast = Switch_id.Map.fold count_fast_path per_switch 0 in
+  Ctr.add t.fast_path_builds fast;
+  Ctr.add t.sort_fallbacks (Switch_id.Map.cardinal per_switch - fast);
+  data
+
 (* Counter fetch over a perfectly reliable control channel — the paper's
    assumption, and the behaviour when no fault spec is configured. *)
 let read_counters_reliable t r =
   let id = Task.id r.task in
-  let data = Source.next r.source in
+  let data = next_epoch t r in
   let readings =
     Array.to_list t.switches
     |> List.filter_map (fun sw ->
@@ -628,7 +644,7 @@ let estimate_fetch_cost t r =
    decay the task's estimated accuracy after this epoch's estimate. *)
 let read_counters_faulty t r ~retry_budget ~fault_ms ~deadline ~shed =
   let id = Task.id r.task in
-  let data = Source.next r.source in
+  let data = next_epoch t r in
   let costs = delay_costs t in
   let task_switches = Task.switches r.task in
   let readings = ref [] in
@@ -1234,23 +1250,6 @@ let[@hot] tick t =
       Obs.Profile.record p ~path:"epoch/configure" ~wall_ms:sample.configure_ms
         ~gc:!configure_gc;
       Obs.Profile.observe_epoch p t.registry ~wall_ms:epoch_wall ~gc:epoch_gc);
-    (* Mirror the store's process-global build counters into the registry,
-       then zero them so the next tick's delta is self-contained.  Pure
-       observability: the counters never feed back into simulation state,
-       so runs with and without telemetry stay byte-identical. *)
-    let store_stats = Aggregate.stats () in
-    Ctr.add
-      (Obs.Registry.counter t.registry "aggregate_sorted_fast_path")
-      store_stats.Aggregate.sorted_fast_path;
-    Ctr.add
-      (Obs.Registry.counter t.registry "aggregate_sort_fallbacks")
-      store_stats.Aggregate.sort_fallbacks;
-    Ctr.add (Obs.Registry.counter t.registry "aggregate_flat_builds") store_stats.Aggregate.flat_builds;
-    Ctr.add
-      (Obs.Registry.counter t.registry "aggregate_reference_builds")
-      store_stats.Aggregate.reference_builds;
-    Ctr.add (Obs.Registry.counter t.registry "aggregate_flat_merges") store_stats.Aggregate.flat_merges;
-    Aggregate.reset_stats ();
     List.iter
       (fun (id, kind, accuracy, satisfied) ->
         let alloc =
@@ -1300,7 +1299,7 @@ let total_rules_fetched t = Ctr.value t.rules_fetched
 
 (* ---- checkpoints ---- *)
 
-let snapshot_magic = "dream-checkpoint v3"
+let snapshot_magic = "dream-checkpoint v4"
 
 let emit_config w (config : Config.t) =
   C.section w "config";
@@ -1321,8 +1320,6 @@ let emit_config w (config : Config.t) =
   C.bool w "has_install_budget" (config.Config.install_budget <> None);
   (match config.Config.install_budget with Some b -> C.int w "install_budget" b | None -> ());
   C.bool w "check_invariants" config.Config.check_invariants;
-  C.bool w "store_flat"
-    (match config.Config.store_backend with Aggregate.Flat -> true | Aggregate.Reference -> false);
   C.bool w "has_degraded" (config.Config.degraded <> None);
   match config.Config.degraded with
   | Some d ->
@@ -1359,9 +1356,6 @@ let parse_config r : Config.t =
     if C.bool_field r "has_install_budget" then Some (C.int_field r "install_budget") else None
   in
   let check_invariants = C.bool_field r "check_invariants" in
-  let store_backend =
-    if C.bool_field r "store_flat" then Aggregate.Flat else Aggregate.Reference
-  in
   let degraded =
     if C.bool_field r "has_degraded" then begin
       let failure_threshold = C.int_field r "breaker_threshold" in
@@ -1389,7 +1383,6 @@ let parse_config r : Config.t =
     faults = None;
     degraded;
     check_invariants;
-    store_backend;
     telemetry = None;
   }
 
@@ -1710,9 +1703,6 @@ let parse_snapshot r =
     p_switches; p_allocator; p_rob; p_records; p_runtimes }
 
 let controller_of_parsed d ~switches ~planes ~faults ~tel =
-  (* Restore under the checkpoint's backend: replayed merges and reads must
-     take the same representation paths the original run took. *)
-  Aggregate.set_backend d.p_config.Config.store_backend;
   let active = Hashtbl.create 64 in
   List.iter (fun r -> Hashtbl.replace active (Task.id r.task) r) d.p_runtimes;
   let registry =
@@ -1742,6 +1732,8 @@ let controller_of_parsed d ~switches ~planes ~faults ~tel =
     delays = [];
     rules_installed;
     rules_fetched;
+    fast_path_builds = Obs.Registry.counter registry "aggregate_sorted_fast_path";
+    sort_fallbacks = Obs.Registry.counter registry "aggregate_sort_fallbacks";
     rob;
     recovered_now = Switch_id.Set.empty;
     journal = None;

@@ -5,7 +5,6 @@ module Config = Dream_core.Config
 module Metrics = Dream_core.Metrics
 module Allocator = Dream_alloc.Allocator
 module Snapshot = Dream_obs.Bench_snapshot
-module Aggregate = Dream_traffic.Aggregate
 
 type result = {
   strategy : string;
@@ -22,15 +21,7 @@ let dream_strategy = Allocator.Dream Dream_alloc.Dream_allocator.default_config
 
 let standard_strategies = [ dream_strategy; Allocator.Equal; Allocator.Fixed 32 ]
 
-let run ?config (scenario : Scenario.t) strategy =
-  (* No explicit config: inherit the ambient store backend, so a figure run
-     wrapped in [Aggregate.with_backend] really does exercise that backend
-     end to end (Controller.create re-asserts [config.store_backend]). *)
-  let config =
-    match config with
-    | Some c -> c
-    | None -> { Config.default with Config.store_backend = Aggregate.current_backend () }
-  in
+let run ?(config = Config.default) (scenario : Scenario.t) strategy =
   let controller =
     Controller.create ~config ~strategy ~num_switches:scenario.Scenario.num_switches
       ~capacity:scenario.Scenario.capacity

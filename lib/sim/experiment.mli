@@ -17,8 +17,7 @@ type result = {
 
 val run :
   ?config:Dream_core.Config.t ->
-  (* default: {!Dream_core.Config.default} with the ambient
-     {!Dream_traffic.Aggregate.current_backend} as its store backend *)
+  (* default: {!Dream_core.Config.default} *)
   Dream_workload.Scenario.t ->
   Dream_alloc.Allocator.strategy ->
   result

@@ -83,11 +83,7 @@ let run ~quick =
      absorbs deliberate small feature work); epochs/sec is wall clock and
      stays informational like the other timings. *)
   let profile = Profile.create () in
-  let profiled_config =
-    { (config_of ~telemetry:(Some (Telemetry.create ~profile ()))) with
-      Config.store_backend = Dream_traffic.Aggregate.current_backend ()
-    }
-  in
+  let profiled_config = config_of ~telemetry:(Some (Telemetry.create ~profile ())) in
   let _, profiled_s = timed (fun () -> Experiment.run ~config:profiled_config scenario Experiment.dream_strategy) in
   let epoch_alloc_words =
     match Profile.find profile "epoch" with

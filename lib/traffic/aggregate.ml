@@ -1,207 +1,185 @@
 module Prefix = Dream_prefix.Prefix
 
-type backend = Reference | Flat
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(* The backend is a process-wide switch, not a per-value property: every
-   aggregate a run builds goes through the same representation, so a seeded
-   run is a function of (seed, backend) and the differential tests can pin
-   Flat to the Reference output bit for bit.  [Controller.create] sets it
-   from [Config.store_backend]; Flat is the production default. *)
-let backend = ref Flat
+type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-let set_backend b = backend := b
-
-let current_backend () = !backend
-
-let with_backend b f =
-  let saved = !backend in
-  backend := b;
-  Fun.protect ~finally:(fun () -> backend := saved) f
-
-type build_stats = {
-  sorted_fast_path : int;
-  sort_fallbacks : int;
-  flat_builds : int;
-  reference_builds : int;
-  flat_merges : int;
+type t = {
+  n : int;
+  addrs : ints; (* sorted, distinct; length n *)
+  volumes : floats; (* volume of addrs.{i}; length n *)
+  cumulative : floats; (* cumulative.{i} = sum volumes.{0..i-1}; length n+1 *)
+  sorted_fast_path : bool; (* the build skipped [Flow.combine] *)
 }
 
-let sorted_fast_path = ref 0
+let make_ints n = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
 
-let sort_fallbacks = ref 0
+let make_floats n = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
 
-let flat_builds = ref 0
-
-let reference_builds = ref 0
-
-let flat_merges = ref 0
-
-let stats () =
-  {
-    sorted_fast_path = !sorted_fast_path;
-    sort_fallbacks = !sort_fallbacks;
-    flat_builds = !flat_builds;
-    reference_builds = !reference_builds;
-    flat_merges = !flat_merges;
-  }
-
-let reset_stats () =
-  sorted_fast_path := 0;
-  sort_fallbacks := 0;
-  flat_builds := 0;
-  reference_builds := 0;
-  flat_merges := 0
-
-(* ---- reference backend: boxed OCaml arrays, the original layout ---- *)
-
-type boxed = {
-  addrs : int array; (* sorted, distinct *)
-  volumes : float array; (* volume of addrs.(i) *)
-  cumulative : float array; (* cumulative.(i) = sum volumes.(0..i-1); length n+1 *)
-}
-
-type t = Boxed of boxed | Flat_backed of Flat_store.t
-
-(* [combined] must already be sorted-distinct (the fast path checked, or
-   [Flow.combine] just ran).  Identical to the original build: volumes in
-   ascending address order, cumulative summed left to right. *)
-let boxed_of_sorted combined =
-  let n = List.length combined in
-  let addrs = Array.make n 0 in
-  let volumes = Array.make n 0.0 in
-  List.iteri
-    (fun i (f : Flow.t) ->
-      addrs.(i) <- f.addr;
-      volumes.(i) <- f.volume)
-    combined;
-  let cumulative = Array.make (n + 1) 0.0 in
-  for i = 0 to n - 1 do
-    cumulative.(i + 1) <- cumulative.(i) +. volumes.(i)
-  done;
-  { addrs; volumes; cumulative }
-
+(* Volumes land in ascending address order and the cumulative sum runs left
+   to right, exactly as the boxed oracle in the test tree fills its arrays;
+   test/test_flat_store.ml holds the two to bitwise equality. *)
 let of_flows flows =
   (* Sortedness fast path: the generator emits per-switch flows that
      arrive here already strictly ascending, so the combine sort would be
      a no-op — [Flow.combine] on sorted-distinct input returns an equal
-     list.  Both backends take it; the counters are the proof hook the
-     fast-path unit test and the Obs mirror read. *)
-  let combined =
-    if Flow.sorted_distinct flows then begin
-      incr sorted_fast_path;
-      flows
-    end
-    else begin
-      incr sort_fallbacks;
-      Flow.combine flows
-    end
-  in
-  match !backend with
-  | Reference ->
-    incr reference_builds;
-    Boxed (boxed_of_sorted combined)
-  | Flat ->
-    incr flat_builds;
-    Flat_backed (Flat_store.of_sorted combined)
+     list. *)
+  let sorted_fast_path = Flow.sorted_distinct flows in
+  let flows = if sorted_fast_path then flows else Flow.combine flows in
+  let n = List.length flows in
+  let addrs = make_ints n in
+  let volumes = make_floats n in
+  let cumulative = make_floats (n + 1) in
+  cumulative.{0} <- 0.0;
+  let i = ref 0 in
+  List.iter
+    (fun (f : Flow.t) ->
+      let k = !i in
+      addrs.{k} <- f.addr;
+      volumes.{k} <- f.volume;
+      cumulative.{k + 1} <- cumulative.{k} +. f.volume;
+      incr i)
+    flows;
+  { n; addrs; volumes; cumulative; sorted_fast_path }
 
-let empty = Boxed (boxed_of_sorted [])
+let empty = of_flows []
 
-(* Index of the first element >= key. *)
-let lower_bound addrs key =
+let sorted_fast_path t = t.sorted_fast_path
+
+(* Index of the first element >= key; [from] narrows the search when the
+   caller already knows a valid lower bound (batched reads). *)
+let lower_bound_from t ~from key =
   let rec go lo hi =
     if lo >= hi then lo
     else begin
       let mid = (lo + hi) / 2 in
-      if addrs.(mid) < key then go (mid + 1) hi else go lo mid
+      if t.addrs.{mid} < key then go (mid + 1) hi else go lo mid
     end
   in
-  go 0 (Array.length addrs)
+  go from t.n
 
-let boxed_range b p =
-  let lo = lower_bound b.addrs (Prefix.first_address p) in
-  let hi = lower_bound b.addrs (Prefix.last_address p + 1) in
+let range t p =
+  let lo = lower_bound_from t ~from:0 (Prefix.first_address p) in
+  let hi = lower_bound_from t ~from:lo (Prefix.last_address p + 1) in
   (lo, hi)
 
 let volume t p =
-  match t with
-  | Boxed b ->
-    let lo, hi = boxed_range b p in
-    b.cumulative.(hi) -. b.cumulative.(lo)
-  | Flat_backed f -> Flat_store.volume f p
+  let lo, hi = range t p in
+  t.cumulative.{hi} -. t.cumulative.{lo}
 
 let count_addresses t p =
-  match t with
-  | Boxed b ->
-    let lo, hi = boxed_range b p in
-    hi - lo
-  | Flat_backed f -> Flat_store.count_addresses f p
+  let lo, hi = range t p in
+  hi - lo
 
-let total t =
-  match t with
-  | Boxed b -> b.cumulative.(Array.length b.addrs)
-  | Flat_backed f -> Flat_store.total f
+let total t = t.cumulative.{t.n}
 
-let num_addresses t =
-  match t with Boxed b -> Array.length b.addrs | Flat_backed f -> Flat_store.num_addresses f
-
-let flows_in t p =
-  match t with
-  | Boxed b ->
-    let lo, hi = boxed_range b p in
-    let rec collect i acc =
-      if i < lo then acc
-      else collect (i - 1) ({ Flow.addr = b.addrs.(i); volume = b.volumes.(i) } :: acc)
-    in
-    collect (hi - 1) []
-  | Flat_backed f -> Flat_store.flows_in f p
+let num_addresses t = t.n
 
 let fold_in t p ~init ~f =
-  match t with
-  | Boxed b ->
-    let lo, hi = boxed_range b p in
-    let acc = ref init in
-    for i = lo to hi - 1 do
-      acc := f !acc { Flow.addr = b.addrs.(i); volume = b.volumes.(i) }
-    done;
-    !acc
-  | Flat_backed fs -> Flat_store.fold_in fs p ~init ~f
+  let lo, hi = range t p in
+  let acc = ref init in
+  for i = lo to hi - 1 do
+    acc := f !acc { Flow.addr = t.addrs.{i}; volume = t.volumes.{i} }
+  done;
+  !acc
+
+let flows_in t p =
+  let lo, hi = range t p in
+  let rec collect i acc =
+    if i < lo then acc
+    else collect (i - 1) ({ Flow.addr = t.addrs.{i}; volume = t.volumes.{i} } :: acc)
+  in
+  collect (hi - 1) []
 
 let fold t ~init ~f =
-  match t with
-  | Boxed b ->
-    let acc = ref init in
-    for i = 0 to Array.length b.addrs - 1 do
-      acc := f !acc { Flow.addr = b.addrs.(i); volume = b.volumes.(i) }
+  let acc = ref init in
+  for i = 0 to t.n - 1 do
+    acc := f !acc { Flow.addr = t.addrs.{i}; volume = t.volumes.{i} }
+  done;
+  !acc
+
+(* Answer a batch of prefix queries in one pass.  TCAM rule sets arrive in
+   {!Prefix.compare} order, whose first component is the first covered
+   address, so the running low bound [lo] below is a valid search floor for
+   every later query; if a caller ever passes an unordered batch the floor
+   resets and the answer is still exact, just not faster.  Each query
+   computes the same (lo, hi) index pair — hence the same float — as
+   {!volume} would. *)
+let[@hot] read_prefixes t ps =
+  let prev_first = ref min_int in
+  let prev_lo = ref 0 in
+  List.map
+    (fun p ->
+      let first = Prefix.first_address p in
+      let from = if first >= !prev_first then !prev_lo else 0 in
+      let lo = lower_bound_from t ~from first in
+      let hi = lower_bound_from t ~from:lo (Prefix.last_address p + 1) in
+      prev_first := first;
+      prev_lo := lo;
+      (p, t.cumulative.{hi} -. t.cumulative.{lo}))
+    ps
+
+(* Point-wise sum, two linear passes: count the distinct addresses of the
+   union, then fill.  Equal addresses sum left operand first ([va +. vb]),
+   matching the left-to-right duplicate fold of [Flow.combine] on the
+   concatenated flow lists the boxed oracle merges with. *)
+let[@hot] merge a b =
+  if a.n = 0 then b
+  else if b.n = 0 then a
+  else begin
+    let count = ref 0 in
+    let i = ref 0 and j = ref 0 in
+    while !i < a.n && !j < b.n do
+      let ai = a.addrs.{!i} and bj = b.addrs.{!j} in
+      if ai < bj then incr i
+      else if ai > bj then incr j
+      else begin
+        incr i;
+        incr j
+      end;
+      incr count
     done;
-    !acc
-  | Flat_backed f' -> Flat_store.fold f' ~init ~f
+    count := !count + (a.n - !i) + (b.n - !j);
+    let n = !count in
+    let addrs = make_ints n in
+    let volumes = make_floats n in
+    let cumulative = make_floats (n + 1) in
+    cumulative.{0} <- 0.0;
+    let k = ref 0 in
+    let put addr v =
+      let k0 = !k in
+      addrs.{k0} <- addr;
+      volumes.{k0} <- v;
+      cumulative.{k0 + 1} <- cumulative.{k0} +. v;
+      incr k
+    in
+    i := 0;
+    j := 0;
+    while !i < a.n && !j < b.n do
+      let ai = a.addrs.{!i} and bj = b.addrs.{!j} in
+      if ai < bj then begin
+        put ai a.volumes.{!i};
+        incr i
+      end
+      else if ai > bj then begin
+        put bj b.volumes.{!j};
+        incr j
+      end
+      else begin
+        put ai (a.volumes.{!i} +. b.volumes.{!j});
+        incr i;
+        incr j
+      end
+    done;
+    while !i < a.n do
+      put a.addrs.{!i} a.volumes.{!i};
+      incr i
+    done;
+    while !j < b.n do
+      put b.addrs.{!j} b.volumes.{!j};
+      incr j
+    done;
+    { n; addrs; volumes; cumulative; sorted_fast_path = true }
+  end
 
-let to_flows t = fold t ~init:[] ~f:(fun acc f -> f :: acc)
-
-let read_prefixes t ps =
-  match t with
-  | Boxed _ -> List.map (fun p -> (p, volume t p)) ps
-  | Flat_backed f -> Flat_store.read_prefixes f ps
-
-let merge a b =
-  match (a, b) with
-  | Flat_backed fa, Flat_backed fb ->
-    incr flat_merges;
-    Flat_backed (Flat_store.merge fa fb)
-  | _ ->
-    (* Mixed or reference operands: rebuild through the combine path, the
-       original semantics.  [Flow.combine]'s stable sort keeps equal
-       addresses in concatenation order, so duplicates sum left operand
-       first — the same order the flat merge uses. *)
-    of_flows (List.rev_append (to_flows a) (to_flows b))
-
-let merge_all ts =
-  match !backend with
-  | Reference -> of_flows (List.concat_map to_flows ts)
-  | Flat -> (
-    match ts with
-    | [] -> of_flows []
-    | hd :: tl ->
-      (* Left fold of linear merges: equal addresses accumulate in list
-         order, exactly as the concat-then-combine reference does. *)
-      List.fold_left merge hd tl)
+let merge_all = function [] -> empty | hd :: tl -> List.fold_left merge hd tl

@@ -6,36 +6,27 @@
     simulator's stand-in for the switch data plane counting packets against
     installed rules.
 
-    Two interchangeable backends build that index: the boxed OCaml-array
-    [Reference] layout (the original implementation, kept alive as the
-    differential oracle) and the off-heap {!Flat_store} [Flat] layout that
-    the zero-alloc hot path uses.  Both produce bit-identical query results
-    for any input — the qcheck differential suite and the seeded figure
-    byte-identity test enforce it — so the backend is a pure
-    representation choice selected globally via [Config.store_backend]. *)
+    The payload lives in unboxed off-heap [Bigarray]s: building one
+    allocates a constant handful of words on the OCaml heap however many
+    flows the epoch carries.  The original boxed-array implementation is
+    kept in the test tree as a differential oracle; the qcheck suite holds
+    every query here to bitwise equality with it. *)
 
 type t
-
-type backend = Reference | Flat
-
-val set_backend : backend -> unit
-(** Select the representation used by every subsequent build.  Existing
-    aggregates are unaffected (queries dispatch on their own
-    representation).  [Controller.create] calls this with
-    [Config.store_backend]; the initial value is [Flat]. *)
-
-val current_backend : unit -> backend
-
-val with_backend : backend -> (unit -> 'a) -> 'a
-(** Run a thunk under a backend, restoring the previous choice on exit
-    (including by exception) — the hook the differential tests use. *)
 
 val of_flows : Flow.t list -> t
 (** Build an index; duplicate addresses are combined.  Flows already in
     strictly ascending address order skip the combine sort (the
-    sortedness fast path; {!stats} counts the hits). *)
+    sortedness fast path; {!sorted_fast_path} reports whether it was
+    taken). *)
 
 val empty : t
+
+val sorted_fast_path : t -> bool
+(** [false] exactly when [t] came from {!of_flows} on input that had to
+    run {!Flow.combine}.  Merges and {!empty} never sort, so they report
+    [true].  The controller counts this over the per-switch aggregates of
+    every epoch it reads; it never influences simulation state. *)
 
 val volume : t -> Dream_prefix.Prefix.t -> float
 (** Total volume of addresses covered by the prefix. *)
@@ -59,27 +50,13 @@ val fold : t -> init:'a -> f:('a -> Flow.t -> 'a) -> 'a
 
 val read_prefixes : t -> Dream_prefix.Prefix.t list -> (Dream_prefix.Prefix.t * float) list
 (** Batched {!volume} over a query list, returned in query order: the
-    answer list is element-wise identical to mapping [volume], but the
-    flat backend answers a sorted batch (TCAM rule sets arrive in
-    {!Dream_prefix.Prefix.compare} order) in one narrowing pass. *)
+    answer list is element-wise identical to mapping [volume], but a
+    sorted batch (TCAM rule sets arrive in {!Dream_prefix.Prefix.compare}
+    order) is answered in one narrowing pass. *)
 
 val merge : t -> t -> t
 (** Point-wise sum of two aggregates (used to combine per-switch views into
-    the network-wide view). *)
+    the network-wide view); equal addresses sum as [left +. right]. *)
 
 val merge_all : t list -> t
-
-type build_stats = {
-  sorted_fast_path : int;  (** builds whose input was already sorted-distinct *)
-  sort_fallbacks : int;  (** builds that had to run {!Flow.combine} *)
-  flat_builds : int;
-  reference_builds : int;
-  flat_merges : int;  (** linear merges taken instead of concat-and-resort *)
-}
-
-val stats : unit -> build_stats
-(** Process-wide build counters since start (or {!reset_stats}).  The
-    controller mirrors them into the Obs registry when telemetry is
-    attached; they never influence simulation state. *)
-
-val reset_stats : unit -> unit
+(** Left fold of {!merge}: equal addresses accumulate in list order. *)

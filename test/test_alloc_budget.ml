@@ -1,6 +1,6 @@
 (* Allocation-budget regression: every profiled control-loop phase must
    stay under the per-phase word budgets committed in
-   bench/baseline/ALLOC_BUDGET.json, under BOTH store backends.  Seeded
+   bench/baseline/ALLOC_BUDGET.json for the flat counter store.  Seeded
    runs allocate deterministically, so a budget miss is a real regression
    (some scratch structure started being rebuilt per epoch), not noise —
    the budgets carry ~15% headroom over the measured values recorded next
@@ -14,7 +14,6 @@ module Telemetry = Dream_obs.Telemetry
 module Profile = Dream_obs.Profile
 module Gc_stats = Dream_obs.Gc_stats
 module Json = Dream_obs.Json
-module Aggregate = Dream_traffic.Aggregate
 module Experiment = Dream_sim.Experiment
 
 (* dune runs tests from _build/default/test; a manual `./test_….exe` from
@@ -30,19 +29,19 @@ let epochs = 80
 
 let scenario = { Scenario.default with Scenario.num_tasks = 35; total_epochs = epochs }
 
-let read_budgets backend_key =
+let read_budgets () =
   let contents = In_channel.with_open_text budget_file In_channel.input_all in
   match Json.of_string contents with
   | Error e -> Alcotest.failf "unreadable %s: %s" budget_file e
   | Ok j -> begin
-    match Option.bind (Json.member "budgets" j) (Json.member backend_key) with
-    | None -> Alcotest.failf "%s: no budgets.%s object" budget_file backend_key
+    match Option.bind (Json.member "budgets" j) (Json.member "flat") with
+    | None -> Alcotest.failf "%s: no budgets.flat object" budget_file
     | Some b ->
       List.map
         (fun phase ->
           match Option.bind (Json.member phase b) Json.to_float with
           | Some v -> (phase, v)
-          | None -> Alcotest.failf "%s: missing budgets.%s.%s" budget_file backend_key phase)
+          | None -> Alcotest.failf "%s: missing budgets.flat.%s" budget_file phase)
         [ "epoch"; "configure"; "estimate"; "allocate" ]
   end
 
@@ -51,21 +50,20 @@ let span_of_phase = function "epoch" -> "epoch" | phase -> "epoch/" ^ phase
 let alloc_words (r : Gc_stats.reading) =
   r.Gc_stats.minor_words +. r.Gc_stats.major_words -. r.Gc_stats.promoted_words
 
-let profiled_run backend =
+let profiled_run () =
   let profile = Profile.create () in
   let config =
     {
       Config.default with
       Config.faults = Some (Fault_model.uniform ~seed:97 0.05);
       telemetry = Some (Telemetry.create ~profile ());
-      store_backend = backend;
     }
   in
   ignore (Experiment.run ~config scenario Experiment.dream_strategy);
   profile
 
-let check_backend backend_key backend () =
-  let profile = profiled_run backend in
+let check_budgets () =
+  let profile = profiled_run () in
   List.iter
     (fun (phase, budget) ->
       match Profile.find profile (span_of_phase phase) with
@@ -73,18 +71,14 @@ let check_backend backend_key backend () =
       | Some stat ->
         let per_epoch = alloc_words stat.Profile.gc /. float_of_int epochs in
         if per_epoch > budget then
-          Alcotest.failf "%s/%s allocates %.0f words/epoch, budget %.0f" backend_key phase
-            per_epoch budget)
-    (read_budgets backend_key)
+          Alcotest.failf "%s allocates %.0f words/epoch, budget %.0f" phase per_epoch budget)
+    (read_budgets ())
 
 let () =
   Alcotest.run "dream.alloc_budget"
     [
       ( "budgets",
         [
-          Alcotest.test_case "flat backend under budget" `Slow
-            (check_backend "flat" Aggregate.Flat);
-          Alcotest.test_case "reference backend under budget" `Slow
-            (check_backend "reference" Aggregate.Reference);
+          Alcotest.test_case "flat backend under budget" `Slow check_budgets;
         ] );
     ]

@@ -1,66 +1,66 @@
-(* Backend byte-identity regression: seeded figure runs must produce
-   BIT-identical metric lists under the flat store and the boxed reference
-   store.  This is the end-to-end companion to test_flat_store's unit
-   differentials: it covers the full pipeline — generator, epoch data,
-   TCAM reads, estimators, allocator, configuration — for the three
-   committed baseline figures that exercise it from three angles (fig2:
-   estimator recall, fig4: allocation policy, fig17: the full controller
-   loop under the delay model). *)
+(* Golden byte-identity regression: seeded quick runs of the three figures
+   that exercise the counter store from three angles (fig2: estimator
+   recall, fig4: allocation policy, fig17: the full controller loop under
+   the delay model) must reproduce every gated metric of the committed
+   bench/baseline/BENCH_<figure>.json bit for bit.  Metrics with direction
+   [info] are measured wall-clock time and only have to be present and
+   finite. *)
 
-module Aggregate = Dream_traffic.Aggregate
 module Fig02 = Dream_sim.Fig02
 module Fig04 = Dream_sim.Fig04
 module Fig17 = Dream_sim.Fig17
 module Snapshot = Dream_obs.Bench_snapshot
+
+(* dune runs tests from _build/default/test; a manual `./test_….exe` from
+   the repo root also works thanks to the fallback path. *)
+let baseline figure =
+  let file = Snapshot.filename figure in
+  let in_build = Filename.concat "../bench/baseline" file in
+  let path =
+    if Sys.file_exists in_build then in_build else Filename.concat "bench/baseline" file
+  in
+  match Snapshot.read path with
+  | Ok snapshot -> snapshot
+  | Error e -> Alcotest.failf "baseline: %s" e
 
 let metric_fingerprint (m : Snapshot.metric) =
   Printf.sprintf "%s|%s|%Lx|%s" m.Snapshot.m_name m.Snapshot.m_unit
     (Int64.bits_of_float m.Snapshot.m_value)
     (Snapshot.direction_to_string m.Snapshot.m_direction)
 
-(* fig17's report/allocate/configure columns are measured wall-clock time
-   (only fetch/save come from the deterministic delay model), so backends
-   can only be required to produce finite values there, not equal bits. *)
-let wall_clock_metric name =
-  List.exists
-    (fun needle ->
-      let nl = String.length needle and l = String.length name in
-      let rec scan i = i + nl <= l && (String.sub name i nl = needle || scan (i + 1)) in
-      scan 0)
-    [ "report_ms"; "allocate_ms"; "configure_ms"; "alloc_p95" ]
-
-let run_both name (run : quick:bool -> Snapshot.metric list) () =
-  let under backend = Aggregate.with_backend backend (fun () -> run ~quick:true) in
-  let flat = under Aggregate.Flat in
-  let reference = under Aggregate.Reference in
-  Alcotest.(check int)
-    (name ^ ": same metric count")
-    (List.length flat) (List.length reference);
+let matches_baseline figure (run : quick:bool -> Snapshot.metric list) () =
+  let expected = (baseline figure).Snapshot.metrics in
+  let actual = run ~quick:true in
+  let names ms = List.map (fun m -> m.Snapshot.m_name) ms in
+  Alcotest.(check (list string)) (figure ^ ": same metrics") (names expected) (names actual);
   let deterministic = ref 0 in
   List.iter2
-    (fun f r ->
-      if wall_clock_metric f.Snapshot.m_name then
+    (fun e a ->
+      match e.Snapshot.m_direction with
+      | Snapshot.Info ->
         Alcotest.(check bool)
-          (Printf.sprintf "%s: %s finite under both" name f.Snapshot.m_name)
+          (Printf.sprintf "%s: %s finite" figure a.Snapshot.m_name)
           true
-          (Float.is_finite f.Snapshot.m_value && Float.is_finite r.Snapshot.m_value)
-      else begin
+          (Float.is_finite a.Snapshot.m_value)
+      | Snapshot.Lower_better | Snapshot.Higher_better ->
         incr deterministic;
         Alcotest.(check string)
-          (Printf.sprintf "%s: %s bit-identical" name f.Snapshot.m_name)
-          (metric_fingerprint f) (metric_fingerprint r)
-      end)
-    flat reference;
-  (* A byte-equal pair of empty runs would be vacuous. *)
-  Alcotest.(check bool) (name ^ ": has deterministic metrics") true (!deterministic > 0)
+          (Printf.sprintf "%s: %s bit-identical" figure e.Snapshot.m_name)
+          (metric_fingerprint e) (metric_fingerprint a))
+    expected actual;
+  (* A baseline with only info rows would make the check vacuous. *)
+  Alcotest.(check bool) (figure ^ ": has deterministic metrics") true (!deterministic > 0)
 
 let () =
   Alcotest.run "dream.byte_identity"
     [
-      ( "backends",
+      ( "baseline",
         [
-          Alcotest.test_case "fig2 flat = reference" `Slow (run_both "fig2" Fig02.run);
-          Alcotest.test_case "fig4 flat = reference" `Slow (run_both "fig4" Fig04.run);
-          Alcotest.test_case "fig17 flat = reference" `Slow (run_both "fig17" Fig17.run);
+          Alcotest.test_case "fig2 matches BENCH_fig2.json" `Slow
+            (matches_baseline "fig2" Fig02.run);
+          Alcotest.test_case "fig4 matches BENCH_fig4.json" `Slow
+            (matches_baseline "fig4" Fig04.run);
+          Alcotest.test_case "fig17 matches BENCH_fig17.json" `Slow
+            (matches_baseline "fig17" Fig17.run);
         ] );
     ]

@@ -1,16 +1,14 @@
 (* Differential suite for the flat counter store: every Aggregate query
-   must be BIT-identical (Int64.bits_of_float, not epsilon) between the
-   boxed reference backend and the flat Bigarray backend, on adversarial
-   inputs — duplicate addresses, adjacent prefixes, full- and zero-length
-   prefixes, empty epochs, merges and batched reads.  This is the oracle
-   that lets the simulator swap representations under seeded runs without
-   moving a single figure byte. *)
+   must be BIT-identical (Int64.bits_of_float, not epsilon) to the boxed
+   reference store in Reference_store, on adversarial inputs — duplicate
+   addresses, adjacent prefixes, full- and zero-length prefixes, empty
+   epochs, merges and batched reads. *)
 
 module Rng = Dream_util.Rng
 module Prefix = Dream_prefix.Prefix
 module Flow = Dream_traffic.Flow
 module Aggregate = Dream_traffic.Aggregate
-module Flat_store = Dream_traffic.Flat_store
+module Reference = Reference_store
 module Topology = Dream_traffic.Topology
 module Profile = Dream_traffic.Profile
 module Generator = Dream_traffic.Generator
@@ -28,14 +26,14 @@ let same_float a b = Int64.equal (bits a) (bits b)
 (* All flows an aggregate holds, in iteration order. *)
 let dump a = List.rev (Aggregate.fold a ~init:[] ~f:(fun acc f -> f :: acc))
 
+let dump_reference r = List.rev (Reference.fold r ~init:[] ~f:(fun acc f -> f :: acc))
+
 let same_flows la lb =
   List.length la = List.length lb
   && List.for_all2
        (fun (a : Flow.t) (b : Flow.t) ->
          a.Flow.addr = b.Flow.addr && same_float a.Flow.volume b.Flow.volume)
        la lb
-
-let both f = (Aggregate.with_backend Aggregate.Reference f, Aggregate.with_backend Aggregate.Flat f)
 
 (* ---- generators ---- *)
 
@@ -70,12 +68,12 @@ let prop_build_queries =
   QCheck.Test.make ~name:"flat vs reference: volume/count/total bitwise" ~count:500
     (QCheck.make QCheck.Gen.(pair gen_flows gen_prefix))
     (fun (flows, q) ->
-      let ra, fa = both (fun () -> Aggregate.of_flows flows) in
-      same_float (Aggregate.volume ra q) (Aggregate.volume fa q)
-      && Aggregate.count_addresses ra q = Aggregate.count_addresses fa q
-      && same_float (Aggregate.total ra) (Aggregate.total fa)
-      && Aggregate.num_addresses ra = Aggregate.num_addresses fa
-      && same_flows (dump ra) (dump fa))
+      let ra = Reference.of_flows flows and fa = Aggregate.of_flows flows in
+      same_float (Reference.volume ra q) (Aggregate.volume fa q)
+      && Reference.count_addresses ra q = Aggregate.count_addresses fa q
+      && same_float (Reference.total ra) (Aggregate.total fa)
+      && Reference.num_addresses ra = Aggregate.num_addresses fa
+      && same_flows (dump_reference ra) (dump fa))
 
 let prop_read_prefixes =
   QCheck.Test.make ~name:"flat vs reference: batched reads bitwise" ~count:500
@@ -84,9 +82,9 @@ let prop_read_prefixes =
       (* Both TCAM order (sorted, the monotonic-lo fast path) and an
          arbitrary order must agree element-wise. *)
       let sorted_rules = List.sort Prefix.compare rules in
-      let ra, fa = both (fun () -> Aggregate.of_flows flows) in
+      let ra = Reference.of_flows flows and fa = Aggregate.of_flows flows in
       let same rules =
-        let rr = Aggregate.read_prefixes ra rules in
+        let rr = Reference.read_prefixes ra rules in
         let fr = Aggregate.read_prefixes fa rules in
         List.length rr = List.length fr
         && List.for_all2
@@ -99,95 +97,92 @@ let prop_merge =
   QCheck.Test.make ~name:"flat vs reference: merge bitwise" ~count:500
     (QCheck.make QCheck.Gen.(pair gen_flows gen_flows))
     (fun (fl1, fl2) ->
-      let merge () = Aggregate.merge (Aggregate.of_flows fl1) (Aggregate.of_flows fl2) in
-      let rm, fm = both merge in
-      same_flows (dump rm) (dump fm) && same_float (Aggregate.total rm) (Aggregate.total fm))
+      let rm = Reference.merge (Reference.of_flows fl1) (Reference.of_flows fl2) in
+      let fm = Aggregate.merge (Aggregate.of_flows fl1) (Aggregate.of_flows fl2) in
+      same_flows (dump_reference rm) (dump fm)
+      && same_float (Reference.total rm) (Aggregate.total fm))
 
 let prop_merge_all =
   QCheck.Test.make ~name:"flat vs reference: merge_all bitwise" ~count:200
     (QCheck.make QCheck.Gen.(list_size (int_range 0 6) gen_flows))
     (fun flow_lists ->
-      let merged () = Aggregate.merge_all (List.map Aggregate.of_flows flow_lists) in
-      let rm, fm = both merged in
-      same_flows (dump rm) (dump fm))
+      let rm = Reference.merge_all (List.map Reference.of_flows flow_lists) in
+      let fm = Aggregate.merge_all (List.map Aggregate.of_flows flow_lists) in
+      same_flows (dump_reference rm) (dump fm))
 
 let prop_fold_in =
   QCheck.Test.make ~name:"flat vs reference: fold_in order and sums" ~count:300
     (QCheck.make QCheck.Gen.(pair gen_flows gen_prefix))
     (fun (flows, q) ->
-      let ra, fa = both (fun () -> Aggregate.of_flows flows) in
-      let sum a = Aggregate.fold_in a q ~init:0.0 ~f:(fun acc f -> acc +. f.Flow.volume) in
-      same_float (sum ra) (sum fa)
-      && same_flows (Aggregate.flows_in ra q) (Aggregate.flows_in fa q))
+      let ra = Reference.of_flows flows and fa = Aggregate.of_flows flows in
+      let add acc f = acc +. f.Flow.volume in
+      same_float
+        (Reference.fold_in ra q ~init:0.0 ~f:add)
+        (Aggregate.fold_in fa q ~init:0.0 ~f:add)
+      && same_flows (Reference.flows_in ra q) (Aggregate.flows_in fa q))
 
 (* ---- directed edge cases ---- *)
 
 let check_identical flows queries =
-  let ra, fa = both (fun () -> Aggregate.of_flows flows) in
-  Alcotest.(check bool) "flows identical" true (same_flows (dump ra) (dump fa));
+  let ra = Reference.of_flows flows and fa = Aggregate.of_flows flows in
+  Alcotest.(check bool) "flows identical" true (same_flows (dump_reference ra) (dump fa));
   List.iter
     (fun q ->
       Alcotest.(check bool)
         (Printf.sprintf "volume at %s" (Prefix.to_string q))
         true
-        (same_float (Aggregate.volume ra q) (Aggregate.volume fa q)))
-    queries
+        (same_float (Reference.volume ra q) (Aggregate.volume fa q)))
+    queries;
+  fa
 
 let test_empty_epoch () =
-  check_identical [] [ Prefix.root; p "10.0.0.0/8"; p "10.0.0.1/32" ];
-  let re, fe = both (fun () -> Aggregate.of_flows []) in
+  let fe = check_identical [] [ Prefix.root; p "10.0.0.0/8"; p "10.0.0.1/32" ] in
   Alcotest.(check int) "empty count" 0 (Aggregate.num_addresses fe);
   Alcotest.(check bool) "empty merge" true
-    (same_flows (dump (Aggregate.merge re fe)) (dump (Aggregate.merge fe re)))
+    (same_flows [] (dump (Aggregate.merge fe Aggregate.empty)));
+  Alcotest.(check bool) "empty merge_all" true (same_flows [] (dump (Aggregate.merge_all [])))
 
 let test_duplicates () =
   (* Duplicate addresses force the combine path: sums must still agree
-     bitwise because both backends add volumes left to right. *)
+     bitwise because both stores add volumes left to right. *)
   let flows = [ flow 7 0.1; flow 7 0.2; flow 7 0.4; flow 3 1.0; flow 3 (1.0 /. 3.0) ] in
-  check_identical flows [ Prefix.root; Prefix.of_address 7; Prefix.of_address 3 ]
+  let a = check_identical flows [ Prefix.root; Prefix.of_address 7; Prefix.of_address 3 ] in
+  Alcotest.(check bool) "duplicates leave the fast path" false (Aggregate.sorted_fast_path a)
 
 let test_adjacent_prefixes () =
   let flows = [ flow 0x0A00 1.5; flow 0x0A01 2.5; flow 0x0A02 0.25; flow 0x0A03 4.0 ] in
-  check_identical flows
-    [
-      Prefix.make ~bits:0x0A00 ~length:31;
-      Prefix.make ~bits:0x0A02 ~length:31;
-      Prefix.make ~bits:0x0A00 ~length:30;
-    ]
+  ignore
+    (check_identical flows
+       [
+         Prefix.make ~bits:0x0A00 ~length:31;
+         Prefix.make ~bits:0x0A02 ~length:31;
+         Prefix.make ~bits:0x0A00 ~length:30;
+       ])
 
 let test_extreme_lengths () =
   let flows = [ flow 0 1.0; flow 0xFFFF 2.0; flow 0x8000 4.0 ] in
   (* Zero-length (the whole space) and full-length (single address). *)
-  check_identical flows
-    [ Prefix.root; Prefix.of_address 0; Prefix.of_address 0xFFFF; Prefix.of_address 0x8000 ]
-
-let test_mixed_backend_merge () =
-  (* A Flat aggregate merged with a Reference one takes the combine path
-     and must equal the all-flat and all-reference merges bitwise. *)
-  let fl1 = [ flow 1 0.1; flow 2 0.2 ] and fl2 = [ flow 2 0.4; flow 9 1.0 ] in
-  let a_flat = Aggregate.with_backend Aggregate.Flat (fun () -> Aggregate.of_flows fl1) in
-  let b_ref = Aggregate.with_backend Aggregate.Reference (fun () -> Aggregate.of_flows fl2) in
-  let mixed = Aggregate.merge a_flat b_ref in
-  let rm, fm =
-    both (fun () -> Aggregate.merge (Aggregate.of_flows fl1) (Aggregate.of_flows fl2))
-  in
-  Alcotest.(check bool) "mixed = flat" true (same_flows (dump mixed) (dump fm));
-  Alcotest.(check bool) "mixed = reference" true (same_flows (dump mixed) (dump rm))
+  ignore
+    (check_identical flows
+       [ Prefix.root; Prefix.of_address 0; Prefix.of_address 0xFFFF; Prefix.of_address 0x8000 ])
 
 (* ---- cumulative-sum internals ---- *)
 
 let test_flat_store_cumulative () =
   let flows = [ flow 1 0.25; flow 4 0.5; flow 9 (1.0 /. 3.0); flow 12 2.0 ] in
-  let fs = Flat_store.of_sorted flows in
-  (* range/volume agree with a manual prefix walk over the sorted flows. *)
-  let lo, hi = Flat_store.range fs (p "0.0.0.0/28") in
-  Alcotest.(check int) "range lo" 0 lo;
-  Alcotest.(check int) "range hi" 4 hi;
-  let lo', hi' = Flat_store.range fs (p "0.0.0.0/29") in
-  Alcotest.(check int) "tighter range lo" 0 lo';
-  Alcotest.(check int) "tighter range hi" 2 hi';
-  let manual = List.fold_left (fun acc (f : Flow.t) -> acc +. f.Flow.volume) 0.0 flows in
-  Alcotest.(check bool) "total bitwise" true (same_float manual (Flat_store.total fs))
+  let a = Aggregate.of_flows flows in
+  Alcotest.(check bool) "sorted input takes the fast path" true (Aggregate.sorted_fast_path a);
+  (* Prefix queries agree with a manual walk over the sorted flows: the
+     /28 covers all four addresses, the /29 the first two. *)
+  let sum fs = List.fold_left (fun acc (f : Flow.t) -> acc +. f.Flow.volume) 0.0 fs in
+  Alcotest.(check bool) "/28 covers all" true
+    (same_flows flows (Aggregate.flows_in a (p "0.0.0.0/28")));
+  Alcotest.(check int) "/29 count" 2 (Aggregate.count_addresses a (p "0.0.0.0/29"));
+  Alcotest.(check bool) "/29 is the low pair" true
+    (same_flows [ flow 1 0.25; flow 4 0.5 ] (Aggregate.flows_in a (p "0.0.0.0/29")));
+  Alcotest.(check bool) "/29 volume bitwise" true
+    (same_float (0.25 +. 0.5) (Aggregate.volume a (p "0.0.0.0/29")));
+  Alcotest.(check bool) "total bitwise" true (same_float (sum flows) (Aggregate.total a))
 
 (* ---- sortedness fast path ---- *)
 
@@ -200,28 +195,22 @@ let test_generator_hits_fast_path () =
       ~switches_per_task:4
   in
   let gen = Generator.create (Rng.split rng) ~topology ~profile:(Profile.default ~threshold:8.0) in
-  Aggregate.reset_stats ();
-  let data = Generator.next gen in
-  let stats = Aggregate.stats () in
-  Alcotest.(check bool) "fast path hit" true (stats.Aggregate.sorted_fast_path > 0);
-  Alcotest.(check int) "no sort fallbacks" 0 stats.Aggregate.sort_fallbacks;
-  (* And the data is actually non-trivial, or the assertion is vacuous. *)
-  let total =
-    Switch_id.Set.fold
-      (fun sw acc -> acc +. Aggregate.total (Epoch_data.switch_view data sw))
-      (Epoch_data.active_switches data) 0.0
-  in
-  Alcotest.(check bool) "epoch carries traffic" true (total > 0.0)
-
-let test_backend_flag_restored () =
-  let before = Aggregate.current_backend () in
-  (try
-     Aggregate.with_backend Aggregate.Reference (fun () -> raise Exit)
-   with Exit -> ());
-  Alcotest.(check bool) "backend restored on exception" true
-    (match (before, Aggregate.current_backend ()) with
-    | Aggregate.Flat, Aggregate.Flat | Aggregate.Reference, Aggregate.Reference -> true
-    | _ -> false)
+  for epoch = 0 to 4 do
+    let data = Generator.next gen in
+    Switch_id.Map.iter
+      (fun sw agg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "epoch %d switch %d on the fast path" epoch sw)
+          true (Aggregate.sorted_fast_path agg))
+      data.Epoch_data.per_switch;
+    (* And the data is actually non-trivial, or the assertion is vacuous. *)
+    let total =
+      Switch_id.Map.fold
+        (fun _ agg acc -> acc +. Aggregate.total agg)
+        data.Epoch_data.per_switch 0.0
+    in
+    Alcotest.(check bool) (Printf.sprintf "epoch %d carries traffic" epoch) true (total > 0.0)
+  done
 
 let () =
   Alcotest.run "dream.flat_store"
@@ -240,13 +229,11 @@ let () =
           Alcotest.test_case "duplicate addresses" `Quick test_duplicates;
           Alcotest.test_case "adjacent prefixes" `Quick test_adjacent_prefixes;
           Alcotest.test_case "zero- and full-length prefixes" `Quick test_extreme_lengths;
-          Alcotest.test_case "mixed-backend merge" `Quick test_mixed_backend_merge;
           Alcotest.test_case "cumulative sums" `Quick test_flat_store_cumulative;
         ] );
       ( "fast-path",
         [
           Alcotest.test_case "generator output skips the sort" `Quick
             test_generator_hits_fast_path;
-          Alcotest.test_case "with_backend restores on raise" `Quick test_backend_flag_restored;
         ] );
     ]

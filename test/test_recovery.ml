@@ -4,6 +4,7 @@
    invariant checker. *)
 
 module Rng = Dream_util.Rng
+module Codec = Dream_util.Codec
 module Prefix = Dream_prefix.Prefix
 module Topology = Dream_traffic.Topology
 module Generator = Dream_traffic.Generator
@@ -244,6 +245,18 @@ let test_restore_rejects_corruption () =
   in
   reject "empty document" "";
   reject "wrong magic" ("bogus" ^ doc);
+  (* A well-formed, correctly checksummed document from the previous format
+     version is refused on its magic, not migrated. *)
+  (match Codec.unseal ~magic:"dream-checkpoint v4" doc with
+  | Error e -> Alcotest.failf "current snapshot does not unseal: %s" e
+  | Ok body -> (
+    match Controller.restore (Codec.seal ~magic:"dream-checkpoint v3" body) with
+    | Error e ->
+      Alcotest.(check bool)
+        ("v3 refused on its magic: " ^ e)
+        true
+        (String.starts_with ~prefix:"bad magic" e)
+    | Ok _ -> Alcotest.fail "v3 document must be rejected"));
   reject "truncation" (String.sub doc 0 (String.length doc / 2));
   let flipped = Bytes.of_string doc in
   let mid = Bytes.length flipped / 2 in
