@@ -23,6 +23,7 @@ module Degraded_mode = Dream_sim.Degraded_mode
 module Config = Dream_core.Config
 module Metrics = Dream_core.Metrics
 module Task_spec = Dream_tasks.Task_spec
+module Topology = Dream_traffic.Topology
 module Fault_model = Dream_fault.Fault_model
 module Journal = Dream_recovery.Journal
 module Allocator = Dream_alloc.Allocator
@@ -47,6 +48,25 @@ let scenario_of capacity num_switches switches_per_task tasks window duration ep
   let* () =
     check (switches_per_task > 0)
       (sp "--switches-per-task must be positive (got %d)" switches_per_task)
+  in
+  (* The topology splits each task filter into this many equal
+     sub-prefixes, one per distinct switch, tracked as bits of an int. *)
+  let* () =
+    check
+      (switches_per_task land (switches_per_task - 1) = 0)
+      (sp "--switches-per-task must be a power of two (got %d)" switches_per_task)
+  in
+  let* () =
+    check
+      (switches_per_task <= num_switches)
+      (sp "--switches-per-task must not exceed --switches (got %d > %d)" switches_per_task
+         num_switches)
+  in
+  let* () =
+    check
+      (switches_per_task <= Topology.max_switches_per_task)
+      (sp "--switches-per-task must be at most %d (got %d)" Topology.max_switches_per_task
+         switches_per_task)
   in
   let* () = check (tasks > 0) (sp "--tasks must be positive (got %d)" tasks) in
   let* () = check (window > 0) (sp "--window must be a positive epoch count (got %d)" window) in

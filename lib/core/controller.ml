@@ -833,6 +833,81 @@ let quarantine_allocations t allocations =
   | Some fm ->
     Switch_id.Map.mapi (fun sw v -> if Fault_model.is_down fm sw then 0 else v) allocations
 
+(* ---- rule sync ----
+
+   A task's installed rules (Tcam order) and its desired rules (monitor
+   order) are both lists in Prefix.compare order, so each pass is one
+   sorted-merge walk (Prefix.fold_diff) over the two: no set is built to
+   diff them.  Each pass asks the monitor for the desired rules of the
+   switch it is on (configure ran for every task before pass 1, and the
+   passes do not touch monitors), so no task's lists outlive its walk. *)
+
+(* Pass 1, one stale rule: delete it while the switch's update budget
+   lasts.  Counts the deletions. *)
+let remove_rule t ~id dp (budgets : Arena.ints) i p removed =
+  if budgets.{i} > 0 then begin
+    jot t (Journal.Delete { epoch = t.epoch; task_id = id; switch = Data_plane.id dp; prefix = p });
+    match Data_plane.remove dp ~owner:id p with
+    | Ok _ ->
+      budgets.{i} <- budgets.{i} - 1;
+      removed + 1
+    | Error (`Down | `Unreachable) -> removed
+  end
+  else removed
+
+let rec remove_stale t r budgets i removed =
+  if i = Array.length t.planes then removed
+  else begin
+    let dp = t.planes.(i) in
+    let id = Task.id r.task in
+    let removed =
+      Prefix.fold_diff (remove_rule t ~id dp budgets i) (Data_plane.rules_of dp ~owner:id)
+        (Task.desired_rules r.task (Data_plane.id dp)) removed
+    in
+    remove_stale t r budgets (i + 1) removed
+  end
+
+(* Pass 2, one missing rule: install it while the switch's update budget
+   lasts.  Collects the rules that landed.  Installs onto a switch that
+   recovered this epoch are the full rule-set reinstall its crash
+   demands. *)
+let install_rule t ~id dp (budgets : Arena.ints) i p added =
+  if budgets.{i} > 0 then begin
+    let sw_id = Data_plane.id dp in
+    jot t (Journal.Install { epoch = t.epoch; task_id = id; switch = sw_id; prefix = p });
+    match Data_plane.install dp ~owner:id p with
+    | Ok () ->
+      budgets.{i} <- budgets.{i} - 1;
+      if Switch_id.Set.mem sw_id t.recovered_now then Ctr.incr t.rob.recovery_reinstalls;
+      Prefix.Set.add p added
+    | Error `Failed ->
+      (* The attempt consumed an update slot; the rule stays desired and
+         is retried next epoch. *)
+      budgets.{i} <- budgets.{i} - 1;
+      Ctr.incr t.rob.install_failures;
+      added
+    | Error (`Capacity | `Duplicate | `Down | `Unreachable) -> added
+  end
+  else added
+
+let rec install_missing t r budgets i =
+  if i < Array.length t.planes then begin
+    let dp = t.planes.(i) in
+    let id = Task.id r.task in
+    let added =
+      Prefix.fold_diff (install_rule t ~id dp budgets i)
+        (Task.desired_rules r.task (Data_plane.id dp))
+        (Data_plane.rules_of dp ~owner:id) Prefix.Set.empty
+    in
+    if not (Prefix.Set.is_empty added) then begin
+      let sw_id = Data_plane.id dp in
+      r.fresh_rules <- Switch_id.Map.add sw_id added r.fresh_rules;
+      r.last_install_counts <-
+        Switch_id.Map.add sw_id (Prefix.Set.cardinal added) r.last_install_counts
+    end;
+    install_missing t r budgets (i + 1)
+  end
+
 let[@hot] tick t =
   let config = t.config in
   let now () = Obs.Clock.now_ms t.clock in
@@ -1072,25 +1147,17 @@ let[@hot] tick t =
   let configure_clock = ref 0.0 in
   let configure_gc = ref Obs.Gc_stats.zero in
   let survivors = List.filter (fun r -> Hashtbl.mem t.active (Task.id r.task)) runtimes in
-  let desired_of =
-    List.map
-      (fun r ->
-        let id = Task.id r.task in
-        let allocations = Allocator.allocation_of t.allocator ~task_id:id in
-        let allocations = quarantine_allocations t allocations in
-        let t0 = now () in
-        let gc0 = gc_now () in
-        Task.configure r.task ~allocations;
-        configure_clock := !configure_clock +. (now () -. t0);
-        configure_gc := Obs.Gc_stats.add !configure_gc (Obs.Gc_stats.sub (gc_now ()) gc0);
-        let per_switch =
-          Array.map
-            (fun sw -> Prefix.Set.of_list (Task.desired_rules r.task (Switch.id sw)))
-            t.switches
-        in
-        (r, per_switch))
-      survivors
-  in
+  List.iter
+    (fun r ->
+      let id = Task.id r.task in
+      let allocations = Allocator.allocation_of t.allocator ~task_id:id in
+      let allocations = quarantine_allocations t allocations in
+      let t0 = now () in
+      let gc0 = gc_now () in
+      Task.configure r.task ~allocations;
+      configure_clock := !configure_clock +. (now () -. t0);
+      configure_gc := Obs.Gc_stats.add !configure_gc (Obs.Gc_stats.sub (gc_now ()) gc0))
+    survivors;
   (* Per-switch rule-update budgets: a software switch applies everything,
      a hardware switch only [install_budget] updates per epoch (deferred
      ones are retried next epoch and the affected counters read nothing
@@ -1103,66 +1170,21 @@ let[@hot] tick t =
   (* Pass 1: removals. *)
   let removals_by_task = Hashtbl.create 16 in
   List.iter
-    (fun (r, per_switch) ->
+    (fun r ->
+      let removed = remove_stale t r budgets 0 0 in
       let id = Task.id r.task in
-      let removed = ref 0 in
-      Array.iteri
-        (fun i dp ->
-          List.iter
-            (fun p ->
-              if (not (Prefix.Set.mem p per_switch.(i))) && budgets.{i} > 0 then begin
-                jot t
-                  (Journal.Delete { epoch = t.epoch; task_id = id; switch = Data_plane.id dp; prefix = p });
-                match Data_plane.remove dp ~owner:id p with
-                | Ok _ ->
-                  budgets.{i} <- budgets.{i} - 1;
-                  incr removed
-                | Error (`Down | `Unreachable) -> ()
-              end)
-            (Data_plane.rules_of dp ~owner:id))
-        t.planes;
-      if tracing && !removed > 0 then Hashtbl.replace removals_by_task id !removed)
-    desired_of;
+      if tracing && removed > 0 then Hashtbl.replace removals_by_task id removed)
+    survivors;
   (* Pass 2: installs, newest rules skipped once a switch's budget runs
-     out or its table is full.  Installs onto a switch that recovered this
-     epoch are the full rule-set reinstall its crash demands. *)
+     out or its table is full. *)
   List.iter
-    (fun (r, per_switch) ->
+    (fun r ->
       let id = Task.id r.task in
-      let fresh = ref Switch_id.Map.empty in
-      let installs = ref Switch_id.Map.empty in
-      Array.iteri
-        (fun i dp ->
-          let sw_id = Data_plane.id dp in
-          let installed = Prefix.Set.of_list (Data_plane.rules_of dp ~owner:id) in
-          let added = ref Prefix.Set.empty in
-          Prefix.Set.iter
-            (fun p ->
-              if (not (Prefix.Set.mem p installed)) && budgets.{i} > 0 then begin
-                jot t (Journal.Install { epoch = t.epoch; task_id = id; switch = sw_id; prefix = p });
-                match Data_plane.install dp ~owner:id p with
-                | Ok () ->
-                  budgets.{i} <- budgets.{i} - 1;
-                  added := Prefix.Set.add p !added;
-                  if Switch_id.Set.mem sw_id t.recovered_now then
-                    Ctr.incr t.rob.recovery_reinstalls
-                | Error `Failed ->
-                  (* The attempt consumed an update slot; the rule stays
-                     desired and is retried next epoch. *)
-                  budgets.{i} <- budgets.{i} - 1;
-                  Ctr.incr t.rob.install_failures
-                | Error (`Capacity | `Duplicate | `Down | `Unreachable) -> ()
-              end)
-            per_switch.(i);
-          if not (Prefix.Set.is_empty !added) then begin
-            fresh := Switch_id.Map.add sw_id !added !fresh;
-            installs := Switch_id.Map.add sw_id (Prefix.Set.cardinal !added) !installs
-          end)
-        t.planes;
-      r.fresh_rules <- !fresh;
-      r.last_install_counts <- !installs;
+      r.fresh_rules <- Switch_id.Map.empty;
+      r.last_install_counts <- Switch_id.Map.empty;
+      install_missing t r budgets 0;
       if tracing then begin
-        let installed = Switch_id.Map.fold (fun _ n acc -> acc + n) !installs 0 in
+        let installed = Switch_id.Map.fold (fun _ n acc -> acc + n) r.last_install_counts 0 in
         let removed =
           match Hashtbl.find_opt removals_by_task id with Some n -> n | None -> 0
         in
@@ -1172,7 +1194,7 @@ let[@hot] tick t =
           trace_event t ~name:"rule_sync"
             [ ("task", Tr.Int id); ("installs", Tr.Int installed); ("removals", Tr.Int removed) ]
       end)
-    desired_of;
+    survivors;
   (* Price the epoch's switch interactions for Fig 17. *)
   let fetch_total, install_total, remove_total, touched =
     Array.fold_left

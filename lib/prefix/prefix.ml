@@ -35,6 +35,9 @@ let contains t addr = addr land mask t.length = t.bits
 
 let covers a b = a.length <= b.length && b.bits land mask a.length = a.bits
 
+let covers_bits ~abits ~alen ~bbits ~blen =
+  alen <= blen && (abits lxor bbits) lsr (address_bits - alen) = 0
+
 let is_ancestor_of a b = a.length < b.length && covers a b
 
 let parent t = if t.length = 0 then None else Some { bits = t.bits land mask (t.length - 1); length = t.length - 1 }
@@ -80,6 +83,15 @@ let equal a b = a.bits = b.bits && a.length = b.length
 let compare a b =
   let c = Int.compare a.bits b.bits in
   if c <> 0 then c else Int.compare a.length b.length
+
+let rec fold_diff f xs ys acc =
+  match xs with
+  | [] -> acc
+  | x :: xs' -> (
+    match ys with
+    | y :: ys' when compare y x < 0 -> fold_diff f xs ys' acc
+    | y :: ys' when equal y x -> fold_diff f xs' ys' acc
+    | _ :: _ | [] -> fold_diff f xs' ys (f x acc))
 
 let hash t = Hashtbl.hash (t.bits, t.length)
 

@@ -55,6 +55,10 @@ val is_ancestor_of : t -> t -> bool
 val covers : t -> t -> bool
 (** [covers a b] is true when [a = b] or [a] is an ancestor of [b]. *)
 
+val covers_bits : abits:int -> alen:int -> bbits:int -> blen:int -> bool
+(** {!covers} on prefixes given as ({!bits}, {!length}) pairs, for walks
+    that track trie nodes without building prefixes. *)
+
 val parent : t -> t option
 (** [None] for the root prefix. *)
 
@@ -84,6 +88,12 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Total order: by first address, then by length (shorter first), so a
     sorted list groups ancestors immediately before their descendants. *)
+
+val fold_diff : (t -> 'a -> 'a) -> t list -> t list -> 'a -> 'a
+(** [fold_diff f xs ys acc] folds [f], in list order, over the elements of
+    [xs] that are not in [ys]: the elements of [Set.diff xs ys], in the
+    same order.  Both lists must be strictly increasing under {!compare}
+    (as {!Set.elements} returns them); one merge walk, no set built. *)
 
 val hash : t -> int
 

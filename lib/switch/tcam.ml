@@ -12,8 +12,6 @@ type t = {
   mutable fetches : int;
 }
 
-type delta = { added : int; removed : int }
-
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Tcam.create: capacity must be positive";
   { capacity; tables = Hashtbl.create 64; used = 0; installs = 0; removals = 0; fetches = 0 }
@@ -84,23 +82,6 @@ let remove_owner t ~owner =
     t.removals <- t.removals + n;
     Hashtbl.remove t.tables owner;
     n
-
-let sync t ~owner ~prefixes =
-  let target = Prefix.Set.of_list prefixes in
-  let set = table t owner in
-  let to_remove = Prefix.Set.diff !set target in
-  let to_add = Prefix.Set.diff target !set in
-  let removed = Prefix.Set.cardinal to_remove in
-  let added = Prefix.Set.cardinal to_add in
-  if t.used - removed + added > t.capacity then
-    invalid_arg
-      (Printf.sprintf "Tcam.sync: owner %d would exceed capacity (%d used, -%d +%d, cap %d)"
-         owner t.used removed added t.capacity);
-  set := target;
-  t.used <- t.used - removed + added;
-  t.removals <- t.removals + removed;
-  t.installs <- t.installs + added;
-  { added; removed }
 
 let read t ~owner aggregate =
   let rules = rules_of t ~owner in

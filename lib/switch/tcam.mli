@@ -3,8 +3,9 @@
     Rules are (owner task, prefix) pairs with hardware counters; capacity is
     the number of TCAM entries available to measurement (the dynamically
     allocable pool of Section 4).  The table never exceeds capacity:
-    {!sync} installs a task's new prefix set only up to the per-call
-    budget, and {!install} fails when full.
+    {!install} fails when full.  The controller syncs a task's rules with
+    {!remove} and {!install}, diffing {!rules_of} against the desired
+    prefixes in one sorted-merge walk ({!Dream_prefix.Prefix.fold_diff}).
 
     Counter values come from {!read}: the simulator stands in for the data
     plane by evaluating each rule's prefix against the epoch's traffic
@@ -34,7 +35,8 @@ val used_by : t -> owner:int -> int
 val owners : t -> int list
 
 val rules_of : t -> owner:int -> Dream_prefix.Prefix.t list
-(** Installed prefixes of one task, in prefix order. *)
+(** Installed prefixes of one task, strictly increasing in
+    {!Dream_prefix.Prefix.compare} order. *)
 
 val dump : t -> (int * Dream_prefix.Prefix.t list) list
 (** Every installed rule, grouped by owner in owner order with prefixes in
@@ -49,13 +51,6 @@ val remove : t -> owner:int -> Dream_prefix.Prefix.t -> bool
 val remove_owner : t -> owner:int -> int
 (** Delete all rules of a task (when it is dropped or ends); returns the
     number removed. *)
-
-type delta = { added : int; removed : int }
-
-val sync : t -> owner:int -> prefixes:Dream_prefix.Prefix.t list -> delta
-(** Incremental update: make the task's installed set equal [prefixes]
-    (removals first, then installs; unchanged rules are untouched).
-    @raise Invalid_argument if the new set would exceed capacity. *)
 
 val read : t -> owner:int -> Dream_traffic.Aggregate.t -> (Dream_prefix.Prefix.t * float) list
 (** Per-rule counters of a task against this epoch's traffic at this

@@ -38,10 +38,10 @@ val active : t -> Dream_traffic.Switch_id.Set.t
     can grant zero entries on a switch; the task then goes blind there
     instead of violating switch capacity. *)
 
-val usage_map : t -> int Dream_traffic.Switch_id.Map.t
-
 val rules_for : t -> Dream_traffic.Switch_id.t -> Dream_prefix.Prefix.t list
-(** Prefixes to install on a switch (counters whose S contains it). *)
+(** Prefixes to install on a switch (counters whose S contains it), in
+    {!Dream_prefix.Prefix.compare} order — the order the controller's
+    sorted-merge rule sync relies on. *)
 
 val ingest :
   t -> (Dream_traffic.Switch_id.t * (Dream_prefix.Prefix.t * float) list) list -> unit
@@ -54,20 +54,53 @@ val bottlenecked :
     5.3). *)
 
 module Cover : sig
+  (** cover() of Section 5.2: greedy weighted set cover over the T_j sets
+      of the structural trie nodes above the counters.  Internally every
+      switch set is a bitmask over the task's sub-filters (bit [i] is
+      sub-filter [i] of the topology); switch sets appear only here, at
+      the boundary. *)
+
   type solution = { ancestors : Dream_prefix.Prefix.t list; cost : float }
   (** Disjoint ancestors to merge, and the total score of the counters the
       merges destroy. *)
+
+  type candidates
+  (** The monitor's candidate table.  There is one per monitor, reused
+      across builds: a {!build} invalidates the candidates of every earlier
+      one, and any merge or divide not followed by
+      {!repair_after_merge} leaves them stale. *)
+
+  val build : t -> candidates
+  (** Every structural node with a non-empty T set, in the order the
+      greedy breaks ties by, plus a per-switch lower bound on the cost of a
+      candidate freeing that switch. *)
+
+  val repair_after_merge : candidates -> Dream_prefix.Prefix.t -> unit
+  (** Drop the candidates a merge at the given ancestor destroyed (those
+      it covers).  The per-switch bounds stay: they only under-estimate. *)
+
+  val min_cost_bound : candidates -> Dream_traffic.Switch_id.Set.t -> float
+  (** Lower bound on the cost of any cover of the set: the largest
+      per-switch bound over it ([infinity] for a switch no candidate
+      frees). *)
+
+  val solve_with :
+    candidates ->
+    exclude:Dream_prefix.Prefix.t option ->
+    Dream_traffic.Switch_id.Set.t ->
+    solution option
+  (** Greedy cover of the set from these candidates, ignoring those that
+      cover [exclude] (so a merge never destroys the counter about to be
+      divided).  [None] if the set cannot be covered. *)
 
   val solve :
     t ->
     exclude:Dream_prefix.Prefix.t option ->
     Dream_traffic.Switch_id.Set.t ->
     solution option
-  (** [solve t ~exclude f] finds a low-cost set of ancestors whose merging
-      frees at least one entry on every switch in [f] (the cover() function
-      of Section 5.2, greedy weighted set cover over the T_j sets).
-      Candidates covering [exclude] are ignored (so a merge never destroys
-      the counter about to be divided).  [None] if [f] cannot be covered. *)
+  (** [solve t ~exclude f] is [solve_with (build t) ~exclude f]: a
+      low-cost set of ancestors whose merging frees at least one entry on
+      every switch in [f]. *)
 end
 
 val configure : t -> allocations:int Dream_traffic.Switch_id.Map.t -> unit
@@ -92,4 +125,4 @@ val parse :
   t
 (** Inverse of {!emit}; per-switch usage is rebuilt incrementally as
     counters are re-added.  @raise Dream_util.Codec.Parse_error on
-    mismatch. *)
+    mismatch, or an active switch outside the topology. *)

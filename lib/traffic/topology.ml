@@ -8,6 +8,8 @@ type t = {
   subfilters : (Prefix.t * Switch_id.t) array; (* in address order *)
 }
 
+let max_switches_per_task = 32
+
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
 let log2 n =
@@ -19,6 +21,8 @@ let create rng ~filter ~num_switches ~switches_per_task =
     invalid_arg "Topology.create: switches_per_task must be a power of two";
   if switches_per_task > num_switches then
     invalid_arg "Topology.create: switches_per_task exceeds num_switches";
+  if switches_per_task > max_switches_per_task then
+    invalid_arg "Topology.create: switches_per_task exceeds 32";
   let split_bits = log2 switches_per_task in
   if Prefix.wildcard_bits filter < split_bits then
     invalid_arg "Topology.create: filter too long to split";
@@ -51,6 +55,10 @@ let parse r =
   let num_switches = C.int_field r "num_switches" in
   let switches_per_task = C.int_field r "switches_per_task" in
   let n = C.int_field r "subfilters" in
+  (* Sub-filter sets are bitmasks with one bit per sub-filter. *)
+  if n <> switches_per_task || n > max_switches_per_task then
+    C.parse_error 0
+      (Printf.sprintf "%d sub-filters for switches_per_task %d (at most 32)" n switches_per_task);
   let subfilters =
     C.repeat n (fun () ->
         let p = Prefix.of_string (C.string_field r "sub") in
@@ -67,6 +75,29 @@ let num_switches t = t.num_switches
 let switches_per_task t = t.switches_per_task
 
 let subfilters t = Array.to_list t.subfilters
+
+let subfilter_of_bit t i = fst t.subfilters.(i)
+
+let switch_of_bit t i = snd t.subfilters.(i)
+
+(* [switch_set]'s test on a (bits, length) pair, so the mask loop below
+   builds no prefix. *)
+let intersects ~bits ~length sub =
+  let sbits = Prefix.bits sub and slen = Prefix.length sub in
+  Prefix.covers_bits ~abits:sbits ~alen:slen ~bbits:bits ~blen:length
+  || Prefix.covers_bits ~abits:bits ~alen:length ~bbits:sbits ~blen:slen
+
+let rec mask_from subs ~bits ~length i acc =
+  if i = Array.length subs then acc
+  else begin
+    let sub, _ = subs.(i) in
+    let acc = if intersects ~bits ~length sub then acc lor (1 lsl i) else acc in
+    mask_from subs ~bits ~length (i + 1) acc
+  end
+
+let bits_mask t ~bits ~length = mask_from t.subfilters ~bits ~length 0 0
+
+let prefix_mask t p = bits_mask t ~bits:(Prefix.bits p) ~length:(Prefix.length p)
 
 let switch_set t p =
   Array.fold_left

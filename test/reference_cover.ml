@@ -1,0 +1,137 @@
+(* The original Switch_id.Set-based cover() of Monitor, kept as the
+   differential oracle for the bitmask candidate table in Monitor.Cover.
+   It rebuilds the candidates with Trie.fold_bindings_bottom_up (boxed
+   node records, child lists, one Set operation per trie node) and runs
+   the greedy over plain candidate lists.  Only the tests use it. *)
+
+module Prefix = Dream_prefix.Prefix
+module Trie = Dream_prefix.Trie
+module Switch_id = Dream_traffic.Switch_id
+module Counter = Dream_tasks.Counter
+module Monitor = Dream_tasks.Monitor
+module Task_spec = Dream_tasks.Task_spec
+
+type solution = { ancestors : Prefix.t list; cost : float }
+
+type node_info = {
+  s : Switch_id.Set.t; (* switches with traffic under this node *)
+  t_set : Switch_id.Set.t; (* switches freed by merging this node *)
+  cost : float; (* total score of descendant counters *)
+  count : int; (* descendant monitored counters *)
+}
+
+type candidates = {
+  cands : (Prefix.t * node_info) list;
+  cheapest_per_switch : float Switch_id.Map.t;
+}
+
+(* The switches a counter actually occupies. *)
+let effective m (c : Counter.t) = Switch_id.Set.inter c.switches (Monitor.active m)
+
+let build_candidates m =
+  let bindings =
+    Array.map (fun (c : Counter.t) -> (c.prefix, c)) (Array.of_list (Monitor.counters m))
+  in
+  let candidates = ref [] in
+  let merge_info prefix (value : Counter.t option) (children : node_info list) =
+    match value with
+    | Some c -> { s = effective m c; t_set = Switch_id.Set.empty; cost = c.score; count = 1 }
+    | None ->
+      let info =
+        match children with
+        | [ only ] -> { only with t_set = only.t_set }
+        | [ l; r ] ->
+          {
+            s = Switch_id.Set.union l.s r.s;
+            t_set =
+              Switch_id.Set.union
+                (Switch_id.Set.union l.t_set r.t_set)
+                (Switch_id.Set.inter l.s r.s);
+            cost = l.cost +. r.cost;
+            count = l.count + r.count;
+          }
+        | _ -> { s = Switch_id.Set.empty; t_set = Switch_id.Set.empty; cost = 0.0; count = 0 }
+      in
+      if (not (Switch_id.Set.is_empty info.t_set)) && info.count >= 2 then
+        candidates := (prefix, info) :: !candidates;
+      info
+  in
+  ignore
+    (Trie.fold_bindings_bottom_up ~root:(Monitor.spec m).Task_spec.filter bindings ~f:merge_info);
+  !candidates
+
+let build m =
+  let cands = build_candidates m in
+  let cheapest_per_switch =
+    List.fold_left
+      (fun acc (_, info) ->
+        Switch_id.Set.fold
+          (fun sw acc ->
+            let current =
+              match Switch_id.Map.find_opt sw acc with Some v -> v | None -> Float.infinity
+            in
+            Switch_id.Map.add sw (Float.min current info.cost) acc)
+          info.t_set acc)
+      Switch_id.Map.empty cands
+  in
+  { cands; cheapest_per_switch }
+
+let repair_after_merge candidates ancestor =
+  {
+    candidates with
+    cands = List.filter (fun (q, _) -> not (Prefix.covers ancestor q)) candidates.cands;
+  }
+
+let min_cost_bound candidates f =
+  Switch_id.Set.fold
+    (fun sw acc ->
+      let c =
+        match Switch_id.Map.find_opt sw candidates.cheapest_per_switch with
+        | Some v -> v
+        | None -> Float.infinity
+      in
+      Float.max acc c)
+    f 0.0
+
+let solve_with { cands; cheapest_per_switch = _ } ~exclude f =
+  if Switch_id.Set.is_empty f then Some { ancestors = []; cost = 0.0 }
+  else begin
+    let keep (prefix, _) =
+      match exclude with None -> true | Some p -> not (Prefix.covers prefix p)
+    in
+    let rec greedy chosen cost uncovered candidates =
+      if Switch_id.Set.is_empty uncovered then Some { ancestors = chosen; cost }
+      else begin
+        let useful =
+          List.filter_map
+            (fun (prefix, info) ->
+              let gain = Switch_id.Set.cardinal (Switch_id.Set.inter info.t_set uncovered) in
+              if gain = 0 then None else Some (prefix, info, gain))
+            candidates
+        in
+        let best =
+          List.fold_left
+            (fun acc (prefix, info, gain) ->
+              let ratio = info.cost /. float_of_int gain in
+              match acc with
+              | Some (_, _, best_ratio) when best_ratio <= ratio -> acc
+              | _ -> Some (prefix, info, ratio))
+            None useful
+        in
+        match best with
+        | None -> None
+        | Some (prefix, info, _) ->
+          let remaining =
+            List.filter
+              (fun (q, _) -> not (Prefix.covers q prefix || Prefix.covers prefix q))
+              candidates
+          in
+          greedy (prefix :: chosen) (cost +. info.cost)
+            (Switch_id.Set.diff uncovered info.t_set)
+            remaining
+      end
+    in
+    greedy [] 0.0 f (List.filter keep cands)
+  end
+
+let solve m ~exclude f = solve_with (build m) ~exclude f

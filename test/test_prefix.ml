@@ -148,6 +148,18 @@ let prop_common_ancestor_covers =
       let c = Prefix.common_ancestor a b in
       Prefix.covers c a && Prefix.covers c b)
 
+let prop_covers_bits =
+  QCheck.Test.make ~name:"covers_bits = covers on (bits, length)" ~count:500
+    QCheck.(triple arb_prefix arb_prefix (int_bound 32))
+    (fun (a, b, cut) ->
+      (* About half the pairs nest: [b] replaced by an ancestor of [a]. *)
+      let b = if cut <= Prefix.length a && cut mod 2 = 0 then Prefix.ancestor_at a cut else b in
+      let raw x y =
+        Prefix.covers_bits ~abits:(Prefix.bits x) ~alen:(Prefix.length x) ~bbits:(Prefix.bits y)
+          ~blen:(Prefix.length y)
+      in
+      raw a b = Prefix.covers a b && raw b a = Prefix.covers b a)
+
 let prop_string_roundtrip =
   QCheck.Test.make ~name:"to_string/of_string roundtrip" ~count:500 arb_prefix (fun x ->
       Prefix.equal x (Prefix.of_string (Prefix.to_string x)))
@@ -319,6 +331,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_children_partition;
           QCheck_alcotest.to_alcotest prop_contains_range;
           QCheck_alcotest.to_alcotest prop_common_ancestor_covers;
+          QCheck_alcotest.to_alcotest prop_covers_bits;
           QCheck_alcotest.to_alcotest prop_string_roundtrip;
         ] );
       ( "trie",

@@ -1,4 +1,5 @@
-(* Tests for dream.switch: TCAM capacity enforcement, incremental sync,
+(* Tests for dream.switch: TCAM capacity enforcement, incremental sync
+   through the sorted-merge diff (against the Set.diff oracle),
    counter reads against aggregates, churn statistics, and the control-loop
    delay model. *)
 
@@ -10,6 +11,27 @@ module Switch = Dream_switch.Switch
 module Delay_model = Dream_switch.Delay_model
 
 let p = Prefix.of_string
+
+type sync_result = { added : int; removed : int; refused : int }
+
+(* Incremental sync the way the controller does it: one sorted-merge walk
+   (Prefix.fold_diff) of the installed rules against the desired ones for
+   the removals, then one of the desired against the installed for the
+   installs; unchanged rules are untouched. *)
+let sync t ~owner ~prefixes =
+  let desired = List.sort_uniq Prefix.compare prefixes in
+  let removed =
+    Prefix.fold_diff
+      (fun q n -> if Tcam.remove t ~owner q then n + 1 else n)
+      (Tcam.rules_of t ~owner) desired 0
+  in
+  let added, refused =
+    Prefix.fold_diff
+      (fun q (a, r) ->
+        match Tcam.install t ~owner q with Ok () -> (a + 1, r) | Error _ -> (a, r + 1))
+      desired (Tcam.rules_of t ~owner) (0, 0)
+  in
+  { added; removed; refused }
 
 let test_create_invalid () =
   Alcotest.check_raises "capacity 0" (Invalid_argument "Tcam.create: capacity must be positive")
@@ -49,32 +71,43 @@ let test_remove_owner () =
 
 let test_sync_incremental () =
   let t = Tcam.create ~capacity:8 in
-  let d = Tcam.sync t ~owner:1 ~prefixes:[ p "10.0.0.0/8"; p "11.0.0.0/8" ] in
-  Alcotest.(check int) "added" 2 d.Tcam.added;
-  Alcotest.(check int) "removed" 0 d.Tcam.removed;
+  let oracle = Tcam.create ~capacity:8 in
+  let step prefixes ~added ~removed =
+    let d = sync t ~owner:1 ~prefixes in
+    let o = Reference_sync.sync oracle ~owner:1 ~prefixes in
+    Alcotest.(check int) "added" added d.added;
+    Alcotest.(check int) "removed" removed d.removed;
+    Alcotest.(check int) "added as the Set.diff oracle" o.Reference_sync.added d.added;
+    Alcotest.(check int) "removed as the Set.diff oracle" o.Reference_sync.removed d.removed;
+    Alcotest.(check (list string)) "same table as the oracle"
+      (List.map Prefix.to_string (Tcam.rules_of oracle ~owner:1))
+      (List.map Prefix.to_string (Tcam.rules_of t ~owner:1))
+  in
+  step [ p "10.0.0.0/8"; p "11.0.0.0/8" ] ~added:2 ~removed:0;
   (* One rule kept, one swapped. *)
-  let d = Tcam.sync t ~owner:1 ~prefixes:[ p "10.0.0.0/8"; p "12.0.0.0/8" ] in
-  Alcotest.(check int) "added one" 1 d.Tcam.added;
-  Alcotest.(check int) "removed one" 1 d.Tcam.removed;
+  step [ p "10.0.0.0/8"; p "12.0.0.0/8" ] ~added:1 ~removed:1;
   Alcotest.(check int) "still two rules" 2 (Tcam.used_by t ~owner:1);
   (* No-op sync touches nothing. *)
-  let d = Tcam.sync t ~owner:1 ~prefixes:[ p "10.0.0.0/8"; p "12.0.0.0/8" ] in
-  Alcotest.(check int) "noop added" 0 d.Tcam.added;
-  Alcotest.(check int) "noop removed" 0 d.Tcam.removed
+  step [ p "10.0.0.0/8"; p "12.0.0.0/8" ] ~added:0 ~removed:0
 
 let test_sync_capacity_guard () =
   let t = Tcam.create ~capacity:2 in
-  ignore (Tcam.sync t ~owner:1 ~prefixes:[ p "10.0.0.0/8" ]);
-  ignore (Tcam.sync t ~owner:2 ~prefixes:[ p "11.0.0.0/8" ]);
-  Alcotest.(check bool) "oversync raises" true
+  ignore (sync t ~owner:1 ~prefixes:[ p "10.0.0.0/8" ]);
+  ignore (sync t ~owner:2 ~prefixes:[ p "11.0.0.0/8" ]);
+  let d = sync t ~owner:1 ~prefixes:[ p "10.0.0.0/8"; p "12.0.0.0/8" ] in
+  Alcotest.(check int) "oversync install refused" 1 d.refused;
+  Alcotest.(check int) "table stays at capacity" 2 (Tcam.used t);
+  Alcotest.(check (list string)) "kept rule untouched" [ "10.0.0.0/8" ]
+    (List.map Prefix.to_string (Tcam.rules_of t ~owner:1));
+  Alcotest.(check bool) "Set.diff oracle refuses up front" true
     (try
-       ignore (Tcam.sync t ~owner:1 ~prefixes:[ p "10.0.0.0/8"; p "12.0.0.0/8" ]);
+       ignore (Reference_sync.sync t ~owner:1 ~prefixes:[ p "10.0.0.0/8"; p "12.0.0.0/8" ]);
        false
      with Invalid_argument _ -> true)
 
 let test_read_counters () =
   let t = Tcam.create ~capacity:4 in
-  ignore (Tcam.sync t ~owner:1 ~prefixes:[ p "10.0.0.0/9"; p "10.128.0.0/9" ]);
+  ignore (sync t ~owner:1 ~prefixes:[ p "10.0.0.0/9"; p "10.128.0.0/9" ]);
   let agg =
     Aggregate.of_flows
       [ Flow.make ~addr:0x0A000001 ~volume:3.0; Flow.make ~addr:0x0A800001 ~volume:5.0 ]
@@ -89,9 +122,9 @@ let test_read_counters () =
 
 let test_stats_tracking () =
   let t = Tcam.create ~capacity:8 in
-  ignore (Tcam.sync t ~owner:1 ~prefixes:[ p "10.0.0.0/8"; p "11.0.0.0/8" ]);
+  ignore (sync t ~owner:1 ~prefixes:[ p "10.0.0.0/8"; p "11.0.0.0/8" ]);
   ignore (Tcam.read t ~owner:1 Aggregate.empty);
-  ignore (Tcam.sync t ~owner:1 ~prefixes:[ p "11.0.0.0/8" ]);
+  ignore (sync t ~owner:1 ~prefixes:[ p "11.0.0.0/8" ]);
   let s = Tcam.stats t in
   Alcotest.(check int) "installs" 2 s.Tcam.installs;
   Alcotest.(check int) "removals" 1 s.Tcam.removals;
@@ -103,7 +136,7 @@ let test_stats_tracking () =
 
 let test_rules_sorted () =
   let t = Tcam.create ~capacity:8 in
-  ignore (Tcam.sync t ~owner:1 ~prefixes:[ p "11.0.0.0/8"; p "10.0.0.0/8" ]);
+  ignore (sync t ~owner:1 ~prefixes:[ p "11.0.0.0/8"; p "10.0.0.0/8" ]);
   Alcotest.(check (list string)) "prefix order" [ "10.0.0.0/8"; "11.0.0.0/8" ]
     (List.map Prefix.to_string (Tcam.rules_of t ~owner:1))
 
@@ -189,9 +222,27 @@ let prop_sync_idempotent =
         List.sort_uniq Prefix.compare (List.map Prefix.of_address addrs)
         |> List.filteri (fun i _ -> i < 60)
       in
-      ignore (Tcam.sync t ~owner:1 ~prefixes);
-      let d = Tcam.sync t ~owner:1 ~prefixes in
-      d.Tcam.added = 0 && d.Tcam.removed = 0 && Tcam.used_by t ~owner:1 = List.length prefixes)
+      ignore (sync t ~owner:1 ~prefixes);
+      let d = sync t ~owner:1 ~prefixes in
+      d.added = 0 && d.removed = 0 && Tcam.used_by t ~owner:1 = List.length prefixes)
+
+(* Small prefix space (first octet, /6../8) so the lists overlap and nest. *)
+let sorted_prefixes =
+  QCheck.(
+    map
+      (fun l ->
+        List.sort_uniq Prefix.compare
+          (List.map (fun (a, len) -> Prefix.make ~bits:(a lsl 24) ~length:(6 + len)) l))
+      (list_of_size Gen.(int_range 0 24) (pair (int_bound 0x1F) (int_bound 2))))
+
+let prop_sorted_merge_matches_set_diff =
+  QCheck.Test.make ~name:"sorted-merge diff = Set.diff, in order" ~count:500
+    QCheck.(pair sorted_prefixes sorted_prefixes)
+    (fun (installed, desired) ->
+      let walk xs ys = List.rev (Prefix.fold_diff List.cons xs ys []) in
+      let to_remove, to_add = Reference_sync.plan ~installed ~desired in
+      List.equal Prefix.equal (walk installed desired) to_remove
+      && List.equal Prefix.equal (walk desired installed) to_add)
 
 let prop_used_equals_sum_of_owners =
   QCheck.Test.make ~name:"used = sum over owners" ~count:100
@@ -222,6 +273,7 @@ let () =
           Alcotest.test_case "stats tracking" `Quick test_stats_tracking;
           Alcotest.test_case "rules sorted" `Quick test_rules_sorted;
           QCheck_alcotest.to_alcotest prop_sync_idempotent;
+          QCheck_alcotest.to_alcotest prop_sorted_merge_matches_set_diff;
           QCheck_alcotest.to_alcotest prop_used_equals_sum_of_owners;
         ] );
       ("switch", [ Alcotest.test_case "network" `Quick test_network ]);

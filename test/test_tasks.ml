@@ -326,6 +326,152 @@ let test_cover_multi_switch () =
     | None -> Alcotest.fail "expected a multi-switch cover"
   end
 
+(* ---- Differential: bitmask cover() against the Set-based oracle ---- *)
+
+let same_solution (a : Monitor.Cover.solution option) (b : Reference_cover.solution option) =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+    List.equal Prefix.equal a.Monitor.Cover.ancestors b.Reference_cover.ancestors
+    && Int64.equal
+         (Int64.bits_of_float a.Monitor.Cover.cost)
+         (Int64.bits_of_float b.Reference_cover.cost)
+  | Some _, None | None, Some _ -> false
+
+(* Few distinct scores, so equal cost-per-switch ratios (and with them the
+   greedy's tie-break) come up often. *)
+let score_levels = [| 0.0; 0.5; 1.0; 1.5; 2.0; 3.0; 5.0 |]
+
+let randomize_scores rng m =
+  List.iter (fun (c : Counter.t) -> c.score <- Rng.pick rng score_levels) (Monitor.counters m)
+
+(* A random subset of the task's switches; sometimes with a switch the
+   task never sees, which no cover can free. *)
+let random_switch_set rng m ~num_switches =
+  let f = Switch_id.Set.filter (fun _ -> Rng.bool rng) (Monitor.switches m) in
+  if Rng.int rng 8 = 0 then Switch_id.Set.add (Rng.int rng num_switches) f else f
+
+(* A random prefix inside the filter: a monitored counter, one of its
+   ancestors, or an arbitrary prefix. *)
+let random_prefix rng m ~filter =
+  let counters = Array.of_list (Monitor.counters m) in
+  let c = Rng.pick rng counters in
+  match Rng.int rng 3 with
+  | 0 -> c.Counter.prefix
+  | 1 ->
+    let lo = Prefix.length filter and hi = Prefix.length c.Counter.prefix in
+    Prefix.ancestor_at c.Counter.prefix (lo + Rng.int rng (hi - lo + 1))
+  | _ ->
+    let free = 32 - Prefix.length filter in
+    Prefix.make
+      ~bits:(Prefix.bits filter lor Rng.int rng (1 lsl free))
+      ~length:(Prefix.length filter + Rng.int rng (free + 1))
+
+let random_exclude rng m ~filter =
+  if Rng.bool rng then None else Some (random_prefix rng m ~filter)
+
+let oracle_filter = Prefix.of_string "10.1.2.0/24"
+
+(* A monitor over k sub-filters of [oracle_filter], among k + 2 switches. *)
+let oracle_monitor ~k ~seed =
+  let topology =
+    Topology.create (Rng.create seed) ~filter:oracle_filter ~num_switches:(k + 2)
+      ~switches_per_task:k
+  in
+  let spec =
+    Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter:oracle_filter ~leaf_length:32
+      ~threshold:4.0 ()
+  in
+  Monitor.create ~spec ~topology
+
+(* Divide-and-merge under random scores and random per-switch allocations
+   (zero leaves a switch inactive), then fresh random scores. *)
+let reshape rng m =
+  randomize_scores rng m;
+  let allocations =
+    Switch_id.Set.fold
+      (fun sw acc -> Switch_id.Map.add sw (Rng.int rng 10) acc)
+      (Monitor.switches m) Switch_id.Map.empty
+  in
+  Monitor.configure m ~allocations;
+  randomize_scores rng m
+
+let prop_cover_matches_oracle =
+  QCheck.Test.make ~name:"bitmask cover() = Set-based oracle, bit for bit" ~count:150
+    QCheck.(pair (int_bound 2) (int_bound 1_000_000))
+    (fun (k_index, seed) ->
+      let k = [| 2; 4; 8 |].(k_index) in
+      let num_switches = k + 2 in
+      let rng = Rng.create seed in
+      let filter = oracle_filter in
+      let m = oracle_monitor ~k ~seed in
+      let ok = ref true in
+      let check what a b =
+        if not (same_solution a b) then begin
+          ok := false;
+          QCheck.Test.fail_reportf "%s differs (k=%d, seed=%d)" what k seed
+        end
+      in
+      for _ = 1 to 6 do
+        reshape rng m;
+        for _ = 1 to 4 do
+          let f = random_switch_set rng m ~num_switches in
+          let exclude = random_exclude rng m ~filter in
+          check "solve" (Monitor.Cover.solve m ~exclude f) (Reference_cover.solve m ~exclude f)
+        done;
+        (* Repairs: the same merges applied to both candidate tables. *)
+        let cands = Monitor.Cover.build m in
+        let oracle = ref (Reference_cover.build m) in
+        for _ = 1 to 3 do
+          let ancestor = random_prefix rng m ~filter in
+          Monitor.Cover.repair_after_merge cands ancestor;
+          oracle := Reference_cover.repair_after_merge !oracle ancestor;
+          for _ = 1 to 3 do
+            let f = random_switch_set rng m ~num_switches in
+            let exclude = random_exclude rng m ~filter in
+            if
+              not
+                (Int64.equal
+                   (Int64.bits_of_float (Monitor.Cover.min_cost_bound cands f))
+                   (Int64.bits_of_float (Reference_cover.min_cost_bound !oracle f)))
+            then begin
+              ok := false;
+              QCheck.Test.fail_reportf "min_cost_bound differs (k=%d, seed=%d)" k seed
+            end;
+            check "solve_with after repair"
+              (Monitor.Cover.solve_with cands ~exclude f)
+              (Reference_cover.solve_with !oracle ~exclude f)
+          done
+        done
+      done;
+      !ok)
+
+(* The rules of a switch are, in prefix order, the counters whose S set
+   holds it, while the switch is active. *)
+let prop_rules_for_matches_s_sets =
+  QCheck.Test.make ~name:"rules_for = counters whose S set holds the switch" ~count:150
+    QCheck.(pair (int_bound 2) (int_bound 1_000_000))
+    (fun (k_index, seed) ->
+      let k = [| 2; 4; 8 |].(k_index) in
+      let rng = Rng.create seed in
+      let m = oracle_monitor ~k ~seed in
+      List.for_all
+        (fun _ ->
+          reshape rng m;
+          List.for_all
+            (fun sw ->
+              let expected =
+                if Switch_id.Set.mem sw (Monitor.active m) then
+                  List.filter_map
+                    (fun (c : Counter.t) ->
+                      if Switch_id.Set.mem sw c.switches then Some c.prefix else None)
+                    (Monitor.counters m)
+                else []
+              in
+              List.equal Prefix.equal (Monitor.rules_for m sw) expected)
+            (List.init (k + 2) Fun.id))
+        (List.init 6 Fun.id))
+
 (* ---- Partition invariant under random allocation schedules ---- *)
 
 let prop_partition_under_random_allocations =
@@ -404,6 +550,8 @@ let () =
             test_cover_single_counter_uncoverable;
           Alcotest.test_case "finds mergeable ancestor" `Quick test_cover_finds_mergeable_ancestor;
           Alcotest.test_case "multi-switch cover" `Quick test_cover_multi_switch;
+          QCheck_alcotest.to_alcotest prop_cover_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_rules_for_matches_s_sets;
         ] );
       ( "task-spec",
         [

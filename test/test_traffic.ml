@@ -149,7 +149,52 @@ let test_topology_validation () =
       ignore (mk_topology ~switches_per_task:3 ()));
   Alcotest.check_raises "more than switches"
     (Invalid_argument "Topology.create: switches_per_task exceeds num_switches") (fun () ->
-      ignore (mk_topology ~num_switches:2 ~switches_per_task:4 ()))
+      ignore (mk_topology ~num_switches:2 ~switches_per_task:4 ()));
+  Alcotest.check_raises "more than fit a bitmask"
+    (Invalid_argument "Topology.create: switches_per_task exceeds 32") (fun () ->
+      ignore (mk_topology ~num_switches:64 ~switches_per_task:64 ()))
+
+(* A checkpointed topology must carry exactly [switches_per_task]
+   sub-filters: the monitor's bitmasks have one bit per sub-filter. *)
+let test_topology_parse_checks_subfilters () =
+  let module C = Dream_util.Codec in
+  let w = C.writer () in
+  Topology.emit w (mk_topology ());
+  let doc = C.contents w in
+  let t = Topology.parse (C.reader_of_string doc) in
+  Alcotest.(check int) "round trip" 4 (Topology.switches_per_task t);
+  let tampered =
+    String.split_on_char '\n' doc
+    |> List.map (fun l -> if l = "switches_per_task 4" then "switches_per_task 8" else l)
+    |> String.concat "\n"
+  in
+  Alcotest.(check bool) "sub-filter count mismatch rejected" true
+    (match Topology.parse (C.reader_of_string tampered) with
+    | _ -> false
+    | exception C.Parse_error _ -> true)
+
+(* The bitmask view is the switch set, bit i standing for sub-filter i. *)
+let test_topology_prefix_mask () =
+  let t = mk_topology ~seed:4 ~num_switches:16 ~switches_per_task:8 () in
+  let rng = Rng.create 9 in
+  let set_of_mask mask =
+    List.fold_left
+      (fun acc i ->
+        if mask land (1 lsl i) <> 0 then Switch_id.Set.add (Topology.switch_of_bit t i) acc
+        else acc)
+      Switch_id.Set.empty
+      (List.init (Topology.switches_per_task t) Fun.id)
+  in
+  for _ = 1 to 500 do
+    (* Around the /12 filter: its ancestors, itself, and prefixes below. *)
+    let length = 8 + Rng.int rng 25 in
+    let bits = 0x0A000000 + Rng.int rng (1 lsl 24) in
+    let q = Prefix.make ~bits ~length in
+    Alcotest.(check bool)
+      (Printf.sprintf "mask of %s" (Prefix.to_string q))
+      true
+      (Switch_id.Set.equal (set_of_mask (Topology.prefix_mask t q)) (Topology.switch_set t q))
+  done
 
 (* ---- Profile ---- *)
 
@@ -388,6 +433,9 @@ let () =
           Alcotest.test_case "address consistent with set" `Quick
             test_topology_address_consistent_with_set;
           Alcotest.test_case "validation" `Quick test_topology_validation;
+          Alcotest.test_case "prefix_mask matches switch_set" `Quick test_topology_prefix_mask;
+          Alcotest.test_case "parse checks sub-filter count" `Quick
+            test_topology_parse_checks_subfilters;
         ] );
       ( "profile",
         [
