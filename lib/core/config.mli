@@ -47,7 +47,10 @@ type t = {
           install failures) and runs its failure-tolerance machinery:
           retries, stale-counter fallback, quarantine and reinstall.
           [None] (the default) is the paper's perfectly reliable control
-          channel and leaves runs bit-identical to the fault-free code. *)
+          channel.  The controller has one fetch path either way: without
+          a fault model every data plane reduces exactly to its TCAM (never
+          down or partitioned, latency factor 1.0, every read [Ok]), so
+          no retry, fallback or extra modelled time can occur. *)
   degraded : degraded option;
       (** when set (and [faults] is set), the controller runs its
           degraded-mode machinery: per-switch circuit breakers, the

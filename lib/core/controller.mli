@@ -190,7 +190,9 @@ val checkpoint : t -> string
 val restore : string -> (t, string) result
 (** Rebuild a standalone controller from a {!snapshot} document,
     reconstructing the switch network and fault model from the checkpoint.
-    [Error] on a bad checksum, wrong magic, or malformed body. *)
+    [Error] on a bad checksum, wrong magic, or malformed body — including
+    a correctly sealed body holding a value that cannot be rebuilt
+    ({!Checkpoint.parse}); it never raises. *)
 
 type env
 (** The part of the simulation that outlives a controller crash: switches
@@ -209,4 +211,6 @@ val recover :
     [snapshot], replay the [journal] suffix, fast-forward traffic sources
     to [at_epoch], reconcile every reachable switch, and resume at
     [at_epoch].  The successor has no journal attached; re-attach one with
-    {!set_journal}. *)
+    {!set_journal}.  [Error] without touching [env] when [snapshot] does
+    not parse (as for {!restore}), holds a different switch count than
+    [env], or was taken after [at_epoch]. *)

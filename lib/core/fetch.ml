@@ -1,0 +1,278 @@
+module Prefix = Dream_prefix.Prefix
+module Switch_id = Dream_traffic.Switch_id
+module Epoch_data = Dream_traffic.Epoch_data
+module Aggregate = Dream_traffic.Aggregate
+module Source = Dream_traffic.Source
+module Fault_model = Dream_fault.Fault_model
+module Data_plane = Dream_switch.Data_plane
+module Delay_model = Dream_switch.Delay_model
+module Breaker = Dream_switch.Breaker
+module Task = Dream_tasks.Task
+module Obs = Dream_obs
+module Ctr = Dream_obs.Registry.Counter
+module Tr = Dream_obs.Trace
+
+let log_src = Logs.Src.create "dream.fetch" ~doc:"DREAM counter-fetch events"
+
+module Log = (val Logs.src_log log_src : Logs.LOG)
+
+type t = {
+  planes : Data_plane.t array;
+  breakers : Breaker.t array;
+  faulty : bool;
+  degraded : Config.degraded option; (* only when [breakers] exist *)
+  control_delay : Delay_model.costs option;
+  costs : Delay_model.costs;
+  epoch_ms : float;
+  retry_budget_ms : float;
+  tallies : Metrics.Tallies.t;
+  fast_path_builds : Ctr.t;
+  sort_fallbacks : Ctr.t;
+      (* per-switch aggregates of the epochs tasks read, split by whether
+         their build skipped the combine sort *)
+  trace : Tr.t option;
+  mutable epoch : int;
+  mutable retry_budget : float;
+  mutable fault_ms : float;
+  mutable deadline : float;
+}
+
+let costs (config : Config.t) =
+  match config.Config.control_delay with Some c -> c | None -> Delay_model.default
+
+let create ~config ~planes ~breakers ~faults ~tallies ~registry ~trace =
+  {
+    planes;
+    breakers;
+    faulty = faults <> None;
+    degraded = (if breakers = [||] then None else config.Config.degraded);
+    control_delay = config.Config.control_delay;
+    costs = costs config;
+    epoch_ms = config.Config.epoch_ms;
+    retry_budget_ms =
+      (match faults with
+      | Some fm -> (Fault_model.spec fm).Fault_model.retry_budget_fraction *. config.Config.epoch_ms
+      | None -> 0.0);
+    tallies;
+    fast_path_builds = Obs.Registry.counter registry "aggregate_sorted_fast_path";
+    sort_fallbacks = Obs.Registry.counter registry "aggregate_sort_fallbacks";
+    trace;
+    epoch = 0;
+    retry_budget = 0.0;
+    fault_ms = 0.0;
+    deadline = infinity;
+  }
+
+let begin_epoch f ~epoch =
+  f.epoch <- epoch;
+  f.retry_budget <- f.retry_budget_ms;
+  f.fault_ms <- 0.0;
+  f.deadline <-
+    (match f.degraded with
+    | Some d -> d.Config.deadline_fraction *. f.epoch_ms
+    | None -> infinity)
+
+let fault_ms f = f.fault_ms
+
+let event f ~name fields =
+  match f.trace with None -> () | Some tr -> Tr.event tr ~epoch:f.epoch ~name fields
+
+(* Fraction of the epoch a freshly installed rule missed while its update
+   was in flight (Figs 8/9's prototype-vs-simulator gap). *)
+let install_miss f (r : Runtime.t) sw_id =
+  match f.control_delay with
+  | None -> 0.0
+  | Some costs ->
+    let installs =
+      match Switch_id.Map.find_opt sw_id r.last_install_counts with Some n -> n | None -> 0
+    in
+    Delay_model.install_miss_fraction costs ~epoch_ms:f.epoch_ms ~installs ~switches:1
+
+let degrade_fresh f (r : Runtime.t) sw_id pairs =
+  let miss = install_miss f r sw_id in
+  let fresh =
+    match Switch_id.Map.find_opt sw_id r.fresh_rules with
+    | Some set -> set
+    | None -> Prefix.Set.empty
+  in
+  List.map
+    (fun (p, v) ->
+      if miss > 0.0 && Prefix.Set.mem p fresh then (p, v *. (1.0 -. miss)) else (p, v))
+    pairs
+
+let count_fast_path _sw agg n = if Aggregate.sorted_fast_path agg then n + 1 else n
+
+(* Draw the task's next epoch of traffic and count how its per-switch
+   aggregates were built.  Pure observability: the counters never feed
+   back into simulation state.  [count_fast_path] is toplevel so the fold
+   allocates no closure. *)
+let next_epoch f (r : Runtime.t) =
+  let data = Source.next r.source in
+  let per_switch = data.Epoch_data.per_switch in
+  let fast = Switch_id.Map.fold count_fast_path per_switch 0 in
+  Ctr.add f.fast_path_builds fast;
+  Ctr.add f.sort_fallbacks (Switch_id.Map.cardinal per_switch - fast);
+  data
+
+(* ---- circuit breakers (degraded mode only; [f.breakers] is empty
+   otherwise and every breaker hook below is a no-op) ---- *)
+
+let breaker_for f sw_id = if f.breakers = [||] then None else Some f.breakers.(sw_id)
+
+let record_breaker_failure f sw_id br =
+  let was_open = match Breaker.state br with Breaker.Open -> true | _ -> false in
+  Breaker.record_failure br;
+  match Breaker.state br with
+  | Breaker.Open when not was_open ->
+    Ctr.incr f.tallies.breaker_opens;
+    event f ~name:"breaker_open" [ ("switch", Tr.Int sw_id) ];
+    Log.info (fun m -> m "epoch %d: breaker OPEN for switch %d" f.epoch sw_id)
+  | _ -> ()
+
+let record_breaker_success f sw_id br =
+  let was_half_open = match Breaker.state br with Breaker.Half_open -> true | _ -> false in
+  Breaker.record_success br;
+  if was_half_open then begin
+    event f ~name:"breaker_close" [ ("switch", Tr.Int sw_id) ];
+    Log.info (fun m -> m "epoch %d: breaker closed for switch %d (probe ok)" f.epoch sw_id)
+  end
+
+(* Modelled wire time of one fetch batch. *)
+let batch_ms costs rules =
+  (costs.Delay_model.fetch_per_rule_ms *. float_of_int (List.length rules))
+  +. costs.Delay_model.rtt_ms
+
+(* Modelled cost the deadline scheduler expects this task's fetch round to
+   incur: one batch per switch holding its rules, inflated by straggler
+   latency.  Partitioned switches cost their (failed) probe round trip;
+   open-breaker switches cost nothing — they are skipped outright. *)
+let estimate_cost f (r : Runtime.t) =
+  let id = Runtime.id r in
+  let costs = f.costs in
+  Array.fold_left
+    (fun acc dp ->
+      let sw_id = Data_plane.id dp in
+      if Data_plane.down dp then acc
+      else begin
+        match breaker_for f sw_id with
+        | Some br when not (Breaker.allow br) -> acc
+        | _ -> begin
+          match Data_plane.rules_of dp ~owner:id with
+          | [] -> acc
+          | rules ->
+            let factor = Data_plane.latency_factor dp in
+            if Data_plane.partitioned dp then acc +. (costs.Delay_model.rtt_ms *. factor)
+            else acc +. (batch_ms costs rules *. factor)
+        end
+      end)
+    0.0 f.planes
+
+(* Shed before paying any wire cost: if the task's expected fetch round
+   does not fit the remaining deadline budget, serve it stale — unless
+   bounded staleness forces the fetch through regardless. *)
+let shed f (r : Runtime.t) =
+  match f.degraded with
+  | Some d when r.staleness < d.Config.shed_max_staleness ->
+    let est = estimate_cost f r in
+    est > 0.0 && est > f.deadline
+  | _ -> false
+
+let read f (r : Runtime.t) =
+  let id = Runtime.id r in
+  let shed = shed f r in
+  if shed then begin
+    Ctr.incr f.tallies.sheds;
+    event f ~name:"shed" [ ("task", Tr.Int id); ("staleness", Tr.Int r.staleness) ]
+  end;
+  let data = next_epoch f r in
+  let costs = f.costs in
+  let task_switches = Task.switches r.task in
+  let readings = ref [] in
+  let degraded = ref [] in
+  (* The task cannot hear from [sw_id] this epoch: report its last
+     readings, if any. *)
+  let use_stale sw_id =
+    (match Switch_id.Map.find_opt sw_id r.stale_counters with
+    | Some ((_ :: _) as pairs) ->
+      readings := (sw_id, pairs) :: !readings;
+      Ctr.incr f.tallies.stale_epochs
+    | Some [] | None -> ());
+    degraded := sw_id :: !degraded
+  in
+  if shed then
+    (* Traffic still flowed (the source draw above); the task just reports
+       from whatever it last heard. *)
+    Switch_id.Set.iter use_stale task_switches
+  else
+    Array.iter
+      (fun dp ->
+        let sw_id = Data_plane.id dp in
+        if Data_plane.down dp then begin
+          if Switch_id.Set.mem sw_id task_switches then use_stale sw_id
+        end
+        else begin
+          let rules = Data_plane.rules_of dp ~owner:id in
+          if rules <> [] then begin
+            match breaker_for f sw_id with
+            | Some br when not (Breaker.allow br) ->
+              Ctr.incr f.tallies.breaker_skips;
+              use_stale sw_id
+            | br_opt ->
+              let aggregate = Epoch_data.switch_view data sw_id in
+              let factor = Data_plane.latency_factor dp in
+              let base = batch_ms costs rules in
+              (* The aggregate TCAM stats already price [base] per issued
+                 batch; stragglers owe the inflation on top, and the epoch
+                 deadline owes the whole inflated batch. *)
+              let charge_batch () =
+                f.fault_ms <- f.fault_ms +. (base *. (factor -. 1.0));
+                f.deadline <- f.deadline -. (base *. factor)
+              in
+              let rec attempt k =
+                match Data_plane.read dp ~owner:id aggregate with
+                | Ok pairs ->
+                  charge_batch ();
+                  `Fetched pairs
+                | Error `Down -> `Gone
+                | Error `Unreachable ->
+                  (* No route: nothing was priced in the TCAM stats, but
+                     the probe still costs the control loop a round trip. *)
+                  let probe = costs.Delay_model.rtt_ms *. factor in
+                  f.fault_ms <- f.fault_ms +. probe;
+                  f.deadline <- f.deadline -. probe;
+                  `Unreachable
+                | Error `Timeout ->
+                  charge_batch ();
+                  Ctr.incr f.tallies.fetch_timeouts;
+                  let backoff = costs.Delay_model.rtt_ms *. (2.0 ** float_of_int k) in
+                  if f.retry_budget >= backoff && f.deadline >= backoff then begin
+                    f.retry_budget <- f.retry_budget -. backoff;
+                    f.fault_ms <- f.fault_ms +. backoff;
+                    f.deadline <- f.deadline -. backoff;
+                    Ctr.incr f.tallies.fetch_retries;
+                    attempt (k + 1)
+                  end
+                  else begin
+                    Ctr.incr f.tallies.fetch_failures;
+                    `Abandoned
+                  end
+              in
+              (match attempt 0 with
+              | `Fetched pairs ->
+                (match br_opt with Some br -> record_breaker_success f sw_id br | None -> ());
+                let lost = List.length rules - List.length pairs in
+                if lost > 0 then Ctr.add f.tallies.counters_lost lost;
+                let pairs = degrade_fresh f r sw_id pairs in
+                (* Only a fault model can make a later fetch fall back on
+                   these, so fault-free checkpoints carry none. *)
+                if f.faulty then
+                  r.stale_counters <- Switch_id.Map.add sw_id pairs r.stale_counters;
+                readings := (sw_id, pairs) :: !readings
+              | `Gone -> use_stale sw_id
+              | `Unreachable | `Abandoned ->
+                (match br_opt with Some br -> record_breaker_failure f sw_id br | None -> ());
+                use_stale sw_id)
+          end
+        end)
+      f.planes;
+  (data, List.rev !readings, List.rev !degraded)

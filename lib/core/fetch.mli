@@ -1,0 +1,49 @@
+(** Counter fetch: the controller's one path for reading a task's TCAM
+    counters each epoch.
+
+    Every read goes through {!Dream_switch.Data_plane}.  Timed-out batches
+    are retried with exponential backoff while the epoch's retry budget
+    (and, in degraded mode, the epoch deadline) lasts; a down,
+    unreachable or breaker-skipped switch, or a fetch abandoned after
+    retries, falls back to the previous epoch's readings.  Without a fault
+    model a data plane is never down or partitioned, has latency factor
+    1.0 and always reads [Ok], so this path reduces exactly to reading the
+    TCAMs directly: no retry, no fallback, no extra modelled time. *)
+
+type t
+
+val create :
+  config:Config.t ->
+  planes:Dream_switch.Data_plane.t array ->
+  breakers:Dream_switch.Breaker.t array ->
+  faults:Dream_fault.Fault_model.t option ->
+  tallies:Metrics.Tallies.t ->
+  registry:Dream_obs.Registry.t ->
+  trace:Dream_obs.Trace.t option ->
+  t
+(** [breakers] is empty outside degraded mode, which turns off the
+    breaker hooks, the deadline and load shedding. *)
+
+val costs : Config.t -> Dream_switch.Delay_model.costs
+(** The configured control-delay costs, or {!Dream_switch.Delay_model.default}. *)
+
+val begin_epoch : t -> epoch:int -> unit
+(** Refill the epoch's retry budget and deadline. *)
+
+val read :
+  t ->
+  Runtime.t ->
+  Dream_traffic.Epoch_data.t
+  * (Dream_traffic.Switch_id.t * (Dream_prefix.Prefix.t * float) list) list
+  * Dream_traffic.Switch_id.t list
+(** Draw the task's next epoch of traffic, then fetch its counters from
+    every switch holding its rules, in switch order.  Returns the epoch's
+    traffic, the readings, and the switches the task could not hear from
+    (served stale or not at all), so the caller can decay the task's
+    estimated accuracy.  In degraded mode a task whose expected fetch cost
+    overruns the remaining deadline is shed: it reports from stale
+    counters without any fetch being issued. *)
+
+val fault_ms : t -> float
+(** Modelled control-loop time the fault layer added this epoch: straggler
+    inflation, retry backoff and unreachable probes. *)

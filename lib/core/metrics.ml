@@ -36,29 +36,108 @@ type robustness = {
   sheds : int;
 }
 
-let no_faults =
-  {
-    crashes = 0;
-    recoveries = 0;
-    switch_down_epochs = 0;
-    fetch_timeouts = 0;
-    fetch_retries = 0;
-    fetch_failures = 0;
-    stale_epochs = 0;
-    counters_lost = 0;
-    install_failures = 0;
-    recovery_reinstalls = 0;
-    controller_crashes = 0;
-    reconcile_removed = 0;
-    reconcile_installed = 0;
-    invariant_violations = 0;
-    partitions = 0;
-    partition_epochs = 0;
-    breaker_opens = 0;
-    breaker_probes = 0;
-    breaker_skips = 0;
-    sheds = 0;
+(* Registry-backed robustness tallies: the exporters and {!robustness}
+   read the same cells, so there is exactly one copy of each tally. *)
+module Tallies = struct
+  module Counter = Dream_obs.Registry.Counter
+
+  type t = {
+    crashes : Counter.t;
+    recoveries : Counter.t;
+    switch_down_epochs : Counter.t;
+    fetch_timeouts : Counter.t;
+    fetch_retries : Counter.t;
+    fetch_failures : Counter.t;
+    stale_epochs : Counter.t;
+    counters_lost : Counter.t;
+    install_failures : Counter.t;
+    recovery_reinstalls : Counter.t;
+    controller_crashes : Counter.t;
+    reconcile_removed : Counter.t;
+    reconcile_installed : Counter.t;
+    invariant_violations : Counter.t;
+    partitions : Counter.t;
+    partition_epochs : Counter.t;
+    breaker_opens : Counter.t;
+    breaker_probes : Counter.t;
+    breaker_skips : Counter.t;
+    sheds : Counter.t;
   }
+
+  let of_registry reg =
+    let c name = Dream_obs.Registry.counter reg name in
+    {
+      crashes = c "crashes";
+      recoveries = c "recoveries";
+      switch_down_epochs = c "switch_down_epochs";
+      fetch_timeouts = c "fetch_timeouts";
+      fetch_retries = c "fetch_retries";
+      fetch_failures = c "fetch_failures";
+      stale_epochs = c "stale_epochs";
+      counters_lost = c "counters_lost";
+      install_failures = c "install_failures";
+      recovery_reinstalls = c "recovery_reinstalls";
+      controller_crashes = c "controller_crashes";
+      reconcile_removed = c "reconcile_removed";
+      reconcile_installed = c "reconcile_installed";
+      invariant_violations = c "invariant_violations";
+      partitions = c "partitions";
+      partition_epochs = c "partition_epochs";
+      breaker_opens = c "breaker_opens";
+      breaker_probes = c "breaker_probes";
+      breaker_skips = c "breaker_skips";
+      sheds = c "sheds";
+    }
+
+  let set t (v : robustness) =
+    Counter.set t.crashes v.crashes;
+    Counter.set t.recoveries v.recoveries;
+    Counter.set t.switch_down_epochs v.switch_down_epochs;
+    Counter.set t.fetch_timeouts v.fetch_timeouts;
+    Counter.set t.fetch_retries v.fetch_retries;
+    Counter.set t.fetch_failures v.fetch_failures;
+    Counter.set t.stale_epochs v.stale_epochs;
+    Counter.set t.counters_lost v.counters_lost;
+    Counter.set t.install_failures v.install_failures;
+    Counter.set t.recovery_reinstalls v.recovery_reinstalls;
+    Counter.set t.controller_crashes v.controller_crashes;
+    Counter.set t.reconcile_removed v.reconcile_removed;
+    Counter.set t.reconcile_installed v.reconcile_installed;
+    Counter.set t.invariant_violations v.invariant_violations;
+    Counter.set t.partitions v.partitions;
+    Counter.set t.partition_epochs v.partition_epochs;
+    Counter.set t.breaker_opens v.breaker_opens;
+    Counter.set t.breaker_probes v.breaker_probes;
+    Counter.set t.breaker_skips v.breaker_skips;
+    Counter.set t.sheds v.sheds
+
+  let read t : robustness =
+    {
+      crashes = Counter.value t.crashes;
+      recoveries = Counter.value t.recoveries;
+      switch_down_epochs = Counter.value t.switch_down_epochs;
+      fetch_timeouts = Counter.value t.fetch_timeouts;
+      fetch_retries = Counter.value t.fetch_retries;
+      fetch_failures = Counter.value t.fetch_failures;
+      stale_epochs = Counter.value t.stale_epochs;
+      counters_lost = Counter.value t.counters_lost;
+      install_failures = Counter.value t.install_failures;
+      recovery_reinstalls = Counter.value t.recovery_reinstalls;
+      controller_crashes = Counter.value t.controller_crashes;
+      reconcile_removed = Counter.value t.reconcile_removed;
+      reconcile_installed = Counter.value t.reconcile_installed;
+      invariant_violations = Counter.value t.invariant_violations;
+      partitions = Counter.value t.partitions;
+      partition_epochs = Counter.value t.partition_epochs;
+      breaker_opens = Counter.value t.breaker_opens;
+      breaker_probes = Counter.value t.breaker_probes;
+      breaker_skips = Counter.value t.breaker_skips;
+      sheds = Counter.value t.sheds;
+    }
+end
+
+(* All counters zero: what a fresh set of tallies reads. *)
+let no_faults = Tallies.read (Tallies.of_registry (Dream_obs.Registry.create ()))
 
 type summary = {
   submitted : int;

@@ -42,6 +42,43 @@ type robustness = {
 val no_faults : robustness
 (** All counters zero — what a run without fault injection reports. *)
 
+(** Registry-backed robustness tallies.  Each counter is a cell of a
+    metrics registry, so the exporters and {!read} see the same values. *)
+module Tallies : sig
+  type counter := Dream_obs.Registry.Counter.t
+
+  type t = {
+    crashes : counter;
+    recoveries : counter;
+    switch_down_epochs : counter;
+    fetch_timeouts : counter;
+    fetch_retries : counter;
+    fetch_failures : counter;
+    stale_epochs : counter;
+    counters_lost : counter;
+    install_failures : counter;
+    recovery_reinstalls : counter;
+    controller_crashes : counter;
+    reconcile_removed : counter;
+    reconcile_installed : counter;
+    invariant_violations : counter;
+    partitions : counter;
+    partition_epochs : counter;
+    breaker_opens : counter;
+    breaker_probes : counter;
+    breaker_skips : counter;
+    sheds : counter;
+  }
+
+  val of_registry : Dream_obs.Registry.t -> t
+  (** Find or create the twenty counters, named after their fields. *)
+
+  val set : t -> robustness -> unit
+  (** Overwrite every counter — checkpoint restore only. *)
+
+  val read : t -> robustness
+end
+
 type summary = {
   submitted : int;
   admitted : int;

@@ -1,0 +1,33 @@
+(** One epoch's budgeted rule sync: bring every switch's installed rules
+    for a task in line with the rules its monitor wants.
+
+    The controller runs it in two passes over all tasks — every task's
+    removals first ({!remove_stale}), then every task's installs
+    ({!install_missing}) — so one task's growth never transiently
+    collides with space another task is vacating.  Each switch applies at
+    most [install_budget] updates per epoch; what does not fit is retried
+    next epoch.  Every update is journalled before it is applied. *)
+
+type t
+
+val create :
+  planes:Dream_switch.Data_plane.t array ->
+  arena:Dream_util.Arena.t ->
+  install_budget:int option ->
+  journal:Dream_recovery.Journal.sink option ->
+  epoch:int ->
+  recovered:Dream_traffic.Switch_id.Set.t ->
+  tallies:Metrics.Tallies.t ->
+  t
+(** The epoch's sync, with every switch's update budget full.  The budgets
+    live in slot 0 of [arena].  Installs onto a switch in [recovered]
+    count as recovery reinstalls. *)
+
+val remove_stale : t -> Runtime.t -> int
+(** Pass 1 for one task: delete its installed rules the monitor no longer
+    wants, while budgets last.  Returns the number deleted. *)
+
+val install_missing : t -> Runtime.t -> unit
+(** Pass 2 for one task: install the rules the monitor wants that are not
+    installed, while budgets last, and record the rules that landed in the
+    task's [fresh_rules] and [last_install_counts]. *)

@@ -1,0 +1,159 @@
+module Prefix = Dream_prefix.Prefix
+module Switch_id = Dream_traffic.Switch_id
+module Source = Dream_traffic.Source
+module Task = Dream_tasks.Task
+module Task_spec = Dream_tasks.Task_spec
+module Ground_truth = Dream_tasks.Ground_truth
+module C = Dream_util.Codec
+
+type t = {
+  task : Task.t;
+  source : Source.t;
+  ground_truth : Ground_truth.t;
+  duration : int;
+  arrived_at : int;
+  drop_priority : int;
+  mutable active_epochs : int;
+  mutable satisfied_epochs : int;
+  mutable accuracy_sum : float;
+  mutable poor_streak : int;
+  mutable last_alloc_total : int;
+  mutable last_report : Dream_tasks.Report.t option;
+  mutable fresh_rules : Prefix.Set.t Switch_id.Map.t;
+  mutable last_install_counts : int Switch_id.Map.t;
+  mutable stale_counters : (Prefix.t * float) list Switch_id.Map.t;
+  mutable staleness : int;
+}
+
+let create ~task ~source ~duration ~arrived_at ~drop_priority =
+  {
+    task;
+    source;
+    ground_truth = Ground_truth.create (Task.spec task);
+    duration;
+    arrived_at;
+    drop_priority;
+    active_epochs = 0;
+    satisfied_epochs = 0;
+    accuracy_sum = 0.0;
+    poor_streak = 0;
+    last_alloc_total = 0;
+    last_report = None;
+    fresh_rules = Switch_id.Map.empty;
+    last_install_counts = Switch_id.Map.empty;
+    stale_counters = Switch_id.Map.empty;
+    staleness = 0;
+  }
+
+let id r = Task.id r.task
+
+(* Toplevel so sorting builds no comparator closure per epoch. *)
+let order a b = Int.compare (id a) (id b)
+let cons _ r acc = r :: acc
+let sorted active = List.sort order (Hashtbl.fold cons active [])
+
+let view r =
+  {
+    Dream_alloc.Task_view.id = id r;
+    switches = Task.switches r.task;
+    bound = (Task.spec r.task).Task_spec.accuracy_bound;
+    drop_priority = r.drop_priority;
+    overall = (fun sw -> Task.overall_accuracy r.task sw);
+    used = (fun sw -> Task.counters_used r.task sw);
+  }
+
+let emit_prefixes w key prefixes =
+  C.int w key (List.length prefixes);
+  List.iter (fun p -> C.string w "p" (Prefix.to_string p)) prefixes
+
+let parse_prefixes r key =
+  C.repeat (C.int_field r key) (fun () -> Prefix.of_string (C.string_field r "p"))
+
+(* A per-switch map: a count line under [key], then per entry an [sw]
+   line followed by the value. *)
+let emit_switch_map w key emit_value map =
+  C.int w key (Switch_id.Map.cardinal map);
+  Switch_id.Map.iter
+    (fun sw v ->
+      C.int w "sw" sw;
+      emit_value v)
+    map
+
+let parse_switch_map r key parse =
+  C.repeat (C.int_field r key) (fun () ->
+      let sw = C.int_field r "sw" in
+      (sw, parse ()))
+  |> List.fold_left (fun acc (sw, v) -> Switch_id.Map.add sw v acc) Switch_id.Map.empty
+
+let emit w r =
+  C.section w "runtime";
+  C.int w "duration" r.duration;
+  C.int w "arrived_at" r.arrived_at;
+  C.int w "drop_priority" r.drop_priority;
+  C.int w "active_epochs" r.active_epochs;
+  C.int w "satisfied_epochs" r.satisfied_epochs;
+  C.float w "accuracy_sum" r.accuracy_sum;
+  C.int w "poor_streak" r.poor_streak;
+  C.int w "last_alloc_total" r.last_alloc_total;
+  C.int w "staleness" r.staleness;
+  emit_switch_map w "fresh_rules"
+    (fun set -> emit_prefixes w "rules" (Prefix.Set.elements set))
+    r.fresh_rules;
+  emit_switch_map w "last_install_counts" (C.int w "installs") r.last_install_counts;
+  emit_switch_map w "stale_counters"
+    (fun pairs ->
+      C.int w "pairs" (List.length pairs);
+      List.iter
+        (fun (p, v) ->
+          C.string w "p" (Prefix.to_string p);
+          C.float w "v" v)
+        pairs)
+    r.stale_counters;
+  Task.emit w r.task;
+  Source.emit w r.source;
+  Ground_truth.emit w r.ground_truth
+
+let parse r =
+  C.expect_section r "runtime";
+  let duration = C.int_field r "duration" in
+  let arrived_at = C.int_field r "arrived_at" in
+  let drop_priority = C.int_field r "drop_priority" in
+  let active_epochs = C.int_field r "active_epochs" in
+  let satisfied_epochs = C.int_field r "satisfied_epochs" in
+  let accuracy_sum = C.float_field r "accuracy_sum" in
+  let poor_streak = C.int_field r "poor_streak" in
+  let last_alloc_total = C.int_field r "last_alloc_total" in
+  let staleness = C.int_field r "staleness" in
+  let fresh_rules =
+    parse_switch_map r "fresh_rules" (fun () -> Prefix.Set.of_list (parse_prefixes r "rules"))
+  in
+  let last_install_counts =
+    parse_switch_map r "last_install_counts" (fun () -> C.int_field r "installs")
+  in
+  let stale_counters =
+    parse_switch_map r "stale_counters" (fun () ->
+        C.repeat (C.int_field r "pairs") (fun () ->
+            let p = Prefix.of_string (C.string_field r "p") in
+            (p, C.float_field r "v")))
+  in
+  let task = Task.parse r in
+  let source = Source.parse r in
+  let ground_truth = Ground_truth.parse r ~spec:(Task.spec task) in
+  {
+    task;
+    source;
+    ground_truth;
+    duration;
+    arrived_at;
+    drop_priority;
+    active_epochs;
+    satisfied_epochs;
+    accuracy_sum;
+    poor_streak;
+    last_alloc_total;
+    last_report = None;
+    fresh_rules;
+    last_install_counts;
+    stale_counters;
+    staleness;
+  }

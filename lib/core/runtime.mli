@@ -1,0 +1,63 @@
+(** The controller's per-task bookkeeping: an admitted task object, its
+    traffic source and ground truth, and the counters the control loop
+    keeps about it between epochs. *)
+
+type t = {
+  task : Dream_tasks.Task.t;
+  source : Dream_traffic.Source.t;
+  ground_truth : Dream_tasks.Ground_truth.t;
+  duration : int;  (** lifetime in epochs *)
+  arrived_at : int;
+  drop_priority : int;  (** the highest value is dropped first *)
+  mutable active_epochs : int;
+  mutable satisfied_epochs : int;
+  mutable accuracy_sum : float;
+  mutable poor_streak : int;  (** consecutive poor allocation rounds without growth *)
+  mutable last_alloc_total : int;
+  mutable last_report : Dream_tasks.Report.t option;
+  mutable fresh_rules : Dream_prefix.Prefix.Set.t Dream_traffic.Switch_id.Map.t;
+      (** rules installed by the last sync, per switch *)
+  mutable last_install_counts : int Dream_traffic.Switch_id.Map.t;
+  mutable stale_counters : (Dream_prefix.Prefix.t * float) list Dream_traffic.Switch_id.Map.t;
+      (** last successfully fetched readings per switch, the fallback when a
+          switch is down or a fetch is abandoned; written only when a fault
+          model is configured *)
+  mutable staleness : int;
+      (** consecutive epochs this task reported with at least one stale or
+          missing switch (degraded mode only; 0 when fully fresh) *)
+}
+
+val create :
+  task:Dream_tasks.Task.t ->
+  source:Dream_traffic.Source.t ->
+  duration:int ->
+  arrived_at:int ->
+  drop_priority:int ->
+  t
+(** A freshly admitted task: zero counters, no rules, ground truth for
+    the task's spec. *)
+
+val id : t -> int
+
+val sorted : (int, t) Hashtbl.t -> t list
+(** The table's runtimes in task-id order. *)
+
+val view : t -> Dream_alloc.Task_view.t
+(** What the allocator sees of the task. *)
+
+val emit : Dream_util.Codec.writer -> t -> unit
+
+val parse : Dream_util.Codec.reader -> t
+(** Inverse of {!emit}, except [last_report], which is not serialized: the
+    control loop never reads it, and a restored controller reports afresh
+    on its first tick.
+    @raise Dream_util.Codec.Parse_error on a malformed section; the task,
+    source and ground-truth parsers may also raise [Invalid_argument] on
+    out-of-range values. *)
+
+val emit_prefixes : Dream_util.Codec.writer -> string -> Dream_prefix.Prefix.t list -> unit
+(** A count line under the given key, then one [p] line per prefix. *)
+
+val parse_prefixes : Dream_util.Codec.reader -> string -> Dream_prefix.Prefix.t list
+(** Inverse of {!emit_prefixes}.
+    @raise Invalid_argument on a malformed prefix. *)

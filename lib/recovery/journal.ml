@@ -237,6 +237,9 @@ let entries_of_string s =
     else begin
       match decode r with
       | e -> go (e :: acc)
+      (* A complete line whose value a component refuses (partial lines
+         never get here), so corruption wherever it sits. *)
+      | exception Invalid_argument msg -> Error ("invalid value: " ^ msg)
       | exception C.Parse_error err ->
         (* Only an incomplete *final* entry is forgivable: it means the
            writer died mid-append.  Anything with entries after it is

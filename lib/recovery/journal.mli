@@ -83,7 +83,8 @@ val entries_of_string : string -> (entry list, string) result
     discarded outright, never parsed, so a truncated value line cannot be
     recovered as a silently corrupted field.  A malformed entry
     {e followed by} further entries is a corruption, not a torn tail, and
-    yields [Error]. *)
+    yields [Error], as does a complete line holding a value its parser
+    rejects (a malformed prefix, an out-of-range task spec). *)
 
 (** {1 Sinks} *)
 

@@ -64,7 +64,7 @@ let parse r =
   let accuracy_bound = C.float_field r "accuracy_bound" in
   let drop_priority = C.int_field r "drop_priority" in
   let cd_history = C.float_field r "cd_history" in
-  { kind; filter; leaf_length; threshold; accuracy_bound; drop_priority; cd_history }
+  make ~kind ~filter ~leaf_length ~threshold ~accuracy_bound ~drop_priority ~cd_history ()
 
 let accuracy_metric t =
   match t.kind with

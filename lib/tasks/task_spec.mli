@@ -61,4 +61,5 @@ val emit : Dream_util.Codec.writer -> t -> unit
 
 val parse : Dream_util.Codec.reader -> t
 (** Inverse of {!emit}.  @raise Dream_util.Codec.Parse_error on
-    mismatch. *)
+    mismatch, and [Invalid_argument] on a malformed filter or on values
+    {!make} rejects. *)

@@ -127,9 +127,19 @@ let test_journal_corruption_rejected () =
     | e1 :: rest -> Journal.entry_to_string e1 ^ "garbage line\n" ^ encode_all rest
     | [] -> assert false
   in
-  match Journal.entries_of_string s with
+  (match Journal.entries_of_string s with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "mid-journal corruption must be rejected"
+  | Ok _ -> Alcotest.fail "mid-journal corruption must be rejected");
+  (* A well-formed line holding a value the task spec refuses. *)
+  let bad_spec =
+    String.split_on_char '\n' (encode_all entries)
+    |> List.map (fun l -> if l = "leaf_length 24" then "leaf_length 99" else l)
+    |> String.concat "\n"
+  in
+  match Journal.entries_of_string bad_spec with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "an out-of-range spec value must be rejected"
+  | exception e -> Alcotest.failf "journal decode raised %s" (Printexc.to_string e)
 
 let test_journal_file_sink () =
   let path = Filename.temp_file "dream" ".wal" in
@@ -216,23 +226,23 @@ let test_snapshot_restore_bit_identical_generic config =
 let test_snapshot_restore_bit_identical () =
   test_snapshot_restore_bit_identical_generic Config.default
 
+let fault_spec =
+  {
+    Fault_model.zero with
+    Fault_model.seed = 5;
+    crash_rate = 0.1;
+    mean_downtime = 3.0;
+    fetch_timeout_rate = 0.2;
+    counter_loss_rate = 0.05;
+    install_failure_rate = 0.05;
+    perturb_stddev = 0.02;
+  }
+
 let test_snapshot_restore_with_faults () =
-  let spec =
-    {
-      Fault_model.zero with
-      Fault_model.seed = 5;
-      crash_rate = 0.1;
-      mean_downtime = 3.0;
-      fetch_timeout_rate = 0.2;
-      counter_loss_rate = 0.05;
-      install_failure_rate = 0.05;
-      perturb_stddev = 0.02;
-    }
-  in
   (* The fault model's RNG streams are part of the checkpoint: the restored
      run must replay the exact same fault schedule suffix. *)
   test_snapshot_restore_bit_identical_generic
-    { Config.default with Config.faults = Some spec }
+    { Config.default with Config.faults = Some fault_spec }
 
 let test_restore_rejects_corruption () =
   let controller = populated_controller () in
@@ -257,11 +267,144 @@ let test_restore_rejects_corruption () =
         true
         (String.starts_with ~prefix:"bad magic" e)
     | Ok _ -> Alcotest.fail "v3 document must be rejected"));
-  reject "truncation" (String.sub doc 0 (String.length doc / 2));
-  let flipped = Bytes.of_string doc in
-  let mid = Bytes.length flipped / 2 in
-  Bytes.set flipped mid (if Bytes.get flipped mid = 'a' then 'b' else 'a');
-  reject "flipped byte" (Bytes.to_string flipped)
+  (* Seeded corruption fuzz: any truncation or flipped byte breaks the MD5
+     seal (or the magic), so the document is refused before it is parsed. *)
+  let rng = Rng.create 11 in
+  let len = String.length doc in
+  for _ = 1 to 200 do
+    reject "truncation" (String.sub doc 0 (Rng.int rng len));
+    let flipped = Bytes.of_string doc in
+    let i = Rng.int rng len in
+    let c = Char.code (Bytes.get flipped i) in
+    Bytes.set flipped i (Char.chr ((c + 1 + Rng.int rng 255) land 255));
+    reject "flipped byte" (Bytes.to_string flipped)
+  done
+
+(* ---- malformed but sealed checkpoints ---- *)
+
+let magic = "dream-checkpoint v4"
+
+let body_of doc =
+  match Codec.unseal ~magic doc with
+  | Ok body -> body
+  | Error e -> Alcotest.failf "snapshot does not unseal: %s" e
+
+let reseal lines = Codec.seal ~magic (String.concat "\n" lines)
+
+(* The body with the value of the first [key] line replaced. *)
+let set_first body key value =
+  let found = ref false in
+  String.split_on_char '\n' body
+  |> List.map (fun line ->
+         if (not !found) && String.starts_with ~prefix:(key ^ " ") line then begin
+           found := true;
+           key ^ " " ^ value
+         end
+         else line)
+
+(* A sealed document whose body was edited after the fact must come back
+   as [Error] (or, if the edit happens to be harmless, [Ok]) — never as an
+   exception. *)
+let restore_total name doc =
+  match Controller.restore doc with
+  | Ok _ -> `Ok
+  | Error _ -> `Error
+  | exception e -> Alcotest.failf "%s: restore raised %s" name (Printexc.to_string e)
+
+let test_restore_rejects_bad_values () =
+  let controller = populated_controller () in
+  let sink = Journal.memory () in
+  Controller.set_journal controller (Some sink);
+  Controller.run controller ~epochs:10;
+  let body = body_of (Controller.checkpoint controller) in
+  let env = Controller.environment controller in
+  List.iter
+    (fun (key, value) ->
+      let name = key ^ " " ^ value in
+      let doc = reseal (set_first body key value) in
+      Alcotest.(check bool) (name ^ ": restore refuses it") true (restore_total name doc = `Error);
+      match
+        Controller.recover ~env ~snapshot:doc ~journal:(Journal.entries sink)
+          ~at_epoch:(Controller.epoch controller)
+      with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: recover must refuse it" name
+      | exception e -> Alcotest.failf "%s: recover raised %s" name (Printexc.to_string e))
+    (* a switch capacity the TCAM refuses, a task filter that is not a
+       prefix, a negative EWMA history weight, and a leaf length longer
+       than an address *)
+    [ ("capacity", "0"); ("filter", "10.0.0.0/99x"); ("history", "-1"); ("leaf_length", "99") ]
+
+let degraded_config =
+  { Config.default with Config.faults = Some fault_spec; degraded = Some Config.default_degraded }
+
+let test_restore_fuzz_resealed () =
+  let controller = populated_controller ~config:degraded_config () in
+  Controller.run controller ~epochs:12;
+  let body = body_of (Controller.snapshot controller) in
+  let lines = Array.of_list (String.split_on_char '\n' body) in
+  let n = Array.length lines in
+  let rng = Rng.create 5 in
+  let values = [| "0"; "-1"; "999999"; "nan"; "x" |] in
+  let outcomes = Hashtbl.create 2 in
+  for k = 1 to 400 do
+    let i = Rng.int rng n in
+    let mutated =
+      Array.to_list lines
+      |> List.mapi (fun j line ->
+             if j <> i then [ line ]
+             else
+               match (Rng.int rng 3, String.index_opt line ' ') with
+               | 0, _ -> []
+               | 1, _ -> [ line; line ]
+               | _, Some sp -> [ String.sub line 0 sp ^ " " ^ Rng.pick rng values ]
+               | _, None -> [ line ^ " " ^ Rng.pick rng values ])
+      |> List.concat
+    in
+    let outcome = restore_total (Printf.sprintf "mutation %d (line %d)" k i) (reseal mutated) in
+    Hashtbl.replace outcomes outcome ()
+  done;
+  Alcotest.(check bool) "some mutations are refused" true (Hashtbl.mem outcomes `Error)
+
+(* snapshot (restore (snapshot c)) = snapshot c, at seeded epochs, for
+   every configuration shape the checkpoint encodes. *)
+let test_snapshot_roundtrip_configs () =
+  let rng = Rng.create 17 in
+  List.iter
+    (fun (name, config) ->
+      let controller = populated_controller ~config () in
+      List.iter
+        (fun epochs ->
+          Controller.run controller ~epochs;
+          let doc = Controller.snapshot controller in
+          match Controller.restore doc with
+          | Error e -> Alcotest.failf "%s: restore failed: %s" name e
+          | Ok restored ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s at epoch %d" name (Controller.epoch controller))
+              true
+              (Controller.snapshot restored = doc))
+        [ 0; 1 + Rng.int rng 8; 1 + Rng.int rng 20 ])
+    [
+      ("default", Config.default);
+      ("faults", { Config.default with Config.faults = Some fault_spec });
+      ("faults + degraded", degraded_config);
+      ("hardware", Config.hardware ~installs_per_epoch:16);
+      ("prototype", Config.prototype);
+    ]
+
+(* Only a fault model can make a fetch fall back on stale readings, so a
+   fault-free run keeps none in its checkpoint. *)
+let test_fault_free_snapshot_has_no_stale_counters () =
+  let controller = populated_controller () in
+  Controller.run controller ~epochs:15;
+  let stale =
+    String.split_on_char '\n' (body_of (Controller.snapshot controller))
+    |> List.filter (String.starts_with ~prefix:"stale_counters ")
+  in
+  Alcotest.(check int) "one stale_counters line per runtime"
+    (Controller.active_tasks controller) (List.length stale);
+  List.iter (Alcotest.(check string) "no stale readings" "stale_counters 0") stale
 
 (* ---- fail-over recovery ---- *)
 
@@ -435,6 +578,11 @@ let () =
           Alcotest.test_case "restore is bit-identical under faults" `Quick
             test_snapshot_restore_with_faults;
           Alcotest.test_case "corruption rejected" `Quick test_restore_rejects_corruption;
+          Alcotest.test_case "sealed bad values rejected" `Quick test_restore_rejects_bad_values;
+          Alcotest.test_case "resealed mutations never raise" `Quick test_restore_fuzz_resealed;
+          Alcotest.test_case "round trip across configs" `Quick test_snapshot_roundtrip_configs;
+          Alcotest.test_case "fault-free runs keep no stale counters" `Quick
+            test_fault_free_snapshot_has_no_stale_counters;
         ] );
       ( "failover",
         [
