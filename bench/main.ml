@@ -66,7 +66,7 @@ let micro_tests () =
   in
   for _ = 1 to 30 do
     feed ();
-    ignore (Task.estimate_accuracy task);
+    ignore (Task.report_and_estimate task ~epoch:0);
     Task.configure task ~allocations
   done;
   (* Allocator fixture: one switch, 64 tasks with random accuracies. *)
@@ -109,8 +109,7 @@ let micro_tests () =
       (Staged.stage (fun () -> Task.configure task ~allocations));
     Test.make ~name:"task.report+estimate (HH)"
       (Staged.stage (fun () ->
-           ignore (Task.make_report task ~epoch:0);
-           ignore (Task.estimate_accuracy task)));
+           ignore (Task.report_and_estimate task ~epoch:0)));
     Test.make ~name:"aggregate.volume (prefix counter read)"
       (Staged.stage (fun () -> ignore (Aggregate.volume agg filter)));
     Test.make ~name:"generator.next (one traffic epoch)"

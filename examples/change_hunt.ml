@@ -72,8 +72,7 @@ let () =
         (Task.switches task) []
     in
     Task.ingest_counters task readings;
-    let report = Task.make_report task ~epoch in
-    ignore (Task.estimate_accuracy task);
+    let report, _ = Task.report_and_estimate task ~epoch in
     Task.configure task ~allocations;
     if Report.size report > 0 then begin
       Printf.printf "epoch %2d: %d significant change(s)\n" epoch (Report.size report);

@@ -67,8 +67,7 @@ let () =
         (Task.switches task) []
     in
     Task.ingest_counters task readings;
-    let report = Task.make_report task ~epoch in
-    ignore (Task.estimate_accuracy task);
+    let report, _ = Task.report_and_estimate task ~epoch in
     Task.configure task ~allocations;
     if epoch mod 5 = 4 then begin
       Printf.printf "epoch %2d (%3d bots): %d HHH prefixes\n" epoch bots (Report.size report);

@@ -521,9 +521,8 @@ let observe t dcfg scores (r : Runtime.t) =
   let data, readings, degraded = Fetch.read t.fetch r in
   Task.ingest_counters r.task readings;
   mark t.timer Span;
-  let report = Task.make_report r.task ~epoch:t.epoch in
+  let report, estimate = Task.report_and_estimate r.task ~epoch:t.epoch in
   r.last_report <- Some report;
-  let estimate = Task.estimate_accuracy r.task in
   accrue t.timer Estimate;
   (* Degraded visibility: the estimators only saw stale (or no) counters
      for these switches, so the estimate is optimistic — decay the smoothed

@@ -93,8 +93,6 @@ let rec fold_diff f xs ys acc =
     | y :: ys' when equal y x -> fold_diff f xs' ys' acc
     | _ :: _ | [] -> fold_diff f xs' ys (f x acc))
 
-let hash t = Hashtbl.hash (t.bits, t.length)
-
 let to_string t =
   Printf.sprintf "%d.%d.%d.%d/%d"
     ((t.bits lsr 24) land 0xff)
@@ -128,13 +126,5 @@ module Ord = struct
   let compare = compare
 end
 
-module Hashed = struct
-  type nonrec t = t
-
-  let equal = equal
-  let hash = hash
-end
-
 module Map = Map.Make (Ord)
 module Set = Set.Make (Ord)
-module Table = Hashtbl.Make (Hashed)

@@ -95,8 +95,6 @@ val fold_diff : (t -> 'a -> 'a) -> t list -> t list -> 'a -> 'a
     same order.  Both lists must be strictly increasing under {!compare}
     (as {!Set.elements} returns them); one merge walk, no set built. *)
 
-val hash : t -> int
-
 val to_string : t -> string
 (** Dotted-quad with length, e.g. ["10.32.0.0/12"]. *)
 
@@ -107,4 +105,3 @@ val pp : Format.formatter -> t -> unit
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
-module Table : Hashtbl.S with type key = t

@@ -112,9 +112,8 @@ let tcam_vs_sketch ~epochs =
             (Task.switches task) []
         in
         Task.ingest_counters task readings;
-        let report = Task.make_report task ~epoch in
+        let report, _ = Task.report_and_estimate task ~epoch in
         let truth = Dream_tasks.Ground_truth.evaluate ground_truth data report in
-        ignore (Task.estimate_accuracy task);
         Task.configure task ~allocations;
         tcam_recalls := truth.Dream_tasks.Ground_truth.real_accuracy :: !tcam_recalls;
         (* Sketch side: same combined traffic, same resource count. *)

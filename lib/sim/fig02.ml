@@ -71,8 +71,7 @@ let step s ~epoch =
       (Task.switches s.task) []
   in
   Task.ingest_counters s.task readings;
-  let report = Task.make_report s.task ~epoch in
-  ignore (Task.estimate_accuracy s.task);
+  let report, _ = Task.report_and_estimate s.task ~epoch in
   Task.configure s.task ~allocations:s.allocations;
   (data, report)
 

@@ -1,21 +1,15 @@
+(* An exact counter over the threshold is a heavy hitter. *)
+let add_detection (spec : Task_spec.t) (c : Counter.t) items =
+  if Counter.is_exact c ~leaf_length:spec.leaf_length && c.total > spec.threshold then
+    { Report.prefix = c.prefix; magnitude = c.total } :: items
+  else items
+
 let report monitor ~epoch =
   let spec = Monitor.spec monitor in
-  let leaf_length = spec.Task_spec.leaf_length in
-  let threshold = spec.Task_spec.threshold in
-  let items =
-    List.filter_map
-      (fun (c : Counter.t) ->
-        if Counter.is_exact c ~leaf_length && c.Counter.total > threshold then
-          Some { Report.prefix = c.Counter.prefix; magnitude = c.Counter.total }
-        else None)
-      (Monitor.counters monitor)
-  in
-  { Report.kind = spec.Task_spec.kind; epoch; items }
+  { Report.kind = spec.Task_spec.kind; epoch; items = Monitor.fold (add_detection spec) monitor [] }
+
+let total (c : Counter.t) = c.total
 
 let estimate monitor ~allocations =
-  let spec = Monitor.spec monitor in
-  let threshold = spec.Task_spec.threshold in
-  Recall_estimator.estimate monitor ~allocations
-    ~detected:(fun c -> c.Counter.total > threshold)
-    ~magnitude_total:(fun c -> c.Counter.total)
-    ~magnitude_on:(fun c sw -> Counter.volume_on c sw)
+  Recall_estimator.estimate monitor ~allocations ~magnitude_total:total
+    ~magnitude_on:Counter.volume_on

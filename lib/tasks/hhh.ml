@@ -1,5 +1,4 @@
 module Prefix = Dream_prefix.Prefix
-module Trie = Dream_prefix.Trie
 module Switch_id = Dream_traffic.Switch_id
 module Topology = Dream_traffic.Topology
 
@@ -16,11 +15,6 @@ let detect monitor =
   let spec = Monitor.spec monitor in
   let threshold = spec.Task_spec.threshold in
   let leaf_length = spec.Task_spec.leaf_length in
-  let counters = Monitor.counters monitor in
-  (* Sorted counters are walked as the trie they imply — no trie build. *)
-  let bindings =
-    Array.map (fun (c : Counter.t) -> (c.Counter.prefix, c)) (Array.of_list counters)
-  in
   let detections = ref [] in
   let over_approx residual value = if value >= 1.0 then 0.0 else Float.max 0.0 (residual -. threshold) in
   let visit prefix (value : Counter.t option) (children : node_result list) =
@@ -61,15 +55,13 @@ let detect monitor =
       end
       else { unclaimed = residual; over_sum = child_over; has_detected = has_detected_below }
   in
-  ignore (Trie.fold_bindings_bottom_up ~root:spec.Task_spec.filter bindings ~f:visit);
+  ignore (Monitor.fold_bottom_up monitor ~f:visit);
   List.sort (fun a b -> Prefix.compare a.prefix b.prefix) !detections
 
-let report monitor ~epoch =
-  let spec = Monitor.spec monitor in
-  let items =
-    List.map (fun d -> { Report.prefix = d.prefix; magnitude = d.residual }) (detect monitor)
-  in
-  { Report.kind = spec.Task_spec.kind; epoch; items }
+let item d = { Report.prefix = d.prefix; magnitude = d.residual }
+
+let report monitor ~epoch detections =
+  { Report.kind = (Monitor.spec monitor).Task_spec.kind; epoch; items = List.map item detections }
 
 let estimate_recall monitor =
   let spec = Monitor.spec monitor in
@@ -93,8 +85,7 @@ let estimate_recall monitor =
   if detected + missed = 0 then 1.0
   else float_of_int detected /. float_of_int (detected + missed)
 
-let estimate monitor ~allocations =
-  let detections = detect monitor in
+let estimate monitor ~allocations detections =
   let global =
     match detections with
     | [] -> 1.0

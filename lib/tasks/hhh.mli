@@ -16,10 +16,12 @@ type detection = {
 val detect : Monitor.t -> detection list
 (** Detected HHHs with their precision values, in prefix order. *)
 
-val report : Monitor.t -> epoch:int -> Report.t
+val report : Monitor.t -> epoch:int -> detection list -> Report.t
+(** The report of this epoch's {!detect}. *)
 
 val estimate :
-  Monitor.t -> allocations:int Dream_traffic.Switch_id.Map.t -> Accuracy.t
+  Monitor.t -> allocations:int Dream_traffic.Switch_id.Map.t -> detection list -> Accuracy.t
+(** Estimated precision of this epoch's {!detect}. *)
 
 val estimate_recall : Monitor.t -> float
 (** Recall estimated like the HH estimator (Section 5.3: "for HHH tasks,

@@ -26,7 +26,7 @@ type cover = {
   mutable work : bool array; (* the greedy's scratch copy of [alive] *)
   cheapest : float array; (* per sub-filter: lowest candidate cost freeing it *)
   mutable built : bool; (* the table matches the current counters *)
-  mutable cursor : Counter.t list; (* build walk position in the sorted counters *)
+  mutable cursor : int; (* build walk position: the next counter slot *)
   (* Registers the build walk returns a node's summary in, and the
      greedy's running best slot: no tuple per node or step. *)
   mutable ret_s : int;
@@ -36,22 +36,22 @@ type cover = {
   regs : float_regs;
 }
 
-(* Sub-filter sets are int bitmasks: bit [i] stands for sub-filter [i] of
+(* The counters live in one growable array, slots [0, n) in prefix order.
+   They partition the filter, so the counters under any prefix form one
+   contiguous run of slots, found by two bisects.
+   Sub-filter sets are int bitmasks: bit [i] stands for sub-filter [i] of
    the topology and so for the switch it maps to (Topology.switch_of_bit).
    The Switch_id.Set views exist only at the module boundary. *)
 type t = {
   spec : Task_spec.t;
   topology : Topology.t;
-  table : Counter.t Prefix.Table.t;
-  staged : float Switch_id.Map.t Prefix.Table.t;
-      (* ingest scratch, cleared per call — hoisted so the hot loop never
-         allocates a fresh hash table per task per epoch *)
+  mutable counters : Counter.t array;
+  mutable n : int; (* slots in use *)
   switches : Switch_id.Set.t; (* every switch seeing the filter *)
   usage : int array; (* entries per sub-filter, kept incrementally *)
   alloc : int array; (* per sub-filter allocation of the running configure *)
   mutable active_mask : int; (* sub-filters whose switch has a non-zero allocation *)
   mutable active : Switch_id.Set.t; (* the same, as switches *)
-  mutable sorted_cache : Counter.t list option; (* counters in prefix order *)
   cover : cover;
 }
 
@@ -91,79 +91,136 @@ let rec bump usage mask delta i =
     bump usage mask delta (i + 1)
   end
 
-let add_counter t (c : Counter.t) =
-  assert (not (Prefix.Table.mem t.table c.prefix));
-  Prefix.Table.replace t.table c.prefix c;
-  t.sorted_cache <- None;
-  bump t.usage (effective t c) 1 0
-
-let remove_counter t (c : Counter.t) =
-  Prefix.Table.remove t.table c.prefix;
-  t.sorted_cache <- None;
-  bump t.usage (effective t c) (-1) 0
-
 let new_counter t prefix =
   Counter.create ~prefix
     ~switches:(Topology.switch_set t.topology prefix)
     ~cd_history:t.spec.Task_spec.cd_history
 
-let make ~spec ~topology ~active =
+let recompute_usage t =
+  Array.fill t.usage 0 (Array.length t.usage) 0;
+  for i = 0 to t.n - 1 do
+    bump t.usage (effective t t.counters.(i)) 1 0
+  done
+
+let make ~spec ~topology ~active counters =
   let k = Topology.switches_per_task topology in
-  {
-    spec;
-    topology;
-    table = Prefix.Table.create 64;
-    staged = Prefix.Table.create 64;
-    switches = Topology.switch_set topology spec.Task_spec.filter;
-    usage = Array.make k 0;
-    alloc = Array.make k 0;
-    active_mask = mask_of_set topology active;
-    active;
-    sorted_cache = None;
-    cover =
-      {
-        slots = 0;
-        node_bits = [||];
-        node_len = [||];
-        node_t = [||];
-        node_cost = [||];
-        alive = [||];
-        work = [||];
-        cheapest = Array.make k Float.infinity;
-        built = false;
-        cursor = [];
-        ret_s = 0;
-        ret_t = 0;
-        ret_count = 0;
-        best = -1;
-        regs = { ret_cost = 0.0; best_ratio = 0.0; bound_acc = 0.0 };
-      };
-  }
+  let t =
+    {
+      spec;
+      topology;
+      counters;
+      n = Array.length counters;
+      switches = Topology.switch_set topology spec.Task_spec.filter;
+      usage = Array.make k 0;
+      alloc = Array.make k 0;
+      active_mask = mask_of_set topology active;
+      active;
+      cover =
+        {
+          slots = 0;
+          node_bits = [||];
+          node_len = [||];
+          node_t = [||];
+          node_cost = [||];
+          alive = [||];
+          work = [||];
+          cheapest = Array.make k Float.infinity;
+          built = false;
+          cursor = 0;
+          ret_s = 0;
+          ret_t = 0;
+          ret_count = 0;
+          best = -1;
+          regs = { ret_cost = 0.0; best_ratio = 0.0; bound_acc = 0.0 };
+        };
+    }
+  in
+  recompute_usage t;
+  t
 
 let create ~spec ~topology =
-  let t = make ~spec ~topology ~active:(Topology.switch_set topology spec.Task_spec.filter) in
-  add_counter t (new_counter t spec.Task_spec.filter);
-  t
+  let filter = spec.Task_spec.filter in
+  let switches = Topology.switch_set topology filter in
+  let root = Counter.create ~prefix:filter ~switches ~cd_history:spec.Task_spec.cd_history in
+  make ~spec ~topology ~active:switches [| root |]
 
 let spec t = t.spec
 
 let topology t = t.topology
 
-let by_prefix (a : Counter.t) (b : Counter.t) = Prefix.compare a.prefix b.prefix
+let num_counters t = t.n
 
-let cons_counter _ c acc = c :: acc
+(* The first slot in [lo, hi) whose counter starts at or after [addr], or
+   [hi]: Prefix.compare orders by first address first. *)
+let rec bisect t addr lo hi =
+  if lo >= hi then lo
+  else begin
+    let mid = (lo + hi) / 2 in
+    if Prefix.first_address t.counters.(mid).Counter.prefix < addr then bisect t addr (mid + 1) hi
+    else bisect t addr lo mid
+  end
 
-let counters t =
-  match t.sorted_cache with
-  | Some cached -> cached
-  | None ->
-    let sorted = List.sort by_prefix (Prefix.Table.fold cons_counter t.table []) in
-    t.sorted_cache <- Some sorted;
-    sorted
+(* The slot holding exactly [p], or -1. *)
+let slot t p =
+  let i = bisect t (Prefix.first_address p) 0 t.n in
+  if i < t.n && Prefix.equal t.counters.(i).Counter.prefix p then i else -1
 
-let num_counters t = Prefix.Table.length t.table
+let find t p =
+  let i = slot t p in
+  if i < 0 then None else Some t.counters.(i)
 
-let find t p = Prefix.Table.find_opt t.table p
+(* Replace slots [lo, hi) by the one counter [c] ([lo = hi] inserts it),
+   keeping the per-sub-filter usage current. *)
+let splice t ~lo ~hi (c : Counter.t) =
+  for i = lo to hi - 1 do
+    bump t.usage (effective t t.counters.(i)) (-1) 0
+  done;
+  let n = t.n - (hi - lo) + 1 in
+  if n > Array.length t.counters then begin
+    let grown = Array.make (2 * Array.length t.counters) c in
+    Array.blit t.counters 0 grown 0 t.n;
+    t.counters <- grown
+  end;
+  Array.blit t.counters hi t.counters (lo + 1) (t.n - hi);
+  t.counters.(lo) <- c;
+  (* Vacated slots let go of the counters they held. *)
+  if n < t.n then Array.fill t.counters n (t.n - n) c;
+  t.n <- n;
+  bump t.usage (effective t c) 1 0
+
+let iter f t =
+  for i = 0 to t.n - 1 do
+    f t.counters.(i)
+  done
+
+let rec fold_down f t i acc = if i < 0 then acc else fold_down f t (i - 1) (f t.counters.(i) acc)
+
+let fold f t acc = fold_down f t (t.n - 1) acc
+
+(* The trie the slots imply, visited bottom-up from node [at], whose
+   counters are slots [lo, hi); its left and right children's slots are the
+   two sides of one bisect.  A counter on [at] itself is a leaf: the
+   counters partition the filter. *)
+let rec bottom_up t ~f at lo hi =
+  let c = t.counters.(lo) in
+  if Prefix.equal c.Counter.prefix at then f at (Some c) []
+  else begin
+    match Prefix.children at with
+    | None -> f at None []
+    | Some (l, r) ->
+      let mid = bisect t (Prefix.first_address r) lo hi in
+      let results =
+        if mid = lo then [ bottom_up t ~f r mid hi ]
+        else if mid = hi then [ bottom_up t ~f l lo mid ]
+        else begin
+          let right = bottom_up t ~f r mid hi in
+          [ bottom_up t ~f l lo mid; right ]
+        end
+      in
+      f at None results
+  end
+
+let fold_bottom_up t ~f = bottom_up t ~f t.spec.Task_spec.filter 0 t.n
 
 let switches t = t.switches
 
@@ -173,48 +230,54 @@ let usage t sw =
 
 let active t = t.active
 
-(* The counters intersecting the address range [lo, hi]: the counters
-   partition the filter and are sorted, so they form one contiguous run. *)
-let rec rules_in ~lo ~hi = function
-  | [] -> []
-  | (c : Counter.t) :: rest ->
-    if Prefix.last_address c.prefix < lo then rules_in ~lo ~hi rest
-    else if Prefix.first_address c.prefix > hi then []
-    else c.prefix :: rules_in ~lo ~hi rest
+let rec prefixes_down t ~first i acc =
+  if i < first then acc
+  else prefixes_down t ~first (i - 1) (t.counters.(i).Counter.prefix :: acc)
 
 (* A counter's S set holds a switch exactly when its prefix intersects that
-   switch's sub-filter. *)
+   switch's sub-filter: the counters intersecting its address range, one
+   contiguous run of slots. *)
 let rules_for t sw =
   let b = if Switch_id.Set.mem sw t.active then bit_of_switch t.topology sw 0 else -1 in
   if b < 0 then []
   else begin
     let sub = Topology.subfilter_of_bit t.topology b in
-    rules_in ~lo:(Prefix.first_address sub) ~hi:(Prefix.last_address sub) (counters t)
+    let lo = Prefix.first_address sub in
+    let i = bisect t lo 0 t.n in
+    (* The counter holding [lo] may start before it. *)
+    let first =
+      if i > 0 && Prefix.last_address t.counters.(i - 1).Counter.prefix >= lo then i - 1 else i
+    in
+    let last = bisect t (Prefix.last_address sub + 1) first t.n - 1 in
+    prefixes_down t ~first last []
   end
+
+let clear_volumes (c : Counter.t) = c.volumes <- Switch_id.Map.empty
+
+let seal_volumes (c : Counter.t) = Counter.set_volumes c c.volumes
+
+(* Readings for prefixes no longer monitored are stale: dropped. *)
+let rec ingest_switch t sw = function
+  | [] -> ()
+  | (p, v) :: rest ->
+    let i = slot t p in
+    if i >= 0 then begin
+      let c = t.counters.(i) in
+      c.volumes <- Switch_id.Map.add sw v c.volumes
+    end;
+    ingest_switch t sw rest
+
+let rec ingest_readings t = function
+  | [] -> ()
+  | (sw, pairs) :: rest ->
+    ingest_switch t sw pairs;
+    ingest_readings t rest
 
 let ingest t readings =
   (* readings: per switch, (prefix, volume) pairs for this task's rules. *)
-  let staged = t.staged in
-  Prefix.Table.clear staged;
-  List.iter
-    (fun (sw, pairs) ->
-      List.iter
-        (fun (p, v) ->
-          let m =
-            match Prefix.Table.find_opt staged p with
-            | Some m -> m
-            | None -> Switch_id.Map.empty
-          in
-          Prefix.Table.replace staged p (Switch_id.Map.add sw v m))
-        pairs)
-    readings;
-  Prefix.Table.iter
-    (fun p c ->
-      let volumes =
-        match Prefix.Table.find_opt staged p with Some m -> m | None -> Switch_id.Map.empty
-      in
-      Counter.set_volumes c volumes)
-    t.table
+  iter clear_volumes t;
+  ingest_readings t readings;
+  iter seal_volumes t
 
 let allocation allocations sw =
   match Switch_id.Map.find_opt sw allocations with Some v -> v | None -> 0
@@ -268,12 +331,11 @@ module Cover = struct
     cv.work <- grown cv.work n false used
 
   (* The head of the walk lies under the node (bits, len). *)
-  let head_under (cv : cover) ~bits ~len =
-    match cv.cursor with
-    | (c : Counter.t) :: _ ->
-      Prefix.covers_bits ~abits:bits ~alen:len ~bbits:(Prefix.bits c.prefix)
-        ~blen:(Prefix.length c.prefix)
-    | [] -> false
+  let head_under t (cv : cover) ~bits ~len =
+    cv.cursor < t.n
+    &&
+    let p = t.counters.(cv.cursor).Counter.prefix in
+    Prefix.covers_bits ~abits:bits ~alen:len ~bbits:(Prefix.bits p) ~blen:(Prefix.length p)
 
   (* Visit the trie node (bits, len) that the sorted counters imply, the
      head of the walk lying under it, and consume every counter it covers.
@@ -284,25 +346,26 @@ module Cover = struct
      the candidate list the bottom-up fold built by prepending (it visited
      right subtrees first), which the greedy's tie-break depends on. *)
   let rec visit t (cv : cover) ~bits ~len =
-    match cv.cursor with
-    | (c : Counter.t) :: rest when Prefix.length c.prefix = len ->
+    if cv.cursor < t.n && Prefix.length t.counters.(cv.cursor).Counter.prefix = len then begin
       (* A monitored counter: the partition has nothing below it. *)
-      cv.cursor <- rest;
+      let c = t.counters.(cv.cursor) in
+      cv.cursor <- cv.cursor + 1;
       cv.ret_s <- effective t c;
       cv.ret_t <- 0;
       cv.ret_count <- 1;
       cv.regs.ret_cost <- c.score
-    | _ :: _ | [] ->
+    end
+    else begin
       if cv.slots = Array.length cv.node_bits then grow cv;
       let slot = cv.slots in
       cv.slots <- slot + 1;
       let child = len + 1 in
       let rbits = bits lor (1 lsl (Prefix.address_bits - child)) in
-      let has_l = head_under cv ~bits ~len:child in
+      let has_l = head_under t cv ~bits ~len:child in
       if has_l then visit t cv ~bits ~len:child;
       let ls = cv.ret_s and lt = cv.ret_t and lcount = cv.ret_count in
       let lcost = cv.regs.ret_cost in
-      let has_r = head_under cv ~bits:rbits ~len:child in
+      let has_r = head_under t cv ~bits:rbits ~len:child in
       if has_r then visit t cv ~bits:rbits ~len:child;
       (* With one child, its summary is already in the registers. *)
       if has_l && has_r then begin
@@ -322,14 +385,14 @@ module Cover = struct
       cv.node_t.(slot) <- cv.ret_t;
       cv.node_cost.(slot) <- cv.regs.ret_cost;
       cv.alive.(slot) <- cv.ret_t <> 0 && cv.ret_count >= 2
+    end
 
   let build t =
     let cv = t.cover in
     cv.slots <- 0;
-    cv.cursor <- counters t;
+    cv.cursor <- 0;
     let filter = t.spec.Task_spec.filter in
     visit t cv ~bits:(Prefix.bits filter) ~len:(Prefix.length filter);
-    cv.cursor <- [];
     (* Lower bound on the cost of any candidate freeing each sub-filter;
        stays a valid lower bound across repairs. *)
     Array.fill cv.cheapest 0 (Array.length cv.cheapest) Float.infinity;
@@ -455,43 +518,32 @@ end
 
 (* ---- merge and divide ---- *)
 
-let descendant_counters t ancestor =
-  (* Unsorted on purpose: this runs inside the divide-and-merge loop and
-     must not pay for the sorted-counters cache rebuild. *)
-  Prefix.Table.fold
-    (fun _ (c : Counter.t) acc -> if Prefix.covers ancestor c.prefix then c :: acc else acc)
-    t.table []
+let sum_volumes _ a b = Some (a +. b)
 
+(* Replace every counter under [ancestor] by one counter on it.  The
+   victims are one run of slots in prefix order, so the float sums below
+   add in the same order whatever history built the configuration. *)
 let[@hot] merge t ancestor =
-  match descendant_counters t ancestor with
-  | [] -> ()
-  | [ c ] when Prefix.equal c.Counter.prefix ancestor ->
-    () (* already monitoring exactly this prefix *)
-  | victims ->
-    (* Sort victims: [descendant_counters] folds a Hashtbl, whose order
-       depends on insertion history.  The float sums below must not — a
-       restored controller rebuilds its tables in a different order and
-       still has to produce bit-identical merges. *)
-    let victims = List.sort by_prefix victims in
+  let lo = bisect t (Prefix.first_address ancestor) 0 t.n in
+  let hi = bisect t (Prefix.last_address ancestor + 1) lo t.n in
+  (* Otherwise a counter on or above [ancestor] already covers it. *)
+  if lo < hi && Prefix.is_ancestor_of ancestor t.counters.(lo).Counter.prefix then begin
     let merged = new_counter t ancestor in
-    let volumes =
-      List.fold_left
-        (fun acc (c : Counter.t) ->
-          Switch_id.Map.union (fun _ a b -> Some (a +. b)) acc c.volumes)
-        Switch_id.Map.empty victims
-    in
-    let score = List.fold_left (fun acc (c : Counter.t) -> acc +. c.score) 0.0 victims in
-    let mean_sum, has_mean =
-      List.fold_left
-        (fun (acc, has) (c : Counter.t) ->
-          match Ewma.value c.mean with Some v -> (acc +. v, true) | None -> (acc, has))
-        (0.0, false) victims
-    in
-    List.iter (remove_counter t) victims;
-    add_counter t merged;
-    Counter.set_volumes merged volumes;
-    merged.Counter.score <- score;
-    if has_mean then Ewma.seed merged.Counter.mean mean_sum
+    let mean_sum = ref 0.0 and has_mean = ref false in
+    for i = lo to hi - 1 do
+      let c = t.counters.(i) in
+      merged.volumes <- Switch_id.Map.union sum_volumes merged.volumes c.volumes;
+      merged.score <- merged.score +. c.score;
+      match Ewma.value c.mean with
+      | Some v ->
+        mean_sum := !mean_sum +. v;
+        has_mean := true
+      | None -> ()
+    done;
+    splice t ~lo ~hi merged;
+    Counter.set_volumes merged merged.volumes;
+    if !has_mean then Ewma.seed merged.mean !mean_sum
+  end
 
 let rec apply_merges t = function
   | [] -> ()
@@ -507,18 +559,21 @@ let spawn t (parent : Counter.t) p =
     | Some m -> Ewma.seed child.Counter.mean (m /. 2.0)
     | None -> ()
   end;
-  add_counter t child;
   child
 
-(* Replace a counter by its two children; [None] for an exact prefix. *)
-let[@hot] divide t (c : Counter.t) =
+(* Replace a live counter by its two children and queue whichever can still
+   be divided. *)
+let[@hot] divide t heap ~leaf_length (c : Counter.t) =
   match Prefix.children c.prefix with
-  | None -> None
+  | None -> ()
   | Some (l, r) ->
-    remove_counter t c;
+    let i = slot t c.prefix in
     let left = spawn t c l in
     let right = spawn t c r in
-    Some (left, right)
+    splice t ~lo:i ~hi:(i + 1) left;
+    splice t ~lo:(i + 1) ~hi:(i + 1) right;
+    if not (Counter.is_exact left ~leaf_length) then Heap.push heap left;
+    if not (Counter.is_exact right ~leaf_length) then Heap.push heap right
 
 (* ---- Algorithm 2 ---- *)
 
@@ -538,29 +593,21 @@ let shrink_to_fit t =
         apply_merges t sol.Cover.ancestors;
         go (guard - 1)
       | Some { Cover.ancestors = []; _ } | None ->
-        if num_counters t > 1 then begin
+        if t.n > 1 then begin
           merge t t.spec.Task_spec.filter;
           go (guard - 1)
         end
     end
   in
-  go (num_counters t + 8)
+  go (t.n + 8)
 
 let by_score (a : Counter.t) (b : Counter.t) = Float.compare a.score b.score
 
-let rec push_divisible heap ~leaf_length = function
-  | [] -> ()
-  | (c : Counter.t) :: rest ->
-    if not (Counter.is_exact c ~leaf_length) then Heap.push heap c;
-    push_divisible heap ~leaf_length rest
-
-(* Divide [c] and queue whichever children can still be divided. *)
-let divide_and_push t heap ~leaf_length c =
-  match divide t c with
-  | None -> ()
-  | Some (l, r) ->
-    if not (Counter.is_exact l ~leaf_length) then Heap.push heap l;
-    if not (Counter.is_exact r ~leaf_length) then Heap.push heap r
+let push_divisible t heap ~leaf_length =
+  for i = 0 to t.n - 1 do
+    let c = t.counters.(i) in
+    if not (Counter.is_exact c ~leaf_length) then Heap.push heap c
+  done
 
 let rec divide_loop t heap ~leaf_length ~improvement_floor budget =
   if budget > 0 then begin
@@ -568,8 +615,8 @@ let rec divide_loop t heap ~leaf_length ~improvement_floor budget =
     | None -> ()
     | Some (c : Counter.t) ->
       (* Skip stale heap entries (counters merged away meanwhile). *)
-      let live = match find t c.prefix with Some c' -> c' == c | None -> false in
-      if not live then divide_loop t heap ~leaf_length ~improvement_floor budget
+      let i = slot t c.prefix in
+      if i < 0 || t.counters.(i) != c then divide_loop t heap ~leaf_length ~improvement_floor budget
       else if c.score <= 0.0 then () (* max score <= 0: nothing worth dividing *)
       else if Prefix.is_exact c.prefix then
         divide_loop t heap ~leaf_length ~improvement_floor budget
@@ -585,7 +632,7 @@ let rec divide_loop t heap ~leaf_length ~improvement_floor budget =
           (* A divide keeps built candidates conservatively valid: the
              divided counter's score equals its children's sum, S sets are
              unchanged, and T sets can only have grown. *)
-          divide_and_push t heap ~leaf_length c;
+          divide t heap ~leaf_length c;
           divide_loop t heap ~leaf_length ~improvement_floor (budget - 1)
         end
         else begin
@@ -602,7 +649,7 @@ let rec divide_loop t heap ~leaf_length ~improvement_floor budget =
               apply_merges t sol.Cover.ancestors;
               Cover.repair_all t sol.Cover.ancestors;
               (* Re-check: the merge must actually have freed room. *)
-              if blocked t extra 0 0 = 0 then divide_and_push t heap ~leaf_length c;
+              if blocked t extra 0 0 = 0 then divide t heap ~leaf_length c;
               divide_loop t heap ~leaf_length ~improvement_floor (budget - 1)
             | Some _ | None -> divide_loop t heap ~leaf_length ~improvement_floor (budget - 1)
           end
@@ -613,17 +660,13 @@ let rec divide_loop t heap ~leaf_length ~improvement_floor budget =
 let[@hot] divide_phase t ~allocations =
   let leaf_length = t.spec.Task_spec.leaf_length in
   let heap = Heap.create ~cmp:by_score in
-  push_divisible heap ~leaf_length (counters t);
+  push_divisible t heap ~leaf_length;
   t.cover.built <- false;
   (* Paid divides (ones that must merge other counters to free entries)
      must beat the merge cost by a margin, or the configuration churns
      forever swapping near-equal marginal prefixes. *)
   let improvement_floor = t.spec.Task_spec.threshold /. 16.0 in
   divide_loop t heap ~leaf_length ~improvement_floor ((4 * total_allocation allocations) + 64)
-
-let recompute_usage t =
-  Array.fill t.usage 0 (Array.length t.usage) 0;
-  Prefix.Table.iter (fun _ c -> bump t.usage (effective t c) 1 0) t.table
 
 (* Record the allocation of every sub-filter for this configure and return
    the mask of those granted at least one entry. *)
@@ -650,8 +693,24 @@ let emit w t =
   C.section w "monitor";
   C.int w "active" (Switch_id.Set.cardinal t.active);
   Switch_id.Set.iter (fun sw -> C.int w "sw" sw) t.active;
-  C.int w "counters" (num_counters t);
-  List.iter (Counter.emit w) (counters t)
+  C.int w "counters" t.n;
+  iter (Counter.emit w) t
+
+(* Whether slots [i, n) tile the filter from address [next] on: each
+   counter lies inside the filter and starts where the one before it ended,
+   and the last ends with the filter.  So the counters are strictly
+   increasing, disjoint, inside the filter and cover it, in one pass. *)
+let rec tiles t i next =
+  let filter = t.spec.Task_spec.filter in
+  if i = t.n then next = Prefix.last_address filter + 1
+  else begin
+    let p = t.counters.(i).Counter.prefix in
+    Prefix.covers filter p
+    && Prefix.first_address p = next
+    && tiles t (i + 1) (Prefix.last_address p + 1)
+  end
+
+let is_partition t = tiles t 0 (Prefix.first_address t.spec.Task_spec.filter)
 
 let parse r ~spec ~topology =
   let module C = Dream_util.Codec in
@@ -660,27 +719,10 @@ let parse r ~spec ~topology =
   let active = C.repeat n (fun () -> C.int_field r "sw") |> Switch_id.set_of_list in
   if mask_of_set topology active < 0 then
     C.parse_error 0 "monitor: an active switch sees none of the task's sub-filters";
-  let t = make ~spec ~topology ~active in
   let n = C.int_field r "counters" in
-  ignore
-    (C.repeat n (fun () ->
-         add_counter t (Counter.parse r ~switch_set:(Topology.switch_set topology))));
+  let switch_set = Topology.switch_set topology in
+  let counters = C.repeat n (fun () -> Counter.parse r ~switch_set) in
+  let t = make ~spec ~topology ~active (Array.of_list counters) in
+  if not (is_partition t) then
+    C.parse_error 0 "monitor: the counters do not partition the task's filter";
   t
-
-let is_partition t =
-  let filter = t.spec.Task_spec.filter in
-  let covered =
-    List.fold_left (fun acc (c : Counter.t) -> acc + Prefix.size c.prefix) 0 (counters t)
-  in
-  let disjoint =
-    let sorted = counters t in
-    let rec check = function
-      | [] | [ _ ] -> true
-      | (a : Counter.t) :: ((b : Counter.t) :: _ as rest) ->
-        Prefix.last_address a.prefix < Prefix.first_address b.prefix && check rest
-    in
-    check sorted
-  in
-  disjoint
-  && covered = Prefix.size filter
-  && List.for_all (fun (c : Counter.t) -> Prefix.covers filter c.prefix) (counters t)

@@ -7,7 +7,12 @@
     descendants of an ancestor by that ancestor (the paper's footnote 6:
     merging to the common ancestor avoids overlapping counters).  A counter
     occupies one TCAM entry on every switch in its S set (the switches that
-    can see its traffic). *)
+    can see its traffic).
+
+    The counters are held in one array in prefix order.  Since they
+    partition the filter, the counters under any prefix are one contiguous
+    run of it, so lookups, merges, rule lists and trie walks are bisects
+    over that array. *)
 
 type t
 
@@ -19,12 +24,28 @@ val spec : t -> Task_spec.t
 
 val topology : t -> Dream_traffic.Topology.t
 
-val counters : t -> Counter.t list
-(** Current counters, in prefix order. *)
-
 val num_counters : t -> int
 
 val find : t -> Dream_prefix.Prefix.t -> Counter.t option
+(** The counter on exactly this prefix: one bisect over the slots. *)
+
+val iter : (Counter.t -> unit) -> t -> unit
+(** Visit the counters in prefix order. *)
+
+val fold : (Counter.t -> 'a -> 'a) -> t -> 'a -> 'a
+(** [fold f t init] is [f c1 (f c2 (... (f cn init)))] over the counters
+    [c1 ... cn] in prefix order, like [List.fold_right]: consing builds a
+    list in prefix order. *)
+
+val fold_bottom_up :
+  t -> f:(Dream_prefix.Prefix.t -> Counter.t option -> 'a list -> 'a) -> 'a
+(** Post-order walk of the prefix trie the counters imply: every prefix on
+    a path from the task's filter down to a counter, the right subtree
+    visited before the left.  [f prefix counter child_results] gets the
+    node's counter (a leaf, under the partition invariant) or [None] for a
+    structural node, and the results of its 1 or 2 children, left first.
+    Returns the filter's result.  No trie is built: each node's counters
+    are one run of slots, split in two by a bisect. *)
 
 val switches : t -> Dream_traffic.Switch_id.Set.t
 (** All switches that see the task's filter. *)
@@ -45,7 +66,9 @@ val rules_for : t -> Dream_traffic.Switch_id.t -> Dream_prefix.Prefix.t list
 
 val ingest :
   t -> (Dream_traffic.Switch_id.t * (Dream_prefix.Prefix.t * float) list) list -> unit
-(** Deliver fetched per-switch counter readings (Algorithm 1 line 2). *)
+(** Deliver fetched per-switch counter readings (Algorithm 1 line 2).
+    Every counter's volumes are replaced by its readings; readings for
+    prefixes no longer monitored are dropped. *)
 
 val bottlenecked :
   t -> allocations:int Dream_traffic.Switch_id.Map.t -> Dream_traffic.Switch_id.Set.t
@@ -123,6 +146,7 @@ val parse :
   spec:Task_spec.t ->
   topology:Dream_traffic.Topology.t ->
   t
-(** Inverse of {!emit}; per-switch usage is rebuilt incrementally as
-    counters are re-added.  @raise Dream_util.Codec.Parse_error on
-    mismatch, or an active switch outside the topology. *)
+(** Inverse of {!emit}; per-switch usage is recounted.
+    @raise Dream_util.Codec.Parse_error on mismatch, an active switch
+    outside the topology, or counters that do not partition the task's
+    filter (see {!is_partition}). *)

@@ -8,56 +8,71 @@ let missed_bound ~wildcards ~magnitude ~threshold =
     min by_volume by_leaves
   end
 
-let estimate monitor ~allocations ~detected ~magnitude_total ~magnitude_on =
+(* One estimate's inputs and running counts, threaded through the counter
+   walks as their accumulator. *)
+type tally = {
+  leaf_length : int;
+  threshold : float;
+  magnitude_total : Counter.t -> float;
+  magnitude_on : Counter.t -> Switch_id.t -> float;
+  bottlenecks : Switch_id.Set.t;
+  mutable switch : Switch_id.t; (* the switch a local walk counts for *)
+  mutable detected : int;
+  mutable missed : int;
+}
+
+let missed_under w (c : Counter.t) magnitude =
+  missed_bound ~wildcards:(Counter.wildcards c ~leaf_length:w.leaf_length) ~magnitude
+    ~threshold:w.threshold
+
+(* Exact counters over the threshold are detected; every other counter
+   bounds the items it may hide. *)
+let count_global (c : Counter.t) w =
+  if Counter.is_exact c ~leaf_length:w.leaf_length then begin
+    if w.magnitude_total c > w.threshold then w.detected <- w.detected + 1
+  end
+  else w.missed <- w.missed + missed_under w c (w.magnitude_total c);
+  w
+
+(* The same on [w.switch], from the counters that see it.  Missed items
+   are attributed to bottlenecked switches only, when any is. *)
+let count_local (c : Counter.t) w =
+  let sw = w.switch in
+  if Switch_id.Set.mem sw c.switches then begin
+    if Counter.is_exact c ~leaf_length:w.leaf_length then begin
+      if w.magnitude_total c > w.threshold then w.detected <- w.detected + 1
+    end
+    else if Switch_id.Set.is_empty w.bottlenecks || Switch_id.Set.mem sw w.bottlenecks then
+      w.missed <- w.missed + missed_under w c (w.magnitude_on c sw)
+  end;
+  w
+
+let recall w =
+  if w.detected + w.missed = 0 then 1.0
+  else float_of_int w.detected /. float_of_int (w.detected + w.missed)
+
+let add_local monitor w sw locals =
+  w.switch <- sw;
+  w.detected <- 0;
+  w.missed <- 0;
+  Switch_id.Map.add sw (recall (Monitor.fold count_local monitor w)) locals
+
+let estimate monitor ~allocations ~magnitude_total ~magnitude_on =
   let spec = Monitor.spec monitor in
-  let leaf_length = spec.Task_spec.leaf_length in
-  let threshold = spec.Task_spec.threshold in
-  let counters = Monitor.counters monitor in
-  let exact, inexact = List.partition (fun c -> Counter.is_exact c ~leaf_length) counters in
-  let detected_counters = List.filter detected exact in
-  let num_detected = List.length detected_counters in
-  let missed_total =
-    List.fold_left
-      (fun acc c ->
-        acc
-        + missed_bound
-            ~wildcards:(Counter.wildcards c ~leaf_length)
-            ~magnitude:(magnitude_total c) ~threshold)
-      0 inexact
+  let w =
+    {
+      leaf_length = spec.Task_spec.leaf_length;
+      threshold = spec.Task_spec.threshold;
+      magnitude_total;
+      magnitude_on;
+      bottlenecks = Monitor.bottlenecked monitor ~allocations;
+      switch = 0;
+      detected = 0;
+      missed = 0;
+    }
   in
-  let global =
-    if num_detected + missed_total = 0 then 1.0
-    else float_of_int num_detected /. float_of_int (num_detected + missed_total)
-  in
-  let bottlenecks = Monitor.bottlenecked monitor ~allocations in
-  let attribute (c : Counter.t) sw =
-    Switch_id.Set.mem sw c.Counter.switches
-    && (Switch_id.Set.is_empty bottlenecks || Switch_id.Set.mem sw bottlenecks)
-  in
+  let global = recall (Monitor.fold count_global monitor w) in
   let locals =
-    Switch_id.Set.fold
-      (fun sw acc ->
-        let det =
-          List.length
-            (List.filter
-               (fun (c : Counter.t) -> Switch_id.Set.mem sw c.Counter.switches)
-               detected_counters)
-        in
-        let missed =
-          List.fold_left
-            (fun acc c ->
-              if attribute c sw then
-                acc
-                + missed_bound
-                    ~wildcards:(Counter.wildcards c ~leaf_length)
-                    ~magnitude:(magnitude_on c sw) ~threshold
-              else acc)
-            0 inexact
-        in
-        let recall =
-          if det + missed = 0 then 1.0 else float_of_int det /. float_of_int (det + missed)
-        in
-        Switch_id.Map.add sw recall acc)
-      (Monitor.switches monitor) Switch_id.Map.empty
+    Switch_id.Set.fold (add_local monitor w) (Monitor.switches monitor) Switch_id.Map.empty
   in
   { Accuracy.global = Accuracy.clamp global; locals }

@@ -19,11 +19,8 @@ let of_counter (spec : Task_spec.t) (c : Counter.t) =
     let deviation = Counter.cd_deviation c in
     if deviation <= threshold /. 8.0 then 0.0 else deviation /. denominator
 
-let apply monitor =
-  let spec = Monitor.spec monitor in
-  List.iter
-    (fun (c : Counter.t) ->
-      (* Fresh counters keep their inherited half-of-parent score: their
-         volumes have not been measured yet. *)
-      if not c.Counter.fresh then c.Counter.score <- of_counter spec c)
-    (Monitor.counters monitor)
+(* Fresh counters keep their inherited half-of-parent score: their volumes
+   have not been measured yet. *)
+let rescore spec (c : Counter.t) = if not c.fresh then c.score <- of_counter spec c
+
+let apply monitor = Monitor.iter (rescore (Monitor.spec monitor)) monitor

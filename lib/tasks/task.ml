@@ -11,10 +11,13 @@ type t = {
   monitor : Monitor.t;
   global_acc : Ewma.t;
   overall_acc : (Switch_id.t, Ewma.t) Hashtbl.t;
+  switch_ids : Switch_id.t array; (* the monitor's switches, in order *)
   accuracy_history : float;
   accuracy_mode : accuracy_mode;
   mutable allocations : int Switch_id.Map.t;
 }
+
+let switch_ids monitor = Array.of_list (Switch_id.Set.elements (Monitor.switches monitor))
 
 let create ~id ~spec ~topology ?(accuracy_history = 0.4) ?(accuracy_mode = Overall) () =
   let monitor = Monitor.create ~spec ~topology in
@@ -28,6 +31,7 @@ let create ~id ~spec ~topology ?(accuracy_history = 0.4) ?(accuracy_mode = Overa
     spec;
     topology;
     monitor;
+    switch_ids = switch_ids monitor;
     global_acc = Ewma.create ~history:accuracy_history;
     overall_acc = Hashtbl.create 8;
     accuracy_history;
@@ -46,12 +50,6 @@ let desired_rules t sw = Monitor.rules_for t.monitor sw
 
 let ingest_counters t readings = Monitor.ingest t.monitor readings
 
-let make_report t ~epoch =
-  match t.spec.Task_spec.kind with
-  | Task_spec.Heavy_hitter -> Hh.report t.monitor ~epoch
-  | Task_spec.Hierarchical_heavy_hitter -> Hhh.report t.monitor ~epoch
-  | Task_spec.Change_detection -> Cd.report t.monitor ~epoch
-
 let overall_filter t sw =
   match Hashtbl.find_opt t.overall_acc sw with
   | Some f -> f
@@ -60,27 +58,46 @@ let overall_filter t sw =
     Hashtbl.replace t.overall_acc sw f;
     f
 
-let estimate_accuracy t =
-  let accuracy =
-    match t.spec.Task_spec.kind with
-    | Task_spec.Heavy_hitter -> Hh.estimate t.monitor ~allocations:t.allocations
-    | Task_spec.Hierarchical_heavy_hitter -> Hhh.estimate t.monitor ~allocations:t.allocations
-    | Task_spec.Change_detection ->
-      let acc = Cd.estimate t.monitor ~allocations:t.allocations in
-      Cd.finish_epoch t.monitor;
-      acc
-  in
+let report t ~epoch detections =
+  match t.spec.Task_spec.kind with
+  | Task_spec.Heavy_hitter -> Hh.report t.monitor ~epoch
+  | Task_spec.Hierarchical_heavy_hitter -> Hhh.report t.monitor ~epoch detections
+  | Task_spec.Change_detection -> Cd.report t.monitor ~epoch
+
+let estimate t detections =
+  let allocations = t.allocations in
+  match t.spec.Task_spec.kind with
+  | Task_spec.Heavy_hitter -> Hh.estimate t.monitor ~allocations
+  | Task_spec.Hierarchical_heavy_hitter -> Hhh.estimate t.monitor ~allocations detections
+  | Task_spec.Change_detection ->
+    let accuracy = Cd.estimate t.monitor ~allocations in
+    Cd.finish_epoch t.monitor;
+    accuracy
+
+(* Fold a raw estimate into the smoothed accuracies the allocator reads. *)
+let smooth t accuracy =
   ignore (Ewma.update t.global_acc accuracy.Accuracy.global);
-  Switch_id.Set.iter
-    (fun sw ->
-      let sample =
-        match t.accuracy_mode with
-        | Overall -> Accuracy.overall accuracy sw
-        | Global_only -> accuracy.Accuracy.global
-      in
-      ignore (Ewma.update (overall_filter t sw) sample))
-    (switches t);
-  accuracy
+  for i = 0 to Array.length t.switch_ids - 1 do
+    let sw = t.switch_ids.(i) in
+    let sample =
+      match t.accuracy_mode with
+      | Overall -> Accuracy.overall accuracy sw
+      | Global_only -> accuracy.Accuracy.global
+    in
+    ignore (Ewma.update (overall_filter t sw) sample)
+  done
+
+(* HHH detection runs once; the report and the estimate share it. *)
+let report_and_estimate t ~epoch =
+  let detections =
+    match t.spec.Task_spec.kind with
+    | Task_spec.Hierarchical_heavy_hitter -> Hhh.detect t.monitor
+    | Task_spec.Heavy_hitter | Task_spec.Change_detection -> []
+  in
+  let report = report t ~epoch detections in
+  let accuracy = estimate t detections in
+  smooth t accuracy;
+  (report, accuracy)
 
 let decay_accuracy t ?switch ~factor () =
   Ewma.scale t.global_acc factor;
@@ -159,6 +176,7 @@ let parse r =
     spec;
     topology;
     monitor;
+    switch_ids = switch_ids monitor;
     global_acc;
     overall_acc;
     accuracy_history;

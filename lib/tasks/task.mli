@@ -1,10 +1,9 @@
 (** A task object (Section 5.1, Algorithm 1).
 
     The controller drives one of these per admitted task, each epoch:
-    {!ingest_counters} (fetch), {!make_report} (createReport),
-    {!estimate_accuracy} (estimateAccuracy, which also folds the raw
-    estimates into the EWMA-smoothed overall accuracies the allocator
-    reads), then — after the allocator has decided — {!configure}
+    {!ingest_counters} (fetch), {!report_and_estimate} (createReport and
+    estimateAccuracy, which also folds the raw estimates into the
+    EWMA-smoothed overall accuracies the allocator reads), then — after the allocator has decided — {!configure}
     (configureCounters) with the new per-switch allocations, and finally
     {!desired_rules} to save counters to each switch. *)
 
@@ -43,12 +42,10 @@ val desired_rules : t -> Dream_traffic.Switch_id.t -> Dream_prefix.Prefix.t list
 val ingest_counters :
   t -> (Dream_traffic.Switch_id.t * (Dream_prefix.Prefix.t * float) list) list -> unit
 
-val make_report : t -> epoch:int -> Report.t
-
-val estimate_accuracy : t -> Accuracy.t
-(** Raw estimate for the current epoch.  Also updates the smoothed
-    accuracies and, for CD tasks, folds this epoch's volumes into the
-    per-counter means. *)
+val report_and_estimate : t -> epoch:int -> Report.t * Accuracy.t
+(** This epoch's report and raw accuracy estimate, from one detection
+    pass.  Also updates the smoothed accuracies and, for CD tasks, folds
+    this epoch's volumes into the per-counter means. *)
 
 val smoothed_global : t -> float
 (** EWMA-smoothed estimated global accuracy (1 before any estimate). *)

@@ -77,8 +77,7 @@ let drive_task task ~data ~allocations ~epoch =
       (Task.switches task) []
   in
   Task.ingest_counters task readings;
-  let report = Task.make_report task ~epoch in
-  let estimate = Task.estimate_accuracy task in
+  let report, estimate = Task.report_and_estimate task ~epoch in
   Task.configure task ~allocations;
   (report, estimate)
 

@@ -1,15 +1,13 @@
 (* The original Switch_id.Set-based cover() of Monitor, kept as the
    differential oracle for the bitmask candidate table in Monitor.Cover.
-   It rebuilds the candidates with Trie.fold_bindings_bottom_up (boxed
-   node records, child lists, one Set operation per trie node) and runs
-   the greedy over plain candidate lists.  Only the tests use it. *)
+   It rebuilds the candidates with Monitor.fold_bottom_up (boxed node
+   records, child lists, one Set operation per trie node) and runs the
+   greedy over plain candidate lists.  Only the tests use it. *)
 
 module Prefix = Dream_prefix.Prefix
-module Trie = Dream_prefix.Trie
 module Switch_id = Dream_traffic.Switch_id
 module Counter = Dream_tasks.Counter
 module Monitor = Dream_tasks.Monitor
-module Task_spec = Dream_tasks.Task_spec
 
 type solution = { ancestors : Prefix.t list; cost : float }
 
@@ -29,9 +27,6 @@ type candidates = {
 let effective m (c : Counter.t) = Switch_id.Set.inter c.switches (Monitor.active m)
 
 let build_candidates m =
-  let bindings =
-    Array.map (fun (c : Counter.t) -> (c.prefix, c)) (Array.of_list (Monitor.counters m))
-  in
   let candidates = ref [] in
   let merge_info prefix (value : Counter.t option) (children : node_info list) =
     match value with
@@ -56,8 +51,7 @@ let build_candidates m =
         candidates := (prefix, info) :: !candidates;
       info
   in
-  ignore
-    (Trie.fold_bindings_bottom_up ~root:(Monitor.spec m).Task_spec.filter bindings ~f:merge_info);
+  ignore (Monitor.fold_bottom_up m ~f:merge_info);
   !candidates
 
 let build m =

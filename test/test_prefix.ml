@@ -1,9 +1,10 @@
 (* Tests for dream.prefix: prefix algebra (including the paper's Figure 5
-   trie worked at /28..32 granularity) and the binary trie, with qcheck
-   properties for the algebraic laws. *)
+   trie worked at /28..32 granularity), with qcheck properties for the
+   algebraic laws; and the reference binary trie the monitor tests use as
+   their oracle. *)
 
 module Prefix = Dream_prefix.Prefix
-module Trie = Dream_prefix.Trie
+module Trie = Reference_trie
 
 let prefix = Alcotest.testable Prefix.pp Prefix.equal
 

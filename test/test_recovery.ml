@@ -291,16 +291,28 @@ let body_of doc =
 
 let reseal lines = Codec.seal ~magic (String.concat "\n" lines)
 
-(* The body with the value of the first [key] line replaced. *)
-let set_first body key value =
-  let found = ref false in
+(* The body with the value of the [nth] (from 0) [key] line replaced. *)
+let set_nth body key nth value =
+  let seen = ref 0 in
   String.split_on_char '\n' body
   |> List.map (fun line ->
-         if (not !found) && String.starts_with ~prefix:(key ^ " ") line then begin
-           found := true;
-           key ^ " " ^ value
+         if String.starts_with ~prefix:(key ^ " ") line then begin
+           incr seen;
+           if !seen = nth + 1 then key ^ " " ^ value else line
          end
          else line)
+
+(* The value of the [nth] (from 0) [key] line of the body. *)
+let nth_value body key nth =
+  let values =
+    List.filter_map
+      (fun line ->
+        if String.starts_with ~prefix:(key ^ " ") line then
+          Some (String.sub line (String.length key + 1) (String.length line - String.length key - 1))
+        else None)
+      (String.split_on_char '\n' body)
+  in
+  List.nth values nth
 
 (* A sealed document whose body was edited after the fact must come back
    as [Error] (or, if the edit happens to be harmless, [Ok]) — never as an
@@ -318,10 +330,14 @@ let test_restore_rejects_bad_values () =
   Controller.run controller ~epochs:10;
   let body = body_of (Controller.checkpoint controller) in
   let env = Controller.environment controller in
+  (* The first task's first counter, and what it can be turned into. *)
+  let first = Prefix.of_string (nth_value body "prefix" 0) in
+  let parent_of p = Option.get (Prefix.parent p) in
+  let left_of p = Option.get (Prefix.left_child p) in
+  let edit key nth value = (Printf.sprintf "%s #%d %s" key nth value, set_nth body key nth value) in
   List.iter
-    (fun (key, value) ->
-      let name = key ^ " " ^ value in
-      let doc = reseal (set_first body key value) in
+    (fun (name, lines) ->
+      let doc = reseal lines in
       Alcotest.(check bool) (name ^ ": restore refuses it") true (restore_total name doc = `Error);
       match
         Controller.recover ~env ~snapshot:doc ~journal:(Journal.entries sink)
@@ -330,10 +346,21 @@ let test_restore_rejects_bad_values () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "%s: recover must refuse it" name
       | exception e -> Alcotest.failf "%s: recover raised %s" name (Printexc.to_string e))
-    (* a switch capacity the TCAM refuses, a task filter that is not a
-       prefix, a negative EWMA history weight, and a leaf length longer
-       than an address *)
-    [ ("capacity", "0"); ("filter", "10.0.0.0/99x"); ("history", "-1"); ("leaf_length", "99") ]
+    [
+      (* a switch capacity the TCAM refuses, a task filter that is not a
+         prefix, a negative EWMA history weight, and a leaf length longer
+         than an address *)
+      edit "capacity" 0 "0";
+      edit "filter" 0 "10.0.0.0/99x";
+      edit "history" 0 "-1";
+      edit "leaf_length" 0 "99";
+      (* counters that no longer partition the task's filter: a duplicate,
+         an overlap, a gap, and a counter outside the filter *)
+      edit "prefix" 1 (Prefix.to_string first);
+      edit "prefix" 1 (Prefix.to_string (parent_of first));
+      edit "prefix" 0 (Prefix.to_string (left_of first));
+      edit "prefix" 0 "99.0.0.0/20";
+    ]
 
 let degraded_config =
   { Config.default with Config.faults = Some fault_spec; degraded = Some Config.default_degraded }

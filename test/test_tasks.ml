@@ -30,6 +30,9 @@ let spec ?(kind = Task_spec.Heavy_hitter) () =
 
 let mk_monitor ?kind () = Monitor.create ~spec:(spec ?kind ()) ~topology:(mk_topology ())
 
+(* The monitor's counters, in prefix order. *)
+let counters m = Monitor.fold List.cons m []
+
 (* The worked example: volumes per active leaf, threshold 10.
    HHs: 0000 (12), 0111 (11).  HHHs: 0000, 010*, 0111. *)
 let example_flows =
@@ -343,7 +346,7 @@ let same_solution (a : Monitor.Cover.solution option) (b : Reference_cover.solut
 let score_levels = [| 0.0; 0.5; 1.0; 1.5; 2.0; 3.0; 5.0 |]
 
 let randomize_scores rng m =
-  List.iter (fun (c : Counter.t) -> c.score <- Rng.pick rng score_levels) (Monitor.counters m)
+  List.iter (fun (c : Counter.t) -> c.score <- Rng.pick rng score_levels) (counters m)
 
 (* A random subset of the task's switches; sometimes with a switch the
    task never sees, which no cover can free. *)
@@ -354,7 +357,7 @@ let random_switch_set rng m ~num_switches =
 (* A random prefix inside the filter: a monitored counter, one of its
    ancestors, or an arbitrary prefix. *)
 let random_prefix rng m ~filter =
-  let counters = Array.of_list (Monitor.counters m) in
+  let counters = Array.of_list (counters m) in
   let c = Rng.pick rng counters in
   match Rng.int rng 3 with
   | 0 -> c.Counter.prefix
@@ -465,12 +468,127 @@ let prop_rules_for_matches_s_sets =
                   List.filter_map
                     (fun (c : Counter.t) ->
                       if Switch_id.Set.mem sw c.switches then Some c.prefix else None)
-                    (Monitor.counters m)
+                    (counters m)
                 else []
               in
               List.equal Prefix.equal (Monitor.rules_for m sw) expected)
             (List.init (k + 2) Fun.id))
         (List.init 6 Fun.id))
+
+(* ---- The sorted counter array against list models ---- *)
+
+(* Readings for every switch of the task: a random subset of its rules
+   (some read twice), and now and then a stale prefix it no longer
+   monitors. *)
+let random_readings rng m ~filter =
+  Switch_id.Set.fold
+    (fun sw acc ->
+      let rules = List.filter (fun _ -> Rng.int rng 4 > 0) (Monitor.rules_for m sw) in
+      let again = List.filter (fun _ -> Rng.bool rng) rules in
+      let rules = if Rng.bool rng then rules @ again else rules in
+      let rules = if Rng.int rng 3 = 0 then random_prefix rng m ~filter :: rules else rules in
+      (sw, List.map (fun p -> (p, float_of_int (Rng.int rng 100))) rules) :: acc)
+    (Monitor.switches m) []
+
+(* What ingest must leave on the counter of [p]: its readings in order, a
+   later reading of the same switch replacing an earlier one. *)
+let model_volumes readings p =
+  List.fold_left
+    (fun acc (sw, pairs) ->
+      List.fold_left
+        (fun acc (q, v) -> if Prefix.equal q p then Switch_id.Map.add sw v acc else acc)
+        acc pairs)
+    Switch_id.Map.empty readings
+
+(* Every node a bottom-up walk visits: prefix, counter, child count. *)
+let visits fold =
+  let seen = ref [] in
+  ignore
+    (fold (fun p (c : Counter.t option) children ->
+         seen := (p, c, List.length children) :: !seen));
+  List.rev !seen
+
+let same_visit (p, c, k) (q, d, l) =
+  Prefix.equal p q && k = l
+  &&
+  match (c, d) with
+  | Some c, Some d -> c == d
+  | None, None -> true
+  | Some _, None | None, Some _ -> false
+
+let prop_counter_array_model =
+  QCheck.Test.make ~name:"counter array agrees with list models under ingest and configure"
+    ~count:100
+    QCheck.(pair (int_bound 2) (int_bound 1_000_000))
+    (fun (k_index, seed) ->
+      let k = [| 2; 4; 8 |].(k_index) in
+      let rng = Rng.create seed in
+      let filter = oracle_filter in
+      let m = oracle_monitor ~k ~seed in
+      let topology = Monitor.topology m in
+      let check what ok =
+        if not ok then QCheck.Test.fail_reportf "%s (k=%d, seed=%d)" what k seed
+      in
+      for _ = 1 to 8 do
+        let readings = random_readings rng m ~filter in
+        Monitor.ingest m readings;
+        let cs = counters m in
+        check "ingest"
+          (List.for_all
+             (fun (c : Counter.t) ->
+               Switch_id.Map.equal Float.equal c.volumes (model_volumes readings c.prefix)
+               && (not c.fresh)
+               && Float.equal c.total (Switch_id.Map.fold (fun _ v acc -> acc +. v) c.volumes 0.0))
+             cs);
+        reshape rng m;
+        let cs = counters m in
+        let rec increasing = function
+          | (a : Counter.t) :: ((b : Counter.t) :: _ as rest) ->
+            Prefix.last_address a.prefix < Prefix.first_address b.prefix && increasing rest
+          | [ _ ] | [] -> true
+        in
+        check "strictly increasing partition"
+          (increasing cs
+          && List.for_all (fun (c : Counter.t) -> Prefix.covers filter c.prefix) cs
+          && List.fold_left (fun acc (c : Counter.t) -> acc + Prefix.size c.prefix) 0 cs
+             = Prefix.size filter
+          && Monitor.num_counters m = List.length cs);
+        List.iter
+          (fun (sub, sw) ->
+            let active = Switch_id.Set.mem sw (Monitor.active m) in
+            let seen = List.filter (fun (c : Counter.t) -> Switch_id.Set.mem sw c.switches) cs in
+            check "usage = recount"
+              (Monitor.usage m sw = if active then List.length seen else 0);
+            let intersecting =
+              List.filter_map
+                (fun (c : Counter.t) ->
+                  if Prefix.covers sub c.prefix || Prefix.covers c.prefix sub then Some c.prefix
+                  else None)
+                cs
+            in
+            check "rules_for = filter by intersection"
+              (List.equal Prefix.equal (Monitor.rules_for m sw)
+                 (if active then intersecting else [])))
+          (Topology.subfilters topology);
+        for _ = 1 to 8 do
+          let p = random_prefix rng m ~filter in
+          let expected = List.find_opt (fun (c : Counter.t) -> Prefix.equal c.prefix p) cs in
+          check "find = list lookup"
+            (match (Monitor.find m p, expected) with
+            | Some c, Some d -> c == d
+            | None, None -> true
+            | Some _, None | None, Some _ -> false)
+        done;
+        let trie =
+          List.fold_left
+            (fun t (c : Counter.t) -> Reference_trie.add t c.prefix c)
+            (Reference_trie.empty filter) cs
+        in
+        let naive = visits (fun f -> Reference_trie.fold_bottom_up trie ~f) in
+        let walked = visits (fun f -> Some (Monitor.fold_bottom_up m ~f)) in
+        check "fold_bottom_up = naive trie fold" (List.equal same_visit walked naive)
+      done;
+      true)
 
 (* ---- Partition invariant under random allocation schedules ---- *)
 
@@ -552,6 +670,7 @@ let () =
           Alcotest.test_case "multi-switch cover" `Quick test_cover_multi_switch;
           QCheck_alcotest.to_alcotest prop_cover_matches_oracle;
           QCheck_alcotest.to_alcotest prop_rules_for_matches_s_sets;
+          QCheck_alcotest.to_alcotest prop_counter_array_model;
         ] );
       ( "task-spec",
         [
