@@ -14,7 +14,7 @@
    exit code instead of a crash deep inside the simulator. *)
 
 module Scenario = Dream_workload.Scenario
-module Arrival = Dream_workload.Arrival
+module Drive = Dream_workload.Drive
 module Controller = Dream_core.Controller
 module Experiment = Dream_sim.Experiment
 module Fault_sweep = Dream_sim.Fault_sweep
@@ -271,8 +271,10 @@ let fault_sweep capacity num_switches switches_per_task tasks window duration ep
   Fault_sweep.print_aggregates aggregates;
   Ok ()
 
-(* Drive a controller through [epochs] epochs of a scenario's arrival
-   schedule, journaling, then seal a checkpoint. *)
+(* Drive a controller through [at] epochs of a scenario's arrival
+   schedule, journaling into --journal when given, then seal a checkpoint.
+   The journal is opened before the first epoch, so a bad path fails
+   before any work is done. *)
 let checkpoint capacity num_switches switches_per_task tasks window duration epochs threshold
     bound kind strategy fixed_k seed fault_rate fault_seed at out journal_path =
   let* scenario =
@@ -291,31 +293,20 @@ let checkpoint capacity num_switches switches_per_task tasks window duration epo
     else
       { Config.default with Config.faults = Some (Fault_model.uniform ~seed:fault_seed fault_rate) }
   in
-  let controller =
-    Controller.create ~config ~strategy ~num_switches:scenario.Scenario.num_switches
-      ~capacity:scenario.Scenario.capacity
+  let* journal =
+    match journal_path with
+    | None -> Ok None
+    | Some path -> (
+      try Ok (Some (Journal.file path))
+      with Sys_error msg -> Error (sp "cannot open journal %s: %s" path msg))
   in
-  let sink =
-    match journal_path with Some path -> Journal.file path | None -> Journal.memory ()
-  in
-  Controller.set_journal controller (Some sink);
-  let pending = ref (Arrival.schedule scenario) in
-  for epoch = 0 to at - 1 do
-    let due, rest =
-      List.partition (fun (s : Arrival.submission) -> s.Arrival.arrival <= epoch) !pending
-    in
-    pending := rest;
-    List.iter
-      (fun (s : Arrival.submission) ->
-        ignore
-          (Controller.submit controller ~spec:s.Arrival.spec ~topology:s.Arrival.topology
-             ~source:(Dream_traffic.Source.of_generator s.Arrival.generator)
-             ~duration:s.Arrival.duration))
-      due;
-    Controller.tick controller
+  let drive = Drive.create ?journal ~config ~strategy scenario in
+  for _ = 1 to at do
+    Drive.step drive
   done;
+  let controller = Drive.controller drive in
   let doc = Controller.snapshot controller in
-  Journal.close sink;
+  Option.iter Journal.close journal;
   let* () =
     try
       let oc = open_out out in
@@ -327,9 +318,9 @@ let checkpoint capacity num_switches switches_per_task tasks window duration epo
   Format.printf "checkpoint: %d epochs, %d active tasks, %d bytes -> %s@." at
     (Controller.active_tasks controller)
     (String.length doc) out;
-  (match journal_path with
-  | Some path -> Format.printf "journal: %d entries -> %s@." (Journal.length sink) path
-  | None -> ());
+  (match (journal, journal_path) with
+  | Some sink, Some path -> Format.printf "journal: %d entries -> %s@." (Journal.length sink) path
+  | _ -> ());
   Ok ()
 
 let read_file path =

@@ -1,5 +1,5 @@
 module Scenario = Dream_workload.Scenario
-module Arrival = Dream_workload.Arrival
+module Drive = Dream_workload.Drive
 module Config = Dream_core.Config
 module Controller = Dream_core.Controller
 module Metrics = Dream_core.Metrics
@@ -8,7 +8,6 @@ module Allocator = Dream_alloc.Allocator
 module Dream_allocator = Dream_alloc.Dream_allocator
 module Journal = Dream_recovery.Journal
 module Task_spec = Dream_tasks.Task_spec
-module Source = Dream_traffic.Source
 
 (* The fixed chaos topology: small enough that a 500-schedule bank runs in
    seconds, rich enough that partitions (4 groups of 2 switches), storms
@@ -34,17 +33,6 @@ let scenario ~seed ~horizon =
     total_epochs = horizon;
   }
 
-(* Same derivation as the degraded-mode sweep: a second, shorter-lived
-   arrival schedule feeds admission storms deterministically. *)
-let storm_pool (s : Scenario.t) =
-  Arrival.schedule
-    {
-      s with
-      Scenario.seed = s.Scenario.seed + 7919;
-      num_tasks = max 8 (s.Scenario.num_tasks / 2);
-      mean_duration = max 5 (s.Scenario.mean_duration / 4);
-    }
-
 let base_config ~seed =
   {
     Config.default with
@@ -54,11 +42,6 @@ let base_config ~seed =
        violations' details; the in-tick tally would only duplicate it. *)
     check_invariants = false;
   }
-
-let submit controller (s : Arrival.submission) =
-  ignore
-    (Controller.submit controller ~spec:s.Arrival.spec ~topology:s.Arrival.topology
-       ~source:(Source.of_generator s.Arrival.generator) ~duration:s.Arrival.duration)
 
 let outcome_tag = function
   | Metrics.Completed -> "completed"
@@ -98,25 +81,15 @@ let digest_of controller =
 
 (* The seed run the differential oracle compares against: the same
    scenario and config driven with none of the chaos machinery — no
-   journal, no checkpoints, no oracles, no storm feed.  An empty schedule
-   through {!run} must produce a byte-identical digest. *)
+   journal, no checkpoints, no oracles (and, with no storms scheduled,
+   nothing for the storm feed to do).  An empty schedule through {!run}
+   must produce a byte-identical digest. *)
 let reference_digest ~seed ~horizon =
-  let scenario = scenario ~seed ~horizon in
-  let controller =
-    Controller.create ~config:(base_config ~seed) ~strategy
-      ~num_switches:scenario.Scenario.num_switches ~capacity:scenario.Scenario.capacity
-  in
-  let pending = ref (Arrival.schedule scenario) in
-  for epoch = 0 to scenario.Scenario.total_epochs - 1 do
-    let due, rest =
-      List.partition (fun (s : Arrival.submission) -> s.Arrival.arrival <= epoch) !pending
-    in
-    pending := rest;
-    List.iter (submit controller) due;
-    Controller.tick controller
+  let drive = Drive.create ~config:(base_config ~seed) ~strategy (scenario ~seed ~horizon) in
+  for _ = 1 to horizon do
+    Drive.step drive
   done;
-  Controller.finalize controller;
-  digest_of controller
+  digest_of (Drive.finish drive)
 
 type result = {
   schedule : Schedule.t;
@@ -166,68 +139,40 @@ let noise_active (sched : Schedule.t) ~model_epoch =
 
 let run ?(canary = false) (sched : Schedule.t) =
   let scenario = scenario ~seed:sched.Schedule.seed ~horizon:sched.Schedule.horizon in
-  let config = base_config ~seed:sched.Schedule.seed in
-  let controller =
-    ref
-      (Controller.create ~config ~strategy
-         ~num_switches:scenario.Scenario.num_switches ~capacity:scenario.Scenario.capacity)
+  let sink = Journal.memory () in
+  let drive =
+    Drive.create ~journal:sink ~config:(base_config ~seed:sched.Schedule.seed) ~strategy scenario
   in
-  (match Controller.faults !controller with
+  (match Controller.faults (Drive.controller drive) with
   | Some fm -> Schedule.stage sched fm
   | None -> ());
-  let sink = Journal.memory () in
-  Controller.set_journal !controller (Some sink);
-  let snapshot = ref (Controller.checkpoint !controller) in
-  let pending = ref (Arrival.schedule scenario) in
-  let reserve = ref (storm_pool scenario) in
+  Drive.checkpoint drive;
   let violations = ref [] in
   let recoveries = ref 0 in
   let checkpoints = ref 0 in
   let torn_checks = ref 0 in
-  let storm_submissions = ref 0 in
   let fired = ref false in
-  let prev_breakers = ref (Controller.breaker_states !controller) in
+  let prev_breakers = ref (Controller.breaker_states (Drive.controller drive)) in
   let prev_stale = Hashtbl.create 16 in
   let cap = Config.default_degraded.Config.shed_max_staleness in
   let add vs = violations := vs @ !violations in
   for epoch = 0 to scenario.Scenario.total_epochs - 1 do
     let model_epoch = epoch + 1 in
-    (* Feed the storm the previous tick requested, then regular arrivals. *)
-    let want = Controller.storm_tasks_pending !controller in
-    for _ = 1 to want do
-      match !reserve with
-      | [] -> ()
-      | s :: rest ->
-        reserve := rest;
-        incr storm_submissions;
-        submit !controller s
-    done;
-    let due, rest =
-      List.partition (fun (s : Arrival.submission) -> s.Arrival.arrival <= epoch) !pending
-    in
-    pending := rest;
-    List.iter (submit !controller) due;
-    Controller.tick !controller;
+    Drive.step drive;
     (* Controller fail-over, exactly as the crash-recovery experiment. *)
-    if Controller.controller_crash_pending !controller then begin
+    if Controller.controller_crash_pending (Drive.controller drive) then begin
       incr recoveries;
-      let env = Controller.environment !controller in
-      let at_epoch = Controller.epoch !controller in
-      (match
-         Controller.recover ~env ~snapshot:!snapshot ~journal:(Journal.entries sink) ~at_epoch
-       with
+      (match Drive.fail_over drive with
       | Error msg -> add [ { Oracle.epoch; code = "recover-failed"; detail = msg } ]
-      | Ok successor ->
-        Controller.set_journal successor (Some sink);
-        controller := successor;
-        snapshot := Controller.checkpoint successor);
+      | Ok () -> ());
       (* Restoring a checkpoint legitimately rewinds breakers to older
          states and staleness to replayed levels; neither oracle may read
          the rewind as organic movement. *)
-      prev_breakers := Controller.breaker_states !controller;
-      Oracle.seed_staleness ~controller:!controller ~prev:prev_stale
+      prev_breakers := Controller.breaker_states (Drive.controller drive);
+      Oracle.seed_staleness ~controller:(Drive.controller drive) ~prev:prev_stale
     end;
-    maybe_fire_canary ~canary ~fired ~capacity:scenario.Scenario.capacity !controller;
+    let controller = Drive.controller drive in
+    maybe_fire_canary ~canary ~fired ~capacity:scenario.Scenario.capacity controller;
     (* Harness-level probes scheduled for this model epoch. *)
     List.iter
       (fun e ->
@@ -237,23 +182,23 @@ let run ?(canary = false) (sched : Schedule.t) =
           add (Oracle.torn_tail ~epoch ~drop (Journal.entries sink))
         | Schedule.Checkpoint { at } when at = model_epoch ->
           incr checkpoints;
-          add (Oracle.checkpoint_roundtrip ~epoch !controller);
-          snapshot := Controller.checkpoint !controller
+          add (Oracle.checkpoint_roundtrip ~epoch controller);
+          Drive.checkpoint drive
         | _ -> ())
       sched.Schedule.events;
     (* Standing oracles, every epoch. *)
-    add (Oracle.invariants ~epoch !controller);
-    let now = Controller.breaker_states !controller in
+    add (Oracle.invariants ~epoch controller);
+    let now = Controller.breaker_states controller in
     add (Oracle.breaker_transitions ~epoch ~prev:!prev_breakers ~now);
     prev_breakers := now;
     add
       (Oracle.staleness ~epoch ~cap
          ~noise_active:(noise_active sched ~model_epoch)
-         ~controller:!controller ~prev:prev_stale)
+         ~controller ~prev:prev_stale)
   done;
   (* Every scripted event must have been consumed (noise windows may
      legitimately outlive the horizon). *)
-  (match Controller.faults !controller with
+  (match Controller.faults (Drive.controller drive) with
   | Some fm ->
     let expected =
       List.length
@@ -277,8 +222,7 @@ let run ?(canary = false) (sched : Schedule.t) =
           };
         ]
   | None -> ());
-  Controller.finalize !controller;
-  let digest = digest_of !controller in
+  let controller = Drive.finish drive in
   {
     schedule = sched;
     canary;
@@ -286,8 +230,8 @@ let run ?(canary = false) (sched : Schedule.t) =
     recoveries = !recoveries;
     checkpoints = !checkpoints;
     torn_tail_checks = !torn_checks;
-    storm_submissions = !storm_submissions;
+    storm_submissions = Drive.storm_submissions drive;
     canary_fired = !fired;
-    summary = Controller.summary !controller;
-    digest;
+    summary = Controller.summary controller;
+    digest = digest_of controller;
   }

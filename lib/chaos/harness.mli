@@ -1,8 +1,8 @@
 (** Deterministic simulation harness: run one chaos schedule end to end.
 
-    A run drives the standard controller loop (arrivals, storms fed from a
-    deterministic reserve pool, fail-over on controller crashes — the same
-    driver shape as the crash-recovery experiment) over a fixed small
+    A run drives the standard controller loop ({!Dream_workload.Drive}:
+    arrivals, storms fed from its storm pool, fail-over on controller
+    crashes — as in the crash-recovery experiment) over a fixed small
     topology, with the schedule staged into the fault model, and evaluates
     the {!Oracle} suite after every tick.  Everything is a pure function
     of (schedule, canary flag): two runs of the same schedule are
@@ -20,7 +20,7 @@ val default_events : int
 
 val reference_digest : seed:int -> horizon:int -> string
 (** Digest of the seed run: same scenario and config, driven with none of
-    the chaos machinery (no journal, checkpoints, oracles or storm feed).
+    the chaos machinery (no journal, checkpoints or oracles).
     The differential oracle asserts an empty schedule matches this byte
     for byte. *)
 

@@ -152,10 +152,18 @@ type summary = {
   robustness : robustness;
 }
 
-let satisfaction_values records =
+let admitted_values f records =
   List.filter_map
-    (fun r -> match r.outcome with Rejected -> None | Completed | Dropped -> Some (r.satisfaction *. 100.0))
+    (fun r -> match r.outcome with Rejected -> None | Completed | Dropped -> Some (f r))
     records
+
+let satisfaction_values records = admitted_values (fun r -> r.satisfaction *. 100.0) records
+
+let mean_accuracy records = Stats.mean (admitted_values (fun r -> r.mean_accuracy) records)
+
+type stat = { mean : float; stddev : float }
+
+let stat xs = { mean = Stats.mean xs; stddev = Stats.stddev xs }
 
 let summarize ?(robustness = no_faults) records =
   let submitted = List.length records in

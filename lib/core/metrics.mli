@@ -100,3 +100,12 @@ val pp_robustness : Format.formatter -> robustness -> unit
 
 val satisfaction_values : record list -> float list
 (** Satisfaction (as a percentage) of every admitted task. *)
+
+val mean_accuracy : record list -> float
+(** Mean scored accuracy over admitted tasks, in \[0, 1\]; 0 when none. *)
+
+type stat = { mean : float; stddev : float }
+(** A sample's mean and population standard deviation, for sweeps that
+    aggregate one value over several seeds. *)
+
+val stat : float list -> stat

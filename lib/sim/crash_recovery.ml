@@ -1,5 +1,5 @@
 module Scenario = Dream_workload.Scenario
-module Arrival = Dream_workload.Arrival
+module Drive = Dream_workload.Drive
 module Controller = Dream_core.Controller
 module Config = Dream_core.Config
 module Metrics = Dream_core.Metrics
@@ -15,16 +15,14 @@ type run_result = {
   accuracy_dips : float list;
 }
 
-type stat = { mean : float; stddev : float }
-
 type point = {
   crash_rate : float;
   runs : int;
   crashes : float;
-  satisfaction : stat;
-  accuracy : stat;
-  reconverge : stat;
-  dip : stat;
+  satisfaction : Metrics.stat;
+  accuracy : Metrics.stat;
+  reconverge : Metrics.stat;
+  dip : Metrics.stat;
   reconciled_removed : int;
   reconciled_installed : int;
   invariant_violations : int;
@@ -53,15 +51,6 @@ let mean_estimated_accuracy controller =
   | [] -> None
   | accs -> Some (Stats.mean accs)
 
-let mean_scored_accuracy records =
-  Stats.mean
-    (List.filter_map
-       (fun (r : Metrics.record) ->
-         match r.Metrics.outcome with
-         | Metrics.Rejected -> None
-         | Metrics.Completed | Metrics.Dropped -> Some r.Metrics.mean_accuracy)
-       records)
-
 let run_once ?(config = Config.default) ?(checkpoint_interval = default_checkpoint_interval)
     ?(fault_seed = default_fault_seed) ~crash_rate (scenario : Scenario.t) strategy =
   if checkpoint_interval <= 0 then invalid_arg "Crash_recovery: checkpoint interval must be > 0";
@@ -72,37 +61,19 @@ let run_once ?(config = Config.default) ?(checkpoint_interval = default_checkpoi
       check_invariants = true;
     }
   in
-  let controller =
-    ref
-      (Controller.create ~config ~strategy ~num_switches:scenario.Scenario.num_switches
-         ~capacity:scenario.Scenario.capacity)
-  in
-  let sink = Journal.memory () in
-  Controller.set_journal !controller (Some sink);
-  let snapshot = ref (Controller.checkpoint !controller) in
-  let pending = ref (Arrival.schedule scenario) in
+  let drive = Drive.create ~journal:(Journal.memory ()) ~config ~strategy scenario in
+  Drive.checkpoint drive;
   let crashes = ref 0 in
   let reconverge = ref [] in
   let dips = ref [] in
   (* (first post-recovery epoch, pre-crash accuracy) while reconverging *)
   let tracking = ref None in
   for epoch = 0 to scenario.Scenario.total_epochs - 1 do
-    if epoch > 0 && epoch mod checkpoint_interval = 0 then
-      snapshot := Controller.checkpoint !controller;
-    let due, rest =
-      List.partition (fun (s : Arrival.submission) -> s.Arrival.arrival <= epoch) !pending
-    in
-    pending := rest;
-    List.iter
-      (fun (s : Arrival.submission) ->
-        ignore
-          (Controller.submit !controller ~spec:s.Arrival.spec ~topology:s.Arrival.topology
-             ~source:(Dream_traffic.Source.of_generator s.Arrival.generator)
-             ~duration:s.Arrival.duration))
-      due;
-    let baseline = mean_estimated_accuracy !controller in
-    Controller.tick !controller;
-    (match (!tracking, mean_estimated_accuracy !controller) with
+    if epoch > 0 && epoch mod checkpoint_interval = 0 then Drive.checkpoint drive;
+    Drive.arrive drive;
+    let baseline = mean_estimated_accuracy (Drive.controller drive) in
+    Drive.tick drive;
+    (match (!tracking, mean_estimated_accuracy (Drive.controller drive)) with
     | Some (since, target), Some acc when acc >= reconverge_target *. target ->
       reconverge := float_of_int (epoch - since + 1) :: !reconverge;
       tracking := None
@@ -110,22 +81,12 @@ let run_once ?(config = Config.default) ?(checkpoint_interval = default_checkpoi
       (* every task alive at the crash has ended: nothing left to watch *)
       tracking := None
     | _ -> ());
-    if Controller.controller_crash_pending !controller then begin
+    if Controller.controller_crash_pending (Drive.controller drive) then begin
       incr crashes;
-      let env = Controller.environment !controller in
-      let at_epoch = Controller.epoch !controller in
-      match
-        Controller.recover ~env ~snapshot:!snapshot ~journal:(Journal.entries sink) ~at_epoch
-      with
+      match Drive.fail_over drive with
       | Error msg -> failwith ("Crash_recovery: fail-over failed: " ^ msg)
-      | Ok successor ->
-        Controller.set_journal successor (Some sink);
-        controller := successor;
-        (* Checkpoint immediately: the fresh snapshot carries the recovery
-           tallies forward, so a second crash before the next scheduled
-           checkpoint does not forget this one. *)
-        snapshot := Controller.checkpoint successor;
-        (match (baseline, mean_estimated_accuracy successor) with
+      | Ok () -> (
+        match (baseline, mean_estimated_accuracy (Drive.controller drive)) with
         | Some before, Some after ->
           dips := Float.max 0.0 (before -. after) :: !dips;
           tracking := Some (epoch + 1, before)
@@ -133,16 +94,14 @@ let run_once ?(config = Config.default) ?(checkpoint_interval = default_checkpoi
         | None, _ -> ())
     end
   done;
-  Controller.finalize !controller;
+  let controller = Drive.finish drive in
   {
-    summary = Controller.summary !controller;
-    mean_accuracy = mean_scored_accuracy (Controller.records !controller);
+    summary = Controller.summary controller;
+    mean_accuracy = Metrics.mean_accuracy (Controller.records controller);
     crashes = !crashes;
     reconverge_epochs = List.rev !reconverge;
     accuracy_dips = List.rev !dips;
   }
-
-let stat xs = { mean = Stats.mean xs; stddev = Stats.stddev xs }
 
 let sweep ?config ?checkpoint_interval ?(seeds = default_seeds) ?(rates = default_rates) scenario
     strategy =
@@ -162,10 +121,10 @@ let sweep ?config ?checkpoint_interval ?(seeds = default_seeds) ?(rates = defaul
         crash_rate = rate;
         runs = List.length runs;
         crashes = Stats.mean (List.map (fun (r : run_result) -> float_of_int r.crashes) runs);
-        satisfaction = stat (List.map (fun r -> r.summary.Metrics.mean_satisfaction) runs);
-        accuracy = stat (List.map (fun r -> r.mean_accuracy) runs);
-        reconverge = stat (List.concat_map (fun r -> r.reconverge_epochs) runs);
-        dip = stat (List.concat_map (fun r -> r.accuracy_dips) runs);
+        satisfaction = Metrics.stat (List.map (fun r -> r.summary.Metrics.mean_satisfaction) runs);
+        accuracy = Metrics.stat (List.map (fun r -> r.mean_accuracy) runs);
+        reconverge = Metrics.stat (List.concat_map (fun r -> r.reconverge_epochs) runs);
+        dip = Metrics.stat (List.concat_map (fun r -> r.accuracy_dips) runs);
         reconciled_removed = sum_rob (fun r -> r.Metrics.reconcile_removed);
         reconciled_installed = sum_rob (fun r -> r.Metrics.reconcile_installed);
         invariant_violations = sum_rob (fun r -> r.Metrics.invariant_violations);
@@ -174,8 +133,8 @@ let sweep ?config ?checkpoint_interval ?(seeds = default_seeds) ?(rates = defaul
 
 (* Satisfaction stats are already percentages; accuracies and dips are in
    [0, 1] and get scaled for display. *)
-let pm s = Printf.sprintf "%.1f±%.1f" s.mean s.stddev
-let pm_frac s = pm { mean = s.mean *. 100.0; stddev = s.stddev *. 100.0 }
+let pm (s : Metrics.stat) = Printf.sprintf "%.1f±%.1f" s.mean s.stddev
+let pm_frac (s : Metrics.stat) = pm { mean = s.mean *. 100.0; stddev = s.stddev *. 100.0 }
 
 let print_points points =
   Table.row

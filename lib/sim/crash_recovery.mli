@@ -22,16 +22,14 @@ type run_result = {
   accuracy_dips : float list;  (** estimated-accuracy drop at each fail-over, in \[0, 1\] *)
 }
 
-type stat = { mean : float; stddev : float }
-
 type point = {
   crash_rate : float;
   runs : int;  (** seeds aggregated into this point *)
   crashes : float;  (** mean controller crashes per run *)
-  satisfaction : stat;  (** mean task satisfaction, percent *)
-  accuracy : stat;  (** mean scored accuracy, in \[0, 1\] *)
-  reconverge : stat;  (** epochs to reconverge after a crash *)
-  dip : stat;  (** estimated-accuracy dip at fail-over, in \[0, 1\] *)
+  satisfaction : Dream_core.Metrics.stat;  (** mean task satisfaction, percent *)
+  accuracy : Dream_core.Metrics.stat;  (** mean scored accuracy, in \[0, 1\] *)
+  reconverge : Dream_core.Metrics.stat;  (** epochs to reconverge after a crash *)
+  dip : Dream_core.Metrics.stat;  (** estimated-accuracy dip at fail-over, in \[0, 1\] *)
   reconciled_removed : int;  (** stray rules removed by audits, total over runs *)
   reconciled_installed : int;  (** missing rules reinstalled by audits, total over runs *)
   invariant_violations : int;  (** total over runs; 0 when recovery is correct *)

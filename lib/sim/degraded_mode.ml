@@ -1,10 +1,9 @@
 module Scenario = Dream_workload.Scenario
-module Arrival = Dream_workload.Arrival
+module Drive = Dream_workload.Drive
 module Config = Dream_core.Config
 module Controller = Dream_core.Controller
 module Metrics = Dream_core.Metrics
 module Fault_model = Dream_fault.Fault_model
-module Source = Dream_traffic.Source
 module Snapshot = Dream_obs.Bench_snapshot
 
 type point = {
@@ -21,102 +20,33 @@ type point = {
 
 let default_levels = [ 0.0; 0.25; 0.5; 1.0 ]
 
-let mean_accuracy records =
-  let accs =
-    List.filter_map
-      (fun (r : Metrics.record) ->
-        match r.Metrics.outcome with
-        | Metrics.Rejected -> None
-        | Metrics.Completed | Metrics.Dropped -> Some r.Metrics.mean_accuracy)
-      records
-  in
-  Dream_util.Stats.mean accs
-
-(* Storms submit real tasks, so they need real specs, topologies and
-   traffic.  The pool is a second arrival schedule derived deterministically
-   from the scenario seed — shorter-lived tasks, drawn in order as storms
-   fire, so a (scenario, fault seed) pair always storms identically. *)
-let storm_pool scenario =
-  let s =
-    {
-      scenario with
-      Scenario.seed = scenario.Scenario.seed + 7919;
-      num_tasks = max 8 (scenario.Scenario.num_tasks / 2);
-      mean_duration = max 5 (scenario.Scenario.mean_duration / 4);
-    }
-  in
-  Arrival.schedule s
-
-let submit controller (s : Arrival.submission) =
-  ignore
-    (Controller.submit controller ~spec:s.Arrival.spec ~topology:s.Arrival.topology
-       ~source:(Source.of_generator s.Arrival.generator) ~duration:s.Arrival.duration)
-
-(* Experiment.run's driver loop, extended with the two things this sweep
-   measures: tenant admission storms (the controller signals how many extra
-   submissions the fault model asked for; we feed it from the storm pool)
-   and per-epoch deadline accounting against the modelled fetch time. *)
-let drive ?telemetry ~config ~deadline_ms scenario strategy =
-  let config = { config with Config.telemetry } in
-  let controller =
-    Controller.create ~config ~strategy ~num_switches:scenario.Scenario.num_switches
-      ~capacity:scenario.Scenario.capacity
-  in
-  let pending = ref (Arrival.schedule scenario) in
-  let reserve = ref (storm_pool scenario) in
-  let storm_submissions = ref 0 in
-  let max_stale = ref 0 in
-  for epoch = 0 to scenario.Scenario.total_epochs - 1 do
-    let want = Controller.storm_tasks_pending controller in
-    for _ = 1 to want do
-      match !reserve with
-      | [] -> ()
-      | s :: rest ->
-        reserve := rest;
-        incr storm_submissions;
-        submit controller s
-    done;
-    let due, rest =
-      List.partition (fun (s : Arrival.submission) -> s.Arrival.arrival <= epoch) !pending
-    in
-    pending := rest;
-    List.iter (submit controller) due;
-    Controller.tick controller;
-    max_stale := max !max_stale (Controller.max_staleness controller)
-  done;
-  Controller.finalize controller;
-  let samples = Controller.delay_samples controller in
-  let violations =
-    List.fold_left
-      (fun n (s : Controller.delay_sample) ->
-        if s.Controller.fetch_ms > deadline_ms +. 1e-6 then n + 1 else n)
-      0 samples
-  in
-  let worst =
-    List.fold_left (fun w (s : Controller.delay_sample) -> Float.max w s.Controller.fetch_ms) 0.0
-      samples
-  in
-  (controller, violations, worst, !max_stale, !storm_submissions)
-
+(* Experiment.run's loop (admission storms draw from the driver's storm
+   pool) plus what this sweep measures: epochs whose modelled fetch time
+   overran the deadline, and the largest staleness any task reached. *)
 let run_spec ?telemetry ?(config = Config.default) ~mode ~level ~degraded spec scenario strategy =
-  let config = { config with Config.faults = Some spec; Config.degraded = degraded } in
+  let config = { config with Config.faults = Some spec; degraded; telemetry } in
   let deadline_ms =
     let d = match degraded with Some d -> d | None -> Config.default_degraded in
     d.Config.deadline_fraction *. config.Config.epoch_ms
   in
-  let controller, deadline_violations, worst_fetch_ms, max_staleness, storm_submissions =
-    drive ?telemetry ~config ~deadline_ms scenario strategy
-  in
+  let drive = Drive.create ~config ~strategy scenario in
+  let max_staleness = ref 0 in
+  for _ = 1 to scenario.Scenario.total_epochs do
+    Drive.step drive;
+    max_staleness := max !max_staleness (Controller.max_staleness (Drive.controller drive))
+  done;
+  let controller = Drive.finish drive in
+  let fetch_ms = List.map (fun s -> s.Controller.fetch_ms) (Controller.delay_samples controller) in
   {
     level;
     mode;
     summary = Controller.summary controller;
-    mean_accuracy = mean_accuracy (Controller.records controller);
+    mean_accuracy = Metrics.mean_accuracy (Controller.records controller);
     deadline_ms;
-    deadline_violations;
-    worst_fetch_ms;
-    max_staleness;
-    storm_submissions;
+    deadline_violations = List.length (List.filter (fun ms -> ms > deadline_ms +. 1e-6) fetch_ms);
+    worst_fetch_ms = List.fold_left Float.max 0.0 fetch_ms;
+    max_staleness = !max_staleness;
+    storm_submissions = Drive.storm_submissions drive;
   }
 
 let run_point ?telemetry ?config ?(fault_seed = 97) ?(degraded = Some Config.default_degraded)

@@ -1,5 +1,5 @@
 module Scenario = Dream_workload.Scenario
-module Arrival = Dream_workload.Arrival
+module Drive = Dream_workload.Drive
 module Controller = Dream_core.Controller
 module Config = Dream_core.Config
 module Metrics = Dream_core.Metrics
@@ -22,26 +22,11 @@ let dream_strategy = Allocator.Dream Dream_alloc.Dream_allocator.default_config
 let standard_strategies = [ dream_strategy; Allocator.Equal; Allocator.Fixed 32 ]
 
 let run ?(config = Config.default) (scenario : Scenario.t) strategy =
-  let controller =
-    Controller.create ~config ~strategy ~num_switches:scenario.Scenario.num_switches
-      ~capacity:scenario.Scenario.capacity
-  in
-  let pending = ref (Arrival.schedule scenario) in
-  for epoch = 0 to scenario.Scenario.total_epochs - 1 do
-    let due, rest =
-      List.partition (fun (s : Arrival.submission) -> s.Arrival.arrival <= epoch) !pending
-    in
-    pending := rest;
-    List.iter
-      (fun (s : Arrival.submission) ->
-        ignore
-          (Controller.submit controller ~spec:s.Arrival.spec ~topology:s.Arrival.topology
-             ~source:(Dream_traffic.Source.of_generator s.Arrival.generator)
-             ~duration:s.Arrival.duration))
-      due;
-    Controller.tick controller
+  let drive = Drive.create ~config ~strategy scenario in
+  for _ = 1 to scenario.Scenario.total_epochs do
+    Drive.step drive
   done;
-  Controller.finalize controller;
+  let controller = Drive.finish drive in
   {
     strategy = Allocator.strategy_name strategy;
     scenario;

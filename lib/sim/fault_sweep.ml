@@ -12,17 +12,6 @@ type point = {
 
 let default_rates = [ 0.0; 0.02; 0.05; 0.1; 0.2 ]
 
-let mean_accuracy records =
-  let accs =
-    List.filter_map
-      (fun (r : Metrics.record) ->
-        match r.Metrics.outcome with
-        | Metrics.Rejected -> None
-        | Metrics.Completed | Metrics.Dropped -> Some r.Metrics.mean_accuracy)
-      records
-  in
-  Dream_util.Stats.mean accs
-
 let run_point ?(config = Config.default) ?(fault_seed = 97) scenario strategy rate =
   let config =
     if rate <= 0.0 then config
@@ -33,27 +22,23 @@ let run_point ?(config = Config.default) ?(fault_seed = 97) scenario strategy ra
     rate;
     strategy = result.Experiment.strategy;
     summary = result.Experiment.summary;
-    mean_accuracy = mean_accuracy result.Experiment.records;
+    mean_accuracy = Metrics.mean_accuracy result.Experiment.records;
   }
 
 let sweep ?config ?fault_seed ?(rates = default_rates) scenario strategy =
   List.map (fun rate -> run_point ?config ?fault_seed scenario strategy rate) rates
 
-type stat = { mean : float; stddev : float }
-
 type aggregate = {
   agg_rate : float;
   agg_strategy : string;
   agg_runs : int;
-  agg_satisfaction : stat;
-  agg_p5 : stat;
-  agg_accuracy : stat;
-  agg_drop_pct : stat;
+  agg_satisfaction : Metrics.stat;
+  agg_p5 : Metrics.stat;
+  agg_accuracy : Metrics.stat;
+  agg_drop_pct : Metrics.stat;
 }
 
 let default_seeds = [ 97; 193; 389 ]
-
-let stat xs = { mean = Dream_util.Stats.mean xs; stddev = Dream_util.Stats.stddev xs }
 
 let sweep_seeds ?config ?(seeds = default_seeds) ?(rates = default_rates) scenario strategy =
   if seeds = [] then invalid_arg "Fault_sweep: at least one seed required";
@@ -62,7 +47,7 @@ let sweep_seeds ?config ?(seeds = default_seeds) ?(rates = default_rates) scenar
       let points =
         List.map (fun fault_seed -> run_point ?config ~fault_seed scenario strategy rate) seeds
       in
-      let over f = stat (List.map f points) in
+      let over f = Metrics.stat (List.map f points) in
       {
         agg_rate = rate;
         agg_strategy =
@@ -98,8 +83,8 @@ let print_points points =
         ])
     points
 
-let pm s = Printf.sprintf "%.1f±%.1f" s.mean s.stddev
-let pm_frac s = Printf.sprintf "%.2f±%.2f" s.mean s.stddev
+let pm (s : Metrics.stat) = Printf.sprintf "%.1f±%.1f" s.mean s.stddev
+let pm_frac (s : Metrics.stat) = Printf.sprintf "%.2f±%.2f" s.mean s.stddev
 
 let print_aggregates aggs =
   Table.row [ "rate"; "runs"; "mean-sat±sd"; "p5-sat±sd"; "accuracy±sd"; "drop%±sd" ];

@@ -44,16 +44,14 @@ val print_points : point list -> unit
     stddev, so degradation trends can be told apart from fault-schedule
     luck. *)
 
-type stat = { mean : float; stddev : float }
-
 type aggregate = {
   agg_rate : float;
   agg_strategy : string;
   agg_runs : int;  (** seeds aggregated *)
-  agg_satisfaction : stat;  (** mean satisfaction, percent *)
-  agg_p5 : stat;  (** 5th-percentile satisfaction, percent *)
-  agg_accuracy : stat;  (** mean scored accuracy, in \[0, 1\] *)
-  agg_drop_pct : stat;
+  agg_satisfaction : Dream_core.Metrics.stat;  (** mean satisfaction, percent *)
+  agg_p5 : Dream_core.Metrics.stat;  (** 5th-percentile satisfaction, percent *)
+  agg_accuracy : Dream_core.Metrics.stat;  (** mean scored accuracy, in \[0, 1\] *)
+  agg_drop_pct : Dream_core.Metrics.stat;
 }
 
 val default_seeds : int list
