@@ -54,6 +54,10 @@ let allocation_of t ~task_id =
   | Equal_impl a -> Equal_allocator.allocation_of a ~task_id
   | Fixed_impl a -> Fixed_allocator.allocation_of a ~task_id
 
+let add_entry _ v acc = acc + v
+
+let total_of t ~task_id = Dream_traffic.Switch_id.Map.fold add_entry (allocation_of t ~task_id) 0
+
 let congested t sw =
   match t.impl with
   | Dream_impl a -> Dream_allocator.congested a sw

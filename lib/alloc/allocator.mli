@@ -32,6 +32,9 @@ val reallocate : t -> Task_view.t list -> unit
 
 val allocation_of : t -> task_id:int -> int Dream_traffic.Switch_id.Map.t
 
+val total_of : t -> task_id:int -> int
+(** The sum of {!allocation_of} over switches. *)
+
 val congested : t -> Dream_traffic.Switch_id.t -> bool
 (** Only DREAM reports congestion; the baselines never drop. *)
 

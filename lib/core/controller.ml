@@ -288,16 +288,15 @@ let max_staleness t = Hashtbl.fold (fun _ r acc -> max acc r.Runtime.staleness) 
 let submit t ~spec ~topology ~source ~duration =
   let id = t.next_id in
   t.next_id <- id + 1;
-  let task =
-    Task.create ~id ~spec ~topology ~accuracy_history:t.config.Config.accuracy_history
-      ~accuracy_mode:t.config.Config.accuracy_mode ()
-  in
   (* Default drop priority: most recently arrived tasks drop first; an
      explicit spec priority takes precedence. *)
   let drop_priority =
     if spec.Task_spec.drop_priority <> 0 then spec.Task_spec.drop_priority else id
   in
-  let runtime = Runtime.create ~task ~source ~duration ~arrived_at:t.epoch ~drop_priority in
+  let runtime =
+    Runtime.create ~config:t.config ~id ~spec ~topology ~source ~duration ~arrived_at:t.epoch
+      ~drop_priority
+  in
   if Allocator.try_admit t.allocator (Runtime.view runtime) then begin
     (* Journal the admission outcome before the task takes effect.  The
        entry carries everything replay needs to re-apply it verbatim —
@@ -308,17 +307,8 @@ let submit t ~spec ~topology ~source ~duration =
       Source.emit w source;
       jot t
         (Journal.Admit
-           {
-             epoch = t.epoch;
-             task_id = id;
-             spec;
-             topology;
-             duration;
-             drop_priority;
-             accuracy_history = t.config.Config.accuracy_history;
-             global_only = t.config.Config.accuracy_mode = Task.Global_only;
-             source = C.contents w;
-           })
+           { epoch = t.epoch; task_id = id; spec; topology; duration; drop_priority;
+             source = C.contents w })
     end;
     Hashtbl.replace t.active id runtime;
     Ctr.incr (Obs.Registry.counter t.registry "tasks_admitted");
@@ -330,18 +320,7 @@ let submit t ~spec ~topology ~source ~duration =
   end
   else begin
     jot t (Journal.Reject { epoch = t.epoch; task_id = id; kind = spec.Task_spec.kind });
-    t.records <-
-      {
-        Metrics.task_id = id;
-        kind = spec.Task_spec.kind;
-        outcome = Metrics.Rejected;
-        arrived_at = t.epoch;
-        ended_at = t.epoch;
-        active_epochs = 0;
-        satisfaction = 0.0;
-        mean_accuracy = 0.0;
-      }
-      :: t.records;
+    t.records <- Metrics.rejected ~task_id:id ~kind:spec.Task_spec.kind ~epoch:t.epoch :: t.records;
     Ctr.incr (Obs.Registry.counter t.registry "tasks_rejected");
     trace_event t ~name:"task_reject"
       [ ("task", Tr.Int id); ("kind", Tr.Str (Task_spec.kind_to_string spec.Task_spec.kind)) ];
@@ -374,9 +353,9 @@ let remove_task t (r : Runtime.t) ~outcome =
         | Metrics.Rejected -> "rejected")
         r.active_epochs);
   let record = finish_record r ~outcome ~ended_at:t.epoch in
-  (* Journal the end (with its final record fields) and the rule purge
-     before either takes effect: if the controller dies in between, replay
-     still retires the task and the audit removes its now-unowned rules. *)
+  (* Journal the end (with its final record fields) before it takes
+     effect: if the controller dies in between, replay still retires the
+     task and the audit removes its now-unowned rules. *)
   if journaling t then begin
     let cause =
       match outcome with
@@ -394,8 +373,7 @@ let remove_task t (r : Runtime.t) ~outcome =
            active_epochs = record.Metrics.active_epochs;
            satisfaction = record.Metrics.satisfaction;
            mean_accuracy = record.Metrics.mean_accuracy;
-         });
-    jot t (Journal.Purge { epoch = t.epoch; task_id = id })
+         })
   end;
   Allocator.release t.allocator ~task_id:id;
   Array.iter (fun sw -> ignore (Tcam.remove_owner (Switch.tcam sw) ~owner:id)) t.switches;
@@ -569,14 +547,11 @@ let observe t dcfg scores (r : Runtime.t) =
   else (Runtime.id r, Task_spec.kind_to_string spec.Task_spec.kind, scored, satisfied) :: scores
 
 let fetch_and_estimate t runtimes =
-  let dcfg = if t.breakers = [||] then None else t.config.Config.degraded in
+  let dcfg = Fetch.degraded t.fetch in
   let order =
     match dcfg with None -> runtimes | Some _ -> List.stable_sort by_staleness runtimes
   in
   List.fold_left (observe t dcfg) [] order
-
-let allocation_total t id =
-  Switch_id.Map.fold (fun _ v acc -> acc + v) (Allocator.allocation_of t.allocator ~task_id:id) 0
 
 (* Allocation entries that changed in a round, given each task's
    allocation before it: churn made visible in the trace. *)
@@ -598,37 +573,6 @@ let allocation_changes t before =
       in
       acc + grown_or_moved + vacated)
     0 before
-
-(* The drop policy: track poor streaks and pick at most one victim per
-   round — the poorest-priority task that stayed poor through the drop
-   threshold while one of its switches was congested. *)
-let drop_victim t runtimes =
-  let candidates =
-    List.filter_map
-      (fun (r : Runtime.t) ->
-        let spec = Task.spec r.task in
-        let poor = Task.smoothed_global r.task < spec.Task_spec.accuracy_bound in
-        let alloc_total = allocation_total t (Runtime.id r) in
-        (* A task still gaining resources is converging, not starved: only
-           a poor task whose allocation has stopped growing accumulates a
-           streak (paper: dropped tasks are those that "get fewer and fewer
-           resources ... and remain poor"). *)
-        let growing = alloc_total > r.last_alloc_total in
-        r.last_alloc_total <- alloc_total;
-        if poor && not growing then r.poor_streak <- r.poor_streak + 1 else r.poor_streak <- 0;
-        let congested_somewhere =
-          Switch_id.Set.exists (fun sw -> Allocator.congested t.allocator sw) (Task.switches r.task)
-        in
-        if r.poor_streak >= t.config.Config.drop_threshold && congested_somewhere then Some r
-        else None)
-      runtimes
-  in
-  List.fold_left
-    (fun acc (r : Runtime.t) ->
-      match acc with
-      | None -> Some r
-      | Some (best : Runtime.t) -> if r.drop_priority > best.drop_priority then Some r else acc)
-    None candidates
 
 (* Allocation epoch: redistribute, then decide drops. *)
 let allocate_and_drop t runtimes =
@@ -666,7 +610,9 @@ let allocate_and_drop t runtimes =
             (Allocator.allocation_of t.allocator ~task_id:id))
         runtimes;
     if Allocator.supports_drop t.allocator then
-      match drop_victim t runtimes with
+      match
+        Drop_policy.victim ~allocator:t.allocator ~threshold:t.config.Config.drop_threshold runtimes
+      with
       | Some r -> remove_task t r ~outcome:Metrics.Dropped
       | None -> ()
   end
@@ -688,7 +634,7 @@ let configure t survivors =
 let sync_rules t survivors =
   let sync =
     Rule_sync.create ~planes:t.planes ~arena:t.arena ~install_budget:t.config.Config.install_budget
-      ~journal:t.journal ~epoch:t.epoch ~recovered:t.recovered_now ~tallies:t.rob
+      ~recovered:t.recovered_now ~tallies:t.rob
   in
   let removals = List.map (Rule_sync.remove_stale sync) survivors in
   List.iter2
@@ -794,7 +740,7 @@ let record_telemetry t sample scores =
       (fun (id, kind, accuracy, satisfied) ->
         Obs.Telemetry.record_task tel
           { Obs.Telemetry.epoch; task = id; kind; accuracy; satisfied;
-            alloc = allocation_total t id })
+            alloc = Allocator.total_of t.allocator ~task_id:id })
       (* task-id order regardless of the fetch schedule, so tasks.csv rows
          are stable across degraded-mode reorderings *)
       (List.sort (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b) scores);
@@ -912,141 +858,33 @@ type env = {
 let environment t =
   { env_switches = t.switches; env_planes = t.planes; env_faults = t.faults; env_tel = t.tel }
 
-let replay_entry t state_epochs entry =
-  match entry with
-  | Journal.Admit
-      { epoch; task_id; spec; topology; duration; drop_priority; accuracy_history; global_only;
-        source } ->
-    let task =
-      Task.create ~id:task_id ~spec ~topology ~accuracy_history
-        ~accuracy_mode:(if global_only then Task.Global_only else Task.Overall)
-        ()
-    in
-    let source = Source.parse (C.reader_of_string source) in
-    let runtime = Runtime.create ~task ~source ~duration ~arrived_at:epoch ~drop_priority in
-    Allocator.force_admit t.allocator (Runtime.view runtime);
-    Hashtbl.replace t.active task_id runtime;
-    Hashtbl.replace state_epochs task_id epoch;
-    t.next_id <- max t.next_id (task_id + 1)
-  | Journal.Reject { epoch; task_id; kind } ->
-    t.records <-
-      {
-        Metrics.task_id;
-        kind;
-        outcome = Metrics.Rejected;
-        arrived_at = epoch;
-        ended_at = epoch;
-        active_epochs = 0;
-        satisfaction = 0.0;
-        mean_accuracy = 0.0;
-      }
-      :: t.records;
-    t.next_id <- max t.next_id (task_id + 1)
-  | Journal.Alloc { task_id; switch; alloc; _ } ->
-    Allocator.force_allocation t.allocator ~task_id ~switch ~alloc
-  | Journal.Install _ | Journal.Delete _ | Journal.Purge _ ->
-    (* Rule-level entries document what the dead controller did to the
-       switches; reconciliation derives its expectations from the restored
-       task state instead, so replay has nothing to apply here. *)
-    ()
-  | Journal.Switch_down _ -> Ctr.incr t.rob.crashes
-  | Journal.Switch_up _ -> Ctr.incr t.rob.recoveries
-  | Journal.Task_end
-      { epoch; task_id; kind; cause; arrived_at; active_epochs; satisfaction; mean_accuracy } ->
-    if Hashtbl.mem t.active task_id then begin
-      Allocator.release t.allocator ~task_id;
-      Hashtbl.remove t.active task_id;
-      Hashtbl.remove state_epochs task_id
-    end;
-    let outcome =
-      match cause with Journal.Completed -> Metrics.Completed | Journal.Dropped -> Metrics.Dropped
-    in
-    t.records <-
-      { Metrics.task_id; kind; outcome; arrived_at; ended_at = epoch; active_epochs;
-        satisfaction; mean_accuracy }
-      :: t.records
-
-let fail_over ~env ~(d : Checkpoint.t) ~journal ~at_epoch =
+let recover ~env ~snapshot ~journal ~at_epoch =
+  let ( let* ) = Result.bind in
+  let* d = Checkpoint.parse snapshot in
+  let* () =
+    if Array.length d.switches <> Array.length env.env_switches then
+      Error "snapshot switch count does not match the live network"
+    else if at_epoch < d.epoch then Error "recovery epoch precedes the checkpoint"
+    else Ok ()
+  in
+  let* replayed = Failover.replay d journal ~at_epoch in
   (* The network outlives the controller: switches, data planes and the
      fault model keep their live state, and the snapshot's copies (taken at
      checkpoint time) are discarded. *)
   let t =
-    of_checkpoint d ~switches:env.env_switches ~planes:env.env_planes ~faults:env.env_faults
-      ~tel:env.env_tel
+    of_checkpoint replayed ~switches:env.env_switches ~planes:env.env_planes
+      ~faults:env.env_faults ~tel:env.env_tel
   in
-  (* Tasks restored from the snapshot carry state as of the checkpoint
-     epoch; tasks replayed from the journal carry state as of their
-     admission.  Either way the journal suffix brings membership, records
-     and allocations current. *)
-  let state_epochs = Hashtbl.create 16 in
-  Hashtbl.iter (fun id _ -> Hashtbl.replace state_epochs id d.epoch) t.active;
-  List.iter (fun e -> replay_entry t state_epochs e) journal;
-  (* Traffic kept flowing while the controller was down: fast-forward each
-     survivor's source by the epochs it missed.  Discarded epochs consume
-     exactly the RNG draws the live run would have, so the traffic stream
-     itself is unperturbed by the failover. *)
-  Hashtbl.iter
-    (fun id (r : Runtime.t) ->
-      let from = match Hashtbl.find_opt state_epochs id with Some e -> e | None -> at_epoch in
-      for _ = from to at_epoch - 1 do
-        ignore (Source.next r.source)
-      done)
-    t.active;
-  (* Reconcile every reachable switch against the restored state: rules no
-     restored task wants are strays, rules a restored task wants but the
-     switch lost are missing.  A switch that is down now is wiped anyway
-     and gets its rules back through the normal recovered-switch reinstall
-     path. *)
-  let runtimes = Runtime.sorted t.active in
-  t.epoch <- at_epoch;
-  Array.iter
-    (fun dp ->
-      let sw_id = Data_plane.id dp in
-      let expected =
-        List.filter_map
-          (fun (r : Runtime.t) ->
-            match Task.desired_rules r.task sw_id with
-            | [] -> None
-            | rules -> Some (Runtime.id r, rules))
-          runtimes
-      in
-      match Data_plane.audit dp ~expected with
-      | Ok { Data_plane.strays_removed; missing_installed } ->
-        Ctr.add t.rob.reconcile_removed strays_removed;
-        Ctr.add t.rob.reconcile_installed missing_installed;
-        if strays_removed + missing_installed > 0 then
-          trace_event t ~name:"reconcile"
-            [ ("switch", Tr.Int sw_id); ("removed", Tr.Int strays_removed);
-              ("installed", Tr.Int missing_installed) ]
-        (* A partitioned switch cannot be audited now; like a down switch
-           it is reconciled when it becomes reachable again. *)
-      | Error (`Down | `Unreachable) -> ())
-    env.env_planes;
-  Ctr.incr t.rob.controller_crashes;
+  Failover.reconcile ~planes:t.planes ~runtimes:replayed.runtimes ~tallies:t.rob
+    ~trace:(Option.map Obs.Telemetry.trace t.tel) ~epoch:at_epoch;
   (* Break the replayed suffix down by entry kind, so the trace shows what
      the journal actually had to carry across the crash. *)
-  let by_kind = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
-      let k = Journal.entry_name e in
-      Hashtbl.replace by_kind k (1 + Option.value ~default:0 (Hashtbl.find_opt by_kind k)))
-    journal;
-  let breakdown =
-    Hashtbl.fold (fun k n acc -> (k, Tr.Int n) :: acc) by_kind []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
+  let kinds = List.sort_uniq String.compare (List.map Journal.entry_name journal) in
+  let count k = List.length (List.filter (fun e -> Journal.entry_name e = k) journal) in
   trace_event t ~name:"failover"
     ([ ("checkpoint_epoch", Tr.Int d.epoch); ("journal_entries", Tr.Int (List.length journal)) ]
-    @ breakdown);
+    @ List.map (fun k -> (k, Tr.Int (count k))) kinds);
   Log.info (fun m ->
       m "epoch %d: controller recovered from checkpoint at epoch %d (+%d journal entries)" at_epoch
         d.epoch (List.length journal));
-  t
-
-let recover ~env ~snapshot ~journal ~at_epoch =
-  match Checkpoint.parse snapshot with
-  | Error e -> Error e
-  | Ok d when Array.length d.switches <> Array.length env.env_switches ->
-    Error "snapshot switch count does not match the live network"
-  | Ok d when at_epoch < d.epoch -> Error "recovery epoch precedes the checkpoint"
-  | Ok d -> Ok (fail_over ~env ~d ~journal ~at_epoch)
+  Ok t

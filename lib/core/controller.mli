@@ -111,19 +111,21 @@ val total_rules_fetched : t -> int
     The controller can persist its full state between ticks: {!snapshot}
     serializes a sealed, deterministic checkpoint document, and an attached
     write-ahead {!Dream_recovery.Journal} records every control-plane
-    action (admissions, rejections, allocation changes, rule installs and
-    deletes, task endings, switch crash/recovery observations) before its
-    effects are applied.
+    outcome fail-over replays (admissions, rejections, allocation values,
+    task endings, switch crash/recovery observations) before its effects
+    are applied.  Rule installs and deletes are not journalled: fail-over
+    audits the switches instead.
 
     Two restart paths consume them.  {!restore} rebuilds a standalone
     controller — network and all — from a snapshot alone: a restored run
     produces bit-identical per-epoch behaviour to the run that wrote the
     checkpoint.  {!recover} is fail-over: the switches, data planes and
     fault model {e survive} the controller crash, so the new controller
-    re-attaches to the live network, replays the journal suffix to bring
-    task membership, records and allocations current, fast-forwards each
-    task's traffic source to the recovery epoch, and audits every reachable
-    switch against the restored rule state — strays removed, missing rules
+    replays the journal suffix into the checkpoint to bring task
+    membership, records and allocations current, fast-forwards each
+    task's traffic source to the recovery epoch, re-attaches to the live
+    network, and audits every reachable switch against the restored rule
+    state ({!Failover}) — strays removed, missing rules
     reinstalled, both tallied in {!robustness}.  Task measurement state
     between the checkpoint and the crash (counter readings, smoothed
     accuracies) is legitimately lost; the crash-recovery experiment
@@ -213,4 +215,5 @@ val recover :
     [at_epoch].  The successor has no journal attached; re-attach one with
     {!set_journal}.  [Error] without touching [env] when [snapshot] does
     not parse (as for {!restore}), holds a different switch count than
-    [env], or was taken after [at_epoch]. *)
+    [env], or was taken after [at_epoch], or when the journal holds an
+    entry replay cannot apply ({!Failover.replay}).  It never raises. *)

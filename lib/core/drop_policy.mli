@@ -1,0 +1,12 @@
+(** DREAM's drop policy (Section 5): a task that stays poor while its
+    allocation stops growing, on a congested switch, is dropped, at most
+    one per allocation round. *)
+
+val victim :
+  allocator:Dream_alloc.Allocator.t -> threshold:int -> Runtime.t list -> Runtime.t option
+(** Run after an allocation round, over the active tasks in id order.
+    Updates every task's poor streak: one more when its smoothed global
+    accuracy is below its bound and its total allocation did not grow
+    since the last round, zero otherwise.  Returns the task with the
+    highest [drop_priority] (the first on ties) among those whose streak
+    reached [threshold] and that need counters on a congested switch. *)

@@ -40,6 +40,8 @@ type t = {
 let costs (config : Config.t) =
   match config.Config.control_delay with Some c -> c | None -> Delay_model.default
 
+let degraded f = f.degraded
+
 let create ~config ~planes ~breakers ~faults ~tallies ~registry ~trace =
   {
     planes;

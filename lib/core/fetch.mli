@@ -24,6 +24,10 @@ val create :
 (** [breakers] is empty outside degraded mode, which turns off the
     breaker hooks, the deadline and load shedding. *)
 
+val degraded : t -> Config.degraded option
+(** The degraded-mode settings in force: [config.degraded] when breakers
+    exist, [None] otherwise. *)
+
 val costs : Config.t -> Dream_switch.Delay_model.costs
 (** The configured control-delay costs, or {!Dream_switch.Delay_model.default}. *)
 

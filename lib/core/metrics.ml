@@ -13,6 +13,18 @@ type record = {
   mean_accuracy : float;
 }
 
+let rejected ~task_id ~kind ~epoch =
+  {
+    task_id;
+    kind;
+    outcome = Rejected;
+    arrived_at = epoch;
+    ended_at = epoch;
+    active_epochs = 0;
+    satisfaction = 0.0;
+    mean_accuracy = 0.0;
+  }
+
 type robustness = {
   crashes : int;
   recoveries : int;

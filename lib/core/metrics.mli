@@ -16,6 +16,10 @@ type record = {
   mean_accuracy : float;  (** average scored accuracy while active *)
 }
 
+val rejected : task_id:int -> kind:Dream_tasks.Task_spec.kind -> epoch:int -> record
+(** The record of a task refused at [epoch]: never active, satisfaction and
+    accuracy zero. *)
+
 type robustness = {
   crashes : int;  (** switch crash events *)
   recoveries : int;  (** switches that came back up *)

@@ -3,7 +3,6 @@ module Switch_id = Dream_traffic.Switch_id
 module Arena = Dream_util.Arena
 module Data_plane = Dream_switch.Data_plane
 module Task = Dream_tasks.Task
-module Journal = Dream_recovery.Journal
 module Ctr = Dream_obs.Registry.Counter
 
 (* A task's installed rules (Tcam order) and its desired rules (monitor
@@ -16,8 +15,6 @@ module Ctr = Dream_obs.Registry.Counter
 type t = {
   planes : Data_plane.t array;
   budgets : Arena.ints; (* updates each switch may still apply this epoch *)
-  journal : Journal.sink option;
-  epoch : int;
   recovered : Switch_id.Set.t;
   tallies : Metrics.Tallies.t;
 }
@@ -26,21 +23,18 @@ type t = {
    [install_budget] updates per epoch (deferred ones are retried next epoch
    and the affected counters read nothing meanwhile — the cost that made
    the paper abandon hardware switches). *)
-let create ~planes ~arena ~install_budget ~journal ~epoch ~recovered ~tallies =
+let create ~planes ~arena ~install_budget ~recovered ~tallies =
   let budgets = Arena.ints arena ~slot:0 ~len:(Array.length planes) in
   let initial = match install_budget with Some b -> b | None -> max_int in
   for i = 0 to Array.length planes - 1 do
     budgets.{i} <- initial
   done;
-  { planes; budgets; journal; epoch; recovered; tallies }
-
-let jot s entry = match s.journal with None -> () | Some sink -> Journal.append sink entry
+  { planes; budgets; recovered; tallies }
 
 (* Pass 1, one stale rule: delete it while the switch's update budget
    lasts.  Counts the deletions. *)
 let remove_rule s ~id dp i p removed =
   if s.budgets.{i} > 0 then begin
-    jot s (Journal.Delete { epoch = s.epoch; task_id = id; switch = Data_plane.id dp; prefix = p });
     match Data_plane.remove dp ~owner:id p with
     | Ok _ ->
       s.budgets.{i} <- s.budgets.{i} - 1;
@@ -70,7 +64,6 @@ let remove_stale s r = remove_from s r 0 0
 let install_rule s ~id dp i p added =
   if s.budgets.{i} > 0 then begin
     let sw_id = Data_plane.id dp in
-    jot s (Journal.Install { epoch = s.epoch; task_id = id; switch = sw_id; prefix = p });
     match Data_plane.install dp ~owner:id p with
     | Ok () ->
       s.budgets.{i} <- s.budgets.{i} - 1;

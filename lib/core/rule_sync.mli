@@ -6,7 +6,8 @@
     ({!install_missing}) — so one task's growth never transiently
     collides with space another task is vacating.  Each switch applies at
     most [install_budget] updates per epoch; what does not fit is retried
-    next epoch.  Every update is journalled before it is applied. *)
+    next epoch.  Updates are not journalled: fail-over rebuilds rule
+    state by auditing the switches. *)
 
 type t
 
@@ -14,8 +15,6 @@ val create :
   planes:Dream_switch.Data_plane.t array ->
   arena:Dream_util.Arena.t ->
   install_budget:int option ->
-  journal:Dream_recovery.Journal.sink option ->
-  epoch:int ->
   recovered:Dream_traffic.Switch_id.Set.t ->
   tallies:Metrics.Tallies.t ->
   t

@@ -25,11 +25,15 @@ type t = {
   mutable staleness : int;
 }
 
-let create ~task ~source ~duration ~arrived_at ~drop_priority =
+let create ~config ~id ~spec ~topology ~source ~duration ~arrived_at ~drop_priority =
+  let task =
+    Task.create ~id ~spec ~topology ~accuracy_history:config.Config.accuracy_history
+      ~accuracy_mode:config.Config.accuracy_mode ()
+  in
   {
     task;
     source;
-    ground_truth = Ground_truth.create (Task.spec task);
+    ground_truth = Ground_truth.create spec;
     duration;
     arrived_at;
     drop_priority;

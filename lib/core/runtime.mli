@@ -28,14 +28,18 @@ type t = {
 }
 
 val create :
-  task:Dream_tasks.Task.t ->
+  config:Config.t ->
+  id:int ->
+  spec:Dream_tasks.Task_spec.t ->
+  topology:Dream_traffic.Topology.t ->
   source:Dream_traffic.Source.t ->
   duration:int ->
   arrived_at:int ->
   drop_priority:int ->
   t
-(** A freshly admitted task: zero counters, no rules, ground truth for
-    the task's spec. *)
+(** A freshly admitted task: a new task object with the config's accuracy
+    history and mode, zero counters, no rules, ground truth for [spec].
+    The one constructor for both a live admission and a replayed one. *)
 
 val id : t -> int
 

@@ -1,5 +1,4 @@
 module C = Dream_util.Codec
-module Prefix = Dream_prefix.Prefix
 module Switch_id = Dream_traffic.Switch_id
 module Topology = Dream_traffic.Topology
 module Task_spec = Dream_tasks.Task_spec
@@ -14,15 +13,10 @@ type entry =
       topology : Topology.t;
       duration : int;
       drop_priority : int;
-      accuracy_history : float;
-      global_only : bool;
       source : string;
     }
   | Reject of { epoch : int; task_id : int; kind : Task_spec.kind }
   | Alloc of { epoch : int; task_id : int; switch : Switch_id.t; alloc : int }
-  | Install of { epoch : int; task_id : int; switch : Switch_id.t; prefix : Prefix.t }
-  | Delete of { epoch : int; task_id : int; switch : Switch_id.t; prefix : Prefix.t }
-  | Purge of { epoch : int; task_id : int }
   | Switch_down of { epoch : int; switch : Switch_id.t }
   | Switch_up of { epoch : int; switch : Switch_id.t }
   | Task_end of {
@@ -40,9 +34,6 @@ let epoch_of = function
   | Admit { epoch; _ }
   | Reject { epoch; _ }
   | Alloc { epoch; _ }
-  | Install { epoch; _ }
-  | Delete { epoch; _ }
-  | Purge { epoch; _ }
   | Switch_down { epoch; _ }
   | Switch_up { epoch; _ }
   | Task_end { epoch; _ } ->
@@ -52,9 +43,6 @@ let entry_name = function
   | Admit _ -> "admit"
   | Reject _ -> "reject"
   | Alloc _ -> "alloc"
-  | Install _ -> "install"
-  | Delete _ -> "delete"
-  | Purge _ -> "purge"
   | Switch_down _ -> "switch_down"
   | Switch_up _ -> "switch_up"
   | Task_end _ -> "task_end"
@@ -66,25 +54,13 @@ let cause_of_string = function
   | "dropped" -> Some Dropped
   | _ -> None
 
-(* A rule event (install/delete) shares its field layout; only the section
-   name distinguishes them. *)
-let encode_rule w name ~epoch ~task_id ~switch ~prefix =
-  C.section w name;
-  C.int w "epoch" epoch;
-  C.int w "task_id" task_id;
-  C.int w "switch" switch;
-  C.string w "prefix" (Prefix.to_string prefix)
-
 let encode w = function
-  | Admit { epoch; task_id; spec; topology; duration; drop_priority; accuracy_history;
-            global_only; source } ->
+  | Admit { epoch; task_id; spec; topology; duration; drop_priority; source } ->
     C.section w "admit";
     C.int w "epoch" epoch;
     C.int w "task_id" task_id;
     C.int w "duration" duration;
     C.int w "drop_priority" drop_priority;
-    C.float w "accuracy_history" accuracy_history;
-    C.bool w "global_only" global_only;
     Task_spec.emit w spec;
     Topology.emit w topology;
     (* The serialized source is itself a multi-line document; escaping
@@ -101,14 +77,6 @@ let encode w = function
     C.int w "task_id" task_id;
     C.int w "switch" switch;
     C.int w "alloc" alloc
-  | Install { epoch; task_id; switch; prefix } ->
-    encode_rule w "install" ~epoch ~task_id ~switch ~prefix
-  | Delete { epoch; task_id; switch; prefix } ->
-    encode_rule w "delete" ~epoch ~task_id ~switch ~prefix
-  | Purge { epoch; task_id } ->
-    C.section w "purge";
-    C.int w "epoch" epoch;
-    C.int w "task_id" task_id
   | Switch_down { epoch; switch } ->
     C.section w "switch_down";
     C.int w "epoch" epoch;
@@ -135,15 +103,6 @@ let kind_field r =
   | Some k -> k
   | None -> C.parse_error 0 (Printf.sprintf "unknown task kind %S" s)
 
-let decode_rule r make =
-  let epoch = C.int_field r "epoch" in
-  let task_id = C.int_field r "task_id" in
-  let switch = C.int_field r "switch" in
-  let s = C.string_field r "prefix" in
-  match Prefix.of_string s with
-  | prefix -> make ~epoch ~task_id ~switch ~prefix
-  | exception Invalid_argument _ -> C.parse_error 0 (Printf.sprintf "invalid prefix %S" s)
-
 let decode r =
   match C.peek_section r with
   | None -> C.parse_error 0 "expected a journal entry section"
@@ -155,8 +114,6 @@ let decode r =
       let task_id = C.int_field r "task_id" in
       let duration = C.int_field r "duration" in
       let drop_priority = C.int_field r "drop_priority" in
-      let accuracy_history = C.float_field r "accuracy_history" in
-      let global_only = C.bool_field r "global_only" in
       let spec = Task_spec.parse r in
       let topology = Topology.parse r in
       let source =
@@ -165,8 +122,7 @@ let decode r =
         with Scanf.Scan_failure _ | Failure _ ->
           C.parse_error 0 "admit entry: undecodable source blob"
       in
-      Admit { epoch; task_id; spec; topology; duration; drop_priority; accuracy_history;
-              global_only; source }
+      Admit { epoch; task_id; spec; topology; duration; drop_priority; source }
     | "reject" ->
       let epoch = C.int_field r "epoch" in
       let task_id = C.int_field r "task_id" in
@@ -178,16 +134,6 @@ let decode r =
       let switch = C.int_field r "switch" in
       let alloc = C.int_field r "alloc" in
       Alloc { epoch; task_id; switch; alloc }
-    | "install" ->
-      decode_rule r (fun ~epoch ~task_id ~switch ~prefix ->
-          Install { epoch; task_id; switch; prefix })
-    | "delete" ->
-      decode_rule r (fun ~epoch ~task_id ~switch ~prefix ->
-          Delete { epoch; task_id; switch; prefix })
-    | "purge" ->
-      let epoch = C.int_field r "epoch" in
-      let task_id = C.int_field r "task_id" in
-      Purge { epoch; task_id }
     | "switch_down" ->
       let epoch = C.int_field r "epoch" in
       let switch = C.int_field r "switch" in

@@ -1,18 +1,27 @@
-(** Write-ahead journal of control-plane actions.
+(** Write-ahead journal of control-plane outcomes.
 
-    Every externally visible decision the controller takes — admitting or
-    rejecting a task, changing an allocation, installing or deleting a
-    rule, observing a switch crash — is appended here {e before} its
-    effects are applied.  Recovery after a controller crash is then: load
-    the last checkpoint, replay the journal suffix in order, and reconcile
-    each switch against the replayed expectation.
+    The journal holds exactly what fail-over replays: task admissions and
+    rejections, every allocation value of each round, task endings with
+    their final record fields, and observed switch crashes and
+    recoveries.  Each entry is appended {e before} its effects are
+    applied.  Recovery after a controller crash is then: load the last
+    checkpoint, fold the journal suffix into it, and audit each switch
+    against the result.
 
-    Entries deliberately carry raw data (spec, topology, serialized
-    source, record fields) rather than live objects, so replay can rebuild
-    controller state without re-running any decision logic: the journal
-    records {e outcomes}, and replay applies them verbatim.  This is what
-    makes replay deterministic even though the original decisions depended
-    on transient allocator state that is not checkpointed. *)
+    Rule installs and deletes are not journalled.  The audit derives the
+    rules every switch should hold from the restored tasks' monitors and
+    fixes whatever differs, so a record of the dead controller's rule
+    updates would tell recovery nothing it uses.
+
+    Entries carry raw data (spec, topology, serialized source, record
+    fields) rather than live objects, so replay rebuilds controller state
+    without re-running any decision logic: the journal records
+    {e outcomes}, and replay applies them verbatim.  This is what makes
+    replay deterministic even though the original decisions depended on
+    transient allocator state that is not checkpointed.  What the
+    successor's config already holds (the accuracy history and mode) is
+    not repeated per entry: the checkpoint replay starts from was written
+    by the same run. *)
 
 type end_cause = Completed | Dropped
 
@@ -24,8 +33,6 @@ type entry =
       topology : Dream_traffic.Topology.t;
       duration : int;
       drop_priority : int;
-      accuracy_history : float;
-      global_only : bool;
       source : string;
           (** the task's traffic source, serialized at admission time
               ({!Dream_traffic.Source.emit}); replay fast-forwards it to
@@ -34,20 +41,6 @@ type entry =
     }
   | Reject of { epoch : int; task_id : int; kind : Dream_tasks.Task_spec.kind }
   | Alloc of { epoch : int; task_id : int; switch : Dream_traffic.Switch_id.t; alloc : int }
-  | Install of {
-      epoch : int;
-      task_id : int;
-      switch : Dream_traffic.Switch_id.t;
-      prefix : Dream_prefix.Prefix.t;
-    }
-  | Delete of {
-      epoch : int;
-      task_id : int;
-      switch : Dream_traffic.Switch_id.t;
-      prefix : Dream_prefix.Prefix.t;
-    }
-  | Purge of { epoch : int; task_id : int }
-      (** all rules of a task removed everywhere (task ended or dropped) *)
   | Switch_down of { epoch : int; switch : Dream_traffic.Switch_id.t }
       (** the switch crashed: its TCAM contents are gone *)
   | Switch_up of { epoch : int; switch : Dream_traffic.Switch_id.t }
@@ -84,7 +77,8 @@ val entries_of_string : string -> (entry list, string) result
     recovered as a silently corrupted field.  A malformed entry
     {e followed by} further entries is a corruption, not a torn tail, and
     yields [Error], as does a complete line holding a value its parser
-    rejects (a malformed prefix, an out-of-range task spec). *)
+    rejects (an out-of-range task spec, an unknown task kind).  It never
+    raises. *)
 
 (** {1 Sinks} *)
 

@@ -176,7 +176,7 @@ let test_degraded_config_rejected () =
 
 (* ---- Journal flush / close ---- *)
 
-let entry epoch task_id = Journal.Purge { epoch; task_id }
+let entry epoch switch = Journal.Switch_down { epoch; switch }
 
 let test_journal_close_idempotent () =
   let sink = Journal.memory () in

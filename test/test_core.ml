@@ -16,6 +16,12 @@ module Dream_allocator = Dream_alloc.Dream_allocator
 module Config = Dream_core.Config
 module Metrics = Dream_core.Metrics
 module Controller = Dream_core.Controller
+module Runtime = Dream_core.Runtime
+module Drop_policy = Dream_core.Drop_policy
+module Codec = Dream_util.Codec
+module Epoch_data = Dream_traffic.Epoch_data
+module Source = Dream_traffic.Source
+module Task = Dream_tasks.Task
 
 (* ---- Metrics ---- *)
 
@@ -319,6 +325,139 @@ let test_controller_replay_source () =
   Alcotest.(check (float 1e-9)) "replay deterministic" a b;
   Alcotest.(check bool) "replay satisfies" true (a > 30.0)
 
+(* ---- drop policy against a list model ---- *)
+
+type drop_case = {
+  threshold : int;
+  congested : bool array;  (** per switch, 4 switches *)
+  tasks : (int * int * bool * int * int * int array) list;
+      (** per task, in id order: topology seed, drop priority, poor, poor
+          streak, last allocation total, allocation per switch *)
+}
+
+let gen_drop_case =
+  QCheck.Gen.(
+    map3
+      (fun threshold congested tasks ->
+        { threshold; congested = Array.of_list congested; tasks })
+      (int_range 1 4)
+      (list_repeat 4 bool)
+      (list_size (int_range 1 8)
+         (map3
+            (fun (seed, priority) (poor, streak, last) alloc ->
+              (seed, priority, poor, streak, last, Array.of_list alloc))
+            (pair (int_bound 1000) (int_bound 4))
+            (triple bool (int_bound 5) (int_bound 30))
+            (list_repeat 4 (int_bound 10)))))
+
+(* [text] with the [n]th line (from 0) that starts with [key] replaced by
+   [f n line]. *)
+let rewrite_lines ~key f text =
+  let seen = ref (-1) in
+  String.split_on_char '\n' text
+  |> List.map (fun line ->
+         if String.starts_with ~prefix:key line then begin
+           incr seen;
+           f !seen line
+         end
+         else line)
+  |> String.concat "\n"
+
+(* A DREAM allocator holding each task's allocation, with exactly the
+   given switches congested: congestion is only ever set by an allocation
+   round, so it is written into the allocator's serialized form. *)
+let allocator_with ~congested runtimes allocs =
+  let allocator =
+    Allocator.create (Allocator.Dream Dream_allocator.default_config)
+      ~capacities:(List.init 4 (fun sw -> (sw, 256)))
+  in
+  List.iter2
+    (fun r alloc ->
+      Allocator.force_admit allocator (Runtime.view r);
+      Switch_id.Set.iter
+        (fun switch ->
+          Allocator.force_allocation allocator ~task_id:(Runtime.id r) ~switch
+            ~alloc:alloc.(switch))
+        (Task.switches r.Runtime.task))
+    runtimes allocs;
+  let w = Codec.writer () in
+  Allocator.emit w allocator;
+  Codec.contents w
+  |> rewrite_lines ~key:"congested " (fun sw _ ->
+         if congested.(sw) then "congested 1" else "congested 0")
+  |> Codec.reader_of_string |> Allocator.parse
+
+(* [r] with a smoothed global accuracy of 0.5, below the default bound: a
+   fresh task has none (it reads as 1), and only an estimate sets one, so
+   it is written into the task's serialized form, where it is the
+   runtime's first EWMA. *)
+let poor_runtime r =
+  let w = Codec.writer () in
+  Runtime.emit w r;
+  Codec.contents w
+  |> rewrite_lines ~key:"has_avg " (fun n line -> if n = 0 then "has_avg 1\navg 0x1p-1" else line)
+  |> Codec.reader_of_string |> Runtime.parse
+
+let prop_drop_policy_model =
+  QCheck.Test.make ~name:"drop policy agrees with a list model" ~count:300
+    (QCheck.make gen_drop_case) (fun c ->
+      let runtimes =
+        List.mapi
+          (fun id (seed, drop_priority, poor, streak, last, _) ->
+            let rng = Rng.create seed in
+            let filter = Prefix.nth_descendant Prefix.root ~length:12 id in
+            let topology =
+              Topology.create rng ~filter ~num_switches:4 ~switches_per_task:(1 lsl (seed mod 3))
+            in
+            let spec =
+              Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter ~leaf_length:24 ~threshold:8.0 ()
+            in
+            let r =
+              Runtime.create ~config:Config.default ~id ~spec ~topology
+                ~source:(Source.replay [| Epoch_data.of_flows ~epoch:0 [] |])
+                ~duration:10 ~arrived_at:0 ~drop_priority
+            in
+            let r = if poor then poor_runtime r else r in
+            r.Runtime.poor_streak <- streak;
+            r.Runtime.last_alloc_total <- last;
+            r)
+          c.tasks
+      in
+      let allocs = List.map (fun (_, _, _, _, _, alloc) -> alloc) c.tasks in
+      let allocator = allocator_with ~congested:c.congested runtimes allocs in
+      (* The model: each task's new streak, then the first task of highest
+         priority among those at the threshold on a congested switch. *)
+      let model =
+        List.map2
+          (fun r (_, priority, poor, streak, last, alloc) ->
+            let switches = Task.switches r.Runtime.task in
+            let total = Switch_id.Set.fold (fun sw acc -> acc + alloc.(sw)) switches 0 in
+            let streak = if poor && not (total > last) then streak + 1 else 0 in
+            let eligible =
+              streak >= c.threshold && Switch_id.Set.exists (fun sw -> c.congested.(sw)) switches
+            in
+            (Runtime.id r, priority, total, last, streak, eligible))
+          runtimes c.tasks
+      in
+      let expected =
+        List.fold_left
+          (fun best (id, priority, _, _, _, eligible) ->
+            match best with
+            | _ when not eligible -> best
+            | Some (_, p) when p >= priority -> best
+            | _ -> Some (id, priority))
+          None model
+        |> Option.map fst
+      in
+      let victim = Drop_policy.victim ~allocator ~threshold:c.threshold runtimes in
+      Option.map Runtime.id victim = expected
+      && List.for_all2
+           (fun r (_, _, total, last, streak, _) ->
+             r.Runtime.poor_streak = streak
+             && r.Runtime.last_alloc_total = total
+             && ((not (total > last)) || r.Runtime.poor_streak = 0))
+           runtimes model)
+
 let () =
   Alcotest.run "dream.core"
     [
@@ -347,4 +486,5 @@ let () =
           Alcotest.test_case "baselines end-to-end" `Quick test_controller_with_baselines;
           Alcotest.test_case "replay source" `Quick test_controller_replay_source;
         ] );
+      ("drop-policy", [ QCheck_alcotest.to_alcotest prop_drop_policy_model ]);
     ]

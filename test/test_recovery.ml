@@ -6,7 +6,9 @@
 module Rng = Dream_util.Rng
 module Codec = Dream_util.Codec
 module Prefix = Dream_prefix.Prefix
+module Switch_id = Dream_traffic.Switch_id
 module Topology = Dream_traffic.Topology
+module Source = Dream_traffic.Source
 module Generator = Dream_traffic.Generator
 module Profile = Dream_traffic.Profile
 module Fault_model = Dream_fault.Fault_model
@@ -22,6 +24,7 @@ module Metrics = Dream_core.Metrics
 module Controller = Dream_core.Controller
 module Crash_recovery = Dream_sim.Crash_recovery
 module Scenario = Dream_workload.Scenario
+module Drive = Dream_workload.Drive
 
 (* ---- journal codec ---- *)
 
@@ -30,7 +33,6 @@ let sample_entries () =
   let filter = Prefix.nth_descendant Prefix.root ~length:12 17 in
   let topology = Topology.create rng ~filter ~num_switches:4 ~switches_per_task:4 in
   let spec = Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter ~leaf_length:24 ~threshold:8.0 () in
-  let p = Prefix.nth_descendant Prefix.root ~length:16 5 in
   [
     Journal.Admit
       {
@@ -40,14 +42,10 @@ let sample_entries () =
         topology;
         duration = 40;
         drop_priority = 2;
-        accuracy_history = 0.4;
-        global_only = false;
         source = "line one\nline two [with] brackets";
       };
     Journal.Reject { epoch = 4; task_id = 2; kind = Task_spec.Change_detection };
     Journal.Alloc { epoch = 4; task_id = 1; switch = 0; alloc = 64 };
-    Journal.Install { epoch = 4; task_id = 1; switch = 0; prefix = p };
-    Journal.Delete { epoch = 6; task_id = 1; switch = 0; prefix = p };
     Journal.Switch_down { epoch = 7; switch = 3 };
     Journal.Switch_up { epoch = 9; switch = 3 };
     Journal.Task_end
@@ -61,7 +59,6 @@ let sample_entries () =
         satisfaction = 0.5;
         mean_accuracy = 0.75;
       };
-    Journal.Purge { epoch = 12; task_id = 1 };
   ]
 
 let encode_all entries = String.concat "" (List.map Journal.entry_to_string entries)
@@ -162,6 +159,68 @@ let test_journal_file_sink () =
       Alcotest.(check int) "truncated" 0 (Journal.length sink);
       Journal.close sink)
 
+(* Every entry survives encode/decode: the canonical re-encoding and the
+   epoch match, for all six constructors. *)
+let gen_entry =
+  let open QCheck.Gen in
+  let small = int_bound 100_000 in
+  let kind = oneofl Task_spec.all_kinds in
+  let admit =
+    map3
+      (fun (epoch, task_id, duration) (seed, spread, leaf) (drop_priority, source) ->
+        let rng = Rng.create seed in
+        let filter = Prefix.nth_descendant Prefix.root ~length:12 (seed mod 4096) in
+        let topology =
+          Topology.create rng ~filter ~num_switches:8 ~switches_per_task:(1 lsl spread)
+        in
+        let spec =
+          Task_spec.make
+            ~kind:(List.nth Task_spec.all_kinds (seed mod 3))
+            ~filter ~leaf_length:(13 + leaf) ~threshold:8.0 ()
+        in
+        Journal.Admit { epoch; task_id; spec; topology; duration; drop_priority; source })
+      (triple small small small)
+      (triple small (int_bound 3) (int_bound 19))
+      (pair small (string_size (int_bound 40)))
+  in
+  oneof
+    [
+      admit;
+      map3 (fun epoch task_id kind -> Journal.Reject { epoch; task_id; kind }) small small kind;
+      map2
+        (fun (epoch, task_id) (switch, alloc) -> Journal.Alloc { epoch; task_id; switch; alloc })
+        (pair small small) (pair small small);
+      map2 (fun epoch switch -> Journal.Switch_down { epoch; switch }) small small;
+      map2 (fun epoch switch -> Journal.Switch_up { epoch; switch }) small small;
+      map3
+        (fun (epoch, task_id, kind) (dropped, arrived_at, active_epochs)
+             (satisfaction, mean_accuracy) ->
+          Journal.Task_end
+            {
+              epoch;
+              task_id;
+              kind;
+              cause = (if dropped then Journal.Dropped else Journal.Completed);
+              arrived_at;
+              active_epochs;
+              satisfaction;
+              mean_accuracy;
+            })
+        (triple small small kind) (triple bool small small)
+        (pair (float_bound_inclusive 1.0) (float_bound_inclusive 1.0));
+    ]
+
+let prop_journal_roundtrip =
+  QCheck.Test.make ~name:"every entry round-trips" ~count:500
+    (QCheck.make ~print:Journal.entry_to_string gen_entry) (fun e ->
+      let s = Journal.entry_to_string e in
+      match Journal.entries_of_string s with
+      | Ok [ d ] ->
+        String.equal s (Journal.entry_to_string d)
+        && Journal.epoch_of d = Journal.epoch_of e
+        && Journal.entry_name d = Journal.entry_name e
+      | Ok _ | Error _ -> false)
+
 (* ---- helpers: a small controller workload ---- *)
 
 let mk_controller ?(config = Config.default) ?(capacity = 128) ?(num_switches = 4)
@@ -191,6 +250,57 @@ let populated_controller ?config ?num_switches () =
     ignore (submit_task controller rng ~filter_index:i ~duration:40)
   done;
   controller
+
+(* A scenario small enough to drive for a few dozen epochs per test case,
+   under 5% uniform faults so crashes and recoveries are journalled next
+   to admissions, allocations and task ends. *)
+let small_scenario seed =
+  {
+    Scenario.default with
+    Scenario.seed;
+    num_tasks = 12;
+    num_switches = 4;
+    switches_per_task = 4;
+    capacity = 256;
+    arrival_window = 30;
+    mean_duration = 20;
+    total_epochs = 60;
+  }
+
+let faulty_config seed = { Config.default with Config.faults = Some (Fault_model.uniform ~seed 0.05) }
+
+(* Seeded truncations and byte flips of a real journal: parsing never
+   raises, and whatever parses re-encodes to a journal that parses back to
+   itself. *)
+let test_journal_fuzz () =
+  let sink = Journal.memory () in
+  let drive =
+    Drive.create ~journal:sink ~config:(faulty_config 3)
+      ~strategy:(Allocator.Dream Dream_allocator.default_config) (small_scenario 3)
+  in
+  for _ = 1 to 20 do
+    Drive.step drive
+  done;
+  let full = encode_all (Journal.entries sink) in
+  let len = String.length full in
+  let rng = Rng.create 29 in
+  let check name mutated =
+    match Journal.entries_of_string mutated with
+    | exception e -> Alcotest.failf "%s: parse raised %s" name (Printexc.to_string e)
+    | Error _ -> ()
+    | Ok parsed -> (
+      let s = encode_all parsed in
+      match Journal.entries_of_string s with
+      | Ok again -> Alcotest.(check string) (name ^ " re-parses to itself") s (encode_all again)
+      | Error e -> Alcotest.failf "%s: the re-encoding does not parse: %s" name e)
+  in
+  for k = 1 to 200 do
+    check (Printf.sprintf "truncation %d" k) (String.sub full 0 (Rng.int rng len));
+    let flipped = Bytes.of_string full in
+    let i = Rng.int rng len in
+    Bytes.set flipped i (Char.chr ((Char.code (Bytes.get flipped i) + 1 + Rng.int rng 255) land 255));
+    check (Printf.sprintf "byte flip %d" k) (Bytes.to_string flipped)
+  done
 
 (* ---- snapshot / restore ---- *)
 
@@ -534,6 +644,115 @@ let test_recover_reconciles_tampered_switches () =
                (fun (owner, ps) -> if owner = lost_owner then ps else [])
                (Tcam.dump tcam))))
 
+(* Journals that parse but hold an entry replay cannot apply: recover
+   returns [Error] and leaves the surviving network as it was. *)
+let test_recover_rejects_bad_journal () =
+  let controller = populated_controller () in
+  let sink = Journal.memory () in
+  Controller.set_journal controller (Some sink);
+  Controller.run controller ~epochs:10;
+  let snapshot = Controller.checkpoint controller in
+  Controller.run controller ~epochs:3;
+  let at_epoch = Controller.epoch controller in
+  let env = Controller.environment controller in
+  let network = Controller.snapshot controller in
+  let suffix = encode_all (Journal.entries sink) in
+  let task_id = List.hd (Controller.active_task_ids controller) in
+  let admit source =
+    match sample_entries () with
+    | Journal.Admit a :: _ -> Journal.Admit { a with epoch = at_epoch; task_id = 100; source }
+    | _ -> Alcotest.fail "the first sample entry is an admission"
+  in
+  let real_source =
+    let rng = Rng.create 8 in
+    let topology =
+      Topology.create rng ~filter:(Prefix.nth_descendant Prefix.root ~length:12 17) ~num_switches:4
+        ~switches_per_task:4
+    in
+    let w = Codec.writer () in
+    Source.emit w
+      (Source.of_generator
+         (Generator.create rng ~topology ~profile:(Profile.default ~threshold:8.0)));
+    Codec.contents w
+  in
+  let alloc ~switch ~alloc =
+    Journal.entry_to_string (Journal.Alloc { epoch = at_epoch; task_id; switch; alloc })
+  in
+  (* The admission with its first sub-filter moved onto switch 99. *)
+  let on_switch_99 entry =
+    String.concat "\n" (set_nth (Journal.entry_to_string entry) "sw" 0 "99")
+  in
+  List.iter
+    (fun (name, bad) ->
+      match Journal.entries_of_string (suffix ^ bad) with
+      | Error e -> Alcotest.failf "%s: the journal must parse: %s" name e
+      | Ok journal ->
+        (match Controller.recover ~env ~snapshot ~journal ~at_epoch with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.failf "%s: recover must refuse it" name
+        | exception e -> Alcotest.failf "%s: recover raised %s" name (Printexc.to_string e));
+        Alcotest.(check bool) (name ^ ": network untouched") true
+          (String.equal network (Controller.snapshot controller)))
+    [
+      ("alloc on switch 99", alloc ~switch:99 ~alloc:4);
+      ("negative alloc", alloc ~switch:0 ~alloc:(-1));
+      ("garbage source", Journal.entry_to_string (admit "garbage"));
+      ("topology names switch 99", on_switch_99 (admit real_source));
+    ]
+
+(* Fail-over reproduces the live controller: recovering from the last
+   checkpoint plus the journal at the crash epoch yields the same active
+   tasks, records and allocations. *)
+let test_failover_matches_live () =
+  List.iter
+    (fun (strategy, seed, checkpoint_at, crash_at) ->
+      let name =
+        Printf.sprintf "%s seed %d, checkpoint %d, crash %d" (Allocator.strategy_name strategy) seed
+          checkpoint_at crash_at
+      in
+      let sink = Journal.memory () in
+      let drive =
+        Drive.create ~journal:sink ~config:(faulty_config seed) ~strategy (small_scenario seed)
+      in
+      let step_to epoch =
+        while Controller.epoch (Drive.controller drive) < epoch do
+          Drive.step drive
+        done
+      in
+      step_to checkpoint_at;
+      let snapshot = Controller.checkpoint (Drive.controller drive) in
+      step_to crash_at;
+      let live = Drive.controller drive in
+      let ids = Controller.active_task_ids live in
+      let allocations c =
+        List.map
+          (fun task_id ->
+            Switch_id.Map.bindings (Allocator.allocation_of (Controller.allocator c) ~task_id))
+          ids
+      in
+      let expected_allocations = allocations live in
+      let expected_records = Controller.records live in
+      match
+        Controller.recover ~env:(Controller.environment live) ~snapshot
+          ~journal:(Journal.entries sink) ~at_epoch:crash_at
+      with
+      | Error e -> Alcotest.failf "%s: recover failed: %s" name e
+      | Ok successor ->
+        Alcotest.(check (list int))
+          (name ^ ": active tasks") ids
+          (Controller.active_task_ids successor);
+        Alcotest.(check bool)
+          (name ^ ": records") true
+          (Controller.records successor = expected_records);
+        Alcotest.(check (list (list (pair int int))))
+          (name ^ ": allocations") expected_allocations (allocations successor))
+    (List.concat_map
+       (fun strategy ->
+         List.concat_map
+           (fun seed -> [ (strategy, seed, 10, 17); (strategy, seed, 24, 38) ])
+           [ 1; 2 ])
+       [ Allocator.Dream Dream_allocator.default_config; Allocator.Equal; Allocator.Fixed 8 ])
+
 let test_crash_recovery_sweep_clean () =
   (* End-to-end: under injected controller crashes the driver fails over
      from checkpoint + journal; the invariant checker must stay silent. *)
@@ -598,6 +817,8 @@ let () =
             test_journal_torn_tail_every_offset;
           Alcotest.test_case "corruption rejected" `Quick test_journal_corruption_rejected;
           Alcotest.test_case "file sink" `Quick test_journal_file_sink;
+          QCheck_alcotest.to_alcotest prop_journal_roundtrip;
+          Alcotest.test_case "truncations and byte flips never raise" `Quick test_journal_fuzz;
         ] );
       ( "snapshot",
         [
@@ -616,6 +837,9 @@ let () =
           Alcotest.test_case "fresh checkpoint fail-over is clean" `Quick
             test_recover_from_fresh_checkpoint_is_clean;
           Alcotest.test_case "journal replay" `Quick test_recover_replays_journal;
+          Alcotest.test_case "journal bad values rejected" `Quick test_recover_rejects_bad_journal;
+          Alcotest.test_case "recovery matches the live controller" `Quick
+            test_failover_matches_live;
           Alcotest.test_case "switch reconciliation" `Quick
             test_recover_reconciles_tampered_switches;
           Alcotest.test_case "crash-recovery sweep stays invariant-clean" `Quick
