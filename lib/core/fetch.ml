@@ -7,6 +7,7 @@ module Fault_model = Dream_fault.Fault_model
 module Data_plane = Dream_switch.Data_plane
 module Delay_model = Dream_switch.Delay_model
 module Breaker = Dream_switch.Breaker
+module Tcam = Dream_switch.Tcam
 module Task = Dream_tasks.Task
 module Obs = Dream_obs
 module Ctr = Dream_obs.Registry.Counter
@@ -90,17 +91,19 @@ let install_miss f (r : Runtime.t) sw_id =
     in
     Delay_model.install_miss_fraction costs ~epoch_ms:f.epoch_ms ~installs ~switches:1
 
+(* Without a miss (always, with no control delay) the readings are
+   returned as they are. *)
 let degrade_fresh f (r : Runtime.t) sw_id pairs =
   let miss = install_miss f r sw_id in
-  let fresh =
-    match Switch_id.Map.find_opt sw_id r.fresh_rules with
-    | Some set -> set
-    | None -> Prefix.Set.empty
-  in
-  List.map
-    (fun (p, v) ->
-      if miss > 0.0 && Prefix.Set.mem p fresh then (p, v *. (1.0 -. miss)) else (p, v))
-    pairs
+  if miss > 0.0 then begin
+    let fresh =
+      match Switch_id.Map.find_opt sw_id r.fresh_rules with
+      | Some set -> set
+      | None -> Prefix.Set.empty
+    in
+    List.map (fun (p, v) -> if Prefix.Set.mem p fresh then (p, v *. (1.0 -. miss)) else (p, v)) pairs
+  end
+  else pairs
 
 let count_fast_path _sw agg n = if Aggregate.sorted_fast_path agg then n + 1 else n
 
@@ -139,10 +142,12 @@ let record_breaker_success f sw_id br =
     Log.info (fun m -> m "epoch %d: breaker closed for switch %d (probe ok)" f.epoch sw_id)
   end
 
-(* Modelled wire time of one fetch batch. *)
+(* Modelled wire time of one fetch batch of [rules] rules. *)
 let batch_ms costs rules =
-  (costs.Delay_model.fetch_per_rule_ms *. float_of_int (List.length rules))
-  +. costs.Delay_model.rtt_ms
+  (costs.Delay_model.fetch_per_rule_ms *. float_of_int rules) +. costs.Delay_model.rtt_ms
+
+(* The task's rule count on a switch, without listing the rules. *)
+let rules_on dp ~owner = Tcam.used_by (Data_plane.tcam dp) ~owner
 
 (* Modelled cost the deadline scheduler expects this task's fetch round to
    incur: one batch per switch holding its rules, inflated by straggler
@@ -159,12 +164,13 @@ let estimate_cost f (r : Runtime.t) =
         match breaker_for f sw_id with
         | Some br when not (Breaker.allow br) -> acc
         | _ -> begin
-          match Data_plane.rules_of dp ~owner:id with
-          | [] -> acc
-          | rules ->
+          let rules = rules_on dp ~owner:id in
+          if rules = 0 then acc
+          else begin
             let factor = Data_plane.latency_factor dp in
             if Data_plane.partitioned dp then acc +. (costs.Delay_model.rtt_ms *. factor)
             else acc +. (batch_ms costs rules *. factor)
+          end
         end
       end)
     0.0 f.planes
@@ -213,8 +219,8 @@ let read f (r : Runtime.t) =
           if Switch_id.Set.mem sw_id task_switches then use_stale sw_id
         end
         else begin
-          let rules = Data_plane.rules_of dp ~owner:id in
-          if rules <> [] then begin
+          let rules = rules_on dp ~owner:id in
+          if rules > 0 then begin
             match breaker_for f sw_id with
             | Some br when not (Breaker.allow br) ->
               Ctr.incr f.tallies.breaker_skips;
@@ -262,7 +268,7 @@ let read f (r : Runtime.t) =
               (match attempt 0 with
               | `Fetched pairs ->
                 (match br_opt with Some br -> record_breaker_success f sw_id br | None -> ());
-                let lost = List.length rules - List.length pairs in
+                let lost = rules - List.length pairs in
                 if lost > 0 then Ctr.add f.tallies.counters_lost lost;
                 let pairs = degrade_fresh f r sw_id pairs in
                 (* Only a fault model can make a later fetch fall back on

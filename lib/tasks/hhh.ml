@@ -17,11 +17,10 @@ let detect monitor =
   let leaf_length = spec.Task_spec.leaf_length in
   let detections = ref [] in
   let over_approx residual value = if value >= 1.0 then 0.0 else Float.max 0.0 (residual -. threshold) in
-  let visit prefix (value : Counter.t option) (children : node_result list) =
-    match value with
-    | Some c ->
+  let visit prefix slot (children : node_result list) =
+    if slot >= 0 then begin
       (* Monitored counter: a trie leaf under the partition invariant. *)
-      let residual = c.Counter.total in
+      let residual = Monitor.total monitor slot in
       if residual > threshold then begin
         let v =
           if Prefix.length prefix >= leaf_length then 1.0
@@ -32,7 +31,8 @@ let detect monitor =
         { unclaimed = 0.0; over_sum = over_approx residual v; has_detected = true }
       end
       else { unclaimed = residual; over_sum = 0.0; has_detected = false }
-    | None ->
+    end
+    else begin
       let residual = List.fold_left (fun acc r -> acc +. r.unclaimed) 0.0 children in
       let child_over = List.fold_left (fun acc r -> acc +. r.over_sum) 0.0 children in
       let has_detected_below = List.exists (fun r -> r.has_detected) children in
@@ -54,6 +54,7 @@ let detect monitor =
         { unclaimed = 0.0; over_sum = child_over +. over_approx residual v; has_detected = true }
       end
       else { unclaimed = residual; over_sum = child_over; has_detected = has_detected_below }
+    end
   in
   ignore (Monitor.fold_bottom_up monitor ~f:visit);
   List.sort (fun a b -> Prefix.compare a.prefix b.prefix) !detections

@@ -2,7 +2,6 @@ module Prefix = Dream_prefix.Prefix
 module Switch_id = Dream_traffic.Switch_id
 module Topology = Dream_traffic.Topology
 module Ewma = Dream_util.Ewma
-module Heap = Dream_util.Heap
 
 (* Float registers of the candidate build walk and the greedy.  An
    all-float record is stored flat, so writing a field boxes nothing. *)
@@ -36,24 +35,181 @@ type cover = {
   regs : float_regs;
 }
 
-(* The counters live in one growable array, slots [0, n) in prefix order.
-   They partition the filter, so the counters under any prefix form one
-   contiguous run of slots, found by two bisects.
+(* The divide phase's max-heap on score, one per monitor and reused.  An
+   entry is a score plus the key and stamp of the slot it was pushed for;
+   the three arrays move together, in exactly the order Dream_util.Heap
+   moves its elements, so equal scores pop in the same order. *)
+type heap = {
+  mutable h_score : float array;
+  mutable h_key : int array;
+  mutable h_stamp : int array;
+  mutable h_size : int;
+  mutable top_key : int; (* the last pop's entry *)
+  mutable top_stamp : int;
+}
+
+(* The counters are one table of slots [0, n) in prefix order, stored as
+   columns with nothing boxed.  They partition the filter, so the counters
+   under any prefix form one contiguous run of slots, found by two
+   bisects, and every merge or divide is one shift of each column (a
+   memmove: no write barrier, no allocation).
+
+   Int columns are [Bytes], 8 bytes a slot:
+   - [keys]: the prefix packed as [first address lsl 6 lor length], so
+     keys order like Prefix.compare;
+   - [masks]: the S set, as Topology.prefix_mask (sub-filters with traffic
+     under the prefix);
+   - [flags]: [fresh_flag], [seeded_flag] (the CD mean has history) and
+     one volume-presence bit per sub-filter ([present b]);
+   - [stamps]: a number no other counter of this monitor was created
+     with, which is how a divide-heap entry tells a live counter from one
+     merged away and recreated on the same prefix.
+
+   Float columns: [totals], [scores], [means] (the CD EWMA), and [vols],
+   the volume matrix: slot [i]'s volume on sub-filter [b] is
+   [vols.(i * k + b)], valid while [present b] is set.
+
    Sub-filter sets are int bitmasks: bit [i] stands for sub-filter [i] of
    the topology and so for the switch it maps to (Topology.switch_of_bit).
    The Switch_id.Set views exist only at the module boundary. *)
 type t = {
   spec : Task_spec.t;
   topology : Topology.t;
-  mutable counters : Counter.t array;
+  k : int; (* sub-filters *)
+  by_switch : int array; (* sub-filter bits in ascending switch-id order *)
+  history : float; (* the CD mean's history weight, spec.cd_history *)
+  mutable cap : int; (* slots allocated in every column *)
   mutable n : int; (* slots in use *)
+  mutable keys : Bytes.t;
+  mutable masks : Bytes.t;
+  mutable flags : Bytes.t;
+  mutable stamps : Bytes.t;
+  mutable totals : float array;
+  mutable scores : float array;
+  mutable means : float array;
+  mutable vols : float array;
+  mutable next_stamp : int;
   switches : Switch_id.Set.t; (* every switch seeing the filter *)
   usage : int array; (* entries per sub-filter, kept incrementally *)
   alloc : int array; (* per sub-filter allocation of the running configure *)
   mutable active_mask : int; (* sub-filters whose switch has a non-zero allocation *)
   mutable active : Switch_id.Set.t; (* the same, as switches *)
   cover : cover;
+  heap : heap;
 }
+
+let fresh_flag = 1
+
+let seeded_flag = 2
+
+let[@inline] present b = 4 lsl b
+
+let presence_mask k = ((1 lsl k) - 1) lsl 2
+
+(* ---- the columns ---- *)
+
+let[@inline] get col i = Int64.to_int (Bytes.get_int64_ne col (i lsl 3))
+
+let[@inline] set col i v = Bytes.set_int64_ne col (i lsl 3) (Int64.of_int v)
+
+let[@inline] key_of ~bits ~length = (bits lsl 6) lor length
+
+let key_of_prefix p = key_of ~bits:(Prefix.bits p) ~length:(Prefix.length p)
+
+let[@inline] key_bits key = key lsr 6
+
+let[@inline] key_length key = key land 63
+
+let[@inline] bits_at t i = key_bits (get t.keys i)
+
+let[@inline] length_at t i = key_length (get t.keys i)
+
+let[@inline] last_at t i =
+  let key = get t.keys i in
+  key_bits key lor ((1 lsl (Prefix.address_bits - key_length key)) - 1)
+
+let prefix_of_key key = Prefix.make ~bits:(key_bits key) ~length:(key_length key)
+
+let[@inline] flag t i f = get t.flags i land f <> 0
+
+(* Growable columns and scratch arrays are copied into a larger array on
+   growth.  Int and bool arrays are copied element by element: a store of
+   an immediate needs no write barrier, where Array.blit would run one per
+   element into a major-heap array. *)
+let grown_bytes col n used =
+  let b = Bytes.create n in
+  Bytes.blit col 0 b 0 used;
+  b
+
+let grown_floats (a : float array) n used =
+  let b = Array.make n 0.0 in
+  Array.blit a 0 b 0 used;
+  b
+
+let grown_ints (a : int array) n used =
+  let b = Array.make n 0 in
+  for j = 0 to used - 1 do
+    b.(j) <- a.(j)
+  done;
+  b
+
+let grown_bools (a : bool array) n used =
+  let b = Array.make n false in
+  for j = 0 to used - 1 do
+    b.(j) <- a.(j)
+  done;
+  b
+
+(* Copy slots [0, n) of every column into columns of [cap] slots. *)
+let resize t cap =
+  t.keys <- grown_bytes t.keys (cap lsl 3) (t.n lsl 3);
+  t.masks <- grown_bytes t.masks (cap lsl 3) (t.n lsl 3);
+  t.flags <- grown_bytes t.flags (cap lsl 3) (t.n lsl 3);
+  t.stamps <- grown_bytes t.stamps (cap lsl 3) (t.n lsl 3);
+  t.totals <- grown_floats t.totals cap t.n;
+  t.scores <- grown_floats t.scores cap t.n;
+  t.means <- grown_floats t.means cap t.n;
+  t.vols <- grown_floats t.vols (cap * t.k) (t.n * t.k);
+  t.cap <- cap
+
+(* Replace slots [lo, hi) by [len] slots whose contents the caller then
+   writes: one shift of the tail per column. *)
+let shift t ~lo ~hi ~len =
+  let n = t.n - (hi - lo) + len in
+  if n > t.cap then resize t (max n (2 * t.cap));
+  let tail = t.n - hi and dst = lo + len in
+  if tail > 0 && dst <> hi then begin
+    Bytes.blit t.keys (hi lsl 3) t.keys (dst lsl 3) (tail lsl 3);
+    Bytes.blit t.masks (hi lsl 3) t.masks (dst lsl 3) (tail lsl 3);
+    Bytes.blit t.flags (hi lsl 3) t.flags (dst lsl 3) (tail lsl 3);
+    Bytes.blit t.stamps (hi lsl 3) t.stamps (dst lsl 3) (tail lsl 3);
+    Array.blit t.totals hi t.totals dst tail;
+    Array.blit t.scores hi t.scores dst tail;
+    Array.blit t.means hi t.means dst tail;
+    Array.blit t.vols (hi * t.k) t.vols (dst * t.k) (tail * t.k)
+  end;
+  t.n <- n
+
+(* Write a new counter's prefix and flags into slot [i], with a zero total
+   and a stamp of its own; the caller writes its score and mean (passing
+   them here would box them). *)
+let init_slot t i ~key ~flags =
+  set t.keys i key;
+  set t.masks i (Topology.bits_mask t.topology ~bits:(key_bits key) ~length:(key_length key));
+  set t.flags i flags;
+  set t.stamps i t.next_stamp;
+  t.next_stamp <- t.next_stamp + 1;
+  t.totals.(i) <- 0.0
+
+(* [total]: the present volumes summed in ascending switch-id order, the
+   order a per-switch map folds in, so the float is the same bit for bit. *)
+let seal_total t i =
+  let fl = get t.flags i in
+  t.totals.(i) <- 0.0;
+  for j = 0 to t.k - 1 do
+    let b = t.by_switch.(j) in
+    if fl land present b <> 0 then t.totals.(i) <- t.totals.(i) +. t.vols.((i * t.k) + b)
+  done
 
 let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1))
 
@@ -83,7 +239,7 @@ let mask_of_set topology set =
 
 (* The sub-filters a counter actually occupies: its traffic sub-filters
    whose switch the allocator has granted at least one entry on. *)
-let effective t (c : Counter.t) = Topology.prefix_mask t.topology c.prefix land t.active_mask
+let[@inline] effective t i = get t.masks i land t.active_mask
 
 let rec bump usage mask delta i =
   if mask lsr i <> 0 then begin
@@ -91,58 +247,73 @@ let rec bump usage mask delta i =
     bump usage mask delta (i + 1)
   end
 
-let new_counter t prefix =
-  Counter.create ~prefix
-    ~switches:(Topology.switch_set t.topology prefix)
-    ~cd_history:t.spec.Task_spec.cd_history
-
 let recompute_usage t =
   Array.fill t.usage 0 (Array.length t.usage) 0;
   for i = 0 to t.n - 1 do
-    bump t.usage (effective t t.counters.(i)) 1 0
+    bump t.usage (effective t i) 1 0
   done
 
-let make ~spec ~topology ~active counters =
+(* An empty table of [cap] slots. *)
+let make ~spec ~topology ~active ~cap =
   let k = Topology.switches_per_task topology in
-  let t =
-    {
-      spec;
-      topology;
-      counters;
-      n = Array.length counters;
-      switches = Topology.switch_set topology spec.Task_spec.filter;
-      usage = Array.make k 0;
-      alloc = Array.make k 0;
-      active_mask = mask_of_set topology active;
-      active;
-      cover =
-        {
-          slots = 0;
-          node_bits = [||];
-          node_len = [||];
-          node_t = [||];
-          node_cost = [||];
-          alive = [||];
-          work = [||];
-          cheapest = Array.make k Float.infinity;
-          built = false;
-          cursor = 0;
-          ret_s = 0;
-          ret_t = 0;
-          ret_count = 0;
-          best = -1;
-          regs = { ret_cost = 0.0; best_ratio = 0.0; bound_acc = 0.0 };
-        };
-    }
-  in
-  recompute_usage t;
-  t
+  let by_switch = Array.init k Fun.id in
+  Array.sort
+    (fun a b -> Int.compare (Topology.switch_of_bit topology a) (Topology.switch_of_bit topology b))
+    by_switch;
+  let cap = max 1 cap in
+  {
+    spec;
+    topology;
+    k;
+    by_switch;
+    history = spec.Task_spec.cd_history;
+    cap;
+    n = 0;
+    keys = Bytes.create (cap lsl 3);
+    masks = Bytes.create (cap lsl 3);
+    flags = Bytes.create (cap lsl 3);
+    stamps = Bytes.create (cap lsl 3);
+    totals = Array.make cap 0.0;
+    scores = Array.make cap 0.0;
+    means = Array.make cap 0.0;
+    vols = Array.make (cap * k) 0.0;
+    next_stamp = 0;
+    switches = Topology.switch_set topology spec.Task_spec.filter;
+    usage = Array.make k 0;
+    alloc = Array.make k 0;
+    active_mask = mask_of_set topology active;
+    active;
+    cover =
+      {
+        slots = 0;
+        node_bits = [||];
+        node_len = [||];
+        node_t = [||];
+        node_cost = [||];
+        alive = [||];
+        work = [||];
+        cheapest = Array.make k Float.infinity;
+        built = false;
+        cursor = 0;
+        ret_s = 0;
+        ret_t = 0;
+        ret_count = 0;
+        best = -1;
+        regs = { ret_cost = 0.0; best_ratio = 0.0; bound_acc = 0.0 };
+      };
+    heap =
+      { h_score = [||]; h_key = [||]; h_stamp = [||]; h_size = 0; top_key = 0; top_stamp = 0 };
+  }
 
 let create ~spec ~topology =
   let filter = spec.Task_spec.filter in
-  let switches = Topology.switch_set topology filter in
-  let root = Counter.create ~prefix:filter ~switches ~cd_history:spec.Task_spec.cd_history in
-  make ~spec ~topology ~active:switches [| root |]
+  let t = make ~spec ~topology ~active:(Topology.switch_set topology filter) ~cap:16 in
+  shift t ~lo:0 ~hi:0 ~len:1;
+  init_slot t 0 ~key:(key_of_prefix filter) ~flags:fresh_flag;
+  t.scores.(0) <- 0.0;
+  t.means.(0) <- 0.0;
+  recompute_usage t;
+  t
 
 let spec t = t.spec
 
@@ -150,63 +321,109 @@ let topology t = t.topology
 
 let num_counters t = t.n
 
+(* ---- slot accessors ---- *)
+
+let prefix t i = prefix_of_key (get t.keys i)
+
+let wildcards t i = t.spec.Task_spec.leaf_length - length_at t i
+
+let is_exact t i = length_at t i >= t.spec.Task_spec.leaf_length
+
+let switch_count t i = popcount (get t.masks i)
+
+let total t i = t.totals.(i)
+
+let score t i = t.scores.(i)
+
+let set_score t i s = t.scores.(i) <- s
+
+let fresh t i = flag t i fresh_flag
+
+let volume_on t i sw =
+  let b = bit_of_switch t.topology sw 0 in
+  if b >= 0 && flag t i (present b) then t.vols.((i * t.k) + b) else 0.0
+
+let volumes t i =
+  let acc = ref [] in
+  for j = t.k - 1 downto 0 do
+    let b = t.by_switch.(j) in
+    if flag t i (present b) then
+      acc := (Topology.switch_of_bit t.topology b, t.vols.((i * t.k) + b)) :: !acc
+  done;
+  !acc
+
+let mean t i =
+  if flag t i seeded_flag then
+    Some t.means.(i)
+  else None
+
+(* [|total - mean|], or 0 before any history. *)
+let cd_deviation t i =
+  let total = t.totals.(i) in
+  Float.abs (total -. if flag t i seeded_flag then t.means.(i) else total)
+
+(* Ewma.update's arithmetic, on the mean column. *)
+let update_means t =
+  let h = t.history in
+  for i = 0 to t.n - 1 do
+    let fl = get t.flags i in
+    let x = t.totals.(i) in
+    t.means.(i) <- (if fl land seeded_flag <> 0 then (h *. t.means.(i)) +. ((1.0 -. h) *. x) else x);
+    set t.flags i (fl lor seeded_flag)
+  done
+
 (* The first slot in [lo, hi) whose counter starts at or after [addr], or
-   [hi]: Prefix.compare orders by first address first. *)
+   [hi]: keys order by first address first. *)
 let rec bisect t addr lo hi =
   if lo >= hi then lo
   else begin
     let mid = (lo + hi) / 2 in
-    if Prefix.first_address t.counters.(mid).Counter.prefix < addr then bisect t addr (mid + 1) hi
-    else bisect t addr lo mid
+    if bits_at t mid < addr then bisect t addr (mid + 1) hi else bisect t addr lo mid
   end
 
-(* The slot holding exactly [p], or -1. *)
-let slot t p =
-  let i = bisect t (Prefix.first_address p) 0 t.n in
-  if i < t.n && Prefix.equal t.counters.(i).Counter.prefix p then i else -1
+(* The slot holding exactly the prefix of [key], or -1. *)
+let slot_of_key t key =
+  let i = bisect t (key_bits key) 0 t.n in
+  if i < t.n && get t.keys i = key then i else -1
 
 let find t p =
-  let i = slot t p in
-  if i < 0 then None else Some t.counters.(i)
+  let i = slot_of_key t (key_of_prefix p) in
+  if i < 0 then None else Some i
 
-(* Replace slots [lo, hi) by the one counter [c] ([lo = hi] inserts it),
-   keeping the per-sub-filter usage current. *)
-let splice t ~lo ~hi (c : Counter.t) =
-  for i = lo to hi - 1 do
-    bump t.usage (effective t t.counters.(i)) (-1) 0
-  done;
-  let n = t.n - (hi - lo) + 1 in
-  if n > Array.length t.counters then begin
-    let grown = Array.make (2 * Array.length t.counters) c in
-    Array.blit t.counters 0 grown 0 t.n;
-    t.counters <- grown
-  end;
-  Array.blit t.counters hi t.counters (lo + 1) (t.n - hi);
-  t.counters.(lo) <- c;
-  (* Vacated slots let go of the counters they held. *)
-  if n < t.n then Array.fill t.counters n (t.n - n) c;
-  t.n <- n;
-  bump t.usage (effective t c) 1 0
+let rec fold_down f t ~first i acc = if i < first then acc else fold_down f t ~first (i - 1) (f i acc)
 
-let iter f t =
-  for i = 0 to t.n - 1 do
-    f t.counters.(i)
-  done
+let fold f t acc = fold_down f t ~first:0 (t.n - 1) acc
 
-let rec fold_down f t i acc = if i < 0 then acc else fold_down f t (i - 1) (f t.counters.(i) acc)
+(* A counter's S set holds a switch exactly when its prefix intersects that
+   switch's sub-filter [b]: the counters intersecting its address range,
+   one contiguous run of slots, [run_start t b] to [run_stop t b first]
+   exclusive. *)
+let run_start t b =
+  let lo = Prefix.first_address (Topology.subfilter_of_bit t.topology b) in
+  let i = bisect t lo 0 t.n in
+  (* The counter holding [lo] may start before it. *)
+  if i > 0 && last_at t (i - 1) >= lo then i - 1 else i
 
-let fold f t acc = fold_down f t (t.n - 1) acc
+let run_stop t b first =
+  bisect t (Prefix.last_address (Topology.subfilter_of_bit t.topology b) + 1) first t.n
+
+let fold_seeing f t sw acc =
+  let b = bit_of_switch t.topology sw 0 in
+  if b < 0 then acc
+  else begin
+    let first = run_start t b in
+    fold_down f t ~first (run_stop t b first - 1) acc
+  end
 
 (* The trie the slots imply, visited bottom-up from node [at], whose
    counters are slots [lo, hi); its left and right children's slots are the
    two sides of one bisect.  A counter on [at] itself is a leaf: the
    counters partition the filter. *)
 let rec bottom_up t ~f at lo hi =
-  let c = t.counters.(lo) in
-  if Prefix.equal c.Counter.prefix at then f at (Some c) []
+  if get t.keys lo = key_of_prefix at then f at lo []
   else begin
     match Prefix.children at with
-    | None -> f at None []
+    | None -> f at (-1) []
     | Some (l, r) ->
       let mid = bisect t (Prefix.first_address r) lo hi in
       let results =
@@ -217,7 +434,7 @@ let rec bottom_up t ~f at lo hi =
           [ bottom_up t ~f l lo mid; right ]
         end
       in
-      f at None results
+      f at (-1) results
   end
 
 let fold_bottom_up t ~f = bottom_up t ~f t.spec.Task_spec.filter 0 t.n
@@ -231,53 +448,58 @@ let usage t sw =
 let active t = t.active
 
 let rec prefixes_down t ~first i acc =
-  if i < first then acc
-  else prefixes_down t ~first (i - 1) (t.counters.(i).Counter.prefix :: acc)
+  if i < first then acc else prefixes_down t ~first (i - 1) (prefix t i :: acc)
 
-(* A counter's S set holds a switch exactly when its prefix intersects that
-   switch's sub-filter: the counters intersecting its address range, one
-   contiguous run of slots. *)
 let rules_for t sw =
   let b = if Switch_id.Set.mem sw t.active then bit_of_switch t.topology sw 0 else -1 in
   if b < 0 then []
   else begin
-    let sub = Topology.subfilter_of_bit t.topology b in
-    let lo = Prefix.first_address sub in
-    let i = bisect t lo 0 t.n in
-    (* The counter holding [lo] may start before it. *)
-    let first =
-      if i > 0 && Prefix.last_address t.counters.(i - 1).Counter.prefix >= lo then i - 1 else i
-    in
-    let last = bisect t (Prefix.last_address sub + 1) first t.n - 1 in
-    prefixes_down t ~first last []
+    let first = run_start t b in
+    prefixes_down t ~first (run_stop t b first - 1) []
   end
 
-let clear_volumes (c : Counter.t) = c.volumes <- Switch_id.Map.empty
+(* One switch's readings merged into the slots.  A TCAM answers in prefix
+   order, so after one bisect seats the cursor it only moves forward; a
+   reading behind it (never from a TCAM) re-seats it with another.
+   Readings for prefixes no longer monitored are stale: dropped.  A later
+   reading of a slot replaces an earlier one. *)
+let rec advance t addr j = if j < t.n && bits_at t j < addr then advance t addr (j + 1) else j
 
-let seal_volumes (c : Counter.t) = Counter.set_volumes c c.volumes
-
-(* Readings for prefixes no longer monitored are stale: dropped. *)
-let rec ingest_switch t sw = function
+let rec ingest_switch t b j = function
   | [] -> ()
   | (p, v) :: rest ->
-    let i = slot t p in
-    if i >= 0 then begin
-      let c = t.counters.(i) in
-      c.volumes <- Switch_id.Map.add sw v c.volumes
-    end;
-    ingest_switch t sw rest
+    let key = key_of_prefix p in
+    let addr = key_bits key in
+    let j =
+      if j < 0 then bisect t addr 0 t.n
+      else if j > 0 && bits_at t (j - 1) >= addr then bisect t addr 0 j
+      else advance t addr j
+    in
+    if j < t.n && get t.keys j = key then begin
+      t.vols.((j * t.k) + b) <- v;
+      set t.flags j (get t.flags j lor present b);
+      ingest_switch t b (j + 1) rest
+    end
+    else ingest_switch t b j rest
 
 let rec ingest_readings t = function
   | [] -> ()
   | (sw, pairs) :: rest ->
-    ingest_switch t sw pairs;
+    let b = bit_of_switch t.topology sw 0 in
+    if b >= 0 then ingest_switch t b (-1) pairs;
     ingest_readings t rest
 
 let ingest t readings =
   (* readings: per switch, (prefix, volume) pairs for this task's rules. *)
-  iter clear_volumes t;
+  let keep = lnot (presence_mask t.k) in
+  for i = 0 to t.n - 1 do
+    set t.flags i (get t.flags i land keep)
+  done;
   ingest_readings t readings;
-  iter seal_volumes t
+  for i = 0 to t.n - 1 do
+    seal_total t i;
+    set t.flags i (get t.flags i land lnot fresh_flag)
+  done
 
 let allocation allocations sw =
   match Switch_id.Map.find_opt sw allocations with Some v -> v | None -> 0
@@ -316,26 +538,21 @@ module Cover = struct
 
   type candidates = t
 
-  let grown a n fill used =
-    let b = Array.make n fill in
-    Array.blit a 0 b 0 used;
-    b
-
   let grow (cv : cover) =
     let n = max 16 (2 * Array.length cv.node_bits) and used = cv.slots in
-    cv.node_bits <- grown cv.node_bits n 0 used;
-    cv.node_len <- grown cv.node_len n 0 used;
-    cv.node_t <- grown cv.node_t n 0 used;
-    cv.node_cost <- grown cv.node_cost n 0.0 used;
-    cv.alive <- grown cv.alive n false used;
-    cv.work <- grown cv.work n false used
+    cv.node_bits <- grown_ints cv.node_bits n used;
+    cv.node_len <- grown_ints cv.node_len n used;
+    cv.node_t <- grown_ints cv.node_t n used;
+    cv.node_cost <- grown_floats cv.node_cost n used;
+    cv.alive <- grown_bools cv.alive n used;
+    cv.work <- grown_bools cv.work n used
 
   (* The head of the walk lies under the node (bits, len). *)
   let head_under t (cv : cover) ~bits ~len =
     cv.cursor < t.n
     &&
-    let p = t.counters.(cv.cursor).Counter.prefix in
-    Prefix.covers_bits ~abits:bits ~alen:len ~bbits:(Prefix.bits p) ~blen:(Prefix.length p)
+    let key = get t.keys cv.cursor in
+    Prefix.covers_bits ~abits:bits ~alen:len ~bbits:(key_bits key) ~blen:(key_length key)
 
   (* Visit the trie node (bits, len) that the sorted counters imply, the
      head of the walk lying under it, and consume every counter it covers.
@@ -346,14 +563,14 @@ module Cover = struct
      the candidate list the bottom-up fold built by prepending (it visited
      right subtrees first), which the greedy's tie-break depends on. *)
   let rec visit t (cv : cover) ~bits ~len =
-    if cv.cursor < t.n && Prefix.length t.counters.(cv.cursor).Counter.prefix = len then begin
+    if cv.cursor < t.n && length_at t cv.cursor = len then begin
       (* A monitored counter: the partition has nothing below it. *)
-      let c = t.counters.(cv.cursor) in
-      cv.cursor <- cv.cursor + 1;
-      cv.ret_s <- effective t c;
+      let i = cv.cursor in
+      cv.cursor <- i + 1;
+      cv.ret_s <- effective t i;
       cv.ret_t <- 0;
       cv.ret_count <- 1;
-      cv.regs.ret_cost <- c.score
+      cv.regs.ret_cost <- t.scores.(i)
     end
     else begin
       if cv.slots = Array.length cv.node_bits then grow cv;
@@ -518,31 +735,47 @@ end
 
 (* ---- merge and divide ---- *)
 
-let sum_volumes _ a b = Some (a +. b)
-
-(* Replace every counter under [ancestor] by one counter on it.  The
-   victims are one run of slots in prefix order, so the float sums below
-   add in the same order whatever history built the configuration. *)
+(* Replace every counter under [ancestor] by one counter on it, built in
+   place in the first victim's slot.  The victims are one run of slots in
+   prefix order, so the float sums below add in the same order whatever
+   history built the configuration: score and CD mean from 0.0, and per
+   sub-filter the volumes of the victims that have one (a sub-filter no
+   victim has a volume on stays absent). *)
 let[@hot] merge t ancestor =
+  let abits = Prefix.bits ancestor and alen = Prefix.length ancestor in
   let lo = bisect t (Prefix.first_address ancestor) 0 t.n in
   let hi = bisect t (Prefix.last_address ancestor + 1) lo t.n in
   (* Otherwise a counter on or above [ancestor] already covers it. *)
-  if lo < hi && Prefix.is_ancestor_of ancestor t.counters.(lo).Counter.prefix then begin
-    let merged = new_counter t ancestor in
-    let mean_sum = ref 0.0 and has_mean = ref false in
-    for i = lo to hi - 1 do
-      let c = t.counters.(i) in
-      merged.volumes <- Switch_id.Map.union sum_volumes merged.volumes c.volumes;
-      merged.score <- merged.score +. c.score;
-      match Ewma.value c.mean with
-      | Some v ->
-        mean_sum := !mean_sum +. v;
-        has_mean := true
-      | None -> ()
+  if
+    lo < hi
+    && alen < length_at t lo
+    && Prefix.covers_bits ~abits ~alen ~bbits:(bits_at t lo) ~blen:(length_at t lo)
+  then begin
+    let k = t.k in
+    let fl = get t.flags lo in
+    bump t.usage (effective t lo) (-1) 0;
+    t.scores.(lo) <- 0.0 +. t.scores.(lo);
+    t.means.(lo) <- (if fl land seeded_flag <> 0 then 0.0 +. t.means.(lo) else 0.0);
+    for i = lo + 1 to hi - 1 do
+      let vf = get t.flags i and acc = get t.flags lo in
+      bump t.usage (effective t i) (-1) 0;
+      for b = 0 to k - 1 do
+        if vf land present b <> 0 then begin
+          let v = t.vols.((i * k) + b) in
+          if acc land present b <> 0 then t.vols.((lo * k) + b) <- t.vols.((lo * k) + b) +. v
+          else t.vols.((lo * k) + b) <- v
+        end
+      done;
+      t.scores.(lo) <- t.scores.(lo) +. t.scores.(i);
+      if vf land seeded_flag <> 0 then t.means.(lo) <- t.means.(lo) +. t.means.(i);
+      set t.flags lo (acc lor (vf land (seeded_flag lor presence_mask k)))
     done;
-    splice t ~lo ~hi merged;
-    Counter.set_volumes merged merged.volumes;
-    if !has_mean then Ewma.seed merged.mean !mean_sum
+    init_slot t lo
+      ~key:(key_of ~bits:abits ~length:alen)
+      ~flags:(get t.flags lo land lnot fresh_flag);
+    shift t ~lo:(lo + 1) ~hi ~len:0;
+    seal_total t lo;
+    bump t.usage (effective t lo) 1 0
   end
 
 let rec apply_merges t = function
@@ -551,29 +784,95 @@ let rec apply_merges t = function
     merge t ancestor;
     apply_merges t rest
 
-let spawn t (parent : Counter.t) p =
-  let child = new_counter t p in
-  child.Counter.score <- parent.score /. 2.0;
-  begin
-    match Ewma.value parent.mean with
-    | Some m -> Ewma.seed child.Counter.mean (m /. 2.0)
-    | None -> ()
-  end;
-  child
+let heap_grow (h : heap) =
+  let n = max 8 (2 * Array.length h.h_key) in
+  h.h_score <- grown_floats h.h_score n h.h_size;
+  h.h_key <- grown_ints h.h_key n h.h_size;
+  h.h_stamp <- grown_ints h.h_stamp n h.h_size
 
-(* Replace a live counter by its two children and queue whichever can still
-   be divided. *)
-let[@hot] divide t heap ~leaf_length (c : Counter.t) =
-  match Prefix.children c.prefix with
-  | None -> ()
-  | Some (l, r) ->
-    let i = slot t c.prefix in
-    let left = spawn t c l in
-    let right = spawn t c r in
-    splice t ~lo:i ~hi:(i + 1) left;
-    splice t ~lo:(i + 1) ~hi:(i + 1) right;
-    if not (Counter.is_exact left ~leaf_length) then Heap.push heap left;
-    if not (Counter.is_exact right ~leaf_length) then Heap.push heap right
+let heap_swap (h : heap) i j =
+  let s = h.h_score.(i) and key = h.h_key.(i) and stamp = h.h_stamp.(i) in
+  h.h_score.(i) <- h.h_score.(j);
+  h.h_key.(i) <- h.h_key.(j);
+  h.h_stamp.(i) <- h.h_stamp.(j);
+  h.h_score.(j) <- s;
+  h.h_key.(j) <- key;
+  h.h_stamp.(j) <- stamp
+
+let[@inline] heap_above (h : heap) i j = Float.compare h.h_score.(i) h.h_score.(j) > 0
+
+let rec sift_up (h : heap) i =
+  if i > 0 then begin
+    let parent = (i - 1) / 2 in
+    if heap_above h i parent then begin
+      heap_swap h i parent;
+      sift_up h parent
+    end
+  end
+
+let rec sift_down (h : heap) i =
+  let l = (2 * i) + 1 and r = (2 * i) + 2 in
+  let largest = if l < h.h_size && heap_above h l i then l else i in
+  let largest = if r < h.h_size && heap_above h r largest then r else largest in
+  if largest <> i then begin
+    heap_swap h i largest;
+    sift_down h largest
+  end
+
+(* Queue slot [i] for the divide phase. *)
+let push t i =
+  let h = t.heap in
+  if h.h_size = Array.length h.h_key then heap_grow h;
+  let j = h.h_size in
+  h.h_score.(j) <- t.scores.(i);
+  h.h_key.(j) <- get t.keys i;
+  h.h_stamp.(j) <- get t.stamps i;
+  h.h_size <- j + 1;
+  sift_up h j
+
+(* Pop the best entry into [top_key]/[top_stamp]; false when empty. *)
+let pop (h : heap) =
+  if h.h_size = 0 then false
+  else begin
+    h.top_key <- h.h_key.(0);
+    h.top_stamp <- h.h_stamp.(0);
+    h.h_size <- h.h_size - 1;
+    if h.h_size > 0 then begin
+      h.h_score.(0) <- h.h_score.(h.h_size);
+      h.h_key.(0) <- h.h_key.(h.h_size);
+      h.h_stamp.(0) <- h.h_stamp.(h.h_size);
+      sift_down h 0
+    end;
+    true
+  end
+
+(* Replace the live counter in slot [i] by its two children, in one shift,
+   and queue whichever can still be divided.  Each child inherits half the
+   parent's score and, when it has one, half its CD mean. *)
+let[@hot] divide t ~leaf_length i =
+  let key = get t.keys i in
+  let len = key_length key in
+  if len < Prefix.address_bits then begin
+    let lbits = key_bits key and child = len + 1 in
+    let rbits = lbits lor (1 lsl (Prefix.address_bits - child)) in
+    let fl = get t.flags i land seeded_flag in
+    let half_score = t.scores.(i) /. 2.0 in
+    let half_mean = if fl <> 0 then t.means.(i) /. 2.0 else 0.0 in
+    bump t.usage (effective t i) (-1) 0;
+    shift t ~lo:(i + 1) ~hi:(i + 1) ~len:1;
+    init_slot t i ~key:(key_of ~bits:lbits ~length:child) ~flags:(fl lor fresh_flag);
+    init_slot t (i + 1) ~key:(key_of ~bits:rbits ~length:child) ~flags:(fl lor fresh_flag);
+    t.scores.(i) <- half_score;
+    t.scores.(i + 1) <- half_score;
+    t.means.(i) <- half_mean;
+    t.means.(i + 1) <- half_mean;
+    bump t.usage (effective t i) 1 0;
+    bump t.usage (effective t (i + 1)) 1 0;
+    if child < leaf_length then begin
+      push t i;
+      push t (i + 1)
+    end
+  end
 
 (* ---- Algorithm 2 ---- *)
 
@@ -581,92 +880,90 @@ let add_allocation _ v acc = acc + v
 
 let total_allocation allocations = Switch_id.Map.fold add_allocation allocations 0
 
-let shrink_to_fit t =
-  (* Merge minimum-cost covers until no switch exceeds its allocation.  If
-     a cover cannot be found (single counter left on an overloaded switch),
-     collapse to the root filter as a last resort. *)
-  let rec go guard =
-    let f = overloaded t 0 0 in
-    if f <> 0 && guard > 0 then begin
-      match Cover.solve_mask (Cover.build t) ~ex_bits:0 ~ex_len:(-1) f with
-      | Some ({ Cover.ancestors = _ :: _; _ } as sol) ->
-        apply_merges t sol.Cover.ancestors;
-        go (guard - 1)
-      | Some { Cover.ancestors = []; _ } | None ->
-        if t.n > 1 then begin
-          merge t t.spec.Task_spec.filter;
-          go (guard - 1)
-        end
-    end
-  in
-  go (t.n + 8)
+(* Merge minimum-cost covers until no switch exceeds its allocation.  If a
+   cover cannot be found (single counter left on an overloaded switch),
+   collapse to the root filter as a last resort. *)
+let rec shrink_to_fit t guard =
+  let f = overloaded t 0 0 in
+  if f <> 0 && guard > 0 then begin
+    match Cover.solve_mask (Cover.build t) ~ex_bits:0 ~ex_len:(-1) f with
+    | Some ({ Cover.ancestors = _ :: _; _ } as sol) ->
+      apply_merges t sol.Cover.ancestors;
+      shrink_to_fit t (guard - 1)
+    | Some { Cover.ancestors = []; _ } | None ->
+      if t.n > 1 then begin
+        merge t t.spec.Task_spec.filter;
+        shrink_to_fit t (guard - 1)
+      end
+  end
 
-let by_score (a : Counter.t) (b : Counter.t) = Float.compare a.score b.score
-
-let push_divisible t heap ~leaf_length =
+let push_divisible t ~leaf_length =
   for i = 0 to t.n - 1 do
-    let c = t.counters.(i) in
-    if not (Counter.is_exact c ~leaf_length) then Heap.push heap c
+    if length_at t i < leaf_length then push t i
   done
 
-let rec divide_loop t heap ~leaf_length ~improvement_floor budget =
-  if budget > 0 then begin
-    match Heap.pop heap with
-    | None -> ()
-    | Some (c : Counter.t) ->
-      (* Skip stale heap entries (counters merged away meanwhile). *)
-      let i = slot t c.prefix in
-      if i < 0 || t.counters.(i) != c then divide_loop t heap ~leaf_length ~improvement_floor budget
-      else if c.score <= 0.0 then () (* max score <= 0: nothing worth dividing *)
-      else if Prefix.is_exact c.prefix then
-        divide_loop t heap ~leaf_length ~improvement_floor budget
+let rec divide_loop t ~leaf_length ~improvement_floor budget =
+  if budget > 0 && pop t.heap then begin
+    (* Skip stale heap entries (counters merged away meanwhile, including
+       any since recreated on the same prefix: a new stamp). *)
+    let i = slot_of_key t t.heap.top_key in
+    if i < 0 || get t.stamps i <> t.heap.top_stamp then
+      divide_loop t ~leaf_length ~improvement_floor budget
+    else if t.scores.(i) <= 0.0 then () (* max score <= 0: nothing worth dividing *)
+    else if length_at t i = Prefix.address_bits then
+      divide_loop t ~leaf_length ~improvement_floor budget
+    else begin
+      let score = t.scores.(i) in
+      let len = length_at t i in
+      let child = len + 1 in
+      let lbits = bits_at t i in
+      let rbits = lbits lor (1 lsl (Prefix.address_bits - child)) in
+      let s_l = Topology.bits_mask t.topology ~bits:lbits ~length:child land t.active_mask in
+      let s_r = Topology.bits_mask t.topology ~bits:rbits ~length:child land t.active_mask in
+      let extra = s_l land s_r in
+      let f = blocked t extra 0 0 in
+      if f = 0 then begin
+        (* A divide keeps built candidates conservatively valid: the
+           divided counter's score equals its children's sum, S sets are
+           unchanged, and T sets can only have grown. *)
+        divide t ~leaf_length i;
+        divide_loop t ~leaf_length ~improvement_floor (budget - 1)
+      end
       else begin
-        let child = Prefix.length c.prefix + 1 in
-        let lbits = Prefix.bits c.prefix in
-        let rbits = lbits lor (1 lsl (Prefix.address_bits - child)) in
-        let s_l = Topology.bits_mask t.topology ~bits:lbits ~length:child land t.active_mask in
-        let s_r = Topology.bits_mask t.topology ~bits:rbits ~length:child land t.active_mask in
-        let extra = s_l land s_r in
-        let f = blocked t extra 0 0 in
-        if f = 0 then begin
-          (* A divide keeps built candidates conservatively valid: the
-             divided counter's score equals its children's sum, S sets are
-             unchanged, and T sets can only have grown. *)
-          divide t heap ~leaf_length c;
-          divide_loop t heap ~leaf_length ~improvement_floor (budget - 1)
-        end
+        (* Candidates are a full pass over the counters, so build them
+           once per divide phase and repair them after each merge. *)
+        if not t.cover.built then ignore (Cover.build t);
+        (* Any cover of f costs at least the per-switch cheapest bound,
+           so skip the solve outright when it cannot pay. *)
+        if Cover.bound t.cover f +. improvement_floor >= score then
+          divide_loop t ~leaf_length ~improvement_floor budget
         else begin
-          (* Candidates are a full pass over the counters, so build them
-             once per divide phase and repair them after each merge. *)
-          if not t.cover.built then ignore (Cover.build t);
-          (* Any cover of f costs at least the per-switch cheapest bound,
-             so skip the solve outright when it cannot pay. *)
-          if Cover.bound t.cover f +. improvement_floor >= c.score then
-            divide_loop t heap ~leaf_length ~improvement_floor budget
-          else begin
-            match Cover.solve_mask t ~ex_bits:lbits ~ex_len:(Prefix.length c.prefix) f with
-            | Some sol when sol.Cover.cost +. improvement_floor < c.score ->
-              apply_merges t sol.Cover.ancestors;
-              Cover.repair_all t sol.Cover.ancestors;
-              (* Re-check: the merge must actually have freed room. *)
-              if blocked t extra 0 0 = 0 then divide t heap ~leaf_length c;
-              divide_loop t heap ~leaf_length ~improvement_floor (budget - 1)
-            | Some _ | None -> divide_loop t heap ~leaf_length ~improvement_floor (budget - 1)
-          end
+          match Cover.solve_mask t ~ex_bits:lbits ~ex_len:len f with
+          | Some sol when sol.Cover.cost +. improvement_floor < score ->
+            apply_merges t sol.Cover.ancestors;
+            Cover.repair_all t sol.Cover.ancestors;
+            (* Re-check: the merge must actually have freed room.  The
+               merges never touch the excluded counter, but they can move
+               its slot. *)
+            if blocked t extra 0 0 = 0 then
+              divide t ~leaf_length (slot_of_key t (key_of ~bits:lbits ~length:len));
+            divide_loop t ~leaf_length ~improvement_floor (budget - 1)
+          | Some _ | None -> divide_loop t ~leaf_length ~improvement_floor (budget - 1)
         end
       end
+    end
   end
 
 let[@hot] divide_phase t ~allocations =
   let leaf_length = t.spec.Task_spec.leaf_length in
-  let heap = Heap.create ~cmp:by_score in
-  push_divisible t heap ~leaf_length;
+  t.heap.h_size <- 0;
+  push_divisible t ~leaf_length;
   t.cover.built <- false;
   (* Paid divides (ones that must merge other counters to free entries)
      must beat the merge cost by a margin, or the configuration churns
      forever swapping near-equal marginal prefixes. *)
   let improvement_floor = t.spec.Task_spec.threshold /. 16.0 in
-  divide_loop t heap ~leaf_length ~improvement_floor ((4 * total_allocation allocations) + 64)
+  divide_loop t ~leaf_length ~improvement_floor ((4 * total_allocation allocations) + 64)
 
 (* Record the allocation of every sub-filter for this configure and return
    the mask of those granted at least one entry. *)
@@ -685,8 +982,27 @@ let configure t ~allocations =
     t.active <- set_of_mask t.topology granted 0 Switch_id.Set.empty;
     recompute_usage t
   end;
-  shrink_to_fit t;
+  shrink_to_fit t (t.n + 8);
   divide_phase t ~allocations
+
+(* ---- checkpoints ---- *)
+
+(* One counter's section: its volumes as [sw]/[vol] pairs in switch-id
+   order and its CD mean in Ewma's own format. *)
+let emit_counter w t i =
+  let module C = Dream_util.Codec in
+  C.section w "counter";
+  C.string w "prefix" (Prefix.to_string (prefix t i));
+  let vols = volumes t i in
+  C.int w "volumes" (List.length vols);
+  List.iter
+    (fun (sw, v) ->
+      C.int w "sw" sw;
+      C.float w "vol" v)
+    vols;
+  C.float w "score" t.scores.(i);
+  Ewma.emit w (Ewma.restore ~history:t.history ~avg:(mean t i));
+  C.bool w "fresh" (fresh t i)
 
 let emit w t =
   let module C = Dream_util.Codec in
@@ -694,7 +1010,41 @@ let emit w t =
   C.int w "active" (Switch_id.Set.cardinal t.active);
   Switch_id.Set.iter (fun sw -> C.int w "sw" sw) t.active;
   C.int w "counters" t.n;
-  iter (Counter.emit w) t
+  for i = 0 to t.n - 1 do
+    emit_counter w t i
+  done
+
+(* Inverse of [emit_counter], into a new last slot. *)
+let parse_counter r t =
+  let module C = Dream_util.Codec in
+  C.expect_section r "counter";
+  let p = Prefix.of_string (C.string_field r "prefix") in
+  let n = C.int_field r "volumes" in
+  let i = t.n in
+  shift t ~lo:i ~hi:i ~len:1;
+  let present_bits = ref 0 in
+  ignore
+    (C.repeat n (fun () ->
+         let sw = C.int_field r "sw" in
+         let v = C.float_field r "vol" in
+         let b = bit_of_switch t.topology sw 0 in
+         if b < 0 then C.parse_error 0 "monitor: a counter volume on a switch the task never sees";
+         t.vols.((i * t.k) + b) <- v;
+         present_bits := !present_bits lor present b));
+  let score = C.float_field r "score" in
+  let mean = Ewma.parse r in
+  if not (Float.equal (Ewma.history mean) t.history) then
+    C.parse_error 0 "monitor: a counter's mean history differs from the task's cd_history";
+  let fresh = C.bool_field r "fresh" in
+  let seeded, avg = match Ewma.value mean with Some v -> (true, v) | None -> (false, 0.0) in
+  init_slot t i ~key:(key_of_prefix p)
+    ~flags:
+      (!present_bits lor (if seeded then seeded_flag else 0) lor if fresh then fresh_flag else 0);
+  t.scores.(i) <- score;
+  t.means.(i) <- avg;
+  (* [total] is recomputed with the same sum [ingest] uses, so the restored
+     float is bit-identical to the captured one. *)
+  seal_total t i
 
 (* Whether slots [i, n) tile the filter from address [next] on: each
    counter lies inside the filter and starts where the one before it ended,
@@ -704,7 +1054,7 @@ let rec tiles t i next =
   let filter = t.spec.Task_spec.filter in
   if i = t.n then next = Prefix.last_address filter + 1
   else begin
-    let p = t.counters.(i).Counter.prefix in
+    let p = prefix t i in
     Prefix.covers filter p
     && Prefix.first_address p = next
     && tiles t (i + 1) (Prefix.last_address p + 1)
@@ -720,9 +1070,12 @@ let parse r ~spec ~topology =
   if mask_of_set topology active < 0 then
     C.parse_error 0 "monitor: an active switch sees none of the task's sub-filters";
   let n = C.int_field r "counters" in
-  let switch_set = Topology.switch_set topology in
-  let counters = C.repeat n (fun () -> Counter.parse r ~switch_set) in
-  let t = make ~spec ~topology ~active (Array.of_list counters) in
+  if n < 0 then C.parse_error 0 "monitor: negative counter count";
+  let t = make ~spec ~topology ~active ~cap:n in
+  for _ = 1 to n do
+    parse_counter r t
+  done;
   if not (is_partition t) then
     C.parse_error 0 "monitor: the counters do not partition the task's filter";
+  recompute_usage t;
   t

@@ -9,10 +9,13 @@
     occupies one TCAM entry on every switch in its S set (the switches that
     can see its traffic).
 
-    The counters are held in one array in prefix order.  Since they
-    partition the filter, the counters under any prefix are one contiguous
-    run of it, so lookups, merges, rule lists and trie walks are bisects
-    over that array. *)
+    The counters are one table of slots in prefix order, stored as unboxed
+    columns (DESIGN §3): a slot's prefix, S set, flags, total, score, CD
+    mean and per-switch volumes.  Since the counters partition the filter,
+    the counters under any prefix are one contiguous run of slots, so
+    lookups, merges, rule lists and trie walks are bisects over the table,
+    and a merge or divide is one shift of each column.  A slot index stays
+    valid until the next {!configure}, which moves slots. *)
 
 type t
 
@@ -25,24 +28,67 @@ val spec : t -> Task_spec.t
 val topology : t -> Dream_traffic.Topology.t
 
 val num_counters : t -> int
+(** The counters are slots [0 .. num_counters - 1], in prefix order. *)
 
-val find : t -> Dream_prefix.Prefix.t -> Counter.t option
-(** The counter on exactly this prefix: one bisect over the slots. *)
+(** {2 Slots} *)
 
-val iter : (Counter.t -> unit) -> t -> unit
-(** Visit the counters in prefix order. *)
+val find : t -> Dream_prefix.Prefix.t -> int option
+(** The slot of the counter on exactly this prefix: one bisect. *)
 
-val fold : (Counter.t -> 'a -> 'a) -> t -> 'a -> 'a
-(** [fold f t init] is [f c1 (f c2 (... (f cn init)))] over the counters
-    [c1 ... cn] in prefix order, like [List.fold_right]: consing builds a
-    list in prefix order. *)
+val prefix : t -> int -> Dream_prefix.Prefix.t
+
+val wildcards : t -> int -> int
+(** Free bits down to the task's drill-down floor ([leaf_length]). *)
+
+val is_exact : t -> int -> bool
+(** Whether the counter reaches the task's drill-down floor. *)
+
+val switch_count : t -> int -> int
+(** The size of the counter's S set: the switches that can see traffic
+    for its prefix. *)
+
+val total : t -> int -> float
+(** The sum of the counter's fetched volumes, in ascending switch-id
+    order. *)
+
+val volume_on : t -> int -> Dream_traffic.Switch_id.t -> float
+(** Last fetched volume on a switch; 0 when it has none. *)
+
+val volumes : t -> int -> (Dream_traffic.Switch_id.t * float) list
+(** Every fetched volume, in ascending switch-id order. *)
+
+val score : t -> int -> float
+(** Task-dependent "interestingness", set by the scorer. *)
+
+val set_score : t -> int -> float -> unit
+
+val fresh : t -> int -> bool
+(** Installed by the last reconfiguration and not measured since. *)
+
+val mean : t -> int -> float option
+(** The CD volume mean, [None] before any history (unused by HH/HHH). *)
+
+val cd_deviation : t -> int -> float
+(** [|total - mean|]; 0 before any history. *)
+
+val update_means : t -> unit
+(** Fold every counter's total into its CD mean, with {!Dream_util.Ewma}'s
+    arithmetic and the spec's [cd_history] (call after reporting). *)
+
+val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
+(** [fold f t init] is [f 0 (f 1 (... (f (n-1) init)))] over the slots,
+    like [List.fold_right]: consing builds a list in prefix order. *)
+
+val fold_seeing : (int -> 'a -> 'a) -> t -> Dream_traffic.Switch_id.t -> 'a -> 'a
+(** {!fold} over the counters whose S set holds the switch: the one run of
+    slots intersecting its sub-filter. *)
 
 val fold_bottom_up :
-  t -> f:(Dream_prefix.Prefix.t -> Counter.t option -> 'a list -> 'a) -> 'a
+  t -> f:(Dream_prefix.Prefix.t -> int -> 'a list -> 'a) -> 'a
 (** Post-order walk of the prefix trie the counters imply: every prefix on
     a path from the task's filter down to a counter, the right subtree
-    visited before the left.  [f prefix counter child_results] gets the
-    node's counter (a leaf, under the partition invariant) or [None] for a
+    visited before the left.  [f prefix slot child_results] gets the
+    node's slot (a leaf, under the partition invariant) or [-1] for a
     structural node, and the results of its 1 or 2 children, left first.
     Returns the filter's result.  No trie is built: each node's counters
     are one run of slots, split in two by a bisect. *)
@@ -67,8 +113,11 @@ val rules_for : t -> Dream_traffic.Switch_id.t -> Dream_prefix.Prefix.t list
 val ingest :
   t -> (Dream_traffic.Switch_id.t * (Dream_prefix.Prefix.t * float) list) list -> unit
 (** Deliver fetched per-switch counter readings (Algorithm 1 line 2).
-    Every counter's volumes are replaced by its readings; readings for
-    prefixes no longer monitored are dropped. *)
+    Every counter's volumes are replaced by its readings and it stops
+    being fresh.  Readings for prefixes no longer monitored, and from
+    switches the task never sees, are dropped.  One sorted merge per
+    switch: a switch's readings are expected in prefix order (a TCAM's
+    order); any order is accepted. *)
 
 val bottlenecked :
   t -> allocations:int Dream_traffic.Switch_id.Map.t -> Dream_traffic.Switch_id.Set.t

@@ -11,40 +11,38 @@ let missed_bound ~wildcards ~magnitude ~threshold =
 (* One estimate's inputs and running counts, threaded through the counter
    walks as their accumulator. *)
 type tally = {
-  leaf_length : int;
+  monitor : Monitor.t;
   threshold : float;
-  magnitude_total : Counter.t -> float;
-  magnitude_on : Counter.t -> Switch_id.t -> float;
+  magnitude_total : Monitor.t -> int -> float;
+  magnitude_on : Monitor.t -> int -> Switch_id.t -> float;
   bottlenecks : Switch_id.Set.t;
   mutable switch : Switch_id.t; (* the switch a local walk counts for *)
   mutable detected : int;
   mutable missed : int;
 }
 
-let missed_under w (c : Counter.t) magnitude =
-  missed_bound ~wildcards:(Counter.wildcards c ~leaf_length:w.leaf_length) ~magnitude
-    ~threshold:w.threshold
+let missed_under w i magnitude =
+  missed_bound ~wildcards:(Monitor.wildcards w.monitor i) ~magnitude ~threshold:w.threshold
 
 (* Exact counters over the threshold are detected; every other counter
    bounds the items it may hide. *)
-let count_global (c : Counter.t) w =
-  if Counter.is_exact c ~leaf_length:w.leaf_length then begin
-    if w.magnitude_total c > w.threshold then w.detected <- w.detected + 1
+let count_global i w =
+  let m = w.monitor in
+  if Monitor.is_exact m i then begin
+    if w.magnitude_total m i > w.threshold then w.detected <- w.detected + 1
   end
-  else w.missed <- w.missed + missed_under w c (w.magnitude_total c);
+  else w.missed <- w.missed + missed_under w i (w.magnitude_total m i);
   w
 
 (* The same on [w.switch], from the counters that see it.  Missed items
    are attributed to bottlenecked switches only, when any is. *)
-let count_local (c : Counter.t) w =
-  let sw = w.switch in
-  if Switch_id.Set.mem sw c.switches then begin
-    if Counter.is_exact c ~leaf_length:w.leaf_length then begin
-      if w.magnitude_total c > w.threshold then w.detected <- w.detected + 1
-    end
-    else if Switch_id.Set.is_empty w.bottlenecks || Switch_id.Set.mem sw w.bottlenecks then
-      w.missed <- w.missed + missed_under w c (w.magnitude_on c sw)
-  end;
+let count_local i w =
+  let m = w.monitor and sw = w.switch in
+  if Monitor.is_exact m i then begin
+    if w.magnitude_total m i > w.threshold then w.detected <- w.detected + 1
+  end
+  else if Switch_id.Set.is_empty w.bottlenecks || Switch_id.Set.mem sw w.bottlenecks then
+    w.missed <- w.missed + missed_under w i (w.magnitude_on m i sw);
   w
 
 let recall w =
@@ -55,13 +53,13 @@ let add_local monitor w sw locals =
   w.switch <- sw;
   w.detected <- 0;
   w.missed <- 0;
-  Switch_id.Map.add sw (recall (Monitor.fold count_local monitor w)) locals
+  Switch_id.Map.add sw (recall (Monitor.fold_seeing count_local monitor sw w)) locals
 
 let estimate monitor ~allocations ~magnitude_total ~magnitude_on =
   let spec = Monitor.spec monitor in
   let w =
     {
-      leaf_length = spec.Task_spec.leaf_length;
+      monitor;
       threshold = spec.Task_spec.threshold;
       magnitude_total;
       magnitude_on;

@@ -10,11 +10,12 @@
 val estimate :
   Monitor.t ->
   allocations:int Dream_traffic.Switch_id.Map.t ->
-  magnitude_total:(Counter.t -> float) ->
-  magnitude_on:(Counter.t -> Dream_traffic.Switch_id.t -> float) ->
+  magnitude_total:(Monitor.t -> int -> float) ->
+  magnitude_on:(Monitor.t -> int -> Dream_traffic.Switch_id.t -> float) ->
   Accuracy.t
-(** An exact counter is detected when its [magnitude_total] exceeds the
-    task's threshold; [magnitude_on] is its share on one switch. *)
+(** An exact counter is detected when its [magnitude_total] (of the
+    monitor and slot) exceeds the task's threshold; [magnitude_on] is its
+    share on one switch. *)
 
 val missed_bound : wildcards:int -> magnitude:float -> threshold:float -> int
 (** The min-of-two-bounds estimate of items missed under one prefix. *)

@@ -1,6 +1,7 @@
-let of_counter (spec : Task_spec.t) (c : Counter.t) =
+let of_slot monitor i =
+  let spec = Monitor.spec monitor in
   let threshold = spec.Task_spec.threshold in
-  let wildcards = Counter.wildcards c ~leaf_length:spec.Task_spec.leaf_length in
+  let wildcards = Monitor.wildcards monitor i in
   let denominator = float_of_int (wildcards + 1) in
   (* A prefix whose volume does not exceed the threshold cannot contain a
      heavy hitter or HHH, so drilling under it buys no accuracy: score it
@@ -12,15 +13,18 @@ let of_counter (spec : Task_spec.t) (c : Counter.t) =
      which is what lets a post-change drill still catch it. *)
   match spec.Task_spec.kind with
   | Task_spec.Heavy_hitter ->
-    if c.Counter.total <= threshold then 0.0 else c.Counter.total /. denominator
+    let total = Monitor.total monitor i in
+    if total <= threshold then 0.0 else total /. denominator
   | Task_spec.Hierarchical_heavy_hitter ->
-    if c.Counter.total <= threshold then 0.0 else c.Counter.total
+    let total = Monitor.total monitor i in
+    if total <= threshold then 0.0 else total
   | Task_spec.Change_detection ->
-    let deviation = Counter.cd_deviation c in
+    let deviation = Monitor.cd_deviation monitor i in
     if deviation <= threshold /. 8.0 then 0.0 else deviation /. denominator
 
 (* Fresh counters keep their inherited half-of-parent score: their volumes
    have not been measured yet. *)
-let rescore spec (c : Counter.t) = if not c.fresh then c.score <- of_counter spec c
-
-let apply monitor = Monitor.iter (rescore (Monitor.spec monitor)) monitor
+let apply monitor =
+  for i = 0 to Monitor.num_counters monitor - 1 do
+    if not (Monitor.fresh monitor i) then Monitor.set_score monitor i (of_slot monitor i)
+  done

@@ -6,7 +6,8 @@
     same volume as a fine one scores lower per potential leaf; HHH scores
     raw volume because every level of the hierarchy matters. *)
 
-val of_counter : Task_spec.t -> Counter.t -> float
+val of_slot : Monitor.t -> int -> float
+(** The score of a slot's counter under the monitor's spec. *)
 
 val apply : Monitor.t -> unit
-(** Set every counter's [score] field from the monitor's spec. *)
+(** Rescore every counter that is not fresh. *)

@@ -1,7 +1,8 @@
 (* The average lives unboxed in a mutable float field with a [seeded]
    flag standing in for [None]: [update]/[scale]/[seed] run on the
-   controller's per-counter hot path and must not allocate an option per
-   call.  Only the [value]/[restore] edges of the API touch options. *)
+   controller's per-task, per-switch hot path and must not allocate an
+   option per call.  Only the [value]/[restore] edges of the API touch
+   options. *)
 type t = { history : float; mutable seeded : bool; mutable avg : float }
 
 let create ~history =
@@ -17,8 +18,7 @@ let update t x =
   v
 
 let value t =
-  if t.seeded then (Some t.avg) [@alloc.allow "cold read edge of the API; hot readers use value_or"]
-  else None
+  if t.seeded then Some t.avg else None
 
 let value_or t default = if t.seeded then t.avg else default
 

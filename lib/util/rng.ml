@@ -2,7 +2,22 @@
    bans Stdlib.Random everywhere else, and here by policy declaration. *)
 [@@@lint.allow "determinism-random"]
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro256** state: four 64-bit words in one 32-byte buffer, read
+   and written unboxed.  Mutable int64 record fields would box a fresh
+   Int64 on each of a draw's six state writes. *)
+type t = Bytes.t
+
+let[@inline] word t i = Bytes.get_int64_ne t (i lsl 3)
+
+let[@inline] set_word t i v = Bytes.set_int64_ne t (i lsl 3) v
+
+let of_words s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  set_word t 0 s0;
+  set_word t 1 s1;
+  set_word t 2 s2;
+  set_word t 3 s3;
+  t
 
 (* splitmix64: used only to expand the seed into the xoshiro state, as
    recommended by the xoshiro authors. *)
@@ -20,33 +35,37 @@ let create seed =
   let s1 = splitmix64_next state in
   let s2 = splitmix64_next state in
   let s3 = splitmix64_next state in
-  { s0; s1; s2; s3 }
+  of_words s0 s1 s2 s3
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+(* Inlined into every sampler below, so a draw boxes nothing; only a
+   caller of [bits64] itself receives a boxed Int64. *)
+let[@inline] next t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = word t 0 and s1 = word t 1 and s2 = word t 2 and s3 = word t 3 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  set_word t 0 (logxor s0 s3);
+  set_word t 1 (logxor s1 s2);
+  set_word t 2 (logxor s2 (shift_left s1 17));
+  set_word t 3 (rotl s3 45);
   result
 
+let bits64 t = next t
+
 let split t =
-  let seed = Int64.to_int (bits64 t) land max_int in
+  let seed = Int64.to_int (next t) land max_int in
   create seed
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection-free for our purposes: modulo bias is negligible because
      bounds are tiny relative to 2^62. *)
-  let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
+  let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
 
 let int_in t lo hi =
@@ -55,10 +74,10 @@ let int_in t lo hi =
 
 let float t bound =
   (* 53 random bits mapped to [0, 1). *)
-  let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
+  let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (v *. 0x1.0p-53)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let bernoulli t p = float t 1.0 < p
 
@@ -134,6 +153,6 @@ let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
   a.(int t (Array.length a))
 
-let state t = (t.s0, t.s1, t.s2, t.s3)
+let state t = (word t 0, word t 1, word t 2, word t 3)
 
-let of_state (s0, s1, s2, s3) = { s0; s1; s2; s3 }
+let of_state (s0, s1, s2, s3) = of_words s0 s1 s2 s3

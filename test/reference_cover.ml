@@ -6,7 +6,7 @@
 
 module Prefix = Dream_prefix.Prefix
 module Switch_id = Dream_traffic.Switch_id
-module Counter = Dream_tasks.Counter
+module Topology = Dream_traffic.Topology
 module Monitor = Dream_tasks.Monitor
 
 type solution = { ancestors : Prefix.t list; cost : float }
@@ -24,14 +24,17 @@ type candidates = {
 }
 
 (* The switches a counter actually occupies. *)
-let effective m (c : Counter.t) = Switch_id.Set.inter c.switches (Monitor.active m)
+let effective m i =
+  Switch_id.Set.inter
+    (Topology.switch_set (Monitor.topology m) (Monitor.prefix m i))
+    (Monitor.active m)
 
 let build_candidates m =
   let candidates = ref [] in
-  let merge_info prefix (value : Counter.t option) (children : node_info list) =
-    match value with
-    | Some c -> { s = effective m c; t_set = Switch_id.Set.empty; cost = c.score; count = 1 }
-    | None ->
+  let merge_info prefix slot (children : node_info list) =
+    if slot >= 0 then
+      { s = effective m slot; t_set = Switch_id.Set.empty; cost = Monitor.score m slot; count = 1 }
+    else begin
       let info =
         match children with
         | [ only ] -> { only with t_set = only.t_set }
@@ -50,6 +53,7 @@ let build_candidates m =
       if (not (Switch_id.Set.is_empty info.t_set)) && info.count >= 2 then
         candidates := (prefix, info) :: !candidates;
       info
+    end
   in
   ignore (Monitor.fold_bottom_up m ~f:merge_info);
   !candidates

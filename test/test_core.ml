@@ -458,6 +458,79 @@ let prop_drop_policy_model =
              && ((not (total > last)) || r.Runtime.poor_streak = 0))
            runtimes model)
 
+(* ---- Fetch on fault-free planes ---- *)
+
+module Data_plane = Dream_switch.Data_plane
+module Fetch = Dream_core.Fetch
+module Aggregate = Dream_traffic.Aggregate
+module Flow = Dream_traffic.Flow
+
+(* On planes without a fault model, a fetch is a plain TCAM read: each
+   switch holding the task's rules answers, in switch order, with the
+   task's rules in TCAM order, each paired with its aggregate volume.
+   Other owners' rules stay out of it. *)
+let prop_fetch_read_fault_free =
+  QCheck.Test.make ~name:"fault-free Fetch.read = TCAM rules paired with Aggregate.volume"
+    ~count:100 QCheck.(int_bound 1_000_000) (fun seed ->
+      let rng = Rng.create seed in
+      let num_switches = 4 and id = 3 in
+      let filter = Prefix.of_string "10.1.0.0/24" in
+      let topology =
+        Topology.create rng ~filter ~num_switches ~switches_per_task:(1 lsl Rng.int rng 3)
+      in
+      let flows =
+        List.init (Rng.int rng 60) (fun _ ->
+            Flow.make
+              ~addr:(Prefix.bits filter lor Rng.int rng 256)
+              ~volume:(float_of_int (1 + Rng.int rng 50)))
+      in
+      let data =
+        Epoch_data.of_flows ~epoch:0
+          (List.filter_map
+             (fun (f : Flow.t) ->
+               Option.map (fun sw -> (sw, [ f ])) (Topology.switch_of_address topology f.Flow.addr))
+             flows)
+      in
+      let spec =
+        Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter ~leaf_length:32 ~threshold:8.0 ()
+      in
+      let r =
+        Runtime.create ~config:Config.default ~id ~spec ~topology ~source:(Source.replay [| data |])
+          ~duration:10 ~arrived_at:0 ~drop_priority:0
+      in
+      let planes = Array.map Data_plane.create (Switch.network ~num_switches ~capacity:64) in
+      (* Random rules under the filter for the task, and some for another
+         owner; a switch may hold none. *)
+      Array.iter
+        (fun dp ->
+          for _ = 1 to Rng.int rng 12 do
+            let length = 24 + Rng.int rng 9 in
+            let p =
+              Prefix.make ~bits:(Prefix.bits filter lor Rng.int rng 256) ~length
+            in
+            let owner = if Rng.int rng 4 = 0 then id + 1 else id in
+            ignore (Tcam.install (Data_plane.tcam dp) ~owner p)
+          done)
+        planes;
+      let registry = Dream_obs.Registry.create () in
+      let f =
+        Fetch.create ~config:Config.default ~planes ~breakers:[||] ~faults:None
+          ~tallies:(Metrics.Tallies.of_registry registry) ~registry ~trace:None
+      in
+      Fetch.begin_epoch f ~epoch:0;
+      let data, readings, degraded = Fetch.read f r in
+      let expected =
+        Array.to_list planes
+        |> List.filter_map (fun dp ->
+               match Tcam.rules_of (Data_plane.tcam dp) ~owner:id with
+               | [] -> None
+               | rules ->
+                 let sw = Data_plane.id dp in
+                 let agg = Epoch_data.switch_view data sw in
+                 Some (sw, List.map (fun p -> (p, Aggregate.volume agg p)) rules))
+      in
+      degraded = [] && readings = expected)
+
 let () =
   Alcotest.run "dream.core"
     [
@@ -487,4 +560,5 @@ let () =
           Alcotest.test_case "replay source" `Quick test_controller_replay_source;
         ] );
       ("drop-policy", [ QCheck_alcotest.to_alcotest prop_drop_policy_model ]);
+      ("fetch", [ QCheck_alcotest.to_alcotest prop_fetch_read_fault_free ]);
     ]

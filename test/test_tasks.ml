@@ -10,7 +10,6 @@ module Flow = Dream_traffic.Flow
 module Aggregate = Dream_traffic.Aggregate
 module Epoch_data = Dream_traffic.Epoch_data
 module Task_spec = Dream_tasks.Task_spec
-module Counter = Dream_tasks.Counter
 module Monitor = Dream_tasks.Monitor
 module Score = Dream_tasks.Score
 
@@ -30,7 +29,7 @@ let spec ?(kind = Task_spec.Heavy_hitter) () =
 
 let mk_monitor ?kind () = Monitor.create ~spec:(spec ?kind ()) ~topology:(mk_topology ())
 
-(* The monitor's counters, in prefix order. *)
+(* The monitor's slots, in prefix order. *)
 let counters m = Monitor.fold List.cons m []
 
 (* The worked example: volumes per active leaf, threshold 10.
@@ -77,26 +76,36 @@ let allocations_of monitor n =
     (fun sw acc -> Switch_id.Map.add sw n acc)
     (Monitor.switches monitor) Switch_id.Map.empty
 
-(* ---- Counter ---- *)
+(* ---- Counter slots ---- *)
+
+(* A monitor whose one counter is its filter [p], on switch 0 alone: the
+   slot accessors on a counter of known prefix. *)
+let single_counter ?(kind = Task_spec.Heavy_hitter) ?(cd_history = 0.8) p =
+  let topology = Topology.create (Rng.create 1) ~filter:p ~num_switches:1 ~switches_per_task:1 in
+  let spec = Task_spec.make ~kind ~filter:p ~leaf_length:32 ~threshold:10.0 ~cd_history () in
+  Monitor.create ~spec ~topology
+
+(* Replace the counter's volumes with one reading on switch 0. *)
+let read_volume m v = Monitor.ingest m [ (0, [ (Monitor.prefix m 0, v) ]) ]
 
 let test_counter_basics () =
-  let c = Counter.create ~prefix:(sub 0b01 30) ~switches:(Switch_id.set_of_list [ 0 ]) ~cd_history:0.8 in
-  Alcotest.(check bool) "fresh" true c.Counter.fresh;
-  Alcotest.(check int) "wildcards to /32" 2 (Counter.wildcards c ~leaf_length:32);
-  Alcotest.(check bool) "not exact" false (Counter.is_exact c ~leaf_length:32);
-  Counter.set_volumes c (Switch_id.Map.singleton 0 5.0);
-  Alcotest.(check bool) "no longer fresh" false c.Counter.fresh;
-  Alcotest.(check (float 1e-9)) "total" 5.0 c.Counter.total;
-  Alcotest.(check (float 1e-9)) "volume on switch" 5.0 (Counter.volume_on c 0);
-  Alcotest.(check (float 1e-9)) "volume elsewhere" 0.0 (Counter.volume_on c 1)
+  let m = single_counter (sub 0b01 30) in
+  Alcotest.(check bool) "fresh" true (Monitor.fresh m 0);
+  Alcotest.(check int) "wildcards to /32" 2 (Monitor.wildcards m 0);
+  Alcotest.(check bool) "not exact" false (Monitor.is_exact m 0);
+  read_volume m 5.0;
+  Alcotest.(check bool) "no longer fresh" false (Monitor.fresh m 0);
+  Alcotest.(check (float 1e-9)) "total" 5.0 (Monitor.total m 0);
+  Alcotest.(check (float 1e-9)) "volume on switch" 5.0 (Monitor.volume_on m 0 0);
+  Alcotest.(check (float 1e-9)) "volume elsewhere" 0.0 (Monitor.volume_on m 0 1)
 
 let test_counter_cd_mean () =
-  let c = Counter.create ~prefix:(leaf 0) ~switches:Switch_id.Set.empty ~cd_history:0.5 in
-  Counter.set_volumes c (Switch_id.Map.singleton 0 10.0);
-  Alcotest.(check (float 1e-9)) "no history: deviation 0" 0.0 (Counter.cd_deviation c);
-  Counter.update_mean c;
-  Counter.set_volumes c (Switch_id.Map.singleton 0 4.0);
-  Alcotest.(check (float 1e-9)) "deviation vs mean 10" 6.0 (Counter.cd_deviation c)
+  let m = single_counter ~cd_history:0.5 (sub 0b01 30) in
+  read_volume m 10.0;
+  Alcotest.(check (float 1e-9)) "no history: deviation 0" 0.0 (Monitor.cd_deviation m 0);
+  Monitor.update_means m;
+  read_volume m 4.0;
+  Alcotest.(check (float 1e-9)) "deviation vs mean 10" 6.0 (Monitor.cd_deviation m 0)
 
 (* ---- Monitor basics ---- *)
 
@@ -346,7 +355,7 @@ let same_solution (a : Monitor.Cover.solution option) (b : Reference_cover.solut
 let score_levels = [| 0.0; 0.5; 1.0; 1.5; 2.0; 3.0; 5.0 |]
 
 let randomize_scores rng m =
-  List.iter (fun (c : Counter.t) -> c.score <- Rng.pick rng score_levels) (counters m)
+  List.iter (fun i -> Monitor.set_score m i (Rng.pick rng score_levels)) (counters m)
 
 (* A random subset of the task's switches; sometimes with a switch the
    task never sees, which no cover can free. *)
@@ -357,13 +366,13 @@ let random_switch_set rng m ~num_switches =
 (* A random prefix inside the filter: a monitored counter, one of its
    ancestors, or an arbitrary prefix. *)
 let random_prefix rng m ~filter =
-  let counters = Array.of_list (counters m) in
-  let c = Rng.pick rng counters in
+  let slots = Array.of_list (counters m) in
+  let c = Monitor.prefix m (Rng.pick rng slots) in
   match Rng.int rng 3 with
-  | 0 -> c.Counter.prefix
+  | 0 -> c
   | 1 ->
-    let lo = Prefix.length filter and hi = Prefix.length c.Counter.prefix in
-    Prefix.ancestor_at c.Counter.prefix (lo + Rng.int rng (hi - lo + 1))
+    let lo = Prefix.length filter and hi = Prefix.length c in
+    Prefix.ancestor_at c (lo + Rng.int rng (hi - lo + 1))
   | _ ->
     let free = 32 - Prefix.length filter in
     Prefix.make
@@ -458,6 +467,7 @@ let prop_rules_for_matches_s_sets =
       let k = [| 2; 4; 8 |].(k_index) in
       let rng = Rng.create seed in
       let m = oracle_monitor ~k ~seed in
+      let topology = Monitor.topology m in
       List.for_all
         (fun _ ->
           reshape rng m;
@@ -466,8 +476,9 @@ let prop_rules_for_matches_s_sets =
               let expected =
                 if Switch_id.Set.mem sw (Monitor.active m) then
                   List.filter_map
-                    (fun (c : Counter.t) ->
-                      if Switch_id.Set.mem sw c.switches then Some c.prefix else None)
+                    (fun i ->
+                      let p = Monitor.prefix m i in
+                      if Switch_id.Set.mem sw (Topology.switch_set topology p) then Some p else None)
                     (counters m)
                 else []
               in
@@ -500,21 +511,17 @@ let model_volumes readings p =
         acc pairs)
     Switch_id.Map.empty readings
 
-(* Every node a bottom-up walk visits: prefix, counter, child count. *)
+(* Every node a bottom-up walk visits: prefix, slot (-1 for a structural
+   node), child count. *)
 let visits fold =
   let seen = ref [] in
-  ignore
-    (fold (fun p (c : Counter.t option) children ->
-         seen := (p, c, List.length children) :: !seen));
+  ignore (fold (fun p slot children -> seen := (p, slot, List.length children) :: !seen));
   List.rev !seen
 
-let same_visit (p, c, k) (q, d, l) =
-  Prefix.equal p q && k = l
-  &&
-  match (c, d) with
-  | Some c, Some d -> c == d
-  | None, None -> true
-  | Some _, None | None, Some _ -> false
+let same_visit (p, c, k) (q, d, l) = Prefix.equal p q && k = l && c = d
+
+let map_of_volumes vols =
+  List.fold_left (fun acc (sw, v) -> Switch_id.Map.add sw v acc) Switch_id.Map.empty vols
 
 let prop_counter_array_model =
   QCheck.Test.make ~name:"counter array agrees with list models under ingest and configure"
@@ -532,39 +539,38 @@ let prop_counter_array_model =
       for _ = 1 to 8 do
         let readings = random_readings rng m ~filter in
         Monitor.ingest m readings;
-        let cs = counters m in
         check "ingest"
           (List.for_all
-             (fun (c : Counter.t) ->
-               Switch_id.Map.equal Float.equal c.volumes (model_volumes readings c.prefix)
-               && (not c.fresh)
-               && Float.equal c.total (Switch_id.Map.fold (fun _ v acc -> acc +. v) c.volumes 0.0))
-             cs);
+             (fun i ->
+               let vols = map_of_volumes (Monitor.volumes m i) in
+               Switch_id.Map.equal Float.equal vols (model_volumes readings (Monitor.prefix m i))
+               && (not (Monitor.fresh m i))
+               && Float.equal (Monitor.total m i)
+                    (Switch_id.Map.fold (fun _ v acc -> acc +. v) vols 0.0))
+             (counters m));
         reshape rng m;
         let cs = counters m in
+        let ps = List.map (Monitor.prefix m) cs in
         let rec increasing = function
-          | (a : Counter.t) :: ((b : Counter.t) :: _ as rest) ->
-            Prefix.last_address a.prefix < Prefix.first_address b.prefix && increasing rest
+          | a :: (b :: _ as rest) ->
+            Prefix.last_address a < Prefix.first_address b && increasing rest
           | [ _ ] | [] -> true
         in
         check "strictly increasing partition"
-          (increasing cs
-          && List.for_all (fun (c : Counter.t) -> Prefix.covers filter c.prefix) cs
-          && List.fold_left (fun acc (c : Counter.t) -> acc + Prefix.size c.prefix) 0 cs
-             = Prefix.size filter
+          (increasing ps
+          && List.for_all (Prefix.covers filter) ps
+          && List.fold_left (fun acc p -> acc + Prefix.size p) 0 ps = Prefix.size filter
           && Monitor.num_counters m = List.length cs);
         List.iter
           (fun (sub, sw) ->
             let active = Switch_id.Set.mem sw (Monitor.active m) in
-            let seen = List.filter (fun (c : Counter.t) -> Switch_id.Set.mem sw c.switches) cs in
+            let seen =
+              List.filter (fun p -> Switch_id.Set.mem sw (Topology.switch_set topology p)) ps
+            in
             check "usage = recount"
               (Monitor.usage m sw = if active then List.length seen else 0);
             let intersecting =
-              List.filter_map
-                (fun (c : Counter.t) ->
-                  if Prefix.covers sub c.prefix || Prefix.covers c.prefix sub then Some c.prefix
-                  else None)
-                cs
+              List.filter (fun p -> Prefix.covers sub p || Prefix.covers p sub) ps
             in
             check "rules_for = filter by intersection"
               (List.equal Prefix.equal (Monitor.rules_for m sw)
@@ -572,22 +578,136 @@ let prop_counter_array_model =
           (Topology.subfilters topology);
         for _ = 1 to 8 do
           let p = random_prefix rng m ~filter in
-          let expected = List.find_opt (fun (c : Counter.t) -> Prefix.equal c.prefix p) cs in
-          check "find = list lookup"
-            (match (Monitor.find m p, expected) with
-            | Some c, Some d -> c == d
-            | None, None -> true
-            | Some _, None | None, Some _ -> false)
+          let expected = List.find_opt (fun i -> Prefix.equal (Monitor.prefix m i) p) cs in
+          check "find = list lookup" (Monitor.find m p = expected)
         done;
         let trie =
           List.fold_left
-            (fun t (c : Counter.t) -> Reference_trie.add t c.prefix c)
+            (fun t i -> Reference_trie.add t (Monitor.prefix m i) i)
             (Reference_trie.empty filter) cs
         in
-        let naive = visits (fun f -> Reference_trie.fold_bottom_up trie ~f) in
+        let naive =
+          visits (fun f ->
+              Reference_trie.fold_bottom_up trie ~f:(fun p slot children ->
+                  f p (Option.value slot ~default:(-1)) children))
+        in
         let walked = visits (fun f -> Some (Monitor.fold_bottom_up m ~f)) in
         check "fold_bottom_up = naive trie fold" (List.equal same_visit walked naive)
       done;
+      true)
+
+(* ---- Differential: the column table against the boxed reference ---- *)
+
+module Reference = Reference_monitor
+module Codec = Dream_util.Codec
+module Ewma = Dream_util.Ewma
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_volumes a b =
+  List.equal (fun (sw, v) (sw', v') -> sw = sw' && same_float v v') a b
+
+let emitted emit x =
+  let w = Codec.writer () in
+  emit w x;
+  Codec.contents w
+
+(* Readings for every switch of the task: a random subset of its rules
+   with fractional volumes (so the order of every float sum shows), some
+   read twice, now and then a stale prefix, now and then out of TCAM
+   order. *)
+let random_fractional_readings rng m ~filter =
+  Switch_id.Set.fold
+    (fun sw acc ->
+      let rules = List.filter (fun _ -> Rng.int rng 4 > 0) (Monitor.rules_for m sw) in
+      let rules = if Rng.bool rng then rules @ List.filter (fun _ -> Rng.bool rng) rules else rules in
+      let rules = if Rng.int rng 3 = 0 then random_prefix rng m ~filter :: rules else rules in
+      let rules =
+        if Rng.int rng 4 = 0 then begin
+          let a = Array.of_list rules in
+          Rng.shuffle rng a;
+          Array.to_list a
+        end
+        else rules
+      in
+      let volume () = if Rng.int rng 8 = 0 then 0.0 else Rng.float rng 50.0 in
+      (sw, List.map (fun p -> (p, volume ())) rules) :: acc)
+    (Monitor.switches m) []
+
+let prop_columns_match_boxed_reference =
+  QCheck.Test.make ~name:"column table = boxed reference monitor, bit for bit" ~count:120
+    QCheck.(triple (int_bound 2) (int_bound 2) (int_bound 1_000_000))
+    (fun (k_index, kind_index, seed) ->
+      let k = [| 2; 4; 8 |].(k_index) in
+      let kind =
+        [| Task_spec.Heavy_hitter; Task_spec.Hierarchical_heavy_hitter; Task_spec.Change_detection |]
+          .(kind_index)
+      in
+      let num_switches = k + 2 in
+      let topology =
+        Topology.create (Rng.create seed) ~filter:oracle_filter ~num_switches ~switches_per_task:k
+      in
+      let spec =
+        Task_spec.make ~kind ~filter:oracle_filter ~leaf_length:32 ~threshold:4.0 ~cd_history:0.7 ()
+      in
+      let m = Monitor.create ~spec ~topology in
+      let r = Reference.create ~spec ~topology in
+      let rng = Rng.create seed in
+      let fail what step = QCheck.Test.fail_reportf "%s after step %d (k=%d, seed=%d)" what step k seed in
+      let check step =
+        let cs = Reference.fold List.cons r [] in
+        if Monitor.num_counters m <> List.length cs then fail "counter count" step;
+        List.iteri
+          (fun i (c : Reference.Counter.t) ->
+            if not (Prefix.equal (Monitor.prefix m i) c.prefix) then fail "prefix" step;
+            if not (same_float (Monitor.total m i) c.total) then fail "total" step;
+            if not (same_float (Monitor.score m i) c.score) then fail "score" step;
+            if not (same_volumes (Monitor.volumes m i) (Switch_id.Map.bindings c.volumes)) then
+              fail "volumes" step;
+            if Monitor.fresh m i <> c.fresh then fail "fresh" step;
+            if not (Option.equal same_float (Monitor.mean m i) (Ewma.value c.mean)) then
+              fail "mean" step)
+          cs;
+        for sw = 0 to num_switches - 1 do
+          if not (List.equal Prefix.equal (Monitor.rules_for m sw) (Reference.rules_for r sw)) then
+            fail "rules_for" step
+        done;
+        if emitted Monitor.emit m <> emitted Reference.emit r then fail "emit" step
+      in
+      check 0;
+      for step = 1 to 30 do
+        (match Rng.int rng 5 with
+        | 0 ->
+          let readings = random_fractional_readings rng m ~filter:oracle_filter in
+          Monitor.ingest m readings;
+          Reference.ingest r readings
+        | 1 ->
+          Score.apply m;
+          Reference.rescore_all r
+        | 2 ->
+          Monitor.update_means m;
+          Reference.iter Reference.Counter.update_mean r
+        | 3 ->
+          List.iteri
+            (fun i (c : Reference.Counter.t) ->
+              let s = Rng.pick rng score_levels in
+              Monitor.set_score m i s;
+              c.score <- s)
+            (Reference.fold List.cons r [])
+        | _ ->
+          let allocations =
+            Switch_id.Set.fold
+              (fun sw acc -> Switch_id.Map.add sw (Rng.int rng 12) acc)
+              (Monitor.switches m) Switch_id.Map.empty
+          in
+          Monitor.configure m ~allocations;
+          Reference.configure r ~allocations);
+        check step
+      done;
+      (* A checkpoint round trip re-emits the same text. *)
+      let text = emitted Monitor.emit m in
+      let restored = Monitor.parse (Codec.reader_of_string text) ~spec ~topology in
+      if emitted Monitor.emit restored <> text then fail "parse/emit round trip" 30;
       true)
 
 (* ---- Partition invariant under random allocation schedules ---- *)
@@ -612,33 +732,30 @@ let prop_partition_under_random_allocations =
 (* ---- Score ---- *)
 
 let test_score_hh () =
-  let s = spec () in
-  let c = Counter.create ~prefix:(sub 0b01 30) ~switches:Switch_id.Set.empty ~cd_history:0.8 in
-  Counter.set_volumes c (Switch_id.Map.singleton 0 30.0);
+  let m = single_counter (sub 0b01 30) in
+  read_volume m 30.0;
   (* volume 30 over (2 wildcards + 1). *)
-  Alcotest.(check (float 1e-9)) "volume / (wildcards+1)" 10.0 (Score.of_counter s c);
-  Counter.set_volumes c (Switch_id.Map.singleton 0 9.0);
-  Alcotest.(check (float 1e-9)) "sub-threshold scores zero" 0.0 (Score.of_counter s c)
+  Alcotest.(check (float 1e-9)) "volume / (wildcards+1)" 10.0 (Score.of_slot m 0);
+  read_volume m 9.0;
+  Alcotest.(check (float 1e-9)) "sub-threshold scores zero" 0.0 (Score.of_slot m 0)
 
 let test_score_hhh () =
-  let s = spec ~kind:Task_spec.Hierarchical_heavy_hitter () in
-  let c = Counter.create ~prefix:(sub 0b01 30) ~switches:Switch_id.Set.empty ~cd_history:0.8 in
-  Counter.set_volumes c (Switch_id.Map.singleton 0 30.0);
-  Alcotest.(check (float 1e-9)) "raw volume" 30.0 (Score.of_counter s c)
+  let m = single_counter ~kind:Task_spec.Hierarchical_heavy_hitter (sub 0b01 30) in
+  read_volume m 30.0;
+  Alcotest.(check (float 1e-9)) "raw volume" 30.0 (Score.of_slot m 0)
 
 let test_score_cd () =
-  let s = spec ~kind:Task_spec.Change_detection () in
-  let c = Counter.create ~prefix:(sub 0b01 30) ~switches:Switch_id.Set.empty ~cd_history:0.8 in
-  Counter.set_volumes c (Switch_id.Map.singleton 0 30.0);
-  Counter.update_mean c;
-  Counter.set_volumes c (Switch_id.Map.singleton 0 0.0);
+  let m = single_counter ~kind:Task_spec.Change_detection (sub 0b01 30) in
+  read_volume m 30.0;
+  Monitor.update_means m;
+  read_volume m 0.0;
   (* deviation 30 over 3; CD scores sub-threshold deviations too (floored
      only below threshold/8). *)
-  Alcotest.(check (float 1e-9)) "deviation / (wildcards+1)" 10.0 (Score.of_counter s c);
-  Counter.set_volumes c (Switch_id.Map.singleton 0 26.0);
-  Alcotest.(check bool) "sub-threshold deviation still scores" true (Score.of_counter s c > 0.0);
-  Counter.set_volumes c (Switch_id.Map.singleton 0 29.5);
-  Alcotest.(check (float 1e-9)) "dead-calm scores zero" 0.0 (Score.of_counter s c)
+  Alcotest.(check (float 1e-9)) "deviation / (wildcards+1)" 10.0 (Score.of_slot m 0);
+  read_volume m 26.0;
+  Alcotest.(check bool) "sub-threshold deviation still scores" true (Score.of_slot m 0 > 0.0);
+  read_volume m 29.5;
+  Alcotest.(check (float 1e-9)) "dead-calm scores zero" 0.0 (Score.of_slot m 0)
 
 let () =
   Alcotest.run "dream.tasks"
@@ -671,6 +788,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_cover_matches_oracle;
           QCheck_alcotest.to_alcotest prop_rules_for_matches_s_sets;
           QCheck_alcotest.to_alcotest prop_counter_array_model;
+          QCheck_alcotest.to_alcotest prop_columns_match_boxed_reference;
         ] );
       ( "task-spec",
         [

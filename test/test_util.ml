@@ -4,7 +4,7 @@
 module Rng = Dream_util.Rng
 module Ewma = Dream_util.Ewma
 module Stats = Dream_util.Stats
-module Heap = Dream_util.Heap
+module Heap = Reference_heap
 module Timeseries = Dream_util.Timeseries
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -65,6 +65,59 @@ let test_rng_copy_preserves () =
   ignore (Rng.bits64 a);
   let b = Rng.copy a in
   Alcotest.(check int64) "copy equals original" (Rng.bits64 a) (Rng.bits64 b)
+
+(* Known answers: the md5 of the first 1,000 [bits64] outputs (16 hex
+   digits and a newline each), the first output and the state after the
+   1,000 draws, for three seeds, pinned from the record-of-int64 xoshiro
+   this module used before its state moved into one buffer. *)
+let rng_known_answers =
+  [
+    ( 0,
+      "e9c4b7b04c5f98ca012dca2fec766ad8",
+      0x99ec5f36cb75f2b4L,
+      (0x7314d8d638e5a5c1L, 0x942f7e8d2faa3d57L, 0xd2b734f107606cedL, 0x5f16eb1bb2c41f34L) );
+    ( 7,
+      "c405b1bd7549a34477343b9a52d5d70b",
+      0xb358faf74ef9765aL,
+      (0xefd48c5cfdf75c2bL, 0x208a91c19febe82bL, 0xceb895b78d3dd28bL, 0x5275c8a7f7d78094L) );
+    ( 0x5eed,
+      "d0a34602133a67eacf7bb9c07db43101",
+      0xef33f17055244b74L,
+      (0x436cfb5adfcf31f2L, 0x1db5c86ec4f67e26L, 0x65fa159278003c8aL, 0x437ef2cad4692017L) );
+  ]
+
+let test_rng_known_answers () =
+  List.iter
+    (fun (seed, md5, first, state) ->
+      let rng = Rng.create seed in
+      let b = Buffer.create 17_000 in
+      for _ = 1 to 1000 do
+        Buffer.add_string b (Printf.sprintf "%016Lx\n" (Rng.bits64 rng))
+      done;
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      Alcotest.(check string) (name "md5 of 1,000 outputs") md5
+        (Digest.to_hex (Digest.string (Buffer.contents b)));
+      Alcotest.(check int64) (name "first output") first (Rng.bits64 (Rng.create seed));
+      let s0, s1, s2, s3 = Rng.state rng and e0, e1, e2, e3 = state in
+      Alcotest.(check (list int64)) (name "state after 1,000 draws") [ e0; e1; e2; e3 ]
+        [ s0; s1; s2; s3 ])
+    rng_known_answers
+
+let test_rng_state_round_trip () =
+  let rng = Rng.create 99 in
+  for _ = 1 to 17 do
+    ignore (Rng.bits64 rng)
+  done;
+  let restored = Rng.of_state (Rng.state rng) in
+  Alcotest.(check bool) "state of of_state" true (Rng.state restored = Rng.state rng);
+  for _ = 1 to 100 do
+    Alcotest.(check int64) "same stream after restore" (Rng.bits64 rng) (Rng.bits64 restored)
+  done;
+  (* The restored generator owns its state: drawing from it leaves the
+     original alone. *)
+  let before = Rng.state rng in
+  ignore (Rng.bits64 restored);
+  Alcotest.(check bool) "independent state" true (Rng.state rng = before)
 
 let test_rng_bernoulli_extremes () =
   let rng = Rng.create 3 in
@@ -320,6 +373,8 @@ let () =
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "copy preserves state" `Quick test_rng_copy_preserves;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
+          Alcotest.test_case "state round trip" `Quick test_rng_state_round_trip;
           Alcotest.test_case "bernoulli extremes" `Quick test_rng_bernoulli_extremes;
           Alcotest.test_case "exponential mean" `Slow test_rng_exponential_mean;
           Alcotest.test_case "pareto min" `Quick test_rng_pareto_min;
