@@ -18,10 +18,6 @@ module Obs = Dream_obs
 module Ctr = Dream_obs.Registry.Counter
 module Tr = Dream_obs.Trace
 
-let log_src = Logs.Src.create "dream.controller" ~doc:"DREAM controller events"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type delay_sample = {
   epoch : int;
   fetch_ms : float;
@@ -31,63 +27,23 @@ type delay_sample = {
   configure_ms : float;
 }
 
-(* ---- phase timer ----
-
-   One preallocated accumulator for the epoch's measured phases.  Wall
-   times live in a flat float array, so accumulating them boxes nothing;
-   GC readings are taken only when a profile is attached, so a
-   profiling-off run performs no GC read and stays byte-identical.  The
-   delay sample, the trace spans, [phase_ms] and the profile all read it
-   once, at the end of the epoch. *)
-
-type slot =
-  | Estimate  (** reports + estimators, summed over tasks *)
-  | Allocate  (** the allocation round *)
-  | Configure  (** divide-and-merge, summed over tasks *)
-  | Span  (** start of the fragment being timed *)
-  | Epoch  (** start of the tick *)
-  | Tail  (** start of the record-keeping tail *)
-
-let index = function
-  | Estimate -> 0 | Allocate -> 1 | Configure -> 2 | Span -> 3 | Epoch -> 4 | Tail -> 5
-
-type timer = {
-  clock : Obs.Clock.t;
-  profile : Obs.Profile.t option;
-  ms : float array;
-  gc : Obs.Gc_stats.reading array;
+(* The interned profile spans of the tick's measured phases.  The delay
+   sample, the trace spans, [phase_ms] and the profile all read them. *)
+type spans = {
+  epoch_span : Obs.Profile.span;
+  estimate : Obs.Profile.span;  (** reports + estimators, summed over tasks *)
+  allocate : Obs.Profile.span;  (** the allocation round *)
+  configure : Obs.Profile.span;  (** divide-and-merge, summed over tasks *)
 }
 
-let timer tel =
+let intern_spans profile =
+  let span = Obs.Profile.intern profile in
   {
-    clock = (match tel with Some b -> Obs.Telemetry.clock b | None -> Obs.Clock.cpu);
-    profile = Option.bind tel Obs.Telemetry.profile;
-    ms = Array.make 6 0.0;
-    gc = Array.make 6 Obs.Gc_stats.zero;
+    epoch_span = span "epoch";
+    estimate = span "epoch/estimate";
+    allocate = span "epoch/allocate";
+    configure = span "epoch/configure";
   }
-
-let slot_ms tm slot = tm.ms.(index slot)
-
-let mark tm slot =
-  tm.ms.(index slot) <- Obs.Clock.now_ms tm.clock;
-  match tm.profile with Some p -> tm.gc.(index slot) <- Obs.Profile.reading p | None -> ()
-
-(* Add the time (and GC work) since [mark tm Span] to [phase]. *)
-let accrue tm phase =
-  let i = index phase in
-  tm.ms.(i) <- tm.ms.(i) +. (Obs.Clock.now_ms tm.clock -. slot_ms tm Span);
-  match tm.profile with
-  | Some p ->
-    let since = Obs.Gc_stats.sub (Obs.Profile.reading p) tm.gc.(index Span) in
-    tm.gc.(i) <- Obs.Gc_stats.add tm.gc.(i) since
-  | None -> ()
-
-let start_epoch tm =
-  for i = 0 to 2 do
-    tm.ms.(i) <- 0.0;
-    tm.gc.(i) <- Obs.Gc_stats.zero
-  done;
-  mark tm Epoch
 
 type t = {
   config : Config.t;
@@ -97,7 +53,8 @@ type t = {
   faults : Fault_model.t option;
   tel : Obs.Telemetry.t option;
   registry : Obs.Registry.t; (* the bundle's, or a private one when [tel = None] *)
-  timer : timer;
+  profile : Obs.Profile.t; (* the bundle's, or a private wall-only one *)
+  spans : spans;
   fetch : Fetch.t;
   active : (int, Runtime.t) Hashtbl.t;
   mutable epoch : int;
@@ -132,6 +89,11 @@ let make ~config ~allocator ~switches ~planes ~faults ~breakers ~active ~epoch ~
     match tel with Some b -> Obs.Telemetry.registry b | None -> Obs.Registry.create ()
   in
   let rob = Metrics.Tallies.of_registry registry in
+  let profile =
+    match Option.bind tel Obs.Telemetry.profile with
+    | Some p -> p
+    | None -> Obs.Profile.wall_only ()
+  in
   {
     config;
     allocator;
@@ -140,7 +102,8 @@ let make ~config ~allocator ~switches ~planes ~faults ~breakers ~active ~epoch ~
     faults;
     tel;
     registry;
-    timer = timer tel;
+    profile;
+    spans = intern_spans profile;
     fetch =
       Fetch.create ~config ~planes ~breakers ~faults ~tallies:rob ~registry
         ~trace:(Option.map Obs.Telemetry.trace tel);
@@ -314,8 +277,6 @@ let submit t ~spec ~topology ~source ~duration =
     Ctr.incr (Obs.Registry.counter t.registry "tasks_admitted");
     trace_event t ~name:"task_admit"
       [ ("task", Tr.Int id); ("kind", Tr.Str (Task_spec.kind_to_string spec.Task_spec.kind)) ];
-    Log.info (fun m ->
-        m "epoch %d: admitted task %d (%a, %d epochs)" t.epoch id Task_spec.pp spec duration);
     `Admitted id
   end
   else begin
@@ -324,7 +285,6 @@ let submit t ~spec ~topology ~source ~duration =
     Ctr.incr (Obs.Registry.counter t.registry "tasks_rejected");
     trace_event t ~name:"task_reject"
       [ ("task", Tr.Int id); ("kind", Tr.Str (Task_spec.kind_to_string spec.Task_spec.kind)) ];
-    Log.info (fun m -> m "epoch %d: rejected task %d (%a)" t.epoch id Task_spec.pp spec);
     `Rejected
   end
 
@@ -345,13 +305,6 @@ let finish_record (r : Runtime.t) ~outcome ~ended_at =
 
 let remove_task t (r : Runtime.t) ~outcome =
   let id = Runtime.id r in
-  Log.info (fun m ->
-      m "epoch %d: task %d %s after %d active epochs" t.epoch id
-        (match outcome with
-        | Metrics.Completed -> "completed"
-        | Metrics.Dropped -> "DROPPED"
-        | Metrics.Rejected -> "rejected")
-        r.active_epochs);
   let record = finish_record r ~outcome ~ended_at:t.epoch in
   (* Journal the end (with its final record fields) before it takes
      effect: if the controller dies in between, replay still retires the
@@ -408,28 +361,23 @@ let advance_faults t =
         jot t (Journal.Switch_down { epoch = t.epoch; switch = sw_id });
         Data_plane.crash t.planes.(sw_id);
         Ctr.incr t.rob.crashes;
-        trace_event t ~name:"switch_crash" [ ("switch", Tr.Int sw_id) ];
-        Log.info (fun m -> m "epoch %d: switch %d CRASHED (TCAM lost)" t.epoch sw_id))
+        trace_event t ~name:"switch_crash" [ ("switch", Tr.Int sw_id) ])
       events.Fault_model.crashed;
     List.iter
       (fun sw_id ->
         jot t (Journal.Switch_up { epoch = t.epoch; switch = sw_id });
-        trace_event t ~name:"switch_recover" [ ("switch", Tr.Int sw_id) ];
-        Log.info (fun m -> m "epoch %d: switch %d recovered" t.epoch sw_id))
+        trace_event t ~name:"switch_recover" [ ("switch", Tr.Int sw_id) ])
       events.Fault_model.recovered;
     t.recovered_now <- Switch_id.set_of_list events.Fault_model.recovered;
     Ctr.add t.rob.recoveries (List.length events.Fault_model.recovered);
     Ctr.add t.rob.switch_down_epochs (Fault_model.down_count fm);
     if events.Fault_model.controller_crashed then begin
       t.crash_pending <- true;
-      trace_event t ~name:"controller_crash_scheduled" [];
-      Log.info (fun m -> m "epoch %d: CONTROLLER crash scheduled" t.epoch)
+      trace_event t ~name:"controller_crash_scheduled" []
     end;
     (* Sustained adversity: partition windows, admission storms, breakers. *)
     List.iter
-      (fun g ->
-        trace_event t ~name:"partition" [ ("group", Tr.Int g) ];
-        Log.info (fun m -> m "epoch %d: switch group %d PARTITIONED" t.epoch g))
+      (fun g -> trace_event t ~name:"partition" [ ("group", Tr.Int g) ])
       events.Fault_model.partitioned;
     List.iter
       (fun g ->
@@ -439,8 +387,7 @@ let advance_faults t =
            instead of blindly waiting it out. *)
         Array.iteri
           (fun sw br -> if Fault_model.group_of fm sw = g then Breaker.hint_probe br)
-          t.breakers;
-        Log.info (fun m -> m "epoch %d: switch group %d partition healed" t.epoch g))
+          t.breakers)
       events.Fault_model.healed;
     Ctr.add t.rob.partitions (List.length events.Fault_model.partitioned);
     Ctr.add t.rob.partition_epochs (Fault_model.partitioned_count fm);
@@ -477,7 +424,7 @@ let quarantine_allocations t allocations =
 (* ---- the epoch, phase by phase ---- *)
 
 let begin_epoch t =
-  start_epoch t.timer;
+  Obs.Profile.start t.profile t.spans.epoch_span;
   Arena.reset t.arena;
   advance_faults t;
   Fetch.begin_epoch t.fetch ~epoch:t.epoch;
@@ -498,10 +445,10 @@ let by_staleness (a : Runtime.t) (b : Runtime.t) =
 let observe t dcfg scores (r : Runtime.t) =
   let data, readings, degraded = Fetch.read t.fetch r in
   Task.ingest_counters r.task readings;
-  mark t.timer Span;
+  Obs.Profile.start t.profile t.spans.estimate;
   let report, estimate = Task.report_and_estimate r.task ~epoch:t.epoch in
   r.last_report <- Some report;
-  accrue t.timer Estimate;
+  Obs.Profile.stop t.profile t.spans.estimate;
   (* Degraded visibility: the estimators only saw stale (or no) counters
      for these switches, so the estimate is optimistic — decay the smoothed
      accuracies the allocator reads. *)
@@ -588,9 +535,9 @@ let allocate_and_drop t runtimes =
             (id, Allocator.allocation_of t.allocator ~task_id:id))
           runtimes
     in
-    mark t.timer Span;
+    Obs.Profile.start t.profile t.spans.allocate;
     Allocator.reallocate t.allocator (List.map Runtime.view runtimes);
-    accrue t.timer Allocate;
+    Obs.Profile.stop t.profile t.spans.allocate;
     if t.tel <> None then begin
       let changes = allocation_changes t before in
       if changes > 0 then begin
@@ -623,9 +570,9 @@ let configure t survivors =
       let allocations =
         quarantine_allocations t (Allocator.allocation_of t.allocator ~task_id:(Runtime.id r))
       in
-      mark t.timer Span;
+      Obs.Profile.start t.profile t.spans.configure;
       Task.configure r.task ~allocations;
-      accrue t.timer Configure)
+      Obs.Profile.stop t.profile t.spans.configure)
     survivors
 
 (* Sync rules incrementally in two passes: all removals across tasks first,
@@ -668,9 +615,9 @@ let price t =
       fetch_ms =
         Delay_model.fetch_ms costs ~rules:fetch_total ~switches:touched +. Fetch.fault_ms t.fetch;
       save_ms = Delay_model.save_ms costs ~installs:install_total ~removals:remove_total ~switches:touched;
-      report_ms = slot_ms t.timer Estimate;
-      allocate_ms = slot_ms t.timer Allocate;
-      configure_ms = slot_ms t.timer Configure;
+      report_ms = Obs.Profile.epoch_ms t.profile t.spans.estimate;
+      allocate_ms = Obs.Profile.epoch_ms t.profile t.spans.allocate;
+      configure_ms = Obs.Profile.epoch_ms t.profile t.spans.configure;
     }
   in
   t.delays <- sample :: t.delays;
@@ -681,8 +628,6 @@ let price t =
 
 (* Retire tasks that reached their duration, then audit. *)
 let retire t survivors =
-  (* wall time only: the tail has no profile span *)
-  t.timer.ms.(index Tail) <- Obs.Clock.now_ms t.timer.clock;
   List.iter
     (fun (r : Runtime.t) ->
       if Hashtbl.mem t.active (Runtime.id r) && r.active_epochs >= r.duration then
@@ -691,21 +636,21 @@ let retire t survivors =
   if t.config.Config.check_invariants then begin
     let violations = check_invariants_now t in
     Ctr.add t.rob.invariant_violations (List.length violations);
-    if violations <> [] then
-      trace_event t ~name:"invariant_violation" [ ("count", Tr.Int (List.length violations)) ];
-    List.iter
-      (fun v ->
-        Log.warn (fun m -> m "epoch %d: invariant violated — %s" t.epoch (Invariant.to_string v)))
-      violations
+    match violations with
+    | [] -> ()
+    | first :: _ ->
+      trace_event t ~name:"invariant_violation"
+        [ ("count", Tr.Int (List.length violations));
+          ("first", Tr.Str (Invariant.to_string first)) ]
   end
 
-let record_telemetry t sample scores =
+(* [tail_ms] is when the record-keeping tail (retire, telemetry) began. *)
+let record_telemetry t sample scores ~tail_ms =
   match t.tel with
   | None -> ()
   | Some tel ->
-    let tm = t.timer in
-    let now = Obs.Clock.now_ms tm.clock in
-    let epoch_ms = now -. slot_ms tm Epoch in
+    let p = t.profile and sp = t.spans in
+    let epoch_ms = Obs.Profile.epoch_ms p sp.epoch_span in
     let tr = Obs.Telemetry.trace tel in
     let epoch = t.epoch in
     (* Phase spans: fetch and the configure tail are modelled switch time,
@@ -719,23 +664,9 @@ let record_telemetry t sample scores =
           ms)
       [ ("fetch", sample.fetch_ms); ("estimate", sample.report_ms);
         ("allocate", sample.allocate_ms); ("configure", sample.configure_ms +. sample.save_ms);
-        ("report", now -. slot_ms tm Tail); ("epoch", epoch_ms) ];
-    (* Profile spans mirror the measured (not modelled) phases: estimate,
-       allocate and configure carry their accumulated GC deltas; the epoch
-       span carries the whole tick.  fetch/save are modelled switch time —
-       no controller cost to attribute. *)
-    (match tm.profile with
-    | None -> ()
-    | Some p ->
-      let epoch_gc = Obs.Gc_stats.sub (Obs.Profile.reading p) tm.gc.(index Epoch) in
-      Obs.Profile.record p ~path:"epoch" ~wall_ms:epoch_ms ~gc:epoch_gc;
-      Obs.Profile.record p ~path:"epoch/estimate" ~wall_ms:sample.report_ms
-        ~gc:tm.gc.(index Estimate);
-      Obs.Profile.record p ~path:"epoch/allocate" ~wall_ms:sample.allocate_ms
-        ~gc:tm.gc.(index Allocate);
-      Obs.Profile.record p ~path:"epoch/configure" ~wall_ms:sample.configure_ms
-        ~gc:tm.gc.(index Configure);
-      Obs.Profile.observe_epoch p t.registry ~wall_ms:epoch_ms ~gc:epoch_gc);
+        ("report", Obs.Clock.now_ms (Obs.Profile.clock p) -. tail_ms); ("epoch", epoch_ms) ];
+    Obs.Profile.observe_epoch t.registry ~wall_ms:epoch_ms
+      ~gc:(Obs.Profile.epoch_gc p sp.epoch_span);
     List.iter
       (fun (id, kind, accuracy, satisfied) ->
         Obs.Telemetry.record_task tel
@@ -767,8 +698,11 @@ let[@hot] tick t =
   configure t survivors;
   sync_rules t survivors;
   let sample = price t in
+  let tail_ms = Obs.Clock.now_ms (Obs.Profile.clock t.profile) in
   retire t survivors;
-  record_telemetry t sample scores;
+  Obs.Profile.stop t.profile t.spans.epoch_span;
+  record_telemetry t sample scores ~tail_ms;
+  Obs.Profile.close_epoch t.profile;
   t.epoch <- t.epoch + 1
 
 let run t ~epochs =
@@ -884,7 +818,4 @@ let recover ~env ~snapshot ~journal ~at_epoch =
   trace_event t ~name:"failover"
     ([ ("checkpoint_epoch", Tr.Int d.epoch); ("journal_entries", Tr.Int (List.length journal)) ]
     @ List.map (fun k -> (k, Tr.Int (count k))) kinds);
-  Log.info (fun m ->
-      m "epoch %d: controller recovered from checkpoint at epoch %d (+%d journal entries)" at_epoch
-        d.epoch (List.length journal));
   Ok t

@@ -13,10 +13,6 @@ module Obs = Dream_obs
 module Ctr = Dream_obs.Registry.Counter
 module Tr = Dream_obs.Trace
 
-let log_src = Logs.Src.create "dream.fetch" ~doc:"DREAM counter-fetch events"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type t = {
   planes : Data_plane.t array;
   breakers : Breaker.t array;
@@ -130,17 +126,13 @@ let record_breaker_failure f sw_id br =
   match Breaker.state br with
   | Breaker.Open when not was_open ->
     Ctr.incr f.tallies.breaker_opens;
-    event f ~name:"breaker_open" [ ("switch", Tr.Int sw_id) ];
-    Log.info (fun m -> m "epoch %d: breaker OPEN for switch %d" f.epoch sw_id)
+    event f ~name:"breaker_open" [ ("switch", Tr.Int sw_id) ]
   | _ -> ()
 
 let record_breaker_success f sw_id br =
   let was_half_open = match Breaker.state br with Breaker.Half_open -> true | _ -> false in
   Breaker.record_success br;
-  if was_half_open then begin
-    event f ~name:"breaker_close" [ ("switch", Tr.Int sw_id) ];
-    Log.info (fun m -> m "epoch %d: breaker closed for switch %d (probe ok)" f.epoch sw_id)
-  end
+  if was_half_open then event f ~name:"breaker_close" [ ("switch", Tr.Int sw_id) ]
 
 (* Modelled wire time of one fetch batch of [rules] rules. *)
 let batch_ms costs rules =

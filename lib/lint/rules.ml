@@ -231,7 +231,7 @@ let stdout_hygiene =
       emit ~loc:e.pexp_loc
         (Printf.sprintf
            "%s writes to stdout from library code; use Format on an explicit formatter \
-            (e.g. Table.out), Logs, or the Obs exporters"
+            (e.g. Table.out) or the Obs exporters"
            (String.concat "." path))
     | _ -> ()
   in

@@ -1,76 +1,102 @@
 type stat = { path : string; count : int; wall_ms : float; gc : Gc_stats.reading }
 
-(* Aggregation cell: one per distinct path, mutated in place so a span on
-   the hot path costs a hashtable hit and a few field writes. *)
-type cell = {
-  mutable c_count : int;
-  mutable c_wall_ms : float;
-  mutable c_gc : Gc_stats.reading;
-}
+type span = int
+
+(* Three cells per span, at [cells * span + part]: the open fragment's
+   start, this epoch's sum and the sum over closed epochs.  Wall times are
+   float arrays, so start and stop box nothing; GC readings are touched
+   only when the profile has a GC source. *)
+let cells = 3
+
+let opened = 0
+
+let current = 1
+
+let closed = 2
+
+let cell span part = (cells * span) + part
 
 type t = {
   clock : Clock.t;
-  gc : Gc_stats.t;
-  tbl : (string, cell) Hashtbl.t;
-  mutable open_spans : string list;  (** innermost first *)
+  gc : Gc_stats.t option;
+  ids : (string, span) Hashtbl.t;
+  mutable paths : string array;  (** by span *)
+  mutable counts : int array;  (** closed epochs, by span *)
+  mutable ms : float array;
+  mutable gcs : Gc_stats.reading array;
 }
 
-let create ?(clock = Clock.cpu) ?(gc = Gc_stats.real) () =
-  { clock; gc; tbl = Hashtbl.create 16; open_spans = [] }
+let make clock gc =
+  { clock; gc; ids = Hashtbl.create 8; paths = [||]; counts = [||]; ms = [||]; gcs = [||] }
+
+let create ?(clock = Clock.cpu) ?(gc = Gc_stats.real) () = make clock (Some gc)
+
+let wall_only () = make Clock.cpu None
 
 let clock t = t.clock
 
-let gc_source t = t.gc
+let extend a n fill = Array.append a (Array.make n fill)
 
-let reading t = Gc_stats.read t.gc
+let intern t path =
+  match Hashtbl.find_opt t.ids path with
+  | Some span -> span
+  | None ->
+    let span = Array.length t.paths in
+    Hashtbl.replace t.ids path span;
+    t.paths <- extend t.paths 1 path;
+    t.counts <- extend t.counts 1 0;
+    t.ms <- extend t.ms cells 0.0;
+    t.gcs <- extend t.gcs cells Gc_stats.zero;
+    span
 
-let record t ~path ~wall_ms ~gc =
-  match Hashtbl.find_opt t.tbl path with
-  | Some c ->
-    c.c_count <- c.c_count + 1;
-    c.c_wall_ms <- c.c_wall_ms +. wall_ms;
-    c.c_gc <- Gc_stats.add c.c_gc gc
-  | None -> Hashtbl.replace t.tbl path { c_count = 1; c_wall_ms = wall_ms; c_gc = gc }
+let start t span =
+  t.ms.(cell span opened) <- Clock.now_ms t.clock;
+  match t.gc with Some g -> t.gcs.(cell span opened) <- Gc_stats.read g | None -> ()
 
-let span t name f =
-  let path =
-    match t.open_spans with [] -> name | inner :: _ -> inner ^ "/" ^ name
-  in
-  t.open_spans <- path :: t.open_spans;
-  let t0 = Clock.now_ms t.clock in
-  let g0 = Gc_stats.read t.gc in
-  Fun.protect
-    ~finally:(fun () ->
-      let wall_ms = Clock.now_ms t.clock -. t0 in
-      let gc = Gc_stats.sub (Gc_stats.read t.gc) g0 in
-      (match t.open_spans with
-      | p :: rest when String.equal p path -> t.open_spans <- rest
-      | _ -> ());
-      record t ~path ~wall_ms ~gc)
-    f
+let stop t span =
+  let i = cell span current in
+  t.ms.(i) <- t.ms.(i) +. (Clock.now_ms t.clock -. t.ms.(cell span opened));
+  match t.gc with
+  | Some g ->
+    t.gcs.(i) <- Gc_stats.add t.gcs.(i) (Gc_stats.sub (Gc_stats.read g) t.gcs.(cell span opened))
+  | None -> ()
+
+let epoch_ms t span = t.ms.(cell span current)
+
+let epoch_gc t span = t.gcs.(cell span current)
+
+let close_epoch t =
+  for span = 0 to Array.length t.paths - 1 do
+    let cur = cell span current and total = cell span closed in
+    t.counts.(span) <- t.counts.(span) + 1;
+    t.ms.(total) <- t.ms.(total) +. t.ms.(cur);
+    t.ms.(cur) <- 0.0;
+    if Option.is_some t.gc then begin
+      t.gcs.(total) <- Gc_stats.add t.gcs.(total) t.gcs.(cur);
+      t.gcs.(cur) <- Gc_stats.zero
+    end
+  done
+
+let stat t span =
+  let total = cell span closed in
+  { path = t.paths.(span); count = t.counts.(span); wall_ms = t.ms.(total); gc = t.gcs.(total) }
 
 let stats t =
-  Hashtbl.fold
-    (fun path c acc ->
-      { path; count = c.c_count; wall_ms = c.c_wall_ms; gc = c.c_gc } :: acc)
-    t.tbl []
+  List.init (Array.length t.paths) (stat t)
+  |> List.filter (fun s -> s.count > 0)
   |> List.sort (fun a b -> String.compare a.path b.path)
 
 let find t path =
-  match Hashtbl.find_opt t.tbl path with
-  | Some c -> Some { path; count = c.c_count; wall_ms = c.c_wall_ms; gc = c.c_gc }
-  | None -> None
-
-let reset t =
-  Hashtbl.reset t.tbl;
-  t.open_spans <- []
+  match Hashtbl.find_opt t.ids path with
+  | Some span when t.counts.(span) > 0 -> Some (stat t span)
+  | Some _ | None -> None
 
 (* Allocated words this delta covers: minor allocations plus direct major
    allocations; promoted words would otherwise be counted twice. *)
 let alloc_words (gc : Gc_stats.reading) =
   gc.Gc_stats.minor_words +. gc.Gc_stats.major_words -. gc.Gc_stats.promoted_words
 
-let observe_epoch _t registry ~wall_ms ~gc =
+let observe_epoch registry ~wall_ms ~gc =
   let words = alloc_words gc in
   Registry.Histogram.observe (Registry.histogram registry "epoch_alloc_words") words;
   if wall_ms > 0.0 then

@@ -1,57 +1,74 @@
-(** Hierarchical performance spans: wall time plus GC/allocation deltas
-    per span, aggregated by span path.
+(** The span recorder: wall time plus GC/allocation deltas per span,
+    aggregated by span path.
 
-    A profile measures *controller* cost, not simulated cost: every span
-    reads the profile's {!Clock} and {!Gc_stats} source on entry and exit
-    and accumulates the deltas under a path such as ["epoch/allocate"]
-    (nested spans extend the path of the enclosing one, and a nested
-    span's cost is also part of its parent's — the usual flame-graph
-    convention).  With a {!Clock.manual} clock and a {!Gc_stats.manual}
-    source a profile is bit-for-bit deterministic, which is how the tests
-    pin every number below.
+    A profile measures *controller* cost, not simulated cost.  Each span
+    path (["epoch"], ["epoch/allocate"], ...) is interned once, at setup,
+    to a {!span}; the hot path then only calls {!start} and {!stop} on it,
+    which read the profile's {!Clock} (and its {!Gc_stats} source, if it
+    has one) and accumulate into preallocated cells without allocating.
+    A span may run in many fragments an epoch — the controller times
+    estimate once per task — and its fragments add up in that epoch's
+    cell.  {!close_epoch} then folds every cell into the span's aggregate
+    {!stat}: one count per span per close, whether or not the span ran.
+
+    Paths name the nesting: a child path's cost is also part of its
+    parent's (the usual flame-graph convention).  With a {!Clock.manual}
+    clock and a {!Gc_stats.manual} source a profile is bit-for-bit
+    deterministic, which is how the tests pin every number below.
 
     A profile is attached to a run through [Telemetry.create ~profile];
-    when none is attached — the default — no GC read ever happens and the
-    run is byte-identical to a build without profiling. *)
+    without one the controller times its phases on a {!wall_only}
+    profile, so no GC read ever happens and the run is byte-identical to
+    a build without profiling. *)
 
 type stat = {
   path : string;  (** ["/"]-joined span path, e.g. ["epoch/allocate"] *)
-  count : int;  (** completed spans aggregated into this path *)
-  wall_ms : float;  (** total wall time across those spans *)
-  gc : Gc_stats.reading;  (** total GC deltas across those spans *)
+  count : int;  (** closed epochs aggregated into this path *)
+  wall_ms : float;  (** total wall time across those epochs *)
+  gc : Gc_stats.reading;  (** total GC deltas across those epochs *)
 }
 
 type t
 
+type span
+(** An interned span path of one profile. *)
+
 val create : ?clock:Clock.t -> ?gc:Gc_stats.t -> unit -> t
 (** Defaults: {!Clock.cpu} and {!Gc_stats.real}. *)
 
+val wall_only : unit -> t
+(** A {!Clock.cpu} profile with no GC source: it times spans but never
+    reads the GC, and its stats carry {!Gc_stats.zero}. *)
+
 val clock : t -> Clock.t
 
-val gc_source : t -> Gc_stats.t
+val intern : t -> string -> span
+(** The span recording under [path], created on first use; interning a
+    path again returns the same span. *)
 
-val reading : t -> Gc_stats.reading
-(** Read the profile's GC source now — for callers that measure a span
-    themselves and then {!record} it. *)
+val start : t -> span -> unit
+(** Open a fragment of the span now. *)
 
-val span : t -> string -> (unit -> 'a) -> 'a
-(** [span t name f] runs [f] under [name], nested inside any open spans,
-    and accumulates its wall time and GC delta.  The span is recorded
-    even when [f] raises. *)
+val stop : t -> span -> unit
+(** Add the time (and GC delta) since the span's last {!start} to this
+    epoch's cell. *)
 
-val record : t -> path:string -> wall_ms:float -> gc:Gc_stats.reading -> unit
-(** Merge an externally-measured span under an explicit [path] — used by
-    the controller, whose phase boundaries are scattered across the tick
-    rather than lexically nested. *)
+val epoch_ms : t -> span -> float
+(** The span's wall time so far this epoch. *)
+
+val epoch_gc : t -> span -> Gc_stats.reading
+(** The span's GC delta so far this epoch. *)
+
+val close_epoch : t -> unit
+(** Fold every span's epoch cell into its stat and clear the cells. *)
 
 val stats : t -> stat list
-(** Every recorded path, sorted by path, so profiles are deterministic. *)
+(** Every path closed at least once, sorted by path, so profiles are
+    deterministic. *)
 
 val find : t -> string -> stat option
 
-val reset : t -> unit
-
-val observe_epoch : t -> Registry.t -> wall_ms:float -> gc:Gc_stats.reading -> unit
+val observe_epoch : Registry.t -> wall_ms:float -> gc:Gc_stats.reading -> unit
 (** Fold one epoch's measured cost into a metrics registry: an
     [epoch_alloc_words] histogram and [alloc_rate_words_per_ms] gauge
     (allocation rate), [gc_minor_collections]/[gc_major_collections]/

@@ -17,7 +17,6 @@ type switch_row = {
 }
 
 type t = {
-  clock : Clock.t;
   registry : Registry.t;
   trace : Trace.t;
   profile : Profile.t option;
@@ -25,12 +24,10 @@ type t = {
   mutable rev_switch_rows : switch_row list;
 }
 
-let create ?(clock = Clock.cpu) ?registry ?profile () =
-  let registry = match registry with Some r -> r | None -> Registry.create () in
-  { clock; registry; trace = Trace.create (); profile; rev_task_rows = [];
+let create ?profile () =
+  { registry = Registry.create (); trace = Trace.create (); profile; rev_task_rows = [];
     rev_switch_rows = [] }
 
-let clock t = t.clock
 let registry t = t.registry
 let trace t = t.trace
 let profile t = t.profile

@@ -1,6 +1,6 @@
 (** The telemetry bundle a controller instruments against: one metrics
-    {!Registry}, one {!Trace}, and the {!Clock} that times control-loop
-    phases.
+    {!Registry}, one {!Trace} and, optionally, the {!Profile} whose clock
+    times the control-loop phases.
 
     A bundle is attached to exactly one run (pass it in
     [Dream_core.Config.telemetry]); reusing it across runs accumulates
@@ -20,12 +20,10 @@
 
 type t
 
-val create : ?clock:Clock.t -> ?registry:Registry.t -> ?profile:Profile.t -> unit -> t
-(** Defaults: {!Clock.cpu}, a fresh registry, and no profile — GC
-    profiling is strictly opt-in, and a bundle without a profile performs
-    no GC read anywhere. *)
-
-val clock : t -> Clock.t
+val create : ?profile:Profile.t -> unit -> t
+(** A fresh registry and trace.  Default: no profile — GC profiling is
+    strictly opt-in, and a bundle without a profile performs no GC read
+    anywhere. *)
 
 val registry : t -> Registry.t
 

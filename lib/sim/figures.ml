@@ -35,13 +35,15 @@ let registry : (string * string * int list * (quick:bool -> Snapshot.metric list
 
 let all = List.map (fun (id, descr, _, _) -> (id, descr)) registry
 
-(* Run one harness under a profile span and, when asked, emit its
-   BENCH_<figure>.json.  A caller-supplied profile accumulates across
-   figures (the phases of a shared profile name every figure run so far);
-   the default is a fresh profile per figure. *)
-let run_entry ?snapshot_dir ?profile ~quick (id, _descr, seeds, f) =
-  let profile = match profile with Some p -> p | None -> Profile.create () in
-  let metrics = Profile.span profile id (fun () -> f ~quick) in
+(* Run one harness under a profile span named after the figure and, when
+   asked, emit its BENCH_<figure>.json. *)
+let run_entry ?snapshot_dir ~quick (id, _descr, seeds, f) =
+  let profile = Profile.create () in
+  let span = Profile.intern profile id in
+  Profile.start profile span;
+  let metrics = f ~quick in
+  Profile.stop profile span;
+  Profile.close_epoch profile;
   match snapshot_dir with
   | None -> Ok ()
   | Some dir -> (
@@ -52,16 +54,16 @@ let run_entry ?snapshot_dir ?profile ~quick (id, _descr, seeds, f) =
       Ok ()
     | Error e -> Error (Printf.sprintf "%s: %s" id e))
 
-let run ?snapshot_dir ?profile ~quick id =
+let run ?snapshot_dir ~quick id =
   match List.find_opt (fun (id', _, _, _) -> id' = id) registry with
-  | Some entry -> run_entry ?snapshot_dir ?profile ~quick entry
+  | Some entry -> run_entry ?snapshot_dir ~quick entry
   | None -> Error (Printf.sprintf "unknown figure id %S" id)
 
-let run_all ?snapshot_dir ?profile ~quick () =
+let run_all ?snapshot_dir ~quick () =
   let errors =
     List.filter_map
       (fun entry ->
-        match run_entry ?snapshot_dir ?profile ~quick entry with
+        match run_entry ?snapshot_dir ~quick entry with
         | Ok () -> None
         | Error e -> Some e)
       registry

@@ -11,19 +11,12 @@
 val all : (string * string) list
 (** (id, description) in presentation order. *)
 
-val run :
-  ?snapshot_dir:string ->
-  ?profile:Dream_obs.Profile.t ->
-  quick:bool ->
-  string ->
-  (unit, string) result
+val run : ?snapshot_dir:string -> quick:bool -> string -> (unit, string) result
 (** Run one figure id; [Error] names the unknown id or a snapshot-write
-    failure.  A caller-supplied [profile] accumulates spans across calls;
-    by default each run profiles into a fresh one. *)
+    failure.  Each run profiles into a fresh {!Dream_obs.Profile}. *)
 
 val run_all :
   ?snapshot_dir:string ->
-  ?profile:Dream_obs.Profile.t ->
   quick:bool ->
   unit ->
   (unit, string) result

@@ -243,12 +243,17 @@ let test_profile_deterministic () =
   let clock, mc = Clock.manual () in
   let gc, mg = Gc_stats.manual () in
   let p = Profile.create ~clock ~gc () in
-  Profile.span p "epoch" (fun () ->
-      Clock.advance mc 5.0;
-      Gc_stats.advance mg { Gc_stats.zero with Gc_stats.minor_words = 100.0; minor_collections = 1 };
-      Profile.span p "allocate" (fun () ->
-          Clock.advance mc 2.0;
-          Gc_stats.advance mg { Gc_stats.zero with Gc_stats.minor_words = 40.0 }));
+  let epoch = Profile.intern p "epoch" in
+  let allocate = Profile.intern p "epoch/allocate" in
+  Profile.start p epoch;
+  Clock.advance mc 5.0;
+  Gc_stats.advance mg { Gc_stats.zero with Gc_stats.minor_words = 100.0; minor_collections = 1 };
+  Profile.start p allocate;
+  Clock.advance mc 2.0;
+  Gc_stats.advance mg { Gc_stats.zero with Gc_stats.minor_words = 40.0 };
+  Profile.stop p allocate;
+  Profile.stop p epoch;
+  Profile.close_epoch p;
   (* The nested span's cost is part of its parent's (flame-graph
      convention), and with manual sources every number is exact. *)
   (match Profile.find p "epoch" with
@@ -263,15 +268,18 @@ let test_profile_deterministic () =
     Alcotest.(check (float 0.0)) "allocate wall" 2.0 s.Profile.wall_ms;
     Alcotest.(check (float 0.0)) "allocate minor words" 40.0 s.Profile.gc.Gc_stats.minor_words
   | None -> Alcotest.fail "no nested span");
-  (* Externally measured fragments merge under an explicit path. *)
-  Profile.record p ~path:"epoch/allocate" ~wall_ms:3.0
-    ~gc:{ Gc_stats.zero with Gc_stats.minor_words = 10.0 };
+  (* A second epoch's sample merges under the same path. *)
+  Profile.start p allocate;
+  Clock.advance mc 3.0;
+  Gc_stats.advance mg { Gc_stats.zero with Gc_stats.minor_words = 10.0 };
+  Profile.stop p allocate;
+  Profile.close_epoch p;
   (match Profile.find p "epoch/allocate" with
   | Some s ->
     Alcotest.(check int) "merged count" 2 s.Profile.count;
     Alcotest.(check (float 0.0)) "merged wall" 5.0 s.Profile.wall_ms;
     Alcotest.(check (float 0.0)) "merged minor words" 50.0 s.Profile.gc.Gc_stats.minor_words
-  | None -> Alcotest.fail "record lost the span");
+  | None -> Alcotest.fail "the second epoch lost the span");
   (* The profile.json codec is the identity on stats. *)
   match Profile.stats_of_json (Profile.stats_to_json (Profile.stats p)) with
   | Ok stats -> Alcotest.(check bool) "stats round-trip" true (stats = Profile.stats p)
@@ -279,7 +287,6 @@ let test_profile_deterministic () =
 
 let test_observe_epoch () =
   let reg = Registry.create () in
-  let p = Profile.create () in
   let gc =
     {
       Gc_stats.minor_words = 1000.0;
@@ -290,7 +297,7 @@ let test_observe_epoch () =
       compactions = 0;
     }
   in
-  Profile.observe_epoch p reg ~wall_ms:10.0 ~gc;
+  Profile.observe_epoch reg ~wall_ms:10.0 ~gc;
   (* Allocated words = minor + major - promoted (promoted words would
      otherwise be double-counted). *)
   Alcotest.(check (float 1e-9)) "alloc rate" 110.0 (Registry.Gauge.value (Registry.gauge reg "alloc_rate_words_per_ms"));

@@ -9,10 +9,14 @@ module Registry = Dream_obs.Registry
 module Trace = Dream_obs.Trace
 module Clock = Dream_obs.Clock
 module Telemetry = Dream_obs.Telemetry
+module Profile = Dream_obs.Profile
 module Inspect = Dream_obs.Inspect
 module Scenario = Dream_workload.Scenario
 module Config = Dream_core.Config
+module Controller = Dream_core.Controller
+module Fetch = Dream_core.Fetch
 module Metrics = Dream_core.Metrics
+module Delay_model = Dream_switch.Delay_model
 module Fault_model = Dream_fault.Fault_model
 module Experiment = Dream_sim.Experiment
 module Fig06 = Dream_sim.Fig06
@@ -262,6 +266,134 @@ let test_export_and_inspect () =
         Alcotest.(check int) "rules_fetched counter" result.Experiment.rules_fetched
           (Inspect.counter report "rules_fetched"))
 
+(* {1 Phase views}
+
+   Four views carry each epoch's phase split: the Fig 17 delay sample, the
+   trace spans, the [phase_ms] histograms and the profile.  They are read
+   off one recorder, so on the real CPU clock they agree bit for bit. *)
+
+(* Fault-free, so every epoch is priced by the delay model alone. *)
+let traced_run () =
+  let profile = Profile.create () in
+  let bundle = Telemetry.create ~profile () in
+  let result =
+    Experiment.run
+      ~config:{ Config.default with Config.telemetry = Some bundle }
+      scenario Experiment.dream_strategy
+  in
+  (bundle, profile, result)
+
+let check_bits msg expected actual =
+  if Int64.bits_of_float expected <> Int64.bits_of_float actual then
+    Alcotest.failf "%s: expected %h, got %h" msg expected actual
+
+(* The trace spans of one phase, in emission (= epoch) order. *)
+let spans_of bundle phase =
+  List.filter_map
+    (function
+      | Trace.Span { epoch; phase = p; ms } when String.equal p phase -> Some (epoch, ms)
+      | Trace.Span _ | Trace.Event _ -> None)
+    (Trace.items (Telemetry.trace bundle))
+
+let sum = List.fold_left ( +. ) 0.0
+
+let test_phase_views_agree () =
+  let bundle, profile, result = traced_run () in
+  let samples = result.Experiment.delay_samples in
+  let epochs = List.length samples in
+  Alcotest.(check bool) "the run ticked" true (epochs > 0);
+  let per_epoch phase field =
+    let spans = spans_of bundle phase in
+    Alcotest.(check int) (phase ^ " span per epoch") epochs (List.length spans);
+    List.iter2
+      (fun (epoch, ms) (s : Controller.delay_sample) ->
+        Alcotest.(check int) (phase ^ " span epoch") s.Controller.epoch epoch;
+        check_bits (Printf.sprintf "epoch %d %s" epoch phase) (field s) ms)
+      spans samples
+  in
+  per_epoch "estimate" (fun s -> s.Controller.report_ms);
+  per_epoch "allocate" (fun s -> s.Controller.allocate_ms);
+  per_epoch "configure" (fun s -> s.Controller.configure_ms +. s.Controller.save_ms);
+  let registry = Telemetry.registry bundle in
+  List.iter
+    (fun phase ->
+      let spans = List.map snd (spans_of bundle phase) in
+      let h = Registry.histogram registry ~labels:[ ("phase", phase) ] "phase_ms" in
+      Alcotest.(check int) (phase ^ " phase_ms count") (List.length spans)
+        (Registry.Histogram.count h);
+      check_bits (phase ^ " phase_ms sum") (sum spans) (Registry.Histogram.sum h))
+    [ "fetch"; "estimate"; "allocate"; "configure"; "report"; "epoch" ];
+  let wall path =
+    match Profile.find profile path with
+    | Some s -> s.Profile.wall_ms
+    | None -> Alcotest.failf "no %s span in the profile" path
+  in
+  let sample_sum field = sum (List.map field samples) in
+  check_bits "epoch/estimate wall" (sample_sum (fun s -> s.Controller.report_ms))
+    (wall "epoch/estimate");
+  check_bits "epoch/allocate wall" (sample_sum (fun s -> s.Controller.allocate_ms))
+    (wall "epoch/allocate");
+  check_bits "epoch/configure wall" (sample_sum (fun s -> s.Controller.configure_ms))
+    (wall "epoch/configure");
+  check_bits "epoch wall" (sum (List.map snd (spans_of bundle "epoch"))) (wall "epoch");
+  let stats = Profile.stats profile in
+  Alcotest.(check (list string)) "profile paths"
+    [ "epoch"; "epoch/allocate"; "epoch/configure"; "epoch/estimate" ]
+    (List.map (fun s -> s.Profile.path) stats);
+  List.iter
+    (fun s -> Alcotest.(check int) (s.Profile.path ^ " count") epochs s.Profile.count)
+    stats
+
+(* [price] turns the epoch's TCAM stats into Fig 17's modelled fetch and
+   save times; switches.csv records the same stats, so the two rebuild each
+   other.  Retirement runs after pricing: a completing task's rule removals
+   land in that epoch's switches.csv row but not in its save time, so on
+   those epochs the rebuilt save time is only an upper bound. *)
+let test_price_from_switch_rows () =
+  let bundle, _, result = traced_run () in
+  let costs = Fetch.costs Config.default in
+  let rows = Telemetry.switch_rows bundle in
+  let completed =
+    List.filter_map
+      (function
+        | Trace.Event { epoch; name = "task_complete"; _ } -> Some epoch
+        | Trace.Event _ | Trace.Span _ -> None)
+      (Trace.items (Telemetry.trace bundle))
+  in
+  let exact_saves = ref 0 in
+  List.iter
+    (fun (s : Controller.delay_sample) ->
+      let epoch = s.Controller.epoch in
+      let mine = List.filter (fun (r : Telemetry.switch_row) -> r.Telemetry.epoch = epoch) rows in
+      let total f = List.fold_left (fun acc r -> acc + f r) 0 mine in
+      let touched =
+        List.length
+          (List.filter
+             (fun (r : Telemetry.switch_row) -> r.Telemetry.fetches > 0 || r.Telemetry.installs > 0)
+             mine)
+      in
+      check_bits
+        (Printf.sprintf "epoch %d fetch_ms" epoch)
+        (Delay_model.fetch_ms costs ~rules:(total (fun r -> r.Telemetry.fetches)) ~switches:touched)
+        s.Controller.fetch_ms;
+      let save =
+        Delay_model.save_ms costs
+          ~installs:(total (fun r -> r.Telemetry.installs))
+          ~removals:(total (fun r -> r.Telemetry.removals))
+          ~switches:touched
+      in
+      if List.mem epoch completed then begin
+        if s.Controller.save_ms > save then
+          Alcotest.failf "epoch %d save_ms %h exceeds the switches.csv bound %h" epoch
+            s.Controller.save_ms save
+      end
+      else begin
+        check_bits (Printf.sprintf "epoch %d save_ms" epoch) save s.Controller.save_ms;
+        if s.Controller.save_ms > 0.0 then incr exact_saves
+      end)
+    result.Experiment.delay_samples;
+  Alcotest.(check bool) "some epochs priced rule updates exactly" true (!exact_saves > 0)
+
 let () =
   Alcotest.run "obs"
     [
@@ -287,5 +419,8 @@ let () =
         [
           Alcotest.test_case "telemetry is zero-diff" `Quick test_zero_diff;
           Alcotest.test_case "export and inspect" `Quick test_export_and_inspect;
+          Alcotest.test_case "phase views agree" `Quick test_phase_views_agree;
+          Alcotest.test_case "price = switches.csv through Delay_model" `Quick
+            test_price_from_switch_rows;
         ] );
     ]

@@ -806,6 +806,36 @@ let test_invariant_detects_orphan_rule () =
   Alcotest.(check bool) "orphan rule flagged" true
     (List.exists (fun v -> v.Invariant.code = "orphan-rules") violations)
 
+(* The trace is the controller's only event channel, so the violation's
+   text travels on the [invariant_violation] event itself. *)
+let test_invariant_violation_traced () =
+  let bundle = Dream_obs.Telemetry.create () in
+  let config = { Config.default with Config.check_invariants = true; telemetry = Some bundle } in
+  let controller = populated_controller ~config () in
+  let sw = (Controller.switches controller).(0) in
+  let orphan = Prefix.nth_descendant Prefix.root ~length:8 1 in
+  (match Tcam.install (Switch.tcam sw) ~owner:999 orphan with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "install must fit");
+  Controller.tick controller;
+  let expected = Controller.check_invariants_now controller in
+  let events =
+    List.filter_map
+      (function
+        | Dream_obs.Trace.Event { name = "invariant_violation"; fields; _ } -> Some fields
+        | Dream_obs.Trace.Event _ | Dream_obs.Trace.Span _ -> None)
+      (Dream_obs.Trace.items (Dream_obs.Telemetry.trace bundle))
+  in
+  match (events, expected) with
+  | [ fields ], first :: _ ->
+    Alcotest.(check bool) "count field" true
+      (List.assoc_opt "count" fields = Some (Dream_obs.Trace.Int (List.length expected)));
+    Alcotest.(check bool) "first violation's text" true
+      (List.assoc_opt "first" fields = Some (Dream_obs.Trace.Str (Invariant.to_string first)))
+  | _ ->
+    Alcotest.failf "expected one invariant_violation event and a violation, got %d and %d"
+      (List.length events) (List.length expected)
+
 let () =
   Alcotest.run "dream.recovery"
     [
@@ -849,5 +879,6 @@ let () =
         [
           Alcotest.test_case "clean run has no violations" `Quick test_invariant_clean_run;
           Alcotest.test_case "orphan rule detected" `Quick test_invariant_detects_orphan_rule;
+          Alcotest.test_case "violation text traced" `Quick test_invariant_violation_traced;
         ] );
     ]
