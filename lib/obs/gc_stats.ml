@@ -42,14 +42,16 @@ type t = { read : unit -> reading }
 let read t = t.read ()
 
 (* The one blessed GC read: everything else obtains counters through a
-   [t], so substituting [manual] makes a profile deterministic. *)
+   [t], so substituting [manual] makes a profile deterministic.  The minor
+   count comes from [Gc.minor_words], which is exact: [quick_stat]'s only
+   advances at a minor collection on OCaml 5. *)
 let real =
   {
     read =
       (fun () ->
         let s = Gc.quick_stat () in
         {
-          minor_words = s.Gc.minor_words;
+          minor_words = Gc.minor_words ();
           promoted_words = s.Gc.promoted_words;
           major_words = s.Gc.major_words;
           minor_collections = s.Gc.minor_collections;

@@ -33,7 +33,9 @@ val read : t -> reading
 (** Current cumulative counters.  Monotone non-decreasing for [real]. *)
 
 val real : t
-(** [Gc.quick_stat] — the only direct GC read in the tree. *)
+(** [Gc.minor_words] for the minor count, exact to the word, and
+    [Gc.quick_stat] for the rest — the only direct GC reads in the
+    tree. *)
 
 type manual
 

@@ -11,6 +11,7 @@ module Clock = Dream_obs.Clock
 module Telemetry = Dream_obs.Telemetry
 module Profile = Dream_obs.Profile
 module Inspect = Dream_obs.Inspect
+module Gc_stats = Dream_obs.Gc_stats
 module Scenario = Dream_workload.Scenario
 module Config = Dream_core.Config
 module Controller = Dream_core.Controller
@@ -20,6 +21,26 @@ module Delay_model = Dream_switch.Delay_model
 module Fault_model = Dream_fault.Fault_model
 module Experiment = Dream_sim.Experiment
 module Fig06 = Dream_sim.Fig06
+
+(* {1 Gc_stats} *)
+
+let rec conses n acc = if n = 0 then acc else conses (n - 1) (n :: acc)
+
+(* Minor words allocated between two reads of the real source, with [f]
+   run in between. *)
+let minor_words_around f =
+  let before = Gc_stats.read Gc_stats.real in
+  ignore (Sys.opaque_identity (f ()));
+  let after = Gc_stats.read Gc_stats.real in
+  (Gc_stats.sub after before).Gc_stats.minor_words
+
+(* The minor count is exact to the word, not rounded to a minor heap: a
+   100-cons list is 300 words (header and two fields each) more than
+   nothing, whatever the reads themselves cost. *)
+let test_gc_minor_words_exact () =
+  let nothing = minor_words_around (fun () -> []) in
+  let list = minor_words_around (fun () -> conses 100 []) in
+  Alcotest.(check (float 0.0)) "100 conses" 300.0 (list -. nothing)
 
 (* {1 Json} *)
 
@@ -397,6 +418,7 @@ let test_price_from_switch_rows () =
 let () =
   Alcotest.run "obs"
     [
+      ("gc_stats", [ Alcotest.test_case "minor words are exact" `Quick test_gc_minor_words_exact ]);
       ( "json",
         [
           Alcotest.test_case "round trip" `Quick test_json_round_trip;
