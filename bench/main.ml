@@ -23,7 +23,7 @@ let micro_tests () =
   let open Bechamel in
   let module Rng = Dream_util.Rng in
   let module Prefix = Dream_prefix.Prefix in
-  let module Switch_id = Dream_traffic.Switch_id in
+  let module Switch_mask = Dream_traffic.Switch_mask in
   let module Topology = Dream_traffic.Topology in
   let module Generator = Dream_traffic.Generator in
   let module Profile = Dream_traffic.Profile in
@@ -44,17 +44,13 @@ let micro_tests () =
     Generator.create (Rng.split rng) ~topology ~profile:(Profile.default ~threshold:8.0)
   in
   let task = Task.create ~id:0 ~spec ~topology () in
-  let allocations =
-    Switch_id.Set.fold
-      (fun sw acc -> Switch_id.Map.add sw 64 acc)
-      (Task.switches task) Switch_id.Map.empty
-  in
+  let allocations = Array.make (Topology.switches_per_task topology) 64 in
   let data = ref (Generator.next generator) in
   let feed () =
     data := Generator.next generator;
     let readings =
-      Switch_id.Set.fold
-        (fun sw acc ->
+      Switch_mask.fold topology
+        (fun sw _ acc ->
           let aggregate = Epoch_data.switch_view !data sw in
           let pairs =
             List.map (fun p -> (p, Aggregate.volume aggregate p)) (Task.desired_rules task sw)
@@ -73,12 +69,16 @@ let micro_tests () =
   let cfg = Dream_allocator.default_config in
   let allocator = Dream_allocator.create cfg ~capacities:[ (0, 4096) ] in
   let acc_rng = Rng.create 5 in
+  let one_switch =
+    Topology.create (Rng.create 0) ~filter ~num_switches:1 ~switches_per_task:1
+  in
   let views =
     List.init 64 (fun i ->
         let accuracy = Rng.float acc_rng 1.0 in
         {
           Task_view.id = i;
-          switches = Switch_id.Set.singleton 0;
+          topology = one_switch;
+          switches = Switch_mask.full one_switch;
           bound = 0.8;
           drop_priority = i;
           overall = (fun _ -> accuracy);

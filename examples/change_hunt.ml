@@ -7,7 +7,7 @@
 
 module Rng = Dream_util.Rng
 module Prefix = Dream_prefix.Prefix
-module Switch_id = Dream_traffic.Switch_id
+module Switch_mask = Dream_traffic.Switch_mask
 module Flow = Dream_traffic.Flow
 module Epoch_data = Dream_traffic.Epoch_data
 module Aggregate = Dream_traffic.Aggregate
@@ -45,11 +45,7 @@ let () =
     Task_spec.make ~kind:Task_spec.Change_detection ~filter ~leaf_length:24 ~threshold:8.0 ()
   in
   let task = Task.create ~id:0 ~spec ~topology () in
-  let allocations =
-    Switch_id.Set.fold
-      (fun sw acc -> Switch_id.Map.add sw 64 acc)
-      (Task.switches task) Switch_id.Map.empty
-  in
+  let allocations = Array.make (Topology.switches_per_task topology) 64 in
   for epoch = 0 to 29 do
     let flows =
       List.init 10 (fun i ->
@@ -65,8 +61,8 @@ let () =
     in
     let data = Epoch_data.of_flows ~epoch grouped in
     let readings =
-      Switch_id.Set.fold
-        (fun sw acc ->
+      Switch_mask.fold topology
+        (fun sw _ acc ->
           let agg = Epoch_data.switch_view data sw in
           (sw, List.map (fun p -> (p, Aggregate.volume agg p)) (Task.desired_rules task sw)) :: acc)
         (Task.switches task) []

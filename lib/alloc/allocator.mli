@@ -30,10 +30,11 @@ val reallocate : t -> Task_view.t list -> unit
 (** Run one allocation round (a no-op for Equal and Fixed, whose
     allocations are purely membership-derived). *)
 
-val allocation_of : t -> task_id:int -> int Dream_traffic.Switch_id.Map.t
+val allocation_on : t -> task_id:int -> Dream_traffic.Switch_id.t -> int
+(** The task's allocation on a switch, 0 where it holds none. *)
 
 val total_of : t -> task_id:int -> int
-(** The sum of {!allocation_of} over switches. *)
+(** The task's allocation summed over every switch. *)
 
 val congested : t -> Dream_traffic.Switch_id.t -> bool
 (** Only DREAM reports congestion; the baselines never drop. *)

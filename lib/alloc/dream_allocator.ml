@@ -1,4 +1,5 @@
 module Switch_id = Dream_traffic.Switch_id
+module Switch_mask = Dream_traffic.Switch_mask
 
 type config = {
   headroom_fraction : float;
@@ -51,36 +52,30 @@ type sw_state = {
   mutable last_sr : int;
 }
 
-type t = { config : config; states : sw_state Switch_id.Map.t }
+type t = { config : config; states : sw_state array (* by switch id *) }
 
 let create config ~capacities =
-  let states =
-    List.fold_left
-      (fun acc (sw, capacity) ->
-        if capacity <= 0 then invalid_arg "Dream_allocator.create: capacity must be positive";
-        let target =
-          int_of_float (Float.round (config.headroom_fraction *. float_of_int capacity))
-        in
-        Switch_id.Map.add sw
-          {
-            switch = sw;
-            capacity;
-            target;
-            phantom = capacity;
-            slots = Hashtbl.create 64;
-            congested = false;
-            last_sp = 0;
-            last_sr = 0;
-          }
-          acc)
-      Switch_id.Map.empty capacities
+  let state i (sw, capacity) =
+    if sw <> i then invalid_arg "Dream_allocator.create: switches must be numbered 0 .. n-1";
+    if capacity <= 0 then invalid_arg "Dream_allocator.create: capacity must be positive";
+    let target = int_of_float (Float.round (config.headroom_fraction *. float_of_int capacity)) in
+    {
+      switch = sw;
+      capacity;
+      target;
+      phantom = capacity;
+      slots = Hashtbl.create 64;
+      congested = false;
+      last_sp = 0;
+      last_sr = 0;
+    }
   in
-  { config; states }
+  { config; states = Array.of_list (List.mapi state capacities) }
 
 let state t sw =
-  match Switch_id.Map.find_opt sw t.states with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Dream_allocator: unknown switch %d" sw)
+  if sw < 0 || sw >= Array.length t.states then
+    invalid_arg (Printf.sprintf "Dream_allocator: unknown switch %d" sw);
+  t.states.(sw)
 
 let capacity t sw = (state t sw).capacity
 
@@ -92,39 +87,13 @@ let effective_headroom t sw =
 
 let congested t sw = (state t sw).congested
 
-let try_admit t (view : Task_view.t) =
-  let ok =
-    Switch_id.Set.for_all
-      (fun sw ->
-        let s = state t sw in
-        effective_headroom t sw >= s.target && s.phantom >= t.config.min_allocation)
-      view.Task_view.switches
-  in
-  if ok then begin
-    Switch_id.Set.iter
-      (fun sw ->
-        let s = state t sw in
-        s.phantom <- s.phantom - t.config.min_allocation;
-        Hashtbl.replace s.slots view.Task_view.id
-          {
-            task_id = view.Task_view.id;
-            alloc = t.config.min_allocation;
-            step = t.config.initial_step;
-            last_status = None;
-            changed = false;
-            just_flipped = false;
-          })
-      view.Task_view.switches
-  end;
-  ok
-
 (* Journal replay: re-apply an admission whose outcome is already decided.
    The original decision depended on transient headroom state (last_sp /
    last_sr) that checkpoints do not carry, so replay must not re-run
    [try_admit] — it applies the recorded outcome unconditionally. *)
 let force_admit t (view : Task_view.t) =
-  Switch_id.Set.iter
-    (fun sw ->
+  Switch_mask.iter view.Task_view.topology
+    (fun sw _ ->
       let s = state t sw in
       s.phantom <- s.phantom - t.config.min_allocation;
       Hashtbl.replace s.slots view.Task_view.id
@@ -138,9 +107,21 @@ let force_admit t (view : Task_view.t) =
         })
     view.Task_view.switches
 
+let try_admit t (view : Task_view.t) =
+  let ok =
+    not
+      (Switch_mask.exists view.Task_view.topology
+         (fun sw ->
+           let s = state t sw in
+           effective_headroom t sw < s.target || s.phantom < t.config.min_allocation)
+         view.Task_view.switches)
+  in
+  if ok then force_admit t view;
+  ok
+
 let release t ~task_id =
-  Switch_id.Map.iter
-    (fun _ s ->
+  Array.iter
+    (fun s ->
       match Hashtbl.find_opt s.slots task_id with
       | Some slot ->
         s.phantom <- s.phantom + slot.alloc;
@@ -148,13 +129,16 @@ let release t ~task_id =
       | None -> ())
     t.states
 
-let allocation_of t ~task_id =
-  Switch_id.Map.fold
-    (fun sw s acc ->
-      match Hashtbl.find_opt s.slots task_id with
-      | Some slot -> Switch_id.Map.add sw slot.alloc acc
-      | None -> acc)
-    t.states Switch_id.Map.empty
+let alloc_on s task_id =
+  match Hashtbl.find_opt s.slots task_id with Some slot -> slot.alloc | None -> 0
+
+let allocation_on t ~task_id sw = alloc_on (state t sw) task_id
+
+let rec total_from t task_id sw acc =
+  if sw = Array.length t.states then acc
+  else total_from t task_id (sw + 1) (acc + alloc_on t.states.(sw) task_id)
+
+let total_of t ~task_id = total_from t task_id 0 0
 
 (* Largest-remainder proportional split of [total] across positive
    [weights]; returns the integer shares (summing to [total]). *)
@@ -352,15 +336,16 @@ let distribute_surplus s views =
   end
 
 let reallocate t views =
-  Switch_id.Map.iter
-    (fun _ s ->
+  Array.iter
+    (fun s ->
       reallocate_switch t s views;
       distribute_surplus s views)
     t.states
 
 let check_invariants t =
-  Switch_id.Map.fold
-    (fun sw s acc ->
+  Array.fold_left
+    (fun acc s ->
+      let sw = s.switch in
       match acc with
       | Error _ -> acc
       | Ok () ->
@@ -373,7 +358,7 @@ let check_invariants t =
             (Printf.sprintf "switch %d: allocations (%d) + phantom (%d) <> capacity (%d)" sw total
                s.phantom s.capacity)
         else Ok ())
-    t.states (Ok ())
+    (Ok ()) t.states
 
 let config t = t.config
 
@@ -417,10 +402,10 @@ let emit w t =
   C.int w "max_step" t.config.params.Step_policy.max_step;
   C.int w "initial_step" t.config.initial_step;
   C.int w "min_allocation" t.config.min_allocation;
-  C.int w "states" (Switch_id.Map.cardinal t.states);
-  Switch_id.Map.iter
-    (fun sw s ->
-      C.int w "switch" sw;
+  C.int w "states" (Array.length t.states);
+  Array.iter
+    (fun s ->
+      C.int w "switch" s.switch;
       C.int w "capacity" s.capacity;
       C.int w "target" s.target;
       C.int w "phantom" s.phantom;
@@ -504,7 +489,10 @@ let parse r =
                let just_flipped = C.bool_field r "just_flipped" in
                Hashtbl.replace slots task_id
                  { task_id; alloc; step; last_status; changed; just_flipped }));
-        (sw, { switch = sw; capacity; target; phantom; slots; congested; last_sp; last_sr }))
-    |> List.fold_left (fun acc (sw, s) -> Switch_id.Map.add sw s acc) Switch_id.Map.empty
+        { switch = sw; capacity; target; phantom; slots; congested; last_sp; last_sr })
+    |> List.mapi (fun i s ->
+           if s.switch <> i then C.parse_error 0 (Printf.sprintf "switch %d out of order" s.switch);
+           s)
+    |> Array.of_list
   in
   { config; states }

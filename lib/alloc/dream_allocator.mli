@@ -31,6 +31,9 @@ val default_config : config
 type t
 
 val create : config -> capacities:(Dream_traffic.Switch_id.t * int) list -> t
+(** [capacities] lists switches [0 .. n-1] in order.
+    @raise Invalid_argument on a non-positive capacity or switches out of
+    order. *)
 
 val capacity : t -> Dream_traffic.Switch_id.t -> int
 
@@ -52,7 +55,12 @@ val reallocate : t -> Task_view.t list -> unit
 (** One allocation round over every switch.  The list must contain exactly
     the currently admitted tasks. *)
 
-val allocation_of : t -> task_id:int -> int Dream_traffic.Switch_id.Map.t
+val allocation_on : t -> task_id:int -> Dream_traffic.Switch_id.t -> int
+(** The task's allocation on a switch, 0 where it holds none.
+    @raise Invalid_argument on an unknown switch. *)
+
+val total_of : t -> task_id:int -> int
+(** The task's allocation summed over every switch. *)
 
 val phantom : t -> Dream_traffic.Switch_id.t -> int
 (** Current phantom (unallocated) entries on a switch. *)

@@ -6,7 +6,8 @@
 
 type t = {
   id : int;
-  switches : Dream_traffic.Switch_id.Set.t;
+  topology : Dream_traffic.Topology.t;  (** what the bits of [switches] stand for *)
+  switches : Dream_traffic.Switch_mask.t;
   bound : float;  (** target accuracy bound in \[0, 1\] *)
   drop_priority : int;  (** higher = dropped first *)
   overall : Dream_traffic.Switch_id.t -> float;
@@ -18,5 +19,3 @@ type t = {
           problem more counters cannot fix, and reclaim unused
           allocation *)
 }
-
-val pp : Format.formatter -> t -> unit

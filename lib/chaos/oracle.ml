@@ -3,7 +3,6 @@ module Fault_model = Dream_fault.Fault_model
 module Breaker = Dream_switch.Breaker
 module Invariant = Dream_recovery.Invariant
 module Journal = Dream_recovery.Journal
-module Switch_id = Dream_traffic.Switch_id
 
 type violation = { epoch : int; code : string; detail : string }
 
@@ -67,7 +66,7 @@ let staleness ~epoch ~cap ~noise_active ~controller ~prev =
     ||
     match (Controller.task_switches controller ~task_id, faults) with
     | Some switches, Some fm ->
-      Switch_id.Set.exists
+      List.exists
         (fun sw ->
           Fault_model.is_down fm sw || Fault_model.is_partitioned fm sw
           || sw < Array.length breakers

@@ -161,7 +161,7 @@ val staleness_of : t -> task_id:int -> int option
 (** The task's bounded-staleness level: consecutive epochs it reported
     with at least one stale or missing switch.  [None] if not active. *)
 
-val task_switches : t -> task_id:int -> Dream_traffic.Switch_id.Set.t option
+val task_switches : t -> task_id:int -> Dream_traffic.Switch_id.t list option
 (** Switches the task needs counters on; [None] if not active.  The chaos
     oracle uses this to decide whether a staleness level above the shed
     cap is explained by an unreachable switch. *)

@@ -1,5 +1,7 @@
 module Prefix = Dream_prefix.Prefix
 module Switch_id = Dream_traffic.Switch_id
+module Switch_mask = Dream_traffic.Switch_mask
+module Topology = Dream_traffic.Topology
 module Epoch_data = Dream_traffic.Epoch_data
 module Aggregate = Dream_traffic.Aggregate
 module Source = Dream_traffic.Source
@@ -78,25 +80,19 @@ let event f ~name fields =
 
 (* Fraction of the epoch a freshly installed rule missed while its update
    was in flight (Figs 8/9's prototype-vs-simulator gap). *)
-let install_miss f (r : Runtime.t) sw_id =
+let install_miss f (r : Runtime.t) b =
   match f.control_delay with
   | None -> 0.0
   | Some costs ->
-    let installs =
-      match Switch_id.Map.find_opt sw_id r.last_install_counts with Some n -> n | None -> 0
-    in
+    let installs = if b < 0 then 0 else r.last_install_counts.(b) in
     Delay_model.install_miss_fraction costs ~epoch_ms:f.epoch_ms ~installs ~switches:1
 
 (* Without a miss (always, with no control delay) the readings are
    returned as they are. *)
-let degrade_fresh f (r : Runtime.t) sw_id pairs =
-  let miss = install_miss f r sw_id in
+let degrade_fresh f (r : Runtime.t) b pairs =
+  let miss = install_miss f r b in
   if miss > 0.0 then begin
-    let fresh =
-      match Switch_id.Map.find_opt sw_id r.fresh_rules with
-      | Some set -> set
-      | None -> Prefix.Set.empty
-    in
+    let fresh = if b < 0 then Prefix.Set.empty else r.fresh_rules.(b) in
     List.map (fun (p, v) -> if Prefix.Set.mem p fresh then (p, v *. (1.0 -. miss)) else (p, v)) pairs
   end
   else pairs
@@ -187,28 +183,33 @@ let read f (r : Runtime.t) =
   let data = next_epoch f r in
   let costs = f.costs in
   let task_switches = Task.switches r.task in
+  let topology = Task.topology r.task in
   let readings = ref [] in
-  let degraded = ref [] in
-  (* The task cannot hear from [sw_id] this epoch: report its last
-     readings, if any. *)
-  let use_stale sw_id =
-    (match Switch_id.Map.find_opt sw_id r.stale_counters with
-    | Some ((_ :: _) as pairs) ->
-      readings := (sw_id, pairs) :: !readings;
-      Ctr.incr f.tallies.stale_epochs
-    | Some [] | None -> ());
-    degraded := sw_id :: !degraded
+  let degraded = ref Switch_mask.empty in
+  (* The task cannot hear from the switch of bit [b] this epoch: report
+     its last readings, if any.  A switch outside the topology (b < 0)
+     has none. *)
+  let use_stale sw_id b =
+    if b >= 0 then begin
+      (match r.stale_counters.(b) with
+      | Some ((_ :: _) as pairs) ->
+        readings := (sw_id, pairs) :: !readings;
+        Ctr.incr f.tallies.stale_epochs
+      | Some [] | None -> ());
+      degraded := !degraded lor (1 lsl b)
+    end
   in
   if shed then
     (* Traffic still flowed (the source draw above); the task just reports
        from whatever it last heard. *)
-    Switch_id.Set.iter use_stale task_switches
+    Switch_mask.iter topology use_stale task_switches
   else
     Array.iter
       (fun dp ->
         let sw_id = Data_plane.id dp in
+        let b = Topology.bit_of_switch topology sw_id in
         if Data_plane.down dp then begin
-          if Switch_id.Set.mem sw_id task_switches then use_stale sw_id
+          if b >= 0 && Switch_mask.mem_bit b task_switches then use_stale sw_id b
         end
         else begin
           let rules = rules_on dp ~owner:id in
@@ -216,7 +217,7 @@ let read f (r : Runtime.t) =
             match breaker_for f sw_id with
             | Some br when not (Breaker.allow br) ->
               Ctr.incr f.tallies.breaker_skips;
-              use_stale sw_id
+              use_stale sw_id b
             | br_opt ->
               let aggregate = Epoch_data.switch_view data sw_id in
               let factor = Data_plane.latency_factor dp in
@@ -262,17 +263,16 @@ let read f (r : Runtime.t) =
                 (match br_opt with Some br -> record_breaker_success f sw_id br | None -> ());
                 let lost = rules - List.length pairs in
                 if lost > 0 then Ctr.add f.tallies.counters_lost lost;
-                let pairs = degrade_fresh f r sw_id pairs in
+                let pairs = degrade_fresh f r b pairs in
                 (* Only a fault model can make a later fetch fall back on
                    these, so fault-free checkpoints carry none. *)
-                if f.faulty then
-                  r.stale_counters <- Switch_id.Map.add sw_id pairs r.stale_counters;
+                if f.faulty && b >= 0 then r.stale_counters.(b) <- Some pairs;
                 readings := (sw_id, pairs) :: !readings
-              | `Gone -> use_stale sw_id
+              | `Gone -> use_stale sw_id b
               | `Unreachable | `Abandoned ->
                 (match br_opt with Some br -> record_breaker_failure f sw_id br | None -> ());
-                use_stale sw_id)
+                use_stale sw_id b)
           end
         end)
       f.planes;
-  (data, List.rev !readings, List.rev !degraded)
+  (data, List.rev !readings, !degraded)

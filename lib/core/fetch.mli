@@ -39,12 +39,12 @@ val read :
   Runtime.t ->
   Dream_traffic.Epoch_data.t
   * (Dream_traffic.Switch_id.t * (Dream_prefix.Prefix.t * float) list) list
-  * Dream_traffic.Switch_id.t list
+  * Dream_traffic.Switch_mask.t
 (** Draw the task's next epoch of traffic, then fetch its counters from
     every switch holding its rules, in switch order.  Returns the epoch's
-    traffic, the readings, and the switches the task could not hear from
-    (served stale or not at all), so the caller can decay the task's
-    estimated accuracy.  In degraded mode a task whose expected fetch cost
+    traffic, the readings, and the mask of the task's switches it could
+    not hear from (served stale or not at all), so the caller can decay
+    the task's estimated accuracy.  In degraded mode a task whose expected fetch cost
     overruns the remaining deadline is shed: it reports from stale
     counters without any fetch being issued. *)
 

@@ -1,5 +1,5 @@
 module Prefix = Dream_prefix.Prefix
-module Switch_id = Dream_traffic.Switch_id
+module Topology = Dream_traffic.Topology
 module Arena = Dream_util.Arena
 module Data_plane = Dream_switch.Data_plane
 module Task = Dream_tasks.Task
@@ -15,7 +15,7 @@ module Ctr = Dream_obs.Registry.Counter
 type t = {
   planes : Data_plane.t array;
   budgets : Arena.ints; (* updates each switch may still apply this epoch *)
-  recovered : Switch_id.Set.t;
+  recovered : bool array; (* by switch id *)
   tallies : Metrics.Tallies.t;
 }
 
@@ -67,8 +67,7 @@ let install_rule s ~id dp i p added =
     match Data_plane.install dp ~owner:id p with
     | Ok () ->
       s.budgets.{i} <- s.budgets.{i} - 1;
-      if Switch_id.Set.mem sw_id s.recovered then
-        Ctr.incr s.tallies.recovery_reinstalls;
+      if s.recovered.(sw_id) then Ctr.incr s.tallies.recovery_reinstalls;
       Prefix.Set.add p added
     | Error `Failed ->
       (* The attempt consumed an update slot; the rule stays desired and
@@ -90,15 +89,16 @@ let rec install_into s (r : Runtime.t) i =
         (Data_plane.rules_of dp ~owner:id) Prefix.Set.empty
     in
     if not (Prefix.Set.is_empty added) then begin
-      let sw_id = Data_plane.id dp in
-      r.fresh_rules <- Switch_id.Map.add sw_id added r.fresh_rules;
-      r.last_install_counts <-
-        Switch_id.Map.add sw_id (Prefix.Set.cardinal added) r.last_install_counts
+      (* Rules land only where the monitor wants some: a switch the task
+         sees. *)
+      let b = Topology.bit_of_switch (Task.topology r.task) (Data_plane.id dp) in
+      r.fresh_rules.(b) <- added;
+      r.last_install_counts.(b) <- Prefix.Set.cardinal added
     end;
     install_into s r (i + 1)
   end
 
 let install_missing s (r : Runtime.t) =
-  r.fresh_rules <- Switch_id.Map.empty;
-  r.last_install_counts <- Switch_id.Map.empty;
+  Array.fill r.fresh_rules 0 (Array.length r.fresh_rules) Prefix.Set.empty;
+  Array.fill r.last_install_counts 0 (Array.length r.last_install_counts) 0;
   install_into s r 0

@@ -15,12 +15,13 @@ val create :
   planes:Dream_switch.Data_plane.t array ->
   arena:Dream_util.Arena.t ->
   install_budget:int option ->
-  recovered:Dream_traffic.Switch_id.Set.t ->
+  recovered:bool array ->
   tallies:Metrics.Tallies.t ->
   t
 (** The epoch's sync, with every switch's update budget full.  The budgets
-    live in slot 0 of [arena].  Installs onto a switch in [recovered]
-    count as recovery reinstalls. *)
+    live in slot 0 of [arena].  Installs onto a switch whose entry in
+    [recovered] (indexed by switch id) is set count as recovery
+    reinstalls. *)
 
 val remove_stale : t -> Runtime.t -> int
 (** Pass 1 for one task: delete its installed rules the monitor no longer

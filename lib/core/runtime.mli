@@ -15,13 +15,15 @@ type t = {
   mutable poor_streak : int;  (** consecutive poor allocation rounds without growth *)
   mutable last_alloc_total : int;
   mutable last_report : Dream_tasks.Report.t option;
-  mutable fresh_rules : Dream_prefix.Prefix.Set.t Dream_traffic.Switch_id.Map.t;
-      (** rules installed by the last sync, per switch *)
-  mutable last_install_counts : int Dream_traffic.Switch_id.Map.t;
-  mutable stale_counters : (Dream_prefix.Prefix.t * float) list Dream_traffic.Switch_id.Map.t;
-      (** last successfully fetched readings per switch, the fallback when a
-          switch is down or a fetch is abandoned; written only when a fault
-          model is configured *)
+  fresh_rules : Dream_prefix.Prefix.Set.t array;
+      (** rules installed by the last sync, per sub-filter bit of the
+          task's topology (a switch, see {!Dream_traffic.Switch_mask}) *)
+  last_install_counts : int array;  (** their number, per sub-filter bit *)
+  stale_counters : (Dream_prefix.Prefix.t * float) list option array;
+      (** last successfully fetched readings per sub-filter bit, the
+          fallback when a switch is down or a fetch is abandoned; [None]
+          until a fetch from the switch succeeds, and written only when a
+          fault model is configured *)
   mutable staleness : int;
       (** consecutive epochs this task reported with at least one stale or
           missing switch (degraded mode only; 0 when fully fresh) *)
@@ -55,7 +57,8 @@ val parse : Dream_util.Codec.reader -> t
 (** Inverse of {!emit}, except [last_report], which is not serialized: the
     control loop never reads it, and a restored controller reports afresh
     on its first tick.
-    @raise Dream_util.Codec.Parse_error on a malformed section; the task,
+    @raise Dream_util.Codec.Parse_error on a malformed section or a
+    per-switch entry on a switch the task never sees; the task,
     source and ground-truth parsers may also raise [Invalid_argument] on
     out-of-range values. *)
 

@@ -1,5 +1,6 @@
 module Prefix = Dream_prefix.Prefix
-module Switch_id = Dream_traffic.Switch_id
+module Switch_mask = Dream_traffic.Switch_mask
+module Topology = Dream_traffic.Topology
 module Switch = Dream_switch.Switch
 module Tcam = Dream_switch.Tcam
 module Task = Dream_tasks.Task
@@ -23,7 +24,8 @@ let check_allocator ~allocator acc =
   end
 
 let alloc_on task sw =
-  match Switch_id.Map.find_opt sw (Task.allocations task) with Some a -> a | None -> 0
+  let b = Topology.bit_of_switch (Task.topology task) sw in
+  if b < 0 then 0 else (Task.allocations task).(b)
 
 let check_switch ~tasks sw acc =
   let id = Switch.id sw in
@@ -57,40 +59,40 @@ let check_switch ~tasks sw acc =
         :: acc)
     acc (Tcam.dump tcam)
 
-let check_task ~switches ~up task acc =
+(* The checks on one of a task's switches, [sw] at sub-filter bit [b]. *)
+let check_task_on ~switches ~up task sw b acc =
   let id = Task.id task in
+  let alloc = (Task.allocations task).(b) in
+  let used = Task.counters_used task b in
+  let acc =
+    if used > alloc then
+      violation "usage-within-allocation"
+        "task %d configures %d counters on switch %d, allocated %d" id used sw alloc
+      :: acc
+    else acc
+  in
+  if not (up sw) then acc
+  else begin
+    let tcam = Switch.tcam switches.(sw) in
+    let installed = Prefix.Set.of_list (Tcam.rules_of tcam ~owner:id) in
+    let desired = Prefix.Set.of_list (Task.desired_rules task sw) in
+    if Prefix.Set.equal installed desired then acc
+    else
+      violation "rules-match"
+        "task %d on switch %d: %d rules installed, %d configured (%d stray, %d missing)" id sw
+        (Prefix.Set.cardinal installed)
+        (Prefix.Set.cardinal desired)
+        (Prefix.Set.cardinal (Prefix.Set.diff installed desired))
+        (Prefix.Set.cardinal (Prefix.Set.diff desired installed))
+      :: acc
+  end
+
+let check_task ~switches ~up task acc =
   let acc =
     if Monitor.is_partition (Task.monitor task) then acc
-    else violation "partition" "task %d counters do not partition its filter" id :: acc
+    else violation "partition" "task %d counters do not partition its filter" (Task.id task) :: acc
   in
-  Switch_id.Set.fold
-    (fun sw acc ->
-      let alloc = alloc_on task sw in
-      let used = Task.counters_used task sw in
-      let acc =
-        if used > alloc then
-          violation "usage-within-allocation"
-            "task %d configures %d counters on switch %d, allocated %d" id used sw alloc
-          :: acc
-        else acc
-      in
-      if not (up sw) then acc
-      else begin
-        let tcam = Switch.tcam switches.(sw) in
-        let installed = Prefix.Set.of_list (Tcam.rules_of tcam ~owner:id) in
-        let desired = Prefix.Set.of_list (Task.desired_rules task sw) in
-        if Prefix.Set.equal installed desired then acc
-        else
-          violation "rules-match"
-            "task %d on switch %d: %d rules installed, %d configured (%d stray, %d missing)" id
-            sw
-            (Prefix.Set.cardinal installed)
-            (Prefix.Set.cardinal desired)
-            (Prefix.Set.cardinal (Prefix.Set.diff installed desired))
-            (Prefix.Set.cardinal (Prefix.Set.diff desired installed))
-          :: acc
-      end)
-    (Task.switches task) acc
+  Switch_mask.fold (Task.topology task) (check_task_on ~switches ~up task) (Task.switches task) acc
 
 let check_all ~allocator ~switches ~up ~tasks =
   let acc = check_allocator ~allocator [] in

@@ -88,11 +88,7 @@ let tcam_vs_sketch ~epochs =
       let generator = Generator.create (Rng.split rng) ~topology ~profile in
       let task = Task.create ~id:0 ~spec ~topology () in
       let ground_truth = Dream_tasks.Ground_truth.create spec in
-      let allocations =
-        Dream_traffic.Switch_id.Set.fold
-          (fun sw acc -> Dream_traffic.Switch_id.Map.add sw (resources / 2) acc)
-          (Task.switches task) Dream_traffic.Switch_id.Map.empty
-      in
+      let allocations = Array.make (Topology.switches_per_task topology) (resources / 2) in
       let sketch = Sketch_hh.create ~spec ~cells:resources ~seed:17 () in
       let sampler = Sampled_hh.create ~spec ~budget:resources ~seed:23 () in
       let tcam_recalls = ref [] and sk_recalls = ref [] and sk_precisions = ref [] in
@@ -101,8 +97,8 @@ let tcam_vs_sketch ~epochs =
         let data = Generator.next generator in
         (* TCAM side. *)
         let readings =
-          Dream_traffic.Switch_id.Set.fold
-            (fun sw acc ->
+          Dream_traffic.Switch_mask.fold topology
+            (fun sw _ acc ->
               let agg = Epoch_data.switch_view data sw in
               ( sw,
                 List.map

@@ -1,6 +1,6 @@
 module Rng = Dream_util.Rng
 module Prefix = Dream_prefix.Prefix
-module Switch_id = Dream_traffic.Switch_id
+module Switch_mask = Dream_traffic.Switch_mask
 module Topology = Dream_traffic.Topology
 module Generator = Dream_traffic.Generator
 module Profile = Dream_traffic.Profile
@@ -35,7 +35,7 @@ type setup = {
   task : Task.t;
   generator : Generator.t;
   ground_truth : Ground_truth.t;
-  allocations : int Switch_id.Map.t;
+  allocations : int array;
   spec : Task_spec.t;
 }
 
@@ -48,12 +48,7 @@ let make_setup ~seed ~resources =
   in
   let generator = Generator.create (Rng.split rng) ~topology ~profile:(profile ~threshold:8.0) in
   let task = Task.create ~id:0 ~spec ~topology () in
-  let per_switch = resources / 2 in
-  let allocations =
-    Switch_id.Set.fold
-      (fun sw acc -> Switch_id.Map.add sw per_switch acc)
-      (Task.switches task) Switch_id.Map.empty
-  in
+  let allocations = Array.make (Topology.switches_per_task topology) (resources / 2) in
   { task; generator; ground_truth = Ground_truth.create spec; allocations; spec }
 
 (* One epoch of the Algorithm 1 loop, bypassing the TCAM simulator: read
@@ -61,8 +56,8 @@ let make_setup ~seed ~resources =
 let step s ~epoch =
   let data = Generator.next s.generator in
   let readings =
-    Switch_id.Set.fold
-      (fun sw acc ->
+    Switch_mask.fold (Task.topology s.task)
+      (fun sw _ acc ->
         let aggregate = Epoch_data.switch_view data sw in
         let pairs =
           List.map (fun p -> (p, Aggregate.volume aggregate p)) (Task.desired_rules s.task sw)

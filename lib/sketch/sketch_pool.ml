@@ -1,10 +1,15 @@
-module Switch_id = Dream_traffic.Switch_id
+module Topology = Dream_traffic.Topology
 module Ewma = Dream_util.Ewma
 module Dream_allocator = Dream_alloc.Dream_allocator
 module Task_view = Dream_alloc.Task_view
 
-(* The pool is a single pseudo-switch. *)
+(* The pool is a single pseudo-switch, the one switch of every task's
+   topology. *)
 let pool_switch = 0
+
+let pool_topology =
+  Topology.create (Dream_util.Rng.create 0) ~filter:(Dream_prefix.Prefix.of_string "0.0.0.0/0")
+    ~num_switches:1 ~switches_per_task:1
 
 type entry = { task : Sketch_hh.t; smoothed : Ewma.t }
 
@@ -21,15 +26,13 @@ let create ?(config = Dream_allocator.default_config) ~capacity () =
 
 let capacity t = Dream_allocator.capacity t.allocator pool_switch
 
-let allocation t ~id =
-  match Switch_id.Map.find_opt pool_switch (Dream_allocator.allocation_of t.allocator ~task_id:id) with
-  | Some v -> v
-  | None -> 0
+let allocation t ~id = Dream_allocator.total_of t.allocator ~task_id:id
 
 let view ~id (entry : entry) =
   {
     Task_view.id;
-    switches = Switch_id.Set.singleton pool_switch;
+    topology = pool_topology;
+    switches = Dream_traffic.Switch_mask.full pool_topology;
     bound = (Sketch_hh.spec entry.task).Dream_tasks.Task_spec.accuracy_bound;
     drop_priority = id;
     overall = (fun _ -> Ewma.value_or entry.smoothed 1.0);

@@ -1,21 +1,9 @@
-module Switch_id = Dream_traffic.Switch_id
+type t = { global : float; locals : float array }
 
-type t = { global : float; locals : float Switch_id.Map.t }
+let perfect ~switches_per_task = { global = 1.0; locals = Array.make switches_per_task 1.0 }
 
-let perfect ~switches =
-  {
-    global = 1.0;
-    locals = Switch_id.Set.fold (fun sw acc -> Switch_id.Map.add sw 1.0 acc) switches Switch_id.Map.empty;
-  }
+let local t b = t.locals.(b)
 
-let local t sw = match Switch_id.Map.find_opt sw t.locals with Some v -> v | None -> t.global
-
-let overall t sw = Float.max t.global (local t sw)
+let overall t b = Float.max t.global (local t b)
 
 let clamp v = if v < 0.0 then 0.0 else if v > 1.0 then 1.0 else v
-
-let pp ppf t =
-  Format.fprintf ppf "global=%.2f locals=[%a]" t.global
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-       (fun ppf (sw, v) -> Format.fprintf ppf "%a:%.2f" Switch_id.pp sw v))
-    (Switch_id.Map.bindings t.locals)

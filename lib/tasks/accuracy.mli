@@ -5,21 +5,20 @@
 
 type t = {
   global : float;
-  locals : float Dream_traffic.Switch_id.Map.t;
+  locals : float array;
+      (** per sub-filter bit of the task's topology (a switch, see
+          {!Dream_traffic.Switch_mask}) *)
 }
 
-val perfect : switches:Dream_traffic.Switch_id.Set.t -> t
+val perfect : switches_per_task:int -> t
 (** Accuracy 1 everywhere — what an idle task (no traffic) reports. *)
 
-val local : t -> Dream_traffic.Switch_id.t -> float
-(** Local accuracy on a switch, defaulting to the global value where no
-    local estimate exists. *)
+val local : t -> int -> float
+(** Local accuracy on the switch of a sub-filter bit. *)
 
-val overall : t -> Dream_traffic.Switch_id.t -> float
+val overall : t -> int -> float
 (** [max global local] — the overall accuracy used for allocation
     decisions. *)
 
 val clamp : float -> float
 (** Clamp into \[0, 1\]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -12,14 +12,14 @@ let report monitor ~epoch =
 
 (* Per-switch means are not tracked; apportion the total deviation by the
    switch's share of the counter's volume. *)
-let deviation_on monitor i sw =
+let deviation_on monitor i b =
   let deviation = Monitor.cd_deviation monitor i in
   let total = Monitor.total monitor i in
   if total <= 0.0 then begin
     let n = Monitor.switch_count monitor i in
     if n = 0 then 0.0 else deviation /. float_of_int n
   end
-  else deviation *. (Monitor.volume_on monitor i sw /. total)
+  else deviation *. (Monitor.volume_on monitor i b /. total)
 
 let estimate monitor ~allocations =
   Recall_estimator.estimate monitor ~allocations ~magnitude_total:Monitor.cd_deviation

@@ -9,6 +9,7 @@
 val report : Monitor.t -> epoch:int -> Report.t
 
 val estimate :
-  Monitor.t -> allocations:int Dream_traffic.Switch_id.Map.t -> Accuracy.t
+  Monitor.t -> allocations:int array -> Accuracy.t
+(** [allocations] is indexed by sub-filter bit. *)
 
 val finish_epoch : Monitor.t -> unit

@@ -1,5 +1,5 @@
 module Prefix = Dream_prefix.Prefix
-module Switch_id = Dream_traffic.Switch_id
+module Switch_mask = Dream_traffic.Switch_mask
 module Topology = Dream_traffic.Topology
 
 type detection = { prefix : Prefix.t; residual : float; value : float }
@@ -96,25 +96,22 @@ let estimate monitor ~allocations detections =
   in
   let topology = Monitor.topology monitor in
   let bottlenecks = Monitor.bottlenecked monitor ~allocations in
-  let locals =
-    Switch_id.Set.fold
-      (fun sw acc ->
-        let values =
-          List.filter_map
-            (fun d ->
-              if Switch_id.Set.mem sw (Topology.switch_set topology d.prefix) then
-                (* Only bottleneck switches inherit the uncertain value;
-                   others are scored 1 (Section 5.3). *)
-                Some (if Switch_id.Set.mem sw bottlenecks then d.value else 1.0)
-              else None)
-            detections
-        in
-        let local =
-          match values with
-          | [] -> 1.0
-          | _ :: _ -> List.fold_left ( +. ) 0.0 values /. float_of_int (List.length values)
-        in
-        Switch_id.Map.add sw local acc)
-      (Monitor.switches monitor) Switch_id.Map.empty
-  in
+  let switches = Monitor.switches monitor in
+  let locals = Array.make (Topology.switches_per_task topology) 1.0 in
+  for b = 0 to Array.length locals - 1 do
+    if Switch_mask.mem_bit b switches then begin
+      let values =
+        List.filter_map
+          (fun d ->
+            if Switch_mask.mem_bit b (Topology.prefix_mask topology d.prefix) then
+              (* Only bottleneck switches inherit the uncertain value;
+                 others are scored 1 (Section 5.3). *)
+              Some (if Switch_mask.mem_bit b bottlenecks then d.value else 1.0)
+            else None)
+          detections
+      in
+      if values <> [] then
+        locals.(b) <- List.fold_left ( +. ) 0.0 values /. float_of_int (List.length values)
+    end
+  done;
   { Accuracy.global = Accuracy.clamp global; locals }

@@ -20,8 +20,9 @@ val report : Monitor.t -> epoch:int -> detection list -> Report.t
 (** The report of this epoch's {!detect}. *)
 
 val estimate :
-  Monitor.t -> allocations:int Dream_traffic.Switch_id.Map.t -> detection list -> Accuracy.t
-(** Estimated precision of this epoch's {!detect}. *)
+  Monitor.t -> allocations:int array -> detection list -> Accuracy.t
+(** Estimated precision of this epoch's {!detect}, under allocations
+    indexed by sub-filter bit. *)
 
 val estimate_recall : Monitor.t -> float
 (** Recall estimated like the HH estimator (Section 5.3: "for HHH tasks,

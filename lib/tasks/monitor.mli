@@ -15,7 +15,11 @@
     the counters under any prefix are one contiguous run of slots, so
     lookups, merges, rule lists and trie walks are bisects over the table,
     and a merge or divide is one shift of each column.  A slot index stays
-    valid until the next {!configure}, which moves slots. *)
+    valid until the next {!configure}, which moves slots.
+
+    Switch sets are {!Dream_traffic.Switch_mask} bitmasks over the task's
+    sub-filters, and per-switch arguments are sub-filter bits; only the
+    data-plane facing {!rules_for} and {!ingest} take switch ids. *)
 
 type t
 
@@ -51,8 +55,9 @@ val total : t -> int -> float
 (** The sum of the counter's fetched volumes, in ascending switch-id
     order. *)
 
-val volume_on : t -> int -> Dream_traffic.Switch_id.t -> float
-(** Last fetched volume on a switch; 0 when it has none. *)
+val volume_on : t -> int -> int -> float
+(** [volume_on t slot bit]: last fetched volume on the switch of a
+    sub-filter bit; 0 when it has none. *)
 
 val volumes : t -> int -> (Dream_traffic.Switch_id.t * float) list
 (** Every fetched volume, in ascending switch-id order. *)
@@ -79,9 +84,9 @@ val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 (** [fold f t init] is [f 0 (f 1 (... (f (n-1) init)))] over the slots,
     like [List.fold_right]: consing builds a list in prefix order. *)
 
-val fold_seeing : (int -> 'a -> 'a) -> t -> Dream_traffic.Switch_id.t -> 'a -> 'a
-(** {!fold} over the counters whose S set holds the switch: the one run of
-    slots intersecting its sub-filter. *)
+val fold_seeing : (int -> 'a -> 'a) -> t -> int -> 'a -> 'a
+(** {!fold} over the counters whose S set holds the switch of a sub-filter
+    bit: the one run of slots intersecting that sub-filter. *)
 
 val fold_bottom_up :
   t -> f:(Dream_prefix.Prefix.t -> int -> 'a list -> 'a) -> 'a
@@ -93,20 +98,21 @@ val fold_bottom_up :
     Returns the filter's result.  No trie is built: each node's counters
     are one run of slots, split in two by a bisect. *)
 
-val switches : t -> Dream_traffic.Switch_id.Set.t
+val switches : t -> Dream_traffic.Switch_mask.t
 (** All switches that see the task's filter. *)
 
-val usage : t -> Dream_traffic.Switch_id.t -> int
-(** TCAM entries this task occupies on a switch. *)
+val usage : t -> int -> int
+(** TCAM entries this task occupies on the switch of a sub-filter bit. *)
 
-val active : t -> Dream_traffic.Switch_id.Set.t
+val active : t -> Dream_traffic.Switch_mask.t
 (** Switches the task currently installs rules on — those with a non-zero
     allocation.  A baseline allocator (e.g. Equal under extreme overload)
     can grant zero entries on a switch; the task then goes blind there
     instead of violating switch capacity. *)
 
 val rules_for : t -> Dream_traffic.Switch_id.t -> Dream_prefix.Prefix.t list
-(** Prefixes to install on a switch (counters whose S contains it), in
+(** Prefixes to install on a switch (counters whose S contains it, none
+    on a switch outside {!active}), in
     {!Dream_prefix.Prefix.compare} order — the order the controller's
     sorted-merge rule sync relies on. *)
 
@@ -119,18 +125,16 @@ val ingest :
     switch: a switch's readings are expected in prefix order (a TCAM's
     order); any order is accepted. *)
 
-val bottlenecked :
-  t -> allocations:int Dream_traffic.Switch_id.Map.t -> Dream_traffic.Switch_id.Set.t
+val bottlenecked : t -> allocations:int array -> Dream_traffic.Switch_mask.t
 (** Switches where the task has used its entire allocation — the switches
     whose missed events the local estimators should attribute (Section
-    5.3). *)
+    5.3).  [allocations] is indexed by sub-filter bit. *)
 
 module Cover : sig
   (** cover() of Section 5.2: greedy weighted set cover over the T_j sets
       of the structural trie nodes above the counters.  Internally every
       switch set is a bitmask over the task's sub-filters (bit [i] is
-      sub-filter [i] of the topology); switch sets appear only here, at
-      the boundary. *)
+      sub-filter [i] of the topology). *)
 
   type solution = { ancestors : Dream_prefix.Prefix.t list; cost : float }
   (** Disjoint ancestors to merge, and the total score of the counters the
@@ -151,7 +155,7 @@ module Cover : sig
   (** Drop the candidates a merge at the given ancestor destroyed (those
       it covers).  The per-switch bounds stay: they only under-estimate. *)
 
-  val min_cost_bound : candidates -> Dream_traffic.Switch_id.Set.t -> float
+  val min_cost_bound : candidates -> Dream_traffic.Switch_mask.t -> float
   (** Lower bound on the cost of any cover of the set: the largest
       per-switch bound over it ([infinity] for a switch no candidate
       frees). *)
@@ -159,7 +163,7 @@ module Cover : sig
   val solve_with :
     candidates ->
     exclude:Dream_prefix.Prefix.t option ->
-    Dream_traffic.Switch_id.Set.t ->
+    Dream_traffic.Switch_mask.t ->
     solution option
   (** Greedy cover of the set from these candidates, ignoring those that
       cover [exclude] (so a merge never destroys the counter about to be
@@ -168,15 +172,17 @@ module Cover : sig
   val solve :
     t ->
     exclude:Dream_prefix.Prefix.t option ->
-    Dream_traffic.Switch_id.Set.t ->
+    Dream_traffic.Switch_mask.t ->
     solution option
   (** [solve t ~exclude f] is [solve_with (build t) ~exclude f]: a
       low-cost set of ancestors whose merging frees at least one entry on
       every switch in [f]. *)
 end
 
-val configure : t -> allocations:int Dream_traffic.Switch_id.Map.t -> unit
-(** Algorithm 2: first merge until no switch exceeds its allocation, then
+val configure : t -> allocations:int array -> unit
+(** Algorithm 2 under per-sub-filter-bit [allocations] (a switch outside
+    {!switches} must be granted 0): first merge until no switch exceeds
+    its allocation, then
     repeatedly divide the highest-scoring counter, paying for each divide
     with a cover-merge when it would overflow a switch, while the score
     outweighs the merge cost.  Scores must have been set by the task-

@@ -9,13 +9,14 @@
 
 val estimate :
   Monitor.t ->
-  allocations:int Dream_traffic.Switch_id.Map.t ->
+  allocations:int array ->
   magnitude_total:(Monitor.t -> int -> float) ->
-  magnitude_on:(Monitor.t -> int -> Dream_traffic.Switch_id.t -> float) ->
+  magnitude_on:(Monitor.t -> int -> int -> float) ->
   Accuracy.t
 (** An exact counter is detected when its [magnitude_total] (of the
     monitor and slot) exceeds the task's threshold; [magnitude_on] is its
-    share on one switch. *)
+    share on the switch of one sub-filter bit.  [allocations] is indexed
+    by sub-filter bit. *)
 
 val missed_bound : wildcards:int -> magnitude:float -> threshold:float -> int
 (** The min-of-two-bounds estimate of items missed under one prefix. *)

@@ -5,7 +5,12 @@
     estimateAccuracy, which also folds the raw estimates into the
     EWMA-smoothed overall accuracies the allocator reads), then — after the allocator has decided — {!configure}
     (configureCounters) with the new per-switch allocations, and finally
-    {!desired_rules} to save counters to each switch. *)
+    {!desired_rules} to save counters to each switch.
+
+    Per-switch arguments and values are indexed by the sub-filter bit of
+    the task's topology ({!Dream_traffic.Switch_mask}); only
+    {!desired_rules} and {!ingest_counters}, which face the data plane,
+    take switch ids. *)
 
 type t
 
@@ -30,12 +35,13 @@ val spec : t -> Task_spec.t
 val monitor : t -> Monitor.t
 val topology : t -> Dream_traffic.Topology.t
 
-val switches : t -> Dream_traffic.Switch_id.Set.t
+val switches : t -> Dream_traffic.Switch_mask.t
 (** Switches the task needs counters on. *)
 
-val allocations : t -> int Dream_traffic.Switch_id.Map.t
-(** Allocations applied by the last {!configure} (one counter per relevant
-    switch before the first allocation). *)
+val allocations : t -> int array
+(** Allocations applied by the last {!configure}, per sub-filter bit (one
+    counter per relevant switch before the first allocation).  Do not
+    mutate. *)
 
 val desired_rules : t -> Dream_traffic.Switch_id.t -> Dream_prefix.Prefix.t list
 
@@ -50,20 +56,23 @@ val report_and_estimate : t -> epoch:int -> Report.t * Accuracy.t
 val smoothed_global : t -> float
 (** EWMA-smoothed estimated global accuracy (1 before any estimate). *)
 
-val decay_accuracy : t -> ?switch:Dream_traffic.Switch_id.t -> factor:float -> unit -> unit
-(** Scale the smoothed global accuracy (and, when [switch] is given, that
+val decay_accuracy : t -> ?bit:int -> factor:float -> unit -> unit
+(** Scale the smoothed global accuracy (and, when [bit] is given, its
     switch's smoothed overall accuracy) by [factor].  The controller calls
     this when a task reports from stale counters — degraded visibility the
     estimators cannot see, which must still reach the allocator. *)
 
-val overall_accuracy : t -> Dream_traffic.Switch_id.t -> float
-(** EWMA-smoothed [max (global, local)] on a switch — the allocator's
-    input (Section 4). *)
+val overall_accuracy : t -> int -> float
+(** EWMA-smoothed [max (global, local)] on the switch of a sub-filter
+    bit — the allocator's input (Section 4). *)
 
-val configure : t -> allocations:int Dream_traffic.Switch_id.Map.t -> unit
-(** Re-score counters and run divide-and-merge under the new allocations. *)
+val configure : t -> allocations:int array -> unit
+(** Re-score counters and run divide-and-merge under the new allocations
+    (per sub-filter bit, 0 on a switch outside {!switches}).  The task
+    keeps the array. *)
 
-val counters_used : t -> Dream_traffic.Switch_id.t -> int
+val counters_used : t -> int -> int
+(** TCAM entries the task occupies on the switch of a sub-filter bit. *)
 
 val emit : Dream_util.Codec.writer -> t -> unit
 (** Append the full task state — spec, topology, smoothed accuracies,
@@ -73,4 +82,5 @@ val emit : Dream_util.Codec.writer -> t -> unit
 val parse : Dream_util.Codec.reader -> t
 (** Inverse of {!emit}: a restored task produces bit-identical reports,
     estimates and configurations from the next epoch on.
-    @raise Dream_util.Codec.Parse_error on mismatch. *)
+    @raise Dream_util.Codec.Parse_error on mismatch, or an overall
+    accuracy or allocation on a switch the task never sees. *)

@@ -1,15 +1,4 @@
 type t = int
 
-let equal = Int.equal
-let compare = Int.compare
-let pp ppf s = Format.fprintf ppf "sw%d" s
-
 module Set = Set.Make (Int)
 module Map = Map.Make (Int)
-
-let set_of_list l = Set.of_list l
-
-let pp_set ppf set =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',') pp)
-    (Set.elements set)

@@ -1,16 +1,11 @@
 (** Switch identifiers.
 
-    Switches are numbered densely from 0; tasks and allocators refer to them
-    through the set and map instantiations below. *)
+    Switches are numbered densely from 0, so per-switch state is an array
+    indexed by id, and a set of one task's switches is a {!Switch_mask}.
+    The set and map instantiations below serve the traffic side's
+    per-switch epochs and traces. *)
 
 type t = int
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
-
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
-
-val set_of_list : t list -> Set.t
-val pp_set : Format.formatter -> Set.t -> unit

@@ -6,11 +6,17 @@ type t = {
   num_switches : int;
   switches_per_task : int;
   subfilters : (Prefix.t * Switch_id.t) array; (* in address order *)
+  switch_order : int array; (* sub-filter bits in ascending switch-id order *)
 }
 
 let max_switches_per_task = 32
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
+
+let make ~filter ~num_switches ~switches_per_task subfilters =
+  let switch_order = Array.init (Array.length subfilters) Fun.id in
+  Array.sort (fun a b -> Int.compare (snd subfilters.(a)) (snd subfilters.(b))) switch_order;
+  { filter; num_switches; switches_per_task; subfilters; switch_order }
 
 let log2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
@@ -33,7 +39,7 @@ let create rng ~filter ~num_switches ~switches_per_task =
     Array.init switches_per_task (fun i ->
         (Prefix.nth_descendant filter ~length:sub_len i, all.(i)))
   in
-  { filter; num_switches; switches_per_task; subfilters }
+  make ~filter ~num_switches ~switches_per_task subfilters
 
 let emit w t =
   let module C = Dream_util.Codec in
@@ -66,7 +72,7 @@ let parse r =
         (p, sw))
     |> Array.of_list
   in
-  { filter; num_switches; switches_per_task; subfilters }
+  make ~filter ~num_switches ~switches_per_task subfilters
 
 let filter t = t.filter
 
@@ -80,7 +86,21 @@ let subfilter_of_bit t i = fst t.subfilters.(i)
 
 let switch_of_bit t i = snd t.subfilters.(i)
 
-(* [switch_set]'s test on a (bits, length) pair, so the mask loop below
+let switch_order t = t.switch_order
+
+let rec find_bit subs sw i =
+  if i = Array.length subs then -1 else if snd subs.(i) = sw then i else find_bit subs sw (i + 1)
+
+let bit_of_switch t sw = find_bit t.subfilters sw 0
+
+let parse_bit t ~what sw =
+  let b = bit_of_switch t sw in
+  if b < 0 then
+    Dream_util.Codec.parse_error 0
+      (Printf.sprintf "%s on switch %d, which the task never sees" what sw);
+  b
+
+(* Whether a sub-filter intersects a (bits, length) pair, so the mask loop below
    builds no prefix. *)
 let intersects ~bits ~length sub =
   let sbits = Prefix.bits sub and slen = Prefix.length sub in
@@ -98,12 +118,6 @@ let rec mask_from subs ~bits ~length i acc =
 let bits_mask t ~bits ~length = mask_from t.subfilters ~bits ~length 0 0
 
 let prefix_mask t p = bits_mask t ~bits:(Prefix.bits p) ~length:(Prefix.length p)
-
-let switch_set t p =
-  Array.fold_left
-    (fun acc (sub, sw) ->
-      if Prefix.covers sub p || Prefix.covers p sub then Switch_id.Set.add sw acc else acc)
-    Switch_id.Set.empty t.subfilters
 
 let switch_of_address t addr =
   if not (Prefix.contains t.filter addr) then None

@@ -5,7 +5,10 @@
     task sees traffic from [switches_per_task] of the network's switches.
     The controller is assumed to know this mapping (Section 5.2: "we know
     the ingress switches for each prefix"); DREAM uses it to compute the
-    switch sets S_j needed by divide-and-merge. *)
+    switch sets S_j needed by divide-and-merge.
+
+    A set of a task's switches is a {!Switch_mask.t}: bit [i] stands for
+    sub-filter [i] and so for {!switch_of_bit}[ i]. *)
 
 type t
 
@@ -40,19 +43,27 @@ val subfilter_of_bit : t -> int -> Dream_prefix.Prefix.t
 val switch_of_bit : t -> int -> Switch_id.t
 (** The switch of sub-filter [i], i.e. of mask bit [i]. *)
 
+val bit_of_switch : t -> Switch_id.t -> int
+(** Inverse of {!switch_of_bit}: the bit of the sub-filter a switch holds,
+    or [-1] for a switch the task never sees. *)
+
+val parse_bit : t -> what:string -> Switch_id.t -> int
+(** {!bit_of_switch} of a switch a checkpoint names under [what].
+    @raise Dream_util.Codec.Parse_error for a switch the task never
+    sees. *)
+
+val switch_order : t -> int array
+(** The sub-filter bits in ascending switch-id order, computed once: the
+    order every codec writes per-switch values in.  Do not mutate. *)
+
 val prefix_mask : t -> Dream_prefix.Prefix.t -> int
-(** {!switch_set} as a bitmask: bit [i] is set when sub-filter [i]
-    intersects the prefix.  Sub-filters map to distinct switches, so the
-    mask and the set determine each other through {!switch_of_bit}.
-    Allocation-free. *)
+(** Switches that can see traffic for the given prefix, as a mask: bit
+    [i] is set when sub-filter [i] intersects the prefix.  Empty ([0]) for
+    prefixes outside the filter.  Allocation-free. *)
 
 val bits_mask : t -> bits:int -> length:int -> int
 (** {!prefix_mask} of the prefix with the given bits and length, for
     callers walking the trie without building prefixes. *)
-
-val switch_set : t -> Dream_prefix.Prefix.t -> Switch_id.Set.t
-(** Switches that can see traffic for the given prefix: those assigned a
-    sub-filter intersecting it.  Empty for prefixes outside the filter. *)
 
 val switch_of_address : t -> Dream_prefix.Prefix.address -> Switch_id.t option
 (** Ingress switch of an address, or [None] outside the filter. *)

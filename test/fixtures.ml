@@ -4,7 +4,7 @@
 
 module Rng = Dream_util.Rng
 module Prefix = Dream_prefix.Prefix
-module Switch_id = Dream_traffic.Switch_id
+module Switch_mask = Dream_traffic.Switch_mask
 module Topology = Dream_traffic.Topology
 module Flow = Dream_traffic.Flow
 module Aggregate = Dream_traffic.Aggregate
@@ -63,15 +63,18 @@ let epoch_data ?(volumes = example_volumes) ~epoch () =
          | None -> None)
        (flows_of volumes))
 
-let allocations_of switches n =
-  Switch_id.Set.fold (fun sw acc -> Switch_id.Map.add sw n acc) switches Switch_id.Map.empty
+(* [n] entries on every switch the task sees, per sub-filter bit. *)
+let allocations_of task n =
+  let switches = Task.switches task in
+  Array.init (Topology.switches_per_task (Task.topology task)) (fun b ->
+      if Switch_mask.mem_bit b switches then n else 0)
 
 (* Feed one epoch of data through a task object (fetch, report, estimate,
    configure), returning the report and the raw estimate. *)
 let drive_task task ~data ~allocations ~epoch =
   let readings =
-    Switch_id.Set.fold
-      (fun sw acc ->
+    Switch_mask.fold (Task.topology task)
+      (fun sw _ acc ->
         let agg = Epoch_data.switch_view data sw in
         (sw, List.map (fun q -> (q, Aggregate.volume agg q)) (Task.desired_rules task sw)) :: acc)
       (Task.switches task) []
@@ -84,7 +87,7 @@ let drive_task task ~data ~allocations ~epoch =
 (* Run the example for [epochs] epochs with [per_switch] counters. *)
 let converged_task ?kind ?threshold ~per_switch ~epochs () =
   let task = Task.create ~id:0 ~spec:(spec ?kind ?threshold ()) ~topology:(topology ()) () in
-  let allocations = allocations_of (Task.switches task) per_switch in
+  let allocations = allocations_of task per_switch in
   let last = ref None in
   for epoch = 0 to epochs - 1 do
     let data = epoch_data ~epoch () in

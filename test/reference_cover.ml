@@ -6,7 +6,6 @@
 
 module Prefix = Dream_prefix.Prefix
 module Switch_id = Dream_traffic.Switch_id
-module Topology = Dream_traffic.Topology
 module Monitor = Dream_tasks.Monitor
 
 type solution = { ancestors : Prefix.t list; cost : float }
@@ -25,9 +24,10 @@ type candidates = {
 
 (* The switches a counter actually occupies. *)
 let effective m i =
+  let topology = Monitor.topology m in
   Switch_id.Set.inter
-    (Topology.switch_set (Monitor.topology m) (Monitor.prefix m i))
-    (Monitor.active m)
+    (Reference_switch_set.switch_set topology (Monitor.prefix m i))
+    (Reference_switch_set.set_of_mask topology (Monitor.active m))
 
 let build_candidates m =
   let candidates = ref [] in

@@ -84,11 +84,6 @@ module Counter = struct
        restored float is bit-identical to the captured one. *)
     let total = Switch_id.Map.fold (fun _ v acc -> acc +. v) volumes 0.0 in
     { prefix; switches = switch_set prefix; volumes; total; score; mean; fresh }
-
-  let pp ppf t =
-    Format.fprintf ppf "%a vol=%.2f score=%.2f %a%s" Prefix.pp t.prefix t.total t.score
-      Switch_id.pp_set t.switches
-      (if t.fresh then " fresh" else "")
 end
 
 (* Float registers of the candidate build walk and the greedy.  An
@@ -180,7 +175,7 @@ let rec bump usage mask delta i =
 
 let new_counter t prefix =
   Counter.create ~prefix
-    ~switches:(Topology.switch_set t.topology prefix)
+    ~switches:(Reference_switch_set.switch_set t.topology prefix)
     ~cd_history:t.spec.Task_spec.cd_history
 
 let recompute_usage t =
@@ -197,7 +192,7 @@ let make ~spec ~topology ~active counters =
       topology;
       counters;
       n = Array.length counters;
-      switches = Topology.switch_set topology spec.Task_spec.filter;
+      switches = Reference_switch_set.switch_set topology spec.Task_spec.filter;
       usage = Array.make k 0;
       alloc = Array.make k 0;
       active_mask = mask_of_set topology active;
@@ -227,7 +222,7 @@ let make ~spec ~topology ~active counters =
 
 let create ~spec ~topology =
   let filter = spec.Task_spec.filter in
-  let switches = Topology.switch_set topology filter in
+  let switches = Reference_switch_set.switch_set topology filter in
   let root = Counter.create ~prefix:filter ~switches ~cd_history:spec.Task_spec.cd_history in
   make ~spec ~topology ~active:switches [| root |]
 
@@ -803,11 +798,11 @@ let parse r ~spec ~topology =
   let module C = Dream_util.Codec in
   C.expect_section r "monitor";
   let n = C.int_field r "active" in
-  let active = C.repeat n (fun () -> C.int_field r "sw") |> Switch_id.set_of_list in
+  let active = C.repeat n (fun () -> C.int_field r "sw") |> Switch_id.Set.of_list in
   if mask_of_set topology active < 0 then
     C.parse_error 0 "monitor: an active switch sees none of the task's sub-filters";
   let n = C.int_field r "counters" in
-  let switch_set = Topology.switch_set topology in
+  let switch_set = Reference_switch_set.switch_set topology in
   let counters = C.repeat n (fun () -> Counter.parse r ~switch_set) in
   let t = make ~spec ~topology ~active (Array.of_list counters) in
   if not (is_partition t) then

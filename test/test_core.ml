@@ -6,6 +6,7 @@ module Rng = Dream_util.Rng
 module Prefix = Dream_prefix.Prefix
 module Switch_id = Dream_traffic.Switch_id
 module Topology = Dream_traffic.Topology
+module Switch_mask = Dream_traffic.Switch_mask
 module Generator = Dream_traffic.Generator
 module Profile = Dream_traffic.Profile
 module Switch = Dream_switch.Switch
@@ -374,11 +375,12 @@ let allocator_with ~congested runtimes allocs =
   List.iter2
     (fun r alloc ->
       Allocator.force_admit allocator (Runtime.view r);
-      Switch_id.Set.iter
-        (fun switch ->
+      let task = r.Runtime.task in
+      Switch_mask.iter (Task.topology task)
+        (fun switch _ ->
           Allocator.force_allocation allocator ~task_id:(Runtime.id r) ~switch
             ~alloc:alloc.(switch))
-        (Task.switches r.Runtime.task))
+        (Task.switches task))
     runtimes allocs;
   let w = Codec.writer () in
   Allocator.emit w allocator;
@@ -430,7 +432,10 @@ let prop_drop_policy_model =
       let model =
         List.map2
           (fun r (_, priority, poor, streak, last, alloc) ->
-            let switches = Task.switches r.Runtime.task in
+            let switches =
+              Reference_switch_set.set_of_mask (Task.topology r.Runtime.task)
+                (Task.switches r.Runtime.task)
+            in
             let total = Switch_id.Set.fold (fun sw acc -> acc + alloc.(sw)) switches 0 in
             let streak = if poor && not (total > last) then streak + 1 else 0 in
             let eligible =
@@ -529,7 +534,7 @@ let prop_fetch_read_fault_free =
                  let agg = Epoch_data.switch_view data sw in
                  Some (sw, List.map (fun p -> (p, Aggregate.volume agg p)) rules))
       in
-      degraded = [] && readings = expected)
+      degraded = Switch_mask.empty && readings = expected)
 
 let () =
   Alcotest.run "dream.core"

@@ -3,7 +3,6 @@
    hand-checked 4-bit worked example in Fixtures. *)
 
 module Prefix = Dream_prefix.Prefix
-module Switch_id = Dream_traffic.Switch_id
 module Task_spec = Dream_tasks.Task_spec
 module Task = Dream_tasks.Task
 module Report = Dream_tasks.Report
@@ -59,7 +58,7 @@ let test_hh_estimate_conservative_at_root () =
   (* With one counter (the whole filter, volume 46 > theta), the estimator
      must see 0 detected and some missed, hence low recall. *)
   let task = Task.create ~id:0 ~spec:(F.spec ()) ~topology:(F.topology ()) () in
-  let allocations = F.allocations_of (Task.switches task) 1 in
+  let allocations = F.allocations_of task 1 in
   let data = F.epoch_data ~epoch:0 () in
   let _, estimate = F.drive_task task ~data ~allocations ~epoch:0 in
   Alcotest.(check bool) "recall below 0.5" true (estimate.Accuracy.global < 0.5)
@@ -67,14 +66,14 @@ let test_hh_estimate_conservative_at_root () =
 let test_hh_estimate_within_bounds () =
   for per_switch = 1 to 8 do
     let task = Task.create ~id:0 ~spec:(F.spec ()) ~topology:(F.topology ()) () in
-    let allocations = F.allocations_of (Task.switches task) per_switch in
+    let allocations = F.allocations_of task per_switch in
     for epoch = 0 to 3 do
       let data = F.epoch_data ~epoch () in
       let _, estimate = F.drive_task task ~data ~allocations ~epoch in
       Alcotest.(check bool) "global in [0,1]" true
         (estimate.Accuracy.global >= 0.0 && estimate.Accuracy.global <= 1.0);
-      Switch_id.Map.iter
-        (fun _ v -> Alcotest.(check bool) "local in [0,1]" true (v >= 0.0 && v <= 1.0))
+      Array.iter
+        (fun v -> Alcotest.(check bool) "local in [0,1]" true (v >= 0.0 && v <= 1.0))
         estimate.Accuracy.locals
     done
   done
@@ -83,7 +82,7 @@ let test_hh_no_false_positives () =
   (* TCAM counters are exact: every reported HH must be a true one
      (precision 1, the reason the paper estimates recall). *)
   let task = Task.create ~id:0 ~spec:(F.spec ()) ~topology:(F.topology ()) () in
-  let allocations = F.allocations_of (Task.switches task) 5 in
+  let allocations = F.allocations_of task 5 in
   for epoch = 0 to 5 do
     let data = F.epoch_data ~epoch () in
     let report, _ = F.drive_task task ~data ~allocations ~epoch in
@@ -133,8 +132,8 @@ let root_only_detection ~threshold =
   let task = Task.create ~id:0 ~spec ~topology:(F.topology ()) () in
   let data = F.epoch_data ~epoch:0 () in
   let readings =
-    Switch_id.Set.fold
-      (fun sw acc ->
+    Dream_traffic.Switch_mask.fold (Task.topology task)
+      (fun sw _ acc ->
         let agg = Dream_traffic.Epoch_data.switch_view data sw in
         ( sw,
           List.map
@@ -163,7 +162,7 @@ let test_hhh_estimate_bounds () =
   for per_switch = 1 to 8 do
     let spec = F.spec ~kind:Task_spec.Hierarchical_heavy_hitter () in
     let task = Task.create ~id:0 ~spec ~topology:(F.topology ()) () in
-    let allocations = F.allocations_of (Task.switches task) per_switch in
+    let allocations = F.allocations_of task per_switch in
     for epoch = 0 to 3 do
       let data = F.epoch_data ~epoch () in
       let _, estimate = F.drive_task task ~data ~allocations ~epoch in
@@ -186,8 +185,8 @@ let test_hhh_recall_estimate () =
   let coarse = Task.create ~id:1 ~spec ~topology:(F.topology ()) () in
   let data = F.epoch_data ~epoch:0 () in
   let readings =
-    Switch_id.Set.fold
-      (fun sw acc ->
+    Dream_traffic.Switch_mask.fold (Task.topology coarse)
+      (fun sw _ acc ->
         let agg = Dream_traffic.Epoch_data.switch_view data sw in
         ( sw,
           List.map
@@ -229,7 +228,7 @@ let wobbled ~epoch =
 let warm_cd_task ~allocs ~epochs =
   let spec = F.spec ~kind:Task_spec.Change_detection () in
   let task = Task.create ~id:0 ~spec ~topology:(F.topology ()) () in
-  let allocations = F.allocations_of (Task.switches task) allocs in
+  let allocations = F.allocations_of task allocs in
   for epoch = 0 to epochs - 1 do
     let data = F.epoch_data ~volumes:(wobbled ~epoch) ~epoch () in
     ignore (F.drive_task task ~data ~allocations ~epoch)
@@ -262,7 +261,7 @@ let test_cd_detects_step_change () =
 let test_cd_quiet_on_steady_traffic () =
   let spec = F.spec ~kind:Task_spec.Change_detection () in
   let task = Task.create ~id:0 ~spec ~topology:(F.topology ()) () in
-  let allocations = F.allocations_of (Task.switches task) 16 in
+  let allocations = F.allocations_of task 16 in
   for epoch = 0 to 9 do
     let data = F.epoch_data ~epoch () in
     let report, _ = F.drive_task task ~data ~allocations ~epoch in
@@ -386,7 +385,7 @@ let arb_volumes =
 let converged_report kind volumes =
   let spec = F.spec ~kind () in
   let task = Task.create ~id:0 ~spec ~topology:(F.topology ()) () in
-  let allocations = F.allocations_of (Task.switches task) 20 in
+  let allocations = F.allocations_of task 20 in
   let last = ref None in
   for epoch = 0 to 5 do
     let data = F.epoch_data ~volumes ~epoch () in
@@ -423,7 +422,7 @@ let test_hh_real_accuracy_reaches_one () =
   let spec = F.spec () in
   let gt = Ground_truth.create spec in
   let task = Task.create ~id:0 ~spec ~topology:(F.topology ()) () in
-  let allocations = F.allocations_of (Task.switches task) 16 in
+  let allocations = F.allocations_of task 16 in
   let final = ref 0.0 in
   for epoch = 0 to 5 do
     let data = F.epoch_data ~epoch () in

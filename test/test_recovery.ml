@@ -6,7 +6,6 @@
 module Rng = Dream_util.Rng
 module Codec = Dream_util.Codec
 module Prefix = Dream_prefix.Prefix
-module Switch_id = Dream_traffic.Switch_id
 module Topology = Dream_traffic.Topology
 module Source = Dream_traffic.Source
 module Generator = Dream_traffic.Generator
@@ -724,10 +723,12 @@ let test_failover_matches_live () =
       step_to crash_at;
       let live = Drive.controller drive in
       let ids = Controller.active_task_ids live in
+      (* Every task's allocation on each of the network's switches. *)
       let allocations c =
         List.map
           (fun task_id ->
-            Switch_id.Map.bindings (Allocator.allocation_of (Controller.allocator c) ~task_id))
+            List.init (Controller.num_switches c) (fun sw ->
+                (sw, Allocator.allocation_on (Controller.allocator c) ~task_id sw)))
           ids
       in
       let expected_allocations = allocations live in
