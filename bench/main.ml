@@ -120,48 +120,61 @@ let micro_tests () =
      `--micro` output shows the cost of the representation itself,
      isolated from the control loop. *)
   let flows = Aggregate.fold agg ~init:[] ~f:(fun acc f -> f :: acc) in
-  let tcam = Task.desired_rules task 0 in
+  let keys = Array.of_list (List.map Prefix.key (Task.desired_rules task 0)) in
+  let n = Array.length keys in
+  let vols = Array.make n 0.0 in
   [
     Test.make ~name:"store.build (of_flows)"
       (Staged.stage (fun () -> ignore (Aggregate.of_flows flows)));
-    Test.make ~name:"store.read_prefixes (TCAM batch)"
-      (Staged.stage (fun () -> ignore (Aggregate.read_prefixes agg tcam)));
+    Test.make ~name:"store.read_keys (TCAM column)"
+      (Staged.stage (fun () -> Aggregate.read_keys agg ~keys ~n vols));
     Test.make ~name:"store.merge (self)"
       (Staged.stage (fun () -> ignore (Aggregate.merge agg agg)));
   ]
 
+(* Every row is measured twice, on the monotonic clock (ns/run) and on
+   the minor heap (words/run), each estimated by OLS against the run
+   count.  The two are separate runs: sampling the GC counters inside the
+   timed samples would add their cost to the ns rows. *)
 let run_micro ?snapshot_dir ~quick () =
   let open Bechamel in
   print_newline ();
-  print_endline "Micro-benchmarks (Bechamel, monotonic clock)";
-  print_endline "============================================";
-  let instance = Toolkit.Instance.monotonic_clock in
+  print_endline "Micro-benchmarks (Bechamel, monotonic clock and minor words)";
+  print_endline "============================================================";
+  let clock = Toolkit.Instance.monotonic_clock and words = Toolkit.Instance.minor_allocated in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ~stabilize:true () in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
+  let estimate instance results name =
+    match Hashtbl.find_opt (Analyze.all ols instance results) name with
+    | Some r -> ( match Analyze.OLS.estimates r with Some [ est ] -> est | Some _ | None -> nan)
+    | None -> nan
+  in
   let estimates = ref [] in
   List.iter
     (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] ->
-            estimates := (name, est) :: !estimates;
-            Printf.printf "  %-45s %12.0f ns/run\n%!" name est
-          | Some _ | None -> Printf.printf "  %-45s (no estimate)\n%!" name)
-        analyzed)
+      let timed = Benchmark.all cfg [ clock ] test in
+      let counted = Benchmark.all cfg [ words ] test in
+      List.iter
+        (fun name ->
+          let ns = estimate clock timed name and w = estimate words counted name in
+          estimates := (name, ns, w) :: !estimates;
+          Printf.printf "  %-45s %12.0f ns/run %10.1f words/run\n%!" name ns w)
+        (Test.names test))
     (micro_tests ());
   match snapshot_dir with
   | None -> ()
   | Some dir ->
-    (* Micro timings are wall-clock: Info direction, tracked but never
-       gating. *)
+    (* Micro rows are wall-clock and words under Bechamel's sampling:
+       Info direction, tracked but never gating. *)
     let module Snapshot = Dream_obs.Bench_snapshot in
     let metrics =
-      List.rev_map
-        (fun (name, est) -> Snapshot.metric ~unit_:"ns" name est)
-        (List.filter (fun (_, est) -> Float.is_finite est) !estimates)
+      List.concat_map
+        (fun (name, ns, w) ->
+          List.filter_map
+            (fun (metric, unit_, v) ->
+              if Float.is_finite v then Some (Snapshot.metric ~unit_ metric v) else None)
+            [ (name, "ns", ns); (name ^ " words", "words", w) ])
+        (List.rev !estimates)
     in
     let snap = Snapshot.make ~figure:"micro" ~quick ~metrics () in
     (match Snapshot.write snap ~dir with

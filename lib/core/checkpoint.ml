@@ -1,3 +1,4 @@
+module Prefix = Dream_prefix.Prefix
 module Fault_model = Dream_fault.Fault_model
 module Switch = Dream_switch.Switch
 module Tcam = Dream_switch.Tcam
@@ -133,10 +134,14 @@ let parse_switch r =
          let owner = C.int_field r "owner" in
          List.iter
            (fun p ->
-             match Tcam.install (Switch.tcam sw) ~owner p with
+             match Tcam.install (Switch.tcam sw) ~owner (Prefix.key p) with
              | Ok () -> ()
-             | Error (`Capacity | `Duplicate) ->
-               C.parse_error 0 (Printf.sprintf "snapshot rules overflow switch %d" id))
+             | Error `Capacity ->
+               C.parse_error 0 (Printf.sprintf "snapshot rules overflow switch %d" id)
+             | Error `Duplicate ->
+               C.parse_error 0
+                 (Printf.sprintf "switch %d holds rule %s of task %d twice" id
+                    (Prefix.to_string p) owner))
            (Runtime.parse_prefixes r "rules")));
   Tcam.reset_stats (Switch.tcam sw);
   sw
@@ -278,6 +283,18 @@ let parse_body r =
   let robustness = parse_robustness r in
   let records = parse_records r in
   let runtimes = C.repeat (C.int_field r "runtimes") (fun () -> Runtime.parse r) in
+  (* Only a running task can own rules: the controller purges a task's
+     rules when it ends, and nothing would ever remove an orphan's. *)
+  Array.iter
+    (fun sw ->
+      List.iter
+        (fun (owner, _) ->
+          if not (List.exists (fun rt -> Runtime.id rt = owner) runtimes) then
+            C.parse_error 0
+              (Printf.sprintf "switch %d holds rules of task %d, which is not running"
+                 (Switch.id sw) owner))
+        (Tcam.dump (Switch.tcam sw)))
+    switches;
   { epoch; next_id; rules_installed; rules_fetched;
     config = { config with Config.faults = Option.map Fault_model.spec faults };
     faults; breakers; switches; allocator; robustness; records; runtimes }

@@ -32,18 +32,22 @@ type delay_sample = {
    sample, the trace spans, [phase_ms] and the profile all read them. *)
 type spans = {
   epoch_span : Obs.Profile.span;
+  fetch : Obs.Profile.span;  (** counter reads and their ingest, summed over tasks *)
   estimate : Obs.Profile.span;  (** reports + estimators, summed over tasks *)
   allocate : Obs.Profile.span;  (** the allocation round *)
   configure : Obs.Profile.span;  (** divide-and-merge, summed over tasks *)
+  rule_sync : Obs.Profile.span;  (** both rule-sync passes *)
 }
 
 let intern_spans profile =
   let span = Obs.Profile.intern profile in
   {
     epoch_span = span "epoch";
+    fetch = span "epoch/fetch";
     estimate = span "epoch/estimate";
     allocate = span "epoch/allocate";
     configure = span "epoch/configure";
+    rule_sync = span "epoch/rule_sync";
   }
 
 type t = {
@@ -450,8 +454,10 @@ let by_staleness (a : Runtime.t) (b : Runtime.t) =
 (* Fetch, report, estimate and score one task.  [scores] collects
    (id, kind, scored, satisfied) for tasks.csv when tracing. *)
 let observe t dcfg scores (r : Runtime.t) =
-  let data, readings, degraded = Fetch.read t.fetch r in
-  Task.ingest_counters r.task readings;
+  let data = Fetch.draw t.fetch r in
+  Obs.Profile.start t.profile t.spans.fetch;
+  let degraded = Fetch.read t.fetch r data in
+  Obs.Profile.stop t.profile t.spans.fetch;
   Obs.Profile.start t.profile t.spans.estimate;
   let report, estimate = Task.report_and_estimate r.task ~epoch:t.epoch in
   r.last_report <- Some report;
@@ -579,14 +585,16 @@ let configure t survivors =
    then installs — so one task's growth never transiently collides with
    space another task is vacating. *)
 let sync_rules t survivors =
+  Obs.Profile.start t.profile t.spans.rule_sync;
   let sync =
     Rule_sync.create ~planes:t.planes ~arena:t.arena ~install_budget:t.config.Config.install_budget
       ~recovered:t.recovered_now ~tallies:t.rob
   in
-  let removals = List.map (Rule_sync.remove_stale sync) survivors in
+  let removals = Rule_sync.remove_stale sync survivors in
+  Rule_sync.install_missing sync survivors;
+  Obs.Profile.stop t.profile t.spans.rule_sync;
   List.iter2
     (fun (r : Runtime.t) removed ->
-      Rule_sync.install_missing sync r;
       if t.tel <> None then begin
         let installed = Array.fold_left ( + ) 0 r.last_install_counts in
         (* Rule churn is divide-and-merge made visible: installs are

@@ -1,4 +1,3 @@
-module Prefix = Dream_prefix.Prefix
 module Switch_id = Dream_traffic.Switch_id
 module Switch_mask = Dream_traffic.Switch_mask
 module Topology = Dream_traffic.Topology
@@ -11,6 +10,7 @@ module Delay_model = Dream_switch.Delay_model
 module Breaker = Dream_switch.Breaker
 module Tcam = Dream_switch.Tcam
 module Task = Dream_tasks.Task
+module Monitor = Dream_tasks.Monitor
 module Obs = Dream_obs
 module Ctr = Dream_obs.Registry.Counter
 module Tr = Dream_obs.Trace
@@ -30,6 +30,8 @@ type t = {
       (* per-switch aggregates of the epochs tasks read, split by whether
          their build skipped the combine sort *)
   trace : Tr.t option;
+  mutable keys : int array; (* the read buffers the data planes fill *)
+  mutable vols : float array;
   mutable epoch : int;
   mutable retry_budget : float;
   mutable fault_ms : float;
@@ -58,6 +60,8 @@ let create ~config ~planes ~breakers ~faults ~tallies ~registry ~trace =
     fast_path_builds = Obs.Registry.counter registry "aggregate_sorted_fast_path";
     sort_fallbacks = Obs.Registry.counter registry "aggregate_sort_fallbacks";
     trace;
+    keys = [||];
+    vols = [||];
     epoch = 0;
     retry_budget = 0.0;
     fault_ms = 0.0;
@@ -87,15 +91,48 @@ let install_miss f (r : Runtime.t) b =
     let installs = if b < 0 then 0 else r.last_install_counts.(b) in
     Delay_model.install_miss_fraction costs ~epoch_ms:f.epoch_ms ~installs ~switches:1
 
-(* Without a miss (always, with no control delay) the readings are
-   returned as they are. *)
-let degrade_fresh f (r : Runtime.t) b pairs =
+(* Scale this epoch's readings of the rules the last sync installed on
+   bit [b] by the fraction of the epoch they missed.  Both columns are in
+   key order: one two-cursor walk.  Without a miss (always, with no
+   control delay) the readings stay as they are. *)
+let degrade_fresh f (r : Runtime.t) b n =
   let miss = install_miss f r b in
-  if miss > 0.0 then begin
-    let fresh = if b < 0 then Prefix.Set.empty else r.fresh_rules.(b) in
-    List.map (fun (p, v) -> if Prefix.Set.mem p fresh then (p, v *. (1.0 -. miss)) else (p, v)) pairs
+  if miss > 0.0 && b >= 0 then begin
+    let fresh = r.fresh_rules.(b) and fresh_n = r.last_install_counts.(b) in
+    let j = ref 0 in
+    for i = 0 to n - 1 do
+      let key = f.keys.(i) in
+      while !j < fresh_n && fresh.(!j) < key do
+        incr j
+      done;
+      if !j < fresh_n && fresh.(!j) = key then f.vols.(i) <- f.vols.(i) *. (1.0 -. miss)
+    done
   end
-  else pairs
+
+(* Keep a copy of the readings in the buffers as the bit's stale
+   fallback, reusing the last copy's arrays. *)
+let save_stale f (r : Runtime.t) b n =
+  let s =
+    match r.stale_counters.(b) with
+    | Some s when Array.length s.Runtime.keys >= n -> s
+    | Some _ | None ->
+      let s = { Runtime.keys = Array.make n 0; vols = Array.make n 0.0; n } in
+      r.stale_counters.(b) <- Some s;
+      s
+  in
+  for i = 0 to n - 1 do
+    s.Runtime.keys.(i) <- f.keys.(i)
+  done;
+  Array.blit f.vols 0 s.Runtime.vols 0 n;
+  s.Runtime.n <- n
+
+(* Grow the read buffers to hold [n] readings. *)
+let reserve f n =
+  if Array.length f.keys < n then begin
+    let len = max n (2 * Array.length f.keys) in
+    f.keys <- Array.make len 0;
+    f.vols <- Array.make len 0.0
+  end
 
 let count_fast_path _sw agg n = if Aggregate.sorted_fast_path agg then n + 1 else n
 
@@ -103,7 +140,7 @@ let count_fast_path _sw agg n = if Aggregate.sorted_fast_path agg then n + 1 els
    aggregates were built.  Pure observability: the counters never feed
    back into simulation state.  [count_fast_path] is toplevel so the fold
    allocates no closure. *)
-let next_epoch f (r : Runtime.t) =
+let draw f (r : Runtime.t) =
   let data = Source.next r.source in
   let per_switch = data.Epoch_data.per_switch in
   let fast = Switch_id.Map.fold count_fast_path per_switch 0 in
@@ -173,18 +210,18 @@ let shed f (r : Runtime.t) =
     est > 0.0 && est > f.deadline
   | _ -> false
 
-let read f (r : Runtime.t) =
+let read f (r : Runtime.t) data =
   let id = Runtime.id r in
   let shed = shed f r in
   if shed then begin
     Ctr.incr f.tallies.sheds;
     event f ~name:"shed" [ ("task", Tr.Int id); ("staleness", Tr.Int r.staleness) ]
   end;
-  let data = next_epoch f r in
   let costs = f.costs in
   let task_switches = Task.switches r.task in
   let topology = Task.topology r.task in
-  let readings = ref [] in
+  let m = Task.monitor r.task in
+  Monitor.clear_readings m;
   let degraded = ref Switch_mask.empty in
   (* The task cannot hear from the switch of bit [b] this epoch: report
      its last readings, if any.  A switch outside the topology (b < 0)
@@ -192,15 +229,15 @@ let read f (r : Runtime.t) =
   let use_stale sw_id b =
     if b >= 0 then begin
       (match r.stale_counters.(b) with
-      | Some ((_ :: _) as pairs) ->
-        readings := (sw_id, pairs) :: !readings;
+      | Some s when s.Runtime.n > 0 ->
+        Monitor.ingest m sw_id ~keys:s.Runtime.keys ~vols:s.Runtime.vols s.Runtime.n;
         Ctr.incr f.tallies.stale_epochs
-      | Some [] | None -> ());
+      | Some _ | None -> ());
       degraded := !degraded lor (1 lsl b)
     end
   in
   if shed then
-    (* Traffic still flowed (the source draw above); the task just reports
+    (* Traffic still flowed (the caller's draw); the task just reports
        from whatever it last heard. *)
     Switch_mask.iter topology use_stale task_switches
   else
@@ -222,6 +259,7 @@ let read f (r : Runtime.t) =
               let aggregate = Epoch_data.switch_view data sw_id in
               let factor = Data_plane.latency_factor dp in
               let base = batch_ms costs rules in
+              reserve f rules;
               (* The aggregate TCAM stats already price [base] per issued
                  batch; stragglers owe the inflation on top, and the epoch
                  deadline owes the whole inflated batch. *)
@@ -230,18 +268,18 @@ let read f (r : Runtime.t) =
                 f.deadline <- f.deadline -. (base *. factor)
               in
               let rec attempt k =
-                match Data_plane.read dp ~owner:id aggregate with
-                | Ok pairs ->
+                match Data_plane.read dp ~owner:id aggregate ~keys:f.keys ~vols:f.vols with
+                | Ok n ->
                   charge_batch ();
-                  `Fetched pairs
-                | Error `Down -> `Gone
+                  n
+                | Error `Down -> -1
                 | Error `Unreachable ->
                   (* No route: nothing was priced in the TCAM stats, but
                      the probe still costs the control loop a round trip. *)
                   let probe = costs.Delay_model.rtt_ms *. factor in
                   f.fault_ms <- f.fault_ms +. probe;
                   f.deadline <- f.deadline -. probe;
-                  `Unreachable
+                  -2
                 | Error `Timeout ->
                   charge_batch ();
                   Ctr.incr f.tallies.fetch_timeouts;
@@ -255,24 +293,29 @@ let read f (r : Runtime.t) =
                   end
                   else begin
                     Ctr.incr f.tallies.fetch_failures;
-                    `Abandoned
+                    -2
                   end
               in
-              (match attempt 0 with
-              | `Fetched pairs ->
+              (* [n >= 0] readings fetched; -1 the switch went down; -2
+                 unreachable or abandoned after retries. *)
+              let n = attempt 0 in
+              if n >= 0 then begin
                 (match br_opt with Some br -> record_breaker_success f sw_id br | None -> ());
-                let lost = rules - List.length pairs in
+                let lost = rules - n in
                 if lost > 0 then Ctr.add f.tallies.counters_lost lost;
-                let pairs = degrade_fresh f r b pairs in
+                degrade_fresh f r b n;
                 (* Only a fault model can make a later fetch fall back on
                    these, so fault-free checkpoints carry none. *)
-                if f.faulty && b >= 0 then r.stale_counters.(b) <- Some pairs;
-                readings := (sw_id, pairs) :: !readings
-              | `Gone -> use_stale sw_id b
-              | `Unreachable | `Abandoned ->
+                if f.faulty && b >= 0 then save_stale f r b n;
+                Monitor.ingest m sw_id ~keys:f.keys ~vols:f.vols n
+              end
+              else if n = -1 then use_stale sw_id b
+              else begin
                 (match br_opt with Some br -> record_breaker_failure f sw_id br | None -> ());
-                use_stale sw_id b)
+                use_stale sw_id b
+              end
           end
         end)
       f.planes;
-  (data, List.rev !readings, !degraded)
+  Monitor.seal_readings m;
+  !degraded

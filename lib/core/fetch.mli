@@ -34,19 +34,22 @@ val costs : Config.t -> Dream_switch.Delay_model.costs
 val begin_epoch : t -> epoch:int -> unit
 (** Refill the epoch's retry budget and deadline. *)
 
-val read :
-  t ->
-  Runtime.t ->
-  Dream_traffic.Epoch_data.t
-  * (Dream_traffic.Switch_id.t * (Dream_prefix.Prefix.t * float) list) list
-  * Dream_traffic.Switch_mask.t
-(** Draw the task's next epoch of traffic, then fetch its counters from
-    every switch holding its rules, in switch order.  Returns the epoch's
-    traffic, the readings, and the mask of the task's switches it could
-    not hear from (served stale or not at all), so the caller can decay
-    the task's estimated accuracy.  In degraded mode a task whose expected fetch cost
-    overruns the remaining deadline is shed: it reports from stale
-    counters without any fetch being issued. *)
+val draw : t -> Runtime.t -> Dream_traffic.Epoch_data.t
+(** Draw the task's next epoch of traffic from its source, counting how
+    the per-switch aggregates were built (observability only).  The
+    controller draws just before {!read}, so the world's cost stays out
+    of the fetch. *)
+
+val read : t -> Runtime.t -> Dream_traffic.Epoch_data.t -> Dream_traffic.Switch_mask.t
+(** Fetch the task's counters for this epoch's traffic from every switch
+    holding its rules, in switch order, and deliver each switch's
+    readings to the task's monitor ({!Dream_tasks.Monitor.ingest}) as a
+    key and volume column, with no list built.  Returns the mask of the
+    task's switches it could not hear from (served stale or not at all),
+    so the caller can decay the task's estimated accuracy.  In degraded
+    mode a task whose expected fetch cost overruns the remaining deadline
+    is shed: it reports from stale counters without any fetch being
+    issued. *)
 
 val fault_ms : t -> float
 (** Modelled control-loop time the fault layer added this epoch: straggler

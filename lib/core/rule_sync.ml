@@ -1,16 +1,19 @@
-module Prefix = Dream_prefix.Prefix
 module Topology = Dream_traffic.Topology
 module Arena = Dream_util.Arena
 module Data_plane = Dream_switch.Data_plane
+module Tcam = Dream_switch.Tcam
 module Task = Dream_tasks.Task
+module Monitor = Dream_tasks.Monitor
 module Ctr = Dream_obs.Registry.Counter
 
-(* A task's installed rules (Tcam order) and its desired rules (monitor
-   order) are both lists in Prefix.compare order, so each pass is one
-   sorted-merge walk (Prefix.fold_diff) over the two: no set is built to
-   diff them.  Each pass asks the monitor for the desired rules of the
-   switch it is on (configure ran for every task before pass 1, and the
-   passes do not touch monitors), so no task's lists outlive its walk. *)
+(* A task's installed rules on a switch (its TCAM key column) and its
+   desired rules there (a run of its monitor's slots) are both int columns
+   in key order, so each pass is one two-cursor merge of the two: no list
+   or set is built to diff them.  The installed column is live — a removal
+   closes it up under the cursor, an install opens it — so the cursor
+   moves past exactly the keys that stay.  Each pass reads the monitor's
+   run for the switch it is on (configure ran for every task before pass
+   1, and the passes do not touch monitors). *)
 
 type t = {
   planes : Data_plane.t array;
@@ -31,74 +34,123 @@ let create ~planes ~arena ~install_budget ~recovered ~tallies =
   done;
   { planes; budgets; recovered; tallies }
 
-(* Pass 1, one stale rule: delete it while the switch's update budget
-   lasts.  Counts the deletions. *)
-let remove_rule s ~id dp i p removed =
-  if s.budgets.{i} > 0 then begin
-    match Data_plane.remove dp ~owner:id p with
-    | Ok _ ->
-      s.budgets.{i} <- s.budgets.{i} - 1;
-      removed + 1
-    | Error (`Down | `Unreachable) -> removed
+(* Pass 1 on switch [i]: delete the installed rules in [have] that the
+   monitor's slots [j, stop) do not hold, while the switch's update budget
+   lasts.  [h] is the cursor into [have]. *)
+let rec remove_from_column s ~owner dp i m have h j stop removed =
+  if h >= Tcam.count have || s.budgets.{i} <= 0 then removed
+  else begin
+    let key = Tcam.key have h in
+    if j < stop && Monitor.key m j < key then
+      remove_from_column s ~owner dp i m have h (j + 1) stop removed
+    else if j < stop && Monitor.key m j = key then
+      remove_from_column s ~owner dp i m have (h + 1) (j + 1) stop removed
+    else begin
+      match Data_plane.remove dp ~owner key with
+      | Ok gone ->
+        s.budgets.{i} <- s.budgets.{i} - 1;
+        (* A removal closes the column up: the next key is at [h]. *)
+        let h = if gone then h else h + 1 in
+        remove_from_column s ~owner dp i m have h j stop (removed + 1)
+      | Error (`Down | `Unreachable) ->
+        remove_from_column s ~owner dp i m have (h + 1) j stop removed
+    end
   end
-  else removed
 
 let rec remove_from s r i removed =
   if i = Array.length s.planes then removed
   else begin
     let dp = s.planes.(i) in
-    let id = Runtime.id r in
+    let owner = Runtime.id r in
+    let tcam = Data_plane.tcam dp in
     let removed =
-      Prefix.fold_diff (remove_rule s ~id dp i) (Data_plane.rules_of dp ~owner:id)
-        (Task.desired_rules r.task (Data_plane.id dp)) removed
+      if Tcam.used_by tcam ~owner = 0 then removed
+      else begin
+        let m = Task.monitor r.Runtime.task and sw = Data_plane.id dp in
+        let first = Monitor.rules_start m sw in
+        remove_from_column s ~owner dp i m (Tcam.rules tcam ~owner) 0 first
+          (Monitor.rules_stop m sw first) removed
+      end
     in
     remove_from s r (i + 1) removed
   end
 
-let remove_stale s r = remove_from s r 0 0
+let rec remove_stale s = function
+  | [] -> []
+  | r :: rest ->
+    let removed = remove_from s r 0 0 in
+    removed :: remove_stale s rest
 
-(* Pass 2, one missing rule: install it while the switch's update budget
-   lasts.  Collects the rules that landed.  Installs onto a switch that
-   recovered this epoch are the full rule-set reinstall its crash
-   demands. *)
-let install_rule s ~id dp i p added =
-  if s.budgets.{i} > 0 then begin
-    let sw_id = Data_plane.id dp in
-    match Data_plane.install dp ~owner:id p with
-    | Ok () ->
-      s.budgets.{i} <- s.budgets.{i} - 1;
-      if s.recovered.(sw_id) then Ctr.incr s.tallies.recovery_reinstalls;
-      Prefix.Set.add p added
-    | Error `Failed ->
-      (* The attempt consumed an update slot; the rule stays desired and
-         is retried next epoch. *)
-      s.budgets.{i} <- s.budgets.{i} - 1;
-      Ctr.incr s.tallies.install_failures;
-      added
-    | Error (`Capacity | `Duplicate | `Down | `Unreachable) -> added
+(* Append a landed rule to the task's fresh column of bit [b]: installs
+   land in key order, so the column stays sorted. *)
+let add_fresh (r : Runtime.t) b key =
+  let n = r.last_install_counts.(b) in
+  let col = r.fresh_rules.(b) in
+  let col =
+    if n < Array.length col then col
+    else begin
+      let grown = Array.make (max 8 (2 * n)) 0 in
+      for k = 0 to n - 1 do
+        grown.(k) <- col.(k)
+      done;
+      r.fresh_rules.(b) <- grown;
+      grown
+    end
+  in
+  col.(n) <- key;
+  r.last_install_counts.(b) <- n + 1
+
+(* Pass 2 on switch [i], bit [b]: install the monitor's slots [j, stop)
+   missing from [have], while the switch's update budget lasts.  Installs
+   onto a switch that recovered this epoch are the full rule-set reinstall
+   its crash demands. *)
+let rec install_into_column s (r : Runtime.t) ~owner dp i b m have h j stop =
+  if j < stop && s.budgets.{i} > 0 then begin
+    let key = Monitor.key m j in
+    if h < Tcam.count have && Tcam.key have h < key then
+      install_into_column s r ~owner dp i b m have (h + 1) j stop
+    else if h < Tcam.count have && Tcam.key have h = key then
+      install_into_column s r ~owner dp i b m have (h + 1) (j + 1) stop
+    else begin
+      match Data_plane.install dp ~owner key with
+      | Ok () ->
+        s.budgets.{i} <- s.budgets.{i} - 1;
+        if s.recovered.(Data_plane.id dp) then Ctr.incr s.tallies.recovery_reinstalls;
+        add_fresh r b key;
+        (* The rule opened the column at [h]. *)
+        install_into_column s r ~owner dp i b m have (h + 1) (j + 1) stop
+      | Error `Failed ->
+        (* The attempt consumed an update slot; the rule stays desired and
+           is retried next epoch. *)
+        s.budgets.{i} <- s.budgets.{i} - 1;
+        Ctr.incr s.tallies.install_failures;
+        install_into_column s r ~owner dp i b m have h (j + 1) stop
+      | Error (`Capacity | `Duplicate | `Down | `Unreachable) ->
+        install_into_column s r ~owner dp i b m have h (j + 1) stop
+    end
   end
-  else added
 
 let rec install_into s (r : Runtime.t) i =
   if i < Array.length s.planes then begin
     let dp = s.planes.(i) in
-    let id = Runtime.id r in
-    let added =
-      Prefix.fold_diff (install_rule s ~id dp i)
-        (Task.desired_rules r.task (Data_plane.id dp))
-        (Data_plane.rules_of dp ~owner:id) Prefix.Set.empty
-    in
-    if not (Prefix.Set.is_empty added) then begin
-      (* Rules land only where the monitor wants some: a switch the task
-         sees. *)
-      let b = Topology.bit_of_switch (Task.topology r.task) (Data_plane.id dp) in
-      r.fresh_rules.(b) <- added;
-      r.last_install_counts.(b) <- Prefix.Set.cardinal added
+    let m = Task.monitor r.task and sw = Data_plane.id dp in
+    let first = Monitor.rules_start m sw in
+    let stop = Monitor.rules_stop m sw first in
+    if first < stop then begin
+      (* Rules are desired only where the monitor sees traffic: a switch
+         of the task's topology. *)
+      let owner = Runtime.id r in
+      let b = Topology.bit_of_switch (Task.topology r.task) sw in
+      install_into_column s r ~owner dp i b m
+        (Tcam.rules (Data_plane.tcam dp) ~owner)
+        0 first stop
     end;
     install_into s r (i + 1)
   end
 
-let install_missing s (r : Runtime.t) =
-  Array.fill r.fresh_rules 0 (Array.length r.fresh_rules) Prefix.Set.empty;
-  Array.fill r.last_install_counts 0 (Array.length r.last_install_counts) 0;
-  install_into s r 0
+let rec install_missing s = function
+  | [] -> ()
+  | (r : Runtime.t) :: rest ->
+    Array.fill r.last_install_counts 0 (Array.length r.last_install_counts) 0;
+    install_into s r 0;
+    install_missing s rest

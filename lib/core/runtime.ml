@@ -7,6 +7,8 @@ module Task_spec = Dream_tasks.Task_spec
 module Ground_truth = Dream_tasks.Ground_truth
 module C = Dream_util.Codec
 
+type readings = { mutable keys : int array; mutable vols : float array; mutable n : int }
+
 type t = {
   task : Task.t;
   source : Source.t;
@@ -20,9 +22,9 @@ type t = {
   mutable poor_streak : int;
   mutable last_alloc_total : int;
   mutable last_report : Dream_tasks.Report.t option;
-  fresh_rules : Prefix.Set.t array;
+  fresh_rules : int array array;
   last_install_counts : int array;
-  stale_counters : (Prefix.t * float) list option array;
+  stale_counters : readings option array;
   mutable staleness : int;
 }
 
@@ -45,7 +47,7 @@ let create ~config ~id ~spec ~topology ~source ~duration ~arrived_at ~drop_prior
     poor_streak = 0;
     last_alloc_total = 0;
     last_report = None;
-    fresh_rules = Array.make k Prefix.Set.empty;
+    fresh_rules = Array.make k [||];
     last_install_counts = Array.make k 0;
     stale_counters = Array.make k None;
     staleness = 0;
@@ -83,17 +85,19 @@ let emit_prefixes w key prefixes =
 let parse_prefixes r key =
   C.repeat (C.int_field r key) (fun () -> Prefix.of_string (C.string_field r "p"))
 
-(* A per-bit column: a count line under [key], then per [present] entry,
-   in switch-id order, an [sw] line followed by the value. *)
-let emit_column w topology key present emit_value col =
-  C.int w key (Array.fold_left (fun n v -> if present v then n + 1 else n) 0 col);
+(* A per-bit column: a count line under [key], then per bit with
+   [present b], in switch-id order, an [sw] line followed by the bit's
+   value. *)
+let emit_column w topology key ~present emit_value =
+  let all = Switch_mask.full topology in
+  C.int w key (Switch_mask.fold topology (fun _ b n -> if present b then n + 1 else n) all 0);
   Switch_mask.iter topology
     (fun sw b ->
-      if present col.(b) then begin
+      if present b then begin
         C.int w "sw" sw;
-        emit_value col.(b)
+        emit_value b
       end)
-    (Switch_mask.full topology)
+    all
 
 (* The (switch, value) entries of one column, read before the task names
    the bits they belong to. *)
@@ -123,20 +127,24 @@ let emit w r =
      installs; a switch never fetched has no stale entry, while one that
      answered nothing has an empty one. *)
   emit_column w topology "fresh_rules"
-    (fun set -> not (Prefix.Set.is_empty set))
-    (fun set -> emit_prefixes w "rules" (Prefix.Set.elements set))
-    r.fresh_rules;
-  emit_column w topology "last_install_counts" (fun n -> n <> 0) (C.int w "installs")
-    r.last_install_counts;
-  emit_column w topology "stale_counters" Option.is_some
-    (Option.iter (fun pairs ->
-         C.int w "pairs" (List.length pairs);
-         List.iter
-           (fun (p, v) ->
-             C.string w "p" (Prefix.to_string p);
-             C.float w "v" v)
-           pairs))
-    r.stale_counters;
+    ~present:(fun b -> r.last_install_counts.(b) > 0)
+    (fun b ->
+      emit_prefixes w "rules"
+        (List.init r.last_install_counts.(b) (fun i -> Prefix.of_key r.fresh_rules.(b).(i))));
+  emit_column w topology "last_install_counts"
+    ~present:(fun b -> r.last_install_counts.(b) <> 0)
+    (fun b -> C.int w "installs" r.last_install_counts.(b));
+  emit_column w topology "stale_counters"
+    ~present:(fun b -> Option.is_some r.stale_counters.(b))
+    (fun b ->
+      Option.iter
+        (fun s ->
+          C.int w "pairs" s.n;
+          for i = 0 to s.n - 1 do
+            C.string w "p" (Prefix.to_string (Prefix.of_key s.keys.(i)));
+            C.float w "v" s.vols.(i)
+          done)
+        r.stale_counters.(b));
   Task.emit w r.task;
   Source.emit w r.source;
   Ground_truth.emit w r.ground_truth
@@ -153,20 +161,40 @@ let parse r =
   let last_alloc_total = C.int_field r "last_alloc_total" in
   let staleness = C.int_field r "staleness" in
   let fresh_rules =
-    parse_entries r "fresh_rules" (fun () -> Prefix.Set.of_list (parse_prefixes r "rules"))
+    parse_entries r "fresh_rules" (fun () ->
+        Array.of_list (List.sort_uniq Int.compare (List.map Prefix.key (parse_prefixes r "rules"))))
   in
   let last_install_counts =
     parse_entries r "last_install_counts" (fun () -> C.int_field r "installs")
   in
   let stale_counters =
     parse_entries r "stale_counters" (fun () ->
+        let pairs =
+          C.repeat (C.int_field r "pairs") (fun () ->
+              let p = Prefix.of_string (C.string_field r "p") in
+              (Prefix.key p, C.float_field r "v"))
+        in
         Some
-          (C.repeat (C.int_field r "pairs") (fun () ->
-               let p = Prefix.of_string (C.string_field r "p") in
-               (p, C.float_field r "v"))))
+          {
+            keys = Array.of_list (List.map fst pairs);
+            vols = Array.of_list (List.map snd pairs);
+            n = List.length pairs;
+          })
   in
   let task = Task.parse r in
   let topology = Task.topology task in
+  let fresh_rules = column topology ~what:"fresh rules" ~absent:[||] fresh_rules in
+  let last_install_counts =
+    column topology ~what:"an install count" ~absent:0 last_install_counts
+  in
+  (* A switch's install count is the length of its fresh-rule column. *)
+  Array.iteri
+    (fun b keys ->
+      if Array.length keys <> last_install_counts.(b) then
+        C.parse_error 0
+          (Printf.sprintf "switch %d has %d fresh rules but an install count of %d"
+             (Topology.switch_of_bit topology b) (Array.length keys) last_install_counts.(b)))
+    fresh_rules;
   let source = Source.parse r in
   let ground_truth = Ground_truth.parse r ~spec:(Task.spec task) in
   {
@@ -182,8 +210,8 @@ let parse r =
     poor_streak;
     last_alloc_total;
     last_report = None;
-    fresh_rules = column topology ~what:"fresh rules" ~absent:Prefix.Set.empty fresh_rules;
-    last_install_counts = column topology ~what:"an install count" ~absent:0 last_install_counts;
+    fresh_rules;
+    last_install_counts;
     stale_counters = column topology ~what:"stale counters" ~absent:None stale_counters;
     staleness;
   }

@@ -2,6 +2,11 @@
     traffic source and ground truth, and the counters the control loop
     keeps about it between epochs. *)
 
+type readings = { mutable keys : int array; mutable vols : float array; mutable n : int }
+(** One switch's counter readings: volume [vols.(i)] for the prefix key
+    [keys.(i)] ({!Dream_prefix.Prefix.key}), [0 <= i < n], in key
+    order. *)
+
 type t = {
   task : Dream_tasks.Task.t;
   source : Dream_traffic.Source.t;
@@ -15,15 +20,18 @@ type t = {
   mutable poor_streak : int;  (** consecutive poor allocation rounds without growth *)
   mutable last_alloc_total : int;
   mutable last_report : Dream_tasks.Report.t option;
-  fresh_rules : Dream_prefix.Prefix.Set.t array;
-      (** rules installed by the last sync, per sub-filter bit of the
-          task's topology (a switch, see {!Dream_traffic.Switch_mask}) *)
+  fresh_rules : int array array;
+      (** keys of the rules installed by the last sync, per sub-filter bit
+          of the task's topology (a switch, see
+          {!Dream_traffic.Switch_mask}): a sorted column whose first
+          [last_install_counts.(b)] entries are in use *)
   last_install_counts : int array;  (** their number, per sub-filter bit *)
-  stale_counters : (Dream_prefix.Prefix.t * float) list option array;
+  stale_counters : readings option array;
       (** last successfully fetched readings per sub-filter bit, the
           fallback when a switch is down or a fetch is abandoned; [None]
-          until a fetch from the switch succeeds, and written only when a
-          fault model is configured *)
+          until a fetch from the switch succeeds (an empty one is
+          [Some] with [n = 0]), and written only when a fault model is
+          configured *)
   mutable staleness : int;
       (** consecutive epochs this task reported with at least one stale or
           missing switch (degraded mode only; 0 when fully fresh) *)
@@ -57,8 +65,9 @@ val parse : Dream_util.Codec.reader -> t
 (** Inverse of {!emit}, except [last_report], which is not serialized: the
     control loop never reads it, and a restored controller reports afresh
     on its first tick.
-    @raise Dream_util.Codec.Parse_error on a malformed section or a
-    per-switch entry on a switch the task never sees; the task,
+    @raise Dream_util.Codec.Parse_error on a malformed section, a
+    per-switch entry on a switch the task never sees, or an install count
+    that is not the number of the switch's fresh rules; the task,
     source and ground-truth parsers may also raise [Invalid_argument] on
     out-of-range values. *)
 

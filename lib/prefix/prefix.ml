@@ -84,14 +84,20 @@ let compare a b =
   let c = Int.compare a.bits b.bits in
   if c <> 0 then c else Int.compare a.length b.length
 
-let rec fold_diff f xs ys acc =
-  match xs with
-  | [] -> acc
-  | x :: xs' -> (
-    match ys with
-    | y :: ys' when compare y x < 0 -> fold_diff f xs ys' acc
-    | y :: ys' when equal y x -> fold_diff f xs' ys' acc
-    | _ :: _ | [] -> fold_diff f xs' ys (f x acc))
+(* A prefix packed into one int, [first address lsl 6 lor length]: keys
+   order exactly like [compare] (first address, then length), so a sorted
+   key column is a sorted prefix list with nothing boxed. *)
+let[@inline] key_of ~bits ~length = (bits lsl 6) lor length
+
+let key t = key_of ~bits:t.bits ~length:t.length
+
+let[@inline] key_bits key = key lsr 6
+
+let[@inline] key_length key = key land 63
+
+let[@inline] key_last key = key_bits key lor ((1 lsl (address_bits - key_length key)) - 1)
+
+let of_key key = make ~bits:(key_bits key) ~length:(key_length key)
 
 let to_string t =
   Printf.sprintf "%d.%d.%d.%d/%d"

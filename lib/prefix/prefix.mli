@@ -89,11 +89,30 @@ val compare : t -> t -> int
 (** Total order: by first address, then by length (shorter first), so a
     sorted list groups ancestors immediately before their descendants. *)
 
-val fold_diff : (t -> 'a -> 'a) -> t list -> t list -> 'a -> 'a
-(** [fold_diff f xs ys acc] folds [f], in list order, over the elements of
-    [xs] that are not in [ys]: the elements of [Set.diff xs ys], in the
-    same order.  Both lists must be strictly increasing under {!compare}
-    (as {!Set.elements} returns them); one merge walk, no set built. *)
+(** {2 Packed keys}
+
+    A prefix packed into one int, [first_address lsl 6 lor length].  Keys
+    order exactly like {!compare}, so the monitor's counter table, the
+    TCAM's rule columns and the counter reads between them are sorted int
+    columns, with no prefix built. *)
+
+val key_of : bits:int -> length:int -> int
+(** The key of the prefix with these {!bits} and {!length} (not
+    validated: [bits] must already be masked to [length]). *)
+
+val key : t -> int
+
+val of_key : int -> t
+(** Inverse of {!key}.  @raise Invalid_argument on a key no prefix has. *)
+
+val key_bits : int -> int
+(** {!bits} of a key's prefix. *)
+
+val key_length : int -> int
+(** {!length} of a key's prefix. *)
+
+val key_last : int -> address
+(** {!last_address} of a key's prefix. *)
 
 val to_string : t -> string
 (** Dotted-quad with length, e.g. ["10.32.0.0/12"]. *)

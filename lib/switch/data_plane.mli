@@ -42,23 +42,27 @@ val latency_factor : t -> float
 (** Control-channel latency multiplier for this switch (straggler
     inflation); 1.0 without a fault model. *)
 
-val rules_of : t -> owner:int -> Dream_prefix.Prefix.t list
-
 val read :
   t ->
   owner:int ->
   Dream_traffic.Aggregate.t ->
-  ((Dream_prefix.Prefix.t * float) list, fetch_error) result
-(** Fetch one task's counters.  A [`Timeout] still prices the fetch in the
-    TCAM stats (the bytes were sent; the reply never came), so retries cost
-    modelled control-loop time.  On success, individual counters may have
-    been dropped ([counter_loss_rate]) or perturbed ([perturb_stddev]). *)
+  keys:int array ->
+  vols:float array ->
+  (int, fetch_error) result
+(** Fetch one task's counters into the caller's buffers, as
+    {!Tcam.read} does (both must hold the owner's {!Tcam.used_by}
+    entries): [Ok n] with the readings in [keys.(0 .. n-1)] and
+    [vols.(0 .. n-1)], in key order.  A [`Timeout] still prices the fetch
+    in the TCAM stats (the bytes were sent; the reply never came), so
+    retries cost modelled control-loop time.  On success, individual
+    counters may have been dropped ([counter_loss_rate]) or perturbed
+    ([perturb_stddev]); the survivors close up in key order. *)
 
-val install :
-  t -> owner:int -> Dream_prefix.Prefix.t -> (unit, install_error) result
+val install : t -> owner:int -> int -> (unit, install_error) result
+(** Install the rule of a prefix key ({!Dream_prefix.Prefix.key}). *)
 
-val remove :
-  t -> owner:int -> Dream_prefix.Prefix.t -> (bool, [ `Down | `Unreachable ]) result
+val remove : t -> owner:int -> int -> (bool, [ `Down | `Unreachable ]) result
+(** Remove the rule of a prefix key. *)
 
 val crash : t -> unit
 (** Wipe the switch's TCAM (crash semantics: state lost, no priced
@@ -73,5 +77,5 @@ val audit :
 (** Reconcile the switch's installed rules against [expected] (owner →
     prefixes, as produced by {!Tcam.dump}): stray rules are deleted first,
     then missing rules reinstalled, so the table never transiently exceeds
-    capacity.  Used by controller recovery; [`Down] if the switch is
+    capacity.  Each pass is a merge walk of sorted key lists.  Used by controller recovery; [`Down] if the switch is
     currently crashed (it will be reconciled when it comes back). *)

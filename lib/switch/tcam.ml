@@ -3,9 +3,15 @@ module Aggregate = Dream_traffic.Aggregate
 
 type stats = { installs : int; removals : int; fetches : int }
 
+(* One owner's installed rules: a sorted column of packed prefix keys
+   (Prefix.key), 8 bytes a rule, [n] in use.  An install or removal is a
+   bisect plus one shift of the tail (a memmove: no write barrier, no
+   allocation once the column has grown). *)
+type rules = { mutable keys : Bytes.t; mutable n : int }
+
 type t = {
   capacity : int;
-  tables : (int, Prefix.Set.t ref) Hashtbl.t; (* owner -> installed prefixes *)
+  tables : (int, rules) Hashtbl.t; (* owner -> installed rules *)
   mutable used : int;
   mutable installs : int;
   mutable removals : int;
@@ -22,51 +28,76 @@ let used t = t.used
 
 let free t = t.capacity - t.used
 
-let table t owner =
-  match Hashtbl.find_opt t.tables owner with
-  | Some set -> set
-  | None ->
-    let set = ref Prefix.Set.empty in
-    Hashtbl.replace t.tables owner set;
-    set
+let[@inline] get keys i = Int64.to_int (Bytes.get_int64_ne keys (i lsl 3))
+
+let[@inline] set keys i v = Bytes.set_int64_ne keys (i lsl 3) (Int64.of_int v)
+
+let count col = col.n
+
+let key col i = get col.keys i
+
+(* The first index in [lo, hi) whose key is >= [key], or [hi]. *)
+let rec bisect keys key lo hi =
+  if lo >= hi then lo
+  else begin
+    let mid = (lo + hi) / 2 in
+    if get keys mid < key then bisect keys key (mid + 1) hi else bisect keys key lo mid
+  end
+
+let rules t ~owner =
+  match Hashtbl.find t.tables owner with
+  | col -> col
+  | exception Not_found ->
+    let col = { keys = Bytes.create 64; n = 0 } in
+    Hashtbl.replace t.tables owner col;
+    col
 
 let used_by t ~owner =
-  match Hashtbl.find_opt t.tables owner with
-  | Some set -> Prefix.Set.cardinal !set
-  | None -> 0
+  match Hashtbl.find t.tables owner with col -> col.n | exception Not_found -> 0
 
-let owners t =
-  Hashtbl.fold (fun owner set acc -> if Prefix.Set.is_empty !set then acc else owner :: acc) t.tables []
+let rec prefixes_down keys i acc =
+  if i < 0 then acc else prefixes_down keys (i - 1) (Prefix.of_key (get keys i) :: acc)
 
 let rules_of t ~owner =
-  match Hashtbl.find_opt t.tables owner with
-  | Some set -> Prefix.Set.elements !set
-  | None -> []
+  match Hashtbl.find t.tables owner with
+  | col -> prefixes_down col.keys (col.n - 1) []
+  | exception Not_found -> []
 
-let dump t =
-  Hashtbl.fold
-    (fun owner set acc ->
-      if Prefix.Set.is_empty !set then acc else (owner, Prefix.Set.elements !set) :: acc)
-    t.tables []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+let dump_owner owner col acc =
+  if col.n = 0 then acc else (owner, prefixes_down col.keys (col.n - 1) []) :: acc
 
-let install t ~owner p =
-  let set = table t owner in
-  if Prefix.Set.mem p !set then Error `Duplicate
+let by_owner (a, _) (b, _) = Int.compare a b
+
+let dump t = List.sort by_owner (Hashtbl.fold dump_owner t.tables [])
+
+let install t ~owner key =
+  let col = rules t ~owner in
+  let i = bisect col.keys key 0 col.n in
+  if i < col.n && get col.keys i = key then Error `Duplicate
   else if t.used >= t.capacity then Error `Capacity
   else begin
-    set := Prefix.Set.add p !set;
+    let bytes = col.n lsl 3 in
+    if bytes + 8 > Bytes.length col.keys then begin
+      let grown = Bytes.create (2 * Bytes.length col.keys) in
+      Bytes.blit col.keys 0 grown 0 bytes;
+      col.keys <- grown
+    end;
+    Bytes.blit col.keys (i lsl 3) col.keys ((i + 1) lsl 3) (bytes - (i lsl 3));
+    set col.keys i key;
+    col.n <- col.n + 1;
     t.used <- t.used + 1;
     t.installs <- t.installs + 1;
     Ok ()
   end
 
-let remove t ~owner p =
-  match Hashtbl.find_opt t.tables owner with
-  | None -> false
-  | Some set ->
-    if Prefix.Set.mem p !set then begin
-      set := Prefix.Set.remove p !set;
+let remove t ~owner key =
+  match Hashtbl.find t.tables owner with
+  | exception Not_found -> false
+  | col ->
+    let i = bisect col.keys key 0 col.n in
+    if i < col.n && get col.keys i = key then begin
+      Bytes.blit col.keys ((i + 1) lsl 3) col.keys (i lsl 3) ((col.n - i - 1) lsl 3);
+      col.n <- col.n - 1;
       t.used <- t.used - 1;
       t.removals <- t.removals + 1;
       true
@@ -74,23 +105,26 @@ let remove t ~owner p =
     else false
 
 let remove_owner t ~owner =
-  match Hashtbl.find_opt t.tables owner with
-  | None -> 0
-  | Some set ->
-    let n = Prefix.Set.cardinal !set in
+  match Hashtbl.find t.tables owner with
+  | exception Not_found -> 0
+  | col ->
+    let n = col.n in
     t.used <- t.used - n;
     t.removals <- t.removals + n;
     Hashtbl.remove t.tables owner;
     n
 
-let read t ~owner aggregate =
-  let rules = rules_of t ~owner in
-  t.fetches <- t.fetches + List.length rules;
-  (* Rule sets come out of the Prefix.Set in compare order, which is
-     first-address order — exactly the sorted batch the flat store answers
-     in one narrowing pass.  Element-wise identical to mapping
-     [Aggregate.volume]. *)
-  Aggregate.read_prefixes aggregate rules
+let read t ~owner aggregate ~keys ~vols =
+  match Hashtbl.find t.tables owner with
+  | exception Not_found -> 0
+  | col ->
+    let n = col.n in
+    for i = 0 to n - 1 do
+      keys.(i) <- get col.keys i
+    done;
+    t.fetches <- t.fetches + n;
+    Aggregate.read_keys aggregate ~keys ~n vols;
+    n
 
 let wipe t =
   Hashtbl.reset t.tables;

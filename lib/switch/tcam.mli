@@ -3,9 +3,15 @@
     Rules are (owner task, prefix) pairs with hardware counters; capacity is
     the number of TCAM entries available to measurement (the dynamically
     allocable pool of Section 4).  The table never exceeds capacity:
-    {!install} fails when full.  The controller syncs a task's rules with
-    {!remove} and {!install}, diffing {!rules_of} against the desired
-    prefixes in one sorted-merge walk ({!Dream_prefix.Prefix.fold_diff}).
+    {!install} fails when full.
+
+    Each owner's rules are one sorted column of packed prefix keys
+    ({!Dream_prefix.Prefix.key}), the shape a programmable switch's
+    register arrays have: an install or removal is a bisect plus one shift
+    of the column, {!used_by} is a count, and {!read} writes the owner's
+    counters in key order into buffers the caller owns.  The controller
+    syncs a task's rules with {!remove} and {!install}, walking {!rules}
+    against the monitor's key column in one two-cursor merge.
 
     Counter values come from {!read}: the simulator stands in for the data
     plane by evaluating each rule's prefix against the epoch's traffic
@@ -31,30 +37,42 @@ val used : t -> int
 val free : t -> int
 
 val used_by : t -> owner:int -> int
+(** The owner's rule count, without listing the rules. *)
 
-val owners : t -> int list
+(** {2 One owner's key column} *)
 
-val rules_of : t -> owner:int -> Dream_prefix.Prefix.t list
-(** Installed prefixes of one task, strictly increasing in
-    {!Dream_prefix.Prefix.compare} order. *)
+type rules
+(** The live column of one owner's rule keys, strictly increasing.  It
+    follows every {!install} and {!remove} of that owner, until a
+    {!remove_owner} or {!wipe} drops it. *)
 
-val dump : t -> (int * Dream_prefix.Prefix.t list) list
-(** Every installed rule, grouped by owner in owner order with prefixes in
-    prefix order — the deterministic full-table view used by checkpoints
-    and the recovery audit. *)
+val rules : t -> owner:int -> rules
+(** The owner's column (an empty one is made for an owner with none). *)
 
-val install : t -> owner:int -> Dream_prefix.Prefix.t -> (unit, [ `Capacity | `Duplicate ]) result
+val count : rules -> int
 
-val remove : t -> owner:int -> Dream_prefix.Prefix.t -> bool
-(** [true] if the rule existed. *)
+val key : rules -> int -> int
+(** [key rules i] is the [i]-th smallest key, [0 <= i < count rules]. *)
+
+(** {2 Updates and reads} *)
+
+val install : t -> owner:int -> int -> (unit, [ `Capacity | `Duplicate ]) result
+(** Install the rule of a prefix key. *)
+
+val remove : t -> owner:int -> int -> bool
+(** Remove the rule of a prefix key; [true] if it existed. *)
 
 val remove_owner : t -> owner:int -> int
 (** Delete all rules of a task (when it is dropped or ends); returns the
     number removed. *)
 
-val read : t -> owner:int -> Dream_traffic.Aggregate.t -> (Dream_prefix.Prefix.t * float) list
+val read :
+  t -> owner:int -> Dream_traffic.Aggregate.t -> keys:int array -> vols:float array -> int
 (** Per-rule counters of a task against this epoch's traffic at this
-    switch.  Counts one fetch per rule in the stats. *)
+    switch: the owner's keys in key order into [keys.(0 .. n-1)], their
+    volumes into [vols], and [n], the owner's {!used_by}, returned.  Both
+    buffers must hold [used_by] entries.  Counts one fetch per rule in the
+    stats. *)
 
 val wipe : t -> unit
 (** Drop every rule of every owner without touching the churn stats: a
@@ -64,3 +82,17 @@ val wipe : t -> unit
 val stats : t -> stats
 
 val reset_stats : t -> unit
+
+(** {2 List views}
+
+    For checkpoints, audits and invariant checks, off the per-epoch
+    path. *)
+
+val rules_of : t -> owner:int -> Dream_prefix.Prefix.t list
+(** Installed prefixes of one task, strictly increasing in
+    {!Dream_prefix.Prefix.compare} order. *)
+
+val dump : t -> (int * Dream_prefix.Prefix.t list) list
+(** Every installed rule, grouped by owner in owner order with prefixes in
+    prefix order — the deterministic full-table view used by checkpoints
+    and the recovery audit. *)

@@ -111,23 +111,11 @@ let[@inline] get col i = Int64.to_int (Bytes.get_int64_ne col (i lsl 3))
 
 let[@inline] set col i v = Bytes.set_int64_ne col (i lsl 3) (Int64.of_int v)
 
-let[@inline] key_of ~bits ~length = (bits lsl 6) lor length
+let[@inline] bits_at t i = Prefix.key_bits (get t.keys i)
 
-let key_of_prefix p = key_of ~bits:(Prefix.bits p) ~length:(Prefix.length p)
+let[@inline] length_at t i = Prefix.key_length (get t.keys i)
 
-let[@inline] key_bits key = key lsr 6
-
-let[@inline] key_length key = key land 63
-
-let[@inline] bits_at t i = key_bits (get t.keys i)
-
-let[@inline] length_at t i = key_length (get t.keys i)
-
-let[@inline] last_at t i =
-  let key = get t.keys i in
-  key_bits key lor ((1 lsl (Prefix.address_bits - key_length key)) - 1)
-
-let prefix_of_key key = Prefix.make ~bits:(key_bits key) ~length:(key_length key)
+let[@inline] last_at t i = Prefix.key_last (get t.keys i)
 
 let[@inline] flag t i f = get t.flags i land f <> 0
 
@@ -194,7 +182,8 @@ let shift t ~lo ~hi ~len =
    them here would box them). *)
 let init_slot t i ~key ~flags =
   set t.keys i key;
-  set t.masks i (Topology.bits_mask t.topology ~bits:(key_bits key) ~length:(key_length key));
+  set t.masks i
+    (Topology.bits_mask t.topology ~bits:(Prefix.key_bits key) ~length:(Prefix.key_length key));
   set t.flags i flags;
   set t.stamps i t.next_stamp;
   t.next_stamp <- t.next_stamp + 1;
@@ -277,7 +266,7 @@ let create ~spec ~topology =
   let filter = spec.Task_spec.filter in
   let t = make ~spec ~topology ~active:(Topology.prefix_mask topology filter) ~cap:16 in
   shift t ~lo:0 ~hi:0 ~len:1;
-  init_slot t 0 ~key:(key_of_prefix filter) ~flags:fresh_flag;
+  init_slot t 0 ~key:(Prefix.key filter) ~flags:fresh_flag;
   t.scores.(0) <- 0.0;
   t.means.(0) <- 0.0;
   recompute_usage t;
@@ -291,7 +280,7 @@ let num_counters t = t.n
 
 (* ---- slot accessors ---- *)
 
-let prefix t i = prefix_of_key (get t.keys i)
+let prefix t i = Prefix.of_key (get t.keys i)
 
 let wildcards t i = t.spec.Task_spec.leaf_length - length_at t i
 
@@ -349,11 +338,11 @@ let rec bisect t addr lo hi =
 
 (* The slot holding exactly the prefix of [key], or -1. *)
 let slot_of_key t key =
-  let i = bisect t (key_bits key) 0 t.n in
+  let i = bisect t (Prefix.key_bits key) 0 t.n in
   if i < t.n && get t.keys i = key then i else -1
 
 let find t p =
-  let i = slot_of_key t (key_of_prefix p) in
+  let i = slot_of_key t (Prefix.key p) in
   if i < 0 then None else Some i
 
 let rec fold_down f t ~first i acc = if i < first then acc else fold_down f t ~first (i - 1) (f i acc)
@@ -382,7 +371,7 @@ let fold_seeing f t b acc =
    two sides of one bisect.  A counter on [at] itself is a leaf: the
    counters partition the filter. *)
 let rec bottom_up t ~f at lo hi =
-  if get t.keys lo = key_of_prefix at then f at lo []
+  if get t.keys lo = Prefix.key at then f at lo []
   else begin
     match Prefix.children at with
     | None -> f at (-1) []
@@ -407,59 +396,75 @@ let usage t b = t.usage.(b)
 
 let active t = t.active_mask
 
+(* The rules of a switch are the counters seeing it, one run of slots;
+   none on a switch outside {!active}. *)
+let rules_start t sw =
+  let b = Topology.bit_of_switch t.topology sw in
+  if b < 0 || not (Switch_mask.mem_bit b t.active_mask) then 0 else run_start t b
+
+let rules_stop t sw first =
+  let b = Topology.bit_of_switch t.topology sw in
+  if b < 0 || not (Switch_mask.mem_bit b t.active_mask) then first else run_stop t b first
+
+let key t i = get t.keys i
+
 let rec prefixes_down t ~first i acc =
   if i < first then acc else prefixes_down t ~first (i - 1) (prefix t i :: acc)
 
 let rules_for t sw =
-  let b = Topology.bit_of_switch t.topology sw in
-  if b < 0 || not (Switch_mask.mem_bit b t.active_mask) then []
-  else begin
-    let first = run_start t b in
-    prefixes_down t ~first (run_stop t b first - 1) []
-  end
+  let first = rules_start t sw in
+  prefixes_down t ~first (rules_stop t sw first - 1) []
 
-(* One switch's readings merged into the slots.  A TCAM answers in prefix
+let clear_readings t =
+  let keep = lnot (presence_mask t.k) in
+  for i = 0 to t.n - 1 do
+    set t.flags i (get t.flags i land keep)
+  done
+
+(* One switch's readings merged into the slots.  A TCAM answers in key
    order, so after one bisect seats the cursor it only moves forward; a
    reading behind it (never from a TCAM) re-seats it with another.
    Readings for prefixes no longer monitored are stale: dropped.  A later
    reading of a slot replaces an earlier one. *)
 let rec advance t addr j = if j < t.n && bits_at t j < addr then advance t addr (j + 1) else j
 
-let rec ingest_switch t b j = function
-  | [] -> ()
-  | (p, v) :: rest ->
-    let key = key_of_prefix p in
-    let addr = key_bits key in
+(* Readings [i, n) merged from cursor [j] (-1 before the first bisect). *)
+let rec ingest_from t b keys vols n i j =
+  if i < n then begin
+    let key = keys.(i) in
+    let addr = Prefix.key_bits key in
     let j =
       if j < 0 then bisect t addr 0 t.n
       else if j > 0 && bits_at t (j - 1) >= addr then bisect t addr 0 j
       else advance t addr j
     in
     if j < t.n && get t.keys j = key then begin
-      t.vols.((j * t.k) + b) <- v;
+      t.vols.((j * t.k) + b) <- vols.(i);
       set t.flags j (get t.flags j lor present b);
-      ingest_switch t b (j + 1) rest
+      ingest_from t b keys vols n (i + 1) (j + 1)
     end
-    else ingest_switch t b j rest
+    else ingest_from t b keys vols n (i + 1) j
+  end
 
-let rec ingest_readings t = function
-  | [] -> ()
-  | (sw, pairs) :: rest ->
-    let b = Topology.bit_of_switch t.topology sw in
-    if b >= 0 then ingest_switch t b (-1) pairs;
-    ingest_readings t rest
+let ingest t sw ~keys ~vols n =
+  let b = Topology.bit_of_switch t.topology sw in
+  if b >= 0 then ingest_from t b keys vols n 0 (-1)
 
-let ingest t readings =
-  (* readings: per switch, (prefix, volume) pairs for this task's rules. *)
-  let keep = lnot (presence_mask t.k) in
-  for i = 0 to t.n - 1 do
-    set t.flags i (get t.flags i land keep)
-  done;
-  ingest_readings t readings;
+let seal_readings t =
   for i = 0 to t.n - 1 do
     seal_total t i;
     set t.flags i (get t.flags i land lnot fresh_flag)
   done
+
+let ingest_readings t readings =
+  clear_readings t;
+  List.iter
+    (fun (sw, pairs) ->
+      let keys = Array.of_list (List.map (fun (p, _) -> Prefix.key p) pairs) in
+      let vols = Array.of_list (List.map snd pairs) in
+      ingest t sw ~keys ~vols (Array.length keys))
+    readings;
+  seal_readings t
 
 (* Sub-filters of [mask] where one more entry would exceed the allocation
    of the running configure. *)
@@ -506,7 +511,8 @@ module Cover = struct
     cv.cursor < t.n
     &&
     let key = get t.keys cv.cursor in
-    Prefix.covers_bits ~abits:bits ~alen:len ~bbits:(key_bits key) ~blen:(key_length key)
+    Prefix.covers_bits ~abits:bits ~alen:len ~bbits:(Prefix.key_bits key)
+      ~blen:(Prefix.key_length key)
 
   (* Visit the trie node (bits, len) that the sorted counters imply, the
      head of the walk lying under it, and consume every counter it covers.
@@ -716,7 +722,7 @@ let[@hot] merge t ancestor =
       set t.flags lo (acc lor (vf land (seeded_flag lor presence_mask k)))
     done;
     init_slot t lo
-      ~key:(key_of ~bits:abits ~length:alen)
+      ~key:(Prefix.key_of ~bits:abits ~length:alen)
       ~flags:(get t.flags lo land lnot fresh_flag);
     shift t ~lo:(lo + 1) ~hi ~len:0;
     seal_total t lo;
@@ -796,17 +802,17 @@ let pop (h : heap) =
    parent's score and, when it has one, half its CD mean. *)
 let[@hot] divide t ~leaf_length i =
   let key = get t.keys i in
-  let len = key_length key in
+  let len = Prefix.key_length key in
   if len < Prefix.address_bits then begin
-    let lbits = key_bits key and child = len + 1 in
+    let lbits = Prefix.key_bits key and child = len + 1 in
     let rbits = lbits lor (1 lsl (Prefix.address_bits - child)) in
     let fl = get t.flags i land seeded_flag in
     let half_score = t.scores.(i) /. 2.0 in
     let half_mean = if fl <> 0 then t.means.(i) /. 2.0 else 0.0 in
     bump t.usage (effective t i) (-1) 0;
     shift t ~lo:(i + 1) ~hi:(i + 1) ~len:1;
-    init_slot t i ~key:(key_of ~bits:lbits ~length:child) ~flags:(fl lor fresh_flag);
-    init_slot t (i + 1) ~key:(key_of ~bits:rbits ~length:child) ~flags:(fl lor fresh_flag);
+    init_slot t i ~key:(Prefix.key_of ~bits:lbits ~length:child) ~flags:(fl lor fresh_flag);
+    init_slot t (i + 1) ~key:(Prefix.key_of ~bits:rbits ~length:child) ~flags:(fl lor fresh_flag);
     t.scores.(i) <- half_score;
     t.scores.(i + 1) <- half_score;
     t.means.(i) <- half_mean;
@@ -889,7 +895,7 @@ let rec divide_loop t ~leaf_length ~improvement_floor budget =
                merges never touch the excluded counter, but they can move
                its slot. *)
             if blocked t extra 0 0 = 0 then
-              divide t ~leaf_length (slot_of_key t (key_of ~bits:lbits ~length:len));
+              divide t ~leaf_length (slot_of_key t (Prefix.key_of ~bits:lbits ~length:len));
             divide_loop t ~leaf_length ~improvement_floor (budget - 1)
           | Some _ | None -> divide_loop t ~leaf_length ~improvement_floor (budget - 1)
         end
@@ -979,7 +985,7 @@ let parse_counter r t =
     C.parse_error 0 "monitor: a counter's mean history differs from the task's cd_history";
   let fresh = C.bool_field r "fresh" in
   let seeded, avg = match Ewma.value mean with Some v -> (true, v) | None -> (false, 0.0) in
-  init_slot t i ~key:(key_of_prefix p)
+  init_slot t i ~key:(Prefix.key p)
     ~flags:
       (!present_bits lor (if seeded then seeded_flag else 0) lor if fresh then fresh_flag else 0);
   t.scores.(i) <- score;

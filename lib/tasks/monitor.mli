@@ -19,7 +19,7 @@
 
     Switch sets are {!Dream_traffic.Switch_mask} bitmasks over the task's
     sub-filters, and per-switch arguments are sub-filter bits; only the
-    data-plane facing {!rules_for} and {!ingest} take switch ids. *)
+    data-plane facing functions take switch ids. *)
 
 type t
 
@@ -110,20 +110,51 @@ val active : t -> Dream_traffic.Switch_mask.t
     can grant zero entries on a switch; the task then goes blind there
     instead of violating switch capacity. *)
 
+(** {2 Facing the data plane}
+
+    A switch's rules are the counters whose S set holds it: one run of
+    slots, whose {!key}s are the rules' packed prefix keys
+    ({!Dream_prefix.Prefix.key}) in key order — the order a TCAM column
+    keeps, so rule sync is one two-cursor merge of the two.  Readings come
+    back the same way, one switch's key and volume columns at a time,
+    between {!clear_readings} and {!seal_readings}. *)
+
+val rules_start : t -> Dream_traffic.Switch_id.t -> int
+(** First slot of the switch's rules (none on a switch outside
+    {!active}). *)
+
+val rules_stop : t -> Dream_traffic.Switch_id.t -> int -> int
+(** [rules_stop t sw (rules_start t sw)]: one past the last slot of the
+    switch's rules; the two are equal when it has none. *)
+
+val key : t -> int -> int
+(** The slot's prefix as a packed key. *)
+
 val rules_for : t -> Dream_traffic.Switch_id.t -> Dream_prefix.Prefix.t list
-(** Prefixes to install on a switch (counters whose S contains it, none
-    on a switch outside {!active}), in
-    {!Dream_prefix.Prefix.compare} order — the order the controller's
-    sorted-merge rule sync relies on. *)
+(** The prefixes of slots [rules_start, rules_stop), in
+    {!Dream_prefix.Prefix.compare} order: the list view of a switch's
+    rules, for checks and examples off the per-epoch path. *)
+
+val clear_readings : t -> unit
+(** Start delivering an epoch's readings (Algorithm 1 line 2): every
+    counter forgets its volumes. *)
 
 val ingest :
+  t -> Dream_traffic.Switch_id.t -> keys:int array -> vols:float array -> int -> unit
+(** [ingest t sw ~keys ~vols n] delivers one switch's readings: volume
+    [vols.(i)] for the prefix key [keys.(i)], [0 <= i < n].  Readings for
+    prefixes no longer monitored, and from switches the task never sees,
+    are dropped.  One sorted merge: readings are expected in key order (a
+    TCAM's order); any order is accepted. *)
+
+val seal_readings : t -> unit
+(** Finish delivering: every counter's total is its new volumes' sum, and
+    no counter is fresh any more. *)
+
+val ingest_readings :
   t -> (Dream_traffic.Switch_id.t * (Dream_prefix.Prefix.t * float) list) list -> unit
-(** Deliver fetched per-switch counter readings (Algorithm 1 line 2).
-    Every counter's volumes are replaced by its readings and it stops
-    being fresh.  Readings for prefixes no longer monitored, and from
-    switches the task never sees, are dropped.  One sorted merge per
-    switch: a switch's readings are expected in prefix order (a TCAM's
-    order); any order is accepted. *)
+(** {!clear_readings}, one {!ingest} per listed switch, {!seal_readings}:
+    the list view, for tests and examples. *)
 
 val bottlenecked : t -> allocations:int array -> Dream_traffic.Switch_mask.t
 (** Switches where the task has used its entire allocation — the switches

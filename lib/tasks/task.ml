@@ -45,7 +45,7 @@ let allocations t = t.allocations
 
 let desired_rules t sw = Monitor.rules_for t.monitor sw
 
-let ingest_counters t readings = Monitor.ingest t.monitor readings
+let ingest_counters t readings = Monitor.ingest_readings t.monitor readings
 
 let overall_filter t b =
   t.overall_used <- t.overall_used lor (1 lsl b);

@@ -8,9 +8,8 @@
     {!desired_rules} to save counters to each switch.
 
     Per-switch arguments and values are indexed by the sub-filter bit of
-    the task's topology ({!Dream_traffic.Switch_mask}); only
-    {!desired_rules} and {!ingest_counters}, which face the data plane,
-    take switch ids. *)
+    the task's topology ({!Dream_traffic.Switch_mask}); only the functions
+    facing the data plane take switch ids. *)
 
 type t
 
@@ -44,9 +43,15 @@ val allocations : t -> int array
     mutate. *)
 
 val desired_rules : t -> Dream_traffic.Switch_id.t -> Dream_prefix.Prefix.t list
+(** {!Monitor.rules_for}: the list view of a switch's rules.  The
+    controller's rule sync walks the monitor's key column instead
+    ({!Monitor.rules_start}). *)
 
 val ingest_counters :
   t -> (Dream_traffic.Switch_id.t * (Dream_prefix.Prefix.t * float) list) list -> unit
+(** {!Monitor.ingest_readings}: the list view of a fetch.  The
+    controller's fetch delivers key and volume columns instead
+    ({!Monitor.ingest}). *)
 
 val report_and_estimate : t -> epoch:int -> Report.t * Accuracy.t
 (** This epoch's report and raw accuracy estimate, from one detection

@@ -46,21 +46,19 @@ let empty = of_flows []
 
 let sorted_fast_path t = t.sorted_fast_path
 
-(* Index of the first element >= key; [from] narrows the search when the
-   caller already knows a valid lower bound (batched reads). *)
-let lower_bound_from t ~from key =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else begin
-      let mid = (lo + hi) / 2 in
-      if t.addrs.{mid} < key then go (mid + 1) hi else go lo mid
-    end
-  in
-  go from t.n
+(* Index of the first address >= [key] in [lo, hi); [lo] narrows the
+   search when the caller already knows a valid lower bound (batched
+   reads).  Toplevel, so a search builds no closure. *)
+let rec lower_bound (addrs : ints) key lo hi =
+  if lo >= hi then lo
+  else begin
+    let mid = (lo + hi) / 2 in
+    if addrs.{mid} < key then lower_bound addrs key (mid + 1) hi else lower_bound addrs key lo mid
+  end
 
 let range t p =
-  let lo = lower_bound_from t ~from:0 (Prefix.first_address p) in
-  let hi = lower_bound_from t ~from:lo (Prefix.last_address p + 1) in
+  let lo = lower_bound t.addrs (Prefix.first_address p) 0 t.n in
+  let hi = lower_bound t.addrs (Prefix.last_address p + 1) lo t.n in
   (lo, hi)
 
 let volume t p =
@@ -98,26 +96,25 @@ let fold t ~init ~f =
   done;
   !acc
 
-(* Answer a batch of prefix queries in one pass.  TCAM rule sets arrive in
-   {!Prefix.compare} order, whose first component is the first covered
-   address, so the running low bound [lo] below is a valid search floor for
-   every later query; if a caller ever passes an unordered batch the floor
-   resets and the answer is still exact, just not faster.  Each query
-   computes the same (lo, hi) index pair — hence the same float — as
-   {!volume} would. *)
-let[@hot] read_prefixes t ps =
+(* Answer a batch of prefix-key queries in one pass.  TCAM rule columns
+   are in key order, whose first component is the first covered address,
+   so the running low bound [lo] below is a valid search floor for every
+   later query; an unordered batch resets the floor and the answer is
+   still exact, just not faster.  Each query computes the same (lo, hi)
+   index pair — hence the same float — as {!volume} would. *)
+let[@hot] read_keys t ~keys ~n vols =
   let prev_first = ref min_int in
   let prev_lo = ref 0 in
-  List.map
-    (fun p ->
-      let first = Prefix.first_address p in
-      let from = if first >= !prev_first then !prev_lo else 0 in
-      let lo = lower_bound_from t ~from first in
-      let hi = lower_bound_from t ~from:lo (Prefix.last_address p + 1) in
-      prev_first := first;
-      prev_lo := lo;
-      (p, t.cumulative.{hi} -. t.cumulative.{lo}))
-    ps
+  for i = 0 to n - 1 do
+    let key = keys.(i) in
+    let first = Prefix.key_bits key in
+    let from = if first >= !prev_first then !prev_lo else 0 in
+    let lo = lower_bound t.addrs first from t.n in
+    let hi = lower_bound t.addrs (Prefix.key_last key + 1) lo t.n in
+    prev_first := first;
+    prev_lo := lo;
+    vols.(i) <- t.cumulative.{hi} -. t.cumulative.{lo}
+  done
 
 (* Point-wise sum, two linear passes: count the distinct addresses of the
    union, then fill.  Equal addresses sum left operand first ([va +. vb]),

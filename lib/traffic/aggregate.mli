@@ -48,11 +48,12 @@ val fold_in : t -> Dream_prefix.Prefix.t -> init:'a -> f:('a -> Flow.t -> 'a) ->
 
 val fold : t -> init:'a -> f:('a -> Flow.t -> 'a) -> 'a
 
-val read_prefixes : t -> Dream_prefix.Prefix.t list -> (Dream_prefix.Prefix.t * float) list
-(** Batched {!volume} over a query list, returned in query order: the
-    answer list is element-wise identical to mapping [volume], but a
-    sorted batch (TCAM rule sets arrive in {!Dream_prefix.Prefix.compare}
-    order) is answered in one narrowing pass. *)
+val read_keys : t -> keys:int array -> n:int -> float array -> unit
+(** [read_keys t ~keys ~n vols] writes the {!volume} of the prefix of
+    each key in [keys.(0 .. n-1)] ({!Dream_prefix.Prefix.key}) into the
+    same index of [vols], bit for bit what {!volume} returns.  A batch in
+    key order (a TCAM rule column) is answered in one narrowing pass, and
+    nothing is allocated. *)
 
 val merge : t -> t -> t
 (** Point-wise sum of two aggregates (used to combine per-switch views into

@@ -1,7 +1,7 @@
 (* The retired Tcam.sync/Tcam.delta path, kept as the differential oracle
-   for the sorted-merge rule diff (Prefix.fold_diff) the controller syncs
-   rules with: build a Prefix.Set of each side and take Prefix.Set.diff.
-   Only the tests use it. *)
+   for the two-cursor key-column merge the controller syncs rules with
+   (Dream_core.Rule_sync): build a Prefix.Set of each side and take
+   Prefix.Set.diff.  Only the tests use it. *)
 
 module Prefix = Dream_prefix.Prefix
 module Tcam = Dream_switch.Tcam
@@ -24,6 +24,6 @@ let sync t ~owner ~prefixes =
       (Printf.sprintf
          "Reference_sync.sync: owner %d would exceed capacity (%d used, -%d +%d, cap %d)" owner
          (Tcam.used t) removed added (Tcam.capacity t));
-  List.iter (fun p -> ignore (Tcam.remove t ~owner p)) to_remove;
-  List.iter (fun p -> ignore (Tcam.install t ~owner p)) to_add;
+  List.iter (fun p -> ignore (Tcam.remove t ~owner (Prefix.key p))) to_remove;
+  List.iter (fun p -> ignore (Tcam.install t ~owner (Prefix.key p))) to_add;
   { added; removed }

@@ -470,71 +470,171 @@ module Fetch = Dream_core.Fetch
 module Aggregate = Dream_traffic.Aggregate
 module Flow = Dream_traffic.Flow
 
+module Monitor = Dream_tasks.Monitor
+module Rule_sync = Dream_core.Rule_sync
+
+(* A task under a random topology of [num_switches] switches whose
+   monitor has grown past its first counter (a few driven epochs of random
+   traffic), and the next epoch's traffic. *)
+let grown_task rng ~id ~num_switches =
+  let filter = Prefix.of_string "10.1.0.0/24" in
+  let topology =
+    Topology.create rng ~filter ~num_switches ~switches_per_task:(1 lsl Rng.int rng 3)
+  in
+  let epoch_data epoch =
+    let flows =
+      List.init (Rng.int rng 60) (fun _ ->
+          Flow.make
+            ~addr:(Prefix.bits filter lor Rng.int rng 256)
+            ~volume:(float_of_int (1 + Rng.int rng 50)))
+    in
+    Epoch_data.of_flows ~epoch
+      (List.filter_map
+         (fun (f : Flow.t) ->
+           Option.map (fun sw -> (sw, [ f ])) (Topology.switch_of_address topology f.Flow.addr))
+         flows)
+  in
+  let spec =
+    Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter ~leaf_length:32 ~threshold:8.0 ()
+  in
+  let r =
+    Runtime.create ~config:Config.default ~id ~spec ~topology
+      ~source:(Source.replay [| epoch_data 0 |])
+      ~duration:10 ~arrived_at:0 ~drop_priority:0
+  in
+  let allocations = Fixtures.allocations_of r.Runtime.task (2 + Rng.int rng 8) in
+  for epoch = 0 to Rng.int rng 4 do
+    ignore (Fixtures.drive_task r.Runtime.task ~data:(epoch_data epoch) ~allocations ~epoch)
+  done;
+  (r, filter, epoch_data 9)
+
+(* Random TCAM contents for the task: some of the rules its monitor
+   wants, some prefixes under its filter it does not, and rules of another
+   owner; a switch may hold none of them. *)
+let scatter_rules rng planes (r : Runtime.t) filter =
+  let id = Runtime.id r in
+  Array.iter
+    (fun dp ->
+      let tcam = Data_plane.tcam dp in
+      List.iter
+        (fun q -> if Rng.int rng 3 > 0 then ignore (Tcam.install tcam ~owner:id (Prefix.key q)))
+        (Task.desired_rules r.Runtime.task (Data_plane.id dp));
+      for _ = 1 to Rng.int rng 8 do
+        let length = 24 + Rng.int rng 9 in
+        let q = Prefix.make ~bits:(Prefix.bits filter lor Rng.int rng 256) ~length in
+        let owner = if Rng.int rng 2 = 0 then id + 1 else id in
+        ignore (Tcam.install tcam ~owner (Prefix.key q))
+      done)
+    planes
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
 (* On planes without a fault model, a fetch is a plain TCAM read: each
-   switch holding the task's rules answers, in switch order, with the
-   task's rules in TCAM order, each paired with its aggregate volume.
-   Other owners' rules stay out of it. *)
+   switch holding the task's rules answers with the task's rules, each
+   paired with its aggregate volume, and the monitor takes the readings of
+   the rules it still counts.  Other owners' rules stay out of it, and
+   every fetched rule is priced once. *)
 let prop_fetch_read_fault_free =
   QCheck.Test.make ~name:"fault-free Fetch.read = TCAM rules paired with Aggregate.volume"
     ~count:100 QCheck.(int_bound 1_000_000) (fun seed ->
       let rng = Rng.create seed in
       let num_switches = 4 and id = 3 in
-      let filter = Prefix.of_string "10.1.0.0/24" in
-      let topology =
-        Topology.create rng ~filter ~num_switches ~switches_per_task:(1 lsl Rng.int rng 3)
-      in
-      let flows =
-        List.init (Rng.int rng 60) (fun _ ->
-            Flow.make
-              ~addr:(Prefix.bits filter lor Rng.int rng 256)
-              ~volume:(float_of_int (1 + Rng.int rng 50)))
-      in
-      let data =
-        Epoch_data.of_flows ~epoch:0
-          (List.filter_map
-             (fun (f : Flow.t) ->
-               Option.map (fun sw -> (sw, [ f ])) (Topology.switch_of_address topology f.Flow.addr))
-             flows)
-      in
-      let spec =
-        Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter ~leaf_length:32 ~threshold:8.0 ()
-      in
-      let r =
-        Runtime.create ~config:Config.default ~id ~spec ~topology ~source:(Source.replay [| data |])
-          ~duration:10 ~arrived_at:0 ~drop_priority:0
-      in
+      let r, filter, data = grown_task rng ~id ~num_switches in
       let planes = Array.map Data_plane.create (Switch.network ~num_switches ~capacity:64) in
-      (* Random rules under the filter for the task, and some for another
-         owner; a switch may hold none. *)
-      Array.iter
-        (fun dp ->
-          for _ = 1 to Rng.int rng 12 do
-            let length = 24 + Rng.int rng 9 in
-            let p =
-              Prefix.make ~bits:(Prefix.bits filter lor Rng.int rng 256) ~length
-            in
-            let owner = if Rng.int rng 4 = 0 then id + 1 else id in
-            ignore (Tcam.install (Data_plane.tcam dp) ~owner p)
-          done)
-        planes;
+      scatter_rules rng planes r filter;
       let registry = Dream_obs.Registry.create () in
       let f =
         Fetch.create ~config:Config.default ~planes ~breakers:[||] ~faults:None
           ~tallies:(Metrics.Tallies.of_registry registry) ~registry ~trace:None
       in
       Fetch.begin_epoch f ~epoch:0;
-      let data, readings, degraded = Fetch.read f r in
-      let expected =
+      let degraded = Fetch.read f r data in
+      let m = Task.monitor r.Runtime.task in
+      let topology = Task.topology r.Runtime.task in
+      let expected slot =
+        let q = Monitor.prefix m slot in
         Array.to_list planes
         |> List.filter_map (fun dp ->
-               match Tcam.rules_of (Data_plane.tcam dp) ~owner:id with
-               | [] -> None
-               | rules ->
-                 let sw = Data_plane.id dp in
-                 let agg = Epoch_data.switch_view data sw in
-                 Some (sw, List.map (fun p -> (p, Aggregate.volume agg p)) rules))
+               let sw = Data_plane.id dp in
+               if
+                 Topology.bit_of_switch topology sw >= 0
+                 && List.exists (Prefix.equal q) (Tcam.rules_of (Data_plane.tcam dp) ~owner:id)
+               then Some (sw, Aggregate.volume (Epoch_data.switch_view data sw) q)
+               else None)
       in
-      degraded = Switch_mask.empty && readings = expected)
+      let fetched =
+        Array.for_all
+          (fun dp ->
+            let tcam = Data_plane.tcam dp in
+            (Tcam.stats tcam).Tcam.fetches = Tcam.used_by tcam ~owner:id)
+          planes
+      in
+      degraded = Switch_mask.empty && fetched
+      && List.for_all
+           (fun slot ->
+             List.equal
+               (fun (sa, va) (sb, vb) -> sa = sb && same_float va vb)
+               (Monitor.volumes m slot) (expected slot))
+           (List.init (Monitor.num_counters m) Fun.id))
+
+(* Rule sync is the Set.diff plan of the retired sync path, cut where the
+   switch's update budget or its capacity runs out: per switch, the first
+   stale rules in prefix order are removed, then the first missing ones
+   installed, and the installs are the task's fresh rules there. *)
+let prop_rule_sync_matches_set_diff =
+  QCheck.Test.make ~name:"rule sync = Set.diff plan, cut at budget and capacity" ~count:200
+    QCheck.(int_bound 1_000_000) (fun seed ->
+      let rng = Rng.create seed in
+      let num_switches = 4 and id = 3 in
+      let r, filter, _ = grown_task rng ~id ~num_switches in
+      let capacity = 4 + Rng.int rng 40 in
+      let planes = Array.map Data_plane.create (Switch.network ~num_switches ~capacity) in
+      scatter_rules rng planes r filter;
+      let budget = if Rng.int rng 3 = 0 then None else Some (Rng.int rng 12) in
+      let task = r.Runtime.task in
+      let expected =
+        Array.map
+          (fun dp ->
+            let tcam = Data_plane.tcam dp in
+            let installed = Tcam.rules_of tcam ~owner:id in
+            let desired = Task.desired_rules task (Data_plane.id dp) in
+            let to_remove, to_add = Reference_sync.plan ~installed ~desired in
+            let take n l = List.filteri (fun i _ -> i < n) l in
+            let left = match budget with Some b -> b | None -> max_int in
+            let removed = take left to_remove in
+            let left = left - List.length removed in
+            let room = capacity - (Tcam.used tcam - List.length removed) in
+            let added = take (min left room) to_add in
+            let final =
+              List.sort Prefix.compare
+                (added @ List.filter (fun q -> not (List.mem q removed)) installed)
+            in
+            (List.length removed, added, final))
+          planes
+      in
+      let registry = Dream_obs.Registry.create () in
+      let sync =
+        Rule_sync.create ~planes ~arena:(Dream_util.Arena.create ()) ~install_budget:budget
+          ~recovered:(Array.make num_switches false)
+          ~tallies:(Metrics.Tallies.of_registry registry)
+      in
+      let removed = List.fold_left ( + ) 0 (Rule_sync.remove_stale sync [ r ]) in
+      Rule_sync.install_missing sync [ r ];
+      let topology = Task.topology task in
+      removed = Array.fold_left (fun acc (n, _, _) -> acc + n) 0 expected
+      && Array.for_all2
+           (fun dp (_, added, final) ->
+             let sw = Data_plane.id dp in
+             let fresh =
+               match Topology.bit_of_switch topology sw with
+               | -1 -> []
+               | b ->
+                 List.init r.Runtime.last_install_counts.(b) (fun i ->
+                     Prefix.of_key r.Runtime.fresh_rules.(b).(i))
+             in
+             List.equal Prefix.equal (Tcam.rules_of (Data_plane.tcam dp) ~owner:id) final
+             && List.equal Prefix.equal fresh added)
+           planes expected)
 
 let () =
   Alcotest.run "dream.core"
@@ -565,5 +665,9 @@ let () =
           Alcotest.test_case "replay source" `Quick test_controller_replay_source;
         ] );
       ("drop-policy", [ QCheck_alcotest.to_alcotest prop_drop_policy_model ]);
-      ("fetch", [ QCheck_alcotest.to_alcotest prop_fetch_read_fault_free ]);
+      ( "fetch",
+        [
+          QCheck_alcotest.to_alcotest prop_fetch_read_fault_free;
+          QCheck_alcotest.to_alcotest prop_rule_sync_matches_set_diff;
+        ] );
     ]

@@ -101,11 +101,11 @@ let test_data_plane_transparent_without_faults () =
   let dp = Data_plane.create sw in
   Alcotest.(check bool) "never down" false (Data_plane.down dp);
   let p = Prefix.nth_descendant Prefix.root ~length:8 3 in
-  (match Data_plane.install dp ~owner:1 p with
+  (match Data_plane.install dp ~owner:1 (Prefix.key p) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "install must succeed");
   Alcotest.(check int) "rule landed" 1 (Tcam.used_by (Switch.tcam sw) ~owner:1);
-  match Data_plane.remove dp ~owner:1 p with
+  match Data_plane.remove dp ~owner:1 (Prefix.key p) with
   | Ok true -> ()
   | Ok false | Error (`Down | `Unreachable) -> Alcotest.fail "remove must find the rule"
 
@@ -115,15 +115,15 @@ let test_data_plane_down_refuses () =
   let sw = Switch.create ~id:0 ~capacity:16 in
   let dp = Data_plane.create ~faults:fm sw in
   let p = Prefix.nth_descendant Prefix.root ~length:8 1 in
-  (match Data_plane.install dp ~owner:1 p with
+  (match Data_plane.install dp ~owner:1 (Prefix.key p) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "install before crash must succeed");
   ignore (Fault_model.begin_epoch fm);
   Alcotest.(check bool) "down after crash" true (Data_plane.down dp);
-  (match Data_plane.install dp ~owner:1 p with
+  (match Data_plane.install dp ~owner:1 (Prefix.key p) with
   | Error `Down -> ()
   | Ok () | Error _ -> Alcotest.fail "install on a down switch must refuse");
-  match Data_plane.remove dp ~owner:1 p with
+  match Data_plane.remove dp ~owner:1 (Prefix.key p) with
   | Error (`Down | `Unreachable) -> ()
   | Ok _ -> Alcotest.fail "remove on a down switch must refuse"
 

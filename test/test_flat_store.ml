@@ -85,11 +85,11 @@ let prop_read_prefixes =
       let ra = Reference.of_flows flows and fa = Aggregate.of_flows flows in
       let same rules =
         let rr = Reference.read_prefixes ra rules in
-        let fr = Aggregate.read_prefixes fa rules in
-        List.length rr = List.length fr
-        && List.for_all2
-             (fun (pa, va) (pb, vb) -> Prefix.equal pa pb && same_float va vb)
-             rr fr
+        let keys = Array.of_list (List.map Prefix.key rules) in
+        let n = Array.length keys in
+        let vols = Array.make n nan in
+        Aggregate.read_keys fa ~keys ~n vols;
+        List.for_all2 (fun (_, va) vb -> same_float va vb) rr (Array.to_list vols)
       in
       same sorted_rules && same rules)
 

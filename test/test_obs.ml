@@ -359,7 +359,10 @@ let test_phase_views_agree () =
   check_bits "epoch wall" (sum (List.map snd (spans_of bundle "epoch"))) (wall "epoch");
   let stats = Profile.stats profile in
   Alcotest.(check (list string)) "profile paths"
-    [ "epoch"; "epoch/allocate"; "epoch/configure"; "epoch/estimate" ]
+    [
+      "epoch"; "epoch/allocate"; "epoch/configure"; "epoch/estimate"; "epoch/fetch";
+      "epoch/rule_sync";
+    ]
     (List.map (fun s -> s.Profile.path) stats);
   List.iter
     (fun s -> Alcotest.(check int) (s.Profile.path ^ " count") epochs s.Profile.count)

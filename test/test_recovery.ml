@@ -617,7 +617,7 @@ let test_recover_reconciles_tampered_switches () =
   let switches = Controller.switches controller in
   let tcam = Switch.tcam switches.(0) in
   let stray = Prefix.nth_descendant Prefix.root ~length:30 12345 in
-  (match Tcam.install tcam ~owner:9999 stray with
+  (match Tcam.install tcam ~owner:9999 (Prefix.key stray) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "stray install must fit");
   let lost_owner, lost_prefix =
@@ -627,7 +627,7 @@ let test_recover_reconciles_tampered_switches () =
     | Some (owner, p :: _) -> (owner, p)
     | _ -> Alcotest.fail "expected at least one legitimate rule on switch 0"
   in
-  Alcotest.(check bool) "legit rule removed" true (Tcam.remove tcam ~owner:lost_owner lost_prefix);
+  Alcotest.(check bool) "legit rule removed" true (Tcam.remove tcam ~owner:lost_owner (Prefix.key lost_prefix));
   let env = Controller.environment controller in
   match Controller.recover ~env ~snapshot ~journal:(Journal.entries sink) ~at_epoch with
   | Error msg -> Alcotest.failf "recover failed: %s" msg
@@ -797,7 +797,7 @@ let test_invariant_clean_run () =
 let test_invariant_detects_orphan_rule () =
   let sw = Switch.create ~id:0 ~capacity:8 in
   let p = Prefix.nth_descendant Prefix.root ~length:8 1 in
-  (match Tcam.install (Switch.tcam sw) ~owner:42 p with
+  (match Tcam.install (Switch.tcam sw) ~owner:42 (Prefix.key p) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "install must fit");
   let allocator = Allocator.create Allocator.Equal ~capacities:[ (0, 8) ] in
@@ -815,7 +815,7 @@ let test_invariant_violation_traced () =
   let controller = populated_controller ~config () in
   let sw = (Controller.switches controller).(0) in
   let orphan = Prefix.nth_descendant Prefix.root ~length:8 1 in
-  (match Tcam.install (Switch.tcam sw) ~owner:999 orphan with
+  (match Tcam.install (Switch.tcam sw) ~owner:999 (Prefix.key orphan) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "install must fit");
   Controller.tick controller;

@@ -1,7 +1,7 @@
 (* Tests for dream.switch: TCAM capacity enforcement, incremental sync
-   through the sorted-merge diff (against the Set.diff oracle),
-   counter reads against aggregates, churn statistics, and the control-loop
-   delay model. *)
+   through the two-cursor key-column merge (against the Set.diff oracle),
+   counter reads against aggregates, the set-based TCAM as a differential
+   oracle, churn statistics, and the control-loop delay model. *)
 
 module Prefix = Dream_prefix.Prefix
 module Flow = Dream_traffic.Flow
@@ -12,25 +12,47 @@ module Delay_model = Dream_switch.Delay_model
 
 let p = Prefix.of_string
 
+let k s = Prefix.key (p s)
+
 type sync_result = { added : int; removed : int; refused : int }
 
-(* Incremental sync the way the controller does it: one sorted-merge walk
-   (Prefix.fold_diff) of the installed rules against the desired ones for
-   the removals, then one of the desired against the installed for the
-   installs; unchanged rules are untouched. *)
-let sync t ~owner ~prefixes =
-  let desired = List.sort_uniq Prefix.compare prefixes in
-  let removed =
-    Prefix.fold_diff
-      (fun q n -> if Tcam.remove t ~owner q then n + 1 else n)
-      (Tcam.rules_of t ~owner) desired 0
+(* Incremental sync the way the controller's rule sync does it: one
+   two-cursor merge of the owner's live key column against the desired
+   keys for the removals, then one of the desired keys against the column
+   for the installs; unchanged rules are untouched.  [on_remove] and
+   [on_install] see every key the walks try, in order. *)
+let sync ?(on_remove = ignore) ?(on_install = ignore) t ~owner ~prefixes =
+  let desired = Array.of_list (List.sort_uniq Int.compare (List.map Prefix.key prefixes)) in
+  let have = Tcam.rules t ~owner in
+  let rec removals h j n =
+    if h >= Tcam.count have then n
+    else begin
+      let key = Tcam.key have h in
+      if j < Array.length desired && desired.(j) < key then removals h (j + 1) n
+      else if j < Array.length desired && desired.(j) = key then removals (h + 1) (j + 1) n
+      else begin
+        on_remove key;
+        (* A removal closes the column up under the cursor. *)
+        if Tcam.remove t ~owner key then removals h j (n + 1) else removals (h + 1) j n
+      end
+    end
   in
-  let added, refused =
-    Prefix.fold_diff
-      (fun q (a, r) ->
-        match Tcam.install t ~owner q with Ok () -> (a + 1, r) | Error _ -> (a, r + 1))
-      desired (Tcam.rules_of t ~owner) (0, 0)
+  let removed = removals 0 0 0 in
+  let rec installs h j (a, r) =
+    if j >= Array.length desired then (a, r)
+    else begin
+      let key = desired.(j) in
+      if h < Tcam.count have && Tcam.key have h < key then installs (h + 1) j (a, r)
+      else if h < Tcam.count have && Tcam.key have h = key then installs (h + 1) (j + 1) (a, r)
+      else begin
+        on_install key;
+        match Tcam.install t ~owner key with
+        | Ok () -> installs (h + 1) (j + 1) (a + 1, r)
+        | Error _ -> installs h (j + 1) (a, r + 1)
+      end
+    end
   in
+  let added, refused = installs 0 0 (0, 0) in
   { added; removed; refused }
 
 let test_create_invalid () =
@@ -39,39 +61,40 @@ let test_create_invalid () =
 
 let test_install_remove () =
   let t = Tcam.create ~capacity:4 in
-  Alcotest.(check bool) "install ok" true (Tcam.install t ~owner:1 (p "10.0.0.0/8") = Ok ());
+  Alcotest.(check bool) "install ok" true (Tcam.install t ~owner:1 (k "10.0.0.0/8") = Ok ());
   Alcotest.(check int) "used" 1 (Tcam.used t);
   Alcotest.(check int) "used_by owner" 1 (Tcam.used_by t ~owner:1);
-  Alcotest.(check bool) "duplicate" true (Tcam.install t ~owner:1 (p "10.0.0.0/8") = Error `Duplicate);
-  Alcotest.(check bool) "removed" true (Tcam.remove t ~owner:1 (p "10.0.0.0/8"));
-  Alcotest.(check bool) "remove absent" false (Tcam.remove t ~owner:1 (p "10.0.0.0/8"));
+  Alcotest.(check bool) "duplicate" true (Tcam.install t ~owner:1 (k "10.0.0.0/8") = Error `Duplicate);
+  Alcotest.(check bool) "removed" true (Tcam.remove t ~owner:1 (k "10.0.0.0/8"));
+  Alcotest.(check bool) "remove absent" false (Tcam.remove t ~owner:1 (k "10.0.0.0/8"));
   Alcotest.(check int) "empty again" 0 (Tcam.used t)
 
 let test_capacity_enforced () =
   let t = Tcam.create ~capacity:2 in
-  ignore (Tcam.install t ~owner:1 (p "10.0.0.0/8"));
-  ignore (Tcam.install t ~owner:2 (p "11.0.0.0/8"));
-  Alcotest.(check bool) "full" true (Tcam.install t ~owner:3 (p "12.0.0.0/8") = Error `Capacity);
+  ignore (Tcam.install t ~owner:1 (k "10.0.0.0/8"));
+  ignore (Tcam.install t ~owner:2 (k "11.0.0.0/8"));
+  Alcotest.(check bool) "full" true (Tcam.install t ~owner:3 (k "12.0.0.0/8") = Error `Capacity);
   Alcotest.(check int) "free" 0 (Tcam.free t)
 
 let test_same_prefix_two_owners () =
   let t = Tcam.create ~capacity:4 in
-  Alcotest.(check bool) "owner 1" true (Tcam.install t ~owner:1 (p "10.0.0.0/8") = Ok ());
-  Alcotest.(check bool) "owner 2 same prefix" true (Tcam.install t ~owner:2 (p "10.0.0.0/8") = Ok ());
+  Alcotest.(check bool) "owner 1" true (Tcam.install t ~owner:1 (k "10.0.0.0/8") = Ok ());
+  Alcotest.(check bool) "owner 2 same prefix" true (Tcam.install t ~owner:2 (k "10.0.0.0/8") = Ok ());
   Alcotest.(check int) "two entries" 2 (Tcam.used t)
 
 let test_remove_owner () =
   let t = Tcam.create ~capacity:8 in
-  ignore (Tcam.install t ~owner:1 (p "10.0.0.0/8"));
-  ignore (Tcam.install t ~owner:1 (p "11.0.0.0/8"));
-  ignore (Tcam.install t ~owner:2 (p "12.0.0.0/8"));
+  ignore (Tcam.install t ~owner:1 (k "10.0.0.0/8"));
+  ignore (Tcam.install t ~owner:1 (k "11.0.0.0/8"));
+  ignore (Tcam.install t ~owner:2 (k "12.0.0.0/8"));
   Alcotest.(check int) "removed two" 2 (Tcam.remove_owner t ~owner:1);
   Alcotest.(check int) "other owner kept" 1 (Tcam.used t);
-  Alcotest.(check (list int)) "owners" [ 2 ] (Tcam.owners t)
+  Alcotest.(check (list int)) "owners" [ 2 ] (List.map fst (Tcam.dump t))
 
 let test_sync_incremental () =
   let t = Tcam.create ~capacity:8 in
   let oracle = Tcam.create ~capacity:8 in
+  (* The oracle drives its own table through Set.diff. *)
   let step prefixes ~added ~removed =
     let d = sync t ~owner:1 ~prefixes in
     let o = Reference_sync.sync oracle ~owner:1 ~prefixes in
@@ -112,18 +135,17 @@ let test_read_counters () =
     Aggregate.of_flows
       [ Flow.make ~addr:0x0A000001 ~volume:3.0; Flow.make ~addr:0x0A800001 ~volume:5.0 ]
   in
-  let readings = Tcam.read t ~owner:1 agg in
-  Alcotest.(check int) "two counters" 2 (List.length readings);
-  List.iter
-    (fun (q, v) ->
-      if Prefix.equal q (p "10.0.0.0/9") then Alcotest.(check (float 1e-9)) "left" 3.0 v
-      else Alcotest.(check (float 1e-9)) "right" 5.0 v)
-    readings
+  let keys = Array.make 2 0 and vols = Array.make 2 0.0 in
+  let n = Tcam.read t ~owner:1 agg ~keys ~vols in
+  Alcotest.(check int) "two counters" 2 n;
+  Alcotest.(check (list int)) "key order" [ k "10.0.0.0/9"; k "10.128.0.0/9" ] (Array.to_list keys);
+  Alcotest.(check (float 1e-9)) "left" 3.0 vols.(0);
+  Alcotest.(check (float 1e-9)) "right" 5.0 vols.(1)
 
 let test_stats_tracking () =
   let t = Tcam.create ~capacity:8 in
   ignore (sync t ~owner:1 ~prefixes:[ p "10.0.0.0/8"; p "11.0.0.0/8" ]);
-  ignore (Tcam.read t ~owner:1 Aggregate.empty);
+  ignore (Tcam.read t ~owner:1 Aggregate.empty ~keys:(Array.make 2 0) ~vols:(Array.make 2 0.0));
   ignore (sync t ~owner:1 ~prefixes:[ p "11.0.0.0/8" ]);
   let s = Tcam.stats t in
   Alcotest.(check int) "installs" 2 s.Tcam.installs;
@@ -239,10 +261,102 @@ let prop_sorted_merge_matches_set_diff =
   QCheck.Test.make ~name:"sorted-merge diff = Set.diff, in order" ~count:500
     QCheck.(pair sorted_prefixes sorted_prefixes)
     (fun (installed, desired) ->
-      let walk xs ys = List.rev (Prefix.fold_diff List.cons xs ys []) in
+      let t = Tcam.create ~capacity:64 in
+      List.iter (fun q -> ignore (Tcam.install t ~owner:1 (Prefix.key q))) installed;
+      let removes = ref [] and installs = ref [] in
+      let d =
+        sync t ~owner:1 ~prefixes:desired
+          ~on_remove:(fun key -> removes := key :: !removes)
+          ~on_install:(fun key -> installs := key :: !installs)
+      in
       let to_remove, to_add = Reference_sync.plan ~installed ~desired in
-      List.equal Prefix.equal (walk installed desired) to_remove
-      && List.equal Prefix.equal (walk desired installed) to_add)
+      let keys = List.map Prefix.key in
+      List.rev !removes = keys to_remove
+      && List.rev !installs = keys to_add
+      && d.removed = List.length to_remove
+      && d.added = List.length to_add
+      && List.equal Prefix.equal (Tcam.rules_of t ~owner:1) desired)
+
+(* ---- the set-based TCAM as a differential oracle ---- *)
+
+type op =
+  | Install of int * Prefix.t
+  | Remove of int * Prefix.t
+  | Remove_owner of int
+  | Read of int
+  | Wipe
+
+let gen_prefix =
+  QCheck.Gen.(
+    map2 (fun a len -> Prefix.make ~bits:(a lsl 24) ~length:(6 + len)) (int_bound 0x1F) (int_bound 2))
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map2 (fun o q -> Install (o, q)) (int_bound 3) gen_prefix);
+        (4, map2 (fun o q -> Remove (o, q)) (int_bound 3) gen_prefix);
+        (1, map (fun o -> Remove_owner o) (int_bound 3));
+        (3, map (fun o -> Read o) (int_bound 3));
+        (1, return Wipe);
+      ])
+
+let print_op = function
+  | Install (o, q) -> Printf.sprintf "install %d %s" o (Prefix.to_string q)
+  | Remove (o, q) -> Printf.sprintf "remove %d %s" o (Prefix.to_string q)
+  | Remove_owner o -> Printf.sprintf "remove_owner %d" o
+  | Read o -> Printf.sprintf "read %d" o
+  | Wipe -> "wipe"
+
+let gen_flows =
+  QCheck.Gen.(
+    list_size (int_range 0 40)
+      (map2
+         (fun addr v -> Flow.make ~addr ~volume:(float_of_int v /. 7.0))
+         (int_bound ((0x20 lsl 24) - 1))
+         (int_range 1 1000)))
+
+let same_tables t r =
+  let dump_t = Tcam.dump t and dump_r = Reference_tcam.dump r in
+  let st = Tcam.stats t and sr = Reference_tcam.stats r in
+  List.equal
+    (fun (a, pa) (b, pb) -> a = b && List.equal Prefix.equal pa pb)
+    dump_t dump_r
+  && Tcam.used t = Reference_tcam.used r
+  && List.for_all (fun owner -> Tcam.used_by t ~owner = Reference_tcam.used_by r ~owner) [ 0; 1; 2; 3 ]
+  && st.Tcam.installs = sr.Reference_tcam.installs
+  && st.Tcam.removals = sr.Reference_tcam.removals
+  && st.Tcam.fetches = sr.Reference_tcam.fetches
+
+let step t r agg = function
+  | Install (owner, q) -> Tcam.install t ~owner (Prefix.key q) = Reference_tcam.install r ~owner q
+  | Remove (owner, q) -> Tcam.remove t ~owner (Prefix.key q) = Reference_tcam.remove r ~owner q
+  | Remove_owner owner -> Tcam.remove_owner t ~owner = Reference_tcam.remove_owner r ~owner
+  | Read owner ->
+    let len = Tcam.used_by t ~owner in
+    let keys = Array.make len 0 and vols = Array.make len 0.0 in
+    let n = Tcam.read t ~owner agg ~keys ~vols in
+    let expected = Reference_tcam.read r ~owner agg in
+    n = List.length expected
+    && List.for_all2
+         (fun (q, v) (key, vol) ->
+           Prefix.key q = key && Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float vol))
+         expected
+         (List.combine (Array.to_list keys) (Array.to_list vols))
+  | Wipe ->
+    Tcam.wipe t;
+    Reference_tcam.wipe r;
+    true
+
+let prop_matches_set_oracle =
+  QCheck.Test.make ~name:"key columns = set-based oracle (reads bitwise)" ~count:300
+    (QCheck.make
+       ~print:(fun (ops, _) -> String.concat "; " (List.map print_op ops))
+       QCheck.Gen.(pair (list_size (int_range 0 80) gen_op) gen_flows))
+    (fun (ops, flows) ->
+      let t = Tcam.create ~capacity:12 and r = Reference_tcam.create ~capacity:12 in
+      let agg = Aggregate.of_flows flows in
+      List.for_all (fun op -> step t r agg op && same_tables t r) ops)
 
 let prop_used_equals_sum_of_owners =
   QCheck.Test.make ~name:"used = sum over owners" ~count:100
@@ -250,7 +364,7 @@ let prop_used_equals_sum_of_owners =
     (fun entries ->
       let t = Tcam.create ~capacity:256 in
       List.iter
-        (fun (owner, addr) -> ignore (Tcam.install t ~owner (Prefix.of_address addr)))
+        (fun (owner, addr) -> ignore (Tcam.install t ~owner (Prefix.key (Prefix.of_address addr))))
         entries;
       let total =
         List.fold_left (fun acc owner -> acc + Tcam.used_by t ~owner) 0 [ 0; 1; 2; 3 ]
@@ -275,6 +389,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_sync_idempotent;
           QCheck_alcotest.to_alcotest prop_sorted_merge_matches_set_diff;
           QCheck_alcotest.to_alcotest prop_used_equals_sum_of_owners;
+          QCheck_alcotest.to_alcotest prop_matches_set_oracle;
         ] );
       ("switch", [ Alcotest.test_case "network" `Quick test_network ]);
       ( "delay_model",

@@ -68,7 +68,7 @@ let step monitor ~allocations ~epoch =
         (sw, List.map (fun q -> (q, Aggregate.volume agg q)) (Monitor.rules_for monitor sw)) :: acc)
       (Monitor.switches monitor) []
   in
-  Monitor.ingest monitor readings;
+  Monitor.ingest_readings monitor readings;
   Score.apply monitor;
   Monitor.configure monitor ~allocations
 
@@ -88,7 +88,7 @@ let single_counter ?(kind = Task_spec.Heavy_hitter) ?(cd_history = 0.8) p =
   Monitor.create ~spec ~topology
 
 (* Replace the counter's volumes with one reading on switch 0. *)
-let read_volume m v = Monitor.ingest m [ (0, [ (Monitor.prefix m 0, v) ]) ]
+let read_volume m v = Monitor.ingest_readings m [ (0, [ (Monitor.prefix m 0, v) ]) ]
 
 let test_counter_basics () =
   let m = single_counter (sub 0b01 30) in
@@ -258,7 +258,7 @@ let test_monitor_eight_switches () =
           (sw, List.map (fun q -> (q, Aggregate.volume agg q)) (Monitor.rules_for m sw)) :: acc)
         (Monitor.switches m) []
     in
-    Monitor.ingest m readings;
+    Monitor.ingest_readings m readings;
     Score.apply m;
     Monitor.configure m ~allocations;
     Alcotest.(check bool) "partition" true (Monitor.is_partition m);
@@ -535,7 +535,7 @@ let prop_counter_array_model =
       in
       for _ = 1 to 8 do
         let readings = random_readings rng m ~filter in
-        Monitor.ingest m readings;
+        Monitor.ingest_readings m readings;
         check "ingest"
           (List.for_all
              (fun i ->
@@ -679,7 +679,7 @@ let prop_columns_match_boxed_reference =
         (match Rng.int rng 5 with
         | 0 ->
           let readings = random_fractional_readings rng m ~filter:oracle_filter in
-          Monitor.ingest m readings;
+          Monitor.ingest_readings m readings;
           Reference.ingest r readings
         | 1 ->
           Score.apply m;
