@@ -31,23 +31,32 @@ let micro_tests () =
   let module Epoch_data = Dream_traffic.Epoch_data in
   let module Task_spec = Dream_tasks.Task_spec in
   let module Task = Dream_tasks.Task in
+  let module Ground_truth = Dream_tasks.Ground_truth in
   let module Dream_allocator = Dream_alloc.Dream_allocator in
   let module Task_view = Dream_alloc.Task_view in
-  (* Shared fixture: a drilled-down HH task over 8 switches. *)
+  (* Shared fixture: a drilled-down task of each kind over 8 switches,
+     with its ground truth. *)
   let rng = Rng.create 99 in
   let filter = Prefix.of_string "10.16.0.0/12" in
   let topology = Topology.create rng ~filter ~num_switches:8 ~switches_per_task:8 in
-  let spec =
-    Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter ~leaf_length:24 ~threshold:8.0 ()
-  in
+  let spec kind = Task_spec.make ~kind ~filter ~leaf_length:24 ~threshold:8.0 () in
   let generator =
     Generator.create (Rng.split rng) ~topology ~profile:(Profile.default ~threshold:8.0)
   in
-  let task = Task.create ~id:0 ~spec ~topology () in
+  let kinds =
+    [ ("HH", Task_spec.Heavy_hitter); ("HHH", Task_spec.Hierarchical_heavy_hitter);
+      ("CD", Task_spec.Change_detection) ]
+  in
+  let fixtures =
+    List.map
+      (fun (name, kind) ->
+        (name, Task.create ~id:0 ~spec:(spec kind) ~topology (), Ground_truth.create (spec kind)))
+      kinds
+  in
+  let task = match fixtures with (_, task, _) :: _ -> task | [] -> assert false in
   let allocations = Array.make (Topology.switches_per_task topology) 64 in
   let data = ref (Generator.next generator) in
-  let feed () =
-    data := Generator.next generator;
+  let feed task =
     let readings =
       Switch_mask.fold topology
         (fun sw _ acc ->
@@ -60,10 +69,15 @@ let micro_tests () =
     in
     Task.ingest_counters task readings
   in
-  for _ = 1 to 30 do
-    feed ();
-    ignore (Task.report_and_estimate task ~epoch:0);
-    Task.configure task ~allocations
+  for epoch = 1 to 30 do
+    data := Generator.next generator;
+    List.iter
+      (fun (_, task, truth) ->
+        feed task;
+        ignore (Task.estimate task ~epoch);
+        ignore (Ground_truth.evaluate truth !data (Task.items task));
+        Task.configure task ~allocations)
+      fixtures
   done;
   (* Allocator fixture: one switch, 64 tasks with random accuracies. *)
   let cfg = Dream_allocator.default_config in
@@ -107,9 +121,20 @@ let micro_tests () =
       (Staged.stage (fun () -> Trace.span trace ~epoch:0 ~phase:"bench" ~ms:1.0));
     Test.make ~name:"task.configure (divide-and-merge)"
       (Staged.stage (fun () -> Task.configure task ~allocations));
-    Test.make ~name:"task.report+estimate (HH)"
-      (Staged.stage (fun () ->
-           ignore (Task.report_and_estimate task ~epoch:0)));
+  ]
+  @ List.concat_map
+      (fun (name, task, truth) ->
+        [
+          Test.make
+            ~name:(Printf.sprintf "task.report+estimate (%s)" name)
+            (Staged.stage (fun () -> ignore (Task.estimate task ~epoch:0)));
+          Test.make
+            ~name:(Printf.sprintf "ground_truth.evaluate (%s)" name)
+            (Staged.stage (fun () ->
+                 ignore (Ground_truth.evaluate truth !data (Task.items task))));
+        ])
+      fixtures
+  @ [
     Test.make ~name:"aggregate.volume (prefix counter read)"
       (Staged.stage (fun () -> ignore (Aggregate.volume agg filter)));
     Test.make ~name:"generator.next (one traffic epoch)"

@@ -34,6 +34,7 @@ type spans = {
   epoch_span : Obs.Profile.span;
   fetch : Obs.Profile.span;  (** counter reads and their ingest, summed over tasks *)
   estimate : Obs.Profile.span;  (** reports + estimators, summed over tasks *)
+  ground_truth : Obs.Profile.span;  (** real-accuracy scoring, summed over tasks *)
   allocate : Obs.Profile.span;  (** the allocation round *)
   configure : Obs.Profile.span;  (** divide-and-merge, summed over tasks *)
   rule_sync : Obs.Profile.span;  (** both rule-sync passes *)
@@ -45,6 +46,7 @@ let intern_spans profile =
     epoch_span = span "epoch";
     fetch = span "epoch/fetch";
     estimate = span "epoch/estimate";
+    ground_truth = span "epoch/ground_truth";
     allocate = span "epoch/allocate";
     configure = span "epoch/configure";
     rule_sync = span "epoch/rule_sync";
@@ -198,7 +200,7 @@ let active_task_ids t = List.sort compare (Hashtbl.fold (fun id _ acc -> id :: a
 
 let find t ~task_id f = Option.map f (Hashtbl.find_opt t.active task_id)
 
-let last_report t ~task_id = Option.join (find t ~task_id (fun r -> r.Runtime.last_report))
+let last_report t ~task_id = Option.join (find t ~task_id (fun r -> Task.last_report r.Runtime.task))
 
 let smoothed_accuracy t ~task_id = find t ~task_id (fun r -> Task.smoothed_global r.Runtime.task)
 
@@ -459,8 +461,7 @@ let observe t dcfg scores (r : Runtime.t) =
   let degraded = Fetch.read t.fetch r data in
   Obs.Profile.stop t.profile t.spans.fetch;
   Obs.Profile.start t.profile t.spans.estimate;
-  let report, estimate = Task.report_and_estimate r.task ~epoch:t.epoch in
-  r.last_report <- Some report;
+  let estimate = Task.estimate r.task ~epoch:t.epoch in
   Obs.Profile.stop t.profile t.spans.estimate;
   (* Degraded visibility: the estimators only saw stale (or no) counters
      for these switches, so the estimate is optimistic — decay the smoothed
@@ -494,11 +495,13 @@ let observe t dcfg scores (r : Runtime.t) =
       (Obs.Registry.histogram t.registry "task_staleness")
       (float_of_int r.staleness)
   | None -> ());
-  let truth = Ground_truth.evaluate r.ground_truth data report in
+  Obs.Profile.start t.profile t.spans.ground_truth;
+  let real_accuracy = Ground_truth.evaluate r.ground_truth data (Task.items r.task) in
+  Obs.Profile.stop t.profile t.spans.ground_truth;
   let spec = Task.spec r.task in
   let scored =
     match t.config.Config.score_satisfaction_with with
-    | `Real_accuracy -> truth.Ground_truth.real_accuracy
+    | `Real_accuracy -> real_accuracy
     | `Estimated_accuracy -> estimate.Dream_tasks.Accuracy.global
   in
   r.active_epochs <- r.active_epochs + 1;

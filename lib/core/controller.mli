@@ -63,7 +63,9 @@ val active_tasks : t -> int
 val active_task_ids : t -> int list
 
 val last_report : t -> task_id:int -> Dream_tasks.Report.t option
-(** Most recent report of an active task (step 5 of the workflow). *)
+(** Most recent report of an active task (step 5 of the workflow), built
+    from its item buffer when called; [None] before the task's first tick
+    since admission or {!restore}. *)
 
 val smoothed_accuracy : t -> task_id:int -> float option
 (** Current smoothed estimated global accuracy of an active task. *)

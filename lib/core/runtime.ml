@@ -21,7 +21,6 @@ type t = {
   mutable accuracy_sum : float;
   mutable poor_streak : int;
   mutable last_alloc_total : int;
-  mutable last_report : Dream_tasks.Report.t option;
   fresh_rules : int array array;
   last_install_counts : int array;
   stale_counters : readings option array;
@@ -46,7 +45,6 @@ let create ~config ~id ~spec ~topology ~source ~duration ~arrived_at ~drop_prior
     accuracy_sum = 0.0;
     poor_streak = 0;
     last_alloc_total = 0;
-    last_report = None;
     fresh_rules = Array.make k [||];
     last_install_counts = Array.make k 0;
     stale_counters = Array.make k None;
@@ -209,7 +207,6 @@ let parse r =
     accuracy_sum;
     poor_streak;
     last_alloc_total;
-    last_report = None;
     fresh_rules;
     last_install_counts;
     stale_counters = column topology ~what:"stale counters" ~absent:None stale_counters;

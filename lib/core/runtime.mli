@@ -19,7 +19,6 @@ type t = {
   mutable accuracy_sum : float;
   mutable poor_streak : int;  (** consecutive poor allocation rounds without growth *)
   mutable last_alloc_total : int;
-  mutable last_report : Dream_tasks.Report.t option;
   fresh_rules : int array array;
       (** keys of the rules installed by the last sync, per sub-filter bit
           of the task's topology (a switch, see
@@ -62,9 +61,9 @@ val view : t -> Dream_alloc.Task_view.t
 val emit : Dream_util.Codec.writer -> t -> unit
 
 val parse : Dream_util.Codec.reader -> t
-(** Inverse of {!emit}, except [last_report], which is not serialized: the
-    control loop never reads it, and a restored controller reports afresh
-    on its first tick.
+(** Inverse of {!emit}.  The task's last report is not serialized: a
+    restored task has none ({!Dream_tasks.Task.last_report} is [None])
+    until it reports afresh on its first tick.
     @raise Dream_util.Codec.Parse_error on a malformed section, a
     per-switch entry on a switch the task never sees, or an install count
     that is not the number of the switch's fresh rules; the task,

@@ -108,10 +108,10 @@ let tcam_vs_sketch ~epochs =
             (Task.switches task) []
         in
         Task.ingest_counters task readings;
-        let report, _ = Task.report_and_estimate task ~epoch in
-        let truth = Dream_tasks.Ground_truth.evaluate ground_truth data report in
+        ignore (Task.estimate task ~epoch);
+        let recall = Dream_tasks.Ground_truth.evaluate ground_truth data (Task.items task) in
         Task.configure task ~allocations;
-        tcam_recalls := truth.Dream_tasks.Ground_truth.real_accuracy :: !tcam_recalls;
+        tcam_recalls := recall :: !tcam_recalls;
         (* Sketch side: same combined traffic, same resource count. *)
         let combined = data.Epoch_data.combined in
         Sketch_hh.observe_epoch sketch combined;

@@ -8,7 +8,7 @@ module Epoch_data = Dream_traffic.Epoch_data
 module Aggregate = Dream_traffic.Aggregate
 module Task_spec = Dream_tasks.Task_spec
 module Task = Dream_tasks.Task
-module Report = Dream_tasks.Report
+module Items = Dream_tasks.Items
 module Ground_truth = Dream_tasks.Ground_truth
 
 type point = { epoch : int; recall : float }
@@ -66,9 +66,9 @@ let step s ~epoch =
       (Task.switches s.task) []
   in
   Task.ingest_counters s.task readings;
-  let report, _ = Task.report_and_estimate s.task ~epoch in
+  ignore (Task.estimate s.task ~epoch);
   Task.configure s.task ~allocations:s.allocations;
-  (data, report)
+  data
 
 let binned points ~bin =
   List.map
@@ -80,29 +80,28 @@ let recall_series ~seed ~resources ~epochs ~bin =
   let s = make_setup ~seed ~resources in
   let raw = ref [] in
   for epoch = 0 to epochs - 1 do
-    let data, report = step s ~epoch in
-    let truth = Ground_truth.evaluate s.ground_truth data report in
-    raw := (epoch, truth.Ground_truth.real_accuracy) :: !raw
+    let data = step s ~epoch in
+    raw := (epoch, Ground_truth.evaluate s.ground_truth data (Task.items s.task)) :: !raw
   done;
   binned !raw ~bin
 
-let per_switch_recall (spec : Task_spec.t) data report sw =
+let per_switch_recall (spec : Task_spec.t) data items sw =
   let view = Epoch_data.switch_view data sw in
   let truth_sw = Ground_truth.true_heavy_hitters spec view in
-  let detected = Report.prefixes report in
-  let hits = Prefix.Set.cardinal (Prefix.Set.inter detected truth_sw) in
-  let total = Prefix.Set.cardinal truth_sw in
+  let hits = Items.common items truth_sw in
+  let total = Items.length truth_sw in
   if total = 0 then 1.0 else float_of_int hits /. float_of_int total
 
 let per_switch_series ~seed ~resources ~epochs ~bin =
   let s = make_setup ~seed ~resources in
   let raw0 = ref [] and raw1 = ref [] in
   for epoch = 0 to epochs - 1 do
-    let data, report = step s ~epoch in
+    let data = step s ~epoch in
+    let items = Task.items s.task in
     (* Keep the CD-style ground-truth state advancing consistently. *)
-    ignore (Ground_truth.evaluate s.ground_truth data report);
-    raw0 := (epoch, per_switch_recall s.spec data report 0) :: !raw0;
-    raw1 := (epoch, per_switch_recall s.spec data report 1) :: !raw1
+    ignore (Ground_truth.evaluate s.ground_truth data items);
+    raw0 := (epoch, per_switch_recall s.spec data items 0) :: !raw0;
+    raw1 := (epoch, per_switch_recall s.spec data items 1) :: !raw1
   done;
   (binned !raw0 ~bin, binned !raw1 ~bin)
 

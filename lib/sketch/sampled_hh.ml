@@ -5,6 +5,7 @@ module Flow = Dream_traffic.Flow
 module Task_spec = Dream_tasks.Task_spec
 module Report = Dream_tasks.Report
 module Ground_truth = Dream_tasks.Ground_truth
+module Items = Dream_tasks.Items
 
 type t = {
   spec : Task_spec.t;
@@ -62,13 +63,12 @@ let report t ~epoch =
 let real_accuracy t aggregate ~precision =
   let truth = Ground_truth.true_heavy_hitters t.spec aggregate in
   let reported =
-    Prefix.Set.of_list
+    Items.of_keys
       (List.map
-         (fun (key, _) -> Prefix.make ~bits:key ~length:t.spec.Task_spec.leaf_length)
+         (fun (key, _) ->
+           Prefix.key (Prefix.make ~bits:key ~length:t.spec.Task_spec.leaf_length))
          (detections t))
   in
-  let hits = Prefix.Set.cardinal (Prefix.Set.inter reported truth) in
-  let denominator =
-    if precision then Prefix.Set.cardinal reported else Prefix.Set.cardinal truth
-  in
+  let hits = Items.common reported truth in
+  let denominator = if precision then Items.length reported else Items.length truth in
   if denominator = 0 then 1.0 else float_of_int hits /. float_of_int denominator

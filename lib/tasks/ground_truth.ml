@@ -2,130 +2,177 @@ module Prefix = Dream_prefix.Prefix
 module Aggregate = Dream_traffic.Aggregate
 module Epoch_data = Dream_traffic.Epoch_data
 
+(* Every column is an Items buffer in key order, reused across epochs. *)
 type t = {
   spec : Task_spec.t;
-  cd_means : (Prefix.t, float) Hashtbl.t; (* leaf prefix -> EWMA mean volume *)
+  leaves : Items.t; (* this epoch's leaf keys and volumes under the filter *)
+  truth : Items.t; (* this epoch's true items *)
+  mutable means : Items.t; (* CD: leaf keys with history and their EWMA means *)
+  mutable next : Items.t; (* the means being merged, swapped in after *)
+  ret : float array; (* HHH walk: a node's unclaimed volume, by length *)
+  key : int array; (* HHH walk: the one key of a volume read ... *)
+  vol : float array; (* ... and its volume *)
 }
 
-let create spec = { spec; cd_means = Hashtbl.create 256 }
+let make spec means =
+  {
+    spec;
+    leaves = Items.create ();
+    truth = Items.create ();
+    means;
+    next = Items.create ();
+    ret = Array.make (Prefix.address_bits + 1) 0.0;
+    key = [| 0 |];
+    vol = [| 0.0 |];
+  }
 
-type truth = { true_items : Prefix.Set.t; real_accuracy : float }
+let create spec = make spec (Items.create ())
 
 let emit w t =
   let module C = Dream_util.Codec in
   C.section w "ground_truth";
-  let means =
-    Hashtbl.fold (fun p m acc -> (p, m) :: acc) t.cd_means []
-    |> List.sort (fun (a, _) (b, _) -> Prefix.compare a b)
-  in
-  C.int w "cd_means" (List.length means);
-  List.iter
-    (fun (p, m) ->
-      C.string w "prefix" (Prefix.to_string p);
-      C.float w "mean" m)
-    means
+  C.int w "cd_means" t.means.Items.n;
+  for i = 0 to t.means.Items.n - 1 do
+    C.string w "prefix" (Prefix.to_string (Prefix.of_key t.means.Items.keys.(i)));
+    C.float w "mean" t.means.Items.mags.(i)
+  done
 
+(* The means column needs its keys to be distinct leaves under the
+   filter, in ascending order. *)
 let parse r ~spec =
   let module C = Dream_util.Codec in
   C.expect_section r "ground_truth";
   let n = C.int_field r "cd_means" in
-  let cd_means = Hashtbl.create 256 in
+  let means = Items.create () in
   ignore
     (C.repeat n (fun () ->
          let p = Prefix.of_string (C.string_field r "prefix") in
          let m = C.float_field r "mean" in
-         Hashtbl.replace cd_means p m));
-  { spec; cd_means }
+         let bad why =
+           C.parse_error 0 (Printf.sprintf "cd mean on %s: %s" (Prefix.to_string p) why)
+         in
+         if not (Prefix.covers spec.Task_spec.filter p) then bad "outside the task's filter";
+         if Prefix.length p <> spec.Task_spec.leaf_length then bad "not a leaf";
+         let key = Prefix.key p and i = means.Items.n in
+         if i > 0 && means.Items.keys.(i - 1) >= key then bad "out of order or repeated";
+         Items.reserve means (i + 1);
+         means.Items.keys.(i) <- key;
+         means.Items.mags.(i) <- m;
+         means.Items.n <- i + 1));
+  make spec means
 
-let leaf_of (spec : Task_spec.t) addr =
-  Prefix.ancestor_at (Prefix.of_address addr) spec.Task_spec.leaf_length
+(* This epoch's volume per leaf under the filter, into [t.leaves]. *)
+let fill_leaves t aggregate =
+  let filter = Prefix.key t.spec.Task_spec.filter in
+  let leaf_length = t.spec.Task_spec.leaf_length in
+  Items.reserve t.leaves (Aggregate.count_leaves aggregate filter ~leaf_length);
+  t.leaves.Items.n <-
+    Aggregate.leaf_sums aggregate filter ~leaf_length ~keys:t.leaves.Items.keys
+      ~vols:t.leaves.Items.mags
 
-(* Volumes per leaf prefix under the filter.  [fold_in] visits flows in
-   the same ascending address order the [flows_in] list did, so each
-   leaf's float sum accumulates in the identical order. *)
-let leaf_volumes (spec : Task_spec.t) aggregate =
-  let volumes = Hashtbl.create 256 in
-  Aggregate.fold_in aggregate spec.Task_spec.filter ~init:()
-    ~f:(fun () (f : Dream_traffic.Flow.t) ->
-      let leaf = leaf_of spec f.Dream_traffic.Flow.addr in
-      let existing = match Hashtbl.find_opt volumes leaf with Some v -> v | None -> 0.0 in
-      Hashtbl.replace volumes leaf (existing +. f.Dream_traffic.Flow.volume));
-  volumes
+let[@inline] push (items : Items.t) key =
+  if items.n = Array.length items.keys then Items.reserve items (items.n + 1);
+  items.keys.(items.n) <- key;
+  items.n <- items.n + 1
 
-let true_heavy_hitters spec aggregate =
-  let volumes = leaf_volumes spec aggregate in
-  Hashtbl.fold
-    (fun leaf v acc -> if v > spec.Task_spec.threshold then Prefix.Set.add leaf acc else acc)
-    volumes Prefix.Set.empty
+let heavy_hitters t aggregate =
+  fill_leaves t aggregate;
+  let threshold = t.spec.Task_spec.threshold in
+  let leaves = t.leaves in
+  for i = 0 to leaves.Items.n - 1 do
+    if leaves.Items.mags.(i) > threshold then push t.truth leaves.Items.keys.(i)
+  done
 
-let true_hierarchical_heavy_hitters (spec : Task_spec.t) aggregate =
-  let threshold = spec.Task_spec.threshold in
-  let leaf_length = spec.Task_spec.leaf_length in
-  let result = ref Prefix.Set.empty in
-  (* Returns the volume under [p] not claimed by detected descendant HHHs;
-     prunes subtrees whose total volume cannot contain an HHH. *)
-  let rec walk p =
-    let volume = Aggregate.volume aggregate p in
-    if volume <= threshold then volume
-    else if Prefix.length p >= leaf_length then begin
-      result := Prefix.Set.add p !result;
-      0.0
+(* The node (bits, len): its volume not claimed by true HHHs below goes to
+   [t.ret.(len)], and a node whose unclaimed volume exceeds the threshold
+   is a true HHH, moved before the descendants written since entering it.
+   Subtrees whose total volume cannot hold an HHH are pruned. *)
+let rec hhh_walk t aggregate bits len =
+  let key = Prefix.key_of ~bits ~length:len in
+  t.key.(0) <- key;
+  Aggregate.read_keys aggregate ~keys:t.key ~n:1 t.vol;
+  t.ret.(len) <- t.vol.(0);
+  let threshold = t.spec.Task_spec.threshold in
+  if not (t.ret.(len) <= threshold) then begin
+    if len >= t.spec.Task_spec.leaf_length || len >= Prefix.address_bits then begin
+      push t.truth key;
+      t.ret.(len) <- 0.0
     end
     else begin
-      match Prefix.children p with
-      | None ->
-        result := Prefix.Set.add p !result;
-        0.0
-      | Some (l, r) ->
-        let unclaimed = walk l +. walk r in
-        if unclaimed > threshold then begin
-          result := Prefix.Set.add p !result;
-          0.0
-        end
-        else unclaimed
+      let start = t.truth.Items.n in
+      hhh_walk t aggregate bits (len + 1);
+      let left = t.ret.(len + 1) in
+      hhh_walk t aggregate (bits lor (1 lsl (Prefix.address_bits - 1 - len))) (len + 1);
+      let unclaimed = left +. t.ret.(len + 1) in
+      if unclaimed > threshold then begin
+        push t.truth key;
+        Items.rotate t.truth start;
+        t.ret.(len) <- 0.0
+      end
+      else t.ret.(len) <- unclaimed
     end
-  in
-  ignore (walk spec.Task_spec.filter);
-  !result
+  end
 
-let true_changes t aggregate =
-  let spec = t.spec in
-  let threshold = spec.Task_spec.threshold in
-  let history = spec.Task_spec.cd_history in
-  let volumes = leaf_volumes spec aggregate in
-  (* A change can also be a leaf with history that sent nothing this epoch. *)
-  let keys = Hashtbl.create 256 in
-  Hashtbl.iter (fun leaf _ -> Hashtbl.replace keys leaf ()) volumes;
-  Hashtbl.iter (fun leaf _ -> Hashtbl.replace keys leaf ()) t.cd_means;
-  let changes = ref Prefix.Set.empty in
-  Hashtbl.iter
-    (fun leaf () ->
-      let volume = match Hashtbl.find_opt volumes leaf with Some v -> v | None -> 0.0 in
-      let mean = match Hashtbl.find_opt t.cd_means leaf with Some m -> m | None -> volume in
-      if Float.abs (volume -. mean) > threshold then changes := Prefix.Set.add leaf !changes;
-      let mean' = (history *. mean) +. ((1.0 -. history) *. volume) in
-      (* volumes are non-negative, so <= 0.0 is "sent nothing" without
-         testing floats for exact equality *)
-      if mean' < 0.001 && volume <= 0.0 then Hashtbl.remove t.cd_means leaf
-      else Hashtbl.replace t.cd_means leaf mean')
-    keys;
-  !changes
+let hierarchical_heavy_hitters t aggregate =
+  let filter = t.spec.Task_spec.filter in
+  hhh_walk t aggregate (Prefix.bits filter) (Prefix.length filter)
+
+(* One merge of the means column against this epoch's leaves: a change is
+   a leaf whose volume (0 when it sent nothing) deviates from its mean
+   (its volume, before any history) by more than the threshold.  The
+   EWMA-updated means go to [t.next], except a mean that decayed below
+   0.001 on a silent leaf, which is dropped. *)
+let changes t aggregate =
+  fill_leaves t aggregate;
+  let threshold = t.spec.Task_spec.threshold in
+  let history = t.spec.Task_spec.cd_history in
+  let leaves = t.leaves and means = t.means and next = t.next in
+  Items.reserve next (leaves.Items.n + means.Items.n);
+  next.Items.n <- 0;
+  let i = ref 0 and j = ref 0 in
+  while !i < means.Items.n || !j < leaves.Items.n do
+    let mk = if !i < means.Items.n then means.Items.keys.(!i) else max_int in
+    let lk = if !j < leaves.Items.n then leaves.Items.keys.(!j) else max_int in
+    let key = if mk <= lk then mk else lk in
+    let volume = if lk = key then leaves.Items.mags.(!j) else 0.0 in
+    let mean = if mk = key then means.Items.mags.(!i) else volume in
+    if Float.abs (volume -. mean) > threshold then push t.truth key;
+    let mean' = (history *. mean) +. ((1.0 -. history) *. volume) in
+    (* volumes are non-negative, so <= 0.0 is "sent nothing" without
+       testing floats for exact equality *)
+    if not (mean' < 0.001 && volume <= 0.0) then begin
+      let n = next.Items.n in
+      next.Items.keys.(n) <- key;
+      next.Items.mags.(n) <- mean';
+      next.Items.n <- n + 1
+    end;
+    if mk = key then incr i;
+    if lk = key then incr j
+  done;
+  t.next <- means;
+  t.means <- next
 
 let ratio num den = if den = 0 then 1.0 else float_of_int num /. float_of_int den
 
-let evaluate t epoch_data report =
+let evaluate t epoch_data (reported : Items.t) =
   let aggregate = epoch_data.Epoch_data.combined in
-  let reported = Report.prefixes report in
-  let true_items =
-    match t.spec.Task_spec.kind with
-    | Task_spec.Heavy_hitter -> true_heavy_hitters t.spec aggregate
-    | Task_spec.Hierarchical_heavy_hitter -> true_hierarchical_heavy_hitters t.spec aggregate
-    | Task_spec.Change_detection -> true_changes t aggregate
-  in
-  let hits = Prefix.Set.cardinal (Prefix.Set.inter reported true_items) in
-  let real_accuracy =
-    match Task_spec.accuracy_metric t.spec with
-    | `Recall -> ratio hits (Prefix.Set.cardinal true_items)
-    | `Precision -> ratio hits (Prefix.Set.cardinal reported)
-  in
-  { true_items; real_accuracy }
+  Items.clear t.truth;
+  (match t.spec.Task_spec.kind with
+  | Task_spec.Heavy_hitter -> heavy_hitters t aggregate
+  | Task_spec.Hierarchical_heavy_hitter -> hierarchical_heavy_hitters t aggregate
+  | Task_spec.Change_detection -> changes t aggregate);
+  let hits = Items.common reported t.truth in
+  match Task_spec.accuracy_metric t.spec with
+  | `Recall -> ratio hits t.truth.Items.n
+  | `Precision -> ratio hits reported.Items.n
+
+(* One epoch's truth in a fresh column, off the per-epoch path. *)
+let fresh find spec aggregate =
+  let t = create spec in
+  find t aggregate;
+  t.truth
+
+let true_heavy_hitters spec aggregate = fresh heavy_hitters spec aggregate
+
+let true_hierarchical_heavy_hitters spec aggregate =
+  fresh hierarchical_heavy_hitters spec aggregate

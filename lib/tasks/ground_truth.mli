@@ -4,35 +4,38 @@
     offline; DREAM itself never sees these values.  Ground truth for HH
     and HHH is stateless per epoch; CD keeps per-leaf EWMA means across
     the task's whole trace (history weight from the spec), so {!evaluate}
-    must be called once per epoch, in order. *)
+    must be called once per epoch, in order.
+
+    Everything is a key column ({!Items}) in key order, reused across
+    epochs: the epoch's leaf volumes are run sums over the aggregate's
+    sorted addresses, the HHH truth walk reads range volumes by key, the
+    CD means are a key column merged against the leaves, and hits are one
+    merge of the report's keys with the true ones. *)
 
 type t
 
 val create : Task_spec.t -> t
 
-type truth = {
-  true_items : Dream_prefix.Prefix.Set.t;  (** the items that really occurred *)
-  real_accuracy : float;  (** recall (HH, CD) or precision (HHH) of the report *)
-}
+val evaluate : t -> Dream_traffic.Epoch_data.t -> Items.t -> float
+(** The real accuracy of one epoch's report items (strictly ascending
+    keys, as {!Task.items} holds them) against the network-wide traffic:
+    recall (HH, CD) or precision (HHH).  Accuracy is 1 when it is
+    undefined (no true items for recall, empty report for precision). *)
 
-val evaluate : t -> Dream_traffic.Epoch_data.t -> Report.t -> truth
-(** Score one epoch's report against the network-wide traffic.  Accuracy
-    is 1 when it is undefined (no true items for recall, empty report for
-    precision). *)
+val true_heavy_hitters : Task_spec.t -> Dream_traffic.Aggregate.t -> Items.t
+(** Leaf prefixes whose volume exceeds the threshold, as a fresh key
+    column. *)
 
-val true_heavy_hitters :
-  Task_spec.t -> Dream_traffic.Aggregate.t -> Dream_prefix.Prefix.Set.t
-(** Leaf prefixes whose volume exceeds the threshold. *)
-
-val true_hierarchical_heavy_hitters :
-  Task_spec.t -> Dream_traffic.Aggregate.t -> Dream_prefix.Prefix.Set.t
-(** Exact HHH set (prefixes whose volume minus descendant-HHH volumes
-    exceeds the threshold), computed recursively under the filter. *)
+val true_hierarchical_heavy_hitters : Task_spec.t -> Dream_traffic.Aggregate.t -> Items.t
+(** The exact HHH set (prefixes whose volume minus descendant-HHH volumes
+    exceeds the threshold), computed recursively under the filter, as a
+    fresh key column. *)
 
 val emit : Dream_util.Codec.writer -> t -> unit
-(** Append the CD per-leaf means to a checkpoint document (empty for
-    HH/HHH tasks, which keep no cross-epoch state here). *)
+(** Append the CD per-leaf means, in key order, to a checkpoint document
+    (empty for HH/HHH tasks, which keep no cross-epoch state here). *)
 
 val parse : Dream_util.Codec.reader -> spec:Task_spec.t -> t
-(** Inverse of {!emit}.  @raise Dream_util.Codec.Parse_error on
-    mismatch. *)
+(** Inverse of {!emit}.  @raise Dream_util.Codec.Parse_error on mismatch,
+    or a mean on a prefix that is not a leaf ([leaf_length] long) under
+    the filter, or means not in strictly ascending prefix order. *)

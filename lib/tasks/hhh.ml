@@ -2,116 +2,177 @@ module Prefix = Dream_prefix.Prefix
 module Switch_mask = Dream_traffic.Switch_mask
 module Topology = Dream_traffic.Topology
 
-type detection = { prefix : Prefix.t; residual : float; value : float }
-
-(* Bottom-up state per trie node. *)
-type node_result = {
-  unclaimed : float; (* volume not claimed by detected descendant HHHs *)
-  over_sum : float; (* total over-approximation of detected HHHs below *)
-  has_detected : bool;
+(* One task's detection state, kept across epochs.  The walk's
+   accumulators are indexed by prefix length + 1 (so 0 .. 33): a node of
+   length [len] sums its children's results at [len + 1] and adds its own
+   to its parent's at [len].  A child's result is volume not claimed by
+   detected HHHs at or below it, the over-approximated volume of those
+   detections, and whether it holds any.  The walk reads floats only from
+   here and the monitor's total column, so it passes none. *)
+type t = {
+  m : Monitor.t;
+  items : Items.t;
+  threshold : float;
+  leaf_length : int;
+  mutable totals : float array; (* the monitor's, re-read each epoch *)
+  unclaimed : float array;
+  over : float array;
+  detected : bool array;
+  could_hide : bool array;
+      (* some child's unclaimed plus over-approximated volume exceeds the
+         threshold: a true HHH could hide in it *)
 }
 
-let detect monitor =
-  let spec = Monitor.spec monitor in
-  let threshold = spec.Task_spec.threshold in
-  let leaf_length = spec.Task_spec.leaf_length in
-  let detections = ref [] in
-  let over_approx residual value = if value >= 1.0 then 0.0 else Float.max 0.0 (residual -. threshold) in
-  let visit prefix slot (children : node_result list) =
-    if slot >= 0 then begin
-      (* Monitored counter: a trie leaf under the partition invariant. *)
-      let residual = Monitor.total monitor slot in
-      if residual > threshold then begin
-        let v =
-          if Prefix.length prefix >= leaf_length then 1.0
-          else if residual > 2.0 *. threshold then 0.0
-          else 0.5
-        in
-        detections := { prefix; residual; value = v } :: !detections;
-        { unclaimed = 0.0; over_sum = over_approx residual v; has_detected = true }
-      end
-      else { unclaimed = residual; over_sum = 0.0; has_detected = false }
-    end
-    else begin
-      let residual = List.fold_left (fun acc r -> acc +. r.unclaimed) 0.0 children in
-      let child_over = List.fold_left (fun acc r -> acc +. r.over_sum) 0.0 children in
-      let has_detected_below = List.exists (fun r -> r.has_detected) children in
-      if residual > threshold then begin
-        let v =
-          if not has_detected_below then
-            (* All descendants monitored and below threshold: confirmed. *)
-            1.0
-          else begin
-            (* The over-approximated volume of descendant detections could
-               hide a true HHH in one of the children; halve if so. *)
-            let child_could_be_hhh =
-              List.exists (fun r -> r.unclaimed +. r.over_sum > threshold) children
-            in
-            if child_could_be_hhh then 0.5 else 1.0
-          end
-        in
-        detections := { prefix; residual; value = v } :: !detections;
-        { unclaimed = 0.0; over_sum = child_over +. over_approx residual v; has_detected = true }
-      end
-      else { unclaimed = residual; over_sum = child_over; has_detected = has_detected_below }
-    end
-  in
-  ignore (Monitor.fold_bottom_up monitor ~f:visit);
-  List.sort (fun a b -> Prefix.compare a.prefix b.prefix) !detections
+let create m items =
+  if not items.Items.values then invalid_arg "Hhh.create: a buffer without values";
+  let spec = Monitor.spec m and depth = Prefix.address_bits + 2 in
+  {
+    m;
+    items;
+    threshold = spec.Task_spec.threshold;
+    leaf_length = spec.Task_spec.leaf_length;
+    totals = [||];
+    unclaimed = Array.make depth 0.0;
+    over = Array.make depth 0.0;
+    detected = Array.make depth false;
+    could_hide = Array.make depth false;
+  }
 
-let item d = { Report.prefix = d.prefix; magnitude = d.residual }
+(* [Float.max 0.0 (residual - threshold)] for an uncertain detection, 0
+   for a confirmed one, without a call that would box. *)
+let[@inline] over_approx w residual value =
+  if value >= 1.0 then 0.0
+  else begin
+    let d = residual -. w.threshold in
+    if d > 0.0 || d <> d then d else 0.0
+  end
 
-let report monitor ~epoch detections =
-  { Report.kind = (Monitor.spec monitor).Task_spec.kind; epoch; items = List.map item detections }
+(* Add a node's result to its parent's sums, at [len]. *)
+let[@inline] to_parent w len unclaimed over detected =
+  w.unclaimed.(len) <- w.unclaimed.(len) +. unclaimed;
+  w.over.(len) <- w.over.(len) +. over;
+  w.detected.(len) <- w.detected.(len) || detected;
+  w.could_hide.(len) <- w.could_hide.(len) || unclaimed +. over > w.threshold
+
+(* Write a detection after the last item, then move it to [start], before
+   the descendants the walk wrote since entering the node: the buffer
+   stays in key order. *)
+let[@inline] push w start key residual value =
+  let items = w.items in
+  let n = items.Items.n in
+  if n = Array.length items.Items.keys then Items.reserve items (n + 1);
+  items.Items.keys.(n) <- key;
+  items.Items.mags.(n) <- residual;
+  items.Items.vals.(n) <- value;
+  items.Items.n <- n + 1;
+  Items.rotate items start
+
+(* Visit the trie node (bits, len) whose counters are slots [lo, hi),
+   children before the node, left child first.  A counter on the node
+   itself is a leaf: the counters partition the filter. *)
+let rec visit w bits len lo hi =
+  let key = Prefix.key_of ~bits ~length:len in
+  if Monitor.key w.m lo = key then begin
+    let residual = w.totals.(lo) in
+    if residual > w.threshold then begin
+      let value =
+        if len >= w.leaf_length then 1.0 else if residual > 2.0 *. w.threshold then 0.0 else 0.5
+      in
+      push w w.items.Items.n key residual value;
+      to_parent w len 0.0 (over_approx w residual value) true
+    end
+    else to_parent w len residual 0.0 false
+  end
+  else begin
+    let c = len + 1 in
+    w.unclaimed.(c) <- 0.0;
+    w.over.(c) <- 0.0;
+    w.detected.(c) <- false;
+    w.could_hide.(c) <- false;
+    let start = w.items.Items.n in
+    if len < Prefix.address_bits then begin
+      let right = bits lor (1 lsl (Prefix.address_bits - 1 - len)) in
+      let mid = Monitor.bisect w.m right lo hi in
+      if mid <> lo then visit w bits c lo mid;
+      if mid = lo || mid <> hi then visit w right c mid hi
+    end;
+    let residual = w.unclaimed.(c) and child_over = w.over.(c) and below = w.detected.(c) in
+    if residual > w.threshold then begin
+      (* With no detection below, every descendant is monitored and under
+         the threshold: confirmed.  Otherwise the over-approximated
+         volume of descendant detections could hide a true HHH in a
+         child; halve if so. *)
+      let value = if below && w.could_hide.(c) then 0.5 else 1.0 in
+      push w start key residual value;
+      to_parent w len 0.0 (child_over +. over_approx w residual value) true
+    end
+    else to_parent w len residual child_over below
+  end
+
+let detect w =
+  let filter = (Monitor.spec w.m).Task_spec.filter and n = Monitor.num_counters w.m in
+  w.totals <- Monitor.totals w.m;
+  Items.clear w.items;
+  Items.reserve w.items (2 * n);
+  visit w (Prefix.bits filter) (Prefix.length filter) 0 n
 
 let estimate_recall monitor =
   let spec = Monitor.spec monitor in
   let threshold = spec.Task_spec.threshold in
   let leaf_length = spec.Task_spec.leaf_length in
-  let detections = detect monitor in
-  let detected = List.length detections in
+  let items = Items.create ~values:true () in
+  detect (create monitor items);
   (* Every coarse (non-exact) detection may stand in for several finer
      HHHs; bound the hidden ones by its residual volume, as the HH
      estimator bounds missed heavy hitters by prefix volume. *)
-  let missed =
-    List.fold_left
-      (fun acc d ->
-        if Prefix.length d.prefix >= leaf_length then acc
-        else begin
-          let hidden = int_of_float (Float.floor (d.residual /. threshold)) - 1 in
-          acc + max 0 hidden
-        end)
-      0 detections
-  in
-  if detected + missed = 0 then 1.0
-  else float_of_int detected /. float_of_int (detected + missed)
+  let missed = ref 0 in
+  for i = 0 to items.Items.n - 1 do
+    if Prefix.key_length items.Items.keys.(i) < leaf_length then begin
+      let hidden = int_of_float (Float.floor (items.Items.mags.(i) /. threshold)) - 1 in
+      missed := !missed + max 0 hidden
+    end
+  done;
+  let detected = items.Items.n in
+  if detected + !missed = 0 then 1.0
+  else float_of_int detected /. float_of_int (detected + !missed)
 
-let estimate monitor ~allocations detections =
+let estimate w ~allocations =
+  let monitor = w.m and items = w.items in
+  let n = items.Items.n in
   let global =
-    match detections with
-    | [] -> 1.0
-    | _ :: _ ->
-      List.fold_left (fun acc d -> acc +. d.value) 0.0 detections
-      /. float_of_int (List.length detections)
+    if n = 0 then 1.0
+    else begin
+      let sum = ref 0.0 in
+      for i = 0 to n - 1 do
+        sum := !sum +. items.Items.vals.(i)
+      done;
+      !sum /. float_of_int n
+    end
   in
   let topology = Monitor.topology monitor in
   let bottlenecks = Monitor.bottlenecked monitor ~allocations in
   let switches = Monitor.switches monitor in
-  let locals = Array.make (Topology.switches_per_task topology) 1.0 in
-  for b = 0 to Array.length locals - 1 do
-    if Switch_mask.mem_bit b switches then begin
-      let values =
-        List.filter_map
-          (fun d ->
-            if Switch_mask.mem_bit b (Topology.prefix_mask topology d.prefix) then
-              (* Only bottleneck switches inherit the uncertain value;
-                 others are scored 1 (Section 5.3). *)
-              Some (if Switch_mask.mem_bit b bottlenecks then d.value else 1.0)
-            else None)
-          detections
-      in
-      if values <> [] then
-        locals.(b) <- List.fold_left ( +. ) 0.0 values /. float_of_int (List.length values)
-    end
+  let k = Topology.switches_per_task topology in
+  (* Running sums over the detections, per switch: [locals] holds the
+     value sum and [counts] the detections seeing the switch. *)
+  let locals = Array.make k 0.0 and counts = Array.make k 0.0 in
+  for i = 0 to n - 1 do
+    let key = items.Items.keys.(i) in
+    let mask =
+      Topology.bits_mask topology ~bits:(Prefix.key_bits key) ~length:(Prefix.key_length key)
+      land switches
+    in
+    for b = 0 to k - 1 do
+      if Switch_mask.mem_bit b mask then begin
+        (* Only bottleneck switches inherit the uncertain value; others
+           are scored 1 (Section 5.3). *)
+        locals.(b) <-
+          (locals.(b) +. if Switch_mask.mem_bit b bottlenecks then items.Items.vals.(i) else 1.0);
+        counts.(b) <- counts.(b) +. 1.0
+      end
+    done
+  done;
+  for b = 0 to k - 1 do
+    locals.(b) <- (if counts.(b) > 0.0 then locals.(b) /. counts.(b) else 1.0)
   done;
   { Accuracy.global = Accuracy.clamp global; locals }

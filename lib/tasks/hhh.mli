@@ -5,22 +5,27 @@
     exceeds the threshold.  Accuracy is estimated precision: each detected
     HHH gets a value of 1 (confirmed true), 0 (cannot be true), or 0.5
     (ambiguous), following the case analysis of Section 5.3, and the
-    estimate is the average of the values. *)
+    estimate is the average of the values.
 
-type detection = {
-  prefix : Dream_prefix.Prefix.t;
-  residual : float;  (** volume after excluding descendant detected HHHs *)
-  value : float;  (** estimated precision value in \{0, 0.5, 1\} *)
-}
+    The trie is the one the monitor's slots imply, walked on
+    [(bits, length)] ints: a node's counters are one run of slots, split
+    in two by {!Monitor.bisect}, and its children's results are summed in
+    per-depth arrays.  Nothing is allocated per node or per
+    detection. *)
 
-val detect : Monitor.t -> detection list
-(** Detected HHHs with their precision values, in prefix order. *)
+type t
+(** One task's detector: its monitor, report buffer and the walk's
+    per-depth accumulators, reused every epoch. *)
 
-val report : Monitor.t -> epoch:int -> detection list -> Report.t
-(** The report of this epoch's {!detect}. *)
+val create : Monitor.t -> Items.t -> t
+(** @raise Invalid_argument on a buffer made without [~values:true]. *)
 
-val estimate :
-  Monitor.t -> allocations:int array -> detection list -> Accuracy.t
+val detect : t -> unit
+(** Overwrite the buffer with the detected HHHs, in key order: key,
+    residual volume (after excluding descendant detected HHHs) as the
+    magnitude, and estimated precision value in \{0, 0.5, 1\}. *)
+
+val estimate : t -> allocations:int array -> Accuracy.t
 (** Estimated precision of this epoch's {!detect}, under allocations
     indexed by sub-filter bit. *)
 

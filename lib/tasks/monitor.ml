@@ -312,6 +312,16 @@ let mean t i =
     Some t.means.(i)
   else None
 
+let totals t = t.totals
+
+let means t = t.means
+
+let seeded t i = flag t i seeded_flag
+
+let vols t = t.vols
+
+let has_volume t i b = flag t i (present b)
+
 (* [|total - mean|], or 0 before any history. *)
 let cd_deviation t i =
   let total = t.totals.(i) in
@@ -365,30 +375,6 @@ let run_stop t b first =
 let fold_seeing f t b acc =
   let first = run_start t b in
   fold_down f t ~first (run_stop t b first - 1) acc
-
-(* The trie the slots imply, visited bottom-up from node [at], whose
-   counters are slots [lo, hi); its left and right children's slots are the
-   two sides of one bisect.  A counter on [at] itself is a leaf: the
-   counters partition the filter. *)
-let rec bottom_up t ~f at lo hi =
-  if get t.keys lo = Prefix.key at then f at lo []
-  else begin
-    match Prefix.children at with
-    | None -> f at (-1) []
-    | Some (l, r) ->
-      let mid = bisect t (Prefix.first_address r) lo hi in
-      let results =
-        if mid = lo then [ bottom_up t ~f r mid hi ]
-        else if mid = hi then [ bottom_up t ~f l lo mid ]
-        else begin
-          let right = bottom_up t ~f r mid hi in
-          [ bottom_up t ~f l lo mid; right ]
-        end
-      in
-      f at (-1) results
-  end
-
-let fold_bottom_up t ~f = bottom_up t ~f t.spec.Task_spec.filter 0 t.n
 
 let switches t = t.switches
 

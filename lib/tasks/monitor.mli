@@ -76,6 +76,32 @@ val mean : t -> int -> float option
 val cd_deviation : t -> int -> float
 (** [|total - mean|]; 0 before any history. *)
 
+(** {2 Columns}
+
+    The float columns themselves, for the estimators that read every slot
+    once an epoch: indexing one reads a float without boxing it, where
+    {!total} or {!volume_on} returns a boxed one across the module
+    boundary.  Each is the monitor's own array, valid until the next
+    {!configure} or reading; do not mutate. *)
+
+val totals : t -> float array
+(** {!total} of slot [i] at index [i]. *)
+
+val means : t -> float array
+(** The CD mean of slot [i] at index [i], where {!seeded}. *)
+
+val seeded : t -> int -> bool
+(** Whether the slot's CD mean has history ({!mean} is [Some]). *)
+
+val vols : t -> float array
+(** {!volume_on} of slot [i] on sub-filter bit [b] at index
+    [i * k + b] ([k] the topology's switches per task), where
+    {!has_volume}. *)
+
+val has_volume : t -> int -> int -> bool
+(** [has_volume t i b]: slot [i] has a volume on the switch of bit [b]
+    this epoch. *)
+
 val update_means : t -> unit
 (** Fold every counter's total into its CD mean, with {!Dream_util.Ewma}'s
     arithmetic and the spec's [cd_history] (call after reporting). *)
@@ -88,15 +114,12 @@ val fold_seeing : (int -> 'a -> 'a) -> t -> int -> 'a -> 'a
 (** {!fold} over the counters whose S set holds the switch of a sub-filter
     bit: the one run of slots intersecting that sub-filter. *)
 
-val fold_bottom_up :
-  t -> f:(Dream_prefix.Prefix.t -> int -> 'a list -> 'a) -> 'a
-(** Post-order walk of the prefix trie the counters imply: every prefix on
-    a path from the task's filter down to a counter, the right subtree
-    visited before the left.  [f prefix slot child_results] gets the
-    node's slot (a leaf, under the partition invariant) or [-1] for a
-    structural node, and the results of its 1 or 2 children, left first.
-    Returns the filter's result.  No trie is built: each node's counters
-    are one run of slots, split in two by a bisect. *)
+val bisect : t -> Dream_prefix.Prefix.address -> int -> int -> int
+(** [bisect t addr lo hi]: the first slot in [lo, hi) whose counter
+    starts at or after [addr], or [hi].  The counters under a trie node
+    are one run of slots, and the two children's runs are its two sides
+    at the right child's first address: how a walk over the trie the
+    slots imply splits a node without building it. *)
 
 val switches : t -> Dream_traffic.Switch_mask.t
 (** All switches that see the task's filter. *)

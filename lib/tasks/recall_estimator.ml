@@ -1,6 +1,8 @@
 module Switch_mask = Dream_traffic.Switch_mask
 
-let missed_bound ~wildcards ~magnitude ~threshold =
+type magnitude = Volume | Deviation
+
+let[@inline] missed_bound ~wildcards ~magnitude ~threshold =
   if magnitude <= threshold then 0
   else begin
     let by_volume = int_of_float (Float.floor (magnitude /. threshold)) in
@@ -8,72 +10,128 @@ let missed_bound ~wildcards ~magnitude ~threshold =
     min by_volume by_leaves
   end
 
-(* One estimate's inputs and running counts, threaded through the counter
-   walks as their accumulator. *)
-type tally = {
+(* One task's inputs and running counts, threaded through the counter
+   walks as their accumulator and kept across epochs.  The columns are the
+   monitor's own, re-read each epoch (a configure may grow them), so a
+   magnitude is read without boxing. *)
+type t = {
   monitor : Monitor.t;
+  kind : magnitude;
+  items : Items.t;
   threshold : float;
-  magnitude_total : Monitor.t -> int -> float;
-  magnitude_on : Monitor.t -> int -> int -> float;
-  bottlenecks : Switch_mask.t;
+  k : int; (* sub-filters: the stride of [vols] *)
+  mutable totals : float array;
+  mutable means : float array;
+  mutable vols : float array;
+  mutable bottlenecks : Switch_mask.t;
   mutable bit : int; (* the sub-filter bit a local walk counts for *)
   mutable detected : int;
   mutable missed : int;
 }
 
-let missed_under w i magnitude =
+let create monitor kind items =
+  {
+    monitor;
+    kind;
+    items;
+    threshold = (Monitor.spec monitor).Task_spec.threshold;
+    k = Dream_traffic.Topology.switches_per_task (Monitor.topology monitor);
+    totals = [||];
+    means = [||];
+    vols = [||];
+    bottlenecks = Switch_mask.empty;
+    bit = 0;
+    detected = 0;
+    missed = 0;
+  }
+
+let read_columns w =
+  w.totals <- Monitor.totals w.monitor;
+  w.means <- Monitor.means w.monitor;
+  w.vols <- Monitor.vols w.monitor
+
+(* The counter's magnitude: its volume (HH), or [|total - mean|], 0 before
+   any history (CD). *)
+let[@inline] magnitude w i =
+  let total = w.totals.(i) in
+  match w.kind with
+  | Volume -> total
+  | Deviation -> Float.abs (total -. if Monitor.seeded w.monitor i then w.means.(i) else total)
+
+let[@inline] volume_on w i b =
+  if Monitor.has_volume w.monitor i b then w.vols.((i * w.k) + b) else 0.0
+
+(* Its share on [b]'s switch.  Per-switch CD means are not tracked: the
+   deviation is apportioned by the switch's share of the counter's
+   volume. *)
+let[@inline] magnitude_on w i b =
+  match w.kind with
+  | Volume -> volume_on w i b
+  | Deviation ->
+    let deviation = magnitude w i in
+    let total = w.totals.(i) in
+    if total <= 0.0 then begin
+      let n = Monitor.switch_count w.monitor i in
+      if n = 0 then 0.0 else deviation /. float_of_int n
+    end
+    else deviation *. (volume_on w i b /. total)
+
+let report w =
+  read_columns w;
+  let items = w.items and n = Monitor.num_counters w.monitor in
+  Items.reserve items n;
+  items.Items.n <- 0;
+  for i = 0 to n - 1 do
+    let mag = magnitude w i in
+    if Monitor.is_exact w.monitor i && mag > w.threshold then begin
+      items.Items.keys.(items.Items.n) <- Monitor.key w.monitor i;
+      items.Items.mags.(items.Items.n) <- mag;
+      items.Items.n <- items.Items.n + 1
+    end
+  done
+
+let[@inline] missed_under w i magnitude =
   missed_bound ~wildcards:(Monitor.wildcards w.monitor i) ~magnitude ~threshold:w.threshold
 
 (* Exact counters over the threshold are detected; every other counter
    bounds the items it may hide. *)
 let count_global i w =
-  let m = w.monitor in
-  if Monitor.is_exact m i then begin
-    if w.magnitude_total m i > w.threshold then w.detected <- w.detected + 1
+  if Monitor.is_exact w.monitor i then begin
+    if magnitude w i > w.threshold then w.detected <- w.detected + 1
   end
-  else w.missed <- w.missed + missed_under w i (w.magnitude_total m i);
+  else w.missed <- w.missed + missed_under w i (magnitude w i);
   w
 
 (* The same on [w.bit]'s switch, from the counters that see it.  Missed
    items are attributed to bottlenecked switches only, when any is. *)
 let count_local i w =
-  let m = w.monitor and b = w.bit in
-  if Monitor.is_exact m i then begin
-    if w.magnitude_total m i > w.threshold then w.detected <- w.detected + 1
+  let b = w.bit in
+  if Monitor.is_exact w.monitor i then begin
+    if magnitude w i > w.threshold then w.detected <- w.detected + 1
   end
   else if w.bottlenecks = Switch_mask.empty || Switch_mask.mem_bit b w.bottlenecks then
-    w.missed <- w.missed + missed_under w i (w.magnitude_on m i b);
+    w.missed <- w.missed + missed_under w i (magnitude_on w i b);
   w
 
-let recall w =
+let[@inline] recall w =
   if w.detected + w.missed = 0 then 1.0
   else float_of_int w.detected /. float_of_int (w.detected + w.missed)
 
-let local monitor w b =
-  w.bit <- b;
+let estimate w ~allocations =
+  let monitor = w.monitor in
+  read_columns w;
+  w.bottlenecks <- Monitor.bottlenecked monitor ~allocations;
   w.detected <- 0;
   w.missed <- 0;
-  recall (Monitor.fold_seeing count_local monitor b w)
-
-let estimate monitor ~allocations ~magnitude_total ~magnitude_on =
-  let spec = Monitor.spec monitor in
-  let w =
-    {
-      monitor;
-      threshold = spec.Task_spec.threshold;
-      magnitude_total;
-      magnitude_on;
-      bottlenecks = Monitor.bottlenecked monitor ~allocations;
-      bit = 0;
-      detected = 0;
-      missed = 0;
-    }
-  in
   let global = recall (Monitor.fold count_global monitor w) in
   let switches = Monitor.switches monitor in
-  let k = Dream_traffic.Topology.switches_per_task (Monitor.topology monitor) in
-  let locals = Array.make k 1.0 in
-  for b = 0 to Array.length locals - 1 do
-    if Switch_mask.mem_bit b switches then locals.(b) <- local monitor w b
+  let locals = Array.make w.k 1.0 in
+  for b = 0 to w.k - 1 do
+    if Switch_mask.mem_bit b switches then begin
+      w.bit <- b;
+      w.detected <- 0;
+      w.missed <- 0;
+      locals.(b) <- recall (Monitor.fold_seeing count_local monitor b w)
+    end
   done;
   { Accuracy.global = Accuracy.clamp global; locals }

@@ -14,3 +14,10 @@ let pp ppf t =
     (Format.pp_print_list (fun ppf i ->
          Format.fprintf ppf "  %a  %.2f" Prefix.pp i.prefix i.magnitude))
     t.items
+
+let of_items ~kind ~epoch (items : Items.t) =
+  let rec build i acc =
+    if i < 0 then acc
+    else build (i - 1) ({ prefix = Prefix.of_key items.keys.(i); magnitude = items.mags.(i) } :: acc)
+  in
+  { kind; epoch; items = build (items.n - 1) [] }

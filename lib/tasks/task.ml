@@ -4,6 +4,23 @@ module Ewma = Dream_util.Ewma
 
 type accuracy_mode = Overall | Global_only
 
+(* The kind's report and estimator, writing into the task's item buffer. *)
+type estimator = Exact of Recall_estimator.t | Hierarchical of Hhh.t
+
+(* A report buffer and the kind's estimator over it; HHH detections keep a
+   precision value per item. *)
+let estimator_for (spec : Task_spec.t) monitor =
+  let exact magnitude =
+    let items = Items.create () in
+    (items, Exact (Recall_estimator.create monitor magnitude items))
+  in
+  match spec.Task_spec.kind with
+  | Task_spec.Heavy_hitter -> exact Recall_estimator.Volume
+  | Task_spec.Change_detection -> exact Recall_estimator.Deviation
+  | Task_spec.Hierarchical_heavy_hitter ->
+    let items = Items.create ~values:true () in
+    (items, Hierarchical (Hhh.create monitor items))
+
 type t = {
   id : int;
   spec : Task_spec.t;
@@ -17,12 +34,16 @@ type t = {
   accuracy_history : float;
   accuracy_mode : accuracy_mode;
   mutable allocations : int array; (* per sub-filter bit *)
+  items : Items.t; (* the last report's items, refilled every epoch *)
+  estimator : estimator;
+  mutable reported_at : int; (* the epoch of [items], -1 before the first report *)
 }
 
 let create ~id ~spec ~topology ?(accuracy_history = 0.4) ?(accuracy_mode = Overall) () =
   let monitor = Monitor.create ~spec ~topology in
   let switches = Monitor.switches monitor in
   let k = Topology.switches_per_task topology in
+  let items, estimator = estimator_for spec monitor in
   {
     id;
     spec;
@@ -34,6 +55,9 @@ let create ~id ~spec ~topology ?(accuracy_history = 0.4) ?(accuracy_mode = Overa
     accuracy_history;
     accuracy_mode;
     allocations = Array.init k (fun b -> if Switch_mask.mem_bit b switches then 1 else 0);
+    items;
+    estimator;
+    reported_at = -1;
   }
 
 let id t = t.id
@@ -51,22 +75,6 @@ let overall_filter t b =
   t.overall_used <- t.overall_used lor (1 lsl b);
   t.overall_acc.(b)
 
-let report t ~epoch detections =
-  match t.spec.Task_spec.kind with
-  | Task_spec.Heavy_hitter -> Hh.report t.monitor ~epoch
-  | Task_spec.Hierarchical_heavy_hitter -> Hhh.report t.monitor ~epoch detections
-  | Task_spec.Change_detection -> Cd.report t.monitor ~epoch
-
-let estimate t detections =
-  let allocations = t.allocations in
-  match t.spec.Task_spec.kind with
-  | Task_spec.Heavy_hitter -> Hh.estimate t.monitor ~allocations
-  | Task_spec.Hierarchical_heavy_hitter -> Hhh.estimate t.monitor ~allocations detections
-  | Task_spec.Change_detection ->
-    let accuracy = Cd.estimate t.monitor ~allocations in
-    Cd.finish_epoch t.monitor;
-    accuracy
-
 (* Fold a raw estimate into the smoothed accuracies the allocator reads. *)
 let smooth t accuracy =
   ignore (Ewma.update t.global_acc accuracy.Accuracy.global);
@@ -82,17 +90,34 @@ let smooth t accuracy =
     end
   done
 
-(* HHH detection runs once; the report and the estimate share it. *)
-let report_and_estimate t ~epoch =
-  let detections =
-    match t.spec.Task_spec.kind with
-    | Task_spec.Hierarchical_heavy_hitter -> Hhh.detect t.monitor
-    | Task_spec.Heavy_hitter | Task_spec.Change_detection -> []
+(* The report goes into [items]; HHH detection runs once, and the report
+   and the estimate share it.  A CD task then folds the epoch's volumes
+   into its counters' means. *)
+let estimate t ~epoch =
+  let allocations = t.allocations in
+  let accuracy =
+    match t.estimator with
+    | Exact e ->
+      Recall_estimator.report e;
+      Recall_estimator.estimate e ~allocations
+    | Hierarchical h ->
+      Hhh.detect h;
+      Hhh.estimate h ~allocations
   in
-  let report = report t ~epoch detections in
-  let accuracy = estimate t detections in
+  if t.spec.Task_spec.kind = Task_spec.Change_detection then Monitor.update_means t.monitor;
+  t.reported_at <- epoch;
   smooth t accuracy;
-  (report, accuracy)
+  accuracy
+
+let items t = t.items
+
+let last_report t =
+  if t.reported_at < 0 then None
+  else Some (Report.of_items ~kind:t.spec.Task_spec.kind ~epoch:t.reported_at t.items)
+
+let report_and_estimate t ~epoch =
+  let accuracy = estimate t ~epoch in
+  (Report.of_items ~kind:t.spec.Task_spec.kind ~epoch t.items, accuracy)
 
 let decay_accuracy t ?bit ~factor () =
   Ewma.scale t.global_acc factor;
@@ -165,6 +190,7 @@ let parse r =
          let b = bit ~what:"an allocation" (C.int_field r "sw") in
          allocations.(b) <- C.int_field r "alloc"));
   let monitor = Monitor.parse r ~spec ~topology in
+  let items, estimator = estimator_for spec monitor in
   {
     id;
     spec;
@@ -176,4 +202,7 @@ let parse r =
     accuracy_history;
     accuracy_mode;
     allocations;
+    items;
+    estimator;
+    reported_at = -1;
   }

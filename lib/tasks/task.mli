@@ -1,7 +1,7 @@
 (** A task object (Section 5.1, Algorithm 1).
 
     The controller drives one of these per admitted task, each epoch:
-    {!ingest_counters} (fetch), {!report_and_estimate} (createReport and
+    {!ingest_counters} (fetch), {!estimate} (createReport and
     estimateAccuracy, which also folds the raw estimates into the
     EWMA-smoothed overall accuracies the allocator reads), then — after the allocator has decided — {!configure}
     (configureCounters) with the new per-switch allocations, and finally
@@ -53,10 +53,23 @@ val ingest_counters :
     controller's fetch delivers key and volume columns instead
     ({!Monitor.ingest}). *)
 
+val estimate : t -> epoch:int -> Accuracy.t
+(** This epoch's report, written into {!items}, and raw accuracy
+    estimate, from one detection pass.  Also updates the smoothed
+    accuracies and, for CD tasks, folds this epoch's volumes into the
+    per-counter means.  Builds no list: the per-epoch path. *)
+
+val items : t -> Items.t
+(** The items of the last {!estimate}'s report, in key order; refilled by
+    the next one.  Do not mutate. *)
+
+val last_report : t -> Report.t option
+(** The last {!estimate}'s report, built from {!items}; [None] before the
+    first since {!create} or {!parse}. *)
+
 val report_and_estimate : t -> epoch:int -> Report.t * Accuracy.t
-(** This epoch's report and raw accuracy estimate, from one detection
-    pass.  Also updates the smoothed accuracies and, for CD tasks, folds
-    this epoch's volumes into the per-counter means. *)
+(** {!estimate}, with its report built as a [Report.t]: for readers off
+    the per-epoch path. *)
 
 val smoothed_global : t -> float
 (** EWMA-smoothed estimated global accuracy (1 before any estimate). *)

@@ -116,6 +116,49 @@ let[@hot] read_keys t ~keys ~n vols =
     vols.(i) <- t.cumulative.{hi} -. t.cumulative.{lo}
   done
 
+(* The index range of the addresses under a key's prefix: [key_lo] to
+   [key_hi] exclusive, the two searches {!range} makes. *)
+let key_lo t key = lower_bound t.addrs (Prefix.key_bits key) 0 t.n
+
+let key_hi t key lo = lower_bound t.addrs (Prefix.key_last key + 1) lo t.n
+
+(* A leaf is a run of the addresses under the key sharing their first
+   [leaf_length] bits: those of [shift = 32 - leaf_length] are the leaf's.
+   [prev] is the leaf of address [i - 1], -1 before the first. *)
+let rec count_runs (addrs : ints) shift i hi prev count =
+  if i >= hi then count
+  else begin
+    let leaf = addrs.{i} lsr shift in
+    count_runs addrs shift (i + 1) hi leaf (if leaf = prev then count else count + 1)
+  end
+
+let count_leaves t key ~leaf_length =
+  let lo = key_lo t key in
+  count_runs t.addrs (Prefix.address_bits - leaf_length) lo (key_hi t key lo) (-1) 0
+
+(* Each run summed into [vols] from 0.0 in ascending address order; [found]
+   leaves written so far. *)
+let rec sum_runs t shift ~leaf_length ~keys ~vols i hi prev found =
+  if i >= hi then found
+  else begin
+    let leaf = t.addrs.{i} lsr shift in
+    let found =
+      if leaf = prev then found
+      else begin
+        keys.(found) <- Prefix.key_of ~bits:(leaf lsl shift) ~length:leaf_length;
+        vols.(found) <- 0.0;
+        found + 1
+      end
+    in
+    vols.(found - 1) <- vols.(found - 1) +. t.volumes.{i};
+    sum_runs t shift ~leaf_length ~keys ~vols (i + 1) hi leaf found
+  end
+
+let leaf_sums t key ~leaf_length ~keys ~vols =
+  let lo = key_lo t key in
+  sum_runs t (Prefix.address_bits - leaf_length) ~leaf_length ~keys ~vols lo (key_hi t key lo)
+    (-1) 0
+
 (* Point-wise sum, two linear passes: count the distinct addresses of the
    union, then fill.  Equal addresses sum left operand first ([va +. vb]),
    matching the left-to-right duplicate fold of [Flow.combine] on the

@@ -55,6 +55,20 @@ val read_keys : t -> keys:int array -> n:int -> float array -> unit
     key order (a TCAM rule column) is answered in one narrowing pass, and
     nothing is allocated. *)
 
+val count_leaves : t -> int -> leaf_length:int -> int
+(** The number of length-[leaf_length] leaves (at least the key's
+    length) holding an address under the prefix of a key. *)
+
+val leaf_sums :
+  t -> int -> leaf_length:int -> keys:int array -> vols:float array -> int
+(** [leaf_sums t key ~leaf_length ~keys ~vols] sums the volumes under the
+    prefix of [key] per length-[leaf_length] leaf (at least the key's
+    length): the leaves with an address here, in key order, go to
+    [keys.(i)] and their sums to [vols.(i)] from [i = 0], and the count
+    is returned.  Each sum adds the leaf's addresses from 0.0 in
+    ascending order.  The arrays need room for {!count_leaves}
+    entries. *)
+
 val merge : t -> t -> t
 (** Point-wise sum of two aggregates (used to combine per-switch views into
     the network-wide view); equal addresses sum as [left +. right]. *)

@@ -1,6 +1,6 @@
 (* The original Switch_id.Set-based cover() of Monitor, kept as the
    differential oracle for the bitmask candidate table in Monitor.Cover.
-   It rebuilds the candidates with Monitor.fold_bottom_up (boxed node
+   It rebuilds the candidates with Reference_trie.fold_monitor (boxed node
    records, child lists, one Set operation per trie node) and runs the
    greedy over plain candidate lists.  Only the tests use it. *)
 
@@ -55,8 +55,9 @@ let build_candidates m =
       info
     end
   in
-  ignore (Monitor.fold_bottom_up m ~f:merge_info);
-  !candidates
+  ignore (Reference_trie.fold_monitor m ~f:merge_info);
+  (* Pre-order, left first: the order the greedy breaks ties by. *)
+  List.sort (fun (p, _) (q, _) -> Prefix.compare p q) !candidates
 
 let build m =
   let cands = build_candidates m in

@@ -1,9 +1,9 @@
 (* An immutable binary trie keyed by Prefix.t, kept as the naive oracle
-   for Monitor.fold_bottom_up: adding a monitor's counters here and
-   folding bottom-up must visit the same nodes, in the same order, with the
-   same child counts.  Nodes exist for every prefix on the path from the
-   root prefix to a bound prefix; values hang off any node.  Only the tests
-   use it. *)
+   for the trie walks over a monitor's slots: {!fold_monitor} builds the
+   trie of a monitor's counters and folds it bottom-up, which is how the
+   reference HHH detection and cover oracles walk it.  Nodes exist for
+   every prefix on the path from the root prefix to a bound prefix; values
+   hang off any node.  Only the tests use it. *)
 
 module Prefix = Dream_prefix.Prefix
 
@@ -171,3 +171,17 @@ let fold_bottom_up t ~f =
   match t.root with
   | None -> None
   | Some n -> Some (go n t.root_prefix)
+
+(* The trie the counters of a monitor imply, with each counter's slot as
+   its value, folded bottom-up: [f prefix slot child_results], [slot] -1 on
+   a structural node, children left first.  Under the partition invariant
+   a counter is a leaf. *)
+let fold_monitor m ~f =
+  let module Monitor = Dream_tasks.Monitor in
+  let trie = ref (empty (Monitor.spec m).Dream_tasks.Task_spec.filter) in
+  for i = 0 to Monitor.num_counters m - 1 do
+    trie := add !trie (Monitor.prefix m i) i
+  done;
+  match fold_bottom_up !trie ~f:(fun p slot children -> f p (Option.value slot ~default:(-1)) children) with
+  | Some r -> r
+  | None -> invalid_arg "Reference_trie.fold_monitor: no counters"

@@ -42,7 +42,7 @@ let read_budgets () =
           match Option.bind (Json.member phase b) Json.to_float with
           | Some v -> (phase, v)
           | None -> Alcotest.failf "%s: missing budgets.flat.%s" budget_file phase)
-        [ "epoch"; "fetch"; "estimate"; "allocate"; "configure"; "rule_sync" ]
+        [ "epoch"; "fetch"; "estimate"; "ground_truth"; "allocate"; "configure"; "rule_sync" ]
   end
 
 let span_of_phase = function "epoch" -> "epoch" | phase -> "epoch/" ^ phase

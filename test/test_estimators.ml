@@ -10,12 +10,20 @@ module Accuracy = Dream_tasks.Accuracy
 module Hhh = Dream_tasks.Hhh
 module Ground_truth = Dream_tasks.Ground_truth
 module Recall_estimator = Dream_tasks.Recall_estimator
+module Items = Dream_tasks.Items
 module F = Fixtures
 
 let prefix_set = Alcotest.testable (Fmt.Dump.list Prefix.pp) (List.equal Prefix.equal)
 
 let reported_prefixes report =
   List.sort Prefix.compare (List.map (fun (i : Report.item) -> i.Report.prefix) report.Report.items)
+
+(* A list-built report as the key column ground truth scores. *)
+let items_of_report (report : Report.t) =
+  Items.of_keys (List.map (fun (i : Report.item) -> Prefix.key i.Report.prefix) report.Report.items)
+
+let prefixes_of (items : Items.t) =
+  List.init items.Items.n (fun i -> Prefix.of_key items.Items.keys.(i))
 
 (* ---- missed-HH bound (Section 5.3) ---- *)
 
@@ -143,19 +151,21 @@ let root_only_detection ~threshold =
       (Task.switches task) []
   in
   Task.ingest_counters task readings;
-  Hhh.detect (Task.monitor task)
+  let items = Items.create ~values:true () in
+  Hhh.detect (Hhh.create (Task.monitor task) items);
+  List.init items.Items.n (fun i -> items.Items.vals.(i))
 
 let test_hhh_precision_values_cases () =
   (* The filter counter holds volume 46 > 2*theta with unknown descendants:
      some descendant must itself be a HHH, so the value is 0. *)
   match root_only_detection ~threshold:10.0 with
-  | [ d ] -> Alcotest.(check (float 1e-9)) "volume > 2*theta cannot be a true HHH" 0.0 d.Hhh.value
+  | [ value ] -> Alcotest.(check (float 1e-9)) "volume > 2*theta cannot be a true HHH" 0.0 value
   | _ -> Alcotest.fail "expected exactly one detection at the root"
 
 let test_hhh_ambiguous_half_value () =
   (* theta < 46 <= 2*theta with unknown descendants: ambiguous, value 0.5. *)
   match root_only_detection ~threshold:30.0 with
-  | [ d ] -> Alcotest.(check (float 1e-9)) "ambiguous value" 0.5 d.Hhh.value
+  | [ value ] -> Alcotest.(check (float 1e-9)) "ambiguous value" 0.5 value
   | _ -> Alcotest.fail "expected one detection"
 
 let test_hhh_estimate_bounds () =
@@ -295,7 +305,7 @@ let test_ground_truth_hh () =
   in
   Alcotest.check prefix_set "true HHs"
     (List.sort Prefix.compare (List.map F.leaf F.true_hh_leaves))
-    (List.sort Prefix.compare (Prefix.Set.elements truth))
+    (prefixes_of truth)
 
 let test_ground_truth_hhh () =
   let data = F.epoch_data ~epoch:0 () in
@@ -306,7 +316,7 @@ let test_ground_truth_hhh () =
   in
   Alcotest.check prefix_set "true HHHs"
     (List.sort Prefix.compare (F.true_hhh_prefixes ()))
-    (List.sort Prefix.compare (Prefix.Set.elements truth))
+    (prefixes_of truth)
 
 let test_ground_truth_hh_recall_scoring () =
   let spec = F.spec () in
@@ -320,8 +330,8 @@ let test_ground_truth_hh_recall_scoring () =
       items = [ { Report.prefix = F.leaf 0b0000; magnitude = 12.0 } ];
     }
   in
-  let truth = Ground_truth.evaluate gt data report in
-  Alcotest.(check (float 1e-9)) "recall 1/2" 0.5 truth.Ground_truth.real_accuracy
+  Alcotest.(check (float 1e-9)) "recall 1/2" 0.5
+    (Ground_truth.evaluate gt data (items_of_report report))
 
 let test_ground_truth_hhh_precision_scoring () =
   let spec = F.spec ~kind:Task_spec.Hierarchical_heavy_hitter () in
@@ -339,34 +349,36 @@ let test_ground_truth_hhh_precision_scoring () =
         ];
     }
   in
-  let truth = Ground_truth.evaluate gt data report in
-  Alcotest.(check (float 1e-9)) "precision 1/2" 0.5 truth.Ground_truth.real_accuracy
+  Alcotest.(check (float 1e-9)) "precision 1/2" 0.5
+    (Ground_truth.evaluate gt data (items_of_report report))
 
 let test_ground_truth_vacuous_accuracy () =
   let spec = F.spec ~threshold:1000.0 () in
   let gt = Ground_truth.create spec in
   let data = F.epoch_data ~epoch:0 () in
-  let report = { Report.kind = Task_spec.Heavy_hitter; epoch = 0; items = [] } in
-  let truth = Ground_truth.evaluate gt data report in
-  Alcotest.(check (float 1e-9)) "no true items: recall 1" 1.0 truth.Ground_truth.real_accuracy
+  Alcotest.(check (float 1e-9)) "no true items: recall 1" 1.0
+    (Ground_truth.evaluate gt data (Items.create ()))
 
 let test_ground_truth_cd_changes () =
   let spec = F.spec ~kind:Task_spec.Change_detection () in
-  let gt = Ground_truth.create spec in
   let steady = F.epoch_data ~epoch:0 () in
-  let empty_report = { Report.kind = Task_spec.Change_detection; epoch = 0; items = [] } in
-  (* Warm the means. *)
-  for _ = 0 to 5 do
-    ignore (Ground_truth.evaluate gt steady empty_report)
-  done;
-  (* 0001 jumps 2 -> 30: ground truth must flag exactly that leaf. *)
+  (* 0001 jumps 2 -> 30: ground truth must flag exactly that leaf.  Recall
+     is 0 for an empty report and 1 for [0001] alone only if the change set
+     is exactly {0001}. *)
   let changed =
     List.map (fun (b, v) -> if b = 0b0001 then (b, 30.0) else (b, v)) F.example_volumes
   in
   let data = F.epoch_data ~volumes:changed ~epoch:6 () in
-  let truth = Ground_truth.evaluate gt data empty_report in
-  Alcotest.check prefix_set "only 0001 changed" [ F.leaf 0b0001 ]
-    (Prefix.Set.elements truth.Ground_truth.true_items)
+  let recall reported =
+    let gt = Ground_truth.create spec in
+    (* Warm the means. *)
+    for _ = 0 to 5 do
+      ignore (Ground_truth.evaluate gt steady (Items.create ()))
+    done;
+    Ground_truth.evaluate gt data (Items.of_keys (List.map Prefix.key reported))
+  in
+  Alcotest.(check (float 1e-9)) "a change happened" 0.0 (recall []);
+  Alcotest.(check (float 1e-9)) "only 0001 changed" 1.0 (recall [ F.leaf 0b0001 ])
 
 (* ---- Properties: convergence to ground truth on random steady traffic ---- *)
 
@@ -403,7 +415,7 @@ let prop_hh_converges_to_truth =
         Ground_truth.true_heavy_hitters (F.spec ())
           data.Dream_traffic.Epoch_data.combined
       in
-      Prefix.Set.equal (Report.prefixes report) truth)
+      Prefix.Set.equal (Report.prefixes report) (Prefix.Set.of_list (prefixes_of truth)))
 
 let prop_hhh_converges_to_truth =
   QCheck.Test.make ~name:"HHH report = ground truth on steady traffic" ~count:40 arb_volumes
@@ -414,7 +426,7 @@ let prop_hhh_converges_to_truth =
           (F.spec ~kind:Task_spec.Hierarchical_heavy_hitter ())
           data.Dream_traffic.Epoch_data.combined
       in
-      Prefix.Set.equal (Report.prefixes report) truth)
+      Prefix.Set.equal (Report.prefixes report) (Prefix.Set.of_list (prefixes_of truth)))
 
 (* ---- End-to-end: estimator consistency with ground truth ---- *)
 
@@ -427,7 +439,7 @@ let test_hh_real_accuracy_reaches_one () =
   for epoch = 0 to 5 do
     let data = F.epoch_data ~epoch () in
     let report, _ = F.drive_task task ~data ~allocations ~epoch in
-    final := (Ground_truth.evaluate gt data report).Ground_truth.real_accuracy
+    final := Ground_truth.evaluate gt data (items_of_report report)
   done;
   Alcotest.(check (float 1e-9)) "real recall 1 after convergence" 1.0 !final
 

@@ -361,7 +361,7 @@ let test_phase_views_agree () =
   Alcotest.(check (list string)) "profile paths"
     [
       "epoch"; "epoch/allocate"; "epoch/configure"; "epoch/estimate"; "epoch/fetch";
-      "epoch/rule_sync";
+      "epoch/ground_truth"; "epoch/rule_sync";
     ]
     (List.map (fun s -> s.Profile.path) stats);
   List.iter

@@ -332,6 +332,71 @@ let test_snapshot_restore_bit_identical_generic config =
     (Controller.total_rules_installed original)
     (Controller.total_rules_installed restored)
 
+(* A restored task has not reported: [last_report] is [None] until its
+   first tick, whose report is the list-based oracle's on the counters
+   that tick fetched.  The oracle replays the fetch on a second parse of
+   the same checkpoint: without faults a fetch reads only the checkpointed
+   TCAMs and the task's own traffic source. *)
+let test_last_report_after_restore () =
+  let original = populated_controller () in
+  Controller.run original ~epochs:12;
+  let doc = Controller.snapshot original in
+  let restored =
+    match Controller.restore doc with
+    | Ok c -> c
+    | Error msg -> Alcotest.failf "restore failed: %s" msg
+  in
+  let ids = Controller.active_task_ids restored in
+  Alcotest.(check bool) "tasks running" true (ids <> []);
+  List.iter
+    (fun task_id ->
+      Alcotest.(check bool)
+        (Printf.sprintf "task %d: no report right after restore" task_id)
+        true
+        (Controller.last_report restored ~task_id = None))
+    ids;
+  Controller.tick restored;
+  let cp =
+    match Dream_core.Checkpoint.parse doc with
+    | Ok cp -> cp
+    | Error msg -> Alcotest.failf "parse failed: %s" msg
+  in
+  let registry = Dream_obs.Registry.create () in
+  let fetch =
+    Dream_core.Fetch.create ~config:cp.Dream_core.Checkpoint.config
+      ~planes:(Array.map (fun sw -> Dream_switch.Data_plane.create sw) cp.Dream_core.Checkpoint.switches)
+      ~breakers:[||] ~faults:None ~tallies:(Metrics.Tallies.of_registry registry) ~registry
+      ~trace:None
+  in
+  let epoch = cp.Dream_core.Checkpoint.epoch in
+  Dream_core.Fetch.begin_epoch fetch ~epoch;
+  let same_item (a : Dream_tasks.Report.item) (b : Dream_tasks.Report.item) =
+    Prefix.equal a.Dream_tasks.Report.prefix b.Dream_tasks.Report.prefix
+    && Int64.equal
+         (Int64.bits_of_float a.Dream_tasks.Report.magnitude)
+         (Int64.bits_of_float b.Dream_tasks.Report.magnitude)
+  in
+  List.iter
+    (fun (r : Dream_core.Runtime.t) ->
+      let task = r.Dream_core.Runtime.task and task_id = Dream_core.Runtime.id r in
+      ignore (Dream_core.Fetch.read fetch r (Dream_core.Fetch.draw fetch r));
+      let expected, _ =
+        Reference_estimate.report_and_estimate (Dream_tasks.Task.monitor task)
+          ~allocations:(Dream_tasks.Task.allocations task) ~epoch
+      in
+      match Controller.last_report restored ~task_id with
+      | None -> Alcotest.failf "task %d: no report after one tick" task_id
+      | Some report ->
+        Alcotest.(check int) (Printf.sprintf "task %d: epoch" task_id) epoch
+          report.Dream_tasks.Report.epoch;
+        Alcotest.(check bool)
+          (Printf.sprintf "task %d: report = oracle's" task_id)
+          true
+          (report.Dream_tasks.Report.kind = expected.Dream_tasks.Report.kind
+          && List.equal same_item report.Dream_tasks.Report.items
+               expected.Dream_tasks.Report.items))
+    cp.Dream_core.Checkpoint.runtimes
+
 let test_snapshot_restore_bit_identical () =
   test_snapshot_restore_bit_identical_generic Config.default
 
@@ -854,6 +919,8 @@ let () =
       ( "snapshot",
         [
           Alcotest.test_case "restore is bit-identical" `Quick test_snapshot_restore_bit_identical;
+          Alcotest.test_case "last_report: none after restore, then the oracle's" `Quick
+            test_last_report_after_restore;
           Alcotest.test_case "restore is bit-identical under faults" `Quick
             test_snapshot_restore_with_faults;
           Alcotest.test_case "corruption rejected" `Quick test_restore_rejects_corruption;

@@ -508,15 +508,6 @@ let model_volumes readings p =
         acc pairs)
     Switch_id.Map.empty readings
 
-(* Every node a bottom-up walk visits: prefix, slot (-1 for a structural
-   node), child count. *)
-let visits fold =
-  let seen = ref [] in
-  ignore (fold (fun p slot children -> seen := (p, slot, List.length children) :: !seen));
-  List.rev !seen
-
-let same_visit (p, c, k) (q, d, l) = Prefix.equal p q && k = l && c = d
-
 let map_of_volumes vols =
   List.fold_left (fun acc (sw, v) -> Switch_id.Map.add sw v acc) Switch_id.Map.empty vols
 
@@ -581,18 +572,6 @@ let prop_counter_array_model =
           let expected = List.find_opt (fun i -> Prefix.equal (Monitor.prefix m i) p) cs in
           check "find = list lookup" (Monitor.find m p = expected)
         done;
-        let trie =
-          List.fold_left
-            (fun t i -> Reference_trie.add t (Monitor.prefix m i) i)
-            (Reference_trie.empty filter) cs
-        in
-        let naive =
-          visits (fun f ->
-              Reference_trie.fold_bottom_up trie ~f:(fun p slot children ->
-                  f p (Option.value slot ~default:(-1)) children))
-        in
-        let walked = visits (fun f -> Some (Monitor.fold_bottom_up m ~f)) in
-        check "fold_bottom_up = naive trie fold" (List.equal same_visit walked naive)
       done;
       true)
 
@@ -711,6 +690,104 @@ let prop_columns_match_boxed_reference =
       if emitted Monitor.emit restored <> text then fail "parse/emit round trip" 30;
       true)
 
+(* ---- Differential: reports, estimates and ground truth against the list-based oracles ---- *)
+
+module Task = Dream_tasks.Task
+module Items = Dream_tasks.Items
+module Ground_truth = Dream_tasks.Ground_truth
+
+(* One epoch's network-wide traffic under the filter: flows on a few
+   random leaves, several addresses each, with fractional volumes (so the
+   order of every leaf sum shows), split over two switches; now and then
+   nothing at all. *)
+let random_epoch_data rng ~epoch ~leaf_length =
+  let first = Prefix.first_address oracle_filter in
+  let span = Prefix.size oracle_filter in
+  let flows () =
+    if Rng.int rng 6 = 0 then []
+    else
+      List.init (Rng.int rng 24) (fun _ ->
+          let wild = 32 - leaf_length in
+          let leaf = (Rng.int rng span lsr wild) lsl wild in
+          let addr = first + leaf + Rng.int rng (1 lsl wild) in
+          { Flow.addr; volume = Rng.float rng 40.0 })
+  in
+  Epoch_data.of_flows ~epoch [ (0, flows ()); (1, flows ()) ]
+
+let same_accuracy (a : Accuracy.t) (b : Accuracy.t) =
+  same_float a.Accuracy.global b.Accuracy.global
+  && Array.length a.Accuracy.locals = Array.length b.Accuracy.locals
+  && Array.for_all2 same_float a.Accuracy.locals b.Accuracy.locals
+
+let same_items (items : Items.t) (report : Report.t) =
+  List.length report.Report.items = items.Items.n
+  && List.for_all2
+       (fun (item : Report.item) i ->
+         Prefix.key item.Report.prefix = items.Items.keys.(i)
+         && same_float item.Report.magnitude items.Items.mags.(i))
+       report.Report.items
+       (List.init items.Items.n Fun.id)
+
+let prop_estimates_match_oracles =
+  QCheck.Test.make ~name:"item buffers and key-column truth = list-based oracles, bit for bit"
+    ~count:90
+    QCheck.(triple (int_bound 2) (int_bound 2) (int_bound 1_000_000))
+    (fun (k_index, kind_index, seed) ->
+      let k = [| 2; 4; 8 |].(k_index) in
+      let kind =
+        [| Task_spec.Heavy_hitter; Task_spec.Hierarchical_heavy_hitter; Task_spec.Change_detection |]
+          .(kind_index)
+      in
+      let rng = Rng.create seed in
+      let leaf_length = Rng.pick rng [| 28; 30; 32 |] in
+      let threshold = Rng.pick rng [| 4.0; 20.0; 60.0 |] in
+      let topology =
+        Topology.create (Rng.create seed) ~filter:oracle_filter ~num_switches:(k + 2)
+          ~switches_per_task:k
+      in
+      let spec =
+        Task_spec.make ~kind ~filter:oracle_filter ~leaf_length ~threshold ~cd_history:0.7 ()
+      in
+      (* Twin tasks fed the same readings and allocations: [live] runs the
+         item buffers, [oracle]'s monitor the list-based estimators. *)
+      let live = Task.create ~id:0 ~spec ~topology () in
+      let oracle = Task.create ~id:0 ~spec ~topology () in
+      let truth = Ground_truth.create spec and reference_truth = Reference_ground_truth.create spec in
+      let fail what epoch =
+        QCheck.Test.fail_reportf "%s at epoch %d (k=%d, %s, seed=%d)" what epoch k
+          (Task_spec.kind_to_string kind) seed
+      in
+      for epoch = 0 to 7 do
+        let readings = random_fractional_readings rng (Task.monitor live) ~filter:oracle_filter in
+        Task.ingest_counters live readings;
+        Task.ingest_counters oracle readings;
+        let accuracy = Task.estimate live ~epoch in
+        let report, expected =
+          Reference_estimate.report_and_estimate (Task.monitor oracle)
+            ~allocations:(Task.allocations oracle) ~epoch
+        in
+        if not (same_items (Task.items live) report) then fail "report items" epoch;
+        if not (same_accuracy accuracy expected) then fail "accuracy" epoch;
+        let data = random_epoch_data rng ~epoch ~leaf_length in
+        let real = Ground_truth.evaluate truth data (Task.items live) in
+        let expected_real =
+          (Reference_ground_truth.evaluate reference_truth data report)
+            .Reference_ground_truth.real_accuracy
+        in
+        if not (same_float real expected_real) then fail "real accuracy" epoch;
+        let text = emitted Ground_truth.emit truth in
+        if text <> emitted Reference_ground_truth.emit reference_truth then fail "cd means" epoch;
+        let restored = Ground_truth.parse (Codec.reader_of_string text) ~spec in
+        if emitted Ground_truth.emit restored <> text then fail "cd means round trip" epoch;
+        let allocations = Array.make k 0 in
+        Switch_mask.iter topology
+          (fun _ b -> allocations.(b) <- Rng.int rng 12)
+          (Task.switches live);
+        Task.configure live ~allocations:(Array.copy allocations);
+        Task.configure oracle ~allocations
+      done;
+      true)
+
 (* ---- Partition invariant under random allocation schedules ---- *)
 
 let prop_partition_under_random_allocations =
@@ -791,6 +868,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_rules_for_matches_s_sets;
           QCheck_alcotest.to_alcotest prop_counter_array_model;
           QCheck_alcotest.to_alcotest prop_columns_match_boxed_reference;
+          QCheck_alcotest.to_alcotest prop_estimates_match_oracles;
         ] );
       ( "task-spec",
         [
