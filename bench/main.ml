@@ -31,6 +31,7 @@ let micro_tests () =
   let module Epoch_data = Dream_traffic.Epoch_data in
   let module Task_spec = Dream_tasks.Task_spec in
   let module Task = Dream_tasks.Task in
+  let module Monitor = Dream_tasks.Monitor in
   let module Ground_truth = Dream_tasks.Ground_truth in
   let module Dream_allocator = Dream_alloc.Dream_allocator in
   let module Task_view = Dream_alloc.Task_view in
@@ -56,19 +57,7 @@ let micro_tests () =
   let task = match fixtures with (_, task, _) :: _ -> task | [] -> assert false in
   let allocations = Array.make (Topology.switches_per_task topology) 64 in
   let data = ref (Generator.next generator) in
-  let feed task =
-    let readings =
-      Switch_mask.fold topology
-        (fun sw _ acc ->
-          let aggregate = Epoch_data.switch_view !data sw in
-          let pairs =
-            List.map (fun p -> (p, Aggregate.volume aggregate p)) (Task.desired_rules task sw)
-          in
-          (sw, pairs) :: acc)
-        (Task.switches task) []
-    in
-    Task.ingest_counters task readings
-  in
+  let feed task = Task.read_traffic task !data in
   for epoch = 1 to 30 do
     data := Generator.next generator;
     List.iter
@@ -145,8 +134,10 @@ let micro_tests () =
      `--micro` output shows the cost of the representation itself,
      isolated from the control loop. *)
   let flows = Aggregate.fold agg ~init:[] ~f:(fun acc f -> f :: acc) in
-  let keys = Array.of_list (List.map Prefix.key (Task.desired_rules task 0)) in
-  let n = Array.length keys in
+  let m = Task.monitor task in
+  let first = Monitor.rules_start m 0 in
+  let n = Monitor.rules_stop m 0 first - first in
+  let keys = Array.init n (fun i -> Monitor.key m (first + i)) in
   let vols = Array.make n 0.0 in
   [
     Test.make ~name:"store.build (of_flows)"

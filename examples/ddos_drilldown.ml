@@ -8,10 +8,8 @@
 
 module Rng = Dream_util.Rng
 module Prefix = Dream_prefix.Prefix
-module Switch_mask = Dream_traffic.Switch_mask
 module Flow = Dream_traffic.Flow
 module Epoch_data = Dream_traffic.Epoch_data
-module Aggregate = Dream_traffic.Aggregate
 module Topology = Dream_traffic.Topology
 module Task_spec = Dream_tasks.Task_spec
 module Task = Dream_tasks.Task
@@ -55,15 +53,9 @@ let () =
     let bots = if epoch < 10 then 0 else (epoch - 9) * 8 in
     let flows = background rng @ botnet rng ~bots in
     let data = Epoch_data.of_flows ~epoch (split flows) in
-    let readings =
-      Switch_mask.fold topology
-        (fun sw _ acc ->
-          let agg = Epoch_data.switch_view data sw in
-          (sw, List.map (fun p -> (p, Aggregate.volume agg p)) (Task.desired_rules task sw)) :: acc)
-        (Task.switches task) []
-    in
-    Task.ingest_counters task readings;
-    let report, _ = Task.report_and_estimate task ~epoch in
+    Task.read_traffic task data;
+    ignore (Task.estimate task ~epoch);
+    let report = Option.get (Task.last_report task) in
     Task.configure task ~allocations;
     if epoch mod 5 = 4 then begin
       Printf.printf "epoch %2d (%3d bots): %d HHH prefixes\n" epoch bots (Report.size report);

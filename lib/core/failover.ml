@@ -1,6 +1,8 @@
 module Source = Dream_traffic.Source
 module Data_plane = Dream_switch.Data_plane
+module Tcam = Dream_switch.Tcam
 module Task = Dream_tasks.Task
+module Monitor = Dream_tasks.Monitor
 module Allocator = Dream_alloc.Allocator
 module Journal = Dream_recovery.Journal
 module C = Dream_util.Codec
@@ -64,28 +66,96 @@ let replay (d : Checkpoint.t) journal ~at_epoch =
     let controller_crashes = d.robustness.controller_crashes + 1 in
     Ok { d with epoch = at_epoch; runtimes; robustness = { d.robustness with controller_crashes } }
 
+(* A task's rules on switch [sw]: its monitor's slots [first, stop). *)
+let run_on m sw =
+  let first = Monitor.rules_start m sw in
+  (first, Monitor.rules_stop m sw first)
+
+(* Pass 1 for one owner: delete the keys of its column [have] that the
+   monitor's slots [j, stop) lack, one two-cursor merge.  A removal closes
+   the column up: the next key is at [h]. *)
+let rec remove_strays tcam ~owner have h m j stop removed =
+  if h >= Tcam.count have then removed
+  else begin
+    let key = Tcam.key have h in
+    if j < stop && Monitor.key m j < key then
+      remove_strays tcam ~owner have h m (j + 1) stop removed
+    else if j < stop && Monitor.key m j = key then
+      remove_strays tcam ~owner have (h + 1) m (j + 1) stop removed
+    else begin
+      ignore (Tcam.remove tcam ~owner key);
+      remove_strays tcam ~owner have h m j stop (removed + 1)
+    end
+  end
+
+(* Pass 2 for one owner: install the monitor's slots [j, stop) missing
+   from its column [have]; a landed rule opens the column at [h]. *)
+let rec install_missing tcam ~owner have h m j stop installed =
+  if j >= stop then installed
+  else begin
+    let key = Monitor.key m j in
+    if h < Tcam.count have && Tcam.key have h < key then
+      install_missing tcam ~owner have (h + 1) m j stop installed
+    else if h < Tcam.count have && Tcam.key have h = key then
+      install_missing tcam ~owner have (h + 1) m (j + 1) stop installed
+    else begin
+      match Tcam.install tcam ~owner key with
+      | Ok () -> install_missing tcam ~owner have (h + 1) m (j + 1) stop (installed + 1)
+      | Error (`Capacity | `Duplicate) ->
+        install_missing tcam ~owner have h m (j + 1) stop installed
+    end
+  end
+
+(* Strays go first, every rule of an owner no longer running with them,
+   so reinstalls can never transiently overflow the table (the wanted
+   state fit before the crash).  Recovery runs over the reliable control
+   channel (retried until acked), so installs bypass the fault model's
+   per-message install failures. *)
+let reconcile_switch tcam ~runtimes sw =
+  let removed =
+    Tcam.fold_owners
+      (fun owner have removed ->
+        match List.find_opt (fun r -> Runtime.id r = owner) runtimes with
+        | Some (r : Runtime.t) ->
+          let m = Task.monitor r.task in
+          let first, stop = run_on m sw in
+          remove_strays tcam ~owner have 0 m first stop removed
+        | None ->
+          let n = Tcam.count have in
+          for h = n - 1 downto 0 do
+            ignore (Tcam.remove tcam ~owner (Tcam.key have h))
+          done;
+          removed + n)
+      tcam 0
+  in
+  let installed =
+    List.fold_left
+      (fun installed (r : Runtime.t) ->
+        let m = Task.monitor r.task in
+        let first, stop = run_on m sw in
+        if first = stop then installed
+        else begin
+          let owner = Runtime.id r in
+          install_missing tcam ~owner (Tcam.rules tcam ~owner) 0 m first stop installed
+        end)
+      0 runtimes
+  in
+  (removed, installed)
+
 let reconcile ~planes ~runtimes ~(tallies : Metrics.Tallies.t) ~trace ~epoch =
   Array.iter
     (fun dp ->
-      let sw_id = Data_plane.id dp in
-      let expected =
-        List.filter_map
-          (fun (r : Runtime.t) ->
-            match Task.desired_rules r.task sw_id with
-            | [] -> None
-            | rules -> Some (Runtime.id r, rules))
-          runtimes
-      in
-      match Data_plane.audit dp ~expected with
-      | Ok { Data_plane.strays_removed; missing_installed } ->
-        Ctr.add tallies.reconcile_removed strays_removed;
-        Ctr.add tallies.reconcile_installed missing_installed;
-        if strays_removed + missing_installed > 0 then
+      if not (Data_plane.down dp || Data_plane.partitioned dp) then begin
+        let sw_id = Data_plane.id dp in
+        let removed, installed = reconcile_switch (Data_plane.tcam dp) ~runtimes sw_id in
+        Ctr.add tallies.reconcile_removed removed;
+        Ctr.add tallies.reconcile_installed installed;
+        if removed + installed > 0 then
           Option.iter
             (fun tr ->
               Tr.event tr ~epoch ~name:"reconcile"
-                [ ("switch", Tr.Int sw_id); ("removed", Tr.Int strays_removed);
-                  ("installed", Tr.Int missing_installed) ])
+                [ ("switch", Tr.Int sw_id); ("removed", Tr.Int removed);
+                  ("installed", Tr.Int installed) ])
             trace
-      | Error (`Down | `Unreachable) -> ())
+      end)
     planes

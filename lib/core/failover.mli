@@ -30,8 +30,11 @@ val reconcile :
   trace:Dream_obs.Trace.t option ->
   epoch:int ->
   unit
-(** Audit every reachable switch against the rules [runtimes] want:
-    strays are removed, missing rules installed, and both counted in
-    [tallies] and traced as a [reconcile] event.  A switch that is down or
+(** Audit every reachable switch against the rules [runtimes] want,
+    walking each TCAM column against its task's key run
+    ({!Dream_tasks.Monitor.rules_start}): strays, the rules of owners not
+    in [runtimes] among them, are removed first, then missing rules
+    installed in [runtimes] order while the table has room, both counted
+    in [tallies] and traced as a [reconcile] event.  A switch that is down or
     partitioned is skipped; it gets its rules back through the
     recovered-switch reinstall path once reachable. *)

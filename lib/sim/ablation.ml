@@ -96,18 +96,7 @@ let tcam_vs_sketch ~epochs =
       for epoch = 0 to epochs - 1 do
         let data = Generator.next generator in
         (* TCAM side. *)
-        let readings =
-          Dream_traffic.Switch_mask.fold topology
-            (fun sw _ acc ->
-              let agg = Epoch_data.switch_view data sw in
-              ( sw,
-                List.map
-                  (fun p -> (p, Dream_traffic.Aggregate.volume agg p))
-                  (Task.desired_rules task sw) )
-              :: acc)
-            (Task.switches task) []
-        in
-        Task.ingest_counters task readings;
+        Task.read_traffic task data;
         ignore (Task.estimate task ~epoch);
         let recall = Dream_tasks.Ground_truth.evaluate ground_truth data (Task.items task) in
         Task.configure task ~allocations;

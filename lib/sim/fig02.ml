@@ -1,11 +1,9 @@
 module Rng = Dream_util.Rng
 module Prefix = Dream_prefix.Prefix
-module Switch_mask = Dream_traffic.Switch_mask
 module Topology = Dream_traffic.Topology
 module Generator = Dream_traffic.Generator
 module Profile = Dream_traffic.Profile
 module Epoch_data = Dream_traffic.Epoch_data
-module Aggregate = Dream_traffic.Aggregate
 module Task_spec = Dream_tasks.Task_spec
 module Task = Dream_tasks.Task
 module Items = Dream_tasks.Items
@@ -55,17 +53,7 @@ let make_setup ~seed ~resources =
    counters straight off the per-switch aggregates. *)
 let step s ~epoch =
   let data = Generator.next s.generator in
-  let readings =
-    Switch_mask.fold (Task.topology s.task)
-      (fun sw _ acc ->
-        let aggregate = Epoch_data.switch_view data sw in
-        let pairs =
-          List.map (fun p -> (p, Aggregate.volume aggregate p)) (Task.desired_rules s.task sw)
-        in
-        (sw, pairs) :: acc)
-      (Task.switches s.task) []
-  in
-  Task.ingest_counters s.task readings;
+  Task.read_traffic s.task data;
   ignore (Task.estimate s.task ~epoch);
   Task.configure s.task ~allocations:s.allocations;
   data

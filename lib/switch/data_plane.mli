@@ -67,15 +67,3 @@ val remove : t -> owner:int -> int -> (bool, [ `Down | `Unreachable ]) result
 val crash : t -> unit
 (** Wipe the switch's TCAM (crash semantics: state lost, no priced
     deletes).  The fault model decides {e when}; the controller applies it. *)
-
-type audit_result = { strays_removed : int; missing_installed : int }
-
-val audit :
-  t ->
-  expected:(int * Dream_prefix.Prefix.t list) list ->
-  (audit_result, [ `Down | `Unreachable ]) result
-(** Reconcile the switch's installed rules against [expected] (owner →
-    prefixes, as produced by {!Tcam.dump}): stray rules are deleted first,
-    then missing rules reinstalled, so the table never transiently exceeds
-    capacity.  Each pass is a merge walk of sorted key lists.  Used by controller recovery; [`Down] if the switch is
-    currently crashed (it will be reconciled when it comes back). *)

@@ -58,17 +58,14 @@ let used_by t ~owner =
 let rec prefixes_down keys i acc =
   if i < 0 then acc else prefixes_down keys (i - 1) (Prefix.of_key (get keys i) :: acc)
 
-let rules_of t ~owner =
-  match Hashtbl.find t.tables owner with
-  | col -> prefixes_down col.keys (col.n - 1) []
-  | exception Not_found -> []
+let fold_owners f t acc = Hashtbl.fold f t.tables acc
 
 let dump_owner owner col acc =
   if col.n = 0 then acc else (owner, prefixes_down col.keys (col.n - 1) []) :: acc
 
 let by_owner (a, _) (b, _) = Int.compare a b
 
-let dump t = List.sort by_owner (Hashtbl.fold dump_owner t.tables [])
+let dump t = List.sort by_owner (fold_owners dump_owner t [])
 
 let install t ~owner key =
   let col = rules t ~owner in

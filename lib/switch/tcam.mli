@@ -54,6 +54,11 @@ val count : rules -> int
 val key : rules -> int -> int
 (** [key rules i] is the [i]-th smallest key, [0 <= i < count rules]. *)
 
+val fold_owners : (int -> rules -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over every owner holding a column (perhaps an empty one), in no
+    set order.  [f] may {!install} and {!remove} rules of the owners it
+    is given, but must not add or drop an owner's column. *)
+
 (** {2 Updates and reads} *)
 
 val install : t -> owner:int -> int -> (unit, [ `Capacity | `Duplicate ]) result
@@ -83,16 +88,7 @@ val stats : t -> stats
 
 val reset_stats : t -> unit
 
-(** {2 List views}
-
-    For checkpoints, audits and invariant checks, off the per-epoch
-    path. *)
-
-val rules_of : t -> owner:int -> Dream_prefix.Prefix.t list
-(** Installed prefixes of one task, strictly increasing in
-    {!Dream_prefix.Prefix.compare} order. *)
-
 val dump : t -> (int * Dream_prefix.Prefix.t list) list
 (** Every installed rule, grouped by owner in owner order with prefixes in
-    prefix order — the deterministic full-table view used by checkpoints
-    and the recovery audit. *)
+    prefix order: the deterministic full-table view of checkpoints and the
+    orphan-rules invariant, off the per-epoch path. *)

@@ -394,13 +394,6 @@ let rules_stop t sw first =
 
 let key t i = get t.keys i
 
-let rec prefixes_down t ~first i acc =
-  if i < first then acc else prefixes_down t ~first (i - 1) (prefix t i :: acc)
-
-let rules_for t sw =
-  let first = rules_start t sw in
-  prefixes_down t ~first (rules_stop t sw first - 1) []
-
 let clear_readings t =
   let keep = lnot (presence_mask t.k) in
   for i = 0 to t.n - 1 do
@@ -441,16 +434,6 @@ let seal_readings t =
     seal_total t i;
     set t.flags i (get t.flags i land lnot fresh_flag)
   done
-
-let ingest_readings t readings =
-  clear_readings t;
-  List.iter
-    (fun (sw, pairs) ->
-      let keys = Array.of_list (List.map (fun (p, _) -> Prefix.key p) pairs) in
-      let vols = Array.of_list (List.map snd pairs) in
-      ingest t sw ~keys ~vols (Array.length keys))
-    readings;
-  seal_readings t
 
 (* Sub-filters of [mask] where one more entry would exceed the allocation
    of the running configure. *)

@@ -13,8 +13,8 @@
     columns (DESIGN §3): a slot's prefix, S set, flags, total, score, CD
     mean and per-switch volumes.  Since the counters partition the filter,
     the counters under any prefix are one contiguous run of slots, so
-    lookups, merges, rule lists and trie walks are bisects over the table,
-    and a merge or divide is one shift of each column.  A slot index stays
+    lookups, merges, a switch's rules and trie walks are bisects over the
+    table, and a merge or divide is one shift of each column.  A slot index stays
     valid until the next {!configure}, which moves slots.
 
     Switch sets are {!Dream_traffic.Switch_mask} bitmasks over the task's
@@ -153,11 +153,6 @@ val rules_stop : t -> Dream_traffic.Switch_id.t -> int -> int
 val key : t -> int -> int
 (** The slot's prefix as a packed key. *)
 
-val rules_for : t -> Dream_traffic.Switch_id.t -> Dream_prefix.Prefix.t list
-(** The prefixes of slots [rules_start, rules_stop), in
-    {!Dream_prefix.Prefix.compare} order: the list view of a switch's
-    rules, for checks and examples off the per-epoch path. *)
-
 val clear_readings : t -> unit
 (** Start delivering an epoch's readings (Algorithm 1 line 2): every
     counter forgets its volumes. *)
@@ -173,11 +168,6 @@ val ingest :
 val seal_readings : t -> unit
 (** Finish delivering: every counter's total is its new volumes' sum, and
     no counter is fresh any more. *)
-
-val ingest_readings :
-  t -> (Dream_traffic.Switch_id.t * (Dream_prefix.Prefix.t * float) list) list -> unit
-(** {!clear_readings}, one {!ingest} per listed switch, {!seal_readings}:
-    the list view, for tests and examples. *)
 
 val bottlenecked : t -> allocations:int array -> Dream_traffic.Switch_mask.t
 (** Switches where the task has used its entire allocation — the switches

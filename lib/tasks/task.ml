@@ -1,5 +1,7 @@
 module Switch_mask = Dream_traffic.Switch_mask
 module Topology = Dream_traffic.Topology
+module Aggregate = Dream_traffic.Aggregate
+module Epoch_data = Dream_traffic.Epoch_data
 module Ewma = Dream_util.Ewma
 
 type accuracy_mode = Overall | Global_only
@@ -67,9 +69,24 @@ let topology t = t.topology
 let switches t = Monitor.switches t.monitor
 let allocations t = t.allocations
 
-let desired_rules t sw = Monitor.rules_for t.monitor sw
-
-let ingest_counters t readings = Monitor.ingest_readings t.monitor readings
+(* Each switch's key run, answered by its aggregate as a TCAM column
+   would be; one buffer pair holds any run. *)
+let read_traffic t data =
+  let m = t.monitor in
+  let keys = Array.make (Monitor.num_counters m) 0 in
+  let vols = Array.make (Monitor.num_counters m) 0.0 in
+  Monitor.clear_readings m;
+  Switch_mask.iter t.topology
+    (fun sw _ ->
+      let first = Monitor.rules_start m sw in
+      let n = Monitor.rules_stop m sw first - first in
+      for i = 0 to n - 1 do
+        keys.(i) <- Monitor.key m (first + i)
+      done;
+      Aggregate.read_keys (Epoch_data.switch_view data sw) ~keys ~n vols;
+      Monitor.ingest m sw ~keys ~vols n)
+    (Monitor.switches m);
+  Monitor.seal_readings m
 
 let overall_filter t b =
   t.overall_used <- t.overall_used lor (1 lsl b);
@@ -114,10 +131,6 @@ let items t = t.items
 let last_report t =
   if t.reported_at < 0 then None
   else Some (Report.of_items ~kind:t.spec.Task_spec.kind ~epoch:t.reported_at t.items)
-
-let report_and_estimate t ~epoch =
-  let accuracy = estimate t ~epoch in
-  (Report.of_items ~kind:t.spec.Task_spec.kind ~epoch t.items, accuracy)
 
 let decay_accuracy t ?bit ~factor () =
   Ewma.scale t.global_acc factor;

@@ -1,11 +1,13 @@
 (** A task object (Section 5.1, Algorithm 1).
 
     The controller drives one of these per admitted task, each epoch:
-    {!ingest_counters} (fetch), {!estimate} (createReport and
+    fetch (the switches' readings of the rules its monitor configured,
+    delivered through {!Monitor.ingest}), {!estimate} (createReport and
     estimateAccuracy, which also folds the raw estimates into the
-    EWMA-smoothed overall accuracies the allocator reads), then — after the allocator has decided — {!configure}
-    (configureCounters) with the new per-switch allocations, and finally
-    {!desired_rules} to save counters to each switch.
+    EWMA-smoothed overall accuracies the allocator reads), then — after
+    the allocator has decided — {!configure} (configureCounters) with the
+    new per-switch allocations, and finally rule sync, which saves the
+    monitor's key run on each switch ({!Monitor.rules_start}) to its TCAM.
 
     Per-switch arguments and values are indexed by the sub-filter bit of
     the task's topology ({!Dream_traffic.Switch_mask}); only the functions
@@ -42,16 +44,13 @@ val allocations : t -> int array
     counter per relevant switch before the first allocation).  Do not
     mutate. *)
 
-val desired_rules : t -> Dream_traffic.Switch_id.t -> Dream_prefix.Prefix.t list
-(** {!Monitor.rules_for}: the list view of a switch's rules.  The
-    controller's rule sync walks the monitor's key column instead
-    ({!Monitor.rules_start}). *)
-
-val ingest_counters :
-  t -> (Dream_traffic.Switch_id.t * (Dream_prefix.Prefix.t * float) list) list -> unit
-(** {!Monitor.ingest_readings}: the list view of a fetch.  The
-    controller's fetch delivers key and volume columns instead
-    ({!Monitor.ingest}). *)
+val read_traffic : t -> Dream_traffic.Epoch_data.t -> unit
+(** A fault-free fetch without a TCAM: on every switch the task sees, its
+    monitor's key run read off that switch's aggregate
+    ({!Dream_traffic.Aggregate.read_keys}) and delivered between
+    {!Monitor.clear_readings} and {!Monitor.seal_readings}.  For drivers
+    of a bare task (figures, examples, tests); the controller fetches from
+    the switches' TCAMs. *)
 
 val estimate : t -> epoch:int -> Accuracy.t
 (** This epoch's report, written into {!items}, and raw accuracy
@@ -66,10 +65,6 @@ val items : t -> Items.t
 val last_report : t -> Report.t option
 (** The last {!estimate}'s report, built from {!items}; [None] before the
     first since {!create} or {!parse}. *)
-
-val report_and_estimate : t -> epoch:int -> Report.t * Accuracy.t
-(** {!estimate}, with its report built as a [Report.t]: for readers off
-    the per-epoch path. *)
 
 val smoothed_global : t -> float
 (** EWMA-smoothed estimated global accuracy (1 before any estimate). *)

@@ -2,10 +2,6 @@ let mean = function
   | [] -> 0.0
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let mean_array a =
-  if Array.length a = 0 then 0.0
-  else Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
-
 let stddev xs =
   match xs with
   | [] | [ _ ] -> 0.0
@@ -71,7 +67,3 @@ let summarize = function
         p95 = percentile 95.0 xs;
         max = maximum xs;
       }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f p5=%.3f med=%.3f p95=%.3f max=%.3f"
-    s.count s.mean s.stddev s.min s.p5 s.median s.p95 s.max

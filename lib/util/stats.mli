@@ -7,8 +7,6 @@
 val mean : float list -> float
 (** Arithmetic mean; 0 for the empty list. *)
 
-val mean_array : float array -> float
-
 val stddev : float list -> float
 (** Population standard deviation; 0 for fewer than two samples. *)
 
@@ -45,5 +43,3 @@ type summary = {
 
 val summarize : float list -> summary option
 (** [None] on the empty list. *)
-
-val pp_summary : Format.formatter -> summary -> unit

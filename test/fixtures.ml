@@ -12,6 +12,7 @@ module Epoch_data = Dream_traffic.Epoch_data
 module Task_spec = Dream_tasks.Task_spec
 module Task = Dream_tasks.Task
 module Monitor = Dream_tasks.Monitor
+module Tcam = Dream_switch.Tcam
 module Score = Dream_tasks.Score
 
 (* A 4-bit universe: filter 10.0.0.0/28, leaves at /32, threshold 10.
@@ -72,17 +73,49 @@ let allocations_of task n =
 (* Feed one epoch of data through a task object (fetch, report, estimate,
    configure), returning the report and the raw estimate. *)
 let drive_task task ~data ~allocations ~epoch =
-  let readings =
-    Switch_mask.fold (Task.topology task)
-      (fun sw _ acc ->
-        let agg = Epoch_data.switch_view data sw in
-        (sw, List.map (fun q -> (q, Aggregate.volume agg q)) (Task.desired_rules task sw)) :: acc)
-      (Task.switches task) []
-  in
-  Task.ingest_counters task readings;
-  let report, estimate = Task.report_and_estimate task ~epoch in
+  Task.read_traffic task data;
+  let estimate = Task.estimate task ~epoch in
+  let report = Option.get (Task.last_report task) in
   Task.configure task ~allocations;
   (report, estimate)
+
+(* ---- List views of a task's rules, for checks ---- *)
+
+(* The prefixes of a monitor's key run on a switch: its rules there, in
+   key order. *)
+let rules_for m sw =
+  let first = Monitor.rules_start m sw in
+  List.init (Monitor.rules_stop m sw first - first) (fun i -> Monitor.prefix m (first + i))
+
+(* The prefixes of an owner's TCAM column, in key order.  Guarded like
+   rule sync: Tcam.rules would add a column for an owner with none. *)
+let tcam_rules tcam ~owner =
+  if Tcam.used_by tcam ~owner = 0 then []
+  else begin
+    let col = Tcam.rules tcam ~owner in
+    List.init (Tcam.count col) (fun i -> Prefix.of_key (Tcam.key col i))
+  end
+
+(* Readings as lists per switch: {!Monitor.clear_readings}, one
+   {!Monitor.ingest} per listed switch, {!Monitor.seal_readings}. *)
+let ingest_readings m readings =
+  Monitor.clear_readings m;
+  List.iter
+    (fun (sw, pairs) ->
+      let keys = Array.of_list (List.map (fun (p, _) -> Prefix.key p) pairs) in
+      let vols = Array.of_list (List.map snd pairs) in
+      Monitor.ingest m sw ~keys ~vols (Array.length keys))
+    readings;
+  Monitor.seal_readings m
+
+(* Every switch's rules paired with their volume in the epoch: the
+   readings a fault-free fetch returns, as lists. *)
+let readings_of m data =
+  Switch_mask.fold (Monitor.topology m)
+    (fun sw _ acc ->
+      let agg = Epoch_data.switch_view data sw in
+      (sw, List.map (fun q -> (q, Aggregate.volume agg q)) (rules_for m sw)) :: acc)
+    (Monitor.switches m) []
 
 (* Run the example for [epochs] epochs with [per_switch] counters. *)
 let converged_task ?kind ?threshold ~per_switch ~epochs () =

@@ -17,7 +17,7 @@ let plan ~installed ~desired =
    installs, unchanged rules untouched.  Refuses up front, leaving the
    table as it was, a set that would not fit. *)
 let sync t ~owner ~prefixes =
-  let to_remove, to_add = plan ~installed:(Tcam.rules_of t ~owner) ~desired:prefixes in
+  let to_remove, to_add = plan ~installed:(Fixtures.tcam_rules t ~owner) ~desired:prefixes in
   let removed = List.length to_remove and added = List.length to_add in
   if Tcam.used t - removed + added > Tcam.capacity t then
     invalid_arg

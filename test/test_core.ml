@@ -472,6 +472,8 @@ module Flow = Dream_traffic.Flow
 
 module Monitor = Dream_tasks.Monitor
 module Rule_sync = Dream_core.Rule_sync
+module Failover = Dream_core.Failover
+module Ctr = Dream_obs.Registry.Counter
 
 (* A task under a random topology of [num_switches] switches whose
    monitor has grown past its first counter (a few driven epochs of random
@@ -518,7 +520,7 @@ let scatter_rules rng planes (r : Runtime.t) filter =
       let tcam = Data_plane.tcam dp in
       List.iter
         (fun q -> if Rng.int rng 3 > 0 then ignore (Tcam.install tcam ~owner:id (Prefix.key q)))
-        (Task.desired_rules r.Runtime.task (Data_plane.id dp));
+        (Fixtures.rules_for (Task.monitor r.Runtime.task) (Data_plane.id dp));
       for _ = 1 to Rng.int rng 8 do
         let length = 24 + Rng.int rng 9 in
         let q = Prefix.make ~bits:(Prefix.bits filter lor Rng.int rng 256) ~length in
@@ -533,7 +535,9 @@ let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
    switch holding the task's rules answers with the task's rules, each
    paired with its aggregate volume, and the monitor takes the readings of
    the rules it still counts.  Other owners' rules stay out of it, and
-   every fetched rule is priced once. *)
+   every fetched rule is priced once.  Once every configured rule is
+   installed, a fetch's totals are those of a twin task fed the same
+   traffic by Task.read_traffic, bit for bit. *)
 let prop_fetch_read_fault_free =
   QCheck.Test.make ~name:"fault-free Fetch.read = TCAM rules paired with Aggregate.volume"
     ~count:100 QCheck.(int_bound 1_000_000) (fun seed ->
@@ -558,7 +562,8 @@ let prop_fetch_read_fault_free =
                let sw = Data_plane.id dp in
                if
                  Topology.bit_of_switch topology sw >= 0
-                 && List.exists (Prefix.equal q) (Tcam.rules_of (Data_plane.tcam dp) ~owner:id)
+                 && List.exists (Prefix.equal q)
+                      (Fixtures.tcam_rules (Data_plane.tcam dp) ~owner:id)
                then Some (sw, Aggregate.volume (Epoch_data.switch_view data sw) q)
                else None)
       in
@@ -569,12 +574,30 @@ let prop_fetch_read_fault_free =
             (Tcam.stats tcam).Tcam.fetches = Tcam.used_by tcam ~owner:id)
           planes
       in
-      degraded = Switch_mask.empty && fetched
+      let first_fetch =
+        degraded = Switch_mask.empty && fetched
+        && List.for_all
+             (fun slot ->
+               List.equal
+                 (fun (sa, va) (sb, vb) -> sa = sb && same_float va vb)
+                 (Monitor.volumes m slot) (expected slot))
+             (List.init (Monitor.num_counters m) Fun.id)
+      in
+      let twin, _, _ = grown_task (Rng.create seed) ~id ~num_switches in
+      Array.iter
+        (fun dp ->
+          List.iter
+            (fun q -> ignore (Tcam.install (Data_plane.tcam dp) ~owner:id (Prefix.key q)))
+            (Fixtures.rules_for m (Data_plane.id dp)))
+        planes;
+      Fetch.begin_epoch f ~epoch:1;
+      ignore (Fetch.read f r data);
+      Task.read_traffic twin.Runtime.task data;
+      let totals = Monitor.totals m in
+      let twin_totals = Monitor.totals (Task.monitor twin.Runtime.task) in
+      first_fetch
       && List.for_all
-           (fun slot ->
-             List.equal
-               (fun (sa, va) (sb, vb) -> sa = sb && same_float va vb)
-               (Monitor.volumes m slot) (expected slot))
+           (fun slot -> same_float totals.(slot) twin_totals.(slot))
            (List.init (Monitor.num_counters m) Fun.id))
 
 (* Rule sync is the Set.diff plan of the retired sync path, cut where the
@@ -596,8 +619,8 @@ let prop_rule_sync_matches_set_diff =
         Array.map
           (fun dp ->
             let tcam = Data_plane.tcam dp in
-            let installed = Tcam.rules_of tcam ~owner:id in
-            let desired = Task.desired_rules task (Data_plane.id dp) in
+            let installed = Fixtures.tcam_rules tcam ~owner:id in
+            let desired = Fixtures.rules_for (Task.monitor task) (Data_plane.id dp) in
             let to_remove, to_add = Reference_sync.plan ~installed ~desired in
             let take n l = List.filteri (fun i _ -> i < n) l in
             let left = match budget with Some b -> b | None -> max_int in
@@ -632,9 +655,87 @@ let prop_rule_sync_matches_set_diff =
                  List.init r.Runtime.last_install_counts.(b) (fun i ->
                      Prefix.of_key r.Runtime.fresh_rules.(b).(i))
              in
-             List.equal Prefix.equal (Tcam.rules_of (Data_plane.tcam dp) ~owner:id) final
+             List.equal Prefix.equal (Fixtures.tcam_rules (Data_plane.tcam dp) ~owner:id) final
              && List.equal Prefix.equal fresh added)
            planes expected)
+
+(* Fail-over's column reconcile is the retired list audit
+   (Reference_audit), switch by switch, on tables tampered with the ways
+   an outage leaves them: live tasks' rules missing, strays under live
+   owners, rules of owners no longer running, and now and then a table
+   filled to capacity.  Both leave the same table, price the same churn
+   (Fig 17 and switches.csv read the stats) and count the same strays
+   and reinstalls. *)
+let prop_reconcile_matches_list_audit =
+  QCheck.Test.make ~name:"fail-over reconcile = list audit oracle" ~count:200
+    QCheck.(int_bound 1_000_000) (fun seed ->
+      let rng = Rng.create seed in
+      let num_switches = 4 in
+      let runtimes =
+        List.init (1 + Rng.int rng 3) (fun i ->
+            let r, _, _ = grown_task rng ~id:(i + 1) ~num_switches in
+            r)
+      in
+      let capacity = 4 + Rng.int rng 40 in
+      let planes = Array.map Data_plane.create (Switch.network ~num_switches ~capacity) in
+      let oracle = Array.init num_switches (fun _ -> Tcam.create ~capacity) in
+      (* Each tampering lands on both tables alike. *)
+      let install sw ~owner key =
+        ignore (Tcam.install (Data_plane.tcam planes.(sw)) ~owner key);
+        ignore (Tcam.install oracle.(sw) ~owner key)
+      in
+      let filter = Prefix.of_string "10.1.0.0/24" in
+      let random_key () =
+        let bits = Prefix.bits filter lor Rng.int rng 256 in
+        Prefix.key (Prefix.make ~bits ~length:(24 + Rng.int rng 9))
+      in
+      let orphan () = 10 + Rng.int rng 3 in
+      for sw = 0 to num_switches - 1 do
+        List.iter
+          (fun (r : Runtime.t) ->
+            let owner = Runtime.id r in
+            List.iter
+              (fun q -> if Rng.int rng 3 > 0 then install sw ~owner (Prefix.key q))
+              (Fixtures.rules_for (Task.monitor r.Runtime.task) sw);
+            for _ = 1 to Rng.int rng 4 do
+              install sw ~owner (random_key ())
+            done)
+          runtimes;
+        for _ = 1 to Rng.int rng 6 do
+          install sw ~owner:(orphan ()) (random_key ())
+        done;
+        if Rng.int rng 3 = 0 then
+          while Tcam.free oracle.(sw) > 0 do
+            let live = 1 + Rng.int rng (List.length runtimes) in
+            install sw ~owner:(if Rng.bool rng then orphan () else live) (random_key ())
+          done;
+        Tcam.reset_stats (Data_plane.tcam planes.(sw));
+        Tcam.reset_stats oracle.(sw)
+      done;
+      let same_dump a b =
+        List.equal (fun (o, ps) (o', ps') -> o = o' && List.equal Prefix.equal ps ps') a b
+      in
+      Array.for_all2
+        (fun dp tcam ->
+          let sw = Data_plane.id dp in
+          let expected =
+            Reference_audit.audit tcam
+              ~expected:
+                (List.filter_map
+                   (fun (r : Runtime.t) ->
+                     match Fixtures.rules_for (Task.monitor r.Runtime.task) sw with
+                     | [] -> None
+                     | rules -> Some (Runtime.id r, rules))
+                   runtimes)
+          in
+          let tallies = Metrics.Tallies.of_registry (Dream_obs.Registry.create ()) in
+          Failover.reconcile ~planes:[| dp |] ~runtimes ~tallies ~trace:None ~epoch:0;
+          let live = Data_plane.tcam dp in
+          Ctr.value tallies.reconcile_removed = expected.Reference_audit.strays_removed
+          && Ctr.value tallies.reconcile_installed = expected.Reference_audit.missing_installed
+          && same_dump (Tcam.dump live) (Tcam.dump tcam)
+          && Tcam.stats live = Tcam.stats tcam)
+        planes oracle)
 
 let () =
   Alcotest.run "dream.core"
@@ -670,4 +771,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_fetch_read_fault_free;
           QCheck_alcotest.to_alcotest prop_rule_sync_matches_set_diff;
         ] );
+      ("failover", [ QCheck_alcotest.to_alcotest prop_reconcile_matches_list_audit ]);
     ]

@@ -138,19 +138,7 @@ let test_hhh_residual_magnitudes () =
 let root_only_detection ~threshold =
   let spec = F.spec ~kind:Task_spec.Hierarchical_heavy_hitter ~threshold () in
   let task = Task.create ~id:0 ~spec ~topology:(F.topology ()) () in
-  let data = F.epoch_data ~epoch:0 () in
-  let readings =
-    Dream_traffic.Switch_mask.fold (Task.topology task)
-      (fun sw _ acc ->
-        let agg = Dream_traffic.Epoch_data.switch_view data sw in
-        ( sw,
-          List.map
-            (fun q -> (q, Dream_traffic.Aggregate.volume agg q))
-            (Task.desired_rules task sw) )
-        :: acc)
-      (Task.switches task) []
-  in
-  Task.ingest_counters task readings;
+  Task.read_traffic task (F.epoch_data ~epoch:0 ());
   let items = Items.create ~values:true () in
   Hhh.detect (Hhh.create (Task.monitor task) items);
   List.init items.Items.n (fun i -> items.Items.vals.(i))
@@ -193,19 +181,7 @@ let test_hhh_recall_estimate () =
      configuring so the monitor still holds only the root. *)
   let spec = F.spec ~kind:Task_spec.Hierarchical_heavy_hitter () in
   let coarse = Task.create ~id:1 ~spec ~topology:(F.topology ()) () in
-  let data = F.epoch_data ~epoch:0 () in
-  let readings =
-    Dream_traffic.Switch_mask.fold (Task.topology coarse)
-      (fun sw _ acc ->
-        let agg = Dream_traffic.Epoch_data.switch_view data sw in
-        ( sw,
-          List.map
-            (fun q -> (q, Dream_traffic.Aggregate.volume agg q))
-            (Task.desired_rules coarse sw) )
-        :: acc)
-      (Task.switches coarse) []
-  in
-  Task.ingest_counters coarse readings;
+  Task.read_traffic coarse (F.epoch_data ~epoch:0 ());
   Alcotest.(check (float 1e-9)) "coarse recall 1/4" 0.25
     (Hhh.estimate_recall (Task.monitor coarse))
 

@@ -872,6 +872,51 @@ let test_invariant_detects_orphan_rule () =
   Alcotest.(check bool) "orphan rule flagged" true
     (List.exists (fun v -> v.Invariant.code = "orphan-rules") violations)
 
+(* One stray under a live task's owner and one of its rules lost, on a
+   reachable switch: one rules-match violation, counting both, and the
+   check leaves every table as it was.  A task with no rules left on a
+   switch gets no column made for it by the check either. *)
+let test_invariant_detects_rules_mismatch () =
+  let controller = populated_controller () in
+  Controller.run controller ~epochs:20;
+  Alcotest.(check int) "healthy before tampering" 0
+    (List.length (Controller.check_invariants_now controller));
+  let switches = Controller.switches controller in
+  let tcam = Switch.tcam switches.(0) in
+  let owner, lost =
+    match Tcam.dump tcam with
+    | (owner, p :: _) :: _ -> (owner, p)
+    | _ -> Alcotest.fail "expected a live task's rule on switch 0"
+  in
+  Alcotest.(check bool) "rule lost" true (Tcam.remove tcam ~owner (Prefix.key lost));
+  (* A child of a configured counter is never configured itself. *)
+  let stray = Prefix.nth_descendant lost ~length:(Prefix.length lost + 1) 0 in
+  (match Tcam.install tcam ~owner (Prefix.key stray) with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "stray install must fit");
+  let owners tcam = Tcam.fold_owners (fun _ _ n -> n + 1) tcam 0 in
+  let tables () =
+    Array.map (fun sw -> (Tcam.dump (Switch.tcam sw), owners (Switch.tcam sw))) switches
+  in
+  let before = tables () in
+  let rules = Tcam.used_by tcam ~owner in
+  let expected =
+    Printf.sprintf "task %d on switch 0: %d rules installed, %d configured (1 stray, 1 missing)"
+      owner rules rules
+  in
+  (match Controller.check_invariants_now controller with
+  | [ v ] ->
+    Alcotest.(check string) "code" "rules-match" v.Invariant.code;
+    Alcotest.(check string) "detail" expected v.Invariant.detail
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs));
+  Alcotest.(check bool) "tables unchanged by the check" true (tables () = before);
+  (* Every rule of the task gone from switch 1, its column with them. *)
+  ignore (Tcam.remove_owner (Switch.tcam switches.(1)) ~owner);
+  let before = tables () in
+  Alcotest.(check int) "two tables mismatch" 2
+    (List.length (Controller.check_invariants_now controller));
+  Alcotest.(check bool) "no column made by the check" true (tables () = before)
+
 (* The trace is the controller's only event channel, so the violation's
    text travels on the [invariant_violation] event itself. *)
 let test_invariant_violation_traced () =
@@ -947,6 +992,7 @@ let () =
         [
           Alcotest.test_case "clean run has no violations" `Quick test_invariant_clean_run;
           Alcotest.test_case "orphan rule detected" `Quick test_invariant_detects_orphan_rule;
+          Alcotest.test_case "rules mismatch detected" `Quick test_invariant_detects_rules_mismatch;
           Alcotest.test_case "violation text traced" `Quick test_invariant_violation_traced;
         ] );
     ]

@@ -103,8 +103,8 @@ let test_sync_incremental () =
     Alcotest.(check int) "added as the Set.diff oracle" o.Reference_sync.added d.added;
     Alcotest.(check int) "removed as the Set.diff oracle" o.Reference_sync.removed d.removed;
     Alcotest.(check (list string)) "same table as the oracle"
-      (List.map Prefix.to_string (Tcam.rules_of oracle ~owner:1))
-      (List.map Prefix.to_string (Tcam.rules_of t ~owner:1))
+      (List.map Prefix.to_string (Fixtures.tcam_rules oracle ~owner:1))
+      (List.map Prefix.to_string (Fixtures.tcam_rules t ~owner:1))
   in
   step [ p "10.0.0.0/8"; p "11.0.0.0/8" ] ~added:2 ~removed:0;
   (* One rule kept, one swapped. *)
@@ -121,7 +121,7 @@ let test_sync_capacity_guard () =
   Alcotest.(check int) "oversync install refused" 1 d.refused;
   Alcotest.(check int) "table stays at capacity" 2 (Tcam.used t);
   Alcotest.(check (list string)) "kept rule untouched" [ "10.0.0.0/8" ]
-    (List.map Prefix.to_string (Tcam.rules_of t ~owner:1));
+    (List.map Prefix.to_string (Fixtures.tcam_rules t ~owner:1));
   Alcotest.(check bool) "Set.diff oracle refuses up front" true
     (try
        ignore (Reference_sync.sync t ~owner:1 ~prefixes:[ p "10.0.0.0/8"; p "12.0.0.0/8" ]);
@@ -160,7 +160,7 @@ let test_rules_sorted () =
   let t = Tcam.create ~capacity:8 in
   ignore (sync t ~owner:1 ~prefixes:[ p "11.0.0.0/8"; p "10.0.0.0/8" ]);
   Alcotest.(check (list string)) "prefix order" [ "10.0.0.0/8"; "11.0.0.0/8" ]
-    (List.map Prefix.to_string (Tcam.rules_of t ~owner:1))
+    (List.map Prefix.to_string (Fixtures.tcam_rules t ~owner:1))
 
 (* ---- Switch ---- *)
 
@@ -275,7 +275,7 @@ let prop_sorted_merge_matches_set_diff =
       && List.rev !installs = keys to_add
       && d.removed = List.length to_remove
       && d.added = List.length to_add
-      && List.equal Prefix.equal (Tcam.rules_of t ~owner:1) desired)
+      && List.equal Prefix.equal (Fixtures.tcam_rules t ~owner:1) desired)
 
 (* ---- the set-based TCAM as a differential oracle ---- *)
 

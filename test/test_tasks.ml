@@ -8,7 +8,6 @@ module Switch_id = Dream_traffic.Switch_id
 module Switch_mask = Dream_traffic.Switch_mask
 module Topology = Dream_traffic.Topology
 module Flow = Dream_traffic.Flow
-module Aggregate = Dream_traffic.Aggregate
 module Epoch_data = Dream_traffic.Epoch_data
 module Task_spec = Dream_tasks.Task_spec
 module Monitor = Dream_tasks.Monitor
@@ -60,15 +59,7 @@ let example_epoch ~epoch =
 (* Drive one measurement epoch by hand: read desired rules straight off the
    aggregates, score, and configure. *)
 let step monitor ~allocations ~epoch =
-  let data = example_epoch ~epoch in
-  let readings =
-    Switch_mask.fold (Monitor.topology monitor)
-      (fun sw _ acc ->
-        let agg = Epoch_data.switch_view data sw in
-        (sw, List.map (fun q -> (q, Aggregate.volume agg q)) (Monitor.rules_for monitor sw)) :: acc)
-      (Monitor.switches monitor) []
-  in
-  Monitor.ingest_readings monitor readings;
+  Fixtures.ingest_readings monitor (Fixtures.readings_of monitor (example_epoch ~epoch));
   Score.apply monitor;
   Monitor.configure monitor ~allocations
 
@@ -88,7 +79,7 @@ let single_counter ?(kind = Task_spec.Heavy_hitter) ?(cd_history = 0.8) p =
   Monitor.create ~spec ~topology
 
 (* Replace the counter's volumes with one reading on switch 0. *)
-let read_volume m v = Monitor.ingest_readings m [ (0, [ (Monitor.prefix m 0, v) ]) ]
+let read_volume m v = Fixtures.ingest_readings m [ (0, [ (Monitor.prefix m 0, v) ]) ]
 
 let test_counter_basics () =
   let m = single_counter (sub 0b01 30) in
@@ -165,7 +156,7 @@ let test_monitor_zero_allocation_uninstalls () =
   allocations.(Topology.bit_of_switch topology 0) <- 4;
   step m ~allocations ~epoch:0;
   Alcotest.(check (list string)) "no rules on switch 1" []
-    (List.map Prefix.to_string (Monitor.rules_for m 1));
+    (List.map Prefix.to_string (Fixtures.rules_for m 1));
   Alcotest.(check bool) "switch 1 inactive" false (Switch_mask.mem topology 1 (Monitor.active m));
   Alcotest.(check bool) "switch 0 active" true (Switch_mask.mem topology 0 (Monitor.active m))
 
@@ -251,14 +242,7 @@ let test_monitor_eight_switches () =
              | None -> None)
            example_flows)
     in
-    let readings =
-      Switch_mask.fold topology
-        (fun sw _ acc ->
-          let agg = Epoch_data.switch_view data sw in
-          (sw, List.map (fun q -> (q, Aggregate.volume agg q)) (Monitor.rules_for m sw)) :: acc)
-        (Monitor.switches m) []
-    in
-    Monitor.ingest_readings m readings;
+    Fixtures.ingest_readings m (Fixtures.readings_of m data);
     Score.apply m;
     Monitor.configure m ~allocations;
     Alcotest.(check bool) "partition" true (Monitor.is_partition m);
@@ -479,7 +463,7 @@ let prop_rules_for_matches_s_sets =
                     (counters m)
                 else []
               in
-              List.equal Prefix.equal (Monitor.rules_for m sw) expected)
+              List.equal Prefix.equal (Fixtures.rules_for m sw) expected)
             (List.init (k + 2) Fun.id))
         (List.init 6 Fun.id))
 
@@ -491,7 +475,7 @@ let prop_rules_for_matches_s_sets =
 let random_readings rng m ~filter =
   Switch_mask.fold (Monitor.topology m)
     (fun sw _ acc ->
-      let rules = List.filter (fun _ -> Rng.int rng 4 > 0) (Monitor.rules_for m sw) in
+      let rules = List.filter (fun _ -> Rng.int rng 4 > 0) (Fixtures.rules_for m sw) in
       let again = List.filter (fun _ -> Rng.bool rng) rules in
       let rules = if Rng.bool rng then rules @ again else rules in
       let rules = if Rng.int rng 3 = 0 then random_prefix rng m ~filter :: rules else rules in
@@ -526,7 +510,7 @@ let prop_counter_array_model =
       in
       for _ = 1 to 8 do
         let readings = random_readings rng m ~filter in
-        Monitor.ingest_readings m readings;
+        Fixtures.ingest_readings m readings;
         check "ingest"
           (List.for_all
              (fun i ->
@@ -564,7 +548,7 @@ let prop_counter_array_model =
               List.filter (fun p -> Prefix.covers sub p || Prefix.covers p sub) ps
             in
             check "rules_for = filter by intersection"
-              (List.equal Prefix.equal (Monitor.rules_for m sw)
+              (List.equal Prefix.equal (Fixtures.rules_for m sw)
                  (if active then intersecting else [])))
           (Topology.subfilters topology);
         for _ = 1 to 8 do
@@ -598,7 +582,7 @@ let emitted emit x =
 let random_fractional_readings rng m ~filter =
   Switch_mask.fold (Monitor.topology m)
     (fun sw _ acc ->
-      let rules = List.filter (fun _ -> Rng.int rng 4 > 0) (Monitor.rules_for m sw) in
+      let rules = List.filter (fun _ -> Rng.int rng 4 > 0) (Fixtures.rules_for m sw) in
       let rules = if Rng.bool rng then rules @ List.filter (fun _ -> Rng.bool rng) rules else rules in
       let rules = if Rng.int rng 3 = 0 then random_prefix rng m ~filter :: rules else rules in
       let rules =
@@ -648,8 +632,8 @@ let prop_columns_match_boxed_reference =
               fail "mean" step)
           cs;
         for sw = 0 to num_switches - 1 do
-          if not (List.equal Prefix.equal (Monitor.rules_for m sw) (Reference.rules_for r sw)) then
-            fail "rules_for" step
+          if not (List.equal Prefix.equal (Fixtures.rules_for m sw) (Reference.rules_for r sw))
+          then fail "rules_for" step
         done;
         if emitted Monitor.emit m <> emitted Reference.emit r then fail "emit" step
       in
@@ -658,7 +642,7 @@ let prop_columns_match_boxed_reference =
         (match Rng.int rng 5 with
         | 0 ->
           let readings = random_fractional_readings rng m ~filter:oracle_filter in
-          Monitor.ingest_readings m readings;
+          Fixtures.ingest_readings m readings;
           Reference.ingest r readings
         | 1 ->
           Score.apply m;
@@ -759,8 +743,8 @@ let prop_estimates_match_oracles =
       in
       for epoch = 0 to 7 do
         let readings = random_fractional_readings rng (Task.monitor live) ~filter:oracle_filter in
-        Task.ingest_counters live readings;
-        Task.ingest_counters oracle readings;
+        Fixtures.ingest_readings (Task.monitor live) readings;
+        Fixtures.ingest_readings (Task.monitor oracle) readings;
         let accuracy = Task.estimate live ~epoch in
         let report, expected =
           Reference_estimate.report_and_estimate (Task.monitor oracle)
