@@ -96,20 +96,24 @@ let parse_config r : Config.t =
     end
     else None
   in
-  {
-    Config.allocation_interval;
-    drop_threshold;
-    accuracy_history;
-    epoch_ms;
-    control_delay;
-    score_satisfaction_with;
-    accuracy_mode;
-    install_budget;
-    faults = None;
-    degraded;
-    check_invariants;
-    telemetry = None;
-  }
+  let config =
+    {
+      Config.allocation_interval;
+      drop_threshold;
+      accuracy_history;
+      epoch_ms;
+      control_delay;
+      score_satisfaction_with;
+      accuracy_mode;
+      install_budget;
+      faults = None;
+      degraded;
+      check_invariants;
+      telemetry = None;
+    }
+  in
+  Config.validate config;
+  config
 
 let emit_switch w sw =
   C.section w "switch";
@@ -123,11 +127,12 @@ let emit_switch w sw =
       Runtime.emit_prefixes w "rules" rules)
     dump
 
-(* A switch rebuilt from its dump, with zeroed update stats. *)
-let parse_switch r =
+(* A switch rebuilt from its dump, with zeroed update stats, driven by the
+   checkpoint's fault model. *)
+let parse_switch ?faults r =
   C.expect_section r "switch";
   let id = C.int_field r "id" in
-  let sw = Switch.create ~id ~capacity:(C.int_field r "capacity") in
+  let sw = Switch.create ?faults ~id ~capacity:(C.int_field r "capacity") () in
   let owners = C.int_field r "owners" in
   ignore
     (C.repeat owners (fun () ->
@@ -272,7 +277,7 @@ let parse_body r =
   let faults = if C.bool_field r "has_faults" then Some (Fault_model.parse r) else None in
   let breakers = Array.of_list (C.repeat (C.int_field r "breakers") (fun () -> Breaker.parse r)) in
   let switches =
-    Array.of_list (C.repeat (C.int_field r "num_switches") (fun () -> parse_switch r))
+    Array.of_list (C.repeat (C.int_field r "num_switches") (fun () -> parse_switch ?faults r))
   in
   Array.iteri
     (fun i sw ->

@@ -14,7 +14,8 @@ type t = {
           never saved and parses as [None] *)
   faults : Dream_fault.Fault_model.t option;
   breakers : Dream_switch.Breaker.t array;  (** empty outside degraded mode *)
-  switches : Dream_switch.Switch.t array;  (** ids 0 .. n-1, in order *)
+  switches : Dream_switch.Switch.t array;
+      (** ids 0 .. n-1, in order, driven by the [faults] model *)
   allocator : Dream_alloc.Allocator.t;
   robustness : Metrics.robustness;
   records : Metrics.record list;  (** newest first *)

@@ -38,6 +38,25 @@ let default =
     telemetry = None;
   }
 
+(* Same positive-form checks as Fault_model.validate: NaN fails every
+   comparison, so [not (x > 0.0 && x <= 1.0)] rejects it where
+   [x <= 0.0 || x > 1.0] would wave it through. *)
+let validate t =
+  if t.allocation_interval < 1 then
+    invalid_arg
+      (Printf.sprintf "Config: allocation_interval must be >= 1, got %d" t.allocation_interval);
+  match t.degraded with
+  | Some d ->
+    if not (d.deadline_fraction > 0.0 && d.deadline_fraction <= 1.0) then
+      invalid_arg
+        (Printf.sprintf "Config: degraded.deadline_fraction must be in (0, 1], got %g"
+           d.deadline_fraction);
+    if d.shed_max_staleness < 1 then
+      invalid_arg
+        (Printf.sprintf "Config: degraded.shed_max_staleness must be >= 1, got %d"
+           d.shed_max_staleness)
+  | None -> ()
+
 let prototype =
   {
     default with

@@ -48,7 +48,7 @@ type t = {
           retries, stale-counter fallback, quarantine and reinstall.
           [None] (the default) is the paper's perfectly reliable control
           channel.  The controller has one fetch path either way: without
-          a fault model every data plane reduces exactly to its TCAM (never
+          a fault model every switch reduces exactly to its TCAM (never
           down or partitioned, latency factor 1.0, every read [Ok]), so
           no retry, fallback or extra modelled time can occur. *)
   degraded : degraded option;
@@ -72,6 +72,13 @@ type t = {
           field lives only in memory — checkpoints neither save nor
           restore it. *)
 }
+
+val validate : t -> unit
+(** Reject values the controller cannot run with: an [allocation_interval]
+    below 1, and in [degraded] a [deadline_fraction] outside (0, 1] (NaN
+    included) or a [shed_max_staleness] below 1.  {!Controller.create}
+    and checkpoint parsing both call it.
+    @raise Invalid_argument naming the first bad field. *)
 
 val default : t
 (** interval 2, drop threshold 6, history 0.4, 1000 ms epochs, no control

@@ -1,11 +1,9 @@
 module Switch_mask = Dream_traffic.Switch_mask
 module Topology = Dream_traffic.Topology
-module Arena = Dream_util.Arena
 module Source = Dream_traffic.Source
 module Fault_model = Dream_fault.Fault_model
 module Switch = Dream_switch.Switch
 module Tcam = Dream_switch.Tcam
-module Data_plane = Dream_switch.Data_plane
 module Delay_model = Dream_switch.Delay_model
 module Breaker = Dream_switch.Breaker
 module Task = Dream_tasks.Task
@@ -56,13 +54,13 @@ type t = {
   config : Config.t;
   allocator : Allocator.t;
   switches : Switch.t array;
-  planes : Data_plane.t array;
   faults : Fault_model.t option;
   tel : Obs.Telemetry.t option;
   registry : Obs.Registry.t; (* the bundle's, or a private one when [tel = None] *)
   profile : Obs.Profile.t; (* the bundle's, or a private wall-only one *)
   spans : spans;
   fetch : Fetch.t;
+  rule_sync : Rule_sync.t;
   active : (int, Runtime.t) Hashtbl.t;
   mutable epoch : int;
   mutable next_id : int;
@@ -82,20 +80,17 @@ type t = {
   mutable storm_pending : int;
       (* extra submissions the fault model's admission storm asks the
          driver to inject; read via {!storm_tasks_pending}, reset each tick *)
-  arena : Arena.t;
-      (* per-tick numeric scratch (rule-sync budgets and the like): reset at
-         the top of every tick, never reallocated once slots hit their
-         high-water marks *)
 }
 
 (* The one constructor: [create] starts from an empty controller, a
    restored or failed-over one from a checkpoint. *)
-let make ~config ~allocator ~switches ~planes ~faults ~breakers ~active ~epoch ~next_id ~records =
+let make ~config ~allocator ~switches ~faults ~breakers ~active ~epoch ~next_id ~records =
   let tel = config.Config.telemetry in
   let registry =
     match tel with Some b -> Obs.Telemetry.registry b | None -> Obs.Registry.create ()
   in
   let rob = Metrics.Tallies.of_registry registry in
+  let recovered_now = Array.make (Array.length switches) false in
   let profile =
     match Option.bind tel Obs.Telemetry.profile with
     | Some p -> p
@@ -105,15 +100,17 @@ let make ~config ~allocator ~switches ~planes ~faults ~breakers ~active ~epoch ~
     config;
     allocator;
     switches;
-    planes;
     faults;
     tel;
     registry;
     profile;
     spans = intern_spans profile;
     fetch =
-      Fetch.create ~config ~planes ~breakers ~faults ~tallies:rob ~registry
+      Fetch.create ~config ~switches ~breakers ~faults ~tallies:rob ~registry
         ~trace:(Option.map Obs.Telemetry.trace tel);
+    rule_sync =
+      Rule_sync.create ~switches ~install_budget:config.Config.install_budget
+        ~recovered:recovered_now ~tallies:rob;
     active;
     epoch;
     next_id;
@@ -122,12 +119,11 @@ let make ~config ~allocator ~switches ~planes ~faults ~breakers ~active ~epoch ~
     rules_installed = Obs.Registry.counter registry "rules_installed";
     rules_fetched = Obs.Registry.counter registry "rules_fetched";
     rob;
-    recovered_now = Array.make (Array.length switches) false;
+    recovered_now;
     journal = None;
     crash_pending = false;
     breakers;
     storm_pending = 0;
-    arena = Arena.create ();
   }
 
 let create ~config ~strategy ~num_switches ~capacity =
@@ -136,25 +132,11 @@ let create ~config ~strategy ~num_switches ~capacity =
       (Printf.sprintf "Controller.create: num_switches must be positive, got %d" num_switches);
   if capacity <= 0 then
     invalid_arg (Printf.sprintf "Controller.create: capacity must be positive, got %d" capacity);
-  (* Same positive-form checks as Fault_model.validate: NaN fails every
-     comparison, so [not (x > 0.0 && x <= 1.0)] rejects it where
-     [x <= 0.0 || x > 1.0] would wave it through. *)
-  (match config.Config.degraded with
-  | Some d ->
-    if not (d.Config.deadline_fraction > 0.0 && d.Config.deadline_fraction <= 1.0) then
-      invalid_arg
-        (Printf.sprintf "Controller.create: degraded.deadline_fraction must be in (0, 1], got %g"
-           d.Config.deadline_fraction);
-    if d.Config.shed_max_staleness < 1 then
-      invalid_arg
-        (Printf.sprintf "Controller.create: degraded.shed_max_staleness must be >= 1, got %d"
-           d.Config.shed_max_staleness)
-  | None -> ());
-  let switches = Switch.network ~num_switches ~capacity in
+  Config.validate config;
   let faults =
     Option.map (fun spec -> Fault_model.create spec ~num_switches) config.Config.faults
   in
-  let planes = Array.map (fun sw -> Data_plane.create ?faults sw) switches in
+  let switches = Switch.network ?faults ~num_switches ~capacity () in
   let capacities = Array.to_list (Array.map (fun sw -> (Switch.id sw, capacity)) switches) in
   (* Breakers exist only when both the fault layer and the degraded-mode
      policy are on; an empty array keeps every other path untouched. *)
@@ -169,8 +151,8 @@ let create ~config ~strategy ~num_switches ~capacity =
     Tr.event (Obs.Telemetry.trace b) ~epoch:0 ~name:"fault_spec"
       [ ("spec", Tr.Str (Format.asprintf "%a" Fault_model.pp_spec spec)) ]
   | _ -> ());
-  make ~config ~allocator:(Allocator.create strategy ~capacities) ~switches ~planes ~faults
-    ~breakers ~active:(Hashtbl.create 64) ~epoch:0 ~next_id:0 ~records:[]
+  make ~config ~allocator:(Allocator.create strategy ~capacities) ~switches ~faults ~breakers
+    ~active:(Hashtbl.create 64) ~epoch:0 ~next_id:0 ~records:[]
 
 let epoch t = t.epoch
 
@@ -240,8 +222,8 @@ let check_invariants_now t =
      by design and is reconciled once it becomes reachable again, exactly
      like a down switch. *)
   let up sw =
-    (not (Data_plane.down t.planes.(sw)))
-    && (not (Data_plane.partitioned t.planes.(sw)))
+    (not (Switch.down t.switches.(sw)))
+    && (not (Switch.partitioned t.switches.(sw)))
     &&
     match t.breakers with
     | [||] -> true
@@ -369,7 +351,7 @@ let advance_faults t =
     List.iter
       (fun sw_id ->
         jot t (Journal.Switch_down { epoch = t.epoch; switch = sw_id });
-        Data_plane.crash t.planes.(sw_id);
+        Switch.crash t.switches.(sw_id);
         Ctr.incr t.rob.crashes;
         trace_event t ~name:"switch_crash" [ ("switch", Tr.Int sw_id) ])
       events.Fault_model.crashed;
@@ -438,7 +420,6 @@ let quarantine_allocations t topology allocations =
 
 let begin_epoch t =
   Obs.Profile.start t.profile t.spans.epoch_span;
-  Arena.reset t.arena;
   advance_faults t;
   Fetch.begin_epoch t.fetch ~epoch:t.epoch;
   (* Reset per-epoch switch stats so the delay model prices this epoch. *)
@@ -589,12 +570,7 @@ let configure t survivors =
    space another task is vacating. *)
 let sync_rules t survivors =
   Obs.Profile.start t.profile t.spans.rule_sync;
-  let sync =
-    Rule_sync.create ~planes:t.planes ~arena:t.arena ~install_budget:t.config.Config.install_budget
-      ~recovered:t.recovered_now ~tallies:t.rob
-  in
-  let removals = Rule_sync.remove_stale sync survivors in
-  Rule_sync.install_missing sync survivors;
+  let removals = Rule_sync.sync t.rule_sync survivors in
   Obs.Profile.stop t.profile t.spans.rule_sync;
   List.iter2
     (fun (r : Runtime.t) removed ->
@@ -768,13 +744,13 @@ let checkpoint t =
   s
 
 (* A controller resuming from [d] on the given network. *)
-let of_checkpoint (d : Checkpoint.t) ~switches ~planes ~faults ~tel =
+let of_checkpoint (d : Checkpoint.t) ~switches ~faults ~tel =
   let active = Hashtbl.create 64 in
   List.iter (fun r -> Hashtbl.replace active (Runtime.id r) r) d.runtimes;
   let t =
     make
       ~config:{ d.config with Config.faults = Option.map Fault_model.spec faults; telemetry = tel }
-      ~allocator:d.allocator ~switches ~planes ~faults ~breakers:d.breakers ~active
+      ~allocator:d.allocator ~switches ~faults ~breakers:d.breakers ~active
       ~epoch:d.epoch ~next_id:d.next_id ~records:d.records
   in
   Metrics.Tallies.set t.rob d.robustness;
@@ -784,16 +760,13 @@ let of_checkpoint (d : Checkpoint.t) ~switches ~planes ~faults ~tel =
 
 let restore s =
   Result.map
-    (fun (d : Checkpoint.t) ->
-      let planes = Array.map (fun sw -> Data_plane.create ?faults:d.faults sw) d.switches in
-      of_checkpoint d ~switches:d.switches ~planes ~faults:d.faults ~tel:None)
+    (fun (d : Checkpoint.t) -> of_checkpoint d ~switches:d.switches ~faults:d.faults ~tel:None)
     (Checkpoint.parse s)
 
 (* ---- failover recovery ---- *)
 
 type env = {
   env_switches : Switch.t array;
-  env_planes : Data_plane.t array;
   env_faults : Fault_model.t option;
   env_tel : Obs.Telemetry.t option;
       (* the telemetry bundle outlives the controller too, so a failed-over
@@ -801,7 +774,7 @@ type env = {
 }
 
 let environment t =
-  { env_switches = t.switches; env_planes = t.planes; env_faults = t.faults; env_tel = t.tel }
+  { env_switches = t.switches; env_faults = t.faults; env_tel = t.tel }
 
 let recover ~env ~snapshot ~journal ~at_epoch =
   let ( let* ) = Result.bind in
@@ -813,14 +786,13 @@ let recover ~env ~snapshot ~journal ~at_epoch =
     else Ok ()
   in
   let* replayed = Failover.replay d journal ~at_epoch in
-  (* The network outlives the controller: switches, data planes and the
-     fault model keep their live state, and the snapshot's copies (taken at
-     checkpoint time) are discarded. *)
+  (* The network outlives the controller: the switches and the fault model
+     keep their live state, and the snapshot's copies (taken at checkpoint
+     time) are discarded. *)
   let t =
-    of_checkpoint replayed ~switches:env.env_switches ~planes:env.env_planes
-      ~faults:env.env_faults ~tel:env.env_tel
+    of_checkpoint replayed ~switches:env.env_switches ~faults:env.env_faults ~tel:env.env_tel
   in
-  Failover.reconcile ~planes:t.planes ~runtimes:replayed.runtimes ~tallies:t.rob
+  Failover.reconcile ~switches:t.switches ~runtimes:replayed.runtimes ~tallies:t.rob
     ~trace:(Option.map Obs.Telemetry.trace t.tel) ~epoch:at_epoch;
   (* Break the replayed suffix down by entry kind, so the trace shows what
      the journal actually had to carry across the crash. *)

@@ -30,7 +30,8 @@ val create :
   num_switches:int ->
   capacity:int ->
   t
-(** @raise Invalid_argument if [num_switches <= 0] or [capacity <= 0]. *)
+(** @raise Invalid_argument if [num_switches <= 0], [capacity <= 0] or
+    [config] fails {!Config.validate}. *)
 
 val epoch : t -> int
 (** Next epoch to be simulated (0 before the first {!tick}). *)
@@ -121,8 +122,8 @@ val total_rules_fetched : t -> int
     Two restart paths consume them.  {!restore} rebuilds a standalone
     controller — network and all — from a snapshot alone: a restored run
     produces bit-identical per-epoch behaviour to the run that wrote the
-    checkpoint.  {!recover} is fail-over: the switches, data planes and
-    fault model {e survive} the controller crash, so the new controller
+    checkpoint.  {!recover} is fail-over: the switches and the fault
+    model {e survive} the controller crash, so the new controller
     replays the journal suffix into the checkpoint to bring task
     membership, records and allocations current, fast-forwards each
     task's traffic source to the recovery epoch, re-attaches to the live
@@ -200,7 +201,7 @@ val restore : string -> (t, string) result
 
 type env
 (** The part of the simulation that outlives a controller crash: switches
-    (with their TCAM contents), data planes and the fault model. *)
+    (with their TCAM contents) and the fault model. *)
 
 val environment : t -> env
 (** Capture the live network before tearing a controller down. *)

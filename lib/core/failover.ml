@@ -1,5 +1,5 @@
 module Source = Dream_traffic.Source
-module Data_plane = Dream_switch.Data_plane
+module Switch = Dream_switch.Switch
 module Tcam = Dream_switch.Tcam
 module Task = Dream_tasks.Task
 module Monitor = Dream_tasks.Monitor
@@ -142,12 +142,12 @@ let reconcile_switch tcam ~runtimes sw =
   in
   (removed, installed)
 
-let reconcile ~planes ~runtimes ~(tallies : Metrics.Tallies.t) ~trace ~epoch =
+let reconcile ~switches ~runtimes ~(tallies : Metrics.Tallies.t) ~trace ~epoch =
   Array.iter
-    (fun dp ->
-      if not (Data_plane.down dp || Data_plane.partitioned dp) then begin
-        let sw_id = Data_plane.id dp in
-        let removed, installed = reconcile_switch (Data_plane.tcam dp) ~runtimes sw_id in
+    (fun sw ->
+      if not (Switch.down sw || Switch.partitioned sw) then begin
+        let sw_id = Switch.id sw in
+        let removed, installed = reconcile_switch (Switch.tcam sw) ~runtimes sw_id in
         Ctr.add tallies.reconcile_removed removed;
         Ctr.add tallies.reconcile_installed installed;
         if removed + installed > 0 then
@@ -158,4 +158,4 @@ let reconcile ~planes ~runtimes ~(tallies : Metrics.Tallies.t) ~trace ~epoch =
                   ("installed", Tr.Int installed) ])
             trace
       end)
-    planes
+    switches

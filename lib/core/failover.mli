@@ -24,7 +24,7 @@ val replay :
     unknown switch, a negative allocation, an undecodable source). *)
 
 val reconcile :
-  planes:Dream_switch.Data_plane.t array ->
+  switches:Dream_switch.Switch.t array ->
   runtimes:Runtime.t list ->
   tallies:Metrics.Tallies.t ->
   trace:Dream_obs.Trace.t option ->

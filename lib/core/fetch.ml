@@ -5,7 +5,7 @@ module Epoch_data = Dream_traffic.Epoch_data
 module Aggregate = Dream_traffic.Aggregate
 module Source = Dream_traffic.Source
 module Fault_model = Dream_fault.Fault_model
-module Data_plane = Dream_switch.Data_plane
+module Switch = Dream_switch.Switch
 module Delay_model = Dream_switch.Delay_model
 module Breaker = Dream_switch.Breaker
 module Tcam = Dream_switch.Tcam
@@ -16,7 +16,7 @@ module Ctr = Dream_obs.Registry.Counter
 module Tr = Dream_obs.Trace
 
 type t = {
-  planes : Data_plane.t array;
+  switches : Switch.t array;
   breakers : Breaker.t array;
   faulty : bool;
   degraded : Config.degraded option; (* only when [breakers] exist *)
@@ -30,7 +30,7 @@ type t = {
       (* per-switch aggregates of the epochs tasks read, split by whether
          their build skipped the combine sort *)
   trace : Tr.t option;
-  mutable keys : int array; (* the read buffers the data planes fill *)
+  mutable keys : int array; (* the read buffers the switches fill *)
   mutable vols : float array;
   mutable epoch : int;
   mutable retry_budget : float;
@@ -43,9 +43,9 @@ let costs (config : Config.t) =
 
 let degraded f = f.degraded
 
-let create ~config ~planes ~breakers ~faults ~tallies ~registry ~trace =
+let create ~config ~switches ~breakers ~faults ~tallies ~registry ~trace =
   {
-    planes;
+    switches;
     breakers;
     faulty = faults <> None;
     degraded = (if breakers = [||] then None else config.Config.degraded);
@@ -172,7 +172,7 @@ let batch_ms costs rules =
   (costs.Delay_model.fetch_per_rule_ms *. float_of_int rules) +. costs.Delay_model.rtt_ms
 
 (* The task's rule count on a switch, without listing the rules. *)
-let rules_on dp ~owner = Tcam.used_by (Data_plane.tcam dp) ~owner
+let rules_on sw ~owner = Tcam.used_by (Switch.tcam sw) ~owner
 
 (* Modelled cost the deadline scheduler expects this task's fetch round to
    incur: one batch per switch holding its rules, inflated by straggler
@@ -182,23 +182,23 @@ let estimate_cost f (r : Runtime.t) =
   let id = Runtime.id r in
   let costs = f.costs in
   Array.fold_left
-    (fun acc dp ->
-      let sw_id = Data_plane.id dp in
-      if Data_plane.down dp then acc
+    (fun acc sw ->
+      let sw_id = Switch.id sw in
+      if Switch.down sw then acc
       else begin
         match breaker_for f sw_id with
         | Some br when not (Breaker.allow br) -> acc
         | _ -> begin
-          let rules = rules_on dp ~owner:id in
+          let rules = rules_on sw ~owner:id in
           if rules = 0 then acc
           else begin
-            let factor = Data_plane.latency_factor dp in
-            if Data_plane.partitioned dp then acc +. (costs.Delay_model.rtt_ms *. factor)
+            let factor = Switch.latency_factor sw in
+            if Switch.partitioned sw then acc +. (costs.Delay_model.rtt_ms *. factor)
             else acc +. (batch_ms costs rules *. factor)
           end
         end
       end)
-    0.0 f.planes
+    0.0 f.switches
 
 (* Shed before paying any wire cost: if the task's expected fetch round
    does not fit the remaining deadline budget, serve it stale — unless
@@ -242,14 +242,14 @@ let read f (r : Runtime.t) data =
     Switch_mask.iter topology use_stale task_switches
   else
     Array.iter
-      (fun dp ->
-        let sw_id = Data_plane.id dp in
+      (fun sw ->
+        let sw_id = Switch.id sw in
         let b = Topology.bit_of_switch topology sw_id in
-        if Data_plane.down dp then begin
+        if Switch.down sw then begin
           if b >= 0 && Switch_mask.mem_bit b task_switches then use_stale sw_id b
         end
         else begin
-          let rules = rules_on dp ~owner:id in
+          let rules = rules_on sw ~owner:id in
           if rules > 0 then begin
             match breaker_for f sw_id with
             | Some br when not (Breaker.allow br) ->
@@ -257,7 +257,7 @@ let read f (r : Runtime.t) data =
               use_stale sw_id b
             | br_opt ->
               let aggregate = Epoch_data.switch_view data sw_id in
-              let factor = Data_plane.latency_factor dp in
+              let factor = Switch.latency_factor sw in
               let base = batch_ms costs rules in
               reserve f rules;
               (* The aggregate TCAM stats already price [base] per issued
@@ -268,7 +268,7 @@ let read f (r : Runtime.t) data =
                 f.deadline <- f.deadline -. (base *. factor)
               in
               let rec attempt k =
-                match Data_plane.read dp ~owner:id aggregate ~keys:f.keys ~vols:f.vols with
+                match Switch.read sw ~owner:id aggregate ~keys:f.keys ~vols:f.vols with
                 | Ok n ->
                   charge_batch ();
                   n
@@ -316,6 +316,6 @@ let read f (r : Runtime.t) data =
               end
           end
         end)
-      f.planes;
+      f.switches;
   Monitor.seal_readings m;
   !degraded

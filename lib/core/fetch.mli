@@ -1,20 +1,21 @@
 (** Counter fetch: the controller's one path for reading a task's TCAM
     counters each epoch.
 
-    Every read goes through {!Dream_switch.Data_plane}.  Timed-out batches
-    are retried with exponential backoff while the epoch's retry budget
-    (and, in degraded mode, the epoch deadline) lasts; a down,
-    unreachable or breaker-skipped switch, or a fetch abandoned after
-    retries, falls back to the previous epoch's readings.  Without a fault
-    model a data plane is never down or partitioned, has latency factor
-    1.0 and always reads [Ok], so this path reduces exactly to reading the
-    TCAMs directly: no retry, no fallback, no extra modelled time. *)
+    Every read goes through the switch's fallible channel
+    ({!Dream_switch.Switch.read}).  Timed-out batches are retried with
+    exponential backoff while the epoch's retry budget (and, in degraded
+    mode, the epoch deadline) lasts; a down, unreachable or
+    breaker-skipped switch, or a fetch abandoned after retries, falls back
+    to the previous epoch's readings.  Without a fault model a switch is
+    never down or partitioned, has latency factor 1.0 and always reads
+    [Ok], so this path reduces exactly to reading the TCAMs directly: no
+    retry, no fallback, no extra modelled time. *)
 
 type t
 
 val create :
   config:Config.t ->
-  planes:Dream_switch.Data_plane.t array ->
+  switches:Dream_switch.Switch.t array ->
   breakers:Dream_switch.Breaker.t array ->
   faults:Dream_fault.Fault_model.t option ->
   tallies:Metrics.Tallies.t ->

@@ -1,6 +1,5 @@
 module Topology = Dream_traffic.Topology
-module Arena = Dream_util.Arena
-module Data_plane = Dream_switch.Data_plane
+module Switch = Dream_switch.Switch
 module Tcam = Dream_switch.Tcam
 module Task = Dream_tasks.Task
 module Monitor = Dream_tasks.Monitor
@@ -16,8 +15,9 @@ module Ctr = Dream_obs.Registry.Counter
    1, and the passes do not touch monitors). *)
 
 type t = {
-  planes : Data_plane.t array;
-  budgets : Arena.ints; (* updates each switch may still apply this epoch *)
+  switches : Switch.t array;
+  per_epoch : int; (* updates a switch may apply per epoch *)
+  budgets : int array; (* updates each switch may still apply this epoch *)
   recovered : bool array; (* by switch id *)
   tallies : Metrics.Tallies.t;
 }
@@ -26,49 +26,46 @@ type t = {
    [install_budget] updates per epoch (deferred ones are retried next epoch
    and the affected counters read nothing meanwhile — the cost that made
    the paper abandon hardware switches). *)
-let create ~planes ~arena ~install_budget ~recovered ~tallies =
-  let budgets = Arena.ints arena ~slot:0 ~len:(Array.length planes) in
-  let initial = match install_budget with Some b -> b | None -> max_int in
-  for i = 0 to Array.length planes - 1 do
-    budgets.{i} <- initial
-  done;
-  { planes; budgets; recovered; tallies }
+let create ~switches ~install_budget ~recovered ~tallies =
+  let per_epoch = match install_budget with Some b -> b | None -> max_int in
+  let budgets = Array.make (Array.length switches) per_epoch in
+  { switches; per_epoch; budgets; recovered; tallies }
 
 (* Pass 1 on switch [i]: delete the installed rules in [have] that the
    monitor's slots [j, stop) do not hold, while the switch's update budget
    lasts.  [h] is the cursor into [have]. *)
-let rec remove_from_column s ~owner dp i m have h j stop removed =
-  if h >= Tcam.count have || s.budgets.{i} <= 0 then removed
+let rec remove_from_column s ~owner switch i m have h j stop removed =
+  if h >= Tcam.count have || s.budgets.(i) <= 0 then removed
   else begin
     let key = Tcam.key have h in
     if j < stop && Monitor.key m j < key then
-      remove_from_column s ~owner dp i m have h (j + 1) stop removed
+      remove_from_column s ~owner switch i m have h (j + 1) stop removed
     else if j < stop && Monitor.key m j = key then
-      remove_from_column s ~owner dp i m have (h + 1) (j + 1) stop removed
+      remove_from_column s ~owner switch i m have (h + 1) (j + 1) stop removed
     else begin
-      match Data_plane.remove dp ~owner key with
+      match Switch.remove switch ~owner key with
       | Ok gone ->
-        s.budgets.{i} <- s.budgets.{i} - 1;
+        s.budgets.(i) <- s.budgets.(i) - 1;
         (* A removal closes the column up: the next key is at [h]. *)
         let h = if gone then h else h + 1 in
-        remove_from_column s ~owner dp i m have h j stop (removed + 1)
+        remove_from_column s ~owner switch i m have h j stop (removed + 1)
       | Error (`Down | `Unreachable) ->
-        remove_from_column s ~owner dp i m have (h + 1) j stop removed
+        remove_from_column s ~owner switch i m have (h + 1) j stop removed
     end
   end
 
 let rec remove_from s r i removed =
-  if i = Array.length s.planes then removed
+  if i = Array.length s.switches then removed
   else begin
-    let dp = s.planes.(i) in
+    let switch = s.switches.(i) in
     let owner = Runtime.id r in
-    let tcam = Data_plane.tcam dp in
+    let tcam = Switch.tcam switch in
     let removed =
       if Tcam.used_by tcam ~owner = 0 then removed
       else begin
-        let m = Task.monitor r.Runtime.task and sw = Data_plane.id dp in
+        let m = Task.monitor r.Runtime.task and sw = Switch.id switch in
         let first = Monitor.rules_start m sw in
-        remove_from_column s ~owner dp i m (Tcam.rules tcam ~owner) 0 first
+        remove_from_column s ~owner switch i m (Tcam.rules tcam ~owner) 0 first
           (Monitor.rules_stop m sw first) removed
       end
     in
@@ -104,36 +101,36 @@ let add_fresh (r : Runtime.t) b key =
    missing from [have], while the switch's update budget lasts.  Installs
    onto a switch that recovered this epoch are the full rule-set reinstall
    its crash demands. *)
-let rec install_into_column s (r : Runtime.t) ~owner dp i b m have h j stop =
-  if j < stop && s.budgets.{i} > 0 then begin
+let rec install_into_column s (r : Runtime.t) ~owner switch i b m have h j stop =
+  if j < stop && s.budgets.(i) > 0 then begin
     let key = Monitor.key m j in
     if h < Tcam.count have && Tcam.key have h < key then
-      install_into_column s r ~owner dp i b m have (h + 1) j stop
+      install_into_column s r ~owner switch i b m have (h + 1) j stop
     else if h < Tcam.count have && Tcam.key have h = key then
-      install_into_column s r ~owner dp i b m have (h + 1) (j + 1) stop
+      install_into_column s r ~owner switch i b m have (h + 1) (j + 1) stop
     else begin
-      match Data_plane.install dp ~owner key with
+      match Switch.install switch ~owner key with
       | Ok () ->
-        s.budgets.{i} <- s.budgets.{i} - 1;
-        if s.recovered.(Data_plane.id dp) then Ctr.incr s.tallies.recovery_reinstalls;
+        s.budgets.(i) <- s.budgets.(i) - 1;
+        if s.recovered.(Switch.id switch) then Ctr.incr s.tallies.recovery_reinstalls;
         add_fresh r b key;
         (* The rule opened the column at [h]. *)
-        install_into_column s r ~owner dp i b m have (h + 1) (j + 1) stop
+        install_into_column s r ~owner switch i b m have (h + 1) (j + 1) stop
       | Error `Failed ->
         (* The attempt consumed an update slot; the rule stays desired and
            is retried next epoch. *)
-        s.budgets.{i} <- s.budgets.{i} - 1;
+        s.budgets.(i) <- s.budgets.(i) - 1;
         Ctr.incr s.tallies.install_failures;
-        install_into_column s r ~owner dp i b m have h (j + 1) stop
+        install_into_column s r ~owner switch i b m have h (j + 1) stop
       | Error (`Capacity | `Duplicate | `Down | `Unreachable) ->
-        install_into_column s r ~owner dp i b m have h (j + 1) stop
+        install_into_column s r ~owner switch i b m have h (j + 1) stop
     end
   end
 
 let rec install_into s (r : Runtime.t) i =
-  if i < Array.length s.planes then begin
-    let dp = s.planes.(i) in
-    let m = Task.monitor r.task and sw = Data_plane.id dp in
+  if i < Array.length s.switches then begin
+    let switch = s.switches.(i) in
+    let m = Task.monitor r.task and sw = Switch.id switch in
     let first = Monitor.rules_start m sw in
     let stop = Monitor.rules_stop m sw first in
     if first < stop then begin
@@ -141,8 +138,8 @@ let rec install_into s (r : Runtime.t) i =
          of the task's topology. *)
       let owner = Runtime.id r in
       let b = Topology.bit_of_switch (Task.topology r.task) sw in
-      install_into_column s r ~owner dp i b m
-        (Tcam.rules (Data_plane.tcam dp) ~owner)
+      install_into_column s r ~owner switch i b m
+        (Tcam.rules (Switch.tcam switch) ~owner)
         0 first stop
     end;
     install_into s r (i + 1)
@@ -154,3 +151,9 @@ let rec install_missing s = function
     Array.fill r.last_install_counts 0 (Array.length r.last_install_counts) 0;
     install_into s r 0;
     install_missing s rest
+
+let sync s runtimes =
+  Array.fill s.budgets 0 (Array.length s.budgets) s.per_epoch;
+  let removed = remove_stale s runtimes in
+  install_missing s runtimes;
+  removed

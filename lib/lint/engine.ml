@@ -425,7 +425,7 @@ let hot_path_findings ~severity ~applies parsed =
             findings :=
               Finding.v ~rule:Rules.hot_path_alloc_id ~file ~line ~col ~severity
                 (Printf.sprintf
-                   "%s on a hot path ([@hot] %s); hoist it, reuse arena scratch, or \
+                   "%s on a hot path ([@hot] %s); hoist it, reuse a buffer, or \
                     justify it with [@alloc.allow \"reason\"]"
                    (Alloc_class.describe cls) chain_s)
               :: !findings

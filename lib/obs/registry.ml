@@ -64,7 +64,6 @@ module Histogram = struct
   let sum h = h.sum
   let mean h = if h.count = 0 then Float.nan else h.sum /. float_of_int h.count
   let min_value h = h.vmin
-  let max_value h = h.vmax
 
   let sorted_buckets h =
     Hashtbl.fold (fun i r acc -> (i, !r) :: acc) h.tbl [] |> List.sort compare

@@ -56,8 +56,7 @@ module Histogram : sig
   (** [nan] when empty. *)
 
   val min_value : t -> float
-  val max_value : t -> float
-  (** Observed extremes; [nan] when empty. *)
+  (** Observed minimum; [nan] when empty. *)
 
   val percentile : t -> float -> float
   (** Estimate by geometric interpolation inside the covering bucket,

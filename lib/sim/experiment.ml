@@ -42,15 +42,6 @@ let run ?(config = Config.default) (scenario : Scenario.t) strategy =
    exactly and can gate with a tight tolerance in the bench trajectory. *)
 let gate_tolerance = 0.5
 
-let summary_metrics ?(tolerance_pct = gate_tolerance) ~prefix (s : Metrics.summary) =
-  let m name direction v = Snapshot.metric ~unit_:"pct" ~direction ~tolerance_pct (prefix ^ name) v in
-  [
-    m "mean_satisfaction" Snapshot.Higher_better s.Metrics.mean_satisfaction;
-    m "p5_satisfaction" Snapshot.Higher_better s.Metrics.p5_satisfaction;
-    m "rejection_pct" Snapshot.Lower_better s.Metrics.rejection_pct;
-    m "drop_pct" Snapshot.Lower_better s.Metrics.drop_pct;
-  ]
-
 let grouped_summary_metrics ?(tolerance_pct = gate_tolerance) cells ~group_of ~summary_of =
   let groups = List.sort_uniq compare (List.map group_of cells) in
   List.concat_map

@@ -39,14 +39,6 @@ val standard_strategies : Dream_alloc.Allocator.strategy list
 val gate_tolerance : float
 (** Default tolerance (percent) for deterministic simulation metrics. *)
 
-val summary_metrics :
-  ?tolerance_pct:float ->
-  prefix:string ->
-  Dream_core.Metrics.summary ->
-  Dream_obs.Bench_snapshot.metric list
-(** Satisfaction / rejection / drop of one summary, names prefixed with
-    [prefix]. *)
-
 val grouped_summary_metrics :
   ?tolerance_pct:float ->
   'a list ->

@@ -1,11 +1,28 @@
-(** One simulated switch: an identifier plus its TCAM measurement pool.
+(** One simulated switch: an identifier, its TCAM measurement pool, and
+    the fallible southbound channel the controller reaches it through.
 
     The network is a flat set of these (DREAM is topology-agnostic: tasks
-    only care which switches see their traffic). *)
+    only care which switches see their traffic).  Every operation the
+    controller issues can fail the way a real southbound channel fails:
+    the switch may be [`Down] (crashed, its TCAM contents lost), a counter
+    fetch may [`Timeout], a fetched batch may come back with counters
+    missing or perturbed, and a rule install may simply not land
+    ([`Failed]).
+
+    Without a fault model every operation reduces exactly to the
+    underlying {!Tcam} call — same results, same stats — so fault-free
+    runs are bit-for-bit identical to driving the TCAM directly. *)
+
+type fetch_error = [ `Down | `Timeout | `Unreachable ]
+
+type install_error = [ `Capacity | `Duplicate | `Down | `Failed | `Unreachable ]
 
 type t
 
-val create : id:Dream_traffic.Switch_id.t -> capacity:int -> t
+val create :
+  ?faults:Dream_fault.Fault_model.t -> id:Dream_traffic.Switch_id.t -> capacity:int -> unit -> t
+(** The fault model is shared across the network; pass the same [t] to
+    every switch so per-switch streams line up with ids. *)
 
 val id : t -> Dream_traffic.Switch_id.t
 
@@ -13,7 +30,49 @@ val tcam : t -> Tcam.t
 
 val capacity : t -> int
 
-val network : num_switches:int -> capacity:int -> t array
-(** [network ~num_switches ~capacity] builds switches 0..n-1 with equal
-    capacity, indexed by id.
+val faults : t -> Dream_fault.Fault_model.t option
+
+val network :
+  ?faults:Dream_fault.Fault_model.t -> num_switches:int -> capacity:int -> unit -> t array
+(** [network ~num_switches ~capacity ()] builds switches 0..n-1 with equal
+    capacity, indexed by id, all driven by [faults].
     @raise Invalid_argument if [num_switches <= 0] or [capacity <= 0]. *)
+
+val down : t -> bool
+(** Whether the switch is currently crashed (always [false] without a
+    fault model). *)
+
+val partitioned : t -> bool
+(** Whether the control channel to this switch is currently partitioned:
+    the TCAM keeps counting (unlike a crash) but every control operation
+    returns [`Unreachable] until the window closes. *)
+
+val latency_factor : t -> float
+(** Control-channel latency multiplier for this switch (straggler
+    inflation); 1.0 without a fault model. *)
+
+val read :
+  t ->
+  owner:int ->
+  Dream_traffic.Aggregate.t ->
+  keys:int array ->
+  vols:float array ->
+  (int, fetch_error) result
+(** Fetch one task's counters into the caller's buffers, as
+    {!Tcam.read} does (both must hold the owner's {!Tcam.used_by}
+    entries): [Ok n] with the readings in [keys.(0 .. n-1)] and
+    [vols.(0 .. n-1)], in key order.  A [`Timeout] still prices the fetch
+    in the TCAM stats (the bytes were sent; the reply never came), so
+    retries cost modelled control-loop time.  On success, individual
+    counters may have been dropped ([counter_loss_rate]) or perturbed
+    ([perturb_stddev]); the survivors close up in key order. *)
+
+val install : t -> owner:int -> int -> (unit, install_error) result
+(** Install the rule of a prefix key ({!Dream_prefix.Prefix.key}). *)
+
+val remove : t -> owner:int -> int -> (bool, [ `Down | `Unreachable ]) result
+(** Remove the rule of a prefix key. *)
+
+val crash : t -> unit
+(** Wipe the switch's TCAM (crash semantics: state lost, no priced
+    deletes).  The fault model decides {e when}; the controller applies it. *)

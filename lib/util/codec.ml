@@ -110,17 +110,6 @@ let repeat n f =
   let rec go i acc = if i >= n then List.rev acc else go (i + 1) (f () :: acc) in
   go 0 []
 
-(* Repeat [f] while the next line opens section [name]. *)
-let list_of_sections r name f =
-  let rec go acc =
-    match peek_section r with
-    | Some s when s = name ->
-      ignore (next_line r);
-      go (f r :: acc)
-    | Some _ | None -> List.rev acc
-  in
-  go []
-
 (* ---- sealed documents ---- *)
 
 let seal ~magic body =

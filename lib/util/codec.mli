@@ -55,10 +55,6 @@ val repeat : int -> (unit -> 'a) -> 'a list
     results — use for count-prefixed record lists where the evaluation
     order of [List.init] would be unsafe. *)
 
-val list_of_sections : reader -> string -> (reader -> 'a) -> 'a list
-(** [list_of_sections r name f] parses zero or more consecutive [name]
-    sections, calling [f] after consuming each section marker. *)
-
 (** {2 Sealed documents} *)
 
 val seal : magic:string -> string -> string

@@ -1,5 +1,5 @@
-(* The retired list audit of a switch's rules (Data_plane.audit), kept as
-   the differential oracle for the column reconcile of controller
+(* The retired list audit of a switch's rules (the data plane's audit),
+   kept as the differential oracle for the column reconcile of controller
    fail-over (Dream_core.Failover.reconcile): each owner's rules as a
    sorted key list, diffed against the expected ones by merging the two
    lists.  Only the tests use it. *)

@@ -172,7 +172,15 @@ let test_degraded_config_rejected () =
       create { Config.default_degraded with Config.deadline_fraction = 1.5 });
   expect_invalid "zero staleness cap" (fun () ->
       create { Config.default_degraded with Config.shed_max_staleness = 0 });
-  ignore (create Config.default_degraded)
+  ignore (create Config.default_degraded);
+  let create_interval allocation_interval =
+    Controller.create
+      ~config:{ Config.default with Config.allocation_interval }
+      ~strategy:Allocator.Equal ~num_switches:2 ~capacity:64
+  in
+  expect_invalid "zero allocation interval" (fun () -> create_interval 0);
+  expect_invalid "negative allocation interval" (fun () -> create_interval (-2));
+  ignore (create_interval 1)
 
 (* ---- Journal flush / close ---- *)
 

@@ -252,21 +252,41 @@ let test_controller_install_budget_respected () =
       true (delta <= 64)
   done
 
+(* The budget is a per-epoch cap: every tick each switch installs at most
+   4 rules, and the budget refills, so epochs after the first still
+   install. *)
 let test_controller_install_budget_degrades () =
-  let run config =
+  let run ?(each_tick = fun _ -> ()) config =
     let controller = mk_controller ~config ~capacity:256 () in
     let rng = Rng.create 29 in
     for i = 0 to 3 do
       ignore (submit_task controller rng ~filter_index:i ~duration:40)
     done;
-    Controller.run controller ~epochs:50;
+    for _ = 1 to 50 do
+      Controller.tick controller;
+      each_tick controller
+    done;
     Controller.finalize controller;
     (Controller.summary controller).Metrics.mean_satisfaction
   in
   let unlimited = run Config.default in
-  let throttled =
-    run { Config.default with Config.install_budget = Some 4 }
+  let later_installs = ref 0 in
+  let check_budget controller =
+    Array.iter
+      (fun sw ->
+        let installs = (Tcam.stats (Switch.tcam sw)).Tcam.installs in
+        Alcotest.(check bool)
+          (Printf.sprintf "switch %d: %d installs in epoch %d within budget 4" (Switch.id sw)
+             installs
+             (Controller.epoch controller - 1))
+          true (installs <= 4);
+        if Controller.epoch controller > 1 then later_installs := !later_installs + installs)
+      (Controller.switches controller)
   in
+  let throttled =
+    run ~each_tick:check_budget { Config.default with Config.install_budget = Some 4 }
+  in
+  Alcotest.(check bool) "epochs after the first still install" true (!later_installs > 0);
   Alcotest.(check bool)
     (Printf.sprintf "throttled (%f) <= unlimited (%f)" throttled unlimited)
     true
@@ -463,9 +483,8 @@ let prop_drop_policy_model =
              && ((not (total > last)) || r.Runtime.poor_streak = 0))
            runtimes model)
 
-(* ---- Fetch on fault-free planes ---- *)
+(* ---- Fetch on fault-free switches ---- *)
 
-module Data_plane = Dream_switch.Data_plane
 module Fetch = Dream_core.Fetch
 module Aggregate = Dream_traffic.Aggregate
 module Flow = Dream_traffic.Flow
@@ -513,25 +532,25 @@ let grown_task rng ~id ~num_switches =
 (* Random TCAM contents for the task: some of the rules its monitor
    wants, some prefixes under its filter it does not, and rules of another
    owner; a switch may hold none of them. *)
-let scatter_rules rng planes (r : Runtime.t) filter =
+let scatter_rules rng switches (r : Runtime.t) filter =
   let id = Runtime.id r in
   Array.iter
-    (fun dp ->
-      let tcam = Data_plane.tcam dp in
+    (fun sw ->
+      let tcam = Switch.tcam sw in
       List.iter
         (fun q -> if Rng.int rng 3 > 0 then ignore (Tcam.install tcam ~owner:id (Prefix.key q)))
-        (Fixtures.rules_for (Task.monitor r.Runtime.task) (Data_plane.id dp));
+        (Fixtures.rules_for (Task.monitor r.Runtime.task) (Switch.id sw));
       for _ = 1 to Rng.int rng 8 do
         let length = 24 + Rng.int rng 9 in
         let q = Prefix.make ~bits:(Prefix.bits filter lor Rng.int rng 256) ~length in
         let owner = if Rng.int rng 2 = 0 then id + 1 else id in
         ignore (Tcam.install tcam ~owner (Prefix.key q))
       done)
-    planes
+    switches
 
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-(* On planes without a fault model, a fetch is a plain TCAM read: each
+(* On switches without a fault model, a fetch is a plain TCAM read: each
    switch holding the task's rules answers with the task's rules, each
    paired with its aggregate volume, and the monitor takes the readings of
    the rules it still counts.  Other owners' rules stay out of it, and
@@ -544,11 +563,11 @@ let prop_fetch_read_fault_free =
       let rng = Rng.create seed in
       let num_switches = 4 and id = 3 in
       let r, filter, data = grown_task rng ~id ~num_switches in
-      let planes = Array.map Data_plane.create (Switch.network ~num_switches ~capacity:64) in
-      scatter_rules rng planes r filter;
+      let switches = Switch.network ~num_switches ~capacity:64 () in
+      scatter_rules rng switches r filter;
       let registry = Dream_obs.Registry.create () in
       let f =
-        Fetch.create ~config:Config.default ~planes ~breakers:[||] ~faults:None
+        Fetch.create ~config:Config.default ~switches ~breakers:[||] ~faults:None
           ~tallies:(Metrics.Tallies.of_registry registry) ~registry ~trace:None
       in
       Fetch.begin_epoch f ~epoch:0;
@@ -557,22 +576,22 @@ let prop_fetch_read_fault_free =
       let topology = Task.topology r.Runtime.task in
       let expected slot =
         let q = Monitor.prefix m slot in
-        Array.to_list planes
-        |> List.filter_map (fun dp ->
-               let sw = Data_plane.id dp in
+        Array.to_list switches
+        |> List.filter_map (fun switch ->
+               let sw = Switch.id switch in
                if
                  Topology.bit_of_switch topology sw >= 0
                  && List.exists (Prefix.equal q)
-                      (Fixtures.tcam_rules (Data_plane.tcam dp) ~owner:id)
+                      (Fixtures.tcam_rules (Switch.tcam switch) ~owner:id)
                then Some (sw, Aggregate.volume (Epoch_data.switch_view data sw) q)
                else None)
       in
       let fetched =
         Array.for_all
-          (fun dp ->
-            let tcam = Data_plane.tcam dp in
+          (fun sw ->
+            let tcam = Switch.tcam sw in
             (Tcam.stats tcam).Tcam.fetches = Tcam.used_by tcam ~owner:id)
-          planes
+          switches
       in
       let first_fetch =
         degraded = Switch_mask.empty && fetched
@@ -585,11 +604,11 @@ let prop_fetch_read_fault_free =
       in
       let twin, _, _ = grown_task (Rng.create seed) ~id ~num_switches in
       Array.iter
-        (fun dp ->
+        (fun sw ->
           List.iter
-            (fun q -> ignore (Tcam.install (Data_plane.tcam dp) ~owner:id (Prefix.key q)))
-            (Fixtures.rules_for m (Data_plane.id dp)))
-        planes;
+            (fun q -> ignore (Tcam.install (Switch.tcam sw) ~owner:id (Prefix.key q)))
+            (Fixtures.rules_for m (Switch.id sw)))
+        switches;
       Fetch.begin_epoch f ~epoch:1;
       ignore (Fetch.read f r data);
       Task.read_traffic twin.Runtime.task data;
@@ -611,16 +630,16 @@ let prop_rule_sync_matches_set_diff =
       let num_switches = 4 and id = 3 in
       let r, filter, _ = grown_task rng ~id ~num_switches in
       let capacity = 4 + Rng.int rng 40 in
-      let planes = Array.map Data_plane.create (Switch.network ~num_switches ~capacity) in
-      scatter_rules rng planes r filter;
+      let switches = Switch.network ~num_switches ~capacity () in
+      scatter_rules rng switches r filter;
       let budget = if Rng.int rng 3 = 0 then None else Some (Rng.int rng 12) in
       let task = r.Runtime.task in
       let expected =
         Array.map
-          (fun dp ->
-            let tcam = Data_plane.tcam dp in
+          (fun sw ->
+            let tcam = Switch.tcam sw in
             let installed = Fixtures.tcam_rules tcam ~owner:id in
-            let desired = Fixtures.rules_for (Task.monitor task) (Data_plane.id dp) in
+            let desired = Fixtures.rules_for (Task.monitor task) (Switch.id sw) in
             let to_remove, to_add = Reference_sync.plan ~installed ~desired in
             let take n l = List.filteri (fun i _ -> i < n) l in
             let left = match budget with Some b -> b | None -> max_int in
@@ -633,21 +652,20 @@ let prop_rule_sync_matches_set_diff =
                 (added @ List.filter (fun q -> not (List.mem q removed)) installed)
             in
             (List.length removed, added, final))
-          planes
+          switches
       in
       let registry = Dream_obs.Registry.create () in
       let sync =
-        Rule_sync.create ~planes ~arena:(Dream_util.Arena.create ()) ~install_budget:budget
+        Rule_sync.create ~switches ~install_budget:budget
           ~recovered:(Array.make num_switches false)
           ~tallies:(Metrics.Tallies.of_registry registry)
       in
-      let removed = List.fold_left ( + ) 0 (Rule_sync.remove_stale sync [ r ]) in
-      Rule_sync.install_missing sync [ r ];
+      let removed = List.fold_left ( + ) 0 (Rule_sync.sync sync [ r ]) in
       let topology = Task.topology task in
       removed = Array.fold_left (fun acc (n, _, _) -> acc + n) 0 expected
       && Array.for_all2
-           (fun dp (_, added, final) ->
-             let sw = Data_plane.id dp in
+           (fun switch (_, added, final) ->
+             let sw = Switch.id switch in
              let fresh =
                match Topology.bit_of_switch topology sw with
                | -1 -> []
@@ -655,9 +673,9 @@ let prop_rule_sync_matches_set_diff =
                  List.init r.Runtime.last_install_counts.(b) (fun i ->
                      Prefix.of_key r.Runtime.fresh_rules.(b).(i))
              in
-             List.equal Prefix.equal (Fixtures.tcam_rules (Data_plane.tcam dp) ~owner:id) final
+             List.equal Prefix.equal (Fixtures.tcam_rules (Switch.tcam switch) ~owner:id) final
              && List.equal Prefix.equal fresh added)
-           planes expected)
+           switches expected)
 
 (* Fail-over's column reconcile is the retired list audit
    (Reference_audit), switch by switch, on tables tampered with the ways
@@ -677,11 +695,11 @@ let prop_reconcile_matches_list_audit =
             r)
       in
       let capacity = 4 + Rng.int rng 40 in
-      let planes = Array.map Data_plane.create (Switch.network ~num_switches ~capacity) in
+      let switches = Switch.network ~num_switches ~capacity () in
       let oracle = Array.init num_switches (fun _ -> Tcam.create ~capacity) in
       (* Each tampering lands on both tables alike. *)
       let install sw ~owner key =
-        ignore (Tcam.install (Data_plane.tcam planes.(sw)) ~owner key);
+        ignore (Tcam.install (Switch.tcam switches.(sw)) ~owner key);
         ignore (Tcam.install oracle.(sw) ~owner key)
       in
       let filter = Prefix.of_string "10.1.0.0/24" in
@@ -709,15 +727,15 @@ let prop_reconcile_matches_list_audit =
             let live = 1 + Rng.int rng (List.length runtimes) in
             install sw ~owner:(if Rng.bool rng then orphan () else live) (random_key ())
           done;
-        Tcam.reset_stats (Data_plane.tcam planes.(sw));
+        Tcam.reset_stats (Switch.tcam switches.(sw));
         Tcam.reset_stats oracle.(sw)
       done;
       let same_dump a b =
         List.equal (fun (o, ps) (o', ps') -> o = o' && List.equal Prefix.equal ps ps') a b
       in
       Array.for_all2
-        (fun dp tcam ->
-          let sw = Data_plane.id dp in
+        (fun switch tcam ->
+          let sw = Switch.id switch in
           let expected =
             Reference_audit.audit tcam
               ~expected:
@@ -729,13 +747,13 @@ let prop_reconcile_matches_list_audit =
                    runtimes)
           in
           let tallies = Metrics.Tallies.of_registry (Dream_obs.Registry.create ()) in
-          Failover.reconcile ~planes:[| dp |] ~runtimes ~tallies ~trace:None ~epoch:0;
-          let live = Data_plane.tcam dp in
+          Failover.reconcile ~switches:[| switch |] ~runtimes ~tallies ~trace:None ~epoch:0;
+          let live = Switch.tcam switch in
           Ctr.value tallies.reconcile_removed = expected.Reference_audit.strays_removed
           && Ctr.value tallies.reconcile_installed = expected.Reference_audit.missing_installed
           && same_dump (Tcam.dump live) (Tcam.dump tcam)
           && Tcam.stats live = Tcam.stats tcam)
-        planes oracle)
+        switches oracle)
 
 let () =
   Alcotest.run "dream.core"

@@ -11,7 +11,6 @@ module Profile = Dream_traffic.Profile
 module Fault_model = Dream_fault.Fault_model
 module Switch = Dream_switch.Switch
 module Tcam = Dream_switch.Tcam
-module Data_plane = Dream_switch.Data_plane
 module Task_spec = Dream_tasks.Task_spec
 module Allocator = Dream_alloc.Allocator
 module Dream_allocator = Dream_alloc.Dream_allocator
@@ -94,36 +93,34 @@ let test_model_validation () =
   raises (fun () -> Fault_model.create { Fault_model.zero with Fault_model.stale_decay = 0.0 } ~num_switches:4);
   raises (fun () -> Fault_model.create Fault_model.zero ~num_switches:0)
 
-(* ---- Data_plane ---- *)
+(* ---- The switch's data plane ---- *)
 
 let test_data_plane_transparent_without_faults () =
-  let sw = Switch.create ~id:0 ~capacity:16 in
-  let dp = Data_plane.create sw in
-  Alcotest.(check bool) "never down" false (Data_plane.down dp);
+  let sw = Switch.create ~id:0 ~capacity:16 () in
+  Alcotest.(check bool) "never down" false (Switch.down sw);
   let p = Prefix.nth_descendant Prefix.root ~length:8 3 in
-  (match Data_plane.install dp ~owner:1 (Prefix.key p) with
+  (match Switch.install sw ~owner:1 (Prefix.key p) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "install must succeed");
   Alcotest.(check int) "rule landed" 1 (Tcam.used_by (Switch.tcam sw) ~owner:1);
-  match Data_plane.remove dp ~owner:1 (Prefix.key p) with
+  match Switch.remove sw ~owner:1 (Prefix.key p) with
   | Ok true -> ()
   | Ok false | Error (`Down | `Unreachable) -> Alcotest.fail "remove must find the rule"
 
 let test_data_plane_down_refuses () =
   let spec = { Fault_model.zero with Fault_model.crash_rate = 1.0; mean_downtime = 100.0 } in
   let fm = Fault_model.create spec ~num_switches:1 in
-  let sw = Switch.create ~id:0 ~capacity:16 in
-  let dp = Data_plane.create ~faults:fm sw in
+  let sw = Switch.create ~faults:fm ~id:0 ~capacity:16 () in
   let p = Prefix.nth_descendant Prefix.root ~length:8 1 in
-  (match Data_plane.install dp ~owner:1 (Prefix.key p) with
+  (match Switch.install sw ~owner:1 (Prefix.key p) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "install before crash must succeed");
   ignore (Fault_model.begin_epoch fm);
-  Alcotest.(check bool) "down after crash" true (Data_plane.down dp);
-  (match Data_plane.install dp ~owner:1 (Prefix.key p) with
+  Alcotest.(check bool) "down after crash" true (Switch.down sw);
+  (match Switch.install sw ~owner:1 (Prefix.key p) with
   | Error `Down -> ()
   | Ok () | Error _ -> Alcotest.fail "install on a down switch must refuse");
-  match Data_plane.remove dp ~owner:1 (Prefix.key p) with
+  match Switch.remove sw ~owner:1 (Prefix.key p) with
   | Error (`Down | `Unreachable) -> ()
   | Ok _ -> Alcotest.fail "remove on a down switch must refuse"
 
@@ -420,8 +417,8 @@ let test_controller_validates_inputs () =
       Controller.create ~config:Config.default ~strategy ~num_switches:(-3) ~capacity:128);
   raises (fun () ->
       Controller.create ~config:Config.default ~strategy ~num_switches:4 ~capacity:0);
-  raises (fun () -> Switch.network ~num_switches:0 ~capacity:64);
-  raises (fun () -> Switch.network ~num_switches:4 ~capacity:(-1))
+  raises (fun () -> Switch.network ~num_switches:0 ~capacity:64 ());
+  raises (fun () -> Switch.network ~num_switches:4 ~capacity:(-1) ())
 
 let () =
   Alcotest.run "dream.fault"

@@ -364,7 +364,7 @@ let test_last_report_after_restore () =
   let registry = Dream_obs.Registry.create () in
   let fetch =
     Dream_core.Fetch.create ~config:cp.Dream_core.Checkpoint.config
-      ~planes:(Array.map (fun sw -> Dream_switch.Data_plane.create sw) cp.Dream_core.Checkpoint.switches)
+      ~switches:cp.Dream_core.Checkpoint.switches
       ~breakers:[||] ~faults:None ~tallies:(Metrics.Tallies.of_registry registry) ~registry
       ~trace:None
   in
@@ -860,7 +860,7 @@ let test_invariant_clean_run () =
     (Controller.robustness controller).Metrics.invariant_violations
 
 let test_invariant_detects_orphan_rule () =
-  let sw = Switch.create ~id:0 ~capacity:8 in
+  let sw = Switch.create ~id:0 ~capacity:8 () in
   let p = Prefix.nth_descendant Prefix.root ~length:8 1 in
   (match Tcam.install (Switch.tcam sw) ~owner:42 (Prefix.key p) with
   | Ok () -> ()

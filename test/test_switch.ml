@@ -165,7 +165,7 @@ let test_rules_sorted () =
 (* ---- Switch ---- *)
 
 let test_network () =
-  let switches = Switch.network ~num_switches:4 ~capacity:128 in
+  let switches = Switch.network ~num_switches:4 ~capacity:128 () in
   Alcotest.(check int) "four switches" 4 (Array.length switches);
   Array.iteri
     (fun i sw ->
