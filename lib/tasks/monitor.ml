@@ -8,22 +8,46 @@ module Ewma = Dream_util.Ewma
 type float_regs = {
   mutable ret_cost : float; (* summary of the node just visited: its cost *)
   mutable best_ratio : float; (* the greedy's best cost per sub-filter so far *)
+  mutable class_ratio : float; (* ... and the best of the class [pick] is in *)
   mutable bound_acc : float; (* running maximum of [min_cost_bound] *)
+  mutable cost : float; (* the last solve's cost: the picks' summed score *)
 }
 
 (* cover()'s candidate table, one per monitor and reused across builds.
    Slot [j] is one structural trie node above the counters, in the order of
-   a left-first pre-order walk; it is a live candidate while [alive.(j)].
+   a left-first pre-order walk, so the node's subtree is the slot range
+   [j, node_end.(j)).  It is a live candidate while [node_class.(j) >= 0],
+   and a solve drops it by writing its id into [stamp.(j)].
+
+   A build groups its candidates into classes, one per distinct T mask,
+   each a list of its members in slot order threaded through [node_next].
+   A class's members all gain a pick the same, so the greedy's choice in
+   it is its member of least cost unless the solve dropped that member or
+   the next cost up divides to the same ratio: [cls_min] caches the member
+   and [cls_next] that next cost.
+
    Growable arrays: after the first few epochs a build allocates nothing. *)
 type cover = {
   mutable slots : int; (* slots in use *)
-  mutable node_bits : int array; (* node prefix: first-address bits ... *)
-  mutable node_len : int array; (* ... and length *)
-  mutable node_t : int array; (* T: sub-filters a merge here frees an entry on *)
+  mutable node_key : int array; (* node prefix, as a Prefix.key *)
+  mutable node_end : int array; (* one past the node's last descendant slot *)
   mutable node_cost : float array; (* total score of the counters below *)
-  mutable alive : bool array; (* a candidate not yet repaired away *)
-  mutable work : bool array; (* the greedy's scratch copy of [alive] *)
+  mutable node_class : int array; (* a candidate's class; -1 once not one *)
+  mutable node_next : int array; (* the next member of its class, or -1 *)
+  mutable stamp : int array; (* the last solve that dropped the slot *)
+  mutable solve_id : int; (* the running solve's stamp *)
+  mutable classes : int; (* classes of this build *)
+  mutable cls_mask : int array; (* T: sub-filters a merge frees an entry on *)
+  mutable cls_head : int array; (* the class's first member, or -1 *)
+  mutable cls_min : int array; (* its first member of least cost; -1 none, -2 unknown *)
+  mutable cls_next : float array; (* its least member cost above [cls_min]'s *)
+  mutable cls_floor : float array; (* its least member cost at build *)
+  mutable cls_of : int array; (* open addressing: T mask -> class + 1, or 0 *)
+  gains : float array; (* [gains.(g)] is [float_of_int g], for g <= k *)
   cheapest : float array; (* per sub-filter: lowest candidate cost freeing it *)
+  chosen : int array; (* the last solve's picks, in pick order *)
+  mutable picks : int;
+  mutable scans : int; (* candidate slots read by solves and repairs *)
   mutable built : bool; (* the table matches the current counters *)
   mutable cursor : int; (* build walk position: the next counter slot *)
   (* Registers the build walk returns a node's summary in, and the
@@ -32,6 +56,7 @@ type cover = {
   mutable ret_t : int;
   mutable ret_count : int;
   mutable best : int;
+  mutable class_best : int;
   regs : float_regs;
 }
 
@@ -120,8 +145,8 @@ let[@inline] last_at t i = Prefix.key_last (get t.keys i)
 let[@inline] flag t i f = get t.flags i land f <> 0
 
 (* Growable columns and scratch arrays are copied into a larger array on
-   growth.  Int and bool arrays are copied element by element: a store of
-   an immediate needs no write barrier, where Array.blit would run one per
+   growth.  Int arrays are copied element by element: a store of an
+   immediate needs no write barrier, where Array.blit would run one per
    element into a major-heap array. *)
 let grown_bytes col n used =
   let b = Bytes.create n in
@@ -135,13 +160,6 @@ let grown_floats (a : float array) n used =
 
 let grown_ints (a : int array) n used =
   let b = Array.make n 0 in
-  for j = 0 to used - 1 do
-    b.(j) <- a.(j)
-  done;
-  b
-
-let grown_bools (a : bool array) n used =
-  let b = Array.make n false in
   for j = 0 to used - 1 do
     b.(j) <- a.(j)
   done;
@@ -243,20 +261,33 @@ let make ~spec ~topology ~active ~cap =
     cover =
       {
         slots = 0;
-        node_bits = [||];
-        node_len = [||];
-        node_t = [||];
+        node_key = [||];
+        node_end = [||];
         node_cost = [||];
-        alive = [||];
-        work = [||];
+        node_class = [||];
+        node_next = [||];
+        stamp = [||];
+        solve_id = 0;
+        classes = 0;
+        cls_mask = [||];
+        cls_head = [||];
+        cls_min = [||];
+        cls_next = [||];
+        cls_floor = [||];
+        cls_of = [||];
+        gains = Array.init (k + 1) float_of_int;
         cheapest = Array.make k Float.infinity;
+        chosen = Array.make k 0;
+        picks = 0;
+        scans = 0;
         built = false;
         cursor = 0;
         ret_s = 0;
         ret_t = 0;
         ret_count = 0;
         best = -1;
-        regs = { ret_cost = 0.0; best_ratio = 0.0; bound_acc = 0.0 };
+        class_best = -1;
+        regs = { ret_cost = 0.0; best_ratio = 0.0; class_ratio = 0.0; bound_acc = 0.0; cost = 0.0 };
       };
     heap =
       { h_score = [||]; h_key = [||]; h_stamp = [||]; h_size = 0; top_key = 0; top_stamp = 0 };
@@ -313,6 +344,8 @@ let mean t i =
   else None
 
 let totals t = t.totals
+
+let scores t = t.scores
 
 let means t = t.means
 
@@ -462,18 +495,57 @@ let bottlenecked t ~allocations = saturated t allocations 0 0
 (* ---- cover(): greedy weighted set cover over ancestor T sets ---- *)
 
 module Cover = struct
-  type solution = { ancestors : Prefix.t list; cost : float }
-
   type candidates = t
 
   let grow (cv : cover) =
-    let n = max 16 (2 * Array.length cv.node_bits) and used = cv.slots in
-    cv.node_bits <- grown_ints cv.node_bits n used;
-    cv.node_len <- grown_ints cv.node_len n used;
-    cv.node_t <- grown_ints cv.node_t n used;
+    let n = max 16 (2 * Array.length cv.node_key) and used = cv.slots in
+    cv.node_key <- grown_ints cv.node_key n used;
+    cv.node_end <- grown_ints cv.node_end n used;
     cv.node_cost <- grown_floats cv.node_cost n used;
-    cv.alive <- grown_bools cv.alive n used;
-    cv.work <- grown_bools cv.work n used
+    cv.node_class <- grown_ints cv.node_class n used;
+    cv.node_next <- grown_ints cv.node_next n used;
+    cv.stamp <- grown_ints cv.stamp n used
+
+  let[@inline] hash (cv : cover) mask =
+    let h = mask * 0x9E3779B1 in
+    (h lxor (h lsr 17)) land (Array.length cv.cls_of - 1)
+
+  (* The cell of [cls_of] holding the class of [mask], or the empty cell
+     it goes in: linear probing from [h]. *)
+  let rec probe (cv : cover) mask h =
+    let c = cv.cls_of.(h) - 1 in
+    if c < 0 || cv.cls_mask.(c) = mask then h
+    else probe cv mask ((h + 1) land (Array.length cv.cls_of - 1))
+
+  (* Room for twice the classes, [cls_of] kept at most half full. *)
+  let grow_classes (cv : cover) =
+    let n = max 16 (2 * Array.length cv.cls_mask) and used = cv.classes in
+    cv.cls_mask <- grown_ints cv.cls_mask n used;
+    cv.cls_head <- grown_ints cv.cls_head n used;
+    cv.cls_min <- grown_ints cv.cls_min n used;
+    cv.cls_next <- grown_floats cv.cls_next n used;
+    cv.cls_floor <- grown_floats cv.cls_floor n used;
+    cv.cls_of <- grown_ints cv.cls_of (2 * n) 0;
+    for c = 0 to used - 1 do
+      cv.cls_of.(probe cv cv.cls_mask.(c) (hash cv cv.cls_mask.(c))) <- c + 1
+    done
+
+  (* The class of T mask [mask], added if new. *)
+  let class_of (cv : cover) mask =
+    if cv.classes = Array.length cv.cls_mask then grow_classes cv;
+    let h = probe cv mask (hash cv mask) in
+    let c = cv.cls_of.(h) - 1 in
+    if c >= 0 then c
+    else begin
+      let c = cv.classes in
+      cv.classes <- c + 1;
+      cv.cls_of.(h) <- c + 1;
+      cv.cls_mask.(c) <- mask;
+      cv.cls_head.(c) <- -1;
+      cv.cls_min.(c) <- -2;
+      cv.cls_floor.(c) <- Float.infinity;
+      c
+    end
 
   (* The head of the walk lies under the node (bits, len). *)
   let head_under t (cv : cover) ~bits ~len =
@@ -502,7 +574,7 @@ module Cover = struct
       cv.regs.ret_cost <- t.scores.(i)
     end
     else begin
-      if cv.slots = Array.length cv.node_bits then grow cv;
+      if cv.slots = Array.length cv.node_key then grow cv;
       let slot = cv.slots in
       cv.slots <- slot + 1;
       let child = len + 1 in
@@ -526,31 +598,77 @@ module Cover = struct
         cv.ret_count <- 0;
         cv.regs.ret_cost <- 0.0
       end;
-      cv.node_bits.(slot) <- bits;
-      cv.node_len.(slot) <- len;
-      cv.node_t.(slot) <- cv.ret_t;
+      cv.node_key.(slot) <- Prefix.key_of ~bits ~length:len;
+      cv.node_end.(slot) <- cv.slots;
       cv.node_cost.(slot) <- cv.regs.ret_cost;
-      cv.alive.(slot) <- cv.ret_t <> 0 && cv.ret_count >= 2
+      cv.node_class.(slot) <-
+        (if cv.ret_t <> 0 && cv.ret_count >= 2 then class_of cv cv.ret_t else -1)
     end
 
   let build t =
     let cv = t.cover in
     cv.slots <- 0;
     cv.cursor <- 0;
+    cv.classes <- 0;
+    Array.fill cv.cls_of 0 (Array.length cv.cls_of) 0;
     let filter = t.spec.Task_spec.filter in
     visit t cv ~bits:(Prefix.bits filter) ~len:(Prefix.length filter);
+    (* Each class's members in slot order: prepend from the last slot. *)
+    for j = cv.slots - 1 downto 0 do
+      let c = cv.node_class.(j) in
+      if c >= 0 then begin
+        cv.node_next.(j) <- cv.cls_head.(c);
+        cv.cls_head.(c) <- j;
+        cv.cls_floor.(c) <- Float.min cv.cls_floor.(c) cv.node_cost.(j)
+      end
+    done;
     (* Lower bound on the cost of any candidate freeing each sub-filter;
-       stays a valid lower bound across repairs. *)
+       stays a valid lower bound across repairs.  Float.min is
+       order-free, so it can gather class by class. *)
     Array.fill cv.cheapest 0 (Array.length cv.cheapest) Float.infinity;
-    for j = 0 to cv.slots - 1 do
-      if cv.alive.(j) then
-        for i = 0 to Array.length cv.cheapest - 1 do
-          if cv.node_t.(j) land (1 lsl i) <> 0 then
-            cv.cheapest.(i) <- Float.min cv.cheapest.(i) cv.node_cost.(j)
-        done
+    for c = 0 to cv.classes - 1 do
+      for i = 0 to Array.length cv.cheapest - 1 do
+        if cv.cls_mask.(c) land (1 lsl i) <> 0 then
+          cv.cheapest.(i) <- Float.min cv.cheapest.(i) cv.cls_floor.(c)
+      done
     done;
     cv.built <- true;
     t
+
+  (* Slots [lo, hi) stop being candidates; their classes must find their
+     least member again. *)
+  let kill (cv : cover) lo hi =
+    cv.scans <- cv.scans + (hi - lo);
+    for j = lo to hi - 1 do
+      let c = cv.node_class.(j) in
+      if c >= 0 then begin
+        cv.node_class.(j) <- -1;
+        cv.cls_min.(c) <- -2
+      end
+    done
+
+  let[@inline] covers_node (cv : cover) j ~bits ~len =
+    let key = cv.node_key.(j) in
+    Prefix.covers_bits ~abits:(Prefix.key_bits key) ~alen:(Prefix.key_length key) ~bbits:bits
+      ~blen:len
+
+  let[@inline] under_node (cv : cover) j ~bits ~len =
+    let key = cv.node_key.(j) in
+    Prefix.covers_bits ~abits:bits ~alen:len ~bbits:(Prefix.key_bits key)
+      ~blen:(Prefix.key_length key)
+
+  (* Kill the slots in [j, stop), a run of sibling subtrees, that the
+     prefix (bits, len) covers: one node per level is read on the way down
+     to them, each level's other siblings skipped by their subtree ends. *)
+  let rec kill_under (cv : cover) j stop ~bits ~len =
+    if j < stop then begin
+      cv.scans <- cv.scans + 1;
+      if under_node cv j ~bits ~len then
+        (* No sibling: (bits, len) lies strictly inside their parent. *)
+        kill cv j cv.node_end.(j)
+      else if covers_node cv j ~bits ~len then kill_under cv (j + 1) cv.node_end.(j) ~bits ~len
+      else kill_under cv cv.node_end.(j) stop ~bits ~len
+    end
 
   (* A merge at [ancestor] turns that subtree into a single counter: every
      candidate inside it disappears; all others remain exactly valid (the
@@ -558,19 +676,15 @@ module Cover = struct
      bounds are left untouched — they only ever under-estimate. *)
   let repair_after_merge t ancestor =
     let cv = t.cover in
-    let abits = Prefix.bits ancestor and alen = Prefix.length ancestor in
-    for j = 0 to cv.slots - 1 do
-      if
-        cv.alive.(j)
-        && Prefix.covers_bits ~abits ~alen ~bbits:cv.node_bits.(j) ~blen:cv.node_len.(j)
-      then cv.alive.(j) <- false
-    done
+    kill_under cv 0 cv.slots ~bits:(Prefix.bits ancestor) ~len:(Prefix.length ancestor)
 
-  let rec repair_all t = function
-    | [] -> ()
-    | ancestor :: rest ->
-      repair_after_merge t ancestor;
-      repair_all t rest
+  (* The picks' subtrees: what merging at them destroyed. *)
+  let repair_picks t =
+    let cv = t.cover in
+    for i = 0 to cv.picks - 1 do
+      let j = cv.chosen.(i) in
+      kill cv j cv.node_end.(j)
+    done
 
   (* Lower bound on the cost of covering [f]: any solution must include,
      for each sub-filter, a candidate at least as expensive as that
@@ -584,18 +698,87 @@ module Cover = struct
 
   let min_cost_bound t f = bound t.cover f
 
+  (* Drop from the running solve the slots in [j, stop) whose node covers
+     (bits, len): the path down to it, walked as [kill_under] walks. *)
+  let rec drop_path (cv : cover) j stop ~bits ~len =
+    if j < stop then begin
+      cv.scans <- cv.scans + 1;
+      if covers_node cv j ~bits ~len then begin
+        cv.stamp.(j) <- cv.solve_id;
+        drop_path cv (j + 1) cv.node_end.(j) ~bits ~len
+      end
+      else drop_path cv cv.node_end.(j) stop ~bits ~len
+    end
+
+  (* [cls_min] and [cls_next] of class [c] over its members from [j] on. *)
+  let rec find_min (cv : cover) c j =
+    if j >= 0 then begin
+      cv.scans <- cv.scans + 1;
+      if cv.node_class.(j) >= 0 then begin
+        let s = cv.cls_min.(c) in
+        if s < 0 || cv.node_cost.(j) < cv.node_cost.(s) then begin
+          cv.cls_next.(c) <- (if s < 0 then Float.infinity else cv.node_cost.(s));
+          cv.cls_min.(c) <- j
+        end
+        else if cv.node_cost.(s) < cv.node_cost.(j) && cv.node_cost.(j) < cv.cls_next.(c) then
+          cv.cls_next.(c) <- cv.node_cost.(j)
+      end;
+      find_min cv c cv.node_next.(j)
+    end
+
+  (* The first member from [j] on live in this solve with the lowest cost
+     per gain [g], a later member winning only when [not (best <= ratio)],
+     into [class_best] (left -1 if none) and [class_ratio]. *)
+  let rec scan_class (cv : cover) j g =
+    if j >= 0 then begin
+      cv.scans <- cv.scans + 1;
+      if cv.node_class.(j) >= 0 && cv.stamp.(j) <> cv.solve_id then begin
+        let ratio = cv.node_cost.(j) /. cv.gains.(g) in
+        if cv.class_best < 0 || not (cv.regs.class_ratio <= ratio) then begin
+          cv.class_best <- j;
+          cv.regs.class_ratio <- ratio
+        end
+      end;
+      scan_class cv cv.node_next.(j) g
+    end
+
   (* The first live slot with the lowest cost per newly covered sub-filter
      (a later slot replaces the best only when [not (best <= ratio)], the
-     fold's tie-break), left in [cv.best]; -1 when no slot covers any of
-     [uncovered]. *)
-  let pick (cv : cover) uncovered =
+     tie-break of one fold over the slots in order), left in [cv.best]; -1
+     when no slot covers any of [uncovered].  One step per class: the
+     class's cached least-cost member is its answer, unless this solve
+     dropped it or the next cost up divides to the same ratio, when the
+     class is scanned.  Costs are sums of scores, never NaN, so "first
+     lowest" orders (ratio, slot) pairs totally and the classes' answers
+     combine by it. *)
+  let[@hot] pick (cv : cover) uncovered =
     cv.best <- -1;
-    for j = 0 to cv.slots - 1 do
-      if cv.work.(j) then begin
-        let gain = Switch_mask.cardinal (cv.node_t.(j) land uncovered) in
-        if gain > 0 then begin
-          let ratio = cv.node_cost.(j) /. float_of_int gain in
-          if cv.best < 0 || not (cv.regs.best_ratio <= ratio) then begin
+    for c = 0 to cv.classes - 1 do
+      let gain = Switch_mask.cardinal (cv.cls_mask.(c) land uncovered) in
+      if gain > 0 then begin
+        if cv.cls_min.(c) = -2 then begin
+          cv.cls_min.(c) <- -1;
+          find_min cv c cv.cls_head.(c)
+        end;
+        let s = cv.cls_min.(c) in
+        if s >= 0 then begin
+          cv.scans <- cv.scans + 1;
+          let g = cv.gains.(gain) in
+          if cv.stamp.(s) <> cv.solve_id && cv.node_cost.(s) /. g < cv.cls_next.(c) /. g then begin
+            cv.class_best <- s;
+            cv.regs.class_ratio <- cv.node_cost.(s) /. g
+          end
+          else begin
+            cv.class_best <- -1;
+            scan_class cv cv.cls_head.(c) gain
+          end;
+          let j = cv.class_best and ratio = cv.regs.class_ratio in
+          if
+            j >= 0
+            && (cv.best < 0
+               || ratio < cv.regs.best_ratio
+               || (ratio <= cv.regs.best_ratio && j < cv.best))
+          then begin
             cv.best <- j;
             cv.regs.best_ratio <- ratio
           end
@@ -603,55 +786,52 @@ module Cover = struct
       end
     done
 
-  let rec greedy (cv : cover) chosen cost uncovered =
-    if uncovered = 0 then Some { ancestors = chosen; cost }
-    else begin
-      pick cv uncovered;
-      let b = cv.best in
-      if b < 0 then None
-      else begin
-        let bbits = cv.node_bits.(b) and blen = cv.node_len.(b) in
-        (* Disjoint ancestors only: drop the pick and every slot nested
-           with it. *)
-        for j = 0 to cv.slots - 1 do
-          let jbits = cv.node_bits.(j) and jlen = cv.node_len.(j) in
-          if
-            cv.work.(j)
-            && (Prefix.covers_bits ~abits:jbits ~alen:jlen ~bbits ~blen
-               || Prefix.covers_bits ~abits:bbits ~alen:blen ~bbits:jbits ~blen:jlen)
-          then cv.work.(j) <- false
-        done;
-        greedy cv
-          (Prefix.make ~bits:bbits ~length:blen :: chosen)
-          (cost +. cv.node_cost.(b))
-          (uncovered land lnot cv.node_t.(b))
-      end
-    end
+  (* Pick until [uncovered] is empty, each pick dropping every slot nested
+     with it (its path from the root and its subtree), so the picks are
+     disjoint.  False when a sub-filter cannot be covered. *)
+  let rec greedy (cv : cover) uncovered =
+    uncovered = 0
+    ||
+    (pick cv uncovered;
+     let b = cv.best in
+     b >= 0
+     &&
+     let key = cv.node_key.(b) and stop = cv.node_end.(b) in
+     cv.chosen.(cv.picks) <- b;
+     cv.picks <- cv.picks + 1;
+     cv.regs.cost <- cv.regs.cost +. cv.node_cost.(b);
+     drop_path cv 0 cv.slots ~bits:(Prefix.key_bits key) ~len:(Prefix.key_length key);
+     cv.scans <- cv.scans + (stop - b - 1);
+     for j = b + 1 to stop - 1 do
+       cv.stamp.(j) <- cv.solve_id
+     done;
+     greedy cv (uncovered land lnot cv.cls_mask.(cv.node_class.(b))))
 
-  (* [solve_mask] with candidates covering the (ex_bits, ex_len) prefix
-     ignored; [ex_len < 0] ignores none. *)
-  let solve_mask t ~ex_bits ~ex_len f =
-    if f = 0 then Some { ancestors = []; cost = 0.0 }
-    else begin
-      let cv = t.cover in
-      for j = 0 to cv.slots - 1 do
-        let excluded =
-          ex_len >= 0
-          && Prefix.covers_bits ~abits:cv.node_bits.(j) ~alen:cv.node_len.(j) ~bbits:ex_bits
-               ~blen:ex_len
-        in
-        cv.work.(j) <- cv.alive.(j) && not excluded
-      done;
-      greedy cv [] 0.0 f
-    end
+  (* Greedy cover of [f] ignoring the candidates that cover the
+     (ex_bits, ex_len) prefix ([ex_len < 0] ignores none): the picks go to
+     [chosen], their summed cost to [regs.cost].  False if [f] cannot be
+     covered. *)
+  let[@hot] solve_mask t ~ex_bits ~ex_len f =
+    let cv = t.cover in
+    cv.picks <- 0;
+    cv.regs.cost <- 0.0;
+    cv.solve_id <- cv.solve_id + 1;
+    if ex_len >= 0 then drop_path cv 0 cv.slots ~bits:ex_bits ~len:ex_len;
+    greedy cv f
 
-  let solve_with t ~exclude f =
+  let solve t ~exclude f =
     match exclude with
     | None -> solve_mask t ~ex_bits:0 ~ex_len:(-1) f
     | Some p -> solve_mask t ~ex_bits:(Prefix.bits p) ~ex_len:(Prefix.length p) f
 
-  let solve t ~exclude f = solve_with (build t) ~exclude f
+  let picks t = t.cover.picks
+
+  let picked t i = Prefix.of_key t.cover.node_key.(t.cover.chosen.(i))
+
+  let cost t = t.cover.regs.cost
 end
+
+let cover_scans t = t.cover.scans
 
 (* ---- merge and divide ---- *)
 
@@ -661,10 +841,9 @@ end
    history built the configuration: score and CD mean from 0.0, and per
    sub-filter the volumes of the victims that have one (a sub-filter no
    victim has a volume on stays absent). *)
-let[@hot] merge t ancestor =
-  let abits = Prefix.bits ancestor and alen = Prefix.length ancestor in
-  let lo = bisect t (Prefix.first_address ancestor) 0 t.n in
-  let hi = bisect t (Prefix.last_address ancestor + 1) lo t.n in
+let[@hot] merge t ~abits ~alen =
+  let lo = bisect t abits 0 t.n in
+  let hi = bisect t (abits + (1 lsl (Prefix.address_bits - alen))) lo t.n in
   (* Otherwise a counter on or above [ancestor] already covers it. *)
   if
     lo < hi
@@ -698,11 +877,13 @@ let[@hot] merge t ancestor =
     bump t.usage (effective t lo) 1 0
   end
 
-let rec apply_merges t = function
-  | [] -> ()
-  | ancestor :: rest ->
-    merge t ancestor;
-    apply_merges t rest
+(* Merge at the last solve's picks, the last pick first. *)
+let apply_merges t =
+  let cv = t.cover in
+  for i = cv.picks - 1 downto 0 do
+    let key = cv.node_key.(cv.chosen.(i)) in
+    merge t ~abits:(Prefix.key_bits key) ~alen:(Prefix.key_length key)
+  done
 
 let heap_grow (h : heap) =
   let n = max 8 (2 * Array.length h.h_key) in
@@ -804,15 +985,15 @@ let total_allocation allocations = Array.fold_left ( + ) 0 allocations
 let rec shrink_to_fit t guard =
   let f = overloaded t 0 0 in
   if f <> 0 && guard > 0 then begin
-    match Cover.solve_mask (Cover.build t) ~ex_bits:0 ~ex_len:(-1) f with
-    | Some ({ Cover.ancestors = _ :: _; _ } as sol) ->
-      apply_merges t sol.Cover.ancestors;
+    if Cover.solve_mask (Cover.build t) ~ex_bits:0 ~ex_len:(-1) f && t.cover.picks > 0 then begin
+      apply_merges t;
       shrink_to_fit t (guard - 1)
-    | Some { Cover.ancestors = []; _ } | None ->
-      if t.n > 1 then begin
-        merge t t.spec.Task_spec.filter;
-        shrink_to_fit t (guard - 1)
-      end
+    end
+    else if t.n > 1 then begin
+      let filter = t.spec.Task_spec.filter in
+      merge t ~abits:(Prefix.bits filter) ~alen:(Prefix.length filter);
+      shrink_to_fit t (guard - 1)
+    end
   end
 
 let push_divisible t ~leaf_length =
@@ -856,17 +1037,19 @@ let rec divide_loop t ~leaf_length ~improvement_floor budget =
         if Cover.bound t.cover f +. improvement_floor >= score then
           divide_loop t ~leaf_length ~improvement_floor budget
         else begin
-          match Cover.solve_mask t ~ex_bits:lbits ~ex_len:len f with
-          | Some sol when sol.Cover.cost +. improvement_floor < score ->
-            apply_merges t sol.Cover.ancestors;
-            Cover.repair_all t sol.Cover.ancestors;
+          if
+            Cover.solve_mask t ~ex_bits:lbits ~ex_len:len f
+            && t.cover.regs.cost +. improvement_floor < score
+          then begin
+            apply_merges t;
+            Cover.repair_picks t;
             (* Re-check: the merge must actually have freed room.  The
                merges never touch the excluded counter, but they can move
                its slot. *)
             if blocked t extra 0 0 = 0 then
-              divide t ~leaf_length (slot_of_key t (Prefix.key_of ~bits:lbits ~length:len));
-            divide_loop t ~leaf_length ~improvement_floor (budget - 1)
-          | Some _ | None -> divide_loop t ~leaf_length ~improvement_floor (budget - 1)
+              divide t ~leaf_length (slot_of_key t (Prefix.key_of ~bits:lbits ~length:len))
+          end;
+          divide_loop t ~leaf_length ~improvement_floor (budget - 1)
         end
       end
     end

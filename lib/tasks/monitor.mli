@@ -78,17 +78,20 @@ val cd_deviation : t -> int -> float
 
 (** {2 Columns}
 
-    The float columns themselves, for the estimators that read every slot
-    once an epoch: indexing one reads a float without boxing it, where
-    {!total} or {!volume_on} returns a boxed one across the module
-    boundary.  Each is the monitor's own array, valid until the next
-    {!configure} or reading; do not mutate. *)
+    The float columns themselves, for the estimators and the scorer that
+    visit every slot once an epoch: indexing one reads a float without
+    boxing it, where {!total} or {!volume_on} returns a boxed one across
+    the module boundary.  Each is the monitor's own array, valid until the
+    next {!configure} or reading; do not mutate, except {!scores}. *)
 
 val totals : t -> float array
 (** {!total} of slot [i] at index [i]. *)
 
 val means : t -> float array
 (** The CD mean of slot [i] at index [i], where {!seeded}. *)
+
+val scores : t -> float array
+(** {!score} of slot [i] at index [i]; writing one is {!set_score}. *)
 
 val seeded : t -> int -> bool
 (** Whether the slot's CD mean has history ({!mean} is [Some]). *)
@@ -180,10 +183,6 @@ module Cover : sig
       switch set is a bitmask over the task's sub-filters (bit [i] is
       sub-filter [i] of the topology). *)
 
-  type solution = { ancestors : Dream_prefix.Prefix.t list; cost : float }
-  (** Disjoint ancestors to merge, and the total score of the counters the
-      merges destroy. *)
-
   type candidates
   (** The monitor's candidate table.  There is one per monitor, reused
       across builds: a {!build} invalidates the candidates of every earlier
@@ -204,24 +203,30 @@ module Cover : sig
       per-switch bound over it ([infinity] for a switch no candidate
       frees). *)
 
-  val solve_with :
-    candidates ->
-    exclude:Dream_prefix.Prefix.t option ->
-    Dream_traffic.Switch_mask.t ->
-    solution option
+  val solve :
+    candidates -> exclude:Dream_prefix.Prefix.t option -> Dream_traffic.Switch_mask.t -> bool
   (** Greedy cover of the set from these candidates, ignoring those that
       cover [exclude] (so a merge never destroys the counter about to be
-      divided).  [None] if the set cannot be covered. *)
+      divided): a low-cost set of disjoint ancestors whose merging frees
+      at least one entry on every switch in the set, left in {!picked}
+      and {!cost} until the next solve.  [false] if the set cannot be
+      covered. *)
 
-  val solve :
-    t ->
-    exclude:Dream_prefix.Prefix.t option ->
-    Dream_traffic.Switch_mask.t ->
-    solution option
-  (** [solve t ~exclude f] is [solve_with (build t) ~exclude f]: a
-      low-cost set of ancestors whose merging frees at least one entry on
-      every switch in [f]. *)
+  val picks : candidates -> int
+  (** The number of ancestors the last {!solve} picked. *)
+
+  val picked : candidates -> int -> Dream_prefix.Prefix.t
+  (** [picked c i]: the ancestor the last {!solve} picked [i]-th, from 0. *)
+
+  val cost : candidates -> float
+  (** The total score of the counters the last {!solve}'s merges destroy:
+      the picks' costs summed in pick order. *)
 end
+
+val cover_scans : t -> int
+(** The candidate slots cover() has visited since the monitor was created
+    or parsed: the slots its solves, picks, drops and repairs read.  A
+    count of the work itself, exact for a seeded run. *)
 
 val configure : t -> allocations:int array -> unit
 (** Algorithm 2 under per-sub-filter-bit [allocations] (a switch outside

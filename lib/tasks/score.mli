@@ -10,4 +10,5 @@ val of_slot : Monitor.t -> int -> float
 (** The score of a slot's counter under the monitor's spec. *)
 
 val apply : Monitor.t -> unit
-(** Rescore every counter that is not fresh. *)
+(** Rescore every counter that is not fresh: {!of_slot} of each, written
+    into the monitor's score column. *)

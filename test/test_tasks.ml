@@ -257,19 +257,38 @@ let test_monitor_eight_switches () =
 
 (* ---- Cover ---- *)
 
+(* cover()'s answer as a list of ancestors, the last pick first, read off
+   the monitor's pick column. *)
+module Cover_list = struct
+  type solution = { ancestors : Prefix.t list; cost : float }
+
+  let solve_with cands ~exclude f =
+    if Monitor.Cover.solve cands ~exclude f then begin
+      let n = Monitor.Cover.picks cands in
+      Some
+        {
+          ancestors = List.init n (fun i -> Monitor.Cover.picked cands (n - 1 - i));
+          cost = Monitor.Cover.cost cands;
+        }
+    end
+    else None
+
+  let solve m ~exclude f = solve_with (Monitor.Cover.build m) ~exclude f
+end
+
 let test_cover_empty_set () =
   let m = mk_monitor () in
-  match Monitor.Cover.solve m ~exclude:None Switch_mask.empty with
+  match Cover_list.solve m ~exclude:None Switch_mask.empty with
   | Some sol ->
-    Alcotest.(check int) "no ancestors" 0 (List.length sol.Monitor.Cover.ancestors);
-    Alcotest.(check (float 1e-9)) "zero cost" 0.0 sol.Monitor.Cover.cost
+    Alcotest.(check int) "no ancestors" 0 (List.length sol.Cover_list.ancestors);
+    Alcotest.(check (float 1e-9)) "zero cost" 0.0 sol.Cover_list.cost
   | None -> Alcotest.fail "empty set must be coverable"
 
 let test_cover_single_counter_uncoverable () =
   let m = mk_monitor () in
   (* Only the filter counter exists: nothing can merge, so no cover. *)
   Alcotest.(check bool) "uncoverable" true
-    (Monitor.Cover.solve m ~exclude:None 1 = None)
+    (Cover_list.solve m ~exclude:None 1 = None)
 
 let test_cover_finds_mergeable_ancestor () =
   let m = mk_monitor () in
@@ -282,13 +301,13 @@ let test_cover_finds_mergeable_ancestor () =
   Switch_mask.iter (Monitor.topology m)
     (fun _ b ->
       if Monitor.usage m b >= 2 then begin
-        match Monitor.Cover.solve m ~exclude:None (1 lsl b) with
+        match Cover_list.solve m ~exclude:None (1 lsl b) with
         | Some sol ->
-          Alcotest.(check bool) "non-empty" true (sol.Monitor.Cover.ancestors <> []);
+          Alcotest.(check bool) "non-empty" true (sol.Cover_list.ancestors <> []);
           List.iter
             (fun anc ->
               Alcotest.(check bool) "ancestor within filter" true (Prefix.covers filter anc))
-            sol.Monitor.Cover.ancestors
+            sol.Cover_list.ancestors
         | None -> Alcotest.fail "expected a cover"
       end)
     (Monitor.switches m)
@@ -304,11 +323,11 @@ let test_cover_multi_switch () =
   let f = Monitor.switches m in
   if Monitor.usage m 0 >= 2 && Monitor.usage m 1 >= 2 then begin
     let before0 = Monitor.usage m 0 and before1 = Monitor.usage m 1 in
-    match Monitor.Cover.solve m ~exclude:None f with
+    match Cover_list.solve m ~exclude:None f with
     | Some sol ->
       (* Apply the merges by configuring with allocations one below the
          current usage on both switches. *)
-      Alcotest.(check bool) "positive cost for real counters" true (sol.Monitor.Cover.cost >= 0.0);
+      Alcotest.(check bool) "positive cost for real counters" true (sol.Cover_list.cost >= 0.0);
       let tight = [| before0 - 1; before1 - 1 |] in
       Monitor.configure m ~allocations:tight;
       Alcotest.(check bool) "freed on 0" true (Monitor.usage m 0 <= before0 - 1);
@@ -319,13 +338,13 @@ let test_cover_multi_switch () =
 
 (* ---- Differential: bitmask cover() against the Set-based oracle ---- *)
 
-let same_solution (a : Monitor.Cover.solution option) (b : Reference_cover.solution option) =
+let same_solution (a : Cover_list.solution option) (b : Reference_cover.solution option) =
   match (a, b) with
   | None, None -> true
   | Some a, Some b ->
-    List.equal Prefix.equal a.Monitor.Cover.ancestors b.Reference_cover.ancestors
+    List.equal Prefix.equal a.Cover_list.ancestors b.Reference_cover.ancestors
     && Int64.equal
-         (Int64.bits_of_float a.Monitor.Cover.cost)
+         (Int64.bits_of_float a.Cover_list.cost)
          (Int64.bits_of_float b.Reference_cover.cost)
   | Some _, None | None, Some _ -> false
 
@@ -333,8 +352,13 @@ let same_solution (a : Monitor.Cover.solution option) (b : Reference_cover.solut
    greedy's tie-break) come up often. *)
 let score_levels = [| 0.0; 0.5; 1.0; 1.5; 2.0; 3.0; 5.0 |]
 
-let randomize_scores rng m =
-  List.iter (fun i -> Monitor.set_score m i (Rng.pick rng score_levels)) (counters m)
+(* Costs one ulp apart that divide to the same ratio: the successor of 1.5
+   and its successor are distinct costs with one ratio at gains 3 and 6,
+   so the first slot of least ratio need not be the first of least cost. *)
+let rounding_tie_levels = [| 0.0; 1.5; Float.succ 1.5; Float.succ (Float.succ 1.5) |]
+
+let randomize_scores ?(levels = score_levels) rng m =
+  List.iter (fun i -> Monitor.set_score m i (Rng.pick rng levels)) (counters m)
 
 (* A random subset of the task's switches, in both forms. *)
 let random_switch_set rng m =
@@ -365,6 +389,20 @@ let random_prefix rng m ~filter =
 let random_exclude rng m ~filter =
   if Rng.bool rng then None else Some (random_prefix rng m ~filter)
 
+(* A prefix to repair at: often none of the candidates — a counter, an
+   address below one, the filter's parent or its sibling — else any
+   [random_prefix]. *)
+let random_repair_prefix rng m ~filter =
+  match Rng.int rng 6 with
+  | 0 -> Monitor.prefix m (Rng.pick rng (Array.of_list (counters m)))
+  | 1 -> Prefix.of_address (Prefix.first_address filter + Rng.int rng (Prefix.size filter))
+  | 2 -> Prefix.ancestor_at filter (Prefix.length filter - 1)
+  | 3 ->
+    Prefix.make
+      ~bits:(Prefix.bits filter lxor (1 lsl (32 - Prefix.length filter)))
+      ~length:(Prefix.length filter)
+  | _ -> random_prefix rng m ~filter
+
 let oracle_filter = Prefix.of_string "10.1.2.0/24"
 
 (* A monitor over k sub-filters of [oracle_filter], among k + 2 switches. *)
@@ -381,13 +419,18 @@ let oracle_monitor ~k ~seed =
 
 (* Divide-and-merge under random scores and random per-switch allocations
    (zero leaves a switch inactive), then fresh random scores. *)
-let reshape rng m =
-  randomize_scores rng m;
+let reshape ?levels rng m =
+  randomize_scores ?levels rng m;
   let topology = Monitor.topology m in
   let allocations = Array.make (Topology.switches_per_task topology) 0 in
   Switch_mask.iter topology (fun _ b -> allocations.(b) <- Rng.int rng 10) (Monitor.switches m);
   Monitor.configure m ~allocations;
-  randomize_scores rng m
+  randomize_scores ?levels rng m
+
+(* Solves that uncovered all eight switches and took two picks or more,
+   over one run of [prop_cover_matches_oracle]: the greedy's drops must
+   leave its later picks exact, so the run must contain some. *)
+let multi_pick_solves = ref 0
 
 let prop_cover_matches_oracle =
   QCheck.Test.make ~name:"bitmask cover() = Set-based oracle, bit for bit" ~count:150
@@ -396,6 +439,7 @@ let prop_cover_matches_oracle =
       let k = [| 2; 4; 8 |].(k_index) in
       let rng = Rng.create seed in
       let filter = oracle_filter in
+      let levels = if seed land 1 = 0 then score_levels else rounding_tie_levels in
       let m = oracle_monitor ~k ~seed in
       let ok = ref true in
       let check what a b =
@@ -405,17 +449,38 @@ let prop_cover_matches_oracle =
         end
       in
       for _ = 1 to 6 do
-        reshape rng m;
-        for _ = 1 to 4 do
+        reshape ~levels rng m;
+        for round = 1 to 4 do
+          let mask, f =
+            if round = 1 then begin
+              let all = Monitor.switches m in
+              (all, Reference_switch_set.set_of_mask (Monitor.topology m) all)
+            end
+            else random_switch_set rng m
+          in
+          let exclude = random_exclude rng m ~filter in
+          let sol = Cover_list.solve m ~exclude mask in
+          check "solve" sol (Reference_cover.solve m ~exclude f);
+          match sol with
+          | Some { Cover_list.ancestors = _ :: _ :: _; _ } when round = 1 && k = 8 ->
+            incr multi_pick_solves
+          | _ -> ()
+        done;
+        (* Back to back on one table: each solve's drops are its own. *)
+        let cands = Monitor.Cover.build m in
+        let oracle = Reference_cover.build m in
+        for _ = 1 to 3 do
           let mask, f = random_switch_set rng m in
           let exclude = random_exclude rng m ~filter in
-          check "solve" (Monitor.Cover.solve m ~exclude mask) (Reference_cover.solve m ~exclude f)
+          check "solve_with, table reused"
+            (Cover_list.solve_with cands ~exclude mask)
+            (Reference_cover.solve_with oracle ~exclude f)
         done;
         (* Repairs: the same merges applied to both candidate tables. *)
         let cands = Monitor.Cover.build m in
         let oracle = ref (Reference_cover.build m) in
         for _ = 1 to 3 do
-          let ancestor = random_prefix rng m ~filter in
+          let ancestor = random_repair_prefix rng m ~filter in
           Monitor.Cover.repair_after_merge cands ancestor;
           oracle := Reference_cover.repair_after_merge !oracle ancestor;
           for _ = 1 to 3 do
@@ -431,12 +496,78 @@ let prop_cover_matches_oracle =
               QCheck.Test.fail_reportf "min_cost_bound differs (k=%d, seed=%d)" k seed
             end;
             check "solve_with after repair"
-              (Monitor.Cover.solve_with cands ~exclude mask)
+              (Cover_list.solve_with cands ~exclude mask)
               (Reference_cover.solve_with !oracle ~exclude f)
           done
         done
       done;
       !ok)
+
+let test_cover_matches_oracle =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_cover_matches_oracle in
+  ( name,
+    speed,
+    fun () ->
+      multi_pick_solves := 0;
+      run ();
+      if !multi_pick_solves = 0 then
+        Alcotest.fail "no all-switch solve on 8 switches took two picks" )
+
+(* Two candidates of one T mask whose costs differ yet divide to the same
+   ratio: the root, first in slot order, and its left child, an ulp
+   cheaper.  Eight /27 sub-filters of a /24; the first three hold two /28
+   counters each, the first of them scored [x], and one counter on the
+   right half is scored an ulp's worth, so every candidate's cost per
+   sub-filter rounds to [x] and the greedy must take the root. *)
+let test_cover_rounding_tie () =
+  let filter = oracle_filter in
+  let topology =
+    Topology.create (Rng.create 3) ~filter ~num_switches:8 ~switches_per_task:8
+  in
+  let spec =
+    Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter ~leaf_length:28 ~threshold:4.0 ()
+  in
+  let m = Monitor.create ~spec ~topology in
+  let first = Prefix.first_address filter in
+  let low b = Prefix.first_address (Topology.subfilter_of_bit topology b) < first + 96 in
+  (* Two entries where the first three sub-filters' switches see them,
+     one elsewhere: those three drill to /28, the rest stop at /27. *)
+  Monitor.set_score m 0 1.0;
+  Monitor.configure m ~allocations:(Array.init 8 (fun b -> if low b then 2 else 1));
+  let x = 0.5 +. ldexp 3.0 (-53) in
+  List.iter
+    (fun i ->
+      let p = Monitor.prefix m i in
+      let offset = Prefix.first_address p - first in
+      Monitor.set_score m i
+        (if Prefix.length p = 28 && offset land 16 = 0 then x
+         else if offset = 128 then ldexp 1.0 (-52)
+         else 0.0))
+    (counters m);
+  Alcotest.(check int) "counters" 11 (Monitor.num_counters m);
+  let u =
+    Switch_mask.fold topology
+      (fun _ b acc -> if low b then acc lor (1 lsl b) else acc)
+      (Monitor.switches m) 0
+  in
+  let f = Reference_switch_set.set_of_mask topology u in
+  let sol = Cover_list.solve m ~exclude:None u in
+  Alcotest.(check bool) "= oracle" true
+    (same_solution sol (Reference_cover.solve m ~exclude:None f));
+  match sol with
+  | Some { Cover_list.ancestors = [ p ]; _ } ->
+    Alcotest.(check string) "the root" (Prefix.to_string filter) (Prefix.to_string p)
+  | _ -> Alcotest.fail "expected one ancestor"
+
+(* The work cover() does on a seeded run of divide-and-merge, exactly:
+   the candidate slots its solves and repairs read. *)
+let test_cover_scans_pinned () =
+  let m = oracle_monitor ~k:8 ~seed:7 in
+  let rng = Rng.create 7 in
+  for _ = 1 to 40 do
+    reshape rng m
+  done;
+  Alcotest.(check int) "candidate slots read" 34064 (Monitor.cover_scans m)
 
 (* The rules of a switch are, in prefix order, the counters whose S set
    holds it, while the switch is active. *)
@@ -674,6 +805,45 @@ let prop_columns_match_boxed_reference =
       if emitted Monitor.emit restored <> text then fail "parse/emit round trip" 30;
       true)
 
+(* Score.apply writes the score column in one pass; Score.of_slot is the
+   per-slot definition it must agree with, bit for bit, on every counter
+   that is not fresh (a fresh one keeps its inherited score). *)
+let prop_score_column_matches_of_slot =
+  QCheck.Test.make ~name:"Score.apply = Score.of_slot on every slot, bit for bit" ~count:100
+    QCheck.(triple (int_bound 2) (int_bound 2) (int_bound 1_000_000))
+    (fun (k_index, kind_index, seed) ->
+      let k = [| 2; 4; 8 |].(k_index) in
+      let kind =
+        [| Task_spec.Heavy_hitter; Task_spec.Hierarchical_heavy_hitter; Task_spec.Change_detection |]
+          .(kind_index)
+      in
+      let topology =
+        Topology.create (Rng.create seed) ~filter:oracle_filter ~num_switches:(k + 2)
+          ~switches_per_task:k
+      in
+      let spec =
+        Task_spec.make ~kind ~filter:oracle_filter ~leaf_length:32 ~threshold:4.0 ~cd_history:0.7 ()
+      in
+      let m = Monitor.create ~spec ~topology in
+      let rng = Rng.create seed in
+      for step = 1 to 12 do
+        (match Rng.int rng 3 with
+        | 0 -> Fixtures.ingest_readings m (random_fractional_readings rng m ~filter:oracle_filter)
+        | 1 -> Monitor.update_means m
+        | _ -> reshape rng m);
+        let expected =
+          Array.init (Monitor.num_counters m) (fun i ->
+              if Monitor.fresh m i then Monitor.score m i else Score.of_slot m i)
+        in
+        Score.apply m;
+        Array.iteri
+          (fun i e ->
+            if not (same_float (Monitor.score m i) e) then
+              QCheck.Test.fail_reportf "slot %d after step %d (k=%d, seed=%d)" i step k seed)
+          expected
+      done;
+      true)
+
 (* ---- Differential: reports, estimates and ground truth against the list-based oracles ---- *)
 
 module Task = Dream_tasks.Task
@@ -848,7 +1018,9 @@ let () =
             test_cover_single_counter_uncoverable;
           Alcotest.test_case "finds mergeable ancestor" `Quick test_cover_finds_mergeable_ancestor;
           Alcotest.test_case "multi-switch cover" `Quick test_cover_multi_switch;
-          QCheck_alcotest.to_alcotest prop_cover_matches_oracle;
+          test_cover_matches_oracle;
+          Alcotest.test_case "rounding tie takes the first slot" `Quick test_cover_rounding_tie;
+          Alcotest.test_case "candidate slots read, pinned" `Quick test_cover_scans_pinned;
           QCheck_alcotest.to_alcotest prop_rules_for_matches_s_sets;
           QCheck_alcotest.to_alcotest prop_counter_array_model;
           QCheck_alcotest.to_alcotest prop_columns_match_boxed_reference;
@@ -938,5 +1110,6 @@ let () =
           Alcotest.test_case "hh" `Quick test_score_hh;
           Alcotest.test_case "hhh" `Quick test_score_hhh;
           Alcotest.test_case "cd" `Quick test_score_cd;
+          QCheck_alcotest.to_alcotest prop_score_column_matches_of_slot;
         ] );
     ]
