@@ -111,7 +111,7 @@ let rec visit w bits len lo hi =
 
 let detect w =
   let filter = (Monitor.spec w.m).Task_spec.filter and n = Monitor.num_counters w.m in
-  w.totals <- Monitor.totals w.m;
+  w.totals <- w.m.totals;
   Items.clear w.items;
   Items.reserve w.items (2 * n);
   visit w (Prefix.bits filter) (Prefix.length filter) 0 n

@@ -1,6 +1,8 @@
-(** Monitor configuration of one task: the set of prefixes it currently
-    counts, and the task-independent divide-and-merge algorithm
-    (Algorithm 2) that reshapes this set to fit per-switch allocations.
+(** The counter table of one task: the set of prefixes it currently
+    counts, with their readings, scores and CD means.  {!Divide_merge}
+    reshapes it to fit per-switch allocations, through the two edits
+    {!merge} and {!divide}; this module is the only one that writes the
+    table.
 
     Invariant: the monitored prefixes always partition the task's flow
     filter — divide replaces a prefix by both children, merge replaces all
@@ -10,18 +12,53 @@
     can see its traffic).
 
     The counters are one table of slots in prefix order, stored as unboxed
-    columns (DESIGN §3): a slot's prefix, S set, flags, total, score, CD
-    mean and per-switch volumes.  Since the counters partition the filter,
-    the counters under any prefix are one contiguous run of slots, so
-    lookups, merges, a switch's rules and trie walks are bisects over the
-    table, and a merge or divide is one shift of each column.  A slot index stays
-    valid until the next {!configure}, which moves slots.
+    columns (DESIGN §3).  Since the counters partition the filter, the
+    counters under any prefix are one contiguous run of slots, so lookups,
+    merges, a switch's rules and trie walks are bisects over the table,
+    and a merge or divide is one shift of each column.  A slot index stays
+    valid until the next merge or divide, which move slots.
 
     Switch sets are {!Dream_traffic.Switch_mask} bitmasks over the task's
     sub-filters, and per-switch arguments are sub-filter bits; only the
     data-plane facing functions take switch ids. *)
 
-type t
+(** The table, readable in place by the modules that visit every slot
+    in a configure or an epoch ({!Divide_merge}, the scorer and the
+    estimators): lib builds with [-opaque], so a call into this module per
+    slot is never inlined, and a float it returns is boxed.  Only this
+    module writes a field, and nothing else writes a column except the
+    scorer, into [scores].  A column is replaced when it grows.
+
+    Int columns are [Bytes], 8 bytes a slot ([Bytes.get_int64_ne] at
+    [i lsl 3]): [keys], each a {!Dream_prefix.Prefix.key}, so they order
+    like [Prefix.compare]; [masks], the S sets ([Topology.prefix_mask]);
+    [flags], fresh ([1]), CD mean seeded ([2]) and one volume-presence bit
+    per sub-filter ([4 lsl b]); [stamps], unique per counter created, which
+    tells a live counter from one merged away and recreated on the same
+    prefix.  Float columns: {!total}, {!score} and the CD mean of slot [i]
+    at index [i], and in [vols] its volume on sub-filter [b] at
+    [i * k + b], where {!has_volume}. *)
+type t = private {
+  spec : Task_spec.t;
+  topology : Dream_traffic.Topology.t;
+  k : int;  (** sub-filters *)
+  by_switch : int array;  (** [Topology.switch_order] *)
+  history : float;  (** the CD mean's history weight, [spec.cd_history] *)
+  mutable cap : int;  (** slots allocated in every column *)
+  mutable n : int;  (** slots in use *)
+  mutable keys : Bytes.t;
+  mutable masks : Bytes.t;
+  mutable flags : Bytes.t;
+  mutable stamps : Bytes.t;
+  mutable totals : float array;
+  mutable scores : float array;
+  mutable means : float array;
+  mutable vols : float array;
+  mutable next_stamp : int;
+  switches : Dream_traffic.Switch_mask.t;  (** every switch seeing the filter *)
+  usage : int array;  (** entries per sub-filter, kept incrementally *)
+  mutable active_mask : Dream_traffic.Switch_mask.t;  (** {!active} *)
+}
 
 val create : spec:Task_spec.t -> topology:Dream_traffic.Topology.t -> t
 (** Initial configuration: a single counter on the task's flow filter
@@ -76,30 +113,8 @@ val mean : t -> int -> float option
 val cd_deviation : t -> int -> float
 (** [|total - mean|]; 0 before any history. *)
 
-(** {2 Columns}
-
-    The float columns themselves, for the estimators and the scorer that
-    visit every slot once an epoch: indexing one reads a float without
-    boxing it, where {!total} or {!volume_on} returns a boxed one across
-    the module boundary.  Each is the monitor's own array, valid until the
-    next {!configure} or reading; do not mutate, except {!scores}. *)
-
-val totals : t -> float array
-(** {!total} of slot [i] at index [i]. *)
-
-val means : t -> float array
-(** The CD mean of slot [i] at index [i], where {!seeded}. *)
-
-val scores : t -> float array
-(** {!score} of slot [i] at index [i]; writing one is {!set_score}. *)
-
 val seeded : t -> int -> bool
 (** Whether the slot's CD mean has history ({!mean} is [Some]). *)
-
-val vols : t -> float array
-(** {!volume_on} of slot [i] on sub-filter bit [b] at index
-    [i * k + b] ([k] the topology's switches per task), where
-    {!has_volume}. *)
 
 val has_volume : t -> int -> int -> bool
 (** [has_volume t i b]: slot [i] has a volume on the switch of bit [b]
@@ -177,65 +192,24 @@ val bottlenecked : t -> allocations:int array -> Dream_traffic.Switch_mask.t
     whose missed events the local estimators should attribute (Section
     5.3).  [allocations] is indexed by sub-filter bit. *)
 
-module Cover : sig
-  (** cover() of Section 5.2: greedy weighted set cover over the T_j sets
-      of the structural trie nodes above the counters.  Internally every
-      switch set is a bitmask over the task's sub-filters (bit [i] is
-      sub-filter [i] of the topology). *)
+val slot_of_key : t -> int -> int
+(** The slot holding exactly the counter of a packed prefix key, or -1:
+    one bisect. *)
 
-  type candidates
-  (** The monitor's candidate table.  There is one per monitor, reused
-      across builds: a {!build} invalidates the candidates of every earlier
-      one, and any merge or divide not followed by
-      {!repair_after_merge} leaves them stale. *)
+val merge : t -> abits:int -> alen:int -> unit
+(** Replace every counter under the prefix ([abits], [alen]) by one
+    counter on it, unless a counter on or above it already covers it.
+    Its score, CD mean and per-switch volumes are its victims' sums,
+    added in slot order. *)
 
-  val build : t -> candidates
-  (** Every structural node with a non-empty T set, in the order the
-      greedy breaks ties by, plus a per-switch lower bound on the cost of a
-      candidate freeing that switch. *)
+val divide : t -> int -> unit
+(** Replace the counter in a slot by its two children, in that slot and
+    the next.  Each inherits half the parent's score and, when it has one,
+    half its CD mean. *)
 
-  val repair_after_merge : candidates -> Dream_prefix.Prefix.t -> unit
-  (** Drop the candidates a merge at the given ancestor destroyed (those
-      it covers).  The per-switch bounds stay: they only under-estimate. *)
-
-  val min_cost_bound : candidates -> Dream_traffic.Switch_mask.t -> float
-  (** Lower bound on the cost of any cover of the set: the largest
-      per-switch bound over it ([infinity] for a switch no candidate
-      frees). *)
-
-  val solve :
-    candidates -> exclude:Dream_prefix.Prefix.t option -> Dream_traffic.Switch_mask.t -> bool
-  (** Greedy cover of the set from these candidates, ignoring those that
-      cover [exclude] (so a merge never destroys the counter about to be
-      divided): a low-cost set of disjoint ancestors whose merging frees
-      at least one entry on every switch in the set, left in {!picked}
-      and {!cost} until the next solve.  [false] if the set cannot be
-      covered. *)
-
-  val picks : candidates -> int
-  (** The number of ancestors the last {!solve} picked. *)
-
-  val picked : candidates -> int -> Dream_prefix.Prefix.t
-  (** [picked c i]: the ancestor the last {!solve} picked [i]-th, from 0. *)
-
-  val cost : candidates -> float
-  (** The total score of the counters the last {!solve}'s merges destroy:
-      the picks' costs summed in pick order. *)
-end
-
-val cover_scans : t -> int
-(** The candidate slots cover() has visited since the monitor was created
-    or parsed: the slots its solves, picks, drops and repairs read.  A
-    count of the work itself, exact for a seeded run. *)
-
-val configure : t -> allocations:int array -> unit
-(** Algorithm 2 under per-sub-filter-bit [allocations] (a switch outside
-    {!switches} must be granted 0): first merge until no switch exceeds
-    its allocation, then
-    repeatedly divide the highest-scoring counter, paying for each divide
-    with a cover-merge when it would overflow a switch, while the score
-    outweighs the merge cost.  Scores must have been set by the task-
-    dependent scorer beforehand. *)
+val set_active : t -> Dream_traffic.Switch_mask.t -> unit
+(** Install rules on these sub-filters' switches only (see {!active}),
+    recounting {!usage} when the set changes. *)
 
 val is_partition : t -> bool
 (** Whether the counters exactly partition the filter (test hook). *)

@@ -46,9 +46,9 @@ let create monitor kind items =
   }
 
 let read_columns w =
-  w.totals <- Monitor.totals w.monitor;
-  w.means <- Monitor.means w.monitor;
-  w.vols <- Monitor.vols w.monitor
+  w.totals <- w.monitor.totals;
+  w.means <- w.monitor.means;
+  w.vols <- w.monitor.vols
 
 (* The counter's magnitude: its volume (HH), or [|total - mean|], 0 before
    any history (CD). *)

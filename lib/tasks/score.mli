@@ -6,9 +6,6 @@
     same volume as a fine one scores lower per potential leaf; HHH scores
     raw volume because every level of the hierarchy matters. *)
 
-val of_slot : Monitor.t -> int -> float
-(** The score of a slot's counter under the monitor's spec. *)
-
 val apply : Monitor.t -> unit
-(** Rescore every counter that is not fresh: {!of_slot} of each, written
-    into the monitor's score column. *)
+(** Rescore every counter that is not fresh under the monitor's spec,
+    written into the monitor's score column. *)

@@ -28,6 +28,7 @@ type t = {
   spec : Task_spec.t;
   topology : Topology.t;
   monitor : Monitor.t;
+  divide_merge : Divide_merge.t; (* the monitor's Algorithm 2 state *)
   global_acc : Ewma.t;
   overall_acc : Ewma.t array; (* per sub-filter bit *)
   mutable overall_used : Switch_mask.t;
@@ -51,6 +52,7 @@ let create ~id ~spec ~topology ?(accuracy_history = 0.4) ?(accuracy_mode = Overa
     spec;
     topology;
     monitor;
+    divide_merge = Divide_merge.create monitor;
     global_acc = Ewma.create ~history:accuracy_history;
     overall_acc = Array.init k (fun _ -> Ewma.create ~history:accuracy_history);
     overall_used = Switch_mask.empty;
@@ -143,7 +145,7 @@ let overall_accuracy t b = Ewma.value_or (overall_filter t b) 1.0
 let configure t ~allocations =
   t.allocations <- allocations;
   Score.apply t.monitor;
-  Monitor.configure t.monitor ~allocations
+  Divide_merge.configure t.divide_merge ~allocations
 
 let counters_used t b = Monitor.usage t.monitor b
 
@@ -209,6 +211,7 @@ let parse r =
     spec;
     topology;
     monitor;
+    divide_merge = Divide_merge.create monitor;
     global_acc;
     overall_acc;
     overall_used = !overall_used;

@@ -612,8 +612,8 @@ let prop_fetch_read_fault_free =
       Fetch.begin_epoch f ~epoch:1;
       ignore (Fetch.read f r data);
       Task.read_traffic twin.Runtime.task data;
-      let totals = Monitor.totals m in
-      let twin_totals = Monitor.totals (Task.monitor twin.Runtime.task) in
+      let totals = m.Monitor.totals in
+      let twin_totals = (Task.monitor twin.Runtime.task).Monitor.totals in
       first_fetch
       && List.for_all
            (fun slot -> same_float totals.(slot) twin_totals.(slot))

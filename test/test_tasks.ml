@@ -11,7 +11,9 @@ module Flow = Dream_traffic.Flow
 module Epoch_data = Dream_traffic.Epoch_data
 module Task_spec = Dream_tasks.Task_spec
 module Monitor = Dream_tasks.Monitor
+module Divide_merge = Dream_tasks.Divide_merge
 module Score = Dream_tasks.Score
+module Gc_stats = Dream_obs.Gc_stats
 
 (* A 4-bit universe: filter 10.0.0.0/28, leaves at /32.  Two switches split
    it at /29 (0*** on one switch, 1*** on the other). *)
@@ -27,7 +29,11 @@ let mk_topology () =
 let spec ?(kind = Task_spec.Heavy_hitter) () =
   Task_spec.make ~kind ~filter ~leaf_length:32 ~threshold:10.0 ()
 
-let mk_monitor ?kind () = Monitor.create ~spec:(spec ?kind ()) ~topology:(mk_topology ())
+(* A monitor and its divide-and-merge, as a task pairs them. *)
+let with_divide_merge m = (m, Divide_merge.create m)
+
+let mk_monitor ?kind () =
+  with_divide_merge (Monitor.create ~spec:(spec ?kind ()) ~topology:(mk_topology ()))
 
 (* The monitor's slots, in prefix order. *)
 let counters m = Monitor.fold List.cons m []
@@ -58,10 +64,10 @@ let example_epoch ~epoch =
 
 (* Drive one measurement epoch by hand: read desired rules straight off the
    aggregates, score, and configure. *)
-let step monitor ~allocations ~epoch =
+let step monitor dm ~allocations ~epoch =
   Fixtures.ingest_readings monitor (Fixtures.readings_of monitor (example_epoch ~epoch));
   Score.apply monitor;
-  Monitor.configure monitor ~allocations
+  Divide_merge.configure dm ~allocations
 
 (* [n] entries on every switch the monitor sees, per sub-filter bit. *)
 let allocations_of monitor n =
@@ -103,17 +109,17 @@ let test_counter_cd_mean () =
 (* ---- Monitor basics ---- *)
 
 let test_monitor_initial () =
-  let m = mk_monitor () in
+  let m, _ = mk_monitor () in
   Alcotest.(check int) "one counter" 1 (Monitor.num_counters m);
   Alcotest.(check bool) "monitors the filter" true (Monitor.find m filter <> None);
   Alcotest.(check int) "usage on each switch" 1 (Monitor.usage m 0);
   Alcotest.(check bool) "partition" true (Monitor.is_partition m)
 
 let test_monitor_drill_finds_heavy_leaves () =
-  let m = mk_monitor () in
+  let m, dm = mk_monitor () in
   let allocations = allocations_of m 16 in
   for epoch = 0 to 5 do
-    step m ~allocations ~epoch
+    step m dm ~allocations ~epoch
   done;
   (* After a few epochs the two heavy leaves must be monitored exactly. *)
   Alcotest.(check bool) "0000 monitored" true (Monitor.find m (leaf 0b0000) <> None);
@@ -121,10 +127,10 @@ let test_monitor_drill_finds_heavy_leaves () =
   Alcotest.(check bool) "partition maintained" true (Monitor.is_partition m)
 
 let test_monitor_respects_allocation () =
-  let m = mk_monitor () in
+  let m, dm = mk_monitor () in
   let allocations = allocations_of m 3 in
   for epoch = 0 to 7 do
-    step m ~allocations ~epoch;
+    step m dm ~allocations ~epoch;
     Switch_mask.iter (Monitor.topology m)
       (fun sw b ->
         Alcotest.(check bool)
@@ -135,35 +141,35 @@ let test_monitor_respects_allocation () =
   done
 
 let test_monitor_shrinks_on_reduced_allocation () =
-  let m = mk_monitor () in
+  let m, dm = mk_monitor () in
   let big = allocations_of m 16 in
   for epoch = 0 to 4 do
-    step m ~allocations:big ~epoch
+    step m dm ~allocations:big ~epoch
   done;
   let before = Monitor.num_counters m in
   Alcotest.(check bool) "expanded" true (before > 4);
   let small = allocations_of m 2 in
-  step m ~allocations:small ~epoch:5;
+  step m dm ~allocations:small ~epoch:5;
   Switch_mask.iter (Monitor.topology m)
     (fun _ b -> Alcotest.(check bool) "fits in 2" true (Monitor.usage m b <= 2))
     (Monitor.switches m);
   Alcotest.(check bool) "partition after shrink" true (Monitor.is_partition m)
 
 let test_monitor_zero_allocation_uninstalls () =
-  let m = mk_monitor () in
+  let m, dm = mk_monitor () in
   let topology = Monitor.topology m in
   let allocations = Array.make 2 0 in
   allocations.(Topology.bit_of_switch topology 0) <- 4;
-  step m ~allocations ~epoch:0;
+  step m dm ~allocations ~epoch:0;
   Alcotest.(check (list string)) "no rules on switch 1" []
     (List.map Prefix.to_string (Fixtures.rules_for m 1));
   Alcotest.(check bool) "switch 1 inactive" false (Switch_mask.mem topology 1 (Monitor.active m));
   Alcotest.(check bool) "switch 0 active" true (Switch_mask.mem topology 0 (Monitor.active m))
 
 let test_monitor_bottlenecked () =
-  let m = mk_monitor () in
+  let m, dm = mk_monitor () in
   let allocations = allocations_of m 1 in
-  step m ~allocations ~epoch:0;
+  step m dm ~allocations ~epoch:0;
   (* With one counter per switch and the filter spanning both switches,
      both switches are saturated. *)
   Alcotest.(check int) "both bottlenecked" 2
@@ -175,10 +181,10 @@ let test_monitor_bottlenecked () =
 let test_monitor_drill_direction () =
   (* The drill goes toward the heavy side: with a modest budget the heavy
      leaves get exact counters while the light side stays coarse. *)
-  let m = mk_monitor () in
+  let m, dm = mk_monitor () in
   let allocations = allocations_of m 6 in
   for epoch = 0 to 9 do
-    step m ~allocations ~epoch
+    step m dm ~allocations ~epoch
   done;
   Alcotest.(check bool) "heavy leaf resolved" true (Monitor.find m (leaf 0b0000) <> None);
   Alcotest.(check bool) "light leaf 1111 not resolved" true (Monitor.find m (leaf 0b1111) = None)
@@ -230,7 +236,7 @@ let test_monitor_eight_switches () =
       ~num_switches:8 ~switches_per_task:8
   in
   let spec = Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter ~leaf_length:32 ~threshold:10.0 () in
-  let m = Monitor.create ~spec ~topology in
+  let m, dm = with_divide_merge (Monitor.create ~spec ~topology) in
   let allocations = Array.init 8 (fun b -> 1 + (Topology.switch_of_bit topology b mod 3)) in
   for epoch = 0 to 6 do
     let data =
@@ -244,7 +250,7 @@ let test_monitor_eight_switches () =
     in
     Fixtures.ingest_readings m (Fixtures.readings_of m data);
     Score.apply m;
-    Monitor.configure m ~allocations;
+    Divide_merge.configure dm ~allocations;
     Alcotest.(check bool) "partition" true (Monitor.is_partition m);
     Array.iteri
       (fun b alloc ->
@@ -258,50 +264,55 @@ let test_monitor_eight_switches () =
 (* ---- Cover ---- *)
 
 (* cover()'s answer as a list of ancestors, the last pick first, read off
-   the monitor's pick column. *)
+   the pick column; [exclude] as an optional prefix. *)
 module Cover_list = struct
   type solution = { ancestors : Prefix.t list; cost : float }
 
-  let solve_with cands ~exclude f =
-    if Monitor.Cover.solve cands ~exclude f then begin
-      let n = Monitor.Cover.picks cands in
+  let solve_with dm ~exclude f =
+    let ex_bits, ex_len =
+      match exclude with None -> (0, -1) | Some p -> (Prefix.bits p, Prefix.length p)
+    in
+    if Divide_merge.solve_mask dm ~ex_bits ~ex_len f then begin
+      let n = Divide_merge.picks dm in
       Some
         {
-          ancestors = List.init n (fun i -> Monitor.Cover.picked cands (n - 1 - i));
-          cost = Monitor.Cover.cost cands;
+          ancestors = List.init n (fun i -> Divide_merge.picked dm (n - 1 - i));
+          cost = Divide_merge.cost dm;
         }
     end
     else None
 
-  let solve m ~exclude f = solve_with (Monitor.Cover.build m) ~exclude f
+  let solve dm ~exclude f =
+    Divide_merge.build dm;
+    solve_with dm ~exclude f
 end
 
 let test_cover_empty_set () =
-  let m = mk_monitor () in
-  match Cover_list.solve m ~exclude:None Switch_mask.empty with
+  let _, dm = mk_monitor () in
+  match Cover_list.solve dm ~exclude:None Switch_mask.empty with
   | Some sol ->
     Alcotest.(check int) "no ancestors" 0 (List.length sol.Cover_list.ancestors);
     Alcotest.(check (float 1e-9)) "zero cost" 0.0 sol.Cover_list.cost
   | None -> Alcotest.fail "empty set must be coverable"
 
 let test_cover_single_counter_uncoverable () =
-  let m = mk_monitor () in
+  let _, dm = mk_monitor () in
   (* Only the filter counter exists: nothing can merge, so no cover. *)
   Alcotest.(check bool) "uncoverable" true
-    (Cover_list.solve m ~exclude:None 1 = None)
+    (Cover_list.solve dm ~exclude:None 1 = None)
 
 let test_cover_finds_mergeable_ancestor () =
-  let m = mk_monitor () in
+  let m, dm = mk_monitor () in
   let allocations = allocations_of m 8 in
   for epoch = 0 to 4 do
-    step m ~allocations ~epoch
+    step m dm ~allocations ~epoch
   done;
   (* Both switches have multiple counters now; a cover for either switch
      must exist and actually free an entry there. *)
   Switch_mask.iter (Monitor.topology m)
     (fun _ b ->
       if Monitor.usage m b >= 2 then begin
-        match Cover_list.solve m ~exclude:None (1 lsl b) with
+        match Cover_list.solve dm ~exclude:None (1 lsl b) with
         | Some sol ->
           Alcotest.(check bool) "non-empty" true (sol.Cover_list.ancestors <> []);
           List.iter
@@ -315,21 +326,21 @@ let test_cover_finds_mergeable_ancestor () =
 let test_cover_multi_switch () =
   (* Cover a two-switch overload set: applying the merges must free at
      least one entry on each requested switch. *)
-  let m = mk_monitor () in
+  let m, dm = mk_monitor () in
   let allocations = allocations_of m 8 in
   for epoch = 0 to 4 do
-    step m ~allocations ~epoch
+    step m dm ~allocations ~epoch
   done;
   let f = Monitor.switches m in
   if Monitor.usage m 0 >= 2 && Monitor.usage m 1 >= 2 then begin
     let before0 = Monitor.usage m 0 and before1 = Monitor.usage m 1 in
-    match Cover_list.solve m ~exclude:None f with
+    match Cover_list.solve dm ~exclude:None f with
     | Some sol ->
       (* Apply the merges by configuring with allocations one below the
          current usage on both switches. *)
       Alcotest.(check bool) "positive cost for real counters" true (sol.Cover_list.cost >= 0.0);
       let tight = [| before0 - 1; before1 - 1 |] in
-      Monitor.configure m ~allocations:tight;
+      Divide_merge.configure dm ~allocations:tight;
       Alcotest.(check bool) "freed on 0" true (Monitor.usage m 0 <= before0 - 1);
       Alcotest.(check bool) "freed on 1" true (Monitor.usage m 1 <= before1 - 1);
       Alcotest.(check bool) "still a partition" true (Monitor.is_partition m)
@@ -389,20 +400,6 @@ let random_prefix rng m ~filter =
 let random_exclude rng m ~filter =
   if Rng.bool rng then None else Some (random_prefix rng m ~filter)
 
-(* A prefix to repair at: often none of the candidates — a counter, an
-   address below one, the filter's parent or its sibling — else any
-   [random_prefix]. *)
-let random_repair_prefix rng m ~filter =
-  match Rng.int rng 6 with
-  | 0 -> Monitor.prefix m (Rng.pick rng (Array.of_list (counters m)))
-  | 1 -> Prefix.of_address (Prefix.first_address filter + Rng.int rng (Prefix.size filter))
-  | 2 -> Prefix.ancestor_at filter (Prefix.length filter - 1)
-  | 3 ->
-    Prefix.make
-      ~bits:(Prefix.bits filter lxor (1 lsl (32 - Prefix.length filter)))
-      ~length:(Prefix.length filter)
-  | _ -> random_prefix rng m ~filter
-
 let oracle_filter = Prefix.of_string "10.1.2.0/24"
 
 (* A monitor over k sub-filters of [oracle_filter], among k + 2 switches. *)
@@ -415,16 +412,16 @@ let oracle_monitor ~k ~seed =
     Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter:oracle_filter ~leaf_length:32
       ~threshold:4.0 ()
   in
-  Monitor.create ~spec ~topology
+  with_divide_merge (Monitor.create ~spec ~topology)
 
 (* Divide-and-merge under random scores and random per-switch allocations
    (zero leaves a switch inactive), then fresh random scores. *)
-let reshape ?levels rng m =
+let reshape ?levels rng m dm =
   randomize_scores ?levels rng m;
   let topology = Monitor.topology m in
   let allocations = Array.make (Topology.switches_per_task topology) 0 in
   Switch_mask.iter topology (fun _ b -> allocations.(b) <- Rng.int rng 10) (Monitor.switches m);
-  Monitor.configure m ~allocations;
+  Divide_merge.configure dm ~allocations;
   randomize_scores ?levels rng m
 
 (* Solves that uncovered all eight switches and took two picks or more,
@@ -440,7 +437,7 @@ let prop_cover_matches_oracle =
       let rng = Rng.create seed in
       let filter = oracle_filter in
       let levels = if seed land 1 = 0 then score_levels else rounding_tie_levels in
-      let m = oracle_monitor ~k ~seed in
+      let m, dm = oracle_monitor ~k ~seed in
       let ok = ref true in
       let check what a b =
         if not (same_solution a b) then begin
@@ -449,7 +446,7 @@ let prop_cover_matches_oracle =
         end
       in
       for _ = 1 to 6 do
-        reshape ~levels rng m;
+        reshape ~levels rng m dm;
         for round = 1 to 4 do
           let mask, f =
             if round = 1 then begin
@@ -459,7 +456,7 @@ let prop_cover_matches_oracle =
             else random_switch_set rng m
           in
           let exclude = random_exclude rng m ~filter in
-          let sol = Cover_list.solve m ~exclude mask in
+          let sol = Cover_list.solve dm ~exclude mask in
           check "solve" sol (Reference_cover.solve m ~exclude f);
           match sol with
           | Some { Cover_list.ancestors = _ :: _ :: _; _ } when round = 1 && k = 8 ->
@@ -467,36 +464,45 @@ let prop_cover_matches_oracle =
           | _ -> ()
         done;
         (* Back to back on one table: each solve's drops are its own. *)
-        let cands = Monitor.Cover.build m in
+        Divide_merge.build dm;
         let oracle = Reference_cover.build m in
         for _ = 1 to 3 do
           let mask, f = random_switch_set rng m in
           let exclude = random_exclude rng m ~filter in
           check "solve_with, table reused"
-            (Cover_list.solve_with cands ~exclude mask)
+            (Cover_list.solve_with dm ~exclude mask)
             (Reference_cover.solve_with oracle ~exclude f)
         done;
-        (* Repairs: the same merges applied to both candidate tables. *)
-        let cands = Monitor.Cover.build m in
+        (* Repairs as the divide loop makes them: a solve, then the
+           candidates inside its picks dropped, on the oracle one merge
+           at a time at each picked ancestor. *)
+        Divide_merge.build dm;
         let oracle = ref (Reference_cover.build m) in
         for _ = 1 to 3 do
-          let ancestor = random_repair_prefix rng m ~filter in
-          Monitor.Cover.repair_after_merge cands ancestor;
-          oracle := Reference_cover.repair_after_merge !oracle ancestor;
+          let mask, f = random_switch_set rng m in
+          let exclude = random_exclude rng m ~filter in
+          let sol = Cover_list.solve_with dm ~exclude mask in
+          check "solve_with before repair" sol (Reference_cover.solve_with !oracle ~exclude f);
+          Option.iter
+            (fun (sol : Cover_list.solution) ->
+              Divide_merge.repair_picks dm;
+              oracle := List.fold_left Reference_cover.repair_after_merge !oracle sol.ancestors)
+            sol;
           for _ = 1 to 3 do
             let mask, f = random_switch_set rng m in
             let exclude = random_exclude rng m ~filter in
+            Divide_merge.bound dm mask;
             if
               not
                 (Int64.equal
-                   (Int64.bits_of_float (Monitor.Cover.min_cost_bound cands mask))
+                   (Int64.bits_of_float (Divide_merge.last_bound dm))
                    (Int64.bits_of_float (Reference_cover.min_cost_bound !oracle f)))
             then begin
               ok := false;
-              QCheck.Test.fail_reportf "min_cost_bound differs (k=%d, seed=%d)" k seed
+              QCheck.Test.fail_reportf "bound differs (k=%d, seed=%d)" k seed
             end;
             check "solve_with after repair"
-              (Cover_list.solve_with cands ~exclude mask)
+              (Cover_list.solve_with dm ~exclude mask)
               (Reference_cover.solve_with !oracle ~exclude f)
           done
         done
@@ -527,13 +533,13 @@ let test_cover_rounding_tie () =
   let spec =
     Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter ~leaf_length:28 ~threshold:4.0 ()
   in
-  let m = Monitor.create ~spec ~topology in
+  let m, dm = with_divide_merge (Monitor.create ~spec ~topology) in
   let first = Prefix.first_address filter in
   let low b = Prefix.first_address (Topology.subfilter_of_bit topology b) < first + 96 in
   (* Two entries where the first three sub-filters' switches see them,
      one elsewhere: those three drill to /28, the rest stop at /27. *)
   Monitor.set_score m 0 1.0;
-  Monitor.configure m ~allocations:(Array.init 8 (fun b -> if low b then 2 else 1));
+  Divide_merge.configure dm ~allocations:(Array.init 8 (fun b -> if low b then 2 else 1));
   let x = 0.5 +. ldexp 3.0 (-53) in
   List.iter
     (fun i ->
@@ -551,7 +557,7 @@ let test_cover_rounding_tie () =
       (Monitor.switches m) 0
   in
   let f = Reference_switch_set.set_of_mask topology u in
-  let sol = Cover_list.solve m ~exclude:None u in
+  let sol = Cover_list.solve dm ~exclude:None u in
   Alcotest.(check bool) "= oracle" true
     (same_solution sol (Reference_cover.solve m ~exclude:None f));
   match sol with
@@ -562,12 +568,50 @@ let test_cover_rounding_tie () =
 (* The work cover() does on a seeded run of divide-and-merge, exactly:
    the candidate slots its solves and repairs read. *)
 let test_cover_scans_pinned () =
-  let m = oracle_monitor ~k:8 ~seed:7 in
+  let m, dm = oracle_monitor ~k:8 ~seed:7 in
   let rng = Rng.create 7 in
   for _ = 1 to 40 do
-    reshape rng m
+    reshape rng m dm
   done;
-  Alcotest.(check int) "candidate slots read" 34064 (Monitor.cover_scans m)
+  Alcotest.(check int) "candidate slots read" 34064 (Divide_merge.cover_scans dm)
+
+(* Minor words a warmed configure allocates: none.  A k = 8 monitor over a
+   /20 is reshaped under integer scores 0-49 and allocations 5-44 until
+   its arrays reach their high-water marks, then 200 more configures are
+   measured one by one, net of an empty measured region. *)
+let test_warm_configure_allocates_nothing () =
+  let filter = Prefix.of_string "10.0.0.0/20" in
+  let topology = Topology.create (Rng.create 7) ~filter ~num_switches:10 ~switches_per_task:8 in
+  let spec =
+    Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter ~leaf_length:32 ~threshold:4.0 ()
+  in
+  let m, dm = with_divide_merge (Monitor.create ~spec ~topology) in
+  let rng = Rng.create 7 in
+  let allocations = Array.make 8 0 in
+  let reset () =
+    List.iter (fun i -> Monitor.set_score m i (float_of_int (Rng.int rng 50))) (counters m);
+    Switch_mask.iter topology
+      (fun _ b -> allocations.(b) <- 5 + Rng.int rng 40)
+      (Monitor.switches m)
+  in
+  let configure () = Divide_merge.configure dm ~allocations in
+  let minor_words f =
+    let before = Gc_stats.read Gc_stats.real in
+    f ();
+    let after = Gc_stats.read Gc_stats.real in
+    (Gc_stats.sub after before).Gc_stats.minor_words
+  in
+  for _ = 1 to 200 do
+    reset ();
+    configure ()
+  done;
+  let empty = minor_words ignore in
+  let words = ref 0.0 in
+  for _ = 1 to 200 do
+    reset ();
+    words := !words +. (minor_words configure -. empty)
+  done;
+  Alcotest.(check (float 0.0)) "minor words over 200 configures" 0.0 !words
 
 (* The rules of a switch are, in prefix order, the counters whose S set
    holds it, while the switch is active. *)
@@ -577,11 +621,11 @@ let prop_rules_for_matches_s_sets =
     (fun (k_index, seed) ->
       let k = [| 2; 4; 8 |].(k_index) in
       let rng = Rng.create seed in
-      let m = oracle_monitor ~k ~seed in
+      let m, dm = oracle_monitor ~k ~seed in
       let topology = Monitor.topology m in
       List.for_all
         (fun _ ->
-          reshape rng m;
+          reshape rng m dm;
           List.for_all
             (fun sw ->
               let expected =
@@ -634,7 +678,7 @@ let prop_counter_array_model =
       let k = [| 2; 4; 8 |].(k_index) in
       let rng = Rng.create seed in
       let filter = oracle_filter in
-      let m = oracle_monitor ~k ~seed in
+      let m, dm = oracle_monitor ~k ~seed in
       let topology = Monitor.topology m in
       let check what ok =
         if not ok then QCheck.Test.fail_reportf "%s (k=%d, seed=%d)" what k seed
@@ -651,7 +695,7 @@ let prop_counter_array_model =
                && Float.equal (Monitor.total m i)
                     (Switch_id.Map.fold (fun _ v acc -> acc +. v) vols 0.0))
              (counters m));
-        reshape rng m;
+        reshape rng m dm;
         let cs = counters m in
         let ps = List.map (Monitor.prefix m) cs in
         let rec increasing = function
@@ -744,7 +788,7 @@ let prop_columns_match_boxed_reference =
       let spec =
         Task_spec.make ~kind ~filter:oracle_filter ~leaf_length:32 ~threshold:4.0 ~cd_history:0.7 ()
       in
-      let m = Monitor.create ~spec ~topology in
+      let m, dm = with_divide_merge (Monitor.create ~spec ~topology) in
       let r = Reference.create ~spec ~topology in
       let rng = Rng.create seed in
       let fail what step = QCheck.Test.fail_reportf "%s after step %d (k=%d, seed=%d)" what step k seed in
@@ -793,7 +837,7 @@ let prop_columns_match_boxed_reference =
           Switch_mask.iter topology
             (fun _ b -> allocations.(b) <- Rng.int rng 12)
             (Monitor.switches m);
-          Monitor.configure m ~allocations;
+          Divide_merge.configure dm ~allocations;
           let switches = Monitor.switches m in
           Reference.configure r
             ~allocations:(Reference_switch_set.map_of_bits topology switches allocations));
@@ -805,11 +849,12 @@ let prop_columns_match_boxed_reference =
       if emitted Monitor.emit restored <> text then fail "parse/emit round trip" 30;
       true)
 
-(* Score.apply writes the score column in one pass; Score.of_slot is the
-   per-slot definition it must agree with, bit for bit, on every counter
+(* Score.apply writes the score column in one pass; Reference_score.of_slot
+   is the per-slot definition it must agree with, bit for bit, on every counter
    that is not fresh (a fresh one keeps its inherited score). *)
 let prop_score_column_matches_of_slot =
-  QCheck.Test.make ~name:"Score.apply = Score.of_slot on every slot, bit for bit" ~count:100
+  QCheck.Test.make ~name:"Score.apply = Reference_score.of_slot on every slot, bit for bit"
+    ~count:100
     QCheck.(triple (int_bound 2) (int_bound 2) (int_bound 1_000_000))
     (fun (k_index, kind_index, seed) ->
       let k = [| 2; 4; 8 |].(k_index) in
@@ -824,16 +869,16 @@ let prop_score_column_matches_of_slot =
       let spec =
         Task_spec.make ~kind ~filter:oracle_filter ~leaf_length:32 ~threshold:4.0 ~cd_history:0.7 ()
       in
-      let m = Monitor.create ~spec ~topology in
+      let m, dm = with_divide_merge (Monitor.create ~spec ~topology) in
       let rng = Rng.create seed in
       for step = 1 to 12 do
         (match Rng.int rng 3 with
         | 0 -> Fixtures.ingest_readings m (random_fractional_readings rng m ~filter:oracle_filter)
         | 1 -> Monitor.update_means m
-        | _ -> reshape rng m);
+        | _ -> reshape rng m dm);
         let expected =
           Array.init (Monitor.num_counters m) (fun i ->
-              if Monitor.fresh m i then Monitor.score m i else Score.of_slot m i)
+              if Monitor.fresh m i then Monitor.score m i else Reference_score.of_slot m i)
         in
         Score.apply m;
         Array.iteri
@@ -948,13 +993,13 @@ let prop_partition_under_random_allocations =
   QCheck.Test.make ~name:"partition + budgets hold under random allocation schedules" ~count:30
     QCheck.(list_of_size Gen.(int_range 1 12) (int_range 1 12))
     (fun allocation_schedule ->
-      let m = mk_monitor () in
+      let m, dm = mk_monitor () in
       let rng = Rng.create 0x5eed in
       List.for_all
         (fun n ->
           let allocations = allocations_of m n in
           let epoch = Rng.int rng 1000 in
-          step m ~allocations ~epoch;
+          step m dm ~allocations ~epoch;
           Monitor.is_partition m
           && not
                (Switch_mask.fold (Monitor.topology m)
@@ -964,18 +1009,23 @@ let prop_partition_under_random_allocations =
 
 (* ---- Score ---- *)
 
+(* The score [Score.apply] writes into slot 0's score column. *)
+let scored m =
+  Score.apply m;
+  m.Monitor.scores.(0)
+
 let test_score_hh () =
   let m = single_counter (sub 0b01 30) in
   read_volume m 30.0;
   (* volume 30 over (2 wildcards + 1). *)
-  Alcotest.(check (float 1e-9)) "volume / (wildcards+1)" 10.0 (Score.of_slot m 0);
+  Alcotest.(check (float 1e-9)) "volume / (wildcards+1)" 10.0 (scored m);
   read_volume m 9.0;
-  Alcotest.(check (float 1e-9)) "sub-threshold scores zero" 0.0 (Score.of_slot m 0)
+  Alcotest.(check (float 1e-9)) "sub-threshold scores zero" 0.0 (scored m)
 
 let test_score_hhh () =
   let m = single_counter ~kind:Task_spec.Hierarchical_heavy_hitter (sub 0b01 30) in
   read_volume m 30.0;
-  Alcotest.(check (float 1e-9)) "raw volume" 30.0 (Score.of_slot m 0)
+  Alcotest.(check (float 1e-9)) "raw volume" 30.0 (scored m)
 
 let test_score_cd () =
   let m = single_counter ~kind:Task_spec.Change_detection (sub 0b01 30) in
@@ -984,11 +1034,11 @@ let test_score_cd () =
   read_volume m 0.0;
   (* deviation 30 over 3; CD scores sub-threshold deviations too (floored
      only below threshold/8). *)
-  Alcotest.(check (float 1e-9)) "deviation / (wildcards+1)" 10.0 (Score.of_slot m 0);
+  Alcotest.(check (float 1e-9)) "deviation / (wildcards+1)" 10.0 (scored m);
   read_volume m 26.0;
-  Alcotest.(check bool) "sub-threshold deviation still scores" true (Score.of_slot m 0 > 0.0);
+  Alcotest.(check bool) "sub-threshold deviation still scores" true (scored m > 0.0);
   read_volume m 29.5;
-  Alcotest.(check (float 1e-9)) "dead-calm scores zero" 0.0 (Score.of_slot m 0)
+  Alcotest.(check (float 1e-9)) "dead-calm scores zero" 0.0 (scored m)
 
 let () =
   Alcotest.run "dream.tasks"
@@ -1021,6 +1071,8 @@ let () =
           test_cover_matches_oracle;
           Alcotest.test_case "rounding tie takes the first slot" `Quick test_cover_rounding_tie;
           Alcotest.test_case "candidate slots read, pinned" `Quick test_cover_scans_pinned;
+          Alcotest.test_case "a warmed configure allocates nothing" `Quick
+            test_warm_configure_allocates_nothing;
           QCheck_alcotest.to_alcotest prop_rules_for_matches_s_sets;
           QCheck_alcotest.to_alcotest prop_counter_array_model;
           QCheck_alcotest.to_alcotest prop_columns_match_boxed_reference;
