@@ -28,12 +28,13 @@ let count_events cov (sched : Schedule.t) =
   List.fold_left
     (fun c e ->
       match e with
-      | Schedule.Switch_crash _ -> { c with switch_crashes = c.switch_crashes + 1 }
-      | Schedule.Controller_crash _ -> { c with controller_crashes = c.controller_crashes + 1 }
-      | Schedule.Partition _ -> { c with partitions = c.partitions + 1 }
-      | Schedule.Heal_hint _ -> { c with heal_hints = c.heal_hints + 1 }
-      | Schedule.Storm _ -> { c with storms = c.storms + 1 }
-      | Schedule.Noise _ -> { c with noise_windows = c.noise_windows + 1 }
+      | Schedule.Fault { fault = Crash _; _ } -> { c with switch_crashes = c.switch_crashes + 1 }
+      | Schedule.Fault { fault = Controller_crash; _ } ->
+        { c with controller_crashes = c.controller_crashes + 1 }
+      | Schedule.Fault { fault = Partition _; _ } -> { c with partitions = c.partitions + 1 }
+      | Schedule.Fault { fault = Heal _; _ } -> { c with heal_hints = c.heal_hints + 1 }
+      | Schedule.Fault { fault = Storm _; _ } -> { c with storms = c.storms + 1 }
+      | Schedule.Fault { fault = Noise _; _ } -> { c with noise_windows = c.noise_windows + 1 }
       | Schedule.Torn_tail _ -> { c with torn_tails = c.torn_tails + 1 }
       | Schedule.Checkpoint _ -> { c with checkpoint_probes = c.checkpoint_probes + 1 })
     cov sched.Schedule.events

@@ -132,7 +132,7 @@ let noise_active (sched : Schedule.t) ~model_epoch =
   List.exists
     (fun e ->
       match e with
-      | Schedule.Noise { at; span; timeout_rate; loss_rate; _ } ->
+      | Schedule.Fault { at; fault = Noise { span; timeout_rate; loss_rate; _ } } ->
         at <= model_epoch && model_epoch < at + span && (timeout_rate > 0.0 || loss_rate > 0.0)
       | _ -> false)
     sched.Schedule.events
@@ -205,7 +205,8 @@ let run ?(canary = false) (sched : Schedule.t) =
         (List.filter
            (fun e ->
              match e with
-             | Schedule.Noise { at; span; _ } -> at + span > sched.Schedule.horizon
+             | Schedule.Fault { at; fault = Noise { span; _ } } ->
+               at + span > sched.Schedule.horizon
              | _ -> false)
            sched.Schedule.events)
     in

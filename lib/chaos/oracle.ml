@@ -1,5 +1,4 @@
 module Controller = Dream_core.Controller
-module Fault_model = Dream_fault.Fault_model
 module Breaker = Dream_switch.Breaker
 module Invariant = Dream_recovery.Invariant
 module Journal = Dream_recovery.Journal
@@ -44,8 +43,8 @@ let breaker_transitions ~epoch ~prev ~now =
   end
 
 (* Bounded staleness: above the shed cap, a task's stale streak may only
-   grow while something is actually wrong with one of its switches (down,
-   partitioned, breaker not closed) or a scripted noise window is open.
+   grow while one of its switches is not [Controller.reachable] or a
+   scripted noise window is open.
    Growth beyond the cap in calm conditions means the deadline scheduler
    shed a task it had promised not to.  [prev] carries last epoch's levels
    across calls and is updated in place. *)
@@ -59,20 +58,12 @@ let seed_staleness ~controller ~prev =
     (Controller.active_task_ids controller)
 
 let staleness ~epoch ~cap ~noise_active ~controller ~prev =
-  let faults = Controller.faults controller in
-  let breakers = Controller.breaker_states controller in
   let adverse task_id =
     noise_active
     ||
-    match (Controller.task_switches controller ~task_id, faults) with
-    | Some switches, Some fm ->
-      List.exists
-        (fun sw ->
-          Fault_model.is_down fm sw || Fault_model.is_partitioned fm sw
-          || sw < Array.length breakers
-             && (match breakers.(sw) with Breaker.Closed -> false | Breaker.Open | Breaker.Half_open -> true))
-        switches
-    | _, _ -> false
+    match Controller.task_switches controller ~task_id with
+    | Some switches -> not (List.for_all (Controller.reachable controller) switches)
+    | None -> false
   in
   let out = ref [] in
   let ids = Controller.active_task_ids controller in

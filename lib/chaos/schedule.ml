@@ -3,52 +3,36 @@ module Fault_model = Dream_fault.Fault_model
 module Json = Dream_obs.Json
 
 type event =
-  | Switch_crash of { at : int; switch : int; downtime : int }
-  | Controller_crash of { at : int }
-  | Partition of { at : int; group : int; span : int }
-  | Heal_hint of { at : int; group : int }
-  | Storm of { at : int; tasks : int }
-  | Noise of { at : int; span : int; timeout_rate : float; loss_rate : float; perturb : float }
+  | Fault of { at : int; fault : Fault_model.injection }
   | Torn_tail of { at : int; drop : int }
   | Checkpoint of { at : int }
 
 type t = { seed : int; horizon : int; events : event list }
 
-let at_of = function
-  | Switch_crash { at; _ }
-  | Controller_crash { at }
-  | Partition { at; _ }
-  | Heal_hint { at; _ }
-  | Storm { at; _ }
-  | Noise { at; _ }
-  | Torn_tail { at; _ }
-  | Checkpoint { at } ->
-    at
+let at_of = function Fault { at; _ } | Torn_tail { at; _ } | Checkpoint { at } -> at
 
 let kind_of = function
-  | Switch_crash _ -> "switch_crash"
-  | Controller_crash _ -> "controller_crash"
-  | Partition _ -> "partition"
-  | Heal_hint _ -> "heal_hint"
-  | Storm _ -> "storm"
-  | Noise _ -> "noise"
+  | Fault { fault = Crash _; _ } -> "switch_crash"
+  | Fault { fault = Controller_crash; _ } -> "controller_crash"
+  | Fault { fault = Partition _; _ } -> "partition"
+  | Fault { fault = Heal _; _ } -> "heal_hint"
+  | Fault { fault = Storm _; _ } -> "storm"
+  | Fault { fault = Noise _; _ } -> "noise"
   | Torn_tail _ -> "torn_tail"
   | Checkpoint _ -> "checkpoint"
 
 let pp_event ppf e =
+  let p fmt = Format.fprintf ppf ("@%d %s" ^^ fmt) (at_of e) (kind_of e) in
   match e with
-  | Switch_crash { at; switch; downtime } ->
-    Format.fprintf ppf "@%d switch_crash sw=%d downtime=%d" at switch downtime
-  | Controller_crash { at } -> Format.fprintf ppf "@%d controller_crash" at
-  | Partition { at; group; span } ->
-    Format.fprintf ppf "@%d partition group=%d span=%d" at group span
-  | Heal_hint { at; group } -> Format.fprintf ppf "@%d heal_hint group=%d" at group
-  | Storm { at; tasks } -> Format.fprintf ppf "@%d storm tasks=%d" at tasks
-  | Noise { at; span; timeout_rate; loss_rate; perturb } ->
-    Format.fprintf ppf "@%d noise span=%d timeout=%.2f loss=%.2f perturb=%.2f" at span
-      timeout_rate loss_rate perturb
-  | Torn_tail { at; drop } -> Format.fprintf ppf "@%d torn_tail drop=%d" at drop
-  | Checkpoint { at } -> Format.fprintf ppf "@%d checkpoint" at
+  | Fault { fault = Crash { switch; downtime }; _ } ->
+    p " sw=%d downtime=%d" switch downtime
+  | Fault { fault = Controller_crash; _ } | Checkpoint _ -> p ""
+  | Fault { fault = Partition { group; span }; _ } -> p " group=%d span=%d" group span
+  | Fault { fault = Heal { group }; _ } -> p " group=%d" group
+  | Fault { fault = Storm { tasks }; _ } -> p " tasks=%d" tasks
+  | Fault { fault = Noise { span; timeout_rate; loss_rate; perturb_stddev }; _ } ->
+    p " span=%d timeout=%.2f loss=%.2f perturb=%.2f" span timeout_rate loss_rate perturb_stddev
+  | Torn_tail { drop; _ } -> p " drop=%d" drop
 
 (* Generation weights, out of 100.  Partitions, storms and noise are the
    interesting composers (they interact with breakers, admission and the
@@ -64,22 +48,23 @@ let generate ~seed ~num_switches ~groups ~horizon ~events =
     (* Leave the final epoch event-free so every window has at least one
        epoch to be observed in. *)
     let at = 1 + Rng.int rng (horizon - 1) in
+    let fault f = Fault { at; fault = f } in
     match Rng.int rng 100 with
     | k when k < 18 ->
-      Switch_crash { at; switch = Rng.int rng num_switches; downtime = 1 + Rng.int rng 6 }
-    | k when k < 34 -> Partition { at; group = Rng.int rng groups; span = 1 + Rng.int rng 8 }
-    | k when k < 44 -> Heal_hint { at; group = Rng.int rng groups }
-    | k when k < 60 -> Storm { at; tasks = 1 + Rng.int rng 4 }
+      fault (Crash { switch = Rng.int rng num_switches; downtime = 1 + Rng.int rng 6 })
+    | k when k < 34 -> fault (Partition { group = Rng.int rng groups; span = 1 + Rng.int rng 8 })
+    | k when k < 44 -> fault (Heal { group = Rng.int rng groups })
+    | k when k < 60 -> fault (Storm { tasks = 1 + Rng.int rng 4 })
     | k when k < 74 ->
-      Noise
-        {
-          at;
-          span = 1 + Rng.int rng 6;
-          timeout_rate = 0.2 +. Rng.float rng 0.6;
-          loss_rate = Rng.float rng 0.5;
-          perturb = Rng.float rng 0.3;
-        }
-    | k when k < 84 -> Controller_crash { at }
+      fault
+        (Noise
+           {
+             span = 1 + Rng.int rng 6;
+             timeout_rate = 0.2 +. Rng.float rng 0.6;
+             loss_rate = Rng.float rng 0.5;
+             perturb_stddev = Rng.float rng 0.3;
+           })
+    | k when k < 84 -> fault Controller_crash
     | k when k < 92 -> Torn_tail { at; drop = Rng.int rng 48 }
     | _ -> Checkpoint { at }
   in
@@ -90,55 +75,26 @@ let generate ~seed ~num_switches ~groups ~horizon ~events =
 
 let validate ~num_switches ~groups t =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  let check e =
+    let at = at_of e in
+    if at < 1 || at > t.horizon then
+      err "event %s: epoch %d outside [1, %d]" (kind_of e) at t.horizon
+    else begin
+      match e with
+      | Fault { fault; _ } -> Fault_model.check ~num_switches ~groups fault
+      | Torn_tail { drop; _ } -> if drop < 0 then err "torn_tail: drop %d < 0" drop else Ok ()
+      | Checkpoint _ -> Ok ()
+    end
+  in
   if t.horizon < 2 then err "horizon %d is too short" t.horizon
-  else begin
-    let rec go = function
-      | [] -> Ok ()
-      | e :: rest ->
-        let at = at_of e in
-        if at < 1 || at > t.horizon then err "event %s: epoch %d outside [1, %d]" (kind_of e) at t.horizon
-        else begin
-          match e with
-          | Switch_crash { switch; downtime; _ } ->
-            if switch < 0 || switch >= num_switches then err "switch_crash: unknown switch %d" switch
-            else if downtime < 1 then err "switch_crash: downtime %d < 1" downtime
-            else go rest
-          | Partition { group; span; _ } ->
-            if group < 0 || group >= groups then err "partition: unknown group %d" group
-            else if span < 1 then err "partition: span %d < 1" span
-            else go rest
-          | Heal_hint { group; _ } ->
-            if group < 0 || group >= groups then err "heal_hint: unknown group %d" group else go rest
-          | Storm { tasks; _ } -> if tasks < 1 then err "storm: tasks %d < 1" tasks else go rest
-          | Noise { span; timeout_rate; loss_rate; perturb; _ } ->
-            let unit_ok v = v >= 0.0 && v <= 1.0 in
-            if span < 1 then err "noise: span %d < 1" span
-            else if not (unit_ok timeout_rate) then err "noise: timeout_rate out of [0, 1]"
-            else if not (unit_ok loss_rate) then err "noise: loss_rate out of [0, 1]"
-            else if not (perturb >= 0.0 && Float.is_finite perturb) then
-              err "noise: perturb must be finite and >= 0"
-            else go rest
-          | Torn_tail { drop; _ } -> if drop < 0 then err "torn_tail: drop %d < 0" drop else go rest
-          | Controller_crash _ | Checkpoint _ -> go rest
-        end
-    in
-    go t.events
-  end
+  else List.fold_left (fun acc e -> Result.bind acc (fun () -> check e)) (Ok ()) t.events
 
-(* Register every fault-model event of the schedule; [Torn_tail] and
+(* Stage every scripted fault of the schedule; [Torn_tail] and
    [Checkpoint] are harness-level probes and stay out of the model. *)
 let stage t fm =
   List.iter
-    (fun e ->
-      match e with
-      | Switch_crash { at; switch; downtime } -> Fault_model.schedule_crash fm ~at ~switch ~downtime
-      | Controller_crash { at } -> Fault_model.schedule_controller_crash fm ~at
-      | Partition { at; group; span } -> Fault_model.schedule_partition fm ~at ~group ~span
-      | Heal_hint { at; group } -> Fault_model.schedule_heal fm ~at ~group
-      | Storm { at; tasks } -> Fault_model.schedule_storm fm ~at ~tasks
-      | Noise { at; span; timeout_rate; loss_rate; perturb } ->
-        Fault_model.schedule_noise fm ~at ~span ~timeout_rate ~loss_rate ~perturb_stddev:perturb
-      | Torn_tail _ | Checkpoint _ -> ())
+    (function
+      | Fault { at; fault } -> Fault_model.schedule fm ~at fault | Torn_tail _ | Checkpoint _ -> ())
     t.events
 
 (* ---- shrinking candidates ---- *)
@@ -149,20 +105,27 @@ let stage t fm =
 let shrink_event e =
   let ints v mk = if v > 1 then (if v / 2 >= 1 && v / 2 < v then [ mk (v / 2) ] else []) @ [ mk 1 ] else [] in
   match e with
-  | Switch_crash { at; switch; downtime } ->
-    ints downtime (fun downtime -> Switch_crash { at; switch; downtime })
-  | Partition { at; group; span } -> ints span (fun span -> Partition { at; group; span })
-  | Storm { at; tasks } -> ints tasks (fun tasks -> Storm { at; tasks })
-  | Noise { at; span; timeout_rate; loss_rate; perturb } ->
-    (if span > 1 then [ Noise { at; span = span / 2; timeout_rate; loss_rate; perturb } ] else [])
-    @ (if loss_rate > 0.0 then [ Noise { at; span; timeout_rate; loss_rate = 0.0; perturb } ] else [])
-    @ (if perturb > 0.0 then [ Noise { at; span; timeout_rate; loss_rate; perturb = 0.0 } ] else [])
-    @
-    if timeout_rate > 0.25 then
-      [ Noise { at; span; timeout_rate = timeout_rate /. 2.0; loss_rate; perturb } ]
-    else []
+  | Fault { at; fault } -> begin
+    let mk f = Fault { at; fault = f } in
+    match fault with
+    | Crash { switch; downtime } ->
+      ints downtime (fun downtime -> mk (Crash { switch; downtime }))
+    | Partition { group; span } ->
+      ints span (fun span -> mk (Partition { group; span }))
+    | Storm { tasks } -> ints tasks (fun tasks -> mk (Storm { tasks }))
+    | Noise n ->
+      (if n.span > 1 then [ mk (Noise { n with span = n.span / 2 }) ] else [])
+      @ (if n.loss_rate > 0.0 then [ mk (Noise { n with loss_rate = 0.0 }) ] else [])
+      @ (if n.perturb_stddev > 0.0 then [ mk (Noise { n with perturb_stddev = 0.0 }) ]
+         else [])
+      @
+      if n.timeout_rate > 0.25 then
+        [ mk (Noise { n with timeout_rate = n.timeout_rate /. 2.0 }) ]
+      else []
+    | Controller_crash | Heal _ -> []
+  end
   | Torn_tail { at; drop } -> if drop > 0 then [ Torn_tail { at; drop = drop / 2 } ] else []
-  | Controller_crash _ | Heal_hint _ | Checkpoint _ -> []
+  | Checkpoint _ -> []
 
 (* ---- JSON round trip (reproducer files) ---- *)
 
@@ -170,18 +133,19 @@ let event_to_json e =
   let base = [ ("kind", Json.Str (kind_of e)); ("at", Json.Int (at_of e)) ] in
   let extra =
     match e with
-    | Switch_crash { switch; downtime; _ } ->
+    | Fault { fault = Crash { switch; downtime }; _ } ->
       [ ("switch", Json.Int switch); ("downtime", Json.Int downtime) ]
-    | Controller_crash _ | Checkpoint _ -> []
-    | Partition { group; span; _ } -> [ ("group", Json.Int group); ("span", Json.Int span) ]
-    | Heal_hint { group; _ } -> [ ("group", Json.Int group) ]
-    | Storm { tasks; _ } -> [ ("tasks", Json.Int tasks) ]
-    | Noise { span; timeout_rate; loss_rate; perturb; _ } ->
+    | Fault { fault = Controller_crash; _ } | Checkpoint _ -> []
+    | Fault { fault = Partition { group; span }; _ } ->
+      [ ("group", Json.Int group); ("span", Json.Int span) ]
+    | Fault { fault = Heal { group }; _ } -> [ ("group", Json.Int group) ]
+    | Fault { fault = Storm { tasks }; _ } -> [ ("tasks", Json.Int tasks) ]
+    | Fault { fault = Noise { span; timeout_rate; loss_rate; perturb_stddev }; _ } ->
       [
         ("span", Json.Int span);
         ("timeout_rate", Json.Float timeout_rate);
         ("loss_rate", Json.Float loss_rate);
-        ("perturb", Json.Float perturb);
+        ("perturb", Json.Float perturb_stddev);
       ]
     | Torn_tail { drop; _ } -> [ ("drop", Json.Int drop) ]
   in
@@ -214,28 +178,29 @@ let event_of_json j =
     | None -> Error "event without a \"kind\" field"
   in
   let* at = json_int "at" j in
+  let fault f = Ok (Fault { at; fault = f }) in
   match kind with
   | "switch_crash" ->
     let* switch = json_int "switch" j in
     let* downtime = json_int "downtime" j in
-    Ok (Switch_crash { at; switch; downtime })
-  | "controller_crash" -> Ok (Controller_crash { at })
+    fault (Crash { switch; downtime })
+  | "controller_crash" -> fault Controller_crash
   | "partition" ->
     let* group = json_int "group" j in
     let* span = json_int "span" j in
-    Ok (Partition { at; group; span })
+    fault (Partition { group; span })
   | "heal_hint" ->
     let* group = json_int "group" j in
-    Ok (Heal_hint { at; group })
+    fault (Heal { group })
   | "storm" ->
     let* tasks = json_int "tasks" j in
-    Ok (Storm { at; tasks })
+    fault (Storm { tasks })
   | "noise" ->
     let* span = json_int "span" j in
     let* timeout_rate = json_float "timeout_rate" j in
     let* loss_rate = json_float "loss_rate" j in
-    let* perturb = json_float "perturb" j in
-    Ok (Noise { at; span; timeout_rate; loss_rate; perturb })
+    let* perturb_stddev = json_float "perturb" j in
+    fault (Noise { span; timeout_rate; loss_rate; perturb_stddev })
   | "torn_tail" ->
     let* drop = json_int "drop" j in
     Ok (Torn_tail { at; drop })

@@ -1,22 +1,15 @@
 (** Chaos schedules: explicit fault timelines.
 
     A schedule is a seed plus a list of timed events over a fixed horizon.
-    Six event kinds are scripted into the {!Dream_fault.Fault_model}
-    ({!stage}); two — [Torn_tail] and [Checkpoint] — are harness-level
-    oracle probes that never touch the model.  Epochs are fault-model
-    epochs: event [at = n] fires during the n-th [begin_epoch] call, which
-    the harness issues at the start of controller epoch [n - 1]. *)
+    A [Fault] carries one {!Dream_fault.Fault_model.injection} and is
+    staged into the fault model ({!stage}); [Torn_tail] and [Checkpoint]
+    are harness-level oracle probes that never touch the model.  Epochs
+    are fault-model epochs: event [at = n] fires during the n-th
+    [begin_epoch] call, which the harness issues at the start of
+    controller epoch [n - 1]. *)
 
 type event =
-  | Switch_crash of { at : int; switch : int; downtime : int }
-  | Controller_crash of { at : int }
-  | Partition of { at : int; group : int; span : int }
-  | Heal_hint of { at : int; group : int }
-      (** fires a heal event on a group (partitioned or not) — the
-          breaker-probe race primitive *)
-  | Storm of { at : int; tasks : int }
-  | Noise of { at : int; span : int; timeout_rate : float; loss_rate : float; perturb : float }
-      (** a window of counter loss / fetch timeouts / value perturbation *)
+  | Fault of { at : int; fault : Dream_fault.Fault_model.injection }
   | Torn_tail of { at : int; drop : int }
       (** oracle probe: cut [drop] bytes off the serialized journal and
           assert the parser recovers exactly a prefix *)
@@ -39,13 +32,14 @@ val generate : seed:int -> num_switches:int -> groups:int -> horizon:int -> even
 
 val validate : num_switches:int -> groups:int -> t -> (unit, string) result
 (** Bounds-check a schedule (e.g. one parsed from a reproducer file)
-    against the harness topology before staging it. *)
+    against the harness topology before staging it: every epoch inside
+    the horizon, every fault passing {!Dream_fault.Fault_model.check}. *)
 
 val stage : t -> Dream_fault.Fault_model.t -> unit
-(** Register every fault-model event on a fresh model.  Harness-level
-    probes are skipped.  @raise Invalid_argument if the schedule targets a
-    switch or group the model does not have — {!validate} first for
-    untrusted input. *)
+(** {!Dream_fault.Fault_model.schedule} every fault on a fresh model.
+    Harness-level probes are skipped.  @raise Invalid_argument if the
+    schedule targets a switch or group the model does not have —
+    {!validate} first for untrusted input. *)
 
 val shrink_event : event -> event list
 (** Strictly-smaller variants of one event (shorter windows, lower rates),

@@ -77,6 +77,10 @@ type t = {
   breakers : Breaker.t array;
       (* per-switch circuit breakers; empty unless [config.degraded] and
          [config.faults] are both set *)
+  breaker_gauges : Obs.Registry.Gauge.t array; (* "breaker_state", one per breaker *)
+  staleness_hist : Obs.Registry.Histogram.t option;
+      (* "task_staleness"; present exactly when [breakers] are, the only
+         time staleness is tracked *)
   mutable storm_pending : int;
       (* extra submissions the fault model's admission storm asks the
          driver to inject; read via {!storm_tasks_pending}, reset each tick *)
@@ -123,6 +127,11 @@ let make ~config ~allocator ~switches ~faults ~breakers ~active ~epoch ~next_id 
     journal = None;
     crash_pending = false;
     breakers;
+    breaker_gauges =
+      Array.init (Array.length breakers) (fun sw ->
+          Obs.Registry.gauge registry ~labels:[ ("switch", string_of_int sw) ] "breaker_state");
+    staleness_hist =
+      (if breakers = [||] then None else Some (Obs.Registry.histogram registry "task_staleness"));
     storm_pending = 0;
   }
 
@@ -211,29 +220,27 @@ let task_switches t ~task_id =
       let task = r.Runtime.task in
       Switch_mask.fold (Task.topology task) (fun sw _ acc -> sw :: acc) (Task.switches task) [])
 
+(* A partitioned or breaker-skipped switch holds deferred rule updates by
+   design and is reconciled once it becomes reachable again, exactly like
+   a down switch. *)
+let reachable t sw =
+  (not (Switch.down t.switches.(sw)))
+  && (not (Switch.partitioned t.switches.(sw)))
+  &&
+  match t.breakers with
+  | [||] -> true
+  | breakers -> begin
+    match Breaker.state breakers.(sw) with
+    | Breaker.Closed -> true
+    | Breaker.Open | Breaker.Half_open -> false
+  end
+
 (* One definition of "the invariants hold right now", shared by the
    in-tick tally (config.check_invariants) and external oracles (the chaos
    harness), so they can never drift apart. *)
 let check_invariants_now t =
   let tasks = List.map (fun r -> r.Runtime.task) (Runtime.sorted t.active) in
-  (* "Up" for auditing means the controller could actually converge the
-     switch this epoch: alive, reachable, not skipped by an open breaker.
-     A partitioned or breaker-skipped switch holds deferred rule updates
-     by design and is reconciled once it becomes reachable again, exactly
-     like a down switch. *)
-  let up sw =
-    (not (Switch.down t.switches.(sw)))
-    && (not (Switch.partitioned t.switches.(sw)))
-    &&
-    match t.breakers with
-    | [||] -> true
-    | breakers -> begin
-      match Breaker.state breakers.(sw) with
-      | Breaker.Closed -> true
-      | Breaker.Open | Breaker.Half_open -> false
-    end
-  in
-  Invariant.check_all ~allocator:t.allocator ~switches:t.switches ~up ~tasks
+  Invariant.check_all ~allocator:t.allocator ~switches:t.switches ~up:(reachable t) ~tasks
 
 let staleness_levels t =
   Hashtbl.fold (fun _ r acc -> r.Runtime.staleness :: acc) t.active [] |> List.sort compare
@@ -397,10 +404,7 @@ let advance_faults t =
           Ctr.incr t.rob.breaker_probes;
           trace_event t ~name:"breaker_probe" [ ("switch", Tr.Int sw) ]
         | _ -> ());
-        Obs.Registry.Gauge.set
-          (Obs.Registry.gauge t.registry
-             ~labels:[ ("switch", string_of_int sw) ]
-             "breaker_state")
+        Obs.Registry.Gauge.set t.breaker_gauges.(sw)
           (float_of_int (Breaker.state_code (Breaker.state br))))
       t.breakers
 
@@ -469,12 +473,10 @@ let observe t dcfg scores (r : Runtime.t) =
      any stale or missing switch; a fully fresh round resets.  Feeds the
      staleness-urgency sort and the accuracy-decay fallback above, and the
      task_staleness histogram exporters read. *)
-  (match dcfg with
-  | Some _ ->
+  (match t.staleness_hist with
+  | Some hist ->
     r.staleness <- (if degraded = Switch_mask.empty then 0 else r.staleness + 1);
-    Obs.Registry.Histogram.observe
-      (Obs.Registry.histogram t.registry "task_staleness")
-      (float_of_int r.staleness)
+    Obs.Registry.Histogram.observe hist (float_of_int r.staleness)
   | None -> ());
   Obs.Profile.start t.profile t.spans.ground_truth;
   let real_accuracy = Ground_truth.evaluate r.ground_truth data (Task.items r.task) in

@@ -164,6 +164,12 @@ val staleness_of : t -> task_id:int -> int option
 (** The task's bounded-staleness level: consecutive epochs it reported
     with at least one stale or missing switch.  [None] if not active. *)
 
+val reachable : t -> Dream_traffic.Switch_id.t -> bool
+(** Whether the controller can converge the switch this epoch: it is up,
+    not partitioned, and not skipped by an open or probing breaker.  The
+    invariant checker audits only reachable switches; the chaos oracle
+    excuses staleness growth on a task with an unreachable switch. *)
+
 val task_switches : t -> task_id:int -> Dream_traffic.Switch_id.t list option
 (** Switches the task needs counters on; [None] if not active.  The chaos
     oracle uses this to decide whether a staleness level above the shed

@@ -132,20 +132,18 @@ type events = {
   storm_tasks : int;
 }
 
-(* Scripted injections: explicit (epoch, payload) events the chaos harness
-   schedules on top of the organic rate-driven faults.  They are matched by
-   equality against the post-increment epoch inside [begin_epoch], consume
-   no randomness, and are serialized whole in checkpoints so a restored run
+(* Scripted injections: explicit timed events the chaos harness stages on
+   top of the organic rate-driven faults.  They fire when their epoch
+   equals the post-increment epoch inside [begin_epoch], consume no
+   randomness, and are serialized whole in checkpoints so a restored run
    replays the identical timeline. *)
-type injections = {
-  mutable crashes : (int * int * int) list; (* at, switch, downtime *)
-  mutable ctrl_crashes : int list; (* at *)
-  mutable partitions : (int * int * int) list; (* at, group, span *)
-  mutable heals : (int * int) list; (* at, group *)
-  mutable storms : (int * int) list; (* at, extra tasks *)
-  mutable noise : (int * int * float * float * float) list;
-      (* at, span, timeout_rate, loss_rate, perturb_stddev *)
-}
+type injection =
+  | Crash of { switch : Switch_id.t; downtime : int }
+  | Controller_crash
+  | Partition of { group : int; span : int }
+  | Heal of { group : int }
+  | Storm of { tasks : int }
+  | Noise of { span : int; timeout_rate : float; loss_rate : float; perturb_stddev : float }
 
 type t = {
   spec : spec;
@@ -156,9 +154,9 @@ type t = {
   partition_until : int array; (* per group; <= epoch means reachable *)
   stragglers : bool array; (* per switch, fixed at creation *)
   mutable epoch : int;
-  inj : injections;
+  mutable injections : (int * injection) list; (* (at, event), in staging order *)
   (* Effective data-path rates for the current epoch: max of the spec rate
-     and every open noise window.  Derived from [inj.noise], never
+     and every open noise window.  Derived from [injections], never
      serialized. *)
   mutable noise_timeout : float;
   mutable noise_loss : float;
@@ -199,10 +197,8 @@ let create spec ~num_switches =
     Array.iteri (fun rank sw -> if rank < slow then stragglers.(sw) <- true) order
   end;
   let partition_until = Array.make spec.partition_groups 0 in
-  let inj =
-    { crashes = []; ctrl_crashes = []; partitions = []; heals = []; storms = []; noise = [] }
-  in
-  { spec; states; controller; partition; storm; partition_until; stragglers; epoch = 0; inj;
+  { spec; states; controller; partition; storm; partition_until; stragglers; epoch = 0;
+    injections = [];
     noise_timeout = 0.0; noise_loss = 0.0; noise_perturb = 0.0 }
 
 let spec t = t.spec
@@ -221,70 +217,65 @@ let down_count t =
 
 (* ---- scripted injections ---- *)
 
-let check_at t name at =
+let check ~num_switches ~groups inj =
+  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  match inj with
+  | Crash { switch; downtime } ->
+    if switch < 0 || switch >= num_switches then err "crash: unknown switch %d" switch
+    else if downtime < 1 then err "crash: downtime %d < 1" downtime
+    else Ok ()
+  | Controller_crash -> Ok ()
+  | Partition { group; span } ->
+    if group < 0 || group >= groups then err "partition: unknown group %d" group
+    else if span < 1 then err "partition: span %d < 1" span
+    else Ok ()
+  | Heal { group } ->
+    if group < 0 || group >= groups then err "heal: unknown group %d" group else Ok ()
+  | Storm { tasks } -> if tasks < 1 then err "storm: tasks %d < 1" tasks else Ok ()
+  | Noise { span; timeout_rate; loss_rate; perturb_stddev } ->
+    if span < 1 then err "noise: span %d < 1" span
+    else if not (in_unit timeout_rate) then err "noise: timeout_rate out of [0, 1]"
+    else if not (in_unit loss_rate) then err "noise: loss_rate out of [0, 1]"
+    else if not (perturb_stddev >= 0.0 && Float.is_finite perturb_stddev) then
+      err "noise: perturb_stddev must be finite and >= 0"
+    else Ok ()
+
+let check_model t inj =
+  check ~num_switches:(Array.length t.states) ~groups:t.spec.partition_groups inj
+
+let schedule t ~at inj =
   if at <= t.epoch then
-    invalid_arg (Printf.sprintf "Fault_model.%s: at=%d is not in the future (epoch %d)" name at t.epoch)
-
-let schedule_crash t ~at ~switch ~downtime =
-  check_at t "schedule_crash" at;
-  let _ = state t switch in
-  if downtime < 1 then invalid_arg "Fault_model.schedule_crash: downtime must be >= 1";
-  t.inj.crashes <- t.inj.crashes @ [ (at, switch, downtime) ]
-
-let schedule_controller_crash t ~at =
-  check_at t "schedule_controller_crash" at;
-  t.inj.ctrl_crashes <- t.inj.ctrl_crashes @ [ at ]
-
-let schedule_partition t ~at ~group ~span =
-  check_at t "schedule_partition" at;
-  if group < 0 || group >= t.spec.partition_groups then
-    invalid_arg (Printf.sprintf "Fault_model.schedule_partition: unknown group %d" group);
-  if span < 1 then invalid_arg "Fault_model.schedule_partition: span must be >= 1";
-  t.inj.partitions <- t.inj.partitions @ [ (at, group, span) ]
-
-let schedule_heal t ~at ~group =
-  check_at t "schedule_heal" at;
-  if group < 0 || group >= t.spec.partition_groups then
-    invalid_arg (Printf.sprintf "Fault_model.schedule_heal: unknown group %d" group);
-  t.inj.heals <- t.inj.heals @ [ (at, group) ]
-
-let schedule_storm t ~at ~tasks =
-  check_at t "schedule_storm" at;
-  if tasks < 1 then invalid_arg "Fault_model.schedule_storm: tasks must be >= 1";
-  t.inj.storms <- t.inj.storms @ [ (at, tasks) ]
-
-let schedule_noise t ~at ~span ~timeout_rate ~loss_rate ~perturb_stddev =
-  check_at t "schedule_noise" at;
-  if span < 1 then invalid_arg "Fault_model.schedule_noise: span must be >= 1";
-  if not (in_unit timeout_rate) then
-    invalid_arg "Fault_model.schedule_noise: timeout_rate must be in [0, 1]";
-  if not (in_unit loss_rate) then
-    invalid_arg "Fault_model.schedule_noise: loss_rate must be in [0, 1]";
-  if not (perturb_stddev >= 0.0 && Float.is_finite perturb_stddev) then
-    invalid_arg "Fault_model.schedule_noise: perturb_stddev must be finite and >= 0";
-  t.inj.noise <- t.inj.noise @ [ (at, span, timeout_rate, loss_rate, perturb_stddev) ]
+    invalid_arg
+      (Printf.sprintf "Fault_model.schedule: at=%d is not in the future (epoch %d)" at t.epoch);
+  match check_model t inj with
+  | Error msg -> invalid_arg ("Fault_model.schedule: " ^ msg)
+  | Ok () -> t.injections <- t.injections @ [ (at, inj) ]
 
 let pending_injections t =
-  let after at = if at > t.epoch then 1 else 0 in
-  List.fold_left (fun acc (at, _, _) -> acc + after at) 0 t.inj.crashes
-  + List.fold_left (fun acc at -> acc + after at) 0 t.inj.ctrl_crashes
-  + List.fold_left (fun acc (at, _, _) -> acc + after at) 0 t.inj.partitions
-  + List.fold_left (fun acc (at, _) -> acc + after at) 0 t.inj.heals
-  + List.fold_left (fun acc (at, _) -> acc + after at) 0 t.inj.storms
-  + List.fold_left
-      (fun acc (at, span, _, _, _) -> if at + span > t.epoch then acc + 1 else acc)
-      0 t.inj.noise
+  List.fold_left
+    (fun acc (at, inj) ->
+      let pending = match inj with Noise { span; _ } -> at + span > t.epoch | _ -> at > t.epoch in
+      if pending then acc + 1 else acc)
+    0 t.injections
+
+(* Apply [f] to each injection staged for [epoch], in staging order. *)
+let rec scripted epoch f = function
+  | [] -> ()
+  | (at, inj) :: rest ->
+    if at = epoch then f inj;
+    scripted epoch f rest
 
 let recompute_noise t =
   let timeout = ref 0.0 and loss = ref 0.0 and perturb = ref 0.0 in
   List.iter
-    (fun (at, span, tr, lr, ps) ->
-      if at <= t.epoch && t.epoch < at + span then begin
-        timeout := Float.max !timeout tr;
-        loss := Float.max !loss lr;
-        perturb := Float.max !perturb ps
-      end)
-    t.inj.noise;
+    (function
+      | at, Noise { span; timeout_rate; loss_rate; perturb_stddev }
+        when at <= t.epoch && t.epoch < at + span ->
+        timeout := Float.max !timeout timeout_rate;
+        loss := Float.max !loss loss_rate;
+        perturb := Float.max !perturb perturb_stddev
+      | _ -> ())
+    t.injections;
   t.noise_timeout <- !timeout;
   t.noise_loss <- !loss;
   t.noise_perturb <- !perturb
@@ -310,20 +301,16 @@ let begin_epoch t =
      so a scheduled crash aimed at a switch that is down (or just recovered
      this epoch) is silently skipped rather than voiding a recovery the
      controller never saw. *)
-  List.iter
-    (fun (at, sw, downtime) ->
-      if at = t.epoch then begin
-        let s = t.states.(sw) in
-        if s.down_until < t.epoch then begin
-          s.down_until <- t.epoch + downtime;
-          crashed := sw :: !crashed
-        end
-      end)
-    t.inj.crashes;
+  scripted t.epoch (function
+    | Crash { switch; downtime } when t.states.(switch).down_until < t.epoch ->
+      t.states.(switch).down_until <- t.epoch + downtime;
+      crashed := switch :: !crashed
+    | _ -> ())
+    t.injections;
   let controller_crashed =
     (t.spec.controller_crash_rate > 0.0
      && Rng.bernoulli t.controller t.spec.controller_crash_rate)
-    || List.exists (fun at -> at = t.epoch) t.inj.ctrl_crashes
+    || List.exists (function at, Controller_crash -> at = t.epoch | _ -> false) t.injections
   in
   let partitioned = ref [] and healed = ref [] in
   Array.iteri
@@ -343,30 +330,29 @@ let begin_epoch t =
     t.partition_until;
   (* Scripted partitions may target any group (the harness sidesteps
      [partition_eligible] deliberately) but still honour the heal grace. *)
-  List.iter
-    (fun (at, g, span) ->
-      if at = t.epoch && t.partition_until.(g) < t.epoch then begin
-        t.partition_until.(g) <- t.epoch + span;
-        partitioned := g :: !partitioned
-      end)
-    t.inj.partitions;
+  scripted t.epoch (function
+    | Partition { group; span } when t.partition_until.(group) < t.epoch ->
+      t.partition_until.(group) <- t.epoch + span;
+      partitioned := group :: !partitioned
+    | _ -> ())
+    t.injections;
   (* A scripted heal closes an open window early and always surfaces the
      group in [healed], even when no window is open: the controller reacts
      by hinting breaker probes, which is exactly the probe/heal race the
      chaos harness wants to provoke. *)
-  List.iter
-    (fun (at, g) ->
-      if at = t.epoch then begin
-        if t.partition_until.(g) > t.epoch then t.partition_until.(g) <- t.epoch;
-        if not (List.mem g !healed) then healed := g :: !healed
-      end)
-    t.inj.heals;
+  scripted t.epoch (function
+    | Heal { group } ->
+      if t.partition_until.(group) > t.epoch then t.partition_until.(group) <- t.epoch;
+      if not (List.mem group !healed) then healed := group :: !healed
+    | _ -> ())
+    t.injections;
   let storm_tasks =
     (if t.spec.storm_rate > 0.0 && Rng.bernoulli t.storm t.spec.storm_rate then t.spec.storm_size
      else 0)
     + List.fold_left
-        (fun acc (at, tasks) -> if at = t.epoch then acc + tasks else acc)
-        0 t.inj.storms
+        (fun acc (at, inj) ->
+          match inj with Storm { tasks } when at = t.epoch -> acc + tasks | _ -> acc)
+        0 t.injections
   in
   recompute_noise t;
   {
@@ -437,6 +423,41 @@ let parse_rng r name =
   let s3 = C.int64_field r (name ^ "3") in
   Rng.of_state (s0, s1, s2, s3)
 
+(* A checkpoint holds the scripted injections as one block per kind, in
+   this order; [kind] indexes it. *)
+let blocks =
+  let module C = Dream_util.Codec in
+  [|
+    ( "inj_crashes",
+      fun r ->
+        let switch = C.int_field r "switch" in
+        let downtime = C.int_field r "downtime" in
+        Crash { switch; downtime } );
+    ("inj_ctrl_crashes", fun _ -> Controller_crash);
+    ( "inj_partitions",
+      fun r ->
+        let group = C.int_field r "group" in
+        let span = C.int_field r "span" in
+        Partition { group; span } );
+    ("inj_heals", fun r -> Heal { group = C.int_field r "group" });
+    ("inj_storms", fun r -> Storm { tasks = C.int_field r "tasks" });
+    ( "inj_noise",
+      fun r ->
+        let span = C.int_field r "span" in
+        let timeout_rate = C.float_field r "timeout_rate" in
+        let loss_rate = C.float_field r "loss_rate" in
+        let perturb_stddev = C.float_field r "perturb_stddev" in
+        Noise { span; timeout_rate; loss_rate; perturb_stddev } );
+  |]
+
+let kind = function
+  | Crash _ -> 0
+  | Controller_crash -> 1
+  | Partition _ -> 2
+  | Heal _ -> 3
+  | Storm _ -> 4
+  | Noise _ -> 5
+
 let emit w t =
   let module C = Dream_util.Codec in
   C.section w "fault_model";
@@ -474,43 +495,30 @@ let emit w t =
   (* Scripted injections, past ones included: replaying the full timeline
      keeps emit/parse an exact round trip, and a spent event (at <= epoch)
      can never refire. *)
-  C.int w "inj_crashes" (List.length t.inj.crashes);
-  List.iter
-    (fun (at, sw, d) ->
-      C.int w "at" at;
-      C.int w "switch" sw;
-      C.int w "downtime" d)
-    t.inj.crashes;
-  C.int w "inj_ctrl_crashes" (List.length t.inj.ctrl_crashes);
-  List.iter (fun at -> C.int w "at" at) t.inj.ctrl_crashes;
-  C.int w "inj_partitions" (List.length t.inj.partitions);
-  List.iter
-    (fun (at, g, span) ->
-      C.int w "at" at;
-      C.int w "group" g;
-      C.int w "span" span)
-    t.inj.partitions;
-  C.int w "inj_heals" (List.length t.inj.heals);
-  List.iter
-    (fun (at, g) ->
-      C.int w "at" at;
-      C.int w "group" g)
-    t.inj.heals;
-  C.int w "inj_storms" (List.length t.inj.storms);
-  List.iter
-    (fun (at, tasks) ->
-      C.int w "at" at;
-      C.int w "tasks" tasks)
-    t.inj.storms;
-  C.int w "inj_noise" (List.length t.inj.noise);
-  List.iter
-    (fun (at, span, tr, lr, ps) ->
-      C.int w "at" at;
-      C.int w "span" span;
-      C.float w "timeout_rate" tr;
-      C.float w "loss_rate" lr;
-      C.float w "perturb_stddev" ps)
-    t.inj.noise
+  Array.iteri
+    (fun k (name, _) ->
+      let mine = List.filter (fun (_, inj) -> kind inj = k) t.injections in
+      C.int w name (List.length mine);
+      List.iter
+        (fun (at, inj) ->
+          C.int w "at" at;
+          match inj with
+          | Crash { switch; downtime } ->
+            C.int w "switch" switch;
+            C.int w "downtime" downtime
+          | Controller_crash -> ()
+          | Partition { group; span } ->
+            C.int w "group" group;
+            C.int w "span" span
+          | Heal { group } -> C.int w "group" group
+          | Storm { tasks } -> C.int w "tasks" tasks
+          | Noise { span; timeout_rate; loss_rate; perturb_stddev } ->
+            C.int w "span" span;
+            C.float w "timeout_rate" timeout_rate;
+            C.float w "loss_rate" loss_rate;
+            C.float w "perturb_stddev" perturb_stddev)
+        mine)
+    blocks
 
 let parse r =
   let module C = Dream_util.Codec in
@@ -575,48 +583,25 @@ let parse r =
   let stragglers =
     C.repeat n (fun () -> C.int_field r "straggler" <> 0) |> Array.of_list
   in
-  let crashes =
-    C.repeat (C.int_field r "inj_crashes") (fun () ->
-        let at = C.int_field r "at" in
-        let sw = C.int_field r "switch" in
-        let d = C.int_field r "downtime" in
-        (at, sw, d))
+  (* Blocks come back in kind order, each kind in its staging order: the
+     same events fire in the same order as before the round trip. *)
+  let injections =
+    List.concat_map
+      (fun (name, read) ->
+        C.repeat (C.int_field r name) (fun () ->
+            let at = C.int_field r "at" in
+            (at, read r)))
+      (Array.to_list blocks)
   in
-  let ctrl_crashes =
-    C.repeat (C.int_field r "inj_ctrl_crashes") (fun () -> C.int_field r "at")
-  in
-  let partitions =
-    C.repeat (C.int_field r "inj_partitions") (fun () ->
-        let at = C.int_field r "at" in
-        let g = C.int_field r "group" in
-        let span = C.int_field r "span" in
-        (at, g, span))
-  in
-  let heals =
-    C.repeat (C.int_field r "inj_heals") (fun () ->
-        let at = C.int_field r "at" in
-        let g = C.int_field r "group" in
-        (at, g))
-  in
-  let storms =
-    C.repeat (C.int_field r "inj_storms") (fun () ->
-        let at = C.int_field r "at" in
-        let tasks = C.int_field r "tasks" in
-        (at, tasks))
-  in
-  let noise =
-    C.repeat (C.int_field r "inj_noise") (fun () ->
-        let at = C.int_field r "at" in
-        let span = C.int_field r "span" in
-        let tr = C.float_field r "timeout_rate" in
-        let lr = C.float_field r "loss_rate" in
-        let ps = C.float_field r "perturb_stddev" in
-        (at, span, tr, lr, ps))
-  in
-  let inj = { crashes; ctrl_crashes; partitions; heals; storms; noise } in
   let t =
-    { spec; states; controller; partition; storm; partition_until; stragglers; epoch; inj;
+    { spec; states; controller; partition; storm; partition_until; stragglers; epoch; injections;
       noise_timeout = 0.0; noise_loss = 0.0; noise_perturb = 0.0 }
   in
+  List.iter
+    (fun (_, inj) ->
+      match check_model t inj with
+      | Ok () -> ()
+      | Error msg -> invalid_arg ("Fault_model.parse: scripted " ^ msg))
+    injections;
   recompute_noise t;
   t

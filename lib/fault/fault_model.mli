@@ -134,51 +134,50 @@ val latency_factor : t -> Dream_traffic.Switch_id.t -> float
 
 (** {1 Scripted injections}
 
-    The chaos harness schedules explicit fault events on top of (or instead
+    The chaos harness stages explicit fault events on top of (or instead
     of) the organic rate-driven ones.  Epochs are the fault model's own
     counter: the N-th {!begin_epoch} call runs epoch N (1-based), so an
-    event scheduled [~at:n] fires during the n-th call.  All [schedule_*]
-    functions require [at] strictly in the future, consume no randomness
-    when they fire (scripted timelines never perturb the organic RNG
-    streams), and are included in {!emit}/{!parse} so a restored checkpoint
-    replays the identical timeline. *)
+    injection staged [~at:n] fires during the n-th call.  Injections
+    consume no randomness when they fire (scripted timelines never perturb
+    the organic RNG streams) and are included in {!emit}/{!parse}, so a
+    restored checkpoint replays the identical timeline.  Events of one
+    epoch fire kind by kind, in the constructor order below, and in
+    staging order within a kind. *)
 
-val schedule_crash : t -> at:int -> switch:Dream_traffic.Switch_id.t -> downtime:int -> unit
-(** Crash [switch] at epoch [at] for [downtime] epochs.  Skipped silently
-    if the switch is already down (or recovered that very epoch) — the
-    one-epoch recovery grace organic crashes honour applies here too.
-    @raise Invalid_argument on a past epoch, unknown switch or
-    [downtime < 1]. *)
+type injection =
+  | Crash of { switch : Dream_traffic.Switch_id.t; downtime : int }
+      (** Crash [switch] for [downtime] epochs.  Skipped if the switch is
+          already down (or recovered that very epoch): the one-epoch
+          recovery grace organic crashes honour applies here too. *)
+  | Controller_crash  (** [begin_epoch] reports [controller_crashed = true]. *)
+  | Partition of { group : int; span : int }
+      (** Open a reachability window on [group] lasting [span] epochs.
+          Unlike organic partitions, any group may be targeted, including
+          those beyond [partition_eligible].  Skipped if the group is
+          already partitioned (or healed that very epoch). *)
+  | Heal of { group : int }
+      (** Surface [group] in [events.healed], closing any open window
+          early.  Firing it on a group that is {e not} partitioned is
+          allowed and deliberate: the controller answers a heal by hinting
+          breaker probes, so a spurious heal provokes exactly the
+          probe/heal race the chaos harness wants to explore. *)
+  | Storm of { tasks : int }
+      (** Add [tasks] admissions to [events.storm_tasks], on top of
+          whatever an organic storm contributes. *)
+  | Noise of { span : int; timeout_rate : float; loss_rate : float; perturb_stddev : float }
+      (** For [span] epochs, raise the effective fetch-timeout and
+          counter-loss rates and the perturbation stddev to at least these
+          values (the maximum of the spec rate and every open window
+          applies). *)
 
-val schedule_controller_crash : t -> at:int -> unit
-(** Make [begin_epoch] report [controller_crashed = true] at epoch [at]. *)
+val check : num_switches:int -> groups:int -> injection -> (unit, string) result
+(** The one range check: a known switch or group, a downtime, span or
+    storm of at least 1, rates in [0, 1] and a finite non-negative
+    stddev. *)
 
-val schedule_partition : t -> at:int -> group:int -> span:int -> unit
-(** Open a reachability window on [group] at epoch [at] lasting [span]
-    epochs.  Unlike organic partitions, any group may be targeted,
-    including those beyond [partition_eligible].  Skipped silently if the
-    group is already partitioned (or healed that very epoch).
-    @raise Invalid_argument on a past epoch, unknown group or [span < 1]. *)
-
-val schedule_heal : t -> at:int -> group:int -> unit
-(** Force [group] to surface in [events.healed] at epoch [at], closing any
-    open partition window early.  Firing it on a group that is {e not}
-    partitioned is allowed and deliberate: the controller responds to a
-    heal by hinting breaker probes, so a spurious heal provokes exactly the
-    probe/heal race the chaos harness wants to explore. *)
-
-val schedule_storm : t -> at:int -> tasks:int -> unit
-(** Add [tasks] extra admissions to [events.storm_tasks] at epoch [at],
-    on top of whatever an organic storm contributes.
-    @raise Invalid_argument on a past epoch or [tasks < 1]. *)
-
-val schedule_noise : t ->
-  at:int -> span:int -> timeout_rate:float -> loss_rate:float -> perturb_stddev:float -> unit
-(** During epochs [at .. at + span - 1], raise the effective fetch-timeout
-    and counter-loss rates and the perturbation stddev to at least the
-    given values (the maximum of the spec rate and every open window
-    applies).  @raise Invalid_argument on a past epoch, [span < 1] or
-    out-of-range rates. *)
+val schedule : t -> at:int -> injection -> unit
+(** Stage an injection for epoch [at].  @raise Invalid_argument when
+    {!check} fails against this model or [at] is not in the future. *)
 
 val pending_injections : t -> int
 (** Scheduled events that have not yet fired (noise windows count until
@@ -191,4 +190,5 @@ val emit : Dream_util.Codec.writer -> t -> unit
 
 val parse : Dream_util.Codec.reader -> t
 (** Inverse of {!emit}.  @raise Dream_util.Codec.Parse_error on mismatch,
-    [Invalid_argument] on out-of-range rates. *)
+    [Invalid_argument] on out-of-range rates or an injection {!check}
+    refuses. *)

@@ -29,7 +29,7 @@ let zero_model ?(num_switches = 4) () = Fault_model.create Fault_model.zero ~num
 
 let test_scripted_crash () =
   let fm = zero_model () in
-  Fault_model.schedule_crash fm ~at:2 ~switch:3 ~downtime:2;
+  Fault_model.schedule fm ~at:2 (Fault_model.Crash { switch = 3; downtime = 2 });
   let e1 = Fault_model.begin_epoch fm in
   Alcotest.(check (list int)) "epoch 1: nothing" [] e1.Fault_model.crashed;
   let e2 = Fault_model.begin_epoch fm in
@@ -47,8 +47,8 @@ let test_scripted_crash_grace () =
   let fm = zero_model () in
   (* Two crashes aimed at the same switch; the second lands while the
      switch is still down and must be skipped, not extend the outage. *)
-  Fault_model.schedule_crash fm ~at:2 ~switch:1 ~downtime:3;
-  Fault_model.schedule_crash fm ~at:3 ~switch:1 ~downtime:5;
+  Fault_model.schedule fm ~at:2 (Fault_model.Crash { switch = 1; downtime = 3 });
+  Fault_model.schedule fm ~at:3 (Fault_model.Crash { switch = 1; downtime = 5 });
   for _ = 1 to 4 do ignore (Fault_model.begin_epoch fm) done;
   let e5 = Fault_model.begin_epoch fm in
   Alcotest.(check (list int)) "recovers on the first crash's clock" [ 1 ] e5.Fault_model.recovered;
@@ -56,8 +56,8 @@ let test_scripted_crash_grace () =
 
 let test_scripted_partition_heal () =
   let fm = zero_model () in
-  Fault_model.schedule_partition fm ~at:2 ~group:1 ~span:4;
-  Fault_model.schedule_heal fm ~at:4 ~group:1;
+  Fault_model.schedule fm ~at:2 (Fault_model.Partition { group = 1; span = 4 });
+  Fault_model.schedule fm ~at:4 (Fault_model.Heal { group = 1 });
   ignore (Fault_model.begin_epoch fm);
   let e2 = Fault_model.begin_epoch fm in
   Alcotest.(check (list int)) "window opens" [ 1 ] e2.Fault_model.partitioned;
@@ -71,15 +71,15 @@ let test_scripted_partition_heal () =
 
 let test_scripted_heal_without_partition () =
   let fm = zero_model () in
-  Fault_model.schedule_heal fm ~at:1 ~group:0;
+  Fault_model.schedule fm ~at:1 (Fault_model.Heal { group = 0 });
   let e1 = Fault_model.begin_epoch fm in
   Alcotest.(check (list int)) "spurious heal still surfaces" [ 0 ] e1.Fault_model.healed
 
 let test_scripted_storm_and_ctrl_crash () =
   let fm = zero_model () in
-  Fault_model.schedule_storm fm ~at:3 ~tasks:2;
-  Fault_model.schedule_storm fm ~at:3 ~tasks:1;
-  Fault_model.schedule_controller_crash fm ~at:3;
+  Fault_model.schedule fm ~at:3 (Fault_model.Storm { tasks = 2 });
+  Fault_model.schedule fm ~at:3 (Fault_model.Storm { tasks = 1 });
+  Fault_model.schedule fm ~at:3 Fault_model.Controller_crash;
   ignore (Fault_model.begin_epoch fm);
   let e2 = Fault_model.begin_epoch fm in
   Alcotest.(check bool) "no crash yet" false e2.Fault_model.controller_crashed;
@@ -89,8 +89,8 @@ let test_scripted_storm_and_ctrl_crash () =
 
 let test_scripted_noise_window () =
   let fm = zero_model () in
-  Fault_model.schedule_noise fm ~at:2 ~span:2 ~timeout_rate:1.0 ~loss_rate:1.0
-    ~perturb_stddev:0.0;
+  Fault_model.schedule fm ~at:2
+    (Fault_model.Noise { span = 2; timeout_rate = 1.0; loss_rate = 1.0; perturb_stddev = 0.0 });
   ignore (Fault_model.begin_epoch fm);
   Alcotest.(check bool) "no noise yet" false (Fault_model.fetch_times_out fm 0);
   ignore (Fault_model.begin_epoch fm);
@@ -104,23 +104,30 @@ let test_scripted_noise_window () =
 let test_injection_validation () =
   let fm = zero_model () in
   ignore (Fault_model.begin_epoch fm);
-  expect_invalid "past epoch" (fun () -> Fault_model.schedule_crash fm ~at:1 ~switch:0 ~downtime:1);
+  expect_invalid "past epoch" (fun () ->
+      Fault_model.schedule fm ~at:1 (Fault_model.Crash { switch = 0; downtime = 1 }));
   expect_invalid "unknown switch" (fun () ->
-      Fault_model.schedule_crash fm ~at:5 ~switch:9 ~downtime:1);
+      Fault_model.schedule fm ~at:5 (Fault_model.Crash { switch = 9; downtime = 1 }));
   expect_invalid "zero downtime" (fun () ->
-      Fault_model.schedule_crash fm ~at:5 ~switch:0 ~downtime:0);
-  expect_invalid "zero span" (fun () -> Fault_model.schedule_partition fm ~at:5 ~group:0 ~span:0);
-  expect_invalid "zero tasks" (fun () -> Fault_model.schedule_storm fm ~at:5 ~tasks:0)
+      Fault_model.schedule fm ~at:5 (Fault_model.Crash { switch = 0; downtime = 0 }));
+  expect_invalid "zero span" (fun () ->
+      Fault_model.schedule fm ~at:5 (Fault_model.Partition { group = 0; span = 0 }));
+  expect_invalid "unknown group" (fun () ->
+      Fault_model.schedule fm ~at:5 (Fault_model.Heal { group = 4 }));
+  expect_invalid "zero tasks" (fun () -> Fault_model.schedule fm ~at:5 (Fault_model.Storm { tasks = 0 }));
+  expect_invalid "loss above 1" (fun () ->
+      Fault_model.schedule fm ~at:5
+        (Fault_model.Noise { span = 1; timeout_rate = 0.0; loss_rate = 1.5; perturb_stddev = 0.0 }))
 
 let test_injection_roundtrip () =
   let stage fm =
-    Fault_model.schedule_crash fm ~at:3 ~switch:2 ~downtime:2;
-    Fault_model.schedule_controller_crash fm ~at:4;
-    Fault_model.schedule_partition fm ~at:2 ~group:0 ~span:3;
-    Fault_model.schedule_heal fm ~at:4 ~group:0;
-    Fault_model.schedule_storm fm ~at:5 ~tasks:2;
-    Fault_model.schedule_noise fm ~at:3 ~span:2 ~timeout_rate:0.5 ~loss_rate:0.25
-      ~perturb_stddev:0.1
+    Fault_model.schedule fm ~at:3 (Fault_model.Crash { switch = 2; downtime = 2 });
+    Fault_model.schedule fm ~at:4 Fault_model.Controller_crash;
+    Fault_model.schedule fm ~at:2 (Fault_model.Partition { group = 0; span = 3 });
+    Fault_model.schedule fm ~at:4 (Fault_model.Heal { group = 0 });
+    Fault_model.schedule fm ~at:5 (Fault_model.Storm { tasks = 2 });
+    Fault_model.schedule fm ~at:3
+    (Fault_model.Noise { span = 2; timeout_rate = 0.5; loss_rate = 0.25; perturb_stddev = 0.1 })
   in
   let a = zero_model () in
   stage a;
@@ -141,6 +148,90 @@ let test_injection_roundtrip () =
     Alcotest.(check (list int)) (tag "healed") ea.Fault_model.healed eb.Fault_model.healed;
     Alcotest.(check int) (tag "storms") ea.Fault_model.storm_tasks eb.Fault_model.storm_tasks
   done
+
+(* Checkpoint text of a two-switch zero-spec model holding one injection
+   of every kind (two crashes, staged out of kind order).  The blocks keep
+   one kind each, in this order, and each kind keeps its staging order. *)
+let injection_blocks =
+  "inj_crashes 2\nat 3\nswitch 1\ndowntime 2\nat 2\nswitch 0\ndowntime 1\n\
+   inj_ctrl_crashes 1\nat 4\n\
+   inj_partitions 1\nat 2\ngroup 1\nspan 3\n\
+   inj_heals 1\nat 4\ngroup 0\n\
+   inj_storms 1\nat 5\ntasks 2\n\
+   inj_noise 1\nat 3\nspan 2\ntimeout_rate 0x1p-1\nloss_rate 0x1p-2\n\
+   perturb_stddev 0x1.999999999999ap-4\n"
+
+let test_injection_emit_pinned () =
+  let fm = zero_model ~num_switches:2 () in
+  Fault_model.schedule fm ~at:3
+    (Fault_model.Noise { span = 2; timeout_rate = 0.5; loss_rate = 0.25; perturb_stddev = 0.1 });
+  Fault_model.schedule fm ~at:5 (Fault_model.Storm { tasks = 2 });
+  Fault_model.schedule fm ~at:4 (Fault_model.Heal { group = 0 });
+  Fault_model.schedule fm ~at:2 (Fault_model.Partition { group = 1; span = 3 });
+  Fault_model.schedule fm ~at:4 Fault_model.Controller_crash;
+  Fault_model.schedule fm ~at:3 (Fault_model.Crash { switch = 1; downtime = 2 });
+  Fault_model.schedule fm ~at:2 (Fault_model.Crash { switch = 0; downtime = 1 });
+  let w = Codec.writer () in
+  Fault_model.emit w fm;
+  let text = Codec.contents w in
+  let tail = String.length injection_blocks in
+  Alcotest.(check string) "injection blocks" injection_blocks
+    (String.sub text (String.length text - tail) tail);
+  Alcotest.(check string) "whole section" "d013778e706ce38bd30cf1bc26dd9b42"
+    (Digest.to_hex (Digest.string text))
+
+(* Any valid timeline, staged on a model with organic crashes and
+   partitions too, survives emit/parse: the restored model emits the same
+   text and fires the same events through the horizon.  A few warm-up
+   epochs first, so the checkpoint also carries spent injections. *)
+let gen_injection =
+  QCheck.Gen.(
+    let rate = float_bound_inclusive 1.0 in
+    oneof
+      [
+        map2
+          (fun switch downtime -> Fault_model.Crash { switch; downtime })
+          (int_bound 3) (int_range 1 6);
+        return Fault_model.Controller_crash;
+        map2
+          (fun group span -> Fault_model.Partition { group; span })
+          (int_bound 3) (int_range 1 8);
+        map (fun group -> Fault_model.Heal { group }) (int_bound 3);
+        map (fun tasks -> Fault_model.Storm { tasks }) (int_range 1 4);
+        map3
+          (fun span (timeout_rate, loss_rate) perturb_stddev ->
+            Fault_model.Noise { span; timeout_rate; loss_rate; perturb_stddev })
+          (int_range 1 6) (pair rate rate) (float_bound_inclusive 0.3);
+      ])
+
+let prop_injections_roundtrip =
+  let horizon = 24 in
+  QCheck.Test.make ~name:"staged injections survive emit/parse" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         pair (int_bound 8) (list_size (int_bound 12) (pair (int_range 1 horizon) gen_injection))))
+    (fun (warmup, staged) ->
+      let spec =
+        { (Fault_model.uniform ~seed:3 0.2) with
+          Fault_model.partition_rate = 0.1; storm_rate = 0.1 }
+      in
+      let a = Fault_model.create spec ~num_switches:4 in
+      List.iter (fun (at, inj) -> Fault_model.schedule a ~at inj) staged;
+      for _ = 1 to warmup do ignore (Fault_model.begin_epoch a) done;
+      let emit fm =
+        let w = Codec.writer () in
+        Fault_model.emit w fm;
+        Codec.contents w
+      in
+      let text = emit a in
+      let b = Fault_model.parse (Codec.reader_of_string text) in
+      String.equal text (emit b)
+      && Fault_model.pending_injections a = Fault_model.pending_injections b
+      && List.for_all
+           (fun _ ->
+             Fault_model.begin_epoch a = Fault_model.begin_epoch b
+             && Fault_model.fetch_times_out a 0 = Fault_model.fetch_times_out b 0)
+           (List.init (horizon - warmup) Fun.id))
 
 (* ---- NaN / out-of-range numeric validation ---- *)
 
@@ -344,10 +435,42 @@ let test_schedule_json_roundtrip () =
   | Ok s' -> Alcotest.(check string) "roundtrip" (schedule_string s) (schedule_string s')
   | Error msg -> Alcotest.fail ("of_json failed: " ^ msg)
 
+(* Seed 4 is the first whose 12-event schedule holds all eight kinds. *)
+let test_schedule_pinned () =
+  let s = generate 4 in
+  Alcotest.(check (list string)) "pp_event"
+    [
+      "@11 torn_tail drop=37";
+      "@11 storm tasks=2";
+      "@20 partition group=3 span=5";
+      "@26 partition group=1 span=7";
+      "@27 partition group=0 span=8";
+      "@27 heal_hint group=2";
+      "@30 noise span=3 timeout=0.77 loss=0.01 perturb=0.10";
+      "@31 switch_crash sw=0 downtime=5";
+      "@37 checkpoint";
+      "@43 storm tasks=1";
+      "@43 storm tasks=3";
+      "@47 controller_crash";
+    ]
+    (List.map (Format.asprintf "%a" Schedule.pp_event) s.Schedule.events);
+  Alcotest.(check string) "to_json"
+    "{\"seed\":4,\"horizon\":48,\"events\":[{\"kind\":\"torn_tail\",\"at\":11,\"drop\":37},\
+     {\"kind\":\"storm\",\"at\":11,\"tasks\":2},{\"kind\":\"partition\",\"at\":20,\"group\":3,\"span\":5},\
+     {\"kind\":\"partition\",\"at\":26,\"group\":1,\"span\":7},\
+     {\"kind\":\"partition\",\"at\":27,\"group\":0,\"span\":8},\
+     {\"kind\":\"heal_hint\",\"at\":27,\"group\":2},\
+     {\"kind\":\"noise\",\"at\":30,\"span\":3,\"timeout_rate\":0.76779558188247776,\
+     \"loss_rate\":0.014193074302777164,\"perturb\":0.10121483963881155},\
+     {\"kind\":\"switch_crash\",\"at\":31,\"switch\":0,\"downtime\":5},\
+     {\"kind\":\"checkpoint\",\"at\":37},{\"kind\":\"storm\",\"at\":43,\"tasks\":1},\
+     {\"kind\":\"storm\",\"at\":43,\"tasks\":3},{\"kind\":\"controller_crash\",\"at\":47}]}"
+    (schedule_string s)
+
 let test_schedule_validate () =
   let bad =
     { Schedule.seed = 1; horizon = 48;
-      events = [ Schedule.Switch_crash { at = 3; switch = 99; downtime = 1 } ] }
+      events = [ Schedule.Fault { at = 3; fault = Fault_model.Crash { switch = 99; downtime = 1 } } ] }
   in
   (match Schedule.validate ~num_switches:Harness.num_switches ~groups:Harness.groups bad with
   | Error _ -> ()
@@ -365,7 +488,7 @@ let test_shrink_event_strictly_smaller () =
         (shrinks_of e))
     (generate 7).Schedule.events;
   Alcotest.(check (list int)) "atomic events don't shrink" []
-    (List.map Schedule.at_of (shrinks_of (Schedule.Controller_crash { at = 4 })))
+    (List.map Schedule.at_of (shrinks_of (Schedule.Fault { at = 4; fault = Fault_model.Controller_crash })))
 
 (* ---- Harness: determinism and the differential oracle ---- *)
 
@@ -445,6 +568,8 @@ let () =
           Alcotest.test_case "noise window" `Quick test_scripted_noise_window;
           Alcotest.test_case "validation" `Quick test_injection_validation;
           Alcotest.test_case "emit/parse roundtrip" `Quick test_injection_roundtrip;
+          Alcotest.test_case "emit pinned" `Quick test_injection_emit_pinned;
+          QCheck_alcotest.to_alcotest prop_injections_roundtrip;
         ] );
       ( "validation",
         [
@@ -467,6 +592,7 @@ let () =
         [
           Alcotest.test_case "deterministic generation" `Quick test_schedule_deterministic;
           Alcotest.test_case "json roundtrip" `Quick test_schedule_json_roundtrip;
+          Alcotest.test_case "pp_event and to_json pinned" `Quick test_schedule_pinned;
           Alcotest.test_case "validate bounds" `Quick test_schedule_validate;
           Alcotest.test_case "shrink variants" `Quick test_shrink_event_strictly_smaller;
         ] );

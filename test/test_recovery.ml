@@ -534,6 +534,26 @@ let test_restore_rejects_bad_values () =
       edit "prefix" 1 (Prefix.to_string (parent_of first));
       edit "prefix" 0 (Prefix.to_string (left_of first));
       edit "prefix" 0 "99.0.0.0/20";
+    ];
+  (* A scripted injection the fault model cannot fire: a crash on switch
+     99 of 4, a partition of group 9 of 4. *)
+  let faulty =
+    populated_controller ~config:{ Config.default with Config.faults = Some fault_spec } ()
+  in
+  Controller.run faulty ~epochs:10;
+  let faulty_body = body_of (Controller.checkpoint faulty) in
+  let inject block fields =
+    String.split_on_char '\n' faulty_body
+    |> List.concat_map (fun line ->
+           if line = block ^ " 0" then (block ^ " 1") :: fields else [ line ])
+  in
+  List.iter
+    (fun (name, lines) ->
+      Alcotest.(check bool) (name ^ ": restore refuses it") true
+        (restore_total name (reseal lines) = `Error))
+    [
+      ("crash on switch 99", inject "inj_crashes" [ "at 12"; "switch 99"; "downtime 2" ]);
+      ("partition of group 9", inject "inj_partitions" [ "at 12"; "group 9"; "span 2" ]);
     ]
 
 let degraded_config =
