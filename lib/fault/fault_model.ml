@@ -369,22 +369,16 @@ let fetch_times_out t sw =
   let rate = Float.max t.spec.fetch_timeout_rate t.noise_timeout in
   rate > 0.0 && Rng.bernoulli s.data rate
 
-let lose_counter t sw =
-  let s = state t sw in
-  let rate = Float.max t.spec.counter_loss_rate t.noise_loss in
-  rate > 0.0 && Rng.bernoulli s.data rate
-
 let install_fails t sw =
   let s = state t sw in
   t.spec.install_failure_rate > 0.0 && Rng.bernoulli s.data t.spec.install_failure_rate
 
-let perturb t sw v =
-  let stddev = Float.max t.spec.perturb_stddev t.noise_perturb in
-  if stddev <= 0.0 then v
-  else begin
-    let s = state t sw in
-    Float.max 0.0 (v *. (1.0 +. (stddev *. Rng.gaussian s.data)))
-  end
+let degrade t sw ~keys ~vols n =
+  let s = state t sw in
+  Rng.thin_jitter s.data
+    ~loss:(Float.max t.spec.counter_loss_rate t.noise_loss)
+    ~stddev:(Float.max t.spec.perturb_stddev t.noise_perturb)
+    ~keys ~vols n
 
 let is_partitioned t sw =
   let _ = state t sw in

@@ -10,9 +10,10 @@
 
     The controller drives the model: {!begin_epoch} once per tick to
     advance crash/recovery state, then the per-event predicates as it
-    touches each switch.  All predicates short-circuit without consuming
-    randomness when their rate is zero, so a zero-rate spec is
-    behaviourally identical to running with no fault model at all. *)
+    touches each switch, and {!degrade} on every batch of counters it
+    reads.  All of them short-circuit without consuming randomness when
+    their rate is zero, so a zero-rate spec is behaviourally identical to
+    running with no fault model at all. *)
 
 type spec = {
   seed : int;
@@ -104,15 +105,19 @@ val down_count : t -> int
 val fetch_times_out : t -> Dream_traffic.Switch_id.t -> bool
 (** Roll one counter-fetch attempt on an up switch; re-roll to retry. *)
 
-val lose_counter : t -> Dream_traffic.Switch_id.t -> bool
-(** Roll one rule's counter dropping out of a successful batch. *)
-
 val install_fails : t -> Dream_traffic.Switch_id.t -> bool
 (** Roll one rule-install attempt. *)
 
-val perturb : t -> Dream_traffic.Switch_id.t -> float -> float
-(** Apply multiplicative Gaussian noise to a counter value (clamped at 0);
-    identity when [perturb_stddev = 0]. *)
+val degrade : t -> Dream_traffic.Switch_id.t -> keys:int array -> vols:float array -> int -> int
+(** [degrade t sw ~keys ~vols n] applies this epoch's counter loss and
+    perturbation to a successful batch of [n] readings, in place, and
+    returns how many survive, closed up in key order.  The rates are the
+    maximum of the spec's [counter_loss_rate] / [perturb_stddev] and every
+    open noise window.  The draws come from [sw]'s data stream through
+    {!Dream_util.Rng.thin_jitter}: one loss draw per reading if the loss
+    rate is positive, then, if the stddev is positive, one Gaussian draw
+    per survivor for its multiplicative noise (clamped at 0).  Allocates
+    nothing. *)
 
 val group_of : t -> Dream_traffic.Switch_id.t -> int
 (** The partition group a switch belongs to ([sw mod partition_groups]). *)

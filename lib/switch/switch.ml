@@ -48,19 +48,9 @@ let read t ~owner aggregate ~keys ~vols =
     | Some fm ->
       if Fault_model.fetch_times_out fm t.id then
         (Error `Timeout [@alloc.allow "a static constant"])
-      else begin
-        (* Survivors close up in place, in key order: one loss draw per
-           counter, then one perturbation draw per survivor. *)
-        let kept = (ref 0 [@alloc.allow "a local ref the compiler keeps unboxed"]) in
-        for i = 0 to n - 1 do
-          if not (Fault_model.lose_counter fm t.id) then begin
-            keys.(!kept) <- keys.(i);
-            vols.(!kept) <- Fault_model.perturb fm t.id vols.(i);
-            incr kept
-          end
-        done;
-        (Ok !kept [@alloc.allow "the fetch result: one two-word block per read"])
-      end
+      else
+        (Ok (Fault_model.degrade fm t.id ~keys ~vols n)
+         [@alloc.allow "the fetch result: one two-word block per read"])
   end
 
 let install t ~owner key =

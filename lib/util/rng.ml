@@ -89,6 +89,35 @@ let gaussian t =
   let u1 = float t 1.0 +. 1e-12 and u2 = float t 1.0 in
   sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
 
+(* [thin_jitter]'s draws: private copies of [float t 1.0] and [gaussian],
+   term for term, inlined so no float crosses a call boxed.  The bound is
+   left out of the first: [1.0 *. x] is exactly [x]. *)
+let[@inline] unit_draw t = Int64.to_float (Int64.shift_right_logical (next t) 11) *. 0x1.0p-53
+
+let[@inline] gaussian_draw t =
+  let u1 = unit_draw t +. 1e-12 and u2 = unit_draw t in
+  sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
+
+(* [Float.max 0.0 (v *. (1.0 +. stddev *. g))]: a NaN stays, anything not
+   above zero becomes [+0.0]. *)
+let[@inline] jitter t ~stddev v =
+  let x = v *. (1.0 +. (stddev *. gaussian_draw t)) in
+  if x <= 0.0 then 0.0 else x
+
+(* Entries [0 .. i-1] are drawn, and [kept] of them survive, closed up
+   in order at the front. *)
+let rec thin_from t ~loss ~stddev ~keys ~vols n i kept =
+  if i >= n then kept
+  else if loss > 0.0 && unit_draw t < loss then thin_from t ~loss ~stddev ~keys ~vols n (i + 1) kept
+  else begin
+    let v = vols.(i) in
+    keys.(kept) <- keys.(i);
+    vols.(kept) <- (if stddev <= 0.0 then v else jitter t ~stddev v);
+    thin_from t ~loss ~stddev ~keys ~vols n (i + 1) (kept + 1)
+  end
+
+let[@hot] thin_jitter t ~loss ~stddev ~keys ~vols n = thin_from t ~loss ~stddev ~keys ~vols n 0 0
+
 let lognormal t ~mu ~sigma = exp (mu +. (sigma *. gaussian t))
 
 let pareto t ~alpha ~xmin =

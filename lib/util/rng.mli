@@ -45,6 +45,18 @@ val exponential : t -> float -> float
 val gaussian : t -> float
 (** Standard normal variate (Box-Muller). *)
 
+val thin_jitter :
+  t -> loss:float -> stddev:float -> keys:int array -> vols:float array -> int -> int
+(** [thin_jitter t ~loss ~stddev ~keys ~vols n] drops and perturbs the
+    first [n] key/value pairs in place and returns how many survive,
+    closed up in order at the front of [keys] and [vols].  Pair by pair:
+    when [loss > 0], the pair is dropped if [float t 1.0 < loss]; when
+    [stddev > 0], a survivor's value [v] becomes
+    [Float.max 0.0 (v *. (1.0 +. stddev *. gaussian t))].  The draws, and
+    every bit of the result, are those of that loop over {!bernoulli} and
+    {!gaussian}, but nothing is boxed: a call allocates nothing, whatever
+    [n]. *)
+
 val lognormal : t -> mu:float -> sigma:float -> float
 (** [lognormal t ~mu ~sigma] is [exp (mu + sigma * gaussian t)]. *)
 

@@ -91,15 +91,19 @@ let test_scripted_noise_window () =
   let fm = zero_model () in
   Fault_model.schedule fm ~at:2
     (Fault_model.Noise { span = 2; timeout_rate = 1.0; loss_rate = 1.0; perturb_stddev = 0.0 });
+  (* Survivors of a four-reading batch under this epoch's loss rate. *)
+  let survivors () = Fault_model.degrade fm 0 ~keys:[| 1; 2; 3; 4 |] ~vols:(Array.make 4 1.0) 4 in
   ignore (Fault_model.begin_epoch fm);
   Alcotest.(check bool) "no noise yet" false (Fault_model.fetch_times_out fm 0);
+  Alcotest.(check int) "no losses yet" 4 (survivors ());
   ignore (Fault_model.begin_epoch fm);
   Alcotest.(check bool) "timeouts forced" true (Fault_model.fetch_times_out fm 0);
-  Alcotest.(check bool) "losses forced" true (Fault_model.lose_counter fm 0);
+  Alcotest.(check int) "losses forced" 0 (survivors ());
   ignore (Fault_model.begin_epoch fm);
   Alcotest.(check bool) "window still open" true (Fault_model.fetch_times_out fm 0);
   ignore (Fault_model.begin_epoch fm);
-  Alcotest.(check bool) "window closed" false (Fault_model.fetch_times_out fm 0)
+  Alcotest.(check bool) "window closed" false (Fault_model.fetch_times_out fm 0);
+  Alcotest.(check int) "losses stop" 4 (survivors ())
 
 let test_injection_validation () =
   let fm = zero_model () in
