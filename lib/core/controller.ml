@@ -5,7 +5,6 @@ module Fault_model = Dream_fault.Fault_model
 module Switch = Dream_switch.Switch
 module Tcam = Dream_switch.Tcam
 module Delay_model = Dream_switch.Delay_model
-module Breaker = Dream_switch.Breaker
 module Task = Dream_tasks.Task
 module Task_spec = Dream_tasks.Task_spec
 module Ground_truth = Dream_tasks.Ground_truth
@@ -69,18 +68,10 @@ type t = {
   rules_installed : Ctr.t;
   rules_fetched : Ctr.t;
   rob : Metrics.Tallies.t;
-  recovered_now : bool array; (* by switch id: back up as of this tick *)
   mutable journal : Journal.sink option;
   mutable crash_pending : bool;
       (* the fault model declared a controller crash this epoch; the driver
          decides whether to fail over (see {!recover}) *)
-  breakers : Breaker.t array;
-      (* per-switch circuit breakers; empty unless [config.degraded] and
-         [config.faults] are both set *)
-  breaker_gauges : Obs.Registry.Gauge.t array; (* "breaker_state", one per breaker *)
-  staleness_hist : Obs.Registry.Histogram.t option;
-      (* "task_staleness"; present exactly when [breakers] are, the only
-         time staleness is tracked *)
   mutable storm_pending : int;
       (* extra submissions the fault model's admission storm asks the
          driver to inject; read via {!storm_tasks_pending}, reset each tick *)
@@ -94,7 +85,6 @@ let make ~config ~allocator ~switches ~faults ~breakers ~active ~epoch ~next_id 
     match tel with Some b -> Obs.Telemetry.registry b | None -> Obs.Registry.create ()
   in
   let rob = Metrics.Tallies.of_registry registry in
-  let recovered_now = Array.make (Array.length switches) false in
   let profile =
     match Option.bind tel Obs.Telemetry.profile with
     | Some p -> p
@@ -112,9 +102,7 @@ let make ~config ~allocator ~switches ~faults ~breakers ~active ~epoch ~next_id 
     fetch =
       Fetch.create ~config ~switches ~breakers ~faults ~tallies:rob ~registry
         ~trace:(Option.map Obs.Telemetry.trace tel);
-    rule_sync =
-      Rule_sync.create ~switches ~install_budget:config.Config.install_budget
-        ~recovered:recovered_now ~tallies:rob;
+    rule_sync = Rule_sync.create ~switches ~install_budget:config.Config.install_budget ~tallies:rob;
     active;
     epoch;
     next_id;
@@ -123,15 +111,8 @@ let make ~config ~allocator ~switches ~faults ~breakers ~active ~epoch ~next_id 
     rules_installed = Obs.Registry.counter registry "rules_installed";
     rules_fetched = Obs.Registry.counter registry "rules_fetched";
     rob;
-    recovered_now;
     journal = None;
     crash_pending = false;
-    breakers;
-    breaker_gauges =
-      Array.init (Array.length breakers) (fun sw ->
-          Obs.Registry.gauge registry ~labels:[ ("switch", string_of_int sw) ] "breaker_state");
-    staleness_hist =
-      (if breakers = [||] then None else Some (Obs.Registry.histogram registry "task_staleness"));
     storm_pending = 0;
   }
 
@@ -147,20 +128,13 @@ let create ~config ~strategy ~num_switches ~capacity =
   in
   let switches = Switch.network ?faults ~num_switches ~capacity () in
   let capacities = Array.to_list (Array.map (fun sw -> (Switch.id sw, capacity)) switches) in
-  (* Breakers exist only when both the fault layer and the degraded-mode
-     policy are on; an empty array keeps every other path untouched. *)
-  let breakers =
-    match (config.Config.degraded, faults) with
-    | Some d, Some _ -> Array.init num_switches (fun _ -> Breaker.create d.Config.breaker)
-    | _ -> [||]
-  in
   (* Self-describing trace: record the fault schedule the bundle ran under. *)
   (match (config.Config.telemetry, config.Config.faults) with
   | Some b, Some spec ->
     Tr.event (Obs.Telemetry.trace b) ~epoch:0 ~name:"fault_spec"
       [ ("spec", Tr.Str (Format.asprintf "%a" Fault_model.pp_spec spec)) ]
   | _ -> ());
-  make ~config ~allocator:(Allocator.create strategy ~capacities) ~switches ~faults ~breakers
+  make ~config ~allocator:(Allocator.create strategy ~capacities) ~switches ~faults ~breakers:None
     ~active:(Hashtbl.create 64) ~epoch:0 ~next_id:0 ~records:[]
 
 let epoch t = t.epoch
@@ -209,9 +183,9 @@ let controller_crash_pending t = t.crash_pending
 
 let storm_tasks_pending t = t.storm_pending
 
-let degraded_mode t = t.breakers <> [||]
+let degraded_mode t = Fetch.breakers t.fetch <> [||]
 
-let breaker_states t = Array.map Breaker.state t.breakers
+let breaker_states t = Fetch.breaker_states t.fetch
 
 let staleness_of t ~task_id = find t ~task_id (fun r -> r.Runtime.staleness)
 
@@ -220,20 +194,7 @@ let task_switches t ~task_id =
       let task = r.Runtime.task in
       Switch_mask.fold (Task.topology task) (fun sw _ acc -> sw :: acc) (Task.switches task) [])
 
-(* A partitioned or breaker-skipped switch holds deferred rule updates by
-   design and is reconciled once it becomes reachable again, exactly like
-   a down switch. *)
-let reachable t sw =
-  (not (Switch.down t.switches.(sw)))
-  && (not (Switch.partitioned t.switches.(sw)))
-  &&
-  match t.breakers with
-  | [||] -> true
-  | breakers -> begin
-    match Breaker.state breakers.(sw) with
-    | Breaker.Closed -> true
-    | Breaker.Open | Breaker.Half_open -> false
-  end
+let reachable t sw = Fetch.reachable t.fetch sw
 
 (* One definition of "the invariants hold right now", shared by the
    in-tick tally (config.check_invariants) and external oracles (the chaos
@@ -346,13 +307,13 @@ let remove_task t (r : Runtime.t) ~outcome =
   | Metrics.Rejected -> ()
 
 (* Advance the fault model one epoch: crashed switches lose their TCAM
-   contents before anything is fetched; recovered switches are remembered
-   so this tick's rule sync can reinstall (and attribute) their rules. *)
+   contents before anything is fetched, and recovered switches are marked
+   for this tick's rule sync.  Returns the groups whose partition healed. *)
 let advance_faults t =
   t.crash_pending <- false;
   t.storm_pending <- 0;
   match t.faults with
-  | None -> ()
+  | None -> []
   | Some fm ->
     let events = Fault_model.begin_epoch fm in
     List.iter
@@ -365,29 +326,21 @@ let advance_faults t =
     List.iter
       (fun sw_id ->
         jot t (Journal.Switch_up { epoch = t.epoch; switch = sw_id });
+        Rule_sync.mark_recovered t.rule_sync sw_id;
         trace_event t ~name:"switch_recover" [ ("switch", Tr.Int sw_id) ])
       events.Fault_model.recovered;
-    Array.fill t.recovered_now 0 (Array.length t.recovered_now) false;
-    List.iter (fun sw -> t.recovered_now.(sw) <- true) events.Fault_model.recovered;
     Ctr.add t.rob.recoveries (List.length events.Fault_model.recovered);
     Ctr.add t.rob.switch_down_epochs (Fault_model.down_count fm);
     if events.Fault_model.controller_crashed then begin
       t.crash_pending <- true;
       trace_event t ~name:"controller_crash_scheduled" []
     end;
-    (* Sustained adversity: partition windows, admission storms, breakers. *)
+    (* Sustained adversity: partition windows and admission storms. *)
     List.iter
       (fun g -> trace_event t ~name:"partition" [ ("group", Tr.Int g) ])
       events.Fault_model.partitioned;
     List.iter
-      (fun g ->
-        trace_event t ~name:"partition_heal" [ ("group", Tr.Int g) ];
-        (* A heal is a strong recovery signal: open breakers in the group
-           forfeit their cooldown and probe at this epoch's boundary
-           instead of blindly waiting it out. *)
-        Array.iteri
-          (fun sw br -> if Fault_model.group_of fm sw = g then Breaker.hint_probe br)
-          t.breakers)
+      (fun g -> trace_event t ~name:"partition_heal" [ ("group", Tr.Int g) ])
       events.Fault_model.healed;
     Ctr.add t.rob.partitions (List.length events.Fault_model.partitioned);
     Ctr.add t.rob.partition_epochs (Fault_model.partitioned_count fm);
@@ -395,18 +348,7 @@ let advance_faults t =
       t.storm_pending <- events.Fault_model.storm_tasks;
       trace_event t ~name:"admission_storm" [ ("tasks", Tr.Int events.Fault_model.storm_tasks) ]
     end;
-    Array.iteri
-      (fun sw br ->
-        let was_open = match Breaker.state br with Breaker.Open -> true | _ -> false in
-        Breaker.begin_epoch br;
-        (match (was_open, Breaker.state br) with
-        | true, Breaker.Half_open ->
-          Ctr.incr t.rob.breaker_probes;
-          trace_event t ~name:"breaker_probe" [ ("switch", Tr.Int sw) ]
-        | _ -> ());
-        Obs.Registry.Gauge.set t.breaker_gauges.(sw)
-          (float_of_int (Breaker.state_code (Breaker.state br))))
-      t.breakers
+    events.Fault_model.healed
 
 (* Quarantine: a down switch contributes nothing, so divide-and-merge must
    reconfigure the task's counters onto the healthy switches.  Zeroing the
@@ -424,23 +366,14 @@ let quarantine_allocations t topology allocations =
 
 let begin_epoch t =
   Obs.Profile.start t.profile t.spans.epoch_span;
-  advance_faults t;
-  Fetch.begin_epoch t.fetch ~epoch:t.epoch;
+  let healed = advance_faults t in
+  Fetch.begin_epoch t.fetch ~epoch:t.epoch ~healed;
   (* Reset per-epoch switch stats so the delay model prices this epoch. *)
   Array.iter (fun sw -> Tcam.reset_stats (Switch.tcam sw)) t.switches
 
-(* Staleness-urgency order: the longest-starved tasks fetch first, so when
-   the deadline budget runs out it is the freshest tasks that shed.  With
-   all-zero staleness the stable sort leaves task-id order intact — the
-   zero-adversity zero-diff guarantee. *)
-let by_staleness (a : Runtime.t) (b : Runtime.t) =
-  match Int.compare b.staleness a.staleness with
-  | 0 -> Int.compare (Runtime.id a) (Runtime.id b)
-  | c -> c
-
 (* Fetch, report, estimate and score one task.  [scores] collects
    (id, kind, scored, satisfied) for tasks.csv when tracing. *)
-let observe t dcfg scores (r : Runtime.t) =
+let observe t scores (r : Runtime.t) =
   let data = Fetch.draw t.fetch r in
   Obs.Profile.start t.profile t.spans.fetch;
   let degraded = Fetch.read t.fetch r data in
@@ -448,36 +381,7 @@ let observe t dcfg scores (r : Runtime.t) =
   Obs.Profile.start t.profile t.spans.estimate;
   let estimate = Task.estimate r.task ~epoch:t.epoch in
   Obs.Profile.stop t.profile t.spans.estimate;
-  (* Degraded visibility: the estimators only saw stale (or no) counters
-     for these switches, so the estimate is optimistic — decay the smoothed
-     accuracies the allocator reads. *)
-  (match t.faults with
-  | Some fm when degraded <> Switch_mask.empty ->
-    (* Bounded staleness caps the assumed uncertainty: under sustained
-       adversity (a partition that never heals) an unbounded decay drives
-       estimates to zero and the allocator into mass drops.  In degraded
-       mode the decay stops once the task has been stale for
-       [shed_max_staleness] epochs — the estimate is already discounted by
-       [stale_decay^bound] and holds there. *)
-    let apply =
-      match dcfg with Some d -> r.staleness < d.Config.shed_max_staleness | None -> true
-    in
-    if apply then begin
-      let factor = (Fault_model.spec fm).Fault_model.stale_decay in
-      Switch_mask.iter (Task.topology r.task)
-        (fun _ bit -> Task.decay_accuracy r.task ~bit ~factor ())
-        degraded
-    end
-  | Some _ | None -> ());
-  (* Bounded-staleness bookkeeping: one level per consecutive epoch with
-     any stale or missing switch; a fully fresh round resets.  Feeds the
-     staleness-urgency sort and the accuracy-decay fallback above, and the
-     task_staleness histogram exporters read. *)
-  (match t.staleness_hist with
-  | Some hist ->
-    r.staleness <- (if degraded = Switch_mask.empty then 0 else r.staleness + 1);
-    Obs.Registry.Histogram.observe hist (float_of_int r.staleness)
-  | None -> ());
+  Fetch.bound_staleness t.fetch r degraded;
   Obs.Profile.start t.profile t.spans.ground_truth;
   let real_accuracy = Ground_truth.evaluate r.ground_truth data (Task.items r.task) in
   Obs.Profile.stop t.profile t.spans.ground_truth;
@@ -495,11 +399,7 @@ let observe t dcfg scores (r : Runtime.t) =
   else (Runtime.id r, Task_spec.kind_to_string spec.Task_spec.kind, scored, satisfied) :: scores
 
 let fetch_and_estimate t runtimes =
-  let dcfg = Fetch.degraded t.fetch in
-  let order =
-    match dcfg with None -> runtimes | Some _ -> List.stable_sort by_staleness runtimes
-  in
-  List.fold_left (observe t dcfg) [] order
+  List.fold_left (observe t) [] (Fetch.schedule t.fetch runtimes)
 
 (* The task's allocation per sub-filter bit, in a fresh array. *)
 let allocation_of t (r : Runtime.t) =
@@ -612,7 +512,6 @@ let price t =
   t.delays <- sample :: t.delays;
   Ctr.add t.rules_installed install_total;
   Ctr.add t.rules_fetched fetch_total;
-  Array.fill t.recovered_now 0 (Array.length t.recovered_now) false;
   sample
 
 (* Retire tasks that reached their duration, then audit. *)
@@ -724,7 +623,7 @@ let snapshot t =
       rules_fetched = Ctr.value t.rules_fetched;
       config = t.config;
       faults = t.faults;
-      breakers = t.breakers;
+      breakers = Fetch.breakers t.fetch;
       switches = t.switches;
       allocator = t.allocator;
       robustness = robustness t;
@@ -752,7 +651,7 @@ let of_checkpoint (d : Checkpoint.t) ~switches ~faults ~tel =
   let t =
     make
       ~config:{ d.config with Config.faults = Option.map Fault_model.spec faults; telemetry = tel }
-      ~allocator:d.allocator ~switches ~faults ~breakers:d.breakers ~active
+      ~allocator:d.allocator ~switches ~faults ~breakers:(Some d.breakers) ~active
       ~epoch:d.epoch ~next_id:d.next_id ~records:d.records
   in
   Metrics.Tallies.set t.rob d.robustness;

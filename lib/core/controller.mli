@@ -153,22 +153,21 @@ val storm_tasks_pending : t -> int
     control treats storm tasks like any others. *)
 
 val degraded_mode : t -> bool
-(** Whether the degraded-mode machinery (breakers, deadline scheduler) is
-    active — i.e. both [config.degraded] and [config.faults] were set. *)
+(** Whether {!Fetch}'s degraded mode is on: [config.degraded] and
+    [config.faults] were both set. *)
 
 val breaker_states : t -> Dream_switch.Breaker.state array
-(** Current per-switch circuit-breaker states; empty array outside
-    degraded mode. *)
+(** {!Fetch.breaker_states}: empty outside degraded mode. *)
 
 val staleness_of : t -> task_id:int -> int option
 (** The task's bounded-staleness level: consecutive epochs it reported
     with at least one stale or missing switch.  [None] if not active. *)
 
 val reachable : t -> Dream_traffic.Switch_id.t -> bool
-(** Whether the controller can converge the switch this epoch: it is up,
-    not partitioned, and not skipped by an open or probing breaker.  The
-    invariant checker audits only reachable switches; the chaos oracle
-    excuses staleness growth on a task with an unreachable switch. *)
+(** Whether the controller can converge the switch this epoch
+    ({!Fetch.reachable}).  The invariant checker audits only reachable
+    switches; the chaos oracle excuses staleness growth on a task with an
+    unreachable switch. *)
 
 val task_switches : t -> task_id:int -> Dream_traffic.Switch_id.t list option
 (** Switches the task needs counters on; [None] if not active.  The chaos

@@ -17,8 +17,12 @@ module Tr = Dream_obs.Trace
 
 type t = {
   switches : Switch.t array;
+  faults : Fault_model.t option;
   breakers : Breaker.t array;
-  faulty : bool;
+      (* per-switch circuit breakers; empty unless [config.degraded] and
+         [config.faults] are both set *)
+  breaker_gauges : Obs.Registry.Gauge.t array; (* "breaker_state", one per breaker *)
+  staleness_hist : Obs.Registry.Histogram.t option; (* "task_staleness", when [breakers] exist *)
   degraded : Config.degraded option; (* only when [breakers] exist *)
   control_delay : Delay_model.costs option;
   costs : Delay_model.costs;
@@ -41,13 +45,23 @@ type t = {
 let costs (config : Config.t) =
   match config.Config.control_delay with Some c -> c | None -> Delay_model.default
 
-let degraded f = f.degraded
-
 let create ~config ~switches ~breakers ~faults ~tallies ~registry ~trace =
+  let breakers =
+    match (breakers, config.Config.degraded, faults) with
+    | Some restored, _, _ -> restored
+    | None, Some d, Some _ ->
+      Array.init (Array.length switches) (fun _ -> Breaker.create d.Config.breaker)
+    | None, _, _ -> [||]
+  in
   {
     switches;
+    faults;
     breakers;
-    faulty = faults <> None;
+    breaker_gauges =
+      Array.init (Array.length breakers) (fun sw ->
+          Obs.Registry.gauge registry ~labels:[ ("switch", string_of_int sw) ] "breaker_state");
+    staleness_hist =
+      (if breakers = [||] then None else Some (Obs.Registry.histogram registry "task_staleness"));
     degraded = (if breakers = [||] then None else config.Config.degraded);
     control_delay = config.Config.control_delay;
     costs = costs config;
@@ -68,19 +82,64 @@ let create ~config ~switches ~breakers ~faults ~tallies ~registry ~trace =
     deadline = infinity;
   }
 
-let begin_epoch f ~epoch =
+let breakers f = f.breakers
+
+let breaker_states f = Array.map Breaker.state f.breakers
+
+(* A partitioned or breaker-skipped switch holds deferred rule updates by
+   design and is reconciled once it becomes reachable again, exactly like
+   a down switch. *)
+let reachable f sw =
+  (not (Switch.down f.switches.(sw)))
+  && (not (Switch.partitioned f.switches.(sw)))
+  && (Array.length f.breakers = 0
+     || match Breaker.state f.breakers.(sw) with Breaker.Closed -> true | _ -> false)
+
+let fault_ms f = f.fault_ms
+
+let event f ~name fields =
+  match f.trace with None -> () | Some tr -> Tr.event tr ~epoch:f.epoch ~name fields
+
+(* ---- circuit breakers (degraded mode only; [f.breakers] is empty
+   otherwise and every breaker hook below is a no-op) ---- *)
+
+(* Apply [step] (an epoch boundary or a recorded outcome) to the switch's
+   breaker, then count and trace the transition it made. *)
+let[@alloc.allow "degraded mode only: a trace event"] step_breaker f sw step =
+  let br = f.breakers.(sw) in
+  let before = Breaker.state br in
+  step br;
+  match (before, Breaker.state br) with
+  | Breaker.Open, Breaker.Half_open ->
+    Ctr.incr f.tallies.breaker_probes;
+    event f ~name:"breaker_probe" [ ("switch", Tr.Int sw) ]
+  | (Breaker.Closed | Breaker.Half_open), Breaker.Open ->
+    Ctr.incr f.tallies.breaker_opens;
+    event f ~name:"breaker_open" [ ("switch", Tr.Int sw) ]
+  | Breaker.Half_open, Breaker.Closed -> event f ~name:"breaker_close" [ ("switch", Tr.Int sw) ]
+  | _ -> ()
+
+let begin_epoch f ~epoch ~healed =
   f.epoch <- epoch;
   f.retry_budget <- f.retry_budget_ms;
   f.fault_ms <- 0.0;
   f.deadline <-
     (match f.degraded with
     | Some d -> d.Config.deadline_fraction *. f.epoch_ms
-    | None -> infinity)
-
-let fault_ms f = f.fault_ms
-
-let event f ~name fields =
-  match f.trace with None -> () | Some tr -> Tr.event tr ~epoch:f.epoch ~name fields
+    | None -> infinity);
+  match f.faults with
+  | None -> ()
+  | Some fm ->
+    for sw = 0 to Array.length f.breakers - 1 do
+      (* A heal is a strong recovery signal: an open breaker in a healed
+         group forfeits its cooldown and probes now instead of blindly
+         waiting it out. *)
+      if List.mem (Fault_model.group_of fm sw) healed then Breaker.hint_probe f.breakers.(sw);
+      step_breaker f sw Breaker.begin_epoch;
+      Obs.Registry.Gauge.set f.breaker_gauges.(sw)
+        (float_of_int (Breaker.state_code (Breaker.state f.breakers.(sw)))
+         [@alloc.allow "degraded mode only: a boxed gauge value"])
+    done
 
 (* Fraction of the epoch a freshly installed rule missed while its update
    was in flight (Figs 8/9's prototype-vs-simulator gap). *)
@@ -148,25 +207,6 @@ let draw f (r : Runtime.t) =
   Ctr.add f.sort_fallbacks (Switch_id.Map.cardinal per_switch - fast);
   data
 
-(* ---- circuit breakers (degraded mode only; [f.breakers] is empty
-   otherwise and every breaker hook below is a no-op) ---- *)
-
-let breaker_for f sw_id = if f.breakers = [||] then None else Some f.breakers.(sw_id)
-
-let record_breaker_failure f sw_id br =
-  let was_open = match Breaker.state br with Breaker.Open -> true | _ -> false in
-  Breaker.record_failure br;
-  match Breaker.state br with
-  | Breaker.Open when not was_open ->
-    Ctr.incr f.tallies.breaker_opens;
-    event f ~name:"breaker_open" [ ("switch", Tr.Int sw_id) ]
-  | _ -> ()
-
-let record_breaker_success f sw_id br =
-  let was_half_open = match Breaker.state br with Breaker.Half_open -> true | _ -> false in
-  Breaker.record_success br;
-  if was_half_open then event f ~name:"breaker_close" [ ("switch", Tr.Int sw_id) ]
-
 (* Modelled wire time of one fetch batch of [rules] rules. *)
 let batch_ms costs rules =
   (costs.Delay_model.fetch_per_rule_ms *. float_of_int rules) +. costs.Delay_model.rtt_ms
@@ -183,19 +223,15 @@ let estimate_cost f (r : Runtime.t) =
   let costs = f.costs in
   Array.fold_left
     (fun acc sw ->
-      let sw_id = Switch.id sw in
       if Switch.down sw then acc
+      else if Array.length f.breakers > 0 && not (Breaker.allow f.breakers.(Switch.id sw)) then acc
       else begin
-        match breaker_for f sw_id with
-        | Some br when not (Breaker.allow br) -> acc
-        | _ -> begin
-          let rules = rules_on sw ~owner:id in
-          if rules = 0 then acc
-          else begin
-            let factor = Switch.latency_factor sw in
-            if Switch.partitioned sw then acc +. (costs.Delay_model.rtt_ms *. factor)
-            else acc +. (batch_ms costs rules *. factor)
-          end
+        let rules = rules_on sw ~owner:id in
+        if rules = 0 then acc
+        else begin
+          let factor = Switch.latency_factor sw in
+          if Switch.partitioned sw then acc +. (costs.Delay_model.rtt_ms *. factor)
+          else acc +. (batch_ms costs rules *. factor)
         end
       end)
     0.0 f.switches
@@ -250,72 +286,110 @@ let read f (r : Runtime.t) data =
         end
         else begin
           let rules = rules_on sw ~owner:id in
-          if rules > 0 then begin
-            match breaker_for f sw_id with
-            | Some br when not (Breaker.allow br) ->
-              Ctr.incr f.tallies.breaker_skips;
-              use_stale sw_id b
-            | br_opt ->
-              let aggregate = Epoch_data.switch_view data sw_id in
-              let factor = Switch.latency_factor sw in
-              let base = batch_ms costs rules in
-              reserve f rules;
-              (* The aggregate TCAM stats already price [base] per issued
-                 batch; stragglers owe the inflation on top, and the epoch
-                 deadline owes the whole inflated batch. *)
-              let charge_batch () =
-                f.fault_ms <- f.fault_ms +. (base *. (factor -. 1.0));
-                f.deadline <- f.deadline -. (base *. factor)
-              in
-              let rec attempt k =
-                match Switch.read sw ~owner:id aggregate ~keys:f.keys ~vols:f.vols with
-                | Ok n ->
-                  charge_batch ();
-                  n
-                | Error `Down -> -1
-                | Error `Unreachable ->
-                  (* No route: nothing was priced in the TCAM stats, but
-                     the probe still costs the control loop a round trip. *)
-                  let probe = costs.Delay_model.rtt_ms *. factor in
-                  f.fault_ms <- f.fault_ms +. probe;
-                  f.deadline <- f.deadline -. probe;
+          let armed = Array.length f.breakers > 0 in
+          if rules > 0 && armed && not (Breaker.allow f.breakers.(sw_id)) then begin
+            Ctr.incr f.tallies.breaker_skips;
+            use_stale sw_id b
+          end
+          else if rules > 0 then begin
+            let aggregate = Epoch_data.switch_view data sw_id in
+            let factor = Switch.latency_factor sw in
+            let base = batch_ms costs rules in
+            reserve f rules;
+            (* The aggregate TCAM stats already price [base] per issued
+               batch; stragglers owe the inflation on top, and the epoch
+               deadline owes the whole inflated batch. *)
+            let charge_batch () =
+              f.fault_ms <- f.fault_ms +. (base *. (factor -. 1.0));
+              f.deadline <- f.deadline -. (base *. factor)
+            in
+            let rec attempt k =
+              match Switch.read sw ~owner:id aggregate ~keys:f.keys ~vols:f.vols with
+              | Ok n ->
+                charge_batch ();
+                n
+              | Error `Down -> -1
+              | Error `Unreachable ->
+                (* No route: nothing was priced in the TCAM stats, but
+                   the probe still costs the control loop a round trip. *)
+                let probe = costs.Delay_model.rtt_ms *. factor in
+                f.fault_ms <- f.fault_ms +. probe;
+                f.deadline <- f.deadline -. probe;
+                -2
+              | Error `Timeout ->
+                charge_batch ();
+                Ctr.incr f.tallies.fetch_timeouts;
+                let backoff = costs.Delay_model.rtt_ms *. (2.0 ** float_of_int k) in
+                if f.retry_budget >= backoff && f.deadline >= backoff then begin
+                  f.retry_budget <- f.retry_budget -. backoff;
+                  f.fault_ms <- f.fault_ms +. backoff;
+                  f.deadline <- f.deadline -. backoff;
+                  Ctr.incr f.tallies.fetch_retries;
+                  attempt (k + 1)
+                end
+                else begin
+                  Ctr.incr f.tallies.fetch_failures;
                   -2
-                | Error `Timeout ->
-                  charge_batch ();
-                  Ctr.incr f.tallies.fetch_timeouts;
-                  let backoff = costs.Delay_model.rtt_ms *. (2.0 ** float_of_int k) in
-                  if f.retry_budget >= backoff && f.deadline >= backoff then begin
-                    f.retry_budget <- f.retry_budget -. backoff;
-                    f.fault_ms <- f.fault_ms +. backoff;
-                    f.deadline <- f.deadline -. backoff;
-                    Ctr.incr f.tallies.fetch_retries;
-                    attempt (k + 1)
-                  end
-                  else begin
-                    Ctr.incr f.tallies.fetch_failures;
-                    -2
-                  end
-              in
-              (* [n >= 0] readings fetched; -1 the switch went down; -2
-                 unreachable or abandoned after retries. *)
-              let n = attempt 0 in
-              if n >= 0 then begin
-                (match br_opt with Some br -> record_breaker_success f sw_id br | None -> ());
-                let lost = rules - n in
-                if lost > 0 then Ctr.add f.tallies.counters_lost lost;
-                degrade_fresh f r b n;
-                (* Only a fault model can make a later fetch fall back on
-                   these, so fault-free checkpoints carry none. *)
-                if f.faulty && b >= 0 then save_stale f r b n;
-                Monitor.ingest m sw_id ~keys:f.keys ~vols:f.vols n
-              end
-              else if n = -1 then use_stale sw_id b
-              else begin
-                (match br_opt with Some br -> record_breaker_failure f sw_id br | None -> ());
-                use_stale sw_id b
-              end
+                end
+            in
+            (* [n >= 0] readings fetched; -1 the switch went down; -2
+               unreachable or abandoned after retries. *)
+            let n = attempt 0 in
+            if n >= 0 then begin
+              if armed then step_breaker f sw_id Breaker.record_success;
+              let lost = rules - n in
+              if lost > 0 then Ctr.add f.tallies.counters_lost lost;
+              degrade_fresh f r b n;
+              (* Only a fault model can make a later fetch fall back on
+                 these, so fault-free checkpoints carry none. *)
+              if Option.is_some f.faults && b >= 0 then save_stale f r b n;
+              Monitor.ingest m sw_id ~keys:f.keys ~vols:f.vols n
+            end
+            else if n = -1 then use_stale sw_id b
+            else begin
+              if armed then step_breaker f sw_id Breaker.record_failure;
+              use_stale sw_id b
+            end
           end
         end)
       f.switches;
   Monitor.seal_readings m;
   !degraded
+
+(* Staleness-urgency order: the longest-starved tasks fetch first, so when
+   the deadline budget runs out it is the freshest tasks that shed.  The
+   sort is stable, so ties keep task-id order, and with all-zero staleness
+   it is the identity — the zero-adversity zero-diff guarantee. *)
+let by_staleness (a : Runtime.t) (b : Runtime.t) = Int.compare b.staleness a.staleness
+
+let schedule f runtimes =
+  match f.degraded with
+  | None -> runtimes
+  | Some _ -> (List.stable_sort by_staleness runtimes [@alloc.allow "degraded mode only"])
+
+(* The estimators only saw stale (or no) counters for [degraded]'s
+   switches, so the estimate is optimistic: decay the smoothed accuracies
+   the allocator reads.  Under a partition that never heals an unbounded
+   decay would drive estimates to zero and the allocator into mass drops,
+   so in degraded mode it stops at [shed_max_staleness]: the estimate is
+   already discounted by [stale_decay^bound] and holds there. *)
+let bound_staleness f (r : Runtime.t) degraded =
+  let decays =
+    degraded <> Switch_mask.empty
+    && match f.degraded with Some d -> r.staleness < d.Config.shed_max_staleness | None -> true
+  in
+  (match f.faults with
+  | Some fm when decays ->
+    let factor = (Fault_model.spec fm).Fault_model.stale_decay in
+    let order = Topology.switch_order (Task.topology r.task) in
+    for j = 0 to Array.length order - 1 do
+      let bit = order.(j) in
+      if Switch_mask.mem_bit bit degraded then Task.decay_accuracy r.task ~bit ~factor ()
+    done
+  | Some _ | None -> ());
+  match f.staleness_hist with
+  | Some hist ->
+    r.staleness <- (if degraded = Switch_mask.empty then 0 else r.staleness + 1);
+    Obs.Registry.Histogram.observe hist
+      (float_of_int r.staleness [@alloc.allow "degraded mode only: a boxed histogram value"])
+  | None -> ()

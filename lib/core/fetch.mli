@@ -9,31 +9,45 @@
     to the previous epoch's readings.  Without a fault model a switch is
     never down or partitioned, has latency factor 1.0 and always reads
     [Ok], so this path reduces exactly to reading the TCAMs directly: no
-    retry, no fallback, no extra modelled time. *)
+    retry, no fallback, no extra modelled time.
+
+    [Fetch] alone owns degraded mode: the circuit breakers, the deadline
+    that sheds load, the staleness-urgency order and bounded staleness. *)
 
 type t
 
 val create :
   config:Config.t ->
   switches:Dream_switch.Switch.t array ->
-  breakers:Dream_switch.Breaker.t array ->
+  breakers:Dream_switch.Breaker.t array option ->
   faults:Dream_fault.Fault_model.t option ->
   tallies:Metrics.Tallies.t ->
   registry:Dream_obs.Registry.t ->
   trace:Dream_obs.Trace.t option ->
   t
-(** [breakers] is empty outside degraded mode, which turns off the
-    breaker hooks, the deadline and load shedding. *)
+(** [breakers] are a checkpoint's, or [None] to build one per switch in
+    degraded mode and none otherwise.  Without breakers, degraded mode is
+    off. *)
 
-val degraded : t -> Config.degraded option
-(** The degraded-mode settings in force: [config.degraded] when breakers
-    exist, [None] otherwise. *)
+val breakers : t -> Dream_switch.Breaker.t array
+(** Indexed by switch id; empty outside degraded mode. *)
+
+val breaker_states : t -> Dream_switch.Breaker.state array
+
+val reachable : t -> Dream_traffic.Switch_id.t -> bool
+(** Up, not partitioned, and not behind an open or probing breaker. *)
 
 val costs : Config.t -> Dream_switch.Delay_model.costs
 (** The configured control-delay costs, or {!Dream_switch.Delay_model.default}. *)
 
-val begin_epoch : t -> epoch:int -> unit
-(** Refill the epoch's retry budget and deadline. *)
+val begin_epoch : t -> epoch:int -> healed:int list -> unit
+(** Refill the epoch's retry budget and deadline, then advance the
+    breakers one epoch; open breakers in the [healed] partition groups
+    forfeit their cooldown and probe now. *)
+
+val schedule : t -> Runtime.t list -> Runtime.t list
+(** The fetch order of tasks given in task-id order: in degraded mode the
+    most stale first (ties keep their order), otherwise unchanged. *)
 
 val draw : t -> Runtime.t -> Dream_traffic.Epoch_data.t
 (** Draw the task's next epoch of traffic from its source, counting how
@@ -51,6 +65,13 @@ val read : t -> Runtime.t -> Dream_traffic.Epoch_data.t -> Dream_traffic.Switch_
     mode a task whose expected fetch cost overruns the remaining deadline
     is shed: it reports from stale counters without any fetch being
     issued. *)
+
+val bound_staleness : t -> Runtime.t -> Dream_traffic.Switch_mask.t -> unit
+(** Called after the task estimated, with {!read}'s mask.  Under a fault
+    model each masked switch decays the task's accuracy by [stale_decay],
+    except in degraded mode once its staleness reached
+    [shed_max_staleness].  Then, in degraded mode, staleness resets to 0
+    on an empty mask and otherwise rises by one. *)
 
 val fault_ms : t -> float
 (** Modelled control-loop time the fault layer added this epoch: straggler

@@ -18,7 +18,7 @@ type t = {
   switches : Switch.t array;
   per_epoch : int; (* updates a switch may apply per epoch *)
   budgets : int array; (* updates each switch may still apply this epoch *)
-  recovered : bool array; (* by switch id *)
+  recovered : bool array; (* by switch id: back up as of this epoch *)
   tallies : Metrics.Tallies.t;
 }
 
@@ -26,10 +26,12 @@ type t = {
    [install_budget] updates per epoch (deferred ones are retried next epoch
    and the affected counters read nothing meanwhile — the cost that made
    the paper abandon hardware switches). *)
-let create ~switches ~install_budget ~recovered ~tallies =
+let create ~switches ~install_budget ~tallies =
   let per_epoch = match install_budget with Some b -> b | None -> max_int in
   let budgets = Array.make (Array.length switches) per_epoch in
-  { switches; per_epoch; budgets; recovered; tallies }
+  { switches; per_epoch; budgets; recovered = Array.make (Array.length switches) false; tallies }
+
+let mark_recovered s sw = s.recovered.(sw) <- true
 
 (* Pass 1 on switch [i]: delete the installed rules in [have] that the
    monitor's slots [j, stop) do not hold, while the switch's update budget
@@ -156,4 +158,5 @@ let sync s runtimes =
   Array.fill s.budgets 0 (Array.length s.budgets) s.per_epoch;
   let removed = remove_stale s runtimes in
   install_missing s runtimes;
+  Array.fill s.recovered 0 (Array.length s.recovered) false;
   removed

@@ -16,17 +16,19 @@ type t
 val create :
   switches:Dream_switch.Switch.t array ->
   install_budget:int option ->
-  recovered:bool array ->
   tallies:Metrics.Tallies.t ->
   t
-(** The rule sync of a controller's whole life.  Installs onto a switch
-    whose entry in [recovered] (indexed by switch id, read at each sync)
-    is set count as recovery reinstalls. *)
+(** The rule sync of a controller's whole life. *)
+
+val mark_recovered : t -> Dream_traffic.Switch_id.t -> unit
+(** The switch came back up this epoch: the next {!sync}'s installs onto
+    it, the reinstall its crash demands, count as [recovery_reinstalls]. *)
 
 val sync : t -> Runtime.t list -> int list
 (** One epoch's sync: refill every switch's update budget, then delete
     each task's installed rules its monitor no longer wants, then install
     the rules each task's monitor wants that are not installed, task by
     task and while budgets last.  The rules that landed are recorded in
-    each task's [fresh_rules] and [last_install_counts].  Returns the
-    number deleted per task, in list order. *)
+    each task's [fresh_rules] and [last_install_counts].  The recovered
+    marks are cleared when the sync ends.  Returns the number deleted per
+    task, in list order. *)

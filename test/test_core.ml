@@ -567,10 +567,10 @@ let prop_fetch_read_fault_free =
       scatter_rules rng switches r filter;
       let registry = Dream_obs.Registry.create () in
       let f =
-        Fetch.create ~config:Config.default ~switches ~breakers:[||] ~faults:None
+        Fetch.create ~config:Config.default ~switches ~breakers:None ~faults:None
           ~tallies:(Metrics.Tallies.of_registry registry) ~registry ~trace:None
       in
-      Fetch.begin_epoch f ~epoch:0;
+      Fetch.begin_epoch f ~epoch:0 ~healed:[];
       let degraded = Fetch.read f r data in
       let m = Task.monitor r.Runtime.task in
       let topology = Task.topology r.Runtime.task in
@@ -609,7 +609,7 @@ let prop_fetch_read_fault_free =
             (fun q -> ignore (Tcam.install (Switch.tcam sw) ~owner:id (Prefix.key q)))
             (Fixtures.rules_for m (Switch.id sw)))
         switches;
-      Fetch.begin_epoch f ~epoch:1;
+      Fetch.begin_epoch f ~epoch:1 ~healed:[];
       ignore (Fetch.read f r data);
       Task.read_traffic twin.Runtime.task data;
       let totals = m.Monitor.totals in
@@ -618,6 +618,73 @@ let prop_fetch_read_fault_free =
       && List.for_all
            (fun slot -> same_float totals.(slot) twin_totals.(slot))
            (List.init (Monitor.num_counters m) Fun.id))
+
+(* The bounded-staleness rule, driven directly.  In degraded mode a stale
+   round decays the task's smoothed accuracy by [stale_decay] and raises
+   its staleness by one, until staleness reaches [shed_max_staleness]:
+   from there the decay stops while staleness keeps rising.  A fresh round
+   resets staleness to 0 and decays nothing.  Under a fault model without
+   degraded mode the decay never stops and staleness is not kept.  The
+   fetch schedule puts the most stale first, ties in task-id order, and
+   outside degraded mode keeps the order given. *)
+let test_fetch_bounded_staleness () =
+  let num_switches = 4 and bound = 3 in
+  let spec = Dream_fault.Fault_model.zero in
+  let fetch degraded =
+    let config = { Config.default with Config.faults = Some spec; degraded } in
+    let registry = Dream_obs.Registry.create () in
+    Fetch.create ~config
+      ~switches:(Switch.network ~num_switches ~capacity:64 ())
+      ~breakers:None
+      ~faults:(Some (Dream_fault.Fault_model.create spec ~num_switches))
+      ~tallies:(Metrics.Tallies.of_registry registry) ~registry ~trace:None
+  in
+  let degraded = fetch (Some { Config.default_degraded with Config.shed_max_staleness = bound }) in
+  (* A task that has estimated once, on traffic with no heavy hitter, so
+     its smoothed accuracy is 1.0 and every decay shows. *)
+  let task id =
+    let filter = Prefix.of_string "10.1.0.0/24" in
+    let topology = Topology.create (Rng.create id) ~filter ~num_switches ~switches_per_task:2 in
+    let spec =
+      Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter ~leaf_length:32 ~threshold:1e9 ()
+    in
+    let data = Epoch_data.of_flows ~epoch:0 [] in
+    let r =
+      Runtime.create ~config:Config.default ~id ~spec ~topology ~source:(Source.replay [| data |])
+        ~duration:10 ~arrived_at:0 ~drop_priority:0
+    in
+    let allocations = Fixtures.allocations_of r.Runtime.task 4 in
+    ignore (Fixtures.drive_task r.Runtime.task ~data ~allocations ~epoch:0);
+    r
+  in
+  let round f (r : Runtime.t) mask ~staleness ~decays =
+    let before = Task.smoothed_global r.task in
+    Fetch.bound_staleness f r mask;
+    let expected = if decays then before *. spec.Dream_fault.Fault_model.stale_decay else before in
+    Alcotest.(check int) "staleness" staleness r.staleness;
+    Alcotest.(check (float 0.0)) "smoothed accuracy" expected (Task.smoothed_global r.task)
+  in
+  let stale = 1 (* bit 0: every topology has it *) and fresh = Switch_mask.empty in
+  let r = task 1 in
+  Alcotest.(check (float 0.0)) "estimated before" 1.0 (Task.smoothed_global r.task);
+  round degraded r stale ~staleness:1 ~decays:true;
+  round degraded r stale ~staleness:2 ~decays:true;
+  round degraded r stale ~staleness:3 ~decays:true;
+  round degraded r stale ~staleness:4 ~decays:false;
+  round degraded r stale ~staleness:5 ~decays:false;
+  round degraded r fresh ~staleness:0 ~decays:false;
+  round degraded r stale ~staleness:1 ~decays:true;
+  let faults_only = fetch None in
+  let r = task 2 in
+  for _ = 1 to bound + 2 do
+    round faults_only r stale ~staleness:0 ~decays:true
+  done;
+  let tasks = List.map task [ 1; 2; 3; 4 ] in
+  List.iter2 (fun (r : Runtime.t) s -> r.staleness <- s) tasks [ 0; 2; 0; 2 ];
+  let ids f = List.map Runtime.id (Fetch.schedule f tasks) in
+  Alcotest.(check (list int)) "most stale first, ties in id order" [ 2; 4; 1; 3 ] (ids degraded);
+  Alcotest.(check (list int)) "no reordering outside degraded mode" [ 1; 2; 3; 4 ]
+    (ids faults_only)
 
 (* Rule sync is the Set.diff plan of the retired sync path, cut where the
    switch's update budget or its capacity runs out: per switch, the first
@@ -657,7 +724,6 @@ let prop_rule_sync_matches_set_diff =
       let registry = Dream_obs.Registry.create () in
       let sync =
         Rule_sync.create ~switches ~install_budget:budget
-          ~recovered:(Array.make num_switches false)
           ~tallies:(Metrics.Tallies.of_registry registry)
       in
       let removed = List.fold_left ( + ) 0 (Rule_sync.sync sync [ r ]) in
@@ -787,6 +853,7 @@ let () =
       ( "fetch",
         [
           QCheck_alcotest.to_alcotest prop_fetch_read_fault_free;
+          Alcotest.test_case "bounded staleness" `Quick test_fetch_bounded_staleness;
           QCheck_alcotest.to_alcotest prop_rule_sync_matches_set_diff;
         ] );
       ("failover", [ QCheck_alcotest.to_alcotest prop_reconcile_matches_list_audit ]);

@@ -357,6 +357,69 @@ let test_storm_pending_surface () =
   Alcotest.(check int) "storm surfaced to the driver" 5
     (Controller.storm_tasks_pending controller)
 
+(* One seeded degraded-mode run whose breakers open, probe and close and
+   whose deadline sheds, pinned by a digest of what it decides each
+   epoch: breaker states, staleness levels and robustness tallies, the
+   delay samples' fetch_ms bits and the trace's breaker and shed events.
+   Any change to the order of breaker steps, sheds, decays or staleness
+   updates moves it. *)
+let test_degraded_run_pinned () =
+  let bundle = Dream_obs.Telemetry.create () in
+  let config =
+    {
+      (adversity_config ~level:1.0 11) with
+      Config.degraded =
+        Some { Config.default_degraded with Config.deadline_fraction = 0.02; shed_max_staleness = 2 };
+      telemetry = Some bundle;
+    }
+  in
+  let controller = mk_controller ~config () in
+  let rng = Rng.create 29 in
+  for i = 0 to 7 do
+    ignore (submit_task controller rng ~filter_index:i ~duration:40)
+  done;
+  let b = Buffer.create 4096 and max_seen = ref 0 in
+  for _ = 1 to 60 do
+    Controller.tick controller;
+    max_seen := max !max_seen (Controller.max_staleness controller);
+    Buffer.add_string b
+      (String.concat ","
+         (Array.to_list
+            (Array.map Breaker.state_to_string (Controller.breaker_states controller))));
+    List.iter (fun s -> Buffer.add_string b (Printf.sprintf " %d" s))
+      (Controller.staleness_levels controller);
+    Buffer.add_string b (Marshal.to_string (Controller.robustness controller) []);
+    Buffer.add_char b '\n'
+  done;
+  List.iter
+    (fun (s : Controller.delay_sample) ->
+      Buffer.add_string b (Printf.sprintf "%Lx\n" (Int64.bits_of_float s.Controller.fetch_ms)))
+    (Controller.delay_samples controller);
+  let count name =
+    List.length
+      (List.filter
+         (function
+           | Dream_obs.Trace.Event { name = n; _ } -> n = name
+           | Dream_obs.Trace.Span _ -> false)
+         (Dream_obs.Trace.items (Dream_obs.Telemetry.trace bundle)))
+  in
+  List.iter
+    (function
+      | Dream_obs.Trace.Event { epoch; name; fields }
+        when name = "shed" || String.starts_with ~prefix:"breaker_" name ->
+        Buffer.add_string b
+          (Dream_obs.Json.to_string
+             (Dream_obs.Trace.item_to_json (Dream_obs.Trace.Event { epoch; name; fields })));
+        Buffer.add_char b '\n'
+      | Dream_obs.Trace.Event _ | Dream_obs.Trace.Span _ -> ())
+    (Dream_obs.Trace.items (Dream_obs.Telemetry.trace bundle));
+  List.iter
+    (fun name -> Alcotest.(check bool) (name ^ " happened") true (count name > 0))
+    [ "breaker_open"; "breaker_probe"; "breaker_close"; "shed"; "partition_heal" ];
+  (* Partitions keep tasks stale past the shed bound, so the decay stop runs. *)
+  Alcotest.(check bool) "staleness passed the bound" true (!max_seen > 2);
+  Alcotest.(check string) "digest" "5ae2f7f4c57095b7f66643574b8d4dc6" (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* ---- Checkpointing degraded state ---- *)
 
 let test_snapshot_restores_breakers () =
@@ -469,6 +532,7 @@ let () =
           Alcotest.test_case "deadline sheds, staleness bounded" `Quick
             test_deadline_sheds_with_bounded_staleness;
           Alcotest.test_case "storms surfaced to the driver" `Quick test_storm_pending_surface;
+          Alcotest.test_case "degraded run pinned" `Quick test_degraded_run_pinned;
           Alcotest.test_case "snapshot restores breakers" `Quick test_snapshot_restores_breakers;
         ] );
       ( "sweep",

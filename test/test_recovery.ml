@@ -365,11 +365,11 @@ let test_last_report_after_restore () =
   let fetch =
     Dream_core.Fetch.create ~config:cp.Dream_core.Checkpoint.config
       ~switches:cp.Dream_core.Checkpoint.switches
-      ~breakers:[||] ~faults:None ~tallies:(Metrics.Tallies.of_registry registry) ~registry
+      ~breakers:None ~faults:None ~tallies:(Metrics.Tallies.of_registry registry) ~registry
       ~trace:None
   in
   let epoch = cp.Dream_core.Checkpoint.epoch in
-  Dream_core.Fetch.begin_epoch fetch ~epoch;
+  Dream_core.Fetch.begin_epoch fetch ~epoch ~healed:[];
   let same_item (a : Dream_tasks.Report.item) (b : Dream_tasks.Report.item) =
     Prefix.equal a.Dream_tasks.Report.prefix b.Dream_tasks.Report.prefix
     && Int64.equal
