@@ -1,15 +1,19 @@
 (* dream-lint: AST-based static analysis for the DREAM tree.
 
-     dune exec dream-lint -- lib bin bench test
+     dune exec dream-lint -- lib bin bench test examples perfbench
      dune exec dream-lint -- --format json lib > report.json
      dune exec dream-lint -- --rules determinism-random,float-equality lib
-     dune exec dream-lint -- --baseline lint/BASELINE.json lib bin bench test
-     dune exec dream-lint -- --baseline lint/BASELINE.json --update-baseline lib bin bench test
+     dune exec dream-lint -- --baseline lint/BASELINE.json lib bin bench test examples perfbench
+     dune exec dream-lint -- --baseline lint/BASELINE.json --update-baseline \
+       lib bin bench test examples perfbench
 
-   Walks the given paths for .ml files, runs every per-file rule (or the
-   --rules subset) over each parsetree, then the two interprocedural
-   passes (hot-path-alloc over the [@hot] call-graph closure, and
-   domain-safety over toplevel mutable state), and prints findings.
+   Walks the given paths for .ml files (each with its .mli, when there is
+   one), runs every per-file rule (or the --rules subset) over each
+   parsetree, then the three interprocedural passes (hot-path-alloc over
+   the [@hot] call-graph closure, domain-safety over toplevel mutable
+   state, and test-only-export over the lib/ interfaces), and prints
+   findings.  test-only-export counts the uses in the paths given, so it
+   needs the whole tree.
 
    With --baseline the committed findings baseline gates as a ratchet:
    only findings *beyond* the per-(rule, file) baseline counts fail the
@@ -20,8 +24,10 @@
    Exit codes: 0 when clean (or fully baselined), 1 when there are new
    findings (or the ratchet refuses a growing update), 124 on usage
    errors.  Suppress a single site with [@lint.allow "rule-id"]
-   ([@alloc.allow "reason"] for hot-path-alloc); unused suppressions are
-   themselves findings, so the allowlist can only shrink. *)
+   ([@alloc.allow "reason"] for hot-path-alloc, and for test-only-export
+   [@@lint.allow "oracle hook: test/<file>"] or "test fake: test/<file>");
+   unused suppressions are themselves findings, so the allowlist can only
+   shrink. *)
 
 module Baseline = Dream_lint.Baseline
 module Engine = Dream_lint.Engine
@@ -109,7 +115,9 @@ let run format rule_ids baseline_path update_baseline snapshot_dir paths =
       Error "--update-baseline needs --baseline FILE"
     else Ok ()
   in
-  let paths = if paths = [] then [ "lib"; "bin"; "bench"; "test" ] else paths in
+  let paths =
+    if paths = [] then [ "lib"; "bin"; "bench"; "test"; "examples"; "perfbench" ] else paths
+  in
   let* () = check_paths paths in
   let files = List.concat_map Engine.ml_files_under paths in
   let* () = if files = [] then Error "no .ml files under the given paths" else Ok () in
@@ -196,7 +204,8 @@ let paths =
   Arg.(
     value
     & pos_all string []
-    & info [] ~docv:"PATHS" ~doc:"Files or directories to lint (default: lib bin bench test).")
+    & info [] ~docv:"PATHS"
+        ~doc:"Files or directories to lint (default: lib bin bench test examples perfbench).")
 
 let cmd =
   let doc = "enforce determinism, totality and observability invariants on the DREAM tree" in
@@ -207,8 +216,9 @@ let cmd =
         "Parses every .ml file under $(i,PATHS) with the OCaml compiler front end, runs \
          syntactic rules over each parsetree, then the interprocedural passes over the \
          whole set: $(b,hot-path-alloc) classifies allocation sites reachable from \
-         [@hot] entry points through the intra-repo call graph, and $(b,domain-safety) \
-         inventories toplevel mutable state ahead of multi-domain sharding.  Exits 0 \
+         [@hot] entry points through the intra-repo call graph, $(b,domain-safety) \
+         inventories toplevel mutable state ahead of multi-domain sharding, and \
+         $(b,test-only-export) flags lib/ interface values only tests use.  Exits 0 \
          when clean and 1 when there are findings, so it can gate CI; with \
          $(b,--baseline) only findings beyond the committed ratchet fail.";
       `S "RULES";

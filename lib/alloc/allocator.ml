@@ -18,8 +18,6 @@ let create strategy ~capacities =
   in
   { strategy; impl }
 
-let strategy t = t.strategy
-
 let try_admit t view =
   match t.impl with
   | Dream_impl a -> Dream_allocator.try_admit a view

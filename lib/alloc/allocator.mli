@@ -13,8 +13,6 @@ type t
 
 val create : strategy -> capacities:(Dream_traffic.Switch_id.t * int) list -> t
 
-val strategy : t -> strategy
-
 val try_admit : t -> Task_view.t -> bool
 (** DREAM: headroom-based admission control.  Equal: always admits.
     Fixed: admits while the reservation fits everywhere. *)

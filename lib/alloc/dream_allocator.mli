@@ -35,8 +35,6 @@ val create : config -> capacities:(Dream_traffic.Switch_id.t * int) list -> t
     @raise Invalid_argument on a non-positive capacity or switches out of
     order. *)
 
-val capacity : t -> Dream_traffic.Switch_id.t -> int
-
 val try_admit : t -> Task_view.t -> bool
 (** Admit if effective headroom meets the target on every switch the task
     touches; on success the task gets [min_allocation] entries per switch,
@@ -64,9 +62,6 @@ val total_of : t -> task_id:int -> int
 
 val phantom : t -> Dream_traffic.Switch_id.t -> int
 (** Current phantom (unallocated) entries on a switch. *)
-
-val effective_headroom : t -> Dream_traffic.Switch_id.t -> int
-(** phantom + sum of rich steps - sum of poor steps, from the last round. *)
 
 val congested : t -> Dream_traffic.Switch_id.t -> bool
 (** Whether the last round's poor demand outstripped rich supply plus

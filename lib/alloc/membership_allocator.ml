@@ -101,8 +101,6 @@ let rec total_from t task_id sw acc =
 
 let total_of t ~task_id = total_from t task_id 0 0
 
-let tasks_on t sw = (state t sw).members
-
 let section = function Equal -> "equal_allocator" | Fixed _ -> "fixed_allocator"
 
 let emit w t =

@@ -40,9 +40,6 @@ val allocation_on : t -> task_id:int -> Dream_traffic.Switch_id.t -> int
 val total_of : t -> task_id:int -> int
 (** The task's allocation summed over every switch. *)
 
-val tasks_on : t -> Dream_traffic.Switch_id.t -> int
-(** Member tasks on a switch. *)
-
 val emit : Dream_util.Codec.writer -> t -> unit
 (** Append per-switch task membership to a checkpoint document, as an
     [equal_allocator] or a [fixed_allocator] section. *)

@@ -19,10 +19,6 @@ type event =
 
 type t = { seed : int; horizon : int; events : event list }
 
-val at_of : event -> int
-
-val kind_of : event -> string
-
 val pp_event : Format.formatter -> event -> unit
 
 val generate : seed:int -> num_switches:int -> groups:int -> horizon:int -> events:int -> t

@@ -284,6 +284,11 @@ let parse_body r =
       if Switch.id sw <> i then
         C.parse_error 0 (Printf.sprintf "switch ids not consecutive (%d at %d)" (Switch.id sw) i))
     switches;
+  (* Fetch indexes the breakers by switch id: one per switch in degraded
+     mode, none otherwise. *)
+  let num_breakers = Array.length breakers and num_switches = Array.length switches in
+  if num_breakers <> 0 && num_breakers <> num_switches then
+    C.parse_error 0 (Printf.sprintf "%d breakers for %d switches" num_breakers num_switches);
   let allocator = Allocator.parse r in
   let robustness = parse_robustness r in
   let records = parse_records r in

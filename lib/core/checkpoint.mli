@@ -22,10 +22,6 @@ type t = {
   runtimes : Runtime.t list;  (** task-id order *)
 }
 
-val magic : string
-(** ["dream-checkpoint v4"].  Documents with any other magic are refused,
-    not migrated. *)
-
 val emit : t -> string
 (** The sealed document.  Switch TCAM update stats are not saved: parsed
     switches start with zeroed stats. *)

@@ -173,7 +173,7 @@ let smoothed_accuracy t ~task_id = find t ~task_id (fun r -> Task.smoothed_globa
 
 let set_journal t sink = t.journal <- sink
 
-let journal t = t.journal
+let journal t = t.journal [@@lint.allow "oracle hook: test/test_workload.ml"]
 
 let journaling t = t.journal <> None
 
@@ -182,8 +182,6 @@ let jot t entry = match t.journal with None -> () | Some sink -> Journal.append 
 let controller_crash_pending t = t.crash_pending
 
 let storm_tasks_pending t = t.storm_pending
-
-let degraded_mode t = Fetch.breakers t.fetch <> [||]
 
 let breaker_states t = Fetch.breaker_states t.fetch
 
@@ -202,9 +200,6 @@ let reachable t sw = Fetch.reachable t.fetch sw
 let check_invariants_now t =
   let tasks = List.map (fun r -> r.Runtime.task) (Runtime.sorted t.active) in
   Invariant.check_all ~allocator:t.allocator ~switches:t.switches ~up:(reachable t) ~tasks
-
-let staleness_levels t =
-  Hashtbl.fold (fun _ r acc -> r.Runtime.staleness :: acc) t.active [] |> List.sort compare
 
 let max_staleness t = Hashtbl.fold (fun _ r acc -> max acc r.Runtime.staleness) t.active 0
 

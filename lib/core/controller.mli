@@ -152,10 +152,6 @@ val storm_tasks_pending : t -> int
     the workload decides what to submit; the controller's admission
     control treats storm tasks like any others. *)
 
-val degraded_mode : t -> bool
-(** Whether {!Fetch}'s degraded mode is on: [config.degraded] and
-    [config.faults] were both set. *)
-
 val breaker_states : t -> Dream_switch.Breaker.state array
 (** {!Fetch.breaker_states}: empty outside degraded mode. *)
 
@@ -173,9 +169,6 @@ val task_switches : t -> task_id:int -> Dream_traffic.Switch_id.t list option
 (** Switches the task needs counters on; [None] if not active.  The chaos
     oracle uses this to decide whether a staleness level above the shed
     cap is explained by an unreachable switch. *)
-
-val staleness_levels : t -> int list
-(** Staleness levels of all active tasks, ascending. *)
 
 val check_invariants_now : t -> Dream_recovery.Invariant.violation list
 (** Run the runtime invariant checker against the controller's current

@@ -102,9 +102,6 @@ val pp_summary : Format.formatter -> summary -> unit
 
 val pp_robustness : Format.formatter -> robustness -> unit
 
-val satisfaction_values : record list -> float list
-(** Satisfaction (as a percentage) of every admitted task. *)
-
 val mean_accuracy : record list -> float
 (** Mean scored accuracy over admitted tasks, in \[0, 1\]; 0 when none. *)
 

@@ -203,8 +203,6 @@ let create spec ~num_switches =
 
 let spec t = t.spec
 
-let num_switches t = Array.length t.states
-
 let state t sw =
   if sw < 0 || sw >= Array.length t.states then
     invalid_arg (Printf.sprintf "Fault_model: unknown switch %d" sw);
@@ -394,8 +392,6 @@ let partitioned_count t =
 let is_straggler t sw =
   let _ = state t sw in
   t.stragglers.(sw)
-
-let straggler_count t = Array.fold_left (fun acc s -> if s then acc + 1 else acc) 0 t.stragglers
 
 let latency_factor t sw = if is_straggler t sw then t.spec.straggler_slowdown else 1.0
 

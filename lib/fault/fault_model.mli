@@ -88,8 +88,6 @@ val create : spec -> num_switches:int -> t
 
 val spec : t -> spec
 
-val num_switches : t -> int
-
 val begin_epoch : t -> events
 (** Advance one epoch: decide which switches crash this epoch (their TCAM
     state is lost), which finish their downtime and come back up, and
@@ -128,10 +126,6 @@ val is_partitioned : t -> Dream_traffic.Switch_id.t -> bool
 
 val partitioned_count : t -> int
 (** Switches currently unreachable through a partition. *)
-
-val is_straggler : t -> Dream_traffic.Switch_id.t -> bool
-
-val straggler_count : t -> int
 
 val latency_factor : t -> Dream_traffic.Switch_id.t -> float
 (** Control-channel latency multiplier: [straggler_slowdown] on straggler

@@ -13,19 +13,6 @@ type t =
   | Format_call of string
   | Alloc_fn of string
 
-let id = function
-  | Tuple -> "tuple"
-  | Record -> "record"
-  | Variant _ -> "variant"
-  | List_literal -> "list"
-  | Array_literal -> "array"
-  | Closure -> "closure"
-  | Partial_app _ -> "partial-app"
-  | Append _ -> "append"
-  | Boxed_float _ -> "boxed-float"
-  | Format_call _ -> "format"
-  | Alloc_fn _ -> "alloc-fn"
-
 let describe = function
   | Tuple -> "tuple construction"
   | Record -> "record construction"

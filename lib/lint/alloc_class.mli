@@ -24,11 +24,6 @@ type t =
   | Format_call of string  (** any [Printf.*] / [Format.*] application *)
   | Alloc_fn of string  (** known allocating stdlib function *)
 
-val id : t -> string
-(** Short stable class tag for messages and tests: ["tuple"], ["record"],
-    ["variant"], ["list"], ["array"], ["closure"], ["partial-app"],
-    ["append"], ["boxed-float"], ["format"], ["alloc-fn"]. *)
-
 val describe : t -> string
 (** One-clause human description, e.g.
     ["tuple construction"] or ["partial application of Task.configure"]. *)

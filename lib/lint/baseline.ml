@@ -7,8 +7,6 @@ type t = entry list
 
 let version = 1
 
-let empty = []
-
 let compare_key (r1, f1) (r2, f2) =
   match String.compare r1 r2 with 0 -> String.compare f1 f2 | c -> c
 
@@ -90,8 +88,6 @@ let update ~old_ ~current =
                    Printf.sprintf "%s %s (%d -> %d)" g.d_rule g.d_file g.d_baseline
                      g.d_current)
                  grown))))
-
-let covered t (f : Finding.t) = count_of t (f.Finding.rule, f.Finding.file) > 0
 
 let debt_snapshot findings =
   let by_rule = Hashtbl.create 16 in

@@ -28,10 +28,6 @@ type entry = {
 type t = entry list
 (** Always sorted by (rule, file); entries unique per (rule, file). *)
 
-val version : int
-
-val empty : t
-
 val of_findings : Finding.t list -> t
 (** Count findings per (rule, file); no reasons. *)
 
@@ -56,21 +52,10 @@ val update : old_:t option -> current:t -> (t, string) result
     exists) any grown or new key is an error naming the keys — bootstrap
     from nothing is the only way the baseline grows. *)
 
-val covered : t -> Finding.t -> bool
-(** The baseline has a non-zero entry for this finding's (rule, file). *)
-
 val debt_snapshot : Finding.t list -> Dream_obs.Bench_snapshot.t
 (** Figure id ["lint-debt"]: one [debt_<rule>] metric per rule with
     findings plus [debt_total], all counts, all [Lower_better] with zero
     tolerance. *)
-
-val to_json : t -> Dream_obs.Json.t
-
-val of_json : Dream_obs.Json.t -> (t, string) result
-
-val to_string : t -> string
-
-val of_string : string -> (t, string) result
 
 val read : string -> (t, string) result
 (** Load a baseline file; the error names the path. *)

@@ -147,30 +147,34 @@ let resolve_direct t ~file parts =
     let sub = match node_opt t (file, m ^ "." ^ f) with Some n -> [ n ] | None -> [] in
     sub
     @ List.filter_map (fun fl -> node_opt t (fl, f)) (files_of_module t m)
-  | [ l; m; f ] when is_dream_lib l ->
+  | l :: m :: ([ _ ] | [ _; _ ] as name) when is_dream_lib l ->
     let libdir = String.lowercase_ascii (String.sub l 6 (String.length l - 6)) in
     files_of_module t m
     |> List.filter (fun fl -> lib_of_path fl = Some libdir)
-    |> List.filter_map (fun fl -> node_opt t (fl, f))
+    |> List.filter_map (fun fl -> node_opt t (fl, String.concat "." name))
   | [ m; s; f ] ->
     List.filter_map (fun fl -> node_opt t (fl, s ^ "." ^ f)) (files_of_module t m)
   | _ -> []
 
-let resolve t ~file parts =
-  let ctx =
-    match Hashtbl.find_opt t.cg_ctx file with
-    | Some c -> c
-    | None -> { c_aliases = []; c_opens = [] }
-  in
-  let expand parts =
-    match parts with
-    | a :: rest -> (
-      match List.assoc_opt a ctx.c_aliases with
-      | Some target -> target @ rest
-      | None -> parts)
-    | [] -> []
-  in
-  let parts = expand parts in
+let no_scope = { c_aliases = []; c_opens = [] }
+
+(* The file's context with a local scope (local opens and module aliases,
+   innermost first) in front of it. *)
+let scope_ctx t ~file local =
+  let fctx = Option.value ~default:no_scope (Hashtbl.find_opt t.cg_ctx file) in
+  { c_aliases = local.c_aliases @ fctx.c_aliases; c_opens = local.c_opens @ fctx.c_opens }
+
+let expand ctx parts =
+  match parts with
+  | a :: rest -> (
+    match List.assoc_opt a ctx.c_aliases with
+    | Some target -> target @ rest
+    | None -> parts)
+  | [] -> []
+
+let resolve ?(local = no_scope) t ~file parts =
+  let ctx = scope_ctx t ~file local in
+  let parts = expand ctx parts in
   let direct = resolve_direct t ~file parts in
   let via_opens =
     List.concat_map (fun o -> resolve_direct t ~file (o @ parts)) ctx.c_opens
@@ -265,6 +269,64 @@ let build files =
   t
 
 let nodes t = List.filter_map (node_opt t) t.cg_keys
+
+let find t ~file name = node_opt t (file, name)
+
+let mentions t ~file structure =
+  let found = Hashtbl.create 64 in
+  let local = ref no_scope in
+  let scoped s f =
+    let saved = !local in
+    local := s;
+    f ();
+    local := saved
+  in
+  let path_of lid = expand (scope_ctx t ~file !local) (qualified lid) in
+  let default = Ast_iterator.default_iterator in
+  let it =
+    {
+      default with
+      Ast_iterator.expr =
+        (fun it e ->
+          match e.pexp_desc with
+          | Pexp_ident { txt; _ } ->
+            List.iter
+              (fun n -> Hashtbl.replace found (key n) n)
+              (match qualified txt with [] -> [] | parts -> resolve ~local:!local t ~file parts)
+          | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ }, body) ->
+            let s = !local in
+            scoped
+              { s with c_opens = path_of txt :: s.c_opens }
+              (fun () -> it.Ast_iterator.expr it body)
+          | Pexp_letmodule
+              ({ txt = Some name; _ }, { pmod_desc = Pmod_ident { txt; _ }; _ }, body) ->
+            let s = !local in
+            scoped
+              { s with c_aliases = (name, path_of txt) :: s.c_aliases }
+              (fun () -> it.Ast_iterator.expr it body)
+          | _ -> default.Ast_iterator.expr it e);
+      Ast_iterator.structure_item =
+        (fun it si ->
+          (* An [open] or alias inside a submodule scopes over the rest of
+             the file here: a wider scope can only add mentions. *)
+          (match si.pstr_desc with
+          | Pstr_open { popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ } ->
+            local := { !local with c_opens = path_of txt :: !local.c_opens }
+          | Pstr_module
+              {
+                pmb_name = { txt = Some name; _ };
+                pmb_expr = { pmod_desc = Pmod_ident { txt; _ }; _ };
+                _;
+              } ->
+            local := { !local with c_aliases = (name, path_of txt) :: !local.c_aliases }
+          | _ -> ());
+          default.Ast_iterator.structure_item it si);
+    }
+  in
+  it.Ast_iterator.structure it structure;
+  Hashtbl.fold (fun _ n acc -> n :: acc) found []
+  |> List.sort (fun a b -> compare_key (key a) (key b))
+
 let hot_roots t = List.filter (fun n -> n.n_hot) (nodes t)
 
 let successors t k =

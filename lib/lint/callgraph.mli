@@ -10,11 +10,13 @@
     Resolution is purely syntactic and module-qualified: [f] resolves in
     the defining file, [M.f] through the repo-wide module index (every
     file [m.ml] declares module [M]; ambiguous module names resolve to
-    every candidate), [Dream_lib.M.f] through the library prefix (maps to
-    [lib/lib/m.ml]), and simple top-level aliases ([module O = Dream_obs])
-    and top-level [open]s are expanded one step.  What cannot be resolved
-    — functor applications, [Lapply], computed functions — contributes no
-    edge; the analysis documents that loophole rather than guessing.
+    every candidate), [Dream_lib.M.f] and [Dream_lib.M.Sub.f] through the
+    library prefix (maps to [lib/lib/m.ml]), and simple top-level
+    aliases ([module O = Dream_obs]) and top-level [open]s are expanded
+    one step ({!mentions} also expands local ones).  What cannot be
+    resolved — functor applications, [Lapply], computed functions —
+    contributes no edge; the analysis documents that loophole rather than
+    guessing.
 
     Entry points are bindings carrying a [[@hot]] (or [[@@hot]])
     attribute.  {!reachable_from_hot} is a breadth-first closure from the
@@ -37,18 +39,22 @@ val build : (string * Parsetree.structure) list -> t
 (** Build the graph from [(path, parsetree)] pairs; order-insensitive
     (internal order is sorted by path). *)
 
-val nodes : t -> node list
-(** All nodes, sorted by (file, name). *)
-
-val hot_roots : t -> node list
-(** The [[@hot]]-annotated entry set, sorted by (file, name). *)
-
 val reachable_from_hot : t -> (node * string list) list
-(** Breadth-first closure from {!hot_roots}.  Each reachable node comes
-    with a witness chain of ["Module.name"] labels, entry point first and
-    the node itself last; the chain is deterministic (BFS over sorted
-    nodes and sorted successor lists).  Includes the roots themselves
-    (singleton chains). *)
+(** Breadth-first closure from the [[@hot]] entry set (sorted by file and
+    name).  Each reachable node comes with a witness chain of
+    ["Module.name"] labels, entry point first and the node itself last;
+    the chain is deterministic (BFS over sorted nodes and sorted successor
+    lists).  Includes the roots themselves (singleton chains). *)
+
+val find : t -> file:string -> string -> node option
+(** The node for a binding name (["f"] or ["Sub.f"]) in [file]. *)
+
+val mentions : t -> file:string -> Parsetree.structure -> node list
+(** Every node that some identifier anywhere in [file]'s structure
+    resolves to, sorted.  Unlike the edges, which only see top-level
+    binding bodies, this walks [let () = …] bodies and nested modules too,
+    and expands local opens ([M.( … )], [let open M in]) and local module
+    aliases ([let module M = N in]) within their scope. *)
 
 val label : node -> string
 (** ["Module.name"], the spelling used in chains and findings. *)

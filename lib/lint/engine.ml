@@ -41,19 +41,32 @@ let string_payload attr =
     Ok s
   | _ -> Error "expected a string literal"
 
+(* A [test-only-export] allow gives its reason instead of the rule id,
+   ["oracle hook: test/<file>"] or ["test fake: test/<file>"], so every
+   export kept for a test names that test. *)
 let allow_payload attr =
   match string_payload attr with
-  | Ok rule -> Ok rule
   | Error _ -> Error "expected a string literal rule id, as in [@lint.allow \"rule-id\"]"
+  | Ok payload -> (
+    match String.index_opt payload ':' with
+    | Some i when List.mem (String.sub payload 0 i) Rules.test_only_export_reasons ->
+      let user = String.trim (String.sub payload (i + 1) (String.length payload - i - 1)) in
+      if String.starts_with ~prefix:"test/" user then Ok Rules.test_only_export_id
+      else Error (Printf.sprintf "%S must name the test/ file that uses the value" payload)
+    | _ when payload = Rules.test_only_export_id ->
+      Error
+        "a test-only-export allow gives its reason, as in [@@lint.allow \"oracle hook: \
+         test/<file>\"]"
+    | _ -> Ok payload)
 
 let finding_at ~rule ~file ~severity loc message =
   let line, col = position_of loc in
   Finding.v ~rule ~file ~line ~col ~severity message
 
-let parse path src =
+let parse parser path src =
   let lexbuf = Lexing.from_string src in
   Location.init lexbuf path;
-  match Parse.implementation lexbuf with
+  match parser lexbuf with
   | structure -> Ok structure
   | exception Syntaxerr.Error err ->
     Error (Syntaxerr.location_of_error err, "syntax error")
@@ -404,8 +417,7 @@ let walk_hot_body ~graph ~file ~emit body =
   in
   start body
 
-let hot_path_findings ~severity ~applies parsed =
-  let graph = Callgraph.build parsed in
+let hot_path_findings ~severity ~applies ~graph parsed =
   let allows, malformed = collect_alloc_allows parsed in
   let findings = ref [] in
   List.iter
@@ -447,28 +459,74 @@ let hot_path_findings ~severity ~applies parsed =
   in
   !findings @ malformed @ unused
 
+(* ---- interprocedural pass: test-only-export ---- *)
+
+(* The [val]s of an interface, submodule signatures as ["Sub.f"]. *)
+let rec sig_vals ~prefix items =
+  List.concat_map
+    (fun item ->
+      match item.psig_desc with
+      | Psig_value vd -> [ prefix ^ vd.pval_name.Location.txt ]
+      | Psig_module
+          { pmd_name = { txt = Some sub; _ }; pmd_type = { pmty_desc = Pmty_signature s; _ }; _ }
+        ->
+        sig_vals ~prefix:(prefix ^ sub ^ ".") s
+      | _ -> [])
+    items
+
+(* Each [val] is looked up at its [.ml] binding, and the finding lands
+   there, so [[@@lint.allow]] on the binding suppresses it. *)
+let test_only_findings ~severity ~applies ~graph parsed interfaces =
+  let program = Hashtbl.create 256 and tests = Hashtbl.create 256 in
+  List.iter
+    (fun (path, structure) ->
+      let seen = if Rules.in_test path then tests else program in
+      List.iter
+        (fun (n : Callgraph.node) ->
+          if n.Callgraph.n_file <> path then
+            Hashtbl.replace seen (n.Callgraph.n_file, n.Callgraph.n_name) ())
+        (Callgraph.mentions graph ~file:path structure))
+    parsed;
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (mli, signature) ->
+      let file = Filename.remove_extension mli ^ ".ml" in
+      if applies file then
+        List.iter
+          (fun name ->
+            match Callgraph.find graph ~file name with
+            | Some n when not (Hashtbl.mem program (file, name)) ->
+              let why =
+                if Hashtbl.mem tests (file, name) then
+                  "only test/ mentions it outside its module; delete it with the tests of \
+                   it alone, move it into a test/ helper, or keep a reference interface \
+                   with [@@lint.allow \"oracle hook: test/<file>\"]"
+                else "no other module mentions it; drop it from the interface"
+              in
+              let f =
+                finding_at ~rule:Rules.test_only_export_id ~file ~severity n.Callgraph.n_loc
+                  (Printf.sprintf "%s is exported by %s but %s" (Callgraph.label n) mli why)
+              in
+              Hashtbl.replace tbl file
+                (f :: Option.value ~default:[] (Hashtbl.find_opt tbl file))
+            | _ -> ())
+          (sig_vals ~prefix:"" signature))
+    interfaces;
+  tbl
+
 (* ---- repo-level drivers ---- *)
 
-let lint_string ?(rules = Rules.all) ?extra ~path src =
-  match parse path src with
-  | Error (loc, msg) ->
-    [ finding_at ~rule:parse_error_rule ~file:path ~severity:Finding.Error loc msg ]
-  | Ok structure -> lint_parsed ?extra ~rules ~path structure
-
-let lint_file ?rules path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | src -> lint_string ?rules ~path src
-  | exception Sys_error msg ->
-    [
-      Finding.v ~rule:parse_error_rule ~file:path ~line:1 ~col:0 ~severity:Finding.Error
-        ("cannot read file: " ^ msg);
-    ]
-
 let lint_sources ?(rules = Rules.all) sources =
-  let parsed = List.map (fun (path, src) -> (path, parse path src)) sources in
-  let oks =
-    List.filter_map (function p, Ok s -> Some (p, s) | _, Error _ -> None) parsed
+  let interfaces, sources =
+    List.partition (fun (path, _) -> Filename.check_suffix path ".mli") sources
   in
+  let parsed = List.map (fun (path, src) -> (path, parse Parse.implementation path src)) sources in
+  let parsed_mli =
+    List.map (fun (path, src) -> (path, parse Parse.interface path src)) interfaces
+  in
+  let oks_of l = List.filter_map (function p, Ok s -> Some (p, s) | _, Error _ -> None) l in
+  let oks = oks_of parsed in
+  let graph = lazy (Callgraph.build oks) in
   let find_rule id = List.find_opt (fun (r : Rules.t) -> r.Rules.id = id) rules in
   let domain_tbl =
     match find_rule Rules.domain_safety_id with
@@ -477,27 +535,51 @@ let lint_sources ?(rules = Rules.all) sources =
         (List.filter (fun (p, _) -> r.Rules.applies p) oks)
     | None -> Hashtbl.create 1
   in
+  let test_only_tbl =
+    match find_rule Rules.test_only_export_id with
+    | Some r ->
+      test_only_findings ~severity:r.Rules.severity ~applies:r.Rules.applies
+        ~graph:(Lazy.force graph) oks (oks_of parsed_mli)
+    | None -> Hashtbl.create 1
+  in
   let hot =
     match find_rule Rules.hot_path_alloc_id with
-    | Some r -> hot_path_findings ~severity:r.Rules.severity ~applies:r.Rules.applies oks
+    | Some r ->
+      hot_path_findings ~severity:r.Rules.severity ~applies:r.Rules.applies
+        ~graph:(Lazy.force graph) oks
     | None -> []
+  in
+  let extra_for path tbl = Option.value ~default:[] (Hashtbl.find_opt tbl path) in
+  let parse_error path (loc, msg) =
+    [ finding_at ~rule:parse_error_rule ~file:path ~severity:Finding.Error loc msg ]
   in
   let per_file =
     List.concat_map
       (fun (path, res) ->
         match res with
-        | Error (loc, msg) ->
-          [ finding_at ~rule:parse_error_rule ~file:path ~severity:Finding.Error loc msg ]
+        | Error e -> parse_error path e
         | Ok structure ->
-          let extra =
-            Option.value ~default:[] (Hashtbl.find_opt domain_tbl path)
-          in
+          let extra = extra_for path domain_tbl @ extra_for path test_only_tbl in
           lint_parsed ~extra ~rules ~path structure)
       parsed
   in
-  List.sort Finding.compare (hot @ per_file)
+  let mli_errors =
+    List.concat_map
+      (fun (path, res) -> match res with Error e -> parse_error path e | Ok _ -> [])
+      parsed_mli
+  in
+  List.sort Finding.compare (hot @ per_file @ mli_errors)
+[@@lint.allow "oracle hook: test/test_lint.ml"]
 
 let lint_files ?rules paths =
+  (* Each [.ml] brings its interface along, for [test-only-export]. *)
+  let paths =
+    List.concat_map
+      (fun p ->
+        if Filename.check_suffix p ".ml" && Sys.file_exists (p ^ "i") then [ p; p ^ "i" ]
+        else [ p ])
+      paths
+  in
   let sources, unreadable =
     List.fold_left
       (fun (sources, unreadable) path ->

@@ -6,7 +6,7 @@
     suppressions.
 
     {b Interprocedural layer} ({!lint_sources} / {!lint_files}): parse
-    the whole file set once, build the {!Callgraph}, and run the two
+    the whole file set once, build the {!Callgraph}, and run the three
     repo-level passes on top of the per-file rules:
 
     - [hot-path-alloc]: every allocation site (classified by
@@ -22,6 +22,18 @@
       race ahead of the planned [Domain] fan-out, with a count of the
       sibling top-level bindings that touch it.  Suppression is the
       ordinary [[@lint.allow "domain-safety"]].
+    - [test-only-export]: a [val] of a [lib/] [.mli] that no file outside
+      its own module mentions except under [test/] (or that nothing
+      outside mentions at all) is reported at its [.ml] binding.
+      Mentions are {!Callgraph.mentions}, so the verdict holds for the
+      file set given: lint the whole tree.  A value kept for the tests
+      gives its reason in place of the rule id and names the test file:
+      [[@@lint.allow "oracle hook: test/<file>"]] for an interface a test
+      oracle reaches into (a reference implementation, a differential
+      test, a read-back of state the program never reads), or
+      [[@@lint.allow "test fake: test/<file>"]] for a substitute the
+      tests plug in.  The bare rule id, or a reason naming no [test/]
+      file, is a malformed allow.
 
     Per-file [[@lint.allow]] semantics (unchanged):
     - [[@lint.allow "r"]] on an expression, or [[@@lint.allow "r"]] on a
@@ -40,27 +52,18 @@
 val parse_error_rule : string
 val unused_suppression_rule : string
 
-val lint_string : ?rules:Rules.t list -> ?extra:Finding.t list -> path:string -> string -> Finding.t list
-(** Lint source text as if it lived at [path] (the path decides which
-    directory policies apply).  [rules] defaults to {!Rules.all}.
-    [extra] injects precomputed findings (the interprocedural layer's
-    [domain-safety] results) into the suppression pass, so site allows
-    cover them.  Per-file only: the interprocedural passes never run
-    here.  Returns findings sorted by file, line, column and rule. *)
-
-val lint_file : ?rules:Rules.t list -> string -> Finding.t list
-(** Read and lint one [.ml] file (per-file layer only); an unreadable
-    file yields a single [parse-error] finding rather than an
-    exception. *)
-
 val lint_sources : ?rules:Rules.t list -> (string * string) list -> Finding.t list
 (** The full two-layer analysis over an in-memory file set of
-    [(path, source)] pairs: per-file rules plus [hot-path-alloc] and
-    [domain-safety] (each only when present in [rules]).  Deterministic:
-    the same sources in any order produce the same sorted findings. *)
+    [(path, source)] pairs: per-file rules plus [hot-path-alloc],
+    [domain-safety] and [test-only-export] (each only when present in
+    [rules]).  [.mli] pairs are interfaces: parsed for
+    [test-only-export], not linted themselves.  [rules] defaults to
+    {!Rules.all}.  Deterministic: the same sources in any order produce
+    the same sorted findings. *)
 
 val lint_files : ?rules:Rules.t list -> string list -> Finding.t list
-(** {!lint_sources} over files read from disk; unreadable files become
+(** {!lint_sources} over [.ml] files read from disk, each with its
+    sibling [.mli] when there is one; unreadable files become
     [parse-error] findings. *)
 
 val ml_files_under : string -> string list

@@ -24,8 +24,6 @@ val compare : t -> t -> int
 (** Order by file, then line, column and rule id: reports are stable
     regardless of rule-evaluation order. *)
 
-val severity_to_string : severity -> string
-
 val pp : Format.formatter -> t -> unit
 (** [file:line:col: severity [rule] message] — one line, compiler-style,
     so editors and CI annotations can parse it. *)

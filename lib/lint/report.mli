@@ -5,13 +5,6 @@
     (counts of findings covered vs. not covered by the committed
     {!Baseline}); when given, both renderers append it to the summary. *)
 
-val version : int
-(** Report schema version (2: adds [by_rule] and the optional baseline
-    summary fields). *)
-
-val by_rule : Finding.t list -> (string * int) list
-(** Finding counts per rule id, sorted by rule. *)
-
 val text : ?baseline:int * int -> Format.formatter -> Finding.t list -> unit
 (** One compiler-style line per finding, then a summary line
     ([N findings (E errors, W warnings)] or [no findings]) and the
@@ -22,8 +15,6 @@ val json : ?baseline:int * int -> Format.formatter -> Finding.t list -> unit
     "warnings": W, "by_rule": {...}, "findings": [...]}] rendered
     through {!Dream_obs.Json}, newline-terminated.  Machine-readable and
     re-parseable by the same codec ({!of_json_string}). *)
-
-val to_json : ?baseline:int * int -> Finding.t list -> Dream_obs.Json.t
 
 val of_json_string : string -> (Finding.t list, string) result
 (** Parse a report produced by {!json} back into findings — the CI

@@ -140,8 +140,8 @@ let float_equality =
         if List.exists (fun (_, arg) -> is_floaty arg) args then
           emit ~loc:e.pexp_loc
             (Printf.sprintf
-               "(%s) on a float operand: exact float equality is fragile; use an epsilon \
-                helper (Dream_util.Stats.approx_equal) or an ordering comparison"
+               "(%s) on a float operand: exact float equality is fragile; compare within \
+                an epsilon (Float.abs (a -. b) <= eps) or use an ordering comparison"
                op)
       | _ -> ())
     | _ -> ()
@@ -261,14 +261,17 @@ let mli_coverage =
 
 (* ---- interprocedural passes ----
 
-   These two rules have no per-file hooks: their findings come from the
+   These three rules have no per-file hooks: their findings come from the
    whole-repo layer in {!Engine.lint_sources} (call graph + allocation
-   classifier, and the toplevel-mutable-state scan).  They are registered
+   classifier, the toplevel-mutable-state scan, and the call graph's
+   mentions against each interface).  They are registered
    here so [--rules] selection, [--help], severity, directory policy and
    the [@lint.allow] unknown-rule check treat them like any other rule. *)
 
 let hot_path_alloc_id = "hot-path-alloc"
 let domain_safety_id = "domain-safety"
+let test_only_export_id = "test-only-export"
+let test_only_export_reasons = [ "oracle hook"; "test fake" ]
 
 let hot_path_alloc =
   rule hot_path_alloc_id ~severity:Finding.Error ~applies:everywhere
@@ -283,6 +286,14 @@ let domain_safety =
        binding at module level is a latent race once shard controllers fan out across \
        domains"
 
+let test_only_export =
+  rule test_only_export_id ~severity:Finding.Warning ~applies:in_lib
+    ~doc:
+      "every val in a lib/ .mli is mentioned outside its module by a program path \
+       (lib, bin, bench, examples, perfbench), not only by test/; keep a reference or \
+       substitution interface with [@@lint.allow \"oracle hook: test/<file>\"] or \
+       [@@lint.allow \"test fake: test/<file>\"]"
+
 let all =
   [
     determinism_random;
@@ -295,6 +306,7 @@ let all =
     mli_coverage;
     hot_path_alloc;
     domain_safety;
+    test_only_export;
   ]
 
 let find id = List.find_opt (fun r -> r.id = id) all

@@ -36,19 +36,25 @@ val all : t list
 val hot_path_alloc_id : string
 (** ["hot-path-alloc"] — allocation sites reachable from a [[@hot]] entry
     point.  Declared here (severity, policy, docs) but computed by the
-    interprocedural layer in {!Engine.lint_sources}; per-file runs
-    ({!Engine.lint_string}) never produce it. *)
+    interprocedural layer in {!Engine.lint_sources}. *)
 
 val domain_safety_id : string
 (** ["domain-safety"] — toplevel mutable state in [lib/].  Declared here,
     computed by the interprocedural layer. *)
 
+val test_only_export_id : string
+(** ["test-only-export"] — a [val] in a [lib/] [.mli] that nothing
+    outside its own module mentions except [test/].  Declared here,
+    computed by the interprocedural layer. *)
+
+val test_only_export_reasons : string list
+(** The reasons a [test-only-export] allow may give in place of the rule
+    id: ["oracle hook"] and ["test fake"], each followed by [": "] and the
+    [test/] file that uses the value. *)
+
 val find : string -> t option
 (** Look up a rule by id. *)
 
 val ids : string list
-
-val in_lib : string -> bool
-(** [true] when the path has a ["lib"] directory component. *)
 
 val in_test : string -> bool

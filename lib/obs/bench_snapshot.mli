@@ -13,7 +13,7 @@
     tight tolerances.
 
     [of_string] is the exact inverse of [to_string] for every value
-    {!validate} accepts; non-finite numbers have no JSON spelling, so a
+    {!write} accepts; non-finite numbers have no JSON spelling, so a
     NaN snapshot neither writes nor parses — the comparator's bad-input
     exit (124) leans on this. *)
 
@@ -39,18 +39,12 @@ type t = {
   phases : Profile.stat list;
 }
 
-val version : int
-(** Current schema version, embedded in every document and checked on
-    parse. *)
-
 val metric :
   ?unit_:string -> ?direction:direction -> ?tolerance_pct:float -> string -> float -> metric
 (** Defaults: unit [""], direction {!Info}, no tolerance override. *)
 
 val direction_to_string : direction -> string
 (** ["lower"], ["higher"] or ["info"] — the JSON spelling. *)
-
-val direction_of_string : string -> (direction, string) result
 
 val make :
   figure:string ->
@@ -61,28 +55,16 @@ val make :
   unit ->
   t
 
-val filename : string -> string
-(** [filename figure] is ["BENCH_<figure>.json"] with every character
-    outside [[A-Za-z0-9_]] mapped to ['_'] (so figure id
-    ["degraded-mode"] keeps its historical [BENCH_degraded_mode.json]
-    name). *)
-
-val validate : t -> (unit, string) result
-(** Every metric and phase value is finite, metric names are unique, and
-    tolerances are non-negative. *)
-
-val to_json : t -> Json.t
-
-val of_json : Json.t -> (t, string) result
-
 val to_string : t -> string
-
 val of_string : string -> (t, string) result
 
 val write : t -> dir:string -> (string, string) result
-(** Validate, then write the one-line JSON document as
-    [dir/filename t.figure], creating [dir] (and parents) if needed;
-    returns the path written. *)
+(** Validate (every metric and phase value finite, metric names unique,
+    tolerances non-negative), then write the one-line JSON document as
+    [dir/BENCH_<figure>.json], every character of the figure outside
+    [[A-Za-z0-9_]] mapped to ['_'] (so ["degraded-mode"] keeps its
+    historical [BENCH_degraded_mode.json] name), creating [dir] (and
+    parents) if needed; returns the path written. *)
 
 val read : string -> (t, string) result
 (** Load and validate a snapshot file; the error names the path. *)

@@ -11,7 +11,9 @@ type manual = { mutable at_ms : float }
 let manual ?(start = 0.0) () =
   let m = { at_ms = start } in
   ({ now_ms = (fun () -> m.at_ms) }, m)
+[@@lint.allow "test fake: test/test_obs.ml"]
 
 let advance m ms =
   if ms < 0.0 then invalid_arg "Clock.advance: negative step";
   m.at_ms <- m.at_ms +. ms
+[@@lint.allow "test fake: test/test_obs.ml"]

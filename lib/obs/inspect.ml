@@ -264,9 +264,6 @@ let load_report ~top ~dir =
 
 let load ?(top = 5) dir = load_report ~top ~dir
 
-let counter report name =
-  Option.value ~default:0 (List.assoc_opt name report.counters)
-
 (* The robustness counters Metrics.pp_robustness reports, in its order. *)
 let robustness_names =
   [ "crashes"; "recoveries"; "switch_down_epochs"; "fetch_timeouts"; "fetch_retries";

@@ -42,9 +42,5 @@ val load : ?top:int -> string -> (report, string) result
 (** [load dir] reads the bundle under [dir]; [top] bounds [noisiest]
     (default 5). *)
 
-val counter : report -> string -> int
-(** Value of a named counter (the registry name, e.g. ["fetch_retries"]);
-    0 when absent. *)
-
 val pp : Format.formatter -> report -> unit
 (** The human summary the [inspect] subcommand prints. *)

@@ -83,10 +83,6 @@ val observe_epoch : Registry.t -> wall_ms:float -> gc:Gc_stats.reading -> unit
     bit-identically (the [inspect] subcommand and the tests rely on
     this). *)
 
-val stat_to_json : stat -> Json.t
-
-val stat_of_json : Json.t -> (stat, string) result
-
 val stats_to_json : stat list -> Json.t
 
 val stats_of_json : Json.t -> (stat list, string) result

@@ -17,7 +17,7 @@ module Gauge = struct
 
   let make () = { v = 0.0 }
   let set g v = g.v <- v
-  let value g = g.v
+  let value g = g.v [@@lint.allow "oracle hook: test/test_bench.ml"]
 end
 
 module Histogram = struct
@@ -28,15 +28,12 @@ module Histogram = struct
   type t = {
     mutable count : int;
     mutable sum : float;
-    mutable vmin : float;
-    mutable vmax : float;
     mutable underflow : int; (* observations <= 0 *)
     tbl : (int, int ref) Hashtbl.t; (* bucket index -> count *)
   }
 
   let make () =
-    { count = 0; sum = 0.0; vmin = Float.nan; vmax = Float.nan; underflow = 0;
-      tbl = Hashtbl.create 16 }
+    { count = 0; sum = 0.0; underflow = 0; tbl = Hashtbl.create 16 }
 
   (* Bucket [i] covers (gamma^(i-1), gamma^i]. *)
   let bucket_of v = int_of_float (Float.ceil (Float.log v /. log_gamma))
@@ -44,14 +41,6 @@ module Histogram = struct
   let observe h v =
     h.count <- h.count + 1;
     h.sum <- h.sum +. v;
-    if h.count = 1 then begin
-      h.vmin <- v;
-      h.vmax <- v
-    end
-    else begin
-      if v < h.vmin then h.vmin <- v;
-      if v > h.vmax then h.vmax <- v
-    end;
     if v <= 0.0 then h.underflow <- h.underflow + 1
     else begin
       let i = bucket_of v in
@@ -60,39 +49,11 @@ module Histogram = struct
       | None -> Hashtbl.replace h.tbl i (ref 1)
     end
 
-  let count h = h.count
-  let sum h = h.sum
-  let mean h = if h.count = 0 then Float.nan else h.sum /. float_of_int h.count
-  let min_value h = h.vmin
+  let count h = h.count [@@lint.allow "oracle hook: test/test_obs.ml"]
+  let sum h = h.sum [@@lint.allow "oracle hook: test/test_obs.ml"]
 
   let sorted_buckets h =
     Hashtbl.fold (fun i r acc -> (i, !r) :: acc) h.tbl [] |> List.sort compare
-
-  let percentile h p =
-    if p < 0.0 || p > 100.0 then invalid_arg "Histogram.percentile: p out of range";
-    if h.count = 0 then Float.nan
-    else begin
-      let target = max 1 (int_of_float (Float.ceil (p /. 100.0 *. float_of_int h.count))) in
-      if target <= h.underflow then Float.min h.vmin 0.0
-      else begin
-        let rec go cum = function
-          | [] -> h.vmax
-          | (i, n) :: rest ->
-            let cum' = cum + n in
-            if target <= cum' then begin
-              let lo = Float.max h.vmin ((gamma ** float_of_int (i - 1)) : float) in
-              let hi = Float.min h.vmax (gamma ** float_of_int i) in
-              if lo <= 0.0 || hi <= lo then hi
-              else begin
-                let frac = float_of_int (target - cum) /. float_of_int n in
-                lo *. ((hi /. lo) ** frac)
-              end
-            end
-            else go cum' rest
-        in
-        go h.underflow (sorted_buckets h)
-      end
-    end
 
   let buckets h =
     let pos = List.map (fun (i, n) -> (gamma ** float_of_int i, n)) (sorted_buckets h) in

@@ -37,35 +37,15 @@ end
 
 module Histogram : sig
   (** Log-scale histogram: positive observations land in geometric buckets
-      (ratio {!gamma} between consecutive bounds), non-positive ones in a
-      dedicated underflow bucket.  Exact count, sum, min and max are kept
-      alongside, so percentile estimates are clamped to the observed
-      range. *)
+      (ratio 1.25 between consecutive bounds), non-positive ones in a
+      dedicated underflow bucket.  Exact count and sum are kept alongside,
+      and the Prometheus exposition reads all three. *)
 
   type t
-
-  val gamma : float
-  (** Bucket growth ratio (1.25: estimates are within 25% by
-      construction, and a span from microseconds to minutes needs only
-      ~90 buckets). *)
 
   val observe : t -> float -> unit
   val count : t -> int
   val sum : t -> float
-  val mean : t -> float
-  (** [nan] when empty. *)
-
-  val min_value : t -> float
-  (** Observed minimum; [nan] when empty. *)
-
-  val percentile : t -> float -> float
-  (** Estimate by geometric interpolation inside the covering bucket,
-      clamped to the observed min/max; [nan] when empty.
-      @raise Invalid_argument if [p] is outside \[0, 100\]. *)
-
-  val buckets : t -> (float * int) list
-  (** Non-empty buckets as (inclusive upper bound, count), bounds
-      ascending.  Non-positive observations report under bound [0.]. *)
 end
 
 val create : unit -> t
@@ -88,10 +68,6 @@ type value =
   | Histogram_v of Histogram.t
 
 type sample = { name : string; labels : labels; value : value }
-
-val samples : t -> sample list
-(** Every registered instrument, sorted by (name, labels) so snapshots
-    are deterministic. *)
 
 val to_prometheus : t -> string
 (** The whole registry in the Prometheus text exposition format.  Metric

@@ -53,9 +53,6 @@ val record_task : t -> task_row -> unit
 
 val record_switch : t -> switch_row -> unit
 
-val task_rows : t -> task_row list
-(** In recording order. *)
-
 val switch_rows : t -> switch_row list
 
 val write_dir : t -> dir:string -> (unit, string) result
@@ -63,5 +60,3 @@ val write_dir : t -> dir:string -> (unit, string) result
     the failing path on any I/O problem. *)
 
 val tasks_csv_header : string
-
-val switches_csv_header : string

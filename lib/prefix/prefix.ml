@@ -25,8 +25,6 @@ let wildcard_bits t = address_bits - t.length
 
 let size t = 1 lsl wildcard_bits t
 
-let is_exact t = t.length = address_bits
-
 let first_address t = t.bits
 
 let last_address t = t.bits lor ((1 lsl wildcard_bits t) - 1)
@@ -38,38 +36,9 @@ let covers a b = a.length <= b.length && b.bits land mask a.length = a.bits
 let covers_bits ~abits ~alen ~bbits ~blen =
   alen <= blen && (abits lxor bbits) lsr (address_bits - alen) = 0
 
-let is_ancestor_of a b = a.length < b.length && covers a b
-
-let parent t = if t.length = 0 then None else Some { bits = t.bits land mask (t.length - 1); length = t.length - 1 }
-
-let left_child t = if is_exact t then None else Some { bits = t.bits; length = t.length + 1 }
-
-let right_child t =
-  if is_exact t then None
-  else Some { bits = t.bits lor (1 lsl (address_bits - t.length - 1)); length = t.length + 1 }
-
-let children t =
-  match (left_child t, right_child t) with
-  | Some l, Some r -> Some (l, r)
-  | _, _ -> None
-
-let sibling t =
-  if t.length = 0 then None
-  else Some { bits = t.bits lxor (1 lsl (address_bits - t.length)); length = t.length }
-
 let ancestor_at t len =
   if len > t.length then invalid_arg "Prefix.ancestor_at: requested length exceeds prefix length";
   { bits = t.bits land mask len; length = len }
-
-let common_ancestor a b =
-  let max_len = min a.length b.length in
-  let rec find len =
-    if len > max_len then max_len
-    else if a.bits land mask len <> b.bits land mask len then len - 1
-    else find (len + 1)
-  in
-  let len = find 1 in
-  { bits = a.bits land mask len; length = len }
 
 let nth_descendant t ~length:len i =
   if len < t.length then invalid_arg "Prefix.nth_descendant: length shorter than prefix";
@@ -77,8 +46,6 @@ let nth_descendant t ~length:len i =
   let count = 1 lsl (len - t.length) in
   if i < 0 || i >= count then invalid_arg "Prefix.nth_descendant: index out of range";
   { bits = t.bits lor (i lsl (address_bits - len)); length = len }
-
-let equal a b = a.bits = b.bits && a.length = b.length
 
 let compare a b =
   let c = Int.compare a.bits b.bits in

@@ -40,17 +40,11 @@ val wildcard_bits : t -> int
 val size : t -> int
 (** Number of addresses covered: [2 ^ wildcard_bits]. *)
 
-val is_exact : t -> bool
-(** True for /32 prefixes (a single address). *)
-
 val first_address : t -> address
 val last_address : t -> address
 (** Inclusive address range covered by the prefix. *)
 
 val contains : t -> address -> bool
-
-val is_ancestor_of : t -> t -> bool
-(** [is_ancestor_of a b] is true when [a] strictly contains [b]. *)
 
 val covers : t -> t -> bool
 (** [covers a b] is true when [a = b] or [a] is an ancestor of [b]. *)
@@ -59,40 +53,20 @@ val covers_bits : abits:int -> alen:int -> bbits:int -> blen:int -> bool
 (** {!covers} on prefixes given as ({!bits}, {!length}) pairs, for walks
     that track trie nodes without building prefixes. *)
 
-val parent : t -> t option
-(** [None] for the root prefix. *)
-
-val left_child : t -> t option
-val right_child : t -> t option
-(** Children one bit longer; [None] for /32 prefixes. *)
-
-val children : t -> (t * t) option
-(** Both children at once; [None] for /32 prefixes. *)
-
-val sibling : t -> t option
-(** The other child of the parent; [None] for the root. *)
-
 val ancestor_at : t -> int -> t
 (** [ancestor_at p len] is the length-[len] prefix containing [p].
     @raise Invalid_argument if [len > length p]. *)
-
-val common_ancestor : t -> t -> t
-(** Longest prefix covering both arguments. *)
 
 val nth_descendant : t -> length:int -> int -> t
 (** [nth_descendant p ~length i] is the [i]-th (in address order) descendant
     of [p] with the given length.  @raise Invalid_argument if [length <
     length p] or [i] is out of range. *)
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
-(** Total order: by first address, then by length (shorter first), so a
-    sorted list groups ancestors immediately before their descendants. *)
-
 (** {2 Packed keys}
 
     A prefix packed into one int, [first_address lsl 6 lor length].  Keys
-    order exactly like {!compare}, so the monitor's counter table, the
+    order by first address, then by length (shorter first), which is
+    also the order of {!Map} and {!Set}, so the monitor's counter table, the
     TCAM's rule columns and the counter reads between them are sorted int
     columns, with no prefix built. *)
 

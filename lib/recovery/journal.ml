@@ -30,15 +30,6 @@ type entry =
       mean_accuracy : float;
     }
 
-let epoch_of = function
-  | Admit { epoch; _ }
-  | Reject { epoch; _ }
-  | Alloc { epoch; _ }
-  | Switch_down { epoch; _ }
-  | Switch_up { epoch; _ }
-  | Task_end { epoch; _ } ->
-    epoch
-
 let entry_name = function
   | Admit _ -> "admit"
   | Reject _ -> "reject"

@@ -55,16 +55,9 @@ type entry =
       mean_accuracy : float;
     }
 
-val epoch_of : entry -> int
-
 val entry_name : entry -> string
 (** Stable lowercase tag per constructor ([Admit] -> ["admit"], …) — used
     to break down replayed journal suffixes in the telemetry trace. *)
-
-val encode : Dream_util.Codec.writer -> entry -> unit
-
-val decode : Dream_util.Codec.reader -> entry
-(** @raise Dream_util.Codec.Parse_error on malformed input. *)
 
 val entry_to_string : entry -> string
 

@@ -102,6 +102,7 @@ let run_once ?(config = Config.default) ?(checkpoint_interval = default_checkpoi
     reconverge_epochs = List.rev !reconverge;
     accuracy_dips = List.rev !dips;
   }
+[@@lint.allow "oracle hook: test/test_recovery.ml"]
 
 let sweep ?config ?checkpoint_interval ?(seeds = default_seeds) ?(rates = default_rates) scenario
     strategy =

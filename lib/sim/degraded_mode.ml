@@ -65,6 +65,7 @@ let sweep ?config ?fault_seed ?(levels = default_levels) scenario strategy =
         run_point ?config ?fault_seed ~degraded:None scenario strategy level;
       ])
     levels
+[@@lint.allow "oracle hook: test/test_degraded.ml"]
 
 (* The acceptance experiment: partitions always take out exactly a quarter
    of the fleet.  With [partition_groups = 4] and [partition_eligible = 1],
@@ -107,6 +108,7 @@ let run_quarter ?config ?(fault_seed = 97) scenario strategy =
       scenario strategy
   in
   { q_baseline; q_partition; q_stall; q_sustained }
+[@@lint.allow "oracle hook: test/test_degraded.ml"]
 
 let print_points points =
   Table.row

@@ -49,14 +49,6 @@ val sweep :
   point list
 (** Degraded and baseline runs, paired per level. *)
 
-val quarter_partition_spec : ?seed:int -> ?rate:float -> unit -> Dream_fault.Fault_model.spec
-(** A fault spec whose partitions always take out exactly a quarter of the
-    fleet: 4 partition groups, only group 0 eligible — with a switch count
-    divisible by 4, switches congruent to 0 mod 4 partition together while
-    the rest never do.  [rate] (default 0.12, windows of mean 8 epochs, a
-    roughly 50% duty cycle) sets how often group 0's window reopens;
-    [~rate:1.0] keeps it partitioned back-to-back. *)
-
 type quarter = {
   q_baseline : point;  (** degraded mode on, no faults at all *)
   q_partition : point;  (** degraded mode on, 25% of the fleet partitioned (default duty cycle) *)

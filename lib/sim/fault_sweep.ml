@@ -25,9 +25,6 @@ let run_point ?(config = Config.default) ?(fault_seed = 97) scenario strategy ra
     mean_accuracy = Metrics.mean_accuracy result.Experiment.records;
   }
 
-let sweep ?config ?fault_seed ?(rates = default_rates) scenario strategy =
-  List.map (fun rate -> run_point ?config ?fault_seed scenario strategy rate) rates
-
 type aggregate = {
   agg_rate : float;
   agg_strategy : string;
@@ -61,27 +58,6 @@ let sweep_seeds ?config ?(seeds = default_seeds) ?(rates = default_rates) scenar
         agg_drop_pct = over (fun p -> p.summary.Metrics.drop_pct);
       })
     rates
-
-let print_points points =
-  Table.row
-    [ "rate"; "mean-sat"; "p5-sat"; "accuracy"; "drop%"; "down-ep"; "stale"; "retries"; "reinst" ];
-  List.iter
-    (fun p ->
-      let s = p.summary in
-      let r = s.Metrics.robustness in
-      Table.row
-        [
-          Printf.sprintf "%.2f" p.rate;
-          Table.pct s.Metrics.mean_satisfaction;
-          Table.pct s.Metrics.p5_satisfaction;
-          Table.f2 p.mean_accuracy;
-          Table.pct s.Metrics.drop_pct;
-          string_of_int r.Metrics.switch_down_epochs;
-          string_of_int r.Metrics.stale_epochs;
-          string_of_int r.Metrics.fetch_retries;
-          string_of_int r.Metrics.recovery_reinstalls;
-        ])
-    points
 
 let pm (s : Metrics.stat) = Printf.sprintf "%.1f±%.1f" s.mean s.stddev
 let pm_frac (s : Metrics.stat) = Printf.sprintf "%.2f±%.2f" s.mean s.stddev

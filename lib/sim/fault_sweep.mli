@@ -18,25 +18,6 @@ type point = {
 val default_rates : float list
 (** [0; 0.02; 0.05; 0.1; 0.2] *)
 
-val run_point :
-  ?config:Dream_core.Config.t ->
-  ?fault_seed:int ->
-  Dream_workload.Scenario.t ->
-  Dream_alloc.Allocator.strategy ->
-  float ->
-  point
-
-val sweep :
-  ?config:Dream_core.Config.t ->
-  ?fault_seed:int ->
-  ?rates:float list ->
-  Dream_workload.Scenario.t ->
-  Dream_alloc.Allocator.strategy ->
-  point list
-
-val print_points : point list -> unit
-(** The satisfaction-vs-failure-rate table. *)
-
 (** {1 Multi-seed aggregation}
 
     One seed per point makes the sweep an anecdote; the aggregate runs

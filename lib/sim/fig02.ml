@@ -72,6 +72,7 @@ let recall_series ~seed ~resources ~epochs ~bin =
     raw := (epoch, Ground_truth.evaluate s.ground_truth data (Task.items s.task)) :: !raw
   done;
   binned !raw ~bin
+[@@lint.allow "oracle hook: test/test_sim.ml"]
 
 let per_switch_recall (spec : Task_spec.t) data items sw =
   let view = Epoch_data.switch_view data sw in

@@ -19,10 +19,6 @@ val recall_series :
 (** Binned global recall of a single HH task driven with a fixed total
     counter budget split over two switches. *)
 
-val per_switch_series :
-  seed:int -> resources:int -> epochs:int -> bin:int -> (point list * point list)
-(** Binned per-switch recall of the same setup (switch 0, switch 1). *)
-
 val run : quick:bool -> Dream_obs.Bench_snapshot.metric list
 (** Prints the figure tables and returns the headline numbers (mean
     recall per budget and per switch) for the benchmark snapshot. *)

@@ -8,6 +8,7 @@ let goal epoch =
   else if epoch < 300 then 600
   else if epoch < 400 then 1400
   else 300
+[@@lint.allow "oracle hook: test/test_sim.ml"]
 
 let simulate policy ~epochs =
   let params = Step_policy.default_params in
@@ -39,6 +40,7 @@ let simulate policy ~epochs =
     allocations.(epoch) <- !alloc
   done;
   { policy; allocations }
+[@@lint.allow "oracle hook: test/test_sim.ml"]
 
 let mean_absolute_error trace =
   let n = Array.length trace.allocations in
@@ -47,6 +49,7 @@ let mean_absolute_error trace =
     (fun epoch alloc -> sum := !sum +. Float.abs (float_of_int (alloc - goal epoch)))
     trace.allocations;
   !sum /. float_of_int (max 1 n)
+[@@lint.allow "oracle hook: test/test_sim.ml"]
 
 let run ~quick =
   let epochs = if quick then 250 else 500 in

@@ -3,19 +3,12 @@ type t = {
   depth : int;
   seed : int;
   rows : float array array; (* depth x width *)
-  mutable total : float;
 }
 
 let create ~width ~depth ~seed =
   if width <= 0 then invalid_arg "Count_min.create: width must be positive";
   if depth <= 0 then invalid_arg "Count_min.create: depth must be positive";
-  { width; depth; seed; rows = Array.init depth (fun _ -> Array.make width 0.0); total = 0.0 }
-
-let width t = t.width
-
-let depth t = t.depth
-
-let cells t = t.width * t.depth
+  { width; depth; seed; rows = Array.init depth (fun _ -> Array.make width 0.0) }
 
 (* splitmix64 finalizer over (key, row, seed): cheap, deterministic, and
    well-mixed across rows. *)
@@ -33,8 +26,7 @@ let update t ~key volume =
   for row = 0 to t.depth - 1 do
     let b = bucket t ~key row in
     t.rows.(row).(b) <- t.rows.(row).(b) +. volume
-  done;
-  t.total <- t.total +. volume
+  done
 
 let estimate t ~key =
   let best = ref infinity in
@@ -44,27 +36,4 @@ let estimate t ~key =
   done;
   if !best = infinity then 0.0 else !best
 
-let total t = t.total
-
-let epsilon t = Float.exp 1.0 /. float_of_int t.width
-
-let failure_probability t = Float.exp (-.float_of_int t.depth)
-
-let error_bound t = epsilon t *. t.total
-
-let merge a b =
-  if a.width <> b.width || a.depth <> b.depth then
-    invalid_arg "Count_min.merge: dimension mismatch";
-  if a.seed <> b.seed then invalid_arg "Count_min.merge: seed mismatch";
-  let merged = create ~width:a.width ~depth:a.depth ~seed:a.seed in
-  for row = 0 to a.depth - 1 do
-    for col = 0 to a.width - 1 do
-      merged.rows.(row).(col) <- a.rows.(row).(col) +. b.rows.(row).(col)
-    done
-  done;
-  merged.total <- a.total +. b.total;
-  merged
-
-let reset t =
-  Array.iter (fun row -> Array.fill row 0 (Array.length row) 0.0) t.rows;
-  t.total <- 0.0
+let reset t = Array.iter (fun row -> Array.fill row 0 (Array.length row) 0.0) t.rows

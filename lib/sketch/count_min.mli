@@ -11,35 +11,13 @@
 type t
 
 val create : width:int -> depth:int -> seed:int -> t
-(** @raise Invalid_argument unless [width > 0] and [depth > 0].  Sketches
-    must share a seed (and dimensions) to be mergeable. *)
-
-val width : t -> int
-val depth : t -> int
-val cells : t -> int
-(** [width * depth]: the resource cost. *)
+(** @raise Invalid_argument unless [width > 0] and [depth > 0]. *)
 
 val update : t -> key:int -> float -> unit
 (** Add volume to a key.  @raise Invalid_argument on negative volume. *)
 
 val estimate : t -> key:int -> float
 (** Point query: an upper bound on the key's true volume. *)
-
-val total : t -> float
-(** Total volume inserted. *)
-
-val epsilon : t -> float
-(** e / width. *)
-
-val failure_probability : t -> float
-(** e^-depth: probability a query exceeds the error bound. *)
-
-val error_bound : t -> float
-(** [epsilon * total]: the with-high-probability cap on over-counting. *)
-
-val merge : t -> t -> t
-(** Cell-wise sum; the merge of two streams.
-    @raise Invalid_argument when dimensions or seeds differ. *)
 
 val reset : t -> unit
 (** Zero all cells (start a new epoch). *)

@@ -4,8 +4,6 @@ let create ~bits ~seed =
   if bits <= 0 then invalid_arg "Distinct.create: bits must be positive";
   { bits; seed; words = Bytes.make ((bits + 7) / 8) '\000'; set_bits = 0 }
 
-let bits t = t.bits
-
 let mix t x =
   let open Int64 in
   let z = of_int (x lxor (t.seed * 0x9E3779B9)) in
@@ -28,21 +26,6 @@ let estimate t =
   let b = float_of_int t.bits in
   if zeros = 0 then b *. Float.log b
   else -.b *. Float.log (float_of_int zeros /. b)
-
-let saturated t = t.set_bits = t.bits
-
-let merge_into dst src =
-  if dst.bits <> src.bits then invalid_arg "Distinct.merge_into: size mismatch";
-  if dst.seed <> src.seed then invalid_arg "Distinct.merge_into: seed mismatch";
-  let set_bits = ref 0 in
-  for i = 0 to Bytes.length dst.words - 1 do
-    let merged = Char.code (Bytes.get dst.words i) lor Char.code (Bytes.get src.words i) in
-    Bytes.set dst.words i (Char.chr merged);
-    (* popcount per byte *)
-    let rec count n acc = if n = 0 then acc else count (n lsr 1) (acc + (n land 1)) in
-    set_bits := !set_bits + count merged 0
-  done;
-  dst.set_bits <- !set_bits
 
 let reset t =
   Bytes.fill t.words 0 (Bytes.length t.words) '\000';

@@ -11,20 +11,11 @@ type t
 val create : bits:int -> seed:int -> t
 (** @raise Invalid_argument if [bits <= 0]. *)
 
-val bits : t -> int
-
 val add : t -> int -> unit
 (** Record one element (by integer identity). *)
 
 val estimate : t -> float
 (** Estimated number of distinct elements added.  Saturates at
     [b * ln b] when every bit is set. *)
-
-val saturated : t -> bool
-(** All bits set: the estimate is only a lower bound now. *)
-
-val merge_into : t -> t -> unit
-(** [merge_into dst src]: bitwise-or [src] into [dst].
-    @raise Invalid_argument on size or seed mismatch. *)
 
 val reset : t -> unit

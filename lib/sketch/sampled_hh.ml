@@ -3,7 +3,6 @@ module Prefix = Dream_prefix.Prefix
 module Aggregate = Dream_traffic.Aggregate
 module Flow = Dream_traffic.Flow
 module Task_spec = Dream_tasks.Task_spec
-module Report = Dream_tasks.Report
 module Ground_truth = Dream_tasks.Ground_truth
 module Items = Dream_tasks.Items
 
@@ -18,8 +17,6 @@ type t = {
 let create ~spec ~budget ~seed () =
   if budget <= 0 then invalid_arg "Sampled_hh.create: budget must be positive";
   { spec; budget; rng = Rng.create seed; sampled = []; rate = 1.0 }
-
-let budget t = t.budget
 
 let key_of t addr =
   Prefix.bits (Prefix.ancestor_at (Prefix.of_address addr) t.spec.Task_spec.leaf_length)
@@ -49,16 +46,6 @@ let detections t =
       if scaled > threshold then Some (key, scaled) else None)
     t.sampled
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
-let report t ~epoch =
-  let leaf_length = t.spec.Task_spec.leaf_length in
-  let items =
-    List.map
-      (fun (key, scaled) ->
-        { Report.prefix = Prefix.make ~bits:key ~length:leaf_length; magnitude = scaled })
-      (detections t)
-  in
-  { Report.kind = t.spec.Task_spec.kind; epoch; items }
 
 let real_accuracy t aggregate ~precision =
   let truth = Ground_truth.true_heavy_hitters t.spec aggregate in

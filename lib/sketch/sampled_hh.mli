@@ -17,13 +17,8 @@ val create :
 (** [budget] is the resource count: flow records retained per epoch.
     @raise Invalid_argument if [budget <= 0]. *)
 
-val budget : t -> int
-
 val observe_epoch : t -> Dream_traffic.Aggregate.t -> unit
 (** Sample one epoch's flows under the task filter. *)
-
-val report : t -> epoch:int -> Dream_tasks.Report.t
-(** Keys whose scaled sampled volume exceeds the threshold. *)
 
 val real_accuracy : t -> Dream_traffic.Aggregate.t -> precision:bool -> float
 (** Ground-truth precision / recall of the current report. *)

@@ -2,40 +2,19 @@ module Prefix = Dream_prefix.Prefix
 module Aggregate = Dream_traffic.Aggregate
 module Flow = Dream_traffic.Flow
 module Task_spec = Dream_tasks.Task_spec
-module Report = Dream_tasks.Report
 module Ground_truth = Dream_tasks.Ground_truth
 module Items = Dream_tasks.Items
 
 type t = {
   spec : Task_spec.t;
-  depth : int;
-  seed : int;
-  mutable sketch : Count_min.t;
+  sketch : Count_min.t;
   candidates : (int, unit) Hashtbl.t; (* keys seen this epoch *)
 }
 
-let dims ~cells ~depth =
-  if cells < depth then invalid_arg "Sketch_hh.create: fewer cells than rows";
-  max 1 (cells / depth)
-
 let create ~spec ~cells ?(depth = 4) ~seed () =
-  let width = dims ~cells ~depth in
-  {
-    spec;
-    depth;
-    seed;
-    sketch = Count_min.create ~width ~depth ~seed;
-    candidates = Hashtbl.create 256;
-  }
-
-let spec t = t.spec
-
-let cells t = Count_min.cells t.sketch
-
-let resize t ~cells =
-  let width = dims ~cells ~depth:t.depth in
-  if width <> Count_min.width t.sketch then
-    t.sketch <- Count_min.create ~width ~depth:t.depth ~seed:t.seed
+  if cells < depth then invalid_arg "Sketch_hh.create: fewer cells than rows";
+  let width = max 1 (cells / depth) in
+  { spec; sketch = Count_min.create ~width ~depth ~seed; candidates = Hashtbl.create 256 }
 
 let key_of t addr =
   Prefix.bits (Prefix.ancestor_at (Prefix.of_address addr) t.spec.Task_spec.leaf_length)
@@ -59,30 +38,6 @@ let detections t =
       if estimate > threshold then (key, estimate) :: acc else acc)
     t.candidates []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
-let report t ~epoch =
-  let leaf_length = t.spec.Task_spec.leaf_length in
-  let items =
-    List.map
-      (fun (key, estimate) ->
-        { Report.prefix = Prefix.make ~bits:key ~length:leaf_length; magnitude = estimate })
-      (detections t)
-  in
-  { Report.kind = t.spec.Task_spec.kind; epoch; items }
-
-let estimate_precision t =
-  let threshold = t.spec.Task_spec.threshold in
-  let bound = Count_min.error_bound t.sketch in
-  match detections t with
-  | [] -> 1.0
-  | ds ->
-    let value (_, estimate) =
-      (* The estimate never under-counts, so [estimate - bound] is a
-         w.h.p. lower bound on the true volume: clearing the threshold by
-         the bound confirms the detection. *)
-      if estimate -. bound > threshold then 1.0 else 0.5
-    in
-    List.fold_left (fun acc d -> acc +. value d) 0.0 ds /. float_of_int (List.length ds)
 
 let real_accuracy t aggregate ~precision =
   let truth = Ground_truth.true_heavy_hitters t.spec aggregate in

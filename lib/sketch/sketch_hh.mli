@@ -5,12 +5,8 @@
 
     Unlike the TCAM path, a sketch sees every flow immediately (no
     drill-down latency) but over-counts under hash collisions, so the
-    failure mode flips: recall is perfect, precision is not.  The accuracy
-    estimator exploits the Count-Min error bound: a detection whose
-    estimate clears the threshold by more than the bound is certainly
-    true (value 1); one inside the error band may be a collision artefact
-    (value 0.5).  The average of the values estimates precision, playing
-    the role the paper's TCAM estimators play for allocation. *)
+    failure mode flips: recall is perfect, precision is not.  The
+    ablation compares it with sampling at equal resources. *)
 
 type t
 
@@ -19,25 +15,9 @@ val create : spec:Dream_tasks.Task_spec.t -> cells:int -> ?depth:int -> seed:int
     (default 4) of [cells / depth] counters.
     @raise Invalid_argument if [cells < depth]. *)
 
-val spec : t -> Dream_tasks.Task_spec.t
-
-val cells : t -> int
-
-val resize : t -> cells:int -> unit
-(** Apply a new resource allocation (takes effect immediately; the next
-    {!observe_epoch} uses the new dimensions). *)
-
 val observe_epoch : t -> Dream_traffic.Aggregate.t -> unit
 (** Feed one epoch's traffic (keys are leaf prefixes under the task's
     filter, as for the TCAM tasks). *)
-
-val report : t -> epoch:int -> Dream_tasks.Report.t
-(** Keys whose estimate exceeds the threshold, with estimates as
-    magnitudes. *)
-
-val estimate_precision : t -> float
-(** Estimated precision of the current report, in \[0, 1\] (1 when nothing
-    is detected). *)
 
 val real_accuracy : t -> Dream_traffic.Aggregate.t -> precision:bool -> float
 (** Ground-truth precision (or recall with [~precision:false]) of the

@@ -24,10 +24,6 @@ let create ?(depth = 4) ?(cell_bits = 64) ~cells ~threshold ~seed () =
     pairs = 0;
   }
 
-let cells t = t.depth * t.width
-
-let threshold t = t.threshold
-
 let bucket t ~src row =
   let open Int64 in
   let z = of_int (src lxor (row * 0x85EBCA6B) lxor (t.seed * 0xC2B2AE35)) in

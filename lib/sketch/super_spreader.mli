@@ -19,18 +19,11 @@ val create :
     = 64 bits by default, [depth] = 4 rows); [threshold] is the fan-out k.
     @raise Invalid_argument if [cells < depth]. *)
 
-val cells : t -> int
-
-val threshold : t -> int
-
 val observe : t -> src:int -> dst:int -> unit
 (** Record one connection. *)
 
 val begin_epoch : t -> unit
 (** Clear the sketch and the candidate set for a new epoch. *)
-
-val fanout : t -> src:int -> float
-(** Estimated distinct destinations contacted by [src] this epoch. *)
 
 val detected : t -> (int * float) list
 (** Sources whose estimated fan-out exceeds the threshold, with their

@@ -32,8 +32,6 @@ val create : config -> t
 
 val state : t -> state
 
-val config : t -> config
-
 val opens : t -> int
 (** Times this breaker has tripped (including probe-failure re-opens). *)
 

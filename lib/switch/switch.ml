@@ -14,8 +14,6 @@ let tcam t = t.tcam
 
 let capacity t = Tcam.capacity t.tcam
 
-let faults t = t.faults
-
 let network ?faults ~num_switches ~capacity () =
   if num_switches <= 0 then
     invalid_arg (Printf.sprintf "Switch.network: num_switches must be positive, got %d" num_switches);

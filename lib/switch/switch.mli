@@ -30,8 +30,6 @@ val tcam : t -> Tcam.t
 
 val capacity : t -> int
 
-val faults : t -> Dream_fault.Fault_model.t option
-
 val network :
   ?faults:Dream_fault.Fault_model.t -> num_switches:int -> capacity:int -> unit -> t array
 (** [network ~num_switches ~capacity ()] builds switches 0..n-1 with equal

@@ -26,8 +26,6 @@ let capacity t = t.capacity
 
 let used t = t.used
 
-let free t = t.capacity - t.used
-
 let[@inline] get keys i = Int64.to_int (Bytes.get_int64_ne keys (i lsl 3))
 
 let[@inline] set keys i v = Bytes.set_int64_ne keys (i lsl 3) (Int64.of_int v)

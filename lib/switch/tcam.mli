@@ -34,8 +34,6 @@ val capacity : t -> int
 val used : t -> int
 (** Total installed rules across all owners. *)
 
-val free : t -> int
-
 val used_by : t -> owner:int -> int
 (** The owner's rule count, without listing the rules. *)
 

@@ -1,7 +1,5 @@
 type t = { global : float; locals : float array }
 
-let perfect ~switches_per_task = { global = 1.0; locals = Array.make switches_per_task 1.0 }
-
 let local t b = t.locals.(b)
 
 let overall t b = Float.max t.global (local t b)

@@ -10,12 +10,6 @@ type t = {
           {!Dream_traffic.Switch_mask}) *)
 }
 
-val perfect : switches_per_task:int -> t
-(** Accuracy 1 everywhere — what an idle task (no traffic) reports. *)
-
-val local : t -> int -> float
-(** Local accuracy on the switch of a sub-filter bit. *)
-
 val overall : t -> int -> float
 (** [max global local] — the overall accuracy used for allocation
     decisions. *)

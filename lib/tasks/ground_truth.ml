@@ -176,3 +176,4 @@ let true_heavy_hitters spec aggregate = fresh heavy_hitters spec aggregate
 
 let true_hierarchical_heavy_hitters spec aggregate =
   fresh hierarchical_heavy_hitters spec aggregate
+[@@lint.allow "oracle hook: test/test_estimators.ml"]

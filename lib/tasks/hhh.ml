@@ -116,26 +116,6 @@ let detect w =
   Items.reserve w.items (2 * n);
   visit w (Prefix.bits filter) (Prefix.length filter) 0 n
 
-let estimate_recall monitor =
-  let spec = Monitor.spec monitor in
-  let threshold = spec.Task_spec.threshold in
-  let leaf_length = spec.Task_spec.leaf_length in
-  let items = Items.create ~values:true () in
-  detect (create monitor items);
-  (* Every coarse (non-exact) detection may stand in for several finer
-     HHHs; bound the hidden ones by its residual volume, as the HH
-     estimator bounds missed heavy hitters by prefix volume. *)
-  let missed = ref 0 in
-  for i = 0 to items.Items.n - 1 do
-    if Prefix.key_length items.Items.keys.(i) < leaf_length then begin
-      let hidden = int_of_float (Float.floor (items.Items.mags.(i) /. threshold)) - 1 in
-      missed := !missed + max 0 hidden
-    end
-  done;
-  let detected = items.Items.n in
-  if detected + !missed = 0 then 1.0
-  else float_of_int detected /. float_of_int (detected + !missed)
-
 let estimate w ~allocations =
   let monitor = w.m and items = w.items in
   let n = items.Items.n in

@@ -28,10 +28,3 @@ val detect : t -> unit
 val estimate : t -> allocations:int array -> Accuracy.t
 (** Estimated precision of this epoch's {!detect}, under allocations
     indexed by sub-filter bit. *)
-
-val estimate_recall : Monitor.t -> float
-(** Recall estimated like the HH estimator (Section 5.3: "for HHH tasks,
-    recall can be calculated similar to HH tasks"): detected HHHs over
-    detected plus a bound on the HHHs hiding inside coarse detections and
-    unresolved over-threshold prefixes.  The paper observes this tracks
-    precision; the test suite checks the correlation. *)

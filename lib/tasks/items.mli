@@ -3,10 +3,9 @@
     Item [i], for [0 <= i < n], is the prefix of packed key [keys.(i)]
     ({!Dream_prefix.Prefix.key}) with magnitude [mags.(i)] and, in a
     buffer made with [~values:true] (HHH detections), estimated precision
-    value [vals.(i)].  Keys order like
-    {!Dream_prefix.Prefix.compare}, and every buffer the estimators and
-    ground truth fill is in strictly ascending key order, so two of them
-    are compared by one merge.
+    value [vals.(i)].  Keys order by first address, then length, and
+    every buffer the estimators and ground truth fill is in strictly
+    ascending key order, so two of them are compared by one merge.
 
     The fields are open so that a writer stores floats straight into the
     columns: a float passed to a function of another module is boxed.

@@ -180,15 +180,7 @@ let is_exact t i = length_at t i >= t.spec.Task_spec.leaf_length
 
 let switch_count t i = Switch_mask.cardinal (get t.masks i)
 
-let total t i = t.totals.(i)
-
-let score t i = t.scores.(i)
-
-let set_score t i s = t.scores.(i) <- s
-
 let fresh t i = flag t i fresh_flag
-
-let volume_on t i b = if flag t i (present b) then t.vols.((i * t.k) + b) else 0.0
 
 let volumes t i =
   let acc = ref [] in
@@ -207,11 +199,6 @@ let mean t i =
 let seeded t i = flag t i seeded_flag
 
 let has_volume t i b = flag t i (present b)
-
-(* [|total - mean|], or 0 before any history. *)
-let cd_deviation t i =
-  let total = t.totals.(i) in
-  Float.abs (total -. if flag t i seeded_flag then t.means.(i) else total)
 
 (* Ewma.update's arithmetic, on the mean column. *)
 let update_means t =
@@ -237,10 +224,6 @@ let slot_of_key t key =
   let i = bisect t (Prefix.key_bits key) 0 t.n in
   if i < t.n && get t.keys i = key then i else -1
 
-let find t p =
-  let i = slot_of_key t (Prefix.key p) in
-  if i < 0 then None else Some i
-
 let rec fold_down f t ~first i acc = if i < first then acc else fold_down f t ~first (i - 1) (f i acc)
 
 let fold f t acc = fold_down f t ~first:0 (t.n - 1) acc
@@ -265,8 +248,6 @@ let fold_seeing f t b acc =
 let switches t = t.switches
 
 let usage t b = t.usage.(b)
-
-let active t = t.active_mask
 
 (* The rules of a switch are the counters seeing it, one run of slots;
    none on a switch outside {!active}. *)

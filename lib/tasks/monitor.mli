@@ -31,13 +31,15 @@
 
     Int columns are [Bytes], 8 bytes a slot ([Bytes.get_int64_ne] at
     [i lsl 3]): [keys], each a {!Dream_prefix.Prefix.key}, so they order
-    like [Prefix.compare]; [masks], the S sets ([Topology.prefix_mask]);
-    [flags], fresh ([1]), CD mean seeded ([2]) and one volume-presence bit
+    by first address, then length; [masks], the S sets
+    ([Topology.prefix_mask]); [flags], fresh ([1]), CD mean seeded ([2]) and one volume-presence bit
     per sub-filter ([4 lsl b]); [stamps], unique per counter created, which
     tells a live counter from one merged away and recreated on the same
-    prefix.  Float columns: {!total}, {!score} and the CD mean of slot [i]
-    at index [i], and in [vols] its volume on sub-filter [b] at
-    [i * k + b], where {!has_volume}. *)
+    prefix.  Float columns: [totals] (the sum of the counter's fetched
+    volumes, in ascending switch-id order), [scores] (task-dependent
+    "interestingness", set by the scorer) and [means] (the CD volume
+    mean, where {!seeded}) of slot [i] at index [i], and in [vols] its
+    volume on sub-filter [b] at [i * k + b], where {!has_volume}. *)
 type t = private {
   spec : Task_spec.t;
   topology : Dream_traffic.Topology.t;
@@ -57,7 +59,11 @@ type t = private {
   mutable next_stamp : int;
   switches : Dream_traffic.Switch_mask.t;  (** every switch seeing the filter *)
   usage : int array;  (** entries per sub-filter, kept incrementally *)
-  mutable active_mask : Dream_traffic.Switch_mask.t;  (** {!active} *)
+  mutable active_mask : Dream_traffic.Switch_mask.t;
+      (** the switches the task installs rules on, those with a non-zero
+          allocation: a baseline allocator (e.g. Equal under extreme
+          overload) can grant zero entries on a switch, and the task then
+          goes blind there instead of violating switch capacity *)
 }
 
 val create : spec:Task_spec.t -> topology:Dream_traffic.Topology.t -> t
@@ -73,11 +79,6 @@ val num_counters : t -> int
 
 (** {2 Slots} *)
 
-val find : t -> Dream_prefix.Prefix.t -> int option
-(** The slot of the counter on exactly this prefix: one bisect. *)
-
-val prefix : t -> int -> Dream_prefix.Prefix.t
-
 val wildcards : t -> int -> int
 (** Free bits down to the task's drill-down floor ([leaf_length]). *)
 
@@ -88,33 +89,11 @@ val switch_count : t -> int -> int
 (** The size of the counter's S set: the switches that can see traffic
     for its prefix. *)
 
-val total : t -> int -> float
-(** The sum of the counter's fetched volumes, in ascending switch-id
-    order. *)
-
-val volume_on : t -> int -> int -> float
-(** [volume_on t slot bit]: last fetched volume on the switch of a
-    sub-filter bit; 0 when it has none. *)
-
-val volumes : t -> int -> (Dream_traffic.Switch_id.t * float) list
-(** Every fetched volume, in ascending switch-id order. *)
-
-val score : t -> int -> float
-(** Task-dependent "interestingness", set by the scorer. *)
-
-val set_score : t -> int -> float -> unit
-
 val fresh : t -> int -> bool
 (** Installed by the last reconfiguration and not measured since. *)
 
-val mean : t -> int -> float option
-(** The CD volume mean, [None] before any history (unused by HH/HHH). *)
-
-val cd_deviation : t -> int -> float
-(** [|total - mean|]; 0 before any history. *)
-
 val seeded : t -> int -> bool
-(** Whether the slot's CD mean has history ({!mean} is [Some]). *)
+(** Whether the slot's CD mean has history. *)
 
 val has_volume : t -> int -> int -> bool
 (** [has_volume t i b]: slot [i] has a volume on the switch of bit [b]
@@ -145,12 +124,6 @@ val switches : t -> Dream_traffic.Switch_mask.t
 val usage : t -> int -> int
 (** TCAM entries this task occupies on the switch of a sub-filter bit. *)
 
-val active : t -> Dream_traffic.Switch_mask.t
-(** Switches the task currently installs rules on — those with a non-zero
-    allocation.  A baseline allocator (e.g. Equal under extreme overload)
-    can grant zero entries on a switch; the task then goes blind there
-    instead of violating switch capacity. *)
-
 (** {2 Facing the data plane}
 
     A switch's rules are the counters whose S set holds it: one run of
@@ -162,7 +135,7 @@ val active : t -> Dream_traffic.Switch_mask.t
 
 val rules_start : t -> Dream_traffic.Switch_id.t -> int
 (** First slot of the switch's rules (none on a switch outside
-    {!active}). *)
+    [active_mask]). *)
 
 val rules_stop : t -> Dream_traffic.Switch_id.t -> int -> int
 (** [rules_stop t sw (rules_start t sw)]: one past the last slot of the
@@ -208,7 +181,7 @@ val divide : t -> int -> unit
     half its CD mean. *)
 
 val set_active : t -> Dream_traffic.Switch_mask.t -> unit
-(** Install rules on these sub-filters' switches only (see {!active}),
+(** Install rules on these sub-filters' switches only ([active_mask]),
     recounting {!usage} when the set changes. *)
 
 val is_partition : t -> bool

@@ -1,28 +1,17 @@
 module Prefix = Dream_prefix.Prefix
 
 type t = {
-  kind : Task_spec.kind;
   over : string;
   threshold : float;
-  accuracy : float option;
-  priority : Task_spec.priority option;
+  accuracy : float;
   leaf_length : int;
 }
 
-let make kind over =
-  { kind; over; threshold = 8.0; accuracy = None; priority = None; leaf_length = 32 }
-
-let heavy_hitters ~over = make Task_spec.Heavy_hitter over
-
-let hierarchical_heavy_hitters ~over = make Task_spec.Hierarchical_heavy_hitter over
-
-let changes ~over = make Task_spec.Change_detection over
+let heavy_hitters ~over = { over; threshold = 8.0; accuracy = 0.8; leaf_length = 32 }
 
 let exceeding_mb threshold t = { t with threshold }
 
-let with_accuracy accuracy t = { t with accuracy = Some accuracy }
-
-let with_priority priority t = { t with priority = Some priority }
+let with_accuracy accuracy t = { t with accuracy }
 
 let drill_to leaf_length t = { t with leaf_length }
 
@@ -33,15 +22,7 @@ let to_spec t =
   | filter ->
     if t.threshold <= 0.0 then Error "threshold must be positive"
     else begin
-      let accuracy_bound, drop_priority =
-        match (t.accuracy, t.priority) with
-        | Some a, _ ->
-          (* An explicit bound wins; a priority still orders drops. *)
-          (a, match t.priority with Some p -> Task_spec.drop_priority_of p | None -> 0)
-        | None, Some p -> (Task_spec.bound_of_priority p, Task_spec.drop_priority_of p)
-        | None, None -> (0.8, 0)
-      in
-      if accuracy_bound < 0.0 || accuracy_bound > 1.0 then
+      if t.accuracy < 0.0 || t.accuracy > 1.0 then
         Error "accuracy bound must lie in [0, 1]"
       else if t.leaf_length <= Prefix.length filter || t.leaf_length > Prefix.address_bits then
         Error
@@ -49,8 +30,8 @@ let to_spec t =
              t.leaf_length (Prefix.length filter))
       else
         Ok
-          (Task_spec.make ~kind:t.kind ~filter ~leaf_length:t.leaf_length
-             ~threshold:t.threshold ~accuracy_bound ~drop_priority ())
+          (Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter ~leaf_length:t.leaf_length
+             ~threshold:t.threshold ~accuracy_bound:t.accuracy ())
     end
 
 let to_spec_exn t =

@@ -7,21 +7,15 @@
         heavy_hitters ~over:"10.0.0.0/8"
         |> exceeding_mb 8.0
         |> with_accuracy 0.9
-        |> to_spec)
+        |> to_spec_exn)
     ]}
 
-    Builders are immutable; [to_spec] validates everything at once and
-    returns an error message rather than raising. *)
+    Builders are immutable; {!to_spec_exn} validates everything at once. *)
 
 type t
 
 val heavy_hitters : over:string -> t
 (** HH detection over the dotted-quad prefix filter [over]. *)
-
-val hierarchical_heavy_hitters : over:string -> t
-
-val changes : over:string -> t
-(** Change detection. *)
 
 val exceeding_mb : float -> t -> t
 (** Threshold in Mb per epoch (default 8). *)
@@ -30,15 +24,9 @@ val with_accuracy : float -> t -> t
 (** Accuracy bound in \[0, 1\] (default 0.8, the diminishing-returns
     point). *)
 
-val with_priority : Task_spec.priority -> t -> t
-(** Use an operator priority instead of an explicit bound: sets both the
-    accuracy bound and the drop priority (the paper's footnote 2). *)
-
 val drill_to : int -> t -> t
 (** Prefix length of an "exact" item (default 32: exact IPs). *)
 
-val to_spec : t -> (Task_spec.t, string) result
-(** Validate and build.  Errors name the offending field. *)
-
 val to_spec_exn : t -> Task_spec.t
-(** @raise Invalid_argument with the error message. *)
+(** Validate and build.
+    @raise Invalid_argument with a message naming the offending field. *)

@@ -28,6 +28,3 @@ val report : t -> unit
 
 val estimate : t -> allocations:int array -> Accuracy.t
 (** Estimated recall under allocations indexed by sub-filter bit. *)
-
-val missed_bound : wildcards:int -> magnitude:float -> threshold:float -> int
-(** The min-of-two-bounds estimate of items missed under one prefix. *)

@@ -4,8 +4,6 @@ type item = { prefix : Prefix.t; magnitude : float }
 
 type t = { kind : Task_spec.kind; epoch : int; items : item list }
 
-let prefixes t = Prefix.Set.of_list (List.map (fun i -> i.prefix) t.items)
-
 let size t = List.length t.items
 
 let pp ppf t =

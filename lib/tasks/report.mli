@@ -15,8 +15,6 @@ type t = { kind : Task_spec.kind; epoch : int; items : item list }
 val of_items : kind:Task_spec.kind -> epoch:int -> Items.t -> t
 (** The report of a buffer's items, in its (key) order. *)
 
-val prefixes : t -> Dream_prefix.Prefix.Set.t
-
 val size : t -> int
 
 val pp : Format.formatter -> t -> unit

@@ -71,16 +71,3 @@ let accuracy_metric t =
   | Heavy_hitter | Change_detection -> `Recall
   | Hierarchical_heavy_hitter -> `Precision
 
-type priority = Critical | High | Normal | Background
-
-let bound_of_priority = function
-  | Critical -> 0.95
-  | High -> 0.9
-  | Normal -> 0.8
-  | Background -> 0.6
-
-let drop_priority_of = function Critical -> 0 | High -> 10 | Normal -> 20 | Background -> 30
-
-let pp ppf t =
-  Format.fprintf ppf "%a(%a, theta=%.1fMb, bound=%.0f%%)" pp_kind t.kind Prefix.pp t.filter
-    t.threshold (t.accuracy_bound *. 100.0)

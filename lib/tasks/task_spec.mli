@@ -41,18 +41,6 @@ val accuracy_metric : t -> [ `Recall | `Precision ]
 (** Which accuracy measure drives allocation: recall for HH and CD,
     precision for HHH (Table 1). *)
 
-type priority = Critical | High | Normal | Background
-
-val bound_of_priority : priority -> float
-(** The paper's footnote 2: operators may prefer priorities to accuracy
-    bounds; a deployed system translates them.  Critical 0.95, High 0.9,
-    Normal 0.8 (the diminishing-returns default), Background 0.6. *)
-
-val drop_priority_of : priority -> int
-(** A matching drop ordering: Background tasks are dropped first. *)
-
-val pp : Format.formatter -> t -> unit
-
 val kind_of_string : string -> kind option
 (** Inverse of {!kind_to_string}. *)
 

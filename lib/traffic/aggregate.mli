@@ -31,9 +31,6 @@ val sorted_fast_path : t -> bool
 val volume : t -> Dream_prefix.Prefix.t -> float
 (** Total volume of addresses covered by the prefix. *)
 
-val count_addresses : t -> Dream_prefix.Prefix.t -> int
-(** Number of distinct active addresses under the prefix. *)
-
 val total : t -> float
 (** Volume of all flows. *)
 

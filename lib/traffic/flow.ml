@@ -4,10 +4,6 @@ type t = { addr : Prefix.address; volume : float }
 
 let make ~addr ~volume = { addr; volume }
 
-let pp ppf t = Format.fprintf ppf "%a:%.2fMb" Prefix.pp (Prefix.of_address t.addr) t.volume
-
-let total_volume flows = List.fold_left (fun acc f -> acc +. f.volume) 0.0 flows
-
 let rec sorted_distinct = function
   | [] | [ _ ] -> true
   | a :: (b :: _ as rest) -> a.addr < b.addr && sorted_distinct rest

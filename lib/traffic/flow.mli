@@ -6,10 +6,6 @@ type t = { addr : Dream_prefix.Prefix.address; volume : float }
 
 val make : addr:Dream_prefix.Prefix.address -> volume:float -> t
 
-val pp : Format.formatter -> t -> unit
-
-val total_volume : t list -> float
-
 val sorted_distinct : t list -> bool
 (** True when addresses are strictly ascending — {!combine} would return
     the list unchanged.  The aggregate build fast path keys off this. *)

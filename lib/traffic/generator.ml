@@ -150,12 +150,6 @@ let parse r =
     by_switch = Hashtbl.create 16;
   }
 
-let topology t = t.topology
-
-let profile t = t.profile
-
-let current_epoch t = t.epoch
-
 let heavy_target t =
   let scale =
     List.fold_left
@@ -232,10 +226,4 @@ let next t =
   t.epoch <- t.epoch + 1;
   data
 
-let skip t n =
-  for _ = 1 to n do
-    advance_population t;
-    t.epoch <- t.epoch + 1
-  done
-
-let active_heavy_count t = List.length t.heavies
+let active_heavy_count t = List.length t.heavies [@@lint.allow "oracle hook: test/test_traffic.ml"]

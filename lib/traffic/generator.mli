@@ -12,19 +12,8 @@ val create :
   Dream_util.Rng.t -> topology:Topology.t -> profile:Profile.t -> t
 (** @raise Invalid_argument if the profile fails {!Profile.validate}. *)
 
-val topology : t -> Topology.t
-
-val profile : t -> Profile.t
-
-val current_epoch : t -> int
-(** Index the next {!next} call will produce, starting at 0. *)
-
 val next : t -> Epoch_data.t
 (** Generate one epoch and advance. *)
-
-val skip : t -> int -> unit
-(** [skip t n] advances the generator [n] epochs without materialising
-    aggregates (population dynamics still evolve). *)
 
 val active_heavy_count : t -> int
 (** Number of currently active heavy sources (for tests/calibration). *)

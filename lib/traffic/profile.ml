@@ -31,19 +31,6 @@ let default ~threshold =
     switch_skew = 0.6;
   }
 
-let steady ~threshold ~heavy_count =
-  {
-    threshold;
-    heavy_count;
-    medium_count = 0;
-    small_count = 0;
-    heavy_alpha = 1.25;
-    churn = 0.0;
-    jitter = 0.0;
-    phases = [];
-    switch_skew = 0.0;
-  }
-
 let emit w t =
   let module C = Dream_util.Codec in
   C.section w "profile";

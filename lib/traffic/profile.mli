@@ -30,9 +30,6 @@ val default : threshold:float -> t
     then double the heavy population.  Sized so one task's resource target
     is a few hundred TCAM entries — the scale of the paper's Figure 2. *)
 
-val steady : threshold:float -> heavy_count:int -> t
-(** No phases, no churn, no jitter: deterministic volumes, for tests. *)
-
 val validate : t -> (unit, string) result
 (** Check ranges (counts non-negative, probabilities in \[0,1\], alpha > 1,
     phases sorted with non-negative scales). *)

@@ -15,7 +15,7 @@ let next t =
     | Replay { epochs; cycle } ->
       let n = Array.length epochs in
       let index = if cycle then t.clock mod n else t.clock in
-      if index < n then { epochs.(index) with Epoch_data.epoch = t.clock }
+      if index < n then epochs.(index)
       else
         {
           Epoch_data.epoch = t.clock;

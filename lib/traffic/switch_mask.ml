@@ -6,10 +6,6 @@ let full topology = (1 lsl Topology.switches_per_task topology) - 1
 
 let[@inline] mem_bit b m = m land (1 lsl b) <> 0
 
-let mem topology sw m =
-  let b = Topology.bit_of_switch topology sw in
-  b >= 0 && mem_bit b m
-
 let rec cardinal m = if m = 0 then 0 else 1 + cardinal (m land (m - 1))
 
 (* The walks below visit Topology.switch_order from position [j]. *)

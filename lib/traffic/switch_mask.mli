@@ -13,9 +13,6 @@ val full : Topology.t -> t
 
 val mem_bit : int -> t -> bool
 
-val mem : Topology.t -> Switch_id.t -> t -> bool
-(** [false] for a switch the topology never maps. *)
-
 val cardinal : t -> int
 
 val fold : Topology.t -> (Switch_id.t -> int -> 'a -> 'a) -> t -> 'a -> 'a

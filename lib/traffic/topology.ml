@@ -74,10 +74,6 @@ let parse r =
   in
   make ~filter ~num_switches ~switches_per_task subfilters
 
-let filter t = t.filter
-
-let num_switches t = t.num_switches
-
 let switches_per_task t = t.switches_per_task
 
 let subfilters t = Array.to_list t.subfilters

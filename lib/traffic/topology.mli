@@ -28,10 +28,6 @@ val max_switches_per_task : int
 (** 32: sub-filter sets are [int] bitmasks (see {!prefix_mask}), one bit
     per sub-filter. *)
 
-val filter : t -> Dream_prefix.Prefix.t
-
-val num_switches : t -> int
-
 val switches_per_task : t -> int
 
 val subfilters : t -> (Dream_prefix.Prefix.t * Switch_id.t) list

@@ -12,14 +12,10 @@
     1 0 10.16.3.9 11.9
     v} *)
 
-val write : out_channel -> Epoch_data.t list -> unit
-
-val read : in_channel -> (Epoch_data.t list, string) result
-(** Errors carry the offending line number and reason. *)
-
 val save_file : string -> Epoch_data.t list -> unit
 
 val load_file : string -> (Epoch_data.t list, string) result
+(** Errors carry the offending line number and reason. *)
 
 val record :
   Generator.t -> epochs:int -> Epoch_data.t list

@@ -21,9 +21,6 @@ val value : t -> float option
 val value_or : t -> float -> float
 (** [value_or t default] is the current average, or [default] if empty. *)
 
-val reset : t -> unit
-(** Forget all history. *)
-
 val scale : t -> float -> unit
 (** [scale t k] multiplies the current average by [k] (used when a monitored
     prefix is split and its history is shared between children).  No-op when

@@ -59,7 +59,7 @@ let split t =
   let seed = Int64.to_int (next t) land max_int in
   create seed
 
-let copy = Bytes.copy
+let copy = Bytes.copy [@@lint.allow "oracle hook: test/test_fault.ml"]
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -68,16 +68,10 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
 
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Rng.int_in: empty range";
-  lo + int t (hi - lo + 1)
-
 let float t bound =
   (* 53 random bits mapped to [0, 1). *)
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (v *. 0x1.0p-53)
-
-let bool t = Int64.logand (next t) 1L = 1L
 
 let bernoulli t p = float t 1.0 < p
 
@@ -88,6 +82,7 @@ let exponential t mean =
 let gaussian t =
   let u1 = float t 1.0 +. 1e-12 and u2 = float t 1.0 in
   sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
+[@@lint.allow "oracle hook: test/reference_fault.ml"]
 
 (* [thin_jitter]'s draws: private copies of [float t 1.0] and [gaussian],
    term for term, inlined so no float crosses a call boxed.  The bound is
@@ -123,25 +118,6 @@ let lognormal t ~mu ~sigma = exp (mu +. (sigma *. gaussian t))
 let pareto t ~alpha ~xmin =
   let u = 1.0 -. float t 1.0 in
   xmin /. (u ** (1.0 /. alpha))
-
-let poisson t lambda =
-  if lambda <= 0.0 then 0
-  else if lambda < 64.0 then begin
-    (* Knuth's product-of-uniforms method. *)
-    let l = exp (-.lambda) in
-    let rec loop k p =
-      let p = p *. float t 1.0 in
-      if p <= l then k else loop (k + 1) p
-    in
-    loop 0 1.0
-  end
-  else begin
-    (* Normal approximation, adequate for workload arrival counts. *)
-    let u1 = float t 1.0 +. 1e-12 and u2 = float t 1.0 in
-    let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
-    let v = lambda +. (sqrt lambda *. z) in
-    if v < 0.0 then 0 else int_of_float v
-  end
 
 (* The rejection-method helpers live at top level so [zipf] builds no
    closures per draw (it runs once per emitted packet on the generator's

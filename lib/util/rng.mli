@@ -27,14 +27,8 @@ val int : t -> int -> int
 (** [int t bound] is uniform in \[0, bound).  @raise Invalid_argument if
     [bound <= 0]. *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in \[lo, hi\] inclusive. *)
-
 val float : t -> float -> float
 (** [float t bound] is uniform in \[0, bound). *)
-
-val bool : t -> bool
-(** Fair coin. *)
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
@@ -62,10 +56,6 @@ val lognormal : t -> mu:float -> sigma:float -> float
 
 val pareto : t -> alpha:float -> xmin:float -> float
 (** [pareto t ~alpha ~xmin] samples a Pareto(alpha) variate >= xmin. *)
-
-val poisson : t -> float -> int
-(** [poisson t lambda] samples a Poisson variate (Knuth for small lambda,
-    normal approximation above 64). *)
 
 val zipf : t -> n:int -> s:float -> int
 (** [zipf t ~n ~s] samples a rank in \[1, n\] under a Zipf(s) law by

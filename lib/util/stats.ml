@@ -29,41 +29,6 @@ let percentile p xs =
 
 let median xs = percentile 50.0 xs
 
-let minimum = function
-  | [] -> invalid_arg "Stats.minimum: empty sample"
-  | x :: xs -> List.fold_left min x xs
-
 let maximum = function
   | [] -> invalid_arg "Stats.maximum: empty sample"
   | x :: xs -> List.fold_left max x xs
-
-let approx_equal ?(eps = 1e-9) a b =
-  (* |a - b| <= eps; inf -. inf is nan, so equal infinities need the
-     IEEE-equality case, and any nan operand falls through to false. *)
-  a = b || Float.abs (a -. b) <= eps
-
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  p5 : float;
-  median : float;
-  p95 : float;
-  max : float;
-}
-
-let summarize = function
-  | [] -> None
-  | xs ->
-    Some
-      {
-        count = List.length xs;
-        mean = mean xs;
-        stddev = stddev xs;
-        min = minimum xs;
-        p5 = percentile 5.0 xs;
-        median = median xs;
-        p95 = percentile 95.0 xs;
-        max = maximum xs;
-      }

@@ -19,27 +19,4 @@ val percentile : float -> float list -> float
 val median : float list -> float
 (** [nan] on the empty list, like {!percentile}. *)
 
-val minimum : float list -> float
 val maximum : float list -> float
-
-val approx_equal : ?eps:float -> float -> float -> bool
-(** [approx_equal a b] is true when [|a - b| <= eps] (default [1e-9]).
-    The epsilon helper dream-lint's [float-equality] rule asks for in
-    place of [=] on floats.  Total: [nan] compares unequal to
-    everything (including itself); two like-signed infinities compare
-    equal. *)
-
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  p5 : float;
-  median : float;
-  p95 : float;
-  max : float;
-}
-(** One-shot description of a sample. *)
-
-val summarize : float list -> summary option
-(** [None] on the empty list. *)

@@ -18,27 +18,22 @@ let binned samples ~bin =
 let bars = [| "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83"; "\xe2\x96\x84";
               "\xe2\x96\x85"; "\xe2\x96\x86"; "\xe2\x96\x87"; "\xe2\x96\x88" |]
 
-let sparkline ?lo ?hi values =
-  match values with
-  | [] -> ""
-  | _ :: _ ->
-    let lo = match lo with Some v -> v | None -> List.fold_left Float.min infinity values in
-    let hi = match hi with Some v -> v | None -> List.fold_left Float.max neg_infinity values in
-    let span = hi -. lo in
-    let buffer = Buffer.create (3 * List.length values) in
-    List.iter
-      (fun v ->
-        let index =
-          if span <= 0.0 then 0
-          else begin
-            let scaled = (v -. lo) /. span *. 7.0 in
-            let i = int_of_float (Float.round scaled) in
-            if i < 0 then 0 else if i > 7 then 7 else i
-          end
-        in
-        Buffer.add_string buffer bars.(index))
-      values;
-    Buffer.contents buffer
+let sparkline ~lo ~hi values =
+  let span = hi -. lo in
+  let buffer = Buffer.create (3 * List.length values) in
+  List.iter
+    (fun v ->
+      let index =
+        if span <= 0.0 then 0
+        else begin
+          let scaled = (v -. lo) /. span *. 7.0 in
+          let i = int_of_float (Float.round scaled) in
+          if i < 0 then 0 else if i > 7 then 7 else i
+        end
+      in
+      Buffer.add_string buffer bars.(index))
+    values;
+  Buffer.contents buffer
 
 let of_points points = List.map (fun p -> p.value) points
 
@@ -50,5 +45,5 @@ let pp_series ppf ~name points =
     let mean = List.fold_left ( +. ) 0.0 values /. float_of_int (List.length values) in
     let lo = List.fold_left Float.min infinity values in
     let hi = List.fold_left Float.max neg_infinity values in
-    Format.fprintf ppf "%-16s %s  min %.2f  mean %.2f  max %.2f" name (sparkline values) lo mean
-      hi
+    Format.fprintf ppf "%-16s %s  min %.2f  mean %.2f  max %.2f" name (sparkline ~lo ~hi values)
+      lo mean hi

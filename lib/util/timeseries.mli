@@ -9,11 +9,6 @@ val binned : (int * float) list -> bin:int -> point list
     epoch), averaging the values; sorted by epoch.
     @raise Invalid_argument if [bin <= 0]. *)
 
-val sparkline : ?lo:float -> ?hi:float -> float list -> string
-(** Render values as a bar-glyph string, scaled into \[lo, hi\] (defaults:
-    the data's own range).  Empty input yields the empty string. *)
-
-val of_points : point list -> float list
-
 val pp_series : Format.formatter -> name:string -> point list -> unit
-(** One line: name, sparkline, min/mean/max. *)
+(** One line: name, a sparkline (one bar glyph per point, scaled into
+    the series' own min-max range), then min/mean/max. *)

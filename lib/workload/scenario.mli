@@ -31,10 +31,6 @@ type t = {
           traffic — the heterogeneity that makes Equal's tail collapse. *)
 }
 
-val heterogeneous_profile : Dream_util.Rng.t -> float -> Dream_traffic.Profile.t
-(** The default [profile_of]: {!Dream_traffic.Profile.default} calibrated
-    to the given threshold, with a per-task size factor of 0.5x-6x. *)
-
 val fixed_traffic_profile : calibration:float -> Dream_util.Rng.t -> float -> Dream_traffic.Profile.t
 (** A [profile_of] that ignores the scenario threshold and calibrates
     traffic to [calibration] instead — for threshold sweeps, where traffic

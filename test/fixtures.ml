@@ -11,7 +11,7 @@ module Aggregate = Dream_traffic.Aggregate
 module Epoch_data = Dream_traffic.Epoch_data
 module Task_spec = Dream_tasks.Task_spec
 module Task = Dream_tasks.Task
-module Monitor = Dream_tasks.Monitor
+module Monitor = Monitor_views
 module Tcam = Dream_switch.Tcam
 module Score = Dream_tasks.Score
 
@@ -127,3 +127,7 @@ let converged_task ?kind ?threshold ~per_switch ~epochs () =
     last := Some (drive_task task ~data ~allocations ~epoch)
   done;
   (task, !last)
+
+(* The set of prefixes a report names. *)
+let report_prefixes (r : Dream_tasks.Report.t) =
+  Prefix.Set.of_list (List.map (fun (i : Dream_tasks.Report.item) -> i.prefix) r.items)

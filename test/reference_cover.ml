@@ -4,9 +4,9 @@
    records, child lists, one Set operation per trie node) and runs the
    greedy over plain candidate lists.  Only the tests use it. *)
 
-module Prefix = Dream_prefix.Prefix
+module Prefix = Prefix_ops
 module Switch_id = Dream_traffic.Switch_id
-module Monitor = Dream_tasks.Monitor
+module Monitor = Monitor_views
 
 type solution = { ancestors : Prefix.t list; cost : float }
 

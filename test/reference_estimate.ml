@@ -4,7 +4,7 @@
    bottom-up fold over the naive trie (Reference_trie.fold_monitor) sorted
    by List.sort, magnitudes through closures.  Only the tests use it. *)
 
-module Monitor = Dream_tasks.Monitor
+module Monitor = Monitor_views
 module Task_spec = Dream_tasks.Task_spec
 module Report = Dream_tasks.Report
 module Accuracy = Dream_tasks.Accuracy
@@ -140,7 +140,7 @@ module Cd = struct
 end
 
 module Hhh = struct
-  module Prefix = Dream_prefix.Prefix
+  module Prefix = Prefix_ops
   module Switch_mask = Dream_traffic.Switch_mask
   module Topology = Dream_traffic.Topology
 

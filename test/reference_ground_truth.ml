@@ -5,7 +5,7 @@
 
 module Task_spec = Dream_tasks.Task_spec
 module Report = Dream_tasks.Report
-module Prefix = Dream_prefix.Prefix
+module Prefix = Prefix_ops
 module Aggregate = Dream_traffic.Aggregate
 module Epoch_data = Dream_traffic.Epoch_data
 
@@ -122,7 +122,7 @@ let ratio num den = if den = 0 then 1.0 else float_of_int num /. float_of_int de
 
 let evaluate t epoch_data report =
   let aggregate = epoch_data.Epoch_data.combined in
-  let reported = Report.prefixes report in
+  let reported = Fixtures.report_prefixes report in
   let true_items =
     match t.spec.Task_spec.kind with
     | Task_spec.Heavy_hitter -> true_heavy_hitters t.spec aggregate

@@ -2,7 +2,7 @@
    Monitor's accessors: the oracle of Score.apply, which writes the whole
    score column in one pass.  Only the tests use it. *)
 
-module Monitor = Dream_tasks.Monitor
+module Monitor = Monitor_views
 module Task_spec = Dream_tasks.Task_spec
 
 let of_slot monitor i =

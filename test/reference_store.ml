@@ -48,10 +48,6 @@ let volume t p =
   let lo, hi = range t p in
   t.cumulative.(hi) -. t.cumulative.(lo)
 
-let count_addresses t p =
-  let lo, hi = range t p in
-  hi - lo
-
 let total t = t.cumulative.(Array.length t.addrs)
 
 let num_addresses t = Array.length t.addrs

@@ -3,7 +3,7 @@
    owner's rules are a Prefix.Set, reads map Aggregate.volume over the
    set's elements.  Only the tests use it. *)
 
-module Prefix = Dream_prefix.Prefix
+module Prefix = Prefix_ops
 module Aggregate = Dream_traffic.Aggregate
 
 type stats = { installs : int; removals : int; fetches : int }

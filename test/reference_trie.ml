@@ -5,7 +5,7 @@
    every prefix on the path from the root prefix to a bound prefix; values
    hang off any node.  Only the tests use it. *)
 
-module Prefix = Dream_prefix.Prefix
+module Prefix = Prefix_ops
 
 type 'a node = { value : 'a option; left : 'a node option; right : 'a node option }
 
@@ -177,7 +177,7 @@ let fold_bottom_up t ~f =
    a structural node, children left first.  Under the partition invariant
    a counter is a leaf. *)
 let fold_monitor m ~f =
-  let module Monitor = Dream_tasks.Monitor in
+  let module Monitor = Monitor_views in
   let trie = ref (empty (Monitor.spec m).Dream_tasks.Task_spec.filter) in
   for i = 0 to Monitor.num_counters m - 1 do
     trie := add !trie (Monitor.prefix m i) i

@@ -11,6 +11,15 @@ module Registry = Dream_obs.Registry
 
 (* {1 Codec} *)
 
+let with_temp_dir f =
+  let dir = Filename.temp_dir "dream_bench" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+
 let gc_reading i =
   {
     Gc_stats.minor_words = float_of_int (i * 1000) /. 16.0;
@@ -72,8 +81,8 @@ let test_nan_never_round_trips () =
       ~metrics:[ Snapshot.metric "broken" Float.nan ]
       ()
   in
-  (match Snapshot.validate snap with
-  | Ok () -> Alcotest.fail "validate accepted a NaN metric"
+  (match with_temp_dir (fun dir -> Snapshot.write snap ~dir) with
+  | Ok _ -> Alcotest.fail "wrote a NaN metric"
   | Error _ -> ());
   (* Even if the document were forced out, NaN renders as JSON null and
      the reader rejects it — the comparator's 124 path. *)
@@ -82,10 +91,16 @@ let test_nan_never_round_trips () =
   | Error _ -> ()
 
 let test_filename_sanitizes () =
+  let filename figure =
+    with_temp_dir (fun dir ->
+        match Snapshot.write (Snapshot.make ~figure ~quick:true ()) ~dir with
+        | Ok path -> Filename.basename path
+        | Error e -> Alcotest.failf "write failed: %s" e)
+  in
   Alcotest.(check string) "dash maps to underscore" "BENCH_degraded_mode.json"
-    (Snapshot.filename "degraded-mode");
+    (filename "degraded-mode");
   Alcotest.(check string) "path chars map to underscore" "BENCH____fig_6.json"
-    (Snapshot.filename "../fig 6")
+    (filename "../fig 6")
 
 (* {1 Comparator} *)
 

@@ -14,7 +14,7 @@ module Snapshot = Dream_obs.Bench_snapshot
 (* dune runs tests from _build/default/test; a manual `./test_….exe` from
    the repo root also works thanks to the fallback path. *)
 let baseline figure =
-  let file = Snapshot.filename figure in
+  let file = "BENCH_" ^ figure ^ ".json" in
   let in_build = Filename.concat "../bench/baseline" file in
   let path =
     if Sys.file_exists in_build then in_build else Filename.concat "bench/baseline" file

@@ -380,7 +380,7 @@ let prop_probe_budget_never_lost =
       match Breaker.state br with
       | Breaker.Closed | Breaker.Half_open -> true
       | Breaker.Open ->
-        let cooldown = (Breaker.config br).Breaker.cooldown_epochs in
+        let cooldown = Breaker.default_config.Breaker.cooldown_epochs in
         let rec probe_within n =
           if n = 0 then false
           else begin
@@ -485,14 +485,15 @@ let test_schedule_validate () =
 
 let test_shrink_event_strictly_smaller () =
   let shrinks_of e = Schedule.shrink_event e in
+  let at_of = function
+    | Schedule.Fault { at; _ } | Schedule.Torn_tail { at; _ } | Schedule.Checkpoint { at } -> at
+  in
   List.iter
     (fun e ->
-      List.iter
-        (fun v -> Alcotest.(check int) "same epoch" (Schedule.at_of e) (Schedule.at_of v))
-        (shrinks_of e))
+      List.iter (fun v -> Alcotest.(check int) "same epoch" (at_of e) (at_of v)) (shrinks_of e))
     (generate 7).Schedule.events;
   Alcotest.(check (list int)) "atomic events don't shrink" []
-    (List.map Schedule.at_of (shrinks_of (Schedule.Fault { at = 4; fault = Fault_model.Controller_crash })))
+    (List.map at_of (shrinks_of (Schedule.Fault { at = 4; fault = Fault_model.Controller_crash })))
 
 (* ---- Harness: determinism and the differential oracle ---- *)
 

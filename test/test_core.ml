@@ -3,7 +3,7 @@
    the delay samples. *)
 
 module Rng = Dream_util.Rng
-module Prefix = Dream_prefix.Prefix
+module Prefix = Prefix_ops
 module Switch_id = Dream_traffic.Switch_id
 module Topology = Dream_traffic.Topology
 module Switch_mask = Dream_traffic.Switch_mask
@@ -23,6 +23,9 @@ module Codec = Dream_util.Codec
 module Epoch_data = Dream_traffic.Epoch_data
 module Source = Dream_traffic.Source
 module Task = Dream_tasks.Task
+
+(* A fair coin: the low bit of one draw. *)
+let coin rng = Int64.logand (Rng.bits64 rng) 1L = 1L
 
 (* ---- Metrics ---- *)
 
@@ -489,7 +492,7 @@ module Fetch = Dream_core.Fetch
 module Aggregate = Dream_traffic.Aggregate
 module Flow = Dream_traffic.Flow
 
-module Monitor = Dream_tasks.Monitor
+module Monitor = Monitor_views
 module Rule_sync = Dream_core.Rule_sync
 module Failover = Dream_core.Failover
 module Ctr = Dream_obs.Registry.Counter
@@ -789,9 +792,9 @@ let prop_reconcile_matches_list_audit =
           install sw ~owner:(orphan ()) (random_key ())
         done;
         if Rng.int rng 3 = 0 then
-          while Tcam.free oracle.(sw) > 0 do
+          while Tcam.used oracle.(sw) < Tcam.capacity oracle.(sw) do
             let live = 1 + Rng.int rng (List.length runtimes) in
-            install sw ~owner:(if Rng.bool rng then orphan () else live) (random_key ())
+            install sw ~owner:(if coin rng then orphan () else live) (random_key ())
           done;
         Tcam.reset_stats (Switch.tcam switches.(sw));
         Tcam.reset_stats oracle.(sw)

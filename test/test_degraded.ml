@@ -182,12 +182,13 @@ let test_stragglers_chosen_once () =
       straggler_slowdown = 3.0;
     }
   in
+  (* A straggler is a switch whose latency factor is not the unit one. *)
+  let stragglers fm = List.init 8 (fun sw -> Fault_model.latency_factor fm sw <> 1.0) in
   let fm = Fault_model.create spec ~num_switches:8 in
-  Alcotest.(check int) "half the fleet" 4 (Fault_model.straggler_count fm);
-  let chosen = List.init 8 (fun sw -> Fault_model.is_straggler fm sw) in
+  let chosen = stragglers fm in
+  Alcotest.(check int) "half the fleet" 4 (List.length (List.filter Fun.id chosen));
   ignore (Fault_model.begin_epoch fm);
-  Alcotest.(check (list bool)) "selection is stable across epochs" chosen
-    (List.init 8 (fun sw -> Fault_model.is_straggler fm sw));
+  Alcotest.(check (list bool)) "selection is stable across epochs" chosen (stragglers fm);
   List.iteri
     (fun sw straggler ->
       let f = Fault_model.latency_factor fm sw in
@@ -195,14 +196,20 @@ let test_stragglers_chosen_once () =
       else Alcotest.(check (float 1e-9)) "unit factor" 1.0 f)
     chosen;
   let fm' = Fault_model.create spec ~num_switches:8 in
-  Alcotest.(check (list bool)) "same seed, same stragglers" chosen
-    (List.init 8 (fun sw -> Fault_model.is_straggler fm' sw))
+  Alcotest.(check (list bool)) "same seed, same stragglers" chosen (stragglers fm')
 
 (* ---- Controller in degraded mode ---- *)
 
 let mk_controller ?(config = Config.default) ?(capacity = 128) ?(num_switches = 4)
     ?(strategy = Allocator.Dream Dream_allocator.default_config) () =
   Controller.create ~config ~strategy ~num_switches ~capacity
+
+let degraded_mode c = Controller.breaker_states c <> [||]
+
+(* Staleness levels of all active tasks, ascending. *)
+let staleness_levels c =
+  List.filter_map (fun task_id -> Controller.staleness_of c ~task_id) (Controller.active_task_ids c)
+  |> List.sort compare
 
 let submit_task controller rng ~filter_index ~duration =
   let filter = Prefix.nth_descendant Prefix.root ~length:12 (filter_index * 53) in
@@ -293,11 +300,11 @@ let test_degraded_deterministic () =
 
 let test_breaker_surface () =
   let controller = mk_controller ~config:(adversity_config 7) () in
-  Alcotest.(check bool) "degraded mode armed" true (Controller.degraded_mode controller);
+  Alcotest.(check bool) "degraded mode armed" true (degraded_mode controller);
   Alcotest.(check int) "one breaker per switch" (Controller.num_switches controller)
     (Array.length (Controller.breaker_states controller));
   let plain = mk_controller () in
-  Alcotest.(check bool) "plain runs without breakers" false (Controller.degraded_mode plain);
+  Alcotest.(check bool) "plain runs without breakers" false (degraded_mode plain);
   Alcotest.(check int) "no breakers outside degraded mode" 0
     (Array.length (Controller.breaker_states plain));
   (* Faults without a degraded config keep the plain retry loop too. *)
@@ -305,7 +312,7 @@ let test_breaker_surface () =
     mk_controller ~config:{ Config.default with Config.faults = Some (Fault_model.uniform 0.1) } ()
   in
   Alcotest.(check bool) "faults alone do not arm breakers" false
-    (Controller.degraded_mode faults_only)
+    (degraded_mode faults_only)
 
 let test_deadline_sheds_with_bounded_staleness () =
   (* A deadline a fraction of one fetch round forces the scheduler to shed
@@ -333,7 +340,7 @@ let test_deadline_sheds_with_bounded_staleness () =
   let max_seen = ref 0 in
   for _ = 1 to 30 do
     Controller.tick controller;
-    List.iter (fun s -> max_seen := max !max_seen s) (Controller.staleness_levels controller)
+    List.iter (fun s -> max_seen := max !max_seen s) (staleness_levels controller)
   done;
   let rob = Controller.robustness controller in
   Alcotest.(check bool) "sheds happened" true (rob.Metrics.sheds > 0);
@@ -387,7 +394,7 @@ let test_degraded_run_pinned () =
          (Array.to_list
             (Array.map Breaker.state_to_string (Controller.breaker_states controller))));
     List.iter (fun s -> Buffer.add_string b (Printf.sprintf " %d" s))
-      (Controller.staleness_levels controller);
+      (staleness_levels controller);
     Buffer.add_string b (Marshal.to_string (Controller.robustness controller) []);
     Buffer.add_char b '\n'
   done;
@@ -435,14 +442,14 @@ let test_snapshot_restores_breakers () =
   | Error msg -> Alcotest.failf "restore failed: %s" msg
   | Ok restored ->
     Alcotest.(check bool) "degraded mode survives restore" true
-      (Controller.degraded_mode restored);
+      (degraded_mode restored);
     let states c =
       Array.to_list (Array.map Breaker.state_to_string (Controller.breaker_states c))
     in
     Alcotest.(check (list string)) "breaker states survive" (states controller) (states restored);
     Alcotest.(check (list int)) "staleness levels survive"
-      (Controller.staleness_levels controller)
-      (Controller.staleness_levels restored);
+      (staleness_levels controller)
+      (staleness_levels restored);
     (* Bit-identical future: the restored controller replays the same
        degraded-mode schedule. *)
     Controller.run controller ~epochs:15;

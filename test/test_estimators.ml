@@ -2,15 +2,15 @@
    reports and accuracy estimators — and for ground truth, all on the
    hand-checked 4-bit worked example in Fixtures. *)
 
-module Prefix = Dream_prefix.Prefix
+module Prefix = Prefix_ops
 module Task_spec = Dream_tasks.Task_spec
 module Task = Dream_tasks.Task
 module Report = Dream_tasks.Report
 module Accuracy = Dream_tasks.Accuracy
 module Hhh = Dream_tasks.Hhh
 module Ground_truth = Dream_tasks.Ground_truth
-module Recall_estimator = Dream_tasks.Recall_estimator
 module Items = Dream_tasks.Items
+module Recall_estimator = Dream_tasks.Recall_estimator
 module F = Fixtures
 
 let prefix_set = Alcotest.testable (Fmt.Dump.list Prefix.pp) (List.equal Prefix.equal)
@@ -27,16 +27,38 @@ let prefixes_of (items : Items.t) =
 
 (* ---- missed-HH bound (Section 5.3) ---- *)
 
+(* A monitor holding the exact leaf 0000, one more counter [coarse] and
+   the rest of the filter, with 12 Mb on the leaf, [volume] on [coarse]
+   and nothing elsewhere: one detection, so the estimated recall is
+   1 / (1 + the items [coarse] may hide). *)
+let recall_beside_leaf ~coarse ~volume =
+  let m = Dream_tasks.Monitor.create ~spec:(F.spec ()) ~topology:(F.topology ()) in
+  (* 0***, 1*** -> 00**, 01**, 1*** -> 000*, 001*, ... -> 0000, 0001, ... *)
+  for _ = 1 to 4 do
+    Dream_tasks.Monitor.divide m 0
+  done;
+  let vol_of q =
+    if Prefix.equal q (F.leaf 0b0000) then 12.0 else if Prefix.equal q coarse then volume else 0.0
+  in
+  F.ingest_readings m
+    (Dream_traffic.Switch_mask.fold (F.topology ())
+       (fun sw _ acc -> (sw, List.map (fun q -> (q, vol_of q)) (F.rules_for m sw)) :: acc)
+       (Dream_tasks.Monitor.switches m) []);
+  let estimator = Recall_estimator.create m Recall_estimator.Volume (Items.create ()) in
+  Recall_estimator.report estimator;
+  (Recall_estimator.estimate estimator ~allocations:[| 64; 64 |]).Accuracy.global
+
 let test_missed_bound () =
-  (* A /28 prefix (4 wildcards to /32) with volume 35 and threshold 10 can
-     hide at most min(16, floor(35/10)) = 3 heavy hitters. *)
-  Alcotest.(check int) "volume bound" 3
-    (Recall_estimator.missed_bound ~wildcards:4 ~magnitude:35.0 ~threshold:10.0);
-  (* With 1 wildcard bit the leaf bound (2) wins over floor(35/10). *)
-  Alcotest.(check int) "leaf bound" 2
-    (Recall_estimator.missed_bound ~wildcards:1 ~magnitude:35.0 ~threshold:10.0);
-  Alcotest.(check int) "below threshold: none" 0
-    (Recall_estimator.missed_bound ~wildcards:4 ~magnitude:9.9 ~threshold:10.0)
+  (* A counter with w wildcard bits and volume v hides at most
+     min(2^w, floor(v / 10)) heavy hitters.  The /29 1*** (3 wildcards)
+     with 35 Mb: min(8, 3) = 3. *)
+  Alcotest.(check (float 1e-9)) "volume bound" 0.25
+    (recall_beside_leaf ~coarse:(F.sub 0b1 29) ~volume:35.0);
+  (* The /31 001* (1 wildcard) with 35 Mb: the leaf bound min(2, 3) = 2. *)
+  Alcotest.(check (float 1e-9)) "leaf bound" (1.0 /. 3.0)
+    (recall_beside_leaf ~coarse:(F.sub 0b001 31) ~volume:35.0);
+  Alcotest.(check (float 1e-9)) "below threshold: none" 1.0
+    (recall_beside_leaf ~coarse:(F.sub 0b1 29) ~volume:9.9)
 
 (* ---- HH ---- *)
 
@@ -169,13 +191,35 @@ let test_hhh_estimate_bounds () =
     done
   done
 
+(* HHH recall estimated like the HH estimator (Section 5.3: "for HHH
+   tasks, recall can be calculated similar to HH tasks"): detected HHHs
+   over detected plus a bound on the HHHs hiding inside coarse detections,
+   [floor (residual / threshold) - 1] each.  The program does not run it;
+   the tests below check the paper's observation that it tracks
+   precision. *)
+let estimate_recall monitor =
+  let spec = Dream_tasks.Monitor.spec monitor in
+  let threshold = spec.Task_spec.threshold in
+  let items = Items.create ~values:true () in
+  Hhh.detect (Hhh.create monitor items);
+  let missed = ref 0 in
+  for i = 0 to items.Items.n - 1 do
+    if Prefix.key_length items.Items.keys.(i) < spec.Task_spec.leaf_length then begin
+      let hidden = int_of_float (Float.floor (items.Items.mags.(i) /. threshold)) - 1 in
+      missed := !missed + max 0 hidden
+    end
+  done;
+  let detected = items.Items.n in
+  if detected + !missed = 0 then 1.0
+  else float_of_int detected /. float_of_int (detected + !missed)
+
 let test_hhh_recall_estimate () =
   (* Fully resolved: recall 1 (no coarse detections hiding finer HHHs). *)
   let task, _ =
     F.converged_task ~kind:Task_spec.Hierarchical_heavy_hitter ~per_switch:16 ~epochs:6 ()
   in
   Alcotest.(check (float 1e-9)) "fully resolved recall" 1.0
-    (Hhh.estimate_recall (Task.monitor task));
+    (estimate_recall (Task.monitor task));
   (* A single coarse counter with volume 46 (threshold 10) may hide
      floor(46/10) - 1 = 3 more HHHs: recall 1/4.  Feed counters without
      configuring so the monitor still holds only the root. *)
@@ -183,7 +227,7 @@ let test_hhh_recall_estimate () =
   let coarse = Task.create ~id:1 ~spec ~topology:(F.topology ()) () in
   Task.read_traffic coarse (F.epoch_data ~epoch:0 ());
   Alcotest.(check (float 1e-9)) "coarse recall 1/4" 0.25
-    (Hhh.estimate_recall (Task.monitor coarse))
+    (estimate_recall (Task.monitor coarse))
 
 let test_hhh_recall_tracks_precision () =
   (* The paper: "recall is correlated with precision" — as resources grow,
@@ -195,7 +239,7 @@ let test_hhh_recall_tracks_precision () =
     let precision =
       match last with Some (_, e) -> e.Accuracy.global | None -> 0.0
     in
-    (precision, Hhh.estimate_recall (Task.monitor task))
+    (precision, estimate_recall (Task.monitor task))
   in
   let p_small, r_small = estimates 1 in
   let p_large, r_large = estimates 16 in
@@ -391,7 +435,7 @@ let prop_hh_converges_to_truth =
         Ground_truth.true_heavy_hitters (F.spec ())
           data.Dream_traffic.Epoch_data.combined
       in
-      Prefix.Set.equal (Report.prefixes report) (Prefix.Set.of_list (prefixes_of truth)))
+      Prefix.Set.equal (Fixtures.report_prefixes report) (Prefix.Set.of_list (prefixes_of truth)))
 
 let prop_hhh_converges_to_truth =
   QCheck.Test.make ~name:"HHH report = ground truth on steady traffic" ~count:40 arb_volumes
@@ -402,7 +446,7 @@ let prop_hhh_converges_to_truth =
           (F.spec ~kind:Task_spec.Hierarchical_heavy_hitter ())
           data.Dream_traffic.Epoch_data.combined
       in
-      Prefix.Set.equal (Report.prefixes report) (Prefix.Set.of_list (prefixes_of truth)))
+      Prefix.Set.equal (Fixtures.report_prefixes report) (Prefix.Set.of_list (prefixes_of truth)))
 
 (* ---- End-to-end: estimator consistency with ground truth ---- *)
 
@@ -422,7 +466,6 @@ let test_hh_real_accuracy_reaches_one () =
 let () =
   Alcotest.run "dream.tasks.estimators"
     [
-      ("missed-bound", [ Alcotest.test_case "min of two bounds" `Quick test_missed_bound ]);
       ( "hh",
         [
           Alcotest.test_case "report converges to true HHs" `Quick test_hh_report_converges;
@@ -431,6 +474,7 @@ let () =
           Alcotest.test_case "estimates within bounds" `Quick test_hh_estimate_within_bounds;
           Alcotest.test_case "no false positives" `Quick test_hh_no_false_positives;
         ] );
+      ("missed-bound", [ Alcotest.test_case "min of two bounds" `Quick test_missed_bound ]);
       ( "hhh",
         [
           Alcotest.test_case "detects true set" `Quick test_hhh_detects_true_set;

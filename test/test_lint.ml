@@ -11,7 +11,7 @@ module Report = Dream_lint.Report
 module Rules = Dream_lint.Rules
 module Json = Dream_obs.Json
 
-let lint ?rules ~path src = Engine.lint_string ?rules ~path src
+let lint ?rules ~path src = Engine.lint_sources ?rules [ (path, src) ]
 
 let rule_ids findings = List.map (fun f -> f.Finding.rule) findings
 
@@ -169,14 +169,14 @@ let test_mli_coverage () =
   with_temp_lib (fun libdir ->
       let ml = Filename.concat libdir "a.ml" in
       write ml "let x = 1\n";
-      (match Engine.lint_file ~rules:(only "mli-coverage") ml with
+      (match Engine.lint_files ~rules:(only "mli-coverage") [ ml ] with
       | [ f ] ->
         Alcotest.(check string) "rule id" "mli-coverage" f.Finding.rule;
         Alcotest.(check int) "line" 1 f.Finding.line
       | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs));
       write (ml ^ "i") "val x : int\n";
       Alcotest.(check int) "silent with sibling mli" 0
-        (List.length (Engine.lint_file ~rules:(only "mli-coverage") ml)))
+        (List.length (Engine.lint_files ~rules:(only "mli-coverage") [ ml ])))
 
 (* ---- suppression ---- *)
 
@@ -242,13 +242,13 @@ let test_parse_error () =
   match lint ~path:"lib/fake.ml" "let = = =\n" with
   | [ f ] ->
     Alcotest.(check string) "rule id" Engine.parse_error_rule f.Finding.rule;
-    Alcotest.(check string) "severity" "error" (Finding.severity_to_string f.Finding.severity)
+    Alcotest.(check bool) "severity" true (f.Finding.severity = Finding.Error)
   | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
 
 (* ---- registry ---- *)
 
 let test_registry () =
-  Alcotest.(check int) "ten rules" 10 (List.length Rules.all);
+  Alcotest.(check int) "eleven rules" 11 (List.length Rules.all);
   Alcotest.(check int) "unique ids" (List.length Rules.ids)
     (List.length (List.sort_uniq String.compare Rules.ids));
   List.iter
@@ -266,8 +266,7 @@ let check_hot_fires ~sub src =
   match hot [ ("lib/fake.ml", src) ] with
   | [ f ] ->
     Alcotest.(check string) "rule id" "hot-path-alloc" f.Finding.rule;
-    Alcotest.(check string) "severity" "error"
-      (Finding.severity_to_string f.Finding.severity);
+    Alcotest.(check bool) "severity" true (f.Finding.severity = Finding.Error);
     Alcotest.(check bool)
       (Printf.sprintf "message %S mentions %S" f.Finding.message sub)
       true
@@ -357,8 +356,7 @@ let check_domain_fires ~sub ~path src =
   match domain [ (path, src) ] with
   | [ f ] ->
     Alcotest.(check string) "rule id" "domain-safety" f.Finding.rule;
-    Alcotest.(check string) "severity" "warning"
-      (Finding.severity_to_string f.Finding.severity);
+    Alcotest.(check bool) "severity" true (f.Finding.severity = Finding.Warning);
     Alcotest.(check bool)
       (Printf.sprintf "message %S mentions %S" f.Finding.message sub)
       true
@@ -390,6 +388,81 @@ let test_domain_safety_silent () =
 let test_domain_safety_suppression () =
   check_domain_silent ~path:"lib/fake.ml"
     "let cache = Hashtbl.create 16 [@@lint.allow \"domain-safety\"]\n"
+
+(* ---- test-only-export (interprocedural) ---- *)
+
+(* [lib/a/m.ml] exports [f] (and [g], used inside the module) next to a
+   user of [f] written by [use]. *)
+let exports ?(ml = "let g = 1\nlet f = g\n") users =
+  Engine.lint_sources ~rules:(only "test-only-export")
+    (("lib/a/m.ml", ml) :: ("lib/a/m.mli", "val f : int\n") :: users)
+
+let check_exported ?ml ~why users =
+  match exports ?ml users with
+  | [ f ] ->
+    Alcotest.(check string) "rule id" "test-only-export" f.Finding.rule;
+    Alcotest.(check string) "lands at the binding" "lib/a/m.ml" f.Finding.file;
+    Alcotest.(check int) "binding line" 2 f.Finding.line;
+    Alcotest.(check bool) (Printf.sprintf "message %S says %S" f.Finding.message why) true
+      (contains ~sub:why f.Finding.message)
+  | fs -> Alcotest.failf "expected one test-only-export finding, got %d" (List.length fs)
+
+let check_used users =
+  match exports users with
+  | [] -> ()
+  | fs -> Alcotest.failf "expected no findings, got: %s" (String.concat "; " (rule_ids fs))
+
+let test_test_only_export_uses () =
+  check_used [ ("lib/b/user.ml", "let x = M.f\n") ];
+  check_used [ ("bin/main.ml", "let () = print_int Dream_a.M.f\n") ];
+  check_used [ ("bin/main.ml", "module N = Dream_a.M\nlet () = print_int N.f\n") ];
+  check_used [ ("bin/main.ml", "open Dream_a\nlet () = print_int M.f\n") ];
+  check_used [ ("bin/main.ml", "open Dream_a.M\nlet () = print_int f\n") ];
+  check_used [ ("bin/main.ml", "let () = print_int Dream_a.M.(f + 1)\n") ];
+  check_used [ ("bin/main.ml", "let () = let open Dream_a.M in print_int f\n") ];
+  check_used [ ("bin/main.ml", "let () = let module N = Dream_a.M in print_int N.f\n") ];
+  check_used [ ("examples/demo.ml", "let () = print_int Dream_a.M.f\n") ];
+  check_used [ ("perfbench/replay.ml", "let x = Dream_a.M.f\n") ]
+
+let test_test_only_export_fires () =
+  check_exported ~why:"only test/ mentions it"
+    [ ("test/test_m.ml", "let () = ignore Dream_a.M.f\n") ];
+  check_exported ~why:"no other module mentions it" [];
+  (* A mention inside the module itself is not a use by the program. *)
+  check_exported ~why:"no other module mentions it" ~ml:"let g = 1\nlet f = g\nlet h = f\n" []
+
+let test_test_only_export_submodule () =
+  match
+    Engine.lint_sources ~rules:(only "test-only-export")
+      [
+        ("lib/a/m.ml", "module Sub = struct\n  let h = 1\nend\n");
+        ("lib/a/m.mli", "module Sub : sig\n  val h : int\nend\n");
+      ]
+  with
+  | [ f ] -> Alcotest.(check bool) "names Sub.h" true (contains ~sub:"M.Sub.h" f.Finding.message)
+  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
+
+let oracle_ml = "let g = 1\nlet f = g [@@lint.allow \"oracle hook: test/test_m.ml\"]\n"
+
+let test_test_only_export_allow () =
+  let test_use = ("test/test_m.ml", "let () = ignore Dream_a.M.f\n") in
+  (match exports ~ml:oracle_ml [ test_use ] with
+  | [] -> ()
+  | fs -> Alcotest.failf "oracle hook not honoured: %s" (String.concat "; " (rule_ids fs)));
+  (* Once the program uses the value, the allow suppresses nothing. *)
+  let program_use = ("bin/main.ml", "let () = print_int Dream_a.M.f\n") in
+  (match exports ~ml:oracle_ml [ test_use; program_use ] with
+  | [ f ] -> Alcotest.(check string) "rule id" Engine.unused_suppression_rule f.Finding.rule
+  | fs -> Alcotest.failf "expected one unused-suppression, got %d" (List.length fs));
+  (* An allow must give its reason and name the test file. *)
+  List.iter
+    (fun payload ->
+      let ml = Printf.sprintf "let g = 1\nlet f = g [@@lint.allow %S]\n" payload in
+      Alcotest.(check (list string))
+        (payload ^ ": finding plus malformed allow")
+        [ "test-only-export"; Engine.unused_suppression_rule ]
+        (List.sort String.compare (rule_ids (exports ~ml [ test_use ]))))
+    [ "test-only-export"; "oracle hook: bin/main.ml"; "test fake:" ]
 
 (* ---- baseline ratchet ---- *)
 
@@ -474,6 +547,13 @@ let test_baseline_update_keeps_reasons () =
   | Ok es -> Alcotest.failf "expected one entry, got %d" (List.length es)
   | Error e -> Alcotest.failf "update refused: %s" e
 
+(* Through the file the CLI writes and reads. *)
+let round_trip b =
+  let path = Filename.temp_file "dream_lint_baseline" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () -> Result.bind (Baseline.write b ~path) (fun () -> Baseline.read path))
+
 let test_baseline_reason_round_trip () =
   let b =
     [
@@ -481,7 +561,7 @@ let test_baseline_reason_round_trip () =
       { Baseline.b_rule = "b"; b_file = "lib/y.ml"; b_count = 1; b_reason = None };
     ]
   in
-  match Baseline.of_string (Baseline.to_string b) with
+  match round_trip b with
   | Ok b' -> Alcotest.(check bool) "identical" true (b = b')
   | Error e -> Alcotest.failf "reparse failed: %s" e
 
@@ -490,7 +570,7 @@ let prop_baseline_json_round_trip =
     QCheck.(list_of_size Gen.(int_range 0 30) arbitrary_finding)
     (fun fs ->
       let b = Baseline.of_findings fs in
-      match Baseline.of_string (Baseline.to_string b) with
+      match round_trip b with
       | Ok b' -> b = b'
       | Error _ -> false)
 
@@ -525,7 +605,7 @@ let test_lint_sources_deterministic () =
       ("lib/a/helper.ml", "let build () = (1, 2)\nlet scratch = [| 0 |]\n");
     ]
   in
-  let render fs = Json.to_string (Report.to_json fs) in
+  let render fs = Format.asprintf "%a" (Report.json ?baseline:None) fs in
   let r1 = render (Engine.lint_sources sources) in
   let r2 = render (Engine.lint_sources (List.rev sources)) in
   Alcotest.(check string) "same report bytes regardless of input order" r1 r2;
@@ -576,12 +656,14 @@ let test_ml_files_under_skips_and_sorts () =
 
 (* ---- JSON report round trip ---- *)
 
+let render_json fs = Format.asprintf "%a" (Report.json ?baseline:None) fs
+
 let test_report_round_trip () =
   let findings =
     lint ~path:"lib/fake.ml" "let a = Random.int 1\nlet t = Sys.time ()\nlet x = List.hd l\n"
   in
   Alcotest.(check int) "three findings" 3 (List.length findings);
-  match Report.of_json_string (Json.to_string (Report.to_json findings)) with
+  match Report.of_json_string (render_json findings) with
   | Ok findings' ->
     Alcotest.(check bool) "identical after round trip" true (findings = findings')
   | Error e -> Alcotest.failf "report reparse failed: %s" e
@@ -597,7 +679,7 @@ let prop_report_json_round_trip =
   QCheck.Test.make ~name:"report JSON round-trips through Obs.Json" ~count:50
     QCheck.(list_of_size Gen.(int_range 0 8) arbitrary_finding)
     (fun fs ->
-      match Report.of_json_string (Json.to_string (Report.to_json fs)) with
+      match Report.of_json_string (render_json fs) with
       | Ok fs' -> fs = fs'
       | Error _ -> false)
 
@@ -672,6 +754,14 @@ let () =
           Alcotest.test_case "immutable/local/out-of-scope silent" `Quick
             test_domain_safety_silent;
           Alcotest.test_case "lint.allow suppresses" `Quick test_domain_safety_suppression;
+        ] );
+      ( "test-only-export",
+        [
+          Alcotest.test_case "every program use counts" `Quick test_test_only_export_uses;
+          Alcotest.test_case "test-only and unused exports fire" `Quick
+            test_test_only_export_fires;
+          Alcotest.test_case "submodule vals" `Quick test_test_only_export_submodule;
+          Alcotest.test_case "oracle-hook allow" `Quick test_test_only_export_allow;
         ] );
       ( "baseline",
         [

@@ -3,7 +3,7 @@
    algebraic laws; and the reference binary trie the monitor tests use as
    their oracle. *)
 
-module Prefix = Dream_prefix.Prefix
+module Prefix = Prefix_ops
 module Trie = Reference_trie
 
 let prefix = Alcotest.testable Prefix.pp Prefix.equal

@@ -5,7 +5,7 @@
 
 module Rng = Dream_util.Rng
 module Codec = Dream_util.Codec
-module Prefix = Dream_prefix.Prefix
+module Prefix = Prefix_ops
 module Topology = Dream_traffic.Topology
 module Source = Dream_traffic.Source
 module Generator = Dream_traffic.Generator
@@ -62,6 +62,15 @@ let sample_entries () =
 
 let encode_all entries = String.concat "" (List.map Journal.entry_to_string entries)
 
+let epoch_of = function
+  | Journal.Admit { epoch; _ }
+  | Journal.Reject { epoch; _ }
+  | Journal.Alloc { epoch; _ }
+  | Journal.Switch_down { epoch; _ }
+  | Journal.Switch_up { epoch; _ }
+  | Journal.Task_end { epoch; _ } ->
+    epoch
+
 let test_journal_roundtrip () =
   let entries = sample_entries () in
   let s = encode_all entries in
@@ -73,8 +82,8 @@ let test_journal_roundtrip () =
        topologies is not meaningful across parse. *)
     Alcotest.(check string) "canonical round trip" s (encode_all decoded);
     Alcotest.(check (list int)) "epochs preserved"
-      (List.map Journal.epoch_of entries)
-      (List.map Journal.epoch_of decoded)
+      (List.map epoch_of entries)
+      (List.map epoch_of decoded)
 
 let test_journal_torn_tail () =
   let entries = sample_entries () in
@@ -216,7 +225,7 @@ let prop_journal_roundtrip =
       match Journal.entries_of_string s with
       | Ok [ d ] ->
         String.equal s (Journal.entry_to_string d)
-        && Journal.epoch_of d = Journal.epoch_of e
+        && epoch_of d = epoch_of e
         && Journal.entry_name d = Journal.entry_name e
       | Ok _ | Error _ -> false)
 
@@ -497,6 +506,9 @@ let restore_total name doc =
   | Error _ -> `Error
   | exception e -> Alcotest.failf "%s: restore raised %s" name (Printexc.to_string e)
 
+let degraded_config =
+  { Config.default with Config.faults = Some fault_spec; degraded = Some Config.default_degraded }
+
 let test_restore_rejects_bad_values () =
   let controller = populated_controller () in
   let sink = Journal.memory () in
@@ -554,10 +566,25 @@ let test_restore_rejects_bad_values () =
     [
       ("crash on switch 99", inject "inj_crashes" [ "at 12"; "switch 99"; "downtime 2" ]);
       ("partition of group 9", inject "inj_partitions" [ "at 12"; "group 9"; "span 2" ]);
-    ]
-
-let degraded_config =
-  { Config.default with Config.faults = Some fault_spec; degraded = Some Config.default_degraded }
+    ];
+  (* A degraded-mode checkpoint of four switches cut down to its first
+     breaker (seven lines each): fetch indexes the breakers by switch. *)
+  let degraded = populated_controller ~config:degraded_config () in
+  Controller.run degraded ~epochs:10;
+  let body = body_of (Controller.checkpoint degraded) in
+  let lines = Array.of_list (String.split_on_char '\n' body) in
+  let at = Option.get (Array.find_index (String.equal "breakers 4") lines) in
+  let one_breaker =
+    Array.concat
+      [
+        Array.sub lines 0 at;
+        [| "breakers 1" |];
+        Array.sub lines (at + 1) 7;
+        Array.sub lines (at + 29) (Array.length lines - at - 29);
+      ]
+  in
+  Alcotest.(check bool) "one breaker for four switches: restore refuses it" true
+    (restore_total "one breaker" (reseal (Array.to_list one_breaker)) = `Error)
 
 let test_restore_fuzz_resealed () =
   let controller = populated_controller ~config:degraded_config () in

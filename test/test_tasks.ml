@@ -3,17 +3,25 @@
    and the partition invariant under random drills. *)
 
 module Rng = Dream_util.Rng
-module Prefix = Dream_prefix.Prefix
+module Prefix = Prefix_ops
 module Switch_id = Dream_traffic.Switch_id
 module Switch_mask = Dream_traffic.Switch_mask
 module Topology = Dream_traffic.Topology
 module Flow = Dream_traffic.Flow
 module Epoch_data = Dream_traffic.Epoch_data
 module Task_spec = Dream_tasks.Task_spec
-module Monitor = Dream_tasks.Monitor
+module Monitor = Monitor_views
 module Divide_merge = Dream_tasks.Divide_merge
 module Score = Dream_tasks.Score
 module Gc_stats = Dream_obs.Gc_stats
+
+(* Whether the mask holds the sub-filter bit of a switch. *)
+let mask_mem topology sw m =
+  let b = Topology.bit_of_switch topology sw in
+  b >= 0 && Switch_mask.mem_bit b m
+
+(* A fair coin: the low bit of one draw. *)
+let coin rng = Int64.logand (Rng.bits64 rng) 1L = 1L
 
 (* A 4-bit universe: filter 10.0.0.0/28, leaves at /32.  Two switches split
    it at /29 (0*** on one switch, 1*** on the other). *)
@@ -163,8 +171,8 @@ let test_monitor_zero_allocation_uninstalls () =
   step m dm ~allocations ~epoch:0;
   Alcotest.(check (list string)) "no rules on switch 1" []
     (List.map Prefix.to_string (Fixtures.rules_for m 1));
-  Alcotest.(check bool) "switch 1 inactive" false (Switch_mask.mem topology 1 (Monitor.active m));
-  Alcotest.(check bool) "switch 0 active" true (Switch_mask.mem topology 0 (Monitor.active m))
+  Alcotest.(check bool) "switch 1 inactive" false (mask_mem topology 1 (Monitor.active m));
+  Alcotest.(check bool) "switch 0 active" true (mask_mem topology 0 (Monitor.active m))
 
 let test_monitor_bottlenecked () =
   let m, dm = mk_monitor () in
@@ -198,14 +206,9 @@ let test_accuracy_overall () =
   let a = { Accuracy.global = 0.5; locals = [| 0.3; 0.9 |] } in
   Alcotest.(check (float 1e-9)) "overall takes max" 0.5 (Accuracy.overall a 0);
   Alcotest.(check (float 1e-9)) "local can exceed global" 0.9 (Accuracy.overall a 1);
-  Alcotest.(check (float 1e-9)) "local below global" 0.3 (Accuracy.local a 0);
+  Alcotest.(check (float 1e-9)) "local below global" 0.3 a.Accuracy.locals.(0);
   Alcotest.(check (float 1e-9)) "clamp low" 0.0 (Accuracy.clamp (-0.2));
   Alcotest.(check (float 1e-9)) "clamp high" 1.0 (Accuracy.clamp 1.7)
-
-let test_accuracy_perfect () =
-  let a = Accuracy.perfect ~switches_per_task:2 in
-  Alcotest.(check (float 1e-9)) "global 1" 1.0 a.Accuracy.global;
-  Alcotest.(check (float 1e-9)) "locals 1" 1.0 (Accuracy.local a 0)
 
 let test_report_helpers () =
   let report =
@@ -220,7 +223,7 @@ let test_report_helpers () =
     }
   in
   Alcotest.(check int) "size" 2 (Report.size report);
-  Alcotest.(check int) "prefix set" 2 (Prefix.Set.cardinal (Report.prefixes report));
+  Alcotest.(check int) "prefix set" 2 (Prefix.Set.cardinal (Fixtures.report_prefixes report));
   (* pp must render without raising. *)
   Alcotest.(check bool) "pp renders" true
     (String.length (Format.asprintf "%a" Report.pp report) > 0)
@@ -376,7 +379,7 @@ let random_switch_set rng m =
   let topology = Monitor.topology m in
   let f =
     Switch_id.Set.filter
-      (fun _ -> Rng.bool rng)
+      (fun _ -> coin rng)
       (Reference_switch_set.set_of_mask topology (Monitor.switches m))
   in
   (Reference_switch_set.mask_of_set topology f, f)
@@ -398,7 +401,7 @@ let random_prefix rng m ~filter =
       ~length:(Prefix.length filter + Rng.int rng (free + 1))
 
 let random_exclude rng m ~filter =
-  if Rng.bool rng then None else Some (random_prefix rng m ~filter)
+  if coin rng then None else Some (random_prefix rng m ~filter)
 
 let oracle_filter = Prefix.of_string "10.1.2.0/24"
 
@@ -629,7 +632,7 @@ let prop_rules_for_matches_s_sets =
           List.for_all
             (fun sw ->
               let expected =
-                if Switch_mask.mem topology sw (Monitor.active m) then
+                if mask_mem topology sw (Monitor.active m) then
                   List.filter_map
                     (fun i ->
                       let p = Monitor.prefix m i in
@@ -651,8 +654,8 @@ let random_readings rng m ~filter =
   Switch_mask.fold (Monitor.topology m)
     (fun sw _ acc ->
       let rules = List.filter (fun _ -> Rng.int rng 4 > 0) (Fixtures.rules_for m sw) in
-      let again = List.filter (fun _ -> Rng.bool rng) rules in
-      let rules = if Rng.bool rng then rules @ again else rules in
+      let again = List.filter (fun _ -> coin rng) rules in
+      let rules = if coin rng then rules @ again else rules in
       let rules = if Rng.int rng 3 = 0 then random_prefix rng m ~filter :: rules else rules in
       (sw, List.map (fun p -> (p, float_of_int (Rng.int rng 100))) rules) :: acc)
     (Monitor.switches m) []
@@ -710,7 +713,7 @@ let prop_counter_array_model =
           && Monitor.num_counters m = List.length cs);
         List.iter
           (fun (sub, sw) ->
-            let active = Switch_mask.mem topology sw (Monitor.active m) in
+            let active = mask_mem topology sw (Monitor.active m) in
             let seen =
               List.filter
                 (fun p -> Switch_id.Set.mem sw (Reference_switch_set.switch_set topology p))
@@ -758,7 +761,7 @@ let random_fractional_readings rng m ~filter =
   Switch_mask.fold (Monitor.topology m)
     (fun sw _ acc ->
       let rules = List.filter (fun _ -> Rng.int rng 4 > 0) (Fixtures.rules_for m sw) in
-      let rules = if Rng.bool rng then rules @ List.filter (fun _ -> Rng.bool rng) rules else rules in
+      let rules = if coin rng then rules @ List.filter (fun _ -> coin rng) rules else rules in
       let rules = if Rng.int rng 3 = 0 then random_prefix rng m ~filter :: rules else rules in
       let rules =
         if Rng.int rng 4 = 0 then begin
@@ -1080,15 +1083,6 @@ let () =
         ] );
       ( "task-spec",
         [
-          Alcotest.test_case "priority translation" `Quick (fun () ->
-              Alcotest.(check (float 1e-9)) "normal is the default bound" 0.8
-                (Task_spec.bound_of_priority Task_spec.Normal);
-              Alcotest.(check bool) "critical above high" true
-                (Task_spec.bound_of_priority Task_spec.Critical
-                > Task_spec.bound_of_priority Task_spec.High);
-              Alcotest.(check bool) "background dropped first" true
-                (Task_spec.drop_priority_of Task_spec.Background
-                > Task_spec.drop_priority_of Task_spec.Critical));
           Alcotest.test_case "accuracy metric per kind" `Quick (fun () ->
               let m k = Task_spec.accuracy_metric (spec ~kind:k ()) in
               Alcotest.(check bool) "HH recall" true (m Task_spec.Heavy_hitter = `Recall);
@@ -1112,7 +1106,6 @@ let () =
       ( "accuracy-report",
         [
           Alcotest.test_case "overall accuracy" `Quick test_accuracy_overall;
-          Alcotest.test_case "perfect" `Quick test_accuracy_perfect;
           Alcotest.test_case "report helpers" `Quick test_report_helpers;
           Alcotest.test_case "eight-switch monitor" `Quick test_monitor_eight_switches;
         ] );
@@ -1126,28 +1119,19 @@ let () =
                   |> exceeding_mb 16.0
                   |> with_accuracy 0.9
                   |> drill_to 24
-                  |> to_spec)
+                  |> to_spec_exn)
               with
-              | Ok spec ->
+              | spec ->
                 Alcotest.(check bool) "kind" true (spec.Task_spec.kind = Task_spec.Heavy_hitter);
                 Alcotest.(check (float 1e-9)) "threshold" 16.0 spec.Task_spec.threshold;
                 Alcotest.(check (float 1e-9)) "bound" 0.9 spec.Task_spec.accuracy_bound;
                 Alcotest.(check int) "leaf" 24 spec.Task_spec.leaf_length
-              | Error msg -> Alcotest.fail msg);
-          Alcotest.test_case "priority sets bound and drop order" `Quick (fun () ->
-              let module Query = Dream_tasks.Query in
-              match
-                Query.(changes ~over:"172.16.0.0/12" |> with_priority Task_spec.High |> to_spec)
-              with
-              | Ok spec ->
-                Alcotest.(check (float 1e-9)) "bound from priority" 0.9
-                  spec.Task_spec.accuracy_bound;
-                Alcotest.(check int) "drop priority" (Task_spec.drop_priority_of Task_spec.High)
-                  spec.Task_spec.drop_priority
-              | Error msg -> Alcotest.fail msg);
+              | exception Invalid_argument msg -> Alcotest.fail msg);
           Alcotest.test_case "builder errors" `Quick (fun () ->
               let module Query = Dream_tasks.Query in
-              let is_err q = Result.is_error (Query.to_spec q) in
+              let is_err q =
+                match Query.to_spec_exn q with _ -> false | exception Invalid_argument _ -> true
+              in
               Alcotest.(check bool) "bad prefix" true
                 (is_err Query.(heavy_hitters ~over:"nonsense"));
               Alcotest.(check bool) "bad threshold" true

@@ -3,7 +3,7 @@
    profiles and the synthetic generator's calibration and determinism. *)
 
 module Rng = Dream_util.Rng
-module Prefix = Dream_prefix.Prefix
+module Prefix = Prefix_ops
 module Flow = Dream_traffic.Flow
 module Aggregate = Dream_traffic.Aggregate
 module Switch_id = Dream_traffic.Switch_id
@@ -12,6 +12,11 @@ module Topology = Dream_traffic.Topology
 module Profile = Dream_traffic.Profile
 module Generator = Dream_traffic.Generator
 module Epoch_data = Dream_traffic.Epoch_data
+
+(* Whether the mask holds the sub-filter bit of a switch. *)
+let mask_mem topology sw m =
+  let b = Topology.bit_of_switch topology sw in
+  b >= 0 && Switch_mask.mem_bit b m
 
 let p = Prefix.of_string
 
@@ -27,7 +32,8 @@ let test_flow_combine () =
     Alcotest.(check int) "sorted" 3 a.Flow.addr;
     Alcotest.(check (float 1e-9)) "summed" 5.0 b.Flow.volume
   | _ -> Alcotest.fail "expected two flows");
-  Alcotest.(check (float 1e-9)) "total" 7.0 (Flow.total_volume combined)
+  Alcotest.(check (float 1e-9)) "total" 7.0
+    (List.fold_left (fun acc f -> acc +. f.Flow.volume) 0.0 combined)
 
 (* ---- Aggregate ---- *)
 
@@ -44,7 +50,6 @@ let test_aggregate_volume () =
 
 let test_aggregate_counts () =
   let a = Aggregate.of_flows sample_flows in
-  Alcotest.(check int) "addresses under 10/8" 3 (Aggregate.count_addresses a (p "10.0.0.0/8"));
   Alcotest.(check int) "all" 4 (Aggregate.num_addresses a);
   Alcotest.(check (float 1e-9)) "total" 15.0 (Aggregate.total a)
 
@@ -140,7 +145,7 @@ let test_topology_address_consistent_with_set () =
     | Some sw ->
       let mask = Topology.prefix_mask t (Prefix.of_address addr) in
       Alcotest.(check bool) "prefix_mask contains switch_of_address" true
-        (Switch_mask.mem t sw mask)
+        (mask_mem t sw mask)
     | None -> Alcotest.fail "inside filter"
   done
 
@@ -228,7 +233,7 @@ let prop_switch_mask_matches_set =
           && Switch_mask.fold t (fun sw b ok -> ok && Topology.switch_of_bit t b = sw) mask true
           && Switch_mask.cardinal mask = Switch_id.Set.cardinal set
           && List.for_all
-               (fun sw -> Switch_mask.mem t sw mask = Switch_id.Set.mem sw set)
+               (fun sw -> mask_mem t sw mask = Switch_id.Set.mem sw set)
                (List.init (num_switches + 2) (fun sw -> sw - 1)))
         prefixes)
 
@@ -290,10 +295,25 @@ let test_generator_within_filter () =
       Alcotest.(check bool) "flow inside filter" true
         (Prefix.contains (p "10.16.0.0/12") f.Flow.addr))
 
+(* A profile of [heavy_count] heavy flows and nothing else: no churn, no
+   jitter, no phases. *)
+let steady ~threshold ~heavy_count =
+  {
+    Profile.threshold;
+    heavy_count;
+    medium_count = 0;
+    small_count = 0;
+    heavy_alpha = 1.25;
+    churn = 0.0;
+    jitter = 0.0;
+    phases = [];
+    switch_skew = 0.0;
+  }
+
 let test_generator_phases_scale_population () =
   let profile =
     {
-      (Profile.steady ~threshold:8.0 ~heavy_count:20) with
+      (steady ~threshold:8.0 ~heavy_count:20) with
       Profile.phases =
         [
           { Profile.start_epoch = 0; heavy_scale = 1.0 };
@@ -323,19 +343,8 @@ let test_generator_per_switch_split () =
   Alcotest.(check bool) "several active switches" true
     (Switch_id.Set.cardinal (Epoch_data.active_switches data) >= 2)
 
-let test_generator_skip () =
-  let a = mk_generator () and b = mk_generator () in
-  for _ = 1 to 5 do
-    ignore (Generator.next a)
-  done;
-  Generator.skip b 5;
-  Alcotest.(check int) "epoch advanced" (Generator.current_epoch a) (Generator.current_epoch b);
-  (* The traces stay aligned: same epoch index produced next. *)
-  let da = Generator.next a and db = Generator.next b in
-  Alcotest.(check int) "same epoch index" da.Epoch_data.epoch db.Epoch_data.epoch
-
 let test_generator_steady_no_churn () =
-  let profile = Profile.steady ~threshold:8.0 ~heavy_count:10 in
+  let profile = steady ~threshold:8.0 ~heavy_count:10 in
   let g = mk_generator ~profile () in
   let d1 = Generator.next g in
   let d2 = Generator.next g in
@@ -391,8 +400,7 @@ let read_of_string s =
       let out = open_out path in
       output_string out s;
       close_out out;
-      let input = open_in path in
-      Fun.protect ~finally:(fun () -> close_in input) (fun () -> Trace_io.read input))
+      Trace_io.load_file path)
 
 let test_trace_read_simple () =
   match read_of_string "# c\n0 0 10.0.0.1 2.5\n0 1 10.0.0.2 1.0\n2 0 10.0.0.1 3.0\n" with
@@ -500,7 +508,6 @@ let () =
           Alcotest.test_case "flows within filter" `Quick test_generator_within_filter;
           Alcotest.test_case "phases scale population" `Quick test_generator_phases_scale_population;
           Alcotest.test_case "per-switch split" `Quick test_generator_per_switch_split;
-          Alcotest.test_case "skip" `Quick test_generator_skip;
           Alcotest.test_case "steady profile repeats" `Quick test_generator_steady_no_churn;
         ] );
     ]

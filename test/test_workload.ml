@@ -1,7 +1,7 @@
 (* Tests for dream.workload: scenario plumbing, the arrival schedule and
    the scenario driver. *)
 
-module Prefix = Dream_prefix.Prefix
+module Prefix = Prefix_ops
 module Task_spec = Dream_tasks.Task_spec
 module Scenario = Dream_workload.Scenario
 module Arrival = Dream_workload.Arrival
