@@ -9,10 +9,11 @@
 
    Walks the given paths for .ml files (each with its .mli, when there is
    one), runs every per-file rule (or the --rules subset) over each
-   parsetree, then the three interprocedural passes (hot-path-alloc over
+   parsetree and the three interprocedural passes (hot-path-alloc over
    the [@hot] call-graph closure, domain-safety over toplevel mutable
-   state, and test-only-export over the lib/ interfaces), and prints
-   findings.  test-only-export counts the uses in the paths given, so it
+   state, and test-only-export over the lib/ interfaces), puts every
+   finding through one suppression pass per file, and prints what is
+   left.  test-only-export counts the uses in the paths given, so it
    needs the whole tree.
 
    With --baseline the committed findings baseline gates as a ratchet:
@@ -23,11 +24,12 @@
 
    Exit codes: 0 when clean (or fully baselined), 1 when there are new
    findings (or the ratchet refuses a growing update), 124 on usage
-   errors.  Suppress a single site with [@lint.allow "rule-id"]
-   ([@alloc.allow "reason"] for hot-path-alloc, and for test-only-export
-   [@@lint.allow "oracle hook: test/<file>"] or "test fake: test/<file>");
-   unused suppressions are themselves findings, so the allowlist can only
-   shrink. *)
+   errors.  Suppress a single site with [@lint.allow "rule-id"]; two rules
+   take a reason instead of the id: [@alloc.allow "reason"] is
+   hot-path-alloc's only allow, and test-only-export takes
+   [@@lint.allow "oracle hook: test/<file>"] or "test fake: test/<file>".
+   Unused and malformed allows are themselves findings, so the allowlist
+   can only shrink. *)
 
 module Baseline = Dream_lint.Baseline
 module Engine = Dream_lint.Engine

@@ -26,14 +26,6 @@ let describe = function
   | Format_call f -> Printf.sprintf "%s allocates format machinery" f
   | Alloc_fn f -> Printf.sprintf "%s allocates its result" f
 
-let rec flatten = function
-  | Longident.Lident s -> [ s ]
-  | Longident.Ldot (l, s) -> flatten l @ [ s ]
-  | Longident.Lapply _ -> []
-
-let qualified lid =
-  match flatten lid with "Stdlib" :: rest -> rest | parts -> parts
-
 let append_fns =
   [
     "@"; "^"; "List.append"; "List.concat"; "List.concat_map"; "List.flatten";
@@ -71,13 +63,7 @@ let alloc_fns =
     "Option.map"; "Option.some"; "Option.to_list"; "Result.map"; "Result.bind";
   ]
 
-let head_name e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> (
-    match qualified txt with [] -> None | parts -> Some (String.concat "." parts))
-  | _ -> None
-
-let head_lid e = match e.pexp_desc with Pexp_ident { txt; _ } -> Some txt | _ -> None
+let head_name e = Option.map (String.concat ".") (Callgraph.ident_path e)
 
 let is_format_call name =
   String.length name > 7
@@ -90,13 +76,13 @@ let cons_tail e =
     Some tl
   | _ -> None
 
-let classify ?arity_of e =
+let classify ~arity_of e =
   match e.pexp_desc with
   | Pexp_tuple _ -> Some Tuple
   | Pexp_record _ -> Some Record
   | Pexp_construct ({ txt = Longident.Lident "::"; _ }, Some _) -> Some List_literal
   | Pexp_construct ({ txt; _ }, Some _) -> (
-    match qualified txt with
+    match Callgraph.qualified txt with
     | [] -> None
     | parts -> Some (Variant (String.concat "." parts)))
   | Pexp_variant (_, Some _) -> Some (Variant "`poly")
@@ -111,13 +97,8 @@ let classify ?arity_of e =
       else if List.mem name float_producers then Some (Boxed_float name)
       else if is_format_call name then Some (Format_call name)
       else if List.mem name alloc_fns then Some (Alloc_fn name)
-      else
-        let arity =
-          match (arity_of, head_lid f) with
-          | Some fn, Some lid -> fn lid
-          | _ -> None
-        in
-        (match arity with
+      else (
+        match arity_of f with
         | Some a when List.length args < a -> Some (Partial_app name)
         | _ -> None))
   | _ -> None

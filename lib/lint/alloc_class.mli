@@ -29,11 +29,11 @@ val describe : t -> string
     ["tuple construction"] or ["partial application of Task.configure"]. *)
 
 val classify :
-  ?arity_of:(Longident.t -> int option) -> Parsetree.expression -> t option
+  arity_of:(Parsetree.expression -> int option) -> Parsetree.expression -> t option
 (** Classify one expression node ([None] = does not allocate, as far as
-    syntax can tell).  [arity_of] resolves intra-repo function arities for
-    partial-application detection; absent or returning [None] means
-    "assume saturated".  The caller owns traversal — [classify] never
+    syntax can tell).  [arity_of] gives the arity of the intra-repo
+    function an application's head names, for partial-application
+    detection; [None] means "assume saturated".  The caller owns traversal — [classify] never
     recurses, so a [::] spine classifies at every cons and the caller
     deduplicates (see {!cons_tail}). *)
 

@@ -10,16 +10,22 @@ type node = {
   n_binding : Parsetree.value_binding;
 }
 
-(* Per-file resolution context: the file's own module name, its simple
-   top-level aliases ([module O = Dream_obs]) and its top-level opens. *)
-type ctx = { c_aliases : (string * string list) list; c_opens : string list list }
+(* One entry of a lexical scope, innermost first: a module opened, a
+   module alias, or the value names bound by an enclosing
+   [let]/[fun]/[function]/[match]/[for], which hide every outer binding of
+   those names. *)
+type frame = Open of string list | Alias of string * string list | Bound of string list
 
 type t = {
   cg_nodes : (string * string, node) Hashtbl.t;  (* (file, name) -> node *)
   cg_keys : (string * string) list;  (* sorted *)
   cg_edges : (string * string, (string * string) list) Hashtbl.t;  (* sorted targets *)
+  cg_mentions : (string, node list) Hashtbl.t;  (* file -> sorted nodes *)
+  cg_resolved : (Location.t, node list) Hashtbl.t;  (* identifier -> its candidates *)
   cg_by_module : (string, string list) Hashtbl.t;  (* module name -> sorted files *)
-  cg_ctx : (string, ctx) Hashtbl.t;
+  cg_scope : (string, frame list) Hashtbl.t;
+      (* file -> its top-level aliases and opens, which scope over the
+         whole file *)
   cg_suffix : (string * string, (string * string) list) Hashtbl.t;
       (* (file, last segment of a dotted binding name) -> keys, so [f] inside
          submodule [Sub] finds [Sub.f] without scanning every node *)
@@ -30,6 +36,8 @@ let label n = n.n_module ^ "." ^ n.n_name
 
 let compare_key (f1, n1) (f2, n2) =
   match String.compare f1 f2 with 0 -> String.compare n1 n2 | c -> c
+
+let by_key a b = compare_key (key a) (key b)
 
 let module_name_of_path path =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
@@ -52,8 +60,15 @@ let rec flatten = function
   | Longident.Ldot (l, s) -> flatten l @ [ s ]
   | Longident.Lapply _ -> []
 
+(* [Stdlib.Random.int] and [Random.int] are the same name. *)
 let qualified lid =
   match flatten lid with "Stdlib" :: rest -> rest | parts -> parts
+
+let ident_path e =
+  match e.pexp_desc with
+  | Pexp_ident { txt; _ } -> (
+    match qualified txt with [] -> None | parts -> Some parts)
+  | _ -> None
 
 let has_hot_attr attrs =
   List.exists (fun a -> a.attr_name.Location.txt = "hot") attrs
@@ -66,12 +81,23 @@ let rec arity_of_expr e =
   | Pexp_function _ -> 1
   | _ -> 0
 
-let rec binding_names pat =
-  match pat.ppat_desc with
-  | Ppat_var { txt; _ } -> [ txt ]
-  | Ppat_constraint (p, _) -> binding_names p
-  | Ppat_tuple ps -> List.concat_map binding_names ps
-  | _ -> []
+(* Every variable a pattern binds, however deeply nested. *)
+let pattern_vars pat =
+  let acc = ref [] in
+  let default = Ast_iterator.default_iterator in
+  let it =
+    {
+      default with
+      Ast_iterator.pat =
+        (fun it p ->
+          (match p.ppat_desc with
+          | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) -> acc := txt :: !acc
+          | _ -> ());
+          default.Ast_iterator.pat it p);
+    }
+  in
+  it.Ast_iterator.pat it pat;
+  !acc
 
 (* Top-level bindings of a structure, descending into named submodules
    with a dotted prefix; other structures (functor bodies, local modules)
@@ -82,15 +108,7 @@ let rec collect_bindings ~prefix items =
       match item.pstr_desc with
       | Pstr_value (_, vbs) ->
         List.concat_map
-          (fun vb ->
-            List.map
-              (fun name ->
-                ( prefix ^ name,
-                  vb.pvb_loc,
-                  has_hot_attr vb.pvb_attributes,
-                  arity_of_expr vb.pvb_expr,
-                  vb ))
-              (binding_names vb.pvb_pat))
+          (fun vb -> List.map (fun name -> (prefix ^ name, vb)) (List.rev (pattern_vars vb.pvb_pat)))
           vbs
       | Pstr_module
           {
@@ -102,24 +120,23 @@ let rec collect_bindings ~prefix items =
       | _ -> [])
     items
 
-let ctx_of_structure items =
-  let aliases, opens =
-    List.fold_left
-      (fun (aliases, opens) item ->
-        match item.pstr_desc with
-        | Pstr_module
-            {
-              pmb_name = { txt = Some name; _ };
-              pmb_expr = { pmod_desc = Pmod_ident { txt; _ }; _ };
-              _;
-            } ->
-          ((name, qualified txt) :: aliases, opens)
-        | Pstr_open { popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ } ->
-          (aliases, qualified txt :: opens)
-        | _ -> (aliases, opens))
-      ([], []) items
-  in
-  { c_aliases = List.rev aliases; c_opens = List.rev opens }
+(* The file's top-level aliases ([module O = Dream_obs]) and opens, in
+   file order. *)
+let file_scope items =
+  List.filter_map
+    (fun item ->
+      match item.pstr_desc with
+      | Pstr_module
+          {
+            pmb_name = { txt = Some name; _ };
+            pmb_expr = { pmod_desc = Pmod_ident { txt; _ }; _ };
+            _;
+          } ->
+        Some (Alias (name, qualified txt))
+      | Pstr_open { popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ } ->
+        Some (Open (qualified txt))
+      | _ -> None)
+    items
 
 let node_opt t k = Hashtbl.find_opt t.cg_nodes k
 
@@ -156,50 +173,126 @@ let resolve_direct t ~file parts =
     List.filter_map (fun fl -> node_opt t (fl, s ^ "." ^ f)) (files_of_module t m)
   | _ -> []
 
-let no_scope = { c_aliases = []; c_opens = [] }
-
-(* The file's context with a local scope (local opens and module aliases,
-   innermost first) in front of it. *)
-let scope_ctx t ~file local =
-  let fctx = Option.value ~default:no_scope (Hashtbl.find_opt t.cg_ctx file) in
-  { c_aliases = local.c_aliases @ fctx.c_aliases; c_opens = local.c_opens @ fctx.c_opens }
-
-let expand ctx parts =
+(* One step of alias expansion, innermost alias first. *)
+let expand scope parts =
   match parts with
   | a :: rest -> (
-    match List.assoc_opt a ctx.c_aliases with
+    match List.find_map (function Alias (n, target) when n = a -> Some target | _ -> None) scope with
     | Some target -> target @ rest
     | None -> parts)
   | [] -> []
 
-let resolve ?(local = no_scope) t ~file parts =
-  let ctx = scope_ctx t ~file local in
-  let parts = expand ctx parts in
-  let direct = resolve_direct t ~file parts in
-  let via_opens =
-    List.concat_map (fun o -> resolve_direct t ~file (o @ parts)) ctx.c_opens
+(* Candidates of a path seen under [scope]: directly, and through every
+   open.  A bare name bound locally stops the search there: the file's
+   binding of it, and modules opened outside the local binding, are
+   hidden; modules opened inside it still count. *)
+let resolve t ~file scope parts =
+  let parts = expand scope parts in
+  let rec go = function
+    | [] -> resolve_direct t ~file parts
+    | Open o :: rest -> resolve_direct t ~file (o @ parts) @ go rest
+    | Bound names :: rest -> (
+      match parts with [ f ] when List.mem f names -> [] | _ -> go rest)
+    | Alias _ :: rest -> go rest
   in
-  List.sort_uniq (fun a b -> compare_key (key a) (key b)) (direct @ via_opens)
+  List.sort_uniq by_key (go scope)
 
-(* Every identifier mentioned in an expression, in traversal order.
-   Mentions, not calls: a function passed first-class is an edge. *)
-let idents_of_expr e =
-  let acc = ref [] in
+(* The one identifier walker.  It walks [file]'s structure once, keeping
+   the lexical scope, and hands [visit] each identifier's candidate nodes
+   with the keys of the node(s) whose binding encloses it ([[]] outside
+   any node, as in [let () = …] bodies).  [owners] maps a binding's
+   location to its nodes. *)
+let walk t ~owners ~file structure ~visit =
+  let owner = ref [] in
+  let scope = ref (Option.value ~default:[] (Hashtbl.find_opt t.cg_scope file)) in
+  let within frame f =
+    let saved = !scope in
+    scope := frame :: saved;
+    f ();
+    scope := saved
+  in
+  let bind pats f = within (Bound (List.concat_map pattern_vars pats)) f in
+  let module_path lid = expand !scope (qualified lid) in
   let default = Ast_iterator.default_iterator in
+  let cases it cs =
+    List.iter
+      (fun c ->
+        bind [ c.pc_lhs ] (fun () ->
+            Option.iter (it.Ast_iterator.expr it) c.pc_guard;
+            it.Ast_iterator.expr it c.pc_rhs))
+      cs
+  in
   let it =
     {
       default with
       Ast_iterator.expr =
         (fun it e ->
-          (match e.pexp_desc with
+          let expr = it.Ast_iterator.expr it in
+          match e.pexp_desc with
           | Pexp_ident { txt; _ } -> (
-            match qualified txt with [] -> () | parts -> acc := parts :: !acc)
+            match qualified txt with
+            | [] -> ()
+            | parts -> visit !owner e (resolve t ~file !scope parts))
+          | Pexp_let (Recursive, vbs, body) ->
+            bind (List.map (fun vb -> vb.pvb_pat) vbs) (fun () ->
+                List.iter (it.Ast_iterator.value_binding it) vbs;
+                expr body)
+          | Pexp_let (Nonrecursive, vbs, body) ->
+            List.iter (it.Ast_iterator.value_binding it) vbs;
+            bind (List.map (fun vb -> vb.pvb_pat) vbs) (fun () -> expr body)
+          | Pexp_fun (_, default, p, body) ->
+            Option.iter expr default;
+            bind [ p ] (fun () -> expr body)
+          | Pexp_function cs -> cases it cs
+          | Pexp_match (e, cs) | Pexp_try (e, cs) ->
+            expr e;
+            cases it cs
+          | Pexp_for (p, lo, hi, _, body) ->
+            expr lo;
+            expr hi;
+            bind [ p ] (fun () -> expr body)
+          | Pexp_letop { let_; ands; body } ->
+            let ops = let_ :: ands in
+            List.iter (fun op -> expr op.pbop_exp) ops;
+            bind (List.map (fun op -> op.pbop_pat) ops) (fun () -> expr body)
+          | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ }, body) ->
+            within (Open (module_path txt)) (fun () -> expr body)
+          | Pexp_letmodule
+              ({ txt = Some name; _ }, { pmod_desc = Pmod_ident { txt; _ }; _ }, body) ->
+            within (Alias (name, module_path txt)) (fun () -> expr body)
+          | _ -> default.Ast_iterator.expr it e);
+      Ast_iterator.value_binding =
+        (fun it vb ->
+          match
+            List.filter_map
+              (fun n -> if n.n_binding == vb then Some (key n) else None)
+              (Hashtbl.find_all owners vb.pvb_loc)
+          with
+          | [] -> default.Ast_iterator.value_binding it vb
+          | keys ->
+            let saved = !owner in
+            owner := keys;
+            default.Ast_iterator.value_binding it vb;
+            owner := saved);
+      Ast_iterator.structure_item =
+        (fun it si ->
+          (* An [open] or alias inside a submodule scopes over the rest of
+             the file here: a wider scope can only add candidates. *)
+          (match si.pstr_desc with
+          | Pstr_open { popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ } ->
+            scope := Open (module_path txt) :: !scope
+          | Pstr_module
+              {
+                pmb_name = { txt = Some name; _ };
+                pmb_expr = { pmod_desc = Pmod_ident { txt; _ }; _ };
+                _;
+              } ->
+            scope := Alias (name, module_path txt) :: !scope
           | _ -> ());
-          default.Ast_iterator.expr it e);
+          default.Ast_iterator.structure_item it si);
     }
   in
-  it.Ast_iterator.expr it e;
-  List.rev !acc
+  it.Ast_iterator.structure it structure
 
 let build files =
   let files = List.sort (fun (a, _) (b, _) -> String.compare a b) files in
@@ -208,27 +301,30 @@ let build files =
       cg_nodes = Hashtbl.create 256;
       cg_keys = [];
       cg_edges = Hashtbl.create 256;
+      cg_mentions = Hashtbl.create 64;
+      cg_resolved = Hashtbl.create 4096;
       cg_by_module = Hashtbl.create 64;
-      cg_ctx = Hashtbl.create 64;
+      cg_scope = Hashtbl.create 64;
       cg_suffix = Hashtbl.create 64;
     }
   in
+  let owners = Hashtbl.create 256 in
   List.iter
     (fun (path, structure) ->
       let m = module_name_of_path path in
       let existing = files_of_module t m in
       Hashtbl.replace t.cg_by_module m (List.sort String.compare (path :: existing));
-      Hashtbl.replace t.cg_ctx path (ctx_of_structure structure);
+      Hashtbl.replace t.cg_scope path (file_scope structure);
       List.iter
-        (fun (name, loc, hot, arity, vb) ->
+        (fun (name, vb) ->
           let node =
             {
               n_file = path;
               n_module = m;
               n_name = name;
-              n_loc = loc;
-              n_hot = hot;
-              n_arity = arity;
+              n_loc = vb.pvb_loc;
+              n_hot = has_hot_attr vb.pvb_attributes;
+              n_arity = arity_of_expr vb.pvb_expr;
               n_binding = vb;
             }
           in
@@ -236,6 +332,7 @@ let build files =
              top level and the first site is the stable anchor. *)
           if not (Hashtbl.mem t.cg_nodes (key node)) then begin
             Hashtbl.replace t.cg_nodes (key node) node;
+            Hashtbl.add owners vb.pvb_loc node;
             match String.rindex_opt name '.' with
             | None -> ()
             | Some i ->
@@ -252,19 +349,23 @@ let build files =
     Hashtbl.fold (fun k _ acc -> k :: acc) t.cg_nodes [] |> List.sort compare_key
   in
   let t = { t with cg_keys = keys } in
+  let targets = Hashtbl.create 1024 in
+  List.iter
+    (fun (path, structure) ->
+      let mentioned = Hashtbl.create 64 in
+      walk t ~owners ~file:path structure ~visit:(fun enclosing e nodes ->
+          Hashtbl.replace t.cg_resolved e.pexp_loc nodes;
+          List.iter
+            (fun n ->
+              Hashtbl.replace mentioned (key n) n;
+              List.iter (fun k -> if k <> key n then Hashtbl.add targets k (key n)) enclosing)
+            nodes);
+      Hashtbl.replace t.cg_mentions path
+        (Hashtbl.fold (fun _ n acc -> n :: acc) mentioned [] |> List.sort by_key))
+    files;
   List.iter
     (fun k ->
-      match node_opt t k with
-      | None -> ()
-      | Some n ->
-        let targets =
-          idents_of_expr n.n_binding.pvb_expr
-          |> List.concat_map (fun parts -> resolve t ~file:n.n_file parts)
-          |> List.map key
-          |> List.filter (fun k' -> k' <> k)
-          |> List.sort_uniq compare_key
-        in
-        Hashtbl.replace t.cg_edges k targets)
+      Hashtbl.replace t.cg_edges k (List.sort_uniq compare_key (Hashtbl.find_all targets k)))
     keys;
   t
 
@@ -272,66 +373,12 @@ let nodes t = List.filter_map (node_opt t) t.cg_keys
 
 let find t ~file name = node_opt t (file, name)
 
-let mentions t ~file structure =
-  let found = Hashtbl.create 64 in
-  let local = ref no_scope in
-  let scoped s f =
-    let saved = !local in
-    local := s;
-    f ();
-    local := saved
-  in
-  let path_of lid = expand (scope_ctx t ~file !local) (qualified lid) in
-  let default = Ast_iterator.default_iterator in
-  let it =
-    {
-      default with
-      Ast_iterator.expr =
-        (fun it e ->
-          match e.pexp_desc with
-          | Pexp_ident { txt; _ } ->
-            List.iter
-              (fun n -> Hashtbl.replace found (key n) n)
-              (match qualified txt with [] -> [] | parts -> resolve ~local:!local t ~file parts)
-          | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ }, body) ->
-            let s = !local in
-            scoped
-              { s with c_opens = path_of txt :: s.c_opens }
-              (fun () -> it.Ast_iterator.expr it body)
-          | Pexp_letmodule
-              ({ txt = Some name; _ }, { pmod_desc = Pmod_ident { txt; _ }; _ }, body) ->
-            let s = !local in
-            scoped
-              { s with c_aliases = (name, path_of txt) :: s.c_aliases }
-              (fun () -> it.Ast_iterator.expr it body)
-          | _ -> default.Ast_iterator.expr it e);
-      Ast_iterator.structure_item =
-        (fun it si ->
-          (* An [open] or alias inside a submodule scopes over the rest of
-             the file here: a wider scope can only add mentions. *)
-          (match si.pstr_desc with
-          | Pstr_open { popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ } ->
-            local := { !local with c_opens = path_of txt :: !local.c_opens }
-          | Pstr_module
-              {
-                pmb_name = { txt = Some name; _ };
-                pmb_expr = { pmod_desc = Pmod_ident { txt; _ }; _ };
-                _;
-              } ->
-            local := { !local with c_aliases = (name, path_of txt) :: !local.c_aliases }
-          | _ -> ());
-          default.Ast_iterator.structure_item it si);
-    }
-  in
-  it.Ast_iterator.structure it structure;
-  Hashtbl.fold (fun _ n acc -> n :: acc) found []
-  |> List.sort (fun a b -> compare_key (key a) (key b))
+let mentions t ~file = Option.value ~default:[] (Hashtbl.find_opt t.cg_mentions file)
 
 let hot_roots t = List.filter (fun n -> n.n_hot) (nodes t)
 
 let successors t k =
   match Hashtbl.find_opt t.cg_edges k with Some ts -> ts | None -> []
-
 let reachable_from_hot t =
   let visited = Hashtbl.create 64 in
   let pred = Hashtbl.create 64 in
@@ -367,13 +414,9 @@ let reachable_from_hot t =
   |> List.filter_map (fun k ->
          Option.map (fun n -> (n, chain_of k)) (node_opt t k))
 
-let top_bindings structure =
-  List.map (fun (name, _, _, _, vb) -> (name, vb)) (collect_bindings ~prefix:"" structure)
+let top_bindings structure = collect_bindings ~prefix:"" structure
 
-let arity_of_ident t ~file lid =
-  match qualified lid with
-  | [] -> None
-  | parts -> (
-    match resolve t ~file parts with
-    | [ n ] when n.n_arity > 0 -> Some n.n_arity
-    | _ -> None)
+let arity_of t e =
+  match Hashtbl.find_opt t.cg_resolved e.pexp_loc with
+  | Some [ n ] when n.n_arity > 0 -> Some n.n_arity
+  | Some _ | None -> None

@@ -11,12 +11,16 @@
     the defining file, [M.f] through the repo-wide module index (every
     file [m.ml] declares module [M]; ambiguous module names resolve to
     every candidate), [Dream_lib.M.f] and [Dream_lib.M.Sub.f] through the
-    library prefix (maps to [lib/lib/m.ml]), and simple top-level
-    aliases ([module O = Dream_obs]) and top-level [open]s are expanded
-    one step ({!mentions} also expands local ones).  What cannot be
-    resolved — functor applications, [Lapply], computed functions —
-    contributes no edge; the analysis documents that loophole rather than
-    guessing.
+    library prefix (maps to [lib/lib/m.ml]), and module aliases
+    ([module O = Dream_obs], [let module C = M in]) are expanded one
+    step.  One walker resolves every identifier of a file in its lexical
+    scope, for the edges, {!mentions} and {!arity_of} alike: opens ([open M],
+    [let open M in], [M.( … )]) add candidates within their scope, and a
+    name bound by an enclosing [let], [fun], [function], [match] or
+    [for] hides the top-level binding of that name (a local [let emit]
+    is not a call of the file's [emit]).  What cannot be resolved —
+    functor applications, [Lapply], computed functions — contributes no
+    edge; the analysis documents that loophole rather than guessing.
 
     Entry points are bindings carrying a [[@hot]] (or [[@@hot]])
     attribute.  {!reachable_from_hot} is a breadth-first closure from the
@@ -49,27 +53,30 @@ val reachable_from_hot : t -> (node * string list) list
 val find : t -> file:string -> string -> node option
 (** The node for a binding name (["f"] or ["Sub.f"]) in [file]. *)
 
-val mentions : t -> file:string -> Parsetree.structure -> node list
+val mentions : t -> file:string -> node list
 (** Every node that some identifier anywhere in [file]'s structure
-    resolves to, sorted.  Unlike the edges, which only see top-level
-    binding bodies, this walks [let () = …] bodies and nested modules too,
-    and expands local opens ([M.( … )], [let open M in]) and local module
-    aliases ([let module M = N in]) within their scope. *)
+    resolves to, sorted: the same resolution as the edges, over top-level
+    binding bodies, [let () = …] bodies and nested modules alike. *)
 
 val label : node -> string
 (** ["Module.name"], the spelling used in chains and findings. *)
 
-val arity_of_ident : t -> file:string -> Longident.t -> int option
-(** Resolve an identifier as {!build} did, from the viewpoint of [file];
-    [Some arity] when it names exactly one known function of non-zero
-    arity, [None] on ambiguity or unknowns (callers must treat [None] as
-    "assume saturated"). *)
+val arity_of : t -> Parsetree.expression -> int option
+(** The arity of the function an identifier expression names, as the
+    walker resolved it in its scope: [Some arity] when it names exactly
+    one known function of non-zero arity, [None] on ambiguity, unknowns,
+    local bindings and anything not an identifier (callers must treat
+    [None] as "assume saturated"). *)
 
 (** {2 Parsetree helpers shared with the engine's passes} *)
 
 val qualified : Longident.t -> string list
 (** Flatten a [Longident.t], stripping a leading [Stdlib]; [[]] for
-    [Lapply]. *)
+    [Lapply].  The one longident flattening of the linter: the per-file
+    rules, the allocation classifier and the engine's passes use it. *)
+
+val ident_path : Parsetree.expression -> string list option
+(** {!qualified} of an identifier expression; [None] for anything else. *)
 
 val top_bindings : Parsetree.structure -> (string * Parsetree.value_binding) list
 (** Top-level value bindings in declaration order, descending into named

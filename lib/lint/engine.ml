@@ -4,6 +4,7 @@ let parse_error_rule = "parse-error"
 let unused_suppression_rule = "unused-suppression"
 
 type suppression = {
+  s_attr : string;  (* the attribute's name, ["lint.allow"] or ["alloc.allow"] *)
   s_rule : string;
   s_region : Location.t;
   s_attr_loc : Location.t;
@@ -41,13 +42,19 @@ let string_payload attr =
     Ok s
   | _ -> Error "expected a string literal"
 
-(* A [test-only-export] allow gives its reason instead of the rule id,
-   ["oracle hook: test/<file>"] or ["test fake: test/<file>"], so every
-   export kept for a test names that test. *)
-let allow_payload attr =
-  match string_payload attr with
-  | Error _ -> Error "expected a string literal rule id, as in [@lint.allow \"rule-id\"]"
-  | Ok payload -> (
+(* The rule an allow silences, or why the allow is malformed.  Two rules
+   take a reason in place of the rule id, so every exception says why:
+   [hot-path-alloc] is allowed with [[@alloc.allow "reason"]] alone, and a
+   [test-only-export] allow reads ["oracle hook: test/<file>"] or
+   ["test fake: test/<file>"], naming the test that uses the export. *)
+let allowed_rule attr =
+  match (attr.attr_name.Location.txt, string_payload attr) with
+  | "alloc.allow", Ok reason when String.trim reason <> "" -> Ok Rules.hot_path_alloc_id
+  | "alloc.allow", _ ->
+    Error
+      "expected a non-empty reason string, as in [@alloc.allow \"tuple is the public API\"]"
+  | _, Error _ -> Error "expected a string literal rule id, as in [@lint.allow \"rule-id\"]"
+  | _, Ok payload -> (
     match String.index_opt payload ':' with
     | Some i when List.mem (String.sub payload 0 i) Rules.test_only_export_reasons ->
       let user = String.trim (String.sub payload (i + 1) (String.length payload - i - 1)) in
@@ -57,6 +64,8 @@ let allow_payload attr =
       Error
         "a test-only-export allow gives its reason, as in [@@lint.allow \"oracle hook: \
          test/<file>\"]"
+    | _ when payload = Rules.hot_path_alloc_id ->
+      Error "a hot-path-alloc allow gives its reason, as in [@alloc.allow \"reason\"]"
     | _ -> Ok payload)
 
 let finding_at ~rule ~file ~severity loc message =
@@ -73,10 +82,13 @@ let parse parser path src =
   | exception Lexer.Error (_, loc) -> Error (loc, "lexing error")
   | exception exn -> Error (Location.in_file path, "cannot parse: " ^ Printexc.to_string exn)
 
-(* ---- the per-file layer: syntactic rules plus [@lint.allow] ---- *)
+(* ---- the per-file layer: syntactic rules plus the one suppression pass ---- *)
 
-let lint_parsed ?(extra = []) ~rules ~path structure =
+(* [extra] carries this file's findings from the interprocedural passes,
+   so every finding meets the same allows. *)
+let lint_parsed ~extra ~rules ~path structure =
   let active = List.filter (fun (r : Rules.t) -> r.Rules.applies path) rules in
+  let active_ids = List.map (fun (r : Rules.t) -> r.Rules.id) active in
   let findings = ref extra in
   let suppressions = ref [] in
   let meta ~loc message =
@@ -90,18 +102,25 @@ let lint_parsed ?(extra = []) ~rules ~path structure =
       finding_at ~rule:r.Rules.id ~file:path ~severity:r.Rules.severity loc message
       :: !findings
   in
+  (* An [@alloc.allow] counts only where hot-path-alloc runs. *)
+  let is_allow name =
+    name = "lint.allow"
+    || (name = "alloc.allow" && List.mem Rules.hot_path_alloc_id active_ids)
+  in
   let register ~file_level ~region attrs =
     List.iter
       (fun attr ->
-        if attr.attr_name.Location.txt = "lint.allow" then
-          match allow_payload attr with
-          | Error msg -> meta ~loc:attr.attr_loc ("malformed [@lint.allow]: " ^ msg)
+        let name = attr.attr_name.Location.txt in
+        if is_allow name then
+          match allowed_rule attr with
+          | Error msg -> meta ~loc:attr.attr_loc (Printf.sprintf "malformed [@%s]: %s" name msg)
           | Ok rule when not (List.mem rule Rules.ids) ->
             meta ~loc:attr.attr_loc
               (Printf.sprintf "[@lint.allow %S] names an unknown rule" rule)
           | Ok rule ->
             suppressions :=
               {
+                s_attr = name;
                 s_rule = rule;
                 s_region = region;
                 s_attr_loc = attr.attr_loc;
@@ -141,7 +160,8 @@ let lint_parsed ?(extra = []) ~rules ~path structure =
       Ast_iterator.structure_item =
         (fun it si ->
           (match si.pstr_desc with
-          | Pstr_attribute attr -> register ~file_level:true ~region:si.pstr_loc [ attr ]
+          | Pstr_attribute attr when attr.attr_name.Location.txt = "lint.allow" ->
+            register ~file_level:true ~region:si.pstr_loc [ attr ]
           | _ -> ());
           default.Ast_iterator.structure_item it si);
     }
@@ -167,7 +187,6 @@ let lint_parsed ?(extra = []) ~rules ~path structure =
     matching <> []
   in
   let kept = List.filter (fun f -> not (suppressed f)) !findings in
-  let active_ids = List.map (fun (r : Rules.t) -> r.Rules.id) active in
   let unused =
     List.filter_map
       (fun s ->
@@ -178,7 +197,10 @@ let lint_parsed ?(extra = []) ~rules ~path structure =
           Some
             (finding_at ~rule:unused_suppression_rule ~file:path ~severity:Finding.Warning
                s.s_attr_loc
-               (Printf.sprintf "[@lint.allow %S] suppresses nothing; remove it" s.s_rule)))
+               (if s.s_attr = "alloc.allow" then
+                  "[@alloc.allow] suppresses nothing (site not allocating, or no longer \
+                   reachable from a [@hot] entry); remove it"
+                else Printf.sprintf "[@lint.allow %S] suppresses nothing; remove it" s.s_rule)))
       !suppressions
   in
   List.sort Finding.compare (kept @ unused)
@@ -222,12 +244,6 @@ let rec result_expr e =
     result_expr e'
   | _ -> e
 
-let ident_path e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> (
-    match Callgraph.qualified txt with [] -> None | parts -> Some parts)
-  | _ -> None
-
 let last_segment name =
   match String.rindex_opt name '.' with
   | None -> name
@@ -240,7 +256,7 @@ let mutable_kind ~mut_fields e =
   let e = result_expr e in
   match e.pexp_desc with
   | Pexp_apply (f, _) -> (
-    match ident_path f with
+    match Callgraph.ident_path f with
     | Some [ "ref" ] -> Some "ref cell"
     | Some [ "Hashtbl"; ("create" | "copy" | "of_seq") ] -> Some "Hashtbl"
     | Some [ "Buffer"; "create" ] -> Some "Buffer"
@@ -271,7 +287,7 @@ let mentions_ident name e =
       default with
       Ast_iterator.expr =
         (fun it e ->
-          (match ident_path e with
+          (match Callgraph.ident_path e with
           | Some parts -> (
             match List.rev parts with
             | leaf :: _ when leaf = name -> found := true
@@ -285,25 +301,23 @@ let mentions_ident name e =
 
 let domain_safety_findings ~severity parsed =
   let mut_fields = mutable_field_names parsed in
-  let tbl = Hashtbl.create 16 in
-  List.iter
+  List.concat_map
     (fun (path, structure) ->
       let bindings = Callgraph.top_bindings structure in
-      let file_findings =
-        List.filter_map
-          (fun (name, vb) ->
-            (* Functions construct per call, not at module init. *)
-            if Callgraph.arity_of_expr vb.pvb_expr > 0 then None
-            else
-              match mutable_kind ~mut_fields vb.pvb_expr with
-              | None -> None
-              | Some kind ->
-                let short = last_segment name in
-                let siblings =
-                  List.length
-                    (List.filter
-                       (fun (name', vb') ->
-                         name' <> name && mentions_ident short vb'.pvb_expr)
+      List.filter_map
+        (fun (name, vb) ->
+          (* Functions construct per call, not at module init. *)
+          if Callgraph.arity_of_expr vb.pvb_expr > 0 then None
+          else
+            match mutable_kind ~mut_fields vb.pvb_expr with
+            | None -> None
+            | Some kind ->
+              let short = last_segment name in
+              let siblings =
+                List.length
+                  (List.filter
+                     (fun (name', vb') ->
+                       name' <> name && mentions_ident short vb'.pvb_expr)
                        bindings)
                 in
                 Some
@@ -315,72 +329,16 @@ let domain_safety_findings ~severity parsed =
                          domain-safe primitive"
                         kind siblings
                         (if siblings = 1 then "" else "s"))))
-          bindings
-      in
-      if file_findings <> [] then Hashtbl.replace tbl path file_findings)
-    parsed;
-  tbl
+        bindings)
+    parsed
 
 (* ---- interprocedural pass: hot-path-alloc ---- *)
-
-type alloc_allow = {
-  a_file : string;
-  a_region : Location.t;
-  a_attr_loc : Location.t;
-  mutable a_used : bool;
-}
-
-let alloc_allow_name = "alloc.allow"
-
-(* Every [@alloc.allow "reason"] in the repo, wherever it sits: allows in
-   code that later drops out of the hot set must be cleaned up, so all of
-   them are subject to the unused check. *)
-let collect_alloc_allows parsed =
-  let allows = ref [] and malformed = ref [] in
-  List.iter
-    (fun (path, structure) ->
-      let register ~region attrs =
-        List.iter
-          (fun attr ->
-            if attr.attr_name.Location.txt = alloc_allow_name then
-              match string_payload attr with
-              | Ok reason when String.trim reason <> "" ->
-                allows :=
-                  { a_file = path; a_region = region; a_attr_loc = attr.attr_loc; a_used = false }
-                  :: !allows
-              | Ok _ | Error _ ->
-                malformed :=
-                  finding_at ~rule:unused_suppression_rule ~file:path
-                    ~severity:Finding.Warning attr.attr_loc
-                    "malformed [@alloc.allow]: expected a non-empty reason string, as in \
-                     [@alloc.allow \"tuple is the public API\"]"
-                  :: !malformed)
-          attrs
-      in
-      let default = Ast_iterator.default_iterator in
-      let it =
-        {
-          default with
-          Ast_iterator.expr =
-            (fun it e ->
-              register ~region:e.pexp_loc e.pexp_attributes;
-              default.Ast_iterator.expr it e);
-          Ast_iterator.value_binding =
-            (fun it vb ->
-              register ~region:vb.pvb_loc vb.pvb_attributes;
-              default.Ast_iterator.value_binding it vb);
-        }
-      in
-      it.Ast_iterator.structure it structure)
-    parsed;
-  (!allows, !malformed)
 
 (* Walk one reachable binding body for allocation sites.  The leading
    parameter spine is peeled (defining a function is not an allocation on
    the path that calls it); everything underneath is classified. *)
-let walk_hot_body ~graph ~file ~emit body =
+let walk_hot_body ~graph ~emit body =
   let skip = Hashtbl.create 8 in
-  let arity_of lid = Callgraph.arity_of_ident graph ~file lid in
   let default = Ast_iterator.default_iterator in
   let it =
     {
@@ -398,7 +356,7 @@ let walk_hot_body ~graph ~file ~emit body =
           | Some tl -> Hashtbl.replace skip tl.pexp_loc ()
           | None -> ());
           (if not (Hashtbl.mem skip e.pexp_loc) then
-             match Alloc_class.classify ~arity_of e with
+             match Alloc_class.classify ~arity_of:(Callgraph.arity_of graph) e with
              | Some cls -> emit ~loc:e.pexp_loc cls
              | None -> ());
           default.Ast_iterator.expr it e);
@@ -417,8 +375,7 @@ let walk_hot_body ~graph ~file ~emit body =
   in
   start body
 
-let hot_path_findings ~severity ~applies ~graph parsed =
-  let allows, malformed = collect_alloc_allows parsed in
+let hot_path_findings ~severity ~applies ~graph =
   let findings = ref [] in
   List.iter
     (fun ((node : Callgraph.node), chain) ->
@@ -426,38 +383,18 @@ let hot_path_findings ~severity ~applies ~graph parsed =
       if applies file then begin
         let chain_s = String.concat " -> " chain in
         let emit ~loc cls =
-          let line, col = position_of loc in
-          let covering =
-            List.filter
-              (fun a -> a.a_file = file && within a.a_region (line, col))
-              allows
-          in
-          if covering <> [] then List.iter (fun a -> a.a_used <- true) covering
-          else
-            findings :=
-              Finding.v ~rule:Rules.hot_path_alloc_id ~file ~line ~col ~severity
-                (Printf.sprintf
-                   "%s on a hot path ([@hot] %s); hoist it, reuse a buffer, or \
-                    justify it with [@alloc.allow \"reason\"]"
-                   (Alloc_class.describe cls) chain_s)
-              :: !findings
+          findings :=
+            finding_at ~rule:Rules.hot_path_alloc_id ~file ~severity loc
+              (Printf.sprintf
+                 "%s on a hot path ([@hot] %s); hoist it, reuse a buffer, or justify it \
+                  with [@alloc.allow \"reason\"]"
+                 (Alloc_class.describe cls) chain_s)
+            :: !findings
         in
-        walk_hot_body ~graph ~file ~emit node.Callgraph.n_binding.pvb_expr
+        walk_hot_body ~graph ~emit node.Callgraph.n_binding.pvb_expr
       end)
     (Callgraph.reachable_from_hot graph);
-  let unused =
-    List.filter_map
-      (fun a ->
-        if a.a_used then None
-        else
-          Some
-            (finding_at ~rule:unused_suppression_rule ~file:a.a_file
-               ~severity:Finding.Warning a.a_attr_loc
-               "[@alloc.allow] suppresses nothing (site not allocating, or no longer \
-                reachable from a [@hot] entry); remove it"))
-      allows
-  in
-  !findings @ malformed @ unused
+  !findings
 
 (* ---- interprocedural pass: test-only-export ---- *)
 
@@ -476,23 +413,23 @@ let rec sig_vals ~prefix items =
 
 (* Each [val] is looked up at its [.ml] binding, and the finding lands
    there, so [[@@lint.allow]] on the binding suppresses it. *)
-let test_only_findings ~severity ~applies ~graph parsed interfaces =
+let test_only_findings ~severity ~applies ~graph paths interfaces =
   let program = Hashtbl.create 256 and tests = Hashtbl.create 256 in
   List.iter
-    (fun (path, structure) ->
+    (fun path ->
       let seen = if Rules.in_test path then tests else program in
       List.iter
         (fun (n : Callgraph.node) ->
           if n.Callgraph.n_file <> path then
             Hashtbl.replace seen (n.Callgraph.n_file, n.Callgraph.n_name) ())
-        (Callgraph.mentions graph ~file:path structure))
-    parsed;
-  let tbl = Hashtbl.create 16 in
-  List.iter
+        (Callgraph.mentions graph ~file:path))
+    paths;
+  List.concat_map
     (fun (mli, signature) ->
       let file = Filename.remove_extension mli ^ ".ml" in
-      if applies file then
-        List.iter
+      if not (applies file) then []
+      else
+        List.filter_map
           (fun name ->
             match Callgraph.find graph ~file name with
             | Some n when not (Hashtbl.mem program (file, name)) ->
@@ -503,16 +440,12 @@ let test_only_findings ~severity ~applies ~graph parsed interfaces =
                    with [@@lint.allow \"oracle hook: test/<file>\"]"
                 else "no other module mentions it; drop it from the interface"
               in
-              let f =
-                finding_at ~rule:Rules.test_only_export_id ~file ~severity n.Callgraph.n_loc
-                  (Printf.sprintf "%s is exported by %s but %s" (Callgraph.label n) mli why)
-              in
-              Hashtbl.replace tbl file
-                (f :: Option.value ~default:[] (Hashtbl.find_opt tbl file))
-            | _ -> ())
+              Some
+                (finding_at ~rule:Rules.test_only_export_id ~file ~severity n.Callgraph.n_loc
+                   (Printf.sprintf "%s is exported by %s but %s" (Callgraph.label n) mli why))
+            | _ -> None)
           (sig_vals ~prefix:"" signature))
-    interfaces;
-  tbl
+    interfaces
 
 (* ---- repo-level drivers ---- *)
 
@@ -527,29 +460,22 @@ let lint_sources ?(rules = Rules.all) sources =
   let oks_of l = List.filter_map (function p, Ok s -> Some (p, s) | _, Error _ -> None) l in
   let oks = oks_of parsed in
   let graph = lazy (Callgraph.build oks) in
-  let find_rule id = List.find_opt (fun (r : Rules.t) -> r.Rules.id = id) rules in
-  let domain_tbl =
-    match find_rule Rules.domain_safety_id with
-    | Some r ->
-      domain_safety_findings ~severity:r.Rules.severity
-        (List.filter (fun (p, _) -> r.Rules.applies p) oks)
-    | None -> Hashtbl.create 1
-  in
-  let test_only_tbl =
-    match find_rule Rules.test_only_export_id with
-    | Some r ->
-      test_only_findings ~severity:r.Rules.severity ~applies:r.Rules.applies
-        ~graph:(Lazy.force graph) oks (oks_of parsed_mli)
-    | None -> Hashtbl.create 1
-  in
-  let hot =
-    match find_rule Rules.hot_path_alloc_id with
-    | Some r ->
-      hot_path_findings ~severity:r.Rules.severity ~applies:r.Rules.applies
-        ~graph:(Lazy.force graph) oks
+  let pass id run =
+    match List.find_opt (fun (r : Rules.t) -> r.Rules.id = id) rules with
+    | Some r -> run ~severity:r.Rules.severity ~applies:r.Rules.applies
     | None -> []
   in
-  let extra_for path tbl = Option.value ~default:[] (Hashtbl.find_opt tbl path) in
+  (* The three whole-repo passes, filed by the file each finding is in. *)
+  let extra = Hashtbl.create 64 in
+  List.iter
+    (fun (f : Finding.t) -> Hashtbl.add extra f.Finding.file f)
+    (pass Rules.domain_safety_id (fun ~severity ~applies ->
+         domain_safety_findings ~severity (List.filter (fun (p, _) -> applies p) oks))
+    @ pass Rules.test_only_export_id (fun ~severity ~applies ->
+          test_only_findings ~severity ~applies ~graph:(Lazy.force graph) (List.map fst oks)
+            (oks_of parsed_mli))
+    @ pass Rules.hot_path_alloc_id (fun ~severity ~applies ->
+          hot_path_findings ~severity ~applies ~graph:(Lazy.force graph)));
   let parse_error path (loc, msg) =
     [ finding_at ~rule:parse_error_rule ~file:path ~severity:Finding.Error loc msg ]
   in
@@ -558,9 +484,7 @@ let lint_sources ?(rules = Rules.all) sources =
       (fun (path, res) ->
         match res with
         | Error e -> parse_error path e
-        | Ok structure ->
-          let extra = extra_for path domain_tbl @ extra_for path test_only_tbl in
-          lint_parsed ~extra ~rules ~path structure)
+        | Ok structure -> lint_parsed ~extra:(Hashtbl.find_all extra path) ~rules ~path structure)
       parsed
   in
   let mli_errors =
@@ -568,7 +492,7 @@ let lint_sources ?(rules = Rules.all) sources =
       (fun (path, res) -> match res with Error e -> parse_error path e | Ok _ -> [])
       parsed_mli
   in
-  List.sort Finding.compare (hot @ per_file @ mli_errors)
+  List.sort Finding.compare (per_file @ mli_errors)
 [@@lint.allow "oracle hook: test/test_lint.ml"]
 
 let lint_files ?rules paths =

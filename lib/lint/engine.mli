@@ -2,20 +2,23 @@
 
     {b Per-file layer}: parse one OCaml implementation, run every
     applicable rule's hooks over the parsetree in a single
-    {!Ast_iterator} pass, then apply [[@lint.allow "rule-id"]]
-    suppressions.
+    {!Ast_iterator} pass, then run the one suppression pass over the
+    file's findings — its own and those the interprocedural layer filed
+    against it.
 
     {b Interprocedural layer} ({!lint_sources} / {!lint_files}): parse
     the whole file set once, build the {!Callgraph}, and run the three
-    repo-level passes on top of the per-file rules:
+    repo-level passes; each returns findings that enter the per-file
+    layer of the file they are in, so every finding meets the same
+    allows:
 
     - [hot-path-alloc]: every allocation site (classified by
       {!Alloc_class}) inside a binding reachable from a [[@hot]] entry
-      point is reported with its witness call chain.  Suppression is
+      point is reported with its witness call chain.  Its allow is
       [[@alloc.allow "reason"]] on the expression or binding — the
-      payload is a human reason, not a rule id — and an allow that
-      suppresses nothing (or has a malformed/empty payload) is itself a
-      finding, so the allowlist can only shrink.
+      payload is a human reason, not a rule id; [[@lint.allow
+      "hot-path-alloc"]] is refused as malformed, so there is one
+      spelling.
     - [domain-safety]: toplevel mutable state in [lib/] ([ref],
       [Hashtbl.create], [Buffer.create], arrays, records with fields
       declared [mutable] anywhere in the repo) is reported as a latent
@@ -35,15 +38,18 @@
       tests plug in.  The bare rule id, or a reason naming no [test/]
       file, is a malformed allow.
 
-    Per-file [[@lint.allow]] semantics (unchanged):
-    - [[@lint.allow "r"]] on an expression, or [[@@lint.allow "r"]] on a
+    Allow semantics, one registry for every rule:
+    - [[@lint.allow "r"]] (or [[@alloc.allow "reason"]] for
+      [hot-path-alloc]) on an expression, or [[@@lint.allow "r"]] on a
       [let] binding, silences rule [r] within that node's source range.
     - A floating [[@@@lint.allow "r"]] silences rule [r] for the whole
       file.  File-level allows are policy declarations and may
       legitimately match nothing.
-    - Every site-level allow must silence at least one finding;
-      otherwise the engine reports it under {!unused_suppression_rule},
-      as it does for unknown rule names and malformed payloads.
+    - Every site-level allow must silence at least one finding of a rule
+      that ran on the file; otherwise the engine reports it under
+      {!unused_suppression_rule}, as it does for unknown rule names and
+      malformed payloads.  An [[@alloc.allow]] is read only when
+      [hot-path-alloc] runs.
 
     Two engine-level ids appear in findings in addition to {!Rules.ids}:
     [parse-error] (the file does not parse; linting cannot proceed) and

@@ -21,7 +21,10 @@ let compare a b =
     if c <> 0 then c
     else
       let c = Int.compare a.col b.col in
-      if c <> 0 then c else String.compare a.rule b.rule
+      if c <> 0 then c
+      else
+        let c = String.compare a.rule b.rule in
+        if c <> 0 then c else String.compare a.message b.message
 
 let severity_to_string = function Error -> "error" | Warning -> "warning"
 

@@ -21,8 +21,9 @@ val v :
   rule:string -> file:string -> line:int -> col:int -> severity:severity -> string -> t
 
 val compare : t -> t -> int
-(** Order by file, then line, column and rule id: reports are stable
-    regardless of rule-evaluation order. *)
+(** Order by file, then line, column, rule id and message: a total order,
+    so reports are stable regardless of rule-evaluation order, even when
+    two findings share a position. *)
 
 val pp : Format.formatter -> t -> unit
 (** [file:line:col: severity [rule] message] — one line, compiler-style,

@@ -24,38 +24,21 @@ let in_lib path = List.mem "lib" (components path)
 let in_test path = List.mem "test" (components path)
 let everywhere _ = true
 
-(* ---- longident helpers ---- *)
-
-let rec flatten = function
-  | Longident.Lident s -> [ s ]
-  | Longident.Ldot (l, s) -> flatten l @ [ s ]
-  | Longident.Lapply _ -> []
-
-(* [Stdlib.Random.int] and [Random.int] are the same name for policy
-   purposes. *)
-let qualified lid =
-  match flatten lid with "Stdlib" :: rest -> rest | parts -> parts
-
-let name_of lid = String.concat "." (qualified lid)
-
-let ident_path e =
-  match e.pexp_desc with Pexp_ident { txt; _ } -> Some (qualified txt) | _ -> None
-
 (* ---- determinism: randomness ---- *)
 
 let determinism_random =
   let check_expr ~emit e =
-    match ident_path e with
-    | Some ("Random" :: _) ->
+    match Callgraph.ident_path e with
+    | Some ("Random" :: _ as path) ->
       emit ~loc:e.pexp_loc
         (Printf.sprintf
            "%s: all randomness must flow through the seeded Dream_util.Rng (lib/util/rng.ml)"
-           (match e.pexp_desc with Pexp_ident { txt; _ } -> name_of txt | _ -> "Random"))
+           (String.concat "." path))
     | _ -> ()
   in
   let check_module ~emit m =
     match m.pmod_desc with
-    | Pmod_ident { txt; _ } when qualified txt = [ "Random" ] ->
+    | Pmod_ident { txt; _ } when Callgraph.qualified txt = [ "Random" ] ->
       emit ~loc:m.pmod_loc
         "aliasing or opening Random: all randomness must flow through Dream_util.Rng"
     | _ -> ()
@@ -70,7 +53,7 @@ let clock_reads = [ [ "Sys"; "time" ]; [ "Unix"; "gettimeofday" ]; [ "Unix"; "ti
 
 let determinism_clock =
   let check_expr ~emit e =
-    match ident_path e with
+    match Callgraph.ident_path e with
     | Some path when List.mem path clock_reads ->
       emit ~loc:e.pexp_loc
         (Printf.sprintf
@@ -88,7 +71,7 @@ let determinism_clock =
    through Dream_obs.Gc_stats so tests can substitute a manual source. *)
 let determinism_gc =
   let check_expr ~emit e =
-    match ident_path e with
+    match Callgraph.ident_path e with
     | Some ("Gc" :: _ as path) ->
       emit ~loc:e.pexp_loc
         (Printf.sprintf
@@ -98,7 +81,7 @@ let determinism_gc =
   in
   let check_module ~emit m =
     match m.pmod_desc with
-    | Pmod_ident { txt; _ } when qualified txt = [ "Gc" ] ->
+    | Pmod_ident { txt; _ } when Callgraph.qualified txt = [ "Gc" ] ->
       emit ~loc:m.pmod_loc
         "aliasing or opening Gc: GC statistics must flow through Dream_obs.Gc_stats"
     | _ -> ()
@@ -122,7 +105,7 @@ let rec is_floaty e =
   | Pexp_constraint (_, { ptyp_desc = Ptyp_constr ({ txt = Longident.Lident "float"; _ }, []); _ })
     -> true
   | Pexp_apply (f, _) -> (
-    match ident_path f with
+    match Callgraph.ident_path f with
     | Some path ->
       let name = String.concat "." path in
       List.mem name float_ops || List.mem name float_makers
@@ -135,7 +118,7 @@ let float_equality =
   let check_expr ~emit e =
     match e.pexp_desc with
     | Pexp_apply (f, args) -> (
-      match ident_path f with
+      match Callgraph.ident_path f with
       | Some [ op ] when List.mem op eq_ops ->
         if List.exists (fun (_, arg) -> is_floaty arg) args then
           emit ~loc:e.pexp_loc
@@ -192,7 +175,7 @@ let partial_accessors =
 
 let partiality =
   let check_expr ~emit e =
-    match ident_path e with
+    match Callgraph.ident_path e with
     | Some path when List.mem path partial_accessors ->
       emit ~loc:e.pexp_loc
         (Printf.sprintf "%s raises on empty input; handle the empty case explicitly"
@@ -226,7 +209,7 @@ let stdout_writers =
 
 let stdout_hygiene =
   let check_expr ~emit e =
-    match ident_path e with
+    match Callgraph.ident_path e with
     | Some path when List.mem path stdout_writers ->
       emit ~loc:e.pexp_loc
         (Printf.sprintf
@@ -264,9 +247,10 @@ let mli_coverage =
    These three rules have no per-file hooks: their findings come from the
    whole-repo layer in {!Engine.lint_sources} (call graph + allocation
    classifier, the toplevel-mutable-state scan, and the call graph's
-   mentions against each interface).  They are registered
-   here so [--rules] selection, [--help], severity, directory policy and
-   the [@lint.allow] unknown-rule check treat them like any other rule. *)
+   mentions against each interface) and meet the same suppression pass
+   as every other finding.  They are registered here so [--rules]
+   selection, [--help], severity, directory policy and the allow checks
+   treat them like any other rule. *)
 
 let hot_path_alloc_id = "hot-path-alloc"
 let domain_safety_id = "domain-safety"
@@ -276,8 +260,8 @@ let test_only_export_reasons = [ "oracle hook"; "test fake" ]
 let hot_path_alloc =
   rule hot_path_alloc_id ~severity:Finding.Error ~applies:everywhere
     ~doc:
-      "no allocation site reachable from a [@hot] entry point (interprocedural; suppress \
-       a justified site with [@alloc.allow \"reason\"])"
+      "no allocation site reachable from a [@hot] entry point (interprocedural; allow a \
+       justified site with [@alloc.allow \"reason\"], its one allow spelling)"
 
 let domain_safety =
   rule domain_safety_id ~severity:Finding.Warning ~applies:in_lib

@@ -36,7 +36,9 @@ val all : t list
 val hot_path_alloc_id : string
 (** ["hot-path-alloc"] — allocation sites reachable from a [[@hot]] entry
     point.  Declared here (severity, policy, docs) but computed by the
-    interprocedural layer in {!Engine.lint_sources}. *)
+    interprocedural layer in {!Engine.lint_sources}.  Its allow is
+    [[@alloc.allow "reason"]], which gives a reason in place of the rule
+    id; [[@lint.allow "hot-path-alloc"]] is refused. *)
 
 val domain_safety_id : string
 (** ["domain-safety"] — toplevel mutable state in [lib/].  Declared here,

@@ -269,7 +269,8 @@ let robustness_names =
   [ "crashes"; "recoveries"; "switch_down_epochs"; "fetch_timeouts"; "fetch_retries";
     "fetch_failures"; "stale_epochs"; "counters_lost"; "install_failures";
     "recovery_reinstalls"; "controller_crashes"; "reconcile_removed"; "reconcile_installed";
-    "invariant_violations" ]
+    "partitions"; "partition_epochs"; "breaker_opens"; "breaker_probes"; "breaker_skips";
+    "sheds"; "invariant_violations" ]
 
 let pp ppf r =
   Format.fprintf ppf "telemetry %s: %d epochs, %d spans, %d events@." r.dir r.epochs r.spans

@@ -746,6 +746,67 @@ let prop_rule_sync_matches_set_diff =
              && List.equal Prefix.equal fresh added)
            switches expected)
 
+(* Retirement, against a model of each task's age: after every tick the
+   tasks that left the active set are those dropped in it plus exactly
+   those whose active epochs reached their duration; each of the latter
+   has one Completed record that lived its duration, and no TCAM holds a
+   rule of any task that has left. *)
+let prop_retire_at_duration =
+  QCheck.Test.make ~name:"tick retires exactly the tasks that reached their duration" ~count:25
+    QCheck.(int_bound 1_000_000) (fun seed ->
+      let rng = Rng.create seed in
+      let controller = mk_controller ~capacity:256 () in
+      let duration = Hashtbl.create 16 and age = Hashtbl.create 16 in
+      let left_so_far = ref [] in
+      for epoch = 0 to 29 do
+        if Rng.int rng 3 = 0 then begin
+          let d = 1 + Rng.int rng 8 in
+          match submit_task controller rng ~filter_index:epoch ~duration:d with
+          | `Admitted id ->
+            Hashtbl.replace duration id d;
+            Hashtbl.replace age id 0
+          | `Rejected -> ()
+        end;
+        let before = Controller.active_task_ids controller in
+        Controller.tick controller;
+        let after = Controller.active_task_ids controller in
+        List.iter (fun id -> Hashtbl.replace age id (Hashtbl.find age id + 1)) before;
+        let records id =
+          List.filter (fun r -> r.Metrics.task_id = id) (Controller.records controller)
+        in
+        List.iter
+          (fun id ->
+            let left = not (List.mem id after) in
+            let reached = Hashtbl.find age id >= Hashtbl.find duration id in
+            match records id with
+            | [ r ] when r.Metrics.outcome = Metrics.Dropped -> ()
+            | [ r ] when reached && left ->
+              if r.Metrics.outcome <> Metrics.Completed then
+                QCheck.Test.fail_reportf "task %d reached its duration but was not completed" id;
+              if r.Metrics.active_epochs <> Hashtbl.find duration id then
+                QCheck.Test.fail_reportf "task %d completed after %d epochs, not %d" id
+                  r.Metrics.active_epochs (Hashtbl.find duration id)
+            | [] when not (reached || left) -> ()
+            | rs ->
+              QCheck.Test.fail_reportf
+                "epoch %d, task %d: age %d of %d, %s, %d record(s)" epoch id
+                (Hashtbl.find age id) (Hashtbl.find duration id)
+                (if left then "left" else "still active")
+                (List.length rs))
+          before;
+        left_so_far := List.filter (fun id -> not (List.mem id after)) before @ !left_so_far;
+        Array.iter
+          (fun sw ->
+            List.iter
+              (fun id ->
+                if Tcam.used_by (Switch.tcam sw) ~owner:id > 0 then
+                  QCheck.Test.fail_reportf "switch %d keeps rules of retired task %d"
+                    (Switch.id sw) id)
+              !left_so_far)
+          (Controller.switches controller)
+      done;
+      true)
+
 (* Fail-over's column reconcile is the retired list audit
    (Reference_audit), switch by switch, on tables tampered with the ways
    an outage leaves them: live tasks' rules missing, strays under live
@@ -860,4 +921,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_rule_sync_matches_set_diff;
         ] );
       ("failover", [ QCheck_alcotest.to_alcotest prop_reconcile_matches_list_audit ]);
+      ("retire", [ QCheck_alcotest.to_alcotest prop_retire_at_duration ]);
     ]

@@ -348,6 +348,68 @@ let test_alloc_allow_malformed () =
       [ "hot-path-alloc"; Engine.unused_suppression_rule ]
       (List.sort String.compare (rule_ids fs))
 
+let test_hot_local_binding_shadows () =
+  (* Locally bound [emit]s (two [let]s, a parameter) hide the file's
+     allocating two-argument [emit]: no edge to it and no partial
+     application of it.  What is left is the two local closures. *)
+  let src =
+    "let emit w v = (w, v)\n\
+     let[@hot] next xs = let emit x = ignore x in List.iter emit xs\n\
+     let[@hot] apply emit x = emit x\n\
+     let[@hot] call x = let emit y = y + 1 in emit x\n"
+  in
+  let fs = hot [ ("lib/fake.ml", src) ] in
+  Alcotest.(check (list int))
+    "the local closures' lines" [ 2; 4 ]
+    (List.map (fun f -> f.Finding.line) fs);
+  List.iter
+    (fun f ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S is a closure" f.Finding.message)
+        true
+        (contains ~sub:"closure construction" f.Finding.message))
+    fs
+
+let test_hot_let_module_alias () =
+  let sources =
+    [
+      ("lib/a/entry.ml", "let[@hot] tick () = let module H = Helper in H.build ()\n");
+      ("lib/a/helper.ml", "let build () = (1, 2)\n");
+    ]
+  in
+  match hot sources with
+  | [ f ] ->
+    Alcotest.(check string) "finding lands in the callee" "lib/a/helper.ml" f.Finding.file;
+    Alcotest.(check bool) "witness chain through the alias" true
+      (contains ~sub:"Entry.tick -> Helper.build" f.Finding.message)
+  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
+
+let test_lint_allow_of_hot_refused () =
+  (* One spelling: hot-path-alloc is allowed with [@alloc.allow] only. *)
+  match
+    hot [ ("lib/fake.ml", "let[@hot] tick a b = (a, b) [@lint.allow \"hot-path-alloc\"]\n") ]
+  with
+  | fs -> (
+    Alcotest.(check (list string))
+      "the site still fires, the allow is refused"
+      [ "hot-path-alloc"; Engine.unused_suppression_rule ]
+      (List.sort String.compare (rule_ids fs));
+    match List.find_opt (fun f -> f.Finding.rule = Engine.unused_suppression_rule) fs with
+    | Some f ->
+      Alcotest.(check bool) "points at [@alloc.allow]" true
+        (contains ~sub:"malformed [@lint.allow]" f.Finding.message
+        && contains ~sub:"[@alloc.allow" f.Finding.message)
+    | None -> Alcotest.fail "no refusal")
+
+let test_alloc_allow_ignored_by_other_rules () =
+  (* A malformed [@alloc.allow] is hot-path-alloc's business only. *)
+  match
+    Engine.lint_sources ~rules:(only "determinism-random")
+      [ ("lib/fake.ml", "let[@hot] tick a b = (a, b) [@alloc.allow]\n") ]
+  with
+  | [] -> ()
+  | fs -> Alcotest.failf "expected no findings, got: %s" (String.concat "; " (rule_ids fs))
+
 (* ---- domain-safety (interprocedural) ---- *)
 
 let domain sources = Engine.lint_sources ~rules:(only "domain-safety") sources
@@ -747,6 +809,13 @@ let () =
           Alcotest.test_case "alloc.allow suppresses" `Quick test_alloc_allow_suppresses;
           Alcotest.test_case "unused alloc.allow is a finding" `Quick test_alloc_allow_unused;
           Alcotest.test_case "malformed alloc.allow" `Quick test_alloc_allow_malformed;
+          Alcotest.test_case "local binding shadows a top-level one" `Quick
+            test_hot_local_binding_shadows;
+          Alcotest.test_case "let module alias resolves" `Quick test_hot_let_module_alias;
+          Alcotest.test_case "lint.allow of hot-path-alloc refused" `Quick
+            test_lint_allow_of_hot_refused;
+          Alcotest.test_case "alloc.allow outside hot-path-alloc" `Quick
+            test_alloc_allow_ignored_by_other_rules;
         ] );
       ( "domain-safety",
         [

@@ -21,6 +21,7 @@ module Delay_model = Dream_switch.Delay_model
 module Fault_model = Dream_fault.Fault_model
 module Experiment = Dream_sim.Experiment
 module Fig06 = Dream_sim.Fig06
+module Degraded_mode = Dream_sim.Degraded_mode
 
 (* {1 Gc_stats} *)
 
@@ -269,6 +270,44 @@ let test_export_and_inspect () =
         Alcotest.(check int) "rules_fetched counter" result.Experiment.rules_fetched
           (counter report "rules_fetched"))
 
+(* A degraded-mode run at full adversity opens breakers and sheds; the
+   inspect report of its bundle prints every counter of the run that
+   Metrics.pp_robustness reports. *)
+let test_inspect_prints_degraded_counters () =
+  let bundle = Telemetry.create () in
+  let point = Degraded_mode.run_point ~telemetry:bundle scenario Experiment.dream_strategy 1.0 in
+  let rob = point.Degraded_mode.summary.Metrics.robustness in
+  Alcotest.(check bool) "the run shed or opened a breaker" true
+    (rob.Metrics.sheds > 0 || rob.Metrics.breaker_opens > 0);
+  with_temp_dir (fun dir ->
+      (match Telemetry.write_dir bundle ~dir with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "write_dir: %s" e);
+      match Inspect.load dir with
+      | Error e -> Alcotest.failf "Inspect.load: %s" e
+      | Ok report ->
+        let printed = Format.asprintf "%a" Inspect.pp report in
+        List.iter
+          (fun (name, v) ->
+            if v > 0 then
+              Alcotest.(check bool)
+                (Printf.sprintf "%s = %d printed" name v)
+                true
+                (List.exists
+                   (fun line ->
+                     match String.split_on_char ' ' (String.trim line) with
+                     | n :: rest -> n = name && List.mem (string_of_int v) rest
+                     | [] -> false)
+                   (String.split_on_char '\n' printed)))
+          [
+            ("partitions", rob.Metrics.partitions);
+            ("partition_epochs", rob.Metrics.partition_epochs);
+            ("breaker_opens", rob.Metrics.breaker_opens);
+            ("breaker_probes", rob.Metrics.breaker_probes);
+            ("breaker_skips", rob.Metrics.breaker_skips);
+            ("sheds", rob.Metrics.sheds);
+          ])
+
 (* {1 Phase views}
 
    Four views carry each epoch's phase split: the Fig 17 delay sample, the
@@ -425,6 +464,8 @@ let () =
         [
           Alcotest.test_case "telemetry is zero-diff" `Quick test_zero_diff;
           Alcotest.test_case "export and inspect" `Quick test_export_and_inspect;
+          Alcotest.test_case "inspect prints degraded-mode counters" `Quick
+            test_inspect_prints_degraded_counters;
           Alcotest.test_case "phase views agree" `Quick test_phase_views_agree;
           Alcotest.test_case "price = switches.csv through Delay_model" `Quick
             test_price_from_switch_rows;
