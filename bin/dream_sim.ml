@@ -714,7 +714,7 @@ let inspect dir top =
       (sp "%s is not a telemetry directory" dir)
   in
   let* report = Inspect.load ~top dir in
-  Format.printf "%a" Inspect.pp report;
+  Format.printf "%a" (Inspect.pp ~robustness:(Metrics.to_list Metrics.names)) report;
   Ok ()
 
 let inspect_cmd =

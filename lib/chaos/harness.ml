@@ -58,14 +58,8 @@ let digest_of controller =
     s.Metrics.admitted s.Metrics.rejected s.Metrics.dropped s.Metrics.completed
     s.Metrics.mean_satisfaction s.Metrics.p5_satisfaction s.Metrics.rejection_pct
     s.Metrics.drop_pct;
-  let r = s.Metrics.robustness in
-  Printf.bprintf b "robustness %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d\n"
-    r.Metrics.crashes r.Metrics.recoveries r.Metrics.switch_down_epochs r.Metrics.fetch_timeouts
-    r.Metrics.fetch_retries r.Metrics.fetch_failures r.Metrics.stale_epochs
-    r.Metrics.counters_lost r.Metrics.install_failures r.Metrics.recovery_reinstalls
-    r.Metrics.controller_crashes r.Metrics.reconcile_removed r.Metrics.reconcile_installed
-    r.Metrics.invariant_violations r.Metrics.partitions r.Metrics.partition_epochs
-    r.Metrics.breaker_opens r.Metrics.breaker_probes r.Metrics.breaker_skips r.Metrics.sheds;
+  Printf.bprintf b "robustness %s\n"
+    (String.concat " " (List.map string_of_int (Metrics.to_list s.Metrics.robustness)));
   List.iter
     (fun (rec_ : Metrics.record) ->
       Printf.bprintf b "record %d %s %s %d %d %d %.17g %.17g\n" rec_.Metrics.task_id

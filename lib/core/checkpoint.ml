@@ -196,53 +196,16 @@ let parse_records r =
 
 let emit_robustness w (rob : Metrics.robustness) =
   C.section w "robustness";
-  C.int w "crashes" rob.Metrics.crashes;
-  C.int w "recoveries" rob.Metrics.recoveries;
-  C.int w "switch_down_epochs" rob.Metrics.switch_down_epochs;
-  C.int w "fetch_timeouts" rob.Metrics.fetch_timeouts;
-  C.int w "fetch_retries" rob.Metrics.fetch_retries;
-  C.int w "fetch_failures" rob.Metrics.fetch_failures;
-  C.int w "stale_epochs" rob.Metrics.stale_epochs;
-  C.int w "counters_lost" rob.Metrics.counters_lost;
-  C.int w "install_failures" rob.Metrics.install_failures;
-  C.int w "recovery_reinstalls" rob.Metrics.recovery_reinstalls;
-  C.int w "controller_crashes" rob.Metrics.controller_crashes;
-  C.int w "reconcile_removed" rob.Metrics.reconcile_removed;
-  C.int w "reconcile_installed" rob.Metrics.reconcile_installed;
-  C.int w "invariant_violations" rob.Metrics.invariant_violations;
-  C.int w "partitions" rob.Metrics.partitions;
-  C.int w "partition_epochs" rob.Metrics.partition_epochs;
-  C.int w "breaker_opens" rob.Metrics.breaker_opens;
-  C.int w "breaker_probes" rob.Metrics.breaker_probes;
-  C.int w "breaker_skips" rob.Metrics.breaker_skips;
-  C.int w "sheds" rob.Metrics.sheds
+  List.iter2 (C.int w) (Metrics.to_list Metrics.names) (Metrics.to_list rob)
 
 let parse_robustness r : Metrics.robustness =
   C.expect_section r "robustness";
-  let crashes = C.int_field r "crashes" in
-  let recoveries = C.int_field r "recoveries" in
-  let switch_down_epochs = C.int_field r "switch_down_epochs" in
-  let fetch_timeouts = C.int_field r "fetch_timeouts" in
-  let fetch_retries = C.int_field r "fetch_retries" in
-  let fetch_failures = C.int_field r "fetch_failures" in
-  let stale_epochs = C.int_field r "stale_epochs" in
-  let counters_lost = C.int_field r "counters_lost" in
-  let install_failures = C.int_field r "install_failures" in
-  let recovery_reinstalls = C.int_field r "recovery_reinstalls" in
-  let controller_crashes = C.int_field r "controller_crashes" in
-  let reconcile_removed = C.int_field r "reconcile_removed" in
-  let reconcile_installed = C.int_field r "reconcile_installed" in
-  let invariant_violations = C.int_field r "invariant_violations" in
-  let partitions = C.int_field r "partitions" in
-  let partition_epochs = C.int_field r "partition_epochs" in
-  let breaker_opens = C.int_field r "breaker_opens" in
-  let breaker_probes = C.int_field r "breaker_probes" in
-  let breaker_skips = C.int_field r "breaker_skips" in
-  let sheds = C.int_field r "sheds" in
-  { Metrics.crashes; recoveries; switch_down_epochs; fetch_timeouts; fetch_retries;
-    fetch_failures; stale_epochs; counters_lost; install_failures; recovery_reinstalls;
-    controller_crashes; reconcile_removed; reconcile_installed; invariant_violations;
-    partitions; partition_epochs; breaker_opens; breaker_probes; breaker_skips; sheds }
+  Metrics.map
+    (fun name ->
+      let v = C.int_field r name in
+      if v < 0 then C.parse_error 0 (Printf.sprintf "negative tally %s %d" name v);
+      v)
+    Metrics.names
 
 let emit d =
   let w = C.writer () in

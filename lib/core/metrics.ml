@@ -25,131 +25,105 @@ let rejected ~task_id ~kind ~epoch =
     mean_accuracy = 0.0;
   }
 
-type robustness = {
-  crashes : int;
-  recoveries : int;
-  switch_down_epochs : int;
-  fetch_timeouts : int;
-  fetch_retries : int;
-  fetch_failures : int;
-  stale_epochs : int;
-  counters_lost : int;
-  install_failures : int;
-  recovery_reinstalls : int;
-  controller_crashes : int;
-  reconcile_removed : int;
-  reconcile_installed : int;
-  invariant_violations : int;
-  partitions : int;
-  partition_epochs : int;
-  breaker_opens : int;
-  breaker_probes : int;
-  breaker_skips : int;
-  sheds : int;
+type 'a tallies = {
+  crashes : 'a;
+  recoveries : 'a;
+  switch_down_epochs : 'a;
+  fetch_timeouts : 'a;
+  fetch_retries : 'a;
+  fetch_failures : 'a;
+  stale_epochs : 'a;
+  counters_lost : 'a;
+  install_failures : 'a;
+  recovery_reinstalls : 'a;
+  controller_crashes : 'a;
+  reconcile_removed : 'a;
+  reconcile_installed : 'a;
+  invariant_violations : 'a;
+  partitions : 'a;
+  partition_epochs : 'a;
+  breaker_opens : 'a;
+  breaker_probes : 'a;
+  breaker_skips : 'a;
+  sheds : 'a;
 }
+
+let names =
+  {
+    crashes = "crashes";
+    recoveries = "recoveries";
+    switch_down_epochs = "switch_down_epochs";
+    fetch_timeouts = "fetch_timeouts";
+    fetch_retries = "fetch_retries";
+    fetch_failures = "fetch_failures";
+    stale_epochs = "stale_epochs";
+    counters_lost = "counters_lost";
+    install_failures = "install_failures";
+    recovery_reinstalls = "recovery_reinstalls";
+    controller_crashes = "controller_crashes";
+    reconcile_removed = "reconcile_removed";
+    reconcile_installed = "reconcile_installed";
+    invariant_violations = "invariant_violations";
+    partitions = "partitions";
+    partition_epochs = "partition_epochs";
+    breaker_opens = "breaker_opens";
+    breaker_probes = "breaker_probes";
+    breaker_skips = "breaker_skips";
+    sheds = "sheds";
+  }
+
+(* A let chain, not a record literal: OCaml leaves the evaluation order
+   of a literal's fields unspecified, and checkpoint parse reads its
+   lines through [f] in declaration order. *)
+let map f t =
+  let crashes = f t.crashes in
+  let recoveries = f t.recoveries in
+  let switch_down_epochs = f t.switch_down_epochs in
+  let fetch_timeouts = f t.fetch_timeouts in
+  let fetch_retries = f t.fetch_retries in
+  let fetch_failures = f t.fetch_failures in
+  let stale_epochs = f t.stale_epochs in
+  let counters_lost = f t.counters_lost in
+  let install_failures = f t.install_failures in
+  let recovery_reinstalls = f t.recovery_reinstalls in
+  let controller_crashes = f t.controller_crashes in
+  let reconcile_removed = f t.reconcile_removed in
+  let reconcile_installed = f t.reconcile_installed in
+  let invariant_violations = f t.invariant_violations in
+  let partitions = f t.partitions in
+  let partition_epochs = f t.partition_epochs in
+  let breaker_opens = f t.breaker_opens in
+  let breaker_probes = f t.breaker_probes in
+  let breaker_skips = f t.breaker_skips in
+  let sheds = f t.sheds in
+  { crashes; recoveries; switch_down_epochs; fetch_timeouts; fetch_retries; fetch_failures;
+    stale_epochs; counters_lost; install_failures; recovery_reinstalls; controller_crashes;
+    reconcile_removed; reconcile_installed; invariant_violations; partitions; partition_epochs;
+    breaker_opens; breaker_probes; breaker_skips; sheds }
+
+let to_list t =
+  [ t.crashes; t.recoveries; t.switch_down_epochs; t.fetch_timeouts; t.fetch_retries;
+    t.fetch_failures; t.stale_epochs; t.counters_lost; t.install_failures;
+    t.recovery_reinstalls; t.controller_crashes; t.reconcile_removed; t.reconcile_installed;
+    t.invariant_violations; t.partitions; t.partition_epochs; t.breaker_opens; t.breaker_probes;
+    t.breaker_skips; t.sheds ]
+
+type robustness = int tallies
 
 (* Registry-backed robustness tallies: the exporters and {!robustness}
    read the same cells, so there is exactly one copy of each tally. *)
 module Tallies = struct
   module Counter = Dream_obs.Registry.Counter
 
-  type t = {
-    crashes : Counter.t;
-    recoveries : Counter.t;
-    switch_down_epochs : Counter.t;
-    fetch_timeouts : Counter.t;
-    fetch_retries : Counter.t;
-    fetch_failures : Counter.t;
-    stale_epochs : Counter.t;
-    counters_lost : Counter.t;
-    install_failures : Counter.t;
-    recovery_reinstalls : Counter.t;
-    controller_crashes : Counter.t;
-    reconcile_removed : Counter.t;
-    reconcile_installed : Counter.t;
-    invariant_violations : Counter.t;
-    partitions : Counter.t;
-    partition_epochs : Counter.t;
-    breaker_opens : Counter.t;
-    breaker_probes : Counter.t;
-    breaker_skips : Counter.t;
-    sheds : Counter.t;
-  }
+  type t = Counter.t tallies
 
-  let of_registry reg =
-    let c name = Dream_obs.Registry.counter reg name in
-    {
-      crashes = c "crashes";
-      recoveries = c "recoveries";
-      switch_down_epochs = c "switch_down_epochs";
-      fetch_timeouts = c "fetch_timeouts";
-      fetch_retries = c "fetch_retries";
-      fetch_failures = c "fetch_failures";
-      stale_epochs = c "stale_epochs";
-      counters_lost = c "counters_lost";
-      install_failures = c "install_failures";
-      recovery_reinstalls = c "recovery_reinstalls";
-      controller_crashes = c "controller_crashes";
-      reconcile_removed = c "reconcile_removed";
-      reconcile_installed = c "reconcile_installed";
-      invariant_violations = c "invariant_violations";
-      partitions = c "partitions";
-      partition_epochs = c "partition_epochs";
-      breaker_opens = c "breaker_opens";
-      breaker_probes = c "breaker_probes";
-      breaker_skips = c "breaker_skips";
-      sheds = c "sheds";
-    }
-
-  let set t (v : robustness) =
-    Counter.set t.crashes v.crashes;
-    Counter.set t.recoveries v.recoveries;
-    Counter.set t.switch_down_epochs v.switch_down_epochs;
-    Counter.set t.fetch_timeouts v.fetch_timeouts;
-    Counter.set t.fetch_retries v.fetch_retries;
-    Counter.set t.fetch_failures v.fetch_failures;
-    Counter.set t.stale_epochs v.stale_epochs;
-    Counter.set t.counters_lost v.counters_lost;
-    Counter.set t.install_failures v.install_failures;
-    Counter.set t.recovery_reinstalls v.recovery_reinstalls;
-    Counter.set t.controller_crashes v.controller_crashes;
-    Counter.set t.reconcile_removed v.reconcile_removed;
-    Counter.set t.reconcile_installed v.reconcile_installed;
-    Counter.set t.invariant_violations v.invariant_violations;
-    Counter.set t.partitions v.partitions;
-    Counter.set t.partition_epochs v.partition_epochs;
-    Counter.set t.breaker_opens v.breaker_opens;
-    Counter.set t.breaker_probes v.breaker_probes;
-    Counter.set t.breaker_skips v.breaker_skips;
-    Counter.set t.sheds v.sheds
-
-  let read t : robustness =
-    {
-      crashes = Counter.value t.crashes;
-      recoveries = Counter.value t.recoveries;
-      switch_down_epochs = Counter.value t.switch_down_epochs;
-      fetch_timeouts = Counter.value t.fetch_timeouts;
-      fetch_retries = Counter.value t.fetch_retries;
-      fetch_failures = Counter.value t.fetch_failures;
-      stale_epochs = Counter.value t.stale_epochs;
-      counters_lost = Counter.value t.counters_lost;
-      install_failures = Counter.value t.install_failures;
-      recovery_reinstalls = Counter.value t.recovery_reinstalls;
-      controller_crashes = Counter.value t.controller_crashes;
-      reconcile_removed = Counter.value t.reconcile_removed;
-      reconcile_installed = Counter.value t.reconcile_installed;
-      invariant_violations = Counter.value t.invariant_violations;
-      partitions = Counter.value t.partitions;
-      partition_epochs = Counter.value t.partition_epochs;
-      breaker_opens = Counter.value t.breaker_opens;
-      breaker_probes = Counter.value t.breaker_probes;
-      breaker_skips = Counter.value t.breaker_skips;
-      sheds = Counter.value t.sheds;
-    }
+  let of_registry reg = map (fun name -> Dream_obs.Registry.counter reg name) names
+  let set t (v : robustness) = List.iter2 Counter.set (to_list t) (to_list v)
+  let read t : robustness = map Counter.value t
 end
 
 (* All counters zero: what a fresh set of tallies reads. *)
-let no_faults = Tallies.read (Tallies.of_registry (Dream_obs.Registry.create ()))
+let no_faults = map (fun _ -> 0) names
 
 type summary = {
   submitted : int;

@@ -20,28 +20,44 @@ val rejected : task_id:int -> kind:Dream_tasks.Task_spec.kind -> epoch:int -> re
 (** The record of a task refused at [epoch]: never active, satisfaction and
     accuracy zero. *)
 
-type robustness = {
-  crashes : int;  (** switch crash events *)
-  recoveries : int;  (** switches that came back up *)
-  switch_down_epochs : int;  (** sum over epochs of down-switch count *)
-  fetch_timeouts : int;  (** counter-fetch batches that timed out *)
-  fetch_retries : int;  (** retry attempts issued after timeouts *)
-  fetch_failures : int;  (** fetches abandoned after the retry budget ran out *)
-  stale_epochs : int;  (** task-switch epochs served from the previous epoch's counters *)
-  counters_lost : int;  (** individual counters dropped from otherwise-successful batches *)
-  install_failures : int;  (** rule installs that did not land *)
-  recovery_reinstalls : int;  (** rules reinstalled on freshly recovered switches *)
-  controller_crashes : int;  (** controller fail-overs survived *)
-  reconcile_removed : int;  (** stray rules deleted by the post-crash switch audit *)
-  reconcile_installed : int;  (** missing rules reinstalled by the post-crash switch audit *)
-  invariant_violations : int;  (** violations flagged by the runtime invariant checker *)
-  partitions : int;  (** control-channel partition windows that opened *)
-  partition_epochs : int;  (** sum over epochs of unreachable-switch count *)
-  breaker_opens : int;  (** circuit-breaker trips (including probe-failure re-opens) *)
-  breaker_probes : int;  (** half-open probes issued by open breakers *)
-  breaker_skips : int;  (** fetches skipped outright because a breaker was open *)
-  sheds : int;  (** task fetches shed by the epoch-deadline scheduler *)
+(** The robustness tallies, declared once: a record polymorphic in its
+    cell type, so the values a run reports ({!robustness}), the registry
+    counters that keep them ({!Tallies.t}) and their names ({!names}) are
+    the same twenty fields in the same order. *)
+type 'a tallies = {
+  crashes : 'a;  (** switch crash events *)
+  recoveries : 'a;  (** switches that came back up *)
+  switch_down_epochs : 'a;  (** sum over epochs of down-switch count *)
+  fetch_timeouts : 'a;  (** counter-fetch batches that timed out *)
+  fetch_retries : 'a;  (** retry attempts issued after timeouts *)
+  fetch_failures : 'a;  (** fetches abandoned after the retry budget ran out *)
+  stale_epochs : 'a;  (** task-switch epochs served from the previous epoch's counters *)
+  counters_lost : 'a;  (** individual counters dropped from otherwise-successful batches *)
+  install_failures : 'a;  (** rule installs that did not land *)
+  recovery_reinstalls : 'a;  (** rules reinstalled on freshly recovered switches *)
+  controller_crashes : 'a;  (** controller fail-overs survived *)
+  reconcile_removed : 'a;  (** stray rules deleted by the post-crash switch audit *)
+  reconcile_installed : 'a;  (** missing rules reinstalled by the post-crash switch audit *)
+  invariant_violations : 'a;  (** violations flagged by the runtime invariant checker *)
+  partitions : 'a;  (** control-channel partition windows that opened *)
+  partition_epochs : 'a;  (** sum over epochs of unreachable-switch count *)
+  breaker_opens : 'a;  (** circuit-breaker trips (including probe-failure re-opens) *)
+  breaker_probes : 'a;  (** half-open probes issued by open breakers *)
+  breaker_skips : 'a;  (** fetches skipped outright because a breaker was open *)
+  sheds : 'a;  (** task fetches shed by the epoch-deadline scheduler *)
 }
+
+val names : string tallies
+(** Each field's own name: the registry counter's, the checkpoint key's. *)
+
+val map : ('a -> 'b) -> 'a tallies -> 'b tallies
+(** Applies [f] to the fields one at a time, in declaration order, so a
+    reader may consume its input as it goes. *)
+
+val to_list : 'a tallies -> 'a list
+(** The fields in declaration order. *)
+
+type robustness = int tallies
 
 val no_faults : robustness
 (** All counters zero — what a run without fault injection reports. *)
@@ -49,30 +65,7 @@ val no_faults : robustness
 (** Registry-backed robustness tallies.  Each counter is a cell of a
     metrics registry, so the exporters and {!read} see the same values. *)
 module Tallies : sig
-  type counter := Dream_obs.Registry.Counter.t
-
-  type t = {
-    crashes : counter;
-    recoveries : counter;
-    switch_down_epochs : counter;
-    fetch_timeouts : counter;
-    fetch_retries : counter;
-    fetch_failures : counter;
-    stale_epochs : counter;
-    counters_lost : counter;
-    install_failures : counter;
-    recovery_reinstalls : counter;
-    controller_crashes : counter;
-    reconcile_removed : counter;
-    reconcile_installed : counter;
-    invariant_violations : counter;
-    partitions : counter;
-    partition_epochs : counter;
-    breaker_opens : counter;
-    breaker_probes : counter;
-    breaker_skips : counter;
-    sheds : counter;
-  }
+  type t = Dream_obs.Registry.Counter.t tallies
 
   val of_registry : Dream_obs.Registry.t -> t
   (** Find or create the twenty counters, named after their fields. *)

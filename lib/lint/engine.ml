@@ -162,6 +162,13 @@ let lint_parsed ~extra ~rules ~path structure =
           (match si.pstr_desc with
           | Pstr_attribute attr when attr.attr_name.Location.txt = "lint.allow" ->
             register ~file_level:true ~region:si.pstr_loc [ attr ]
+          (* A file-wide hot-path-alloc allow would let one line silence
+             a whole hot file, so a floating one is refused, not read. *)
+          | Pstr_attribute attr when attr.attr_name.Location.txt = "alloc.allow" ->
+            if is_allow "alloc.allow" then
+              meta ~loc:attr.attr_loc
+                "malformed [@@@alloc.allow]: [@alloc.allow \"reason\"] sits on the allocating \
+                 expression or binding, not on the file"
           | _ -> ());
           default.Ast_iterator.structure_item it si);
     }

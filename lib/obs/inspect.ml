@@ -264,15 +264,7 @@ let load_report ~top ~dir =
 
 let load ?(top = 5) dir = load_report ~top ~dir
 
-(* The robustness counters Metrics.pp_robustness reports, in its order. *)
-let robustness_names =
-  [ "crashes"; "recoveries"; "switch_down_epochs"; "fetch_timeouts"; "fetch_retries";
-    "fetch_failures"; "stale_epochs"; "counters_lost"; "install_failures";
-    "recovery_reinstalls"; "controller_crashes"; "reconcile_removed"; "reconcile_installed";
-    "partitions"; "partition_epochs"; "breaker_opens"; "breaker_probes"; "breaker_skips";
-    "sheds"; "invariant_violations" ]
-
-let pp ppf r =
+let pp ~robustness ppf r =
   Format.fprintf ppf "telemetry %s: %d epochs, %d spans, %d events@." r.dir r.epochs r.spans
     r.events;
   if r.phases <> [] then begin
@@ -288,7 +280,7 @@ let pp ppf r =
     Format.fprintf ppf "@.events:@.";
     List.iter (fun (name, n) -> Format.fprintf ppf "  %-20s %6d@." name n) r.event_counts
   end;
-  let rob = List.filter (fun (k, _) -> List.mem k robustness_names) r.counters in
+  let rob = List.filter (fun (k, _) -> List.mem k robustness) r.counters in
   if List.exists (fun (_, v) -> v > 0) rob then begin
     Format.fprintf ppf "@.robustness counters:@.";
     List.iter
@@ -296,7 +288,7 @@ let pp ppf r =
         match List.assoc_opt name r.counters with
         | Some v when v > 0 -> Format.fprintf ppf "  %-22s %6d@." name v
         | Some _ | None -> ())
-      robustness_names
+      robustness
   end;
   (match List.assoc_opt "allocation_changes" r.counters with
   | Some v -> Format.fprintf ppf "@.allocation churn: %d per-switch allocation changes@." v

@@ -42,5 +42,7 @@ val load : ?top:int -> string -> (report, string) result
 (** [load dir] reads the bundle under [dir]; [top] bounds [noisiest]
     (default 5). *)
 
-val pp : Format.formatter -> report -> unit
-(** The human summary the [inspect] subcommand prints. *)
+val pp : robustness:string list -> Format.formatter -> report -> unit
+(** The human summary the [inspect] subcommand prints.  [robustness]
+    names the robustness counters, in the order they are listed; each is
+    printed only when nonzero. *)

@@ -18,19 +18,13 @@ type t = {
   mutable state : state;
   mutable failures : int; (* consecutive failures while closed *)
   mutable cooldown_left : int; (* epochs until an open breaker probes *)
-  mutable opens : int;
-  mutable probes : int;
 }
 
 let create config =
   validate_config config;
-  { config; state = Closed; failures = 0; cooldown_left = 0; opens = 0; probes = 0 }
+  { config; state = Closed; failures = 0; cooldown_left = 0 }
 
 let state t = t.state
-
-let opens t = t.opens [@@lint.allow "oracle hook: test/test_degraded.ml"]
-
-let probes t = t.probes [@@lint.allow "oracle hook: test/test_degraded.ml"]
 
 let state_to_string = function Closed -> "closed" | Open -> "open" | Half_open -> "half-open"
 
@@ -50,10 +44,7 @@ let begin_epoch t =
   | Closed | Half_open -> ()
   | Open ->
       t.cooldown_left <- t.cooldown_left - 1;
-      if t.cooldown_left <= 0 then begin
-        t.state <- Half_open;
-        t.probes <- t.probes + 1
-      end
+      if t.cooldown_left <= 0 then t.state <- Half_open
 
 let allow t = match t.state with Closed | Half_open -> true | Open -> false
 
@@ -65,8 +56,7 @@ let hint_probe t = match t.state with Open -> t.cooldown_left <- 0 | Closed | Ha
 let trip t =
   t.state <- Open;
   t.failures <- 0;
-  t.cooldown_left <- t.config.cooldown_epochs;
-  t.opens <- t.opens + 1
+  t.cooldown_left <- t.config.cooldown_epochs
 
 let record_failure t =
   match t.state with
@@ -92,9 +82,7 @@ let emit w t =
   C.int w "cooldown" t.config.cooldown_epochs;
   C.int w "state" (state_code t.state);
   C.int w "failures" t.failures;
-  C.int w "cooldown_left" t.cooldown_left;
-  C.int w "opens" t.opens;
-  C.int w "probes" t.probes
+  C.int w "cooldown_left" t.cooldown_left
 
 let parse r =
   let module C = Dream_util.Codec in
@@ -111,6 +99,4 @@ let parse r =
   in
   let failures = C.int_field r "failures" in
   let cooldown_left = C.int_field r "cooldown_left" in
-  let opens = C.int_field r "opens" in
-  let probes = C.int_field r "probes" in
-  { config; state; failures; cooldown_left; opens; probes }
+  { config; state; failures; cooldown_left }

@@ -12,7 +12,11 @@
 
     The machine is deliberately randomness-free: transitions depend only
     on the sequence of recorded outcomes and {!begin_epoch} calls, so a
-    seeded fault schedule yields a deterministic transition history. *)
+    seeded fault schedule yields a deterministic transition history.
+
+    A breaker keeps no tallies of its own: the controller's fetch stage
+    steps every breaker and counts the trips and probes it sees
+    ([Metrics.breaker_opens], [Metrics.breaker_probes]). *)
 
 type config = {
   failure_threshold : int;  (** consecutive failures that trip the breaker (>= 1) *)
@@ -31,12 +35,6 @@ val create : config -> t
     threshold or cooldown. *)
 
 val state : t -> state
-
-val opens : t -> int
-(** Times this breaker has tripped (including probe-failure re-opens). *)
-
-val probes : t -> int
-(** Times an open breaker transitioned to [Half_open] to probe. *)
 
 val begin_epoch : t -> unit
 (** Advance the cooldown clock; an [Open] breaker whose cooldown elapsed

@@ -885,6 +885,56 @@ let prop_reconcile_matches_list_audit =
           && Tcam.stats live = Tcam.stats tcam)
         switches oracle)
 
+(* ---- configure ---- *)
+
+(* Seeded random allocation sequences on one task, with zeros the way
+   quarantine zeroes a down switch.  After every configure the task uses
+   no more than its allocation on any switch, its counters partition its
+   filter, and a switch allocated 0 holds none of them. *)
+let prop_configure_within_allocations =
+  QCheck.Test.make ~name:"configure: usage within allocation, a partition, none on a 0"
+    ~count:100 QCheck.(int_bound 1_000_000) (fun seed ->
+      let rng = Rng.create seed in
+      let filter = Prefix.of_string "10.1.0.0/24" in
+      let topology =
+        Topology.create rng ~filter ~num_switches:8 ~switches_per_task:(1 lsl Rng.int rng 4)
+      in
+      let spec =
+        Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter ~leaf_length:32 ~threshold:8.0 ()
+      in
+      let task = Task.create ~id:1 ~spec ~topology () in
+      let bits = Topology.switches_per_task topology in
+      List.for_all
+        (fun epoch ->
+          let flows =
+            List.init (Rng.int rng 80) (fun _ ->
+                Flow.make
+                  ~addr:(Prefix.bits filter lor Rng.int rng 256)
+                  ~volume:(float_of_int (1 + Rng.int rng 50)))
+          in
+          Task.read_traffic task
+            (Epoch_data.of_flows ~epoch
+               (List.filter_map
+                  (fun (f : Flow.t) ->
+                    Option.map
+                      (fun sw -> (sw, [ f ]))
+                      (Topology.switch_of_address topology f.Flow.addr))
+                  flows));
+          ignore (Task.estimate task ~epoch);
+          let allocations =
+            Array.init bits (fun b ->
+                if (not (Switch_mask.mem_bit b (Task.switches task))) || Rng.int rng 4 = 0 then 0
+                else 1 + Rng.int rng 12)
+          in
+          Task.configure task ~allocations:(Array.copy allocations);
+          Monitor.is_partition (Task.monitor task)
+          && List.for_all
+               (fun b ->
+                 let used = Task.counters_used task b in
+                 used <= allocations.(b) && (allocations.(b) > 0 || used = 0))
+               (List.init bits Fun.id))
+        (List.init 16 Fun.id))
+
 let () =
   Alcotest.run "dream.core"
     [
@@ -922,4 +972,5 @@ let () =
         ] );
       ("failover", [ QCheck_alcotest.to_alcotest prop_reconcile_matches_list_audit ]);
       ("retire", [ QCheck_alcotest.to_alcotest prop_retire_at_duration ]);
+      ("configure", [ QCheck_alcotest.to_alcotest prop_configure_within_allocations ]);
     ]

@@ -401,14 +401,40 @@ let test_lint_allow_of_hot_refused () =
         && contains ~sub:"[@alloc.allow" f.Finding.message)
     | None -> Alcotest.fail "no refusal")
 
+let test_floating_alloc_allow_refused () =
+  (* [@alloc.allow] has no file-level form: a floating one, with or
+     without a reason, silences nothing and is reported. *)
+  List.iter
+    (fun attr ->
+      let fs = hot [ ("lib/fake.ml", attr ^ "\nlet[@hot] tick a b = (a, b)\n") ] in
+      Alcotest.(check (list string))
+        (attr ^ ": the site still fires, the allow is refused")
+        [ "hot-path-alloc"; Engine.unused_suppression_rule ]
+        (List.sort String.compare (rule_ids fs));
+      match List.find_opt (fun f -> f.Finding.rule = Engine.unused_suppression_rule) fs with
+      | Some f ->
+        Alcotest.(check int) (attr ^ ": on the attribute's line") 1 f.Finding.line;
+        Alcotest.(check bool)
+          (attr ^ ": points at the expression or binding")
+          true
+          (contains ~sub:"malformed [@@@alloc.allow]" f.Finding.message
+          && contains ~sub:"expression or binding" f.Finding.message)
+      | None -> Alcotest.fail "no refusal")
+    [ "[@@@alloc.allow \"whole file\"]"; "[@@@alloc.allow]" ];
+  (* The floating [@@@lint.allow] stays file-wide, as in util/rng.ml. *)
+  check_silent
+    ~rules:(only "determinism-random" @ only "hot-path-alloc")
+    ~path:"lib/fake.ml"
+    "[@@@lint.allow \"determinism-random\"]\nlet a = Random.int 1\nlet[@hot] tick x = x + 1\n"
+
 let test_alloc_allow_ignored_by_other_rules () =
   (* A malformed [@alloc.allow] is hot-path-alloc's business only. *)
-  match
-    Engine.lint_sources ~rules:(only "determinism-random")
-      [ ("lib/fake.ml", "let[@hot] tick a b = (a, b) [@alloc.allow]\n") ]
-  with
-  | [] -> ()
-  | fs -> Alcotest.failf "expected no findings, got: %s" (String.concat "; " (rule_ids fs))
+  List.iter
+    (check_silent ~rules:(only "determinism-random") ~path:"lib/fake.ml")
+    [
+      "let[@hot] tick a b = (a, b) [@alloc.allow]\n";
+      "[@@@alloc.allow]\nlet[@hot] tick a b = (a, b)\n";
+    ]
 
 (* ---- domain-safety (interprocedural) ---- *)
 
@@ -814,6 +840,8 @@ let () =
           Alcotest.test_case "let module alias resolves" `Quick test_hot_let_module_alias;
           Alcotest.test_case "lint.allow of hot-path-alloc refused" `Quick
             test_lint_allow_of_hot_refused;
+          Alcotest.test_case "floating alloc.allow refused" `Quick
+            test_floating_alloc_allow_refused;
           Alcotest.test_case "alloc.allow outside hot-path-alloc" `Quick
             test_alloc_allow_ignored_by_other_rules;
         ] );

@@ -271,8 +271,8 @@ let test_export_and_inspect () =
           (counter report "rules_fetched"))
 
 (* A degraded-mode run at full adversity opens breakers and sheds; the
-   inspect report of its bundle prints every counter of the run that
-   Metrics.pp_robustness reports. *)
+   inspect report of its bundle prints every nonzero robustness counter
+   of the run, by the names of Metrics' one table. *)
 let test_inspect_prints_degraded_counters () =
   let bundle = Telemetry.create () in
   let point = Degraded_mode.run_point ~telemetry:bundle scenario Experiment.dream_strategy 1.0 in
@@ -286,7 +286,9 @@ let test_inspect_prints_degraded_counters () =
       match Inspect.load dir with
       | Error e -> Alcotest.failf "Inspect.load: %s" e
       | Ok report ->
-        let printed = Format.asprintf "%a" Inspect.pp report in
+        let printed =
+          Format.asprintf "%a" (Inspect.pp ~robustness:(Metrics.to_list Metrics.names)) report
+        in
         List.iter
           (fun (name, v) ->
             if v > 0 then
@@ -299,14 +301,7 @@ let test_inspect_prints_degraded_counters () =
                      | n :: rest -> n = name && List.mem (string_of_int v) rest
                      | [] -> false)
                    (String.split_on_char '\n' printed)))
-          [
-            ("partitions", rob.Metrics.partitions);
-            ("partition_epochs", rob.Metrics.partition_epochs);
-            ("breaker_opens", rob.Metrics.breaker_opens);
-            ("breaker_probes", rob.Metrics.breaker_probes);
-            ("breaker_skips", rob.Metrics.breaker_skips);
-            ("sheds", rob.Metrics.sheds);
-          ])
+          (List.combine (Metrics.to_list Metrics.names) (Metrics.to_list rob)))
 
 (* {1 Phase views}
 

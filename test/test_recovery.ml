@@ -568,7 +568,7 @@ let test_restore_rejects_bad_values () =
       ("partition of group 9", inject "inj_partitions" [ "at 12"; "group 9"; "span 2" ]);
     ];
   (* A degraded-mode checkpoint of four switches cut down to its first
-     breaker (seven lines each): fetch indexes the breakers by switch. *)
+     breaker (five lines each): fetch indexes the breakers by switch. *)
   let degraded = populated_controller ~config:degraded_config () in
   Controller.run degraded ~epochs:10;
   let body = body_of (Controller.checkpoint degraded) in
@@ -579,8 +579,8 @@ let test_restore_rejects_bad_values () =
       [
         Array.sub lines 0 at;
         [| "breakers 1" |];
-        Array.sub lines (at + 1) 7;
-        Array.sub lines (at + 29) (Array.length lines - at - 29);
+        Array.sub lines (at + 1) 5;
+        Array.sub lines (at + 21) (Array.length lines - at - 21);
       ]
   in
   Alcotest.(check bool) "one breaker for four switches: restore refuses it" true
@@ -643,6 +643,51 @@ let test_snapshot_roundtrip_configs () =
 
 (* Only a fault model can make a fetch fall back on stale readings, so a
    fault-free run keeps none in its checkpoint. *)
+(* Random non-negative tallies written into a controller's registry
+   cells survive snapshot and restore, and the checkpoint lists the
+   twenty keys in Metrics' declaration order. *)
+let prop_tallies_roundtrip =
+  QCheck.Test.make ~name:"tallies survive snapshot and restore, in declaration order"
+    ~count:50
+    (QCheck.make QCheck.Gen.(list_repeat 20 (oneof [ small_nat; int_bound max_int ])))
+    (fun values ->
+      let pending = ref values in
+      let rob =
+        Metrics.map
+          (fun _ ->
+            match !pending with
+            | v :: rest ->
+              pending := rest;
+              v
+            | [] -> Alcotest.fail "fewer values than tallies")
+          Metrics.names
+      in
+      let bundle = Dream_obs.Telemetry.create () in
+      let controller =
+        mk_controller ~config:{ Config.default with Config.telemetry = Some bundle } ()
+      in
+      Metrics.Tallies.set
+        (Metrics.Tallies.of_registry (Dream_obs.Telemetry.registry bundle))
+        rob;
+      let doc = Controller.snapshot controller in
+      let keys =
+        String.split_on_char '\n' (body_of doc)
+        |> List.fold_left
+             (fun (inside, acc) line ->
+               match (line, String.index_opt line ' ') with
+               | "[robustness]", _ -> (true, acc)
+               | _, Some sp when inside && List.length acc < 20 ->
+                 (true, String.sub line 0 sp :: acc)
+               | _, _ -> (false, acc))
+             (false, [])
+        |> snd |> List.rev
+      in
+      keys = Metrics.to_list Metrics.names
+      &&
+      match Controller.restore doc with
+      | Ok restored -> Controller.robustness restored = rob
+      | Error e -> Alcotest.failf "restore failed: %s" e)
+
 let test_fault_free_snapshot_has_no_stale_counters () =
   let controller = populated_controller () in
   Controller.run controller ~epochs:15;
@@ -1021,6 +1066,7 @@ let () =
           Alcotest.test_case "round trip across configs" `Quick test_snapshot_roundtrip_configs;
           Alcotest.test_case "fault-free runs keep no stale counters" `Quick
             test_fault_free_snapshot_has_no_stale_counters;
+          QCheck_alcotest.to_alcotest prop_tallies_roundtrip;
         ] );
       ( "failover",
         [
