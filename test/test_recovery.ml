@@ -641,6 +641,22 @@ let test_snapshot_roundtrip_configs () =
       ("prototype", Config.prototype);
     ]
 
+(* The checkpoint bytes of the configs that write the control-delay cost
+   lines, the install-budget lines and the degraded-mode lines, pinned
+   after a few epochs: a change that claims byte identity leaves each md5
+   alone. *)
+let test_snapshot_bytes_pinned () =
+  List.iter
+    (fun (name, config, md5) ->
+      let controller = populated_controller ~config () in
+      Controller.run controller ~epochs:6;
+      Alcotest.(check string) name md5 (Digest.to_hex (Digest.string (Controller.snapshot controller))))
+    [
+      ("prototype", Config.prototype, "aaa634fb33d70c2fe0cc12864f373fcb");
+      ("hardware", Config.hardware ~installs_per_epoch:16, "088f22455a526531f0e5725f57d8b774");
+      ("faults + degraded", degraded_config, "ce0a11c35907c7550d2dabdfe232e60c");
+    ]
+
 (* Only a fault model can make a fetch fall back on stale readings, so a
    fault-free run keeps none in its checkpoint. *)
 (* Random non-negative tallies written into a controller's registry
@@ -1064,6 +1080,8 @@ let () =
           Alcotest.test_case "sealed bad values rejected" `Quick test_restore_rejects_bad_values;
           Alcotest.test_case "resealed mutations never raise" `Quick test_restore_fuzz_resealed;
           Alcotest.test_case "round trip across configs" `Quick test_snapshot_roundtrip_configs;
+          Alcotest.test_case "snapshot bytes pinned across configs" `Quick
+            test_snapshot_bytes_pinned;
           Alcotest.test_case "fault-free runs keep no stale counters" `Quick
             test_fault_free_snapshot_has_no_stale_counters;
           QCheck_alcotest.to_alcotest prop_tallies_roundtrip;
