@@ -179,13 +179,7 @@ let print_summary name (s : Metrics.summary) =
   if s.Metrics.robustness <> Metrics.no_faults then
     Format.printf "  robustness    %a@." Metrics.pp_robustness s.Metrics.robustness
 
-let run capacity num_switches switches_per_task tasks window duration epochs threshold bound kind
-    strategy fixed_k seed fault_rate fault_seed telemetry_dir profiling verbose =
-  let* scenario =
-    scenario_of capacity num_switches switches_per_task tasks window duration epochs threshold
-      bound kind seed
-  in
-  let* strategy = strategy_of strategy fixed_k in
+let run (scenario, strategy) fault_rate fault_seed telemetry_dir profiling verbose =
   let* () = rate_in_range ~flag:"--fault-rate" fault_rate in
   let* () =
     check ((not profiling) || telemetry_dir <> None) "--profile requires --telemetry DIR"
@@ -253,13 +247,7 @@ let run capacity num_switches switches_per_task tasks window duration epochs thr
   end;
   Ok ()
 
-let fault_sweep capacity num_switches switches_per_task tasks window duration epochs threshold
-    bound kind strategy fixed_k seed rates fault_seeds =
-  let* scenario =
-    scenario_of capacity num_switches switches_per_task tasks window duration epochs threshold
-      bound kind seed
-  in
-  let* strategy = strategy_of strategy fixed_k in
+let fault_sweep (scenario, strategy) rates fault_seeds =
   let rates = if rates = [] then Fault_sweep.default_rates else rates in
   let* () = rates_in_range ~flag:"--rates" rates in
   let seeds = if fault_seeds = [] then Fault_sweep.default_seeds else fault_seeds in
@@ -275,13 +263,7 @@ let fault_sweep capacity num_switches switches_per_task tasks window duration ep
    schedule, journaling into --journal when given, then seal a checkpoint.
    The journal is opened before the first epoch, so a bad path fails
    before any work is done. *)
-let checkpoint capacity num_switches switches_per_task tasks window duration epochs threshold
-    bound kind strategy fixed_k seed fault_rate fault_seed at out journal_path =
-  let* scenario =
-    scenario_of capacity num_switches switches_per_task tasks window duration epochs threshold
-      bound kind seed
-  in
-  let* strategy = strategy_of strategy fixed_k in
+let checkpoint (scenario, strategy) fault_rate fault_seed at out journal_path =
   let* () = rate_in_range ~flag:"--fault-rate" fault_rate in
   let* () =
     check (at > 0 && at <= scenario.Scenario.total_epochs)
@@ -353,13 +335,7 @@ let restore_run from epochs verbose =
   end;
   Ok ()
 
-let crash_recovery capacity num_switches switches_per_task tasks window duration epochs threshold
-    bound kind strategy fixed_k seed rates fault_seeds checkpoint_interval =
-  let* scenario =
-    scenario_of capacity num_switches switches_per_task tasks window duration epochs threshold
-      bound kind seed
-  in
-  let* strategy = strategy_of strategy fixed_k in
+let crash_recovery (scenario, strategy) rates fault_seeds checkpoint_interval =
   let rates = if rates = [] then Crash_recovery.default_rates else rates in
   let* () = rates_in_range ~flag:"--rates" rates in
   let* () =
@@ -378,13 +354,7 @@ let crash_recovery capacity num_switches switches_per_task tasks window duration
   Crash_recovery.print_points points;
   Ok ()
 
-let degraded_mode capacity num_switches switches_per_task tasks window duration epochs threshold
-    bound kind strategy fixed_k seed levels fault_seed deadline_fraction telemetry_dir =
-  let* scenario =
-    scenario_of capacity num_switches switches_per_task tasks window duration epochs threshold
-      bound kind seed
-  in
-  let* strategy = strategy_of strategy fixed_k in
+let degraded_mode (scenario, strategy) levels fault_seed deadline_fraction telemetry_dir =
   let levels = if levels = [] then Degraded_mode.default_levels else levels in
   let* () = rates_in_range ~flag:"--levels" levels in
   let* () =
@@ -494,16 +464,27 @@ let profiling =
           "Attach a GC/allocation profile to the run (requires $(b,--telemetry)); spans land in \
            $(b,profile.json) and the $(b,inspect) subcommand renders them.")
 
-let scenario_args f =
-  Term.(
-    f $ capacity $ num_switches $ switches_per_task $ tasks $ window $ duration $ epochs
-    $ threshold $ bound $ kind)
+(* The scenario and allocator every experiment subcommand takes, validated
+   before the subcommand's own options. *)
+let scenario =
+  let make capacity num_switches switches_per_task tasks window duration epochs threshold bound
+      kind seed strategy fixed_k =
+    let* scenario =
+      scenario_of capacity num_switches switches_per_task tasks window duration epochs threshold
+        bound kind seed
+    in
+    let* strategy = strategy_of strategy fixed_k in
+    Ok (scenario, strategy)
+  in
+  Term.term_result' ~usage:false
+    Term.(
+      const make $ capacity $ num_switches $ switches_per_task $ tasks $ window $ duration $ epochs
+      $ threshold $ bound $ kind $ seed $ strategy $ fixed_k)
 
 let run_term =
   Term.term_result' ~usage:false
     Term.(
-      scenario_args (const run) $ strategy $ fixed_k $ seed $ fault_rate $ fault_seed
-      $ telemetry_dir $ profiling $ verbose)
+      const run $ scenario $ fault_rate $ fault_seed $ telemetry_dir $ profiling $ verbose)
 
 let run_cmd =
   let doc = "run one measurement experiment (optionally with fault injection)" in
@@ -514,7 +495,7 @@ let fault_sweep_cmd =
   Cmd.v
     (Cmd.info "fault-sweep" ~doc)
     (Term.term_result' ~usage:false
-       Term.(scenario_args (const fault_sweep) $ strategy $ fixed_k $ seed $ rates $ fault_seeds))
+       Term.(const fault_sweep $ scenario $ rates $ fault_seeds))
 
 let checkpoint_cmd =
   let doc = "run part of an experiment, then write a sealed controller checkpoint" in
@@ -536,9 +517,7 @@ let checkpoint_cmd =
   Cmd.v
     (Cmd.info "checkpoint" ~doc)
     (Term.term_result' ~usage:false
-       Term.(
-         scenario_args (const checkpoint) $ strategy $ fixed_k $ seed $ fault_rate $ fault_seed
-         $ at $ out $ journal_path))
+       Term.(const checkpoint $ scenario $ fault_rate $ fault_seed $ at $ out $ journal_path))
 
 let restore_run_cmd =
   let doc = "restore a controller from a checkpoint and keep simulating" in
@@ -566,9 +545,7 @@ let crash_recovery_cmd =
   Cmd.v
     (Cmd.info "crash-recovery" ~doc)
     (Term.term_result' ~usage:false
-       Term.(
-         scenario_args (const crash_recovery) $ strategy $ fixed_k $ seed $ rates $ fault_seeds
-         $ checkpoint_interval))
+       Term.(const crash_recovery $ scenario $ rates $ fault_seeds $ checkpoint_interval))
 
 let degraded_mode_cmd =
   let doc = "sweep adversity levels: fast-degrade (breakers + deadline shedding) vs stall-baseline" in
@@ -589,8 +566,7 @@ let degraded_mode_cmd =
     (Cmd.info "degraded-mode" ~doc)
     (Term.term_result' ~usage:false
        Term.(
-         scenario_args (const degraded_mode) $ strategy $ fixed_k $ seed $ levels $ fault_seed
-         $ deadline_fraction $ telemetry_dir))
+         const degraded_mode $ scenario $ levels $ fault_seed $ deadline_fraction $ telemetry_dir))
 
 (* dream-sim chaos: run a deterministic schedule bank against the oracle
    suite, shrink anything that fails, and drop replayable reproducers.

@@ -2,12 +2,18 @@
 
     Each switch keeps, per admitted task, an allocation and an adaptive
     step size.  Every allocation epoch, tasks are classified rich (overall
-    accuracy above bound + hysteresis), poor (below bound) or neutral;
-    rich tasks surrender their step, poor tasks receive the pooled
-    resources in proportion to their steps (full steps first for tasks
-    with the lowest drop priority when the pool falls short).  Step sizes
-    grow when a change leaves the status unchanged and shrink when the
-    status flips (Figure 4; MM by default).
+    accuracy above bound + 0.1, the hysteresis delta), poor (below bound)
+    or neutral; rich tasks surrender their step, poor tasks receive the
+    pooled resources in proportion to their steps (full steps first for
+    tasks with the lowest drop priority when the pool falls short).  Step
+    sizes grow when a change leaves the status unchanged and shrink when
+    the status flips (Figure 4; MM by default), by factor 2 or addend 4,
+    kept within \[1, 128\].
+
+    Admission grants a task 1 entry (the floor: tasks never go blind) on
+    every switch it touches and a step of 4.  These Section 6.1 values are
+    constants; the checkpoint still writes each one and refuses a document
+    carrying any other value.
 
     Headroom is a phantom task per switch holding all unallocated entries:
     admission requires its effective headroom (phantom + rich steps - poor
@@ -17,16 +23,11 @@
 
 type config = {
   headroom_fraction : float;  (** headroom target as a fraction of capacity (paper: 0.05) *)
-  hysteresis : float;  (** the rich-classification margin delta *)
-  policy : Step_policy.t;
-  params : Step_policy.params;
-  initial_step : int;  (** step size granted at admission *)
-  min_allocation : int;  (** floor per (task, switch); >= 1 so tasks never go blind *)
+  policy : Step_policy.t;  (** the step-size update policy *)
 }
 
 val default_config : config
-(** 5% headroom, delta 0.05, MM with default params, initial step 2,
-    floor 1. *)
+(** 5% headroom, MM. *)
 
 type t
 
@@ -37,7 +38,7 @@ val create : config -> capacities:(Dream_traffic.Switch_id.t * int) list -> t
 
 val try_admit : t -> Task_view.t -> bool
 (** Admit if effective headroom meets the target on every switch the task
-    touches; on success the task gets [min_allocation] entries per switch,
+    touches; on success the task gets the floor of 1 entry per switch,
     taken from the phantom. *)
 
 val force_admit : t -> Task_view.t -> unit

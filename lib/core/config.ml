@@ -10,9 +10,7 @@ let default_degraded =
 type t = {
   allocation_interval : int;
   drop_threshold : int;
-  accuracy_history : float;
-  epoch_ms : float;
-  control_delay : Dream_switch.Delay_model.costs option;
+  control_delay : bool;
   score_satisfaction_with : [ `Real_accuracy | `Estimated_accuracy ];
   accuracy_mode : Dream_tasks.Task.accuracy_mode;
   install_budget : int option;
@@ -26,9 +24,7 @@ let default =
   {
     allocation_interval = 2;
     drop_threshold = 6;
-    accuracy_history = 0.4;
-    epoch_ms = 1000.0;
-    control_delay = None;
+    control_delay = false;
     score_satisfaction_with = `Real_accuracy;
     accuracy_mode = Dream_tasks.Task.Overall;
     install_budget = None;
@@ -45,6 +41,10 @@ let validate t =
   if t.allocation_interval < 1 then
     invalid_arg
       (Printf.sprintf "Config: allocation_interval must be >= 1, got %d" t.allocation_interval);
+  (match t.install_budget with
+  | Some b when b < 1 ->
+    invalid_arg (Printf.sprintf "Config: install_budget must be >= 1, got %d" b)
+  | Some _ | None -> ());
   match t.degraded with
   | Some d ->
     if not (d.deadline_fraction > 0.0 && d.deadline_fraction <= 1.0) then
@@ -60,7 +60,7 @@ let validate t =
 let prototype =
   {
     default with
-    control_delay = Some Dream_switch.Delay_model.default;
+    control_delay = true;
     score_satisfaction_with = `Estimated_accuracy;
   }
 

@@ -492,13 +492,11 @@ let price t =
         (f + stats.Tcam.fetches, i + stats.Tcam.installs, rm + stats.Tcam.removals, sw_count + touched))
       (0, 0, 0, 0) t.switches
   in
-  let costs = Fetch.costs t.config in
   let sample =
     {
       epoch = t.epoch;
-      fetch_ms =
-        Delay_model.fetch_ms costs ~rules:fetch_total ~switches:touched +. Fetch.fault_ms t.fetch;
-      save_ms = Delay_model.save_ms costs ~installs:install_total ~removals:remove_total ~switches:touched;
+      fetch_ms = Delay_model.fetch_ms ~rules:fetch_total ~switches:touched +. Fetch.fault_ms t.fetch;
+      save_ms = Delay_model.save_ms ~installs:install_total ~removals:remove_total ~switches:touched;
       report_ms = Obs.Profile.epoch_ms t.profile t.spans.estimate;
       allocate_ms = Obs.Profile.epoch_ms t.profile t.spans.allocate;
       configure_ms = Obs.Profile.epoch_ms t.profile t.spans.configure;

@@ -14,7 +14,7 @@
     When {!Config.t.faults} is set, the controller drives its switches
     through the fault-injection layer and tolerates the failures it
     injects: timed-out counter fetches are retried with exponential
-    backoff while a per-epoch time budget (a fraction of [epoch_ms])
+    backoff while a per-epoch time budget (a fraction of the 1 s epoch)
     lasts; a switch that stays unreachable serves the previous epoch's
     readings while the task's estimated accuracy is decayed so the
     allocator reacts; crashed switches are quarantined (their allocations

@@ -24,9 +24,7 @@ type t = {
   breaker_gauges : Obs.Registry.Gauge.t array; (* "breaker_state", one per breaker *)
   staleness_hist : Obs.Registry.Histogram.t option; (* "task_staleness", when [breakers] exist *)
   degraded : Config.degraded option; (* only when [breakers] exist *)
-  control_delay : Delay_model.costs option;
-  costs : Delay_model.costs;
-  epoch_ms : float;
+  control_delay : bool;
   retry_budget_ms : float;
   tallies : Metrics.Tallies.t;
   fast_path_builds : Ctr.t;
@@ -41,9 +39,6 @@ type t = {
   mutable fault_ms : float;
   mutable deadline : float;
 }
-
-let costs (config : Config.t) =
-  match config.Config.control_delay with Some c -> c | None -> Delay_model.default
 
 let create ~config ~switches ~breakers ~faults ~tallies ~registry ~trace =
   let breakers =
@@ -64,11 +59,9 @@ let create ~config ~switches ~breakers ~faults ~tallies ~registry ~trace =
       (if breakers = [||] then None else Some (Obs.Registry.histogram registry "task_staleness"));
     degraded = (if breakers = [||] then None else config.Config.degraded);
     control_delay = config.Config.control_delay;
-    costs = costs config;
-    epoch_ms = config.Config.epoch_ms;
     retry_budget_ms =
       (match faults with
-      | Some fm -> (Fault_model.spec fm).Fault_model.retry_budget_fraction *. config.Config.epoch_ms
+      | Some fm -> (Fault_model.spec fm).Fault_model.retry_budget_fraction *. Delay_model.epoch_ms
       | None -> 0.0);
     tallies;
     fast_path_builds = Obs.Registry.counter registry "aggregate_sorted_fast_path";
@@ -125,7 +118,7 @@ let begin_epoch f ~epoch ~healed =
   f.fault_ms <- 0.0;
   f.deadline <-
     (match f.degraded with
-    | Some d -> d.Config.deadline_fraction *. f.epoch_ms
+    | Some d -> d.Config.deadline_fraction *. Delay_model.epoch_ms
     | None -> infinity);
   match f.faults with
   | None -> ()
@@ -144,11 +137,11 @@ let begin_epoch f ~epoch ~healed =
 (* Fraction of the epoch a freshly installed rule missed while its update
    was in flight (Figs 8/9's prototype-vs-simulator gap). *)
 let install_miss f (r : Runtime.t) b =
-  match f.control_delay with
-  | None -> 0.0
-  | Some costs ->
+  if not f.control_delay then 0.0
+  else begin
     let installs = if b < 0 then 0 else r.last_install_counts.(b) in
-    Delay_model.install_miss_fraction costs ~epoch_ms:f.epoch_ms ~installs ~switches:1
+    Delay_model.install_miss_fraction ~installs ~switches:1
+  end
 
 (* Scale this epoch's readings of the rules the last sync installed on
    bit [b] by the fraction of the epoch they missed.  Both columns are in
@@ -208,8 +201,7 @@ let draw f (r : Runtime.t) =
   data
 
 (* Modelled wire time of one fetch batch of [rules] rules. *)
-let batch_ms costs rules =
-  (costs.Delay_model.fetch_per_rule_ms *. float_of_int rules) +. costs.Delay_model.rtt_ms
+let batch_ms rules = (Delay_model.fetch_per_rule_ms *. float_of_int rules) +. Delay_model.rtt_ms
 
 (* The task's rule count on a switch, without listing the rules. *)
 let rules_on sw ~owner = Tcam.used_by (Switch.tcam sw) ~owner
@@ -220,7 +212,6 @@ let rules_on sw ~owner = Tcam.used_by (Switch.tcam sw) ~owner
    open-breaker switches cost nothing — they are skipped outright. *)
 let estimate_cost f (r : Runtime.t) =
   let id = Runtime.id r in
-  let costs = f.costs in
   Array.fold_left
     (fun acc sw ->
       if Switch.down sw then acc
@@ -230,8 +221,8 @@ let estimate_cost f (r : Runtime.t) =
         if rules = 0 then acc
         else begin
           let factor = Switch.latency_factor sw in
-          if Switch.partitioned sw then acc +. (costs.Delay_model.rtt_ms *. factor)
-          else acc +. (batch_ms costs rules *. factor)
+          if Switch.partitioned sw then acc +. (Delay_model.rtt_ms *. factor)
+          else acc +. (batch_ms rules *. factor)
         end
       end)
     0.0 f.switches
@@ -246,6 +237,14 @@ let shed f (r : Runtime.t) =
     est > 0.0 && est > f.deadline
   | _ -> false
 
+(* Charge one issued batch of modelled cost [base]: the aggregate TCAM
+   stats already price [base]; stragglers owe the inflation on top, and
+   the epoch deadline owes the whole inflated batch.  Toplevel, so a read
+   allocates no closure for it. *)
+let charge_batch f ~base ~factor =
+  f.fault_ms <- f.fault_ms +. (base *. (factor -. 1.0));
+  f.deadline <- f.deadline -. (base *. factor)
+
 let read f (r : Runtime.t) data =
   let id = Runtime.id r in
   let shed = shed f r in
@@ -253,7 +252,6 @@ let read f (r : Runtime.t) data =
     Ctr.incr f.tallies.sheds;
     event f ~name:"shed" [ ("task", Tr.Int id); ("staleness", Tr.Int r.staleness) ]
   end;
-  let costs = f.costs in
   let task_switches = Task.switches r.task in
   let topology = Task.topology r.task in
   let m = Task.monitor r.task in
@@ -294,32 +292,25 @@ let read f (r : Runtime.t) data =
           else if rules > 0 then begin
             let aggregate = Epoch_data.switch_view data sw_id in
             let factor = Switch.latency_factor sw in
-            let base = batch_ms costs rules in
+            let base = batch_ms rules in
             reserve f rules;
-            (* The aggregate TCAM stats already price [base] per issued
-               batch; stragglers owe the inflation on top, and the epoch
-               deadline owes the whole inflated batch. *)
-            let charge_batch () =
-              f.fault_ms <- f.fault_ms +. (base *. (factor -. 1.0));
-              f.deadline <- f.deadline -. (base *. factor)
-            in
             let rec attempt k =
               match Switch.read sw ~owner:id aggregate ~keys:f.keys ~vols:f.vols with
               | Ok n ->
-                charge_batch ();
+                charge_batch f ~base ~factor;
                 n
               | Error `Down -> -1
               | Error `Unreachable ->
                 (* No route: nothing was priced in the TCAM stats, but
                    the probe still costs the control loop a round trip. *)
-                let probe = costs.Delay_model.rtt_ms *. factor in
+                let probe = Delay_model.rtt_ms *. factor in
                 f.fault_ms <- f.fault_ms +. probe;
                 f.deadline <- f.deadline -. probe;
                 -2
               | Error `Timeout ->
-                charge_batch ();
+                charge_batch f ~base ~factor;
                 Ctr.incr f.tallies.fetch_timeouts;
-                let backoff = costs.Delay_model.rtt_ms *. (2.0 ** float_of_int k) in
+                let backoff = Delay_model.rtt_ms *. (2.0 ** float_of_int k) in
                 if f.retry_budget >= backoff && f.deadline >= backoff then begin
                   f.retry_budget <- f.retry_budget -. backoff;
                   f.fault_ms <- f.fault_ms +. backoff;

@@ -37,9 +37,6 @@ val breaker_states : t -> Dream_switch.Breaker.state array
 val reachable : t -> Dream_traffic.Switch_id.t -> bool
 (** Up, not partitioned, and not behind an open or probing breaker. *)
 
-val costs : Config.t -> Dream_switch.Delay_model.costs
-(** The configured control-delay costs, or {!Dream_switch.Delay_model.default}. *)
-
 val begin_epoch : t -> epoch:int -> healed:int list -> unit
 (** Refill the epoch's retry budget and deadline, then advance the
     breakers one epoch; open breakers in the [healed] partition groups

@@ -28,10 +28,7 @@ type t = {
 }
 
 let create ~config ~id ~spec ~topology ~source ~duration ~arrived_at ~drop_priority =
-  let task =
-    Task.create ~id ~spec ~topology ~accuracy_history:config.Config.accuracy_history
-      ~accuracy_mode:config.Config.accuracy_mode ()
-  in
+  let task = Task.create ~id ~spec ~topology ~accuracy_mode:config.Config.accuracy_mode () in
   let k = Topology.switches_per_task topology in
   {
     task;

@@ -27,7 +27,7 @@ let run_spec ?telemetry ?(config = Config.default) ~mode ~level ~degraded spec s
   let config = { config with Config.faults = Some spec; degraded; telemetry } in
   let deadline_ms =
     let d = match degraded with Some d -> d | None -> Config.default_degraded in
-    d.Config.deadline_fraction *. config.Config.epoch_ms
+    d.Config.deadline_fraction *. Dream_switch.Delay_model.epoch_ms
   in
   let drive = Drive.create ~config ~strategy scenario in
   let max_staleness = ref 0 in

@@ -78,10 +78,14 @@ let run ~quick =
     | Some bundle -> Trace.length (Telemetry.trace bundle)
     | None -> 0
   in
-  (* One profiled run prices the epoch loop's allocations.  Seeded runs
-     allocate deterministically, so epoch_alloc_words gates (2% headroom
-     absorbs deliberate small feature work); epochs/sec is wall clock and
-     stays informational like the other timings. *)
+  (* One profiled run prices the epoch loop's allocations.  Two runs of one
+     build need not agree to the word: the profiled epoch reads words from
+     Gc_stats, whose major and promoted counts move with where collections
+     fall, and it includes work sized by measured wall times.  The spread
+     (~0.13% seen) sits well inside epoch_alloc_words' 2% tolerance, so the
+     gate holds, but a diff of this row is not byte-identity evidence.
+     epochs/sec is wall clock and stays informational like the other
+     timings. *)
   let profile = Profile.create () in
   let profiled_config = config_of ~telemetry:(Some (Telemetry.create ~profile ())) in
   let _, profiled_s = timed (fun () -> Experiment.run ~config:profiled_config scenario Experiment.dream_strategy) in

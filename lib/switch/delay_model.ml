@@ -1,26 +1,17 @@
-type costs = {
-  fetch_per_rule_ms : float;
-  save_per_rule_ms : float;
-  delete_per_rule_ms : float;
-  rtt_ms : float;
-}
+let fetch_per_rule_ms = 0.012
+let save_per_rule_ms = 0.038
+let delete_per_rule_ms = 0.038
+let rtt_ms = 0.25
+let epoch_ms = 1000.0
 
-let default =
-  { fetch_per_rule_ms = 0.012; save_per_rule_ms = 0.038; delete_per_rule_ms = 0.038; rtt_ms = 0.25 }
+let batch_rtt switches = rtt_ms *. float_of_int (max 0 switches)
 
-let batch_rtt costs switches = costs.rtt_ms *. float_of_int (max 0 switches)
+let fetch_ms ~rules ~switches = (fetch_per_rule_ms *. float_of_int (max 0 rules)) +. batch_rtt switches
 
-let fetch_ms costs ~rules ~switches =
-  (costs.fetch_per_rule_ms *. float_of_int (max 0 rules)) +. batch_rtt costs switches
+let save_ms ~installs ~removals ~switches =
+  (save_per_rule_ms *. float_of_int (max 0 installs))
+  +. (delete_per_rule_ms *. float_of_int (max 0 removals))
+  +. batch_rtt switches
 
-let save_ms costs ~installs ~removals ~switches =
-  (costs.save_per_rule_ms *. float_of_int (max 0 installs))
-  +. (costs.delete_per_rule_ms *. float_of_int (max 0 removals))
-  +. batch_rtt costs switches
-
-let install_miss_fraction costs ~epoch_ms ~installs ~switches =
-  if epoch_ms <= 0.0 then 0.0
-  else begin
-    let delay = save_ms costs ~installs ~removals:0 ~switches in
-    Float.min 1.0 (delay /. epoch_ms)
-  end
+let install_miss_fraction ~installs ~switches =
+  Float.min 1.0 (save_ms ~installs ~removals:0 ~switches /. epoch_ms)

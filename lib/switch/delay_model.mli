@@ -8,25 +8,29 @@
     prices those operations so the simulator can (a) reproduce the Fig 17a
     breakdown and (b) degrade freshly-installed counters by the fraction of
     the epoch lost to rule installation, reproducing the prototype-vs-
-    simulator gap of Figs 8 and 9. *)
+    simulator gap of Figs 8 and 9.
 
-type costs = {
-  fetch_per_rule_ms : float;
-  save_per_rule_ms : float;
-  delete_per_rule_ms : float;
-  rtt_ms : float;  (** per-switch round-trip cost of a batch *)
-}
+    The costs are constants calibrated to the paper's prototype: save and
+    delete 0.038 ms per rule (20 ms / 512 rules), fetch 0.012 ms per rule,
+    and a 0.25 ms round trip per switch per batch. *)
 
-val default : costs
-(** Calibrated to the paper's prototype numbers: save/delete 0.038 ms/rule
-    (20 ms / 512 rules), fetch 0.012 ms/rule, RTT 0.25 ms. *)
+val fetch_per_rule_ms : float
+val save_per_rule_ms : float
+val delete_per_rule_ms : float
 
-val fetch_ms : costs -> rules:int -> switches:int -> float
+val rtt_ms : float
+(** Per-switch round-trip cost of a batch. *)
+
+val epoch_ms : float
+(** The wall-clock length one measurement epoch models: 1000 ms, the
+    paper's 1 s epoch. *)
+
+val fetch_ms : rules:int -> switches:int -> float
 (** Cost of fetching [rules] counters spread over [switches] switches. *)
 
-val save_ms : costs -> installs:int -> removals:int -> switches:int -> float
+val save_ms : installs:int -> removals:int -> switches:int -> float
 (** Cost of the incremental rule update. *)
 
-val install_miss_fraction : costs -> epoch_ms:float -> installs:int -> switches:int -> float
+val install_miss_fraction : installs:int -> switches:int -> float
 (** Fraction of the measurement epoch a freshly-installed rule misses while
     the update is in flight, in \[0, 1\]. *)

@@ -432,9 +432,7 @@ let parse_counter r t =
          t.vols.((i * t.k) + b) <- v;
          present_bits := !present_bits lor present b));
   let score = C.float_field r "score" in
-  let mean = Ewma.parse r in
-  if not (Float.equal (Ewma.history mean) t.history) then
-    C.parse_error 0 "monitor: a counter's mean history differs from the task's cd_history";
+  let mean = Ewma.parse r ~history:t.history in
   let fresh = C.bool_field r "fresh" in
   let seeded, avg = match Ewma.value mean with Some v -> (true, v) | None -> (false, 0.0) in
   init_slot t i ~key:(Prefix.key p)

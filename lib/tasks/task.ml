@@ -23,6 +23,10 @@ let estimator_for (spec : Task_spec.t) monitor =
     let items = Items.create ~values:true () in
     (items, Hierarchical (Hhh.create monitor items))
 
+(* The history weight of the EWMAs smoothing the accuracies the allocator
+   reads (the paper's alpha = 0.4). *)
+let accuracy_history = 0.4
+
 type t = {
   id : int;
   spec : Task_spec.t;
@@ -34,7 +38,6 @@ type t = {
   mutable overall_used : Switch_mask.t;
       (* the bits whose filter was ever read or fed: the checkpoint lists
          only those *)
-  accuracy_history : float;
   accuracy_mode : accuracy_mode;
   mutable allocations : int array; (* per sub-filter bit *)
   items : Items.t; (* the last report's items, refilled every epoch *)
@@ -42,7 +45,7 @@ type t = {
   mutable reported_at : int; (* the epoch of [items], -1 before the first report *)
 }
 
-let create ~id ~spec ~topology ?(accuracy_history = 0.4) ?(accuracy_mode = Overall) () =
+let create ~id ~spec ~topology ?(accuracy_mode = Overall) () =
   let monitor = Monitor.create ~spec ~topology in
   let switches = Monitor.switches monitor in
   let k = Topology.switches_per_task topology in
@@ -56,7 +59,6 @@ let create ~id ~spec ~topology ?(accuracy_history = 0.4) ?(accuracy_mode = Overa
     global_acc = Ewma.create ~history:accuracy_history;
     overall_acc = Array.init k (fun _ -> Ewma.create ~history:accuracy_history);
     overall_used = Switch_mask.empty;
-    accuracy_history;
     accuracy_mode;
     allocations = Array.init k (fun b -> if Switch_mask.mem_bit b switches then 1 else 0);
     items;
@@ -155,7 +157,7 @@ let emit w t =
   C.int w "id" t.id;
   Task_spec.emit w t.spec;
   Topology.emit w t.topology;
-  C.float w "accuracy_history" t.accuracy_history;
+  C.float w "accuracy_history" accuracy_history;
   C.string w "accuracy_mode"
     (match t.accuracy_mode with Overall -> "overall" | Global_only -> "global");
   Ewma.emit w t.global_acc;
@@ -180,14 +182,14 @@ let parse r =
   let id = C.int_field r "id" in
   let spec = Task_spec.parse r in
   let topology = Topology.parse r in
-  let accuracy_history = C.float_field r "accuracy_history" in
+  C.constant C.float r "accuracy_history" accuracy_history;
   let accuracy_mode =
     match C.string_field r "accuracy_mode" with
     | "overall" -> Overall
     | "global" -> Global_only
     | m -> C.parse_error 0 (Printf.sprintf "unknown accuracy mode %S" m)
   in
-  let global_acc = Ewma.parse r in
+  let global_acc = Ewma.parse r ~history:accuracy_history in
   let bit = Topology.parse_bit topology in
   let k = Topology.switches_per_task topology in
   let overall_acc = Array.init k (fun _ -> Ewma.create ~history:accuracy_history) in
@@ -196,7 +198,7 @@ let parse r =
   ignore
     (C.repeat n (fun () ->
          let b = bit ~what:"an overall accuracy" (C.int_field r "sw") in
-         overall_acc.(b) <- Ewma.parse r;
+         overall_acc.(b) <- Ewma.parse r ~history:accuracy_history;
          overall_used := !overall_used lor (1 lsl b)));
   let n = C.int_field r "allocations" in
   let allocations = Array.make k 0 in
@@ -215,7 +217,6 @@ let parse r =
     global_acc;
     overall_acc;
     overall_used = !overall_used;
-    accuracy_history;
     accuracy_mode;
     allocations;
     items;

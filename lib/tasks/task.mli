@@ -20,16 +20,18 @@ type accuracy_mode =
   | Global_only  (** ablation: allocate on global accuracy alone (Section 4
           explains why this misidentifies which switch needs resources) *)
 
+val accuracy_history : float
+(** 0.4, the history weight of the EWMAs smoothing a task's accuracies
+    (the paper's alpha). *)
+
 val create :
   id:int ->
   spec:Task_spec.t ->
   topology:Dream_traffic.Topology.t ->
-  ?accuracy_history:float ->
   ?accuracy_mode:accuracy_mode ->
   unit ->
   t
-(** [accuracy_history] is the EWMA history weight for smoothing accuracies
-    (paper default 0.4); [accuracy_mode] defaults to [Overall]. *)
+(** [accuracy_mode] defaults to [Overall]. *)
 
 val id : t -> int
 val spec : t -> Task_spec.t

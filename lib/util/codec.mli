@@ -50,6 +50,12 @@ val bool_field : reader -> string -> bool
 val float_field : reader -> string -> float
 val int64_field : reader -> string -> int64
 
+val constant : (writer -> string -> 'a -> unit) -> reader -> string -> 'a -> unit
+(** [constant write r key v] consumes a field whose value must be the one
+    [write w key v] writes — for a parameter the program only ever runs
+    with [v], so a document carrying any other value is refused.  Floats
+    are written as hex literals, so a float must hold the same bits. *)
+
 val repeat : int -> (unit -> 'a) -> 'a list
 (** [repeat n f] calls [f] exactly [n] times in order and collects the
     results — use for count-prefixed record lists where the evaluation

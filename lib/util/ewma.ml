@@ -29,8 +29,6 @@ let seed t x =
   t.avg <- x
 [@@lint.allow "oracle hook: test/reference_monitor.ml"]
 
-let history t = t.history
-
 let restore ~history ~avg =
   if history < 0.0 || history >= 1.0 then invalid_arg "Ewma.restore: history must be in [0, 1)";
   match avg with
@@ -42,7 +40,7 @@ let emit w t =
   Codec.bool w "has_avg" t.seeded;
   if t.seeded then Codec.float w "avg" t.avg
 
-let parse r =
-  let history = Codec.float_field r "history" in
+let parse r ~history =
+  Codec.constant Codec.float r "history" history;
   let avg = if Codec.bool_field r "has_avg" then Some (Codec.float_field r "avg") else None in
   restore ~history ~avg

@@ -30,15 +30,14 @@ val seed : t -> float -> unit
 (** [seed t x] forces the average to [x] (used to inherit a parent counter's
     history on divide). *)
 
-val history : t -> float
-(** The filter's history weight, for checkpointing. *)
-
 val restore : history:float -> avg:float option -> t
-(** Rebuild a filter from captured state ({!history}, {!value}).
+(** Rebuild a filter from captured state (its history weight and {!value}).
     @raise Invalid_argument unless [0.0 <= history && history < 1.0]. *)
 
 val emit : Codec.writer -> t -> unit
 (** Append the filter state to a checkpoint document. *)
 
-val parse : Codec.reader -> t
-(** Inverse of {!emit}.  @raise Codec.Parse_error on mismatch. *)
+val parse : Codec.reader -> history:float -> t
+(** Inverse of {!emit} for a filter whose history weight is [history]; a
+    document carrying any other weight is refused.
+    @raise Codec.Parse_error on mismatch. *)

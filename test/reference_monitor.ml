@@ -65,7 +65,7 @@ module Counter = struct
     Ewma.emit w t.mean;
     C.bool w "fresh" t.fresh
 
-  let parse r ~switch_set =
+  let parse r ~switch_set ~history =
     let module C = Dream_util.Codec in
     C.expect_section r "counter";
     let prefix = Prefix.of_string (C.string_field r "prefix") in
@@ -78,7 +78,7 @@ module Counter = struct
       |> List.fold_left (fun acc (sw, v) -> Switch_id.Map.add sw v acc) Switch_id.Map.empty
     in
     let score = C.float_field r "score" in
-    let mean = Ewma.parse r in
+    let mean = Ewma.parse r ~history in
     let fresh = C.bool_field r "fresh" in
     (* [total] is recomputed with the same fold [set_volumes] uses, so the
        restored float is bit-identical to the captured one. *)
@@ -803,7 +803,8 @@ let parse r ~spec ~topology =
     C.parse_error 0 "monitor: an active switch sees none of the task's sub-filters";
   let n = C.int_field r "counters" in
   let switch_set = Reference_switch_set.switch_set topology in
-  let counters = C.repeat n (fun () -> Counter.parse r ~switch_set) in
+  let history = spec.Task_spec.cd_history in
+  let counters = C.repeat n (fun () -> Counter.parse r ~switch_set ~history) in
   let t = make ~spec ~topology ~active (Array.of_list counters) in
   if not (is_partition t) then
     C.parse_error 0 "monitor: the counters do not partition the task's filter";

@@ -275,7 +275,15 @@ let test_degraded_config_rejected () =
   in
   expect_invalid "zero allocation interval" (fun () -> create_interval 0);
   expect_invalid "negative allocation interval" (fun () -> create_interval (-2));
-  ignore (create_interval 1)
+  ignore (create_interval 1);
+  let create_budget install_budget =
+    Controller.create
+      ~config:{ Config.default with Config.install_budget }
+      ~strategy:Allocator.Equal ~num_switches:2 ~capacity:64
+  in
+  expect_invalid "zero install budget" (fun () -> create_budget (Some 0));
+  expect_invalid "negative install budget" (fun () -> create_budget (Some (-3)));
+  ignore (create_budget (Some 1))
 
 (* ---- Journal flush / close ---- *)
 

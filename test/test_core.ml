@@ -235,9 +235,7 @@ let test_controller_drops_release_rules () =
   Alcotest.(check bool) "controller still sane" true (Controller.active_tasks controller >= 0)
 
 let test_controller_install_budget_respected () =
-  let config = Config.hardware ~installs_per_epoch:16 in
-  (* Strip the delay model so only the budget differs from default. *)
-  let config = { config with Config.control_delay = None } in
+  let config = { Config.default with Config.install_budget = Some 16 } in
   let controller = mk_controller ~config ~capacity:256 () in
   let rng = Rng.create 23 in
   for i = 0 to 3 do

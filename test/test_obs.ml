@@ -391,7 +391,6 @@ let test_phase_views_agree () =
    those epochs the rebuilt save time is only an upper bound. *)
 let test_price_from_switch_rows () =
   let bundle, _, result = traced_run () in
-  let costs = Fetch.costs Config.default in
   let rows = Telemetry.switch_rows bundle in
   let completed =
     List.filter_map
@@ -414,10 +413,10 @@ let test_price_from_switch_rows () =
       in
       check_bits
         (Printf.sprintf "epoch %d fetch_ms" epoch)
-        (Delay_model.fetch_ms costs ~rules:(total (fun r -> r.Telemetry.fetches)) ~switches:touched)
+        (Delay_model.fetch_ms ~rules:(total (fun r -> r.Telemetry.fetches)) ~switches:touched)
         s.Controller.fetch_ms;
       let save =
-        Delay_model.save_ms costs
+        Delay_model.save_ms
           ~installs:(total (fun r -> r.Telemetry.installs))
           ~removals:(total (fun r -> r.Telemetry.removals))
           ~switches:touched

@@ -176,9 +176,8 @@ let test_network () =
 (* ---- Delay model ---- *)
 
 let test_delay_fetch_save () =
-  let c = Delay_model.default in
-  let fetch = Delay_model.fetch_ms c ~rules:512 ~switches:1 in
-  let save = Delay_model.save_ms c ~installs:512 ~removals:0 ~switches:1 in
+  let fetch = Delay_model.fetch_ms ~rules:512 ~switches:1 in
+  let save = Delay_model.save_ms ~installs:512 ~removals:0 ~switches:1 in
   (* Paper: saving 512 rules takes under 20 ms on software switches, and
      per-rule save costs more than per-rule fetch. *)
   Alcotest.(check bool) "512 saves under 20ms" true (save < 20.0);
@@ -187,53 +186,34 @@ let test_delay_fetch_save () =
 let test_delay_fetch_dominates_incremental_save () =
   (* Fetch-all vs save-few (90% unchanged): fetch dominates, matching
      Section 6.5. *)
-  let c = Delay_model.default in
-  let fetch = Delay_model.fetch_ms c ~rules:1000 ~switches:8 in
-  let save = Delay_model.save_ms c ~installs:100 ~removals:100 ~switches:8 in
+  let fetch = Delay_model.fetch_ms ~rules:1000 ~switches:8 in
+  let save = Delay_model.save_ms ~installs:100 ~removals:100 ~switches:8 in
   Alcotest.(check bool) "fetch dominates" true (fetch > save)
 
 let test_delay_miss_fraction () =
-  let c = Delay_model.default in
   Alcotest.(check (float 1e-9)) "no installs, no loss" 0.0
-    (Delay_model.install_miss_fraction c ~epoch_ms:1000.0 ~installs:0 ~switches:0);
-  let f = Delay_model.install_miss_fraction c ~epoch_ms:1000.0 ~installs:512 ~switches:1 in
+    (Delay_model.install_miss_fraction ~installs:0 ~switches:0);
+  let f = Delay_model.install_miss_fraction ~installs:512 ~switches:1 in
   Alcotest.(check bool) "between 0 and 1" true (f > 0.0 && f < 1.0);
-  let clamped = Delay_model.install_miss_fraction c ~epoch_ms:1.0 ~installs:100000 ~switches:1 in
+  (* 100000 saves take 3.8 s, more than the 1 s epoch. *)
+  let clamped = Delay_model.install_miss_fraction ~installs:100000 ~switches:1 in
   Alcotest.(check (float 1e-9)) "clamped at 1" 1.0 clamped
 
 let test_delay_degenerate_batches () =
-  let c = Delay_model.default in
   (* Zero switches: no batch, so no RTT — only the (empty) per-rule term. *)
   Alcotest.(check (float 1e-9)) "fetch of nothing is free" 0.0
-    (Delay_model.fetch_ms c ~rules:0 ~switches:0);
+    (Delay_model.fetch_ms ~rules:0 ~switches:0);
   Alcotest.(check (float 1e-9)) "save of nothing is free" 0.0
-    (Delay_model.save_ms c ~installs:0 ~removals:0 ~switches:0);
+    (Delay_model.save_ms ~installs:0 ~removals:0 ~switches:0);
   (* Zero installs against a touched switch still pays the round trip. *)
-  Alcotest.(check (float 1e-9)) "empty batch pays RTT only" c.Delay_model.rtt_ms
-    (Delay_model.save_ms c ~installs:0 ~removals:0 ~switches:1);
+  Alcotest.(check (float 1e-9)) "empty batch pays RTT only" Delay_model.rtt_ms
+    (Delay_model.save_ms ~installs:0 ~removals:0 ~switches:1);
   Alcotest.(check (float 1e-9)) "rules without switches pay no RTT"
-    (c.Delay_model.fetch_per_rule_ms *. 100.0)
-    (Delay_model.fetch_ms c ~rules:100 ~switches:0);
+    (Delay_model.fetch_per_rule_ms *. 100.0)
+    (Delay_model.fetch_ms ~rules:100 ~switches:0);
   (* Negative counts are treated as zero, not as negative time. *)
   Alcotest.(check (float 1e-9)) "negative rules clamp to 0" 0.0
-    (Delay_model.fetch_ms c ~rules:(-5) ~switches:0)
-
-let test_delay_miss_fraction_epoch_boundary () =
-  let c = Delay_model.default in
-  (* A non-positive epoch cannot lose a fraction of itself. *)
-  Alcotest.(check (float 1e-9)) "zero epoch" 0.0
-    (Delay_model.install_miss_fraction c ~epoch_ms:0.0 ~installs:512 ~switches:1);
-  Alcotest.(check (float 1e-9)) "negative epoch" 0.0
-    (Delay_model.install_miss_fraction c ~epoch_ms:(-10.0) ~installs:512 ~switches:1);
-  (* An update that takes exactly one epoch misses exactly all of it. *)
-  let installs = 10 in
-  let exact = Delay_model.save_ms c ~installs ~removals:0 ~switches:1 in
-  Alcotest.(check (float 1e-9)) "update = epoch misses all" 1.0
-    (Delay_model.install_miss_fraction c ~epoch_ms:exact ~installs ~switches:1);
-  (* Fraction scales linearly with the epoch length below the clamp. *)
-  Alcotest.(check (float 1e-9)) "half the epoch, twice the miss"
-    (2.0 *. Delay_model.install_miss_fraction c ~epoch_ms:2000.0 ~installs ~switches:1)
-    (Delay_model.install_miss_fraction c ~epoch_ms:1000.0 ~installs ~switches:1)
+    (Delay_model.fetch_ms ~rules:(-5) ~switches:0)
 
 let prop_sync_idempotent =
   QCheck.Test.make ~name:"sync to same set is a no-op" ~count:200
@@ -399,7 +379,5 @@ let () =
             test_delay_fetch_dominates_incremental_save;
           Alcotest.test_case "miss fraction" `Quick test_delay_miss_fraction;
           Alcotest.test_case "degenerate batches" `Quick test_delay_degenerate_batches;
-          Alcotest.test_case "miss fraction at epoch boundaries" `Quick
-            test_delay_miss_fraction_epoch_boundary;
         ] );
     ]
