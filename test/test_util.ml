@@ -221,6 +221,24 @@ let test_ewma_convergence () =
   Alcotest.(check bool) "converges to constant input" true
     (Float.abs (Ewma.value_or f 0.0 -. 42.0) < 1e-6)
 
+(* A checkpointed filter parses back only under the history weight it was
+   written with: one ulp off is another value. *)
+let test_ewma_parse_history () =
+  let module C = Dream_util.Codec in
+  let f = Ewma.create ~history:0.4 in
+  ignore (Ewma.update f 3.0);
+  let w = C.writer () in
+  Ewma.emit w f;
+  let doc = C.contents w in
+  let parse history = Ewma.parse (C.reader_of_string doc) ~history in
+  check_float "same history" 3.0 (Ewma.value_or (parse 0.4) 0.0);
+  List.iter
+    (fun history ->
+      match parse history with
+      | _ -> Alcotest.failf "history %h accepted a document written with 0.4" history
+      | exception C.Parse_error _ -> ())
+    [ Float.succ 0.4; 0.5 ]
+
 (* ---- Stats ---- *)
 
 let test_stats_mean () =
@@ -371,6 +389,7 @@ let () =
           Alcotest.test_case "scale and seed" `Quick test_ewma_scale_seed;
           Alcotest.test_case "invalid history" `Quick test_ewma_invalid_history;
           Alcotest.test_case "convergence" `Quick test_ewma_convergence;
+          Alcotest.test_case "parse refuses another history" `Quick test_ewma_parse_history;
         ] );
       ( "stats",
         [
