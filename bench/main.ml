@@ -51,7 +51,10 @@ let micro_tests () =
   let fixtures =
     List.map
       (fun (name, kind) ->
-        (name, Task.create ~id:0 ~spec:(spec kind) ~topology (), Ground_truth.create (spec kind)))
+        let storage = Dream_tasks.Storage.create () in
+        ( name,
+          Task.create ~id:0 ~spec:(spec kind) ~topology ~storage (),
+          Ground_truth.create ~storage (spec kind) ))
       kinds
   in
   let task = match fixtures with (_, task, _) :: _ -> task | [] -> assert false in

@@ -42,7 +42,7 @@ let () =
   let spec =
     Task_spec.make ~kind:Task_spec.Change_detection ~filter ~leaf_length:24 ~threshold:8.0 ()
   in
-  let task = Task.create ~id:0 ~spec ~topology () in
+  let task = Task.create ~id:0 ~spec ~topology ~storage:(Dream_tasks.Storage.create ()) () in
   let allocations = Array.make (Topology.switches_per_task topology) 64 in
   for epoch = 0 to 29 do
     let flows =

@@ -38,7 +38,7 @@ let () =
     Task_spec.make ~kind:Task_spec.Hierarchical_heavy_hitter ~filter ~leaf_length:24
       ~threshold:8.0 ()
   in
-  let task = Task.create ~id:0 ~spec ~topology () in
+  let task = Task.create ~id:0 ~spec ~topology ~storage:(Dream_tasks.Storage.create ()) () in
   let allocations = Array.make (Topology.switches_per_task topology) 128 in
   let split flows =
     List.filter_map

@@ -61,6 +61,7 @@ type t = {
   fetch : Fetch.t;
   rule_sync : Rule_sync.t;
   active : (int, Runtime.t) Hashtbl.t;
+  pool : Runtime.pool; (* retired tasks' storage; never checkpointed *)
   mutable epoch : int;
   mutable next_id : int;
   mutable records : Metrics.record list;
@@ -104,6 +105,7 @@ let make ~config ~allocator ~switches ~faults ~breakers ~active ~epoch ~next_id 
         ~trace:(Option.map Obs.Telemetry.trace tel);
     rule_sync = Rule_sync.create ~switches ~install_budget:config.Config.install_budget ~tallies:rob;
     active;
+    pool = Runtime.pool ();
     epoch;
     next_id;
     records;
@@ -201,6 +203,8 @@ let check_invariants_now t =
   let tasks = List.map (fun r -> r.Runtime.task) (Runtime.sorted t.active) in
   Invariant.check_all ~allocator:t.allocator ~switches:t.switches ~up:(reachable t) ~tasks
 
+let pooled_storage t = Runtime.pooled t.pool [@@lint.allow "oracle hook: test/test_core.ml"]
+
 let max_staleness t = Hashtbl.fold (fun _ r acc -> max acc r.Runtime.staleness) t.active 0
 
 let submit t ~spec ~topology ~source ~duration =
@@ -212,8 +216,8 @@ let submit t ~spec ~topology ~source ~duration =
     if spec.Task_spec.drop_priority <> 0 then spec.Task_spec.drop_priority else id
   in
   let runtime =
-    Runtime.create ~config:t.config ~id ~spec ~topology ~source ~duration ~arrived_at:t.epoch
-      ~drop_priority
+    Runtime.create ~config:t.config ~pool:t.pool ~id ~spec ~topology ~source ~duration
+      ~arrived_at:t.epoch ~drop_priority
   in
   if Allocator.try_admit t.allocator (Runtime.view runtime) then begin
     (* Journal the admission outcome before the task takes effect.  The
@@ -235,6 +239,7 @@ let submit t ~spec ~topology ~source ~duration =
     `Admitted id
   end
   else begin
+    Runtime.recycle t.pool ~live:(Hashtbl.length t.active) runtime;
     jot t (Journal.Reject { epoch = t.epoch; task_id = id; kind = spec.Task_spec.kind });
     t.records <- Metrics.rejected ~task_id:id ~kind:spec.Task_spec.kind ~epoch:t.epoch :: t.records;
     Ctr.incr (Obs.Registry.counter t.registry "tasks_rejected");
@@ -285,6 +290,7 @@ let remove_task t (r : Runtime.t) ~outcome =
   end;
   Allocator.release t.allocator ~task_id:id;
   Array.iter (fun sw -> ignore (Tcam.remove_owner (Switch.tcam sw) ~owner:id)) t.switches;
+  Runtime.recycle t.pool ~live:(Hashtbl.length t.active) r;
   Hashtbl.remove t.active id;
   t.records <- record :: t.records;
   let kind = Task_spec.kind_to_string record.Metrics.kind in

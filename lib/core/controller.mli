@@ -176,6 +176,11 @@ val check_invariants_now : t -> Dream_recovery.Invariant.violation list
     same task ordering, same reachability predicate.  Read-only; external
     oracles (the chaos harness) call it between ticks. *)
 
+val pooled_storage : t -> int
+(** Storage entries retired, dropped and rejected tasks handed back that
+    no admission has taken yet ({!Runtime.recycle}): never more than the
+    most tasks live at once. *)
+
 val max_staleness : t -> int
 (** Largest staleness level among active tasks (0 when none). *)
 

@@ -14,13 +14,13 @@ let without id live = List.filter (fun ((r : Runtime.t), _) -> Runtime.id r <> i
 (* The fold carries the checkpoint brought forward so far and the live
    tasks, each with the epoch its runtime state dates from: the
    checkpoint's for restored tasks, its admission's for replayed ones. *)
-let apply ((d : Checkpoint.t), live) entry =
+let apply pool ((d : Checkpoint.t), live) entry =
   let next_id id = max d.next_id (id + 1) in
   match entry with
   | Journal.Admit { epoch; task_id; spec; topology; duration; drop_priority; source } ->
     let source = Source.parse (C.reader_of_string source) in
     let r =
-      Runtime.create ~config:d.config ~id:task_id ~spec ~topology ~source ~duration
+      Runtime.create ~config:d.config ~pool ~id:task_id ~spec ~topology ~source ~duration
         ~arrived_at:epoch ~drop_priority
     in
     Allocator.force_admit d.allocator (Runtime.view r);
@@ -37,8 +37,11 @@ let apply ((d : Checkpoint.t), live) entry =
     ({ d with robustness = { d.robustness with recoveries = d.robustness.recoveries + 1 } }, live)
   | Journal.Task_end
       { epoch; task_id; kind; cause; arrived_at; active_epochs; satisfaction; mean_accuracy } ->
-    if List.exists (fun ((r : Runtime.t), _) -> Runtime.id r = task_id) live then
+    (match List.find_opt (fun ((r : Runtime.t), _) -> Runtime.id r = task_id) live with
+    | Some (r, _) ->
       Allocator.release d.allocator ~task_id;
+      Runtime.recycle pool ~live:(List.length live) r
+    | None -> ());
     let outcome =
       match cause with Journal.Completed -> Metrics.Completed | Journal.Dropped -> Metrics.Dropped
     in
@@ -48,8 +51,11 @@ let apply ((d : Checkpoint.t), live) entry =
     in
     ({ d with records = record :: d.records }, without task_id live)
 
+(* Ended tasks hand their storage to admissions later in the suffix, as
+   in a live run; the pool ends with the replay. *)
 let replay (d : Checkpoint.t) journal ~at_epoch =
-  match List.fold_left apply (d, List.map (fun r -> (r, d.epoch)) d.runtimes) journal with
+  let pool = Runtime.pool () in
+  match List.fold_left (apply pool) (d, List.map (fun r -> (r, d.epoch)) d.runtimes) journal with
   | exception C.Parse_error err -> Error ("journal: " ^ C.error_to_string err)
   | exception Invalid_argument msg -> Error ("journal: invalid value: " ^ msg)
   | d, live ->

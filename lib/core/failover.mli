@@ -12,7 +12,8 @@ val replay :
 (** Fold the journal into the parsed checkpoint, in order: an admission
     builds its runtime through {!Runtime.create} and force-admits it, a
     rejection adds {!Metrics.rejected}, an allocation is forced, a task
-    end releases the task and adds its record, and switch crashes and
+    end releases the task, hands its storage to the admissions after it
+    ({!Runtime.recycle}) and adds its record, and switch crashes and
     recoveries bump their tallies.  Then every task's traffic source is
     fast-forwarded to [at_epoch] (from the checkpoint epoch, or from its
     admission for a replayed task) by discarding epochs, which consumes

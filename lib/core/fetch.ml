@@ -161,17 +161,16 @@ let degrade_fresh f (r : Runtime.t) b n =
     done
   end
 
-(* Keep a copy of the readings in the buffers as the bit's stale
-   fallback, reusing the last copy's arrays. *)
+(* Keep a copy of the readings as the bit's stale fallback.  Its buffers
+   grow by doubling: a new task's reading count grows for several
+   epochs. *)
 let save_stale f (r : Runtime.t) b n =
-  let s =
-    match r.stale_counters.(b) with
-    | Some s when Array.length s.Runtime.keys >= n -> s
-    | Some _ | None ->
-      let s = { Runtime.keys = Array.make n 0; vols = Array.make n 0.0; n } in
-      r.stale_counters.(b) <- Some s;
-      s
-  in
+  let s = r.stale_counters.(b) in
+  if Array.length s.Runtime.keys < n then begin
+    let len = max n (2 * Array.length s.Runtime.keys) in
+    s.Runtime.keys <- Array.make len 0;
+    s.Runtime.vols <- Array.make len 0.0
+  end;
   for i = 0 to n - 1 do
     s.Runtime.keys.(i) <- f.keys.(i)
   done;
@@ -262,11 +261,11 @@ let read f (r : Runtime.t) data =
      has none. *)
   let use_stale sw_id b =
     if b >= 0 then begin
-      (match r.stale_counters.(b) with
-      | Some s when s.Runtime.n > 0 ->
+      let s = r.stale_counters.(b) in
+      if s.Runtime.n > 0 then begin
         Monitor.ingest m sw_id ~keys:s.Runtime.keys ~vols:s.Runtime.vols s.Runtime.n;
         Ctr.incr f.tallies.stale_epochs
-      | Some _ | None -> ());
+      end;
       degraded := !degraded lor (1 lsl b)
     end
   in

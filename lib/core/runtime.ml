@@ -5,6 +5,8 @@ module Source = Dream_traffic.Source
 module Task = Dream_tasks.Task
 module Task_spec = Dream_tasks.Task_spec
 module Ground_truth = Dream_tasks.Ground_truth
+module Storage = Dream_tasks.Storage
+module Monitor = Dream_tasks.Monitor
 module C = Dream_util.Codec
 
 type readings = { mutable keys : int array; mutable vols : float array; mutable n : int }
@@ -23,17 +25,54 @@ type t = {
   mutable last_alloc_total : int;
   fresh_rules : int array array;
   last_install_counts : int array;
-  stale_counters : readings option array;
+  stale_counters : readings array;
   mutable staleness : int;
 }
 
-let create ~config ~id ~spec ~topology ~source ~duration ~arrived_at ~drop_priority =
-  let task = Task.create ~id ~spec ~topology ~accuracy_mode:config.Config.accuracy_mode () in
-  let k = Topology.switches_per_task topology in
+(* A task's growable storage: the task's and its ground truth's, and the
+   runtime's per-bit columns. *)
+type storage = { tasks : Storage.t; fresh_rules : int array array; stale : readings array }
+
+let fresh_storage k =
+  {
+    tasks = Storage.create ();
+    fresh_rules = Array.make k [||];
+    stale = Array.init k (fun _ -> { keys = [||]; vols = [||]; n = -1 });
+  }
+
+(* Retired tasks' storage by sub-filter count, the last returned first. *)
+type pool = {
+  free : storage list array;
+  mutable held : int;
+  mutable limit : int; (* the most tasks seen live at once *)
+}
+
+let pool () = { free = Array.make (Topology.max_switches_per_task + 1) []; held = 0; limit = 0 }
+
+let pooled pool = pool.held
+
+let take pool k =
+  match pool.free.(k) with
+  | s :: rest ->
+    pool.free.(k) <- rest;
+    pool.held <- pool.held - 1;
+    s
+  | [] -> fresh_storage k
+
+(* Only the logical state of the storage taken is reset: no install count,
+   so no fresh rule is read, and no stale reading until a fetch saves
+   one. *)
+let create ~config ~pool ~id ~spec ~topology ~source ~duration ~arrived_at ~drop_priority =
+  let storage = take pool (Topology.switches_per_task topology) in
+  let task =
+    Task.create ~id ~spec ~topology ~accuracy_mode:config.Config.accuracy_mode
+      ~storage:storage.tasks ()
+  in
+  Array.iter (fun s -> s.n <- -1) storage.stale;
   {
     task;
     source;
-    ground_truth = Ground_truth.create spec;
+    ground_truth = Ground_truth.create ~storage:storage.tasks spec;
     duration;
     arrived_at;
     drop_priority;
@@ -42,11 +81,30 @@ let create ~config ~id ~spec ~topology ~source ~duration ~arrived_at ~drop_prior
     accuracy_sum = 0.0;
     poor_streak = 0;
     last_alloc_total = 0;
-    fresh_rules = Array.make k [||];
-    last_install_counts = Array.make k 0;
-    stale_counters = Array.make k None;
+    fresh_rules = storage.fresh_rules;
+    last_install_counts = Array.make (Topology.switches_per_task topology) 0;
+    stale_counters = storage.stale;
     staleness = 0;
   }
+
+(* A storage is kept while the pool holds fewer entries than the most
+   tasks seen live at once, and only if its task never ran (it is as the
+   pool or [fresh_storage] gave it) or filled at least half its counter
+   table: what a task grows stays with the storage, so one that served a
+   larger task would hand later ones more room than growth would give
+   them, and that room stays live. *)
+let recycle pool ~live (r : t) =
+  pool.limit <- max pool.limit live;
+  let m = Task.monitor r.task in
+  if pool.held < pool.limit && (r.active_epochs = 0 || 2 * m.Monitor.n >= m.Monitor.cap) then begin
+    let k = Array.length r.fresh_rules in
+    let s =
+      ({ tasks = Task.release r.task; fresh_rules = r.fresh_rules; stale = r.stale_counters }
+      [@alloc.allow "once per retired task"])
+    in
+    pool.free.(k) <- (s :: pool.free.(k) [@alloc.allow "once per retired task"]);
+    pool.held <- pool.held + 1
+  end
 
 let id r = Task.id r.task
 
@@ -102,7 +160,7 @@ let parse_entries r key parse =
       (sw, parse ()))
 
 let column topology ~what ~absent entries =
-  let col = Array.make (Topology.switches_per_task topology) absent in
+  let col = Array.init (Topology.switches_per_task topology) (fun _ -> absent ()) in
   List.iter (fun (sw, v) -> col.(Topology.parse_bit topology ~what sw) <- v) entries;
   col
 
@@ -130,16 +188,14 @@ let emit w r =
     ~present:(fun b -> r.last_install_counts.(b) <> 0)
     (fun b -> C.int w "installs" r.last_install_counts.(b));
   emit_column w topology "stale_counters"
-    ~present:(fun b -> Option.is_some r.stale_counters.(b))
+    ~present:(fun b -> r.stale_counters.(b).n >= 0)
     (fun b ->
-      Option.iter
-        (fun s ->
-          C.int w "pairs" s.n;
-          for i = 0 to s.n - 1 do
-            C.string w "p" (Prefix.to_string (Prefix.of_key s.keys.(i)));
-            C.float w "v" s.vols.(i)
-          done)
-        r.stale_counters.(b));
+      let s = r.stale_counters.(b) in
+      C.int w "pairs" s.n;
+      for i = 0 to s.n - 1 do
+        C.string w "p" (Prefix.to_string (Prefix.of_key s.keys.(i)));
+        C.float w "v" s.vols.(i)
+      done);
   Task.emit w r.task;
   Source.emit w r.source;
   Ground_truth.emit w r.ground_truth
@@ -169,18 +225,19 @@ let parse r =
               let p = Prefix.of_string (C.string_field r "p") in
               (Prefix.key p, C.float_field r "v"))
         in
-        Some
-          {
-            keys = Array.of_list (List.map fst pairs);
-            vols = Array.of_list (List.map snd pairs);
-            n = List.length pairs;
-          })
+        {
+          keys = Array.of_list (List.map fst pairs);
+          vols = Array.of_list (List.map snd pairs);
+          n = List.length pairs;
+        })
   in
-  let task = Task.parse r in
+  (* A restore builds fresh storage. *)
+  let storage = Storage.create () in
+  let task = Task.parse r ~storage in
   let topology = Task.topology task in
-  let fresh_rules = column topology ~what:"fresh rules" ~absent:[||] fresh_rules in
+  let fresh_rules = column topology ~what:"fresh rules" ~absent:(fun () -> [||]) fresh_rules in
   let last_install_counts =
-    column topology ~what:"an install count" ~absent:0 last_install_counts
+    column topology ~what:"an install count" ~absent:(fun () -> 0) last_install_counts
   in
   (* A switch's install count is the length of its fresh-rule column. *)
   Array.iteri
@@ -191,7 +248,7 @@ let parse r =
              (Topology.switch_of_bit topology b) (Array.length keys) last_install_counts.(b)))
     fresh_rules;
   let source = Source.parse r in
-  let ground_truth = Ground_truth.parse r ~spec:(Task.spec task) in
+  let ground_truth = Ground_truth.parse r ~spec:(Task.spec task) ~storage in
   {
     task;
     source;
@@ -206,6 +263,9 @@ let parse r =
     last_alloc_total;
     fresh_rules;
     last_install_counts;
-    stale_counters = column topology ~what:"stale counters" ~absent:None stale_counters;
+    stale_counters =
+      column topology ~what:"stale counters"
+        ~absent:(fun () -> { keys = [||]; vols = [||]; n = -1 })
+        stale_counters;
     staleness;
   }

@@ -1,11 +1,23 @@
 (** The controller's per-task bookkeeping: an admitted task object, its
     traffic source and ground truth, and the counters the control loop
-    keeps about it between epochs. *)
+    keeps about it between epochs.
+
+    {2 Storage lifecycle}
+
+    A task's growable arrays (its {!Dream_tasks.Storage}, and here its
+    fresh-rule columns and stale-reading buffers) outlive it.  When the
+    controller retires, drops or rejects a task it hands them to a
+    {!pool} ({!recycle}), and the next {!create} of a task with the same
+    sub-filter count takes the last ones returned: a new record around
+    recycled arrays, with only its logical state reset (counts, cursors,
+    stamps).  Nothing reads a capacity, so a task behaves the same, bit
+    for bit, on recycled or fresh storage; a restore ({!parse}) builds
+    fresh storage, and a pool is never checkpointed. *)
 
 type readings = { mutable keys : int array; mutable vols : float array; mutable n : int }
 (** One switch's counter readings: volume [vols.(i)] for the prefix key
     [keys.(i)] ({!Dream_prefix.Prefix.key}), [0 <= i < n], in key
-    order. *)
+    order; [n = -1] when there are none, not even an empty set. *)
 
 type t = {
   task : Dream_tasks.Task.t;
@@ -25,19 +37,28 @@ type t = {
           {!Dream_traffic.Switch_mask}): a sorted column whose first
           [last_install_counts.(b)] entries are in use *)
   last_install_counts : int array;  (** their number, per sub-filter bit *)
-  stale_counters : readings option array;
+  stale_counters : readings array;
       (** last successfully fetched readings per sub-filter bit, the
-          fallback when a switch is down or a fetch is abandoned; [None]
-          until a fetch from the switch succeeds (an empty one is
-          [Some] with [n = 0]), and written only when a fault model is
-          configured *)
+          fallback when a switch is down or a fetch is abandoned; [n = -1]
+          until a fetch from the switch succeeds (an empty one has
+          [n = 0]), and written only when a fault model is configured *)
   mutable staleness : int;
       (** consecutive epochs this task reported with at least one stale or
           missing switch (degraded mode only; 0 when fully fresh) *)
 }
 
+type pool
+(** Retired tasks' storage, by sub-filter count. *)
+
+val pool : unit -> pool
+(** An empty pool: tasks created from it start on fresh storage. *)
+
+val pooled : pool -> int
+(** The storage entries the pool holds. *)
+
 val create :
   config:Config.t ->
+  pool:pool ->
   id:int ->
   spec:Dream_tasks.Task_spec.t ->
   topology:Dream_traffic.Topology.t ->
@@ -47,8 +68,19 @@ val create :
   drop_priority:int ->
   t
 (** A freshly admitted task: a new task object with the config's accuracy
-    history and mode, zero counters, no rules, ground truth for [spec].
-    The one constructor for both a live admission and a replayed one. *)
+    mode, zero counters, no rules, ground truth for [spec].  It is built
+    on the storage the pool got last for the task's sub-filter count, or
+    on fresh storage when it has none.  The one constructor for both a
+    live admission and a replayed one. *)
+
+val recycle : pool -> live:int -> t -> unit
+(** Hand a retired, dropped or rejected task's storage to the pool.
+    [live] counts the tasks live at the time, this one included if it
+    was admitted: the pool keeps an entry only while it holds fewer than
+    the most tasks it has seen live at once, and only if the task never
+    ran or filled at least half of its counter table (a storage keeps
+    the room its largest task grew, and a smaller task would hold that
+    room live).  Neither the runtime nor its task may be used again. *)
 
 val id : t -> int
 
@@ -61,7 +93,7 @@ val view : t -> Dream_alloc.Task_view.t
 val emit : Dream_util.Codec.writer -> t -> unit
 
 val parse : Dream_util.Codec.reader -> t
-(** Inverse of {!emit}.  The task's last report is not serialized: a
+(** Inverse of {!emit}, on fresh storage.  The task's last report is not serialized: a
     restored task has none ({!Dream_tasks.Task.last_report} is [None])
     until it reports afresh on its first tick.
     @raise Dream_util.Codec.Parse_error on a malformed section, a

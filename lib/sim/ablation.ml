@@ -86,8 +86,9 @@ let tcam_vs_sketch ~epochs =
         { (Profile.default ~threshold:8.0) with Profile.heavy_count = 40; medium_count = 60 }
       in
       let generator = Generator.create (Rng.split rng) ~topology ~profile in
-      let task = Task.create ~id:0 ~spec ~topology () in
-      let ground_truth = Dream_tasks.Ground_truth.create spec in
+      let storage = Dream_tasks.Storage.create () in
+      let task = Task.create ~id:0 ~spec ~topology ~storage () in
+      let ground_truth = Dream_tasks.Ground_truth.create ~storage spec in
       let allocations = Array.make (Topology.switches_per_task topology) (resources / 2) in
       let sketch = Sketch_hh.create ~spec ~cells:resources ~seed:17 () in
       let sampler = Sampled_hh.create ~spec ~budget:resources ~seed:23 () in

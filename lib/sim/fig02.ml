@@ -45,9 +45,10 @@ let make_setup ~seed ~resources =
     Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter ~leaf_length:24 ~threshold:8.0 ()
   in
   let generator = Generator.create (Rng.split rng) ~topology ~profile:(profile ~threshold:8.0) in
-  let task = Task.create ~id:0 ~spec ~topology () in
+  let storage = Dream_tasks.Storage.create () in
+  let task = Task.create ~id:0 ~spec ~topology ~storage () in
   let allocations = Array.make (Topology.switches_per_task topology) (resources / 2) in
-  { task; generator; ground_truth = Ground_truth.create spec; allocations; spec }
+  { task; generator; ground_truth = Ground_truth.create ~storage spec; allocations; spec }
 
 (* One epoch of the Algorithm 1 loop, bypassing the TCAM simulator: read
    counters straight off the per-switch aggregates. *)

@@ -34,8 +34,9 @@ type float_regs = {
    exactly the order Dream_util.Heap moves its elements, so equal scores
    pop in the same order.
 
-   Growable arrays: after the first few epochs a configure allocates
-   nothing. *)
+   Growable arrays, taken from the task's Storage and handed back when it
+   retires: after the first few epochs a configure allocates nothing, and
+   a task built on recycled storage starts with its predecessor's room. *)
 type t = {
   m : Monitor.t;
   mutable slots : int; (* slots in use *)
@@ -87,7 +88,7 @@ let[@inline] length_at (m : Monitor.t) i = Prefix.key_length (get m.keys i)
    major-heap array. *)
 let grown_ints (a : int array) n used =
   let b =
-    (Array.make n 0 [@alloc.allow "growth only: the table keeps its room across configures"])
+    (Array.make n 0 [@alloc.allow "growth only: recycled storage keeps its room across tasks"])
   in
   for j = 0 to used - 1 do
     b.(j) <- a.(j)
@@ -96,30 +97,34 @@ let grown_ints (a : int array) n used =
 
 let grown_floats (a : float array) n used =
   let b =
-    (Array.make n 0.0 [@alloc.allow "growth only: the table keeps its room across configures"])
+    (Array.make n 0.0 [@alloc.allow "growth only: recycled storage keeps its room across tasks"])
   in
   Array.blit a 0 b 0 used;
   b
 
-let create (m : Monitor.t) =
+(* The tables and heap are [storage]'s, as an earlier owner left them.
+   A build, a solve or the heap writes every slot before reading it,
+   except the solve stamps: they are zeroed, below any solve's id. *)
+let create (m : Monitor.t) ~(storage : Storage.t) =
   let k = m.k in
+  Array.fill storage.node_stamp 0 (Array.length storage.node_stamp) 0;
   {
     m;
     slots = 0;
-    node_key = [||];
-    node_end = [||];
-    node_cost = [||];
-    node_class = [||];
-    node_next = [||];
-    stamp = [||];
+    node_key = storage.node_key;
+    node_end = storage.node_end;
+    node_cost = storage.node_cost;
+    node_class = storage.node_class;
+    node_next = storage.node_next;
+    stamp = storage.node_stamp;
     solve_id = 0;
     classes = 0;
-    cls_mask = [||];
-    cls_head = [||];
-    cls_min = [||];
-    cls_next = [||];
-    cls_floor = [||];
-    cls_of = [||];
+    cls_mask = storage.cls_mask;
+    cls_head = storage.cls_head;
+    cls_min = storage.cls_min;
+    cls_next = storage.cls_next;
+    cls_floor = storage.cls_floor;
+    cls_of = storage.cls_of;
     gains = Array.init (k + 1) float_of_int;
     cheapest = Array.make k Float.infinity;
     chosen = Array.make k 0;
@@ -132,9 +137,9 @@ let create (m : Monitor.t) =
     ret_count = 0;
     best = -1;
     class_best = -1;
-    h_score = [||];
-    h_key = [||];
-    h_stamp = [||];
+    h_score = storage.h_score;
+    h_key = storage.h_key;
+    h_stamp = storage.h_stamp;
     h_size = 0;
     top_key = 0;
     top_stamp = 0;
@@ -153,12 +158,31 @@ let create (m : Monitor.t) =
       };
   }
 
+let release t (storage : Storage.t) =
+  storage.node_key <- t.node_key;
+  storage.node_end <- t.node_end;
+  storage.node_cost <- t.node_cost;
+  storage.node_class <- t.node_class;
+  storage.node_next <- t.node_next;
+  storage.node_stamp <- t.stamp;
+  storage.cls_mask <- t.cls_mask;
+  storage.cls_head <- t.cls_head;
+  storage.cls_min <- t.cls_min;
+  storage.cls_next <- t.cls_next;
+  storage.cls_floor <- t.cls_floor;
+  storage.cls_of <- t.cls_of;
+  storage.h_score <- t.h_score;
+  storage.h_key <- t.h_key;
+  storage.h_stamp <- t.h_stamp
+
 let cover_scans t = t.scans [@@lint.allow "oracle hook: test/test_tasks.ml"]
 
 (* ---- cover(): greedy weighted set cover over ancestor T sets ---- *)
 
+(* Structural nodes are fewer than the counters, so the table grows at once
+   to the monitor's capacity when that is more than double. *)
 let grow t =
-  let n = max 16 (2 * Array.length t.node_key) and used = t.slots in
+  let n = max t.m.cap (max 16 (2 * Array.length t.node_key)) and used = t.slots in
   t.node_key <- grown_ints t.node_key n used;
   t.node_end <- grown_ints t.node_end n used;
   t.node_cost <- grown_floats t.node_cost n used;
@@ -469,8 +493,10 @@ let apply_merges t =
 
 (* ---- the divide heap ---- *)
 
+(* A divide phase starts with at most one entry per counter: the heap, too,
+   grows at once to the monitor's capacity when that is more. *)
 let heap_grow t =
-  let n = max 8 (2 * Array.length t.h_key) in
+  let n = max t.m.cap (max 8 (2 * Array.length t.h_key)) in
   t.h_score <- grown_floats t.h_score n t.h_size;
   t.h_key <- grown_ints t.h_key n t.h_size;
   t.h_stamp <- grown_ints t.h_stamp n t.h_size

@@ -4,14 +4,22 @@
     chosen by cover() (Section 5.2).
 
     One per task, created next to its monitor; it shares nothing with
-    other tasks'.  It holds cover()'s candidate table and the divide heap,
-    both reused across configures, and edits the counters only through
-    {!Monitor.merge} and {!Monitor.divide}.  Switch sets are
+    other live tasks.  It holds cover()'s candidate table and the divide
+    heap, both reused across configures and taken from the task's
+    {!Storage}, and edits the counters only through {!Monitor.merge} and
+    {!Monitor.divide}.  Switch sets are
     {!Dream_traffic.Switch_mask} bitmasks over the task's sub-filters. *)
 
 type t
 
-val create : Monitor.t -> t
+val create : Monitor.t -> storage:Storage.t -> t
+(** The monitor's Algorithm 2 state, on [storage]'s candidate table,
+    class table and divide heap, with the room an earlier owner grew them
+    to.  Nothing they held is read. *)
+
+val release : t -> Storage.t -> unit
+(** [release t storage] hands the tables and heap back to [storage].
+    [t] must not be used again. *)
 
 val configure : t -> allocations:int array -> unit
 (** Algorithm 2 under per-sub-filter-bit [allocations] (a switch outside

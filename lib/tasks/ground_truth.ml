@@ -14,19 +14,20 @@ type t = {
   vol : float array; (* ... and its volume *)
 }
 
-let make spec means =
+(* The buffers are [storage]'s, with their room.  Only the CD means carry
+   across epochs: the others are refilled from empty before each read. *)
+let create ~(storage : Storage.t) spec =
+  Items.clear storage.truth_means;
   {
     spec;
-    leaves = Items.create ();
-    truth = Items.create ();
-    means;
-    next = Items.create ();
+    leaves = storage.leaves;
+    truth = storage.truth;
+    means = storage.truth_means;
+    next = storage.truth_next;
     ret = Array.make (Prefix.address_bits + 1) 0.0;
     key = [| 0 |];
     vol = [| 0.0 |];
   }
-
-let create spec = make spec (Items.create ())
 
 let emit w t =
   let module C = Dream_util.Codec in
@@ -39,11 +40,12 @@ let emit w t =
 
 (* The means column needs its keys to be distinct leaves under the
    filter, in ascending order. *)
-let parse r ~spec =
+let parse r ~spec ~storage =
   let module C = Dream_util.Codec in
   C.expect_section r "ground_truth";
   let n = C.int_field r "cd_means" in
-  let means = Items.create () in
+  let t = create ~storage spec in
+  let means = t.means in
   ignore
     (C.repeat n (fun () ->
          let p = Prefix.of_string (C.string_field r "prefix") in
@@ -59,7 +61,7 @@ let parse r ~spec =
          means.Items.keys.(i) <- key;
          means.Items.mags.(i) <- m;
          means.Items.n <- i + 1));
-  make spec means
+  t
 
 (* This epoch's volume per leaf under the filter, into [t.leaves]. *)
 let fill_leaves t aggregate =
@@ -121,13 +123,16 @@ let hierarchical_heavy_hitters t aggregate =
    a leaf whose volume (0 when it sent nothing) deviates from its mean
    (its volume, before any history) by more than the threshold.  The
    EWMA-updated means go to [t.next], except a mean that decayed below
-   0.001 on a silent leaf, which is dropped. *)
+   0.001 on a silent leaf, which is dropped.  [t.next] is reserved for the
+   leaves (one that sent traffic is always kept) and grows for the means
+   kept beside them: the two mostly share keys, so reserving for both
+   would about double it. *)
 let changes t aggregate =
   fill_leaves t aggregate;
   let threshold = t.spec.Task_spec.threshold in
   let history = t.spec.Task_spec.cd_history in
   let leaves = t.leaves and means = t.means and next = t.next in
-  Items.reserve next (leaves.Items.n + means.Items.n);
+  Items.reserve next leaves.Items.n;
   next.Items.n <- 0;
   let i = ref 0 and j = ref 0 in
   while !i < means.Items.n || !j < leaves.Items.n do
@@ -142,6 +147,7 @@ let changes t aggregate =
        testing floats for exact equality *)
     if not (mean' < 0.001 && volume <= 0.0) then begin
       let n = next.Items.n in
+      if n = Array.length next.Items.keys then Items.reserve next (n + 1);
       next.Items.keys.(n) <- key;
       next.Items.mags.(n) <- mean';
       next.Items.n <- n + 1
@@ -168,7 +174,7 @@ let evaluate t epoch_data (reported : Items.t) =
 
 (* One epoch's truth in a fresh column, off the per-epoch path. *)
 let fresh find spec aggregate =
-  let t = create spec in
+  let t = create ~storage:(Storage.create ()) spec in
   find t aggregate;
   t.truth
 

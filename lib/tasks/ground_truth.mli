@@ -14,7 +14,10 @@
 
 type t
 
-val create : Task_spec.t -> t
+val create : storage:Storage.t -> Task_spec.t -> t
+(** Ground truth for a task, in [storage]'s key columns with the room they
+    have: a task and its ground truth may share one storage.  Nothing the
+    columns held is read. *)
 
 val evaluate : t -> Dream_traffic.Epoch_data.t -> Items.t -> float
 (** The real accuracy of one epoch's report items (strictly ascending
@@ -35,7 +38,8 @@ val emit : Dream_util.Codec.writer -> t -> unit
 (** Append the CD per-leaf means, in key order, to a checkpoint document
     (empty for HH/HHH tasks, which keep no cross-epoch state here). *)
 
-val parse : Dream_util.Codec.reader -> spec:Task_spec.t -> t
-(** Inverse of {!emit}.  @raise Dream_util.Codec.Parse_error on mismatch,
-    or a mean on a prefix that is not a leaf ([leaf_length] long) under
-    the filter, or means not in strictly ascending prefix order. *)
+val parse : Dream_util.Codec.reader -> spec:Task_spec.t -> storage:Storage.t -> t
+(** Inverse of {!emit}, into [storage]'s columns as {!create} takes them.
+    @raise Dream_util.Codec.Parse_error on mismatch, or a mean on a prefix
+    that is not a leaf ([leaf_length] long) under the filter, or means not
+    in strictly ascending prefix order. *)

@@ -15,7 +15,7 @@ let clear t = t.n <- 0
 (* Int columns are copied element by element: a store of an immediate
    needs no write barrier, where Array.blit would run one per element into
    a major-heap array. *)
-let[@alloc.allow "growth only: a buffer keeps its room across epochs"] reserve t cap =
+let[@alloc.allow "growth only: recycled storage keeps its room across tasks"] reserve t cap =
   if cap > Array.length t.keys then begin
     let cap = max cap (2 * Array.length t.keys) in
     let keys = Array.make cap 0 in

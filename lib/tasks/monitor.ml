@@ -128,41 +128,58 @@ let recompute_usage t =
     bump t.usage (effective t i) 1 0
   done
 
-(* An empty table of [cap] slots. *)
-let make ~spec ~topology ~active ~cap =
+(* An empty table on [storage]'s columns: its slots keep whatever an
+   earlier owner left, and every slot is written before it is read. *)
+let make ~spec ~topology ~active ~(storage : Storage.t) =
   let k = Topology.switches_per_task topology in
-  let cap = max 1 cap in
+  if Array.length storage.vols <> storage.cap * k then
+    invalid_arg "Monitor: storage of another sub-filter count";
   {
     spec;
     topology;
     k;
     by_switch = Topology.switch_order topology;
     history = spec.Task_spec.cd_history;
-    cap;
+    cap = storage.cap;
     n = 0;
-    keys = Bytes.create (cap lsl 3);
-    masks = Bytes.create (cap lsl 3);
-    flags = Bytes.create (cap lsl 3);
-    stamps = Bytes.create (cap lsl 3);
-    totals = Array.make cap 0.0;
-    scores = Array.make cap 0.0;
-    means = Array.make cap 0.0;
-    vols = Array.make (cap * k) 0.0;
+    keys = storage.keys;
+    masks = storage.masks;
+    flags = storage.flags;
+    stamps = storage.stamps;
+    totals = storage.totals;
+    scores = storage.scores;
+    means = storage.means;
+    vols = storage.vols;
     next_stamp = 0;
     switches = Topology.prefix_mask topology spec.Task_spec.filter;
     usage = Array.make k 0;
     active_mask = active;
   }
 
-let create ~spec ~topology =
+(* Room for at least [cap] slots. *)
+let reserve t cap = if t.cap < cap then resize t cap
+
+let create ~spec ~topology ~storage =
   let filter = spec.Task_spec.filter in
-  let t = make ~spec ~topology ~active:(Topology.prefix_mask topology filter) ~cap:16 in
+  let t = make ~spec ~topology ~active:(Topology.prefix_mask topology filter) ~storage in
+  reserve t 16;
   shift t ~lo:0 ~hi:0 ~len:1;
   init_slot t 0 ~key:(Prefix.key filter) ~flags:fresh_flag;
   t.scores.(0) <- 0.0;
   t.means.(0) <- 0.0;
   recompute_usage t;
   t
+
+let release t (storage : Storage.t) =
+  storage.cap <- t.cap;
+  storage.keys <- t.keys;
+  storage.masks <- t.masks;
+  storage.flags <- t.flags;
+  storage.stamps <- t.stamps;
+  storage.totals <- t.totals;
+  storage.scores <- t.scores;
+  storage.means <- t.means;
+  storage.vols <- t.vols
 
 let spec t = t.spec
 
@@ -460,7 +477,7 @@ let rec tiles t i next =
 
 let is_partition t = tiles t 0 (Prefix.first_address t.spec.Task_spec.filter)
 
-let parse r ~spec ~topology =
+let parse r ~spec ~topology ~storage =
   let module C = Dream_util.Codec in
   C.expect_section r "monitor";
   let n = C.int_field r "active" in
@@ -476,7 +493,8 @@ let parse r ~spec ~topology =
   in
   let n = C.int_field r "counters" in
   if n < 0 then C.parse_error 0 "monitor: negative counter count";
-  let t = make ~spec ~topology ~active ~cap:n in
+  let t = make ~spec ~topology ~active ~storage in
+  reserve t (max 1 n);
   for _ = 1 to n do
     parse_counter r t
   done;

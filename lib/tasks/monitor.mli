@@ -27,7 +27,8 @@
     estimators): lib builds with [-opaque], so a call into this module per
     slot is never inlined, and a float it returns is boxed.  Only this
     module writes a field, and nothing else writes a column except the
-    scorer, into [scores].  A column is replaced when it grows.
+    scorer, into [scores].  A column is replaced when it grows, and goes
+    back to the task's {!Storage} when the task retires ({!release}).
 
     Int columns are [Bytes], 8 bytes a slot ([Bytes.get_int64_ne] at
     [i lsl 3]): [keys], each a {!Dream_prefix.Prefix.key}, so they order
@@ -66,9 +67,20 @@ type t = private {
           goes blind there instead of violating switch capacity *)
 }
 
-val create : spec:Task_spec.t -> topology:Dream_traffic.Topology.t -> t
+val create : spec:Task_spec.t -> topology:Dream_traffic.Topology.t -> storage:Storage.t -> t
 (** Initial configuration: a single counter on the task's flow filter
-    (Section 5.1: each new task starts with one counter). *)
+    (Section 5.1: each new task starts with one counter).
+
+    The columns are [storage]'s, with the room an earlier owner grew
+    them to ({!Storage.create}'s have none, and grow to 16 slots here).
+    The new table resets its slot count and stamps and writes every slot
+    before reading it, so what the columns held is never seen.
+    @raise Invalid_argument if [storage] was grown for another
+    sub-filter count. *)
+
+val release : t -> Storage.t -> unit
+(** [release t storage] hands the columns back to [storage], grown or
+    not, for the next task built on it.  [t] must not be used again. *)
 
 val spec : t -> Task_spec.t
 
@@ -196,8 +208,10 @@ val parse :
   Dream_util.Codec.reader ->
   spec:Task_spec.t ->
   topology:Dream_traffic.Topology.t ->
+  storage:Storage.t ->
   t
-(** Inverse of {!emit}; per-switch usage is recounted.
+(** Inverse of {!emit}, on [storage]'s columns as {!create} takes them;
+    per-switch usage is recounted.
     @raise Dream_util.Codec.Parse_error on mismatch, an active switch
     outside the topology, or counters that do not partition the task's
     filter (see {!is_partition}). *)

@@ -9,18 +9,20 @@ type accuracy_mode = Overall | Global_only
 (* The kind's report and estimator, writing into the task's item buffer. *)
 type estimator = Exact of Recall_estimator.t | Hierarchical of Hhh.t
 
-(* A report buffer and the kind's estimator over it; HHH detections keep a
-   precision value per item. *)
-let estimator_for (spec : Task_spec.t) monitor =
+(* The storage's report buffer, emptied, and the kind's estimator over it;
+   HHH detections keep a precision value per item. *)
+let estimator_for (spec : Task_spec.t) monitor (storage : Storage.t) =
   let exact magnitude =
-    let items = Items.create () in
+    let items = storage.report in
+    Items.clear items;
     (items, Exact (Recall_estimator.create monitor magnitude items))
   in
   match spec.Task_spec.kind with
   | Task_spec.Heavy_hitter -> exact Recall_estimator.Volume
   | Task_spec.Change_detection -> exact Recall_estimator.Deviation
   | Task_spec.Hierarchical_heavy_hitter ->
-    let items = Items.create ~values:true () in
+    let items = storage.detections in
+    Items.clear items;
     (items, Hierarchical (Hhh.create monitor items))
 
 (* The history weight of the EWMAs smoothing the accuracies the allocator
@@ -43,19 +45,20 @@ type t = {
   items : Items.t; (* the last report's items, refilled every epoch *)
   estimator : estimator;
   mutable reported_at : int; (* the epoch of [items], -1 before the first report *)
+  storage : Storage.t; (* what the columns above came from and go back to *)
 }
 
-let create ~id ~spec ~topology ?(accuracy_mode = Overall) () =
-  let monitor = Monitor.create ~spec ~topology in
+let create ~id ~spec ~topology ?(accuracy_mode = Overall) ~storage () =
+  let monitor = Monitor.create ~spec ~topology ~storage in
   let switches = Monitor.switches monitor in
   let k = Topology.switches_per_task topology in
-  let items, estimator = estimator_for spec monitor in
+  let items, estimator = estimator_for spec monitor storage in
   {
     id;
     spec;
     topology;
     monitor;
-    divide_merge = Divide_merge.create monitor;
+    divide_merge = Divide_merge.create monitor ~storage;
     global_acc = Ewma.create ~history:accuracy_history;
     overall_acc = Array.init k (fun _ -> Ewma.create ~history:accuracy_history);
     overall_used = Switch_mask.empty;
@@ -64,7 +67,13 @@ let create ~id ~spec ~topology ?(accuracy_mode = Overall) () =
     items;
     estimator;
     reported_at = -1;
+    storage;
   }
+
+let release t =
+  Monitor.release t.monitor t.storage;
+  Divide_merge.release t.divide_merge t.storage;
+  t.storage
 
 let id t = t.id
 let spec t = t.spec
@@ -74,11 +83,17 @@ let switches t = Monitor.switches t.monitor
 let allocations t = t.allocations
 
 (* Each switch's key run, answered by its aggregate as a TCAM column
-   would be; one buffer pair holds any run. *)
+   would be; the storage's buffer pair, grown to the counter count, holds
+   any run. *)
 let read_traffic t data =
-  let m = t.monitor in
-  let keys = Array.make (Monitor.num_counters m) 0 in
-  let vols = Array.make (Monitor.num_counters m) 0.0 in
+  let m = t.monitor and s = t.storage in
+  let n = Monitor.num_counters m in
+  if Array.length s.read_keys < n then begin
+    let len = max n (2 * Array.length s.read_keys) in
+    s.read_keys <- Array.make len 0;
+    s.read_vols <- Array.make len 0.0
+  end;
+  let keys = s.read_keys and vols = s.read_vols in
   Monitor.clear_readings m;
   Switch_mask.iter t.topology
     (fun sw _ ->
@@ -176,7 +191,7 @@ let emit w t =
     switches;
   Monitor.emit w t.monitor
 
-let parse r =
+let parse r ~storage =
   let module C = Dream_util.Codec in
   C.expect_section r "task";
   let id = C.int_field r "id" in
@@ -206,14 +221,14 @@ let parse r =
     (C.repeat n (fun () ->
          let b = bit ~what:"an allocation" (C.int_field r "sw") in
          allocations.(b) <- C.int_field r "alloc"));
-  let monitor = Monitor.parse r ~spec ~topology in
-  let items, estimator = estimator_for spec monitor in
+  let monitor = Monitor.parse r ~spec ~topology ~storage in
+  let items, estimator = estimator_for spec monitor storage in
   {
     id;
     spec;
     topology;
     monitor;
-    divide_merge = Divide_merge.create monitor;
+    divide_merge = Divide_merge.create monitor ~storage;
     global_acc;
     overall_acc;
     overall_used = !overall_used;
@@ -222,4 +237,5 @@ let parse r =
     items;
     estimator;
     reported_at = -1;
+    storage;
   }

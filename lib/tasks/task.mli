@@ -29,9 +29,20 @@ val create :
   spec:Task_spec.t ->
   topology:Dream_traffic.Topology.t ->
   ?accuracy_mode:accuracy_mode ->
+  storage:Storage.t ->
   unit ->
   t
-(** [accuracy_mode] defaults to [Overall]. *)
+(** [accuracy_mode] defaults to [Overall].  The monitor, divide-and-merge
+    state, report buffer and {!read_traffic}'s buffers are built on
+    [storage]: {!Storage.create}'s for a bare task, or one a retired task
+    handed back ({!release}), whose room the new task starts with.  The
+    task resets its logical state and never reads what the storage held,
+    so either behaves the same, bit for bit.  A {!Ground_truth} may share
+    the storage: it uses other buffers. *)
+
+val release : t -> Storage.t
+(** Hand the task's storage back, with every column as grown, for the
+    next task built on it.  The task must not be used again. *)
 
 val id : t -> int
 val spec : t -> Task_spec.t
@@ -50,9 +61,10 @@ val read_traffic : t -> Dream_traffic.Epoch_data.t -> unit
 (** A fault-free fetch without a TCAM: on every switch the task sees, its
     monitor's key run read off that switch's aggregate
     ({!Dream_traffic.Aggregate.read_keys}) and delivered between
-    {!Monitor.clear_readings} and {!Monitor.seal_readings}.  For drivers
-    of a bare task (figures, examples, tests); the controller fetches from
-    the switches' TCAMs. *)
+    {!Monitor.clear_readings} and {!Monitor.seal_readings}, through one
+    buffer pair kept in the task's storage.  For drivers of a bare task
+    (figures, examples, tests); the controller fetches from the switches'
+    TCAMs. *)
 
 val estimate : t -> epoch:int -> Accuracy.t
 (** This epoch's report, written into {!items}, and raw accuracy
@@ -94,8 +106,9 @@ val emit : Dream_util.Codec.writer -> t -> unit
     allocations and the monitor's counter configuration — to a checkpoint
     document. *)
 
-val parse : Dream_util.Codec.reader -> t
-(** Inverse of {!emit}: a restored task produces bit-identical reports,
-    estimates and configurations from the next epoch on.
+val parse : Dream_util.Codec.reader -> storage:Storage.t -> t
+(** Inverse of {!emit}, on [storage] as {!create} takes it: a restored
+    task produces bit-identical reports, estimates and configurations from
+    the next epoch on.
     @raise Dream_util.Codec.Parse_error on mismatch, or an overall
     accuracy or allocation on a switch the task never sees. *)

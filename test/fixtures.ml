@@ -15,6 +15,9 @@ module Monitor = Monitor_views
 module Tcam = Dream_switch.Tcam
 module Score = Dream_tasks.Score
 
+(* Fresh task storage, as a bare task or a restore starts on. *)
+let fresh_storage () = Dream_tasks.Storage.create ()
+
 (* A 4-bit universe: filter 10.0.0.0/28, leaves at /32, threshold 10.
    Two switches split it at /29 (0*** vs 1***, in some switch order). *)
 let filter = Prefix.of_string "10.0.0.0/28"
@@ -119,7 +122,10 @@ let readings_of m data =
 
 (* Run the example for [epochs] epochs with [per_switch] counters. *)
 let converged_task ?kind ?threshold ~per_switch ~epochs () =
-  let task = Task.create ~id:0 ~spec:(spec ?kind ?threshold ()) ~topology:(topology ()) () in
+  let task =
+    Task.create ~id:0 ~spec:(spec ?kind ?threshold ()) ~topology:(topology ())
+      ~storage:(fresh_storage ()) ()
+  in
   let allocations = allocations_of task per_switch in
   let last = ref None in
   for epoch = 0 to epochs - 1 do

@@ -436,7 +436,7 @@ let prop_drop_policy_model =
               Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter ~leaf_length:24 ~threshold:8.0 ()
             in
             let r =
-              Runtime.create ~config:Config.default ~id ~spec ~topology
+              Runtime.create ~pool:(Runtime.pool ()) ~config:Config.default ~id ~spec ~topology
                 ~source:(Source.replay [| Epoch_data.of_flows ~epoch:0 [] |])
                 ~duration:10 ~arrived_at:0 ~drop_priority
             in
@@ -520,7 +520,7 @@ let grown_task rng ~id ~num_switches =
     Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter ~leaf_length:32 ~threshold:8.0 ()
   in
   let r =
-    Runtime.create ~config:Config.default ~id ~spec ~topology
+    Runtime.create ~pool:(Runtime.pool ()) ~config:Config.default ~id ~spec ~topology
       ~source:(Source.replay [| epoch_data 0 |])
       ~duration:10 ~arrived_at:0 ~drop_priority:0
   in
@@ -651,8 +651,8 @@ let test_fetch_bounded_staleness () =
     in
     let data = Epoch_data.of_flows ~epoch:0 [] in
     let r =
-      Runtime.create ~config:Config.default ~id ~spec ~topology ~source:(Source.replay [| data |])
-        ~duration:10 ~arrived_at:0 ~drop_priority:0
+      Runtime.create ~pool:(Runtime.pool ()) ~config:Config.default ~id ~spec ~topology
+        ~source:(Source.replay [| data |]) ~duration:10 ~arrived_at:0 ~drop_priority:0
     in
     let allocations = Fixtures.allocations_of r.Runtime.task 4 in
     ignore (Fixtures.drive_task r.Runtime.task ~data ~allocations ~epoch:0);
@@ -900,7 +900,7 @@ let prop_configure_within_allocations =
       let spec =
         Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter ~leaf_length:32 ~threshold:8.0 ()
       in
-      let task = Task.create ~id:1 ~spec ~topology () in
+      let task = Task.create ~id:1 ~spec ~topology ~storage:(Dream_tasks.Storage.create ()) () in
       let bits = Topology.switches_per_task topology in
       List.for_all
         (fun epoch ->
@@ -932,6 +932,118 @@ let prop_configure_within_allocations =
                  used <= allocations.(b) && (allocations.(b) > 0 || used = 0))
                (List.init bits Fun.id))
         (List.init 16 Fun.id))
+
+(* ---- Recycled storage ---- *)
+
+module Gc_stats = Dream_obs.Gc_stats
+
+(* Words allocated inside [f]: minor plus direct major words.  The minor
+   collections on both sides make quick_stat's major and promoted words
+   current, and net out what [f]'s minor words promote. *)
+let window f =
+  Gc.minor ();
+  let before = Gc_stats.read Gc_stats.real in
+  f ();
+  Gc.minor ();
+  let d = Gc_stats.sub (Gc_stats.read Gc_stats.real) before in
+  d.Gc_stats.minor_words +. d.Gc_stats.major_words -. d.Gc_stats.promoted_words
+[@@lint.allow "determinism-gc"]
+
+(* ... net of what the reads themselves allocate. *)
+let words f = window f -. window ignore
+
+(* Admit and retire a k = 8 task, then admit one of the same k: the second
+   starts on the storage the first grew, so over the same epochs and
+   allocations its configures grow nothing, where the first's grew its
+   columns from empty. *)
+let test_recycled_configures_grow_nothing () =
+  let filter = Prefix.of_string "10.0.0.0/20" in
+  let topology = Topology.create (Rng.create 5) ~filter ~num_switches:10 ~switches_per_task:8 in
+  let spec =
+    Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter ~leaf_length:32 ~threshold:4.0 ()
+  in
+  let rng = Rng.create 5 in
+  let epochs =
+    Array.init 12 (fun epoch ->
+        Epoch_data.of_flows ~epoch
+          (List.filter_map
+             (fun _ ->
+               let f =
+                 Flow.make
+                   ~addr:(Prefix.bits filter lor Rng.int rng 4096)
+                   ~volume:(float_of_int (1 + Rng.int rng 50))
+               in
+               Topology.switch_of_address topology f.Flow.addr
+               |> Option.map (fun sw -> (sw, [ f ])))
+             (List.init 300 Fun.id)))
+  in
+  let pool = Runtime.pool () in
+  let admit id =
+    Runtime.create ~config:Config.default ~pool ~id ~spec ~topology ~source:(Source.replay epochs)
+      ~duration:12 ~arrived_at:0 ~drop_priority:0
+  in
+  (* Configure's words over the epochs, each after a fetch and estimate. *)
+  let run (r : Runtime.t) =
+    let allocations = Fixtures.allocations_of r.Runtime.task 40 in
+    Array.fold_left
+      (fun acc data ->
+        Task.read_traffic r.Runtime.task data;
+        ignore (Task.estimate r.Runtime.task ~epoch:data.Epoch_data.epoch);
+        acc +. words (fun () -> Task.configure r.Runtime.task ~allocations))
+      0.0 epochs
+  in
+  let first = admit 0 in
+  let grown = run first in
+  Runtime.recycle pool ~live:1 first;
+  Alcotest.(check int) "the pool holds the retired storage" 1 (Runtime.pooled pool);
+  let second = admit 1 in
+  Alcotest.(check int) "the admission took it" 0 (Runtime.pooled pool);
+  let recycled = run second in
+  Alcotest.(check bool)
+    (Printf.sprintf "fresh storage grows (%.0f words)" grown)
+    true (grown > 0.0);
+  Alcotest.(check (float 0.0)) "words of the recycled task's configures" 0.0 recycled
+
+(* A random churn of admissions, rejections, drops and retirements of
+   tasks with one, two or four sub-filters: the pool never holds more
+   storage than the most tasks live at once. *)
+let prop_pool_bounded_by_peak_live =
+  QCheck.Test.make ~name:"the pool never holds more than the peak of live tasks" ~count:20
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let controller = mk_controller ~capacity:(16 + Rng.int rng 64) () in
+      let peak = ref 0 and used = ref false in
+      let check what =
+        peak := max !peak (Controller.active_tasks controller);
+        let pooled = Controller.pooled_storage controller in
+        if pooled > 0 then used := true;
+        if pooled > !peak then
+          QCheck.Test.fail_reportf "%s: %d pooled, peak %d (seed %d)" what pooled !peak seed
+      in
+      for i = 0 to 59 do
+        for _ = 1 to Rng.int rng 3 do
+          let filter = Prefix.nth_descendant Prefix.root ~length:12 (Rng.int rng 4000) in
+          let topology =
+            Topology.create rng ~filter ~num_switches:4 ~switches_per_task:(1 lsl Rng.int rng 3)
+          in
+          let spec =
+            Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter ~leaf_length:24 ~threshold:8.0 ()
+          in
+          let generator =
+            Generator.create (Rng.split rng) ~topology ~profile:(Profile.default ~threshold:8.0)
+          in
+          ignore
+            (Controller.submit controller ~spec ~topology ~source:(Source.of_generator generator)
+               ~duration:(2 + Rng.int rng 12));
+          check (Printf.sprintf "submit in epoch %d" i)
+        done;
+        Controller.tick controller;
+        check (Printf.sprintf "tick %d" i)
+      done;
+      Controller.finalize controller;
+      check "finalize";
+      !used)
 
 let () =
   Alcotest.run "dream.core"
@@ -971,4 +1083,10 @@ let () =
       ("failover", [ QCheck_alcotest.to_alcotest prop_reconcile_matches_list_audit ]);
       ("retire", [ QCheck_alcotest.to_alcotest prop_retire_at_duration ]);
       ("configure", [ QCheck_alcotest.to_alcotest prop_configure_within_allocations ]);
+      ( "storage",
+        [
+          Alcotest.test_case "a recycled task's configures grow nothing" `Quick
+            test_recycled_configures_grow_nothing;
+          QCheck_alcotest.to_alcotest prop_pool_bounded_by_peak_live;
+        ] );
     ]

@@ -32,7 +32,10 @@ let prefixes_of (items : Items.t) =
    and nothing elsewhere: one detection, so the estimated recall is
    1 / (1 + the items [coarse] may hide). *)
 let recall_beside_leaf ~coarse ~volume =
-  let m = Dream_tasks.Monitor.create ~spec:(F.spec ()) ~topology:(F.topology ()) in
+  let m =
+    Dream_tasks.Monitor.create ~storage:(F.fresh_storage ()) ~spec:(F.spec ())
+      ~topology:(F.topology ())
+  in
   (* 0***, 1*** -> 00**, 01**, 1*** -> 000*, 001*, ... -> 0000, 0001, ... *)
   for _ = 1 to 4 do
     Dream_tasks.Monitor.divide m 0
@@ -87,7 +90,8 @@ let test_hh_report_magnitudes () =
 let test_hh_estimate_conservative_at_root () =
   (* With one counter (the whole filter, volume 46 > theta), the estimator
      must see 0 detected and some missed, hence low recall. *)
-  let task = Task.create ~id:0 ~spec:(F.spec ()) ~topology:(F.topology ()) () in
+  let task = Task.create ~id:0 ~spec:(F.spec ()) ~topology:(F.topology ())
+      ~storage:(F.fresh_storage ()) () in
   let allocations = F.allocations_of task 1 in
   let data = F.epoch_data ~epoch:0 () in
   let _, estimate = F.drive_task task ~data ~allocations ~epoch:0 in
@@ -95,7 +99,8 @@ let test_hh_estimate_conservative_at_root () =
 
 let test_hh_estimate_within_bounds () =
   for per_switch = 1 to 8 do
-    let task = Task.create ~id:0 ~spec:(F.spec ()) ~topology:(F.topology ()) () in
+    let task = Task.create ~id:0 ~spec:(F.spec ()) ~topology:(F.topology ())
+      ~storage:(F.fresh_storage ()) () in
     let allocations = F.allocations_of task per_switch in
     for epoch = 0 to 3 do
       let data = F.epoch_data ~epoch () in
@@ -111,7 +116,8 @@ let test_hh_estimate_within_bounds () =
 let test_hh_no_false_positives () =
   (* TCAM counters are exact: every reported HH must be a true one
      (precision 1, the reason the paper estimates recall). *)
-  let task = Task.create ~id:0 ~spec:(F.spec ()) ~topology:(F.topology ()) () in
+  let task = Task.create ~id:0 ~spec:(F.spec ()) ~topology:(F.topology ())
+      ~storage:(F.fresh_storage ()) () in
   let allocations = F.allocations_of task 5 in
   for epoch = 0 to 5 do
     let data = F.epoch_data ~epoch () in
@@ -159,7 +165,7 @@ let test_hhh_residual_magnitudes () =
    (drive_task would reconfigure it). *)
 let root_only_detection ~threshold =
   let spec = F.spec ~kind:Task_spec.Hierarchical_heavy_hitter ~threshold () in
-  let task = Task.create ~id:0 ~spec ~topology:(F.topology ()) () in
+  let task = Task.create ~id:0 ~spec ~topology:(F.topology ()) ~storage:(F.fresh_storage ()) () in
   Task.read_traffic task (F.epoch_data ~epoch:0 ());
   let items = Items.create ~values:true () in
   Hhh.detect (Hhh.create (Task.monitor task) items);
@@ -181,7 +187,9 @@ let test_hhh_ambiguous_half_value () =
 let test_hhh_estimate_bounds () =
   for per_switch = 1 to 8 do
     let spec = F.spec ~kind:Task_spec.Hierarchical_heavy_hitter () in
-    let task = Task.create ~id:0 ~spec ~topology:(F.topology ()) () in
+    let task =
+      Task.create ~id:0 ~spec ~topology:(F.topology ()) ~storage:(F.fresh_storage ()) ()
+    in
     let allocations = F.allocations_of task per_switch in
     for epoch = 0 to 3 do
       let data = F.epoch_data ~epoch () in
@@ -224,7 +232,9 @@ let test_hhh_recall_estimate () =
      floor(46/10) - 1 = 3 more HHHs: recall 1/4.  Feed counters without
      configuring so the monitor still holds only the root. *)
   let spec = F.spec ~kind:Task_spec.Hierarchical_heavy_hitter () in
-  let coarse = Task.create ~id:1 ~spec ~topology:(F.topology ()) () in
+  let coarse =
+    Task.create ~id:1 ~spec ~topology:(F.topology ()) ~storage:(F.fresh_storage ()) ()
+  in
   Task.read_traffic coarse (F.epoch_data ~epoch:0 ());
   Alcotest.(check (float 1e-9)) "coarse recall 1/4" 0.25
     (estimate_recall (Task.monitor coarse))
@@ -257,7 +267,7 @@ let wobbled ~epoch =
 
 let warm_cd_task ~allocs ~epochs =
   let spec = F.spec ~kind:Task_spec.Change_detection () in
-  let task = Task.create ~id:0 ~spec ~topology:(F.topology ()) () in
+  let task = Task.create ~id:0 ~spec ~topology:(F.topology ()) ~storage:(F.fresh_storage ()) () in
   let allocations = F.allocations_of task allocs in
   for epoch = 0 to epochs - 1 do
     let data = F.epoch_data ~volumes:(wobbled ~epoch) ~epoch () in
@@ -290,7 +300,7 @@ let test_cd_detects_step_change () =
 
 let test_cd_quiet_on_steady_traffic () =
   let spec = F.spec ~kind:Task_spec.Change_detection () in
-  let task = Task.create ~id:0 ~spec ~topology:(F.topology ()) () in
+  let task = Task.create ~id:0 ~spec ~topology:(F.topology ()) ~storage:(F.fresh_storage ()) () in
   let allocations = F.allocations_of task 16 in
   for epoch = 0 to 9 do
     let data = F.epoch_data ~epoch () in
@@ -340,7 +350,7 @@ let test_ground_truth_hhh () =
 
 let test_ground_truth_hh_recall_scoring () =
   let spec = F.spec () in
-  let gt = Ground_truth.create spec in
+  let gt = Ground_truth.create ~storage:(F.fresh_storage ()) spec in
   let data = F.epoch_data ~epoch:0 () in
   (* A report with one of the two true HHs scores recall 0.5. *)
   let report =
@@ -355,7 +365,7 @@ let test_ground_truth_hh_recall_scoring () =
 
 let test_ground_truth_hhh_precision_scoring () =
   let spec = F.spec ~kind:Task_spec.Hierarchical_heavy_hitter () in
-  let gt = Ground_truth.create spec in
+  let gt = Ground_truth.create ~storage:(F.fresh_storage ()) spec in
   let data = F.epoch_data ~epoch:0 () in
   (* Two reported, one true: precision 0.5. *)
   let report =
@@ -374,7 +384,7 @@ let test_ground_truth_hhh_precision_scoring () =
 
 let test_ground_truth_vacuous_accuracy () =
   let spec = F.spec ~threshold:1000.0 () in
-  let gt = Ground_truth.create spec in
+  let gt = Ground_truth.create ~storage:(F.fresh_storage ()) spec in
   let data = F.epoch_data ~epoch:0 () in
   Alcotest.(check (float 1e-9)) "no true items: recall 1" 1.0
     (Ground_truth.evaluate gt data (Items.create ()))
@@ -390,7 +400,7 @@ let test_ground_truth_cd_changes () =
   in
   let data = F.epoch_data ~volumes:changed ~epoch:6 () in
   let recall reported =
-    let gt = Ground_truth.create spec in
+    let gt = Ground_truth.create ~storage:(F.fresh_storage ()) spec in
     (* Warm the means. *)
     for _ = 0 to 5 do
       ignore (Ground_truth.evaluate gt steady (Items.create ()))
@@ -416,7 +426,7 @@ let arb_volumes =
 
 let converged_report kind volumes =
   let spec = F.spec ~kind () in
-  let task = Task.create ~id:0 ~spec ~topology:(F.topology ()) () in
+  let task = Task.create ~id:0 ~spec ~topology:(F.topology ()) ~storage:(F.fresh_storage ()) () in
   let allocations = F.allocations_of task 20 in
   let last = ref None in
   for epoch = 0 to 5 do
@@ -452,8 +462,8 @@ let prop_hhh_converges_to_truth =
 
 let test_hh_real_accuracy_reaches_one () =
   let spec = F.spec () in
-  let gt = Ground_truth.create spec in
-  let task = Task.create ~id:0 ~spec ~topology:(F.topology ()) () in
+  let gt = Ground_truth.create ~storage:(F.fresh_storage ()) spec in
+  let task = Task.create ~id:0 ~spec ~topology:(F.topology ()) ~storage:(F.fresh_storage ()) () in
   let allocations = F.allocations_of task 16 in
   let final = ref 0.0 in
   for epoch = 0 to 5 do

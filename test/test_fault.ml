@@ -393,7 +393,8 @@ let test_stale_decay_bounds () =
   let spec =
     Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter ~leaf_length:24 ~threshold:8.0 ()
   in
-  let task = Dream_tasks.Task.create ~id:1 ~spec ~topology () in
+  let storage = Dream_tasks.Storage.create () in
+  let task = Dream_tasks.Task.create ~id:1 ~spec ~topology ~storage () in
   Dream_tasks.Task.decay_accuracy task ~bit:0 ~factor ();
   Alcotest.(check (float 1e-9)) "no-op before the first estimate" 1.0
     (Dream_tasks.Task.smoothed_global task);
