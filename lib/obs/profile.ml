@@ -49,17 +49,18 @@ let intern t path =
     t.gcs <- extend t.gcs cells Gc_stats.zero;
     span
 
+(* The GC reads sit innermost, so the clock's own boxed float falls
+   outside the words window and a span is charged only its body. *)
 let start t span =
   t.ms.(cell span opened) <- Clock.now_ms t.clock;
   match t.gc with Some g -> t.gcs.(cell span opened) <- Gc_stats.read g | None -> ()
 
 let stop t span =
   let i = cell span current in
+  let gc = match t.gc with Some g -> Gc_stats.read g | None -> Gc_stats.zero in
   t.ms.(i) <- t.ms.(i) +. (Clock.now_ms t.clock -. t.ms.(cell span opened));
-  match t.gc with
-  | Some g ->
-    t.gcs.(i) <- Gc_stats.add t.gcs.(i) (Gc_stats.sub (Gc_stats.read g) t.gcs.(cell span opened))
-  | None -> ()
+  if Option.is_some t.gc then
+    t.gcs.(i) <- Gc_stats.add t.gcs.(i) (Gc_stats.sub gc t.gcs.(cell span opened))
 
 let epoch_ms t span = t.ms.(cell span current)
 

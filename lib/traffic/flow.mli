@@ -7,8 +7,5 @@ type t = { addr : Dream_prefix.Prefix.address; volume : float }
 val make : addr:Dream_prefix.Prefix.address -> volume:float -> t
 
 val sorted_distinct : t list -> bool
-(** True when addresses are strictly ascending — {!combine} would return
-    the list unchanged.  The aggregate build fast path keys off this. *)
-
-val combine : t list -> t list
-(** Sum volumes of duplicate addresses; output sorted by address. *)
+(** True when addresses are strictly ascending: an aggregate built from
+    the list combines nothing ({!Aggregate.of_flows}). *)

@@ -82,6 +82,9 @@ let parse r =
                   let flows =
                     C.repeat flows (fun () ->
                         let addr = C.int_field r "addr" in
+                        (* An aggregate indexes 32-bit addresses only. *)
+                        if addr < 0 || addr lsr Dream_prefix.Prefix.address_bits <> 0 then
+                          C.parse_error 0 (Printf.sprintf "address %d out of range" addr);
                         let volume = C.float_field r "volume" in
                         Flow.make ~addr ~volume)
                   in

@@ -73,8 +73,6 @@ let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (v *. 0x1.0p-53)
 
-let bernoulli t p = float t 1.0 < p
-
 let exponential t mean =
   let u = 1.0 -. float t 1.0 in
   -. mean *. log u
@@ -84,9 +82,10 @@ let gaussian t =
   sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
 [@@lint.allow "oracle hook: test/reference_fault.ml"]
 
-(* [thin_jitter]'s draws: private copies of [float t 1.0] and [gaussian],
-   term for term, inlined so no float crosses a call boxed.  The bound is
-   left out of the first: [1.0 *. x] is exactly [x]. *)
+(* The draws of [thin_jitter], [bernoulli] and [lognormal]: private copies
+   of [float t 1.0] and [gaussian], term for term, inlined so no float
+   crosses a call boxed.  The bound is left out of the first: [1.0 *. x]
+   is exactly [x]. *)
 let[@inline] unit_draw t = Int64.to_float (Int64.shift_right_logical (next t) 11) *. 0x1.0p-53
 
 let[@inline] gaussian_draw t =
@@ -113,7 +112,11 @@ let rec thin_from t ~loss ~stddev ~keys ~vols n i kept =
 
 let[@hot] thin_jitter t ~loss ~stddev ~keys ~vols n = thin_from t ~loss ~stddev ~keys ~vols n 0 0
 
-let lognormal t ~mu ~sigma = exp (mu +. (sigma *. gaussian t))
+(* [float t 1.0 < p] and [exp (mu +. (sigma *. gaussian t))], term for
+   term over the inlined draws above, so neither boxes a float inside. *)
+let bernoulli t p = unit_draw t < p
+
+let lognormal t ~mu ~sigma = exp (mu +. (sigma *. gaussian_draw t))
 
 let pareto t ~alpha ~xmin =
   let u = 1.0 -. float t 1.0 in

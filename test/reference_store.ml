@@ -1,6 +1,6 @@
 (* The original boxed counter store, kept as the differential oracle for
    Dream_traffic.Aggregate.  Plain OCaml arrays, no fast paths: every build
-   runs Flow.combine, batched reads map [volume], and merges rebuild from
+   runs [combine], batched reads map [volume], and merges rebuild from
    the concatenated flow lists.  Only the tests use it. *)
 
 module Prefix = Dream_prefix.Prefix
@@ -12,8 +12,21 @@ type t = {
   cumulative : float array; (* cumulative.(i) = sum volumes.(0..i-1); length n+1 *)
 }
 
+(* Sum volumes of duplicate addresses, left to right; output sorted by
+   address. *)
+let combine flows =
+  let sorted = List.stable_sort (fun (a : Flow.t) (b : Flow.t) -> Int.compare a.addr b.addr) flows in
+  let rec merge = function
+    | [] -> []
+    | [ f ] -> [ f ]
+    | (a : Flow.t) :: (b : Flow.t) :: rest ->
+      if a.addr = b.addr then merge ({ Flow.addr = a.addr; volume = a.volume +. b.volume } :: rest)
+      else a :: merge (b :: rest)
+  in
+  merge sorted
+
 let of_flows flows =
-  let combined = Flow.combine flows in
+  let combined = combine flows in
   let n = List.length combined in
   let addrs = Array.make n 0 in
   let volumes = Array.make n 0.0 in
@@ -66,7 +79,7 @@ let fold t ~init ~f = List.fold_left f init (to_flows t)
 
 let read_prefixes t ps = List.map (fun p -> (p, volume t p)) ps
 
-(* Flow.combine's stable sort keeps equal addresses in concatenation order,
+(* [combine]'s stable sort keeps equal addresses in concatenation order,
    so duplicates sum left operand first. *)
 let merge a b = of_flows (to_flows a @ to_flows b)
 

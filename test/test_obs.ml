@@ -43,6 +43,42 @@ let test_gc_minor_words_exact () =
   let list = minor_words_around (fun () -> conses 100 []) in
   Alcotest.(check (float 0.0)) "100 conses" 300.0 (list -. nothing)
 
+let alloc_words (r : Gc_stats.reading) =
+  r.Gc_stats.minor_words +. r.Gc_stats.major_words -. r.Gc_stats.promoted_words
+
+(* Words one profiled span is charged for running [f]. *)
+let span_words f =
+  let profile = Profile.create ~clock:(fst (Clock.manual ())) () in
+  let span = Profile.intern profile "probe" in
+  Profile.start profile span;
+  ignore (Sys.opaque_identity (f ()));
+  Profile.stop profile span;
+  Profile.close_epoch profile;
+  match Profile.find profile "probe" with
+  | Some s -> alloc_words s.Profile.gc
+  | None -> Alcotest.fail "no probe span"
+
+(* A 100,000-word array goes straight to the major heap: the span is
+   charged its 100,001 words (with the header), no more — not the reads'
+   own results nor the clock's — and it is charged them at once, not when
+   the runtime next flushes its pending major words. *)
+let test_span_charges_major_array_exactly () =
+  Alcotest.(check (float 0.0)) "empty span" 0.0 (span_words (fun () -> ()));
+  Alcotest.(check (float 0.0)) "major array" 100_001.0 (span_words (fun () -> Array.make 100_000 0))
+
+(* A minor collection inside the span promotes live words: counted as
+   promoted and as major alike, they cancel, and the span still reads the
+   300 words of its list. *)
+let test_span_words_survive_minor_collection () =
+  let words =
+    span_words (fun () ->
+        let l = conses 100 [] in
+        Gc.minor ();
+        l)
+  in
+  Alcotest.(check (float 0.0)) "100 conses across a minor collection" 300.0 words
+[@@lint.allow "determinism-gc"]
+
 (* {1 Json} *)
 
 let test_json_round_trip () =
@@ -436,7 +472,14 @@ let test_price_from_switch_rows () =
 let () =
   Alcotest.run "obs"
     [
-      ("gc_stats", [ Alcotest.test_case "minor words are exact" `Quick test_gc_minor_words_exact ]);
+      ( "gc_stats",
+        [
+          Alcotest.test_case "minor words are exact" `Quick test_gc_minor_words_exact;
+          Alcotest.test_case "a span is charged a major array exactly" `Quick
+            test_span_charges_major_array_exactly;
+          Alcotest.test_case "span words survive a minor collection" `Quick
+            test_span_words_survive_minor_collection;
+        ] );
       ( "json",
         [
           Alcotest.test_case "round trip" `Quick test_json_round_trip;
