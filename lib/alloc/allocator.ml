@@ -65,31 +65,25 @@ let force_allocation t ~task_id ~switch ~alloc =
        journal replays separately. *)
     ()
 
-let emit w t =
-  let module C = Dream_util.Codec in
-  C.section w "allocator";
-  match t.impl with
-  | Dream_impl a ->
-    C.string w "strategy" "dream";
-    Dream_allocator.emit w a
-  | Membership_impl a ->
-    (match t.strategy with
-    | Fixed k ->
-      C.string w "strategy" "fixed";
-      C.int w "denominator" k
-    | Equal | Dream _ -> C.string w "strategy" "equal");
-    Membership_allocator.emit w a
-
-let parse r =
-  let module C = Dream_util.Codec in
-  C.expect_section r "allocator";
-  match C.string_field r "strategy" with
-  | "dream" ->
-    let a = Dream_allocator.parse r in
-    { strategy = Dream (Dream_allocator.config a); impl = Dream_impl a }
-  | "equal" ->
-    { strategy = Equal; impl = Membership_impl (Membership_allocator.parse r Equal) }
-  | "fixed" ->
-    let k = C.int_field r "denominator" in
-    { strategy = Fixed k; impl = Membership_impl (Membership_allocator.parse r (Fixed k)) }
-  | s -> C.parse_error 0 (Printf.sprintf "unknown allocator strategy %S" s)
+let codec =
+  let open Dream_util.Codec in
+  let fixed =
+    record
+      (let* k = field (int "denominator") fst in
+       let+ a = field (Membership_allocator.codec (Fixed k)) snd in
+       (k, a))
+  in
+  section "allocator"
+    (cases ~what:"allocator strategy" ~key:"strategy"
+       [
+         case "dream" Dream_allocator.codec
+           (fun a -> { strategy = Dream (Dream_allocator.config a); impl = Dream_impl a })
+           (function { impl = Dream_impl a; _ } -> Some a | _ -> None);
+         case "equal" (Membership_allocator.codec Equal)
+           (fun a -> { strategy = Equal; impl = Membership_impl a })
+           (function
+             | { impl = Membership_impl a; strategy = Equal | Dream _ } -> Some a | _ -> None);
+         case "fixed" fixed
+           (fun (k, a) -> { strategy = Fixed k; impl = Membership_impl a })
+           (function { impl = Membership_impl a; strategy = Fixed k } -> Some (k, a) | _ -> None);
+       ])

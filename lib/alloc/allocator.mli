@@ -48,10 +48,6 @@ val force_allocation :
 (** Journal replay hook; a no-op for membership-based strategies whose
     allocations are implied by admissions. *)
 
-val emit : Dream_util.Codec.writer -> t -> unit
-(** Append the strategy tag and the underlying allocator's state to a
-    checkpoint document. *)
-
-val parse : Dream_util.Codec.reader -> t
-(** Inverse of {!emit}.  @raise Dream_util.Codec.Parse_error on
-    mismatch. *)
+val codec : t Dream_util.Codec.t
+(** The strategy tag and the underlying allocator's state, as a
+    checkpoint holds them. *)

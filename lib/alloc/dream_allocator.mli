@@ -82,12 +82,8 @@ val force_allocation :
     conservation holds.  @raise Invalid_argument on a negative value or
     unknown switch. *)
 
-val emit : Dream_util.Codec.writer -> t -> unit
-(** Append the allocator's full state — config, per-switch phantom /
-    congestion and every slot's allocation, step and status memory — to a
-    checkpoint document. *)
-
-val parse : Dream_util.Codec.reader -> t
-(** Inverse of {!emit}: a restored allocator makes bit-identical decisions
-    from the next round on.  @raise Dream_util.Codec.Parse_error on
-    mismatch. *)
+val codec : t Dream_util.Codec.t
+(** The allocator's full state — config, per-switch phantom / congestion
+    and every slot's allocation, step and status memory — in a
+    checkpoint: a restored allocator makes bit-identical decisions from
+    the next round on. *)

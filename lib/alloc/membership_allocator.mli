@@ -40,10 +40,7 @@ val allocation_on : t -> task_id:int -> Dream_traffic.Switch_id.t -> int
 val total_of : t -> task_id:int -> int
 (** The task's allocation summed over every switch. *)
 
-val emit : Dream_util.Codec.writer -> t -> unit
-(** Append per-switch task membership to a checkpoint document, as an
-    [equal_allocator] or a [fixed_allocator] section. *)
-
-val parse : Dream_util.Codec.reader -> rule -> t
-(** Inverse of {!emit} for a table of the given rule.
-    @raise Dream_util.Codec.Parse_error on mismatch. *)
+val codec : rule -> t Dream_util.Codec.t
+(** Per-switch task membership of a table of the given rule, as a
+    checkpoint holds it: an [equal_allocator] or a [fixed_allocator]
+    section. *)

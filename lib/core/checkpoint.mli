@@ -27,8 +27,8 @@ val emit : t -> string
     switches start with zeroed stats. *)
 
 val parse : string -> (t, string) result
-(** Inverse of {!emit}.  [Error] on a bad checksum or magic, on a
-    malformed body, and on a well-formed body holding a value the
-    component parsers or constructors reject (a non-positive capacity, a
-    malformed prefix, a negative EWMA history, ...): nothing in a sealed
-    document raises. *)
+(** Inverse of {!emit}: one decode of the components' descriptions.
+    [Error] on a bad checksum or magic, on a malformed body (with the line
+    a description refused), and on a well-formed body holding a value
+    the constructors reject (a non-positive capacity, a malformed prefix,
+    a negative EWMA history, ...): nothing in a sealed document raises. *)

@@ -225,12 +225,10 @@ let submit t ~spec ~topology ~source ~duration =
        including the traffic source serialized at this instant, which replay
        fast-forwards to the recovery epoch. *)
     if journaling t then begin
-      let w = C.writer () in
-      Source.emit w source;
       jot t
         (Journal.Admit
            { epoch = t.epoch; task_id = id; spec; topology; duration; drop_priority;
-             source = C.contents w })
+             source = C.encode Source.codec source })
     end;
     Hashtbl.replace t.active id runtime;
     Ctr.incr (Obs.Registry.counter t.registry "tasks_admitted");

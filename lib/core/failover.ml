@@ -18,7 +18,7 @@ let apply pool ((d : Checkpoint.t), live) entry =
   let next_id id = max d.next_id (id + 1) in
   match entry with
   | Journal.Admit { epoch; task_id; spec; topology; duration; drop_priority; source } ->
-    let source = Source.parse (C.reader_of_string source) in
+    let source = C.decode Source.codec source in
     let r =
       Runtime.create ~config:d.config ~pool ~id:task_id ~spec ~topology ~source ~duration
         ~arrived_at:epoch ~drop_priority

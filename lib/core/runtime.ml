@@ -131,141 +131,118 @@ let view r =
         match Topology.bit_of_switch topology sw with -1 -> 0 | b -> Task.counters_used r.task b);
   }
 
-let emit_prefixes w key prefixes =
-  C.int w key (List.length prefixes);
-  List.iter (fun p -> C.string w "p" (Prefix.to_string p)) prefixes
+(* A per-bit column: a count line under [key], then per present bit, in
+   switch-id order, an [sw] line followed by the bit's value.  A column
+   is read before the task that names its bits, so it decodes to (switch,
+   value) entries that [column] places once the task is known. *)
+let entries key value = C.repeat key (C.pair (C.int "sw") value)
 
-let parse_prefixes r key =
-  C.repeat (C.int_field r key) (fun () -> Prefix.of_string (C.string_field r "p"))
-
-(* A per-bit column: a count line under [key], then per bit with
-   [present b], in switch-id order, an [sw] line followed by the bit's
-   value. *)
-let emit_column w topology key ~present emit_value =
-  let all = Switch_mask.full topology in
-  C.int w key (Switch_mask.fold topology (fun _ b n -> if present b then n + 1 else n) all 0);
-  Switch_mask.iter topology
-    (fun sw b ->
-      if present b then begin
-        C.int w "sw" sw;
-        emit_value b
-      end)
-    all
-
-(* The (switch, value) entries of one column, read before the task names
-   the bits they belong to. *)
-let parse_entries r key parse =
-  C.repeat (C.int_field r key) (fun () ->
-      let sw = C.int_field r "sw" in
-      (sw, parse ()))
+let entries_of r ~present value =
+  let topology = Task.topology r.task in
+  List.rev
+    (Switch_mask.fold topology
+       (fun sw b acc -> if present b then (sw, value b) :: acc else acc)
+       (Switch_mask.full topology) [])
 
 let column topology ~what ~absent entries =
   let col = Array.init (Topology.switches_per_task topology) (fun _ -> absent ()) in
   List.iter (fun (sw, v) -> col.(Topology.parse_bit topology ~what sw) <- v) entries;
   col
 
-let emit w r =
-  C.section w "runtime";
-  C.int w "duration" r.duration;
-  C.int w "arrived_at" r.arrived_at;
-  C.int w "drop_priority" r.drop_priority;
-  C.int w "active_epochs" r.active_epochs;
-  C.int w "satisfied_epochs" r.satisfied_epochs;
-  C.float w "accuracy_sum" r.accuracy_sum;
-  C.int w "poor_streak" r.poor_streak;
-  C.int w "last_alloc_total" r.last_alloc_total;
-  C.int w "staleness" r.staleness;
-  let topology = Task.topology r.task in
-  (* A switch with no fresh rules has no entry, and so does one with no
-     installs; a switch never fetched has no stale entry, while one that
-     answered nothing has an empty one. *)
-  emit_column w topology "fresh_rules"
-    ~present:(fun b -> r.last_install_counts.(b) > 0)
-    (fun b ->
-      emit_prefixes w "rules"
-        (List.init r.last_install_counts.(b) (fun i -> Prefix.of_key r.fresh_rules.(b).(i))));
-  emit_column w topology "last_install_counts"
-    ~present:(fun b -> r.last_install_counts.(b) <> 0)
-    (fun b -> C.int w "installs" r.last_install_counts.(b));
-  emit_column w topology "stale_counters"
-    ~present:(fun b -> r.stale_counters.(b).n >= 0)
-    (fun b ->
-      let s = r.stale_counters.(b) in
-      C.int w "pairs" s.n;
-      for i = 0 to s.n - 1 do
-        C.string w "p" (Prefix.to_string (Prefix.of_key s.keys.(i)));
-        C.float w "v" s.vols.(i)
-      done);
-  Task.emit w r.task;
-  Source.emit w r.source;
-  Ground_truth.emit w r.ground_truth
-
-let parse r =
-  C.expect_section r "runtime";
-  let duration = C.int_field r "duration" in
-  let arrived_at = C.int_field r "arrived_at" in
-  let drop_priority = C.int_field r "drop_priority" in
-  let active_epochs = C.int_field r "active_epochs" in
-  let satisfied_epochs = C.int_field r "satisfied_epochs" in
-  let accuracy_sum = C.float_field r "accuracy_sum" in
-  let poor_streak = C.int_field r "poor_streak" in
-  let last_alloc_total = C.int_field r "last_alloc_total" in
-  let staleness = C.int_field r "staleness" in
-  let fresh_rules =
-    parse_entries r "fresh_rules" (fun () ->
-        Array.of_list (List.sort_uniq Int.compare (List.map Prefix.key (parse_prefixes r "rules"))))
+let codec =
+  let open C in
+  let key = conv Prefix.key Prefix.of_key (Prefix.codec "p") in
+  let rules =
+    conv
+      (fun keys -> Array.of_list (List.sort_uniq Int.compare keys))
+      Array.to_list (repeat "rules" key)
   in
-  let last_install_counts =
-    parse_entries r "last_install_counts" (fun () -> C.int_field r "installs")
+  let readings =
+    conv
+      (fun pairs ->
+        { keys = Array.of_list (List.map fst pairs); vols = Array.of_list (List.map snd pairs);
+          n = List.length pairs })
+      (fun s -> List.init s.n (fun i -> (s.keys.(i), s.vols.(i))))
+      (repeat "pairs" (pair key (float "v")))
   in
-  let stale_counters =
-    parse_entries r "stale_counters" (fun () ->
-        let pairs =
-          C.repeat (C.int_field r "pairs") (fun () ->
-              let p = Prefix.of_string (C.string_field r "p") in
-              (Prefix.key p, C.float_field r "v"))
-        in
-        {
-          keys = Array.of_list (List.map fst pairs);
-          vols = Array.of_list (List.map snd pairs);
-          n = List.length pairs;
-        })
+  (* A restore builds fresh storage; the ground truth's decode needs the
+     task's spec. *)
+  let task_source_truth ~storage =
+    record
+      (let* task = field (Task.codec ~storage) (fun (task, _, _) -> task) in
+       let+ source = field Source.codec (fun (_, source, _) -> source)
+       and+ ground_truth =
+         field (Ground_truth.codec ~spec:(Task.spec task) ~storage) (fun (_, _, truth) -> truth)
+       in
+       (task, source, ground_truth))
   in
-  (* A restore builds fresh storage. *)
-  let storage = Storage.create () in
-  let task = Task.parse r ~storage in
-  let topology = Task.topology task in
-  let fresh_rules = column topology ~what:"fresh rules" ~absent:(fun () -> [||]) fresh_rules in
-  let last_install_counts =
-    column topology ~what:"an install count" ~absent:(fun () -> 0) last_install_counts
-  in
-  (* A switch's install count is the length of its fresh-rule column. *)
-  Array.iteri
-    (fun b keys ->
-      if Array.length keys <> last_install_counts.(b) then
-        C.parse_error 0
-          (Printf.sprintf "switch %d has %d fresh rules but an install count of %d"
-             (Topology.switch_of_bit topology b) (Array.length keys) last_install_counts.(b)))
-    fresh_rules;
-  let source = Source.parse r in
-  let ground_truth = Ground_truth.parse r ~spec:(Task.spec task) ~storage in
-  {
-    task;
-    source;
-    ground_truth;
-    duration;
-    arrived_at;
-    drop_priority;
-    active_epochs;
-    satisfied_epochs;
-    accuracy_sum;
-    poor_streak;
-    last_alloc_total;
-    fresh_rules;
-    last_install_counts;
-    stale_counters =
-      column topology ~what:"stale counters"
-        ~absent:(fun () -> { keys = [||]; vols = [||]; n = -1 })
-        stale_counters;
-    staleness;
-  }
+  delay (fun () ->
+      let storage = Storage.create () in
+      section "runtime"
+        (record
+           (let+ duration = field (int "duration") (fun r -> r.duration)
+            and+ arrived_at = field (int "arrived_at") (fun r -> r.arrived_at)
+            and+ drop_priority = field (int "drop_priority") (fun r -> r.drop_priority)
+            and+ active_epochs = field (int "active_epochs") (fun r -> r.active_epochs)
+            and+ satisfied_epochs = field (int "satisfied_epochs") (fun r -> r.satisfied_epochs)
+            and+ accuracy_sum = field (float "accuracy_sum") (fun r -> r.accuracy_sum)
+            and+ poor_streak = field (int "poor_streak") (fun r -> r.poor_streak)
+            and+ last_alloc_total = field (int "last_alloc_total") (fun r -> r.last_alloc_total)
+            and+ staleness = field (int "staleness") (fun r -> r.staleness)
+            (* A switch with no fresh rules has no entry, and so does one
+               with no installs; a switch never fetched has no stale entry,
+               while one that answered nothing has an empty one. *)
+            and+ fresh_rules =
+              field (entries "fresh_rules" rules) (fun r ->
+                  entries_of r
+                    ~present:(fun b -> r.last_install_counts.(b) > 0)
+                    (fun b -> Array.sub r.fresh_rules.(b) 0 r.last_install_counts.(b)))
+            and+ installs =
+              field (entries "last_install_counts" (int "installs")) (fun r ->
+                  entries_of r
+                    ~present:(fun b -> r.last_install_counts.(b) <> 0)
+                    (Array.get r.last_install_counts))
+            and+ stale =
+              field (entries "stale_counters" readings) (fun r ->
+                  entries_of r
+                    ~present:(fun b -> r.stale_counters.(b).n >= 0)
+                    (Array.get r.stale_counters))
+            and+ task, source, ground_truth =
+              field (task_source_truth ~storage) (fun r -> (r.task, r.source, r.ground_truth))
+            in
+            let topology = Task.topology task in
+            let fresh_rules =
+              column topology ~what:"fresh rules" ~absent:(fun () -> [||]) fresh_rules
+            in
+            let last_install_counts =
+              column topology ~what:"an install count" ~absent:(fun () -> 0) installs
+            in
+            (* A switch's install count is the length of its fresh-rule column. *)
+            Array.iteri
+              (fun b keys ->
+                if Array.length keys <> last_install_counts.(b) then
+                  refuse
+                    (Printf.sprintf "switch %d has %d fresh rules but an install count of %d"
+                       (Topology.switch_of_bit topology b) (Array.length keys)
+                       last_install_counts.(b)))
+              fresh_rules;
+            {
+              task;
+              source;
+              ground_truth;
+              duration;
+              arrived_at;
+              drop_priority;
+              active_epochs;
+              satisfied_epochs;
+              accuracy_sum;
+              poor_streak;
+              last_alloc_total;
+              fresh_rules;
+              last_install_counts;
+              stale_counters =
+                column topology ~what:"stale counters"
+                  ~absent:(fun () -> { keys = [||]; vols = [||]; n = -1 })
+                  stale;
+              staleness;
+            })))

@@ -11,7 +11,7 @@
     sub-filter count takes the last ones returned: a new record around
     recycled arrays, with only its logical state reset (counts, cursors,
     stamps).  Nothing reads a capacity, so a task behaves the same, bit
-    for bit, on recycled or fresh storage; a restore ({!parse}) builds
+    for bit, on recycled or fresh storage; a restore ({!codec}) builds
     fresh storage, and a pool is never checkpointed. *)
 
 type readings = { mutable keys : int array; mutable vols : float array; mutable n : int }
@@ -90,21 +90,11 @@ val sorted : (int, t) Hashtbl.t -> t list
 val view : t -> Dream_alloc.Task_view.t
 (** What the allocator sees of the task. *)
 
-val emit : Dream_util.Codec.writer -> t -> unit
-
-val parse : Dream_util.Codec.reader -> t
-(** Inverse of {!emit}, on fresh storage.  The task's last report is not serialized: a
-    restored task has none ({!Dream_tasks.Task.last_report} is [None])
-    until it reports afresh on its first tick.
-    @raise Dream_util.Codec.Parse_error on a malformed section, a
-    per-switch entry on a switch the task never sees, or an install count
-    that is not the number of the switch's fresh rules; the task,
-    source and ground-truth parsers may also raise [Invalid_argument] on
-    out-of-range values. *)
-
-val emit_prefixes : Dream_util.Codec.writer -> string -> Dream_prefix.Prefix.t list -> unit
-(** A count line under the given key, then one [p] line per prefix. *)
-
-val parse_prefixes : Dream_util.Codec.reader -> string -> Dream_prefix.Prefix.t list
-(** Inverse of {!emit_prefixes}.
-    @raise Invalid_argument on a malformed prefix. *)
+val codec : t Dream_util.Codec.t
+(** A running task in a checkpoint; each decode builds on fresh storage.
+    The task's last report is not serialized: a restored task has none
+    ({!Dream_tasks.Task.last_report} is [None]) until it reports afresh on
+    its first tick.  Decoding refuses a per-switch entry on a switch the
+    task never sees and an install count that is not the number of the
+    switch's fresh rules; the task, source and ground-truth descriptions
+    may also raise [Invalid_argument] on out-of-range values. *)

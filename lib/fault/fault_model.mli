@@ -138,7 +138,7 @@ val latency_factor : t -> Dream_traffic.Switch_id.t -> float
     counter: the N-th {!begin_epoch} call runs epoch N (1-based), so an
     injection staged [~at:n] fires during the n-th call.  Injections
     consume no randomness when they fire (scripted timelines never perturb
-    the organic RNG streams) and are included in {!emit}/{!parse}, so a
+    the organic RNG streams) and are included in {!codec}, so a
     restored checkpoint replays the identical timeline.  Events of one
     epoch fire kind by kind, in the constructor order below, and in
     staging order within a kind. *)
@@ -182,12 +182,8 @@ val pending_injections : t -> int
 (** Scheduled events that have not yet fired (noise windows count until
     they close) — lets a harness assert a timeline was fully consumed. *)
 
-val emit : Dream_util.Codec.writer -> t -> unit
-(** Append the full model state — spec, epoch, every RNG stream and
-    downtime clock — to a checkpoint document, so a restored run replays
-    the exact same fault schedule suffix. *)
-
-val parse : Dream_util.Codec.reader -> t
-(** Inverse of {!emit}.  @raise Dream_util.Codec.Parse_error on mismatch,
-    [Invalid_argument] on out-of-range rates or an injection {!check}
-    refuses. *)
+val codec : t Dream_util.Codec.t
+(** The full model state — spec, epoch, every RNG stream and downtime
+    clock — in a checkpoint, so a restored run replays the exact same
+    fault schedule suffix.  Decoding raises [Invalid_argument] on
+    out-of-range rates or an injection {!check} refuses. *)

@@ -93,6 +93,8 @@ let of_string s =
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
+let codec key = Dream_util.Codec.(conv of_string to_string (string key))
+
 module Ord = struct
   type nonrec t = t
 

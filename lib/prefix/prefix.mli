@@ -94,6 +94,10 @@ val to_string : t -> string
 val of_string : string -> t
 (** Inverse of [to_string].  @raise Invalid_argument on malformed input. *)
 
+val codec : string -> t Dream_util.Codec.t
+(** A prefix as one [key a.b.c.d/len] line; a malformed one raises
+    [Invalid_argument] on decode. *)
+
 val pp : Format.formatter -> t -> unit
 
 module Map : Map.S with type key = t

@@ -35,7 +35,7 @@ type entry =
       drop_priority : int;
       source : string;
           (** the task's traffic source, serialized at admission time
-              ({!Dream_traffic.Source.emit}); replay fast-forwards it to
+              ({!Dream_traffic.Source.codec}); replay fast-forwards it to
               the recovery epoch by discarding epochs, which consumes
               exactly the RNG draws the live run would have *)
     }
@@ -67,11 +67,12 @@ val entries_of_string : string -> (entry list, string) result
     it was written completely and remains replayable.  The tail may be
     torn at {e any} byte — a trailing fragment with no final newline is
     discarded outright, never parsed, so a truncated value line cannot be
-    recovered as a silently corrupted field.  A malformed entry
-    {e followed by} further entries is a corruption, not a torn tail, and
-    yields [Error], as does a complete line holding a value its parser
-    rejects (an out-of-range task spec, an unknown task kind).  It never
-    raises. *)
+    recovered as a silently corrupted field.  Only a final entry that
+    runs out of lines is torn: a malformed entry, or a complete line
+    holding a value its description refuses (an out-of-range task spec,
+    an unknown task kind, a sub-filter layout {!Dream_traffic.Topology}
+    cannot make), yields [Error] with its line wherever it sits, the
+    final entry included.  It never raises. *)
 
 (** {1 Sinks} *)
 

@@ -76,27 +76,15 @@ let record_success t =
 
 (* ---- checkpoint serialization ---- *)
 
-let emit w t =
-  let module C = Dream_util.Codec in
-  C.int w "threshold" t.config.failure_threshold;
-  C.int w "cooldown" t.config.cooldown_epochs;
-  C.int w "state" (state_code t.state);
-  C.int w "failures" t.failures;
-  C.int w "cooldown_left" t.cooldown_left
-
-let parse r =
-  let module C = Dream_util.Codec in
-  let failure_threshold = C.int_field r "threshold" in
-  let cooldown_epochs = C.int_field r "cooldown" in
-  let config = { failure_threshold; cooldown_epochs } in
-  validate_config config;
-  let state =
-    match C.int_field r "state" with
-    | 0 -> Closed
-    | 1 -> Half_open
-    | 2 -> Open
-    | n -> invalid_arg (Printf.sprintf "Breaker.parse: unknown state code %d" n)
-  in
-  let failures = C.int_field r "failures" in
-  let cooldown_left = C.int_field r "cooldown_left" in
-  { config; state; failures; cooldown_left }
+let codec =
+  let open Dream_util.Codec in
+  let states = List.map (fun s -> (s, state_code s)) [ Closed; Half_open; Open ] in
+  record
+    (let+ failure_threshold = field (int "threshold") (fun t -> t.config.failure_threshold)
+     and+ cooldown_epochs = field (int "cooldown") (fun t -> t.config.cooldown_epochs)
+     and+ state = field (int_enum ~what:"breaker state" "state" states) (fun t -> t.state)
+     and+ failures = field (int "failures") (fun t -> t.failures)
+     and+ cooldown_left = field (int "cooldown_left") (fun t -> t.cooldown_left) in
+     let config = { failure_threshold; cooldown_epochs } in
+     validate_config config;
+     { config; state; failures; cooldown_left })

@@ -71,8 +71,5 @@ val state_to_string : state -> string
 val state_code : state -> int
 (** Gauge encoding: [Closed] 0, [Half_open] 1, [Open] 2. *)
 
-val emit : Dream_util.Codec.writer -> t -> unit
-(** Append config and full mutable state to a checkpoint document. *)
-
-val parse : Dream_util.Codec.reader -> t
-(** Inverse of {!emit}.  @raise Dream_util.Codec.Parse_error on mismatch. *)
+val codec : t Dream_util.Codec.t
+(** Config and full mutable state, as a checkpoint holds them. *)

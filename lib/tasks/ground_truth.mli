@@ -34,12 +34,9 @@ val true_hierarchical_heavy_hitters : Task_spec.t -> Dream_traffic.Aggregate.t -
     exceeds the threshold), computed recursively under the filter, as a
     fresh key column. *)
 
-val emit : Dream_util.Codec.writer -> t -> unit
-(** Append the CD per-leaf means, in key order, to a checkpoint document
-    (empty for HH/HHH tasks, which keep no cross-epoch state here). *)
-
-val parse : Dream_util.Codec.reader -> spec:Task_spec.t -> storage:Storage.t -> t
-(** Inverse of {!emit}, into [storage]'s columns as {!create} takes them.
-    @raise Dream_util.Codec.Parse_error on mismatch, or a mean on a prefix
-    that is not a leaf ([leaf_length] long) under the filter, or means not
-    in strictly ascending prefix order. *)
+val codec : spec:Task_spec.t -> storage:Storage.t -> t Dream_util.Codec.t
+(** The CD per-leaf means, in key order, as a checkpoint holds them
+    (none for HH/HHH tasks, which keep no cross-epoch state here).
+    Decoding fills [storage]'s columns as {!create} takes them; it refuses
+    a mean on a prefix that is not a leaf ([leaf_length] long) under the
+    filter, and means not in strictly ascending prefix order. *)

@@ -199,19 +199,11 @@ val set_active : t -> Dream_traffic.Switch_mask.t -> unit
 val is_partition : t -> bool
 (** Whether the counters exactly partition the filter (test hook). *)
 
-val emit : Dream_util.Codec.writer -> t -> unit
-(** Append the active-switch set and every counter (in prefix order) to a
-    checkpoint document.  The spec and topology are serialized by the
-    owning task, not here. *)
-
-val parse :
-  Dream_util.Codec.reader ->
-  spec:Task_spec.t ->
-  topology:Dream_traffic.Topology.t ->
-  storage:Storage.t ->
-  t
-(** Inverse of {!emit}, on [storage]'s columns as {!create} takes them;
-    per-switch usage is recounted.
-    @raise Dream_util.Codec.Parse_error on mismatch, an active switch
-    outside the topology, or counters that do not partition the task's
+val codec :
+  spec:Task_spec.t -> topology:Dream_traffic.Topology.t -> storage:Storage.t -> t Dream_util.Codec.t
+(** The active-switch set and every counter (in prefix order), as a
+    checkpoint holds them; the spec and topology are the owning task's.
+    Decoding builds on [storage]'s columns as {!create} takes them and
+    recounts per-switch usage; it refuses an active switch or a volume
+    outside the topology, and counters that do not partition the task's
     filter (see {!is_partition}). *)

@@ -166,76 +166,59 @@ let configure t ~allocations =
 
 let counters_used t b = Monitor.usage t.monitor b
 
-let emit w t =
-  let module C = Dream_util.Codec in
-  C.section w "task";
-  C.int w "id" t.id;
-  Task_spec.emit w t.spec;
-  Topology.emit w t.topology;
-  C.float w "accuracy_history" accuracy_history;
-  C.string w "accuracy_mode"
-    (match t.accuracy_mode with Overall -> "overall" | Global_only -> "global");
-  Ewma.emit w t.global_acc;
-  C.int w "overall_acc" (Switch_mask.cardinal t.overall_used);
-  Switch_mask.iter t.topology
-    (fun sw b ->
-      C.int w "sw" sw;
-      Ewma.emit w t.overall_acc.(b))
-    t.overall_used;
-  let switches = Monitor.switches t.monitor in
-  C.int w "allocations" (Switch_mask.cardinal switches);
-  Switch_mask.iter t.topology
-    (fun sw b ->
-      C.int w "sw" sw;
-      C.int w "alloc" t.allocations.(b))
-    switches;
-  Monitor.emit w t.monitor
+(* The (bit, value) pairs of the bits in [mask], in switch-id order. *)
+let by_bit topology mask value =
+  List.rev (Switch_mask.fold topology (fun _ b acc -> (b, value b) :: acc) mask [])
 
-let parse r ~storage =
-  let module C = Dream_util.Codec in
-  C.expect_section r "task";
-  let id = C.int_field r "id" in
-  let spec = Task_spec.parse r in
-  let topology = Topology.parse r in
-  C.constant C.float r "accuracy_history" accuracy_history;
-  let accuracy_mode =
-    match C.string_field r "accuracy_mode" with
-    | "overall" -> Overall
-    | "global" -> Global_only
-    | m -> C.parse_error 0 (Printf.sprintf "unknown accuracy mode %S" m)
-  in
-  let global_acc = Ewma.parse r ~history:accuracy_history in
-  let bit = Topology.parse_bit topology in
-  let k = Topology.switches_per_task topology in
-  let overall_acc = Array.init k (fun _ -> Ewma.create ~history:accuracy_history) in
-  let overall_used = ref Switch_mask.empty in
-  let n = C.int_field r "overall_acc" in
-  ignore
-    (C.repeat n (fun () ->
-         let b = bit ~what:"an overall accuracy" (C.int_field r "sw") in
-         overall_acc.(b) <- Ewma.parse r ~history:accuracy_history;
-         overall_used := !overall_used lor (1 lsl b)));
-  let n = C.int_field r "allocations" in
-  let allocations = Array.make k 0 in
-  ignore
-    (C.repeat n (fun () ->
-         let b = bit ~what:"an allocation" (C.int_field r "sw") in
-         allocations.(b) <- C.int_field r "alloc"));
-  let monitor = Monitor.parse r ~spec ~topology ~storage in
-  let items, estimator = estimator_for spec monitor storage in
-  {
-    id;
-    spec;
-    topology;
-    monitor;
-    divide_merge = Divide_merge.create monitor ~storage;
-    global_acc;
-    overall_acc;
-    overall_used = !overall_used;
-    accuracy_mode;
-    allocations;
-    items;
-    estimator;
-    reported_at = -1;
-    storage;
-  }
+let codec ~storage =
+  let open Dream_util.Codec in
+  let acc = Ewma.codec ~history:accuracy_history in
+  section "task"
+    (record
+       (let* id, spec, topology =
+          let+ id = field (int "id") (fun t -> t.id)
+          and+ spec = field Task_spec.codec (fun t -> t.spec)
+          and+ topology = field Topology.codec (fun t -> t.topology) in
+          (id, spec, topology)
+        in
+        let bit what =
+          conv (Topology.parse_bit topology ~what) (Topology.switch_of_bit topology) (int "sw")
+        in
+        let+ () = field (constant (float "accuracy_history") accuracy_history) ignore
+        and+ accuracy_mode =
+          field
+            (enum ~what:"accuracy mode" "accuracy_mode"
+               [ (Overall, "overall"); (Global_only, "global") ])
+            (fun t -> t.accuracy_mode)
+        and+ global_acc = field acc (fun t -> t.global_acc)
+        and+ overall =
+          field
+            (repeat "overall_acc" (pair (bit "an overall accuracy") acc))
+            (fun t -> by_bit topology t.overall_used (Array.get t.overall_acc))
+        and+ allocated =
+          field
+            (repeat "allocations" (pair (bit "an allocation") (int "alloc")))
+            (fun t -> by_bit topology (Monitor.switches t.monitor) (Array.get t.allocations))
+        and+ monitor = field (Monitor.codec ~spec ~topology ~storage) (fun t -> t.monitor) in
+        let k = Topology.switches_per_task topology in
+        let overall_acc = Array.init k (fun _ -> Ewma.create ~history:accuracy_history) in
+        List.iter (fun (b, e) -> overall_acc.(b) <- e) overall;
+        let allocations = Array.make k 0 in
+        List.iter (fun (b, a) -> allocations.(b) <- a) allocated;
+        let items, estimator = estimator_for spec monitor storage in
+        {
+          id;
+          spec;
+          topology;
+          monitor;
+          divide_merge = Divide_merge.create monitor ~storage;
+          global_acc;
+          overall_acc;
+          overall_used = List.fold_left (fun m (b, _) -> m lor (1 lsl b)) Switch_mask.empty overall;
+          accuracy_mode;
+          allocations;
+          items;
+          estimator;
+          reported_at = -1;
+          storage;
+        }))

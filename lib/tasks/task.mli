@@ -78,7 +78,7 @@ val items : t -> Items.t
 
 val last_report : t -> Report.t option
 (** The last {!estimate}'s report, built from {!items}; [None] before the
-    first since {!create} or {!parse}. *)
+    first since {!create} or a decode of {!codec}. *)
 
 val smoothed_global : t -> float
 (** EWMA-smoothed estimated global accuracy (1 before any estimate). *)
@@ -101,14 +101,10 @@ val configure : t -> allocations:int array -> unit
 val counters_used : t -> int -> int
 (** TCAM entries the task occupies on the switch of a sub-filter bit. *)
 
-val emit : Dream_util.Codec.writer -> t -> unit
-(** Append the full task state — spec, topology, smoothed accuracies,
-    allocations and the monitor's counter configuration — to a checkpoint
-    document. *)
-
-val parse : Dream_util.Codec.reader -> storage:Storage.t -> t
-(** Inverse of {!emit}, on [storage] as {!create} takes it: a restored
-    task produces bit-identical reports, estimates and configurations from
-    the next epoch on.
-    @raise Dream_util.Codec.Parse_error on mismatch, or an overall
-    accuracy or allocation on a switch the task never sees. *)
+val codec : storage:Storage.t -> t Dream_util.Codec.t
+(** The full task state — spec, topology, smoothed accuracies,
+    allocations and the monitor's counter configuration — in a
+    checkpoint.  Decoding builds on [storage] as {!create} takes it, so a
+    restored task produces bit-identical reports, estimates and
+    configurations from the next epoch on; it refuses an overall accuracy
+    or allocation on a switch the task never sees. *)

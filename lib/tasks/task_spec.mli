@@ -41,13 +41,10 @@ val accuracy_metric : t -> [ `Recall | `Precision ]
 (** Which accuracy measure drives allocation: recall for HH and CD,
     precision for HHH (Table 1). *)
 
-val kind_of_string : string -> kind option
-(** Inverse of {!kind_to_string}. *)
+val kind_codec : kind Dream_util.Codec.t
+(** A kind as one [kind] line holding {!kind_to_string}. *)
 
-val emit : Dream_util.Codec.writer -> t -> unit
-(** Append the spec to a checkpoint document. *)
-
-val parse : Dream_util.Codec.reader -> t
-(** Inverse of {!emit}.  @raise Dream_util.Codec.Parse_error on
-    mismatch, and [Invalid_argument] on a malformed filter or on values
-    {!make} rejects. *)
+val codec : t Dream_util.Codec.t
+(** The spec in a checkpoint or journal; decoding raises
+    [Invalid_argument] on a malformed filter or on values {!make}
+    rejects. *)

@@ -104,71 +104,45 @@ let create rng ~topology ~profile =
   let smalls = Array.init profile.Profile.small_count (fun _ -> fresh_source t Small) in
   { t with heavies; mediums; smalls }
 
-let emit w t =
-  let module C = Dream_util.Codec in
-  C.section w "generator";
-  let s0, s1, s2, s3 = Rng.state t.rng in
-  C.int64 w "rng0" s0;
-  C.int64 w "rng1" s1;
-  C.int64 w "rng2" s2;
-  C.int64 w "rng3" s3;
-  C.int w "epoch" t.epoch;
-  Topology.emit w t.topology;
-  Profile.emit w t.profile;
-  let emit_source s =
-    C.int w "addr" s.addr;
-    C.float w "base" s.base;
-    C.int w "kind" (match s.kind with Heavy -> 0 | Medium -> 1 | Small -> 2)
+let codec =
+  let open Dream_util.Codec in
+  let source =
+    record
+      (let+ addr = field (int "addr") (fun s -> s.addr)
+       and+ base = field (float "base") (fun s -> s.base)
+       and+ kind =
+         field
+           (int_enum ~what:"source kind" "kind" [ (Heavy, 0); (Medium, 1); (Small, 2) ])
+           (fun s -> s.kind)
+       in
+       { addr; base; kind })
   in
-  C.int w "heavies" (List.length t.heavies);
-  List.iter emit_source t.heavies;
-  C.int w "mediums" (Array.length t.mediums);
-  Array.iter emit_source t.mediums;
-  C.int w "smalls" (Array.length t.smalls);
-  Array.iter emit_source t.smalls
-
-let parse r =
-  let module C = Dream_util.Codec in
-  C.expect_section r "generator";
-  let s0 = C.int64_field r "rng0" in
-  let s1 = C.int64_field r "rng1" in
-  let s2 = C.int64_field r "rng2" in
-  let s3 = C.int64_field r "rng3" in
-  let rng = Rng.of_state (s0, s1, s2, s3) in
-  let epoch = C.int_field r "epoch" in
-  let topology = Topology.parse r in
-  let profile = Profile.parse r in
-  let parse_source () =
-    let addr = C.int_field r "addr" in
-    let base = C.float_field r "base" in
-    let kind =
-      match C.int_field r "kind" with
-      | 0 -> Heavy
-      | 1 -> Medium
-      | 2 -> Small
-      | k -> C.parse_error 0 (Printf.sprintf "unknown source kind %d" k)
-    in
-    { addr; base; kind }
-  in
-  let heavies = C.repeat (C.int_field r "heavies") parse_source in
-  let mediums = C.repeat (C.int_field r "mediums") parse_source |> Array.of_list in
-  let smalls = C.repeat (C.int_field r "smalls") parse_source |> Array.of_list in
-  let used = Hashtbl.create 1024 in
-  List.iter (fun s -> Hashtbl.replace used s.addr ()) heavies;
-  Array.iter (fun s -> Hashtbl.replace used s.addr ()) mediums;
-  Array.iter (fun s -> Hashtbl.replace used s.addr ()) smalls;
-  {
-    rng;
-    topology;
-    profile;
-    epoch;
-    heavies;
-    mediums;
-    smalls;
-    used;
-    subs = Array.of_list (Topology.subfilters topology);
-    staging = staging_of topology;
-  }
+  let sources key = conv Array.of_list Array.to_list (repeat key source) in
+  section "generator"
+    (record
+       (let+ rng = field (Rng.codec "rng") (fun t -> t.rng)
+        and+ epoch = field (int "epoch") (fun t -> t.epoch)
+        and+ topology = field Topology.codec (fun t -> t.topology)
+        and+ profile = field Profile.codec (fun t -> t.profile)
+        and+ heavies = field (repeat "heavies" source) (fun t -> t.heavies)
+        and+ mediums = field (sources "mediums") (fun t -> t.mediums)
+        and+ smalls = field (sources "smalls") (fun t -> t.smalls) in
+        let used = Hashtbl.create 1024 in
+        List.iter (fun s -> Hashtbl.replace used s.addr ()) heavies;
+        Array.iter (fun s -> Hashtbl.replace used s.addr ()) mediums;
+        Array.iter (fun s -> Hashtbl.replace used s.addr ()) smalls;
+        {
+          rng;
+          topology;
+          profile;
+          epoch;
+          heavies;
+          mediums;
+          smalls;
+          used;
+          subs = Array.of_list (Topology.subfilters topology);
+          staging = staging_of topology;
+        }))
 
 let heavy_target t =
   let scale =

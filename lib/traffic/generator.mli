@@ -25,10 +25,7 @@ val next : t -> Epoch_data.t
 val active_heavy_count : t -> int
 (** Number of currently active heavy sources (for tests/calibration). *)
 
-val emit : Dream_util.Codec.writer -> t -> unit
-(** Append the full generator state — RNG words, epoch, topology, profile
-    and every live source — so a restored generator replays the exact same
+val codec : t Dream_util.Codec.t
+(** The full generator state — RNG words, epoch, topology, profile and
+    every live source — so a restored generator replays the exact same
     suffix of the trace. *)
-
-val parse : Dream_util.Codec.reader -> t
-(** Inverse of {!emit}.  @raise Dream_util.Codec.Parse_error on mismatch. *)

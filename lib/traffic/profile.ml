@@ -31,53 +31,36 @@ let default ~threshold =
     switch_skew = 0.6;
   }
 
-let emit w t =
-  let module C = Dream_util.Codec in
-  C.section w "profile";
-  C.float w "threshold" t.threshold;
-  C.int w "heavy_count" t.heavy_count;
-  C.int w "medium_count" t.medium_count;
-  C.int w "small_count" t.small_count;
-  C.float w "heavy_alpha" t.heavy_alpha;
-  C.float w "churn" t.churn;
-  C.float w "jitter" t.jitter;
-  C.float w "switch_skew" t.switch_skew;
-  C.int w "phases" (List.length t.phases);
-  List.iter
-    (fun p ->
-      C.int w "start_epoch" p.start_epoch;
-      C.float w "heavy_scale" p.heavy_scale)
-    t.phases
-
-let parse r =
-  let module C = Dream_util.Codec in
-  C.expect_section r "profile";
-  let threshold = C.float_field r "threshold" in
-  let heavy_count = C.int_field r "heavy_count" in
-  let medium_count = C.int_field r "medium_count" in
-  let small_count = C.int_field r "small_count" in
-  let heavy_alpha = C.float_field r "heavy_alpha" in
-  let churn = C.float_field r "churn" in
-  let jitter = C.float_field r "jitter" in
-  let switch_skew = C.float_field r "switch_skew" in
-  let n = C.int_field r "phases" in
-  let phases =
-    C.repeat n (fun () ->
-        let start_epoch = C.int_field r "start_epoch" in
-        let heavy_scale = C.float_field r "heavy_scale" in
-        { start_epoch; heavy_scale })
+let codec =
+  let open Dream_util.Codec in
+  let phase =
+    record
+      (let+ start_epoch = field (int "start_epoch") (fun p -> p.start_epoch)
+       and+ heavy_scale = field (float "heavy_scale") (fun p -> p.heavy_scale) in
+       { start_epoch; heavy_scale })
   in
-  {
-    threshold;
-    heavy_count;
-    medium_count;
-    small_count;
-    heavy_alpha;
-    churn;
-    jitter;
-    phases;
-    switch_skew;
-  }
+  section "profile"
+    (record
+       (let+ threshold = field (float "threshold") (fun t -> t.threshold)
+        and+ heavy_count = field (int "heavy_count") (fun t -> t.heavy_count)
+        and+ medium_count = field (int "medium_count") (fun t -> t.medium_count)
+        and+ small_count = field (int "small_count") (fun t -> t.small_count)
+        and+ heavy_alpha = field (float "heavy_alpha") (fun t -> t.heavy_alpha)
+        and+ churn = field (float "churn") (fun t -> t.churn)
+        and+ jitter = field (float "jitter") (fun t -> t.jitter)
+        and+ switch_skew = field (float "switch_skew") (fun t -> t.switch_skew)
+        and+ phases = field (repeat "phases" phase) (fun t -> t.phases) in
+        {
+          threshold;
+          heavy_count;
+          medium_count;
+          small_count;
+          heavy_alpha;
+          churn;
+          jitter;
+          phases;
+          switch_skew;
+        }))
 
 let validate t =
   let check cond msg = if cond then Ok () else Error msg in

@@ -34,8 +34,5 @@ val validate : t -> (unit, string) result
 (** Check ranges (counts non-negative, probabilities in \[0,1\], alpha > 1,
     phases sorted with non-negative scales). *)
 
-val emit : Dream_util.Codec.writer -> t -> unit
-(** Append the profile to a checkpoint document. *)
-
-val parse : Dream_util.Codec.reader -> t
-(** Inverse of {!emit}.  @raise Dream_util.Codec.Parse_error on mismatch. *)
+val codec : t Dream_util.Codec.t
+(** The profile in a checkpoint. *)

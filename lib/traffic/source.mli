@@ -18,10 +18,7 @@ val next : t -> Epoch_data.t
 
 val current_epoch : t -> int
 
-val emit : Dream_util.Codec.writer -> t -> unit
-(** Append the source state — synthetic generators serialize their full RNG
-    and population, replay sources their recorded epochs — so a restored
+val codec : t Dream_util.Codec.t
+(** The source state — synthetic generators serialize their full RNG and
+    population, replay sources their recorded epochs — so a restored
     source resumes mid-trace at the same clock. *)
-
-val parse : Dream_util.Codec.reader -> t
-(** Inverse of {!emit}.  @raise Dream_util.Codec.Parse_error on mismatch. *)

@@ -44,9 +44,9 @@ val bit_of_switch : t -> Switch_id.t -> int
     or [-1] for a switch the task never sees. *)
 
 val parse_bit : t -> what:string -> Switch_id.t -> int
-(** {!bit_of_switch} of a switch a checkpoint names under [what].
-    @raise Dream_util.Codec.Parse_error for a switch the task never
-    sees. *)
+(** {!bit_of_switch} of a switch a checkpoint names under [what], for a
+    decode: a switch the task never sees is refused
+    ({!Dream_util.Codec.refuse}). *)
 
 val switch_order : t -> int array
 (** The sub-filter bits in ascending switch-id order, computed once: the
@@ -69,13 +69,10 @@ val switch_of_address : t -> Dream_prefix.Prefix.address -> Switch_id.t option
 (** Ingress switch of an address ({!switch_of_bit} of {!bit_of_address}),
     or [None] outside the filter. *)
 
-val emit : Dream_util.Codec.writer -> t -> unit
-(** Append the topology (including the realised sub-filter → switch
-    assignment) to a checkpoint document. *)
-
-val parse : Dream_util.Codec.reader -> t
-(** Inverse of {!emit}.  @raise Dream_util.Codec.Parse_error on mismatch,
-    or for a layout {!create} cannot make: unless there are
+val codec : t Dream_util.Codec.t
+(** The topology, including the realised sub-filter → switch assignment,
+    in a checkpoint or journal.  Decoding refuses a layout {!create}
+    cannot make: unless there are
     [switches_per_task] sub-filters, a power of two and at most
     {!max_switches_per_task}, sub-filter [i] is the filter's [i]-th equal
     split, and each sits on a distinct switch.  Whether the network has

@@ -35,12 +35,9 @@ let restore ~history ~avg =
   | None -> { history; seeded = false; avg = 0.0 }
   | Some v -> { history; seeded = true; avg = v }
 
-let emit w t =
-  Codec.float w "history" t.history;
-  Codec.bool w "has_avg" t.seeded;
-  if t.seeded then Codec.float w "avg" t.avg
-
-let parse r ~history =
-  Codec.constant Codec.float r "history" history;
-  let avg = if Codec.bool_field r "has_avg" then Some (Codec.float_field r "avg") else None in
-  restore ~history ~avg
+let codec ~history =
+  Codec.(
+    record
+      (let+ () = field (constant (float "history") history) ignore
+       and+ avg = field (option "avg" (float "avg")) value in
+       restore ~history ~avg))

@@ -34,10 +34,6 @@ val restore : history:float -> avg:float option -> t
 (** Rebuild a filter from captured state (its history weight and {!value}).
     @raise Invalid_argument unless [0.0 <= history && history < 1.0]. *)
 
-val emit : Codec.writer -> t -> unit
-(** Append the filter state to a checkpoint document. *)
-
-val parse : Codec.reader -> history:float -> t
-(** Inverse of {!emit} for a filter whose history weight is [history]; a
-    document carrying any other weight is refused.
-    @raise Codec.Parse_error on mismatch. *)
+val codec : history:float -> t Codec.t
+(** A filter in a checkpoint, for a filter whose history weight is
+    [history]: a document carrying any other weight is refused. *)

@@ -162,5 +162,18 @@ let pick t a =
   a.(int t (Array.length a))
 
 let state t = (word t 0, word t 1, word t 2, word t 3)
+[@@lint.allow "oracle hook: test/reference_generator.ml"]
 
 let of_state (s0, s1, s2, s3) = of_words s0 s1 s2 s3
+[@@lint.allow "oracle hook: test/test_util.ml"]
+
+let codec name =
+  let open Codec in
+  let word i = int64 (name ^ string_of_int i) in
+  conv of_state state
+    (record
+       (let+ s0 = field (word 0) (fun (s, _, _, _) -> s)
+        and+ s1 = field (word 1) (fun (_, s, _, _) -> s)
+        and+ s2 = field (word 2) (fun (_, _, s, _) -> s)
+        and+ s3 = field (word 3) (fun (_, _, _, s) -> s) in
+        (s0, s1, s2, s3)))

@@ -75,3 +75,6 @@ val state : t -> int64 * int64 * int64 * int64
 val of_state : int64 * int64 * int64 * int64 -> t
 (** Rebuild a generator from {!state} output; the stream continues exactly
     where the captured generator left off. *)
+
+val codec : string -> t Codec.t
+(** A generator's {!state} as four [name0] … [name3] lines. *)

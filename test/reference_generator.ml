@@ -96,28 +96,30 @@ let create rng ~topology ~profile =
   let smalls = Array.init profile.Profile.small_count (fun _ -> fresh_source t Small) in
   { t with heavies; mediums; smalls }
 
-let emit w t =
+(* The oracle's checkpoint text, field by field. *)
+let emit t =
   let module C = Dream_util.Codec in
-  C.section w "generator";
   let s0, s1, s2, s3 = Rng.state t.rng in
-  C.int64 w "rng0" s0;
-  C.int64 w "rng1" s1;
-  C.int64 w "rng2" s2;
-  C.int64 w "rng3" s3;
-  C.int w "epoch" t.epoch;
-  Topology.emit w t.topology;
-  Profile.emit w t.profile;
-  let emit_source s =
-    C.int w "addr" s.addr;
-    C.float w "base" s.base;
-    C.int w "kind" (match s.kind with Heavy -> 0 | Medium -> 1 | Small -> 2)
+  let source s =
+    C.encode (C.int "addr") s.addr
+    ^ C.encode (C.float "base") s.base
+    ^ C.encode (C.int "kind") (match s.kind with Heavy -> 0 | Medium -> 1 | Small -> 2)
   in
-  C.int w "heavies" (List.length t.heavies);
-  List.iter emit_source t.heavies;
-  C.int w "mediums" (Array.length t.mediums);
-  Array.iter emit_source t.mediums;
-  C.int w "smalls" (Array.length t.smalls);
-  Array.iter emit_source t.smalls
+  let sources key l = C.encode (C.int key) (List.length l) ^ String.concat "" (List.map source l) in
+  String.concat ""
+    [
+      "[generator]\n";
+      C.encode (C.int64 "rng0") s0;
+      C.encode (C.int64 "rng1") s1;
+      C.encode (C.int64 "rng2") s2;
+      C.encode (C.int64 "rng3") s3;
+      C.encode (C.int "epoch") t.epoch;
+      C.encode Topology.codec t.topology;
+      C.encode Profile.codec t.profile;
+      sources "heavies" t.heavies;
+      sources "mediums" (Array.to_list t.mediums);
+      sources "smalls" (Array.to_list t.smalls);
+    ]
 
 let heavy_target t =
   let scale =

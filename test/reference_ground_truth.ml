@@ -18,31 +18,20 @@ let create spec = { spec; cd_means = Hashtbl.create 256 }
 
 type truth = { true_items : Prefix.Set.t; real_accuracy : float }
 
-let emit w t =
+(* The oracle's checkpoint text, field by field. *)
+let emit t =
   let module C = Dream_util.Codec in
-  C.section w "ground_truth";
   let means =
     Hashtbl.fold (fun p m acc -> (p, m) :: acc) t.cd_means []
     |> List.sort (fun (a, _) (b, _) -> Prefix.compare a b)
   in
-  C.int w "cd_means" (List.length means);
-  List.iter
-    (fun (p, m) ->
-      C.string w "prefix" (Prefix.to_string p);
-      C.float w "mean" m)
-    means
-
-let parse r ~spec =
-  let module C = Dream_util.Codec in
-  C.expect_section r "ground_truth";
-  let n = C.int_field r "cd_means" in
-  let cd_means = Hashtbl.create 256 in
-  ignore
-    (C.repeat n (fun () ->
-         let p = Prefix.of_string (C.string_field r "prefix") in
-         let m = C.float_field r "mean" in
-         Hashtbl.replace cd_means p m));
-  { spec; cd_means }
+  String.concat ""
+    ("[ground_truth]\n"
+    :: C.encode (C.int "cd_means") (List.length means)
+    :: List.map
+         (fun (p, m) ->
+           C.encode (C.string "prefix") (Prefix.to_string p) ^ C.encode (C.float "mean") m)
+         means)
 
 let leaf_of (spec : Task_spec.t) addr =
   Prefix.ancestor_at (Prefix.of_address addr) spec.Task_spec.leaf_length

@@ -51,39 +51,24 @@ module Counter = struct
 
   let update_mean t = ignore (Ewma.update t.mean t.total)
 
-  let emit w t =
+  (* The counter's checkpoint text, field by field. *)
+  let emit ~history t =
     let module C = Dream_util.Codec in
-    C.section w "counter";
-    C.string w "prefix" (Prefix.to_string t.prefix);
-    C.int w "volumes" (Switch_id.Map.cardinal t.volumes);
-    Switch_id.Map.iter
-      (fun sw v ->
-        C.int w "sw" sw;
-        C.float w "vol" v)
-      t.volumes;
-    C.float w "score" t.score;
-    Ewma.emit w t.mean;
-    C.bool w "fresh" t.fresh
-
-  let parse r ~switch_set ~history =
-    let module C = Dream_util.Codec in
-    C.expect_section r "counter";
-    let prefix = Prefix.of_string (C.string_field r "prefix") in
-    let n = C.int_field r "volumes" in
     let volumes =
-      C.repeat n (fun () ->
-          let sw = C.int_field r "sw" in
-          let v = C.float_field r "vol" in
-          (sw, v))
-      |> List.fold_left (fun acc (sw, v) -> Switch_id.Map.add sw v acc) Switch_id.Map.empty
+      Switch_id.Map.fold
+        (fun sw v acc -> acc ^ C.encode (C.int "sw") sw ^ C.encode (C.float "vol") v)
+        t.volumes ""
     in
-    let score = C.float_field r "score" in
-    let mean = Ewma.parse r ~history in
-    let fresh = C.bool_field r "fresh" in
-    (* [total] is recomputed with the same fold [set_volumes] uses, so the
-       restored float is bit-identical to the captured one. *)
-    let total = Switch_id.Map.fold (fun _ v acc -> acc +. v) volumes 0.0 in
-    { prefix; switches = switch_set prefix; volumes; total; score; mean; fresh }
+    String.concat ""
+      [
+        "[counter]\n";
+        C.encode (C.string "prefix") (Prefix.to_string t.prefix);
+        C.encode (C.int "volumes") (Switch_id.Map.cardinal t.volumes);
+        volumes;
+        C.encode (C.float "score") t.score;
+        C.encode (Ewma.codec ~history) t.mean;
+        C.encode (C.bool "fresh") t.fresh;
+      ]
 end
 
 (* Float registers of the candidate build walk and the greedy.  An
@@ -770,45 +755,16 @@ let configure t ~allocations =
   shrink_to_fit t;
   divide_phase t ~allocations
 
-let emit w t =
+let emit t =
   let module C = Dream_util.Codec in
-  C.section w "monitor";
-  C.int w "active" (Switch_id.Set.cardinal t.active);
-  Switch_id.Set.iter (fun sw -> C.int w "sw" sw) t.active;
-  C.int w "counters" t.n;
-  iter (Counter.emit w) t
-
-(* Whether slots [i, n) tile the filter from address [next] on: each
-   counter lies inside the filter and starts where the one before it ended,
-   and the last ends with the filter.  So the counters are strictly
-   increasing, disjoint, inside the filter and cover it, in one pass. *)
-let rec tiles t i next =
-  let filter = t.spec.Task_spec.filter in
-  if i = t.n then next = Prefix.last_address filter + 1
-  else begin
-    let p = t.counters.(i).Counter.prefix in
-    Prefix.covers filter p
-    && Prefix.first_address p = next
-    && tiles t (i + 1) (Prefix.last_address p + 1)
-  end
-
-let is_partition t = tiles t 0 (Prefix.first_address t.spec.Task_spec.filter)
-
-let parse r ~spec ~topology =
-  let module C = Dream_util.Codec in
-  C.expect_section r "monitor";
-  let n = C.int_field r "active" in
-  let active = C.repeat n (fun () -> C.int_field r "sw") |> Switch_id.Set.of_list in
-  if mask_of_set topology active < 0 then
-    C.parse_error 0 "monitor: an active switch sees none of the task's sub-filters";
-  let n = C.int_field r "counters" in
-  let switch_set = Reference_switch_set.switch_set topology in
-  let history = spec.Task_spec.cd_history in
-  let counters = C.repeat n (fun () -> Counter.parse r ~switch_set ~history) in
-  let t = make ~spec ~topology ~active (Array.of_list counters) in
-  if not (is_partition t) then
-    C.parse_error 0 "monitor: the counters do not partition the task's filter";
-  t
+  String.concat ""
+    ([
+       "[monitor]\n";
+       C.encode (C.int "active") (Switch_id.Set.cardinal t.active);
+       String.concat "" (List.map (C.encode (C.int "sw")) (Switch_id.Set.elements t.active));
+       C.encode (C.int "counters") t.n;
+     ]
+    @ List.init t.n (fun i -> Counter.emit ~history:t.spec.Task_spec.cd_history t.counters.(i)))
 
 (* ---- Score: the scorer on boxed counters ---- *)
 

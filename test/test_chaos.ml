@@ -135,9 +135,7 @@ let test_injection_roundtrip () =
   in
   let a = zero_model () in
   stage a;
-  let w = Codec.writer () in
-  Fault_model.emit w a;
-  let b = Fault_model.parse (Codec.reader_of_string (Codec.contents w)) in
+  let b = Codec.decode Fault_model.codec (Codec.encode Fault_model.codec a) in
   Alcotest.(check int) "pending survive the roundtrip" (Fault_model.pending_injections a)
     (Fault_model.pending_injections b);
   for epoch = 1 to 8 do
@@ -175,14 +173,24 @@ let test_injection_emit_pinned () =
   Fault_model.schedule fm ~at:4 Fault_model.Controller_crash;
   Fault_model.schedule fm ~at:3 (Fault_model.Crash { switch = 1; downtime = 2 });
   Fault_model.schedule fm ~at:2 (Fault_model.Crash { switch = 0; downtime = 1 });
-  let w = Codec.writer () in
-  Fault_model.emit w fm;
-  let text = Codec.contents w in
+  let text = Codec.encode Fault_model.codec fm in
   let tail = String.length injection_blocks in
   Alcotest.(check string) "injection blocks" injection_blocks
     (String.sub text (String.length text - tail) tail);
   Alcotest.(check string) "whole section" "d013778e706ce38bd30cf1bc26dd9b42"
-    (Digest.to_hex (Digest.string text))
+    (Digest.to_hex (Digest.string text));
+  (* A straggler line is a flag: any other value is refused at its line. *)
+  let flagged =
+    String.concat "\n"
+      (List.map
+         (fun l -> if l = "straggler 0" then "straggler 5" else l)
+         (String.split_on_char '\n' text))
+  in
+  match Codec.decode Fault_model.codec flagged with
+  | _ -> Alcotest.fail "straggler 5 accepted"
+  | exception Codec.Parse_error e ->
+    Alcotest.(check string) "straggler refused" "field \"straggler\": invalid bool \"5\""
+      e.Codec.reason
 
 (* Any valid timeline, staged on a model with organic crashes and
    partitions too, survives emit/parse: the restored model emits the same
@@ -222,13 +230,9 @@ let prop_injections_roundtrip =
       let a = Fault_model.create spec ~num_switches:4 in
       List.iter (fun (at, inj) -> Fault_model.schedule a ~at inj) staged;
       for _ = 1 to warmup do ignore (Fault_model.begin_epoch a) done;
-      let emit fm =
-        let w = Codec.writer () in
-        Fault_model.emit w fm;
-        Codec.contents w
-      in
+      let emit = Codec.encode Fault_model.codec in
       let text = emit a in
-      let b = Fault_model.parse (Codec.reader_of_string text) in
+      let b = Codec.decode Fault_model.codec text in
       String.equal text (emit b)
       && Fault_model.pending_injections a = Fault_model.pending_injections b
       && List.for_all
@@ -388,9 +392,7 @@ let prop_emit_parse_equivalent =
           Breaker.begin_epoch br;
           List.iter (apply_outcome br) outcomes)
         prefix;
-      let w = Codec.writer () in
-      Breaker.emit w br;
-      let copy = Breaker.parse (Codec.reader_of_string (Codec.contents w)) in
+      let copy = Codec.decode Breaker.codec (Codec.encode Breaker.codec br) in
       Breaker.state copy = Breaker.state br
       && List.for_all
            (fun outcomes ->

@@ -403,23 +403,19 @@ let allocator_with ~congested runtimes allocs =
             ~alloc:alloc.(switch))
         (Task.switches task))
     runtimes allocs;
-  let w = Codec.writer () in
-  Allocator.emit w allocator;
-  Codec.contents w
+  Codec.encode Allocator.codec allocator
   |> rewrite_lines ~key:"congested " (fun sw _ ->
          if congested.(sw) then "congested 1" else "congested 0")
-  |> Codec.reader_of_string |> Allocator.parse
+  |> Codec.decode Allocator.codec
 
 (* [r] with a smoothed global accuracy of 0.5, below the default bound: a
    fresh task has none (it reads as 1), and only an estimate sets one, so
    it is written into the task's serialized form, where it is the
    runtime's first EWMA. *)
 let poor_runtime r =
-  let w = Codec.writer () in
-  Runtime.emit w r;
-  Codec.contents w
+  Codec.encode Runtime.codec r
   |> rewrite_lines ~key:"has_avg " (fun n line -> if n = 0 then "has_avg 1\navg 0x1p-1" else line)
-  |> Codec.reader_of_string |> Runtime.parse
+  |> Codec.decode Runtime.codec
 
 let prop_drop_policy_model =
   QCheck.Test.make ~name:"drop policy agrees with a list model" ~count:300

@@ -112,17 +112,27 @@ let test_breaker_codec_roundtrip () =
   Breaker.record_failure br;
   Breaker.record_failure br;
   Breaker.begin_epoch br;
-  let w = Codec.writer () in
-  Breaker.emit w br;
-  let r = Codec.reader_of_string (Codec.contents w) in
-  let br' = Breaker.parse r in
+  let br' = Codec.decode Breaker.codec (Codec.encode Breaker.codec br) in
   check_state "state survives" (Breaker.state br) br';
   (* Same future: both cool down to the probe at the same epoch. *)
   Breaker.begin_epoch br;
   Breaker.begin_epoch br;
   Breaker.begin_epoch br';
   Breaker.begin_epoch br';
-  check_state "parsed breaker follows the same schedule" (Breaker.state br) br'
+  check_state "parsed breaker follows the same schedule" (Breaker.state br) br';
+  (* An unknown state code is refused at its line, like any unknown code. *)
+  let text = Codec.encode Breaker.codec br in
+  let tampered =
+    String.concat "\n"
+      (List.map
+         (fun l -> if String.starts_with ~prefix:"state " l then "state 7" else l)
+         (String.split_on_char '\n' text))
+  in
+  match Codec.decode Breaker.codec tampered with
+  | _ -> Alcotest.fail "state 7 accepted"
+  | exception Codec.Parse_error e ->
+    Alcotest.(check string) "refused at its line" "line 3: unknown breaker state 7"
+      (Codec.error_to_string e)
 
 (* ---- Sustained adversity in the fault model ---- *)
 

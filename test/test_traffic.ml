@@ -171,10 +171,8 @@ let test_topology_validation () =
    restoring controller's to check. *)
 let test_topology_parse_checks_subfilters () =
   let module C = Dream_util.Codec in
-  let w = C.writer () in
-  Topology.emit w (mk_topology ());
-  let doc = C.contents w in
-  let t = Topology.parse (C.reader_of_string doc) in
+  let doc = C.encode Topology.codec (mk_topology ()) in
+  let t = C.decode Topology.codec doc in
   Alcotest.(check int) "round trip" 4 (Topology.switches_per_task t);
   let lines = String.split_on_char '\n' doc in
   let nth_value key i =
@@ -188,7 +186,7 @@ let test_topology_parse_checks_subfilters () =
   let tamper key i value = edit [ (nth_value key i, key ^ " " ^ value) ] in
   let rejected what doc =
     Alcotest.(check bool) what true
-      (match Topology.parse (C.reader_of_string doc) with
+      (match C.decode Topology.codec doc with
       | _ -> false
       | exception C.Parse_error _ -> true)
   in
@@ -503,14 +501,9 @@ let prop_generator_round_trip =
         ignore (Generator.next g);
         ignore (Reference_generator.next r)
       done;
-      let text emit x =
-        let w = C.writer () in
-        emit w x;
-        C.contents w
-      in
-      let doc = text Generator.emit g in
-      let g' = Generator.parse (C.reader_of_string doc) in
-      String.equal doc (text Reference_generator.emit r)
+      let doc = C.encode Generator.codec g in
+      let g' = C.decode Generator.codec doc in
+      String.equal doc (Reference_generator.emit r)
       && List.for_all
            (fun _ -> same_epoch (Generator.next g') (Reference_generator.next r))
            (List.init 7 Fun.id))
@@ -621,9 +614,7 @@ let test_source_replay_no_cycle_goes_quiet () =
    build. *)
 let test_source_parse_refuses_bad_address () =
   let module C = Dream_util.Codec in
-  let w = C.writer () in
-  Source.emit w (Source.replay (Array.of_list (roundtrip_epochs ())));
-  let doc = C.contents w in
+  let doc = C.encode Source.codec (Source.replay (Array.of_list (roundtrip_epochs ()))) in
   let first = ref true in
   let tampered =
     String.split_on_char '\n' doc
@@ -635,9 +626,9 @@ let test_source_parse_refuses_bad_address () =
            else l)
     |> String.concat "\n"
   in
-  ignore (Source.parse (C.reader_of_string doc));
+  ignore (C.decode Source.codec doc);
   Alcotest.(check bool) "negative address refused" true
-    (match Source.parse (C.reader_of_string tampered) with
+    (match C.decode Source.codec tampered with
     | _ -> false
     | exception C.Parse_error _ -> true)
 

@@ -227,10 +227,8 @@ let test_ewma_parse_history () =
   let module C = Dream_util.Codec in
   let f = Ewma.create ~history:0.4 in
   ignore (Ewma.update f 3.0);
-  let w = C.writer () in
-  Ewma.emit w f;
-  let doc = C.contents w in
-  let parse history = Ewma.parse (C.reader_of_string doc) ~history in
+  let doc = C.encode (Ewma.codec ~history:0.4) f in
+  let parse history = C.decode (Ewma.codec ~history) doc in
   check_float "same history" 3.0 (Ewma.value_or (parse 0.4) 0.0);
   List.iter
     (fun history ->
