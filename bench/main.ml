@@ -79,20 +79,19 @@ let micro_tests () =
   let one_switch =
     Topology.create (Rng.create 0) ~filter ~num_switches:1 ~switches_per_task:1
   in
-  let views =
-    List.init 64 (fun i ->
-        let accuracy = Rng.float acc_rng 1.0 in
-        {
-          Task_view.id = i;
-          topology = one_switch;
-          switches = Switch_mask.full one_switch;
-          bound = 0.8;
-          drop_priority = i;
-          overall = (fun _ -> accuracy);
-          used = (fun _ -> 64);
-        })
-  in
-  List.iter (fun v -> ignore (Dream_allocator.try_admit allocator v)) views;
+  let views = Task_view.table ~num_switches:1 in
+  Task_view.reserve views 64;
+  views.Task_view.rows <- 64;
+  for i = 0 to 63 do
+    views.Task_view.ids.(i) <- i;
+    views.Task_view.bounds.(i) <- 0.8;
+    views.Task_view.drop_priorities.(i) <- i;
+    views.Task_view.overall.(i) <- Rng.float acc_rng 1.0;
+    views.Task_view.used.(i) <- 64;
+    ignore
+      (Dream_allocator.try_admit allocator
+         { Task_view.id = i; topology = one_switch; switches = Switch_mask.full one_switch })
+  done;
   let agg = Epoch_data.switch_view !data 0 in
   (* Telemetry fixture: the instruments the controller hits every epoch. *)
   let module Registry = Dream_obs.Registry in

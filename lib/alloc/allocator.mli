@@ -24,7 +24,7 @@ val force_admit : t -> Task_view.t -> unit
 
 val release : t -> task_id:int -> unit
 
-val reallocate : t -> Task_view.t list -> unit
+val reallocate : t -> Task_view.table -> unit
 (** Run one allocation round (a no-op for Equal and Fixed, whose
     allocations are purely membership-derived). *)
 

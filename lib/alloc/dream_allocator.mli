@@ -50,9 +50,11 @@ val release : t -> task_id:int -> unit
 (** Return all of a task's entries to the phantom (task finished or
     dropped). *)
 
-val reallocate : t -> Task_view.t list -> unit
-(** One allocation round over every switch.  The list must contain exactly
-    the currently admitted tasks. *)
+val reallocate : t -> Task_view.table -> unit
+(** One allocation round over every switch.  The table's rows must be
+    exactly the currently admitted tasks.  The round works in columns the
+    allocator keeps, which grow when a task is admitted (or a slot forced
+    or restored), so a round allocates nothing. *)
 
 val allocation_on : t -> task_id:int -> Dream_traffic.Switch_id.t -> int
 (** The task's allocation on a switch, 0 where it holds none.

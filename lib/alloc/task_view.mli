@@ -8,14 +8,35 @@ type t = {
   id : int;
   topology : Dream_traffic.Topology.t;  (** what the bits of [switches] stand for *)
   switches : Dream_traffic.Switch_mask.t;
-  bound : float;  (** target accuracy bound in \[0, 1\] *)
-  drop_priority : int;  (** higher = dropped first *)
-  overall : Dream_traffic.Switch_id.t -> float;
-      (** smoothed [max (global, local)] accuracy on a switch *)
-  used : Dream_traffic.Switch_id.t -> int;
+}
+(** A task at admission: the switches it asks for entries on. *)
+
+(** Every admitted task as one allocation round sees it: one row per task,
+    in the order the round visits them.  The owner sets [rows] and refills
+    the columns in place before each round, and grows them ({!reserve})
+    when a task is admitted, so a round allocates nothing.  The per-switch
+    columns are indexed [row * num_switches + sw]. *)
+type table = {
+  num_switches : int;
+  mutable rows : int;  (** rows in use *)
+  mutable ids : int array;
+  mutable bounds : float array;  (** target accuracy bound in \[0, 1\] *)
+  mutable drop_priorities : int array;  (** higher = dropped first *)
+  mutable overall : float array;
+      (** smoothed [max (global, local)] accuracy of the row's task on a
+          switch (1.0 on a switch outside its topology) *)
+  mutable used : int array;
       (** TCAM entries the task's configuration actually occupies on a
           switch — lets the allocator distinguish a poor task that is
           counter-starved (used = allocated) from one whose accuracy
           problem more counters cannot fix, and reclaim unused
           allocation *)
 }
+
+val table : num_switches:int -> table
+(** An empty table over switches [0 .. num_switches-1]. *)
+
+val reserve : table -> int -> unit
+(** Grow the columns, by doubling, to hold at least that many rows.
+    Growth keeps no values: every column of the rows in use is to be
+    written before a round. *)

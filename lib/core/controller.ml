@@ -9,6 +9,7 @@ module Task = Dream_tasks.Task
 module Task_spec = Dream_tasks.Task_spec
 module Ground_truth = Dream_tasks.Ground_truth
 module Allocator = Dream_alloc.Allocator
+module Task_view = Dream_alloc.Task_view
 module Journal = Dream_recovery.Journal
 module Invariant = Dream_recovery.Invariant
 module C = Dream_util.Codec
@@ -49,6 +50,9 @@ let intern_spans profile =
     rule_sync = span "epoch/rule_sync";
   }
 
+(* The phases [record_telemetry] observes, in its order. *)
+let phases = [ "fetch"; "estimate"; "allocate"; "configure"; "report"; "epoch" ]
+
 type t = {
   config : Config.t;
   allocator : Allocator.t;
@@ -60,7 +64,13 @@ type t = {
   spans : spans;
   fetch : Fetch.t;
   rule_sync : Rule_sync.t;
-  active : (int, Runtime.t) Hashtbl.t;
+  active : (int, Runtime.t) Hashtbl.t; (* by id; [finalize] retires in its order *)
+  mutable live : Runtime.t array;
+      (* the same tasks in id order, [live.(0 .. live_n - 1)]: ids only
+         ascend, so an admission appends and a removal closes the gap *)
+  mutable live_n : int;
+  views : Task_view.table; (* the allocation round's input, refilled each round *)
+  allocations : int array; (* one task's allocation per sub-filter bit, refilled per task *)
   pool : Runtime.pool; (* retired tasks' storage; never checkpointed *)
   mutable epoch : int;
   mutable next_id : int;
@@ -68,6 +78,15 @@ type t = {
   mutable delays : delay_sample list; (* newest first *)
   rules_installed : Ctr.t;
   rules_fetched : Ctr.t;
+  (* Registry handles registered on first use, when a lookup by name
+     would have registered them: a series nothing touched stays out of the
+     export. *)
+  tasks_admitted : Ctr.t Lazy.t;
+  tasks_rejected : Ctr.t Lazy.t;
+  tasks_dropped : Ctr.t Lazy.t;
+  tasks_completed : Ctr.t Lazy.t;
+  allocation_changes : Ctr.t Lazy.t;
+  phase_ms : (string * Obs.Registry.Histogram.t Lazy.t) list; (* in [phases] order *)
   rob : Metrics.Tallies.t;
   mutable journal : Journal.sink option;
   mutable crash_pending : bool;
@@ -80,7 +99,7 @@ type t = {
 
 (* The one constructor: [create] starts from an empty controller, a
    restored or failed-over one from a checkpoint. *)
-let make ~config ~allocator ~switches ~faults ~breakers ~active ~epoch ~next_id ~records =
+let make ~config ~allocator ~switches ~faults ~breakers ~runtimes ~epoch ~next_id ~records =
   let tel = config.Config.telemetry in
   let registry =
     match tel with Some b -> Obs.Telemetry.registry b | None -> Obs.Registry.create ()
@@ -90,6 +109,14 @@ let make ~config ~allocator ~switches ~faults ~breakers ~active ~epoch ~next_id 
     match Option.bind tel Obs.Telemetry.profile with
     | Some p -> p
     | None -> Obs.Profile.wall_only ()
+  in
+  let active = Hashtbl.create 64 in
+  List.iter (fun r -> Hashtbl.replace active (Runtime.id r) r) runtimes;
+  let live =
+    Array.of_list
+      (List.sort
+         (fun a b -> Int.compare (Runtime.id a) (Runtime.id b))
+         (Hashtbl.fold (fun _ r acc -> r :: acc) active []))
   in
   {
     config;
@@ -105,6 +132,13 @@ let make ~config ~allocator ~switches ~faults ~breakers ~active ~epoch ~next_id 
         ~trace:(Option.map Obs.Telemetry.trace tel);
     rule_sync = Rule_sync.create ~switches ~install_budget:config.Config.install_budget ~tallies:rob;
     active;
+    live;
+    live_n = Array.length live;
+    views =
+      (let v = Task_view.table ~num_switches:(Array.length switches) in
+       Task_view.reserve v (Array.length live);
+       v);
+    allocations = Array.make Topology.max_switches_per_task 0;
     pool = Runtime.pool ();
     epoch;
     next_id;
@@ -112,6 +146,16 @@ let make ~config ~allocator ~switches ~faults ~breakers ~active ~epoch ~next_id 
     delays = [];
     rules_installed = Obs.Registry.counter registry "rules_installed";
     rules_fetched = Obs.Registry.counter registry "rules_fetched";
+    tasks_admitted = lazy (Obs.Registry.counter registry "tasks_admitted");
+    tasks_rejected = lazy (Obs.Registry.counter registry "tasks_rejected");
+    tasks_dropped = lazy (Obs.Registry.counter registry "tasks_dropped");
+    tasks_completed = lazy (Obs.Registry.counter registry "tasks_completed");
+    allocation_changes = lazy (Obs.Registry.counter registry "allocation_changes");
+    phase_ms =
+      List.map
+        (fun phase ->
+          (phase, lazy (Obs.Registry.histogram registry ~labels:[ ("phase", phase) ] "phase_ms")))
+        phases;
     rob;
     journal = None;
     crash_pending = false;
@@ -137,7 +181,7 @@ let create ~config ~strategy ~num_switches ~capacity =
       [ ("spec", Tr.Str (Format.asprintf "%a" Fault_model.pp_spec spec)) ]
   | _ -> ());
   make ~config ~allocator:(Allocator.create strategy ~capacities) ~switches ~faults ~breakers:None
-    ~active:(Hashtbl.create 64) ~epoch:0 ~next_id:0 ~records:[]
+    ~runtimes:[] ~epoch:0 ~next_id:0 ~records:[]
 
 let epoch t = t.epoch
 
@@ -160,6 +204,37 @@ let trace_event t ~name fields =
   | Some b -> Tr.event (Obs.Telemetry.trace b) ~epoch:t.epoch ~name fields
 
 let robustness t = Metrics.Tallies.read t.rob
+
+(* ---- the live tasks in id order ---- *)
+
+(* The first position in [lo, hi) whose task id is >= [id], or [hi]. *)
+let rec rank t id lo hi =
+  if lo >= hi then lo
+  else begin
+    let mid = (lo + hi) / 2 in
+    if Runtime.id t.live.(mid) < id then rank t id (mid + 1) hi else rank t id lo mid
+  end
+
+let append_live t r =
+  if t.live_n = Array.length t.live then begin
+    let grown = Array.make (max 16 (2 * t.live_n)) r in
+    Array.blit t.live 0 grown 0 t.live_n;
+    t.live <- grown
+  end;
+  t.live.(t.live_n) <- r;
+  t.live_n <- t.live_n + 1;
+  Task_view.reserve t.views t.live_n
+
+let remove_live t id =
+  let i = rank t id 0 t.live_n in
+  if i < t.live_n && Runtime.id t.live.(i) = id then begin
+    Array.blit t.live (i + 1) t.live i (t.live_n - i - 1);
+    t.live_n <- t.live_n - 1;
+    (* The vacated slot lets go of the task it last held. *)
+    if t.live_n > 0 then t.live.(t.live_n) <- t.live.(0)
+  end
+
+let live_list t = List.init t.live_n (Array.get t.live)
 
 let active_tasks t = Hashtbl.length t.active
 
@@ -200,7 +275,7 @@ let reachable t sw = Fetch.reachable t.fetch sw
    in-tick tally (config.check_invariants) and external oracles (the chaos
    harness), so they can never drift apart. *)
 let check_invariants_now t =
-  let tasks = List.map (fun r -> r.Runtime.task) (Runtime.sorted t.active) in
+  let tasks = List.init t.live_n (fun i -> t.live.(i).Runtime.task) in
   Invariant.check_all ~allocator:t.allocator ~switches:t.switches ~up:(reachable t) ~tasks
 
 let pooled_storage t = Runtime.pooled t.pool [@@lint.allow "oracle hook: test/test_core.ml"]
@@ -231,7 +306,8 @@ let submit t ~spec ~topology ~source ~duration =
              source = C.encode Source.codec source })
     end;
     Hashtbl.replace t.active id runtime;
-    Ctr.incr (Obs.Registry.counter t.registry "tasks_admitted");
+    append_live t runtime;
+    Ctr.incr (Lazy.force t.tasks_admitted);
     trace_event t ~name:"task_admit"
       [ ("task", Tr.Int id); ("kind", Tr.Str (Task_spec.kind_to_string spec.Task_spec.kind)) ];
     `Admitted id
@@ -240,7 +316,7 @@ let submit t ~spec ~topology ~source ~duration =
     Runtime.recycle t.pool ~live:(Hashtbl.length t.active) runtime;
     jot t (Journal.Reject { epoch = t.epoch; task_id = id; kind = spec.Task_spec.kind });
     t.records <- Metrics.rejected ~task_id:id ~kind:spec.Task_spec.kind ~epoch:t.epoch :: t.records;
-    Ctr.incr (Obs.Registry.counter t.registry "tasks_rejected");
+    Ctr.incr (Lazy.force t.tasks_rejected);
     trace_event t ~name:"task_reject"
       [ ("task", Tr.Int id); ("kind", Tr.Str (Task_spec.kind_to_string spec.Task_spec.kind)) ];
     `Rejected
@@ -258,7 +334,7 @@ let finish_record (r : Runtime.t) ~outcome ~ended_at =
     active_epochs = active;
     satisfaction =
       (if active = 0 then 0.0 else float_of_int r.satisfied_epochs /. float_of_int active);
-    mean_accuracy = (if active = 0 then 0.0 else r.accuracy_sum /. float_of_int active);
+    mean_accuracy = (if active = 0 then 0.0 else r.scores.accuracy_sum /. float_of_int active);
   }
 
 let remove_task t (r : Runtime.t) ~outcome =
@@ -287,19 +363,22 @@ let remove_task t (r : Runtime.t) ~outcome =
          })
   end;
   Allocator.release t.allocator ~task_id:id;
-  Array.iter (fun sw -> ignore (Tcam.remove_owner (Switch.tcam sw) ~owner:id)) t.switches;
+  for sw = 0 to Array.length t.switches - 1 do
+    ignore (Tcam.remove_owner (Switch.tcam t.switches.(sw)) ~owner:id)
+  done;
   Runtime.recycle t.pool ~live:(Hashtbl.length t.active) r;
   Hashtbl.remove t.active id;
+  remove_live t id;
   t.records <- record :: t.records;
   let kind = Task_spec.kind_to_string record.Metrics.kind in
   match outcome with
   | Metrics.Dropped ->
-    Ctr.incr (Obs.Registry.counter t.registry "tasks_dropped");
+    Ctr.incr (Lazy.force t.tasks_dropped);
     trace_event t ~name:"task_drop"
       [ ("task", Tr.Int id); ("kind", Tr.Str kind);
         ("active_epochs", Tr.Int record.Metrics.active_epochs) ]
   | Metrics.Completed ->
-    Ctr.incr (Obs.Registry.counter t.registry "tasks_completed");
+    Ctr.incr (Lazy.force t.tasks_completed);
     trace_event t ~name:"task_complete"
       [ ("task", Tr.Int id); ("kind", Tr.Str kind);
         ("satisfaction", Tr.Float record.Metrics.satisfaction) ]
@@ -353,12 +432,12 @@ let advance_faults t =
    reconfigure the task's counters onto the healthy switches.  Zeroing the
    allocation is exactly that signal — {!Task.configure} deactivates the
    switch and merges its counters away. *)
-let quarantine_allocations t topology allocations =
+let quarantine_allocations t topology =
   match t.faults with
   | None -> ()
   | Some fm ->
-    for b = 0 to Array.length allocations - 1 do
-      if Fault_model.is_down fm (Topology.switch_of_bit topology b) then allocations.(b) <- 0
+    for b = 0 to Topology.switches_per_task topology - 1 do
+      if Fault_model.is_down fm (Topology.switch_of_bit topology b) then t.allocations.(b) <- 0
     done
 
 (* ---- the epoch, phase by phase ---- *)
@@ -368,7 +447,9 @@ let begin_epoch t =
   let healed = advance_faults t in
   Fetch.begin_epoch t.fetch ~epoch:t.epoch ~healed;
   (* Reset per-epoch switch stats so the delay model prices this epoch. *)
-  Array.iter (fun sw -> Tcam.reset_stats (Switch.tcam sw)) t.switches
+  for sw = 0 to Array.length t.switches - 1 do
+    Tcam.reset_stats (Switch.tcam t.switches.(sw))
+  done
 
 (* Fetch, report, estimate and score one task.  [scores] collects
    (id, kind, scored, satisfied) for tasks.csv when tracing. *)
@@ -391,47 +472,61 @@ let observe t scores (r : Runtime.t) =
     | `Estimated_accuracy -> estimate.Dream_tasks.Accuracy.global
   in
   r.active_epochs <- r.active_epochs + 1;
-  r.accuracy_sum <- r.accuracy_sum +. scored;
+  r.scores.accuracy_sum <- r.scores.accuracy_sum +. scored;
   let satisfied = scored >= spec.Task_spec.accuracy_bound in
   if satisfied then r.satisfied_epochs <- r.satisfied_epochs + 1;
   if t.tel = None then scores
   else (Runtime.id r, Task_spec.kind_to_string spec.Task_spec.kind, scored, satisfied) :: scores
 
-let fetch_and_estimate t runtimes =
-  List.fold_left (observe t) [] (Fetch.schedule t.fetch runtimes)
+let rec observe_from t order i scores =
+  if i = t.live_n then scores else observe_from t order (i + 1) (observe t scores order.(i))
 
-(* The task's allocation per sub-filter bit, in a fresh array. *)
-let allocation_of t (r : Runtime.t) =
+let fetch_and_estimate t = observe_from t (Fetch.schedule t.fetch t.live t.live_n) 0 []
+
+(* The task's allocation per sub-filter bit, into [t.allocations]. *)
+let load_allocations t (r : Runtime.t) =
   let topology = Task.topology r.task and task_id = Runtime.id r in
-  let allocations = Array.make (Topology.switches_per_task topology) 0 in
-  for b = 0 to Array.length allocations - 1 do
-    allocations.(b) <- Allocator.allocation_on t.allocator ~task_id (Topology.switch_of_bit topology b)
-  done;
-  allocations
+  for b = 0 to Topology.switches_per_task topology - 1 do
+    t.allocations.(b) <-
+      Allocator.allocation_on t.allocator ~task_id (Topology.switch_of_bit topology b)
+  done
+
+(* The task's allocation per sub-filter bit, in a fresh array: the trace's
+   snapshot before a round. *)
+let allocation_of t (r : Runtime.t) =
+  load_allocations t r;
+  Array.sub t.allocations 0 (Topology.switches_per_task (Task.topology r.task))
+
+let rec changed_from old now b acc =
+  if b = Array.length old then acc
+  else changed_from old now (b + 1) (if old.(b) <> now.(b) then acc + 1 else acc)
 
 (* Allocation entries that changed in a round, given each task's
    allocation before it: churn made visible in the trace. *)
 let allocation_changes t before =
   List.fold_left
     (fun acc (r, old) ->
-      let changed = ref 0 in
-      Array.iter2 (fun a b -> if a <> b then incr changed) old (allocation_of t r);
-      acc + !changed)
+      load_allocations t r;
+      changed_from old t.allocations 0 acc)
     0 before
 
 (* Allocation epoch: redistribute, then decide drops. *)
-let allocate_and_drop t runtimes =
+let allocate_and_drop t =
   if t.epoch mod t.config.Config.allocation_interval = 0 then begin
     (* Snapshot allocations before the round so tracing can price churn;
        taken outside the timed region. *)
-    let before = if t.tel = None then [] else List.map (fun r -> (r, allocation_of t r)) runtimes in
+    let before = if t.tel = None then [] else List.map (fun r -> (r, allocation_of t r)) (live_list t) in
     Obs.Profile.start t.profile t.spans.allocate;
-    Allocator.reallocate t.allocator (List.map Runtime.view runtimes);
+    t.views.Task_view.rows <- t.live_n;
+    for i = 0 to t.live_n - 1 do
+      Runtime.fill_row t.views i t.live.(i)
+    done;
+    Allocator.reallocate t.allocator t.views;
     Obs.Profile.stop t.profile t.spans.allocate;
     if t.tel <> None then begin
       let changes = allocation_changes t before in
       if changes > 0 then begin
-        Ctr.add (Obs.Registry.counter t.registry "allocation_changes") changes;
+        Ctr.add (Lazy.force t.allocation_changes) changes;
         trace_event t ~name:"reallocate" [ ("changes", Tr.Int changes) ]
       end
     end;
@@ -439,85 +534,101 @@ let allocate_and_drop t runtimes =
        just deltas, so replay restores the allocator by forcing values
        rather than re-running the (state-dependent) adaptation logic. *)
     if journaling t then
-      List.iter
-        (fun (r : Runtime.t) ->
-          let task_id = Runtime.id r in
-          let allocations = allocation_of t r in
-          Switch_mask.iter (Task.topology r.task)
-            (fun switch b ->
-              jot t (Journal.Alloc { epoch = t.epoch; task_id; switch; alloc = allocations.(b) }))
-            (Task.switches r.task))
-        runtimes;
+      for i = 0 to t.live_n - 1 do
+        let r = t.live.(i) in
+        let task_id = Runtime.id r in
+        Switch_mask.iter (Task.topology r.task)
+          (fun switch _ ->
+            jot t
+              (Journal.Alloc
+                 { epoch = t.epoch; task_id; switch;
+                   alloc = Allocator.allocation_on t.allocator ~task_id switch }))
+          (Task.switches r.task)
+      done;
     if Allocator.supports_drop t.allocator then
       match
-        Drop_policy.victim ~allocator:t.allocator ~threshold:t.config.Config.drop_threshold runtimes
+        Drop_policy.victim ~allocator:t.allocator ~threshold:t.config.Config.drop_threshold t.live
+          t.live_n
       with
       | Some r -> remove_task t r ~outcome:Metrics.Dropped
       | None -> ()
   end
 
-let configure t survivors =
-  List.iter
-    (fun (r : Runtime.t) ->
-      let allocations = allocation_of t r in
-      quarantine_allocations t (Task.topology r.task) allocations;
-      Obs.Profile.start t.profile t.spans.configure;
-      Task.configure r.task ~allocations;
-      Obs.Profile.stop t.profile t.spans.configure)
-    survivors
+let configure t =
+  for i = 0 to t.live_n - 1 do
+    let r = t.live.(i) in
+    load_allocations t r;
+    quarantine_allocations t (Task.topology r.task);
+    Obs.Profile.start t.profile t.spans.configure;
+    Task.configure r.task ~allocations:t.allocations;
+    Obs.Profile.stop t.profile t.spans.configure
+  done
 
 (* Sync rules incrementally in two passes: all removals across tasks first,
    then installs — so one task's growth never transiently collides with
    space another task is vacating. *)
-let sync_rules t survivors =
+let sync_rules t =
   Obs.Profile.start t.profile t.spans.rule_sync;
-  let removals = Rule_sync.sync t.rule_sync survivors in
+  Rule_sync.sync t.rule_sync t.live t.live_n;
   Obs.Profile.stop t.profile t.spans.rule_sync;
-  List.iter2
-    (fun (r : Runtime.t) removed ->
-      if t.tel <> None then begin
-        let installed = Array.fold_left ( + ) 0 r.last_install_counts in
-        (* Rule churn is divide-and-merge made visible: installs are
-           drill-downs (or reinstalls), removals are merges and retreats. *)
-        if installed + removed > 0 then
-          trace_event t ~name:"rule_sync"
-            [ ("task", Tr.Int (Runtime.id r)); ("installs", Tr.Int installed);
-              ("removals", Tr.Int removed) ]
-      end)
-    survivors removals
+  if t.tel <> None then
+    for i = 0 to t.live_n - 1 do
+      let r = t.live.(i) in
+      let installed = Array.fold_left ( + ) 0 r.last_install_counts in
+      let removed = Rule_sync.removed t.rule_sync i in
+      (* Rule churn is divide-and-merge made visible: installs are
+         drill-downs (or reinstalls), removals are merges and retreats. *)
+      if installed + removed > 0 then
+        trace_event t ~name:"rule_sync"
+          [ ("task", Tr.Int (Runtime.id r)); ("installs", Tr.Int installed);
+            ("removals", Tr.Int removed) ]
+    done
 
-(* Price the epoch's switch interactions for Fig 17. *)
-let price t =
-  let fetch_total, install_total, remove_total, touched =
-    Array.fold_left
-      (fun (f, i, rm, sw_count) sw ->
-        let stats = Tcam.stats (Switch.tcam sw) in
-        let touched = if stats.Tcam.fetches > 0 || stats.Tcam.installs > 0 then 1 else 0 in
-        (f + stats.Tcam.fetches, i + stats.Tcam.installs, rm + stats.Tcam.removals, sw_count + touched))
-      (0, 0, 0, 0) t.switches
-  in
-  let sample =
-    {
-      epoch = t.epoch;
-      fetch_ms = Delay_model.fetch_ms ~rules:fetch_total ~switches:touched +. Fetch.fault_ms t.fetch;
-      save_ms = Delay_model.save_ms ~installs:install_total ~removals:remove_total ~switches:touched;
-      report_ms = Obs.Profile.epoch_ms t.profile t.spans.estimate;
-      allocate_ms = Obs.Profile.epoch_ms t.profile t.spans.allocate;
-      configure_ms = Obs.Profile.epoch_ms t.profile t.spans.configure;
-    }
-  in
-  t.delays <- sample :: t.delays;
-  Ctr.add t.rules_installed install_total;
-  Ctr.add t.rules_fetched fetch_total;
-  sample
+(* Price the epoch's switch interactions for Fig 17: the TCAM stats summed
+   over the switches from [i] on, and how many were touched. *)
+let rec price_from t i fetches installs removals touched =
+  if i < Array.length t.switches then begin
+    let tcam = Switch.tcam t.switches.(i) in
+    let f = Tcam.fetches tcam and ins = Tcam.installs tcam in
+    price_from t (i + 1) (fetches + f) (installs + ins)
+      (removals + Tcam.removals tcam)
+      (if f > 0 || ins > 0 then touched + 1 else touched)
+  end
+  else begin
+    let sample =
+      {
+        epoch = t.epoch;
+        fetch_ms =
+          Delay_model.fetch_ms ~rules:fetches ~switches:touched +. Fetch.fault_ms t.fetch;
+        save_ms = Delay_model.save_ms ~installs ~removals ~switches:touched;
+        report_ms = Obs.Profile.epoch_ms t.profile t.spans.estimate;
+        allocate_ms = Obs.Profile.epoch_ms t.profile t.spans.allocate;
+        configure_ms = Obs.Profile.epoch_ms t.profile t.spans.configure;
+      }
+    in
+    t.delays <- sample :: t.delays;
+    Ctr.add t.rules_installed installs;
+    Ctr.add t.rules_fetched fetches;
+    sample
+  end
+
+let price t = price_from t 0 0 0 0 0
+
+(* Retire the tasks from position [i] on that reached their duration. *)
+let rec retire_from t i =
+  if i < t.live_n then begin
+    let r = t.live.(i) in
+    if r.active_epochs >= r.duration then begin
+      (* The removal closes the gap: the next task is at [i]. *)
+      remove_task t r ~outcome:Metrics.Completed;
+      retire_from t i
+    end
+    else retire_from t (i + 1)
+  end
 
 (* Retire tasks that reached their duration, then audit. *)
-let retire t survivors =
-  List.iter
-    (fun (r : Runtime.t) ->
-      if Hashtbl.mem t.active (Runtime.id r) && r.active_epochs >= r.duration then
-        remove_task t r ~outcome:Metrics.Completed)
-    survivors;
+let retire t =
+  retire_from t 0;
   if t.config.Config.check_invariants then begin
     let violations = check_invariants_now t in
     Ctr.add t.rob.invariant_violations (List.length violations);
@@ -541,15 +652,14 @@ let record_telemetry t sample scores ~tail_ms =
     (* Phase spans: fetch and the configure tail are modelled switch time,
        estimate/allocate/configure bodies are measured controller time, and
        report is the record-keeping tail. *)
-    List.iter
-      (fun (phase, ms) ->
+    List.iter2
+      (fun (phase, hist) ms ->
         Tr.span tr ~epoch ~phase ~ms;
-        Obs.Registry.Histogram.observe
-          (Obs.Registry.histogram t.registry ~labels:[ ("phase", phase) ] "phase_ms")
-          ms)
-      [ ("fetch", sample.fetch_ms); ("estimate", sample.report_ms);
-        ("allocate", sample.allocate_ms); ("configure", sample.configure_ms +. sample.save_ms);
-        ("report", Obs.Clock.now_ms (Obs.Profile.clock p) -. tail_ms); ("epoch", epoch_ms) ];
+        Obs.Registry.Histogram.observe (Lazy.force hist) ms)
+      t.phase_ms
+      [ sample.fetch_ms; sample.report_ms; sample.allocate_ms;
+        sample.configure_ms +. sample.save_ms;
+        Obs.Clock.now_ms (Obs.Profile.clock p) -. tail_ms; epoch_ms ];
     Obs.Profile.observe_epoch t.registry ~wall_ms:epoch_ms
       ~gc:(Obs.Profile.epoch_gc p sp.epoch_span);
     List.iter
@@ -574,17 +684,18 @@ let record_telemetry t sample scores ~tail_ms =
           })
       t.switches
 
+(* The tasks a tick works on are the live ones: the drop and the
+   retirements remove theirs as they go, so configure, rule sync and
+   retire see exactly the survivors. *)
 let[@hot] tick t =
   begin_epoch t;
-  let runtimes = Runtime.sorted t.active in
-  let scores = fetch_and_estimate t runtimes in
-  allocate_and_drop t runtimes;
-  let survivors = List.filter (fun r -> Hashtbl.mem t.active (Runtime.id r)) runtimes in
-  configure t survivors;
-  sync_rules t survivors;
+  let scores = fetch_and_estimate t in
+  allocate_and_drop t;
+  configure t;
+  sync_rules t;
   let sample = price t in
-  let tail_ms = Obs.Clock.now_ms (Obs.Profile.clock t.profile) in
-  retire t survivors;
+  let tail_ms = if t.tel = None then 0.0 else Obs.Clock.now_ms (Obs.Profile.clock t.profile) in
+  retire t;
   Obs.Profile.stop t.profile t.spans.epoch_span;
   record_telemetry t sample scores ~tail_ms;
   Obs.Profile.close_epoch t.profile;
@@ -625,7 +736,7 @@ let snapshot t =
       allocator = t.allocator;
       robustness = robustness t;
       records = t.records;
-      runtimes = Runtime.sorted t.active;
+      runtimes = live_list t;
     }
 
 let checkpoint t =
@@ -643,12 +754,10 @@ let checkpoint t =
 
 (* A controller resuming from [d] on the given network. *)
 let of_checkpoint (d : Checkpoint.t) ~switches ~faults ~tel =
-  let active = Hashtbl.create 64 in
-  List.iter (fun r -> Hashtbl.replace active (Runtime.id r) r) d.runtimes;
   let t =
     make
       ~config:{ d.config with Config.faults = Option.map Fault_model.spec faults; telemetry = tel }
-      ~allocator:d.allocator ~switches ~faults ~breakers:(Some d.breakers) ~active
+      ~allocator:d.allocator ~switches ~faults ~breakers:(Some d.breakers) ~runtimes:d.runtimes
       ~epoch:d.epoch ~next_id:d.next_id ~records:d.records
   in
   Metrics.Tallies.set t.rob d.robustness;

@@ -1,7 +1,16 @@
 module Switch_mask = Dream_traffic.Switch_mask
+module Topology = Dream_traffic.Topology
 module Task = Dream_tasks.Task
 module Task_spec = Dream_tasks.Task_spec
 module Allocator = Dream_alloc.Allocator
+
+(* Whether the allocator saw congestion on a switch of [switches], from
+   bit [b] on. *)
+let rec congested_from allocator topology switches b =
+  b < Topology.switches_per_task topology
+  && (Switch_mask.mem_bit b switches
+      && Allocator.congested allocator (Topology.switch_of_bit topology b)
+     || congested_from allocator topology switches (b + 1))
 
 (* One round of [r]'s poor-streak bookkeeping; whether [r] may now be
    dropped. *)
@@ -16,18 +25,19 @@ let candidate allocator threshold (r : Runtime.t) =
   r.last_alloc_total <- total;
   r.poor_streak <- (if poor && not growing then r.poor_streak + 1 else 0);
   r.poor_streak >= threshold
-  && Switch_mask.exists (Task.topology r.task) (Allocator.congested allocator)
-       (Task.switches r.task)
+  && congested_from allocator (Task.topology r.task) (Task.switches r.task) 0
 
-let rec pick allocator threshold best = function
-  | [] -> best
-  | (r : Runtime.t) :: rest ->
+let rec pick allocator threshold runtimes n i best =
+  if i = n then best
+  else begin
+    let r : Runtime.t = runtimes.(i) in
     let best =
       match best with
       | _ when not (candidate allocator threshold r) -> best
       | Some (b : Runtime.t) when b.drop_priority >= r.drop_priority -> best
-      | _ -> Some r
+      | Some _ | None -> Some r
     in
-    pick allocator threshold best rest
+    pick allocator threshold runtimes n (i + 1) best
+  end
 
-let victim ~allocator ~threshold runtimes = pick allocator threshold None runtimes
+let victim ~allocator ~threshold runtimes n = pick allocator threshold runtimes n 0 None

@@ -3,8 +3,9 @@
     one per allocation round. *)
 
 val victim :
-  allocator:Dream_alloc.Allocator.t -> threshold:int -> Runtime.t list -> Runtime.t option
-(** Run after an allocation round, over the active tasks in id order.
+  allocator:Dream_alloc.Allocator.t -> threshold:int -> Runtime.t array -> int -> Runtime.t option
+(** [victim ~allocator ~threshold runtimes n] runs after an allocation
+    round, over the active tasks [runtimes.(0 .. n-1)] in id order.
     Updates every task's poor streak: one more when its smoothed global
     accuracy is below its bound and its total allocation did not grow
     since the last round, zero otherwise.  Returns the task with the

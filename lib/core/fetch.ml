@@ -15,6 +15,17 @@ module Obs = Dream_obs
 module Ctr = Dream_obs.Registry.Counter
 module Tr = Dream_obs.Trace
 
+(* The epoch's modelled times, and the batch a read is on.  Only floats,
+   so writing a field boxes nothing. *)
+type times = {
+  mutable retry_budget : float;
+  mutable fault_ms : float;
+  mutable deadline : float;
+  mutable cost : float; (* [shed]'s estimate for the task at hand *)
+  mutable base : float; (* the batch's modelled wire time *)
+  mutable latency : float; (* the switch's latency factor *)
+}
+
 type t = {
   switches : Switch.t array;
   faults : Fault_model.t option;
@@ -35,9 +46,9 @@ type t = {
   mutable keys : int array; (* the read buffers the switches fill *)
   mutable vols : float array;
   mutable epoch : int;
-  mutable retry_budget : float;
-  mutable fault_ms : float;
-  mutable deadline : float;
+  times : times;
+  mutable unheard : Switch_mask.t; (* the switches [read]'s task could not hear from *)
+  mutable order : Runtime.t array; (* [schedule]'s result in degraded mode *)
 }
 
 let create ~config ~switches ~breakers ~faults ~tallies ~registry ~trace =
@@ -70,9 +81,11 @@ let create ~config ~switches ~breakers ~faults ~tallies ~registry ~trace =
     keys = [||];
     vols = [||];
     epoch = 0;
-    retry_budget = 0.0;
-    fault_ms = 0.0;
-    deadline = infinity;
+    times =
+      { retry_budget = 0.0; fault_ms = 0.0; deadline = infinity; cost = 0.0; base = 0.0;
+        latency = 1.0 };
+    unheard = Switch_mask.empty;
+    order = [||];
   }
 
 let breakers f = f.breakers
@@ -88,7 +101,7 @@ let reachable f sw =
   && (Array.length f.breakers = 0
      || match Breaker.state f.breakers.(sw) with Breaker.Closed -> true | _ -> false)
 
-let fault_ms f = f.fault_ms
+let fault_ms f = f.times.fault_ms
 
 let event f ~name fields =
   match f.trace with None -> () | Some tr -> Tr.event tr ~epoch:f.epoch ~name fields
@@ -114,12 +127,11 @@ let[@alloc.allow "degraded mode only: a trace event"] step_breaker f sw step =
 
 let begin_epoch f ~epoch ~healed =
   f.epoch <- epoch;
-  f.retry_budget <- f.retry_budget_ms;
-  f.fault_ms <- 0.0;
-  f.deadline <-
-    (match f.degraded with
-    | Some d -> d.Config.deadline_fraction *. Delay_model.epoch_ms
-    | None -> infinity);
+  f.times.retry_budget <- f.retry_budget_ms;
+  f.times.fault_ms <- 0.0;
+  (match f.degraded with
+  | Some d -> f.times.deadline <- d.Config.deadline_fraction *. Delay_model.epoch_ms
+  | None -> f.times.deadline <- infinity);
   match f.faults with
   | None -> ()
   | Some fm ->
@@ -199,32 +211,39 @@ let draw f (r : Runtime.t) =
   Ctr.add f.sort_fallbacks (Switch_id.Map.cardinal per_switch - fast);
   data
 
-(* Modelled wire time of one fetch batch of [rules] rules. *)
-let batch_ms rules = (Delay_model.fetch_per_rule_ms *. float_of_int rules) +. Delay_model.rtt_ms
+(* Modelled wire time of one fetch batch of [rules] rules, into
+   [f.times.base]. *)
+let set_batch f rules =
+  f.times.base <- (Delay_model.fetch_per_rule_ms *. float_of_int rules) +. Delay_model.rtt_ms
 
 (* The task's rule count on a switch, without listing the rules. *)
 let rules_on sw ~owner = Tcam.used_by (Switch.tcam sw) ~owner
 
-(* Modelled cost the deadline scheduler expects this task's fetch round to
-   incur: one batch per switch holding its rules, inflated by straggler
-   latency.  Partitioned switches cost their (failed) probe round trip;
-   open-breaker switches cost nothing — they are skipped outright. *)
-let estimate_cost f (r : Runtime.t) =
-  let id = Runtime.id r in
-  Array.fold_left
-    (fun acc sw ->
-      if Switch.down sw then acc
-      else if Array.length f.breakers > 0 && not (Breaker.allow f.breakers.(Switch.id sw)) then acc
-      else begin
-        let rules = rules_on sw ~owner:id in
-        if rules = 0 then acc
+(* Add to [f.times.cost] the modelled cost the deadline scheduler expects
+   the task's fetch round to incur on the switches from [i] on: one batch
+   per switch holding its rules, inflated by straggler latency.
+   Partitioned switches cost their (failed) probe round trip; open-breaker
+   switches cost nothing — they are skipped outright. *)
+let rec estimate_cost f ~owner i =
+  if i < Array.length f.switches then begin
+    let sw = f.switches.(i) in
+    if
+      (not (Switch.down sw))
+      && not (Array.length f.breakers > 0 && not (Breaker.allow f.breakers.(Switch.id sw)))
+    then begin
+      let rules = rules_on sw ~owner in
+      if rules > 0 then begin
+        let factor = Switch.latency_factor sw in
+        if Switch.partitioned sw then
+          f.times.cost <- f.times.cost +. (Delay_model.rtt_ms *. factor)
         else begin
-          let factor = Switch.latency_factor sw in
-          if Switch.partitioned sw then acc +. (Delay_model.rtt_ms *. factor)
-          else acc +. (batch_ms rules *. factor)
+          set_batch f rules;
+          f.times.cost <- f.times.cost +. (f.times.base *. factor)
         end
-      end)
-    0.0 f.switches
+      end
+    end;
+    estimate_cost f ~owner (i + 1)
+  end
 
 (* Shed before paying any wire cost: if the task's expected fetch round
    does not fit the remaining deadline budget, serve it stale — unless
@@ -232,130 +251,164 @@ let estimate_cost f (r : Runtime.t) =
 let shed f (r : Runtime.t) =
   match f.degraded with
   | Some d when r.staleness < d.Config.shed_max_staleness ->
-    let est = estimate_cost f r in
-    est > 0.0 && est > f.deadline
+    f.times.cost <- 0.0;
+    estimate_cost f ~owner:(Runtime.id r) 0;
+    f.times.cost > 0.0 && f.times.cost > f.times.deadline
   | _ -> false
 
-(* Charge one issued batch of modelled cost [base]: the aggregate TCAM
-   stats already price [base]; stragglers owe the inflation on top, and
-   the epoch deadline owes the whole inflated batch.  Toplevel, so a read
-   allocates no closure for it. *)
-let charge_batch f ~base ~factor =
-  f.fault_ms <- f.fault_ms +. (base *. (factor -. 1.0));
-  f.deadline <- f.deadline -. (base *. factor)
+(* Charge one issued batch: the aggregate TCAM stats already price its
+   base cost; stragglers owe the inflation on top, and the epoch deadline
+   owes the whole inflated batch. *)
+let charge_batch f =
+  let t = f.times in
+  t.fault_ms <- t.fault_ms +. (t.base *. (t.latency -. 1.0));
+  t.deadline <- t.deadline -. (t.base *. t.latency)
+
+(* Fetch the owner's counters on [sw] into the read buffers, retrying a
+   timed-out batch ([k] retries so far) with exponential backoff while the
+   retry budget and the deadline last.  [n >= 0] readings fetched; -1 the
+   switch went down; -2 unreachable or abandoned after retries. *)
+let rec attempt f sw ~owner aggregate k =
+  let n = Switch.read sw ~owner aggregate ~keys:f.keys ~vols:f.vols in
+  let t = f.times in
+  if n >= 0 then begin
+    charge_batch f;
+    n
+  end
+  else if n = Switch.read_down then -1
+  else if n = Switch.read_unreachable then begin
+    (* No route: nothing was priced in the TCAM stats, but the probe still
+       costs the control loop a round trip. *)
+    let probe = Delay_model.rtt_ms *. t.latency in
+    t.fault_ms <- t.fault_ms +. probe;
+    t.deadline <- t.deadline -. probe;
+    -2
+  end
+  else begin
+    charge_batch f;
+    Ctr.incr f.tallies.fetch_timeouts;
+    let backoff = Float.ldexp Delay_model.rtt_ms k in
+    if t.retry_budget >= backoff && t.deadline >= backoff then begin
+      t.retry_budget <- t.retry_budget -. backoff;
+      t.fault_ms <- t.fault_ms +. backoff;
+      t.deadline <- t.deadline -. backoff;
+      Ctr.incr f.tallies.fetch_retries;
+      attempt f sw ~owner aggregate (k + 1)
+    end
+    else begin
+      Ctr.incr f.tallies.fetch_failures;
+      -2
+    end
+  end
+
+(* The task cannot hear from the switch of bit [b] this epoch: report its
+   last readings, if any.  A switch outside the topology (b < 0) has
+   none. *)
+let use_stale f (r : Runtime.t) m sw_id b =
+  if b >= 0 then begin
+    let s = r.stale_counters.(b) in
+    if s.Runtime.n > 0 then begin
+      Monitor.ingest m sw_id ~keys:s.Runtime.keys ~vols:s.Runtime.vols s.Runtime.n;
+      Ctr.incr f.tallies.stale_epochs
+    end;
+    f.unheard <- f.unheard lor (1 lsl b)
+  end
+
+(* A shed task reports every switch of [mask] stale, in switch order
+   from position [j]. *)
+let rec serve_stale f r m topology order mask j =
+  if j < Array.length order then begin
+    let b = order.(j) in
+    if Switch_mask.mem_bit b mask then use_stale f r m (Topology.switch_of_bit topology b) b;
+    serve_stale f r m topology order mask (j + 1)
+  end
+
+(* Fetch the task's readings on [sw] into its monitor, or fall back on
+   stale ones. *)
+let read_switch f (r : Runtime.t) m data sw =
+  let id = Runtime.id r and task_switches = Task.switches r.task in
+  let sw_id = Switch.id sw in
+  let b = Topology.bit_of_switch (Task.topology r.task) sw_id in
+  if Switch.down sw then begin
+    if b >= 0 && Switch_mask.mem_bit b task_switches then use_stale f r m sw_id b
+  end
+  else begin
+    let rules = rules_on sw ~owner:id in
+    let armed = Array.length f.breakers > 0 in
+    if rules > 0 && armed && not (Breaker.allow f.breakers.(sw_id)) then begin
+      Ctr.incr f.tallies.breaker_skips;
+      use_stale f r m sw_id b
+    end
+    else if rules > 0 then begin
+      let aggregate = Epoch_data.switch_view data sw_id in
+      f.times.latency <- Switch.latency_factor sw;
+      set_batch f rules;
+      reserve f rules;
+      let n = attempt f sw ~owner:id aggregate 0 in
+      if n >= 0 then begin
+        if armed then step_breaker f sw_id Breaker.record_success;
+        let lost = rules - n in
+        if lost > 0 then Ctr.add f.tallies.counters_lost lost;
+        degrade_fresh f r b n;
+        (* Only a fault model can make a later fetch fall back on these,
+           so fault-free checkpoints carry none. *)
+        if Option.is_some f.faults && b >= 0 then save_stale f r b n;
+        Monitor.ingest m sw_id ~keys:f.keys ~vols:f.vols n
+      end
+      else if n = -1 then use_stale f r m sw_id b
+      else begin
+        if armed then step_breaker f sw_id Breaker.record_failure;
+        use_stale f r m sw_id b
+      end
+    end
+  end
+
+let rec read_from f r m data i =
+  if i < Array.length f.switches then begin
+    read_switch f r m data f.switches.(i);
+    read_from f r m data (i + 1)
+  end
 
 let read f (r : Runtime.t) data =
-  let id = Runtime.id r in
   let shed = shed f r in
   if shed then begin
     Ctr.incr f.tallies.sheds;
-    event f ~name:"shed" [ ("task", Tr.Int id); ("staleness", Tr.Int r.staleness) ]
+    event f ~name:"shed" [ ("task", Tr.Int (Runtime.id r)); ("staleness", Tr.Int r.staleness) ]
   end;
-  let task_switches = Task.switches r.task in
-  let topology = Task.topology r.task in
   let m = Task.monitor r.task in
   Monitor.clear_readings m;
-  let degraded = ref Switch_mask.empty in
-  (* The task cannot hear from the switch of bit [b] this epoch: report
-     its last readings, if any.  A switch outside the topology (b < 0)
-     has none. *)
-  let use_stale sw_id b =
-    if b >= 0 then begin
-      let s = r.stale_counters.(b) in
-      if s.Runtime.n > 0 then begin
-        Monitor.ingest m sw_id ~keys:s.Runtime.keys ~vols:s.Runtime.vols s.Runtime.n;
-        Ctr.incr f.tallies.stale_epochs
-      end;
-      degraded := !degraded lor (1 lsl b)
-    end
-  in
-  if shed then
+  f.unheard <- Switch_mask.empty;
+  if shed then begin
     (* Traffic still flowed (the caller's draw); the task just reports
        from whatever it last heard. *)
-    Switch_mask.iter topology use_stale task_switches
-  else
-    Array.iter
-      (fun sw ->
-        let sw_id = Switch.id sw in
-        let b = Topology.bit_of_switch topology sw_id in
-        if Switch.down sw then begin
-          if b >= 0 && Switch_mask.mem_bit b task_switches then use_stale sw_id b
-        end
-        else begin
-          let rules = rules_on sw ~owner:id in
-          let armed = Array.length f.breakers > 0 in
-          if rules > 0 && armed && not (Breaker.allow f.breakers.(sw_id)) then begin
-            Ctr.incr f.tallies.breaker_skips;
-            use_stale sw_id b
-          end
-          else if rules > 0 then begin
-            let aggregate = Epoch_data.switch_view data sw_id in
-            let factor = Switch.latency_factor sw in
-            let base = batch_ms rules in
-            reserve f rules;
-            let rec attempt k =
-              match Switch.read sw ~owner:id aggregate ~keys:f.keys ~vols:f.vols with
-              | Ok n ->
-                charge_batch f ~base ~factor;
-                n
-              | Error `Down -> -1
-              | Error `Unreachable ->
-                (* No route: nothing was priced in the TCAM stats, but
-                   the probe still costs the control loop a round trip. *)
-                let probe = Delay_model.rtt_ms *. factor in
-                f.fault_ms <- f.fault_ms +. probe;
-                f.deadline <- f.deadline -. probe;
-                -2
-              | Error `Timeout ->
-                charge_batch f ~base ~factor;
-                Ctr.incr f.tallies.fetch_timeouts;
-                let backoff = Delay_model.rtt_ms *. (2.0 ** float_of_int k) in
-                if f.retry_budget >= backoff && f.deadline >= backoff then begin
-                  f.retry_budget <- f.retry_budget -. backoff;
-                  f.fault_ms <- f.fault_ms +. backoff;
-                  f.deadline <- f.deadline -. backoff;
-                  Ctr.incr f.tallies.fetch_retries;
-                  attempt (k + 1)
-                end
-                else begin
-                  Ctr.incr f.tallies.fetch_failures;
-                  -2
-                end
-            in
-            (* [n >= 0] readings fetched; -1 the switch went down; -2
-               unreachable or abandoned after retries. *)
-            let n = attempt 0 in
-            if n >= 0 then begin
-              if armed then step_breaker f sw_id Breaker.record_success;
-              let lost = rules - n in
-              if lost > 0 then Ctr.add f.tallies.counters_lost lost;
-              degrade_fresh f r b n;
-              (* Only a fault model can make a later fetch fall back on
-                 these, so fault-free checkpoints carry none. *)
-              if Option.is_some f.faults && b >= 0 then save_stale f r b n;
-              Monitor.ingest m sw_id ~keys:f.keys ~vols:f.vols n
-            end
-            else if n = -1 then use_stale sw_id b
-            else begin
-              if armed then step_breaker f sw_id Breaker.record_failure;
-              use_stale sw_id b
-            end
-          end
-        end)
-      f.switches;
+    let topology = Task.topology r.task in
+    serve_stale f r m topology (Topology.switch_order topology) (Task.switches r.task) 0
+  end
+  else read_from f r m data 0;
   Monitor.seal_readings m;
-  !degraded
+  f.unheard
 
 (* Staleness-urgency order: the longest-starved tasks fetch first, so when
    the deadline budget runs out it is the freshest tasks that shed.  The
    sort is stable, so ties keep task-id order, and with all-zero staleness
    it is the identity — the zero-adversity zero-diff guarantee. *)
-let by_staleness (a : Runtime.t) (b : Runtime.t) = Int.compare b.staleness a.staleness
+let rec insert order j (r : Runtime.t) =
+  if j > 0 && order.(j - 1).Runtime.staleness < r.staleness then begin
+    order.(j) <- order.(j - 1);
+    insert order (j - 1) r
+  end
+  else order.(j) <- r
 
-let schedule f runtimes =
+let schedule f runtimes n =
   match f.degraded with
   | None -> runtimes
-  | Some _ -> (List.stable_sort by_staleness runtimes [@alloc.allow "degraded mode only"])
+  | Some _ ->
+    if Array.length f.order < n then
+      f.order <- Array.make (max n (2 * Array.length f.order)) runtimes.(0);
+    for i = 0 to n - 1 do
+      insert f.order i runtimes.(i)
+    done;
+    f.order
 
 (* The estimators only saw stale (or no) counters for [degraded]'s
    switches, so the estimate is optimistic: decay the smoothed accuracies

@@ -8,7 +8,7 @@
     breaker-skipped switch, or a fetch abandoned after retries, falls back
     to the previous epoch's readings.  Without a fault model a switch is
     never down or partitioned, has latency factor 1.0 and always reads
-    [Ok], so this path reduces exactly to reading the TCAMs directly: no
+    a count, so this path reduces exactly to reading the TCAMs directly: no
     retry, no fallback, no extra modelled time.
 
     [Fetch] alone owns degraded mode: the circuit breakers, the deadline
@@ -42,9 +42,11 @@ val begin_epoch : t -> epoch:int -> healed:int list -> unit
     breakers one epoch; open breakers in the [healed] partition groups
     forfeit their cooldown and probe now. *)
 
-val schedule : t -> Runtime.t list -> Runtime.t list
-(** The fetch order of tasks given in task-id order: in degraded mode the
-    most stale first (ties keep their order), otherwise unchanged. *)
+val schedule : t -> Runtime.t array -> int -> Runtime.t array
+(** [schedule f runtimes n], the fetch order of the tasks
+    [runtimes.(0 .. n-1)], given in task-id order: in degraded mode an
+    array of [f]'s own, refilled with the most stale first (ties keep
+    their order) and valid until the next call; otherwise [runtimes]. *)
 
 val draw : t -> Runtime.t -> Dream_traffic.Epoch_data.t
 (** Draw the task's next epoch of traffic from its source, counting how
@@ -56,7 +58,8 @@ val read : t -> Runtime.t -> Dream_traffic.Epoch_data.t -> Dream_traffic.Switch_
 (** Fetch the task's counters for this epoch's traffic from every switch
     holding its rules, in switch order, and deliver each switch's
     readings to the task's monitor ({!Dream_tasks.Monitor.ingest}) as a
-    key and volume column, with no list built.  Returns the mask of the
+    key and volume column, with no list built and, once the read buffers
+    have grown, nothing allocated.  Returns the mask of the
     task's switches it could not hear from (served stale or not at all),
     so the caller can decay the task's estimated accuracy.  In degraded
     mode a task whose expected fetch cost overruns the remaining deadline

@@ -20,6 +20,7 @@ type t = {
   budgets : int array; (* updates each switch may still apply this epoch *)
   recovered : bool array; (* by switch id: back up as of this epoch *)
   tallies : Metrics.Tallies.t;
+  mutable removed : int array; (* the last sync's deletions, by task position *)
 }
 
 (* A software switch applies everything, a hardware switch only
@@ -29,7 +30,14 @@ type t = {
 let create ~switches ~install_budget ~tallies =
   let per_epoch = match install_budget with Some b -> b | None -> max_int in
   let budgets = Array.make (Array.length switches) per_epoch in
-  { switches; per_epoch; budgets; recovered = Array.make (Array.length switches) false; tallies }
+  {
+    switches;
+    per_epoch;
+    budgets;
+    recovered = Array.make (Array.length switches) false;
+    tallies;
+    removed = [||];
+  }
 
 let mark_recovered s sw = s.recovered.(sw) <- true
 
@@ -73,12 +81,6 @@ let rec remove_from s r i removed =
     in
     remove_from s r (i + 1) removed
   end
-
-let rec remove_stale s = function
-  | [] -> []
-  | r :: rest ->
-    let removed = remove_from s r 0 0 in
-    removed :: remove_stale s rest
 
 (* Append a landed rule to the task's fresh column of bit [b]: installs
    land in key order, so the column stays sorted. *)
@@ -147,16 +149,17 @@ let rec install_into s (r : Runtime.t) i =
     install_into s r (i + 1)
   end
 
-let rec install_missing s = function
-  | [] -> ()
-  | (r : Runtime.t) :: rest ->
-    Array.fill r.last_install_counts 0 (Array.length r.last_install_counts) 0;
-    install_into s r 0;
-    install_missing s rest
-
-let sync s runtimes =
+let sync s runtimes n =
   Array.fill s.budgets 0 (Array.length s.budgets) s.per_epoch;
-  let removed = remove_stale s runtimes in
-  install_missing s runtimes;
-  Array.fill s.recovered 0 (Array.length s.recovered) false;
-  removed
+  if Array.length s.removed < n then s.removed <- Array.make (max n (2 * Array.length s.removed)) 0;
+  for i = 0 to n - 1 do
+    s.removed.(i) <- remove_from s runtimes.(i) 0 0
+  done;
+  for i = 0 to n - 1 do
+    let r : Runtime.t = runtimes.(i) in
+    Array.fill r.last_install_counts 0 (Array.length r.last_install_counts) 0;
+    install_into s r 0
+  done;
+  Array.fill s.recovered 0 (Array.length s.recovered) false
+
+let removed s i = s.removed.(i)

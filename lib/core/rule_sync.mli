@@ -24,11 +24,15 @@ val mark_recovered : t -> Dream_traffic.Switch_id.t -> unit
 (** The switch came back up this epoch: the next {!sync}'s installs onto
     it, the reinstall its crash demands, count as [recovery_reinstalls]. *)
 
-val sync : t -> Runtime.t list -> int list
-(** One epoch's sync: refill every switch's update budget, then delete
-    each task's installed rules its monitor no longer wants, then install
-    the rules each task's monitor wants that are not installed, task by
-    task and while budgets last.  The rules that landed are recorded in
-    each task's [fresh_rules] and [last_install_counts].  The recovered
-    marks are cleared when the sync ends.  Returns the number deleted per
-    task, in list order. *)
+val sync : t -> Runtime.t array -> int -> unit
+(** [sync s runtimes n], one epoch's sync of [runtimes.(0 .. n-1)]:
+    refill every switch's update budget, then delete each task's
+    installed rules its monitor no longer wants, then install the rules
+    each task's monitor wants that are not installed, task by task and
+    while budgets last.  The rules that landed are recorded in each task's
+    [fresh_rules] and [last_install_counts], the number deleted in
+    {!removed}.  The recovered marks are cleared when the sync ends. *)
+
+val removed : t -> int -> int
+(** The rules the last {!sync} deleted for the task at a position of its
+    array. *)

@@ -11,6 +11,8 @@ module C = Dream_util.Codec
 
 type readings = { mutable keys : int array; mutable vols : float array; mutable n : int }
 
+type scores = { mutable accuracy_sum : float }
+
 type t = {
   task : Task.t;
   source : Source.t;
@@ -20,7 +22,7 @@ type t = {
   drop_priority : int;
   mutable active_epochs : int;
   mutable satisfied_epochs : int;
-  mutable accuracy_sum : float;
+  scores : scores;
   mutable poor_streak : int;
   mutable last_alloc_total : int;
   fresh_rules : int array array;
@@ -78,7 +80,7 @@ let create ~config ~pool ~id ~spec ~topology ~source ~duration ~arrived_at ~drop
     drop_priority;
     active_epochs = 0;
     satisfied_epochs = 0;
-    accuracy_sum = 0.0;
+    scores = { accuracy_sum = 0.0 };
     poor_streak = 0;
     last_alloc_total = 0;
     fresh_rules = storage.fresh_rules;
@@ -108,28 +110,15 @@ let recycle pool ~live (r : t) =
 
 let id r = Task.id r.task
 
-(* Toplevel so sorting builds no comparator closure per epoch. *)
-let order a b = Int.compare (id a) (id b)
-let cons _ r acc = r :: acc
-let sorted active = List.sort order (Hashtbl.fold cons active [])
-
 let view r =
-  let topology = Task.topology r.task in
-  {
-    Dream_alloc.Task_view.id = id r;
-    topology;
-    switches = Task.switches r.task;
-    bound = (Task.spec r.task).Task_spec.accuracy_bound;
-    drop_priority = r.drop_priority;
-    overall =
-      (fun sw ->
-        match Topology.bit_of_switch topology sw with
-        | -1 -> 1.0
-        | b -> Task.overall_accuracy r.task b);
-    used =
-      (fun sw ->
-        match Topology.bit_of_switch topology sw with -1 -> 0 | b -> Task.counters_used r.task b);
-  }
+  { Dream_alloc.Task_view.id = id r; topology = Task.topology r.task; switches = Task.switches r.task }
+
+let fill_row (v : Dream_alloc.Task_view.table) row r =
+  v.ids.(row) <- id r;
+  v.bounds.(row) <- (Task.spec r.task).Task_spec.accuracy_bound;
+  v.drop_priorities.(row) <- r.drop_priority;
+  Task.allocator_view r.task ~overall:v.overall ~used:v.used ~pos:(row * v.num_switches)
+    ~num_switches:v.num_switches
 
 (* A per-bit column: a count line under [key], then per present bit, in
    switch-id order, an [sw] line followed by the bit's value.  A column
@@ -185,7 +174,7 @@ let codec =
             and+ drop_priority = field (int "drop_priority") (fun r -> r.drop_priority)
             and+ active_epochs = field (int "active_epochs") (fun r -> r.active_epochs)
             and+ satisfied_epochs = field (int "satisfied_epochs") (fun r -> r.satisfied_epochs)
-            and+ accuracy_sum = field (float "accuracy_sum") (fun r -> r.accuracy_sum)
+            and+ accuracy_sum = field (float "accuracy_sum") (fun r -> r.scores.accuracy_sum)
             and+ poor_streak = field (int "poor_streak") (fun r -> r.poor_streak)
             and+ last_alloc_total = field (int "last_alloc_total") (fun r -> r.last_alloc_total)
             and+ staleness = field (int "staleness") (fun r -> r.staleness)
@@ -235,7 +224,7 @@ let codec =
               drop_priority;
               active_epochs;
               satisfied_epochs;
-              accuracy_sum;
+              scores = { accuracy_sum };
               poor_streak;
               last_alloc_total;
               fresh_rules;

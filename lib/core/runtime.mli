@@ -19,6 +19,10 @@ type readings = { mutable keys : int array; mutable vols : float array; mutable 
     [keys.(i)] ({!Dream_prefix.Prefix.key}), [0 <= i < n], in key
     order; [n = -1] when there are none, not even an empty set. *)
 
+type scores = { mutable accuracy_sum : float }
+(** The sum of a task's scored accuracies, alone in its record: a float
+    record stores its fields unboxed, so adding to it allocates nothing. *)
+
 type t = {
   task : Dream_tasks.Task.t;
   source : Dream_traffic.Source.t;
@@ -28,7 +32,7 @@ type t = {
   drop_priority : int;  (** the highest value is dropped first *)
   mutable active_epochs : int;
   mutable satisfied_epochs : int;
-  mutable accuracy_sum : float;
+  scores : scores;
   mutable poor_streak : int;  (** consecutive poor allocation rounds without growth *)
   mutable last_alloc_total : int;
   fresh_rules : int array array;
@@ -84,11 +88,13 @@ val recycle : pool -> live:int -> t -> unit
 
 val id : t -> int
 
-val sorted : (int, t) Hashtbl.t -> t list
-(** The table's runtimes in task-id order. *)
-
 val view : t -> Dream_alloc.Task_view.t
-(** What the allocator sees of the task. *)
+(** The task as admission sees it. *)
+
+val fill_row : Dream_alloc.Task_view.table -> int -> t -> unit
+(** Write the task into a row of the allocation round's table (which has
+    the room): its id, bound and drop priority, and per switch its
+    smoothed overall accuracy and the counters it uses. *)
 
 val codec : t Dream_util.Codec.t
 (** A running task in a checkpoint; each decode builds on fresh storage.

@@ -10,6 +10,9 @@ type t
 val now_ms : t -> float
 (** Current reading in milliseconds.  Monotone non-decreasing. *)
 
+val write : t -> float array -> int -> unit
+(** [write t a i] stores {!now_ms} in [a.(i)], boxing no float. *)
+
 val cpu : t
 (** Process CPU time ([Sys.time]), scaled to milliseconds — the default,
     and exactly the clock the controller used before telemetry existed. *)

@@ -24,10 +24,20 @@ type t = {
   mutable counts : int array;  (** closed epochs, by span *)
   mutable ms : float array;
   mutable gcs : Gc_stats.reading array;
+  now : float array; (* the clock read a [stop] takes *)
 }
 
 let make clock gc =
-  { clock; gc; ids = Hashtbl.create 8; paths = [||]; counts = [||]; ms = [||]; gcs = [||] }
+  {
+    clock;
+    gc;
+    ids = Hashtbl.create 8;
+    paths = [||];
+    counts = [||];
+    ms = [||];
+    gcs = [||];
+    now = [| 0.0 |];
+  }
 
 let create ?(clock = Clock.cpu) ?(gc = Gc_stats.real) () = make clock (Some gc)
 
@@ -49,16 +59,17 @@ let intern t path =
     t.gcs <- extend t.gcs cells Gc_stats.zero;
     span
 
-(* The GC reads sit innermost, so the clock's own boxed float falls
-   outside the words window and a span is charged only its body. *)
+(* The GC reads sit innermost, so a span is charged only its body.  The
+   clock writes its reading into the float columns: no float is boxed. *)
 let start t span =
-  t.ms.(cell span opened) <- Clock.now_ms t.clock;
+  Clock.write t.clock t.ms (cell span opened);
   match t.gc with Some g -> t.gcs.(cell span opened) <- Gc_stats.read g | None -> ()
 
 let stop t span =
   let i = cell span current in
   let gc = match t.gc with Some g -> Gc_stats.read g | None -> Gc_stats.zero in
-  t.ms.(i) <- t.ms.(i) +. (Clock.now_ms t.clock -. t.ms.(cell span opened));
+  Clock.write t.clock t.now 0;
+  t.ms.(i) <- t.ms.(i) +. (t.now.(0) -. t.ms.(cell span opened));
   if Option.is_some t.gc then
     t.gcs.(i) <- Gc_stats.add t.gcs.(i) (Gc_stats.sub gc t.gcs.(cell span opened))
 

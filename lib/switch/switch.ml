@@ -1,7 +1,5 @@
 module Fault_model = Dream_fault.Fault_model
 
-type fetch_error = [ `Down | `Timeout | `Unreachable ]
-
 type install_error = [ `Capacity | `Duplicate | `Down | `Failed | `Unreachable ]
 
 type t = { id : Dream_traffic.Switch_id.t; tcam : Tcam.t; faults : Fault_model.t option }
@@ -30,25 +28,28 @@ let partitioned t =
 let latency_factor t =
   match t.faults with None -> 1.0 | Some fm -> Fault_model.latency_factor fm t.id
 
+let read_down = -1
+
+let read_unreachable = -2
+
+let read_timeout = -3
+
 let read t ~owner aggregate ~keys ~vols =
-  if down t then (Error `Down [@alloc.allow "a static constant"])
+  if down t then read_down
     (* A partition is not a timeout: nothing is routed, so the fetch is
        never issued, never priced, and consumes no data-stream draws.  The
        TCAM keeps counting underneath. *)
-  else if partitioned t then (Error `Unreachable [@alloc.allow "a static constant"])
+  else if partitioned t then read_unreachable
   else begin
     (* The fetch is issued (and priced through the TCAM stats) before the
        timeout verdict: a timed-out batch costs the control loop the same
        wire time as a successful one. *)
     let n = Tcam.read t.tcam ~owner aggregate ~keys ~vols in
     match t.faults with
-    | None -> (Ok n [@alloc.allow "the fetch result: one two-word block per read"])
+    | None -> n
     | Some fm ->
-      if Fault_model.fetch_times_out fm t.id then
-        (Error `Timeout [@alloc.allow "a static constant"])
-      else
-        (Ok (Fault_model.degrade fm t.id ~keys ~vols n)
-         [@alloc.allow "the fetch result: one two-word block per read"])
+      if Fault_model.fetch_times_out fm t.id then read_timeout
+      else Fault_model.degrade fm t.id ~keys ~vols n
   end
 
 let install t ~owner key =

@@ -13,8 +13,6 @@
     underlying {!Tcam} call — same results, same stats — so fault-free
     runs are bit-for-bit identical to driving the TCAM directly. *)
 
-type fetch_error = [ `Down | `Timeout | `Unreachable ]
-
 type install_error = [ `Capacity | `Duplicate | `Down | `Failed | `Unreachable ]
 
 type t
@@ -50,20 +48,23 @@ val latency_factor : t -> float
     inflation); 1.0 without a fault model. *)
 
 val read :
-  t ->
-  owner:int ->
-  Dream_traffic.Aggregate.t ->
-  keys:int array ->
-  vols:float array ->
-  (int, fetch_error) result
+  t -> owner:int -> Dream_traffic.Aggregate.t -> keys:int array -> vols:float array -> int
 (** Fetch one task's counters into the caller's buffers, as
     {!Tcam.read} does (both must hold the owner's {!Tcam.used_by}
-    entries): [Ok n] with the readings in [keys.(0 .. n-1)] and
-    [vols.(0 .. n-1)], in key order.  A [`Timeout] still prices the fetch
-    in the TCAM stats (the bytes were sent; the reply never came), so
-    retries cost modelled control-loop time.  On success, individual
-    counters may have been dropped ([counter_loss_rate]) or perturbed
-    ([perturb_stddev]); the survivors close up in key order. *)
+    entries): the count [n >= 0] with the readings in [keys.(0 .. n-1)]
+    and [vols.(0 .. n-1)], in key order, or a negative code:
+    {!read_down}, {!read_unreachable}, or any other for a timeout.  A timeout
+    still prices the fetch in the TCAM stats (the bytes were sent; the
+    reply never came), so retries cost modelled control-loop time.  On
+    success, individual counters may have been dropped
+    ([counter_loss_rate]) or perturbed ([perturb_stddev]); the survivors
+    close up in key order.  Nothing is allocated. *)
+
+val read_down : int
+(** The switch is down. *)
+
+val read_unreachable : int
+(** The control channel is partitioned: no fetch was issued. *)
 
 val install : t -> owner:int -> int -> (unit, install_error) result
 (** Install the rule of a prefix key ({!Dream_prefix.Prefix.key}). *)

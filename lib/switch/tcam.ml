@@ -12,6 +12,7 @@ type rules = { mutable keys : Bytes.t; mutable n : int }
 type t = {
   capacity : int;
   tables : (int, rules) Hashtbl.t; (* owner -> installed rules *)
+  mutable spare : rules list; (* removed owners' columns, the last removed first *)
   mutable used : int;
   mutable installs : int;
   mutable removals : int;
@@ -20,7 +21,15 @@ type t = {
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Tcam.create: capacity must be positive";
-  { capacity; tables = Hashtbl.create 64; used = 0; installs = 0; removals = 0; fetches = 0 }
+  {
+    capacity;
+    tables = Hashtbl.create 64;
+    spare = [];
+    used = 0;
+    installs = 0;
+    removals = 0;
+    fetches = 0;
+  }
 
 let capacity t = t.capacity
 
@@ -46,7 +55,15 @@ let rules t ~owner =
   match Hashtbl.find t.tables owner with
   | col -> col
   | exception Not_found ->
-    let col = { keys = Bytes.create 64; n = 0 } in
+    (* A new owner takes the column a removed one left, with the room it
+       grew, or a fresh one of 8 rules. *)
+    let col =
+      match t.spare with
+      | col :: rest ->
+        t.spare <- rest;
+        col
+      | [] -> { keys = Bytes.create 64; n = 0 }
+    in
     Hashtbl.replace t.tables owner col;
     col
 
@@ -107,6 +124,8 @@ let remove_owner t ~owner =
     t.used <- t.used - n;
     t.removals <- t.removals + n;
     Hashtbl.remove t.tables owner;
+    col.n <- 0;
+    t.spare <- (col :: t.spare [@alloc.allow "once per retired owner"]);
     n
 
 let read t ~owner aggregate ~keys ~vols =
@@ -126,6 +145,12 @@ let wipe t =
   t.used <- 0
 
 let stats t = { installs = t.installs; removals = t.removals; fetches = t.fetches }
+
+let installs t = t.installs
+
+let removals t = t.removals
+
+let fetches t = t.fetches
 
 let reset_stats t =
   t.installs <- 0;

@@ -45,7 +45,9 @@ type rules
     {!remove_owner} or {!wipe} drops it. *)
 
 val rules : t -> owner:int -> rules
-(** The owner's column (an empty one is made for an owner with none). *)
+(** The owner's column.  An owner with none gets an empty one: the column
+    of the owner {!remove_owner} removed last, with the room it grew, or a
+    fresh one when there is none. *)
 
 val count : rules -> int
 
@@ -67,7 +69,8 @@ val remove : t -> owner:int -> int -> bool
 
 val remove_owner : t -> owner:int -> int
 (** Delete all rules of a task (when it is dropped or ends); returns the
-    number removed. *)
+    number removed.  The owner's column is kept for the next owner
+    {!rules} makes one for. *)
 
 val read :
   t -> owner:int -> Dream_traffic.Aggregate.t -> keys:int array -> vols:float array -> int
@@ -83,6 +86,15 @@ val wipe : t -> unit
     the delay model would otherwise price). *)
 
 val stats : t -> stats
+
+val installs : t -> int
+(** [(stats t).installs], without building the record. *)
+
+val removals : t -> int
+(** [(stats t).removals]. *)
+
+val fetches : t -> int
+(** [(stats t).fetches]. *)
 
 val reset_stats : t -> unit
 

@@ -41,7 +41,7 @@ type t = {
       (* the bits whose filter was ever read or fed: the checkpoint lists
          only those *)
   accuracy_mode : accuracy_mode;
-  mutable allocations : int array; (* per sub-filter bit *)
+  allocations : int array; (* per sub-filter bit *)
   items : Items.t; (* the last report's items, refilled every epoch *)
   estimator : estimator;
   mutable reported_at : int; (* the epoch of [items], -1 before the first report *)
@@ -157,14 +157,23 @@ let decay_accuracy t ?bit ~factor () =
 
 let smoothed_global t = Ewma.value_or t.global_acc 1.0
 
-let overall_accuracy t b = Ewma.value_or (overall_filter t b) 1.0
-
 let configure t ~allocations =
-  t.allocations <- allocations;
+  Array.blit allocations 0 t.allocations 0 (Array.length t.allocations);
   Score.apply t.monitor;
-  Divide_merge.configure t.divide_merge ~allocations
+  Divide_merge.configure t.divide_merge ~allocations:t.allocations
 
 let counters_used t b = Monitor.usage t.monitor b
+
+let allocator_view t ~overall ~used ~pos ~num_switches =
+  for sw = 0 to num_switches - 1 do
+    match Topology.bit_of_switch t.topology sw with
+    | -1 ->
+      overall.(pos + sw) <- 1.0;
+      used.(pos + sw) <- 0
+    | b ->
+      overall.(pos + sw) <- Ewma.value_or t.overall_acc.(b) 1.0;
+      used.(pos + sw) <- Monitor.usage t.monitor b
+  done
 
 (* The (bit, value) pairs of the bits in [mask], in switch-id order. *)
 let by_bit topology mask value =

@@ -89,17 +89,22 @@ val decay_accuracy : t -> ?bit:int -> factor:float -> unit -> unit
     this when a task reports from stale counters — degraded visibility the
     estimators cannot see, which must still reach the allocator. *)
 
-val overall_accuracy : t -> int -> float
-(** EWMA-smoothed [max (global, local)] on the switch of a sub-filter
-    bit — the allocator's input (Section 4). *)
-
 val configure : t -> allocations:int array -> unit
 (** Re-score counters and run divide-and-merge under the new allocations
     (per sub-filter bit, 0 on a switch outside {!switches}).  The task
-    keeps the array. *)
+    copies them into its own array ({!allocations}). *)
 
 val counters_used : t -> int -> int
 (** TCAM entries the task occupies on the switch of a sub-filter bit. *)
+
+val allocator_view :
+  t -> overall:float array -> used:int array -> pos:int -> num_switches:int -> unit
+(** The allocator's input (Section 4), written for every switch [sw] of
+    [0 .. num_switches-1] at [pos + sw]: the EWMA-smoothed
+    [max (global, local)] accuracy on the switch and the TCAM entries the
+    task occupies there ({!counters_used}), or 1.0 and 0 on a switch
+    outside the task's topology.  The values go straight into the arrays,
+    so no float is boxed. *)
 
 val codec : storage:Storage.t -> t Dream_util.Codec.t
 (** The full task state — spec, topology, smoothed accuracies,

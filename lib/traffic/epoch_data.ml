@@ -18,9 +18,7 @@ let of_flows ~epoch groups =
   { epoch; per_switch; combined }
 
 let switch_view t sw =
-  match Switch_id.Map.find_opt sw t.per_switch with
-  | Some a -> a
-  | None -> Aggregate.empty
+  match Switch_id.Map.find sw t.per_switch with a -> a | exception Not_found -> Aggregate.empty
 
 let active_switches t =
   Switch_id.Map.fold (fun sw _ acc -> Switch_id.Set.add sw acc) t.per_switch Switch_id.Set.empty

@@ -10,6 +10,9 @@ module Task_view = Dream_alloc.Task_view
 module Dream_allocator = Dream_alloc.Dream_allocator
 module Membership_allocator = Dream_alloc.Membership_allocator
 module Allocator = Dream_alloc.Allocator
+module Reference = Reference_dream_allocator
+module Rng = Dream_util.Rng
+module Codec = Dream_util.Codec
 
 let params = Step_policy.default_params
 
@@ -55,17 +58,41 @@ let topo01 = topology 2
 let topo0 = topology 1
 
 
-(* A task view with a controllable accuracy cell. *)
+(* A task with controllable accuracy and usage cells, the same on every
+   switch. *)
+type task = {
+  id : int;
+  topology : Topology.t;
+  bound : float;
+  priority : int;
+  accuracy : float ref;
+  used : int ref;
+}
+
 let view ?(topology = topo01) ?(bound = 0.8) ?(priority = 0) ~id ~accuracy ~used () =
-  {
-    Task_view.id;
-    topology;
-    switches = Switch_mask.full topology;
-    bound;
-    drop_priority = priority;
-    overall = (fun _ -> !accuracy);
-    used = (fun _ -> !used);
-  }
+  { id; topology; bound; priority; accuracy; used }
+
+let admission v =
+  { Task_view.id = v.id; topology = v.topology; switches = Switch_mask.full v.topology }
+
+let try_admit a v = Dream_allocator.try_admit a (admission v)
+
+(* One round over [tasks], in list order, on the two-switch allocator. *)
+let reallocate a tasks =
+  let table = Task_view.table ~num_switches:2 in
+  Task_view.reserve table (List.length tasks);
+  table.Task_view.rows <- List.length tasks;
+  List.iteri
+    (fun row v ->
+      table.Task_view.ids.(row) <- v.id;
+      table.Task_view.bounds.(row) <- v.bound;
+      table.Task_view.drop_priorities.(row) <- v.priority;
+      for sw = 0 to 1 do
+        table.Task_view.overall.((row * 2) + sw) <- !(v.accuracy);
+        table.Task_view.used.((row * 2) + sw) <- !(v.used)
+      done)
+    tasks;
+  Dream_allocator.reallocate a table
 
 let mk_allocator ?(config = Dream_allocator.default_config) ?(capacity = 1000) () =
   Dream_allocator.create config ~capacities:[ (0, capacity); (1, capacity) ]
@@ -84,7 +111,7 @@ let test_admit_takes_from_phantom () =
   Alcotest.(check int) "phantom starts at capacity" 1000 (Dream_allocator.phantom a 0);
   let acc = ref 0.0 and used = ref 1 in
   Alcotest.(check bool) "admitted" true
-    (Dream_allocator.try_admit a (view ~id:0 ~accuracy:acc ~used ()));
+    (try_admit a (view ~id:0 ~accuracy:acc ~used ()));
   Alcotest.(check int) "one counter per switch" 2 (total_alloc a ~task_id:0);
   Alcotest.(check int) "phantom decremented" 999 (Dream_allocator.phantom a 0);
   check_invariants a
@@ -101,24 +128,24 @@ let test_admission_rejects_without_headroom () =
   in
   let tasks = List.init 12 mk in
   let admitted =
-    List.filter (fun (v, _) -> Dream_allocator.try_admit a v) tasks
+    List.filter (fun (v, _) -> try_admit a v) tasks
   in
   (* Everyone is poor and demanding: after some rounds the phantom drains
      and admission must refuse new tasks. *)
   let views = List.map fst admitted in
   for _ = 1 to 10 do
-    Dream_allocator.reallocate a views;
+    reallocate a views;
     (* Track each task's usage = its allocation (always demanding). *)
     List.iter
       (fun (v, alloc) ->
         if List.memq v views then
-          alloc := Dream_allocator.allocation_on a ~task_id:v.Task_view.id 0)
+          alloc := Dream_allocator.allocation_on a ~task_id:v.id 0)
       admitted
   done;
   check_invariants a;
   let acc = ref 0.0 and used = ref 1 in
   Alcotest.(check bool) "late arrival rejected" false
-    (Dream_allocator.try_admit a (view ~id:99 ~accuracy:acc ~used ()))
+    (try_admit a (view ~id:99 ~accuracy:acc ~used ()))
 
 let test_redistribution_rich_to_poor () =
   let a = mk_allocator ~capacity:200 () in
@@ -126,8 +153,8 @@ let test_redistribution_rich_to_poor () =
   let rich_used = ref 0 and poor_used = ref 0 in
   let rich = view ~id:0 ~accuracy:rich_acc ~used:rich_used () in
   let poor = view ~id:1 ~accuracy:poor_acc ~used:poor_used () in
-  ignore (Dream_allocator.try_admit a rich);
-  ignore (Dream_allocator.try_admit a poor);
+  ignore (try_admit a rich);
+  ignore (try_admit a poor);
   (* Let the rich task accumulate (it is "demanding" while using all). *)
   let sync_used () =
     rich_used :=
@@ -137,7 +164,7 @@ let test_redistribution_rich_to_poor () =
   in
   for _ = 1 to 8 do
     sync_used ();
-    Dream_allocator.reallocate a [ rich; poor ]
+    reallocate a [ rich; poor ]
   done;
   check_invariants a;
   let rich_total = total_alloc a ~task_id:0 and poor_total = total_alloc a ~task_id:1 in
@@ -151,12 +178,12 @@ let test_allocation_floor () =
   let rich_used = ref 1 and poor_used = ref 100 in
   let rich = view ~id:0 ~accuracy:rich_acc ~used:rich_used () in
   let poor = view ~id:1 ~accuracy:poor_acc ~used:poor_used () in
-  ignore (Dream_allocator.try_admit a rich);
-  ignore (Dream_allocator.try_admit a poor);
+  ignore (try_admit a rich);
+  ignore (try_admit a poor);
   for _ = 1 to 20 do
     poor_used :=
       (Dream_allocator.allocation_on a ~task_id:1 0);
-    Dream_allocator.reallocate a [ rich; poor ]
+    reallocate a [ rich; poor ]
   done;
   check_invariants a;
   List.iter
@@ -166,7 +193,7 @@ let test_allocation_floor () =
 let test_release_returns_to_phantom () =
   let a = mk_allocator () in
   let acc = ref 0.0 and used = ref 1 in
-  ignore (Dream_allocator.try_admit a (view ~id:0 ~accuracy:acc ~used ()));
+  ignore (try_admit a (view ~id:0 ~accuracy:acc ~used ()));
   Dream_allocator.release a ~task_id:0;
   Alcotest.(check int) "phantom restored" 1000 (Dream_allocator.phantom a 0);
   Alcotest.(check int) "no allocation left" 0 (total_alloc a ~task_id:0);
@@ -180,11 +207,11 @@ let test_surplus_flows_to_users () =
   (* neutral: in (bound, bound + hysteresis) *)
   let used = ref 1 in
   let v = view ~id:0 ~accuracy:acc ~used () in
-  ignore (Dream_allocator.try_admit a v);
+  ignore (try_admit a v);
   for _ = 1 to 6 do
     used :=
       (Dream_allocator.allocation_on a ~task_id:0 0);
-    Dream_allocator.reallocate a [ v ]
+    reallocate a [ v ]
   done;
   check_invariants a;
   Alcotest.(check bool) "absorbed idle capacity" true (total_alloc a ~task_id:0 > 50);
@@ -196,18 +223,18 @@ let test_unused_allocation_reclaimed () =
   (* poor but unable to use more counters *)
   let used = ref 1 in
   let v = view ~id:0 ~accuracy:acc ~used () in
-  ignore (Dream_allocator.try_admit a v);
+  ignore (try_admit a v);
   (* Give it a lot while demanding... *)
   for _ = 1 to 6 do
     used :=
       (Dream_allocator.allocation_on a ~task_id:0 0);
-    Dream_allocator.reallocate a [ v ]
+    reallocate a [ v ]
   done;
   let peak = total_alloc a ~task_id:0 in
   (* ...then freeze its usage low: the allocator must reclaim the excess. *)
   used := 4;
   for _ = 1 to 20 do
-    Dream_allocator.reallocate a [ v ]
+    reallocate a [ v ]
   done;
   check_invariants a;
   let final = total_alloc a ~task_id:0 in
@@ -226,9 +253,9 @@ let test_congestion_flag () =
     view ~id:i ~accuracy:acc ~used ()
   in
   let views = List.map mk [ 0; 1; 2; 3 ] in
-  List.iter (fun v -> ignore (Dream_allocator.try_admit a v)) views;
+  List.iter (fun v -> ignore (try_admit a v)) views;
   for _ = 1 to 6 do
-    Dream_allocator.reallocate a views
+    reallocate a views
   done;
   Alcotest.(check bool) "congested" true (Dream_allocator.congested a 0);
   check_invariants a
@@ -242,10 +269,10 @@ let test_drop_priority_order_under_shortage () =
   in
   (* Low priority value = served first under shortage. *)
   let precious = mk 0 0 and expendable = mk 1 100 in
-  ignore (Dream_allocator.try_admit a precious);
-  ignore (Dream_allocator.try_admit a expendable);
+  ignore (try_admit a precious);
+  ignore (try_admit a expendable);
   for _ = 1 to 8 do
-    Dream_allocator.reallocate a [ precious; expendable ]
+    reallocate a [ precious; expendable ]
   done;
   check_invariants a;
   Alcotest.(check bool) "low drop priority got more" true
@@ -266,7 +293,7 @@ let prop_invariants_random_rounds =
             let acc = ref (float_of_int accuracy_pct /. 100.0) in
             let used = ref 10 in
             let v = view ~id ~accuracy:acc ~used () in
-            if Dream_allocator.try_admit a v then Hashtbl.replace tasks id (v, acc, used)
+            if try_admit a v then Hashtbl.replace tasks id (v, acc, used)
           end
           else begin
             (* Perturb accuracies and usage, then run a round. *)
@@ -277,19 +304,108 @@ let prop_invariants_random_rounds =
                   (Dream_allocator.allocation_on a ~task_id:id 0))
               tasks;
             let views = Hashtbl.fold (fun _ (v, _, _) l -> v :: l) tasks [] in
-            Dream_allocator.reallocate a views
+            reallocate a views
           end)
         script;
       Dream_allocator.check_invariants a = Ok ())
+
+(* ---- Differential oracle: the list-based round ---- *)
+
+(* A random script over 4 switches, run on the allocator and on the
+   list-based round it replaced: admissions (with drop-priority ties),
+   releases and rounds, where each admitted task's accuracy per switch is
+   drawn anywhere in [0, 1] or at its bound, and its usage sits at, under
+   or over its allocation.  After every step the two must agree on every
+   admission and on the whole checkpoint text: slots (allocation, step,
+   status memory), phantom, congestion and the last round's poor and rich
+   steps.  Each case is one seed of [Rng], which a failure reports. *)
+let oracle_switches = 4
+
+let oracle_script seed =
+  let rng = Rng.create seed in
+  let policy = Rng.pick rng (Array.of_list Step_policy.all) in
+  let config =
+    { Dream_allocator.headroom_fraction = Rng.pick rng [| 0.0; 0.05; 0.2 |]; policy }
+  in
+  let capacity = Rng.pick rng [| 16; 40; 128; 600 |] in
+  let capacities = List.init oracle_switches (fun sw -> (sw, capacity)) in
+  let a = Dream_allocator.create config ~capacities in
+  let r = Reference.create config ~capacities in
+  let filter = Prefix.of_string "10.0.0.0/8" in
+  let tasks = ref [] (* (view, bound, priority), newest first *) and next_id = ref 0 in
+  let table = Task_view.table ~num_switches:oracle_switches in
+  let agree what =
+    let got = Codec.encode Dream_allocator.codec a and want = Codec.encode Reference.codec r in
+    if got <> want then QCheck.Test.fail_reportf "seed %d, %s: allocator state differs" seed what
+  in
+  for step = 1 to 40 do
+    match Rng.int rng 6 with
+    | 0 | 1 ->
+      let topology =
+        Topology.create (Rng.split rng) ~filter ~num_switches:oracle_switches
+          ~switches_per_task:(Rng.pick rng [| 1; 2; 4 |])
+      in
+      let view =
+        { Task_view.id = !next_id; topology; switches = Switch_mask.full topology }
+      in
+      incr next_id;
+      let admitted = Dream_allocator.try_admit a view in
+      if admitted <> Reference.try_admit r view then
+        QCheck.Test.fail_reportf "seed %d, step %d: admissions differ" seed step;
+      if admitted then
+        tasks := (view, Rng.pick rng [| 0.5; 0.8; 0.95 |], Rng.int rng 3) :: !tasks;
+      agree "admission"
+    | 2 when !tasks <> [] ->
+      let victim, _, _ = List.nth !tasks (Rng.int rng (List.length !tasks)) in
+      let id = victim.Task_view.id in
+      Dream_allocator.release a ~task_id:id;
+      Reference.release r ~task_id:id;
+      tasks := List.filter (fun (v, _, _) -> v.Task_view.id <> id) !tasks;
+      agree "release"
+    | _ ->
+      (* Rows in id order, as the controller fills them. *)
+      let rows = List.rev !tasks in
+      Task_view.reserve table (List.length rows);
+      table.Task_view.rows <- List.length rows;
+      List.iteri
+        (fun row ((view : Task_view.t), bound, priority) ->
+          table.Task_view.ids.(row) <- view.Task_view.id;
+          table.Task_view.bounds.(row) <- bound;
+          table.Task_view.drop_priorities.(row) <- priority;
+          for sw = 0 to oracle_switches - 1 do
+            let cell = (row * oracle_switches) + sw in
+            table.Task_view.overall.(cell) <-
+              (match Rng.int rng 4 with
+              | 0 -> bound
+              | 1 -> bound +. Reference.hysteresis
+              | _ -> Rng.float rng 1.0);
+            let alloc = Dream_allocator.allocation_on a ~task_id:view.Task_view.id sw in
+            table.Task_view.used.(cell) <-
+              (match Rng.int rng 3 with
+              | 0 -> alloc
+              | 1 -> max 0 (alloc - 1 - Rng.int rng 8)
+              | _ -> alloc + 1 + Rng.int rng 8)
+          done)
+        rows;
+      Dream_allocator.reallocate a table;
+      Reference.reallocate r table;
+      agree (Printf.sprintf "round at step %d" step)
+  done;
+  true
+
+let prop_matches_list_round =
+  QCheck.Test.make ~name:"allocation round = list-based reference round" ~count:300
+    QCheck.(int_bound 1_000_000)
+    oracle_script
 
 (* ---- Equal ---- *)
 
 let test_equal_shares () =
   let e = Membership_allocator.create Membership_allocator.Equal ~capacities:[ (0, 100) ] in
   let mk i = view ~topology:topo0 ~id:i ~accuracy:(ref 0.5) ~used:(ref 1) () in
-  ignore (Membership_allocator.try_admit e (mk 0));
-  ignore (Membership_allocator.try_admit e (mk 1));
-  ignore (Membership_allocator.try_admit e (mk 2));
+  ignore (Membership_allocator.try_admit e (admission (mk 0)));
+  ignore (Membership_allocator.try_admit e (admission (mk 1)));
+  ignore (Membership_allocator.try_admit e (admission (mk 2)));
   let total =
     List.fold_left
       (fun acc id ->
@@ -306,7 +422,7 @@ let test_equal_more_tasks_than_capacity () =
   let e = Membership_allocator.create Membership_allocator.Equal ~capacities:[ (0, 2) ] in
   let mk i = view ~topology:topo0 ~id:i ~accuracy:(ref 0.5) ~used:(ref 1) () in
   List.iter
-    (fun i -> Alcotest.(check bool) "Equal admits" true (Membership_allocator.try_admit e (mk i)))
+    (fun i -> Alcotest.(check bool) "Equal admits" true (Membership_allocator.try_admit e (admission (mk i))))
     [ 0; 1; 2; 3 ];
   let allocs =
     List.map
@@ -321,14 +437,14 @@ let test_equal_more_tasks_than_capacity () =
 let test_fixed_admission () =
   let f = Membership_allocator.create (Membership_allocator.Fixed 4) ~capacities:[ (0, 100) ] in
   let mk i = view ~topology:topo0 ~id:i ~accuracy:(ref 0.5) ~used:(ref 1) () in
-  Alcotest.(check bool) "1" true (Membership_allocator.try_admit f (mk 0));
+  Alcotest.(check bool) "1" true (Membership_allocator.try_admit f (admission (mk 0)));
   Alcotest.(check int) "share" 25 (Membership_allocator.allocation_on f ~task_id:0 0);
-  Alcotest.(check bool) "2" true (Membership_allocator.try_admit f (mk 1));
-  Alcotest.(check bool) "3" true (Membership_allocator.try_admit f (mk 2));
-  Alcotest.(check bool) "4" true (Membership_allocator.try_admit f (mk 3));
-  Alcotest.(check bool) "5 rejected" false (Membership_allocator.try_admit f (mk 4));
+  Alcotest.(check bool) "2" true (Membership_allocator.try_admit f (admission (mk 1)));
+  Alcotest.(check bool) "3" true (Membership_allocator.try_admit f (admission (mk 2)));
+  Alcotest.(check bool) "4" true (Membership_allocator.try_admit f (admission (mk 3)));
+  Alcotest.(check bool) "5 rejected" false (Membership_allocator.try_admit f (admission (mk 4)));
   Membership_allocator.release f ~task_id:0;
-  Alcotest.(check bool) "admits again after release" true (Membership_allocator.try_admit f (mk 5))
+  Alcotest.(check bool) "admits again after release" true (Membership_allocator.try_admit f (admission (mk 5)))
 
 let test_fixed_invalid () =
   Alcotest.check_raises "k = 0"
@@ -378,6 +494,7 @@ let () =
           Alcotest.test_case "priority under shortage" `Quick
             test_drop_priority_order_under_shortage;
           QCheck_alcotest.to_alcotest prop_invariants_random_rounds;
+          QCheck_alcotest.to_alcotest prop_matches_list_round;
         ] );
       ( "equal",
         [

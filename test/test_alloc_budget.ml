@@ -15,6 +15,14 @@ module Profile = Dream_obs.Profile
 module Gc_stats = Dream_obs.Gc_stats
 module Json = Dream_obs.Json
 module Experiment = Dream_sim.Experiment
+module Controller = Dream_core.Controller
+module Rng = Dream_util.Rng
+module Prefix = Dream_prefix.Prefix
+module Topology = Dream_traffic.Topology
+module Generator = Dream_traffic.Generator
+module Traffic_profile = Dream_traffic.Profile
+module Source = Dream_traffic.Source
+module Task_spec = Dream_tasks.Task_spec
 
 (* dune runs tests from _build/default/test; a manual `./test_….exe` from
    the repo root also works thanks to the second candidate. *)
@@ -101,6 +109,90 @@ let check_history_independent () =
         (phase_words (profiled_run ~pad)))
     [ 1; 16; 77_000 ]
 
+(* ---- the steady state ---- *)
+
+(* Six tasks admitted at epoch 0 that outlive the run, on 8 switches of
+   1,024 entries, each replaying four pre-drawn epochs of its own traffic
+   in a cycle: the draw hands back a stored epoch and allocates nothing.
+   After [warm_epochs] ticks every table has grown, and nothing is admitted
+   or retired. *)
+let warm_epochs = 60
+
+let measured_epochs = 20
+
+let fixed_controller ~telemetry =
+  let config = { Config.default with Config.telemetry } in
+  let controller =
+    Controller.create ~config ~strategy:Experiment.dream_strategy ~num_switches:8 ~capacity:1024
+  in
+  let rng = Rng.create 11 in
+  List.iteri
+    (fun i kind ->
+      let filter = Prefix.nth_descendant Prefix.root ~length:12 (16 + i) in
+      let spec = Task_spec.make ~kind ~filter ~leaf_length:24 ~threshold:8.0 () in
+      let topology = Topology.create rng ~filter ~num_switches:8 ~switches_per_task:4 in
+      let generator =
+        Generator.create (Rng.split rng) ~topology
+          ~profile:(Traffic_profile.default ~threshold:8.0)
+      in
+      let epochs = Array.init 4 (fun _ -> Generator.next generator) in
+      match Controller.submit controller ~spec ~topology ~source:(Source.replay epochs) ~duration:1_000 with
+      | `Admitted _ -> ()
+      | `Rejected -> Alcotest.fail "a fixed task was rejected")
+    Task_spec.
+      [ Heavy_hitter; Hierarchical_heavy_hitter; Change_detection; Heavy_hitter;
+        Hierarchical_heavy_hitter; Change_detection ];
+  for _ = 1 to warm_epochs do
+    Controller.tick controller
+  done;
+  controller
+
+(* Words of one measured tick of each of the [measured_epochs] epochs. *)
+let tick_words controller =
+  List.init measured_epochs (fun _ ->
+      let before = Gc_stats.read Gc_stats.real in
+      Controller.tick controller;
+      alloc_words (Gc_stats.sub (Gc_stats.read Gc_stats.real) before))
+
+(* Words each span took in each of the [measured_epochs] epochs. *)
+let span_words controller profile spans =
+  let read name =
+    match Profile.find profile name with Some s -> alloc_words s.Profile.gc | None -> 0.0
+  in
+  List.init measured_epochs (fun _ ->
+      let before = List.map read spans in
+      Controller.tick controller;
+      List.map2 (fun name b -> read name -. b) spans before)
+
+(* The control loop outside the per-task estimators and divide-and-merge
+   allocates (almost) nothing once warm: the allocation round nothing at
+   all, and the rest of the tick under 200 words (it reads 60: the
+   ground-truth scores' boxes and the epoch's delay sample).  Telemetry
+   allocates its records, so the tick's own words come from a run without
+   it; estimate and configure, which do the same work in both runs, from a
+   profiled one. *)
+let check_steady_state () =
+  let profile = Profile.create () in
+  let traced = fixed_controller ~telemetry:(Some (Telemetry.create ~profile ())) in
+  let spans =
+    span_words traced profile [ "epoch/allocate"; "epoch/estimate"; "epoch/configure" ]
+  in
+  let plain = fixed_controller ~telemetry:None in
+  let ticks = tick_words plain in
+  Alcotest.(check int) "the task set is fixed" 6 (Controller.active_tasks plain);
+  List.iteri
+    (fun i (tick, phases) ->
+      match phases with
+      | [ allocate; estimate; configure ] ->
+        if allocate <> 0.0 then
+          Alcotest.failf "epoch %d: epoch/allocate allocates %.0f words" i allocate;
+        let rest = tick -. estimate -. configure in
+        if rest >= 200.0 then
+          Alcotest.failf "epoch %d: the tick outside estimate and configure allocates %.0f words"
+            i rest
+      | _ -> assert false)
+    (List.combine ticks spans)
+
 let () =
   Alcotest.run "dream.alloc_budget"
     [
@@ -108,5 +200,7 @@ let () =
         [
           Alcotest.test_case "flat backend under budget" `Slow check_budgets;
           Alcotest.test_case "span words independent of history" `Slow check_history_independent;
+          Alcotest.test_case "a warmed tick allocates nothing outside its tasks" `Slow
+            check_steady_state;
         ] );
     ]

@@ -471,7 +471,10 @@ let prop_drop_policy_model =
           None model
         |> Option.map fst
       in
-      let victim = Drop_policy.victim ~allocator ~threshold:c.threshold runtimes in
+      let victim =
+        Drop_policy.victim ~allocator ~threshold:c.threshold (Array.of_list runtimes)
+          (List.length runtimes)
+      in
       Option.map Runtime.id victim = expected
       && List.for_all2
            (fun r (_, _, total, last, streak, _) ->
@@ -678,7 +681,10 @@ let test_fetch_bounded_staleness () =
   done;
   let tasks = List.map task [ 1; 2; 3; 4 ] in
   List.iter2 (fun (r : Runtime.t) s -> r.staleness <- s) tasks [ 0; 2; 0; 2 ];
-  let ids f = List.map Runtime.id (Fetch.schedule f tasks) in
+  let ids f =
+    let order = Fetch.schedule f (Array.of_list tasks) (List.length tasks) in
+    List.init (List.length tasks) (fun i -> Runtime.id order.(i))
+  in
   Alcotest.(check (list int)) "most stale first, ties in id order" [ 2; 4; 1; 3 ] (ids degraded);
   Alcotest.(check (list int)) "no reordering outside degraded mode" [ 1; 2; 3; 4 ]
     (ids faults_only)
@@ -723,7 +729,8 @@ let prop_rule_sync_matches_set_diff =
         Rule_sync.create ~switches ~install_budget:budget
           ~tallies:(Metrics.Tallies.of_registry registry)
       in
-      let removed = List.fold_left ( + ) 0 (Rule_sync.sync sync [ r ]) in
+      Rule_sync.sync sync [| r |] 1;
+      let removed = Rule_sync.removed sync 0 in
       let topology = Task.topology task in
       removed = Array.fold_left (fun acc (n, _, _) -> acc + n) 0 expected
       && Array.for_all2

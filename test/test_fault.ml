@@ -173,12 +173,13 @@ let test_data_plane_down_refuses () =
   | Error (`Down | `Unreachable) -> ()
   | Ok _ -> Alcotest.fail "remove on a down switch must refuse"
 
-(* Minor words a faulty read allocates: its [Ok] block, two words, and
-   nothing per counter.  A switch holding 1,000 rules is read under 5%
-   counter loss and 0.005 perturbation, 50 times to warm up and then 200
-   times measured one by one, net of an empty measured region.  (Before
-   the draws became one column pass, the same reads cost ~11.5 words a
-   counter.) *)
+(* Minor words a faulty read allocates: none, since its result is the
+   count (or a negative code), and nothing per counter.  A switch holding
+   1,000 rules is read under 5% counter loss and 0.005 perturbation, 50
+   times to warm up and then 200 times measured one by one, net of an
+   empty measured region.  (Before the draws became one column pass, the
+   same reads cost ~11.5 words a counter; before the result became an int,
+   two words a read for its [Ok] block.) *)
 let test_faulty_read_allocates_its_result () =
   let spec =
     { Fault_model.zero with Fault_model.counter_loss_rate = 0.05; perturb_stddev = 0.005 }
@@ -202,9 +203,9 @@ let test_faulty_read_allocates_its_result () =
   let keys = Array.make n 0 and vols = Array.make n 0.0 in
   let survivors = ref 0 in
   let read () =
-    match Switch.read sw ~owner:1 aggregate ~keys ~vols with
-    | Ok kept -> survivors := !survivors + kept
-    | Error _ -> Alcotest.fail "read must succeed"
+    let kept = Switch.read sw ~owner:1 aggregate ~keys ~vols in
+    if kept < 0 then Alcotest.fail "read must succeed";
+    survivors := !survivors + kept
   in
   let minor_words f =
     let before = Gc_stats.read Gc_stats.real in
@@ -225,7 +226,7 @@ let test_faulty_read_allocates_its_result () =
     (Printf.sprintf "counters lost and kept (%d of %d kept)" !survivors (200 * n))
     true
     (!survivors > 0 && !survivors < 200 * n);
-  Alcotest.(check (float 0.0)) "minor words over 200 reads" 400.0 !words
+  Alcotest.(check (float 0.0)) "minor words over 200 reads" 0.0 !words
 
 (* ---- Controller under faults ---- *)
 
@@ -399,7 +400,9 @@ let test_stale_decay_bounds () =
   Alcotest.(check (float 1e-9)) "no-op before the first estimate" 1.0
     (Dream_tasks.Task.smoothed_global task);
   Alcotest.(check bool) "switch-level accuracy bounded" true
-    (let a = Dream_tasks.Task.overall_accuracy task 0 in
+    (let overall = Array.make 2 0.0 and used = Array.make 2 0 in
+     Dream_tasks.Task.allocator_view task ~overall ~used ~pos:0 ~num_switches:2;
+     let a = overall.(Topology.switch_of_bit topology 0) in
      a >= 0.0 && a <= 1.0)
 
 let test_stale_run_decay_lowers_accuracy () =

@@ -9,6 +9,7 @@ module Aggregate = Dream_traffic.Aggregate
 module Tcam = Dream_switch.Tcam
 module Switch = Dream_switch.Switch
 module Delay_model = Dream_switch.Delay_model
+module Gc_stats = Dream_obs.Gc_stats
 
 let p = Prefix.of_string
 
@@ -90,6 +91,31 @@ let test_remove_owner () =
   Alcotest.(check int) "removed two" 2 (Tcam.remove_owner t ~owner:1);
   Alcotest.(check int) "other owner kept" 1 (Tcam.used t);
   Alcotest.(check (list int)) "owners" [ 2 ] (List.map fst (Tcam.dump t))
+
+(* A removed owner's column goes to the next new owner with the room it
+   grew: the 100 installs that grew it once do not grow it again. *)
+let test_column_recycled () =
+  let t = Tcam.create ~capacity:256 in
+  let keys =
+    List.init 100 (fun i -> Prefix.key (Prefix.nth_descendant (p "10.0.0.0/8") ~length:24 i))
+  in
+  List.iter (fun key -> ignore (Tcam.install t ~owner:1 key)) keys;
+  let grown = Tcam.rules t ~owner:1 in
+  Alcotest.(check int) "removed" 100 (Tcam.remove_owner t ~owner:1);
+  let col = Tcam.rules t ~owner:2 in
+  Alcotest.(check bool) "the new owner's column is the removed owner's" true (col == grown);
+  Alcotest.(check int) "and holds nothing" 0 (Tcam.count col);
+  let minor_words f =
+    let before = Gc_stats.read Gc_stats.real in
+    f ();
+    (Gc_stats.sub (Gc_stats.read Gc_stats.real) before).Gc_stats.minor_words
+  in
+  let empty = minor_words ignore in
+  let install key = ignore (Tcam.install t ~owner:2 key) in
+  let words = minor_words (fun () -> List.iter install keys) in
+  Alcotest.(check (float 0.0)) "installing into it allocates nothing" 0.0 (words -. empty);
+  Alcotest.(check int) "every rule landed" 100 (Tcam.used_by t ~owner:2);
+  Alcotest.(check bool) "a fresh owner gets a fresh column" true (Tcam.rules t ~owner:3 != grown)
 
 let test_sync_incremental () =
   let t = Tcam.create ~capacity:8 in
@@ -361,6 +387,7 @@ let () =
           Alcotest.test_case "capacity enforced" `Quick test_capacity_enforced;
           Alcotest.test_case "same prefix, two owners" `Quick test_same_prefix_two_owners;
           Alcotest.test_case "remove owner" `Quick test_remove_owner;
+          Alcotest.test_case "a new owner reuses a removed column" `Quick test_column_recycled;
           Alcotest.test_case "incremental sync" `Quick test_sync_incremental;
           Alcotest.test_case "sync capacity guard" `Quick test_sync_capacity_guard;
           Alcotest.test_case "read counters" `Quick test_read_counters;
