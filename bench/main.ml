@@ -85,7 +85,6 @@ let micro_tests () =
   for i = 0 to 63 do
     views.Task_view.ids.(i) <- i;
     views.Task_view.bounds.(i) <- 0.8;
-    views.Task_view.drop_priorities.(i) <- i;
     views.Task_view.overall.(i) <- Rng.float acc_rng 1.0;
     views.Task_view.used.(i) <- 64;
     ignore

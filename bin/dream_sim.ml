@@ -369,7 +369,7 @@ let degraded_mode (scenario, strategy) levels fault_seed deadline_fraction telem
       let* () = telemetry_dir_ready dir in
       Ok (Some (Telemetry.create ()))
   in
-  let degraded = { Config.default_degraded with Config.deadline_fraction } in
+  let degraded = { Config.deadline_fraction } in
   Format.printf "scenario: %a@." Scenario.pp scenario;
   Format.printf "strategy: %s   adversity levels: %s   deadline %.0f%% of epoch@.@."
     (Allocator.strategy_name strategy)

@@ -25,8 +25,10 @@ val force_admit : t -> Task_view.t -> unit
 val release : t -> task_id:int -> unit
 
 val reallocate : t -> Task_view.table -> unit
-(** Run one allocation round (a no-op for Equal and Fixed, whose
-    allocations are purely membership-derived). *)
+(** Run one allocation round over the table's rows, in ascending id
+    order (a no-op for Equal and Fixed, whose allocations are purely
+    membership-derived).  @raise Invalid_argument from DREAM's round on
+    rows out of id order. *)
 
 val allocation_on : t -> task_id:int -> Dream_traffic.Switch_id.t -> int
 (** The task's allocation on a switch, 0 where it holds none. *)

@@ -50,14 +50,12 @@ type sw_state = {
 (* One switch's round at a time works in these columns.  They hold an
    entry per slot the switch has, and grow (by doubling) when a slot is
    made, never in a round, so a round allocates nothing.  [held.(i)] is
-   the switch's slot for view row [rows.(i)] (row order), with that row's
-   drop priority in [priority.(i)]; [poor], [rich] and [takers] list
-   indices into [held]; [caps], [shares], [remainders] and [order] are
-   [distribute]'s. *)
+   the switch's slot for view row [rows.(i)] (row order, so task-id
+   order); [poor], [rich] and [takers] list indices into [held]; [caps],
+   [shares], [remainders] and [order] are [distribute]'s. *)
 type work = {
   mutable held : slot array;
   mutable rows : int array;
-  mutable priority : int array;
   mutable poor : int array;
   mutable rich : int array;
   mutable takers : int array;
@@ -71,7 +69,6 @@ let work () =
   {
     held = [||];
     rows = [||];
-    priority = [||];
     poor = [||];
     rich = [||];
     takers = [||];
@@ -91,7 +88,6 @@ let reserve sc n slot =
     Array.blit sc.held 0 held 0 (Array.length sc.held);
     sc.held <- held;
     sc.rows <- grow sc.rows n 0;
-    sc.priority <- grow sc.priority n 0;
     sc.poor <- grow sc.poor n 0;
     sc.rich <- grow sc.rich n 0;
     sc.takers <- grow sc.takers n 0;
@@ -128,8 +124,6 @@ let create config ~capacities =
 let state t sw =
   if sw < 0 || sw >= Array.length t.states then invalid_arg "Dream_allocator: unknown switch";
   t.states.(sw)
-
-let phantom t sw = (state t sw).phantom [@@lint.allow "oracle hook: test/test_alloc.ml"]
 
 let effective_headroom t sw =
   let s = state t sw in
@@ -198,8 +192,8 @@ let total_of t ~task_id = total_from t task_id 0 0
 let rec sum_to a n i acc = if i = n then acc else sum_to a n (i + 1) (acc + a.(i))
 
 (* In-place heap sort of [a.(0 .. n-1)] into the order [before sc]
-   defines.  Both orders sorted here are total, so the result is the one
-   any sort (the stable list sort included) gives. *)
+   defines.  The order sorted here is total, so the result is the one any
+   sort (the stable list sort included) gives. *)
 let rec sift before sc a i n =
   let l = (2 * i) + 1 in
   if l < n then begin
@@ -280,7 +274,6 @@ let rec hold_rows sc s (v : Task_view.table) row m =
     | slot ->
       sc.held.(m) <- slot;
       sc.rows.(m) <- row;
-      sc.priority.(m) <- v.Task_view.drop_priorities.(row);
       hold_rows sc s v (row + 1) (m + 1)
     | exception Not_found -> hold_rows sc s v (row + 1) m
   end
@@ -353,11 +346,6 @@ let rec grant_all sc np j pool =
     slot.changed <- grant > 0;
     grant_all sc np (j + 1) (pool - grant)
   end
-
-(* Drop priority ascending, ties by task id. *)
-let by_priority sc i j =
-  let a = sc.priority.(i) and b = sc.priority.(j) in
-  a < b || (a = b && sc.held.(i).task_id < sc.held.(j).task_id)
 
 (* Serve the poor tasks in [sc.poor]'s order, full steps while the pool
    lasts; returns what is left of it. *)
@@ -436,8 +424,8 @@ let reallocate_switch t s (v : Task_view.table) =
   end
   else begin
     (* Poor tasks may drain the phantom below its target (they steal from
-       the lowest-drop-priority task); the phantom keeps only what rich
-       supply already replaced. *)
+       the headroom every later admission needs); the phantom keeps only
+       what rich supply already replaced. *)
     let borrow = if pool < sp then min s.phantom (sp - pool) else 0 in
     s.phantom <- s.phantom - borrow;
     let pool = pool + borrow in
@@ -447,11 +435,11 @@ let reallocate_switch t s (v : Task_view.table) =
          refills the phantom. *)
       s.phantom <- s.phantom + grant_all sc np 0 pool
     else begin
-      (* Shortage: serve poor tasks in drop-priority order (lowest value =
-         dropped last = served first), full steps while the pool lasts.
-         Whatever the growth envelopes kept the poor tasks from absorbing
-         goes back to headroom. *)
-      heap_sort by_priority sc sc.poor np;
+      (* Shortage: serve poor tasks in drop order, the earliest arrival
+         (dropped last) first: [sc.poor] is in row order, which is id
+         order.  Full steps while the pool lasts; whatever the growth
+         envelopes kept the poor tasks from absorbing goes back to
+         headroom. *)
       s.phantom <- s.phantom + grant_while sc np 0 pool
     end
   end;
@@ -483,6 +471,10 @@ let distribute_surplus t s (v : Task_view.table) m =
   end
 
 let reallocate t (v : Task_view.table) =
+  for row = 1 to v.Task_view.rows - 1 do
+    if v.Task_view.ids.(row - 1) >= v.Task_view.ids.(row) then
+      invalid_arg "Dream_allocator.reallocate: rows out of task-id order"
+  done;
   for sw = 0 to Array.length t.states - 1 do
     let s = t.states.(sw) in
     distribute_surplus t s v (reallocate_switch t s v)

@@ -4,8 +4,8 @@
     step size.  Every allocation epoch, tasks are classified rich (overall
     accuracy above bound + 0.1, the hysteresis delta), poor (below bound)
     or neutral; rich tasks surrender their step, poor tasks receive the
-    pooled resources in proportion to their steps (full steps first for
-    tasks with the lowest drop priority when the pool falls short).  Step
+    pooled resources in proportion to their steps (full steps in arrival
+    order, the earliest task first, when the pool falls short).  Step
     sizes grow when a change leaves the status unchanged and shrink when
     the status flips (Figure 4; MM by default), by factor 2 or addend 4,
     kept within \[1, 128\].
@@ -52,9 +52,10 @@ val release : t -> task_id:int -> unit
 
 val reallocate : t -> Task_view.table -> unit
 (** One allocation round over every switch.  The table's rows must be
-    exactly the currently admitted tasks.  The round works in columns the
-    allocator keeps, which grow when a task is admitted (or a slot forced
-    or restored), so a round allocates nothing. *)
+    exactly the currently admitted tasks, in ascending id order.  The
+    round works in columns the allocator keeps, which grow when a task is
+    admitted (or a slot forced or restored), so a round allocates nothing.
+    @raise Invalid_argument on rows out of id order. *)
 
 val allocation_on : t -> task_id:int -> Dream_traffic.Switch_id.t -> int
 (** The task's allocation on a switch, 0 where it holds none.
@@ -62,9 +63,6 @@ val allocation_on : t -> task_id:int -> Dream_traffic.Switch_id.t -> int
 
 val total_of : t -> task_id:int -> int
 (** The task's allocation summed over every switch. *)
-
-val phantom : t -> Dream_traffic.Switch_id.t -> int
-(** Current phantom (unallocated) entries on a switch. *)
 
 val congested : t -> Dream_traffic.Switch_id.t -> bool
 (** Whether the last round's poor demand outstripped rich supply plus

@@ -9,7 +9,6 @@ type table = {
   mutable rows : int;
   mutable ids : int array;
   mutable bounds : float array;
-  mutable drop_priorities : int array;
   mutable overall : float array;
   mutable used : int array;
 }
@@ -20,7 +19,6 @@ let table ~num_switches =
     rows = 0;
     ids = [||];
     bounds = [||];
-    drop_priorities = [||];
     overall = [||];
     used = [||];
   }
@@ -30,7 +28,6 @@ let reserve v rows =
     let len = max rows (2 * Array.length v.ids) in
     v.ids <- Array.make len 0;
     v.bounds <- Array.make len 0.0;
-    v.drop_priorities <- Array.make len 0;
     v.overall <- Array.make (len * v.num_switches) 0.0;
     v.used <- Array.make (len * v.num_switches) 0
   end

@@ -1,8 +1,9 @@
 (** What an allocator is allowed to see of a task: its identity, the
-    switches it needs counters on, its accuracy bound, its drop priority,
-    and the smoothed overall accuracy per switch (Section 4).  Allocators
-    never see reports, counters or traffic — that separation is what makes
-    DREAM's allocation local and task-type-independent. *)
+    switches it needs counters on, its accuracy bound, and the smoothed
+    overall accuracy per switch (Section 4).  Its id is also its place in
+    the drop order: tasks drop in arrival order, the latest first.
+    Allocators never see reports, counters or traffic — that separation
+    is what makes DREAM's allocation local and task-type-independent. *)
 
 type t = {
   id : int;
@@ -12,7 +13,8 @@ type t = {
 (** A task at admission: the switches it asks for entries on. *)
 
 (** Every admitted task as one allocation round sees it: one row per task,
-    in the order the round visits them.  The owner sets [rows] and refills
+    in ascending id order, which is the order the round visits them (and
+    serves poor tasks in under shortage).  The owner sets [rows] and refills
     the columns in place before each round, and grows them ({!reserve})
     when a task is admitted, so a round allocates nothing.  The per-switch
     columns are indexed [row * num_switches + sw]. *)
@@ -21,7 +23,6 @@ type table = {
   mutable rows : int;  (** rows in use *)
   mutable ids : int array;
   mutable bounds : float array;  (** target accuracy bound in \[0, 1\] *)
-  mutable drop_priorities : int array;  (** higher = dropped first *)
   mutable overall : float array;
       (** smoothed [max (global, local)] accuracy of the row's task on a
           switch (1.0 on a switch outside its topology) *)

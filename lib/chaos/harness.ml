@@ -148,7 +148,7 @@ let run ?(canary = false) (sched : Schedule.t) =
   let fired = ref false in
   let prev_breakers = ref (Controller.breaker_states (Drive.controller drive)) in
   let prev_stale = Hashtbl.create 16 in
-  let cap = Config.default_degraded.Config.shed_max_staleness in
+  let cap = Dream_core.Fetch.shed_max_staleness in
   let add vs = violations := vs @ !violations in
   for epoch = 0 to scenario.Scenario.total_epochs - 1 do
     let model_epoch = epoch + 1 in

@@ -41,8 +41,8 @@ val staleness :
   controller:Dream_core.Controller.t ->
   prev:(int, int) Hashtbl.t ->
   violation list
-(** Bounded staleness: past [cap] (the degraded config's
-    [shed_max_staleness]), a task's stale streak may only grow while one
+(** Bounded staleness: past [cap]
+    ({!Dream_core.Fetch.shed_max_staleness}), a task's stale streak may only grow while one
     of its switches is down, partitioned or behind a non-closed breaker,
     or while a scripted noise window ([noise_active]) is open.  Growth
     beyond the cap in calm conditions means the deadline scheduler shed a

@@ -38,35 +38,35 @@ let delay_costs =
 
 (* The fault spec is not part of this section: the live fault model (RNG
    streams and all) is serialized separately, and the restored config gets
-   its spec from there.  The EWMA history, the epoch length and the delay
-   model's costs are constants: their lines must hold exactly the values
-   the build writes. *)
+   its spec from there.  The EWMA history, the epoch length, the delay
+   model's costs and degraded mode's breaker and staleness bounds are
+   constants: their lines must hold exactly the values the build
+   writes. *)
 let config_codec =
   let open C in
   let costs = all (List.map (fun (key, v) -> constant (float key) v) delay_costs) in
   let flag name ~yes ~no = conv (fun b -> if b then yes else no) (fun v -> v = yes) (bool name) in
   let degraded =
     record
-      (let+ failure_threshold =
-         field (int "breaker_threshold") (fun d -> d.Config.breaker.Breaker.failure_threshold)
-       and+ cooldown_epochs =
-         field (int "breaker_cooldown") (fun d -> d.Config.breaker.Breaker.cooldown_epochs)
+      (let+ () = field (constant (int "breaker_threshold") Breaker.failure_threshold) ignore
+       and+ () = field (constant (int "breaker_cooldown") Breaker.cooldown_epochs) ignore
        and+ deadline_fraction =
          field (float "deadline_fraction") (fun d -> d.Config.deadline_fraction)
-       and+ shed_max_staleness =
-         field (int "shed_max_staleness") (fun d -> d.Config.shed_max_staleness)
-       in
-       {
-         Config.breaker = { Breaker.failure_threshold; cooldown_epochs };
-         deadline_fraction;
-         shed_max_staleness;
-       })
+       and+ () = field (constant (int "shed_max_staleness") Fetch.shed_max_staleness) ignore in
+       { Config.deadline_fraction })
   in
   section "config"
     (record
        (let+ allocation_interval =
           field (int "allocation_interval") (fun c -> c.Config.allocation_interval)
-        and+ drop_threshold = field (int "drop_threshold") (fun c -> c.Config.drop_threshold)
+        and+ drop_threshold =
+          field
+            (conv
+               (fun n ->
+                 if n < 1 then refuse (Printf.sprintf "drop_threshold must be >= 1, got %d" n);
+                 n)
+               Fun.id (int "drop_threshold"))
+            (fun c -> c.Config.drop_threshold)
         and+ () = field (constant (float "accuracy_history") Task.accuracy_history) ignore
         and+ () = field (constant (float "epoch_ms") Delay_model.epoch_ms) ignore
         and+ control_delay =

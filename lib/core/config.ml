@@ -1,11 +1,6 @@
-type degraded = {
-  breaker : Dream_switch.Breaker.config;
-  deadline_fraction : float;
-  shed_max_staleness : int;
-}
+type degraded = { deadline_fraction : float }
 
-let default_degraded =
-  { breaker = Dream_switch.Breaker.default_config; deadline_fraction = 0.8; shed_max_staleness = 4 }
+let default_degraded = { deadline_fraction = 0.8 }
 
 type t = {
   allocation_interval : int;
@@ -41,21 +36,18 @@ let validate t =
   if t.allocation_interval < 1 then
     invalid_arg
       (Printf.sprintf "Config: allocation_interval must be >= 1, got %d" t.allocation_interval);
+  if t.drop_threshold < 1 then
+    invalid_arg (Printf.sprintf "Config: drop_threshold must be >= 1, got %d" t.drop_threshold);
   (match t.install_budget with
   | Some b when b < 1 ->
     invalid_arg (Printf.sprintf "Config: install_budget must be >= 1, got %d" b)
   | Some _ | None -> ());
   match t.degraded with
-  | Some d ->
-    if not (d.deadline_fraction > 0.0 && d.deadline_fraction <= 1.0) then
-      invalid_arg
-        (Printf.sprintf "Config: degraded.deadline_fraction must be in (0, 1], got %g"
-           d.deadline_fraction);
-    if d.shed_max_staleness < 1 then
-      invalid_arg
-        (Printf.sprintf "Config: degraded.shed_max_staleness must be >= 1, got %d"
-           d.shed_max_staleness)
-  | None -> ()
+  | Some d when not (d.deadline_fraction > 0.0 && d.deadline_fraction <= 1.0) ->
+    invalid_arg
+      (Printf.sprintf "Config: degraded.deadline_fraction must be in (0, 1], got %g"
+         d.deadline_fraction)
+  | Some _ | None -> ()
 
 let prototype =
   {

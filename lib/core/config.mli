@@ -7,26 +7,26 @@
     the module that uses them, not fields here: the delay model's per-rule
     costs, RTT and epoch length ({!Dream_switch.Delay_model}), Algorithm
     1's hysteresis, initial step, floor and step envelope
-    ({!Dream_alloc.Dream_allocator}), and the accuracy EWMA's history
-    weight 0.4 ({!Dream_tasks.Task}). *)
+    ({!Dream_alloc.Dream_allocator}), the accuracy EWMA's history weight
+    0.4 ({!Dream_tasks.Task}), the CD mean's history weight 0.8
+    ({!Dream_tasks.Task_spec.cd_history}), and in degraded mode the
+    circuit breaker's threshold 3 and cooldown 4
+    ({!Dream_switch.Breaker}) and the staleness bound 4
+    ({!Fetch.shed_max_staleness}). *)
 
 type degraded = {
-  breaker : Dream_switch.Breaker.config;
-      (** per-switch circuit breaker over the control channel *)
   deadline_fraction : float;
       (** the enforced fetch deadline, as a fraction of
           {!Dream_switch.Delay_model.epoch_ms}: the
           deadline-aware scheduler sheds work rather than let modelled
           fetch time exceed it *)
-  shed_max_staleness : int;
-      (** bounded staleness: a task whose counters are this many epochs
-          stale is never shed again — its fetch runs even if the estimate
-          overshoots the remaining budget *)
 }
+(** Degraded mode: per-switch circuit breakers over the control channel,
+    the deadline-aware fetch scheduler and load shedding with bounded
+    staleness. *)
 
 val default_degraded : degraded
-(** Breaker threshold 3 / cooldown 4, deadline 80% of the epoch, staleness
-    bound 4. *)
+(** Deadline 80% of the epoch. *)
 
 type t = {
   allocation_interval : int;  (** measurement epochs per allocation epoch *)
@@ -81,9 +81,11 @@ type t = {
 
 val validate : t -> unit
 (** Reject values the controller cannot run with: an [allocation_interval]
-    below 1, an [install_budget] below 1 (no rule update would ever
-    apply), and in [degraded] a [deadline_fraction] outside (0, 1] (NaN
-    included) or a [shed_max_staleness] below 1.  {!Controller.create}
+    below 1, a [drop_threshold] below 1 (a rich task's reset streak would
+    reach it, so any task on a congested switch could be dropped), an
+    [install_budget] below 1 (no rule update would ever apply), and in
+    [degraded] a [deadline_fraction] outside (0, 1] (NaN included).
+    {!Controller.create}
     and checkpoint parsing both call it.
     @raise Invalid_argument naming the first bad field. *)
 

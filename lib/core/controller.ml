@@ -285,14 +285,9 @@ let max_staleness t = Hashtbl.fold (fun _ r acc -> max acc r.Runtime.staleness) 
 let submit t ~spec ~topology ~source ~duration =
   let id = t.next_id in
   t.next_id <- id + 1;
-  (* Default drop priority: most recently arrived tasks drop first; an
-     explicit spec priority takes precedence. *)
-  let drop_priority =
-    if spec.Task_spec.drop_priority <> 0 then spec.Task_spec.drop_priority else id
-  in
   let runtime =
     Runtime.create ~config:t.config ~pool:t.pool ~id ~spec ~topology ~source ~duration
-      ~arrived_at:t.epoch ~drop_priority
+      ~arrived_at:t.epoch
   in
   if Allocator.try_admit t.allocator (Runtime.view runtime) then begin
     (* Journal the admission outcome before the task takes effect.  The
@@ -302,7 +297,7 @@ let submit t ~spec ~topology ~source ~duration =
     if journaling t then begin
       jot t
         (Journal.Admit
-           { epoch = t.epoch; task_id = id; spec; topology; duration; drop_priority;
+           { epoch = t.epoch; task_id = id; spec; topology; duration;
              source = C.encode Source.codec source })
     end;
     Hashtbl.replace t.active id runtime;

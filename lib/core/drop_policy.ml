@@ -34,7 +34,7 @@ let rec pick allocator threshold runtimes n i best =
     let best =
       match best with
       | _ when not (candidate allocator threshold r) -> best
-      | Some (b : Runtime.t) when b.drop_priority >= r.drop_priority -> best
+      | Some b when Runtime.id b > Runtime.id r -> best
       | Some _ | None -> Some r
     in
     pick allocator threshold runtimes n (i + 1) best

@@ -9,5 +9,5 @@ val victim :
     Updates every task's poor streak: one more when its smoothed global
     accuracy is below its bound and its total allocation did not grow
     since the last round, zero otherwise.  Returns the task with the
-    highest [drop_priority] (the first on ties) among those whose streak
-    reached [threshold] and that need counters on a congested switch. *)
+    highest id, the latest to arrive, among those whose streak reached
+    [threshold] and that need counters on a congested switch. *)

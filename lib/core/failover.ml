@@ -17,11 +17,11 @@ let without id live = List.filter (fun ((r : Runtime.t), _) -> Runtime.id r <> i
 let apply pool ((d : Checkpoint.t), live) entry =
   let next_id id = max d.next_id (id + 1) in
   match entry with
-  | Journal.Admit { epoch; task_id; spec; topology; duration; drop_priority; source } ->
+  | Journal.Admit { epoch; task_id; spec; topology; duration; source } ->
     let source = C.decode Source.codec source in
     let r =
       Runtime.create ~config:d.config ~pool ~id:task_id ~spec ~topology ~source ~duration
-        ~arrived_at:epoch ~drop_priority
+        ~arrived_at:epoch
     in
     Allocator.force_admit d.allocator (Runtime.view r);
     ({ d with next_id = next_id task_id }, (r, epoch) :: without task_id live)

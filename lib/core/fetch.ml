@@ -26,6 +26,10 @@ type times = {
   mutable latency : float; (* the switch's latency factor *)
 }
 
+(* Bounded staleness: a task whose counters are this many epochs stale is
+   never shed again, and its accuracy stops decaying. *)
+let shed_max_staleness = 4
+
 type t = {
   switches : Switch.t array;
   faults : Fault_model.t option;
@@ -55,8 +59,7 @@ let create ~config ~switches ~breakers ~faults ~tallies ~registry ~trace =
   let breakers =
     match (breakers, config.Config.degraded, faults) with
     | Some restored, _, _ -> restored
-    | None, Some d, Some _ ->
-      Array.init (Array.length switches) (fun _ -> Breaker.create d.Config.breaker)
+    | None, Some _, Some _ -> Array.init (Array.length switches) (fun _ -> Breaker.create ())
     | None, _, _ -> [||]
   in
   {
@@ -250,7 +253,7 @@ let rec estimate_cost f ~owner i =
    bounded staleness forces the fetch through regardless. *)
 let shed f (r : Runtime.t) =
   match f.degraded with
-  | Some d when r.staleness < d.Config.shed_max_staleness ->
+  | Some _ when r.staleness < shed_max_staleness ->
     f.times.cost <- 0.0;
     estimate_cost f ~owner:(Runtime.id r) 0;
     f.times.cost > 0.0 && f.times.cost > f.times.deadline
@@ -419,7 +422,7 @@ let schedule f runtimes n =
 let bound_staleness f (r : Runtime.t) degraded =
   let decays =
     degraded <> Switch_mask.empty
-    && match f.degraded with Some d -> r.staleness < d.Config.shed_max_staleness | None -> true
+    && match f.degraded with Some _ -> r.staleness < shed_max_staleness | None -> true
   in
   (match f.faults with
   | Some fm when decays ->

@@ -14,6 +14,11 @@
     [Fetch] alone owns degraded mode: the circuit breakers, the deadline
     that sheds load, the staleness-urgency order and bounded staleness. *)
 
+val shed_max_staleness : int
+(** 4: in degraded mode a task whose counters are this many epochs stale
+    is never shed again (its fetch runs even if the estimate overshoots
+    the remaining deadline), and its accuracy stops decaying. *)
+
 type t
 
 val create :
@@ -70,7 +75,7 @@ val bound_staleness : t -> Runtime.t -> Dream_traffic.Switch_mask.t -> unit
 (** Called after the task estimated, with {!read}'s mask.  Under a fault
     model each masked switch decays the task's accuracy by [stale_decay],
     except in degraded mode once its staleness reached
-    [shed_max_staleness].  Then, in degraded mode, staleness resets to 0
+    {!shed_max_staleness}.  Then, in degraded mode, staleness resets to 0
     on an empty mask and otherwise rises by one. *)
 
 val fault_ms : t -> float

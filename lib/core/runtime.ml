@@ -19,7 +19,6 @@ type t = {
   ground_truth : Ground_truth.t;
   duration : int;
   arrived_at : int;
-  drop_priority : int;
   mutable active_epochs : int;
   mutable satisfied_epochs : int;
   scores : scores;
@@ -64,7 +63,7 @@ let take pool k =
 (* Only the logical state of the storage taken is reset: no install count,
    so no fresh rule is read, and no stale reading until a fetch saves
    one. *)
-let create ~config ~pool ~id ~spec ~topology ~source ~duration ~arrived_at ~drop_priority =
+let create ~config ~pool ~id ~spec ~topology ~source ~duration ~arrived_at =
   let storage = take pool (Topology.switches_per_task topology) in
   let task =
     Task.create ~id ~spec ~topology ~accuracy_mode:config.Config.accuracy_mode
@@ -77,7 +76,6 @@ let create ~config ~pool ~id ~spec ~topology ~source ~duration ~arrived_at ~drop
     ground_truth = Ground_truth.create ~storage:storage.tasks spec;
     duration;
     arrived_at;
-    drop_priority;
     active_epochs = 0;
     satisfied_epochs = 0;
     scores = { accuracy_sum = 0.0 };
@@ -116,7 +114,6 @@ let view r =
 let fill_row (v : Dream_alloc.Task_view.table) row r =
   v.ids.(row) <- id r;
   v.bounds.(row) <- (Task.spec r.task).Task_spec.accuracy_bound;
-  v.drop_priorities.(row) <- r.drop_priority;
   Task.allocator_view r.task ~overall:v.overall ~used:v.used ~pos:(row * v.num_switches)
     ~num_switches:v.num_switches
 
@@ -171,7 +168,7 @@ let codec =
         (record
            (let+ duration = field (int "duration") (fun r -> r.duration)
             and+ arrived_at = field (int "arrived_at") (fun r -> r.arrived_at)
-            and+ drop_priority = field (int "drop_priority") (fun r -> r.drop_priority)
+            and+ drop_priority = field (int "drop_priority") id
             and+ active_epochs = field (int "active_epochs") (fun r -> r.active_epochs)
             and+ satisfied_epochs = field (int "satisfied_epochs") (fun r -> r.satisfied_epochs)
             and+ accuracy_sum = field (float "accuracy_sum") (fun r -> r.scores.accuracy_sum)
@@ -199,6 +196,11 @@ let codec =
             and+ task, source, ground_truth =
               field (task_source_truth ~storage) (fun r -> (r.task, r.source, r.ground_truth))
             in
+            (* Tasks drop in arrival order: the line holds the task's id. *)
+            if drop_priority <> Task.id task then
+              refuse
+                (Printf.sprintf "drop_priority %d is not the task id %d" drop_priority
+                   (Task.id task));
             let topology = Task.topology task in
             let fresh_rules =
               column topology ~what:"fresh rules" ~absent:(fun () -> [||]) fresh_rules
@@ -221,7 +223,6 @@ let codec =
               ground_truth;
               duration;
               arrived_at;
-              drop_priority;
               active_epochs;
               satisfied_epochs;
               scores = { accuracy_sum };

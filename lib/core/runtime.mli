@@ -29,7 +29,6 @@ type t = {
   ground_truth : Dream_tasks.Ground_truth.t;
   duration : int;  (** lifetime in epochs *)
   arrived_at : int;
-  drop_priority : int;  (** the highest value is dropped first *)
   mutable active_epochs : int;
   mutable satisfied_epochs : int;
   scores : scores;
@@ -69,7 +68,6 @@ val create :
   source:Dream_traffic.Source.t ->
   duration:int ->
   arrived_at:int ->
-  drop_priority:int ->
   t
 (** A freshly admitted task: a new task object with the config's accuracy
     mode, zero counters, no rules, ground truth for [spec].  It is built
@@ -93,14 +91,15 @@ val view : t -> Dream_alloc.Task_view.t
 
 val fill_row : Dream_alloc.Task_view.table -> int -> t -> unit
 (** Write the task into a row of the allocation round's table (which has
-    the room): its id, bound and drop priority, and per switch its
+    the room): its id and bound, and per switch its
     smoothed overall accuracy and the counters it uses. *)
 
 val codec : t Dream_util.Codec.t
 (** A running task in a checkpoint; each decode builds on fresh storage.
     The task's last report is not serialized: a restored task has none
     ({!Dream_tasks.Task.last_report} is [None]) until it reports afresh on
-    its first tick.  Decoding refuses a per-switch entry on a switch the
-    task never sees and an install count that is not the number of the
-    switch's fresh rules; the task, source and ground-truth descriptions
+    its first tick.  The [drop_priority] line holds the task's id (tasks
+    drop in arrival order).  Decoding refuses another drop priority, a
+    per-switch entry on a switch the task never sees and an install count
+    that is not the number of the switch's fresh rules; the task, source and ground-truth descriptions
     may also raise [Invalid_argument] on out-of-range values. *)

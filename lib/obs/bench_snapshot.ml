@@ -106,8 +106,6 @@ let to_json t =
       ("phases", Profile.stats_to_json t.phases);
     ]
 
-let to_string t = Json.to_string (to_json t) [@@lint.allow "oracle hook: test/test_bench.ml"]
-
 (* ---- parsing ---- *)
 
 let ( let* ) = Result.bind
@@ -175,11 +173,6 @@ let of_json j =
   let* () = validate t in
   Ok t
 
-let of_string s =
-  let* j = Json.of_string s in
-  of_json j
-[@@lint.allow "oracle hook: test/test_bench.ml"]
-
 (* ---- files ---- *)
 
 (* Create the snapshot directory on demand so a fresh --snapshot-dir works
@@ -198,7 +191,7 @@ let write t ~dir =
   let path = Filename.concat dir (filename t.figure) in
   try
     let oc = open_out path in
-    output_string oc (to_string t);
+    output_string oc (Json.to_string (to_json t));
     output_char oc '\n';
     close_out oc;
     Ok path
@@ -210,5 +203,6 @@ let read path =
     let n = in_channel_length ic in
     let s = really_input_string ic n in
     close_in ic;
-    Result.map_error (Printf.sprintf "%s: %s" path) (of_string (String.trim s))
+    Result.map_error (Printf.sprintf "%s: %s" path)
+      (Result.bind (Json.of_string (String.trim s)) of_json)
   | exception Sys_error msg -> Error (Printf.sprintf "cannot read snapshot %s: %s" path msg)

@@ -12,10 +12,10 @@
     (satisfaction percentages, counters, allocation words) gate with
     tight tolerances.
 
-    [of_string] is the exact inverse of [to_string] for every value
-    {!write} accepts; non-finite numbers have no JSON spelling, so a
-    NaN snapshot neither writes nor parses — the comparator's bad-input
-    exit (124) leans on this. *)
+    {!read} is the exact inverse of {!write} for every value {!write}
+    accepts; non-finite numbers have no JSON spelling, so a NaN snapshot
+    neither writes nor parses — the comparator's bad-input exit (124)
+    leans on this. *)
 
 type direction =
   | Lower_better  (** increases beyond tolerance are regressions *)
@@ -54,9 +54,6 @@ val make :
   ?phases:Profile.stat list ->
   unit ->
   t
-
-val to_string : t -> string
-val of_string : string -> (t, string) result
 
 val write : t -> dir:string -> (string, string) result
 (** Validate (every metric and phase value finite, metric names unique,

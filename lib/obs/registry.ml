@@ -17,7 +17,6 @@ module Gauge = struct
 
   let make () = { v = 0.0 }
   let set g v = g.v <- v
-  let value g = g.v [@@lint.allow "oracle hook: test/test_bench.ml"]
 end
 
 module Histogram = struct
@@ -48,9 +47,6 @@ module Histogram = struct
       | Some r -> Stdlib.incr r
       | None -> Hashtbl.replace h.tbl i (ref 1)
     end
-
-  let count h = h.count [@@lint.allow "oracle hook: test/test_obs.ml"]
-  let sum h = h.sum [@@lint.allow "oracle hook: test/test_obs.ml"]
 
   let sorted_buckets h =
     Hashtbl.fold (fun i r acc -> (i, !r) :: acc) h.tbl [] |> List.sort compare
@@ -116,7 +112,7 @@ let samples t =
       let value =
         match i with
         | C c -> Counter_v (Counter.value c)
-        | G g -> Gauge_v (Gauge.value g)
+        | G g -> Gauge_v g.Gauge.v
         | H h -> Histogram_v h
       in
       { name; labels; value } :: acc)
@@ -219,11 +215,11 @@ let to_prometheus t =
         Buffer.add_string buf
           (Printf.sprintf "%s_bucket%s %d\n" base
              (prom_labels ~extra:("le", "+Inf") s.labels)
-             (Histogram.count h));
+             h.Histogram.count);
         Buffer.add_string buf
           (Printf.sprintf "%s_sum%s %s\n" base (prom_labels s.labels)
-             (prom_float (Histogram.sum h)));
+             (prom_float h.Histogram.sum));
         Buffer.add_string buf
-          (Printf.sprintf "%s_count%s %d\n" base (prom_labels s.labels) (Histogram.count h)))
+          (Printf.sprintf "%s_count%s %d\n" base (prom_labels s.labels) h.Histogram.count))
     (samples t);
   Buffer.contents buf

@@ -32,7 +32,6 @@ module Gauge : sig
   type t
 
   val set : t -> float -> unit
-  val value : t -> float
 end
 
 module Histogram : sig
@@ -44,8 +43,6 @@ module Histogram : sig
   type t
 
   val observe : t -> float -> unit
-  val count : t -> int
-  val sum : t -> float
 end
 
 val create : unit -> t

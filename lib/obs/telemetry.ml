@@ -38,8 +38,6 @@ let record_switch t row = t.rev_switch_rows <- row :: t.rev_switch_rows
 
 let task_rows t = List.rev t.rev_task_rows
 
-let switch_rows t = List.rev t.rev_switch_rows [@@lint.allow "oracle hook: test/test_obs.ml"]
-
 let tasks_csv_header = "epoch,task,kind,accuracy,satisfied,alloc"
 
 let switches_csv_header = "epoch,switch,rules,fetches,installs,removals"
@@ -97,4 +95,4 @@ let write_dir t ~dir =
         (fun r ->
           Printf.fprintf oc "%d,%d,%d,%d,%d,%d\n" r.epoch r.switch r.rules r.fetches r.installs
             r.removals)
-        (switch_rows t))
+        (List.rev t.rev_switch_rows))

@@ -53,8 +53,6 @@ val record_task : t -> task_row -> unit
 
 val record_switch : t -> switch_row -> unit
 
-val switch_rows : t -> switch_row list
-
 val write_dir : t -> dir:string -> (unit, string) result
 (** Write all four artifacts into [dir] (which must exist).  [Error] with
     the failing path on any I/O problem. *)

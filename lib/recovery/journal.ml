@@ -12,7 +12,6 @@ type entry =
       spec : Task_spec.t;
       topology : Topology.t;
       duration : int;
-      drop_priority : int;
       source : string;
     }
   | Reject of { epoch : int; task_id : int; kind : Task_spec.kind }
@@ -84,16 +83,16 @@ let codec =
   in
   cases ~what:"journal entry"
     [
+      (* Tasks drop in arrival order: the drop priority line holds the
+         task's id. *)
       entry "admit"
-        (let+ epoch = epoch
-         and+ task_id = task_id
-         and+ duration = field (int "duration") (function Admit a -> a.duration | _ -> other ())
-         and+ drop_priority =
-           field (int "drop_priority") (function Admit a -> a.drop_priority | _ -> other ())
+        (let* epoch, task_id = (let+ epoch = epoch and+ task_id = task_id in (epoch, task_id)) in
+         let+ duration = field (int "duration") (function Admit a -> a.duration | _ -> other ())
+         and+ () = field (constant (int "drop_priority") task_id) ignore
          and+ spec = field Task_spec.codec (function Admit a -> a.spec | _ -> other ())
          and+ topology = field Topology.codec (function Admit a -> a.topology | _ -> other ())
          and+ source = field source (function Admit a -> a.source | _ -> other ()) in
-         Admit { epoch; task_id; spec; topology; duration; drop_priority; source });
+         Admit { epoch; task_id; spec; topology; duration; source });
       entry "reject"
         (let+ epoch = epoch and+ task_id = task_id and+ kind = kind in
          Reject { epoch; task_id; kind });

@@ -32,13 +32,15 @@ type entry =
       spec : Dream_tasks.Task_spec.t;
       topology : Dream_traffic.Topology.t;
       duration : int;
-      drop_priority : int;
       source : string;
           (** the task's traffic source, serialized at admission time
               ({!Dream_traffic.Source.codec}); replay fast-forwards it to
               the recovery epoch by discarding epochs, which consumes
               exactly the RNG draws the live run would have *)
     }
+      (** written with a [drop_priority] line holding [task_id] (tasks
+          drop in arrival order); an entry with any other value is
+          refused *)
   | Reject of { epoch : int; task_id : int; kind : Dream_tasks.Task_spec.kind }
   | Alloc of { epoch : int; task_id : int; switch : Dream_traffic.Switch_id.t; alloc : int }
   | Switch_down of { epoch : int; switch : Dream_traffic.Switch_id.t }

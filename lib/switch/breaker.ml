@@ -3,26 +3,18 @@
    boundaries, never on randomness, so a fixed fault schedule always
    produces the same transition sequence. *)
 
-type config = { failure_threshold : int; cooldown_epochs : int }
-
-let default_config = { failure_threshold = 3; cooldown_epochs = 4 }
-
-let validate_config c =
-  if c.failure_threshold < 1 then invalid_arg "Breaker: failure_threshold must be >= 1";
-  if c.cooldown_epochs < 1 then invalid_arg "Breaker: cooldown_epochs must be >= 1"
+let failure_threshold = 3
+let cooldown_epochs = 4
 
 type state = Closed | Open | Half_open
 
 type t = {
-  config : config;
   mutable state : state;
   mutable failures : int; (* consecutive failures while closed *)
   mutable cooldown_left : int; (* epochs until an open breaker probes *)
 }
 
-let create config =
-  validate_config config;
-  { config; state = Closed; failures = 0; cooldown_left = 0 }
+let create () = { state = Closed; failures = 0; cooldown_left = 0 }
 
 let state t = t.state
 
@@ -56,7 +48,7 @@ let hint_probe t = match t.state with Open -> t.cooldown_left <- 0 | Closed | Ha
 let trip t =
   t.state <- Open;
   t.failures <- 0;
-  t.cooldown_left <- t.config.cooldown_epochs
+  t.cooldown_left <- cooldown_epochs
 
 let record_failure t =
   match t.state with
@@ -64,7 +56,7 @@ let record_failure t =
   | Half_open -> trip t (* probe failed: straight back to open *)
   | Closed ->
       t.failures <- t.failures + 1;
-      if t.failures >= t.config.failure_threshold then trip t
+      if t.failures >= failure_threshold then trip t
 
 let record_success t =
   match t.state with
@@ -80,11 +72,9 @@ let codec =
   let open Dream_util.Codec in
   let states = List.map (fun s -> (s, state_code s)) [ Closed; Half_open; Open ] in
   record
-    (let+ failure_threshold = field (int "threshold") (fun t -> t.config.failure_threshold)
-     and+ cooldown_epochs = field (int "cooldown") (fun t -> t.config.cooldown_epochs)
+    (let+ () = field (constant (int "threshold") failure_threshold) ignore
+     and+ () = field (constant (int "cooldown") cooldown_epochs) ignore
      and+ state = field (int_enum ~what:"breaker state" "state" states) (fun t -> t.state)
      and+ failures = field (int "failures") (fun t -> t.failures)
      and+ cooldown_left = field (int "cooldown_left") (fun t -> t.cooldown_left) in
-     let config = { failure_threshold; cooldown_epochs } in
-     validate_config config;
-     { config; state; failures; cooldown_left })
+     { state; failures; cooldown_left })

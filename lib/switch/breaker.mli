@@ -5,8 +5,8 @@
     budget on the same dead switch every tick.  The breaker wraps the
     retry machinery with the classic three-state machine: [Closed] passes
     calls through and counts consecutive failures; after
-    [failure_threshold] failures it trips to [Open], where calls are
-    skipped outright for [cooldown_epochs] epochs; then one probe is
+    {!failure_threshold} failures it trips to [Open], where calls are
+    skipped outright for {!cooldown_epochs} epochs; then one probe is
     allowed ([Half_open]) — success closes the breaker, failure re-opens
     it for another full cooldown.
 
@@ -18,21 +18,18 @@
     steps every breaker and counts the trips and probes it sees
     ([Metrics.breaker_opens], [Metrics.breaker_probes]). *)
 
-type config = {
-  failure_threshold : int;  (** consecutive failures that trip the breaker (>= 1) *)
-  cooldown_epochs : int;  (** epochs to stay open before probing (>= 1) *)
-}
+val failure_threshold : int
+(** 3, the consecutive failures that trip a breaker. *)
 
-val default_config : config
-(** Threshold 3, cooldown 4 epochs. *)
+val cooldown_epochs : int
+(** 4, the epochs a breaker stays open before probing. *)
 
 type state = Closed | Open | Half_open
 
 type t
 
-val create : config -> t
-(** Fresh breaker in [Closed].  @raise Invalid_argument on a non-positive
-    threshold or cooldown. *)
+val create : unit -> t
+(** Fresh breaker in [Closed]. *)
 
 val state : t -> state
 
@@ -72,4 +69,6 @@ val state_code : state -> int
 (** Gauge encoding: [Closed] 0, [Half_open] 1, [Open] 2. *)
 
 val codec : t Dream_util.Codec.t
-(** Config and full mutable state, as a checkpoint holds them. *)
+(** The full mutable state, as a checkpoint holds it, after a
+    [threshold] and a [cooldown] line that must hold
+    {!failure_threshold} and {!cooldown_epochs}. *)

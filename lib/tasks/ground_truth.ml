@@ -129,7 +129,7 @@ let hierarchical_heavy_hitters t aggregate =
 let changes t aggregate =
   fill_leaves t aggregate;
   let threshold = t.spec.Task_spec.threshold in
-  let history = t.spec.Task_spec.cd_history in
+  let history = Task_spec.cd_history in
   let leaves = t.leaves and means = t.means and next = t.next in
   Items.reserve next leaves.Items.n;
   next.Items.n <- 0;

@@ -3,8 +3,8 @@
     The paper's simulations score tasks with real accuracy computed
     offline; DREAM itself never sees these values.  Ground truth for HH
     and HHH is stateless per epoch; CD keeps per-leaf EWMA means across
-    the task's whole trace (history weight from the spec), so {!evaluate}
-    must be called once per epoch, in order.
+    the task's whole trace (history weight {!Task_spec.cd_history}), so
+    {!evaluate} must be called once per epoch, in order.
 
     Everything is a key column ({!Items}) in key order, reused across
     epochs: the epoch's leaf volumes are run sums over the aggregate's

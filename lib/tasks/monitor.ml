@@ -10,7 +10,6 @@ type t = {
   topology : Topology.t;
   k : int;
   by_switch : int array;
-  history : float;
   mutable cap : int;
   mutable n : int;
   mutable keys : Bytes.t;
@@ -139,7 +138,6 @@ let make ~spec ~topology ~active ~(storage : Storage.t) =
     topology;
     k;
     by_switch = Topology.switch_order topology;
-    history = spec.Task_spec.cd_history;
     cap = storage.cap;
     n = 0;
     keys = storage.keys;
@@ -214,7 +212,7 @@ let has_volume t i b = flag t i (present b)
 
 (* Ewma.update's arithmetic, on the mean column. *)
 let update_means t =
-  let h = t.history in
+  let h = Task_spec.cd_history in
   for i = 0 to t.n - 1 do
     let fl = get t.flags i in
     let x = t.totals.(i) in
@@ -432,7 +430,7 @@ let saved t i =
     vols = volumes t i;
     score = t.scores.(i);
     avg =
-      Ewma.restore ~history:t.history
+      Ewma.restore ~history:Task_spec.cd_history
         ~avg:(if flag t i seeded_flag then Some t.means.(i) else None);
     is_fresh = fresh t i;
   }
@@ -478,7 +476,7 @@ let codec ~spec ~topology ~storage =
          (let+ at = field (Prefix.codec "prefix") (fun c -> c.at)
           and+ vols = field (repeat "volumes" volume) (fun c -> c.vols)
           and+ score = field (float "score") (fun c -> c.score)
-          and+ avg = field (Ewma.codec ~history:spec.Task_spec.cd_history) (fun c -> c.avg)
+          and+ avg = field (Ewma.codec ~history:Task_spec.cd_history) (fun c -> c.avg)
           and+ is_fresh = field (bool "fresh") (fun c -> c.is_fresh) in
           { at; vols; score; avg; is_fresh }))
   in

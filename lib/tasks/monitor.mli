@@ -46,7 +46,6 @@ type t = private {
   topology : Dream_traffic.Topology.t;
   k : int;  (** sub-filters *)
   by_switch : int array;  (** [Topology.switch_order] *)
-  history : float;  (** the CD mean's history weight, [spec.cd_history] *)
   mutable cap : int;  (** slots allocated in every column *)
   mutable n : int;  (** slots in use *)
   mutable keys : Bytes.t;
@@ -113,7 +112,7 @@ val has_volume : t -> int -> int -> bool
 
 val update_means : t -> unit
 (** Fold every counter's total into its CD mean, with {!Dream_util.Ewma}'s
-    arithmetic and the spec's [cd_history] (call after reporting). *)
+    arithmetic and {!Task_spec.cd_history} (call after reporting). *)
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 (** [fold f t init] is [f 0 (f 1 (... (f (n-1) init)))] over the slots,

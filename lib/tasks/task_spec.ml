@@ -17,25 +17,23 @@ type t = {
   leaf_length : int;
   threshold : float;
   accuracy_bound : float;
-  drop_priority : int;
-  cd_history : float;
 }
 
-let make ~kind ~filter ?(leaf_length = Prefix.address_bits) ~threshold ?(accuracy_bound = 0.8)
-    ?(drop_priority = 0) ?(cd_history = 0.8) () =
+let cd_history = 0.8
+
+let make ~kind ~filter ?(leaf_length = Prefix.address_bits) ~threshold ?(accuracy_bound = 0.8) () =
   if threshold <= 0.0 then invalid_arg "Task_spec.make: threshold must be positive";
   if accuracy_bound < 0.0 || accuracy_bound > 1.0 then
     invalid_arg "Task_spec.make: accuracy_bound must be in [0, 1]";
   if leaf_length <= Prefix.length filter || leaf_length > Prefix.address_bits then
     invalid_arg "Task_spec.make: leaf_length must lie in (filter length, 32]";
-  if cd_history < 0.0 || cd_history >= 1.0 then
-    invalid_arg "Task_spec.make: cd_history must be in [0, 1)";
-  { kind; filter; leaf_length; threshold; accuracy_bound; drop_priority; cd_history }
+  { kind; filter; leaf_length; threshold; accuracy_bound }
 
 let kind_codec =
   Dream_util.Codec.enum ~what:"task kind" "kind"
     (List.map (fun k -> (k, kind_to_string k)) all_kinds)
 
+(* The spec's drop priority line holds 0: tasks drop in arrival order. *)
 let codec =
   let open Dream_util.Codec in
   section "spec"
@@ -45,9 +43,9 @@ let codec =
         and+ leaf_length = field (int "leaf_length") (fun t -> t.leaf_length)
         and+ threshold = field (float "threshold") (fun t -> t.threshold)
         and+ accuracy_bound = field (float "accuracy_bound") (fun t -> t.accuracy_bound)
-        and+ drop_priority = field (int "drop_priority") (fun t -> t.drop_priority)
-        and+ cd_history = field (float "cd_history") (fun t -> t.cd_history) in
-        make ~kind ~filter ~leaf_length ~threshold ~accuracy_bound ~drop_priority ~cd_history ()))
+        and+ () = field (constant (int "drop_priority") 0) ignore
+        and+ () = field (constant (float "cd_history") cd_history) ignore in
+        make ~kind ~filter ~leaf_length ~threshold ~accuracy_bound ()))
 
 let accuracy_metric t =
   match t.kind with

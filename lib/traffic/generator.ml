@@ -265,5 +265,3 @@ let next t =
   let data = { Epoch_data.epoch = t.epoch; per_switch; combined } in
   t.epoch <- t.epoch + 1;
   data
-
-let active_heavy_count t = List.length t.heavies [@@lint.allow "oracle hook: test/test_traffic.ml"]

@@ -22,9 +22,6 @@ val next : t -> Epoch_data.t
     aggregates are fresh on every call and may be kept; only the staging
     is reused. *)
 
-val active_heavy_count : t -> int
-(** Number of currently active heavy sources (for tests/calibration). *)
-
 val codec : t Dream_util.Codec.t
 (** The full generator state — RNG words, epoch, topology, profile and
     every live source — so a restored generator replays the exact same

@@ -62,7 +62,6 @@ type t = { config : config; states : sw_state array (* by switch id *) }
 type view = {
   id : int;
   bound : float;
-  drop_priority : int;
   overall : Switch_id.t -> float;
   used : Switch_id.t -> int;
 }
@@ -89,8 +88,6 @@ let state t sw =
   if sw < 0 || sw >= Array.length t.states then
     invalid_arg (Printf.sprintf "Dream_allocator: unknown switch %d" sw);
   t.states.(sw)
-
-let phantom t sw = (state t sw).phantom
 
 let effective_headroom t sw =
   let s = state t sw in
@@ -270,8 +267,8 @@ let reallocate_switch t s views =
   end
   else begin
     (* Poor tasks may drain the phantom below its target (they steal from
-       the lowest-drop-priority task); the phantom keeps only what rich
-       supply already replaced. *)
+       the headroom every later admission needs); the phantom keeps only
+       what rich supply already replaced. *)
     if !pool < sp then begin
       let borrow = min s.phantom (sp - !pool) in
       s.phantom <- s.phantom - borrow;
@@ -291,15 +288,10 @@ let reallocate_switch t s views =
       s.phantom <- s.phantom + !pool
     end
     else begin
-      (* Shortage: serve poor tasks in drop-priority order (lowest value =
-         dropped last = served first), full steps while the pool lasts. *)
-      let by_priority =
-        List.sort
-          (fun (_, a, _) (_, b, _) ->
-            let c = Int.compare a.drop_priority b.drop_priority in
-            if c <> 0 then c else Int.compare a.id b.id)
-          poor
-      in
+      (* Shortage: serve poor tasks in drop order (tasks drop latest
+         arrival first, so the lowest id is served first), full steps
+         while the pool lasts. *)
+      let by_id = List.sort (fun (_, a, _) (_, b, _) -> Int.compare a.id b.id) poor in
       List.iter
         (fun (slot, _, _) ->
           let grant = min (min slot.step (max_grow slot)) !pool in
@@ -308,7 +300,7 @@ let reallocate_switch t s views =
             slot.changed <- true;
             pool := !pool - grant
           end)
-        by_priority;
+        by_id;
       (* Whatever the growth envelopes kept the poor tasks from absorbing
          goes back to headroom. *)
       s.phantom <- s.phantom + !pool
@@ -353,7 +345,6 @@ let views_of (v : Task_view.table) =
       {
         id = v.Task_view.ids.(row);
         bound = v.Task_view.bounds.(row);
-        drop_priority = v.Task_view.drop_priorities.(row);
         overall = (fun sw -> v.Task_view.overall.((row * n) + sw));
         used = (fun sw -> v.Task_view.used.((row * n) + sw));
       })

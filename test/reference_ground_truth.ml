@@ -87,7 +87,7 @@ let true_hierarchical_heavy_hitters (spec : Task_spec.t) aggregate =
 let true_changes t aggregate =
   let spec = t.spec in
   let threshold = spec.Task_spec.threshold in
-  let history = spec.Task_spec.cd_history in
+  let history = Task_spec.cd_history in
   let volumes = leaf_volumes spec aggregate in
   (* A change can also be a leaf with history that sent nothing this epoch. *)
   let keys = Hashtbl.create 256 in

@@ -25,14 +25,14 @@ module Counter = struct
     mutable fresh : bool;
   }
 
-  let create ~prefix ~switches ~cd_history =
+  let create ~prefix ~switches =
     {
       prefix;
       switches;
       volumes = Switch_id.Map.empty;
       total = 0.0;
       score = 0.0;
-      mean = Ewma.create ~history:cd_history;
+      mean = Ewma.create ~history:Task_spec.cd_history;
       fresh = true;
     }
 
@@ -161,7 +161,6 @@ let rec bump usage mask delta i =
 let new_counter t prefix =
   Counter.create ~prefix
     ~switches:(Reference_switch_set.switch_set t.topology prefix)
-    ~cd_history:t.spec.Task_spec.cd_history
 
 let recompute_usage t =
   Array.fill t.usage 0 (Array.length t.usage) 0;
@@ -208,7 +207,7 @@ let make ~spec ~topology ~active counters =
 let create ~spec ~topology =
   let filter = spec.Task_spec.filter in
   let switches = Reference_switch_set.switch_set topology filter in
-  let root = Counter.create ~prefix:filter ~switches ~cd_history:spec.Task_spec.cd_history in
+  let root = Counter.create ~prefix:filter ~switches in
   make ~spec ~topology ~active:switches [| root |]
 
 let spec t = t.spec
@@ -764,7 +763,7 @@ let emit t =
        String.concat "" (List.map (C.encode (C.int "sw")) (Switch_id.Set.elements t.active));
        C.encode (C.int "counters") t.n;
      ]
-    @ List.init t.n (fun i -> Counter.emit ~history:t.spec.Task_spec.cd_history t.counters.(i)))
+    @ List.init t.n (fun i -> Counter.emit ~history:Task_spec.cd_history t.counters.(i)))
 
 (* ---- Score: the scorer on boxed counters ---- *)
 

@@ -64,13 +64,12 @@ type task = {
   id : int;
   topology : Topology.t;
   bound : float;
-  priority : int;
   accuracy : float ref;
   used : int ref;
 }
 
-let view ?(topology = topo01) ?(bound = 0.8) ?(priority = 0) ~id ~accuracy ~used () =
-  { id; topology; bound; priority; accuracy; used }
+let view ?(topology = topo01) ?(bound = 0.8) ~id ~accuracy ~used () =
+  { id; topology; bound; accuracy; used }
 
 let admission v =
   { Task_view.id = v.id; topology = v.topology; switches = Switch_mask.full v.topology }
@@ -86,7 +85,6 @@ let reallocate a tasks =
     (fun row v ->
       table.Task_view.ids.(row) <- v.id;
       table.Task_view.bounds.(row) <- v.bound;
-      table.Task_view.drop_priorities.(row) <- v.priority;
       for sw = 0 to 1 do
         table.Task_view.overall.((row * 2) + sw) <- !(v.accuracy);
         table.Task_view.used.((row * 2) + sw) <- !(v.used)
@@ -99,6 +97,16 @@ let mk_allocator ?(config = Dream_allocator.default_config) ?(capacity = 1000) (
 
 let total_alloc a ~task_id = Dream_allocator.total_of a ~task_id
 
+(* A switch's phantom (unallocated) entries, as the allocator's checkpoint
+   text writes them: the [phantom] line of the switch's state. *)
+let phantom a sw =
+  String.split_on_char '\n' (Codec.encode Dream_allocator.codec a)
+  |> List.filter_map (fun line ->
+         match String.split_on_char ' ' line with
+         | [ "phantom"; v ] -> Some (int_of_string v)
+         | _ -> None)
+  |> Fun.flip List.nth sw
+
 let check_invariants a =
   match Dream_allocator.check_invariants a with
   | Ok () -> ()
@@ -108,12 +116,12 @@ let check_invariants a =
 
 let test_admit_takes_from_phantom () =
   let a = mk_allocator () in
-  Alcotest.(check int) "phantom starts at capacity" 1000 (Dream_allocator.phantom a 0);
+  Alcotest.(check int) "phantom starts at capacity" 1000 (phantom a 0);
   let acc = ref 0.0 and used = ref 1 in
   Alcotest.(check bool) "admitted" true
     (try_admit a (view ~id:0 ~accuracy:acc ~used ()));
   Alcotest.(check int) "one counter per switch" 2 (total_alloc a ~task_id:0);
-  Alcotest.(check int) "phantom decremented" 999 (Dream_allocator.phantom a 0);
+  Alcotest.(check int) "phantom decremented" 999 (phantom a 0);
   check_invariants a
 
 let test_admission_rejects_without_headroom () =
@@ -195,7 +203,7 @@ let test_release_returns_to_phantom () =
   let acc = ref 0.0 and used = ref 1 in
   ignore (try_admit a (view ~id:0 ~accuracy:acc ~used ()));
   Dream_allocator.release a ~task_id:0;
-  Alcotest.(check int) "phantom restored" 1000 (Dream_allocator.phantom a 0);
+  Alcotest.(check int) "phantom restored" 1000 (phantom a 0);
   Alcotest.(check int) "no allocation left" 0 (total_alloc a ~task_id:0);
   check_invariants a
 
@@ -215,7 +223,7 @@ let test_surplus_flows_to_users () =
   done;
   check_invariants a;
   Alcotest.(check bool) "absorbed idle capacity" true (total_alloc a ~task_id:0 > 50);
-  Alcotest.(check bool) "phantom stays at target" true (Dream_allocator.phantom a 0 >= 25)
+  Alcotest.(check bool) "phantom stays at target" true (phantom a 0 >= 25)
 
 let test_unused_allocation_reclaimed () =
   let a = mk_allocator ~capacity:500 () in
@@ -262,21 +270,25 @@ let test_congestion_flag () =
 
 let test_drop_priority_order_under_shortage () =
   let a = mk_allocator ~capacity:64 () in
-  let mk i priority =
+  let mk i =
     let acc = ref 0.0 in
     let used = ref 1000 in
-    view ~id:i ~priority ~accuracy:acc ~used ()
+    view ~id:i ~accuracy:acc ~used ()
   in
-  (* Low priority value = served first under shortage. *)
-  let precious = mk 0 0 and expendable = mk 1 100 in
+  (* Tasks drop latest arrival first, so under shortage the earliest
+     arrival is served first. *)
+  let precious = mk 0 and expendable = mk 1 in
   ignore (try_admit a precious);
   ignore (try_admit a expendable);
   for _ = 1 to 8 do
     reallocate a [ precious; expendable ]
   done;
   check_invariants a;
-  Alcotest.(check bool) "low drop priority got more" true
-    (total_alloc a ~task_id:0 >= total_alloc a ~task_id:1)
+  Alcotest.(check bool) "earlier arrival got more" true
+    (total_alloc a ~task_id:0 >= total_alloc a ~task_id:1);
+  Alcotest.check_raises "rows out of id order"
+    (Invalid_argument "Dream_allocator.reallocate: rows out of task-id order") (fun () ->
+      reallocate a [ expendable; precious ])
 
 let prop_invariants_random_rounds =
   QCheck.Test.make ~name:"allocations + phantom = capacity under random rounds" ~count:60
@@ -303,7 +315,11 @@ let prop_invariants_random_rounds =
                 used :=
                   (Dream_allocator.allocation_on a ~task_id:id 0))
               tasks;
-            let views = Hashtbl.fold (fun _ (v, _, _) l -> v :: l) tasks [] in
+            let views =
+              List.sort
+                (fun v w -> Int.compare v.id w.id)
+                (Hashtbl.fold (fun _ (v, _, _) l -> v :: l) tasks [])
+            in
             reallocate a views
           end)
         script;
@@ -312,13 +328,13 @@ let prop_invariants_random_rounds =
 (* ---- Differential oracle: the list-based round ---- *)
 
 (* A random script over 4 switches, run on the allocator and on the
-   list-based round it replaced: admissions (with drop-priority ties),
-   releases and rounds, where each admitted task's accuracy per switch is
-   drawn anywhere in [0, 1] or at its bound, and its usage sits at, under
-   or over its allocation.  After every step the two must agree on every
-   admission and on the whole checkpoint text: slots (allocation, step,
-   status memory), phantom, congestion and the last round's poor and rich
-   steps.  Each case is one seed of [Rng], which a failure reports. *)
+   list-based round it replaced: admissions, releases and rounds, where
+   each admitted task's accuracy per switch is drawn anywhere in [0, 1] or
+   at its bound, and its usage sits at, under or over its allocation.
+   After every step the two must agree on every admission and on the
+   whole checkpoint text: slots (allocation, step, status memory),
+   phantom, congestion and the last round's poor and rich steps.  Each
+   case is one seed of [Rng], which a failure reports. *)
 let oracle_switches = 4
 
 let oracle_script seed =
@@ -332,7 +348,7 @@ let oracle_script seed =
   let a = Dream_allocator.create config ~capacities in
   let r = Reference.create config ~capacities in
   let filter = Prefix.of_string "10.0.0.0/8" in
-  let tasks = ref [] (* (view, bound, priority), newest first *) and next_id = ref 0 in
+  let tasks = ref [] (* (view, bound), newest first *) and next_id = ref 0 in
   let table = Task_view.table ~num_switches:oracle_switches in
   let agree what =
     let got = Codec.encode Dream_allocator.codec a and want = Codec.encode Reference.codec r in
@@ -353,14 +369,14 @@ let oracle_script seed =
       if admitted <> Reference.try_admit r view then
         QCheck.Test.fail_reportf "seed %d, step %d: admissions differ" seed step;
       if admitted then
-        tasks := (view, Rng.pick rng [| 0.5; 0.8; 0.95 |], Rng.int rng 3) :: !tasks;
+        tasks := (view, Rng.pick rng [| 0.5; 0.8; 0.95 |]) :: !tasks;
       agree "admission"
     | 2 when !tasks <> [] ->
-      let victim, _, _ = List.nth !tasks (Rng.int rng (List.length !tasks)) in
+      let victim, _ = List.nth !tasks (Rng.int rng (List.length !tasks)) in
       let id = victim.Task_view.id in
       Dream_allocator.release a ~task_id:id;
       Reference.release r ~task_id:id;
-      tasks := List.filter (fun (v, _, _) -> v.Task_view.id <> id) !tasks;
+      tasks := List.filter (fun (v, _) -> v.Task_view.id <> id) !tasks;
       agree "release"
     | _ ->
       (* Rows in id order, as the controller fills them. *)
@@ -368,10 +384,9 @@ let oracle_script seed =
       Task_view.reserve table (List.length rows);
       table.Task_view.rows <- List.length rows;
       List.iteri
-        (fun row ((view : Task_view.t), bound, priority) ->
+        (fun row ((view : Task_view.t), bound) ->
           table.Task_view.ids.(row) <- view.Task_view.id;
           table.Task_view.bounds.(row) <- bound;
-          table.Task_view.drop_priorities.(row) <- priority;
           for sw = 0 to oracle_switches - 1 do
             let cell = (row * oracle_switches) + sw in
             table.Task_view.overall.(cell) <-

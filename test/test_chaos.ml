@@ -263,14 +263,9 @@ let test_degraded_config_rejected () =
       ~config:{ Config.default with Config.degraded = Some degraded }
       ~strategy:Allocator.Equal ~num_switches:2 ~capacity:64
   in
-  expect_invalid "nan deadline" (fun () ->
-      create { Config.default_degraded with Config.deadline_fraction = Float.nan });
-  expect_invalid "zero deadline" (fun () ->
-      create { Config.default_degraded with Config.deadline_fraction = 0.0 });
-  expect_invalid "deadline above 1" (fun () ->
-      create { Config.default_degraded with Config.deadline_fraction = 1.5 });
-  expect_invalid "zero staleness cap" (fun () ->
-      create { Config.default_degraded with Config.shed_max_staleness = 0 });
+  expect_invalid "nan deadline" (fun () -> create { Config.deadline_fraction = Float.nan });
+  expect_invalid "zero deadline" (fun () -> create { Config.deadline_fraction = 0.0 });
+  expect_invalid "deadline above 1" (fun () -> create { Config.deadline_fraction = 1.5 });
   ignore (create Config.default_degraded);
   let create_interval allocation_interval =
     Controller.create
@@ -288,6 +283,18 @@ let test_degraded_config_rejected () =
   expect_invalid "zero install budget" (fun () -> create_budget (Some 0));
   expect_invalid "negative install budget" (fun () -> create_budget (Some (-3)));
   ignore (create_budget (Some 1))
+
+(* A drop threshold below 1 would let a rich task, whose poor streak was
+   just reset to 0, be dropped from any congested switch. *)
+let test_drop_threshold_rejected () =
+  let create drop_threshold =
+    Controller.create
+      ~config:{ Config.default with Config.drop_threshold }
+      ~strategy:Allocator.Equal ~num_switches:2 ~capacity:64
+  in
+  expect_invalid "zero drop threshold" (fun () -> create 0);
+  expect_invalid "negative drop threshold" (fun () -> create (-1));
+  ignore (create 1)
 
 (* ---- Journal flush / close ---- *)
 
@@ -343,10 +350,21 @@ let apply_outcome br = function
   | Failure -> Breaker.record_failure br
   | Hint -> Breaker.hint_probe br
 
+(* The cooldown every breaker runs, as its checkpoint text writes it. *)
+let cooldown =
+  let text = Codec.encode Breaker.codec (Breaker.create ()) in
+  List.find_map
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ "cooldown"; v ] -> Some (int_of_string v)
+      | _ -> None)
+    (String.split_on_char '\n' text)
+  |> Option.get
+
 let prop_transitions_legal =
   QCheck.Test.make ~name:"observed epoch transitions are legal" ~count:500
     (QCheck.make gen_epochs) (fun epochs ->
-      let br = Breaker.create Breaker.default_config in
+      let br = Breaker.create () in
       let last = ref (Breaker.state br) in
       List.for_all
         (fun outcomes ->
@@ -361,7 +379,7 @@ let prop_transitions_legal =
 let prop_probe_budget_never_lost =
   QCheck.Test.make ~name:"an Open breaker always probes within its cooldown" ~count:500
     (QCheck.make gen_epochs) (fun epochs ->
-      let br = Breaker.create Breaker.default_config in
+      let br = Breaker.create () in
       List.iter
         (fun outcomes ->
           Breaker.begin_epoch br;
@@ -370,7 +388,6 @@ let prop_probe_budget_never_lost =
       match Breaker.state br with
       | Breaker.Closed | Breaker.Half_open -> true
       | Breaker.Open ->
-        let cooldown = Breaker.default_config.Breaker.cooldown_epochs in
         let rec probe_within n =
           if n = 0 then false
           else begin
@@ -386,7 +403,7 @@ let prop_probe_budget_never_lost =
 let prop_emit_parse_equivalent =
   QCheck.Test.make ~name:"emit/parse preserves breaker behaviour" ~count:300
     (QCheck.make QCheck.Gen.(pair gen_epochs gen_epochs)) (fun (prefix, suffix) ->
-      let br = Breaker.create Breaker.default_config in
+      let br = Breaker.create () in
       List.iter
         (fun outcomes ->
           Breaker.begin_epoch br;
@@ -566,6 +583,7 @@ let () =
         [
           Alcotest.test_case "NaN and negative rates" `Quick test_nan_rates_rejected;
           Alcotest.test_case "degraded config" `Quick test_degraded_config_rejected;
+          Alcotest.test_case "drop threshold" `Quick test_drop_threshold_rejected;
         ] );
       ( "journal",
         [

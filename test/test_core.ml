@@ -352,9 +352,9 @@ let test_controller_replay_source () =
 type drop_case = {
   threshold : int;
   congested : bool array;  (** per switch, 4 switches *)
-  tasks : (int * int * bool * int * int * int array) list;
-      (** per task, in id order: topology seed, drop priority, poor, poor
-          streak, last allocation total, allocation per switch *)
+  tasks : (int * bool * int * int * int array) list;
+      (** per task, in id order: topology seed, poor, poor streak, last
+          allocation total, allocation per switch *)
 }
 
 let gen_drop_case =
@@ -366,9 +366,8 @@ let gen_drop_case =
       (list_repeat 4 bool)
       (list_size (int_range 1 8)
          (map3
-            (fun (seed, priority) (poor, streak, last) alloc ->
-              (seed, priority, poor, streak, last, Array.of_list alloc))
-            (pair (int_bound 1000) (int_bound 4))
+            (fun seed (poor, streak, last) alloc -> (seed, poor, streak, last, Array.of_list alloc))
+            (int_bound 1000)
             (triple bool (int_bound 5) (int_bound 30))
             (list_repeat 4 (int_bound 10)))))
 
@@ -422,7 +421,7 @@ let prop_drop_policy_model =
     (QCheck.make gen_drop_case) (fun c ->
       let runtimes =
         List.mapi
-          (fun id (seed, drop_priority, poor, streak, last, _) ->
+          (fun id (seed, poor, streak, last, _) ->
             let rng = Rng.create seed in
             let filter = Prefix.nth_descendant Prefix.root ~length:12 id in
             let topology =
@@ -434,7 +433,7 @@ let prop_drop_policy_model =
             let r =
               Runtime.create ~pool:(Runtime.pool ()) ~config:Config.default ~id ~spec ~topology
                 ~source:(Source.replay [| Epoch_data.of_flows ~epoch:0 [] |])
-                ~duration:10 ~arrived_at:0 ~drop_priority
+                ~duration:10 ~arrived_at:0
             in
             let r = if poor then poor_runtime r else r in
             r.Runtime.poor_streak <- streak;
@@ -442,13 +441,14 @@ let prop_drop_policy_model =
             r)
           c.tasks
       in
-      let allocs = List.map (fun (_, _, _, _, _, alloc) -> alloc) c.tasks in
+      let allocs = List.map (fun (_, _, _, _, alloc) -> alloc) c.tasks in
       let allocator = allocator_with ~congested:c.congested runtimes allocs in
-      (* The model: each task's new streak, then the first task of highest
-         priority among those at the threshold on a congested switch. *)
+      (* The model: each task's new streak, then the task of highest id
+         (the latest arrival) among those at the threshold on a congested
+         switch. *)
       let model =
         List.map2
-          (fun r (_, priority, poor, streak, last, alloc) ->
+          (fun r (_, poor, streak, last, alloc) ->
             let switches =
               Reference_switch_set.set_of_mask (Task.topology r.Runtime.task)
                 (Task.switches r.Runtime.task)
@@ -458,18 +458,17 @@ let prop_drop_policy_model =
             let eligible =
               streak >= c.threshold && Switch_id.Set.exists (fun sw -> c.congested.(sw)) switches
             in
-            (Runtime.id r, priority, total, last, streak, eligible))
+            (Runtime.id r, total, last, streak, eligible))
           runtimes c.tasks
       in
       let expected =
         List.fold_left
-          (fun best (id, priority, _, _, _, eligible) ->
+          (fun best (id, _, _, _, eligible) ->
             match best with
             | _ when not eligible -> best
-            | Some (_, p) when p >= priority -> best
-            | _ -> Some (id, priority))
+            | Some b when b > id -> best
+            | Some _ | None -> Some id)
           None model
-        |> Option.map fst
       in
       let victim =
         Drop_policy.victim ~allocator ~threshold:c.threshold (Array.of_list runtimes)
@@ -477,7 +476,7 @@ let prop_drop_policy_model =
       in
       Option.map Runtime.id victim = expected
       && List.for_all2
-           (fun r (_, _, total, last, streak, _) ->
+           (fun r (_, total, last, streak, _) ->
              r.Runtime.poor_streak = streak
              && r.Runtime.last_alloc_total = total
              && ((not (total > last)) || r.Runtime.poor_streak = 0))
@@ -521,7 +520,7 @@ let grown_task rng ~id ~num_switches =
   let r =
     Runtime.create ~pool:(Runtime.pool ()) ~config:Config.default ~id ~spec ~topology
       ~source:(Source.replay [| epoch_data 0 |])
-      ~duration:10 ~arrived_at:0 ~drop_priority:0
+      ~duration:10 ~arrived_at:0
   in
   let allocations = Fixtures.allocations_of r.Runtime.task (2 + Rng.int rng 8) in
   for epoch = 0 to Rng.int rng 4 do
@@ -621,14 +620,14 @@ let prop_fetch_read_fault_free =
 
 (* The bounded-staleness rule, driven directly.  In degraded mode a stale
    round decays the task's smoothed accuracy by [stale_decay] and raises
-   its staleness by one, until staleness reaches [shed_max_staleness]:
+   its staleness by one, until staleness reaches [Fetch.shed_max_staleness]:
    from there the decay stops while staleness keeps rising.  A fresh round
    resets staleness to 0 and decays nothing.  Under a fault model without
    degraded mode the decay never stops and staleness is not kept.  The
    fetch schedule puts the most stale first, ties in task-id order, and
    outside degraded mode keeps the order given. *)
 let test_fetch_bounded_staleness () =
-  let num_switches = 4 and bound = 3 in
+  let num_switches = 4 and bound = Fetch.shed_max_staleness in
   let spec = Dream_fault.Fault_model.zero in
   let fetch degraded =
     let config = { Config.default with Config.faults = Some spec; degraded } in
@@ -639,7 +638,7 @@ let test_fetch_bounded_staleness () =
       ~faults:(Some (Dream_fault.Fault_model.create spec ~num_switches))
       ~tallies:(Metrics.Tallies.of_registry registry) ~registry ~trace:None
   in
-  let degraded = fetch (Some { Config.default_degraded with Config.shed_max_staleness = bound }) in
+  let degraded = fetch (Some Config.default_degraded) in
   (* A task that has estimated once, on traffic with no heavy hitter, so
      its smoothed accuracy is 1.0 and every decay shows. *)
   let task id =
@@ -651,7 +650,7 @@ let test_fetch_bounded_staleness () =
     let data = Epoch_data.of_flows ~epoch:0 [] in
     let r =
       Runtime.create ~pool:(Runtime.pool ()) ~config:Config.default ~id ~spec ~topology
-        ~source:(Source.replay [| data |]) ~duration:10 ~arrived_at:0 ~drop_priority:0
+        ~source:(Source.replay [| data |]) ~duration:10 ~arrived_at:0
     in
     let allocations = Fixtures.allocations_of r.Runtime.task 4 in
     ignore (Fixtures.drive_task r.Runtime.task ~data ~allocations ~epoch:0);
@@ -667,11 +666,11 @@ let test_fetch_bounded_staleness () =
   let stale = 1 (* bit 0: every topology has it *) and fresh = Switch_mask.empty in
   let r = task 1 in
   Alcotest.(check (float 0.0)) "estimated before" 1.0 (Task.smoothed_global r.task);
-  round degraded r stale ~staleness:1 ~decays:true;
-  round degraded r stale ~staleness:2 ~decays:true;
-  round degraded r stale ~staleness:3 ~decays:true;
-  round degraded r stale ~staleness:4 ~decays:false;
-  round degraded r stale ~staleness:5 ~decays:false;
+  for staleness = 1 to bound do
+    round degraded r stale ~staleness ~decays:true
+  done;
+  round degraded r stale ~staleness:(bound + 1) ~decays:false;
+  round degraded r stale ~staleness:(bound + 2) ~decays:false;
   round degraded r fresh ~staleness:0 ~decays:false;
   round degraded r stale ~staleness:1 ~decays:true;
   let faults_only = fetch None in
@@ -983,7 +982,7 @@ let test_recycled_configures_grow_nothing () =
   let pool = Runtime.pool () in
   let admit id =
     Runtime.create ~config:Config.default ~pool ~id ~spec ~topology ~source:(Source.replay epochs)
-      ~duration:12 ~arrived_at:0 ~drop_priority:0
+      ~duration:12 ~arrived_at:0
   in
   (* Configure's words over the epochs, each after a fetch and estimate. *)
   let run (r : Runtime.t) =

@@ -29,11 +29,22 @@ let check_state msg expected br =
   Alcotest.(check string) msg (Breaker.state_to_string expected)
     (Breaker.state_to_string (Breaker.state br))
 
+(* A breaker trips after 3 consecutive failures and stays open for 4
+   epochs: the [threshold] and [cooldown] lines every checkpoint writes. *)
+let fail_times br n =
+  for _ = 1 to n do
+    Breaker.record_failure br
+  done
+
+let epochs br n =
+  for _ = 1 to n do
+    Breaker.begin_epoch br
+  done
+
 let test_breaker_trips_at_threshold () =
-  let br = Breaker.create Breaker.default_config in
+  let br = Breaker.create () in
   check_state "fresh" Breaker.Closed br;
-  Breaker.record_failure br;
-  Breaker.record_failure br;
+  fail_times br 2;
   check_state "below threshold" Breaker.Closed br;
   Alcotest.(check bool) "still allowing" true (Breaker.allow br);
   Breaker.record_failure br;
@@ -41,22 +52,19 @@ let test_breaker_trips_at_threshold () =
   Alcotest.(check bool) "open blocks" false (Breaker.allow br)
 
 let test_breaker_success_resets_failures () =
-  let br = Breaker.create Breaker.default_config in
-  Breaker.record_failure br;
-  Breaker.record_failure br;
+  let br = Breaker.create () in
+  fail_times br 2;
   Breaker.record_success br;
-  Breaker.record_failure br;
-  Breaker.record_failure br;
+  fail_times br 2;
   check_state "streak broken by success" Breaker.Closed br;
   Breaker.record_failure br;
   check_state "fresh streak of three trips" Breaker.Open br
 
 let test_breaker_cooldown_and_probe () =
-  let br = Breaker.create { Breaker.failure_threshold = 1; cooldown_epochs = 3 } in
-  Breaker.record_failure br;
+  let br = Breaker.create () in
+  fail_times br 3;
   check_state "tripped" Breaker.Open br;
-  Breaker.begin_epoch br;
-  Breaker.begin_epoch br;
+  epochs br 3;
   check_state "cooling down" Breaker.Open br;
   Breaker.begin_epoch br;
   check_state "cooldown elapsed" Breaker.Half_open br;
@@ -65,60 +73,63 @@ let test_breaker_cooldown_and_probe () =
   check_state "probe success closes" Breaker.Closed br
 
 let test_breaker_probe_failure_reopens () =
-  let br = Breaker.create { Breaker.failure_threshold = 1; cooldown_epochs = 2 } in
-  Breaker.record_failure br;
-  Breaker.begin_epoch br;
-  Breaker.begin_epoch br;
+  let br = Breaker.create () in
+  fail_times br 3;
+  epochs br 4;
   check_state "probing" Breaker.Half_open br;
   Breaker.record_failure br;
   check_state "probe failure re-opens" Breaker.Open br;
   (* The re-opened breaker owes a full cooldown again. *)
-  Breaker.begin_epoch br;
+  epochs br 3;
   check_state "cooling again" Breaker.Open br;
   Breaker.begin_epoch br;
   check_state "second probe window" Breaker.Half_open br
 
 let test_breaker_failures_while_open_ignored () =
-  let br = Breaker.create { Breaker.failure_threshold = 1; cooldown_epochs = 2 } in
-  Breaker.record_failure br;
-  Breaker.record_failure br;
-  Breaker.record_failure br;
+  let br = Breaker.create () in
+  fail_times br 5;
   check_state "still open" Breaker.Open br;
-  Breaker.begin_epoch br;
-  Breaker.begin_epoch br;
+  epochs br 4;
   check_state "cooldown unaffected by ignored failures" Breaker.Half_open br
 
 let test_breaker_hint_probe () =
-  let br = Breaker.create Breaker.default_config in
+  let br = Breaker.create () in
   Breaker.hint_probe br;
   check_state "hint on closed is a no-op" Breaker.Closed br;
-  Breaker.record_failure br;
-  Breaker.record_failure br;
-  Breaker.record_failure br;
+  fail_times br 3;
   check_state "tripped" Breaker.Open br;
   Breaker.hint_probe br;
   Breaker.begin_epoch br;
   check_state "hint skips the cooldown" Breaker.Half_open br
 
+(* The threshold and cooldown are constants: a breaker's text holding any
+   other value, 0 included, is refused at that line. *)
 let test_breaker_config_validated () =
-  Alcotest.check_raises "threshold 0"
-    (Invalid_argument "Breaker: failure_threshold must be >= 1") (fun () ->
-      ignore (Breaker.create { Breaker.failure_threshold = 0; cooldown_epochs = 4 }));
-  Alcotest.check_raises "cooldown 0" (Invalid_argument "Breaker: cooldown_epochs must be >= 1")
-    (fun () -> ignore (Breaker.create { Breaker.failure_threshold = 3; cooldown_epochs = 0 }))
+  let text = Codec.encode Breaker.codec (Breaker.create ()) in
+  let refused key value expected =
+    let tampered =
+      String.concat "\n"
+        (List.map
+           (fun l -> if String.starts_with ~prefix:(key ^ " ") l then key ^ " " ^ value else l)
+           (String.split_on_char '\n' text))
+    in
+    match Codec.decode Breaker.codec tampered with
+    | _ -> Alcotest.failf "%s %s accepted" key value
+    | exception Codec.Parse_error e ->
+      Alcotest.(check string) (key ^ " refused") expected (Codec.error_to_string e)
+  in
+  refused "threshold" "0" {|line 1: field "threshold": expected the constant 3, got "0"|};
+  refused "cooldown" "0" {|line 2: field "cooldown": expected the constant 4, got "0"|}
 
 let test_breaker_codec_roundtrip () =
-  let br = Breaker.create { Breaker.failure_threshold = 2; cooldown_epochs = 3 } in
-  Breaker.record_failure br;
-  Breaker.record_failure br;
+  let br = Breaker.create () in
+  fail_times br 3;
   Breaker.begin_epoch br;
   let br' = Codec.decode Breaker.codec (Codec.encode Breaker.codec br) in
   check_state "state survives" (Breaker.state br) br';
   (* Same future: both cool down to the probe at the same epoch. *)
-  Breaker.begin_epoch br;
-  Breaker.begin_epoch br;
-  Breaker.begin_epoch br';
-  Breaker.begin_epoch br';
+  epochs br 3;
+  epochs br' 3;
   check_state "parsed breaker follows the same schedule" (Breaker.state br) br';
   (* An unknown state code is refused at its line, like any unknown code. *)
   let text = Codec.encode Breaker.codec br in
@@ -321,19 +332,13 @@ let test_breaker_surface () =
 let test_deadline_sheds_with_bounded_staleness () =
   (* A deadline a fraction of one fetch round forces the scheduler to shed
      every epoch; bounded staleness must still push every task's fetch
-     through within [shed_max_staleness] epochs. *)
-  let bound = 3 in
+     through within [Fetch.shed_max_staleness] epochs. *)
+  let bound = Dream_core.Fetch.shed_max_staleness in
   let config =
     {
       Config.default with
       Config.faults = Some Fault_model.zero;
-      degraded =
-        Some
-          {
-            Config.default_degraded with
-            Config.deadline_fraction = 0.01;
-            shed_max_staleness = bound;
-          };
+      degraded = Some { Config.deadline_fraction = 0.01 };
     }
   in
   let controller = mk_controller ~config () in
@@ -379,8 +384,7 @@ let test_degraded_run_pinned () =
   let config =
     {
       (adversity_config ~level:1.0 11) with
-      Config.degraded =
-        Some { Config.default_degraded with Config.deadline_fraction = 0.02; shed_max_staleness = 2 };
+      Config.degraded = Some { Config.deadline_fraction = 0.02 };
       telemetry = Some bundle;
     }
   in
@@ -435,8 +439,9 @@ let test_degraded_run_pinned () =
   Alcotest.(check int) "breaker_probes = breaker_probe events" (count "breaker_probe")
     rob.Metrics.breaker_probes;
   (* Partitions keep tasks stale past the shed bound, so the decay stop runs. *)
-  Alcotest.(check bool) "staleness passed the bound" true (!max_seen > 2);
-  Alcotest.(check string) "digest" "5ae2f7f4c57095b7f66643574b8d4dc6" (Digest.to_hex (Digest.string (Buffer.contents b)))
+  Alcotest.(check bool) "staleness passed the bound" true
+    (!max_seen > Dream_core.Fetch.shed_max_staleness);
+  Alcotest.(check string) "digest" "820ff005c18fdf1e153f3d344ac46a79" (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 (* ---- Checkpointing degraded state ---- *)
 

@@ -391,10 +391,10 @@ let test_phase_views_agree () =
   List.iter
     (fun phase ->
       let spans = List.map snd (spans_of bundle phase) in
-      let h = Registry.histogram registry ~labels:[ ("phase", phase) ] "phase_ms" in
+      let series suffix = Printf.sprintf "dream_phase_ms_%s{phase=\"%s\"}" suffix phase in
       Alcotest.(check int) (phase ^ " phase_ms count") (List.length spans)
-        (Registry.Histogram.count h);
-      check_bits (phase ^ " phase_ms sum") (sum spans) (Registry.Histogram.sum h))
+        (int_of_float (Prom_text.value registry (series "count")));
+      check_bits (phase ^ " phase_ms sum") (sum spans) (Prom_text.value registry (series "sum")))
     [ "fetch"; "estimate"; "allocate"; "configure"; "report"; "epoch" ];
   let wall path =
     match Profile.find profile path with
@@ -420,6 +420,29 @@ let test_phase_views_agree () =
     (fun s -> Alcotest.(check int) (s.Profile.path ^ " count") epochs s.Profile.count)
     stats
 
+(* The rows of the switches.csv [write_dir] writes: every column is an
+   integer. *)
+let switches_csv bundle =
+  with_temp_dir (fun dir ->
+      (match Telemetry.write_dir bundle ~dir with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "write_dir: %s" e);
+      let ic = open_in (Filename.concat dir "switches.csv") in
+      Alcotest.(check string) "switches.csv header" "epoch,switch,rules,fetches,installs,removals"
+        (input_line ic);
+      let rec rows acc =
+        match input_line ic with
+        | line -> (
+          match List.map int_of_string (String.split_on_char ',' line) with
+          | [ epoch; switch; rules; fetches; installs; removals ] ->
+            rows ({ Telemetry.epoch; switch; rules; fetches; installs; removals } :: acc)
+          | _ -> Alcotest.failf "switches.csv row %S" line)
+        | exception End_of_file ->
+          close_in ic;
+          List.rev acc
+      in
+      rows [])
+
 (* [price] turns the epoch's TCAM stats into Fig 17's modelled fetch and
    save times; switches.csv records the same stats, so the two rebuild each
    other.  Retirement runs after pricing: a completing task's rule removals
@@ -427,7 +450,7 @@ let test_phase_views_agree () =
    those epochs the rebuilt save time is only an upper bound. *)
 let test_price_from_switch_rows () =
   let bundle, _, result = traced_run () in
-  let rows = Telemetry.switch_rows bundle in
+  let rows = switches_csv bundle in
   let completed =
     List.filter_map
       (function

@@ -40,7 +40,6 @@ let sample_entries () =
         spec;
         topology;
         duration = 40;
-        drop_priority = 2;
         source = "line one\nline two [with] brackets";
       };
     Journal.Reject { epoch = 4; task_id = 2; kind = Task_spec.Change_detection };
@@ -141,10 +140,24 @@ let test_journal_corruption_rejected () =
     |> List.map (fun l -> if l = "leaf_length 24" then "leaf_length 99" else l)
     |> String.concat "\n"
   in
-  match Journal.entries_of_string bad_spec with
+  (match Journal.entries_of_string bad_spec with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "an out-of-range spec value must be rejected"
-  | exception e -> Alcotest.failf "journal decode raised %s" (Printexc.to_string e)
+  | exception e -> Alcotest.failf "journal decode raised %s" (Printexc.to_string e));
+  (* Tasks drop in arrival order: an admission's drop priority line holds
+     its task id (1 here), and any other value is refused at that line. *)
+  let lines = String.split_on_char '\n' (encode_all entries) in
+  let line = 1 + Option.get (List.find_index (String.equal "drop_priority 1") lines) in
+  let bad_priority =
+    String.concat "\n"
+      (List.map (fun l -> if l = "drop_priority 1" then "drop_priority 2" else l) lines)
+  in
+  match Journal.entries_of_string bad_priority with
+  | Error e ->
+    Alcotest.(check string) "drop priority other than the task id"
+      (Printf.sprintf {|line %d: field "drop_priority": expected the constant 1, got "2"|} line)
+      e
+  | Ok _ -> Alcotest.fail "a drop priority other than the task id must be rejected"
 
 let test_journal_file_sink () =
   let path = Filename.temp_file "dream" ".wal" in
@@ -175,7 +188,7 @@ let gen_entry =
   let kind = oneofl Task_spec.all_kinds in
   let admit =
     map3
-      (fun (epoch, task_id, duration) (seed, spread, leaf) (drop_priority, source) ->
+      (fun (epoch, task_id, duration) (seed, spread, leaf) source ->
         let rng = Rng.create seed in
         let filter = Prefix.nth_descendant Prefix.root ~length:12 (seed mod 4096) in
         let topology =
@@ -186,10 +199,10 @@ let gen_entry =
             ~kind:(List.nth Task_spec.all_kinds (seed mod 3))
             ~filter ~leaf_length:(13 + leaf) ~threshold:8.0 ()
         in
-        Journal.Admit { epoch; task_id; spec; topology; duration; drop_priority; source })
+        Journal.Admit { epoch; task_id; spec; topology; duration; source })
       (triple small small small)
       (triple small (int_bound 3) (int_bound 19))
-      (pair small (string_size (int_bound 40)))
+      (string_size (int_bound 40))
   in
   oneof
     [
@@ -678,7 +691,7 @@ let test_journal_bytes_pinned () =
       Alcotest.(check string) (Journal.entry_name e) expected (md5 (Journal.entry_to_string e)))
     (sample_entries ())
     [
-      "c6826b4448b00760a5668a421cfe23ba";
+      "4972269624bc0e7645674a1f5708f706";
       "46d1b8625b84955d031c627be7d671ca";
       "89e0983e94eef0200e8008db6e337cf4";
       "005616efb7b8bd470f1d5e1f7b59ae4e";

@@ -90,9 +90,9 @@ let allocations_of monitor n =
 
 (* A monitor whose one counter is its filter [p], on switch 0 alone: the
    slot accessors on a counter of known prefix. *)
-let single_counter ?(kind = Task_spec.Heavy_hitter) ?(cd_history = 0.8) p =
+let single_counter ?(kind = Task_spec.Heavy_hitter) p =
   let topology = Topology.create (Rng.create 1) ~filter:p ~num_switches:1 ~switches_per_task:1 in
-  let spec = Task_spec.make ~kind ~filter:p ~leaf_length:32 ~threshold:10.0 ~cd_history () in
+  let spec = Task_spec.make ~kind ~filter:p ~leaf_length:32 ~threshold:10.0 () in
   Monitor.create ~storage:(fresh_storage ()) ~spec ~topology
 
 (* Replace the counter's volumes with one reading on switch 0. *)
@@ -110,7 +110,7 @@ let test_counter_basics () =
   Alcotest.(check (float 1e-9)) "volume elsewhere" 0.0 (Monitor.volume_on m 0 1)
 
 let test_counter_cd_mean () =
-  let m = single_counter ~cd_history:0.5 (sub 0b01 30) in
+  let m = single_counter (sub 0b01 30) in
   read_volume m 10.0;
   Alcotest.(check (float 1e-9)) "no history: deviation 0" 0.0 (Monitor.cd_deviation m 0);
   Monitor.update_means m;
@@ -787,7 +787,7 @@ let prop_columns_match_boxed_reference =
         Topology.create (Rng.create seed) ~filter:oracle_filter ~num_switches ~switches_per_task:k
       in
       let spec =
-        Task_spec.make ~kind ~filter:oracle_filter ~leaf_length:32 ~threshold:4.0 ~cd_history:0.7 ()
+        Task_spec.make ~kind ~filter:oracle_filter ~leaf_length:32 ~threshold:4.0 ()
       in
       let m, dm = with_divide_merge (Monitor.create ~storage:(fresh_storage ()) ~spec ~topology) in
       let r = Reference.create ~spec ~topology in
@@ -871,7 +871,7 @@ let prop_score_column_matches_of_slot =
           ~switches_per_task:k
       in
       let spec =
-        Task_spec.make ~kind ~filter:oracle_filter ~leaf_length:32 ~threshold:4.0 ~cd_history:0.7 ()
+        Task_spec.make ~kind ~filter:oracle_filter ~leaf_length:32 ~threshold:4.0 ()
       in
       let m, dm = with_divide_merge (Monitor.create ~storage:(fresh_storage ()) ~spec ~topology) in
       let rng = Rng.create seed in
@@ -949,7 +949,7 @@ let prop_estimates_match_oracles =
           ~switches_per_task:k
       in
       let spec =
-        Task_spec.make ~kind ~filter:oracle_filter ~leaf_length ~threshold ~cd_history:0.7 ()
+        Task_spec.make ~kind ~filter:oracle_filter ~leaf_length ~threshold ()
       in
       (* Twin tasks fed the same readings and allocations: [live] runs the
          item buffers, [oracle]'s monitor the list-based estimators. *)
@@ -1057,7 +1057,7 @@ let prop_recycled_storage_matches_fresh =
           ~switches_per_task:k
       in
       let spec_of kind =
-        Task_spec.make ~kind ~filter:oracle_filter ~leaf_length ~threshold:4.0 ~cd_history:0.7 ()
+        Task_spec.make ~kind ~filter:oracle_filter ~leaf_length ~threshold:4.0 ()
       in
       let allocations () =
         let a = Array.make k 0 in
