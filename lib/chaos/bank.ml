@@ -124,39 +124,30 @@ let run ?(canary = false) ?(horizon = Harness.default_horizon)
 
 (* ---- reproducer files ---- *)
 
-let reproducer_to_string (f : failure) =
-  Json.to_string
-    (Json.Obj
-       [
-         ("chaos", Json.Int 1);
-         ("canary", Json.Bool f.f_canary);
-         ( "violation",
-           Json.Obj
-             [
-               ("epoch", Json.Int f.f_first.Oracle.epoch);
-               ("code", Json.Str f.f_first.Oracle.code);
-               ("detail", Json.Str f.f_first.Oracle.detail);
-             ] );
-         ("schedule", Schedule.to_json f.f_minimized);
-       ])
+(* The canary flag, the first violation and the minimized schedule, which
+   must fit the harness's topology. *)
+let reproducer_json =
+  let violation =
+    Json.(
+      record
+        (let+ epoch = field "epoch" int (fun v -> v.Oracle.epoch)
+         and+ code = field "code" string (fun v -> v.Oracle.code)
+         and+ detail = field "detail" string (fun v -> v.Oracle.detail) in
+         { Oracle.epoch; code; detail }))
+  in
+  Json.(
+    record
+      (let+ () = field "chaos" (constant int 1) ignore
+       and+ canary = field "canary" bool (fun (c, _, _) -> c)
+       and+ first = field "violation" violation (fun (_, v, _) -> v)
+       and+ sched = field "schedule" Schedule.json (fun (_, _, s) -> s) in
+       match Schedule.validate ~num_switches:Harness.num_switches ~groups:Harness.groups sched with
+       | Ok () -> (canary, first, sched)
+       | Error e -> refuse e))
 
-let ( let* ) = Result.bind
+let reproducer_to_string (f : failure) =
+  Json.to_string (Json.encode reproducer_json (f.f_canary, f.f_first, f.f_minimized))
 
 let reproducer_of_string s =
-  let* j = Json.of_string s in
-  let* () =
-    match Option.bind (Json.member "chaos" j) Json.to_int with
-    | Some 1 -> Ok ()
-    | Some v -> Error (Printf.sprintf "unsupported reproducer version %d" v)
-    | None -> Error "not a chaos reproducer (missing \"chaos\" field)"
-  in
-  let canary =
-    match Json.member "canary" j with Some (Json.Bool b) -> b | _ -> false
-  in
-  let* sched =
-    match Json.member "schedule" j with
-    | Some sj -> Schedule.of_json sj
-    | None -> Error "missing \"schedule\" field"
-  in
-  let* () = Schedule.validate ~num_switches:Harness.num_switches ~groups:Harness.groups sched in
-  Ok (canary, sched)
+  Result.bind (Json.of_string s) (Json.decode reproducer_json)
+  |> Result.map (fun (canary, _, sched) -> (canary, sched))

@@ -63,5 +63,6 @@ val reproducer_to_string : failure -> string
     the minimized schedule with its seed. *)
 
 val reproducer_of_string : string -> (bool * Schedule.t, string) result
-(** Parse and bounds-check a reproducer file; returns (canary, schedule)
-    ready for {!Harness.run}. *)
+(** Parse and bounds-check a reproducer file through the same description
+    {!reproducer_to_string} writes with; returns (canary, schedule) ready
+    for {!Harness.run}. *)

@@ -127,99 +127,68 @@ let shrink_event e =
   | Torn_tail { at; drop } -> if drop > 0 then [ Torn_tail { at; drop = drop / 2 } ] else []
   | Checkpoint _ -> []
 
-(* ---- JSON round trip (reproducer files) ---- *)
+(* ---- JSON description (reproducer files) ---- *)
 
-let event_to_json e =
-  let base = [ ("kind", Json.Str (kind_of e)); ("at", Json.Int (at_of e)) ] in
-  let extra =
-    match e with
-    | Fault { fault = Crash { switch; downtime }; _ } ->
-      [ ("switch", Json.Int switch); ("downtime", Json.Int downtime) ]
-    | Fault { fault = Controller_crash; _ } | Checkpoint _ -> []
-    | Fault { fault = Partition { group; span }; _ } ->
-      [ ("group", Json.Int group); ("span", Json.Int span) ]
-    | Fault { fault = Heal { group }; _ } -> [ ("group", Json.Int group) ]
-    | Fault { fault = Storm { tasks }; _ } -> [ ("tasks", Json.Int tasks) ]
-    | Fault { fault = Noise { span; timeout_rate; loss_rate; perturb_stddev }; _ } ->
-      [
-        ("span", Json.Int span);
-        ("timeout_rate", Json.Float timeout_rate);
-        ("loss_rate", Json.Float loss_rate);
-        ("perturb", Json.Float perturb_stddev);
-      ]
-    | Torn_tail { drop; _ } -> [ ("drop", Json.Int drop) ]
+(* Every event is its kind, its epoch, then the fields of its kind. *)
+let event_json =
+  let open Json in
+  let at proj = field "at" int proj in
+  let kind tag fields inject project =
+    case tag
+      (record (let+ at = at fst and+ x = fields in (at, x)))
+      (fun (at, x) -> inject at x)
+      (fun e -> Option.map (fun x -> (at_of e, x)) (project e))
   in
-  Json.Obj (base @ extra)
-
-let to_json t =
-  Json.Obj
+  let only_at tag inject project =
+    case tag (record (at Fun.id)) inject (fun e -> if project e then Some (at_of e) else None)
+  in
+  let int2 k1 k2 =
+    let+ a = field k1 int (fun (_, (a, _)) -> a) and+ b = field k2 int (fun (_, (_, b)) -> b) in
+    (a, b)
+  in
+  let int1 k = field k int snd in
+  cases ~what:"event kind" ~key:"kind"
     [
-      ("seed", Json.Int t.seed);
-      ("horizon", Json.Int t.horizon);
-      ("events", Json.List (List.map event_to_json t.events));
+      kind "switch_crash" (int2 "switch" "downtime")
+        (fun at (switch, downtime) -> Fault { at; fault = Crash { switch; downtime } })
+        (function
+          | Fault { fault = Crash { switch; downtime }; _ } -> Some (switch, downtime) | _ -> None);
+      only_at "controller_crash"
+        (fun at -> Fault { at; fault = Controller_crash })
+        (function Fault { fault = Controller_crash; _ } -> true | _ -> false);
+      kind "partition" (int2 "group" "span")
+        (fun at (group, span) -> Fault { at; fault = Partition { group; span } })
+        (function Fault { fault = Partition { group; span }; _ } -> Some (group, span) | _ -> None);
+      kind "heal_hint" (int1 "group")
+        (fun at group -> Fault { at; fault = Heal { group } })
+        (function Fault { fault = Heal { group }; _ } -> Some group | _ -> None);
+      kind "storm" (int1 "tasks")
+        (fun at tasks -> Fault { at; fault = Storm { tasks } })
+        (function Fault { fault = Storm { tasks }; _ } -> Some tasks | _ -> None);
+      kind "noise"
+        (let+ span = field "span" int (fun (_, (s, _, _, _)) -> s)
+         and+ timeout_rate = field "timeout_rate" float (fun (_, (_, r, _, _)) -> r)
+         and+ loss_rate = field "loss_rate" float (fun (_, (_, _, r, _)) -> r)
+         and+ perturb_stddev = field "perturb" float (fun (_, (_, _, _, p)) -> p) in
+         (span, timeout_rate, loss_rate, perturb_stddev))
+        (fun at (span, timeout_rate, loss_rate, perturb_stddev) ->
+          Fault { at; fault = Noise { span; timeout_rate; loss_rate; perturb_stddev } })
+        (function
+          | Fault { fault = Noise { span; timeout_rate; loss_rate; perturb_stddev }; _ } ->
+            Some (span, timeout_rate, loss_rate, perturb_stddev)
+          | _ -> None);
+      kind "torn_tail" (int1 "drop")
+        (fun at drop -> Torn_tail { at; drop })
+        (function Torn_tail { drop; _ } -> Some drop | _ -> None);
+      only_at "checkpoint"
+        (fun at -> Checkpoint { at })
+        (function Checkpoint _ -> true | _ -> false);
     ]
 
-let json_int name j =
-  match Option.bind (Json.member name j) Json.to_int with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or non-integer field %S" name)
-
-let json_float name j =
-  match Option.bind (Json.member name j) Json.to_float with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or non-numeric field %S" name)
-
-let ( let* ) = Result.bind
-
-let event_of_json j =
-  let* kind =
-    match Option.bind (Json.member "kind" j) Json.to_str with
-    | Some k -> Ok k
-    | None -> Error "event without a \"kind\" field"
-  in
-  let* at = json_int "at" j in
-  let fault f = Ok (Fault { at; fault = f }) in
-  match kind with
-  | "switch_crash" ->
-    let* switch = json_int "switch" j in
-    let* downtime = json_int "downtime" j in
-    fault (Crash { switch; downtime })
-  | "controller_crash" -> fault Controller_crash
-  | "partition" ->
-    let* group = json_int "group" j in
-    let* span = json_int "span" j in
-    fault (Partition { group; span })
-  | "heal_hint" ->
-    let* group = json_int "group" j in
-    fault (Heal { group })
-  | "storm" ->
-    let* tasks = json_int "tasks" j in
-    fault (Storm { tasks })
-  | "noise" ->
-    let* span = json_int "span" j in
-    let* timeout_rate = json_float "timeout_rate" j in
-    let* loss_rate = json_float "loss_rate" j in
-    let* perturb_stddev = json_float "perturb" j in
-    fault (Noise { span; timeout_rate; loss_rate; perturb_stddev })
-  | "torn_tail" ->
-    let* drop = json_int "drop" j in
-    Ok (Torn_tail { at; drop })
-  | "checkpoint" -> Ok (Checkpoint { at })
-  | other -> Error (Printf.sprintf "unknown event kind %S" other)
-
-let of_json j =
-  let* seed = json_int "seed" j in
-  let* horizon = json_int "horizon" j in
-  let* events =
-    match Json.member "events" j with
-    | Some (Json.List evs) ->
-      List.fold_left
-        (fun acc e ->
-          let* acc = acc in
-          let* e = event_of_json e in
-          Ok (e :: acc))
-        (Ok []) evs
-      |> Result.map List.rev
-    | _ -> Error "missing or non-list \"events\" field"
-  in
-  Ok { seed; horizon; events }
+let json =
+  Json.(
+    record
+      (let+ seed = field "seed" int (fun t -> t.seed)
+       and+ horizon = field "horizon" int (fun t -> t.horizon)
+       and+ events = field "events" (list event_json) (fun t -> t.events) in
+       { seed; horizon; events }))

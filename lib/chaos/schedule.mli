@@ -41,8 +41,7 @@ val shrink_event : event -> event list
 (** Strictly-smaller variants of one event (shorter windows, lower rates),
     largest reduction first; empty for atomic events. *)
 
-val to_json : t -> Dream_obs.Json.t
-
-val of_json : Dream_obs.Json.t -> (t, string) result
-(** Inverse of {!to_json}; structural errors only — use {!validate} for
-    range checks. *)
+val json : t Dream_obs.Json.codec
+(** A schedule as a reproducer file holds it: seed, horizon and events,
+    each event its ["kind"], its epoch ["at"] and its kind's fields.
+    Structure only — use {!validate} for range checks. *)

@@ -69,15 +69,18 @@ let config_codec =
             (fun c -> c.Config.drop_threshold)
         and+ () = field (constant (float "accuracy_history") Task.accuracy_history) ignore
         and+ () = field (constant (float "epoch_ms") Delay_model.epoch_ms) ignore
-        and+ control_delay =
-          field
-            (conv Option.is_some (fun on -> if on then Some (List.map ignore delay_costs) else None)
-               (option "control_delay" costs))
-            (fun c -> c.Config.control_delay)
-        and+ score_satisfaction_with =
-          field
-            (flag "score_real" ~yes:`Real_accuracy ~no:`Estimated_accuracy)
-            (fun c -> c.Config.score_satisfaction_with)
+        and+ prototype =
+          (* The prototype both delays control and scores its estimates: the
+             second line must agree with the first. *)
+          (let* prototype =
+             field
+               (conv Option.is_some
+                  (fun on -> if on then Some (List.map ignore delay_costs) else None)
+                  (option "control_delay" costs))
+               (fun c -> c.Config.prototype)
+           in
+           let+ () = field (constant (bool "score_real") (not prototype)) ignore in
+           prototype)
         and+ accuracy_mode =
           field
             (flag "accuracy_overall" ~yes:Task.Overall ~no:Task.Global_only)
@@ -90,8 +93,7 @@ let config_codec =
           {
             Config.allocation_interval;
             drop_threshold;
-            control_delay;
-            score_satisfaction_with;
+            prototype;
             accuracy_mode;
             install_budget;
             faults = None;

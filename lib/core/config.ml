@@ -5,8 +5,7 @@ let default_degraded = { deadline_fraction = 0.8 }
 type t = {
   allocation_interval : int;
   drop_threshold : int;
-  control_delay : bool;
-  score_satisfaction_with : [ `Real_accuracy | `Estimated_accuracy ];
+  prototype : bool;
   accuracy_mode : Dream_tasks.Task.accuracy_mode;
   install_budget : int option;
   faults : Dream_fault.Fault_model.spec option;
@@ -19,8 +18,7 @@ let default =
   {
     allocation_interval = 2;
     drop_threshold = 6;
-    control_delay = false;
-    score_satisfaction_with = `Real_accuracy;
+    prototype = false;
     accuracy_mode = Dream_tasks.Task.Overall;
     install_budget = None;
     faults = None;
@@ -49,11 +47,6 @@ let validate t =
          d.deadline_fraction)
   | Some _ | None -> ()
 
-let prototype =
-  {
-    default with
-    control_delay = true;
-    score_satisfaction_with = `Estimated_accuracy;
-  }
+let prototype = { default with prototype = true }
 
 let hardware ~installs_per_epoch = { prototype with install_budget = Some installs_per_epoch }

@@ -31,13 +31,14 @@ val default_degraded : degraded
 type t = {
   allocation_interval : int;  (** measurement epochs per allocation epoch *)
   drop_threshold : int;  (** consecutive poor allocation rounds before a drop *)
-  control_delay : bool;
-      (** when set, freshly installed rules miss the fraction of the epoch
-          the rule update takes, priced by {!Dream_switch.Delay_model} —
-          the prototype behaviour of Figs 8/9 *)
-  score_satisfaction_with : [ `Real_accuracy | `Estimated_accuracy ];
-      (** simulation scores with ground truth; the prototype could only
-          use its own estimates (Section 6.1) *)
+  prototype : bool;
+      (** Section 6.1's prototype, the configuration of the Figs 8/9
+          validation: freshly installed rules miss the fraction of the
+          epoch the rule update takes, priced by
+          {!Dream_switch.Delay_model}, and satisfaction is scored with the
+          controller's own accuracy estimates, the only ones the prototype
+          had.  Unset, the simulation installs rules at once and scores
+          with ground truth. *)
   accuracy_mode : Dream_tasks.Task.accuracy_mode;
       (** what drives per-switch allocation: the paper's max(global,
           local), or global alone (an ablation) *)
@@ -90,7 +91,8 @@ val validate : t -> unit
     @raise Invalid_argument naming the first bad field. *)
 
 val default : t
-(** interval 2, drop threshold 6, no control delay, real-accuracy scoring. *)
+(** interval 2, drop threshold 6, not the prototype: no control delay,
+    real-accuracy scoring. *)
 
 val hardware : installs_per_epoch:int -> t
 (** The prototype configuration further constrained by a hardware
@@ -98,6 +100,5 @@ val hardware : installs_per_epoch:int -> t
     why the paper's control loop needs fast rule installation. *)
 
 val prototype : t
-(** Like {!default} but with the control-delay model enabled and
-    estimated-accuracy scoring — the configuration that mimics the paper's
-    prototype for the Figs 8/9 validation. *)
+(** {!default} with [prototype] set — the configuration that mimics the
+    paper's prototype for the Figs 8/9 validation. *)

@@ -462,9 +462,7 @@ let observe t scores (r : Runtime.t) =
   Obs.Profile.stop t.profile t.spans.ground_truth;
   let spec = Task.spec r.task in
   let scored =
-    match t.config.Config.score_satisfaction_with with
-    | `Real_accuracy -> real_accuracy
-    | `Estimated_accuracy -> estimate.Dream_tasks.Accuracy.global
+    if t.config.Config.prototype then estimate.Dream_tasks.Accuracy.global else real_accuracy
   in
   r.active_epochs <- r.active_epochs + 1;
   r.scores.accuracy_sum <- r.scores.accuracy_sum +. scored;

@@ -72,7 +72,7 @@ let create ~config ~switches ~breakers ~faults ~tallies ~registry ~trace =
     staleness_hist =
       (if breakers = [||] then None else Some (Obs.Registry.histogram registry "task_staleness"));
     degraded = (if breakers = [||] then None else config.Config.degraded);
-    control_delay = config.Config.control_delay;
+    control_delay = config.Config.prototype;
     retry_budget_ms =
       (match faults with
       | Some fm -> (Fault_model.spec fm).Fault_model.retry_budget_fraction *. Delay_model.epoch_ms

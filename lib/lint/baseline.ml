@@ -114,58 +114,34 @@ let debt_snapshot findings =
   in
   Bench.make ~figure:"lint-debt" ~quick:false ~metrics ()
 
-let entry_to_json e =
-  Json.Obj
-    ([
-       ("rule", Json.Str e.b_rule);
-       ("file", Json.Str e.b_file);
-       ("count", Json.Int e.b_count);
-     ]
-    @ match e.b_reason with None -> [] | Some r -> [ ("reason", Json.Str r) ])
-
-let entry_of_json j =
-  let str k = Option.bind (Json.member k j) Json.to_str in
-  let int k = Option.bind (Json.member k j) Json.to_int in
-  match (str "rule", str "file", int "count") with
-  | Some rule, Some file, Some count when count > 0 ->
-    Ok { b_rule = rule; b_file = file; b_count = count; b_reason = str "reason" }
-  | _ -> Error "baseline: entry needs rule, file and a positive count"
-
-let to_json t =
-  Json.Obj
-    [
-      ("version", Json.Int version);
-      ("entries", Json.List (List.map entry_to_json (normalize t)));
-    ]
-
-let of_json j =
-  let ( let* ) = Result.bind in
-  let* () =
-    match Option.bind (Json.member "version" j) Json.to_int with
-    | Some v when v = version -> Ok ()
-    | Some v -> Error (Printf.sprintf "baseline: version %d, expected %d" v version)
-    | None -> Error "baseline: missing version"
+let json =
+  let count =
+    Json.conv
+      (fun n -> if n > 0 then n else Json.refuse (Printf.sprintf "count %d is not positive" n))
+      Fun.id Json.int
   in
-  match Json.member "entries" j with
-  | Some (Json.List items) ->
-    let* entries =
-      List.fold_left
-        (fun acc item ->
-          let* es = acc in
-          let* e = entry_of_json item in
-          Ok (e :: es))
-        (Ok []) items
-    in
-    let entries = normalize entries in
-    let keys = List.map (fun e -> (e.b_rule, e.b_file)) entries in
-    if List.length keys <> List.length (List.sort_uniq compare_key keys) then
-      Error "baseline: duplicate (rule, file) entry"
-    else Ok entries
-  | _ -> Error "baseline: missing entries list"
+  let entry =
+    Json.(
+      record
+        (let+ b_rule = field "rule" string (fun e -> e.b_rule)
+         and+ b_file = field "file" string (fun e -> e.b_file)
+         and+ b_count = field "count" count (fun e -> e.b_count)
+         and+ b_reason = optional "reason" string (fun e -> e.b_reason) in
+         { b_rule; b_file; b_count; b_reason }))
+  in
+  Json.(
+    record
+      (let+ () = field "version" (constant int version) ignore
+       and+ entries = field "entries" (list entry) normalize in
+       let entries = normalize entries in
+       let keys = List.map (fun e -> (e.b_rule, e.b_file)) entries in
+       if List.length keys <> List.length (List.sort_uniq compare_key keys) then
+         refuse "duplicate (rule, file) entry";
+       entries))
 
-let to_string t = Json.to_string (to_json t)
+let to_string t = Json.to_string (Json.encode json t)
 
-let of_string s = Result.bind (Json.of_string s) of_json
+let of_string s = Result.bind (Json.of_string s) (Json.decode json)
 
 let read path =
   match In_channel.with_open_bin path In_channel.input_all with

@@ -28,36 +28,26 @@ let compare a b =
 
 let severity_to_string = function Error -> "error" | Warning -> "warning"
 
-let severity_of_string = function
-  | "error" -> Some Error
-  | "warning" -> Some Warning
-  | _ -> None
-
 let pp ppf t =
   Format.fprintf ppf "%s:%d:%d: %s [%s] %s" t.file t.line t.col
     (severity_to_string t.severity)
     t.rule t.message
 
-let to_json t =
-  Json.Obj
-    [
-      ("rule", Json.Str t.rule);
-      ("file", Json.Str t.file);
-      ("line", Json.Int t.line);
-      ("col", Json.Int t.col);
-      ("severity", Json.Str (severity_to_string t.severity));
-      ("message", Json.Str t.message);
-    ]
-
-let of_json j =
-  let str k = Option.bind (Json.member k j) Json.to_str in
-  let int k = Option.bind (Json.member k j) Json.to_int in
-  let field k = function Some v -> Ok v | None -> Error ("finding: bad field " ^ k) in
-  let ( let* ) = Result.bind in
-  let* rule = field "rule" (str "rule") in
-  let* file = field "file" (str "file") in
-  let* line = field "line" (int "line") in
-  let* col = field "col" (int "col") in
-  let* severity = field "severity" (Option.bind (str "severity") severity_of_string) in
-  let* message = field "message" (str "message") in
-  Ok { rule; file; line; col; severity; message }
+let json =
+  let severity =
+    Json.conv
+      (function
+        | "error" -> Error
+        | "warning" -> Warning
+        | s -> Json.refuse (Printf.sprintf "unknown severity %S" s))
+      severity_to_string Json.string
+  in
+  Json.(
+    record
+      (let+ rule = field "rule" string (fun f -> f.rule)
+       and+ file = field "file" string (fun f -> f.file)
+       and+ line = field "line" int (fun f -> f.line)
+       and+ col = field "col" int (fun f -> f.col)
+       and+ severity = field "severity" severity (fun f -> f.severity)
+       and+ message = field "message" string (fun f -> f.message) in
+       { rule; file; line; col; severity; message }))

@@ -2,9 +2,9 @@
 
     Findings are plain data so reporters ({!Report}), the engine's
     suppression pass and the test suite can all share them.  The JSON
-    codec round-trips through {!Dream_obs.Json} — the same codec the
-    telemetry exporters use — so CI can parse the report with the
-    machinery the repo already trusts. *)
+    description is a {!Dream_obs.Json} one, like the telemetry
+    exporters', so CI can parse the report with the machinery the repo
+    already trusts. *)
 
 type severity = Error | Warning
 
@@ -29,7 +29,6 @@ val pp : Format.formatter -> t -> unit
 (** [file:line:col: severity [rule] message] — one line, compiler-style,
     so editors and CI annotations can parse it. *)
 
-val to_json : t -> Dream_obs.Json.t
-
-val of_json : Dream_obs.Json.t -> (t, string) result
-(** Inverse of {!to_json}; [Error] names the missing or ill-typed field. *)
+val json : t Dream_obs.Json.codec
+(** One finding as a JSON object, written and read by this one
+    description. *)

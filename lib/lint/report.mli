@@ -13,8 +13,9 @@ val text : ?baseline:int * int -> Format.formatter -> Finding.t list -> unit
 val json : ?baseline:int * int -> Format.formatter -> Finding.t list -> unit
 (** A single JSON object [{"version": 2, "count": N, "errors": E,
     "warnings": W, "by_rule": {...}, "findings": [...]}] rendered
-    through {!Dream_obs.Json}, newline-terminated.  Machine-readable and
-    re-parseable by the same codec ({!of_json_string}). *)
+    through {!Dream_obs.Json}, newline-terminated.  The findings are
+    written by the description {!of_json_string} reads them back with;
+    the summary counts are only ever written. *)
 
 val of_json_string : string -> (Finding.t list, string) result
 (** Parse a report produced by {!json} back into findings — the CI

@@ -69,109 +69,43 @@ let validate t =
   if t.figure = "" then Error "figure id must not be empty"
   else Result.bind (metrics t.metrics) (fun () -> phases t.phases)
 
-(* ---- emission ---- *)
+(* ---- codec ---- *)
 
 let direction_to_string = function
   | Lower_better -> "lower"
   | Higher_better -> "higher"
   | Info -> "info"
 
-let direction_of_string = function
-  | "lower" -> Ok Lower_better
-  | "higher" -> Ok Higher_better
-  | "info" -> Ok Info
-  | other -> Error (Printf.sprintf "unknown direction %S" other)
+let direction_json =
+  Json.conv
+    (function
+      | "lower" -> Lower_better
+      | "higher" -> Higher_better
+      | "info" -> Info
+      | other -> Json.refuse (Printf.sprintf "unknown direction %S" other))
+    direction_to_string Json.string
 
-let metric_to_json m =
-  let base =
-    [
-      ("name", Json.Str m.m_name);
-      ("value", Json.Float m.m_value);
-      ("unit", Json.Str m.m_unit);
-      ("direction", Json.Str (direction_to_string m.m_direction));
-    ]
-  in
-  match m.m_tolerance_pct with
-  | None -> Json.Obj base
-  | Some tol -> Json.Obj (base @ [ ("tolerance_pct", Json.Float tol) ])
+let metric_json =
+  Json.(
+    record
+      (let+ m_name = field "name" string (fun m -> m.m_name)
+       and+ m_value = field "value" float (fun m -> m.m_value)
+       and+ m_unit = field "unit" string (fun m -> m.m_unit)
+       and+ m_direction = field "direction" direction_json (fun m -> m.m_direction)
+       and+ m_tolerance_pct = optional "tolerance_pct" float (fun m -> m.m_tolerance_pct) in
+       { m_name; m_value; m_unit; m_direction; m_tolerance_pct }))
 
-let to_json t =
-  Json.Obj
-    [
-      ("version", Json.Int version);
-      ("figure", Json.Str t.figure);
-      ("quick", Json.Bool t.quick);
-      ("seeds", Json.List (List.map (fun s -> Json.Int s) t.seeds));
-      ("metrics", Json.List (List.map metric_to_json t.metrics));
-      ("phases", Profile.stats_to_json t.phases);
-    ]
-
-(* ---- parsing ---- *)
-
-let ( let* ) = Result.bind
-
-let field name conv j =
-  match Json.member name j with
-  | Some v -> (
-    match conv v with
-    | Some x -> Ok x
-    | None -> Error (Printf.sprintf "snapshot: field %S has the wrong type" name))
-  | None -> Error (Printf.sprintf "snapshot: missing field %S" name)
-
-let to_bool = function Json.Bool b -> Some b | _ -> None
-
-let metric_of_json j =
-  let* name = field "name" Json.to_str j in
-  let* value = field "value" Json.to_float j in
-  let* unit_ = field "unit" Json.to_str j in
-  let* dir = field "direction" Json.to_str j in
-  let* direction = direction_of_string dir in
-  let* tolerance_pct =
-    match Json.member "tolerance_pct" j with
-    | None -> Ok None
-    | Some v -> (
-      match Json.to_float v with
-      | Some tol -> Ok (Some tol)
-      | None -> Error (Printf.sprintf "metric %S: tolerance_pct has the wrong type" name))
-  in
-  Ok { m_name = name; m_value = value; m_unit = unit_; m_direction = direction;
-       m_tolerance_pct = tolerance_pct }
-
-let list_of name conv j =
-  match Json.member name j with
-  | Some (Json.List items) ->
-    List.fold_left
-      (fun acc item ->
-        let* rev = acc in
-        let* x = conv item in
-        Ok (x :: rev))
-      (Ok []) items
-    |> Result.map List.rev
-  | Some _ -> Error (Printf.sprintf "snapshot: field %S must be a list" name)
-  | None -> Error (Printf.sprintf "snapshot: missing field %S" name)
-
-let of_json j =
-  let* v = field "version" Json.to_int j in
-  let* () =
-    if v = version then Ok ()
-    else Error (Printf.sprintf "snapshot: version %d, this reader understands %d" v version)
-  in
-  let* figure = field "figure" Json.to_str j in
-  let* quick = field "quick" to_bool j in
-  let* seeds =
-    list_of "seeds" (fun s ->
-        match Json.to_int s with Some i -> Ok i | None -> Error "snapshot: seeds must be integers")
-      j
-  in
-  let* metrics = list_of "metrics" metric_of_json j in
-  let* phases =
-    match Json.member "phases" j with
-    | Some p -> Profile.stats_of_json p
-    | None -> Error "snapshot: missing field \"phases\""
-  in
-  let t = { figure; quick; seeds; metrics; phases } in
-  let* () = validate t in
-  Ok t
+let json =
+  Json.(
+    record
+      (let+ () = field "version" (constant int version) ignore
+       and+ figure = field "figure" string (fun t -> t.figure)
+       and+ quick = field "quick" bool (fun t -> t.quick)
+       and+ seeds = field "seeds" (list int) (fun t -> t.seeds)
+       and+ metrics = field "metrics" (list metric_json) (fun t -> t.metrics)
+       and+ phases = field "phases" Profile.stats_json (fun t -> t.phases) in
+       let t = { figure; quick; seeds; metrics; phases } in
+       match validate t with Ok () -> t | Error e -> refuse e))
 
 (* ---- files ---- *)
 
@@ -186,16 +120,16 @@ let rec mkdir_p dir =
   end
 
 let write t ~dir =
-  let* () = validate t in
-  mkdir_p dir;
-  let path = Filename.concat dir (filename t.figure) in
-  try
-    let oc = open_out path in
-    output_string oc (Json.to_string (to_json t));
-    output_char oc '\n';
-    close_out oc;
-    Ok path
-  with Sys_error msg -> Error (Printf.sprintf "cannot write snapshot %s: %s" path msg)
+  Result.bind (validate t) (fun () ->
+      mkdir_p dir;
+      let path = Filename.concat dir (filename t.figure) in
+      try
+        let oc = open_out path in
+        output_string oc (Json.to_string (Json.encode json t));
+        output_char oc '\n';
+        close_out oc;
+        Ok path
+      with Sys_error msg -> Error (Printf.sprintf "cannot write snapshot %s: %s" path msg))
 
 let read path =
   match open_in_bin path with
@@ -204,5 +138,5 @@ let read path =
     let s = really_input_string ic n in
     close_in ic;
     Result.map_error (Printf.sprintf "%s: %s" path)
-      (Result.bind (Json.of_string (String.trim s)) of_json)
+      (Result.bind (Json.of_string (String.trim s)) (Json.decode json))
   | exception Sys_error msg -> Error (Printf.sprintf "cannot read snapshot %s: %s" path msg)

@@ -12,10 +12,11 @@
     (satisfaction percentages, counters, allocation words) gate with
     tight tolerances.
 
-    {!read} is the exact inverse of {!write} for every value {!write}
-    accepts; non-finite numbers have no JSON spelling, so a NaN snapshot
-    neither writes nor parses — the comparator's bad-input exit (124)
-    leans on this. *)
+    {!write} and {!read} walk one {!Dream_obs.Json} description, so {!read}
+    is the exact inverse of {!write} for every value {!write} accepts;
+    non-finite numbers have no JSON spelling, so a NaN snapshot neither
+    writes nor parses — the comparator's bad-input exit (124) leans on
+    this. *)
 
 type direction =
   | Lower_better  (** increases beyond tolerance are regressions *)

@@ -54,12 +54,9 @@ let load_trace path =
       (fun acc (lineno, line) ->
         let* acc = acc in
         let fail msg = Error (Printf.sprintf "%s:%d: %s" path lineno msg) in
-        match Json.of_string line with
+        match Result.bind (Json.of_string line) (Json.decode Trace.item_json) with
         | Error msg -> fail msg
-        | Ok j -> (
-          match Trace.item_of_json j with
-          | Error msg -> fail msg
-          | Ok item -> Ok (item :: acc)))
+        | Ok item -> Ok (item :: acc))
       (Ok [])
       (List.mapi (fun i l -> (i + 1, l)) lines)
   in
@@ -184,9 +181,8 @@ let load_profile path =
   else begin
     let* lines = read_lines path in
     let doc = String.concat "\n" lines in
-    match Json.of_string doc with
-    | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-    | Ok j -> Result.map_error (Printf.sprintf "%s: %s" path) (Profile.stats_of_json j)
+    Result.map_error (Printf.sprintf "%s: %s" path)
+      (Result.bind (Json.of_string doc) (Json.decode Profile.stats_json))
   end
 
 let load_report ~top ~dir =

@@ -125,65 +125,23 @@ let observe_epoch registry ~wall_ms ~gc =
 
 (* ---- snapshot codec ---- *)
 
-let stat_to_json s =
-  Json.Obj
-    [
-      ("path", Json.Str s.path);
-      ("count", Json.Int s.count);
-      ("wall_ms", Json.Float s.wall_ms);
-      ("minor_words", Json.Float s.gc.Gc_stats.minor_words);
-      ("promoted_words", Json.Float s.gc.Gc_stats.promoted_words);
-      ("major_words", Json.Float s.gc.Gc_stats.major_words);
-      ("minor_collections", Json.Int s.gc.Gc_stats.minor_collections);
-      ("major_collections", Json.Int s.gc.Gc_stats.major_collections);
-      ("compactions", Json.Int s.gc.Gc_stats.compactions);
-    ]
-
-let ( let* ) = Result.bind
-
-let field name conv j =
-  match Json.member name j with
-  | Some v -> (
-    match conv v with
-    | Some x -> Ok x
-    | None -> Error (Printf.sprintf "profile stat: field %S has the wrong type" name))
-  | None -> Error (Printf.sprintf "profile stat: missing field %S" name)
-
-let stat_of_json j =
-  let* path = field "path" Json.to_str j in
-  let* count = field "count" Json.to_int j in
-  let* wall_ms = field "wall_ms" Json.to_float j in
-  let* minor_words = field "minor_words" Json.to_float j in
-  let* promoted_words = field "promoted_words" Json.to_float j in
-  let* major_words = field "major_words" Json.to_float j in
-  let* minor_collections = field "minor_collections" Json.to_int j in
-  let* major_collections = field "major_collections" Json.to_int j in
-  let* compactions = field "compactions" Json.to_int j in
-  Ok
-    {
-      path;
-      count;
-      wall_ms;
-      gc =
-        {
-          Gc_stats.minor_words;
-          promoted_words;
-          major_words;
-          minor_collections;
-          major_collections;
-          compactions;
-        };
-    }
-
-let stats_to_json stats = Json.List (List.map stat_to_json stats)
-
-let stats_of_json = function
-  | Json.List items ->
-    List.fold_left
-      (fun acc item ->
-        let* rev = acc in
-        let* s = stat_of_json item in
-        Ok (s :: rev))
-      (Ok []) items
-    |> Result.map List.rev
-  | _ -> Error "profile: expected a JSON list of stats"
+let stats_json =
+  let words key proj = Json.field key Json.float (fun (s : stat) -> proj s.gc) in
+  let tally key proj = Json.field key Json.int (fun (s : stat) -> proj s.gc) in
+  Json.(
+    list
+      (record
+         (let+ path = field "path" string (fun s -> s.path)
+          and+ count = field "count" int (fun s -> s.count)
+          and+ wall_ms = field "wall_ms" float (fun s -> s.wall_ms)
+          and+ minor_words = words "minor_words" (fun g -> g.Gc_stats.minor_words)
+          and+ promoted_words = words "promoted_words" (fun g -> g.Gc_stats.promoted_words)
+          and+ major_words = words "major_words" (fun g -> g.Gc_stats.major_words)
+          and+ minor_collections = tally "minor_collections" (fun g -> g.Gc_stats.minor_collections)
+          and+ major_collections = tally "major_collections" (fun g -> g.Gc_stats.major_collections)
+          and+ compactions = tally "compactions" (fun g -> g.Gc_stats.compactions) in
+          let gc =
+            { Gc_stats.minor_words; promoted_words; major_words; minor_collections;
+              major_collections; compactions }
+          in
+          { path; count; wall_ms; gc })))

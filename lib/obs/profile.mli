@@ -76,13 +76,8 @@ val observe_epoch : Registry.t -> wall_ms:float -> gc:Gc_stats.reading -> unit
     wall time of epochs that contained at least one major collection —
     the closest pause proxy [Gc.quick_stat] affords. *)
 
-(** {1 Snapshot codec}
+(** {1 Snapshot codec} *)
 
-    [stats_of_json] is the exact inverse of [stats_to_json], so the
-    [profile.json] artifact written by {!Telemetry.write_dir} reads back
-    bit-identically (the [inspect] subcommand and the tests rely on
-    this). *)
-
-val stats_to_json : stat list -> Json.t
-
-val stats_of_json : Json.t -> (stat list, string) result
+val stats_json : stat list Json.codec
+(** The [profile.json] artifact written by {!Telemetry.write_dir} and the
+    [phases] of a [Bench_snapshot]: one object per stat. *)

@@ -62,7 +62,7 @@ let write_dir t ~dir =
     with_out (path "trace.jsonl") (fun oc ->
         List.iter
           (fun item ->
-            output_string oc (Json.to_string (Trace.item_to_json item));
+            output_string oc (Json.to_string (Json.encode Trace.item_json item));
             output_char oc '\n')
           (Trace.items t.trace))
   in
@@ -74,7 +74,7 @@ let write_dir t ~dir =
     | None -> Ok ()
     | Some p ->
       with_out (path "profile.json") (fun oc ->
-          output_string oc (Json.to_string (Profile.stats_to_json (Profile.stats p)));
+          output_string oc (Json.to_string (Json.encode Profile.stats_json (Profile.stats p)));
           output_char oc '\n')
   in
   let* () =

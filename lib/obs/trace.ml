@@ -28,46 +28,36 @@ let items t = List.rev t.rev_items
 
 let length t = t.count
 
-let json_of_field = function
-  | Int i -> Json.Int i
-  | Float f -> Json.Float f
-  | Str s -> Json.Str s
+(* An event field is whichever scalar its member holds. *)
+let field_json =
+  Json.conv
+    (function
+      | Json.Int i -> Int i
+      | Json.Float f -> Float f
+      | Json.Str s -> Str s
+      | Json.Null | Json.Bool _ | Json.List _ | Json.Obj _ -> Json.refuse "not a scalar")
+    (function Int i -> Json.Int i | Float f -> Json.Float f | Str s -> Json.Str s)
+    Json.any
 
-let item_to_json = function
-  | Span { epoch; phase; ms } ->
-    Json.Obj
-      [ ("t", Json.Str "span"); ("epoch", Json.Int epoch); ("phase", Json.Str phase);
-        ("ms", Json.Float ms) ]
-  | Event { epoch; name; fields } ->
-    Json.Obj
-      (("t", Json.Str "event") :: ("epoch", Json.Int epoch) :: ("name", Json.Str name)
-      :: List.map (fun (k, v) -> (k, json_of_field v)) fields)
-
-let item_of_json j =
-  let str key = Option.bind (Json.member key j) Json.to_str in
-  let int key = Option.bind (Json.member key j) Json.to_int in
-  match str "t" with
-  | None -> Error "missing \"t\" discriminator"
-  | Some kind -> (
-    match int "epoch" with
-    | None -> Error "missing epoch"
-    | Some epoch -> (
-      match kind with
-      | "span" -> (
-        match (str "phase", Option.bind (Json.member "ms" j) Json.to_float) with
-        | Some phase, Some ms -> Ok (Span { epoch; phase; ms })
-        | _ -> Error "span missing phase or ms")
-      | "event" -> (
-        match (str "name", j) with
-        | Some name, Json.Obj fields ->
-          let rec fields_of acc = function
-            | [] -> Ok (List.rev acc)
-            | (k, _) :: rest when List.mem k reserved -> fields_of acc rest
-            | (k, Json.Int i) :: rest -> fields_of ((k, Int i) :: acc) rest
-            | (k, Json.Float f) :: rest -> fields_of ((k, Float f) :: acc) rest
-            | (k, Json.Str s) :: rest -> fields_of ((k, Str s) :: acc) rest
-            | (k, _) :: _ -> Error (Printf.sprintf "event field %S is not a scalar" k)
-          in
-          Result.map (fun fields -> Event { epoch; name; fields }) (fields_of [] fields)
-        | _ -> Error "event missing name")
-      | other -> Error (Printf.sprintf "unknown item type %S" other)))
+let item_json =
+  let epoch proj = Json.field "epoch" Json.int proj in
+  Json.(
+    cases ~what:"item type" ~key:"t"
+      [
+        case "span"
+          (record
+             (let+ epoch = epoch (fun (e, _, _) -> e)
+              and+ phase = field "phase" string (fun (_, p, _) -> p)
+              and+ ms = field "ms" float (fun (_, _, ms) -> ms) in
+              (epoch, phase, ms)))
+          (fun (epoch, phase, ms) -> Span { epoch; phase; ms })
+          (function Span { epoch; phase; ms } -> Some (epoch, phase, ms) | Event _ -> None);
+        case "event"
+          (record
+             (let+ epoch = epoch (fun (e, _, _) -> e)
+              and+ name = field "name" string (fun (_, n, _) -> n)
+              and+ fields = rest field_json (fun (_, _, f) -> f) in
+              (epoch, name, fields)))
+          (fun (epoch, name, fields) -> Event { epoch; name; fields })
+          (function Event { epoch; name; fields } -> Some (epoch, name, fields) | Span _ -> None);
+      ])

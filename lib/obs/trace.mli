@@ -3,9 +3,9 @@
     injections, recovery reconciliations).
 
     Items are buffered in memory in emission order and serialized to JSONL
-    (one JSON object per line) by the exporter; {!item_of_json} is the
-    exact inverse, so the [inspect] subcommand and the tests read back what
-    the controller wrote. *)
+    (one JSON object per line) by the exporter through {!item_json}, the
+    one description the [inspect] subcommand and the tests read it back
+    with. *)
 
 type field = Int of int | Float of float | Str of string
 
@@ -28,6 +28,7 @@ val items : t -> item list
 
 val length : t -> int
 
-val item_to_json : item -> Json.t
-
-val item_of_json : Json.t -> (item, string) result
+val item_json : item Json.codec
+(** One [trace.jsonl] line: a ["t"] of ["span"] or ["event"], then the
+    epoch and the item's fields; an event's own fields follow as members
+    of their own. *)

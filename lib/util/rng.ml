@@ -161,19 +161,9 @@ let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
   a.(int t (Array.length a))
 
-let state t = (word t 0, word t 1, word t 2, word t 3)
-[@@lint.allow "oracle hook: test/reference_generator.ml"]
-
-let of_state (s0, s1, s2, s3) = of_words s0 s1 s2 s3
-[@@lint.allow "oracle hook: test/test_util.ml"]
-
 let codec name =
   let open Codec in
-  let word i = int64 (name ^ string_of_int i) in
-  conv of_state state
-    (record
-       (let+ s0 = field (word 0) (fun (s, _, _, _) -> s)
-        and+ s1 = field (word 1) (fun (_, s, _, _) -> s)
-        and+ s2 = field (word 2) (fun (_, _, s, _) -> s)
-        and+ s3 = field (word 3) (fun (_, _, _, s) -> s) in
-        (s0, s1, s2, s3)))
+  let line i = field (int64 (name ^ string_of_int i)) (fun t -> word t i) in
+  record
+    (let+ s0 = line 0 and+ s1 = line 1 and+ s2 = line 2 and+ s3 = line 3 in
+     of_words s0 s1 s2 s3)

@@ -69,12 +69,7 @@ val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.  @raise Invalid_argument on
     empty input. *)
 
-val state : t -> int64 * int64 * int64 * int64
-(** Raw xoshiro256** state words, for checkpointing. *)
-
-val of_state : int64 * int64 * int64 * int64 -> t
-(** Rebuild a generator from {!state} output; the stream continues exactly
-    where the captured generator left off. *)
-
 val codec : string -> t Codec.t
-(** A generator's {!state} as four [name0] … [name3] lines. *)
+(** A generator's raw xoshiro256** state words as four [name0] … [name3]
+    lines, for checkpointing; a generator read back continues its stream
+    exactly where the written one left off. *)

@@ -99,7 +99,6 @@ let create rng ~topology ~profile =
 (* The oracle's checkpoint text, field by field. *)
 let emit t =
   let module C = Dream_util.Codec in
-  let s0, s1, s2, s3 = Rng.state t.rng in
   let source s =
     C.encode (C.int "addr") s.addr
     ^ C.encode (C.float "base") s.base
@@ -109,10 +108,7 @@ let emit t =
   String.concat ""
     [
       "[generator]\n";
-      C.encode (C.int64 "rng0") s0;
-      C.encode (C.int64 "rng1") s1;
-      C.encode (C.int64 "rng2") s2;
-      C.encode (C.int64 "rng3") s3;
+      C.encode (Rng.codec "rng") t.rng;
       C.encode (C.int "epoch") t.epoch;
       C.encode Topology.codec t.topology;
       C.encode Profile.codec t.profile;

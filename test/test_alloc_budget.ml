@@ -39,21 +39,21 @@ let scenario = { Scenario.default with Scenario.num_tasks = 35; total_epochs = e
 
 let phases = [ "epoch"; "fetch"; "estimate"; "ground_truth"; "allocate"; "configure"; "rule_sync" ]
 
+(* Only [budgets.flat] is read: one number per phase. *)
+let budgets_json =
+  Json.(record (field "budgets" (record (field "flat" (record (rest float Fun.id)) Fun.id)) Fun.id))
+
 let read_budgets () =
   let contents = In_channel.with_open_text budget_file In_channel.input_all in
-  match Json.of_string contents with
+  match Result.bind (Json.of_string contents) (Json.decode budgets_json) with
   | Error e -> Alcotest.failf "unreadable %s: %s" budget_file e
-  | Ok j -> begin
-    match Option.bind (Json.member "budgets" j) (Json.member "flat") with
-    | None -> Alcotest.failf "%s: no budgets.flat object" budget_file
-    | Some b ->
-      List.map
-        (fun phase ->
-          match Option.bind (Json.member phase b) Json.to_float with
-          | Some v -> (phase, v)
-          | None -> Alcotest.failf "%s: missing budgets.flat.%s" budget_file phase)
-        phases
-  end
+  | Ok flat ->
+    List.map
+      (fun phase ->
+        match List.assoc_opt phase flat with
+        | Some v -> (phase, v)
+        | None -> Alcotest.failf "%s: missing budgets.flat.%s" budget_file phase)
+      phases
 
 let span_of_phase = function "epoch" -> "epoch" | phase -> "epoch/" ^ phase
 

@@ -427,7 +427,7 @@ let generate seed =
   Schedule.generate ~seed ~num_switches:Harness.num_switches ~groups:Harness.groups ~horizon:48
     ~events:12
 
-let schedule_string s = Json.to_string (Schedule.to_json s)
+let schedule_string s = Json.to_string (Json.encode Schedule.json s)
 
 let test_schedule_deterministic () =
   let _, seed = gen_args in
@@ -438,9 +438,25 @@ let test_schedule_deterministic () =
 
 let test_schedule_json_roundtrip () =
   let s = generate 99 in
-  match Schedule.of_json (Schedule.to_json s) with
+  match Json.decode Schedule.json (Json.encode Schedule.json s) with
   | Ok s' -> Alcotest.(check string) "roundtrip" (schedule_string s) (schedule_string s')
-  | Error msg -> Alcotest.fail ("of_json failed: " ^ msg)
+  | Error msg -> Alcotest.fail ("decode failed: " ^ msg)
+
+(* A corrupt copy of a reproducer as the bank writes it, around the
+   schedule of seed 4, which holds all eight event kinds. *)
+let fuzz_reproducer =
+  let write (canary, sched) =
+    Bank.reproducer_to_string
+      {
+        Bank.f_schedule = sched;
+        f_canary = canary;
+        f_first = { Oracle.epoch = 6; code = "invariant:allocator-conservation"; detail = "switch 0" };
+        f_minimized = sched;
+        f_stats = { Shrink.runs = 11; initial_events = 12; final_events = 12 };
+      }
+  in
+  Json_fuzz.property ~name:"reproducer corruption" ~read:Bank.reproducer_of_string ~write
+    (lazy [ write (true, generate 4) ])
 
 (* Seed 4 is the first whose 12-event schedule holds all eight kinds. *)
 let test_schedule_pinned () =
@@ -600,6 +616,7 @@ let () =
         [
           Alcotest.test_case "deterministic generation" `Quick test_schedule_deterministic;
           Alcotest.test_case "json roundtrip" `Quick test_schedule_json_roundtrip;
+          fuzz_reproducer;
           Alcotest.test_case "pp_event and to_json pinned" `Quick test_schedule_pinned;
           Alcotest.test_case "validate bounds" `Quick test_schedule_validate;
           Alcotest.test_case "shrink variants" `Quick test_shrink_event_strictly_smaller;

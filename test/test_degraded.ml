@@ -424,7 +424,8 @@ let test_degraded_run_pinned () =
         when name = "shed" || String.starts_with ~prefix:"breaker_" name ->
         Buffer.add_string b
           (Dream_obs.Json.to_string
-             (Dream_obs.Trace.item_to_json (Dream_obs.Trace.Event { epoch; name; fields })));
+             (Dream_obs.Json.encode Dream_obs.Trace.item_json
+                (Dream_obs.Trace.Event { epoch; name; fields })));
         Buffer.add_char b '\n'
       | Dream_obs.Trace.Event _ | Dream_obs.Trace.Span _ -> ())
     (Dream_obs.Trace.items (Dream_obs.Telemetry.trace bundle));

@@ -138,7 +138,7 @@ let prop_thin_jitter_matches_oracle =
       let run f =
         let rng = Rng.copy rng and keys = Array.copy keys and vols = Array.copy vols in
         let kept = f rng ~loss ~stddev ~keys ~vols n in
-        (kept, keys, Array.map Int64.bits_of_float vols, Rng.state rng)
+        (kept, keys, Array.map Int64.bits_of_float vols, Dream_util.Codec.encode (Rng.codec "s") rng)
       in
       run Rng.thin_jitter = run Reference_fault.thin_jitter)
 

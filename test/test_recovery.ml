@@ -599,6 +599,27 @@ let test_restore_rejects_bad_values () =
   Alcotest.(check bool) "one breaker for four switches: restore refuses it" true
     (restore_total "one breaker" (reseal (Array.to_list one_breaker)) = `Error)
 
+(* The prototype both delays control and scores its own estimates, so its
+   checkpoint holds the control-delay costs and [score_real 0], and any
+   other config neither and [score_real 1].  A [score_real] line that
+   disagrees with the control-delay flag before it is refused at its own
+   line. *)
+let test_prototype_lines_agree () =
+  List.iter
+    (fun (name, config, value) ->
+      let controller = populated_controller ~config () in
+      let lines = set_nth (body_of (Controller.snapshot controller)) "score_real" 0 value in
+      let line = 1 + Option.get (List.find_index (String.starts_with ~prefix:"score_real ") lines) in
+      match Controller.restore (reseal lines) with
+      | Ok _ -> Alcotest.failf "%s: restored score_real %s" name value
+      | Error e ->
+        let expected = Printf.sprintf "line %d: field \"score_real\": expected the constant" line in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S refused at its line" name e)
+          true
+          (String.starts_with ~prefix:expected e))
+    [ ("prototype", Config.prototype, "1"); ("default", Config.default, "0") ]
+
 let test_restore_fuzz_resealed () =
   let controller = populated_controller ~config:degraded_config () in
   Controller.run controller ~epochs:12;
@@ -1441,6 +1462,7 @@ let () =
           Alcotest.test_case "sealed bad values rejected" `Quick test_restore_rejects_bad_values;
           Alcotest.test_case "resealed mutations never raise" `Quick test_restore_fuzz_resealed;
           Alcotest.test_case "round trip across configs" `Quick test_snapshot_roundtrip_configs;
+          Alcotest.test_case "prototype lines agree" `Quick test_prototype_lines_agree;
           Alcotest.test_case "snapshot bytes pinned across configs" `Quick
             test_snapshot_bytes_pinned;
           Alcotest.test_case "journal bytes pinned" `Quick test_journal_bytes_pinned;
