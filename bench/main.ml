@@ -60,6 +60,7 @@ let micro_tests () =
   in
   let task = match fixtures with (_, task, _) :: _ -> task | [] -> assert false in
   let allocations = Array.make (Topology.switches_per_task topology) 64 in
+  let workspace = Dream_tasks.Divide_merge.create () in
   let data = ref (Generator.next generator) in
   let feed task = Task.read_traffic task !data in
   for epoch = 1 to 30 do
@@ -69,7 +70,7 @@ let micro_tests () =
         feed task;
         ignore (Task.estimate task ~epoch);
         ignore (Ground_truth.evaluate truth !data (Task.items task));
-        Task.configure task ~allocations)
+        Task.configure task ~workspace ~allocations)
       fixtures
   done;
   (* Allocator fixture: one switch, 64 tasks with random accuracies. *)
@@ -111,7 +112,7 @@ let micro_tests () =
     Test.make ~name:"trace.span append"
       (Staged.stage (fun () -> Trace.span trace ~epoch:0 ~phase:"bench" ~ms:1.0));
     Test.make ~name:"task.configure (divide-and-merge)"
-      (Staged.stage (fun () -> Task.configure task ~allocations));
+      (Staged.stage (fun () -> Task.configure task ~workspace ~allocations));
   ]
   @ List.concat_map
       (fun (name, task, truth) ->

@@ -44,6 +44,7 @@ let () =
   in
   let task = Task.create ~id:0 ~spec ~topology ~storage:(Dream_tasks.Storage.create ()) () in
   let allocations = Array.make (Topology.switches_per_task topology) 64 in
+  let workspace = Dream_tasks.Divide_merge.create () in
   for epoch = 0 to 29 do
     let flows =
       List.init 10 (fun i ->
@@ -61,7 +62,7 @@ let () =
     Task.read_traffic task data;
     ignore (Task.estimate task ~epoch);
     let report = Option.get (Task.last_report task) in
-    Task.configure task ~allocations;
+    Task.configure task ~workspace ~allocations;
     if Report.size report > 0 then begin
       Printf.printf "epoch %2d: %d significant change(s)\n" epoch (Report.size report);
       List.iter

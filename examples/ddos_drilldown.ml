@@ -40,6 +40,7 @@ let () =
   in
   let task = Task.create ~id:0 ~spec ~topology ~storage:(Dream_tasks.Storage.create ()) () in
   let allocations = Array.make (Topology.switches_per_task topology) 128 in
+  let workspace = Dream_tasks.Divide_merge.create () in
   let split flows =
     List.filter_map
       (fun (f : Flow.t) ->
@@ -56,7 +57,7 @@ let () =
     Task.read_traffic task data;
     ignore (Task.estimate task ~epoch);
     let report = Option.get (Task.last_report task) in
-    Task.configure task ~allocations;
+    Task.configure task ~workspace ~allocations;
     if epoch mod 5 = 4 then begin
       Printf.printf "epoch %2d (%3d bots): %d HHH prefixes\n" epoch bots (Report.size report);
       List.iter

@@ -8,6 +8,7 @@ module Delay_model = Dream_switch.Delay_model
 module Task = Dream_tasks.Task
 module Task_spec = Dream_tasks.Task_spec
 module Ground_truth = Dream_tasks.Ground_truth
+module Divide_merge = Dream_tasks.Divide_merge
 module Allocator = Dream_alloc.Allocator
 module Task_view = Dream_alloc.Task_view
 module Journal = Dream_recovery.Journal
@@ -72,6 +73,7 @@ type t = {
   views : Task_view.table; (* the allocation round's input, refilled each round *)
   allocations : int array; (* one task's allocation per sub-filter bit, refilled per task *)
   pool : Runtime.pool; (* retired tasks' storage; never checkpointed *)
+  workspace : Divide_merge.t; (* every task's configure scratch; never checkpointed *)
   mutable epoch : int;
   mutable next_id : int;
   mutable records : Metrics.record list;
@@ -140,6 +142,7 @@ let make ~config ~allocator ~switches ~faults ~breakers ~runtimes ~epoch ~next_i
        v);
     allocations = Array.make Topology.max_switches_per_task 0;
     pool = Runtime.pool ();
+    workspace = Divide_merge.create ();
     epoch;
     next_id;
     records;
@@ -553,7 +556,7 @@ let configure t =
     load_allocations t r;
     quarantine_allocations t (Task.topology r.task);
     Obs.Profile.start t.profile t.spans.configure;
-    Task.configure r.task ~allocations:t.allocations;
+    Task.configure r.task ~workspace:t.workspace ~allocations:t.allocations;
     Obs.Profile.stop t.profile t.spans.configure
   done
 

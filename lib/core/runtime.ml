@@ -6,7 +6,6 @@ module Task = Dream_tasks.Task
 module Task_spec = Dream_tasks.Task_spec
 module Ground_truth = Dream_tasks.Ground_truth
 module Storage = Dream_tasks.Storage
-module Monitor = Dream_tasks.Monitor
 module C = Dream_util.Codec
 
 type readings = { mutable keys : int array; mutable vols : float array; mutable n : int }
@@ -88,15 +87,11 @@ let create ~config ~pool ~id ~spec ~topology ~source ~duration ~arrived_at =
   }
 
 (* A storage is kept while the pool holds fewer entries than the most
-   tasks seen live at once, and only if its task never ran (it is as the
-   pool or [fresh_storage] gave it) or filled at least half its counter
-   table: what a task grows stays with the storage, so one that served a
-   larger task would hand later ones more room than growth would give
-   them, and that room stays live. *)
+   tasks seen live at once: the pool and the live tasks together never
+   hold more storage than the peak of live tasks did. *)
 let recycle pool ~live (r : t) =
   pool.limit <- max pool.limit live;
-  let m = Task.monitor r.task in
-  if pool.held < pool.limit && (r.active_epochs = 0 || 2 * m.Monitor.n >= m.Monitor.cap) then begin
+  if pool.held < pool.limit then begin
     let k = Array.length r.fresh_rules in
     let s =
       ({ tasks = Task.release r.task; fresh_rules = r.fresh_rules; stale = r.stale_counters }

@@ -79,10 +79,9 @@ val recycle : pool -> live:int -> t -> unit
 (** Hand a retired, dropped or rejected task's storage to the pool.
     [live] counts the tasks live at the time, this one included if it
     was admitted: the pool keeps an entry only while it holds fewer than
-    the most tasks it has seen live at once, and only if the task never
-    ran or filled at least half of its counter table (a storage keeps
-    the room its largest task grew, and a smaller task would hold that
-    room live).  Neither the runtime nor its task may be used again. *)
+    the most tasks it has seen live at once, and the next admission with
+    the same sub-filter count takes the last one kept.  Neither the
+    runtime nor its task may be used again. *)
 
 val id : t -> int
 

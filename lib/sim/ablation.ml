@@ -90,6 +90,7 @@ let tcam_vs_sketch ~epochs =
       let task = Task.create ~id:0 ~spec ~topology ~storage () in
       let ground_truth = Dream_tasks.Ground_truth.create ~storage spec in
       let allocations = Array.make (Topology.switches_per_task topology) (resources / 2) in
+      let workspace = Dream_tasks.Divide_merge.create () in
       let sketch = Sketch_hh.create ~spec ~cells:resources ~seed:17 () in
       let sampler = Sampled_hh.create ~spec ~budget:resources ~seed:23 () in
       let tcam_recalls = ref [] and sk_recalls = ref [] and sk_precisions = ref [] in
@@ -100,7 +101,7 @@ let tcam_vs_sketch ~epochs =
         Task.read_traffic task data;
         ignore (Task.estimate task ~epoch);
         let recall = Dream_tasks.Ground_truth.evaluate ground_truth data (Task.items task) in
-        Task.configure task ~allocations;
+        Task.configure task ~workspace ~allocations;
         tcam_recalls := recall :: !tcam_recalls;
         (* Sketch side: same combined traffic, same resource count. *)
         let combined = data.Epoch_data.combined in

@@ -35,6 +35,7 @@ type setup = {
   ground_truth : Ground_truth.t;
   allocations : int array;
   spec : Task_spec.t;
+  workspace : Dream_tasks.Divide_merge.t;
 }
 
 let make_setup ~seed ~resources =
@@ -48,7 +49,14 @@ let make_setup ~seed ~resources =
   let storage = Dream_tasks.Storage.create () in
   let task = Task.create ~id:0 ~spec ~topology ~storage () in
   let allocations = Array.make (Topology.switches_per_task topology) (resources / 2) in
-  { task; generator; ground_truth = Ground_truth.create ~storage spec; allocations; spec }
+  {
+    task;
+    generator;
+    ground_truth = Ground_truth.create ~storage spec;
+    allocations;
+    spec;
+    workspace = Dream_tasks.Divide_merge.create ();
+  }
 
 (* One epoch of the Algorithm 1 loop, bypassing the TCAM simulator: read
    counters straight off the per-switch aggregates. *)
@@ -56,7 +64,7 @@ let step s ~epoch =
   let data = Generator.next s.generator in
   Task.read_traffic s.task data;
   ignore (Task.estimate s.task ~epoch);
-  Task.configure s.task ~allocations:s.allocations;
+  Task.configure s.task ~workspace:s.workspace ~allocations:s.allocations;
   data
 
 let binned points ~bin =

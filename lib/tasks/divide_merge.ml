@@ -10,11 +10,11 @@ type float_regs = {
   mutable class_ratio : float; (* ... and the best of the class [pick] is in *)
   mutable bound : float; (* the last [bound] *)
   mutable cost : float; (* the last solve's cost: the picks' summed score *)
-  floor : float; (* what a paid divide's score must beat its merges' cost by *)
+  mutable floor : float; (* what a paid divide's score must beat its merges' cost by *)
 }
 
-(* cover()'s candidate table and the divide heap of one monitor, reused
-   across builds and configures.
+(* cover()'s candidate table and the divide heap, the scratch of Algorithm 2
+   on whichever monitor a configure hands it.
 
    Slot [j] of the table is one structural trie node above the counters,
    in the order of a left-first pre-order walk, so the node's subtree is
@@ -34,11 +34,12 @@ type float_regs = {
    exactly the order Dream_util.Heap moves its elements, so equal scores
    pop in the same order.
 
-   Growable arrays, taken from the task's Storage and handed back when it
-   retires: after the first few epochs a configure allocates nothing, and
-   a task built on recycled storage starts with its predecessor's room. *)
+   Growable arrays, one set per controller, that every task's configure
+   runs on in turn: they grow to the largest task's needs and then never
+   again.  A configure writes every slot before it reads it, except the
+   solve stamps: the solve id only ever rises, so a stamp any earlier
+   solve left, on this monitor or another, is below the running one. *)
 type t = {
-  m : Monitor.t;
   mutable slots : int; (* slots in use *)
   mutable node_key : int array; (* node prefix, as a Prefix.key *)
   mutable node_end : int array; (* one past the node's last descendant slot *)
@@ -54,8 +55,9 @@ type t = {
   mutable cls_next : float array; (* its least member cost above [cls_min]'s *)
   mutable cls_floor : float array; (* its least member cost at build *)
   mutable cls_of : int array; (* open addressing: T mask -> class + 1, or 0 *)
-  gains : float array; (* [gains.(g)] is [float_of_int g], for g <= k *)
-  cheapest : float array; (* per sub-filter: lowest candidate cost freeing it *)
+  mutable k : int; (* sub-filters of the monitor last built *)
+  gains : float array; (* [gains.(g)] is [float_of_int g] *)
+  cheapest : float array; (* per sub-filter below [k]: lowest candidate cost freeing it *)
   chosen : int array; (* the last solve's picks, in pick order *)
   mutable picks : int;
   mutable scans : int; (* candidate slots read by solves and repairs *)
@@ -88,7 +90,7 @@ let[@inline] length_at (m : Monitor.t) i = Prefix.key_length (get m.keys i)
    major-heap array. *)
 let grown_ints (a : int array) n used =
   let b =
-    (Array.make n 0 [@alloc.allow "growth only: recycled storage keeps its room across tasks"])
+    (Array.make n 0 [@alloc.allow "growth only: the workspace keeps its room across tasks"])
   in
   for j = 0 to used - 1 do
     b.(j) <- a.(j)
@@ -97,37 +99,33 @@ let grown_ints (a : int array) n used =
 
 let grown_floats (a : float array) n used =
   let b =
-    (Array.make n 0.0 [@alloc.allow "growth only: recycled storage keeps its room across tasks"])
+    (Array.make n 0.0 [@alloc.allow "growth only: the workspace keeps its room across tasks"])
   in
   Array.blit a 0 b 0 used;
   b
 
-(* The tables and heap are [storage]'s, as an earlier owner left them.
-   A build, a solve or the heap writes every slot before reading it,
-   except the solve stamps: they are zeroed, below any solve's id. *)
-let create (m : Monitor.t) ~(storage : Storage.t) =
-  let k = m.k in
-  Array.fill storage.node_stamp 0 (Array.length storage.node_stamp) 0;
+let create () =
+  let max_k = Topology.max_switches_per_task in
   {
-    m;
     slots = 0;
-    node_key = storage.node_key;
-    node_end = storage.node_end;
-    node_cost = storage.node_cost;
-    node_class = storage.node_class;
-    node_next = storage.node_next;
-    stamp = storage.node_stamp;
+    node_key = [||];
+    node_end = [||];
+    node_cost = [||];
+    node_class = [||];
+    node_next = [||];
+    stamp = [||];
     solve_id = 0;
     classes = 0;
-    cls_mask = storage.cls_mask;
-    cls_head = storage.cls_head;
-    cls_min = storage.cls_min;
-    cls_next = storage.cls_next;
-    cls_floor = storage.cls_floor;
-    cls_of = storage.cls_of;
-    gains = Array.init (k + 1) float_of_int;
-    cheapest = Array.make k Float.infinity;
-    chosen = Array.make k 0;
+    cls_mask = [||];
+    cls_head = [||];
+    cls_min = [||];
+    cls_next = [||];
+    cls_floor = [||];
+    cls_of = [||];
+    k = 0;
+    gains = Array.init (max_k + 1) float_of_int;
+    cheapest = Array.make max_k Float.infinity;
+    chosen = Array.make max_k 0;
     picks = 0;
     scans = 0;
     built = false;
@@ -137,43 +135,15 @@ let create (m : Monitor.t) ~(storage : Storage.t) =
     ret_count = 0;
     best = -1;
     class_best = -1;
-    h_score = storage.h_score;
-    h_key = storage.h_key;
-    h_stamp = storage.h_stamp;
+    h_score = [||];
+    h_key = [||];
+    h_stamp = [||];
     h_size = 0;
     top_key = 0;
     top_stamp = 0;
     regs =
-      {
-        ret_cost = 0.0;
-        best_ratio = 0.0;
-        class_ratio = 0.0;
-        bound = 0.0;
-        cost = 0.0;
-        (* Paid divides (ones that must merge other counters to free
-           entries) must beat the merge cost by a margin, or the
-           configuration churns forever swapping near-equal marginal
-           prefixes. *)
-        floor = m.spec.Task_spec.threshold /. 16.0;
-      };
+      { ret_cost = 0.0; best_ratio = 0.0; class_ratio = 0.0; bound = 0.0; cost = 0.0; floor = 0.0 };
   }
-
-let release t (storage : Storage.t) =
-  storage.node_key <- t.node_key;
-  storage.node_end <- t.node_end;
-  storage.node_cost <- t.node_cost;
-  storage.node_class <- t.node_class;
-  storage.node_next <- t.node_next;
-  storage.node_stamp <- t.stamp;
-  storage.cls_mask <- t.cls_mask;
-  storage.cls_head <- t.cls_head;
-  storage.cls_min <- t.cls_min;
-  storage.cls_next <- t.cls_next;
-  storage.cls_floor <- t.cls_floor;
-  storage.cls_of <- t.cls_of;
-  storage.h_score <- t.h_score;
-  storage.h_key <- t.h_key;
-  storage.h_stamp <- t.h_stamp
 
 let cover_scans t = t.scans [@@lint.allow "oracle hook: test/test_tasks.ml"]
 
@@ -181,8 +151,8 @@ let cover_scans t = t.scans [@@lint.allow "oracle hook: test/test_tasks.ml"]
 
 (* Structural nodes are fewer than the counters, so the table grows at once
    to the monitor's capacity when that is more than double. *)
-let grow t =
-  let n = max t.m.cap (max 16 (2 * Array.length t.node_key)) and used = t.slots in
+let grow t (m : Monitor.t) =
+  let n = max m.cap (max 16 (2 * Array.length t.node_key)) and used = t.slots in
   t.node_key <- grown_ints t.node_key n used;
   t.node_end <- grown_ints t.node_end n used;
   t.node_cost <- grown_floats t.node_cost n used;
@@ -232,10 +202,10 @@ let class_of t mask =
   end
 
 (* The head of the walk lies under the node (bits, len). *)
-let head_under t ~bits ~len =
-  t.cursor < t.m.n
+let head_under t (m : Monitor.t) ~bits ~len =
+  t.cursor < m.n
   &&
-  let key = get t.m.keys t.cursor in
+  let key = get m.keys t.cursor in
   Prefix.covers_bits ~abits:bits ~alen:len ~bbits:(Prefix.key_bits key)
     ~blen:(Prefix.key_length key)
 
@@ -247,8 +217,7 @@ let head_under t ~bits ~len =
    order is left-first pre-order, exactly the order of the candidate list
    the bottom-up fold built by prepending (it visited right subtrees
    first), which the greedy's tie-break depends on. *)
-let rec visit t ~bits ~len =
-  let m = t.m in
+let rec visit t (m : Monitor.t) ~bits ~len =
   if t.cursor < m.n && length_at m t.cursor = len then begin
     (* A monitored counter: the partition has nothing below it.  Its S
        mask is the sub-filters it actually occupies. *)
@@ -260,17 +229,17 @@ let rec visit t ~bits ~len =
     t.regs.ret_cost <- m.scores.(i)
   end
   else begin
-    if t.slots = Array.length t.node_key then grow t;
+    if t.slots = Array.length t.node_key then grow t m;
     let slot = t.slots in
     t.slots <- slot + 1;
     let child = len + 1 in
     let rbits = bits lor (1 lsl (Prefix.address_bits - child)) in
-    let has_l = head_under t ~bits ~len:child in
-    if has_l then visit t ~bits ~len:child;
+    let has_l = head_under t m ~bits ~len:child in
+    if has_l then visit t m ~bits ~len:child;
     let ls = t.ret_s and lt = t.ret_t and lcount = t.ret_count in
     let lcost = t.regs.ret_cost in
-    let has_r = head_under t ~bits:rbits ~len:child in
-    if has_r then visit t ~bits:rbits ~len:child;
+    let has_r = head_under t m ~bits:rbits ~len:child in
+    if has_r then visit t m ~bits:rbits ~len:child;
     (* With one child, its summary is already in the registers. *)
     if has_l && has_r then begin
       t.ret_t <- lt lor t.ret_t lor (ls land t.ret_s);
@@ -290,13 +259,14 @@ let rec visit t ~bits ~len =
     t.node_class.(slot) <- (if t.ret_t <> 0 && t.ret_count >= 2 then class_of t t.ret_t else -1)
   end
 
-let build t =
+let build t (m : Monitor.t) =
   t.slots <- 0;
   t.cursor <- 0;
   t.classes <- 0;
+  t.k <- m.k;
   Array.fill t.cls_of 0 (Array.length t.cls_of) 0;
-  let filter = t.m.spec.Task_spec.filter in
-  visit t ~bits:(Prefix.bits filter) ~len:(Prefix.length filter);
+  let filter = m.spec.Task_spec.filter in
+  visit t m ~bits:(Prefix.bits filter) ~len:(Prefix.length filter);
   (* Each class's members in slot order: prepend from the last slot. *)
   for j = t.slots - 1 downto 0 do
     let c = t.node_class.(j) in
@@ -309,9 +279,9 @@ let build t =
   (* Lower bound on the cost of any candidate freeing each sub-filter;
      stays a valid lower bound across repairs.  Float.min is order-free,
      so it can gather class by class. *)
-  Array.fill t.cheapest 0 (Array.length t.cheapest) Float.infinity;
+  Array.fill t.cheapest 0 t.k Float.infinity;
   for c = 0 to t.classes - 1 do
-    for i = 0 to Array.length t.cheapest - 1 do
+    for i = 0 to t.k - 1 do
       if t.cls_mask.(c) land (1 lsl i) <> 0 then
         t.cheapest.(i) <- Float.min t.cheapest.(i) t.cls_floor.(c)
     done
@@ -347,7 +317,7 @@ let repair_picks t =
    cheapest. *)
 let bound t f =
   t.regs.bound <- 0.0;
-  for i = 0 to Array.length t.cheapest - 1 do
+  for i = 0 to t.k - 1 do
     if f land (1 lsl i) <> 0 then t.regs.bound <- Float.max t.regs.bound t.cheapest.(i)
   done
 [@@lint.allow "oracle hook: test/test_tasks.ml"]
@@ -485,18 +455,18 @@ let picked t i = Prefix.of_key t.node_key.(t.chosen.(i))
 let cost t = t.regs.cost [@@lint.allow "oracle hook: test/test_tasks.ml"]
 
 (* Merge at the last solve's picks, the last pick first. *)
-let apply_merges t =
+let apply_merges t m =
   for i = t.picks - 1 downto 0 do
     let key = t.node_key.(t.chosen.(i)) in
-    Monitor.merge t.m ~abits:(Prefix.key_bits key) ~alen:(Prefix.key_length key)
+    Monitor.merge m ~abits:(Prefix.key_bits key) ~alen:(Prefix.key_length key)
   done
 
 (* ---- the divide heap ---- *)
 
 (* A divide phase starts with at most one entry per counter: the heap, too,
    grows at once to the monitor's capacity when that is more. *)
-let heap_grow t =
-  let n = max t.m.cap (max 8 (2 * Array.length t.h_key)) in
+let heap_grow t (m : Monitor.t) =
+  let n = max m.cap (max 8 (2 * Array.length t.h_key)) in
   t.h_score <- grown_floats t.h_score n t.h_size;
   t.h_key <- grown_ints t.h_key n t.h_size;
   t.h_stamp <- grown_ints t.h_stamp n t.h_size
@@ -531,12 +501,12 @@ let rec sift_down t i =
   end
 
 (* Queue slot [i] for the divide phase. *)
-let push t i =
-  if t.h_size = Array.length t.h_key then heap_grow t;
+let push t (m : Monitor.t) i =
+  if t.h_size = Array.length t.h_key then heap_grow t m;
   let j = t.h_size in
-  t.h_score.(j) <- t.m.scores.(i);
-  t.h_key.(j) <- get t.m.keys i;
-  t.h_stamp.(j) <- get t.m.stamps i;
+  t.h_score.(j) <- m.scores.(i);
+  t.h_key.(j) <- get m.keys i;
+  t.h_stamp.(j) <- get m.stamps i;
   t.h_size <- j + 1;
   sift_up t j
 
@@ -560,12 +530,12 @@ let pop t =
 
 (* Divide the counter in slot [i] and queue whichever child can still be
    divided. *)
-let divide t ~leaf_length i =
-  let child = length_at t.m i + 1 in
-  Monitor.divide t.m i;
+let divide t m ~leaf_length i =
+  let child = length_at m i + 1 in
+  Monitor.divide m i;
   if child < leaf_length then begin
-    push t i;
-    push t (i + 1)
+    push t m i;
+    push t m (i + 1)
   end
 
 (* Sub-filters of [mask] where one more entry would exceed [alloc]. *)
@@ -586,30 +556,29 @@ let rec overloaded (m : Monitor.t) alloc i acc =
 (* Merge minimum-cost covers until no switch exceeds its allocation.  If a
    cover cannot be found (single counter left on an overloaded switch),
    collapse to the root filter as a last resort. *)
-let rec shrink_to_fit t alloc guard =
-  let f = overloaded t.m alloc 0 0 in
+let rec shrink_to_fit t (m : Monitor.t) alloc guard =
+  let f = overloaded m alloc 0 0 in
   if f <> 0 && guard > 0 then begin
-    build t;
+    build t m;
     if solve_mask t ~ex_bits:0 ~ex_len:(-1) f && t.picks > 0 then begin
-      apply_merges t;
-      shrink_to_fit t alloc (guard - 1)
+      apply_merges t m;
+      shrink_to_fit t m alloc (guard - 1)
     end
-    else if t.m.n > 1 then begin
-      let filter = t.m.spec.Task_spec.filter in
-      Monitor.merge t.m ~abits:(Prefix.bits filter) ~alen:(Prefix.length filter);
-      shrink_to_fit t alloc (guard - 1)
+    else if m.n > 1 then begin
+      let filter = m.spec.Task_spec.filter in
+      Monitor.merge m ~abits:(Prefix.bits filter) ~alen:(Prefix.length filter);
+      shrink_to_fit t m alloc (guard - 1)
     end
   end
 
-let rec divide_loop t alloc ~leaf_length budget =
-  let m = t.m in
+let rec divide_loop t (m : Monitor.t) alloc ~leaf_length budget =
   if budget > 0 && pop t then begin
     (* Skip stale heap entries (counters merged away meanwhile, including
        any since recreated on the same prefix: a new stamp). *)
     let i = Monitor.slot_of_key m t.top_key in
-    if i < 0 || get m.stamps i <> t.top_stamp then divide_loop t alloc ~leaf_length budget
+    if i < 0 || get m.stamps i <> t.top_stamp then divide_loop t m alloc ~leaf_length budget
     else if m.scores.(i) <= 0.0 then () (* max score <= 0: nothing worth dividing *)
-    else if length_at m i = Prefix.address_bits then divide_loop t alloc ~leaf_length budget
+    else if length_at m i = Prefix.address_bits then divide_loop t m alloc ~leaf_length budget
     else begin
       let score = m.scores.(i) in
       let len = length_at m i in
@@ -624,50 +593,54 @@ let rec divide_loop t alloc ~leaf_length budget =
         (* A divide keeps built candidates conservatively valid: the
            divided counter's score equals its children's sum, S sets are
            unchanged, and T sets can only have grown. *)
-        divide t ~leaf_length i;
-        divide_loop t alloc ~leaf_length (budget - 1)
+        divide t m ~leaf_length i;
+        divide_loop t m alloc ~leaf_length (budget - 1)
       end
       else begin
         (* Candidates are a full pass over the counters, so build them once
            per divide phase and repair them after each merge. *)
-        if not t.built then build t;
+        if not t.built then build t m;
         (* Any cover of f costs at least the per-switch cheapest bound, so
            skip the solve outright when it cannot pay. *)
         bound t f;
-        if t.regs.bound +. t.regs.floor >= score then divide_loop t alloc ~leaf_length budget
+        if t.regs.bound +. t.regs.floor >= score then divide_loop t m alloc ~leaf_length budget
         else begin
           if solve_mask t ~ex_bits:lbits ~ex_len:len f && t.regs.cost +. t.regs.floor < score
           then begin
-            apply_merges t;
+            apply_merges t m;
             repair_picks t;
             (* Re-check: the merge must actually have freed room.  The
                merges never touch the excluded counter, but they can move
                its slot. *)
             if blocked m alloc extra 0 0 = 0 then
-              divide t ~leaf_length
+              divide t m ~leaf_length
                 (Monitor.slot_of_key m (Prefix.key_of ~bits:lbits ~length:len))
           end;
-          divide_loop t alloc ~leaf_length (budget - 1)
+          divide_loop t m alloc ~leaf_length (budget - 1)
         end
       end
     end
   end
 
-let[@hot] divide_phase t alloc =
-  let leaf_length = t.m.spec.Task_spec.leaf_length in
+let[@hot] divide_phase t (m : Monitor.t) alloc =
+  let leaf_length = m.spec.Task_spec.leaf_length in
   t.h_size <- 0;
-  for i = 0 to t.m.n - 1 do
-    if length_at t.m i < leaf_length then push t i
+  for i = 0 to m.n - 1 do
+    if length_at m i < leaf_length then push t m i
   done;
   t.built <- false;
-  divide_loop t alloc ~leaf_length ((4 * Array.fold_left ( + ) 0 alloc) + 64)
+  divide_loop t m alloc ~leaf_length ((4 * Array.fold_left ( + ) 0 alloc) + 64)
 
 (* The mask of the sub-filters granted at least one entry. *)
 let rec granted (m : Monitor.t) alloc i acc =
   if i = m.k then acc
   else granted m alloc (i + 1) (if alloc.(i) >= 1 then acc lor (1 lsl i) else acc)
 
-let configure t ~allocations =
-  Monitor.set_active t.m (granted t.m allocations 0 0);
-  shrink_to_fit t allocations (t.m.n + 8);
-  divide_phase t allocations
+let configure t (m : Monitor.t) ~allocations =
+  (* Paid divides (ones that must merge other counters to free entries)
+     must beat the merge cost by a margin, or the configuration churns
+     forever swapping near-equal marginal prefixes. *)
+  t.regs.floor <- m.spec.Task_spec.threshold /. 16.0;
+  Monitor.set_active m (granted m allocations 0 0);
+  shrink_to_fit t m allocations (m.n + 8);
+  divide_phase t m allocations

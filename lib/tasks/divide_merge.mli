@@ -1,28 +1,27 @@
-(** Divide-and-merge (the paper's Algorithm 2) over one task's
-    {!Monitor}: reshape its counters to fit per-switch allocations, paying
-    for a divide that would overflow a switch by merging other counters,
-    chosen by cover() (Section 5.2).
+(** Divide-and-merge (the paper's Algorithm 2) over a task's {!Monitor}:
+    reshape its counters to fit per-switch allocations, paying for a
+    divide that would overflow a switch by merging other counters, chosen
+    by cover() (Section 5.2).
 
-    One per task, created next to its monitor; it shares nothing with
-    other live tasks.  It holds cover()'s candidate table and the divide
-    heap, both reused across configures and taken from the task's
-    {!Storage}, and edits the counters only through {!Monitor.merge} and
-    {!Monitor.divide}.  Switch sets are
-    {!Dream_traffic.Switch_mask} bitmasks over the task's sub-filters. *)
+    A workspace holds cover()'s candidate table and the divide heap: the
+    scratch of one configure, which no task keeps.  One per controller
+    (or per program that drives tasks itself); every task's configure
+    runs on it in turn, and it grows to the largest task's needs.
+    Nothing an earlier configure left, on this monitor or another,
+    changes what a configure does, so one workspace shared by many tasks
+    gives the same counters, bit for bit, as a workspace of each task's
+    own.  It edits the counters only through {!Monitor.merge} and
+    {!Monitor.divide}.  Switch sets are {!Dream_traffic.Switch_mask}
+    bitmasks over a monitor's sub-filters. *)
 
 type t
 
-val create : Monitor.t -> storage:Storage.t -> t
-(** The monitor's Algorithm 2 state, on [storage]'s candidate table,
-    class table and divide heap, with the room an earlier owner grew them
-    to.  Nothing they held is read. *)
+val create : unit -> t
+(** A workspace with no room: its tables and heap grow on first use. *)
 
-val release : t -> Storage.t -> unit
-(** [release t storage] hands the tables and heap back to [storage].
-    [t] must not be used again. *)
-
-val configure : t -> allocations:int array -> unit
-(** Algorithm 2 under per-sub-filter-bit [allocations] (a switch outside
+val configure : t -> Monitor.t -> allocations:int array -> unit
+(** [configure t monitor ~allocations]: Algorithm 2 on [monitor] under
+    per-sub-filter-bit [allocations] (a switch outside
     {!Monitor.switches} must be granted 0): first merge until no switch
     exceeds its allocation, then repeatedly divide the highest-scoring
     counter, paying for each divide with a cover-merge when it would
@@ -30,22 +29,22 @@ val configure : t -> allocations:int array -> unit
     must have been set by the task-dependent scorer beforehand. *)
 
 val cover_scans : t -> int
-(** The candidate slots cover() has read since {!create}: its solves,
-    picks, drops and repairs.  A count of the work itself, exact for a
-    seeded run. *)
+(** The candidate slots cover() has read on the workspace since
+    {!create}: its solves, picks, drops and repairs.  A count of the work
+    itself, exact for a seeded run. *)
 
 (** {2 cover()}
 
     Greedy weighted set cover over the T_j sets of the structural trie
-    nodes above the counters, as {!configure} runs it. *)
+    nodes above a monitor's counters, as {!configure} runs it. *)
 
-val build : t -> unit
-(** The candidate table: every structural node with a non-empty T set, in
-    the order the greedy breaks ties by, plus a per-switch lower bound on
-    the cost of a candidate freeing that switch.  It invalidates the
-    table of every earlier build; a merge or divide leaves it stale,
-    except for merges at the last solve's picks followed by
-    {!repair_picks}. *)
+val build : t -> Monitor.t -> unit
+(** The monitor's candidate table: every structural node with a non-empty
+    T set, in the order the greedy breaks ties by, plus a per-switch lower
+    bound on the cost of a candidate freeing that switch.  It invalidates
+    the table of every earlier build, of this monitor or another; a merge
+    or divide leaves it stale, except for merges at the last solve's picks
+    followed by {!repair_picks}. *)
 
 val solve_mask : t -> ex_bits:int -> ex_len:int -> Dream_traffic.Switch_mask.t -> bool
 (** Greedy cover of the set, ignoring the candidates that cover the prefix

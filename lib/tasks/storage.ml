@@ -8,21 +8,6 @@ type t = {
   mutable scores : float array;
   mutable means : float array;
   mutable vols : float array;
-  mutable node_key : int array;
-  mutable node_end : int array;
-  mutable node_cost : float array;
-  mutable node_class : int array;
-  mutable node_next : int array;
-  mutable node_stamp : int array;
-  mutable cls_mask : int array;
-  mutable cls_head : int array;
-  mutable cls_min : int array;
-  mutable cls_next : float array;
-  mutable cls_floor : float array;
-  mutable cls_of : int array;
-  mutable h_score : float array;
-  mutable h_key : int array;
-  mutable h_stamp : int array;
   report : Items.t;
   detections : Items.t;
   leaves : Items.t;
@@ -44,21 +29,6 @@ let create () =
     scores = [||];
     means = [||];
     vols = [||];
-    node_key = [||];
-    node_end = [||];
-    node_cost = [||];
-    node_class = [||];
-    node_next = [||];
-    node_stamp = [||];
-    cls_mask = [||];
-    cls_head = [||];
-    cls_min = [||];
-    cls_next = [||];
-    cls_floor = [||];
-    cls_of = [||];
-    h_score = [||];
-    h_key = [||];
-    h_stamp = [||];
     report = Items.create ();
     detections = Items.create ~values:true ();
     leaves = Items.create ();

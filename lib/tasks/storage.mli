@@ -1,18 +1,20 @@
 (** The growable arrays of one task, recycled across admissions.
 
-    A task's counter table, divide-and-merge tables, report buffers,
-    ground-truth buffers and read buffers all grow by doubling from
-    empty.  A controller sees tasks arrive and retire all the time, so
+    What a task keeps between epochs grows by doubling from empty: its
+    counter table, report buffers, ground-truth buffers and read
+    buffers.  A controller sees tasks arrive and retire all the time, so
     when a task retires its storage is handed back ({!Task.release}) and
     the next task with the same sub-filter count is built on it: it
-    starts with the room its predecessor grew.
+    starts with the room its predecessor grew.  Scratch that no task
+    keeps between epochs is not here: divide-and-merge's tables live in
+    one {!Divide_merge} workspace that every task's configure shares.
 
     The owners take what they need at creation and reset only their
     logical state (counts, cursors, stamps); they never read a capacity
     or a value they did not write, so a task built on recycled storage
-    behaves bit for bit like one built on {!create}'s.  A storage value
-    belongs to one live task at a time: once handed back, the task that
-    held it must not be used again.
+    behaves bit for bit like one built on {!create}'s.  A storage value belongs
+    to one live task at a time: once handed back, the task that held it
+    must not be used again.
 
     The fields are open so that the owners move their columns in and out
     without a call per column, and so that a test can fill recycled
@@ -29,22 +31,6 @@ type t = {
   mutable scores : float array;
   mutable means : float array;
   mutable vols : float array;
-  (* {!Divide_merge}'s node table, class table and divide heap *)
-  mutable node_key : int array;
-  mutable node_end : int array;
-  mutable node_cost : float array;
-  mutable node_class : int array;
-  mutable node_next : int array;
-  mutable node_stamp : int array;
-  mutable cls_mask : int array;
-  mutable cls_head : int array;
-  mutable cls_min : int array;
-  mutable cls_next : float array;
-  mutable cls_floor : float array;
-  mutable cls_of : int array;
-  mutable h_score : float array;
-  mutable h_key : int array;
-  mutable h_stamp : int array;
   report : Items.t;  (** an HH or CD task's report *)
   detections : Items.t;  (** an HHH task's report, with values *)
   leaves : Items.t;  (** {!Ground_truth}'s buffers *)

@@ -34,7 +34,6 @@ type t = {
   spec : Task_spec.t;
   topology : Topology.t;
   monitor : Monitor.t;
-  divide_merge : Divide_merge.t; (* the monitor's Algorithm 2 state *)
   global_acc : Ewma.t;
   overall_acc : Ewma.t array; (* per sub-filter bit *)
   mutable overall_used : Switch_mask.t;
@@ -58,7 +57,6 @@ let create ~id ~spec ~topology ?(accuracy_mode = Overall) ~storage () =
     spec;
     topology;
     monitor;
-    divide_merge = Divide_merge.create monitor ~storage;
     global_acc = Ewma.create ~history:accuracy_history;
     overall_acc = Array.init k (fun _ -> Ewma.create ~history:accuracy_history);
     overall_used = Switch_mask.empty;
@@ -72,7 +70,6 @@ let create ~id ~spec ~topology ?(accuracy_mode = Overall) ~storage () =
 
 let release t =
   Monitor.release t.monitor t.storage;
-  Divide_merge.release t.divide_merge t.storage;
   t.storage
 
 let id t = t.id
@@ -157,10 +154,10 @@ let decay_accuracy t ?bit ~factor () =
 
 let smoothed_global t = Ewma.value_or t.global_acc 1.0
 
-let configure t ~allocations =
+let configure t ~workspace ~allocations =
   Array.blit allocations 0 t.allocations 0 (Array.length t.allocations);
   Score.apply t.monitor;
-  Divide_merge.configure t.divide_merge ~allocations:t.allocations
+  Divide_merge.configure workspace t.monitor ~allocations:t.allocations
 
 let counters_used t b = Monitor.usage t.monitor b
 
@@ -220,7 +217,6 @@ let codec ~storage =
           spec;
           topology;
           monitor;
-          divide_merge = Divide_merge.create monitor ~storage;
           global_acc;
           overall_acc;
           overall_used = List.fold_left (fun m (b, _) -> m lor (1 lsl b)) Switch_mask.empty overall;

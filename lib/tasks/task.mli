@@ -32,13 +32,13 @@ val create :
   storage:Storage.t ->
   unit ->
   t
-(** [accuracy_mode] defaults to [Overall].  The monitor, divide-and-merge
-    state, report buffer and {!read_traffic}'s buffers are built on
-    [storage]: {!Storage.create}'s for a bare task, or one a retired task
-    handed back ({!release}), whose room the new task starts with.  The
-    task resets its logical state and never reads what the storage held,
-    so either behaves the same, bit for bit.  A {!Ground_truth} may share
-    the storage: it uses other buffers. *)
+(** [accuracy_mode] defaults to [Overall].  The monitor, report buffer
+    and {!read_traffic}'s buffers are built on [storage]:
+    {!Storage.create}'s for a bare task, or one a retired task handed back
+    ({!release}), whose room the new task starts with.  The task resets
+    its logical state and never reads what the storage held, so either
+    behaves the same, bit for bit.  A {!Ground_truth} may share the
+    storage: it uses other buffers. *)
 
 val release : t -> Storage.t
 (** Hand the task's storage back, with every column as grown, for the
@@ -89,10 +89,12 @@ val decay_accuracy : t -> ?bit:int -> factor:float -> unit -> unit
     this when a task reports from stale counters — degraded visibility the
     estimators cannot see, which must still reach the allocator. *)
 
-val configure : t -> allocations:int array -> unit
-(** Re-score counters and run divide-and-merge under the new allocations
-    (per sub-filter bit, 0 on a switch outside {!switches}).  The task
-    copies them into its own array ({!allocations}). *)
+val configure : t -> workspace:Divide_merge.t -> allocations:int array -> unit
+(** Re-score counters and run divide-and-merge on [workspace] under the
+    new allocations (per sub-filter bit, 0 on a switch outside
+    {!switches}).  The task copies them into its own array
+    ({!allocations}).  Any workspace gives the same counters, bit for bit;
+    one shared by every task keeps its room across them. *)
 
 val counters_used : t -> int -> int
 (** TCAM entries the task occupies on the switch of a sub-filter bit. *)

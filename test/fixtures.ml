@@ -18,6 +18,10 @@ module Score = Dream_tasks.Score
 (* Fresh task storage, as a bare task or a restore starts on. *)
 let fresh_storage () = Dream_tasks.Storage.create ()
 
+(* The divide-and-merge workspace the tasks driven here configure on, one
+   for the whole test binary as a controller keeps one for all its tasks. *)
+let workspace = Dream_tasks.Divide_merge.create ()
+
 (* A 4-bit universe: filter 10.0.0.0/28, leaves at /32, threshold 10.
    Two switches split it at /29 (0*** vs 1***, in some switch order). *)
 let filter = Prefix.of_string "10.0.0.0/28"
@@ -79,7 +83,7 @@ let drive_task task ~data ~allocations ~epoch =
   Task.read_traffic task data;
   let estimate = Task.estimate task ~epoch in
   let report = Option.get (Task.last_report task) in
-  Task.configure task ~allocations;
+  Task.configure task ~workspace ~allocations;
   (report, estimate)
 
 (* ---- List views of a task's rules, for checks ---- *)

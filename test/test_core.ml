@@ -926,7 +926,7 @@ let prop_configure_within_allocations =
                 if (not (Switch_mask.mem_bit b (Task.switches task))) || Rng.int rng 4 = 0 then 0
                 else 1 + Rng.int rng 12)
           in
-          Task.configure task ~allocations:(Array.copy allocations);
+          Task.configure task ~workspace:Fixtures.workspace ~allocations:(Array.copy allocations);
           Monitor.is_partition (Task.monitor task)
           && List.for_all
                (fun b ->
@@ -957,7 +957,9 @@ let words f = window f -. window ignore
 (* Admit and retire a k = 8 task, then admit one of the same k: the second
    starts on the storage the first grew, so over the same epochs and
    allocations its configures grow nothing, where the first's grew its
-   columns from empty. *)
+   columns and the workspace from empty.  Then a donor that filled under
+   half of its counter table retires: the pool keeps its storage too, and
+   the task after it grows nothing either. *)
 let test_recycled_configures_grow_nothing () =
   let filter = Prefix.of_string "10.0.0.0/20" in
   let topology = Topology.create (Rng.create 5) ~filter ~num_switches:10 ~switches_per_task:8 in
@@ -979,19 +981,21 @@ let test_recycled_configures_grow_nothing () =
                |> Option.map (fun sw -> (sw, [ f ])))
              (List.init 300 Fun.id)))
   in
-  let pool = Runtime.pool () in
+  let pool = Runtime.pool () and workspace = Dream_tasks.Divide_merge.create () in
   let admit id =
     Runtime.create ~config:Config.default ~pool ~id ~spec ~topology ~source:(Source.replay epochs)
       ~duration:12 ~arrived_at:0
   in
-  (* Configure's words over the epochs, each after a fetch and estimate. *)
-  let run (r : Runtime.t) =
-    let allocations = Fixtures.allocations_of r.Runtime.task 40 in
+  (* Configure's words over the epochs, each after a fetch and estimate,
+     and each counted as one the task ran, as the tick counts it. *)
+  let run ?(entries = 40) (r : Runtime.t) =
+    let allocations = Fixtures.allocations_of r.Runtime.task entries in
     Array.fold_left
       (fun acc data ->
+        r.Runtime.active_epochs <- r.Runtime.active_epochs + 1;
         Task.read_traffic r.Runtime.task data;
         ignore (Task.estimate r.Runtime.task ~epoch:data.Epoch_data.epoch);
-        acc +. words (fun () -> Task.configure r.Runtime.task ~allocations))
+        acc +. words (fun () -> Task.configure r.Runtime.task ~workspace ~allocations))
       0.0 epochs
   in
   let first = admit 0 in
@@ -1004,7 +1008,18 @@ let test_recycled_configures_grow_nothing () =
   Alcotest.(check bool)
     (Printf.sprintf "fresh storage grows (%.0f words)" grown)
     true (grown > 0.0);
-  Alcotest.(check (float 0.0)) "words of the recycled task's configures" 0.0 recycled
+  Alcotest.(check (float 0.0)) "words of the recycled task's configures" 0.0 recycled;
+  Runtime.recycle pool ~live:1 second;
+  let donor = admit 2 in
+  ignore (run ~entries:1 donor);
+  let m = Task.monitor donor.Runtime.task in
+  Alcotest.(check bool)
+    (Printf.sprintf "the donor filled %d of %d slots" m.Monitor.n m.Monitor.cap)
+    true
+    (2 * m.Monitor.n < m.Monitor.cap);
+  Runtime.recycle pool ~live:1 donor;
+  Alcotest.(check int) "the pool keeps the donor's storage" 1 (Runtime.pooled pool);
+  Alcotest.(check (float 0.0)) "words of the next task's configures" 0.0 (run (admit 3))
 
 (* A random churn of admissions, rejections, drops and retirements of
    tasks with one, two or four sub-filters: the pool never holds more

@@ -39,8 +39,8 @@ let mk_topology () =
 let spec ?(kind = Task_spec.Heavy_hitter) () =
   Task_spec.make ~kind ~filter ~leaf_length:32 ~threshold:10.0 ()
 
-(* A monitor and its divide-and-merge, as a task pairs them. *)
-let with_divide_merge m = (m, Divide_merge.create ~storage:(fresh_storage ()) m)
+(* A monitor and a divide-and-merge workspace of its own. *)
+let with_divide_merge m = (m, Divide_merge.create ())
 
 let mk_monitor ?kind () =
   with_divide_merge
@@ -78,7 +78,7 @@ let example_epoch ~epoch =
 let step monitor dm ~allocations ~epoch =
   Fixtures.ingest_readings monitor (Fixtures.readings_of monitor (example_epoch ~epoch));
   Score.apply monitor;
-  Divide_merge.configure dm ~allocations
+  Divide_merge.configure dm monitor ~allocations
 
 (* [n] entries on every switch the monitor sees, per sub-filter bit. *)
 let allocations_of monitor n =
@@ -256,7 +256,7 @@ let test_monitor_eight_switches () =
     in
     Fixtures.ingest_readings m (Fixtures.readings_of m data);
     Score.apply m;
-    Divide_merge.configure dm ~allocations;
+    Divide_merge.configure dm m ~allocations;
     Alcotest.(check bool) "partition" true (Monitor.is_partition m);
     Array.iteri
       (fun b alloc ->
@@ -288,24 +288,24 @@ module Cover_list = struct
     end
     else None
 
-  let solve dm ~exclude f =
-    Divide_merge.build dm;
+  let solve m dm ~exclude f =
+    Divide_merge.build dm m;
     solve_with dm ~exclude f
 end
 
 let test_cover_empty_set () =
-  let _, dm = mk_monitor () in
-  match Cover_list.solve dm ~exclude:None Switch_mask.empty with
+  let m, dm = mk_monitor () in
+  match Cover_list.solve m dm ~exclude:None Switch_mask.empty with
   | Some sol ->
     Alcotest.(check int) "no ancestors" 0 (List.length sol.Cover_list.ancestors);
     Alcotest.(check (float 1e-9)) "zero cost" 0.0 sol.Cover_list.cost
   | None -> Alcotest.fail "empty set must be coverable"
 
 let test_cover_single_counter_uncoverable () =
-  let _, dm = mk_monitor () in
+  let m, dm = mk_monitor () in
   (* Only the filter counter exists: nothing can merge, so no cover. *)
   Alcotest.(check bool) "uncoverable" true
-    (Cover_list.solve dm ~exclude:None 1 = None)
+    (Cover_list.solve m dm ~exclude:None 1 = None)
 
 let test_cover_finds_mergeable_ancestor () =
   let m, dm = mk_monitor () in
@@ -318,7 +318,7 @@ let test_cover_finds_mergeable_ancestor () =
   Switch_mask.iter (Monitor.topology m)
     (fun _ b ->
       if Monitor.usage m b >= 2 then begin
-        match Cover_list.solve dm ~exclude:None (1 lsl b) with
+        match Cover_list.solve m dm ~exclude:None (1 lsl b) with
         | Some sol ->
           Alcotest.(check bool) "non-empty" true (sol.Cover_list.ancestors <> []);
           List.iter
@@ -340,13 +340,13 @@ let test_cover_multi_switch () =
   let f = Monitor.switches m in
   if Monitor.usage m 0 >= 2 && Monitor.usage m 1 >= 2 then begin
     let before0 = Monitor.usage m 0 and before1 = Monitor.usage m 1 in
-    match Cover_list.solve dm ~exclude:None f with
+    match Cover_list.solve m dm ~exclude:None f with
     | Some sol ->
       (* Apply the merges by configuring with allocations one below the
          current usage on both switches. *)
       Alcotest.(check bool) "positive cost for real counters" true (sol.Cover_list.cost >= 0.0);
       let tight = [| before0 - 1; before1 - 1 |] in
-      Divide_merge.configure dm ~allocations:tight;
+      Divide_merge.configure dm m ~allocations:tight;
       Alcotest.(check bool) "freed on 0" true (Monitor.usage m 0 <= before0 - 1);
       Alcotest.(check bool) "freed on 1" true (Monitor.usage m 1 <= before1 - 1);
       Alcotest.(check bool) "still a partition" true (Monitor.is_partition m)
@@ -427,7 +427,7 @@ let reshape ?levels rng m dm =
   let topology = Monitor.topology m in
   let allocations = Array.make (Topology.switches_per_task topology) 0 in
   Switch_mask.iter topology (fun _ b -> allocations.(b) <- Rng.int rng 10) (Monitor.switches m);
-  Divide_merge.configure dm ~allocations;
+  Divide_merge.configure dm m ~allocations;
   randomize_scores ?levels rng m
 
 (* Solves that uncovered all eight switches and took two picks or more,
@@ -462,7 +462,7 @@ let prop_cover_matches_oracle =
             else random_switch_set rng m
           in
           let exclude = random_exclude rng m ~filter in
-          let sol = Cover_list.solve dm ~exclude mask in
+          let sol = Cover_list.solve m dm ~exclude mask in
           check "solve" sol (Reference_cover.solve m ~exclude f);
           match sol with
           | Some { Cover_list.ancestors = _ :: _ :: _; _ } when round = 1 && k = 8 ->
@@ -470,7 +470,7 @@ let prop_cover_matches_oracle =
           | _ -> ()
         done;
         (* Back to back on one table: each solve's drops are its own. *)
-        Divide_merge.build dm;
+        Divide_merge.build dm m;
         let oracle = Reference_cover.build m in
         for _ = 1 to 3 do
           let mask, f = random_switch_set rng m in
@@ -482,7 +482,7 @@ let prop_cover_matches_oracle =
         (* Repairs as the divide loop makes them: a solve, then the
            candidates inside its picks dropped, on the oracle one merge
            at a time at each picked ancestor. *)
-        Divide_merge.build dm;
+        Divide_merge.build dm m;
         let oracle = ref (Reference_cover.build m) in
         for _ = 1 to 3 do
           let mask, f = random_switch_set rng m in
@@ -545,7 +545,7 @@ let test_cover_rounding_tie () =
   (* Two entries where the first three sub-filters' switches see them,
      one elsewhere: those three drill to /28, the rest stop at /27. *)
   Monitor.set_score m 0 1.0;
-  Divide_merge.configure dm ~allocations:(Array.init 8 (fun b -> if low b then 2 else 1));
+  Divide_merge.configure dm m ~allocations:(Array.init 8 (fun b -> if low b then 2 else 1));
   let x = 0.5 +. ldexp 3.0 (-53) in
   List.iter
     (fun i ->
@@ -563,7 +563,7 @@ let test_cover_rounding_tie () =
       (Monitor.switches m) 0
   in
   let f = Reference_switch_set.set_of_mask topology u in
-  let sol = Cover_list.solve dm ~exclude:None u in
+  let sol = Cover_list.solve m dm ~exclude:None u in
   Alcotest.(check bool) "= oracle" true
     (same_solution sol (Reference_cover.solve m ~exclude:None f));
   match sol with
@@ -600,7 +600,7 @@ let test_warm_configure_allocates_nothing () =
       (fun _ b -> allocations.(b) <- 5 + Rng.int rng 40)
       (Monitor.switches m)
   in
-  let configure () = Divide_merge.configure dm ~allocations in
+  let configure () = Divide_merge.configure dm m ~allocations in
   let minor_words f =
     let before = Gc_stats.read Gc_stats.real in
     f ();
@@ -839,7 +839,7 @@ let prop_columns_match_boxed_reference =
           Switch_mask.iter topology
             (fun _ b -> allocations.(b) <- Rng.int rng 12)
             (Monitor.switches m);
-          Divide_merge.configure dm ~allocations;
+          Divide_merge.configure dm m ~allocations;
           let switches = Monitor.switches m in
           Reference.configure r
             ~allocations:(Reference_switch_set.map_of_bits topology switches allocations));
@@ -988,8 +988,8 @@ let prop_estimates_match_oracles =
         Switch_mask.iter topology
           (fun _ b -> allocations.(b) <- Rng.int rng 12)
           (Task.switches live);
-        Task.configure live ~allocations:(Array.copy allocations);
-        Task.configure oracle ~allocations
+        Task.configure live ~workspace:Fixtures.workspace ~allocations:(Array.copy allocations);
+        Task.configure oracle ~workspace:Fixtures.workspace ~allocations
       done;
       true)
 
@@ -1015,8 +1015,7 @@ let routed_epoch rng topology ~epoch ~leaf_length =
 
 (* Garbage over everything a retired task left: random bytes in the Bytes
    columns, NaN and 1e300 in every float column and buffer, random item
-   counts.  The int tables keep the donor's entries (its node table, class
-   table, heap and solve stamps). *)
+   counts. *)
 let scribble rng (s : Storage.t) =
   let bytes b = Bytes.iteri (fun i _ -> Bytes.set b i (Char.chr (Rng.int rng 256))) b in
   let floats a = Array.iteri (fun i _ -> a.(i) <- (if coin rng then Float.nan else 1e300)) a in
@@ -1027,13 +1026,41 @@ let scribble rng (s : Storage.t) =
     b.Items.n <- Rng.int rng (Array.length b.Items.keys + 1)
   in
   List.iter bytes [ s.keys; s.masks; s.flags; s.stamps ];
-  List.iter floats
-    [ s.totals; s.scores; s.means; s.vols; s.node_cost; s.cls_next; s.cls_floor; s.h_score;
-      s.read_vols ];
+  List.iter floats [ s.totals; s.scores; s.means; s.vols; s.read_vols ];
   List.iter items [ s.report; s.detections; s.leaves; s.truth; s.truth_means; s.truth_next ]
 
 let kinds =
   [| Task_spec.Heavy_hitter; Task_spec.Hierarchical_heavy_hitter; Task_spec.Change_detection |]
+
+(* Random allocations of up to 23 entries on every sub-filter. *)
+let random_allocations rng topology =
+  let a = Array.make (Topology.switches_per_task topology) 0 in
+  Switch_mask.iter topology (fun _ b -> a.(b) <- Rng.int rng 24) (Switch_mask.full topology);
+  a
+
+(* Garbage over a workspace: configures of a k = 8 monitor under random
+   allocations, first on random scores, then on NaN and 1e300, so that its
+   node table, class table, heap and solve stamps hold another monitor's
+   entries and its float columns junk. *)
+let soil rng workspace =
+  let topology =
+    Topology.create
+      (Rng.create (Rng.int rng 1_000_000))
+      ~filter:oracle_filter ~num_switches:10 ~switches_per_task:8
+  in
+  let spec =
+    Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter:oracle_filter ~leaf_length:32
+      ~threshold:4.0 ()
+  in
+  let m = Monitor.create ~storage:(fresh_storage ()) ~spec ~topology in
+  for round = 0 to 5 do
+    List.iter
+      (fun i ->
+        Monitor.set_score m i
+          (if round < 3 then Rng.float rng 50.0 else if coin rng then Float.nan else 1e300))
+      (counters m);
+    Divide_merge.configure workspace m ~allocations:(random_allocations rng topology)
+  done
 
 (* Per switch, the monitor's rules: what rule sync installs and removes
    follows from these. *)
@@ -1059,27 +1086,27 @@ let prop_recycled_storage_matches_fresh =
       let spec_of kind =
         Task_spec.make ~kind ~filter:oracle_filter ~leaf_length ~threshold:4.0 ()
       in
-      let allocations () =
-        let a = Array.make k 0 in
-        Switch_mask.iter topology (fun _ b -> a.(b) <- Rng.int rng 24) (Switch_mask.full topology);
-        a
-      in
+      let allocations () = random_allocations rng topology in
       (* A donor of another (or the same) kind grows the storage, retires,
-         and leaves garbage. *)
-      let storage = Storage.create () in
+         and leaves garbage; so does the workspace it configured on. *)
+      let storage = Storage.create () and workspace = Divide_merge.create () in
       let donor = Task.create ~id:1 ~spec:(spec_of kinds.(donor_kind)) ~topology ~storage () in
       let donor_truth = Ground_truth.create ~storage (spec_of kinds.(donor_kind)) in
       for epoch = 0 to Rng.int rng 12 do
         let data = routed_epoch rng topology ~epoch ~leaf_length in
-        ignore (Fixtures.drive_task donor ~data ~allocations:(allocations ()) ~epoch);
+        Task.read_traffic donor data;
+        ignore (Task.estimate donor ~epoch);
+        Task.configure donor ~workspace ~allocations:(allocations ());
         ignore (Ground_truth.evaluate donor_truth data (Task.items donor))
       done;
       let storage = Task.release donor in
       scribble rng storage;
+      soil rng workspace;
       let spec = spec_of kind in
       let recycled = Task.create ~id:0 ~spec ~topology ~storage () in
       let recycled_truth = Ground_truth.create ~storage spec in
       let fresh = Task.create ~id:0 ~spec ~topology ~storage:(fresh_storage ()) () in
+      let own = Divide_merge.create () in
       let fresh_truth = Ground_truth.create ~storage:(fresh_storage ()) spec in
       let fail what epoch =
         QCheck.Test.fail_reportf "%s at epoch %d (k=%d, donor %s, %s, seed=%d)" what epoch k
@@ -1109,11 +1136,62 @@ let prop_recycled_storage_matches_fresh =
         let truth_text = Codec.encode (Ground_truth.codec ~spec ~storage:(fresh_storage ())) in
         if truth_text recycled_truth <> truth_text fresh_truth then fail "cd means" epoch;
         let allocations = allocations () in
-        Task.configure recycled ~allocations:(Array.copy allocations);
-        Task.configure fresh ~allocations;
+        Task.configure recycled ~workspace ~allocations:(Array.copy allocations);
+        Task.configure fresh ~workspace:own ~allocations;
         if rule_runs recycled <> rule_runs fresh then fail "rules" epoch;
         let task_text = Codec.encode (Task.codec ~storage:(fresh_storage ())) in
         if task_text recycled <> task_text fresh then fail "task checkpoint" epoch
+      done;
+      true)
+
+(* Two to five tasks of mixed kind and sub-filter count configured
+   round-robin on one soiled workspace, each against a twin that
+   configures on a workspace of its own: sharing must change nothing, bit
+   for bit, in any epoch. *)
+let prop_shared_workspace_matches_own =
+  QCheck.Test.make ~name:"tasks sharing one soiled workspace = tasks on their own, bit for bit"
+    ~count:60
+    QCheck.(pair (int_range 2 5) (int_bound 1_000_000))
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      let shared = Divide_merge.create () in
+      soil rng shared;
+      let twins id =
+        let k = Rng.pick rng [| 1; 2; 4; 8 |] and kind = Rng.pick rng kinds in
+        let leaf_length = Rng.pick rng [| 28; 30; 32 |] in
+        let threshold = Rng.pick rng [| 4.0; 20.0; 60.0 |] in
+        let topology =
+          Topology.create (Rng.create (seed + id)) ~filter:oracle_filter ~num_switches:(k + 2)
+            ~switches_per_task:k
+        in
+        let spec = Task_spec.make ~kind ~filter:oracle_filter ~leaf_length ~threshold () in
+        let task () = Task.create ~id ~spec ~topology ~storage:(fresh_storage ()) () in
+        (task (), task (), Divide_merge.create (), leaf_length)
+      in
+      let tasks = List.init n twins in
+      let counter_text = Codec.encode (Task.codec ~storage:(fresh_storage ())) in
+      for epoch = 0 to 9 do
+        List.iter
+          (fun (sharing, alone, own, leaf_length) ->
+            let topology = Task.topology sharing in
+            let fail what =
+              QCheck.Test.fail_reportf "%s of task %d at epoch %d (k=%d, %s, seed=%d)" what
+                (Task.id sharing) epoch
+                (Topology.switches_per_task topology)
+                (Task_spec.kind_to_string (Task.spec sharing).Task_spec.kind)
+                seed
+            in
+            let data = routed_epoch rng topology ~epoch ~leaf_length in
+            Task.read_traffic sharing data;
+            Task.read_traffic alone data;
+            ignore (Task.estimate sharing ~epoch);
+            ignore (Task.estimate alone ~epoch);
+            let allocations = random_allocations rng topology in
+            Task.configure sharing ~workspace:shared ~allocations:(Array.copy allocations);
+            Task.configure alone ~workspace:own ~allocations;
+            if counter_text sharing <> counter_text alone then fail "counters";
+            if rule_runs sharing <> rule_runs alone then fail "rules")
+          tasks
       done;
       true)
 
@@ -1208,6 +1286,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_columns_match_boxed_reference;
           QCheck_alcotest.to_alcotest prop_estimates_match_oracles;
           QCheck_alcotest.to_alcotest prop_recycled_storage_matches_fresh;
+          QCheck_alcotest.to_alcotest prop_shared_workspace_matches_own;
         ] );
       ( "task-spec",
         [
