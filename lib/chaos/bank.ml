@@ -127,23 +127,22 @@ let run ?(canary = false) ?(horizon = Harness.default_horizon)
 (* The canary flag, the first violation and the minimized schedule, which
    must fit the harness's topology. *)
 let reproducer_json =
+  let open Dream_util.Codec in
   let violation =
-    Json.(
-      record
-        (let+ epoch = field "epoch" int (fun v -> v.Oracle.epoch)
-         and+ code = field "code" string (fun v -> v.Oracle.code)
-         and+ detail = field "detail" string (fun v -> v.Oracle.detail) in
-         { Oracle.epoch; code; detail }))
-  in
-  Json.(
     record
-      (let+ () = field "chaos" (constant int 1) ignore
-       and+ canary = field "canary" bool (fun (c, _, _) -> c)
-       and+ first = field "violation" violation (fun (_, v, _) -> v)
-       and+ sched = field "schedule" Schedule.json (fun (_, _, s) -> s) in
-       match Schedule.validate ~num_switches:Harness.num_switches ~groups:Harness.groups sched with
-       | Ok () -> (canary, first, sched)
-       | Error e -> refuse e))
+      (let+ epoch = field (int "epoch") (fun v -> v.Oracle.epoch)
+       and+ code = field (string "code") (fun v -> v.Oracle.code)
+       and+ detail = field (string "detail") (fun v -> v.Oracle.detail) in
+       { Oracle.epoch; code; detail })
+  in
+  record
+    (let+ () = field (constant (int "chaos") 1) ignore
+     and+ canary = field (bool "canary") (fun (c, _, _) -> c)
+     and+ first = field (section "violation" violation) (fun (_, v, _) -> v)
+     and+ sched = field (section "schedule" Schedule.json) (fun (_, _, s) -> s) in
+     match Schedule.validate ~num_switches:Harness.num_switches ~groups:Harness.groups sched with
+     | Ok () -> (canary, first, sched)
+     | Error e -> refuse e)
 
 let reproducer_to_string (f : failure) =
   Json.to_string (Json.encode reproducer_json (f.f_canary, f.f_first, f.f_minimized))

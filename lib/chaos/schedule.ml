@@ -1,6 +1,5 @@
 module Rng = Dream_util.Rng
 module Fault_model = Dream_fault.Fault_model
-module Json = Dream_obs.Json
 
 type event =
   | Fault of { at : int; fault : Fault_model.injection }
@@ -131,8 +130,8 @@ let shrink_event e =
 
 (* Every event is its kind, its epoch, then the fields of its kind. *)
 let event_json =
-  let open Json in
-  let at proj = field "at" int proj in
+  let open Dream_util.Codec in
+  let at proj = field (int "at") proj in
   let kind tag fields inject project =
     case tag
       (record (let+ at = at fst and+ x = fields in (at, x)))
@@ -143,10 +142,10 @@ let event_json =
     case tag (record (at Fun.id)) inject (fun e -> if project e then Some (at_of e) else None)
   in
   let int2 k1 k2 =
-    let+ a = field k1 int (fun (_, (a, _)) -> a) and+ b = field k2 int (fun (_, (_, b)) -> b) in
+    let+ a = field (int k1) (fun (_, (a, _)) -> a) and+ b = field (int k2) (fun (_, (_, b)) -> b) in
     (a, b)
   in
-  let int1 k = field k int snd in
+  let int1 k = field (int k) snd in
   cases ~what:"event kind" ~key:"kind"
     [
       kind "switch_crash" (int2 "switch" "downtime")
@@ -166,10 +165,10 @@ let event_json =
         (fun at tasks -> Fault { at; fault = Storm { tasks } })
         (function Fault { fault = Storm { tasks }; _ } -> Some tasks | _ -> None);
       kind "noise"
-        (let+ span = field "span" int (fun (_, (s, _, _, _)) -> s)
-         and+ timeout_rate = field "timeout_rate" float (fun (_, (_, r, _, _)) -> r)
-         and+ loss_rate = field "loss_rate" float (fun (_, (_, _, r, _)) -> r)
-         and+ perturb_stddev = field "perturb" float (fun (_, (_, _, _, p)) -> p) in
+        (let+ span = field (int "span") (fun (_, (s, _, _, _)) -> s)
+         and+ timeout_rate = field (float "timeout_rate") (fun (_, (_, r, _, _)) -> r)
+         and+ loss_rate = field (float "loss_rate") (fun (_, (_, _, r, _)) -> r)
+         and+ perturb_stddev = field (float "perturb") (fun (_, (_, _, _, p)) -> p) in
          (span, timeout_rate, loss_rate, perturb_stddev))
         (fun at (span, timeout_rate, loss_rate, perturb_stddev) ->
           Fault { at; fault = Noise { span; timeout_rate; loss_rate; perturb_stddev } })
@@ -186,9 +185,9 @@ let event_json =
     ]
 
 let json =
-  Json.(
+  Dream_util.Codec.(
     record
-      (let+ seed = field "seed" int (fun t -> t.seed)
-       and+ horizon = field "horizon" int (fun t -> t.horizon)
-       and+ events = field "events" (list event_json) (fun t -> t.events) in
+      (let+ seed = field (int "seed") (fun t -> t.seed)
+       and+ horizon = field (int "horizon") (fun t -> t.horizon)
+       and+ events = field (repeat "events" event_json) (fun t -> t.events) in
        { seed; horizon; events }))

@@ -41,7 +41,7 @@ val shrink_event : event -> event list
 (** Strictly-smaller variants of one event (shorter windows, lower rates),
     largest reduction first; empty for atomic events. *)
 
-val json : t Dream_obs.Json.codec
+val json : t Dream_util.Codec.t
 (** A schedule as a reproducer file holds it: seed, horizon and events,
     each event its ["kind"], its epoch ["at"] and its kind's fields.
     Structure only — use {!validate} for range checks. *)

@@ -115,29 +115,28 @@ let debt_snapshot findings =
   Bench.make ~figure:"lint-debt" ~quick:false ~metrics ()
 
 let json =
+  let open Dream_util.Codec in
   let count =
-    Json.conv
-      (fun n -> if n > 0 then n else Json.refuse (Printf.sprintf "count %d is not positive" n))
-      Fun.id Json.int
+    conv
+      (fun n -> if n > 0 then n else refuse (Printf.sprintf "count %d is not positive" n))
+      Fun.id (int "count")
   in
   let entry =
-    Json.(
-      record
-        (let+ b_rule = field "rule" string (fun e -> e.b_rule)
-         and+ b_file = field "file" string (fun e -> e.b_file)
-         and+ b_count = field "count" count (fun e -> e.b_count)
-         and+ b_reason = optional "reason" string (fun e -> e.b_reason) in
-         { b_rule; b_file; b_count; b_reason }))
-  in
-  Json.(
     record
-      (let+ () = field "version" (constant int version) ignore
-       and+ entries = field "entries" (list entry) normalize in
-       let entries = normalize entries in
-       let keys = List.map (fun e -> (e.b_rule, e.b_file)) entries in
-       if List.length keys <> List.length (List.sort_uniq compare_key keys) then
-         refuse "duplicate (rule, file) entry";
-       entries))
+      (let+ b_rule = field (string "rule") (fun e -> e.b_rule)
+       and+ b_file = field (string "file") (fun e -> e.b_file)
+       and+ b_count = field count (fun e -> e.b_count)
+       and+ b_reason = field (option "reason" (string "reason")) (fun e -> e.b_reason) in
+       { b_rule; b_file; b_count; b_reason })
+  in
+  record
+    (let+ () = field (constant (int "version") version) ignore
+     and+ entries = field (repeat "entries" entry) normalize in
+     let entries = normalize entries in
+     let keys = List.map (fun e -> (e.b_rule, e.b_file)) entries in
+     if List.length keys <> List.length (List.sort_uniq compare_key keys) then
+       refuse "duplicate (rule, file) entry";
+     entries)
 
 let to_string t = Json.to_string (Json.encode json t)
 

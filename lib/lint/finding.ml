@@ -1,5 +1,3 @@
-module Json = Dream_obs.Json
-
 type severity = Error | Warning
 
 type t = {
@@ -34,20 +32,18 @@ let pp ppf t =
     t.rule t.message
 
 let json =
-  let severity =
-    Json.conv
-      (function
-        | "error" -> Error
-        | "warning" -> Warning
-        | s -> Json.refuse (Printf.sprintf "unknown severity %S" s))
-      severity_to_string Json.string
-  in
-  Json.(
-    record
-      (let+ rule = field "rule" string (fun f -> f.rule)
-       and+ file = field "file" string (fun f -> f.file)
-       and+ line = field "line" int (fun f -> f.line)
-       and+ col = field "col" int (fun f -> f.col)
-       and+ severity = field "severity" severity (fun f -> f.severity)
-       and+ message = field "message" string (fun f -> f.message) in
-       { rule; file; line; col; severity; message }))
+  (* [line] is also a field of [Codec.error]. *)
+  let line f = f.line in
+  let open Dream_util.Codec in
+  record
+    (let+ rule = field (string "rule") (fun f -> f.rule)
+     and+ file = field (string "file") (fun f -> f.file)
+     and+ line = field (int "line") line
+     and+ col = field (int "col") (fun f -> f.col)
+     and+ severity =
+       field
+         (enum ~what:"severity" "severity"
+            (List.map (fun s -> (s, severity_to_string s)) [ Error; Warning ]))
+         (fun f -> f.severity)
+     and+ message = field (string "message") (fun f -> f.message) in
+     { rule; file; line; col; severity; message })

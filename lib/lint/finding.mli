@@ -2,9 +2,9 @@
 
     Findings are plain data so reporters ({!Report}), the engine's
     suppression pass and the test suite can all share them.  The JSON
-    description is a {!Dream_obs.Json} one, like the telemetry
-    exporters', so CI can parse the report with the machinery the repo
-    already trusts. *)
+    description is a {!Dream_util.Codec} one, written through
+    {!Dream_obs.Json} like the telemetry exporters', so CI can parse the
+    report with the machinery the repo already trusts. *)
 
 type severity = Error | Warning
 
@@ -29,6 +29,6 @@ val pp : Format.formatter -> t -> unit
 (** [file:line:col: severity [rule] message] — one line, compiler-style,
     so editors and CI annotations can parse it. *)
 
-val json : t Dream_obs.Json.codec
+val json : t Dream_util.Codec.t
 (** One finding as a JSON object, written and read by this one
     description. *)

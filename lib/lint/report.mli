@@ -14,10 +14,5 @@ val json : ?baseline:int * int -> Format.formatter -> Finding.t list -> unit
 (** A single JSON object [{"version": 2, "count": N, "errors": E,
     "warnings": W, "by_rule": {...}, "findings": [...]}] rendered
     through {!Dream_obs.Json}, newline-terminated.  The findings are
-    written by the description {!of_json_string} reads them back with;
-    the summary counts are only ever written. *)
-
-val of_json_string : string -> (Finding.t list, string) result
-(** Parse a report produced by {!json} back into findings — the CI
-    artifact stays readable by the repo's own tooling.  Accepts both
-    version 1 and version 2 documents (only [findings] is read). *)
+    written by {!Finding.json}, which reads them back; the summary counts
+    are only ever written. *)

@@ -76,36 +76,32 @@ let direction_to_string = function
   | Higher_better -> "higher"
   | Info -> "info"
 
-let direction_json =
-  Json.conv
-    (function
-      | "lower" -> Lower_better
-      | "higher" -> Higher_better
-      | "info" -> Info
-      | other -> Json.refuse (Printf.sprintf "unknown direction %S" other))
-    direction_to_string Json.string
-
 let metric_json =
-  Json.(
-    record
-      (let+ m_name = field "name" string (fun m -> m.m_name)
-       and+ m_value = field "value" float (fun m -> m.m_value)
-       and+ m_unit = field "unit" string (fun m -> m.m_unit)
-       and+ m_direction = field "direction" direction_json (fun m -> m.m_direction)
-       and+ m_tolerance_pct = optional "tolerance_pct" float (fun m -> m.m_tolerance_pct) in
-       { m_name; m_value; m_unit; m_direction; m_tolerance_pct }))
+  let open Dream_util.Codec in
+  let direction =
+    enum ~what:"direction" "direction"
+      (List.map (fun d -> (d, direction_to_string d)) [ Lower_better; Higher_better; Info ])
+  in
+  record
+    (let+ m_name = field (string "name") (fun m -> m.m_name)
+     and+ m_value = field (float "value") (fun m -> m.m_value)
+     and+ m_unit = field (string "unit") (fun m -> m.m_unit)
+     and+ m_direction = field direction (fun m -> m.m_direction)
+     and+ m_tolerance_pct =
+       field (option "tolerance_pct" (float "tolerance_pct")) (fun m -> m.m_tolerance_pct) in
+     { m_name; m_value; m_unit; m_direction; m_tolerance_pct })
 
 let json =
-  Json.(
-    record
-      (let+ () = field "version" (constant int version) ignore
-       and+ figure = field "figure" string (fun t -> t.figure)
-       and+ quick = field "quick" bool (fun t -> t.quick)
-       and+ seeds = field "seeds" (list int) (fun t -> t.seeds)
-       and+ metrics = field "metrics" (list metric_json) (fun t -> t.metrics)
-       and+ phases = field "phases" Profile.stats_json (fun t -> t.phases) in
-       let t = { figure; quick; seeds; metrics; phases } in
-       match validate t with Ok () -> t | Error e -> refuse e))
+  let open Dream_util.Codec in
+  record
+    (let+ () = field (constant (int "version") version) ignore
+     and+ figure = field (string "figure") (fun t -> t.figure)
+     and+ quick = field (bool "quick") (fun t -> t.quick)
+     and+ seeds = field (repeat "seeds" (int "seed")) (fun t -> t.seeds)
+     and+ metrics = field (repeat "metrics" metric_json) (fun t -> t.metrics)
+     and+ phases = field Profile.stats_json (fun t -> t.phases) in
+     let t = { figure; quick; seeds; metrics; phases } in
+     match validate t with Ok () -> t | Error e -> refuse e)
 
 (* ---- files ---- *)
 

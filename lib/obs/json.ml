@@ -34,30 +34,30 @@ let float_to_string f =
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s else s ^ ".0"
   end
 
+(* [xs] between [op] and [cl], separated by commas. *)
+let seq buf op cl f xs =
+  Buffer.add_char buf op;
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char buf ',';
+      f x)
+    xs;
+  Buffer.add_char buf cl
+
 let rec emit buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f -> Buffer.add_string buf (float_to_string f)
   | Str s -> escape_into buf s
-  | List items ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_char buf ',';
-        emit buf v)
-      items;
-    Buffer.add_char buf ']'
+  | List items -> seq buf '[' ']' (emit buf) items
   | Obj fields ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
+    seq buf '{' '}'
+      (fun (k, v) ->
         escape_into buf k;
         Buffer.add_char buf ':';
         emit buf v)
-      fields;
-    Buffer.add_char buf '}'
+      fields
 
 let to_string v =
   let buf = Buffer.create 128 in
@@ -97,42 +97,13 @@ let literal st word value =
   end
   else fail st (Printf.sprintf "expected %s" word)
 
-let utf8_of_code buf code =
-  (* Encode one Unicode scalar value; surrogates arrive pre-combined. *)
-  if code < 0x80 then Buffer.add_char buf (Char.chr code)
-  else if code < 0x800 then begin
-    Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-  end
-  else if code < 0x10000 then begin
-    Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-  end
-  else begin
-    Buffer.add_char buf (Char.chr (0xF0 lor (code lsr 18)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-  end
-
 let hex4 st =
-  let digit c =
-    match c with
-    | '0' .. '9' -> Char.code c - Char.code '0'
-    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-    | _ -> fail st "invalid \\u escape"
-  in
-  let v = ref 0 in
-  for _ = 1 to 4 do
-    match peek st with
-    | Some c ->
-      v := (!v * 16) + digit c;
-      advance st
-    | None -> fail st "truncated \\u escape"
-  done;
-  !v
+  if st.pos + 4 > String.length st.src then fail st "truncated \\u escape";
+  let digits = String.sub st.src st.pos 4 in
+  let hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+  if not (String.for_all hex digits) then fail st "invalid \\u escape";
+  st.pos <- st.pos + 4;
+  int_of_string ("0x" ^ digits)
 
 let parse_string st =
   expect st '"';
@@ -167,9 +138,10 @@ let parse_string st =
               if low < 0xDC00 || low > 0xDFFF then fail st "unpaired surrogate"
               else 0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
             end
+            else if code >= 0xDC00 && code <= 0xDFFF then fail st "unpaired surrogate"
             else code
           in
-          utf8_of_code buf code
+          Buffer.add_utf_8_uchar buf (Uchar.of_int code)
         | c -> fail st (Printf.sprintf "invalid escape \\%c" c)));
       go ()
     | Some c ->
@@ -208,6 +180,29 @@ let parse_number st =
     | None -> float ()
   end
 
+(* The items up to [close], separated by commas, just past the opener. *)
+let items st close item =
+  skip_ws st;
+  if peek st = Some close then begin
+    advance st;
+    []
+  end
+  else begin
+    let rec go acc =
+      let x = item () in
+      skip_ws st;
+      match peek st with
+      | Some ',' ->
+        advance st;
+        go (x :: acc)
+      | Some c when c = close ->
+        advance st;
+        List.rev (x :: acc)
+      | _ -> fail st (Printf.sprintf "expected ',' or '%c'" close)
+    in
+    go []
+  end
+
 let rec parse_value st =
   skip_ws st;
   match peek st with
@@ -218,56 +213,16 @@ let rec parse_value st =
   | Some '"' -> Str (parse_string st)
   | Some '[' ->
     advance st;
-    skip_ws st;
-    if peek st = Some ']' then begin
-      advance st;
-      List []
-    end
-    else begin
-      let rec items acc =
-        let v = parse_value st in
-        skip_ws st;
-        match peek st with
-        | Some ',' ->
-          advance st;
-          items (v :: acc)
-        | Some ']' ->
-          advance st;
-          List.rev (v :: acc)
-        | _ -> fail st "expected ',' or ']'"
-      in
-      List (items [])
-    end
+    List (items st ']' (fun () -> parse_value st))
   | Some '{' ->
     advance st;
-    skip_ws st;
-    if peek st = Some '}' then begin
-      advance st;
-      Obj []
-    end
-    else begin
-      let field () =
-        skip_ws st;
-        let k = parse_string st in
-        skip_ws st;
-        expect st ':';
-        let v = parse_value st in
-        (k, v)
-      in
-      let rec fields acc =
-        let kv = field () in
-        skip_ws st;
-        match peek st with
-        | Some ',' ->
-          advance st;
-          fields (kv :: acc)
-        | Some '}' ->
-          advance st;
-          List.rev (kv :: acc)
-        | _ -> fail st "expected ',' or '}'"
-      in
-      Obj (fields [])
-    end
+    Obj
+      (items st '}' (fun () ->
+           skip_ws st;
+           let k = parse_string st in
+           skip_ws st;
+           expect st ':';
+           (k, parse_value st)))
   | Some ('-' | '0' .. '9') -> parse_number st
   | Some c -> fail st (Printf.sprintf "unexpected character %C" c)
 
@@ -282,147 +237,188 @@ let of_string s =
 
 (* ---- descriptions ---- *)
 
-(* A refusal, and the path of members and items it was found under. *)
-exception Refused of string * string
+(* The JSON interpreter over [Codec]'s descriptions.  A node sits either
+   in a value's place, where its key is ignored, or in a record's place,
+   where a keyed node is the member its key names and a record or keyed
+   cases is a run of members. *)
 
-let refuse reason = raise (Refused ("", reason))
+module Codec = Dream_util.Codec
+module V = Codec.View
 
-let failf fmt = Printf.ksprintf refuse fmt
+(* A refusal, and the reversed steps of the member path it was found under. *)
+exception At of string list * string
+
+let refuse_at path fmt = Printf.ksprintf (fun reason -> raise (At (path, reason))) fmt
+
+(* A refusal a conv or a record builder raises is charged to its path. *)
+let checked path f x = try f x with Codec.Refused reason -> raise (At (path, reason))
+
+let unsupported () = invalid_arg "Json: a node JSON does not render"
+
+(* The case a value is written under: its tag, description and payload. *)
+type 'a chosen = Chosen : string * 'b V.t * 'b -> 'a chosen
+
+let rec choose : type a. a V.case list -> a -> a chosen =
+ fun cases v ->
+  match cases with
+  | [] -> invalid_arg "Json.encode: value of no case"
+  | V.Case (tag, d, _, project) :: rest -> (
+    match project v with Some x -> Chosen (tag, d, x) | None -> choose rest v)
 
 (* A value as an error message quotes it, cut short. *)
 let shown v =
   let s = to_string v in
   if String.length s <= 40 then s else String.sub s 0 37 ^ "..."
 
-let under step f x = try f x with Refused (path, reason) -> raise (Refused (step ^ path, reason))
+let scalar : type a. a V.prim -> a -> t =
+ fun prim v ->
+  match prim with
+  | V.Int -> Int v
+  | V.Float -> Float v
+  | V.Bool -> Bool v
+  | V.String -> Str v
+  | V.Int64 -> Str (Int64.to_string v)
 
-type 'a codec = { write : 'a -> t; read : t -> 'a }
-
-let scalar what write get =
-  let read v = match get v with Some x -> x | None -> failf "expected %s, got %s" what (shown v) in
-  { write; read }
-
-let int = scalar "an int" (fun i -> Int i) (function Int i -> Some i | _ -> None)
-
-let float =
-  scalar "a number"
-    (fun f -> Float f)
-    (function Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None)
-
-let string = scalar "a string" (fun s -> Str s) (function Str s -> Some s | _ -> None)
-
-let bool = scalar "a bool" (fun b -> Bool b) (function Bool b -> Some b | _ -> None)
-
-let any = { write = Fun.id; read = Fun.id }
-
-let list d =
-  {
-    write = (fun xs -> List (List.map d.write xs));
-    read =
-      (function
-      | List items -> List.mapi (fun i -> under (Printf.sprintf "[%d]" i) d.read) items
-      | v -> failf "expected a list, got %s" (shown v));
-  }
-
-let conv decode encode d =
-  { write = (fun b -> d.write (encode b)); read = (fun j -> decode (d.read j)) }
-
-let constant d c =
-  let expected = d.write c in
-  {
-    write = (fun () -> expected);
-    read = (fun v -> if v <> expected then failf "expected %s, got %s" (shown expected) (shown v));
-  }
-
-(* A record's fields: the keys they name, their members for a value, and
-   the value read back from an object's members.  [rest] reads every
-   member no field of its record names. *)
-type ('r, 'a) fields = {
-  keys : string list;
-  put : 'r -> (string * t) list;
-  get : named:string list -> (string * t) list -> 'a;
-}
-
-let field key d proj =
-  {
-    keys = [ key ];
-    put = (fun r -> [ (key, d.write (proj r)) ]);
-    get =
-      (fun ~named:_ members ->
-        match List.assoc_opt key members with
-        | Some v -> under ("." ^ key) d.read v
-        | None -> failf "missing member %S" key);
-  }
-
-let optional key d proj =
-  {
-    keys = [ key ];
-    put = (fun r -> match proj r with Some x -> [ (key, d.write x) ] | None -> []);
-    get =
-      (fun ~named:_ members -> Option.map (under ("." ^ key) d.read) (List.assoc_opt key members));
-  }
-
-let rest d proj =
-  {
-    keys = [];
-    put = (fun r -> List.map (fun (k, x) -> (k, d.write x)) (proj r));
-    get =
-      (fun ~named members ->
-        List.filter_map
-          (fun (k, v) -> if List.mem k named then None else Some (k, under ("." ^ k) d.read v))
-          members);
-  }
-
-let ( let+ ) p f = { p with get = (fun ~named members -> f (p.get ~named members)) }
-
-let ( and+ ) p q =
-  {
-    keys = p.keys @ q.keys;
-    put = (fun r -> p.put r @ q.put r);
-    get =
-      (fun ~named members ->
-        let a = p.get ~named members in
-        (a, q.get ~named members));
-  }
-
-let members = function Obj members -> members | v -> failf "expected an object, got %s" (shown v)
-
-let record fields =
-  {
-    write = (fun r -> Obj (fields.put r));
-    read = (fun v -> fields.get ~named:fields.keys (members v));
-  }
-
-type 'a case = Case : string * 'b codec * ('b -> 'a) * ('a -> 'b option) -> 'a case
-
-let case tag d inject project = Case (tag, d, inject, project)
-
-(* The tag is the object's first member; the case's record reads the
-   members other than the tag. *)
-let cases ~what ~key cases =
-  let rec write v = function
-    | [] -> invalid_arg "Json.encode: value of no case"
-    | Case (tag, d, _, project) :: rest -> (
-      match project v with
-      | None -> write v rest
-      | Some x -> Obj ((key, Str tag) :: members (d.write x)))
+(* A float also reads from an int. *)
+let read_scalar : type a. string list -> a V.prim -> t -> a =
+ fun path prim v ->
+  let x : a option =
+    match (prim, v) with
+    | V.Int, Int i -> Some i
+    | V.Float, Float f -> Some f
+    | V.Float, Int i -> Some (float_of_int i)
+    | V.Bool, Bool b -> Some b
+    | V.String, Str s -> Some s
+    | V.Int64, Str s -> Int64.of_string_opt s
+    | _ -> None
   in
-  let tag = field key string Fun.id in
-  let read v =
-    let members = members v in
-    let tag = tag.get ~named:[] members in
-    match List.find_opt (fun (Case (t, _, _, _)) -> t = tag) cases with
-    | Some (Case (_, d, inject, _)) -> inject (d.read (Obj (List.filter (fun (k, _) -> k <> key) members)))
-    | None -> raise (Refused ("." ^ key, Printf.sprintf "unknown %s %S" what tag))
-  in
-  { write = (fun v -> write v cases); read }
+  match x with Some x -> x | None -> refuse_at path "unexpected %s" (shown v)
 
-let encode d v = d.write v
+(* The one member a node always is in a record's place, if it is one.  An
+   option, a member only when it holds a value, is read and written on its
+   own. *)
+let rec member_key : type a. a V.t -> string option = function
+  | V.Leaf (key, _) | V.Constant (key, _, _) | V.Section (key, _) | V.Repeat (key, _) -> Some key
+  | V.Conv (d, _, _) -> member_key d
+  | V.Option _ | V.Exactly _ | V.All _ | V.Cases _ | V.Record _ | V.Delay _ -> None
 
-let decode d j =
-  match d.read j with
-  | v -> Ok v
-  | exception Refused ("", reason) -> Error reason
-  | exception Refused (path, reason) ->
+let rec value : type a. a V.t -> a -> t =
+ fun d v ->
+  match d with
+  | V.Leaf (_, prim) -> scalar prim v
+  | V.Constant (_, prim, c) -> scalar prim c
+  | V.Option (_, _, d) -> ( match v with Some x -> value d x | None -> Null)
+  | V.Section (_, d) -> Obj (members d v)
+  | V.Repeat (_, d) -> List (List.map (value d) v)
+  | V.Conv (d, _, encode) -> value d (encode v)
+  | V.Cases { key = None; cases; _ } ->
+    let (Chosen (_, d, x)) = choose cases v in
+    value d x
+  | V.Cases _ | V.Record _ -> Obj (members d v)
+  | V.Exactly _ | V.All _ | V.Delay _ -> unsupported ()
+
+and members : type a. a V.t -> a -> (string * t) list =
+ fun d v ->
+  match (member_key d, d) with
+  | Some key, _ -> [ (key, value d v) ]
+  | None, V.Option (key, _, d) -> ( match v with Some x -> [ (key, value d x) ] | None -> [])
+  | None, V.Record fields -> field_members fields v
+  | None, V.Conv (d, _, encode) -> members d (encode v)
+  | None, V.Cases { key = Some key; cases; _ } ->
+    let (Chosen (tag, d, x)) = choose cases v in
+    (key, Str tag) :: members d x
+  | None, _ -> unsupported ()
+
+and field_members : type r a. (r, a) V.fields -> r -> (string * t) list =
+ fun fields r ->
+  match fields with
+  | V.Field (d, proj) -> members d (proj r)
+  | V.Rest (d, proj) -> List.map (fun (k, x) -> (k, value d x)) (proj r)
+  | V.Map (p, _) -> field_members p r
+  | V.Both (p, q) -> field_members p r @ field_members q r
+  | V.Bind _ -> unsupported ()
+
+(* An object being read, and the keys its fields named so far: a [rest]
+   reads the others. *)
+type obj = { members : (string * t) list; mutable named : string list }
+
+let obj path = function
+  | Obj members -> { members; named = [] }
+  | v -> refuse_at path "expected an object, got %s" (shown v)
+
+let rec read : type a. string list -> a V.t -> t -> a =
+ fun path d v ->
+  match d with
+  | V.Leaf (_, prim) -> read_scalar path prim v
+  | V.Constant (_, prim, c) ->
+    let expected = scalar prim c in
+    if v <> expected then
+      refuse_at path "expected the constant %s, got %s" (shown expected) (shown v)
+  | V.Option (_, _, d) -> Some (read path d v)
+  | V.Repeat (_, d) -> (
+    match v with
+    | List items -> List.mapi (fun i -> read (Printf.sprintf "[%d]" i :: path) d) items
+    | v -> refuse_at path "expected a list, got %s" (shown v))
+  | V.Conv (d, decode, _) -> checked path decode (read path d v)
+  | V.Cases { key = None; what; cases } ->
+    let rec first = function
+      | [] -> refuse_at path "unknown %s %s" what (shown v)
+      | V.Case (_, d, inject, _) :: rest -> (
+        match read path d v with x -> inject x | exception At _ -> first rest)
+    in
+    first cases
+  | V.Exactly _ | V.All _ | V.Delay _ -> unsupported ()
+  | V.Section (_, d) -> get path d (obj path v)
+  | V.Cases _ | V.Record _ -> get path d (obj path v)
+
+and get : type a. string list -> a V.t -> obj -> a =
+ fun path d o ->
+  match (member_key d, d) with
+  | Some key, _ -> (
+    o.named <- key :: o.named;
+    match List.assoc_opt key o.members with
+    | Some v -> read (("." ^ key) :: path) d v
+    | None -> refuse_at path "missing member %S" key)
+  | None, V.Option (key, _, d) ->
+    o.named <- key :: o.named;
+    Option.map (read (("." ^ key) :: path) d) (List.assoc_opt key o.members)
+  | None, V.Record fields -> get_fields path fields o
+  | None, V.Conv (d, decode, _) -> checked path decode (get path d o)
+  | None, V.Cases { key = Some key; what; cases } -> (
+    let path' = ("." ^ key) :: path in
+    o.named <- key :: o.named;
+    let tag =
+      match List.assoc_opt key o.members with
+      | Some (Str tag) -> tag
+      | Some v -> refuse_at path' "unexpected %s" (shown v)
+      | None -> refuse_at path "missing member %S" key
+    in
+    match List.find_opt (fun (V.Case (t, _, _, _)) -> t = tag) cases with
+    | Some (V.Case (_, d, inject, _)) -> inject (get path d o)
+    | None -> refuse_at path' "unknown %s %S" what tag)
+  | None, _ -> unsupported ()
+
+and get_fields : type r a. string list -> (r, a) V.fields -> obj -> a =
+ fun path fields o ->
+  match fields with
+  | V.Field (d, _) -> get path d o
+  | V.Rest (d, _) ->
+    List.filter_map
+      (fun (k, v) -> if List.mem k o.named then None else Some (k, read (("." ^ k) :: path) d v))
+      o.members
+  | V.Map (p, f) -> checked path f (get_fields path p o)
+  | V.Both (p, q) ->
+    let a = get_fields path p o in
+    (a, get_fields path q o)
+  | V.Bind _ -> unsupported ()
+
+let encode = value
+
+let decode d v =
+  match read [] d v with
+  | x -> Ok x
+  | exception At ([], reason) -> Error reason
+  | exception At (steps, reason) ->
+    let path = String.concat "" (List.rev steps) in
     let path = if path.[0] = '.' then String.sub path 1 (String.length path - 1) else path in
     Error (path ^ ": " ^ reason)

@@ -126,22 +126,22 @@ let observe_epoch registry ~wall_ms ~gc =
 (* ---- snapshot codec ---- *)
 
 let stats_json =
-  let words key proj = Json.field key Json.float (fun (s : stat) -> proj s.gc) in
-  let tally key proj = Json.field key Json.int (fun (s : stat) -> proj s.gc) in
-  Json.(
-    list
-      (record
-         (let+ path = field "path" string (fun s -> s.path)
-          and+ count = field "count" int (fun s -> s.count)
-          and+ wall_ms = field "wall_ms" float (fun s -> s.wall_ms)
-          and+ minor_words = words "minor_words" (fun g -> g.Gc_stats.minor_words)
-          and+ promoted_words = words "promoted_words" (fun g -> g.Gc_stats.promoted_words)
-          and+ major_words = words "major_words" (fun g -> g.Gc_stats.major_words)
-          and+ minor_collections = tally "minor_collections" (fun g -> g.Gc_stats.minor_collections)
-          and+ major_collections = tally "major_collections" (fun g -> g.Gc_stats.major_collections)
-          and+ compactions = tally "compactions" (fun g -> g.Gc_stats.compactions) in
-          let gc =
-            { Gc_stats.minor_words; promoted_words; major_words; minor_collections;
-              major_collections; compactions }
-          in
-          { path; count; wall_ms; gc })))
+  let open Dream_util.Codec in
+  let words key proj = field (float key) (fun (s : stat) -> proj s.gc) in
+  let tally key proj = field (int key) (fun (s : stat) -> proj s.gc) in
+  repeat "phases"
+    (record
+       (let+ path = field (string "path") (fun s -> s.path)
+        and+ count = field (int "count") (fun s -> s.count)
+        and+ wall_ms = field (float "wall_ms") (fun s -> s.wall_ms)
+        and+ minor_words = words "minor_words" (fun g -> g.Gc_stats.minor_words)
+        and+ promoted_words = words "promoted_words" (fun g -> g.Gc_stats.promoted_words)
+        and+ major_words = words "major_words" (fun g -> g.Gc_stats.major_words)
+        and+ minor_collections = tally "minor_collections" (fun g -> g.Gc_stats.minor_collections)
+        and+ major_collections = tally "major_collections" (fun g -> g.Gc_stats.major_collections)
+        and+ compactions = tally "compactions" (fun g -> g.Gc_stats.compactions) in
+        let gc =
+          { Gc_stats.minor_words; promoted_words; major_words; minor_collections;
+            major_collections; compactions }
+        in
+        { path; count; wall_ms; gc }))

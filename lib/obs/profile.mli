@@ -78,6 +78,6 @@ val observe_epoch : Registry.t -> wall_ms:float -> gc:Gc_stats.reading -> unit
 
 (** {1 Snapshot codec} *)
 
-val stats_json : stat list Json.codec
-(** The [profile.json] artifact written by {!Telemetry.write_dir} and the
-    [phases] of a [Bench_snapshot]: one object per stat. *)
+val stats_json : stat list Dream_util.Codec.t
+(** The [phases] member of a [Bench_snapshot], and the whole [profile.json]
+    artifact written by {!Telemetry.write_dir}: one object per stat. *)

@@ -30,34 +30,33 @@ let length t = t.count
 
 (* An event field is whichever scalar its member holds. *)
 let field_json =
-  Json.conv
-    (function
-      | Json.Int i -> Int i
-      | Json.Float f -> Float f
-      | Json.Str s -> Str s
-      | Json.Null | Json.Bool _ | Json.List _ | Json.Obj _ -> Json.refuse "not a scalar")
-    (function Int i -> Json.Int i | Float f -> Json.Float f | Str s -> Json.Str s)
-    Json.any
+  Dream_util.Codec.(
+    cases ~what:"event field"
+      [
+        case "int" (int "value") (fun i -> Int i) (function Int i -> Some i | _ -> None);
+        case "float" (float "value") (fun f -> Float f) (function Float f -> Some f | _ -> None);
+        case "str" (string "value") (fun s -> Str s) (function Str s -> Some s | _ -> None);
+      ])
 
 let item_json =
-  let epoch proj = Json.field "epoch" Json.int proj in
-  Json.(
-    cases ~what:"item type" ~key:"t"
-      [
-        case "span"
-          (record
-             (let+ epoch = epoch (fun (e, _, _) -> e)
-              and+ phase = field "phase" string (fun (_, p, _) -> p)
-              and+ ms = field "ms" float (fun (_, _, ms) -> ms) in
-              (epoch, phase, ms)))
-          (fun (epoch, phase, ms) -> Span { epoch; phase; ms })
-          (function Span { epoch; phase; ms } -> Some (epoch, phase, ms) | Event _ -> None);
-        case "event"
-          (record
-             (let+ epoch = epoch (fun (e, _, _) -> e)
-              and+ name = field "name" string (fun (_, n, _) -> n)
-              and+ fields = rest field_json (fun (_, _, f) -> f) in
-              (epoch, name, fields)))
-          (fun (epoch, name, fields) -> Event { epoch; name; fields })
-          (function Event { epoch; name; fields } -> Some (epoch, name, fields) | Span _ -> None);
-      ])
+  let open Dream_util.Codec in
+  let epoch proj = field (int "epoch") proj in
+  cases ~what:"item type" ~key:"t"
+    [
+      case "span"
+        (record
+           (let+ epoch = epoch (fun (e, _, _) -> e)
+            and+ phase = field (string "phase") (fun (_, p, _) -> p)
+            and+ ms = field (float "ms") (fun (_, _, ms) -> ms) in
+            (epoch, phase, ms)))
+        (fun (epoch, phase, ms) -> Span { epoch; phase; ms })
+        (function Span { epoch; phase; ms } -> Some (epoch, phase, ms) | Event _ -> None);
+      case "event"
+        (record
+           (let+ epoch = epoch (fun (e, _, _) -> e)
+            and+ name = field (string "name") (fun (_, n, _) -> n)
+            and+ fields = rest field_json (fun (_, _, f) -> f) in
+            (epoch, name, fields)))
+        (fun (epoch, name, fields) -> Event { epoch; name; fields })
+        (function Event { epoch; name; fields } -> Some (epoch, name, fields) | Span _ -> None);
+    ]

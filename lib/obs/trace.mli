@@ -28,7 +28,7 @@ val items : t -> item list
 
 val length : t -> int
 
-val item_json : item Json.codec
+val item_json : item Dream_util.Codec.t
 (** One [trace.jsonl] line: a ["t"] of ["span"] or ["event"], then the
     epoch and the item's fields; an event's own fields follow as members
     of their own. *)

@@ -1,15 +1,14 @@
-(* Deterministic line-oriented serialization for checkpoints and journals.
+(* Typed descriptions, and their deterministic line rendering for
+   checkpoints and journals.
 
-   The format is plain text: one [key value] pair or [[section]] marker per
-   line.  Floats are written as hex literals (%h), so every IEEE-754 double
-   round-trips bit-exactly; int64 RNG words are written in decimal.  A
-   sealed document carries a version magic and an MD5 checksum over the
-   body, so a torn or hand-edited file is rejected instead of silently
-   restoring garbage.
+   Lines are one [key value] pair or [[section]] marker each.  Floats are
+   hex literals (%h), so every IEEE-754 double round-trips bit-exactly;
+   int64 RNG words are decimal.  A sealed document carries a version magic
+   and an MD5 checksum over the body, so a torn or hand-edited file is
+   rejected instead of silently restoring garbage.
 
-   A record's layout is written once, as a description; [encode] and
-   [decode] are the two walks over it, so the writer and the reader cannot
-   drift apart. *)
+   The nodes live in [View], private outside this module: any walker reads
+   a description, and only the combinators below build one. *)
 
 type error = { line : int; reason : string }
 
@@ -17,8 +16,6 @@ exception Parse_error of error
 
 let error_to_string e = Printf.sprintf "line %d: %s" e.line e.reason
 
-(* A refusal without its line; the description that raised it is the one
-   that knows where it ends. *)
 exception Refused of string
 
 let refuse reason = raise (Refused reason)
@@ -28,33 +25,40 @@ exception End_of_document of int
 
 (* ---- descriptions ---- *)
 
-type _ prim =
-  | Int : int prim
-  | Float : float prim
-  | Bool : bool prim
-  | String : string prim
-  | Int64 : int64 prim
+module View = struct
+  type _ prim =
+    | Int : int prim
+    | Float : float prim
+    | Bool : bool prim
+    | String : string prim
+    | Int64 : int64 prim
 
-type _ t =
-  | Leaf : string * 'a prim -> 'a t
-  | Constant : string * 'a prim * 'a -> unit t
-  | Option : string * 'a t -> 'a option t
-  | Section : string * 'a t -> 'a t
-  | Repeat : string * 'a t -> 'a list t
-  | Exactly : int * 'a t -> 'a list t
-  | All : 'a t list -> 'a list t
-  | Conv : 'a t * ('a -> 'b) * ('b -> 'a) -> 'b t
-  | Cases : { what : string; key : string option; cases : 'a case list } -> 'a t
-  | Record : ('r, 'r) fields -> 'r t
-  | Delay : (unit -> 'a t) -> 'a t
+  type _ t =
+    | Leaf : string * 'a prim -> 'a t
+    | Constant : string * 'a prim * 'a -> unit t
+    | Option : string * string * 'a t -> 'a option t
+    | Section : string * 'a t -> 'a t
+    | Repeat : string * 'a t -> 'a list t
+    | Exactly : int * 'a t -> 'a list t
+    | All : 'a t list -> 'a list t
+    | Conv : 'a t * ('a -> 'b) * ('b -> 'a) -> 'b t
+    | Cases : { what : string; key : string option; cases : 'a case list } -> 'a t
+    | Record : ('r, 'r) fields -> 'r t
+    | Delay : (unit -> 'a t) -> 'a t
 
-and 'a case = Case : string * 'b t * ('b -> 'a) * ('a -> 'b option) -> 'a case
+  and 'a case = Case : string * 'b t * ('b -> 'a) * ('a -> 'b option) -> 'a case
 
-and (_, _) fields =
-  | Field : 'a t * ('r -> 'a) -> ('r, 'a) fields
-  | Map : ('r, 'a) fields * ('a -> 'b) -> ('r, 'b) fields
-  | Both : ('r, 'a) fields * ('r, 'b) fields -> ('r, 'a * 'b) fields
-  | Bind : ('r, 'a) fields * ('a -> ('r, 'b) fields) -> ('r, 'b) fields
+  and (_, _) fields =
+    | Field : 'a t * ('r -> 'a) -> ('r, 'a) fields
+    | Rest : 'a t * ('r -> (string * 'a) list) -> ('r, (string * 'a) list) fields
+    | Map : ('r, 'a) fields * ('a -> 'b) -> ('r, 'b) fields
+    | Both : ('r, 'a) fields * ('r, 'b) fields -> ('r, 'a * 'b) fields
+    | Bind : ('r, 'a) fields * ('a -> ('r, 'b) fields) -> ('r, 'b) fields
+end
+
+open View
+
+type 'a t = 'a View.t
 
 let int key = Leaf (key, Int)
 let float key = Leaf (key, Float)
@@ -67,7 +71,7 @@ let constant (type a) (d : a t) (v : a) =
   | Leaf (key, prim) -> Constant (key, prim, v)
   | _ -> invalid_arg "Codec.constant: not a single field"
 
-let option name d = Option ("has_" ^ name, d)
+let option key d = Option (key, "has_" ^ key, d)
 let section name d = Section (name, d)
 let repeat key d = Repeat (key, d)
 let all ds = All ds
@@ -96,6 +100,7 @@ let record fields = Record fields
 let delay f = Delay f
 
 let field d proj = Field (d, proj)
+let rest d proj = Rest (d, proj)
 let ( let+ ) p f = Map (p, f)
 let ( and+ ) p q = Both (p, q)
 let ( let* ) p k = Bind (p, k)
@@ -128,6 +133,8 @@ let prim_name : type a. a prim -> string = function
 
 (* ---- encoding ---- *)
 
+let unsupported () = invalid_arg "Codec: a JSON-only node in a line document"
+
 let put_line b key v =
   if String.contains v '\n' then invalid_arg "Codec.encode: value must be single-line";
   Buffer.add_string b key;
@@ -145,7 +152,7 @@ let rec put : type a. Buffer.t -> a t -> a -> unit =
   match d with
   | Leaf (key, prim) -> put_line b key (show prim v)
   | Constant (key, prim, c) -> put_line b key (show prim c)
-  | Option (flag, d) -> (
+  | Option (_, flag, d) -> (
     put_line b flag (match v with Some _ -> "1" | None -> "0");
     match v with Some x -> put b d x | None -> ())
   | Section (name, d) ->
@@ -196,6 +203,7 @@ and put_fields : type r a. Buffer.t -> (r, a) fields -> r -> unit =
  fun b fields r ->
   match fields with
   | Field (d, proj) -> put b d (proj r)
+  | Rest _ -> unsupported ()
   | Map (p, _) -> put_fields b p r
   | Both (p, q) ->
     put_fields b p r;
@@ -209,6 +217,7 @@ and value : type r a. (r, a) fields -> r -> a =
  fun fields r ->
   match fields with
   | Field (_, proj) -> proj r
+  | Rest (_, proj) -> proj r
   | Map (p, f) -> f (value p r)
   | Both (p, q) -> (value p r, value q r)
   | Bind (p, k) -> value (k (value p r)) r
@@ -260,7 +269,7 @@ let rec get : type a. reader -> a t -> a =
     let got = take_value r key in
     if got <> expected then
       fail r (Printf.sprintf "field %S: expected the constant %s, got %S" key expected got)
-  | Option (flag, d) -> if take r flag Bool then Some (get r d) else None
+  | Option (_, flag, d) -> if take r flag Bool then Some (get r d) else None
   | Section (name, d) ->
     take_section r name;
     get r d
@@ -308,6 +317,7 @@ and get_fields : type r a. reader -> (r, a) fields -> a =
  fun r fields ->
   match fields with
   | Field (d, _) -> get r d
+  | Rest _ -> unsupported ()
   | Map (p, f) ->
     let x = get_fields r p in
     checked r f x

@@ -59,8 +59,6 @@ let split t =
   let seed = Int64.to_int (next t) land max_int in
   create seed
 
-let copy = Bytes.copy [@@lint.allow "oracle hook: test/test_fault.ml"]
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection-free for our purposes: modulo bias is negligible because

@@ -17,9 +17,6 @@ val split : t -> t
 (** [split t] derives a new, statistically independent generator from [t],
     advancing [t].  Useful to give each task or switch its own stream. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state without advancing [t]. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

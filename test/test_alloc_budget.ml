@@ -41,7 +41,9 @@ let phases = [ "epoch"; "fetch"; "estimate"; "ground_truth"; "allocate"; "config
 
 (* Only [budgets.flat] is read: one number per phase. *)
 let budgets_json =
-  Json.(record (field "budgets" (record (field "flat" (record (rest float Fun.id)) Fun.id)) Fun.id))
+  Dream_util.Codec.(
+    let flat = section "flat" (record (rest (float "budget") Fun.id)) in
+    record (field (section "budgets" flat) Fun.id))
 
 let read_budgets () =
   let contents = In_channel.with_open_text budget_file In_channel.input_all in

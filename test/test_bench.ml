@@ -155,6 +155,21 @@ let test_committed_snapshots_round_trip () =
                 (In_channel.with_open_bin written In_channel.input_all)))
     files
 
+(* The committed Fig 17 snapshot names no member twice, and the key-path
+   walk of its phases (the snapshot's own description is private to
+   Bench_snapshot) names the members the file holds there. *)
+let test_key_paths_match_fig17 () =
+  let path = Filename.concat baseline_dir "BENCH_fig17.json" in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  match (Dream_obs.Json.of_string text, Snapshot.read path) with
+  | Ok (Dream_obs.Json.Obj members as doc), Ok snap ->
+    Alcotest.(check (list string)) "no member named twice" [] (Key_paths.repeated_members "" doc);
+    Alcotest.(check (list string)) "phases member paths"
+      (Key_paths.paths_of_json "" (List.assoc "phases" members))
+      (Key_paths.key_paths ~json:true Profile.stats_json snap.Snapshot.phases)
+  | Error e, _ | _, Error e -> Alcotest.fail e
+  | Ok _, Ok _ -> Alcotest.fail "a snapshot is an object"
+
 (* A corrupt copy of a committed snapshot, read from its file. *)
 let fuzz_snapshot =
   let read text =
@@ -409,6 +424,7 @@ let () =
           Alcotest.test_case "filename sanitizes" `Quick test_filename_sanitizes;
           Alcotest.test_case "committed snapshots keep their bytes" `Quick
             test_committed_snapshots_round_trip;
+          Alcotest.test_case "key paths match BENCH_fig17" `Quick test_key_paths_match_fig17;
           fuzz_snapshot;
         ] );
       ( "diff",

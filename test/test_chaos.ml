@@ -442,21 +442,37 @@ let test_schedule_json_roundtrip () =
   | Ok s' -> Alcotest.(check string) "roundtrip" (schedule_string s) (schedule_string s')
   | Error msg -> Alcotest.fail ("decode failed: " ^ msg)
 
-(* A corrupt copy of a reproducer as the bank writes it, around the
-   schedule of seed 4, which holds all eight event kinds. *)
+(* A reproducer as the bank writes it, around [sched]. *)
+let reproducer (canary, sched) =
+  Bank.reproducer_to_string
+    {
+      Bank.f_schedule = sched;
+      f_canary = canary;
+      f_first = { Oracle.epoch = 6; code = "invariant:allocator-conservation"; detail = "switch 0" };
+      f_minimized = sched;
+      f_stats = { Shrink.runs = 11; initial_events = 12; final_events = 12 };
+    }
+
+(* A corrupt copy of a reproducer around the schedule of seed 4, which
+   holds all eight event kinds. *)
 let fuzz_reproducer =
-  let write (canary, sched) =
-    Bank.reproducer_to_string
-      {
-        Bank.f_schedule = sched;
-        f_canary = canary;
-        f_first = { Oracle.epoch = 6; code = "invariant:allocator-conservation"; detail = "switch 0" };
-        f_minimized = sched;
-        f_stats = { Shrink.runs = 11; initial_events = 12; final_events = 12 };
-      }
-  in
-  Json_fuzz.property ~name:"reproducer corruption" ~read:Bank.reproducer_of_string ~write
-    (lazy [ write (true, generate 4) ])
+  Json_fuzz.property ~name:"reproducer corruption" ~read:Bank.reproducer_of_string
+    ~write:reproducer
+    (lazy [ reproducer (true, generate 4) ])
+
+(* A reproducer names no member twice, and the key-path walk of its
+   schedule (the reproducer's own description is private to Bank) names
+   the members the file holds there. *)
+let test_key_paths_match_reproducer () =
+  let sched = generate 4 in
+  match Json.of_string (reproducer (true, sched)) with
+  | Ok (Json.Obj members as doc) ->
+    Alcotest.(check (list string)) "no member named twice" [] (Key_paths.repeated_members "" doc);
+    Alcotest.(check (list string)) "schedule member paths"
+      (Key_paths.paths_of_json "" (List.assoc "schedule" members))
+      (Key_paths.key_paths ~json:true Schedule.json sched)
+  | Ok _ -> Alcotest.fail "a reproducer is an object"
+  | Error e -> Alcotest.fail e
 
 (* Seed 4 is the first whose 12-event schedule holds all eight kinds. *)
 let test_schedule_pinned () =
@@ -617,6 +633,8 @@ let () =
           Alcotest.test_case "deterministic generation" `Quick test_schedule_deterministic;
           Alcotest.test_case "json roundtrip" `Quick test_schedule_json_roundtrip;
           fuzz_reproducer;
+          Alcotest.test_case "key paths match the reproducer" `Quick
+            test_key_paths_match_reproducer;
           Alcotest.test_case "pp_event and to_json pinned" `Quick test_schedule_pinned;
           Alcotest.test_case "validate bounds" `Quick test_schedule_validate;
           Alcotest.test_case "shrink variants" `Quick test_shrink_event_strictly_smaller;

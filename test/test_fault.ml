@@ -129,6 +129,9 @@ let print_batch (seed, loss, stddev, n, vols) =
   Printf.sprintf "seed=%d loss=%h stddev=%h n=%d vols=[%s]" seed loss stddev n
     (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") vols)))
 
+(* A generator's copy, read back from its checkpoint lines. *)
+let copy rng = Dream_util.Codec.(decode (Rng.codec "s") (encode (Rng.codec "s") rng))
+
 let prop_thin_jitter_matches_oracle =
   QCheck.Test.make ~name:"thin_jitter = per-counter lose/perturb loop (bitwise, same draws)"
     ~count:1000 (QCheck.make ~print:print_batch gen_batch)
@@ -136,7 +139,7 @@ let prop_thin_jitter_matches_oracle =
       let rng = Rng.create seed in
       let keys = Array.init (Array.length vols) (fun i -> (i * 7) + 1) in
       let run f =
-        let rng = Rng.copy rng and keys = Array.copy keys and vols = Array.copy vols in
+        let rng = copy rng and keys = Array.copy keys and vols = Array.copy vols in
         let kept = f rng ~loss ~stddev ~keys ~vols n in
         (kept, keys, Array.map Int64.bits_of_float vols, Dream_util.Codec.encode (Rng.codec "s") rng)
       in

@@ -112,7 +112,9 @@ let test_json_rejects_garbage () =
   bad "{";
   bad "{\"a\":1,}";
   bad "1 2";
-  bad "{\"a\" 1}"
+  bad "{\"a\" 1}";
+  (* A lone low surrogate names no character. *)
+  bad "\"\\udc00\""
 
 (* {1 Registry} *)
 

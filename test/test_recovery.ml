@@ -691,6 +691,42 @@ let test_snapshot_bytes_pinned () =
       ("faults + degraded", degraded_config, "ce0a11c35907c7550d2dabdfe232e60c");
     ]
 
+(* The key-path walk of a [dream-sim checkpoint --at 10 --epochs 40
+   --fault-rate 0.05] snapshot names each part's lines in order.  The
+   document's own description is private to Checkpoint, so the walk covers
+   the exported parts it is made of, each found whole in the snapshot. *)
+let test_key_paths_match_checkpoint_lines () =
+  let config = { Config.default with Config.faults = Some (Fault_model.uniform ~seed:97 0.05) } in
+  let drive =
+    Drive.create ~config ~strategy:Dream_sim.Experiment.dream_strategy
+      { Scenario.default with Scenario.total_epochs = 40 }
+  in
+  for _ = 1 to 10 do
+    Drive.step drive
+  done;
+  let snapshot = Controller.snapshot (Drive.controller drive) in
+  let contains text =
+    let n = String.length text in
+    let rec at i =
+      i + n <= String.length snapshot && (String.sub snapshot i n = text || at (i + 1))
+    in
+    at 0
+  in
+  let walk name codec v =
+    let text = Codec.encode codec v in
+    Alcotest.(check (list string)) name (Key_paths.keys_of_lines text)
+      (Key_paths.key_paths ~json:false codec v);
+    Alcotest.(check bool) (name ^ " is in the snapshot") true (contains text)
+  in
+  match Dream_core.Checkpoint.parse snapshot with
+  | Error e -> Alcotest.fail e
+  | Ok d ->
+    Alcotest.(check bool) "tasks are running" true (d.runtimes <> []);
+    Option.iter (walk "fault model" Fault_model.codec) d.faults;
+    walk "allocator" Allocator.codec d.allocator;
+    Array.iter (walk "breaker" Dream_switch.Breaker.codec) d.breakers;
+    List.iter (walk "runtime" Dream_core.Runtime.codec) d.runtimes
+
 (* The journal bytes of a seeded run at a 20% fault rate (it journals all
    six kinds of entry) and of one hand-built entry of each kind: a change
    that claims byte identity leaves each md5 alone. *)
@@ -1466,6 +1502,8 @@ let () =
           Alcotest.test_case "snapshot bytes pinned across configs" `Quick
             test_snapshot_bytes_pinned;
           Alcotest.test_case "journal bytes pinned" `Quick test_journal_bytes_pinned;
+          Alcotest.test_case "key paths match the checkpoint lines" `Quick
+            test_key_paths_match_checkpoint_lines;
           Alcotest.test_case "a checkpoint cut at any line is refused" `Quick
             test_checkpoint_cut_at_every_line;
           Alcotest.test_case "a journal cut at any line is a torn tail" `Quick

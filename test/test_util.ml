@@ -57,8 +57,8 @@ let test_rng_split_independent () =
 let test_rng_copy_preserves () =
   let a = Rng.create 5 in
   ignore (Rng.bits64 a);
-  let b = Rng.copy a in
-  Alcotest.(check int64) "copy equals original" (Rng.bits64 a) (Rng.bits64 b)
+  let b = Codec.decode (Rng.codec "s") (Codec.encode (Rng.codec "s") a) in
+  Alcotest.(check int64) "read-back copy draws the same next value" (Rng.bits64 a) (Rng.bits64 b)
 
 (* Known answers: the md5 of the first 1,000 [bits64] outputs (16 hex
    digits and a newline each), the first output and the state after the
