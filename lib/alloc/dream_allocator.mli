@@ -12,14 +12,25 @@
 
     Admission grants a task 1 entry (the floor: tasks never go blind) on
     every switch it touches and a step of 4.  These Section 6.1 values are
-    constants; the checkpoint still writes each one and refuses a document
-    carrying any other value.
+    constants, exported so that a checkpoint can pin each once.
 
     Headroom is a phantom task per switch holding all unallocated entries:
     admission requires its effective headroom (phantom + rich steps - poor
     steps) to reach the headroom target on every switch the task touches;
     poor tasks may drain the phantom below target, and rich tasks refill
     it when no task is poor. *)
+
+val hysteresis : float
+(** 0.1, the margin over its bound past which a task is rich. *)
+
+val step_params : Step_policy.params
+(** Factor 2, addend 4, steps kept within \[1, 128\]. *)
+
+val initial_step : int
+(** 4, an admitted task's step on every switch. *)
+
+val min_allocation : int
+(** 1, the floor: an admitted task's entries on every switch it touches. *)
 
 type config = {
   headroom_fraction : float;  (** headroom target as a fraction of capacity (paper: 0.05) *)

@@ -7,6 +7,8 @@ module Breaker = Dream_switch.Breaker
 module Task = Dream_tasks.Task
 module Task_spec = Dream_tasks.Task_spec
 module Allocator = Dream_alloc.Allocator
+module Dream_allocator = Dream_alloc.Dream_allocator
+module Step_policy = Dream_alloc.Step_policy
 module C = Dream_util.Codec
 
 type t = {
@@ -24,36 +26,50 @@ type t = {
   runtimes : Runtime.t list;
 }
 
-let magic = "dream-checkpoint v4"
+let magic = "dream-checkpoint v5"
 
-(* The delay model's costs, in the order a checkpoint lists them. *)
-let delay_costs =
-  Delay_model.
+(* Every constant of the build, once and in a fixed order, whatever the
+   config or strategy: the state sections after it hold none of them, and
+   a document written with any other value is refused here, before any
+   state is read.  A float must hold the same bits. *)
+let build_codec =
+  let open C in
+  let f key v = constant (float key) v and i key v = constant (int key) v in
+  let step = Dream_allocator.step_params in
+  let constants =
     [
-      ("fetch_per_rule_ms", fetch_per_rule_ms);
-      ("save_per_rule_ms", save_per_rule_ms);
-      ("delete_per_rule_ms", delete_per_rule_ms);
-      ("rtt_ms", rtt_ms);
+      f "epoch_ms" Delay_model.epoch_ms;
+      f "fetch_per_rule_ms" Delay_model.fetch_per_rule_ms;
+      f "save_per_rule_ms" Delay_model.save_per_rule_ms;
+      f "delete_per_rule_ms" Delay_model.delete_per_rule_ms;
+      f "rtt_ms" Delay_model.rtt_ms;
+      f "accuracy_history" Task.accuracy_history;
+      f "cd_history" Task_spec.cd_history;
+      i "breaker_threshold" Breaker.failure_threshold;
+      i "breaker_cooldown" Breaker.cooldown_epochs;
+      i "shed_max_staleness" Fetch.shed_max_staleness;
+      f "hysteresis" Dream_allocator.hysteresis;
+      f "factor" step.Step_policy.factor;
+      i "addend" step.Step_policy.addend;
+      i "min_step" step.Step_policy.min_step;
+      i "max_step" step.Step_policy.max_step;
+      i "initial_step" Dream_allocator.initial_step;
+      i "min_allocation" Dream_allocator.min_allocation;
     ]
+  in
+  section "build" (conv ignore (fun () -> List.map ignore constants) (all constants))
 
 (* The fault spec is not part of this section: the live fault model (RNG
    streams and all) is serialized separately, and the restored config gets
-   its spec from there.  The EWMA history, the epoch length, the delay
-   model's costs and degraded mode's breaker and staleness bounds are
-   constants: their lines must hold exactly the values the build
-   writes. *)
+   its spec from there. *)
 let config_codec =
   let open C in
-  let costs = all (List.map (fun (key, v) -> constant (float key) v) delay_costs) in
   let flag name ~yes ~no = conv (fun b -> if b then yes else no) (fun v -> v = yes) (bool name) in
   let degraded =
-    record
-      (let+ () = field (constant (int "breaker_threshold") Breaker.failure_threshold) ignore
-       and+ () = field (constant (int "breaker_cooldown") Breaker.cooldown_epochs) ignore
-       and+ deadline_fraction =
-         field (float "deadline_fraction") (fun d -> d.Config.deadline_fraction)
-       and+ () = field (constant (int "shed_max_staleness") Fetch.shed_max_staleness) ignore in
-       { Config.deadline_fraction })
+    conv
+      (fun deadline_fraction -> { Config.deadline_fraction })
+      (fun d -> d.Config.deadline_fraction)
+      (float "deadline_fraction")
   in
   section "config"
     (record
@@ -67,20 +83,7 @@ let config_codec =
                  n)
                Fun.id (int "drop_threshold"))
             (fun c -> c.Config.drop_threshold)
-        and+ () = field (constant (float "accuracy_history") Task.accuracy_history) ignore
-        and+ () = field (constant (float "epoch_ms") Delay_model.epoch_ms) ignore
-        and+ prototype =
-          (* The prototype both delays control and scores its estimates: the
-             second line must agree with the first. *)
-          (let* prototype =
-             field
-               (conv Option.is_some
-                  (fun on -> if on then Some (List.map ignore delay_costs) else None)
-                  (option "control_delay" costs))
-               (fun c -> c.Config.prototype)
-           in
-           let+ () = field (constant (bool "score_real") (not prototype)) ignore in
-           prototype)
+        and+ prototype = field (bool "prototype") (fun c -> c.Config.prototype)
         and+ accuracy_mode =
           field
             (flag "accuracy_overall" ~yes:Task.Overall ~no:Task.Global_only)
@@ -196,7 +199,7 @@ let robustness_codec =
   section "robustness"
     (conv of_list Metrics.to_list (all (List.map tally (Metrics.to_list Metrics.names))))
 
-let codec =
+let controller_codec =
   let open C in
   (* The switches are driven by the checkpoint's fault model. *)
   let faults_and_network =
@@ -233,6 +236,9 @@ let codec =
         { epoch; next_id; rules_installed; rules_fetched;
           config = { config with Config.faults = Option.map Fault_model.spec faults };
           faults; breakers; switches; allocator; robustness; records; runtimes }))
+
+let codec =
+  C.(record (let+ () = field build_codec ignore and+ d = field controller_codec Fun.id in d))
 
 let emit d = C.seal ~magic (C.encode codec d)
 

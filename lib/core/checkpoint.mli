@@ -1,8 +1,10 @@
-(** The controller's checkpoint document ([dream-checkpoint v4]): a
+(** The controller's checkpoint document ([dream-checkpoint v5]): a
     deterministic, sealed text serialization of everything a controller
     needs to resume — config, fault model, breakers, every switch's
     installed rules, the allocator, robustness tallies, task records and
-    every active task's runtime. *)
+    every active task's runtime.  The body opens with a [[build]] section
+    that lists each constant of the build once; the state sections after
+    it hold none.  A document of another version is refused on its magic. *)
 
 type t = {
   epoch : int;  (** next epoch to simulate *)
@@ -29,6 +31,7 @@ val emit : t -> string
 val parse : string -> (t, string) result
 (** Inverse of {!emit}: one decode of the components' descriptions.
     [Error] on a bad checksum or magic, on a malformed body (with the line
-    a description refused), and on a well-formed body holding a value
-    the constructors reject (a non-positive capacity, a malformed prefix,
-    a negative EWMA history, ...): nothing in a sealed document raises. *)
+    a description refused, such as a [[build]] constant holding another
+    value), and on a well-formed body holding a value the constructors
+    reject (a non-positive capacity, a malformed prefix, ...): nothing in
+    a sealed document raises. *)

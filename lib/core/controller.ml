@@ -253,8 +253,6 @@ let smoothed_accuracy t ~task_id = find t ~task_id (fun r -> Task.smoothed_globa
 
 let set_journal t sink = t.journal <- sink
 
-let journal t = t.journal [@@lint.allow "oracle hook: test/test_workload.ml"]
-
 let journaling t = t.journal <> None
 
 let jot t entry = match t.journal with None -> () | Some sink -> Journal.append sink entry

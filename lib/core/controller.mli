@@ -139,8 +139,6 @@ val set_journal : t -> Dream_recovery.Journal.sink option -> unit
     a sink, runs journal nothing and behave bit-identically to builds
     before crash consistency existed. *)
 
-val journal : t -> Dream_recovery.Journal.sink option
-
 val controller_crash_pending : t -> bool
 (** Whether the fault model declared a controller crash during the last
     {!tick}.  The driver owning the controller decides what to do — in the

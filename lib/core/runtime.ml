@@ -163,7 +163,6 @@ let codec =
         (record
            (let+ duration = field (int "duration") (fun r -> r.duration)
             and+ arrived_at = field (int "arrived_at") (fun r -> r.arrived_at)
-            and+ drop_priority = field (int "drop_priority") id
             and+ active_epochs = field (int "active_epochs") (fun r -> r.active_epochs)
             and+ satisfied_epochs = field (int "satisfied_epochs") (fun r -> r.satisfied_epochs)
             and+ accuracy_sum = field (float "accuracy_sum") (fun r -> r.scores.accuracy_sum)
@@ -191,11 +190,6 @@ let codec =
             and+ task, source, ground_truth =
               field (task_source_truth ~storage) (fun r -> (r.task, r.source, r.ground_truth))
             in
-            (* Tasks drop in arrival order: the line holds the task's id. *)
-            if drop_priority <> Task.id task then
-              refuse
-                (Printf.sprintf "drop_priority %d is not the task id %d" drop_priority
-                   (Task.id task));
             let topology = Task.topology task in
             let fresh_rules =
               column topology ~what:"fresh rules" ~absent:(fun () -> [||]) fresh_rules

@@ -97,8 +97,7 @@ val codec : t Dream_util.Codec.t
 (** A running task in a checkpoint; each decode builds on fresh storage.
     The task's last report is not serialized: a restored task has none
     ({!Dream_tasks.Task.last_report} is [None]) until it reports afresh on
-    its first tick.  The [drop_priority] line holds the task's id (tasks
-    drop in arrival order).  Decoding refuses another drop priority, a
-    per-switch entry on a switch the task never sees and an install count
-    that is not the number of the switch's fresh rules; the task, source and ground-truth descriptions
+    its first tick.  Decoding refuses a per-switch entry on a switch the
+    task never sees and an install count that is not the number of the
+    switch's fresh rules; the task, source and ground-truth descriptions
     may also raise [Invalid_argument] on out-of-range values. *)

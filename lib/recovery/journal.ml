@@ -83,12 +83,10 @@ let codec =
   in
   cases ~what:"journal entry"
     [
-      (* Tasks drop in arrival order: the drop priority line holds the
-         task's id. *)
       entry "admit"
-        (let* epoch, task_id = (let+ epoch = epoch and+ task_id = task_id in (epoch, task_id)) in
-         let+ duration = field (int "duration") (function Admit a -> a.duration | _ -> other ())
-         and+ () = field (constant (int "drop_priority") task_id) ignore
+        (let+ epoch = epoch
+         and+ task_id = task_id
+         and+ duration = field (int "duration") (function Admit a -> a.duration | _ -> other ())
          and+ spec = field Task_spec.codec (function Admit a -> a.spec | _ -> other ())
          and+ topology = field Topology.codec (function Admit a -> a.topology | _ -> other ())
          and+ source = field source (function Admit a -> a.source | _ -> other ()) in

@@ -19,9 +19,13 @@
     {e outcomes}, and replay applies them verbatim.  This is what makes
     replay deterministic even though the original decisions depended on
     transient allocator state that is not checkpointed.  What the
-    successor's config already holds (the accuracy history and mode) is
-    not repeated per entry: the checkpoint replay starts from was written
-    by the same run. *)
+    successor's checkpoint already holds (the build's constants, the
+    accuracy mode) is not repeated per entry: the checkpoint replay starts
+    from was written by the same run.
+
+    A journal has no magic.  A v4 admit entry, which has a [drop_priority]
+    line where this format reads the spec's [[spec]] marker, is refused at
+    that line; replay also needs a checkpoint, and a v4 one is refused. *)
 
 type end_cause = Completed | Dropped
 
@@ -38,9 +42,6 @@ type entry =
               the recovery epoch by discarding epochs, which consumes
               exactly the RNG draws the live run would have *)
     }
-      (** written with a [drop_priority] line holding [task_id] (tasks
-          drop in arrival order); an entry with any other value is
-          refused *)
   | Reject of { epoch : int; task_id : int; kind : Dream_tasks.Task_spec.kind }
   | Alloc of { epoch : int; task_id : int; switch : Dream_traffic.Switch_id.t; alloc : int }
   | Switch_down of { epoch : int; switch : Dream_traffic.Switch_id.t }

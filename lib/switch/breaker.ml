@@ -72,9 +72,7 @@ let codec =
   let open Dream_util.Codec in
   let states = List.map (fun s -> (s, state_code s)) [ Closed; Half_open; Open ] in
   record
-    (let+ () = field (constant (int "threshold") failure_threshold) ignore
-     and+ () = field (constant (int "cooldown") cooldown_epochs) ignore
-     and+ state = field (int_enum ~what:"breaker state" "state" states) (fun t -> t.state)
+    (let+ state = field (int_enum ~what:"breaker state" "state" states) (fun t -> t.state)
      and+ failures = field (int "failures") (fun t -> t.failures)
      and+ cooldown_left = field (int "cooldown_left") (fun t -> t.cooldown_left) in
      { state; failures; cooldown_left })

@@ -69,6 +69,6 @@ val state_code : state -> int
 (** Gauge encoding: [Closed] 0, [Half_open] 1, [Open] 2. *)
 
 val codec : t Dream_util.Codec.t
-(** The full mutable state, as a checkpoint holds it, after a
-    [threshold] and a [cooldown] line that must hold
-    {!failure_threshold} and {!cooldown_epochs}. *)
+(** The full mutable state, as a checkpoint holds it: state, failure
+    streak and cooldown left.  A checkpoint pins {!failure_threshold} and
+    {!cooldown_epochs} once, in its [[build]] section. *)

@@ -190,8 +190,7 @@ let codec ~storage =
         let bit what =
           conv (Topology.parse_bit topology ~what) (Topology.switch_of_bit topology) (int "sw")
         in
-        let+ () = field (constant (float "accuracy_history") accuracy_history) ignore
-        and+ accuracy_mode =
+        let+ accuracy_mode =
           field
             (enum ~what:"accuracy mode" "accuracy_mode"
                [ (Overall, "overall"); (Global_only, "global") ])

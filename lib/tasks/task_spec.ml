@@ -33,7 +33,6 @@ let kind_codec =
   Dream_util.Codec.enum ~what:"task kind" "kind"
     (List.map (fun k -> (k, kind_to_string k)) all_kinds)
 
-(* The spec's drop priority line holds 0: tasks drop in arrival order. *)
 let codec =
   let open Dream_util.Codec in
   section "spec"
@@ -42,9 +41,7 @@ let codec =
         and+ filter = field (Prefix.codec "filter") (fun t -> t.filter)
         and+ leaf_length = field (int "leaf_length") (fun t -> t.leaf_length)
         and+ threshold = field (float "threshold") (fun t -> t.threshold)
-        and+ accuracy_bound = field (float "accuracy_bound") (fun t -> t.accuracy_bound)
-        and+ () = field (constant (int "drop_priority") 0) ignore
-        and+ () = field (constant (float "cd_history") cd_history) ignore in
+        and+ accuracy_bound = field (float "accuracy_bound") (fun t -> t.accuracy_bound) in
         make ~kind ~filter ~leaf_length ~threshold ~accuracy_bound ()))
 
 let accuracy_metric t =

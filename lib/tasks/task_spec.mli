@@ -49,7 +49,6 @@ val kind_codec : kind Dream_util.Codec.t
 (** A kind as one [kind] line holding {!kind_to_string}. *)
 
 val codec : t Dream_util.Codec.t
-(** The spec in a checkpoint or journal.  Its [drop_priority] line must
-    hold 0 and its [cd_history] line {!cd_history}; decoding raises
+(** The spec in a checkpoint or journal; decoding raises
     [Invalid_argument] on a malformed filter or on values {!make}
     rejects. *)

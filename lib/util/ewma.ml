@@ -38,6 +38,5 @@ let restore ~history ~avg =
 let codec ~history =
   Codec.(
     record
-      (let+ () = field (constant (float "history") history) ignore
-       and+ avg = field (option "avg" (float "avg")) value in
+      (let+ avg = field (option "avg" (float "avg")) value in
        restore ~history ~avg))

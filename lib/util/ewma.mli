@@ -35,5 +35,6 @@ val restore : history:float -> avg:float option -> t
     @raise Invalid_argument unless [0.0 <= history && history < 1.0]. *)
 
 val codec : history:float -> t Codec.t
-(** A filter in a checkpoint, for a filter whose history weight is
-    [history]: a document carrying any other weight is refused. *)
+(** A filter in a checkpoint: its average alone.  The weight is the
+    caller's constant [history], which a checkpoint pins once, in its
+    [[build]] section. *)

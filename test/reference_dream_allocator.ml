@@ -439,12 +439,10 @@ let codec =
        List.iter (fun s -> Hashtbl.replace slots s.task_id s) listed;
        { switch; capacity; target; phantom; slots; congested; last_sp; last_sr })
   in
-  let params = step_params in
   section "dream_allocator"
     (record
        (let+ headroom_fraction =
           field (float "headroom_fraction") (fun t -> t.config.headroom_fraction)
-        and+ () = field (constant (float "hysteresis") hysteresis) ignore
         and+ policy =
           field
             (conv
@@ -454,12 +452,6 @@ let codec =
                  | None -> refuse (Printf.sprintf "unknown step policy %S" s))
                Step_policy.to_string (string "policy"))
             (fun t -> t.config.policy)
-        and+ () = field (constant (float "factor") params.Step_policy.factor) ignore
-        and+ () = field (constant (int "addend") params.Step_policy.addend) ignore
-        and+ () = field (constant (int "min_step") params.Step_policy.min_step) ignore
-        and+ () = field (constant (int "max_step") params.Step_policy.max_step) ignore
-        and+ () = field (constant (int "initial_step") initial_step) ignore
-        and+ () = field (constant (int "min_allocation") min_allocation) ignore
         and+ states = field (repeat "states" state) (fun t -> Array.to_list t.states) in
         List.iteri
           (fun i s ->

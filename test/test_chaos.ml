@@ -350,15 +350,20 @@ let apply_outcome br = function
   | Failure -> Breaker.record_failure br
   | Hint -> Breaker.hint_probe br
 
-(* The cooldown every breaker runs, as its checkpoint text writes it. *)
+(* The cooldown every breaker runs, as a checkpoint's [build] section
+   writes it. *)
 let cooldown =
-  let text = Codec.encode Breaker.codec (Breaker.create ()) in
+  let doc =
+    Controller.snapshot
+      (Controller.create ~config:Config.default ~strategy:Allocator.Equal ~num_switches:2
+         ~capacity:64)
+  in
   List.find_map
     (fun line ->
       match String.split_on_char ' ' line with
-      | [ "cooldown"; v ] -> Some (int_of_string v)
+      | [ "breaker_cooldown"; v ] -> Some (int_of_string v)
       | _ -> None)
-    (String.split_on_char '\n' text)
+    (String.split_on_char '\n' doc)
   |> Option.get
 
 let prop_transitions_legal =

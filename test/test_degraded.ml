@@ -102,25 +102,6 @@ let test_breaker_hint_probe () =
   Breaker.begin_epoch br;
   check_state "hint skips the cooldown" Breaker.Half_open br
 
-(* The threshold and cooldown are constants: a breaker's text holding any
-   other value, 0 included, is refused at that line. *)
-let test_breaker_config_validated () =
-  let text = Codec.encode Breaker.codec (Breaker.create ()) in
-  let refused key value expected =
-    let tampered =
-      String.concat "\n"
-        (List.map
-           (fun l -> if String.starts_with ~prefix:(key ^ " ") l then key ^ " " ^ value else l)
-           (String.split_on_char '\n' text))
-    in
-    match Codec.decode Breaker.codec tampered with
-    | _ -> Alcotest.failf "%s %s accepted" key value
-    | exception Codec.Parse_error e ->
-      Alcotest.(check string) (key ^ " refused") expected (Codec.error_to_string e)
-  in
-  refused "threshold" "0" {|line 1: field "threshold": expected the constant 3, got "0"|};
-  refused "cooldown" "0" {|line 2: field "cooldown": expected the constant 4, got "0"|}
-
 let test_breaker_codec_roundtrip () =
   let br = Breaker.create () in
   fail_times br 3;
@@ -142,7 +123,7 @@ let test_breaker_codec_roundtrip () =
   match Codec.decode Breaker.codec tampered with
   | _ -> Alcotest.fail "state 7 accepted"
   | exception Codec.Parse_error e ->
-    Alcotest.(check string) "refused at its line" "line 3: unknown breaker state 7"
+    Alcotest.(check string) "refused at its line" "line 1: unknown breaker state 7"
       (Codec.error_to_string e)
 
 (* ---- Sustained adversity in the fault model ---- *)
@@ -220,6 +201,29 @@ let mk_controller ?(config = Config.default) ?(capacity = 128) ?(num_switches = 
   Controller.create ~config ~strategy ~num_switches ~capacity
 
 let degraded_mode c = Controller.breaker_states c <> [||]
+
+(* The threshold and cooldown are build constants: a checkpoint pins each
+   once, in its [build] section, and one holding any other value, 0
+   included, is refused at that line. *)
+let test_breaker_config_validated () =
+  let magic = "dream-checkpoint v5" in
+  let doc = Controller.snapshot (mk_controller ()) in
+  let body = match Codec.unseal ~magic doc with Ok body -> body | Error e -> Alcotest.fail e in
+  let refused key value expected =
+    let tampered =
+      String.concat "\n"
+        (List.map
+           (fun l -> if String.starts_with ~prefix:(key ^ " ") l then key ^ " " ^ value else l)
+           (String.split_on_char '\n' body))
+    in
+    match Controller.restore (Codec.seal ~magic tampered) with
+    | Ok _ -> Alcotest.failf "%s %s accepted" key value
+    | Error e -> Alcotest.(check string) (key ^ " refused") expected e
+  in
+  refused "breaker_threshold" "0"
+    {|line 9: field "breaker_threshold": expected the constant 3, got "0"|};
+  refused "breaker_cooldown" "0"
+    {|line 10: field "breaker_cooldown": expected the constant 4, got "0"|}
 
 (* Staleness levels of all active tasks, ascending. *)
 let staleness_levels c =

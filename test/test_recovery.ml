@@ -144,20 +144,19 @@ let test_journal_corruption_rejected () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "an out-of-range spec value must be rejected"
   | exception e -> Alcotest.failf "journal decode raised %s" (Printexc.to_string e));
-  (* Tasks drop in arrival order: an admission's drop priority line holds
-     its task id (1 here), and any other value is refused at that line. *)
-  let lines = String.split_on_char '\n' (encode_all entries) in
-  let line = 1 + Option.get (List.find_index (String.equal "drop_priority 1") lines) in
-  let bad_priority =
-    String.concat "\n"
-      (List.map (fun l -> if l = "drop_priority 1" then "drop_priority 2" else l) lines)
+  (* The journal has no magic: an admit entry of the v4 format, which wrote
+     a drop priority line after the duration, is refused at that line,
+     where this format reads the spec's section marker. *)
+  let v4 =
+    String.split_on_char '\n' (encode_all entries)
+    |> List.concat_map (fun l -> if l = "duration 40" then [ l; "drop_priority 1" ] else [ l ])
+    |> String.concat "\n"
   in
-  match Journal.entries_of_string bad_priority with
+  match Journal.entries_of_string v4 with
   | Error e ->
-    Alcotest.(check string) "drop priority other than the task id"
-      (Printf.sprintf {|line %d: field "drop_priority": expected the constant 1, got "2"|} line)
-      e
-  | Ok _ -> Alcotest.fail "a drop priority other than the task id must be rejected"
+    Alcotest.(check string) "a v4 admit entry is refused at its drop_priority line"
+      {|line 5: expected section [spec], got "drop_priority 1"|} e
+  | Ok _ -> Alcotest.fail "a v4 admit entry must be rejected"
 
 let test_journal_file_sink () =
   let path = Filename.temp_file "dream" ".wal" in
@@ -451,18 +450,23 @@ let test_restore_rejects_corruption () =
   in
   reject "empty document" "";
   reject "wrong magic" ("bogus" ^ doc);
-  (* A well-formed, correctly checksummed document from the previous format
-     version is refused on its magic, not migrated. *)
-  (match Codec.unseal ~magic:"dream-checkpoint v4" doc with
+  (* A well-formed, correctly checksummed document of an earlier format
+     version is refused on its magic, which the error names, not
+     migrated. *)
+  (match Codec.unseal ~magic:"dream-checkpoint v5" doc with
   | Error e -> Alcotest.failf "current snapshot does not unseal: %s" e
-  | Ok body -> (
-    match Controller.restore (Codec.seal ~magic:"dream-checkpoint v3" body) with
-    | Error e ->
-      Alcotest.(check bool)
-        ("v3 refused on its magic: " ^ e)
-        true
-        (String.starts_with ~prefix:"bad magic" e)
-    | Ok _ -> Alcotest.fail "v3 document must be rejected"));
+  | Ok body ->
+    List.iter
+      (fun version ->
+        match Controller.restore (Codec.seal ~magic:("dream-checkpoint " ^ version) body) with
+        | Error e ->
+          Alcotest.(check string)
+            (version ^ " refused on its magic")
+            (Printf.sprintf {|bad magic: expected "dream-checkpoint v5", got "dream-checkpoint %s"|}
+               version)
+            e
+        | Ok _ -> Alcotest.failf "%s document must be rejected" version)
+      [ "v3"; "v4" ]);
   (* Seeded corruption fuzz: any truncation or flipped byte breaks the MD5
      seal (or the magic), so the document is refused before it is parsed. *)
   let rng = Rng.create 11 in
@@ -478,7 +482,7 @@ let test_restore_rejects_corruption () =
 
 (* ---- malformed but sealed checkpoints ---- *)
 
-let magic = "dream-checkpoint v4"
+let magic = "dream-checkpoint v5"
 
 let body_of doc =
   match Codec.unseal ~magic doc with
@@ -547,11 +551,9 @@ let test_restore_rejects_bad_values () =
       | exception e -> Alcotest.failf "%s: recover raised %s" name (Printexc.to_string e))
     [
       (* a switch capacity the TCAM refuses, a task filter that is not a
-         prefix, a negative EWMA history weight, and a leaf length longer
-         than an address *)
+         prefix, and a leaf length longer than an address *)
       edit "capacity" 0 "0";
       edit "filter" 0 "10.0.0.0/99x";
-      edit "history" 0 "-1";
       edit "leaf_length" 0 "99";
       (* counters that no longer partition the task's filter: a duplicate,
          an overlap, a gap, and a counter outside the filter *)
@@ -581,7 +583,7 @@ let test_restore_rejects_bad_values () =
       ("partition of group 9", inject "inj_partitions" [ "at 12"; "group 9"; "span 2" ]);
     ];
   (* A degraded-mode checkpoint of four switches cut down to its first
-     breaker (five lines each): fetch indexes the breakers by switch. *)
+     breaker (three lines each): fetch indexes the breakers by switch. *)
   let degraded = populated_controller ~config:degraded_config () in
   Controller.run degraded ~epochs:10;
   let body = body_of (Controller.checkpoint degraded) in
@@ -592,33 +594,12 @@ let test_restore_rejects_bad_values () =
       [
         Array.sub lines 0 at;
         [| "breakers 1" |];
-        Array.sub lines (at + 1) 5;
-        Array.sub lines (at + 21) (Array.length lines - at - 21);
+        Array.sub lines (at + 1) 3;
+        Array.sub lines (at + 13) (Array.length lines - at - 13);
       ]
   in
   Alcotest.(check bool) "one breaker for four switches: restore refuses it" true
     (restore_total "one breaker" (reseal (Array.to_list one_breaker)) = `Error)
-
-(* The prototype both delays control and scores its own estimates, so its
-   checkpoint holds the control-delay costs and [score_real 0], and any
-   other config neither and [score_real 1].  A [score_real] line that
-   disagrees with the control-delay flag before it is refused at its own
-   line. *)
-let test_prototype_lines_agree () =
-  List.iter
-    (fun (name, config, value) ->
-      let controller = populated_controller ~config () in
-      let lines = set_nth (body_of (Controller.snapshot controller)) "score_real" 0 value in
-      let line = 1 + Option.get (List.find_index (String.starts_with ~prefix:"score_real ") lines) in
-      match Controller.restore (reseal lines) with
-      | Ok _ -> Alcotest.failf "%s: restored score_real %s" name value
-      | Error e ->
-        let expected = Printf.sprintf "line %d: field \"score_real\": expected the constant" line in
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: %S refused at its line" name e)
-          true
-          (String.starts_with ~prefix:expected e))
-    [ ("prototype", Config.prototype, "1"); ("default", Config.default, "0") ]
 
 let test_restore_fuzz_resealed () =
   let controller = populated_controller ~config:degraded_config () in
@@ -675,10 +656,9 @@ let test_snapshot_roundtrip_configs () =
       ("prototype", Config.prototype);
     ]
 
-(* The checkpoint bytes of the configs that write the control-delay cost
-   lines, the install-budget lines and the degraded-mode lines, pinned
-   after a few epochs: a change that claims byte identity leaves each md5
-   alone. *)
+(* The checkpoint bytes of the configs that set the prototype flag, the
+   install-budget lines and the degraded-mode lines, pinned after a few
+   epochs: a change that claims byte identity leaves each md5 alone. *)
 let test_snapshot_bytes_pinned () =
   List.iter
     (fun (name, config, md5) ->
@@ -686,9 +666,9 @@ let test_snapshot_bytes_pinned () =
       Controller.run controller ~epochs:6;
       Alcotest.(check string) name md5 (Digest.to_hex (Digest.string (Controller.snapshot controller))))
     [
-      ("prototype", Config.prototype, "aaa634fb33d70c2fe0cc12864f373fcb");
-      ("hardware", Config.hardware ~installs_per_epoch:16, "088f22455a526531f0e5725f57d8b774");
-      ("faults + degraded", degraded_config, "ce0a11c35907c7550d2dabdfe232e60c");
+      ("prototype", Config.prototype, "710bc8925ecba176310fc6aba43eea4a");
+      ("hardware", Config.hardware ~installs_per_epoch:16, "18401e467752e8635181d689fce4c037");
+      ("faults + degraded", degraded_config, "549ef1e9e0e5396319309dfaab07421f");
     ]
 
 (* The key-path walk of a [dream-sim checkpoint --at 10 --epochs 40
@@ -741,14 +721,14 @@ let test_journal_bytes_pinned () =
     Drive.step drive
   done;
   let md5 s = Digest.to_hex (Digest.string s) in
-  Alcotest.(check string) "seeded faulty run" "8205d39575cc6280b9a181f15de456e6"
+  Alcotest.(check string) "seeded faulty run" "caf0c4574aaaa67e5bd5c53e178ab843"
     (md5 (encode_all (Journal.entries sink)));
   List.iter2
     (fun e expected ->
       Alcotest.(check string) (Journal.entry_name e) expected (md5 (Journal.entry_to_string e)))
     (sample_entries ())
     [
-      "4972269624bc0e7645674a1f5708f706";
+      "c1c120482a6f75e9530b6f23e68da51c";
       "46d1b8625b84955d031c627be7d671ca";
       "89e0983e94eef0200e8008db6e337cf4";
       "005616efb7b8bd470f1d5e1f7b59ae4e";
@@ -1498,7 +1478,6 @@ let () =
           Alcotest.test_case "sealed bad values rejected" `Quick test_restore_rejects_bad_values;
           Alcotest.test_case "resealed mutations never raise" `Quick test_restore_fuzz_resealed;
           Alcotest.test_case "round trip across configs" `Quick test_snapshot_roundtrip_configs;
-          Alcotest.test_case "prototype lines agree" `Quick test_prototype_lines_agree;
           Alcotest.test_case "snapshot bytes pinned across configs" `Quick
             test_snapshot_bytes_pinned;
           Alcotest.test_case "journal bytes pinned" `Quick test_journal_bytes_pinned;
