@@ -86,8 +86,8 @@ let run ?(canary = false) ?(horizon = Harness.default_horizon)
   let failures = ref [] in
   for _ = 1 to schedules do
     let sched =
-      Schedule.generate ~seed:(schedule_seed master) ~num_switches:Harness.num_switches
-        ~groups:Harness.groups ~horizon ~events
+      Schedule.generate ~seed:(schedule_seed master) ~num_switches:Harness.num_switches ~horizon
+        ~events
     in
     coverage := count_events !coverage sched;
     let result = Harness.run ~canary sched in
@@ -140,7 +140,7 @@ let reproducer_json =
      and+ canary = field (bool "canary") (fun (c, _, _) -> c)
      and+ first = field (section "violation" violation) (fun (_, v, _) -> v)
      and+ sched = field (section "schedule" Schedule.json) (fun (_, _, s) -> s) in
-     match Schedule.validate ~num_switches:Harness.num_switches ~groups:Harness.groups sched with
+     match Schedule.validate ~num_switches:Harness.num_switches sched with
      | Ok () -> (canary, first, sched)
      | Error e -> refuse e)
 

@@ -14,8 +14,6 @@ module Task_spec = Dream_tasks.Task_spec
    and crashes all have something to break. *)
 let num_switches = 8
 
-let groups = 4
-
 let default_horizon = 48
 
 let default_events = 12

@@ -11,9 +11,6 @@
 val num_switches : int
 (** 8 — the fixed chaos topology. *)
 
-val groups : int
-(** 4 partition groups of 2 switches. *)
-
 val default_horizon : int
 
 val default_events : int

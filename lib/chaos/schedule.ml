@@ -37,12 +37,11 @@ let pp_event ppf e =
    interesting composers (they interact with breakers, admission and the
    retry budget); torn tails and checkpoints are oracle probes and need
    fewer samples. *)
-let generate ~seed ~num_switches ~groups ~horizon ~events =
+let generate ~seed ~num_switches ~horizon ~events =
   if num_switches < 1 then invalid_arg "Schedule.generate: num_switches must be >= 1";
-  if groups < 1 then invalid_arg "Schedule.generate: groups must be >= 1";
   if horizon < 2 then invalid_arg "Schedule.generate: horizon must be >= 2";
   if events < 0 then invalid_arg "Schedule.generate: events must be >= 0";
-  let rng = Rng.create seed in
+  let rng = Rng.create seed and groups = Fault_model.partition_groups in
   let gen () =
     (* Leave the final epoch event-free so every window has at least one
        epoch to be observed in. *)
@@ -72,7 +71,7 @@ let generate ~seed ~num_switches ~groups ~horizon ~events =
      prints and replays identically. *)
   { seed; horizon; events = List.stable_sort (fun a b -> Int.compare (at_of a) (at_of b)) evs }
 
-let validate ~num_switches ~groups t =
+let validate ~num_switches t =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let check e =
     let at = at_of e in
@@ -80,7 +79,7 @@ let validate ~num_switches ~groups t =
       err "event %s: epoch %d outside [1, %d]" (kind_of e) at t.horizon
     else begin
       match e with
-      | Fault { fault; _ } -> Fault_model.check ~num_switches ~groups fault
+      | Fault { fault; _ } -> Fault_model.check ~num_switches fault
       | Torn_tail { drop; _ } -> if drop < 0 then err "torn_tail: drop %d < 0" drop else Ok ()
       | Checkpoint _ -> Ok ()
     end

@@ -21,12 +21,12 @@ type t = { seed : int; horizon : int; events : event list }
 
 val pp_event : Format.formatter -> event -> unit
 
-val generate : seed:int -> num_switches:int -> groups:int -> horizon:int -> events:int -> t
+val generate : seed:int -> num_switches:int -> horizon:int -> events:int -> t
 (** Seeded generation: equal inputs yield the identical schedule.  Events
     are sorted by epoch (stable on ties).  @raise Invalid_argument on
     non-positive dimensions. *)
 
-val validate : num_switches:int -> groups:int -> t -> (unit, string) result
+val validate : num_switches:int -> t -> (unit, string) result
 (** Bounds-check a schedule (e.g. one parsed from a reproducer file)
     against the harness topology before staging it: every epoch inside
     the horizon, every fault passing {!Dream_fault.Fault_model.check}. *)

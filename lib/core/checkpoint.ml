@@ -48,6 +48,11 @@ let build_codec =
       i "breaker_threshold" Breaker.failure_threshold;
       i "breaker_cooldown" Breaker.cooldown_epochs;
       i "shed_max_staleness" Fetch.shed_max_staleness;
+      f "mean_downtime" Fault_model.mean_downtime;
+      f "stale_decay" Fault_model.stale_decay;
+      f "retry_budget_fraction" Fault_model.retry_budget_fraction;
+      i "partition_groups" Fault_model.partition_groups;
+      i "storm_size" Fault_model.storm_size;
       f "hysteresis" Dream_allocator.hysteresis;
       f "factor" step.Step_policy.factor;
       i "addend" step.Step_policy.addend;

@@ -12,7 +12,9 @@
     ({!Dream_tasks.Task_spec.cd_history}), and in degraded mode the
     circuit breaker's threshold 3 and cooldown 4
     ({!Dream_switch.Breaker}) and the staleness bound 4
-    ({!Fetch.shed_max_staleness}). *)
+    ({!Fetch.shed_max_staleness}), and under a fault spec the mean
+    downtime 4, stale decay 0.9, retry budget 0.5, partition groups 4 and
+    storm size 6 ({!Dream_fault.Fault_model}). *)
 
 type degraded = {
   deadline_fraction : float;

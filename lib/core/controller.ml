@@ -51,9 +51,6 @@ let intern_spans profile =
     rule_sync = span "epoch/rule_sync";
   }
 
-(* The phases [record_telemetry] observes, in its order. *)
-let phases = [ "fetch"; "estimate"; "allocate"; "configure"; "report"; "epoch" ]
-
 type t = {
   config : Config.t;
   allocator : Allocator.t;
@@ -88,7 +85,7 @@ type t = {
   tasks_dropped : Ctr.t Lazy.t;
   tasks_completed : Ctr.t Lazy.t;
   allocation_changes : Ctr.t Lazy.t;
-  phase_ms : (string * Obs.Registry.Histogram.t Lazy.t) list; (* in [phases] order *)
+  phase_ms : (string * Obs.Registry.Histogram.t Lazy.t) list; (* in [Tr.phases] order *)
   rob : Metrics.Tallies.t;
   mutable journal : Journal.sink option;
   mutable crash_pending : bool;
@@ -158,7 +155,7 @@ let make ~config ~allocator ~switches ~faults ~breakers ~runtimes ~epoch ~next_i
       List.map
         (fun phase ->
           (phase, lazy (Obs.Registry.histogram registry ~labels:[ ("phase", phase) ] "phase_ms")))
-        phases;
+        Tr.phases;
     rob;
     journal = None;
     crash_pending = false;

@@ -30,6 +30,10 @@ type times = {
    never shed again, and its accuracy stops decaying. *)
 let shed_max_staleness = 4
 
+(* Only a fault model times a fetch out, so without one the budget is
+   never drawn on. *)
+let retry_budget_ms = Fault_model.retry_budget_fraction *. Delay_model.epoch_ms
+
 type t = {
   switches : Switch.t array;
   faults : Fault_model.t option;
@@ -40,7 +44,6 @@ type t = {
   staleness_hist : Obs.Registry.Histogram.t option; (* "task_staleness", when [breakers] exist *)
   degraded : Config.degraded option; (* only when [breakers] exist *)
   control_delay : bool;
-  retry_budget_ms : float;
   tallies : Metrics.Tallies.t;
   fast_path_builds : Ctr.t;
   sort_fallbacks : Ctr.t;
@@ -73,10 +76,6 @@ let create ~config ~switches ~breakers ~faults ~tallies ~registry ~trace =
       (if breakers = [||] then None else Some (Obs.Registry.histogram registry "task_staleness"));
     degraded = (if breakers = [||] then None else config.Config.degraded);
     control_delay = config.Config.prototype;
-    retry_budget_ms =
-      (match faults with
-      | Some fm -> (Fault_model.spec fm).Fault_model.retry_budget_fraction *. Delay_model.epoch_ms
-      | None -> 0.0);
     tallies;
     fast_path_builds = Obs.Registry.counter registry "aggregate_sorted_fast_path";
     sort_fallbacks = Obs.Registry.counter registry "aggregate_sort_fallbacks";
@@ -130,19 +129,19 @@ let[@alloc.allow "degraded mode only: a trace event"] step_breaker f sw step =
 
 let begin_epoch f ~epoch ~healed =
   f.epoch <- epoch;
-  f.times.retry_budget <- f.retry_budget_ms;
+  f.times.retry_budget <- retry_budget_ms;
   f.times.fault_ms <- 0.0;
   (match f.degraded with
   | Some d -> f.times.deadline <- d.Config.deadline_fraction *. Delay_model.epoch_ms
   | None -> f.times.deadline <- infinity);
   match f.faults with
   | None -> ()
-  | Some fm ->
+  | Some _ ->
     for sw = 0 to Array.length f.breakers - 1 do
       (* A heal is a strong recovery signal: an open breaker in a healed
          group forfeits its cooldown and probes now instead of blindly
          waiting it out. *)
-      if List.mem (Fault_model.group_of fm sw) healed then Breaker.hint_probe f.breakers.(sw);
+      if List.mem (Fault_model.group_of sw) healed then Breaker.hint_probe f.breakers.(sw);
       step_breaker f sw Breaker.begin_epoch;
       Obs.Registry.Gauge.set f.breaker_gauges.(sw)
         (float_of_int (Breaker.state_code (Breaker.state f.breakers.(sw)))
@@ -425,8 +424,8 @@ let bound_staleness f (r : Runtime.t) degraded =
     && match f.degraded with Some _ -> r.staleness < shed_max_staleness | None -> true
   in
   (match f.faults with
-  | Some fm when decays ->
-    let factor = (Fault_model.spec fm).Fault_model.stale_decay in
+  | Some _ when decays ->
+    let factor = Fault_model.stale_decay in
     let order = Topology.switch_order (Task.topology r.task) in
     for j = 0 to Array.length order - 1 do
       let bit = order.(j) in

@@ -3,8 +3,9 @@
 
     Every read goes through the switch's fallible channel
     ({!Dream_switch.Switch.read}).  Timed-out batches are retried with
-    exponential backoff while the epoch's retry budget (and, in degraded
-    mode, the epoch deadline) lasts; a down, unreachable or
+    exponential backoff while the epoch's retry budget lasts
+    ({!Dream_fault.Fault_model.retry_budget_fraction} of the epoch) and,
+    in degraded mode, the epoch deadline; a down, unreachable or
     breaker-skipped switch, or a fetch abandoned after retries, falls back
     to the previous epoch's readings.  Without a fault model a switch is
     never down or partitioned, has latency factor 1.0 and always reads
@@ -73,7 +74,8 @@ val read : t -> Runtime.t -> Dream_traffic.Epoch_data.t -> Dream_traffic.Switch_
 
 val bound_staleness : t -> Runtime.t -> Dream_traffic.Switch_mask.t -> unit
 (** Called after the task estimated, with {!read}'s mask.  Under a fault
-    model each masked switch decays the task's accuracy by [stale_decay],
+    model each masked switch decays the task's accuracy by
+    {!Dream_fault.Fault_model.stale_decay},
     except in degraded mode once its staleness reached
     {!shed_max_staleness}.  Then, in degraded mode, staleness resets to 0
     on an empty mask and otherwise rises by one. *)

@@ -4,44 +4,40 @@ module Switch_id = Dream_traffic.Switch_id
 type spec = {
   seed : int;
   crash_rate : float;
-  mean_downtime : float;
   fetch_timeout_rate : float;
   counter_loss_rate : float;
   install_failure_rate : float;
   perturb_stddev : float;
-  stale_decay : float;
-  retry_budget_fraction : float;
   controller_crash_rate : float;
   partition_rate : float;
   mean_partition : float;
-  partition_groups : int;
   partition_eligible : int;
   straggler_fraction : float;
   straggler_slowdown : float;
   storm_rate : float;
-  storm_size : int;
 }
+
+let mean_downtime = 4.0
+let stale_decay = 0.9
+let retry_budget_fraction = 0.5
+let partition_groups = 4
+let storm_size = 6
 
 let zero =
   {
     seed = 0;
     crash_rate = 0.0;
-    mean_downtime = 4.0;
     fetch_timeout_rate = 0.0;
     counter_loss_rate = 0.0;
     install_failure_rate = 0.0;
     perturb_stddev = 0.0;
-    stale_decay = 0.9;
-    retry_budget_fraction = 0.5;
     controller_crash_rate = 0.0;
     partition_rate = 0.0;
     mean_partition = 8.0;
-    partition_groups = 4;
     partition_eligible = 4;
     straggler_fraction = 0.0;
     straggler_slowdown = 4.0;
     storm_rate = 0.0;
-    storm_size = 6;
   }
 
 (* NaN fails both [< 0.0] and [> 1.0], so range checks must be written
@@ -80,13 +76,11 @@ let adversity ?(seed = 0) level =
 
 let pp_spec ppf s =
   Format.fprintf ppf
-    "seed=%d crash=%g downtime=%g timeout=%g loss=%g install_fail=%g perturb=%g decay=%g \
-     retry_budget=%g ctrl_crash=%g partition=%g partition_mean=%g groups=%d/%d straggler=%g \
-     slowdown=%g storm=%g storm_size=%d"
-    s.seed s.crash_rate s.mean_downtime s.fetch_timeout_rate s.counter_loss_rate
-    s.install_failure_rate s.perturb_stddev s.stale_decay s.retry_budget_fraction
-    s.controller_crash_rate s.partition_rate s.mean_partition s.partition_eligible
-    s.partition_groups s.straggler_fraction s.straggler_slowdown s.storm_rate s.storm_size
+    "seed=%d crash=%g timeout=%g loss=%g install_fail=%g perturb=%g ctrl_crash=%g partition=%g \
+     partition_mean=%g eligible=%d straggler=%g slowdown=%g storm=%g"
+    s.seed s.crash_rate s.fetch_timeout_rate s.counter_loss_rate s.install_failure_rate
+    s.perturb_stddev s.controller_crash_rate s.partition_rate s.mean_partition
+    s.partition_eligible s.straggler_fraction s.straggler_slowdown s.storm_rate
 
 let validate spec =
   let check_rate name v =
@@ -97,25 +91,17 @@ let validate spec =
   check_rate "fetch_timeout_rate" spec.fetch_timeout_rate;
   check_rate "counter_loss_rate" spec.counter_loss_rate;
   check_rate "install_failure_rate" spec.install_failure_rate;
-  if not (spec.mean_downtime >= 1.0) then
-    invalid_arg "Fault_model: mean_downtime must be >= 1 epoch";
   if not (spec.perturb_stddev >= 0.0 && Float.is_finite spec.perturb_stddev) then
     invalid_arg "Fault_model: perturb_stddev must be finite and >= 0";
-  if not (spec.stale_decay > 0.0 && spec.stale_decay <= 1.0) then
-    invalid_arg "Fault_model: stale_decay must be in (0, 1]";
-  if not (in_unit spec.retry_budget_fraction) then
-    invalid_arg "Fault_model: retry_budget_fraction must be in [0, 1]";
   check_rate "controller_crash_rate" spec.controller_crash_rate;
   check_rate "partition_rate" spec.partition_rate;
   if not (spec.mean_partition >= 1.0) then
     invalid_arg "Fault_model: mean_partition must be >= 1 epoch";
-  if spec.partition_groups < 1 then invalid_arg "Fault_model: partition_groups must be >= 1";
   if spec.partition_eligible < 0 then invalid_arg "Fault_model: partition_eligible must be >= 0";
   check_rate "straggler_fraction" spec.straggler_fraction;
   if not (spec.straggler_slowdown >= 1.0 && Float.is_finite spec.straggler_slowdown) then
     invalid_arg "Fault_model: straggler_slowdown must be >= 1";
-  check_rate "storm_rate" spec.storm_rate;
-  if spec.storm_size < 0 then invalid_arg "Fault_model: storm_size must be >= 0"
+  check_rate "storm_rate" spec.storm_rate
 
 type switch_state = {
   lifecycle : Rng.t; (* crash / recovery draws *)
@@ -163,7 +149,7 @@ type t = {
   mutable noise_perturb : float;
 }
 
-let group_of t sw = sw mod t.spec.partition_groups
+let group_of sw = sw mod partition_groups
 
 let create spec ~num_switches =
   validate spec;
@@ -196,7 +182,7 @@ let create spec ~num_switches =
     in
     Array.iteri (fun rank sw -> if rank < slow then stragglers.(sw) <- true) order
   end;
-  let partition_until = Array.make spec.partition_groups 0 in
+  let partition_until = Array.make partition_groups 0 in
   { spec; states; controller; partition; storm; partition_until; stragglers; epoch = 0;
     injections = [];
     noise_timeout = 0.0; noise_loss = 0.0; noise_perturb = 0.0 }
@@ -215,7 +201,7 @@ let down_count t =
 
 (* ---- scripted injections ---- *)
 
-let check ~num_switches ~groups inj =
+let check ~num_switches inj =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
   match inj with
   | Crash { switch; downtime } ->
@@ -224,11 +210,11 @@ let check ~num_switches ~groups inj =
     else Ok ()
   | Controller_crash -> Ok ()
   | Partition { group; span } ->
-    if group < 0 || group >= groups then err "partition: unknown group %d" group
+    if group < 0 || group >= partition_groups then err "partition: unknown group %d" group
     else if span < 1 then err "partition: span %d < 1" span
     else Ok ()
   | Heal { group } ->
-    if group < 0 || group >= groups then err "heal: unknown group %d" group else Ok ()
+    if group < 0 || group >= partition_groups then err "heal: unknown group %d" group else Ok ()
   | Storm { tasks } -> if tasks < 1 then err "storm: tasks %d < 1" tasks else Ok ()
   | Noise { span; timeout_rate; loss_rate; perturb_stddev } ->
     if span < 1 then err "noise: span %d < 1" span
@@ -239,7 +225,7 @@ let check ~num_switches ~groups inj =
     else Ok ()
 
 let check_model t inj =
-  check ~num_switches:(Array.length t.states) ~groups:t.spec.partition_groups inj
+  check ~num_switches:(Array.length t.states) inj
 
 let schedule t ~at inj =
   if at <= t.epoch then
@@ -290,7 +276,9 @@ let begin_epoch t =
       if s.down_until < t.epoch && t.spec.crash_rate > 0.0
          && Rng.bernoulli s.lifecycle t.spec.crash_rate
       then begin
-        let downtime = max 1 (int_of_float (Float.round (Rng.exponential s.lifecycle t.spec.mean_downtime))) in
+        let downtime =
+          max 1 (int_of_float (Float.round (Rng.exponential s.lifecycle mean_downtime)))
+        in
         s.down_until <- t.epoch + downtime;
         crashed := sw :: !crashed
       end)
@@ -345,7 +333,7 @@ let begin_epoch t =
     | _ -> ())
     t.injections;
   let storm_tasks =
-    (if t.spec.storm_rate > 0.0 && Rng.bernoulli t.storm t.spec.storm_rate then t.spec.storm_size
+    (if t.spec.storm_rate > 0.0 && Rng.bernoulli t.storm t.spec.storm_rate then storm_size
      else 0)
     + List.fold_left
         (fun acc (at, inj) ->
@@ -380,7 +368,7 @@ let degrade t sw ~keys ~vols n =
 
 let is_partitioned t sw =
   let _ = state t sw in
-  t.partition_until.(group_of t sw) > t.epoch
+  t.partition_until.(group_of sw) > t.epoch
 
 let partitioned_count t =
   let n = ref 0 in
@@ -402,45 +390,34 @@ let spec_codec =
   record
     (let+ seed = field (int "seed") (fun s -> s.seed)
      and+ crash_rate = field (float "crash_rate") (fun s -> s.crash_rate)
-     and+ mean_downtime = field (float "mean_downtime") (fun s -> s.mean_downtime)
      and+ fetch_timeout_rate = field (float "fetch_timeout_rate") (fun s -> s.fetch_timeout_rate)
      and+ counter_loss_rate = field (float "counter_loss_rate") (fun s -> s.counter_loss_rate)
      and+ install_failure_rate =
        field (float "install_failure_rate") (fun s -> s.install_failure_rate)
      and+ perturb_stddev = field (float "perturb_stddev") (fun s -> s.perturb_stddev)
-     and+ stale_decay = field (float "stale_decay") (fun s -> s.stale_decay)
-     and+ retry_budget_fraction =
-       field (float "retry_budget_fraction") (fun s -> s.retry_budget_fraction)
      and+ controller_crash_rate =
        field (float "controller_crash_rate") (fun s -> s.controller_crash_rate)
      and+ partition_rate = field (float "partition_rate") (fun s -> s.partition_rate)
      and+ mean_partition = field (float "mean_partition") (fun s -> s.mean_partition)
-     and+ partition_groups = field (int "partition_groups") (fun s -> s.partition_groups)
      and+ partition_eligible = field (int "partition_eligible") (fun s -> s.partition_eligible)
      and+ straggler_fraction = field (float "straggler_fraction") (fun s -> s.straggler_fraction)
      and+ straggler_slowdown = field (float "straggler_slowdown") (fun s -> s.straggler_slowdown)
-     and+ storm_rate = field (float "storm_rate") (fun s -> s.storm_rate)
-     and+ storm_size = field (int "storm_size") (fun s -> s.storm_size) in
+     and+ storm_rate = field (float "storm_rate") (fun s -> s.storm_rate) in
      let spec =
        {
          seed;
          crash_rate;
-         mean_downtime;
          fetch_timeout_rate;
          counter_loss_rate;
          install_failure_rate;
          perturb_stddev;
-         stale_decay;
-         retry_budget_fraction;
          controller_crash_rate;
          partition_rate;
          mean_partition;
-         partition_groups;
          partition_eligible;
          straggler_fraction;
          straggler_slowdown;
          storm_rate;
-         storm_size;
        }
      in
      validate spec;
@@ -526,13 +503,13 @@ let codec =
   in
   section "fault_model"
     (record
-       (let* spec = field spec_codec (fun t -> t.spec) in
-        let+ epoch = field (int "epoch") (fun t -> t.epoch)
+       (let+ spec = field spec_codec (fun t -> t.spec)
+        and+ epoch = field (int "epoch") (fun t -> t.epoch)
         and+ controller = field (Rng.codec "controller") (fun t -> t.controller)
         and+ partition = field (Rng.codec "partition") (fun t -> t.partition)
         and+ storm = field (Rng.codec "storm") (fun t -> t.storm)
         and+ partition_until =
-          field (array spec.partition_groups (int "partition_until")) (fun t -> t.partition_until)
+          field (array partition_groups (int "partition_until")) (fun t -> t.partition_until)
         and+ states, stragglers = field switches (fun t -> (t.states, t.stragglers))
         and+ injections = field injections_codec (fun t -> t.injections) in
         let t =

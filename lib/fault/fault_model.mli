@@ -3,7 +3,10 @@
     DREAM's evaluation assumes every counter fetch succeeds and no switch
     ever restarts; this module supplies the failures a real deployment
     sees, deterministically.  A {!spec} fixes per-epoch / per-event rates
-    and a seed; {!create} expands the seed into two independent
+    and a seed; the five settings that only ever take one value (mean
+    downtime, stale decay, retry budget, partition groups, storm size)
+    are constants below, not spec fields, and a checkpoint pins them in
+    its [[build]] section.  {!create} expands the seed into two independent
     {!Dream_util.Rng} streams per switch (lifecycle and data-path), so a
     (spec, num_switches) pair always replays the same fault schedule no
     matter how many draws other switches consume.
@@ -17,28 +20,21 @@
 
 type spec = {
   seed : int;
-  crash_rate : float;  (** per-switch per-epoch crash probability *)
-  mean_downtime : float;  (** mean epochs a crashed switch stays down (>= 1) *)
+  crash_rate : float;
+      (** per-switch per-epoch crash probability; a crashed switch stays
+          down for {!mean_downtime} epochs on average *)
   fetch_timeout_rate : float;  (** probability one counter-fetch batch times out *)
   counter_loss_rate : float;  (** per-rule probability a fetched counter is lost *)
   install_failure_rate : float;  (** per-rule probability an install fails *)
   perturb_stddev : float;  (** relative Gaussian noise on fetched counter values *)
-  stale_decay : float;
-      (** factor applied to a task's smoothed estimated accuracy for each
-          epoch it reports from stale counters, in (0, 1] *)
-  retry_budget_fraction : float;
-      (** fraction of the epoch the controller may spend on fetch retries *)
   controller_crash_rate : float;
       (** per-epoch probability the controller itself crashes and must
           recover from its last checkpoint + journal *)
   partition_rate : float;
       (** per-group per-epoch probability the control channel to that
-          switch group partitions (TCAM state survives; the controller
-          just cannot reach it) *)
+          switch group ({!group_of}) partitions (TCAM state survives; the
+          controller just cannot reach it) *)
   mean_partition : float;  (** mean epochs a partition window lasts (>= 1) *)
-  partition_groups : int;
-      (** switches are grouped as [sw mod partition_groups]; a partition
-          takes out a whole group at once (correlated reachability) *)
   partition_eligible : int;
       (** only groups with index < [partition_eligible] ever partition —
           a deterministic knob for "exactly this fraction of the fleet
@@ -48,13 +44,31 @@ type spec = {
           is persistently slow *)
   straggler_slowdown : float;
       (** latency multiplier on straggler control channels (>= 1) *)
-  storm_rate : float;  (** per-epoch probability of a tenant admission storm *)
-  storm_size : int;  (** extra task submissions a storm injects *)
+  storm_rate : float;
+      (** per-epoch probability of a tenant admission storm of
+          {!storm_size} extra task submissions *)
 }
 
+val mean_downtime : float
+(** 4: mean epochs a crashed switch stays down. *)
+
+val stale_decay : float
+(** 0.9: factor applied to a task's smoothed estimated accuracy for each
+    epoch it reports from stale counters. *)
+
+val retry_budget_fraction : float
+(** 0.5: fraction of the epoch the controller may spend on fetch retries. *)
+
+val partition_groups : int
+(** 4: switches are grouped as [sw mod partition_groups]; a partition
+    takes out a whole group at once (correlated reachability). *)
+
+val storm_size : int
+(** 6: extra task submissions an organic admission storm injects. *)
+
 val zero : spec
-(** All failure rates zero (seed 0, downtime 4, decay 0.9, retry budget
-    0.5): injects nothing. *)
+(** All failure rates zero (seed 0, mean partition 8, every group
+    eligible, straggler slowdown 4): injects nothing. *)
 
 val uniform : ?seed:int -> float -> spec
 (** [uniform ~seed rate] scales every failure mode from one knob: timeout,
@@ -69,8 +83,9 @@ val adversity : ?seed:int -> float -> spec
     @raise Invalid_argument unless [level] is in [0, 1]. *)
 
 val pp_spec : Format.formatter -> spec -> unit
-(** One line, every knob — recorded in the telemetry trace so an exported
-    bundle is self-describing about the fault schedule it ran under. *)
+(** One line, each of the 13 knobs — recorded in the telemetry trace so
+    an exported bundle is self-describing about the fault schedule it ran
+    under. *)
 
 type t
 
@@ -117,7 +132,7 @@ val degrade : t -> Dream_traffic.Switch_id.t -> keys:int array -> vols:float arr
     per survivor for its multiplicative noise (clamped at 0).  Allocates
     nothing. *)
 
-val group_of : t -> Dream_traffic.Switch_id.t -> int
+val group_of : Dream_traffic.Switch_id.t -> int
 (** The partition group a switch belongs to ([sw mod partition_groups]). *)
 
 val is_partitioned : t -> Dream_traffic.Switch_id.t -> bool
@@ -169,10 +184,10 @@ type injection =
           values (the maximum of the spec rate and every open window
           applies). *)
 
-val check : num_switches:int -> groups:int -> injection -> (unit, string) result
-(** The one range check: a known switch or group, a downtime, span or
-    storm of at least 1, rates in [0, 1] and a finite non-negative
-    stddev. *)
+val check : num_switches:int -> injection -> (unit, string) result
+(** The one range check: a known switch, a group below
+    {!partition_groups}, a downtime, span or storm of at least 1, rates
+    in [0, 1] and a finite non-negative stddev. *)
 
 val schedule : t -> at:int -> injection -> unit
 (** Stage an injection for epoch [at].  @raise Invalid_argument when

@@ -43,10 +43,6 @@ let read_lines path =
     Ok (go [])
   | exception Sys_error msg -> Error (Printf.sprintf "cannot read %s: %s" path msg)
 
-(* The canonical phase order; phases the trace never mentions are dropped,
-   unknown ones are appended alphabetically. *)
-let phase_order = [ "fetch"; "estimate"; "allocate"; "configure"; "report"; "epoch" ]
-
 let load_trace path =
   let* lines = read_lines path in
   let* items =
@@ -211,14 +207,16 @@ let load_report ~top ~dir =
         let prev = Option.value ~default:0 (Hashtbl.find_opt event_tbl name) in
         Hashtbl.replace event_tbl name (prev + 1))
     items;
+  (* Phases in the control loop's order; those the trace never mentions
+     are dropped, unknown ones are appended alphabetically. *)
   let known, unknown =
     Hashtbl.fold (fun phase ms acc -> (phase, ms) :: acc) by_phase []
-    |> List.partition (fun (phase, _) -> List.mem phase phase_order)
+    |> List.partition (fun (phase, _) -> List.mem phase Trace.phases)
   in
   let ordered =
     List.filter_map
       (fun phase -> List.find_opt (fun (p, _) -> p = phase) known)
-      phase_order
+      Trace.phases
     @ List.sort compare unknown
   in
   let phases =

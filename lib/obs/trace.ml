@@ -12,6 +12,8 @@ let push t item =
   t.rev_items <- item :: t.rev_items;
   t.count <- t.count + 1
 
+let phases = [ "fetch"; "estimate"; "allocate"; "configure"; "report"; "epoch" ]
+
 let span t ~epoch ~phase ~ms = push t (Span { epoch; phase; ms })
 
 let reserved = [ "t"; "epoch"; "name" ]

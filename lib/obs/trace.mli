@@ -18,6 +18,11 @@ type t
 
 val create : unit -> t
 
+val phases : string list
+(** The control loop's phases, in the order the controller traces each
+    epoch's spans and [inspect] lists them: fetch, estimate, allocate,
+    configure, report, epoch. *)
+
 val span : t -> epoch:int -> phase:string -> ms:float -> unit
 
 val event : t -> epoch:int -> name:string -> (string * field) list -> unit

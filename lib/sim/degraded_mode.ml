@@ -68,8 +68,9 @@ let sweep ?config ?fault_seed ?(levels = default_levels) scenario strategy =
 [@@lint.allow "oracle hook: test/test_degraded.ml"]
 
 (* The acceptance experiment: partitions always take out exactly a quarter
-   of the fleet.  With [partition_groups = 4] and [partition_eligible = 1],
-   only group 0 (switches congruent to 0 mod 4) can partition.  The default
+   of the fleet.  With the 4 [Fault_model.partition_groups] and
+   [partition_eligible = 1], only group 0 (switches congruent to 0 mod 4)
+   can partition.  The default
    rate gives recurring windows with a roughly 50% duty cycle
    (rate * mean / (1 + rate * mean)); [~rate:1.0] makes the partition
    essentially permanent — the sustained extreme the figure also plots. *)
@@ -79,7 +80,6 @@ let quarter_partition_spec ?(seed = 97) ?(rate = 0.12) () =
     Fault_model.seed;
     partition_rate = rate;
     mean_partition = 8.0;
-    partition_groups = 4;
     partition_eligible = 1;
   }
 

@@ -177,7 +177,7 @@ let test_injection_emit_pinned () =
   let tail = String.length injection_blocks in
   Alcotest.(check string) "injection blocks" injection_blocks
     (String.sub text (String.length text - tail) tail);
-  Alcotest.(check string) "whole section" "d013778e706ce38bd30cf1bc26dd9b42"
+  Alcotest.(check string) "whole section" "132f2935cf1965f7ba0d36ca303808d5"
     (Digest.to_hex (Digest.string text));
   (* A straggler line is a flag: any other value is refused at its line. *)
   let flagged =
@@ -251,10 +251,6 @@ let test_nan_rates_rejected () =
   expect_invalid "spec nan perturb" (fun () ->
       Fault_model.create
         { Fault_model.zero with Fault_model.perturb_stddev = Float.nan }
-        ~num_switches:4);
-  expect_invalid "spec nan decay" (fun () ->
-      Fault_model.create
-        { Fault_model.zero with Fault_model.stale_decay = Float.nan }
         ~num_switches:4)
 
 let test_degraded_config_rejected () =
@@ -429,8 +425,7 @@ let prop_emit_parse_equivalent =
 let gen_args = ("seed", 1234)
 
 let generate seed =
-  Schedule.generate ~seed ~num_switches:Harness.num_switches ~groups:Harness.groups ~horizon:48
-    ~events:12
+  Schedule.generate ~seed ~num_switches:Harness.num_switches ~horizon:48 ~events:12
 
 let schedule_string s = Json.to_string (Json.encode Schedule.json s)
 
@@ -516,10 +511,10 @@ let test_schedule_validate () =
     { Schedule.seed = 1; horizon = 48;
       events = [ Schedule.Fault { at = 3; fault = Fault_model.Crash { switch = 99; downtime = 1 } } ] }
   in
-  (match Schedule.validate ~num_switches:Harness.num_switches ~groups:Harness.groups bad with
+  (match Schedule.validate ~num_switches:Harness.num_switches bad with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "out-of-range switch accepted");
-  match Schedule.validate ~num_switches:Harness.num_switches ~groups:Harness.groups (generate 5) with
+  match Schedule.validate ~num_switches:Harness.num_switches (generate 5) with
   | Ok () -> ()
   | Error msg -> Alcotest.fail ("generated schedule rejected: " ^ msg)
 
@@ -565,7 +560,7 @@ let canary_seed = 364128774783586872
 
 let test_canary_shrinks_to_reproducer () =
   let sched =
-    Schedule.generate ~seed:canary_seed ~num_switches:Harness.num_switches ~groups:Harness.groups
+    Schedule.generate ~seed:canary_seed ~num_switches:Harness.num_switches
       ~horizon:Harness.default_horizon ~events:200
   in
   Alcotest.(check int) "200-event schedule" 200 (List.length sched.Schedule.events);

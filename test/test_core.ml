@@ -659,7 +659,7 @@ let test_fetch_bounded_staleness () =
   let round f (r : Runtime.t) mask ~staleness ~decays =
     let before = Task.smoothed_global r.task in
     Fetch.bound_staleness f r mask;
-    let expected = if decays then before *. spec.Dream_fault.Fault_model.stale_decay else before in
+    let expected = if decays then before *. Dream_fault.Fault_model.stale_decay else before in
     Alcotest.(check int) "staleness" staleness r.staleness;
     Alcotest.(check (float 0.0)) "smoothed accuracy" expected (Task.smoothed_global r.task)
   in

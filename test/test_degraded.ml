@@ -134,7 +134,6 @@ let quarter_spec seed =
     Fault_model.seed;
     partition_rate = 1.0;
     mean_partition = 6.0;
-    partition_groups = 4;
     partition_eligible = 1;
   }
 
@@ -367,14 +366,14 @@ let test_storm_pending_surface () =
     {
       Config.default with
       Config.faults =
-        Some { Fault_model.zero with Fault_model.seed = 3; storm_rate = 1.0; storm_size = 5 };
+        Some { Fault_model.zero with Fault_model.seed = 3; storm_rate = 1.0 };
       degraded = Some Config.default_degraded;
     }
   in
   let controller = mk_controller ~config () in
   Alcotest.(check int) "quiet before the first tick" 0 (Controller.storm_tasks_pending controller);
   Controller.tick controller;
-  Alcotest.(check int) "storm surfaced to the driver" 5
+  Alcotest.(check int) "storm surfaced to the driver" Fault_model.storm_size
     (Controller.storm_tasks_pending controller)
 
 (* One seeded degraded-mode run whose breakers open, probe and close and

@@ -18,6 +18,10 @@ module Config = Dream_core.Config
 module Metrics = Dream_core.Metrics
 module Controller = Dream_core.Controller
 module Gc_stats = Dream_obs.Gc_stats
+module Delay_model = Dream_switch.Delay_model
+module Task = Dream_tasks.Task
+module Runtime = Dream_core.Runtime
+module Fetch = Dream_core.Fetch
 
 (* ---- Fault_model ---- *)
 
@@ -26,7 +30,6 @@ let aggressive seed =
     Fault_model.zero with
     Fault_model.seed;
     crash_rate = 0.15;
-    mean_downtime = 3.0;
     fetch_timeout_rate = 0.3;
     counter_loss_rate = 0.1;
     install_failure_rate = 0.1;
@@ -95,7 +98,6 @@ let test_model_validation () =
   raises (fun () -> Fault_model.uniform 1.5);
   raises (fun () -> Fault_model.uniform (-0.1));
   raises (fun () -> Fault_model.create { Fault_model.zero with Fault_model.crash_rate = 2.0 } ~num_switches:4);
-  raises (fun () -> Fault_model.create { Fault_model.zero with Fault_model.stale_decay = 0.0 } ~num_switches:4);
   raises (fun () -> Fault_model.create Fault_model.zero ~num_switches:0)
 
 (* ---- Counter loss and perturbation: the column pass against its oracle ---- *)
@@ -160,8 +162,8 @@ let test_data_plane_transparent_without_faults () =
   | Ok false | Error (`Down | `Unreachable) -> Alcotest.fail "remove must find the rule"
 
 let test_data_plane_down_refuses () =
-  let spec = { Fault_model.zero with Fault_model.crash_rate = 1.0; mean_downtime = 100.0 } in
-  let fm = Fault_model.create spec ~num_switches:1 in
+  let fm = Fault_model.create Fault_model.zero ~num_switches:1 in
+  Fault_model.schedule fm ~at:1 (Fault_model.Crash { switch = 0; downtime = 100 });
   let sw = Switch.create ~faults:fm ~id:0 ~capacity:16 () in
   let p = Prefix.nth_descendant Prefix.root ~length:8 1 in
   (match Switch.install sw ~owner:1 (Prefix.key p) with
@@ -346,7 +348,7 @@ let test_down_switches_quarantined () =
      have rules installed on it (its TCAM was wiped and the controller
      must not reinstall until recovery). *)
   let spec =
-    { Fault_model.zero with Fault_model.seed = 13; crash_rate = 0.2; mean_downtime = 5.0 }
+    { Fault_model.zero with Fault_model.seed = 13; crash_rate = 0.2 }
   in
   let config = { Config.default with Config.faults = Some spec } in
   let controller = mk_controller ~config ~capacity:128 () in
@@ -409,53 +411,53 @@ let test_stale_decay_bounds () =
      a >= 0.0 && a <= 1.0)
 
 let test_stale_run_decay_lowers_accuracy () =
-  (* Two identical stale-heavy runs differing only in the decay factor
-     (decay draws no randomness, so the fault schedules coincide until the
-     allocator first reacts to a decayed accuracy).  At that first point of
-     divergence the decayed run must read lower — the degraded visibility
-     reached the allocator. *)
-  let spec decay =
-    {
-      Fault_model.zero with
-      Fault_model.seed = 23;
-      fetch_timeout_rate = 0.6;
-      retry_budget_fraction = 0.05;
-      stale_decay = decay;
-    }
+  (* The allocator reads a task's per-switch smoothed accuracies
+     ([Task.allocator_view]).  Under a fault model, each round in which a
+     switch goes unheard scales that switch's value by
+     [Fault_model.stale_decay] and leaves the task's other switches alone:
+     the degraded visibility reaches the allocator, compounding once per
+     stale round. *)
+  let num_switches = 4 in
+  let fetch =
+    let config = { Config.default with Config.faults = Some Fault_model.zero } in
+    let registry = Dream_obs.Registry.create () in
+    Fetch.create ~config
+      ~switches:(Switch.network ~num_switches ~capacity:64 ())
+      ~breakers:None
+      ~faults:(Some (Fault_model.create Fault_model.zero ~num_switches))
+      ~tallies:(Metrics.Tallies.of_registry registry) ~registry ~trace:None
   in
-  let trajectory decay =
-    let config = { Config.default with Config.faults = Some (spec decay) } in
-    let controller = mk_controller ~config () in
-    let rng = Rng.create 21 in
-    for i = 0 to 7 do
-      ignore (submit_task controller rng ~filter_index:i ~duration:25)
-    done;
-    let samples = ref [] in
-    for _ = 1 to 40 do
-      Controller.tick controller;
-      let accs =
-        List.filter_map
-          (fun id -> Controller.smoothed_accuracy controller ~task_id:id)
-          (Controller.active_task_ids controller)
-      in
-      samples := Dream_util.Stats.mean accs :: !samples
-    done;
-    (List.rev !samples, Controller.robustness controller)
+  (* A task that has estimated once, on traffic with no heavy hitter, so
+     every switch it sees reads accuracy 1.0. *)
+  let filter = Prefix.of_string "10.1.0.0/24" in
+  let topology = Topology.create (Rng.create 1) ~filter ~num_switches ~switches_per_task:2 in
+  let spec =
+    Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter ~leaf_length:32 ~threshold:1e9 ()
   in
-  let undecayed, _ = trajectory 1.0 in
-  let decayed, rob = trajectory 0.5 in
-  Alcotest.(check bool) "stale epochs occurred" true (rob.Metrics.stale_epochs > 0);
-  Alcotest.(check bool) "some fetches were abandoned" true (rob.Metrics.fetch_failures > 0);
-  let rec first_divergence = function
-    | a :: rest_a, b :: rest_b ->
-      if Float.abs (a -. b) > 1e-12 then Some (a, b) else first_divergence (rest_a, rest_b)
-    | _ -> None
+  let data = Dream_traffic.Epoch_data.of_flows ~epoch:0 [] in
+  let r =
+    Runtime.create ~pool:(Runtime.pool ()) ~config:Config.default ~id:1 ~spec ~topology
+      ~source:(Dream_traffic.Source.replay [| data |]) ~duration:10 ~arrived_at:0
   in
-  match first_divergence (undecayed, decayed) with
-  | None -> Alcotest.fail "decay never affected the smoothed accuracies"
-  | Some (without_decay, with_decay) ->
-    Alcotest.(check bool) "decay lowers the allocator's signal" true
-      (with_decay < without_decay)
+  Task.read_traffic r.Runtime.task data;
+  ignore (Task.estimate r.Runtime.task ~epoch:0);
+  let view () =
+    let overall = Array.make num_switches 0.0 and used = Array.make num_switches 0 in
+    Task.allocator_view r.Runtime.task ~overall ~used ~pos:0 ~num_switches;
+    overall
+  in
+  Alcotest.(check (array (float 0.0))) "every switch reads 1.0" (Array.make num_switches 1.0)
+    (view ());
+  let stale = Topology.switch_of_bit topology 0 in
+  let expected = ref 1.0 in
+  for _ = 1 to 3 do
+    Fetch.bound_staleness fetch r 1 (* bit 0: every topology has it *);
+    expected := !expected *. Fault_model.stale_decay;
+    Alcotest.(check (array (float 0.0))) "only the stale switch decays"
+      (Array.init num_switches (fun sw -> if sw = stale then !expected else 1.0))
+      (view ())
+  done;
+  Alcotest.(check bool) "the allocator's signal is lower" true (!expected < 1.0)
 
 let test_quarantine_divide_merge_reinstall_roundtrip () =
   (* Crash-heavy run with the invariant checker on: quarantine must zero a
@@ -463,7 +465,7 @@ let test_quarantine_divide_merge_reinstall_roundtrip () =
      and recovery must reinstall the full rule set — all without the
      installed state ever diverging from the configured counters. *)
   let spec =
-    { Fault_model.zero with Fault_model.seed = 13; crash_rate = 0.15; mean_downtime = 4.0 }
+    { Fault_model.zero with Fault_model.seed = 13; crash_rate = 0.15 }
   in
   let config =
     { Config.default with Config.faults = Some spec; check_invariants = true }
@@ -483,17 +485,10 @@ let test_quarantine_divide_merge_reinstall_roundtrip () =
     r.Metrics.invariant_violations
 
 let test_retry_budget_exhaustion_within_one_epoch () =
-  (* Every fetch times out and the retry budget is a sliver of the epoch:
-     the controller must abandon the fetch within the epoch (bounded
-     retries, a recorded failure) instead of retrying forever. *)
-  let spec =
-    {
-      Fault_model.zero with
-      Fault_model.seed = 3;
-      fetch_timeout_rate = 1.0;
-      retry_budget_fraction = 0.005;
-    }
-  in
+  (* Every fetch times out: the controller must abandon the fetch within
+     the epoch (bounded retries, a recorded failure) instead of retrying
+     forever. *)
+  let spec = { Fault_model.zero with Fault_model.seed = 3; fetch_timeout_rate = 1.0 } in
   let config = { Config.default with Config.faults = Some spec } in
   let controller = mk_controller ~config ~num_switches:1 () in
   let rng = Rng.create 5 in
@@ -507,10 +502,13 @@ let test_retry_budget_exhaustion_within_one_epoch () =
     (after.Metrics.fetch_timeouts > before.Metrics.fetch_timeouts);
   Alcotest.(check bool) "fetch abandoned within the epoch" true
     (after.Metrics.fetch_failures > before.Metrics.fetch_failures);
-  (* Budget 0.005 * 1000 ms with exponential backoff from one RTT keeps
-     the retry count tiny; generous bound so the delay model can evolve. *)
-  Alcotest.(check bool) "retries bounded by the budget" true
-    (after.Metrics.fetch_retries - before.Metrics.fetch_retries <= 16)
+  (* One task on one switch makes one fetch an epoch.  Retry [k] backs
+     off [rtt * 2^k], so [n] retries spend [rtt * (2^n - 1)] of the
+     budget: 500 ms over a 0.25 ms RTT allows 10. *)
+  let budget = Fault_model.retry_budget_fraction *. Delay_model.epoch_ms in
+  let bound = int_of_float (Float.log2 ((budget /. Delay_model.rtt_ms) +. 1.0)) in
+  Alcotest.(check int) "retries bounded by the budget" bound
+    (after.Metrics.fetch_retries - before.Metrics.fetch_retries)
 
 (* ---- input validation ---- *)
 

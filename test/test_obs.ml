@@ -404,7 +404,7 @@ let pin_bundle =
 let test_bundle_bytes_pinned () =
   let trace, profile = Lazy.force pin_bundle in
   let md5 s = Digest.to_hex (Digest.string s) in
-  Alcotest.(check string) "trace.jsonl md5" "b31e80cc3b8b05736eb73250c92ff8a5" (md5 trace);
+  Alcotest.(check string) "trace.jsonl md5" "050b41afa0c80cac1fc19e3d66c2e946" (md5 trace);
   Alcotest.(check string) "profile.json md5" "b01db0e34307c7f320102493ddfbae03" (md5 profile)
 
 let decoding d s = Result.bind (Json.of_string s) (Json.decode d)

@@ -426,7 +426,6 @@ let fault_spec =
     Fault_model.zero with
     Fault_model.seed = 5;
     crash_rate = 0.1;
-    mean_downtime = 3.0;
     fetch_timeout_rate = 0.2;
     counter_loss_rate = 0.05;
     install_failure_rate = 0.05;
@@ -467,6 +466,48 @@ let test_restore_rejects_corruption () =
             e
         | Ok _ -> Alcotest.failf "%s document must be rejected" version)
       [ "v3"; "v4" ]);
+  (* A v5 document of the earlier layout kept the fault model's downtime,
+     stale decay, retry budget, partition groups and storm size in its
+     spec and 17 constants in [build].  Resealed, it is refused at the
+     first [build] line that differs, where the downtime now stands. *)
+  let faulty =
+    populated_controller ~config:{ Config.default with Config.faults = Some fault_spec } ()
+  in
+  Controller.run faulty ~epochs:10;
+  (match Codec.unseal ~magic:"dream-checkpoint v5" (Controller.snapshot faulty) with
+  | Error e -> Alcotest.failf "faulty snapshot does not unseal: %s" e
+  | Ok body ->
+    let folded =
+      [ "mean_downtime"; "stale_decay"; "retry_budget_fraction"; "partition_groups"; "storm_size" ]
+    in
+    let key line = List.hd (String.split_on_char ' ' line) in
+    let lines = String.split_on_char '\n' body in
+    let build, rest =
+      let rec split acc = function
+        | "[controller]" :: _ as rest -> (List.rev acc, rest)
+        | l :: rest -> split (l :: acc) rest
+        | [] -> Alcotest.fail "no [controller] section"
+      in
+      split [] lines
+    in
+    let line k = List.find (fun l -> key l = k) build in
+    let after = function
+      | "crash_rate" -> [ "mean_downtime" ]
+      | "perturb_stddev" -> [ "stale_decay"; "retry_budget_fraction" ]
+      | "mean_partition" -> [ "partition_groups" ]
+      | "storm_rate" -> [ "storm_size" ]
+      | _ -> []
+    in
+    let kept = List.filter (fun l -> not (List.mem (key l) folded)) build in
+    Alcotest.(check int) "the earlier [build] holds 17 constants" 17 (List.length kept - 1);
+    let earlier = kept @ List.concat_map (fun l -> l :: List.map line (after (key l))) rest in
+    match
+      Controller.restore (Codec.seal ~magic:"dream-checkpoint v5" (String.concat "\n" earlier))
+    with
+    | Error e ->
+      Alcotest.(check string) "earlier v5 layout refused at its first differing [build] line"
+        {|line 12: expected "mean_downtime" field, got "hysteresis"|} e
+    | Ok _ -> Alcotest.fail "a v5 document of the earlier layout must be rejected");
   (* Seeded corruption fuzz: any truncation or flipped byte breaks the MD5
      seal (or the magic), so the document is refused before it is parsed. *)
   let rng = Rng.create 11 in
@@ -666,9 +707,9 @@ let test_snapshot_bytes_pinned () =
       Controller.run controller ~epochs:6;
       Alcotest.(check string) name md5 (Digest.to_hex (Digest.string (Controller.snapshot controller))))
     [
-      ("prototype", Config.prototype, "710bc8925ecba176310fc6aba43eea4a");
-      ("hardware", Config.hardware ~installs_per_epoch:16, "18401e467752e8635181d689fce4c037");
-      ("faults + degraded", degraded_config, "549ef1e9e0e5396319309dfaab07421f");
+      ("prototype", Config.prototype, "0c61ab476850a51acdedfe8fc5f5e284");
+      ("hardware", Config.hardware ~installs_per_epoch:16, "b86f5f00c2e0a50dd857b0efde607a0c");
+      ("faults + degraded", degraded_config, "d4110223462d94987c32ebf6d892a4c2");
     ]
 
 (* The key-path walk of a [dream-sim checkpoint --at 10 --epochs 40

@@ -138,7 +138,7 @@ let test_drive_submits_schedule () =
 let test_drive_storm_feed () =
   (* All regular tasks arrive at epoch 0, so later arrivals are storms. *)
   let scenario = { small with Scenario.arrival_window = 1; total_epochs = 40 } in
-  let storms = { Fault_model.zero with Fault_model.seed = 5; storm_rate = 1.0; storm_size = 3 } in
+  let storms = { Fault_model.zero with Fault_model.seed = 5; storm_rate = 1.0 } in
   let drive =
     Drive.create ~config:{ Config.default with Config.faults = Some storms } ~strategy scenario
   in
