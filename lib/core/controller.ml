@@ -18,17 +18,8 @@ module Obs = Dream_obs
 module Ctr = Dream_obs.Registry.Counter
 module Tr = Dream_obs.Trace
 
-type delay_sample = {
-  epoch : int;
-  fetch_ms : float;
-  save_ms : float;
-  report_ms : float;
-  allocate_ms : float;
-  configure_ms : float;
-}
-
-(* The interned profile spans of the tick's measured phases.  The delay
-   sample, the trace spans, [phase_ms] and the profile all read them. *)
+(* The interned profile spans of the tick's measured phases.  The trace
+   spans, [phase_ms] and the profile all read them. *)
 type spans = {
   epoch_span : Obs.Profile.span;
   fetch : Obs.Profile.span;  (** counter reads and their ingest, summed over tasks *)
@@ -37,6 +28,7 @@ type spans = {
   allocate : Obs.Profile.span;  (** the allocation round *)
   configure : Obs.Profile.span;  (** divide-and-merge, summed over tasks *)
   rule_sync : Obs.Profile.span;  (** both rule-sync passes *)
+  retire : Obs.Profile.span;  (** retirements and the invariant audit *)
 }
 
 let intern_spans profile =
@@ -49,7 +41,37 @@ let intern_spans profile =
     allocate = span "epoch/allocate";
     configure = span "epoch/configure";
     rule_sync = span "epoch/rule_sync";
+    retire = span "epoch/retire";
   }
+
+(* Where a traced phase's epoch figure comes from: the delay model's
+   simulated switch time, or the epoch cell of a measured span. *)
+type source = Model_fetch | Model_save | Measured of Obs.Profile.span
+
+type phase = { name : string; source : source; hist : Obs.Registry.Histogram.t Lazy.t }
+
+(* The phases every traced epoch writes, modelled first, each with its
+   [phase_ms] histogram, registered on first use. *)
+let phases registry profile sp =
+  let phase name source =
+    { name; source;
+      hist = lazy (Obs.Registry.histogram registry ~labels:[ ("phase", name) ] "phase_ms") }
+  in
+  let measured span = phase (Obs.Profile.path profile span) (Measured span) in
+  [
+    phase "model/fetch" Model_fetch; phase "model/save" Model_save; measured sp.epoch_span;
+    measured sp.fetch; measured sp.estimate; measured sp.ground_truth; measured sp.allocate;
+    measured sp.configure; measured sp.rule_sync; measured sp.retire;
+  ]
+
+(* The epoch's switch work as [price] found it, before retirement removes
+   rules: what the modelled phases are priced from. *)
+type priced = {
+  mutable fetched : int;
+  mutable installed : int;
+  mutable removed : int;
+  mutable touched : int;  (** switches that fetched or installed *)
+}
 
 type t = {
   config : Config.t;
@@ -74,7 +96,7 @@ type t = {
   mutable epoch : int;
   mutable next_id : int;
   mutable records : Metrics.record list;
-  mutable delays : delay_sample list; (* newest first *)
+  priced : priced; (* written only when a bundle is attached *)
   rules_installed : Ctr.t;
   rules_fetched : Ctr.t;
   (* Registry handles registered on first use, when a lookup by name
@@ -85,7 +107,7 @@ type t = {
   tasks_dropped : Ctr.t Lazy.t;
   tasks_completed : Ctr.t Lazy.t;
   allocation_changes : Ctr.t Lazy.t;
-  phase_ms : (string * Obs.Registry.Histogram.t Lazy.t) list; (* in [Tr.phases] order *)
+  phases : phase list;
   rob : Metrics.Tallies.t;
   mutable journal : Journal.sink option;
   mutable crash_pending : bool;
@@ -117,6 +139,7 @@ let make ~config ~allocator ~switches ~faults ~breakers ~runtimes ~epoch ~next_i
          (fun a b -> Int.compare (Runtime.id a) (Runtime.id b))
          (Hashtbl.fold (fun _ r acc -> r :: acc) active []))
   in
+  let spans = intern_spans profile in
   {
     config;
     allocator;
@@ -125,7 +148,7 @@ let make ~config ~allocator ~switches ~faults ~breakers ~runtimes ~epoch ~next_i
     tel;
     registry;
     profile;
-    spans = intern_spans profile;
+    spans;
     fetch =
       Fetch.create ~config ~switches ~breakers ~faults ~tallies:rob ~registry
         ~trace:(Option.map Obs.Telemetry.trace tel);
@@ -143,7 +166,7 @@ let make ~config ~allocator ~switches ~faults ~breakers ~runtimes ~epoch ~next_i
     epoch;
     next_id;
     records;
-    delays = [];
+    priced = { fetched = 0; installed = 0; removed = 0; touched = 0 };
     rules_installed = Obs.Registry.counter registry "rules_installed";
     rules_fetched = Obs.Registry.counter registry "rules_fetched";
     tasks_admitted = lazy (Obs.Registry.counter registry "tasks_admitted");
@@ -151,11 +174,7 @@ let make ~config ~allocator ~switches ~faults ~breakers ~runtimes ~epoch ~next_i
     tasks_dropped = lazy (Obs.Registry.counter registry "tasks_dropped");
     tasks_completed = lazy (Obs.Registry.counter registry "tasks_completed");
     allocation_changes = lazy (Obs.Registry.counter registry "allocation_changes");
-    phase_ms =
-      List.map
-        (fun phase ->
-          (phase, lazy (Obs.Registry.histogram registry ~labels:[ ("phase", phase) ] "phase_ms")))
-        Tr.phases;
+    phases = phases registry profile spans;
     rob;
     journal = None;
     crash_pending = false;
@@ -575,8 +594,9 @@ let sync_rules t =
             ("removals", Tr.Int removed) ]
     done
 
-(* Price the epoch's switch interactions for Fig 17: the TCAM stats summed
-   over the switches from [i] on, and how many were touched. *)
+(* Price the epoch's switch interactions: the TCAM stats summed over the
+   switches from [i] on, and how many were touched.  A traced run keeps
+   the sums for the modelled phases. *)
 let rec price_from t i fetches installs removals touched =
   if i < Array.length t.switches then begin
     let tcam = Switch.tcam t.switches.(i) in
@@ -586,21 +606,14 @@ let rec price_from t i fetches installs removals touched =
       (if f > 0 || ins > 0 then touched + 1 else touched)
   end
   else begin
-    let sample =
-      {
-        epoch = t.epoch;
-        fetch_ms =
-          Delay_model.fetch_ms ~rules:fetches ~switches:touched +. Fetch.fault_ms t.fetch;
-        save_ms = Delay_model.save_ms ~installs ~removals ~switches:touched;
-        report_ms = Obs.Profile.epoch_ms t.profile t.spans.estimate;
-        allocate_ms = Obs.Profile.epoch_ms t.profile t.spans.allocate;
-        configure_ms = Obs.Profile.epoch_ms t.profile t.spans.configure;
-      }
-    in
-    t.delays <- sample :: t.delays;
     Ctr.add t.rules_installed installs;
     Ctr.add t.rules_fetched fetches;
-    sample
+    if t.tel <> None then begin
+      t.priced.fetched <- fetches;
+      t.priced.installed <- installs;
+      t.priced.removed <- removals;
+      t.priced.touched <- touched
+    end
   end
 
 let price t = price_from t 0 0 0 0 0
@@ -619,6 +632,7 @@ let rec retire_from t i =
 
 (* Retire tasks that reached their duration, then audit. *)
 let retire t =
+  Obs.Profile.start t.profile t.spans.retire;
   retire_from t 0;
   if t.config.Config.check_invariants then begin
     let violations = check_invariants_now t in
@@ -629,29 +643,34 @@ let retire t =
       trace_event t ~name:"invariant_violation"
         [ ("count", Tr.Int (List.length violations));
           ("first", Tr.Str (Invariant.to_string first)) ]
-  end
+  end;
+  Obs.Profile.stop t.profile t.spans.retire
 
-(* [tail_ms] is when the record-keeping tail (retire, telemetry) began. *)
-let record_telemetry t sample scores ~tail_ms =
+(* This epoch's figure of a phase: Fig 17's modelled switch time (fault
+   ms included in the fetch), or a span's measured controller time. *)
+let phase_ms t = function
+  | Model_fetch ->
+    let w = t.priced in
+    Delay_model.fetch_ms ~rules:w.fetched ~switches:w.touched +. Fetch.fault_ms t.fetch
+  | Model_save ->
+    let w = t.priced in
+    Delay_model.save_ms ~installs:w.installed ~removals:w.removed ~switches:w.touched
+  | Measured span -> Obs.Profile.epoch_ms t.profile span
+
+let record_telemetry t scores =
   match t.tel with
   | None -> ()
   | Some tel ->
-    let p = t.profile and sp = t.spans in
-    let epoch_ms = Obs.Profile.epoch_ms p sp.epoch_span in
     let tr = Obs.Telemetry.trace tel in
     let epoch = t.epoch in
-    (* Phase spans: fetch and the configure tail are modelled switch time,
-       estimate/allocate/configure bodies are measured controller time, and
-       report is the record-keeping tail. *)
-    List.iter2
-      (fun (phase, hist) ms ->
-        Tr.span tr ~epoch ~phase ~ms;
+    List.iter
+      (fun { name; source; hist } ->
+        let ms = phase_ms t source in
+        Tr.span tr ~epoch ~phase:name ~ms;
         Obs.Registry.Histogram.observe (Lazy.force hist) ms)
-      t.phase_ms
-      [ sample.fetch_ms; sample.report_ms; sample.allocate_ms;
-        sample.configure_ms +. sample.save_ms;
-        Obs.Clock.now_ms (Obs.Profile.clock p) -. tail_ms; epoch_ms ];
-    Obs.Profile.observe_epoch t.registry ~wall_ms:epoch_ms
+      t.phases;
+    let p = t.profile and sp = t.spans in
+    Obs.Profile.observe_epoch t.registry ~wall_ms:(Obs.Profile.epoch_ms p sp.epoch_span)
       ~gc:(Obs.Profile.epoch_gc p sp.epoch_span);
     List.iter
       (fun (id, kind, accuracy, satisfied) ->
@@ -684,11 +703,10 @@ let[@hot] tick t =
   allocate_and_drop t;
   configure t;
   sync_rules t;
-  let sample = price t in
-  let tail_ms = if t.tel = None then 0.0 else Obs.Clock.now_ms (Obs.Profile.clock t.profile) in
+  price t;
   retire t;
   Obs.Profile.stop t.profile t.spans.epoch_span;
-  record_telemetry t sample scores ~tail_ms;
+  record_telemetry t scores;
   Obs.Profile.close_epoch t.profile;
   t.epoch <- t.epoch + 1
 
@@ -704,8 +722,6 @@ let finalize t =
 let records t = List.rev t.records
 
 let summary t = Metrics.summarize ~robustness:(robustness t) (records t)
-
-let delay_samples t = List.rev t.delays
 
 let total_rules_installed t = Ctr.value t.rules_installed
 

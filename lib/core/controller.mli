@@ -87,23 +87,13 @@ val faults : t -> Dream_fault.Fault_model.t option
 val telemetry : t -> Dream_obs.Telemetry.t option
 (** The telemetry bundle the config attached, if any.  The controller
     only ever appends to it; exporting is the owner's job
-    ({!Dream_obs.Telemetry.write_dir}). *)
+    ({!Dream_obs.Telemetry.write_dir}).  Each tick writes one span and
+    one [phase_ms] observation per phase, on the clocks {!Dream_obs.Trace}
+    names. *)
 
 val robustness : t -> Metrics.robustness
 (** Cumulative fault/recovery counters ({!Metrics.no_faults} when no fault
     spec is configured). *)
-
-type delay_sample = {
-  epoch : int;
-  fetch_ms : float;  (** modelled counter-fetch time *)
-  save_ms : float;  (** modelled incremental rule-update time *)
-  report_ms : float;  (** measured controller time: reports + estimators *)
-  allocate_ms : float;  (** measured controller time: allocation round *)
-  configure_ms : float;  (** measured controller time: divide-and-merge *)
-}
-
-val delay_samples : t -> delay_sample list
-(** One sample per simulated epoch, oldest first (Fig 17). *)
 
 val total_rules_installed : t -> int
 val total_rules_fetched : t -> int

@@ -3,7 +3,7 @@
     The controller used to call [Sys.time] directly whenever it wanted to
     price its own computation; every such clock read now goes through a
     {!t}, so tests can substitute a {!manual} clock and get bit-for-bit
-    deterministic spans and delay samples. *)
+    deterministic profile spans, and the trace spans read from them. *)
 
 type t
 

@@ -1,8 +1,9 @@
 (** Reader for a telemetry directory written by {!Telemetry.write_dir}:
     parses the JSONL trace, the Prometheus snapshot and the CSV time
-    series back into a human-readable report — phase-latency percentiles,
-    event tallies, robustness counters, and the noisiest (highest
-    allocation-churn) tasks.
+    series back into a human-readable report — phase-latency percentiles
+    (the two clocks in tables of their own, each phase where the trace
+    first mentions it), event tallies, robustness counters, and the
+    noisiest (highest allocation-churn) tasks.
 
     Every line of every artifact is validated; a malformed line fails the
     whole load with its file and line number, which is what the CI job
@@ -30,7 +31,8 @@ type report = {
   epochs : int;  (** distinct epochs covered by the trace *)
   spans : int;
   events : int;
-  phases : phase_stat list;  (** control-loop order: fetch … report *)
+  modelled : phase_stat list;  (** [model/…] spans, the delay model's switch time *)
+  measured : phase_stat list;  (** [epoch] and [epoch/…] spans, measured controller time *)
   event_counts : (string * int) list;  (** by descending count *)
   counters : (string * int) list;  (** every counter in the snapshot, by name *)
   noisiest : task_churn list;  (** top-k by [alloc_changes] *)

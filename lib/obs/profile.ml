@@ -43,8 +43,6 @@ let create ?(clock = Clock.cpu) ?(gc = Gc_stats.real) () = make clock (Some gc)
 
 let wall_only () = make Clock.cpu None
 
-let clock t = t.clock
-
 let extend a n fill = Array.append a (Array.make n fill)
 
 let intern t path =
@@ -58,6 +56,8 @@ let intern t path =
     t.ms <- extend t.ms cells 0.0;
     t.gcs <- extend t.gcs cells Gc_stats.zero;
     span
+
+let path t span = t.paths.(span)
 
 (* The GC reads sit innermost, so a span is charged only its body.  The
    clock writes its reading into the float columns: no float is boxed. *)

@@ -40,11 +40,12 @@ val wall_only : unit -> t
 (** A {!Clock.cpu} profile with no GC source: it times spans but never
     reads the GC, and its stats carry {!Gc_stats.zero}. *)
 
-val clock : t -> Clock.t
-
 val intern : t -> string -> span
 (** The span recording under [path], created on first use; interning a
     path again returns the same span. *)
+
+val path : t -> span -> string
+(** The path the span was interned under. *)
 
 val start : t -> span -> unit
 (** Open a fragment of the span now. *)

@@ -58,3 +58,5 @@ val write_dir : t -> dir:string -> (unit, string) result
     the failing path on any I/O problem. *)
 
 val tasks_csv_header : string
+
+val switches_csv_header : string

@@ -12,8 +12,6 @@ let push t item =
   t.rev_items <- item :: t.rev_items;
   t.count <- t.count + 1
 
-let phases = [ "fetch"; "estimate"; "allocate"; "configure"; "report"; "epoch" ]
-
 let span t ~epoch ~phase ~ms = push t (Span { epoch; phase; ms })
 
 let reserved = [ "t"; "epoch"; "name" ]
@@ -27,6 +25,13 @@ let event t ~epoch ~name fields =
   push t (Event { epoch; name; fields })
 
 let items t = List.rev t.rev_items
+
+let spans t ~phase =
+  List.fold_left
+    (fun acc -> function
+      | Span { phase = p; ms; _ } when String.equal p phase -> ms :: acc
+      | Span _ | Event _ -> acc)
+    [] t.rev_items
 
 let length t = t.count
 

@@ -2,6 +2,11 @@
     discrete events (admit/reject/eject, reconfigurations, fault
     injections, recovery reconciliations).
 
+    A span's phase names one of two clocks: [model/fetch] and
+    [model/save] are the delay model's switch time (Fig 17's fetch and
+    save), and [epoch] and [epoch/…] measured controller time, each the
+    epoch cell of the {!Profile} span of that path.
+
     Items are buffered in memory in emission order and serialized to JSONL
     (one JSON object per line) by the exporter through {!item_json}, the
     one description the [inspect] subcommand and the tests read it back
@@ -18,11 +23,6 @@ type t
 
 val create : unit -> t
 
-val phases : string list
-(** The control loop's phases, in the order the controller traces each
-    epoch's spans and [inspect] lists them: fetch, estimate, allocate,
-    configure, report, epoch. *)
-
 val span : t -> epoch:int -> phase:string -> ms:float -> unit
 
 val event : t -> epoch:int -> name:string -> (string * field) list -> unit
@@ -30,6 +30,9 @@ val event : t -> epoch:int -> name:string -> (string * field) list -> unit
 
 val items : t -> item list
 (** Emission order. *)
+
+val spans : t -> phase:string -> float list
+(** The [ms] of every span of [phase], in emission order. *)
 
 val length : t -> int
 

@@ -22,9 +22,11 @@ let default_levels = [ 0.0; 0.25; 0.5; 1.0 ]
 
 (* Experiment.run's loop (admission storms draw from the driver's storm
    pool) plus what this sweep measures: epochs whose modelled fetch time
-   overran the deadline, and the largest staleness any task reached. *)
-let run_spec ?telemetry ?(config = Config.default) ~mode ~level ~degraded spec scenario strategy =
-  let config = { config with Config.faults = Some spec; degraded; telemetry } in
+   overran the deadline, read off the bundle's [model/fetch] spans, and the
+   largest staleness any task reached. *)
+let run_spec ?(telemetry = Dream_obs.Telemetry.create ()) ?(config = Config.default) ~mode ~level
+    ~degraded spec scenario strategy =
+  let config = { config with Config.faults = Some spec; degraded; telemetry = Some telemetry } in
   let deadline_ms =
     let d = match degraded with Some d -> d | None -> Config.default_degraded in
     d.Config.deadline_fraction *. Dream_switch.Delay_model.epoch_ms
@@ -36,7 +38,7 @@ let run_spec ?telemetry ?(config = Config.default) ~mode ~level ~degraded spec s
     max_staleness := max !max_staleness (Controller.max_staleness (Drive.controller drive))
   done;
   let controller = Drive.finish drive in
-  let fetch_ms = List.map (fun s -> s.Controller.fetch_ms) (Controller.delay_samples controller) in
+  let fetch_ms = Dream_obs.(Trace.spans (Telemetry.trace telemetry) ~phase:"model/fetch") in
   {
     level;
     mode;

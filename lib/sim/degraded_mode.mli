@@ -38,7 +38,9 @@ val run_point :
 (** One run at one adversity level.  [degraded] defaults to
     [Some Config.default_degraded] (fast-degrade); pass [None] for the
     stall-baseline.  Baseline runs are judged against the default deadline
-    so the violation counts are comparable. *)
+    so the violation counts are comparable.  The run records into
+    [telemetry] (default: a fresh bundle) and reads its modelled fetch
+    times back from the bundle's [model/fetch] spans. *)
 
 val sweep :
   ?config:Dream_core.Config.t ->

@@ -11,7 +11,6 @@ type result = {
   scenario : Scenario.t;
   summary : Metrics.summary;
   records : Metrics.record list;
-  delay_samples : Controller.delay_sample list;
   rules_installed : int;
   rules_fetched : int;
   robustness : Metrics.robustness;
@@ -32,7 +31,6 @@ let run ?(config = Config.default) (scenario : Scenario.t) strategy =
     scenario;
     summary = Controller.summary controller;
     records = Controller.records controller;
-    delay_samples = Controller.delay_samples controller;
     rules_installed = Controller.total_rules_installed controller;
     rules_fetched = Controller.total_rules_fetched controller;
     robustness = Controller.robustness controller;

@@ -7,7 +7,6 @@ type result = {
   scenario : Dream_workload.Scenario.t;
   summary : Dream_core.Metrics.summary;
   records : Dream_core.Metrics.record list;
-  delay_samples : Dream_core.Controller.delay_sample list;
   rules_installed : int;
   rules_fetched : int;
   robustness : Dream_core.Metrics.robustness;

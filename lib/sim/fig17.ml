@@ -1,8 +1,18 @@
 module Scenario = Dream_workload.Scenario
-module Controller = Dream_core.Controller
+module Config = Dream_core.Config
+module Telemetry = Dream_obs.Telemetry
+module Trace = Dream_obs.Trace
 module Stats = Dream_util.Stats
 
-let mean_of f samples = Stats.mean (List.map f samples)
+(* Run DREAM on [scenario] with a bundle attached: the result reads a
+   phase's spans back, oldest first. *)
+let traced_run scenario =
+  let bundle = Telemetry.create () in
+  ignore
+    (Experiment.run
+       ~config:{ Config.default with Config.telemetry = Some bundle }
+       scenario Experiment.dream_strategy);
+  fun phase -> Trace.spans (Telemetry.trace bundle) ~phase
 
 let run ~quick =
   let base = if quick then Fig06.quick_scale Scenario.default else Scenario.default in
@@ -15,20 +25,18 @@ let run ~quick =
   let headline = ref [] in
   List.iter
     (fun capacity ->
-      let scenario = { base with Scenario.capacity } in
-      let r = Experiment.run scenario Experiment.dream_strategy in
-      let samples = r.Experiment.delay_samples in
+      let spans = traced_run { base with Scenario.capacity } in
+      (* The paper's "report" is the reports and estimators: the estimate span. *)
       let phases =
-        [
-          ("fetch_ms", mean_of (fun s -> s.Controller.fetch_ms) samples);
-          ("save_ms", mean_of (fun s -> s.Controller.save_ms) samples);
-          ("report_ms", mean_of (fun s -> s.Controller.report_ms) samples);
-          ("allocate_ms", mean_of (fun s -> s.Controller.allocate_ms) samples);
-          ("configure_ms", mean_of (fun s -> s.Controller.configure_ms) samples);
-        ]
+        List.map
+          (fun (name, phase) -> (name, phase, Stats.mean (spans phase)))
+          [
+            ("fetch_ms", "model/fetch"); ("save_ms", "model/save"); ("report_ms", "epoch/estimate");
+            ("allocate_ms", "epoch/allocate"); ("configure_ms", "epoch/configure");
+          ]
       in
       if capacity = 1024 then headline := phases;
-      Table.row (string_of_int capacity :: List.map (fun (_, v) -> Table.f2 v) phases))
+      Table.row (string_of_int capacity :: List.map (fun (_, _, v) -> Table.f2 v) phases))
     [ 256; 512; 1024; 2048 ];
   Table.heading "Figure 17b: allocation delay vs switches per task (ms)";
   Table.row [ "sw/task"; "mean"; "p95" ];
@@ -36,13 +44,7 @@ let run ~quick =
   List.iter
     (fun k ->
       let scenario = { base with Scenario.switches_per_task = k; Scenario.capacity = 1024 } in
-      let r = Experiment.run scenario Experiment.dream_strategy in
-      let allocs =
-        List.filter_map
-          (fun s ->
-            if s.Controller.allocate_ms > 0.0 then Some s.Controller.allocate_ms else None)
-          r.Experiment.delay_samples
-      in
+      let allocs = List.filter (fun ms -> ms > 0.0) (traced_run scenario "epoch/allocate") in
       match allocs with
       | [] -> Table.row [ string_of_int k; "-"; "-" ]
       | _ :: _ ->
@@ -56,8 +58,8 @@ let run ~quick =
       ~tolerance_pct:Experiment.gate_tolerance name v
   in
   let info name v = Dream_obs.Bench_snapshot.metric ~unit_:"ms" name v in
-  let modelled = function "fetch_ms" | "save_ms" -> true | _ -> false in
   List.map
-    (fun (name, v) -> (if modelled name then gated else info) ("cap1024_" ^ name) v)
+    (fun (name, phase, v) ->
+      (if String.starts_with ~prefix:"model/" phase then gated else info) ("cap1024_" ^ name) v)
     !headline
   @ List.rev_map (fun (k, p95) -> info (Printf.sprintf "alloc_p95_ms_sw%d" k) p95) !alloc_p95

@@ -66,18 +66,13 @@ let run ~quick =
       Printf.sprintf "%.3f" (ms_per_epoch on_s) ];
   let overhead = if off_s > 0.0 then (on_s -. off_s) /. off_s *. 100.0 else 0.0 in
   Format.fprintf Table.out "@.overhead: %+.1f%% epoch time with telemetry enabled (budget < 5%%)@." overhead;
-  (match !last_bundle with
-  | Some bundle ->
-    Format.fprintf Table.out "trace items per run: %d@." (Trace.length (Telemetry.trace bundle))
-  | None -> ());
+  let trace_items =
+    Option.fold ~none:0 ~some:(fun b -> Trace.length (Telemetry.trace b)) !last_bundle
+  in
+  Format.fprintf Table.out "trace items per run: %d@." trace_items;
   let identical = off.Experiment.summary = on.Experiment.summary in
   Format.fprintf Table.out "zero-diff check: summaries %s@."
     (if identical then "identical" else "DIVERGED — telemetry touched simulation state!");
-  let trace_items =
-    match !last_bundle with
-    | Some bundle -> Trace.length (Telemetry.trace bundle)
-    | None -> 0
-  in
   (* One profiled run prices the epoch loop's allocations.  Two runs of one
      build need not agree to the word: the profiled epoch reads words from
      Gc_stats, whose major and promoted counts move with where collections

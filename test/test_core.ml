@@ -1,6 +1,6 @@
 (* Tests for dream.core: metrics summaries and the controller end-to-end —
-   admission, epochs, capacity safety, completion, drops, determinism, and
-   the delay samples. *)
+   admission, epochs, capacity safety, completion, drops, determinism, the
+   modelled delay spans, and a warmed controller retaining nothing. *)
 
 module Rng = Dream_util.Rng
 module Prefix = Prefix_ops
@@ -175,20 +175,52 @@ let test_controller_finalize_records_partial () =
   | _ -> Alcotest.fail "expected one record"
 
 let test_controller_delay_samples () =
-  let controller = mk_controller () in
+  let bundle = Dream_obs.Telemetry.create () in
+  let controller = mk_controller ~config:{ Config.default with Config.telemetry = Some bundle } () in
   let rng = Rng.create 13 in
   ignore (submit_task controller rng ~filter_index:1 ~duration:20);
   Controller.run controller ~epochs:20;
-  let samples = Controller.delay_samples controller in
-  Alcotest.(check int) "one sample per epoch" 20 (List.length samples);
   List.iter
-    (fun (s : Controller.delay_sample) ->
-      Alcotest.(check bool) "fetch cost non-negative" true (s.Controller.fetch_ms >= 0.0);
-      Alcotest.(check bool) "save cost non-negative" true (s.Controller.save_ms >= 0.0))
-    samples;
+    (fun phase ->
+      let spans = Dream_obs.Trace.spans (Dream_obs.Telemetry.trace bundle) ~phase in
+      Alcotest.(check int) (phase ^ " span per epoch") 20 (List.length spans);
+      List.iter
+        (fun ms -> Alcotest.(check bool) (phase ^ " cost non-negative") true (ms >= 0.0))
+        spans)
+    [ "model/fetch"; "model/save" ];
   Alcotest.(check bool) "rules were installed" true (Controller.total_rules_installed controller > 0);
   Alcotest.(check bool) "counters were fetched" true
     (Controller.total_rules_fetched controller > Controller.total_rules_installed controller)
+
+(* Four tasks that outlive the run, each replaying four pre-drawn epochs
+   of its own traffic, on a controller without a bundle: once warm, every
+   table has grown and a tick leaves nothing behind, so over N more ticks
+   (a whole number of replay cycles) the controller's reachable words grow
+   by fewer than N. *)
+let test_controller_retains_nothing_per_epoch () =
+  let controller = mk_controller () in
+  let rng = Rng.create 17 in
+  for i = 0 to 3 do
+    let filter = Prefix.nth_descendant Prefix.root ~length:12 (i * 53) in
+    let topology = Topology.create rng ~filter ~num_switches:4 ~switches_per_task:4 in
+    let spec =
+      Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter ~leaf_length:24 ~threshold:8.0 ()
+    in
+    let generator =
+      Generator.create (Rng.split rng) ~topology ~profile:(Profile.default ~threshold:8.0)
+    in
+    let epochs = Array.init 4 (fun _ -> Generator.next generator) in
+    match Controller.submit controller ~spec ~topology ~source:(Source.replay epochs) ~duration:1_000 with
+    | `Admitted _ -> ()
+    | `Rejected -> Alcotest.fail "a fixed task was rejected"
+  done;
+  Controller.run controller ~epochs:60;
+  let before = Obj.reachable_words (Obj.repr controller) in
+  let n = 100 in
+  Controller.run controller ~epochs:n;
+  Alcotest.(check int) "the task set is fixed" 4 (Controller.active_tasks controller);
+  let grown = Obj.reachable_words (Obj.repr controller) - before in
+  if grown >= n then Alcotest.failf "%d ticks grew the controller by %d words" n grown
 
 let test_controller_prototype_config_degrades () =
   (* The control-delay model must not crash and should produce plausible
@@ -1080,6 +1112,8 @@ let () =
           Alcotest.test_case "finalize records partial" `Quick
             test_controller_finalize_records_partial;
           Alcotest.test_case "delay samples" `Quick test_controller_delay_samples;
+          Alcotest.test_case "retains nothing per epoch" `Quick
+            test_controller_retains_nothing_per_epoch;
           Alcotest.test_case "prototype config degrades gracefully" `Quick
             test_controller_prototype_config_degrades;
           Alcotest.test_case "drops release rules" `Quick test_controller_drops_release_rules;

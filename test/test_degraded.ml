@@ -252,7 +252,8 @@ type run_result = {
 }
 
 let run_controller config =
-  let controller = mk_controller ~config () in
+  let bundle = Dream_obs.Telemetry.create () in
+  let controller = mk_controller ~config:{ config with Config.telemetry = Some bundle } () in
   let rng = Rng.create 21 in
   for i = 0 to 7 do
     ignore (submit_task controller rng ~filter_index:i ~duration:25)
@@ -263,9 +264,8 @@ let run_controller config =
     summary = Controller.summary controller;
     records = Controller.records controller;
     modelled_delays =
-      List.map
-        (fun (s : Controller.delay_sample) -> (s.Controller.fetch_ms, s.Controller.save_ms))
-        (Controller.delay_samples controller);
+      (let spans phase = Dream_obs.Trace.spans (Dream_obs.Telemetry.trace bundle) ~phase in
+       List.combine (spans "model/fetch") (spans "model/save"));
   }
 
 let test_degraded_zero_diff () =
@@ -379,7 +379,7 @@ let test_storm_pending_surface () =
 (* One seeded degraded-mode run whose breakers open, probe and close and
    whose deadline sheds, pinned by a digest of what it decides each
    epoch: breaker states, staleness levels and robustness tallies, the
-   delay samples' fetch_ms bits and the trace's breaker and shed events.
+   model/fetch spans' bits and the trace's breaker and shed events.
    Any change to the order of breaker steps, sheds, decays or staleness
    updates moves it. *)
 let test_degraded_run_pinned () =
@@ -410,9 +410,8 @@ let test_degraded_run_pinned () =
     Buffer.add_char b '\n'
   done;
   List.iter
-    (fun (s : Controller.delay_sample) ->
-      Buffer.add_string b (Printf.sprintf "%Lx\n" (Int64.bits_of_float s.Controller.fetch_ms)))
-    (Controller.delay_samples controller);
+    (fun ms -> Buffer.add_string b (Printf.sprintf "%Lx\n" (Int64.bits_of_float ms)))
+    (Dream_obs.Trace.spans (Dream_obs.Telemetry.trace bundle) ~phase:"model/fetch");
   let count name =
     List.length
       (List.filter

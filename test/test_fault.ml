@@ -258,11 +258,12 @@ let submit_task controller rng ~filter_index ~duration =
 type run_result = {
   summary : Metrics.summary;
   records : Metrics.record list;
-  modelled_delays : (float * float) list; (* (fetch_ms, save_ms), deterministic *)
+  modelled_delays : (float * float) list; (* the model/fetch and model/save spans *)
 }
 
 let run_controller config =
-  let controller = mk_controller ~config () in
+  let bundle = Dream_obs.Telemetry.create () in
+  let controller = mk_controller ~config:{ config with Config.telemetry = Some bundle } () in
   let rng = Rng.create 21 in
   for i = 0 to 7 do
     ignore (submit_task controller rng ~filter_index:i ~duration:25)
@@ -273,9 +274,8 @@ let run_controller config =
     summary = Controller.summary controller;
     records = Controller.records controller;
     modelled_delays =
-      List.map
-        (fun (s : Controller.delay_sample) -> (s.Controller.fetch_ms, s.Controller.save_ms))
-        (Controller.delay_samples controller);
+      (let spans phase = Dream_obs.Trace.spans (Dream_obs.Telemetry.trace bundle) ~phase in
+       List.combine (spans "model/fetch") (spans "model/save"));
   }
 
 let test_zero_spec_identical_to_no_faults () =

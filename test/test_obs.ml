@@ -14,7 +14,6 @@ module Inspect = Dream_obs.Inspect
 module Gc_stats = Dream_obs.Gc_stats
 module Scenario = Dream_workload.Scenario
 module Config = Dream_core.Config
-module Controller = Dream_core.Controller
 module Fetch = Dream_core.Fetch
 module Metrics = Dream_core.Metrics
 module Delay_model = Dream_switch.Delay_model
@@ -22,6 +21,7 @@ module Fault_model = Dream_fault.Fault_model
 module Experiment = Dream_sim.Experiment
 module Fig06 = Dream_sim.Fig06
 module Degraded_mode = Dream_sim.Degraded_mode
+module Drive = Dream_workload.Drive
 
 (* {1 Gc_stats} *)
 
@@ -300,7 +300,7 @@ let test_export_and_inspect () =
         Alcotest.(check bool) "spans recorded" true (report.Inspect.spans > 0);
         Alcotest.(check bool) "events recorded" true (report.Inspect.events > 0);
         Alcotest.(check bool) "epoch phases present" true
-          (List.exists (fun p -> p.Inspect.phase = "epoch") report.Inspect.phases);
+          (List.exists (fun p -> p.Inspect.phase = "epoch") report.Inspect.measured);
         (* The Prometheus snapshot read back agrees with the run's own
            robustness record — the dedup guarantee. *)
         let rob = result.Experiment.robustness in
@@ -316,6 +316,59 @@ let test_export_and_inspect () =
           (counter report "rules_installed");
         Alcotest.(check int) "rules_fetched counter" result.Experiment.rules_fetched
           (counter report "rules_fetched"))
+
+(* Each measured child span is at most the epoch in every epoch, so each
+   quantile of it is at most the epoch's too. *)
+let test_inspect_children_within_epoch () =
+  let bundle = Telemetry.create () in
+  ignore
+    (Experiment.run ~config:(config ~telemetry:(Some bundle)) scenario Experiment.dream_strategy);
+  with_temp_dir (fun dir ->
+      (match Telemetry.write_dir bundle ~dir with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "write_dir: %s" e);
+      match Inspect.load dir with
+      | Error e -> Alcotest.failf "Inspect.load: %s" e
+      | Ok report ->
+        let names rows = List.map (fun p -> p.Inspect.phase) rows in
+        Alcotest.(check (list string)) "modelled rows" [ "model/fetch"; "model/save" ]
+          (names report.Inspect.modelled);
+        Alcotest.(check int) "measured rows" 8 (List.length report.Inspect.measured);
+        let epoch =
+          match List.find_opt (fun p -> p.Inspect.phase = "epoch") report.Inspect.measured with
+          | Some p -> p
+          | None -> Alcotest.fail "no epoch row"
+        in
+        List.iter
+          (fun (p : Inspect.phase_stat) ->
+            List.iter
+              (fun (what, f) ->
+                if f p > f epoch then
+                  Alcotest.failf "%s %s %.6f exceeds the epoch's %.6f" p.Inspect.phase what (f p)
+                    (f epoch))
+              [
+                ("p50", fun p -> p.Inspect.p50_ms); ("p95", fun p -> p.Inspect.p95_ms);
+                ("max", fun p -> p.Inspect.max_ms);
+              ])
+          report.Inspect.measured)
+
+(* switches.csv is read like tasks.csv: a row that is not six integers
+   fails the load at its own line. *)
+let test_inspect_rejects_bad_switch_row () =
+  with_temp_dir (fun dir ->
+      (match Telemetry.write_dir (Telemetry.create ()) ~dir with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "write_dir: %s" e);
+      let path = Filename.concat dir "switches.csv" in
+      List.iter
+        (fun (row, expected) ->
+          Out_channel.with_open_text path (fun oc ->
+              Printf.fprintf oc "epoch,switch,rules,fetches,installs,removals\n0,1,2,3,4,5\n%s\n"
+                row);
+          match Inspect.load dir with
+          | Ok _ -> Alcotest.failf "row %S loaded" row
+          | Error e -> Alcotest.(check string) row (Printf.sprintf "%s:3: %s" path expected) e)
+        [ ("0,1,x,3,4,5", "malformed row"); ("0,1,2,3,4", "expected 6 columns") ])
 
 (* A degraded-mode run at full adversity opens breakers and sheds; the
    inspect report of its bundle prints every nonzero robustness counter
@@ -404,8 +457,8 @@ let pin_bundle =
 let test_bundle_bytes_pinned () =
   let trace, profile = Lazy.force pin_bundle in
   let md5 s = Digest.to_hex (Digest.string s) in
-  Alcotest.(check string) "trace.jsonl md5" "050b41afa0c80cac1fc19e3d66c2e946" (md5 trace);
-  Alcotest.(check string) "profile.json md5" "b01db0e34307c7f320102493ddfbae03" (md5 profile)
+  Alcotest.(check string) "trace.jsonl md5" "13e375a2621dbb113f96f64b7acdb457" (md5 trace);
+  Alcotest.(check string) "profile.json md5" "8d1617eb02cdd38fc0d5907f441cda7d" (md5 profile)
 
 let decoding d s = Result.bind (Json.of_string s) (Json.decode d)
 
@@ -439,79 +492,82 @@ let fuzz_trace =
 
 (* {1 Phase views}
 
-   Four views carry each epoch's phase split: the Fig 17 delay sample, the
-   trace spans, the [phase_ms] histograms and the profile.  They are read
-   off one recorder, so on the real CPU clock they agree bit for bit. *)
+   Three views carry each epoch's phase split: the trace spans, the
+   [phase_ms] histograms and the profile.  They are read off one recorder,
+   so on the real CPU clock they agree bit for bit. *)
 
 (* Fault-free, so every epoch is priced by the delay model alone. *)
 let traced_run () =
   let profile = Profile.create () in
   let bundle = Telemetry.create ~profile () in
-  let result =
-    Experiment.run
-      ~config:{ Config.default with Config.telemetry = Some bundle }
-      scenario Experiment.dream_strategy
-  in
-  (bundle, profile, result)
+  ignore
+    (Experiment.run
+       ~config:{ Config.default with Config.telemetry = Some bundle }
+       scenario Experiment.dream_strategy);
+  bundle
 
 let check_bits msg expected actual =
   if Int64.bits_of_float expected <> Int64.bits_of_float actual then
     Alcotest.failf "%s: expected %h, got %h" msg expected actual
 
-(* The trace spans of one phase, in emission (= epoch) order. *)
-let spans_of bundle phase =
-  List.filter_map
-    (function
-      | Trace.Span { epoch; phase = p; ms } when String.equal p phase -> Some (epoch, ms)
-      | Trace.Span _ | Trace.Event _ -> None)
-    (Trace.items (Telemetry.trace bundle))
+let spans_of bundle phase = Trace.spans (Telemetry.trace bundle) ~phase
 
 let sum = List.fold_left ( +. ) 0.0
 
+let measured_paths =
+  [
+    "epoch"; "epoch/fetch"; "epoch/estimate"; "epoch/ground_truth"; "epoch/allocate";
+    "epoch/configure"; "epoch/rule_sync"; "epoch/retire";
+  ]
+
+(* Ticked one epoch at a time: after each tick, every measured path's
+   spans add up, in epoch order, to the profile's total over the closed
+   epochs, as the profile folds each epoch cell in.  The trace holds the
+   modelled pair and the measured paths, one span each per epoch. *)
 let test_phase_views_agree () =
-  let bundle, profile, result = traced_run () in
-  let samples = result.Experiment.delay_samples in
-  let epochs = List.length samples in
-  Alcotest.(check bool) "the run ticked" true (epochs > 0);
-  let per_epoch phase field =
-    let spans = spans_of bundle phase in
-    Alcotest.(check int) (phase ^ " span per epoch") epochs (List.length spans);
-    List.iter2
-      (fun (epoch, ms) (s : Controller.delay_sample) ->
-        Alcotest.(check int) (phase ^ " span epoch") s.Controller.epoch epoch;
-        check_bits (Printf.sprintf "epoch %d %s" epoch phase) (field s) ms)
-      spans samples
+  let profile = Profile.create () in
+  let bundle = Telemetry.create ~profile () in
+  let drive =
+    Drive.create
+      ~config:{ Config.default with Config.telemetry = Some bundle }
+      ~strategy:Experiment.dream_strategy scenario
   in
-  per_epoch "estimate" (fun s -> s.Controller.report_ms);
-  per_epoch "allocate" (fun s -> s.Controller.allocate_ms);
-  per_epoch "configure" (fun s -> s.Controller.configure_ms +. s.Controller.save_ms);
-  let registry = Telemetry.registry bundle in
-  List.iter
-    (fun phase ->
-      let spans = List.map snd (spans_of bundle phase) in
-      let series suffix = Printf.sprintf "dream_phase_ms_%s{phase=\"%s\"}" suffix phase in
-      Alcotest.(check int) (phase ^ " phase_ms count") (List.length spans)
-        (int_of_float (Prom_text.value registry (series "count")));
-      check_bits (phase ^ " phase_ms sum") (sum spans) (Prom_text.value registry (series "sum")))
-    [ "fetch"; "estimate"; "allocate"; "configure"; "report"; "epoch" ];
+  let epochs = scenario.Scenario.total_epochs in
   let wall path =
     match Profile.find profile path with
     | Some s -> s.Profile.wall_ms
     | None -> Alcotest.failf "no %s span in the profile" path
   in
-  let sample_sum field = sum (List.map field samples) in
-  check_bits "epoch/estimate wall" (sample_sum (fun s -> s.Controller.report_ms))
-    (wall "epoch/estimate");
-  check_bits "epoch/allocate wall" (sample_sum (fun s -> s.Controller.allocate_ms))
-    (wall "epoch/allocate");
-  check_bits "epoch/configure wall" (sample_sum (fun s -> s.Controller.configure_ms))
-    (wall "epoch/configure");
-  check_bits "epoch wall" (sum (List.map snd (spans_of bundle "epoch"))) (wall "epoch");
+  for epoch = 1 to epochs do
+    Drive.step drive;
+    List.iter
+      (fun path ->
+        let spans = spans_of bundle path in
+        Alcotest.(check int) (path ^ " span per epoch") epoch (List.length spans);
+        check_bits (Printf.sprintf "epoch %d %s" epoch path) (sum spans) (wall path))
+      measured_paths
+  done;
+  let phases = "model/fetch" :: "model/save" :: measured_paths in
+  Alcotest.(check (list string)) "span phases, in emission order" phases
+    (List.fold_left
+       (fun acc -> function
+         | Trace.Span { phase; _ } when not (List.mem phase acc) -> acc @ [ phase ]
+         | Trace.Span _ | Trace.Event _ -> acc)
+       [] (Trace.items (Telemetry.trace bundle)));
+  let registry = Telemetry.registry bundle in
+  List.iter
+    (fun phase ->
+      let spans = spans_of bundle phase in
+      let series suffix = Printf.sprintf "dream_phase_ms_%s{phase=\"%s\"}" suffix phase in
+      Alcotest.(check int) (phase ^ " phase_ms count") (List.length spans)
+        (int_of_float (Prom_text.value registry (series "count")));
+      check_bits (phase ^ " phase_ms sum") (sum spans) (Prom_text.value registry (series "sum")))
+    phases;
   let stats = Profile.stats profile in
   Alcotest.(check (list string)) "profile paths"
     [
       "epoch"; "epoch/allocate"; "epoch/configure"; "epoch/estimate"; "epoch/fetch";
-      "epoch/ground_truth"; "epoch/rule_sync";
+      "epoch/ground_truth"; "epoch/retire"; "epoch/rule_sync";
     ]
     (List.map (fun s -> s.Profile.path) stats);
   List.iter
@@ -541,13 +597,14 @@ let switches_csv bundle =
       in
       rows [])
 
-(* [price] turns the epoch's TCAM stats into Fig 17's modelled fetch and
-   save times; switches.csv records the same stats, so the two rebuild each
-   other.  Retirement runs after pricing: a completing task's rule removals
+(* The model/fetch and model/save spans are Fig 17's modelled fetch and
+   save times, priced from the epoch's TCAM stats; switches.csv records the
+   same stats, so the two rebuild each other.  Retirement runs after
+   pricing: a completing task's rule removals
    land in that epoch's switches.csv row but not in its save time, so on
    those epochs the rebuilt save time is only an upper bound. *)
 let test_price_from_switch_rows () =
-  let bundle, _, result = traced_run () in
+  let bundle = traced_run () in
   let rows = switches_csv bundle in
   let completed =
     List.filter_map
@@ -557,9 +614,9 @@ let test_price_from_switch_rows () =
       (Trace.items (Telemetry.trace bundle))
   in
   let exact_saves = ref 0 in
-  List.iter
-    (fun (s : Controller.delay_sample) ->
-      let epoch = s.Controller.epoch in
+  (* One span of each per epoch, from epoch 0. *)
+  List.iteri
+    (fun epoch (fetch_ms, save_ms) ->
       let mine = List.filter (fun (r : Telemetry.switch_row) -> r.Telemetry.epoch = epoch) rows in
       let total f = List.fold_left (fun acc r -> acc + f r) 0 mine in
       let touched =
@@ -571,7 +628,7 @@ let test_price_from_switch_rows () =
       check_bits
         (Printf.sprintf "epoch %d fetch_ms" epoch)
         (Delay_model.fetch_ms ~rules:(total (fun r -> r.Telemetry.fetches)) ~switches:touched)
-        s.Controller.fetch_ms;
+        fetch_ms;
       let save =
         Delay_model.save_ms
           ~installs:(total (fun r -> r.Telemetry.installs))
@@ -579,15 +636,15 @@ let test_price_from_switch_rows () =
           ~switches:touched
       in
       if List.mem epoch completed then begin
-        if s.Controller.save_ms > save then
-          Alcotest.failf "epoch %d save_ms %h exceeds the switches.csv bound %h" epoch
-            s.Controller.save_ms save
+        if save_ms > save then
+          Alcotest.failf "epoch %d save_ms %h exceeds the switches.csv bound %h" epoch save_ms
+            save
       end
       else begin
-        check_bits (Printf.sprintf "epoch %d save_ms" epoch) save s.Controller.save_ms;
-        if s.Controller.save_ms > 0.0 then incr exact_saves
+        check_bits (Printf.sprintf "epoch %d save_ms" epoch) save save_ms;
+        if save_ms > 0.0 then incr exact_saves
       end)
-    result.Experiment.delay_samples;
+    (List.combine (spans_of bundle "model/fetch") (spans_of bundle "model/save"));
   Alcotest.(check bool) "some epochs priced rule updates exactly" true (!exact_saves > 0)
 
 let () =
@@ -624,6 +681,10 @@ let () =
           Alcotest.test_case "export and inspect" `Quick test_export_and_inspect;
           Alcotest.test_case "inspect prints degraded-mode counters" `Quick
             test_inspect_prints_degraded_counters;
+          Alcotest.test_case "inspect: no measured row above the epoch" `Quick
+            test_inspect_children_within_epoch;
+          Alcotest.test_case "inspect rejects a malformed switches.csv row" `Quick
+            test_inspect_rejects_bad_switch_row;
           Alcotest.test_case "phase views agree" `Quick test_phase_views_agree;
           Alcotest.test_case "bundle bytes pinned" `Quick test_bundle_bytes_pinned;
           Alcotest.test_case "bundle reads back" `Quick test_bundle_reads_back;

@@ -5,6 +5,9 @@
 module Task_spec = Dream_tasks.Task_spec
 module Scenario = Dream_workload.Scenario
 module Metrics = Dream_core.Metrics
+module Config = Dream_core.Config
+module Telemetry = Dream_obs.Telemetry
+module Trace = Dream_obs.Trace
 module Allocator = Dream_alloc.Allocator
 module Step_policy = Dream_alloc.Step_policy
 module Experiment = Dream_sim.Experiment
@@ -27,10 +30,16 @@ let small =
   }
 
 let test_experiment_runs () =
-  let r = Experiment.run small Experiment.dream_strategy in
+  let bundle = Telemetry.create () in
+  let r =
+    Experiment.run
+      ~config:{ Config.default with Config.telemetry = Some bundle }
+      small Experiment.dream_strategy
+  in
   Alcotest.(check string) "strategy name" "DREAM" r.Experiment.strategy;
   Alcotest.(check int) "all submissions accounted" 12 r.Experiment.summary.Metrics.submitted;
-  Alcotest.(check int) "delay sample per epoch" 120 (List.length r.Experiment.delay_samples);
+  Alcotest.(check int) "model/fetch span per epoch" 120
+    (List.length (Trace.spans (Telemetry.trace bundle) ~phase:"model/fetch"));
   Alcotest.(check bool) "some satisfaction" true
     (r.Experiment.summary.Metrics.mean_satisfaction > 30.0)
 
