@@ -375,16 +375,7 @@ let degraded_mode (scenario, strategy) levels fault_seed deadline_fraction telem
     (Allocator.strategy_name strategy)
     (String.concat "," (List.map (Printf.sprintf "%g") levels))
     (deadline_fraction *. 100.0);
-  let points =
-    List.concat_map
-      (fun level ->
-        [
-          Degraded_mode.run_point ~fault_seed ~degraded:(Some degraded) scenario strategy level;
-          Degraded_mode.run_point ~fault_seed ~degraded:None scenario strategy level;
-        ])
-      levels
-  in
-  Degraded_mode.print_points points;
+  Degraded_mode.print_points (Degraded_mode.sweep ~fault_seed ~degraded ~levels scenario strategy);
   match (telemetry, telemetry_dir) with
   | Some bundle, Some dir ->
     (* One more degraded run, at the highest level, with the bundle

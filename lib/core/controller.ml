@@ -669,9 +669,7 @@ let record_telemetry t scores =
         Tr.span tr ~epoch ~phase:name ~ms;
         Obs.Registry.Histogram.observe (Lazy.force hist) ms)
       t.phases;
-    let p = t.profile and sp = t.spans in
-    Obs.Profile.observe_epoch t.registry ~wall_ms:(Obs.Profile.epoch_ms p sp.epoch_span)
-      ~gc:(Obs.Profile.epoch_gc p sp.epoch_span);
+    Obs.Profile.observe_epoch t.registry t.profile t.spans.epoch_span;
     List.iter
       (fun (id, kind, accuracy, satisfied) ->
         Obs.Telemetry.record_task tel

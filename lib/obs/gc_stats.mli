@@ -17,15 +17,9 @@ type reading = {
   compactions : int;
 }
 
-val zero : reading
-
 val sub : reading -> reading -> reading
 (** [sub after before] is the component-wise delta of two cumulative
     readings. *)
-
-val add : reading -> reading -> reading
-(** Component-wise sum — accumulating deltas across the fragments of a
-    non-contiguous span. *)
 
 type t
 

@@ -186,12 +186,13 @@ let load ?(top = 5) dir =
   let* churn = load_tasks (Filename.concat dir "tasks.csv") in
   let* profile = load_profile (Filename.concat dir "profile.json") in
   let* () = load_switches (Filename.concat dir "switches.csv") in
+  (* Epochs are counted from spans alone: every tick writes them, while
+     the events of finalize carry the epoch after the last tick. *)
   let epochs = Hashtbl.create 64 and event_tbl = Hashtbl.create 16 in
   List.iter
     (function
       | Trace.Span { epoch; _ } -> Hashtbl.replace epochs epoch ()
-      | Trace.Event { epoch; name; _ } ->
-        Hashtbl.replace epochs epoch ();
+      | Trace.Event { name; _ } ->
         let n = Option.value ~default:0 (Hashtbl.find_opt event_tbl name) in
         Hashtbl.replace event_tbl name (n + 1))
     items;

@@ -28,7 +28,7 @@ type task_churn = {
 
 type report = {
   dir : string;
-  epochs : int;  (** distinct epochs covered by the trace *)
+  epochs : int;  (** distinct epochs of the trace's spans, which every tick writes *)
   spans : int;
   events : int;
   modelled : phase_stat list;  (** [model/…] spans, the delay model's switch time *)

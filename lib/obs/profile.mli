@@ -38,7 +38,7 @@ val create : ?clock:Clock.t -> ?gc:Gc_stats.t -> unit -> t
 
 val wall_only : unit -> t
 (** A {!Clock.cpu} profile with no GC source: it times spans but never
-    reads the GC, and its stats carry {!Gc_stats.zero}. *)
+    reads the GC, and its stats carry zero GC deltas. *)
 
 val intern : t -> string -> span
 (** The span recording under [path], created on first use; interning a
@@ -57,9 +57,6 @@ val stop : t -> span -> unit
 val epoch_ms : t -> span -> float
 (** The span's wall time so far this epoch. *)
 
-val epoch_gc : t -> span -> Gc_stats.reading
-(** The span's GC delta so far this epoch. *)
-
 val close_epoch : t -> unit
 (** Fold every span's epoch cell into its stat and clear the cells. *)
 
@@ -69,8 +66,8 @@ val stats : t -> stat list
 
 val find : t -> string -> stat option
 
-val observe_epoch : Registry.t -> wall_ms:float -> gc:Gc_stats.reading -> unit
-(** Fold one epoch's measured cost into a metrics registry: an
+val observe_epoch : Registry.t -> t -> span -> unit
+(** Fold the span's cost so far this epoch into a metrics registry: an
     [epoch_alloc_words] histogram and [alloc_rate_words_per_ms] gauge
     (allocation rate), [gc_minor_collections]/[gc_major_collections]/
     [gc_compactions] counters, and a [gc_major_epoch_ms] histogram of the

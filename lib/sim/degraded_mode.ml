@@ -24,9 +24,11 @@ let default_levels = [ 0.0; 0.25; 0.5; 1.0 ]
    pool) plus what this sweep measures: epochs whose modelled fetch time
    overran the deadline, read off the bundle's [model/fetch] spans, and the
    largest staleness any task reached. *)
-let run_spec ?(telemetry = Dream_obs.Telemetry.create ()) ?(config = Config.default) ~mode ~level
-    ~degraded spec scenario strategy =
-  let config = { config with Config.faults = Some spec; degraded; telemetry = Some telemetry } in
+let run_spec ?(telemetry = Dream_obs.Telemetry.create ()) ~mode ~level ~degraded spec scenario
+    strategy =
+  let config =
+    { Config.default with Config.faults = Some spec; degraded; telemetry = Some telemetry }
+  in
   let deadline_ms =
     let d = match degraded with Some d -> d | None -> Config.default_degraded in
     d.Config.deadline_fraction *. Dream_switch.Delay_model.epoch_ms
@@ -51,23 +53,23 @@ let run_spec ?(telemetry = Dream_obs.Telemetry.create ()) ?(config = Config.defa
     storm_submissions = Drive.storm_submissions drive;
   }
 
-let run_point ?telemetry ?config ?(fault_seed = 97) ?(degraded = Some Config.default_degraded)
-    scenario strategy level =
+let default_fault_seed = 97
+
+let run_point ?telemetry ?(fault_seed = default_fault_seed)
+    ?(degraded = Some Config.default_degraded) scenario strategy level =
   let mode = match degraded with Some _ -> "degraded" | None -> "baseline" in
-  run_spec ?telemetry ?config ~mode ~level ~degraded
+  run_spec ?telemetry ~mode ~level ~degraded
     (Fault_model.adversity ~seed:fault_seed level)
     scenario strategy
 
-let sweep ?config ?fault_seed ?(levels = default_levels) scenario strategy =
+let sweep ?fault_seed ~degraded ~levels scenario strategy =
   List.concat_map
     (fun level ->
       [
-        run_point ?config ?fault_seed ~degraded:(Some Config.default_degraded) scenario strategy
-          level;
-        run_point ?config ?fault_seed ~degraded:None scenario strategy level;
+        run_point ?fault_seed ~degraded:(Some degraded) scenario strategy level;
+        run_point ?fault_seed ~degraded:None scenario strategy level;
       ])
     levels
-[@@lint.allow "oracle hook: test/test_degraded.ml"]
 
 (* The acceptance experiment: partitions always take out exactly a quarter
    of the fleet.  With the 4 [Fault_model.partition_groups] and
@@ -76,41 +78,14 @@ let sweep ?config ?fault_seed ?(levels = default_levels) scenario strategy =
    rate gives recurring windows with a roughly 50% duty cycle
    (rate * mean / (1 + rate * mean)); [~rate:1.0] makes the partition
    essentially permanent — the sustained extreme the figure also plots. *)
-let quarter_partition_spec ?(seed = 97) ?(rate = 0.12) () =
+let quarter_partition_spec ~rate =
   {
     Fault_model.zero with
-    Fault_model.seed;
+    Fault_model.seed = default_fault_seed;
     partition_rate = rate;
     mean_partition = 8.0;
     partition_eligible = 1;
   }
-
-type quarter = {
-  q_baseline : point;
-  q_partition : point;
-  q_stall : point;
-  q_sustained : point;
-}
-
-let run_quarter ?config ?(fault_seed = 97) scenario strategy =
-  let degraded = Some Config.default_degraded in
-  let q_baseline =
-    run_spec ?config ~mode:"no-partition" ~level:0.0 ~degraded
-      { Fault_model.zero with Fault_model.seed = fault_seed }
-      scenario strategy
-  in
-  let spec = quarter_partition_spec ~seed:fault_seed () in
-  let q_partition =
-    run_spec ?config ~mode:"partition-25%" ~level:0.25 ~degraded spec scenario strategy
-  in
-  let q_stall = run_spec ?config ~mode:"stall-25%" ~level:0.25 ~degraded:None spec scenario strategy in
-  let q_sustained =
-    run_spec ?config ~mode:"sustained-25%" ~level:0.25 ~degraded
-      (quarter_partition_spec ~seed:fault_seed ~rate:1.0 ())
-      scenario strategy
-  in
-  { q_baseline; q_partition; q_stall; q_sustained }
-[@@lint.allow "oracle hook: test/test_degraded.ml"]
 
 let print_points points =
   Table.row
@@ -145,18 +120,30 @@ let run ~quick =
   Table.heading
     "degraded mode: fast-degrade (breakers + deadline shedding) vs stall-baseline, by adversity \
      level";
-  print_points (sweep ~levels base Experiment.dream_strategy);
+  print_points (sweep ~degraded:Config.default_degraded ~levels base Experiment.dream_strategy);
   Table.subheading
     "25% partition acceptance (groups=4, eligible=1; recurring ~50% duty, plus the sustained \
      extreme)";
-  let q = run_quarter base Experiment.dream_strategy in
-  print_points [ q.q_baseline; q.q_partition; q.q_stall; q.q_sustained ];
-  let b = q.q_baseline.summary.Metrics.mean_satisfaction in
-  let p = q.q_partition.summary.Metrics.mean_satisfaction in
+  let degraded = Some Config.default_degraded and recurring = quarter_partition_spec ~rate:0.12 in
+  let acceptance ~mode ~level ~degraded spec =
+    run_spec ~mode ~level ~degraded spec base Experiment.dream_strategy
+  in
+  let baseline =
+    acceptance ~mode:"no-partition" ~level:0.0 ~degraded
+      { Fault_model.zero with Fault_model.seed = default_fault_seed }
+  in
+  let partition = acceptance ~mode:"partition-25%" ~level:0.25 ~degraded recurring in
+  let stall = acceptance ~mode:"stall-25%" ~level:0.25 ~degraded:None recurring in
+  let sustained =
+    acceptance ~mode:"sustained-25%" ~level:0.25 ~degraded (quarter_partition_spec ~rate:1.0)
+  in
+  print_points [ baseline; partition; stall; sustained ];
+  let b = baseline.summary.Metrics.mean_satisfaction in
+  let p = partition.summary.Metrics.mean_satisfaction in
   let drop = if b > 0.0 then (b -. p) /. b *. 100.0 else 0.0 in
   Format.fprintf Table.out
     "@.satisfaction drop under 25%% partition: %.1f%% (budget 15%%); deadline violations: %d@."
-    drop q.q_partition.deadline_violations;
+    drop partition.deadline_violations;
   (* The acceptance pair as snapshot metrics: all modelled quantities, so
      they reproduce exactly from the seed and gate tightly. *)
   let tol = Experiment.gate_tolerance in
@@ -170,14 +157,14 @@ let run ~quick =
     pct "partition_satisfaction" Snapshot.Higher_better p;
     pct "satisfaction_drop_pct" Snapshot.Lower_better drop;
     Snapshot.metric ~unit_:"pct" "drop_budget_pct" 15.0;
-    count "deadline_violations" q.q_partition.deadline_violations;
+    count "deadline_violations" partition.deadline_violations;
     Snapshot.metric ~unit_:"count" "stall_deadline_violations"
-      (float_of_int q.q_stall.deadline_violations);
+      (float_of_int stall.deadline_violations);
     Snapshot.metric ~unit_:"ms" ~direction:Snapshot.Lower_better ~tolerance_pct:tol
-      "worst_fetch_ms" q.q_partition.worst_fetch_ms;
-    count "max_staleness" q.q_partition.max_staleness;
+      "worst_fetch_ms" partition.worst_fetch_ms;
+    count "max_staleness" partition.max_staleness;
     Snapshot.metric ~unit_:"count" "storm_submissions"
-      (float_of_int q.q_partition.storm_submissions);
+      (float_of_int partition.storm_submissions);
     pct "sustained_satisfaction" Snapshot.Higher_better
-      q.q_sustained.summary.Metrics.mean_satisfaction;
+      sustained.summary.Metrics.mean_satisfaction;
   ]

@@ -28,7 +28,6 @@ val default_levels : float list
 
 val run_point :
   ?telemetry:Dream_obs.Telemetry.t ->
-  ?config:Dream_core.Config.t ->
   ?fault_seed:int ->
   ?degraded:Dream_core.Config.degraded option ->
   Dream_workload.Scenario.t ->
@@ -43,34 +42,25 @@ val run_point :
     times back from the bundle's [model/fetch] spans. *)
 
 val sweep :
-  ?config:Dream_core.Config.t ->
   ?fault_seed:int ->
-  ?levels:float list ->
+  degraded:Dream_core.Config.degraded ->
+  levels:float list ->
   Dream_workload.Scenario.t ->
   Dream_alloc.Allocator.strategy ->
   point list
-(** Degraded and baseline runs, paired per level. *)
-
-type quarter = {
-  q_baseline : point;  (** degraded mode on, no faults at all *)
-  q_partition : point;  (** degraded mode on, 25% of the fleet partitioned (default duty cycle) *)
-  q_stall : point;  (** degraded mode off under the same partition — the stall-baseline *)
-  q_sustained : point;  (** degraded mode on, the partition held open back-to-back *)
-}
-
-val run_quarter :
-  ?config:Dream_core.Config.t ->
-  ?fault_seed:int ->
-  Dream_workload.Scenario.t ->
-  Dream_alloc.Allocator.strategy ->
-  quarter
-(** The acceptance pair: the controller must keep every epoch inside its
-    deadline and hold mean satisfaction within 15% of [q_baseline]. *)
+(** Per level, a fast-degrade run under [degraded] then a stall-baseline
+    run. *)
 
 val print_points : point list -> unit
 
 val run : quick:bool -> Dream_obs.Bench_snapshot.metric list
 (** The full figure: the adversity sweep (degraded vs baseline per level)
-    followed by the 25%-partition acceptance pair, whose numbers are
-    returned as the [BENCH_degraded_mode.json] metrics (the figure runner
-    writes the snapshot). *)
+    followed by the 25%-partition acceptance rows, printed as
+    {!print_points} rows with modes [no-partition] (degraded mode on, no
+    faults at all), [partition-25%] (a quarter of the fleet partitioned,
+    recurring at a ~50% duty cycle), [stall-25%] (the same partition with
+    degraded mode off) and [sustained-25%] (the partition held open
+    back-to-back).  The acceptance pair — every [partition-25%] epoch
+    inside its deadline, and its mean satisfaction within 15% of
+    [no-partition]'s — is returned as the [BENCH_degraded_mode.json]
+    metrics (the figure runner writes the snapshot). *)

@@ -8,8 +8,7 @@ module Task_spec = Dream_tasks.Task_spec
 module Task = Dream_tasks.Task
 module Items = Dream_tasks.Items
 module Ground_truth = Dream_tasks.Ground_truth
-
-type point = { epoch : int; recall : float }
+module Timeseries = Dream_util.Timeseries
 
 (* A growing heavy-hitter population, as in the paper's trace where the
    recall of a fixed budget degrades once more HHs appear. *)
@@ -67,12 +66,6 @@ let step s ~epoch =
   Task.configure s.task ~workspace:s.workspace ~allocations:s.allocations;
   data
 
-let binned points ~bin =
-  List.map
-    (fun (p : Dream_util.Timeseries.point) ->
-      { epoch = p.Dream_util.Timeseries.epoch; recall = p.Dream_util.Timeseries.value })
-    (Dream_util.Timeseries.binned points ~bin)
-
 let recall_series ~seed ~resources ~epochs ~bin =
   let s = make_setup ~seed ~resources in
   let raw = ref [] in
@@ -80,8 +73,7 @@ let recall_series ~seed ~resources ~epochs ~bin =
     let data = step s ~epoch in
     raw := (epoch, Ground_truth.evaluate s.ground_truth data (Task.items s.task)) :: !raw
   done;
-  binned !raw ~bin
-[@@lint.allow "oracle hook: test/test_sim.ml"]
+  Timeseries.binned !raw ~bin
 
 let per_switch_recall (spec : Task_spec.t) data items sw =
   let view = Epoch_data.switch_view data sw in
@@ -101,9 +93,12 @@ let per_switch_series ~seed ~resources ~epochs ~bin =
     raw0 := (epoch, per_switch_recall s.spec data items 0) :: !raw0;
     raw1 := (epoch, per_switch_recall s.spec data items 1) :: !raw1
   done;
-  (binned !raw0 ~bin, binned !raw1 ~bin)
+  (Timeseries.binned !raw0 ~bin, Timeseries.binned !raw1 ~bin)
 
-let mean_recall series = Dream_util.Stats.mean (List.map (fun p -> p.recall) series)
+let mean_recall series = Dream_util.Stats.mean (List.map (fun p -> p.Timeseries.value) series)
+
+let points series =
+  List.map (fun (p : Timeseries.point) -> (string_of_int p.epoch, p.value)) series
 
 let run ~quick =
   let epochs = if quick then 160 else 320 in
@@ -113,21 +108,15 @@ let run ~quick =
     List.map
       (fun resources ->
         let series = recall_series ~seed:31 ~resources ~epochs ~bin in
-        Table.series
-          ~name:(Printf.sprintf "%d counters" resources)
-          (List.map (fun p -> (string_of_int p.epoch, p.recall)) series);
-        Format.fprintf Table.out "  %a@."
-          (fun ppf -> Dream_util.Timeseries.pp_series ppf ~name:"recall")
-          (List.map
-             (fun p -> { Dream_util.Timeseries.epoch = p.epoch; value = p.recall })
-             series);
+        Table.series ~name:(Printf.sprintf "%d counters" resources) (points series);
+        Format.fprintf Table.out "  %a@." (Timeseries.pp_series ~name:"recall") series;
         (resources, mean_recall series))
       [ 256; 512; 1024; 2048 ]
   in
   Table.heading "Figure 2b: per-switch recall diverges (512 counters, skewed split)";
   let s0, s1 = per_switch_series ~seed:31 ~resources:512 ~epochs ~bin in
-  Table.series ~name:"switch 0" (List.map (fun p -> (string_of_int p.epoch, p.recall)) s0);
-  Table.series ~name:"switch 1" (List.map (fun p -> (string_of_int p.epoch, p.recall)) s1);
+  Table.series ~name:"switch 0" (points s0);
+  Table.series ~name:"switch 1" (points s1);
   let m name v =
     Dream_obs.Bench_snapshot.metric ~direction:Dream_obs.Bench_snapshot.Higher_better
       ~tolerance_pct:Experiment.gate_tolerance name v

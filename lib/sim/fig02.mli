@@ -8,17 +8,6 @@
     traffic reach different per-switch recall — the spatial-diversity
     leverage DREAM exploits. *)
 
-type point = { epoch : int; recall : float }
-
-val recall_series :
-  seed:int ->
-  resources:int ->
-  epochs:int ->
-  bin:int ->
-  point list
-(** Binned global recall of a single HH task driven with a fixed total
-    counter budget split over two switches. *)
-
 val run : quick:bool -> Dream_obs.Bench_snapshot.metric list
 (** Prints the figure tables and returns the headline numbers (mean
     recall per budget and per switch) for the benchmark snapshot. *)

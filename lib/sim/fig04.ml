@@ -2,13 +2,13 @@ module Step_policy = Dream_alloc.Step_policy
 
 type trace = { policy : Step_policy.t; allocations : int array }
 
+(* The paper-style moving target: jumps between plateaus. *)
 let goal epoch =
   if epoch < 100 then 400
   else if epoch < 200 then 1200
   else if epoch < 300 then 600
   else if epoch < 400 then 1400
   else 300
-[@@lint.allow "oracle hook: test/test_sim.ml"]
 
 let simulate policy ~epochs =
   let params = Step_policy.default_params in
@@ -40,8 +40,8 @@ let simulate policy ~epochs =
     allocations.(epoch) <- !alloc
   done;
   { policy; allocations }
-[@@lint.allow "oracle hook: test/test_sim.ml"]
 
+(* Mean |allocation - goal| over the run — the convergence score. *)
 let mean_absolute_error trace =
   let n = Array.length trace.allocations in
   let sum = ref 0.0 in
@@ -49,7 +49,6 @@ let mean_absolute_error trace =
     (fun epoch alloc -> sum := !sum +. Float.abs (float_of_int (alloc - goal epoch)))
     trace.allocations;
   !sum /. float_of_int (max 1 n)
-[@@lint.allow "oracle hook: test/test_sim.ml"]
 
 let run ~quick =
   let epochs = if quick then 250 else 500 in

@@ -6,15 +6,8 @@
     adapts per policy.  MM converges quickly after target jumps and settles
     tight; additive-increase policies lag, and MA overshoots for long. *)
 
-type trace = { policy : Dream_alloc.Step_policy.t; allocations : int array }
-
-val goal : int -> int
-(** The paper-style moving target: jumps between plateaus. *)
-
-val simulate : Dream_alloc.Step_policy.t -> epochs:int -> trace
-
-val mean_absolute_error : trace -> float
-(** Mean |allocation - goal| over the run — the convergence score. *)
-
 val run : quick:bool -> Dream_obs.Bench_snapshot.metric list
-(** Prints the figure and returns each policy's convergence score. *)
+(** Prints the figure — the moving goal and each policy's allocation,
+    sampled every [epochs / 25] epochs, as series named [Goal], [MM],
+    [AM], [AA] and [MA] — and returns each policy's convergence score,
+    the mean |allocation - goal| over the run, as [mae_<policy>]. *)

@@ -172,13 +172,7 @@ let evaluate t epoch_data (reported : Items.t) =
   | `Precision -> ratio hits reported.Items.n
 
 (* One epoch's truth in a fresh column, off the per-epoch path. *)
-let fresh find spec aggregate =
+let true_heavy_hitters spec aggregate =
   let t = create ~storage:(Storage.create ()) spec in
-  find t aggregate;
+  heavy_hitters t aggregate;
   t.truth
-
-let true_heavy_hitters spec aggregate = fresh heavy_hitters spec aggregate
-
-let true_hierarchical_heavy_hitters spec aggregate =
-  fresh hierarchical_heavy_hitters spec aggregate
-[@@lint.allow "oracle hook: test/test_estimators.ml"]

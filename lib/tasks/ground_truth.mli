@@ -29,11 +29,6 @@ val true_heavy_hitters : Task_spec.t -> Dream_traffic.Aggregate.t -> Items.t
 (** Leaf prefixes whose volume exceeds the threshold, as a fresh key
     column. *)
 
-val true_hierarchical_heavy_hitters : Task_spec.t -> Dream_traffic.Aggregate.t -> Items.t
-(** The exact HHH set (prefixes whose volume minus descendant-HHH volumes
-    exceeds the threshold), computed recursively under the filter, as a
-    fresh key column. *)
-
 val codec : spec:Task_spec.t -> storage:Storage.t -> t Dream_util.Codec.t
 (** The CD per-leaf means, in key order, as a checkpoint holds them
     (none for HH/HHH tasks, which keep no cross-epoch state here).

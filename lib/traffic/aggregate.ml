@@ -233,15 +233,6 @@ let total t = t.cumulative.{t.n}
 
 let num_addresses t = t.n
 
-let fold_in t p ~init ~f =
-  let lo, hi = range t p in
-  let acc = ref init in
-  for i = lo to hi - 1 do
-    acc := f !acc { Flow.addr = t.addrs.{i}; volume = t.volumes.{i} }
-  done;
-  !acc
-[@@lint.allow "oracle hook: test/reference_ground_truth.ml"]
-
 let flows_in t p =
   let lo, hi = range t p in
   let rec collect i acc =

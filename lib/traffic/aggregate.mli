@@ -66,10 +66,6 @@ val num_addresses : t -> int
 val flows_in : t -> Dream_prefix.Prefix.t -> Flow.t list
 (** Flows under a prefix, in address order. *)
 
-val fold_in : t -> Dream_prefix.Prefix.t -> init:'a -> f:('a -> Flow.t -> 'a) -> 'a
-(** Fold over the flows under a prefix in ascending address order without
-    building the intermediate list {!flows_in} would. *)
-
 val fold : t -> init:'a -> f:('a -> Flow.t -> 'a) -> 'a
 
 val read_keys : t -> keys:int array -> n:int -> float array -> unit

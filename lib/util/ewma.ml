@@ -1,8 +1,7 @@
 (* The average lives unboxed in a mutable float field with a [seeded]
-   flag standing in for [None]: [update]/[scale]/[seed] run on the
-   controller's per-task, per-switch hot path and must not allocate an
-   option per call.  Only the [value]/[restore] edges of the API touch
-   options. *)
+   flag standing in for [None]: [update]/[scale] run on the controller's
+   per-task, per-switch hot path and must not allocate an option per
+   call.  Only the [value]/[restore] edges of the API touch options. *)
 type t = { history : float; mutable seeded : bool; mutable avg : float }
 
 let create ~history =
@@ -23,11 +22,6 @@ let value t =
 let value_or t default = if t.seeded then t.avg else default
 
 let scale t k = if t.seeded then t.avg <- t.avg *. k
-
-let seed t x =
-  t.seeded <- true;
-  t.avg <- x
-[@@lint.allow "oracle hook: test/reference_monitor.ml"]
 
 let restore ~history ~avg =
   if history < 0.0 || history >= 1.0 then invalid_arg "Ewma.restore: history must be in [0, 1)";

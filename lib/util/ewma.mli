@@ -26,10 +26,6 @@ val scale : t -> float -> unit
     prefix is split and its history is shared between children).  No-op when
     empty. *)
 
-val seed : t -> float -> unit
-(** [seed t x] forces the average to [x] (used to inherit a parent counter's
-    history on divide). *)
-
 val restore : history:float -> avg:float option -> t
 (** Rebuild a filter from captured state (its history weight and {!value}).
     @raise Invalid_argument unless [0.0 <= history && history < 1.0]. *)

@@ -75,15 +75,10 @@ let exponential t mean =
   let u = 1.0 -. float t 1.0 in
   -. mean *. log u
 
-let gaussian t =
-  let u1 = float t 1.0 +. 1e-12 and u2 = float t 1.0 in
-  sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
-[@@lint.allow "oracle hook: test/reference_fault.ml"]
-
-(* The draws of [thin_jitter], [bernoulli] and [lognormal]: private copies
-   of [float t 1.0] and [gaussian], term for term, inlined so no float
-   crosses a call boxed.  The bound is left out of the first: [1.0 *. x]
-   is exactly [x]. *)
+(* The draws of [thin_jitter], [bernoulli] and [lognormal]: [float t 1.0]
+   and a Box-Muller standard normal over it, inlined so no float crosses
+   a call boxed.  The bound is left out of the first: [1.0 *. x] is
+   exactly [x]. *)
 let[@inline] unit_draw t = Int64.to_float (Int64.shift_right_logical (next t) 11) *. 0x1.0p-53
 
 let[@inline] gaussian_draw t =
@@ -110,8 +105,8 @@ let rec thin_from t ~loss ~stddev ~keys ~vols n i kept =
 
 let[@hot] thin_jitter t ~loss ~stddev ~keys ~vols n = thin_from t ~loss ~stddev ~keys ~vols n 0 0
 
-(* [float t 1.0 < p] and [exp (mu +. (sigma *. gaussian t))], term for
-   term over the inlined draws above, so neither boxes a float inside. *)
+(* [float t 1.0 < p] and [exp (mu +. (sigma *. g))] for a standard normal
+   [g], over the inlined draws above, so neither boxes a float inside. *)
 let bernoulli t p = unit_draw t < p
 
 let lognormal t ~mu ~sigma = exp (mu +. (sigma *. gaussian_draw t))

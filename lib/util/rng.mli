@@ -33,9 +33,6 @@ val bernoulli : t -> float -> bool
 val exponential : t -> float -> float
 (** [exponential t mean] samples Exp with the given mean. *)
 
-val gaussian : t -> float
-(** Standard normal variate (Box-Muller). *)
-
 val thin_jitter :
   t -> loss:float -> stddev:float -> keys:int array -> vols:float array -> int -> int
 (** [thin_jitter t ~loss ~stddev ~keys ~vols n] drops and perturbs the
@@ -43,13 +40,16 @@ val thin_jitter :
     closed up in order at the front of [keys] and [vols].  Pair by pair:
     when [loss > 0], the pair is dropped if [float t 1.0 < loss]; when
     [stddev > 0], a survivor's value [v] becomes
-    [Float.max 0.0 (v *. (1.0 +. stddev *. gaussian t))].  The draws, and
-    every bit of the result, are those of that loop over {!bernoulli} and
-    {!gaussian}, but nothing is boxed: a call allocates nothing, whatever
+    [Float.max 0.0 (v *. (1.0 +. stddev *. g))], where [g] is a standard
+    normal drawn by Box-Muller from two [float t 1.0] draws [u1] and [u2]:
+    [sqrt (-2 log (u1 + 1e-12)) *. cos (2 pi u2)].  The draws, and every
+    bit of the result, are those of that loop over {!bernoulli} and
+    {!float}, but nothing is boxed: a call allocates nothing, whatever
     [n]. *)
 
 val lognormal : t -> mu:float -> sigma:float -> float
-(** [lognormal t ~mu ~sigma] is [exp (mu + sigma * gaussian t)]. *)
+(** [lognormal t ~mu ~sigma] is [exp (mu + sigma * g)], [g] the standard
+    normal {!thin_jitter} draws. *)
 
 val pareto : t -> alpha:float -> xmin:float -> float
 (** [pareto t ~alpha ~xmin] samples a Pareto(alpha) variate >= xmin. *)

@@ -18,7 +18,6 @@ let storm_pool (s : Scenario.t) =
       num_tasks = max 8 (s.Scenario.num_tasks / 2);
       mean_duration = max 5 (s.Scenario.mean_duration / 4);
     }
-[@@lint.allow "oracle hook: test/test_workload.ml"]
 
 let create ?journal ~config ~strategy (scenario : Scenario.t) =
   let controller =

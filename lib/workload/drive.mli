@@ -12,15 +12,14 @@
     - storms are fed unconditionally: {!arrive} submits as many storm-pool
       tasks as the last tick requested.  Only fault models with a storm
       rate or scheduled storms ever request any, so runs without them are
-      unaffected. *)
+      unaffected.
+
+    The storm pool is a second {!Arrival.schedule}, drawn in order: the
+    scenario's with seed + 7919, half the tasks (at least 8) and a quarter
+    of the mean duration (at least 5).  So a (scenario, fault seed) pair
+    always storms identically. *)
 
 type t
-
-val storm_pool : Scenario.t -> Arrival.submission list
-(** The tasks admission storms draw from, in draw order: a second arrival
-    schedule derived from the scenario (seed + 7919, half the tasks, a
-    quarter of the mean duration), so a (scenario, fault seed) pair always
-    storms identically. *)
 
 val create :
   ?journal:Dream_recovery.Journal.sink ->

@@ -141,3 +141,32 @@ let converged_task ?kind ?threshold ~per_switch ~epochs () =
 (* The set of prefixes a report names. *)
 let report_prefixes (r : Dream_tasks.Report.t) =
   Prefix.Set.of_list (List.map (fun (i : Dream_tasks.Report.item) -> i.prefix) r.items)
+
+(* ---- What a figure prints and returns ---- *)
+
+(* [f ()] and the text it printed through [Table.out]: the formatter
+   writes into a buffer meanwhile, and back to its own output after. *)
+let printed f =
+  let ppf = Dream_sim.Table.out in
+  let out, flush = Format.pp_get_formatter_output_functions ppf () in
+  let buf = Buffer.create 4096 in
+  Format.pp_print_flush ppf ();
+  Format.pp_set_formatter_output_functions ppf (Buffer.add_substring buf) ignore;
+  let result =
+    Fun.protect f ~finally:(fun () ->
+        Format.pp_print_flush ppf ();
+        Format.pp_set_formatter_output_functions ppf out flush)
+  in
+  (result, Buffer.contents buf)
+
+(* The value of a figure's returned metric, by name. *)
+let metric metrics name =
+  match List.find_opt (fun m -> m.Dream_obs.Bench_snapshot.m_name = name) metrics with
+  | Some m -> m.Dream_obs.Bench_snapshot.m_value
+  | None -> Alcotest.failf "no metric %s" name
+
+(* Printed text as rows of its whitespace-separated cells, line by line. *)
+let rows text =
+  List.map
+    (fun line -> List.filter (( <> ) "") (String.split_on_char ' ' line))
+    (String.split_on_char '\n' text)

@@ -36,16 +36,16 @@ let emit t =
 let leaf_of (spec : Task_spec.t) addr =
   Prefix.ancestor_at (Prefix.of_address addr) spec.Task_spec.leaf_length
 
-(* Volumes per leaf prefix under the filter.  [fold_in] visits flows in
-   the same ascending address order the [flows_in] list did, so each
-   leaf's float sum accumulates in the identical order. *)
+(* Volumes per leaf prefix under the filter, each leaf's float sum
+   accumulated in ascending address order. *)
 let leaf_volumes (spec : Task_spec.t) aggregate =
   let volumes = Hashtbl.create 256 in
-  Aggregate.fold_in aggregate spec.Task_spec.filter ~init:()
-    ~f:(fun () (f : Dream_traffic.Flow.t) ->
+  List.iter
+    (fun (f : Dream_traffic.Flow.t) ->
       let leaf = leaf_of spec f.Dream_traffic.Flow.addr in
       let existing = match Hashtbl.find_opt volumes leaf with Some v -> v | None -> 0.0 in
-      Hashtbl.replace volumes leaf (existing +. f.Dream_traffic.Flow.volume));
+      Hashtbl.replace volumes leaf (existing +. f.Dream_traffic.Flow.volume))
+    (Aggregate.flows_in aggregate spec.Task_spec.filter);
   volumes
 
 let true_heavy_hitters spec aggregate =

@@ -21,7 +21,7 @@ module Counter = struct
     mutable volumes : float Switch_id.Map.t;
     mutable total : float;
     mutable score : float;
-    mean : Ewma.t;
+    mutable mean : Ewma.t;
     mutable fresh : bool;
   }
 
@@ -608,7 +608,8 @@ let merge t ancestor =
     done;
     splice t ~lo ~hi merged;
     Counter.set_volumes merged merged.volumes;
-    if !has_mean then Ewma.seed merged.mean !mean_sum
+    if !has_mean then
+      merged.mean <- Ewma.restore ~history:Task_spec.cd_history ~avg:(Some !mean_sum)
   end
 
 let rec apply_merges t = function
@@ -622,7 +623,8 @@ let spawn t (parent : Counter.t) p =
   child.Counter.score <- parent.score /. 2.0;
   begin
     match Ewma.value parent.mean with
-    | Some m -> Ewma.seed child.Counter.mean (m /. 2.0)
+    | Some m ->
+      child.Counter.mean <- Ewma.restore ~history:Task_spec.cd_history ~avg:(Some (m /. 2.0))
     | None -> ()
   end;
   child

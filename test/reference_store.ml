@@ -71,8 +71,6 @@ let flows_in t p =
   let lo, hi = range t p in
   List.init (hi - lo) (fun k -> flow_at t (lo + k))
 
-let fold_in t p ~init ~f = List.fold_left f init (flows_in t p)
-
 let to_flows t = List.init (num_addresses t) (flow_at t)
 
 let fold t ~init ~f = List.fold_left f init (to_flows t)

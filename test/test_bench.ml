@@ -342,6 +342,17 @@ let test_trend () =
 
 (* {1 Deterministic profiles} *)
 
+(* The all-zero reading the deltas below start from. *)
+let zero =
+  {
+    Gc_stats.minor_words = 0.0;
+    promoted_words = 0.0;
+    major_words = 0.0;
+    minor_collections = 0;
+    major_collections = 0;
+    compactions = 0;
+  }
+
 let test_profile_deterministic () =
   let clock, mc = Clock.manual () in
   let gc, mg = Gc_stats.manual () in
@@ -350,10 +361,10 @@ let test_profile_deterministic () =
   let allocate = Profile.intern p "epoch/allocate" in
   Profile.start p epoch;
   Clock.advance mc 5.0;
-  Gc_stats.advance mg { Gc_stats.zero with Gc_stats.minor_words = 100.0; minor_collections = 1 };
+  Gc_stats.advance mg { zero with Gc_stats.minor_words = 100.0; minor_collections = 1 };
   Profile.start p allocate;
   Clock.advance mc 2.0;
-  Gc_stats.advance mg { Gc_stats.zero with Gc_stats.minor_words = 40.0 };
+  Gc_stats.advance mg { zero with Gc_stats.minor_words = 40.0 };
   Profile.stop p allocate;
   Profile.stop p epoch;
   Profile.close_epoch p;
@@ -374,7 +385,7 @@ let test_profile_deterministic () =
   (* A second epoch's sample merges under the same path. *)
   Profile.start p allocate;
   Clock.advance mc 3.0;
-  Gc_stats.advance mg { Gc_stats.zero with Gc_stats.minor_words = 10.0 };
+  Gc_stats.advance mg { zero with Gc_stats.minor_words = 10.0 };
   Profile.stop p allocate;
   Profile.close_epoch p;
   (match Profile.find p "epoch/allocate" with
@@ -390,7 +401,13 @@ let test_profile_deterministic () =
 
 let test_observe_epoch () =
   let reg = Registry.create () in
-  let gc =
+  let clock, mc = Clock.manual () in
+  let gc, mg = Gc_stats.manual () in
+  let p = Profile.create ~clock ~gc () in
+  let epoch = Profile.intern p "epoch" in
+  Profile.start p epoch;
+  Clock.advance mc 10.0;
+  Gc_stats.advance mg
     {
       Gc_stats.minor_words = 1000.0;
       promoted_words = 200.0;
@@ -398,9 +415,9 @@ let test_observe_epoch () =
       minor_collections = 3;
       major_collections = 1;
       compactions = 0;
-    }
-  in
-  Profile.observe_epoch reg ~wall_ms:10.0 ~gc;
+    };
+  Profile.stop p epoch;
+  Profile.observe_epoch reg p epoch;
   (* Allocated words = minor + major - promoted (promoted words would
      otherwise be double-counted). *)
   Alcotest.(check (float 1e-9)) "alloc rate" 110.0

@@ -499,25 +499,31 @@ let test_quarter_partition_acceptance () =
   (* The figure's own scale: the tiny [small] scenario has too few tasks
      for the 15% budget to be meaningful (one task's fate swings the mean
      by more than the whole budget). *)
-  let scenario = Dream_sim.Fig06.quick_scale Scenario.default in
-  let q = Degraded_mode.run_quarter scenario Experiment.dream_strategy in
-  let b = q.Degraded_mode.q_baseline and p = q.Degraded_mode.q_partition in
-  Alcotest.(check int) "never exceeds the epoch deadline" 0
-    p.Degraded_mode.deadline_violations;
-  Alcotest.(check bool) "partition epochs actually happened" true
-    (p.Degraded_mode.summary.Metrics.robustness.Metrics.partition_epochs > 0);
-  let floor = 0.85 *. b.Degraded_mode.summary.Metrics.mean_satisfaction in
+  let metrics, text = Fixtures.printed (fun () -> Degraded_mode.run ~quick:true) in
+  let metric = Fixtures.metric metrics in
+  Alcotest.(check (float 0.0)) "never exceeds the epoch deadline" 0.0
+    (metric "deadline_violations");
+  (* part-ep, the last column, of the printed partition-25% row. *)
+  let partition_row row = List.nth_opt row 1 = Some "partition-25%" in
+  let partition_epochs =
+    match List.find_opt partition_row (Fixtures.rows text) with
+    | Some row -> int_of_string (List.hd (List.rev row))
+    | None -> Alcotest.fail "no partition-25% row printed"
+  in
+  Alcotest.(check bool) "partition epochs actually happened" true (partition_epochs > 0);
+  let baseline = metric "baseline_satisfaction" and partition = metric "partition_satisfaction" in
   Alcotest.(check bool)
-    (Printf.sprintf "satisfaction %.1f within 15%% of baseline %.1f"
-       p.Degraded_mode.summary.Metrics.mean_satisfaction
-       b.Degraded_mode.summary.Metrics.mean_satisfaction)
+    (Printf.sprintf "satisfaction %.1f within 15%% of baseline %.1f" partition baseline)
     true
-    (p.Degraded_mode.summary.Metrics.mean_satisfaction >= floor)
+    (partition >= 0.85 *. baseline)
 
 let test_sweep_zero_level_parity () =
   (* In the sweep itself, level 0 degraded and baseline points must be the
      same run byte for byte. *)
-  let points = Degraded_mode.sweep ~levels:[ 0.0 ] small Experiment.dream_strategy in
+  let points =
+    Degraded_mode.sweep ~degraded:Config.default_degraded ~levels:[ 0.0 ] small
+      Experiment.dream_strategy
+  in
   match points with
   | [ degraded; baseline ] ->
     Alcotest.(check bool) "identical summaries" true

@@ -66,6 +66,26 @@ let test_span_charges_major_array_exactly () =
   Alcotest.(check (float 0.0)) "empty span" 0.0 (span_words (fun () -> ()));
   Alcotest.(check (float 0.0)) "major array" 100_001.0 (span_words (fun () -> Array.make 100_000 0))
 
+(* A child span's start and stop charge the span enclosing them nothing:
+   after ten empty child fragments the parent reads 0 words, as the child
+   does. *)
+let test_child_fragments_charge_parent_nothing () =
+  let profile = Profile.create ~clock:(fst (Clock.manual ())) () in
+  let parent = Profile.intern profile "probe" and child = Profile.intern profile "probe/child" in
+  Profile.start profile parent;
+  for _ = 1 to 10 do
+    Profile.start profile child;
+    Profile.stop profile child
+  done;
+  Profile.stop profile parent;
+  Profile.close_epoch profile;
+  List.iter
+    (fun path ->
+      match Profile.find profile path with
+      | Some s -> Alcotest.(check (float 0.0)) path 0.0 (alloc_words s.Profile.gc)
+      | None -> Alcotest.failf "no %s span" path)
+    [ "probe"; "probe/child" ]
+
 (* A minor collection inside the span promotes live words: counted as
    promoted and as major alike, they cancel, and the span still reads the
    300 words of its list. *)
@@ -316,6 +336,25 @@ let test_export_and_inspect () =
           (counter report "rules_installed");
         Alcotest.(check int) "rules_fetched counter" result.Experiment.rules_fetched
           (counter report "rules_fetched"))
+
+(* An N-epoch run's bundle covers exactly N epochs, although finalize's
+   task_complete events carry epoch N, the one after the last tick. *)
+let test_inspect_counts_run_epochs () =
+  let bundle = Telemetry.create () in
+  ignore
+    (Experiment.run ~config:(config ~telemetry:(Some bundle)) scenario Experiment.dream_strategy);
+  let epochs = scenario.Scenario.total_epochs in
+  Alcotest.(check bool) "an event carries the epoch after the last tick" true
+    (List.exists
+       (function Trace.Event { epoch; _ } -> epoch = epochs | Trace.Span _ -> false)
+       (Trace.items (Telemetry.trace bundle)));
+  with_temp_dir (fun dir ->
+      (match Telemetry.write_dir bundle ~dir with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "write_dir: %s" e);
+      match Inspect.load dir with
+      | Error e -> Alcotest.failf "Inspect.load: %s" e
+      | Ok report -> Alcotest.(check int) "epochs" epochs report.Inspect.epochs)
 
 (* Each measured child span is at most the epoch in every epoch, so each
    quantile of it is at most the epoch's too. *)
@@ -657,6 +696,8 @@ let () =
             test_span_charges_major_array_exactly;
           Alcotest.test_case "span words survive a minor collection" `Quick
             test_span_words_survive_minor_collection;
+          Alcotest.test_case "child fragments charge their parent nothing" `Quick
+            test_child_fragments_charge_parent_nothing;
         ] );
       ( "json",
         [
@@ -679,6 +720,8 @@ let () =
         [
           Alcotest.test_case "telemetry is zero-diff" `Quick test_zero_diff;
           Alcotest.test_case "export and inspect" `Quick test_export_and_inspect;
+          Alcotest.test_case "inspect counts the run's epochs" `Quick
+            test_inspect_counts_run_epochs;
           Alcotest.test_case "inspect prints degraded-mode counters" `Quick
             test_inspect_prints_degraded_counters;
           Alcotest.test_case "inspect: no measured row above the epoch" `Quick

@@ -87,14 +87,9 @@ let test_incremental_updates_dominate () =
 (* ---- Figure 4 policy simulation ---- *)
 
 let test_fig4_mm_converges_best () =
-  let errors =
-    List.map
-      (fun policy -> (policy, Fig04.mean_absolute_error (Fig04.simulate policy ~epochs:500)))
-      Step_policy.all
-  in
-  let mm = List.assoc Step_policy.MM errors in
-  let am = List.assoc Step_policy.AM errors in
-  let aa = List.assoc Step_policy.AA errors in
+  let metrics, _ = Fixtures.printed (fun () -> Fig04.run ~quick:false) in
+  let mae policy = Fixtures.metric metrics ("mae_" ^ Step_policy.to_string policy) in
+  let mm = mae Step_policy.MM and am = mae Step_policy.AM and aa = mae Step_policy.AA in
   Alcotest.(check bool)
     (Printf.sprintf "MM (%.0f) better than AM (%.0f)" mm am)
     true (mm < am);
@@ -102,29 +97,40 @@ let test_fig4_mm_converges_best () =
     (Printf.sprintf "MM (%.0f) better than AA (%.0f)" mm aa)
     true (mm < aa)
 
+(* The points printed under the series heading [name ^ ":"], by x. *)
+let printed_series text name =
+  let rec find = function
+    | [] -> Alcotest.failf "no %s series printed" name
+    | [ heading ] :: rest when heading = name ^ ":" -> points rest
+    | _ :: rest -> find rest
+  and points = function [ x; v ] :: rest -> (x, float_of_string v) :: points rest | _ -> [] in
+  find (Fixtures.rows text)
+
 let test_fig4_tracks_goal () =
-  let trace = Fig04.simulate Step_policy.MM ~epochs:500 in
-  (* At the end of each plateau the MM allocation is near the goal. *)
+  let _, text = Fixtures.printed (fun () -> Fig04.run ~quick:false) in
+  let goal = printed_series text "Goal" and mm = printed_series text "MM" in
+  (* At each plateau's last sampled epoch the MM allocation is near the
+     goal. *)
   List.iter
     (fun epoch ->
-      let goal = float_of_int (Fig04.goal epoch) in
-      let actual = float_of_int trace.Fig04.allocations.(epoch) in
+      let at series =
+        match List.assoc_opt (string_of_int epoch) series with
+        | Some v -> v
+        | None -> Alcotest.failf "epoch %d not sampled" epoch
+      in
+      let goal = at goal and actual = at mm in
       Alcotest.(check bool)
         (Printf.sprintf "epoch %d: %.0f near %.0f" epoch actual goal)
         true
         (Float.abs (actual -. goal) /. goal < 0.35))
-    [ 95; 195; 295; 395; 495 ]
+    [ 80; 180; 280; 380; 480 ]
 
 (* ---- Figure 2 recall harness ---- *)
 
 let test_fig2_more_resources_higher_recall () =
-  let mean_recall resources =
-    let series = Fig02.recall_series ~seed:31 ~resources ~epochs:60 ~bin:60 in
-    match series with
-    | [ p ] -> p.Fig02.recall
-    | _ -> Alcotest.fail "expected one bin"
-  in
-  let low = mean_recall 64 and high = mean_recall 1024 in
+  let metrics, _ = Fixtures.printed (fun () -> Fig02.run ~quick:true) in
+  let low = Fixtures.metric metrics "mean_recall_256"
+  and high = Fixtures.metric metrics "mean_recall_2048" in
   Alcotest.(check bool)
     (Printf.sprintf "recall grows with resources (%.2f -> %.2f)" low high)
     true (high > low);

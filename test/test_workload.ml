@@ -142,7 +142,16 @@ let test_drive_storm_feed () =
   let drive =
     Drive.create ~config:{ Config.default with Config.faults = Some storms } ~strategy scenario
   in
-  let pool = Drive.storm_pool scenario in
+  (* The pool as the driver documents it. *)
+  let pool =
+    Arrival.schedule
+      {
+        scenario with
+        Scenario.seed = scenario.Scenario.seed + 7919;
+        num_tasks = max 8 (scenario.Scenario.num_tasks / 2);
+        mean_duration = max 5 (scenario.Scenario.mean_duration / 4);
+      }
+  in
   let pool_size = List.length pool in
   for _ = 1 to scenario.Scenario.total_epochs do
     let requested = Controller.storm_tasks_pending (Drive.controller drive) in
