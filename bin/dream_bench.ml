@@ -1,11 +1,12 @@
 (* dream-bench: compare and trend BENCH_<figure>.json benchmark snapshots.
 
-     dream-bench diff BASE NEW [--tolerance PCT] [--format text|json]
+     dream-bench diff BASE NEW [--format text|json]
      dream-bench trend DIR...
 
    [diff] compares a baseline snapshot (file or directory of snapshots)
-   against a freshly generated one.  Exit codes are the CI perf gate's
-   contract: 0 clean, 1 at least one gating metric regressed, 124 bad
+   against a freshly generated one.  Every gated metric must equal its
+   baseline.  Exit codes are the CI perf gate's contract: 0 clean, 1 at
+   least one gated metric moved (either way) or is missing, 124 bad
    input (unreadable snapshot, figure/scale mismatch, missing
    counterpart).
 
@@ -67,7 +68,7 @@ let pair_by_figure bases currents =
     (Ok []) bases
   |> Result.map List.rev
 
-let diff_cmd base_path new_path tolerance format =
+let diff_cmd base_path new_path format =
   let* bases = load_path base_path in
   let* currents = load_path new_path in
   let* pairs = pair_by_figure bases currents in
@@ -75,7 +76,7 @@ let diff_cmd base_path new_path tolerance format =
     List.fold_left
       (fun acc (base, current) ->
         let* acc = acc in
-        let* report = Diff.diff ?tolerance_pct:tolerance ~base current in
+        let* report = Diff.diff ~base current in
         Ok (report :: acc))
       (Ok []) pairs
     |> Result.map List.rev
@@ -91,12 +92,12 @@ let diff_cmd base_path new_path tolerance format =
     List.iter
       (fun s -> Format.printf "note: figure %s has no baseline (not gated)@." s.Snapshot.figure)
       extra;
-    let total = Diff.regressions reports in
+    let total = Diff.failures reports in
     if total = 0 then Format.printf "perf gate: clean (%d figure(s))@." (List.length reports)
-    else Format.printf "perf gate: %d regression(s)@." total
+    else Format.printf "perf gate: %d failure(s)@." total
   | `Json ->
     print_endline (Json.to_string (Json.List (List.map Diff.report_to_json reports))));
-  if Diff.regressions reports > 0 then exit 1;
+  if Diff.failures reports > 0 then exit 1;
   Ok ()
 
 let trend_cmd dirs =
@@ -114,13 +115,6 @@ let trend_cmd dirs =
   Ok ()
 
 open Cmdliner
-
-let tolerance =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "tolerance" ] ~docv:"PCT"
-        ~doc:"Default gating tolerance in percent for metrics without a per-metric override.")
 
 let format =
   Arg.(
@@ -147,7 +141,7 @@ let trend_dirs =
     & info [] ~docv:"DIR" ~doc:"Snapshot directories (or files) in series order.")
 
 let diff_term =
-  Term.term_result' ~usage:false Term.(const diff_cmd $ base_path $ new_path $ tolerance $ format)
+  Term.term_result' ~usage:false Term.(const diff_cmd $ base_path $ new_path $ format)
 
 let trend_term = Term.term_result' ~usage:false Term.(const trend_cmd $ trend_dirs)
 
@@ -158,7 +152,8 @@ let cmd =
       Cmd.v
         (Cmd.info "diff"
            ~doc:
-             "Compare BASE against NEW; exit 1 on any gating regression, 124 on bad input.")
+             "Compare BASE against NEW; exit 1 when a gated metric moved either way or is missing, \
+              124 on bad input.")
         diff_term;
       Cmd.v (Cmd.info "trend" ~doc:"Summarize per-metric trajectories across a snapshot series.")
         trend_term;

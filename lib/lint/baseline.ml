@@ -103,12 +103,11 @@ let debt_snapshot findings =
   let metrics =
     List.map
       (fun (rule, count) ->
-        Bench.metric ~unit_:"count" ~direction:Bench.Lower_better ~tolerance_pct:0.0
-          ("debt_" ^ rule) (float_of_int count))
+        Bench.metric ~unit_:"count" ~direction:Bench.Lower_better ("debt_" ^ rule)
+          (float_of_int count))
       rules
     @ [
-        Bench.metric ~unit_:"count" ~direction:Bench.Lower_better ~tolerance_pct:0.0
-          "debt_total"
+        Bench.metric ~unit_:"count" ~direction:Bench.Lower_better "debt_total"
           (float_of_int (List.length findings));
       ]
   in

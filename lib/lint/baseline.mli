@@ -54,8 +54,8 @@ val update : old_:t option -> current:t -> (t, string) result
 
 val debt_snapshot : Finding.t list -> Dream_obs.Bench_snapshot.t
 (** Figure id ["lint-debt"]: one [debt_<rule>] metric per rule with
-    findings plus [debt_total], all counts, all [Lower_better] with zero
-    tolerance. *)
+    findings plus [debt_total], all counts, all [Lower_better], so each
+    must equal its baseline exactly. *)
 
 val read : string -> (t, string) result
 (** Load a baseline file; the error names the path. *)

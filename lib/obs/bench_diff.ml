@@ -5,16 +5,14 @@ type row = {
   r_base : float option;
   r_current : float option;
   r_delta_pct : float;
-  r_tolerance_pct : float;
   r_direction : Bench_snapshot.direction;
   r_status : status;
 }
 
-type report = { d_figure : string; d_rows : row list; d_regressions : int }
+type report = { d_figure : string; d_rows : row list; d_failures : int }
 
-(* Relative change with a defined zero-baseline story: off-zero moves
-   have no relative scale, so they read as an infinite-percent change —
-   which always exceeds any tolerance and therefore gates. *)
+(* Relative change for display and trends: a move off a zero baseline has
+   no relative scale, so it reads as an infinite-percent change. *)
 let delta_pct ~base ~current =
   let moved = Float.abs (current -. base) in
   if Float.abs base > 0.0 then (current -. base) /. Float.abs base *. 100.0
@@ -23,15 +21,17 @@ let delta_pct ~base ~current =
   end
   else 0.0
 
-let status_of direction ~tol ~delta =
+(* Gated metrics come from seeded runs and repeat bit for bit, so the
+   gate is equality: any move, either way, fails. *)
+let status_of direction ~base ~current =
   match direction with
   | Bench_snapshot.Info -> Unchanged
-  | Bench_snapshot.Lower_better ->
-    if delta > tol then Regressed else if delta < -.tol then Improved else Unchanged
-  | Bench_snapshot.Higher_better ->
-    if delta < -.tol then Regressed else if delta > tol then Improved else Unchanged
+  | Bench_snapshot.Lower_better | Bench_snapshot.Higher_better when Float.equal base current ->
+    Unchanged
+  | Bench_snapshot.Lower_better -> if current > base then Regressed else Improved
+  | Bench_snapshot.Higher_better -> if current < base then Regressed else Improved
 
-let default_tolerance = 10.0
+let fails = function Regressed | Improved | Missing -> true | Unchanged | Added -> false
 
 let alloc_words (gc : Gc_stats.reading) =
   gc.Gc_stats.minor_words +. gc.Gc_stats.major_words -. gc.Gc_stats.promoted_words
@@ -61,7 +61,6 @@ let phase_rows (base : Profile.stat list) (current : Profile.stat list) =
           r_base = b;
           r_current = c;
           r_delta_pct = delta;
-          r_tolerance_pct = 0.0;
           r_direction = Bench_snapshot.Info;
           r_status = Unchanged;
         }
@@ -72,11 +71,8 @@ let phase_rows (base : Profile.stat list) (current : Profile.stat list) =
       ])
     paths
 
-let diff ?(tolerance_pct = default_tolerance) ~(base : Bench_snapshot.t)
-    (current : Bench_snapshot.t) =
-  if not (Float.is_finite tolerance_pct) || tolerance_pct < 0.0 then
-    Error (Printf.sprintf "tolerance must be finite and non-negative (got %g)" tolerance_pct)
-  else if not (String.equal base.Bench_snapshot.figure current.Bench_snapshot.figure) then
+let diff ~(base : Bench_snapshot.t) (current : Bench_snapshot.t) =
+  if not (String.equal base.Bench_snapshot.figure current.Bench_snapshot.figure) then
     Error
       (Printf.sprintf "figure mismatch: base is %S, new is %S" base.Bench_snapshot.figure
          current.Bench_snapshot.figure)
@@ -90,32 +86,25 @@ let diff ?(tolerance_pct = default_tolerance) ~(base : Bench_snapshot.t)
     let base_rows =
       List.map
         (fun (bm : Bench_snapshot.metric) ->
-          let tol =
-            match bm.Bench_snapshot.m_tolerance_pct with
-            | Some t -> t
-            | None -> tolerance_pct
-          in
+          let base_value = bm.Bench_snapshot.m_value in
           match find bm.Bench_snapshot.m_name current.Bench_snapshot.metrics with
           | Some cm ->
-            let delta =
-              delta_pct ~base:bm.Bench_snapshot.m_value ~current:cm.Bench_snapshot.m_value
-            in
+            let current_value = cm.Bench_snapshot.m_value in
             {
               r_name = bm.Bench_snapshot.m_name;
-              r_base = Some bm.Bench_snapshot.m_value;
-              r_current = Some cm.Bench_snapshot.m_value;
-              r_delta_pct = delta;
-              r_tolerance_pct = tol;
+              r_base = Some base_value;
+              r_current = Some current_value;
+              r_delta_pct = delta_pct ~base:base_value ~current:current_value;
               r_direction = bm.Bench_snapshot.m_direction;
-              r_status = status_of bm.Bench_snapshot.m_direction ~tol ~delta;
+              r_status =
+                status_of bm.Bench_snapshot.m_direction ~base:base_value ~current:current_value;
             }
           | None ->
             {
               r_name = bm.Bench_snapshot.m_name;
-              r_base = Some bm.Bench_snapshot.m_value;
+              r_base = Some base_value;
               r_current = None;
               r_delta_pct = 0.0;
-              r_tolerance_pct = tol;
               r_direction = bm.Bench_snapshot.m_direction;
               r_status = Missing;
             })
@@ -133,7 +122,6 @@ let diff ?(tolerance_pct = default_tolerance) ~(base : Bench_snapshot.t)
                 r_base = None;
                 r_current = Some cm.Bench_snapshot.m_value;
                 r_delta_pct = 0.0;
-                r_tolerance_pct = tolerance_pct;
                 r_direction = cm.Bench_snapshot.m_direction;
                 r_status = Added;
               })
@@ -142,35 +130,34 @@ let diff ?(tolerance_pct = default_tolerance) ~(base : Bench_snapshot.t)
     let rows =
       base_rows @ added @ phase_rows base.Bench_snapshot.phases current.Bench_snapshot.phases
     in
-    let regressions =
-      List.length
-        (List.filter (fun r -> match r.r_status with Regressed | Missing -> true
-                                                   | Unchanged | Improved | Added -> false)
-           rows)
-    in
-    Ok { d_figure = base.Bench_snapshot.figure; d_rows = rows; d_regressions = regressions }
+    let failures = List.length (List.filter (fun r -> fails r.r_status) rows) in
+    Ok { d_figure = base.Bench_snapshot.figure; d_rows = rows; d_failures = failures }
   end
 
-let regressions reports = List.fold_left (fun n r -> n + r.d_regressions) 0 reports
+let failures reports = List.fold_left (fun n r -> n + r.d_failures) 0 reports
 
 (* ---- rendering ---- *)
 
 let status_name = function
   | Unchanged -> "ok"
-  | Improved -> "improved"
+  | Improved -> "IMPROVED"
   | Regressed -> "REGRESSED"
   | Missing -> "MISSING"
   | Added -> "added"
 
-let opt_value = function Some v -> Printf.sprintf "%.6g" v | None -> "-"
+(* The snapshot's own spelling, which tells every float apart, so a
+   one-ulp move that fails the gate shows in the row. *)
+let opt_value = function Some v -> Json.to_string (Json.Float v) | None -> "-"
 
 let pp_report fmt r =
-  Format.fprintf fmt "figure %s: %d regression(s)@." r.d_figure r.d_regressions;
+  Format.fprintf fmt "figure %s: %d failure(s)@." r.d_figure r.d_failures;
   List.iter
     (fun row ->
-      Format.fprintf fmt "  %-9s %-42s %12s -> %-12s %+.2f%% (tol %.4g%%)@."
-        (status_name row.r_status) row.r_name (opt_value row.r_base) (opt_value row.r_current)
-        row.r_delta_pct row.r_tolerance_pct)
+      Format.fprintf fmt "  %-9s %-42s %24s -> %-24s %+.2f%%%s@." (status_name row.r_status)
+        row.r_name (opt_value row.r_base) (opt_value row.r_current) row.r_delta_pct
+        (match row.r_status with
+        | Improved -> "  re-snapshot the baseline"
+        | Unchanged | Regressed | Missing | Added -> ""))
     r.d_rows
 
 let row_to_json row =
@@ -183,7 +170,6 @@ let row_to_json row =
       ("delta_pct",
        if Float.is_finite row.r_delta_pct then Json.Float row.r_delta_pct
        else Json.Str (if row.r_delta_pct > 0.0 then "inf" else "-inf"));
-      ("tolerance_pct", Json.Float row.r_tolerance_pct);
       ("direction", Json.Str (Bench_snapshot.direction_to_string row.r_direction));
       ("status", Json.Str (status_name row.r_status));
     ]
@@ -192,7 +178,7 @@ let report_to_json r =
   Json.Obj
     [
       ("figure", Json.Str r.d_figure);
-      ("regressions", Json.Int r.d_regressions);
+      ("failures", Json.Int r.d_failures);
       ("rows", Json.List (List.map row_to_json r.d_rows));
     ]
 

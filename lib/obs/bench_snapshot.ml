@@ -5,7 +5,6 @@ type metric = {
   m_value : float;
   m_unit : string;
   m_direction : direction;
-  m_tolerance_pct : float option;
 }
 
 type t = {
@@ -16,11 +15,10 @@ type t = {
   phases : Profile.stat list;
 }
 
-let version = 1
+let version = 2
 
-let metric ?(unit_ = "") ?(direction = Info) ?tolerance_pct name value =
-  { m_name = name; m_value = value; m_unit = unit_; m_direction = direction;
-    m_tolerance_pct = tolerance_pct }
+let metric ?(unit_ = "") ?(direction = Info) name value =
+  { m_name = name; m_value = value; m_unit = unit_; m_direction = direction }
 
 let make ~figure ~quick ?(seeds = []) ?(metrics = []) ?(phases = []) () =
   { figure; quick; seeds; metrics; phases }
@@ -45,12 +43,8 @@ let validate t =
       else if Hashtbl.mem seen m.m_name then
         Error (Printf.sprintf "metric %S appears twice" m.m_name)
       else begin
-        match m.m_tolerance_pct with
-        | Some tol when (not (Float.is_finite tol)) || tol < 0.0 ->
-          Error (Printf.sprintf "metric %S: tolerance must be finite and non-negative" m.m_name)
-        | Some _ | None ->
-          Hashtbl.replace seen m.m_name ();
-          metrics rest
+        Hashtbl.replace seen m.m_name ();
+        metrics rest
       end
   in
   let rec phases = function
@@ -86,10 +80,8 @@ let metric_json =
     (let+ m_name = field (string "name") (fun m -> m.m_name)
      and+ m_value = field (float "value") (fun m -> m.m_value)
      and+ m_unit = field (string "unit") (fun m -> m.m_unit)
-     and+ m_direction = field direction (fun m -> m.m_direction)
-     and+ m_tolerance_pct =
-       field (option "tolerance_pct" (float "tolerance_pct")) (fun m -> m.m_tolerance_pct) in
-     { m_name; m_value; m_unit; m_direction; m_tolerance_pct })
+     and+ m_direction = field direction (fun m -> m.m_direction) in
+     { m_name; m_value; m_unit; m_direction })
 
 let json =
   let open Dream_util.Codec in

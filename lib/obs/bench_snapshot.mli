@@ -4,13 +4,16 @@
     compares.
 
     A snapshot carries the figure id, the scale it ran at, the seed set,
-    a list of named scalar metrics — each with a unit, a gating
-    direction, and an optional per-metric tolerance — and the profile
-    phases (wall + GC deltas) measured around the run.  Wall-clock
-    metrics are normally emitted with {!Info} direction so a noisy
-    machine can never fail the gate on them, while deterministic outputs
-    (satisfaction percentages, counters, allocation words) gate with
-    tight tolerances.
+    a list of named scalar metrics — each with a unit and a gating
+    direction — and the profile phases (wall + GC deltas) measured around
+    the run.  Wall-clock metrics are emitted with {!Info} direction so a
+    noisy machine can never fail the gate on them, while deterministic
+    outputs (satisfaction percentages, counters, allocation words) carry a
+    direction and must equal their baseline exactly: a seeded simulation
+    reproduces every gated number bit for bit, so any move is a change to
+    explain or re-snapshot.  Version 1 gave each metric a percentage of
+    slack; version 2 has none, and a version-1 file is refused at its
+    version member rather than read as exact.
 
     {!write} and {!read} walk one {!Dream_obs.Json} description, so {!read}
     is the exact inverse of {!write} for every value {!write} accepts;
@@ -19,8 +22,8 @@
     this. *)
 
 type direction =
-  | Lower_better  (** increases beyond tolerance are regressions *)
-  | Higher_better  (** decreases beyond tolerance are regressions *)
+  | Lower_better  (** any increase is a regression *)
+  | Higher_better  (** any decrease is a regression *)
   | Info  (** tracked in diffs and trends, never gates *)
 
 type metric = {
@@ -28,8 +31,6 @@ type metric = {
   m_value : float;
   m_unit : string;  (** "ms", "words", "pct", "count", … *)
   m_direction : direction;
-  m_tolerance_pct : float option;
-      (** per-metric override of the comparator's default tolerance *)
 }
 
 type t = {
@@ -40,9 +41,8 @@ type t = {
   phases : Profile.stat list;
 }
 
-val metric :
-  ?unit_:string -> ?direction:direction -> ?tolerance_pct:float -> string -> float -> metric
-(** Defaults: unit [""], direction {!Info}, no tolerance override. *)
+val metric : ?unit_:string -> ?direction:direction -> string -> float -> metric
+(** Defaults: unit [""], direction {!Info}. *)
 
 val direction_to_string : direction -> string
 (** ["lower"], ["higher"] or ["info"] — the JSON spelling. *)
@@ -57,8 +57,8 @@ val make :
   t
 
 val write : t -> dir:string -> (string, string) result
-(** Validate (every metric and phase value finite, metric names unique,
-    tolerances non-negative), then write the one-line JSON document as
+(** Validate (every metric and phase value finite, metric names unique),
+    then write the one-line JSON document as
     [dir/BENCH_<figure>.json], every character of the figure outside
     [[A-Za-z0-9_]] mapped to ['_'] (so ["degraded-mode"] keeps its
     historical [BENCH_degraded_mode.json] name), creating [dir] (and

@@ -18,8 +18,7 @@ module Stats = Dream_util.Stats
 
 let satisfaction_metric ~name v =
   Dream_obs.Bench_snapshot.metric ~unit_:"pct"
-    ~direction:Dream_obs.Bench_snapshot.Higher_better
-    ~tolerance_pct:Experiment.gate_tolerance name v
+    ~direction:Dream_obs.Bench_snapshot.Higher_better name v
 
 let accuracy_signal_ablation ~base =
   Table.heading "Ablation: per-switch allocation signal (max(global, local) vs global only)";

@@ -41,7 +41,7 @@ let run ~quick =
   print_outcome o;
   let module S = Dream_obs.Bench_snapshot in
   let count name direction v =
-    S.metric ~unit_:"count" ~direction ~tolerance_pct:0.0 name (float_of_int v)
+    S.metric ~unit_:"count" ~direction name (float_of_int v)
   in
   [
     (* Exact-match gates: any violation or differential divergence fails,

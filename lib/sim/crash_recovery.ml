@@ -180,10 +180,9 @@ let run ~quick =
     (fun p ->
       [
         S.metric ~unit_:"pct" ~direction:S.Higher_better
-          ~tolerance_pct:Experiment.gate_tolerance
           (Printf.sprintf "satisfaction@%.2f" p.crash_rate)
           p.satisfaction.mean;
-        S.metric ~unit_:"count" ~direction:S.Lower_better ~tolerance_pct:0.0
+        S.metric ~unit_:"count" ~direction:S.Lower_better
           (Printf.sprintf "invariant_violations@%.2f" p.crash_rate)
           (float_of_int p.invariant_violations);
       ])

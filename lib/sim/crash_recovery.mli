@@ -68,5 +68,5 @@ val print_points : point list -> unit
 
 val run : quick:bool -> Dream_obs.Bench_snapshot.metric list
 (** The crash-recovery sweep on the combined workload with DREAM.
-    Returns per-rate satisfaction and invariant-violation counts (the
-    latter gate at zero tolerance). *)
+    Returns per-rate satisfaction and invariant-violation counts; both
+    gate, so each must equal its baseline exactly. *)

@@ -145,12 +145,10 @@ let run ~quick =
     "@.satisfaction drop under 25%% partition: %.1f%% (budget 15%%); deadline violations: %d@."
     drop partition.deadline_violations;
   (* The acceptance pair as snapshot metrics: all modelled quantities, so
-     they reproduce exactly from the seed and gate tightly. *)
-  let tol = Experiment.gate_tolerance in
-  let pct name direction v = Snapshot.metric ~unit_:"pct" ~direction ~tolerance_pct:tol name v in
+     they reproduce exactly from the seed and gate on equality. *)
+  let pct name direction v = Snapshot.metric ~unit_:"pct" ~direction name v in
   let count name v =
-    Snapshot.metric ~unit_:"count" ~direction:Snapshot.Lower_better ~tolerance_pct:0.0 name
-      (float_of_int v)
+    Snapshot.metric ~unit_:"count" ~direction:Snapshot.Lower_better name (float_of_int v)
   in
   [
     pct "baseline_satisfaction" Snapshot.Higher_better b;
@@ -160,8 +158,8 @@ let run ~quick =
     count "deadline_violations" partition.deadline_violations;
     Snapshot.metric ~unit_:"count" "stall_deadline_violations"
       (float_of_int stall.deadline_violations);
-    Snapshot.metric ~unit_:"ms" ~direction:Snapshot.Lower_better ~tolerance_pct:tol
-      "worst_fetch_ms" partition.worst_fetch_ms;
+    Snapshot.metric ~unit_:"ms" ~direction:Snapshot.Lower_better "worst_fetch_ms"
+      partition.worst_fetch_ms;
     count "max_staleness" partition.max_staleness;
     Snapshot.metric ~unit_:"count" "storm_submissions"
       (float_of_int partition.storm_submissions);

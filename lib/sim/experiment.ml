@@ -8,12 +8,10 @@ module Snapshot = Dream_obs.Bench_snapshot
 
 type result = {
   strategy : string;
-  scenario : Scenario.t;
   summary : Metrics.summary;
   records : Metrics.record list;
   rules_installed : int;
   rules_fetched : int;
-  robustness : Metrics.robustness;
 }
 
 let dream_strategy = Allocator.Dream Dream_alloc.Dream_allocator.default_config
@@ -28,27 +26,22 @@ let run ?(config = Config.default) (scenario : Scenario.t) strategy =
   let controller = Drive.finish drive in
   {
     strategy = Allocator.strategy_name strategy;
-    scenario;
     summary = Controller.summary controller;
     records = Controller.records controller;
     rules_installed = Controller.total_rules_installed controller;
     rules_fetched = Controller.total_rules_fetched controller;
-    robustness = Controller.robustness controller;
   }
 
 (* Runs are seed-deterministic, so the summary percentages reproduce
-   exactly and can gate with a tight tolerance in the bench trajectory. *)
-let gate_tolerance = 0.5
-
-let grouped_summary_metrics ?(tolerance_pct = gate_tolerance) cells ~group_of ~summary_of =
+   exactly and gate on equality in the bench trajectory. *)
+let grouped_summary_metrics cells ~group_of ~summary_of =
   let groups = List.sort_uniq compare (List.map group_of cells) in
   List.concat_map
     (fun g ->
       let members = List.filter (fun c -> group_of c = g) cells in
       let mean f = Dream_util.Stats.mean (List.map (fun c -> f (summary_of c)) members) in
       let m name direction f =
-        Snapshot.metric ~unit_:"pct" ~direction ~tolerance_pct
-          (Printf.sprintf "%s:%s" g name) (mean f)
+        Snapshot.metric ~unit_:"pct" ~direction (Printf.sprintf "%s:%s" g name) (mean f)
       in
       [
         m "mean_satisfaction" Snapshot.Higher_better (fun s -> s.Metrics.mean_satisfaction);

@@ -4,14 +4,10 @@
 
 type result = {
   strategy : string;
-  scenario : Dream_workload.Scenario.t;
   summary : Dream_core.Metrics.summary;
   records : Dream_core.Metrics.record list;
   rules_installed : int;
   rules_fetched : int;
-  robustness : Dream_core.Metrics.robustness;
-      (** fault/recovery counters; {!Dream_core.Metrics.no_faults} unless
-          the config carries a fault spec *)
 }
 
 val run :
@@ -31,15 +27,11 @@ val standard_strategies : Dream_alloc.Allocator.strategy list
 
     Figure harnesses report their headline numbers as
     {!Dream_obs.Bench_snapshot.metric} values.  Simulation outputs are
-    seed-deterministic, so these gate with a tight default tolerance
-    ({!gate_tolerance}); wall-clock-derived numbers must instead be
-    emitted with {!Dream_obs.Bench_snapshot.Info} direction. *)
-
-val gate_tolerance : float
-(** Default tolerance (percent) for deterministic simulation metrics. *)
+    seed-deterministic, so these carry a direction and must equal their
+    baseline exactly; wall-clock-derived numbers must instead be emitted
+    with {!Dream_obs.Bench_snapshot.Info} direction. *)
 
 val grouped_summary_metrics :
-  ?tolerance_pct:float ->
   'a list ->
   group_of:('a -> string) ->
   summary_of:('a -> Dream_core.Metrics.summary) ->

@@ -92,7 +92,6 @@ let run ~quick =
           let m suffix v =
             Dream_obs.Bench_snapshot.metric ~unit_:"pct"
               ~direction:Dream_obs.Bench_snapshot.Higher_better
-              ~tolerance_pct:Experiment.gate_tolerance
               (Printf.sprintf "%s:%s@%.2f" name suffix a.agg_rate)
               v
           in

@@ -118,8 +118,7 @@ let run ~quick =
   Table.series ~name:"switch 0" (points s0);
   Table.series ~name:"switch 1" (points s1);
   let m name v =
-    Dream_obs.Bench_snapshot.metric ~direction:Dream_obs.Bench_snapshot.Higher_better
-      ~tolerance_pct:Experiment.gate_tolerance name v
+    Dream_obs.Bench_snapshot.metric ~direction:Dream_obs.Bench_snapshot.Higher_better name v
   in
   List.map (fun (r, v) -> m (Printf.sprintf "mean_recall_%d" r) v) budget_means
   @ [ m "switch0_mean_recall" (mean_recall s0); m "switch1_mean_recall" (mean_recall s1) ]

@@ -76,7 +76,6 @@ let run ~quick =
     (fun t ->
       Dream_obs.Bench_snapshot.metric ~unit_:"entries"
         ~direction:Dream_obs.Bench_snapshot.Lower_better
-        ~tolerance_pct:Experiment.gate_tolerance
         (Printf.sprintf "mae_%s" (Step_policy.to_string t.policy))
         (mean_absolute_error t))
     traces

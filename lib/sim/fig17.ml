@@ -54,8 +54,7 @@ let run ~quick =
     [ 2; 4; 8 ];
   let gated name v =
     Dream_obs.Bench_snapshot.metric ~unit_:"ms"
-      ~direction:Dream_obs.Bench_snapshot.Lower_better
-      ~tolerance_pct:Experiment.gate_tolerance name v
+      ~direction:Dream_obs.Bench_snapshot.Lower_better name v
   in
   let info name v = Dream_obs.Bench_snapshot.metric ~unit_:"ms" name v in
   List.map

@@ -36,14 +36,13 @@ let gc_reading i =
 let snapshot_of (figure, quick, cells, phases) =
   let metrics =
     List.mapi
-      (fun i (name, v, tol) ->
+      (fun i (name, v) ->
         let direction =
           match i mod 3 with 0 -> Snapshot.Lower_better | 1 -> Snapshot.Higher_better | _ -> Snapshot.Info
         in
         Snapshot.metric
           ~unit_:(if i mod 2 = 0 then "ms" else "w\"x\\y")
           ~direction
-          ~tolerance_pct:(Float.abs (float_of_int tol /. 8.0))
           (Printf.sprintf "m%d_%s" i name)
           (float_of_int v /. 32.0))
       cells
@@ -73,7 +72,7 @@ let codec_round_trip =
   QCheck.Test.make ~name:"snapshot codec round-trips exactly" ~count:200
     QCheck.(
       quad (string_of_size (Gen.int_bound 100)) bool
-        (small_list (triple (string_of_size Gen.small_nat) int small_int))
+        (small_list (pair (string_of_size Gen.small_nat) int))
         (small_list (pair small_int small_int)))
     (fun input ->
       let snap = snapshot_of input in
@@ -192,20 +191,20 @@ let fuzz_snapshot =
 
 (* {1 Comparator} *)
 
-let base_metrics =
-  [
-    Snapshot.metric ~unit_:"pct" ~direction:Snapshot.Higher_better ~tolerance_pct:0.5
-      "satisfaction" 80.0;
-    Snapshot.metric ~unit_:"count" ~direction:Snapshot.Lower_better ~tolerance_pct:0.0
-      "violations" 0.0;
-    Snapshot.metric ~unit_:"ms" "wall" 120.0;
-  ]
+let satisfaction v =
+  Snapshot.metric ~unit_:"pct" ~direction:Snapshot.Higher_better "satisfaction" v
+
+let violations v = Snapshot.metric ~unit_:"count" ~direction:Snapshot.Lower_better "violations" v
+
+let wall v = Snapshot.metric ~unit_:"ms" "wall" v
+
+let base_metrics = [ satisfaction 80.0; violations 0.0; wall 120.0 ]
 
 let snap ?(figure = "fig6") ?(quick = true) metrics =
   Snapshot.make ~figure ~quick ~metrics ()
 
-let diff_exn ?tolerance_pct base current =
-  match Diff.diff ?tolerance_pct ~base current with
+let diff_exn base current =
+  match Diff.diff ~base current with
   | Ok r -> r
   | Error e -> Alcotest.failf "diff failed: %s" e
 
@@ -228,89 +227,75 @@ let status =
 
 let test_diff_identical () =
   let report = diff_exn (snap base_metrics) (snap base_metrics) in
-  Alcotest.(check int) "no regressions" 0 report.Diff.d_regressions;
+  Alcotest.(check int) "no failures" 0 report.Diff.d_failures;
   List.iter
     (fun r -> Alcotest.check status r.Diff.r_name Diff.Unchanged r.Diff.r_status)
     report.Diff.d_rows
 
 let test_diff_gates_on_direction () =
-  (* Satisfaction falling beyond its 0.5% tolerance regresses; rising is
-     an improvement and never gates. *)
-  let worse =
-    snap
-      [
-        Snapshot.metric ~unit_:"pct" ~direction:Snapshot.Higher_better ~tolerance_pct:0.5
-          "satisfaction" 78.0;
-        Snapshot.metric ~unit_:"count" ~direction:Snapshot.Lower_better ~tolerance_pct:0.0
-          "violations" 0.0;
-        Snapshot.metric ~unit_:"ms" "wall" 500.0;
-      ]
-  in
+  (* Satisfaction falling regresses; the wall-clock metric is Info, so a
+     4x slowdown stays Unchanged. *)
+  let worse = snap [ satisfaction 78.0; violations 0.0; wall 500.0 ] in
   let report = diff_exn (snap base_metrics) worse in
-  Alcotest.(check int) "one regression" 1 report.Diff.d_regressions;
+  Alcotest.(check int) "one failure" 1 report.Diff.d_failures;
   Alcotest.check status "satisfaction regressed" Diff.Regressed
     (row report "satisfaction").Diff.r_status;
-  (* The wall-clock metric is Info: a 4x slowdown stays Unchanged. *)
   Alcotest.check status "info never gates" Diff.Unchanged (row report "wall").Diff.r_status;
-  let better =
-    snap
-      [
-        Snapshot.metric ~unit_:"pct" ~direction:Snapshot.Higher_better ~tolerance_pct:0.5
-          "satisfaction" 90.0;
-        Snapshot.metric ~unit_:"count" ~direction:Snapshot.Lower_better ~tolerance_pct:0.0
-          "violations" 0.0;
-        Snapshot.metric ~unit_:"ms" "wall" 120.0;
-      ]
-  in
+  (* Rising is an improvement, and it fails too: a baseline left behind
+     would let a later fall back to it pass unseen. *)
+  let better = snap [ satisfaction 90.0; violations 0.0; wall 120.0 ] in
   let report = diff_exn (snap base_metrics) better in
-  Alcotest.(check int) "improvement does not gate" 0 report.Diff.d_regressions;
+  Alcotest.(check int) "an improvement fails" 1 report.Diff.d_failures;
   Alcotest.check status "satisfaction improved" Diff.Improved
-    (row report "satisfaction").Diff.r_status
+    (row report "satisfaction").Diff.r_status;
+  let text = Format.asprintf "%a" Diff.pp_report report in
+  Alcotest.(check bool) "asks for a re-snapshot" true
+    (List.exists
+       (String.ends_with ~suffix:"re-snapshot the baseline")
+       (String.split_on_char '\n' text))
 
-let test_diff_within_tolerance () =
-  let nudged =
-    snap
-      [
-        Snapshot.metric ~unit_:"pct" ~direction:Snapshot.Higher_better ~tolerance_pct:0.5
-          "satisfaction" 79.7;
-        Snapshot.metric ~unit_:"count" ~direction:Snapshot.Lower_better ~tolerance_pct:0.0
-          "violations" 0.0;
-        Snapshot.metric ~unit_:"ms" "wall" 120.0;
-      ]
+(* Every move of a gated metric fails, however small: the moves the old
+   per-metric slack let through (0.4% worse, 1% better, one allocated word
+   more per epoch) and a one-ulp move either way. *)
+let test_diff_any_move_fails () =
+  let moved name base current =
+    let report = diff_exn (snap [ base ]) (snap [ current ]) in
+    Alcotest.(check int) (name ^ " fails") 1 report.Diff.d_failures
   in
-  let report = diff_exn (snap base_metrics) nudged in
-  Alcotest.(check int) "within tolerance" 0 report.Diff.d_regressions
+  moved "0.4% worse" (satisfaction 80.0) (satisfaction 79.68);
+  moved "1% better" (satisfaction 80.0) (satisfaction 80.8);
+  moved "one ulp lower" (satisfaction 80.0) (satisfaction (Float.pred 80.0));
+  moved "one ulp higher" (satisfaction 80.0) (satisfaction (Float.succ 80.0));
+  let committed = Filename.concat baseline_dir "BENCH_telemetry_overhead.json" in
+  match Snapshot.read committed with
+  | Error e -> Alcotest.fail e
+  | Ok base ->
+    let plus_one_word (m : Snapshot.metric) =
+      if m.Snapshot.m_name = "epoch_alloc_words" then
+        { m with Snapshot.m_value = m.Snapshot.m_value +. 1.0 }
+      else m
+    in
+    let current = { base with Snapshot.metrics = List.map plus_one_word base.Snapshot.metrics } in
+    let report = diff_exn base current in
+    Alcotest.(check int) "one word more per epoch fails" 1 report.Diff.d_failures;
+    Alcotest.check status "epoch_alloc_words regressed" Diff.Regressed
+      (row report "epoch_alloc_words").Diff.r_status
 
 let test_diff_missing_and_added () =
-  let current =
-    snap
-      [
-        Snapshot.metric ~unit_:"pct" ~direction:Snapshot.Higher_better ~tolerance_pct:0.5
-          "satisfaction" 80.0;
-        Snapshot.metric ~unit_:"ms" "wall" 120.0;
-        Snapshot.metric ~unit_:"count" "brand_new" 7.0;
-      ]
-  in
+  let brand_new = Snapshot.metric ~unit_:"count" "brand_new" 7.0 in
+  let current = snap [ satisfaction 80.0; wall 120.0; brand_new ] in
   let report = diff_exn (snap base_metrics) current in
   (* Lost coverage gates; new coverage is reported but never gates. *)
   Alcotest.check status "lost metric is missing" Diff.Missing
     (row report "violations").Diff.r_status;
   Alcotest.check status "new metric is added" Diff.Added (row report "brand_new").Diff.r_status;
-  Alcotest.(check int) "only the loss gates" 1 report.Diff.d_regressions
+  Alcotest.(check int) "only the loss gates" 1 report.Diff.d_failures
 
 let test_diff_zero_baseline () =
-  (* A zero baseline has no relative scale: any move off it on a gating
-     metric is an infinite-percent change and gates even at tolerance 0. *)
-  let current =
-    snap
-      [
-        Snapshot.metric ~unit_:"pct" ~direction:Snapshot.Higher_better ~tolerance_pct:0.5
-          "satisfaction" 80.0;
-        Snapshot.metric ~unit_:"count" ~direction:Snapshot.Lower_better ~tolerance_pct:0.0
-          "violations" 2.0;
-        Snapshot.metric ~unit_:"ms" "wall" 120.0;
-      ]
-  in
+  (* A zero baseline has no relative scale: a move off it reads as an
+     infinite-percent change, and like every move of a gated metric it
+     fails. *)
+  let current = snap [ satisfaction 80.0; violations 2.0; wall 120.0 ] in
   let report = diff_exn (snap base_metrics) current in
   let r = row report "violations" in
   Alcotest.check status "off-zero gates" Diff.Regressed r.Diff.r_status;
@@ -323,10 +308,7 @@ let test_diff_rejects_mismatches () =
     | Error _ -> ()
   in
   reject (snap base_metrics) (snap ~figure:"fig8" base_metrics);
-  reject (snap base_metrics) (snap ~quick:false base_metrics);
-  match Diff.diff ~tolerance_pct:(-1.0) ~base:(snap base_metrics) (snap base_metrics) with
-  | Ok _ -> Alcotest.fail "diff accepted a negative tolerance"
-  | Error _ -> ()
+  reject (snap base_metrics) (snap ~quick:false base_metrics)
 
 let test_trend () =
   let point v = snap [ Snapshot.metric ~unit_:"pct" "satisfaction" v ] in
@@ -448,7 +430,7 @@ let () =
         [
           Alcotest.test_case "identical snapshots" `Quick test_diff_identical;
           Alcotest.test_case "direction-aware gating" `Quick test_diff_gates_on_direction;
-          Alcotest.test_case "within tolerance" `Quick test_diff_within_tolerance;
+          Alcotest.test_case "any move of a gated metric fails" `Quick test_diff_any_move_fails;
           Alcotest.test_case "missing gates, added does not" `Quick test_diff_missing_and_added;
           Alcotest.test_case "zero baseline" `Quick test_diff_zero_baseline;
           Alcotest.test_case "rejects mismatches" `Quick test_diff_rejects_mismatches;

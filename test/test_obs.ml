@@ -273,7 +273,7 @@ let test_zero_diff () =
   Alcotest.(check bool) "per-epoch records identical" true
     (off.Experiment.records = on.Experiment.records);
   Alcotest.(check bool) "robustness identical" true
-    (off.Experiment.robustness = on.Experiment.robustness);
+    (off.Experiment.summary.Metrics.robustness = on.Experiment.summary.Metrics.robustness);
   Alcotest.(check int) "rules installed identical" off.Experiment.rules_installed
     on.Experiment.rules_installed;
   Alcotest.(check int) "rules fetched identical" off.Experiment.rules_fetched
@@ -323,7 +323,7 @@ let test_export_and_inspect () =
           (List.exists (fun p -> p.Inspect.phase = "epoch") report.Inspect.measured);
         (* The Prometheus snapshot read back agrees with the run's own
            robustness record — the dedup guarantee. *)
-        let rob = result.Experiment.robustness in
+        let rob = result.Experiment.summary.Metrics.robustness in
         let counter report name =
           Option.value ~default:0 (List.assoc_opt name report.Inspect.counters)
         in
