@@ -103,22 +103,18 @@ let parse_bit t ~what sw =
     Dream_util.Codec.refuse (Printf.sprintf "%s on switch %d, which the task never sees" what sw);
   b
 
-(* Whether a sub-filter intersects a (bits, length) pair, so the mask loop below
-   builds no prefix. *)
-let intersects ~bits ~length sub =
-  let sbits = Prefix.bits sub and slen = Prefix.length sub in
-  Prefix.covers_bits ~abits:sbits ~alen:slen ~bbits:bits ~blen:length
-  || Prefix.covers_bits ~abits:bits ~alen:length ~bbits:sbits ~blen:slen
-
-let rec mask_from subs ~bits ~length i acc =
-  if i = Array.length subs then acc
-  else begin
-    let sub, _ = subs.(i) in
-    let acc = if intersects ~bits ~length sub then acc lor (1 lsl i) else acc in
-    mask_from subs ~bits ~length (i + 1) acc
-  end
-
-let bits_mask t ~bits ~length = mask_from t.subfilters ~bits ~length 0 0
+(* Sub-filter [i] is the addresses whose [log2 k] bits below the filter read
+   [i]: a prefix in the filter meets all [k] up to the filter's length, one
+   from [split] on, and [2^(split - length)] from bit [first] in between. *)
+let bits_mask t ~bits ~length =
+  let flen = Prefix.length t.filter in
+  let common = if length < flen then length else flen in
+  if (bits lxor Prefix.bits t.filter) lsr (Prefix.address_bits - common) <> 0 then 0
+  else if length <= flen then (1 lsl t.switches_per_task) - 1
+  else
+    let split = Prefix.address_bits - t.split_shift in
+    let first = (bits lsr t.split_shift) land (t.switches_per_task - 1) in
+    if length >= split then 1 lsl first else ((1 lsl (1 lsl (split - length))) - 1) lsl first
 
 let prefix_mask t p = bits_mask t ~bits:(Prefix.bits p) ~length:(Prefix.length p)
 

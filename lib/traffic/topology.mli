@@ -55,11 +55,14 @@ val switch_order : t -> int array
 val prefix_mask : t -> Dream_prefix.Prefix.t -> int
 (** Switches that can see traffic for the given prefix, as a mask: bit
     [i] is set when sub-filter [i] intersects the prefix.  Empty ([0]) for
-    prefixes outside the filter.  Allocation-free. *)
+    prefixes outside the filter.  Allocation-free O(1) shift arithmetic,
+    which relies on the equal split {!create} makes and decoding enforces. *)
 
 val bits_mask : t -> bits:int -> length:int -> int
 (** {!prefix_mask} of the prefix with the given bits and length, for
-    callers walking the trie without building prefixes. *)
+    callers walking the trie without building prefixes.  [bits] must be
+    normalised, zero below [length], as [Prefix.make] and [Prefix.key_bits]
+    give them. *)
 
 val bit_of_address : t -> Dream_prefix.Prefix.address -> int
 (** The sub-filter bit of an address, read off at a shift, or [-1]

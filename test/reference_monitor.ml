@@ -150,7 +150,10 @@ let mask_of_set topology set =
 
 (* The sub-filters a counter actually occupies: its traffic sub-filters
    whose switch the allocator has granted at least one entry on. *)
-let effective t (c : Counter.t) = Topology.prefix_mask t.topology c.prefix land t.active_mask
+let effective t (c : Counter.t) =
+  Reference_switch_set.bits_mask t.topology ~bits:(Prefix.bits c.prefix)
+    ~length:(Prefix.length c.prefix)
+  land t.active_mask
 
 let rec bump usage mask delta i =
   if mask lsr i <> 0 then begin
@@ -692,8 +695,12 @@ let rec divide_loop t heap ~leaf_length ~improvement_floor budget =
         let child = Prefix.length c.prefix + 1 in
         let lbits = Prefix.bits c.prefix in
         let rbits = lbits lor (1 lsl (Prefix.address_bits - child)) in
-        let s_l = Topology.bits_mask t.topology ~bits:lbits ~length:child land t.active_mask in
-        let s_r = Topology.bits_mask t.topology ~bits:rbits ~length:child land t.active_mask in
+        let s_l =
+          Reference_switch_set.bits_mask t.topology ~bits:lbits ~length:child land t.active_mask
+        in
+        let s_r =
+          Reference_switch_set.bits_mask t.topology ~bits:rbits ~length:child land t.active_mask
+        in
         let extra = s_l land s_r in
         let f = blocked t extra 0 0 in
         if f = 0 then begin

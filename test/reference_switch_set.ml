@@ -13,6 +13,24 @@ let switch_set topology p =
       if Prefix.covers sub p || Prefix.covers p sub then Switch_id.Set.add sw acc else acc)
     Switch_id.Set.empty (Topology.subfilters topology)
 
+(* The mask the sub-filter loop builds, the differential oracle for
+   Topology.bits_mask's arithmetic: bit [i] is set when sub-filter [i]
+   covers the (bits, length) prefix or the prefix covers it. *)
+let bits_mask topology ~bits ~length =
+  let rec go i acc =
+    if i = Topology.switches_per_task topology then acc
+    else begin
+      let sub = Topology.subfilter_of_bit topology i in
+      let sbits = Prefix.bits sub and slen = Prefix.length sub in
+      let meets =
+        Prefix.covers_bits ~abits:sbits ~alen:slen ~bbits:bits ~blen:length
+        || Prefix.covers_bits ~abits:bits ~alen:length ~bbits:sbits ~blen:slen
+      in
+      go (i + 1) (if meets then acc lor (1 lsl i) else acc)
+    end
+  in
+  go 0 0
+
 (* The two forms' conversions, through the sub-filter list. *)
 let set_of_mask topology mask =
   List.fold_left

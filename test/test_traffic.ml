@@ -256,6 +256,50 @@ let prop_switch_mask_matches_set =
                (List.init (num_switches + 2) (fun sw -> sw - 1)))
         prefixes)
 
+(* Topology.bits_mask's arithmetic against the sub-filter loop it
+   replaced, on random equal splits (1 to 32 sub-filters of a /0 to /27
+   filter).  Each drawn address yields prefixes inside the filter at /0,
+   at the filter's length, one bit above a sub-filter's, at it, one bit
+   below it and at /32; one at a random length at most the filter's (the
+   filter's ancestors); the same lengths anywhere; and, for a filter
+   longer than /0, prefixes that leave it at one bit. *)
+let prop_bits_mask_matches_loop =
+  let address =
+    QCheck.Gen.(map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xFFFF) (int_bound 0xFFFF))
+  in
+  let gen =
+    QCheck.Gen.(
+      let* log_k = int_range 0 5 in
+      let* flen = int_range 0 27 in
+      let* fbits = address in
+      let* seed = int_bound 10_000 in
+      let* addrs = list_size (int_range 1 10) address in
+      return (log_k, flen, fbits, seed, addrs))
+  in
+  QCheck.Test.make ~name:"bits_mask = sub-filter loop" ~count:500 (QCheck.make gen)
+    (fun (log_k, flen, fbits, seed, addrs) ->
+      let k = 1 lsl log_k in
+      let filter = Prefix.make ~bits:fbits ~length:flen in
+      let t = Topology.create (Rng.create seed) ~filter ~num_switches:k ~switches_per_task:k in
+      let split = flen + log_k in
+      let clamp l = max 0 (min Prefix.address_bits l) in
+      let lengths = List.map clamp [ 0; flen; split - 1; split; split + 1; Prefix.address_bits ] in
+      let agrees addr length =
+        let bits = Prefix.bits (Prefix.make ~bits:addr ~length) in
+        Topology.bits_mask t ~bits ~length = Reference_switch_set.bits_mask t ~bits ~length
+      in
+      List.for_all
+        (fun r ->
+          let inside = Prefix.bits filter lor (r land (Prefix.size filter - 1)) in
+          List.for_all (agrees inside) (r mod (flen + 1) :: lengths)
+          && List.for_all (agrees r) lengths
+          && (flen = 0
+             ||
+             let j = r mod flen in
+             let outside = inside lxor (1 lsl (Prefix.address_bits - 1 - j)) in
+             List.for_all (agrees outside) (List.map (max (j + 1)) lengths)))
+        addrs)
+
 (* ---- Profile ---- *)
 
 let test_profile_default_valid () =
@@ -670,6 +714,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_topology_validation;
           Alcotest.test_case "prefix_mask matches switch_set" `Quick test_topology_prefix_mask;
           QCheck_alcotest.to_alcotest prop_switch_mask_matches_set;
+          QCheck_alcotest.to_alcotest prop_bits_mask_matches_loop;
           Alcotest.test_case "parse checks sub-filter count" `Quick
             test_topology_parse_checks_subfilters;
         ] );
