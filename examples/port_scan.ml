@@ -11,7 +11,7 @@ module Super_spreader = Dream_sketch.Super_spreader
 
 let () =
   let rng = Rng.create 4242 in
-  let sketch = Super_spreader.create ~cells:2048 ~threshold:40 ~seed:7 () in
+  let sketch = Super_spreader.create ~cells:2048 ~threshold:40 ~seed:7 in
   for epoch = 0 to 9 do
     Super_spreader.begin_epoch sketch;
     (* Normal clients: 200 sources each talking to a handful of services. *)

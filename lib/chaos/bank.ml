@@ -65,8 +65,11 @@ type outcome = {
 
 let schedule_seed master = Int64.to_int (Rng.bits64 master) land max_int
 
+(* Failing schedules shrunk per bank; later ones only count. *)
+let max_failures = 3
+
 let run ?(canary = false) ?(horizon = Harness.default_horizon)
-    ?(events = Harness.default_events) ?(max_failures = 3) ~schedules ~seed () =
+    ?(events = Harness.default_events) ~schedules ~seed () =
   if schedules < 1 then invalid_arg "Bank.run: schedules must be >= 1";
   (* Differential oracle: a schedule with zero adversity must be
      byte-identical to the seed run without any chaos machinery. *)

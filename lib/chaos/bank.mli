@@ -41,21 +41,20 @@ type outcome = {
   violations : int;  (** total violations across all schedules *)
   differential_ok : bool;
       (** the zero-event schedule was byte-identical to the seed run *)
-  failures : failure list;  (** minimized, at most [max_failures] *)
+  failures : failure list;  (** minimized, at most 3 *)
 }
 
 val run :
   ?canary:bool ->
   ?horizon:int ->
   ?events:int ->
-  ?max_failures:int ->
   schedules:int ->
   seed:int ->
   unit ->
   outcome
 (** Run a bank.  [canary] plants the demonstration bug in every schedule
-    (see {!Harness.run}).  At most [max_failures] (default 3) failing
-    schedules are shrunk; later failures still count toward [violations].
+    (see {!Harness.run}).  At most 3 failing schedules are shrunk; later
+    failures still count toward [violations].
     @raise Invalid_argument if [schedules < 1]. *)
 
 val reproducer_to_string : failure -> string

@@ -29,7 +29,10 @@ let split_chunks n l =
   in
   go 0 l []
 
-let minimize ?(max_runs = 2000) ~fails (sched : Schedule.t) =
+(* The budget of [fails] evaluations per minimization. *)
+let max_runs = 2000
+
+let minimize ~fails (sched : Schedule.t) =
   let runs = ref 0 in
   let check s =
     if !runs >= max_runs then false

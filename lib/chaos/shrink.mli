@@ -8,9 +8,8 @@
 
 type stats = { runs : int; initial_events : int; final_events : int }
 
-val minimize :
-  ?max_runs:int -> fails:(Schedule.t -> bool) -> Schedule.t -> Schedule.t * stats
+val minimize : fails:(Schedule.t -> bool) -> Schedule.t -> Schedule.t * stats
 (** [minimize ~fails sched] assumes [fails sched] is true and returns a
     minimized schedule for which it still is, plus how much work that
-    took.  [max_runs] (default 2000) bounds the number of [fails]
-    evaluations; at the budget the current reduction is returned. *)
+    took.  It makes at most 2000 [fails] evaluations; at the budget the
+    current reduction is returned. *)

@@ -90,7 +90,7 @@ let tcam_vs_sketch ~epochs =
       let ground_truth = Dream_tasks.Ground_truth.create ~storage spec in
       let allocations = Array.make (Topology.switches_per_task topology) (resources / 2) in
       let workspace = Dream_tasks.Divide_merge.create () in
-      let sketch = Sketch_hh.create ~spec ~cells:resources ~seed:17 () in
+      let sketch = Sketch_hh.create ~spec ~cells:resources ~seed:17 in
       let sampler = Sampled_hh.create ~spec ~budget:resources ~seed:23 () in
       let tcam_recalls = ref [] and sk_recalls = ref [] and sk_precisions = ref [] in
       let sa_recalls = ref [] and sa_precisions = ref [] in

@@ -26,11 +26,12 @@ type point = {
   reconciled_removed : int;
   reconciled_installed : int;
   invariant_violations : int;
+  controller_crashes : int;
+  completed : int;
 }
 
 let default_rates = [ 0.0; 0.01; 0.02; 0.05 ]
-let default_fault_seed = 211
-let default_seeds = [ default_fault_seed; 499; 733 ]
+let default_seeds = [ 211; 499; 733 ]
 let default_checkpoint_interval = 20
 
 (* Recovered: mean smoothed estimated accuracy back within 5% of its
@@ -51,12 +52,10 @@ let mean_estimated_accuracy controller =
   | [] -> None
   | accs -> Some (Stats.mean accs)
 
-let run_once ?(config = Config.default) ?(checkpoint_interval = default_checkpoint_interval)
-    ?(fault_seed = default_fault_seed) ~crash_rate (scenario : Scenario.t) strategy =
-  if checkpoint_interval <= 0 then invalid_arg "Crash_recovery: checkpoint interval must be > 0";
+let run_once ~checkpoint_interval ~fault_seed ~crash_rate (scenario : Scenario.t) strategy =
   let config =
     {
-      config with
+      Config.default with
       Config.faults = Some (crash_spec ~seed:fault_seed crash_rate);
       check_invariants = true;
     }
@@ -102,22 +101,21 @@ let run_once ?(config = Config.default) ?(checkpoint_interval = default_checkpoi
     reconverge_epochs = List.rev !reconverge;
     accuracy_dips = List.rev !dips;
   }
-[@@lint.allow "oracle hook: test/test_recovery.ml"]
 
-let sweep ?config ?checkpoint_interval ?(seeds = default_seeds) ?(rates = default_rates) scenario
-    strategy =
+let sweep ?(checkpoint_interval = default_checkpoint_interval) ?(seeds = default_seeds)
+    ?(rates = default_rates) scenario strategy =
   if seeds = [] then invalid_arg "Crash_recovery: at least one seed required";
+  if checkpoint_interval <= 0 then invalid_arg "Crash_recovery: checkpoint interval must be > 0";
   List.map
     (fun rate ->
       let runs =
         List.map
           (fun fault_seed ->
-            run_once ?config ?checkpoint_interval ~fault_seed ~crash_rate:rate scenario strategy)
+            run_once ~checkpoint_interval ~fault_seed ~crash_rate:rate scenario strategy)
           seeds
       in
-      let sum_rob f =
-        List.fold_left (fun acc r -> acc + f r.summary.Metrics.robustness) 0 runs
-      in
+      let sum f = List.fold_left (fun acc r -> acc + f r.summary) 0 runs in
+      let sum_rob f = sum (fun s -> f s.Metrics.robustness) in
       {
         crash_rate = rate;
         runs = List.length runs;
@@ -129,6 +127,8 @@ let sweep ?config ?checkpoint_interval ?(seeds = default_seeds) ?(rates = defaul
         reconciled_removed = sum_rob (fun r -> r.Metrics.reconcile_removed);
         reconciled_installed = sum_rob (fun r -> r.Metrics.reconcile_installed);
         invariant_violations = sum_rob (fun r -> r.Metrics.invariant_violations);
+        controller_crashes = sum_rob (fun r -> r.Metrics.controller_crashes);
+        completed = sum (fun s -> s.Metrics.completed);
       })
     rates
 

@@ -14,14 +14,6 @@
     reconverging are excluded from the reconvergence stat.  The runtime
     invariant checker runs every epoch; its violation count must stay 0. *)
 
-type run_result = {
-  summary : Dream_core.Metrics.summary;
-  mean_accuracy : float;  (** mean scored accuracy over admitted tasks, in \[0, 1\] *)
-  crashes : int;  (** controller crashes survived *)
-  reconverge_epochs : float list;  (** one entry per crash that reconverged *)
-  accuracy_dips : float list;  (** estimated-accuracy drop at each fail-over, in \[0, 1\] *)
-}
-
 type point = {
   crash_rate : float;
   runs : int;  (** seeds aggregated into this point *)
@@ -33,6 +25,9 @@ type point = {
   reconciled_removed : int;  (** stray rules removed by audits, total over runs *)
   reconciled_installed : int;  (** missing rules reinstalled by audits, total over runs *)
   invariant_violations : int;  (** total over runs; 0 when recovery is correct *)
+  controller_crashes : int;
+      (** crashes the controllers' robustness tallies count, total over runs *)
+  completed : int;  (** tasks completed, total over runs *)
 }
 
 val default_rates : float list
@@ -43,26 +38,17 @@ val default_seeds : int list
 val default_checkpoint_interval : int
 (** Epochs between checkpoints (20). *)
 
-val run_once :
-  ?config:Dream_core.Config.t ->
-  ?checkpoint_interval:int ->
-  ?fault_seed:int ->
-  crash_rate:float ->
-  Dream_workload.Scenario.t ->
-  Dream_alloc.Allocator.strategy ->
-  run_result
-(** One full run with fail-over; invariant checking is forced on.
-    @raise Invalid_argument if [crash_rate] is outside \[0, 1\] or
-    [checkpoint_interval <= 0]. *)
-
 val sweep :
-  ?config:Dream_core.Config.t ->
   ?checkpoint_interval:int ->
   ?seeds:int list ->
   ?rates:float list ->
   Dream_workload.Scenario.t ->
   Dream_alloc.Allocator.strategy ->
   point list
+(** One full run with fail-over per (rate, seed), invariant checking
+    forced on, aggregated per rate.
+    @raise Invalid_argument if a rate is outside \[0, 1\],
+    [checkpoint_interval <= 0] or [seeds] is empty. *)
 
 val print_points : point list -> unit
 

@@ -4,7 +4,6 @@ module Metrics = Dream_core.Metrics
 module Fault_model = Dream_fault.Fault_model
 
 type point = {
-  rate : float;
   strategy : string;
   summary : Metrics.summary;
   mean_accuracy : float; (* over admitted tasks, in [0, 1] *)
@@ -12,14 +11,13 @@ type point = {
 
 let default_rates = [ 0.0; 0.02; 0.05; 0.1; 0.2 ]
 
-let run_point ?(config = Config.default) ?(fault_seed = 97) scenario strategy rate =
+let run_point ~fault_seed scenario strategy rate =
   let config =
-    if rate <= 0.0 then config
-    else { config with Config.faults = Some (Fault_model.uniform ~seed:fault_seed rate) }
+    if rate <= 0.0 then Config.default
+    else { Config.default with Config.faults = Some (Fault_model.uniform ~seed:fault_seed rate) }
   in
   let result = Experiment.run ~config scenario strategy in
   {
-    rate;
     strategy = result.Experiment.strategy;
     summary = result.Experiment.summary;
     mean_accuracy = Metrics.mean_accuracy result.Experiment.records;
@@ -37,12 +35,12 @@ type aggregate = {
 
 let default_seeds = [ 97; 193; 389 ]
 
-let sweep_seeds ?config ?(seeds = default_seeds) ?(rates = default_rates) scenario strategy =
+let sweep_seeds ?(seeds = default_seeds) ?(rates = default_rates) scenario strategy =
   if seeds = [] then invalid_arg "Fault_sweep: at least one seed required";
   List.map
     (fun rate ->
       let points =
-        List.map (fun fault_seed -> run_point ?config ~fault_seed scenario strategy rate) seeds
+        List.map (fun fault_seed -> run_point ~fault_seed scenario strategy rate) seeds
       in
       let over f = Metrics.stat (List.map f points) in
       {

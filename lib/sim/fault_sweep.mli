@@ -8,13 +8,6 @@
     runs without any fault model — the baseline every other point is
     compared against. *)
 
-type point = {
-  rate : float;  (** the uniform failure rate of this run *)
-  strategy : string;
-  summary : Dream_core.Metrics.summary;
-  mean_accuracy : float;  (** mean per-task scored accuracy over admitted tasks, in \[0, 1\] *)
-}
-
 val default_rates : float list
 (** [0; 0.02; 0.05; 0.1; 0.2] *)
 
@@ -39,13 +32,12 @@ val default_seeds : int list
 (** [97; 193; 389] *)
 
 val sweep_seeds :
-  ?config:Dream_core.Config.t ->
   ?seeds:int list ->
   ?rates:float list ->
   Dream_workload.Scenario.t ->
   Dream_alloc.Allocator.strategy ->
   aggregate list
-(** {!run_point} per (rate, seed), aggregated per rate.
+(** One run per (rate, seed), aggregated per rate.
     @raise Invalid_argument on an empty seed list. *)
 
 val print_aggregates : aggregate list -> unit

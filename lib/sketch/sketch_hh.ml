@@ -11,7 +11,10 @@ type t = {
   candidates : (int, unit) Hashtbl.t; (* keys seen this epoch *)
 }
 
-let create ~spec ~cells ?(depth = 4) ~seed () =
+(* Count-Min rows. *)
+let depth = 4
+
+let create ~spec ~cells ~seed =
   if cells < depth then invalid_arg "Sketch_hh.create: fewer cells than rows";
   let width = max 1 (cells / depth) in
   { spec; sketch = Count_min.create ~width ~depth ~seed; candidates = Hashtbl.create 256 }

@@ -10,10 +10,10 @@
 
 type t
 
-val create : spec:Dream_tasks.Task_spec.t -> cells:int -> ?depth:int -> seed:int -> unit -> t
-(** A sketch task with a [cells] resource budget, split into [depth] rows
-    (default 4) of [cells / depth] counters.
-    @raise Invalid_argument if [cells < depth]. *)
+val create : spec:Dream_tasks.Task_spec.t -> cells:int -> seed:int -> t
+(** A sketch task with a [cells] resource budget, split into 4 rows of
+    [cells / 4] counters.
+    @raise Invalid_argument if [cells < 4]. *)
 
 val observe_epoch : t -> Dream_traffic.Aggregate.t -> unit
 (** Feed one epoch's traffic (keys are leaf prefixes under the task's

@@ -1,5 +1,8 @@
+(* Rows, and bits per bitmap cell. *)
+let depth = 4
+let cell_bits = 64
+
 type t = {
-  depth : int;
   width : int;
   threshold : int;
   seed : int;
@@ -8,12 +11,11 @@ type t = {
   mutable pairs : int; (* connections observed this epoch *)
 }
 
-let create ?(depth = 4) ?(cell_bits = 64) ~cells ~threshold ~seed () =
+let create ~cells ~threshold ~seed =
   if cells < depth then invalid_arg "Super_spreader.create: fewer cells than rows";
   if threshold <= 0 then invalid_arg "Super_spreader.create: threshold must be positive";
   let width = max 1 (cells / depth) in
   {
-    depth;
     width;
     threshold;
     seed;
@@ -33,7 +35,7 @@ let bucket t ~src row =
   to_int (rem (logand z max_int) (of_int t.width))
 
 let observe t ~src ~dst =
-  for row = 0 to t.depth - 1 do
+  for row = 0 to depth - 1 do
     Distinct.add t.rows.(row).(bucket t ~src row) dst
   done;
   Hashtbl.replace t.candidates src ();
@@ -46,7 +48,7 @@ let begin_epoch t =
 
 let fanout t ~src =
   let best = ref infinity in
-  for row = 0 to t.depth - 1 do
+  for row = 0 to depth - 1 do
     let v = Distinct.estimate t.rows.(row).(bucket t ~src row) in
     if v < !best then best := v
   done;

@@ -13,11 +13,10 @@
 
 type t
 
-val create :
-  ?depth:int -> ?cell_bits:int -> cells:int -> threshold:int -> seed:int -> unit -> t
-(** [cells] is the total resource budget in bitmap cells (each [cell_bits]
-    = 64 bits by default, [depth] = 4 rows); [threshold] is the fan-out k.
-    @raise Invalid_argument if [cells < depth]. *)
+val create : cells:int -> threshold:int -> seed:int -> t
+(** [cells] is the total resource budget in 64-bit bitmap cells, split
+    into 4 rows; [threshold] is the fan-out k.
+    @raise Invalid_argument if [cells < 4]. *)
 
 val observe : t -> src:int -> dst:int -> unit
 (** Record one connection. *)

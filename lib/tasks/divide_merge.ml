@@ -259,6 +259,11 @@ let rec visit t (m : Monitor.t) ~bits ~len =
     t.node_class.(slot) <- (if t.ret_t <> 0 && t.ret_count >= 2 then class_of t t.ret_t else -1)
   end
 
+(* The monitor's candidate table: every structural node with a non-empty T
+   set, in the order the greedy breaks ties by, plus a per-sub-filter lower
+   bound on the cost of a candidate freeing it.  A merge or divide leaves
+   it stale, except for merges at the last solve's picks followed by
+   [repair_picks]. *)
 let build t (m : Monitor.t) =
   t.slots <- 0;
   t.cursor <- 0;
@@ -287,7 +292,6 @@ let build t (m : Monitor.t) =
     done
   done;
   t.built <- true
-[@@lint.allow "oracle hook: test/test_tasks.ml"]
 
 (* Slots [lo, hi) stop being candidates; their classes must find their
    least member again. *)
@@ -310,7 +314,6 @@ let repair_picks t =
     let j = t.chosen.(i) in
     kill t j t.node_end.(j)
   done
-[@@lint.allow "oracle hook: test/test_tasks.ml"]
 
 (* Lower bound on the cost of covering [f]: any solution must include, for
    each sub-filter, a candidate at least as expensive as that sub-filter's
@@ -320,9 +323,6 @@ let bound t f =
   for i = 0 to t.k - 1 do
     if f land (1 lsl i) <> 0 then t.regs.bound <- Float.max t.regs.bound t.cheapest.(i)
   done
-[@@lint.allow "oracle hook: test/test_tasks.ml"]
-
-let last_bound t = t.regs.bound [@@lint.allow "oracle hook: test/test_tasks.ml"]
 
 let[@inline] covers_node t j ~bits ~len =
   let key = t.node_key.(j) in
@@ -439,20 +439,16 @@ let rec greedy t uncovered =
    done;
    greedy t (uncovered land lnot t.cls_mask.(t.node_class.(b))))
 
+(* Greedy cover of [f], ignoring the candidates that cover the prefix
+   (ex_bits, ex_len), so a merge never destroys the counter about to be
+   divided ([ex_len < 0] ignores none): the picks go to [chosen], their
+   summed cost to [regs.cost]. *)
 let[@hot] solve_mask t ~ex_bits ~ex_len f =
   t.picks <- 0;
   t.regs.cost <- 0.0;
   t.solve_id <- t.solve_id + 1;
   if ex_len >= 0 then drop_path t 0 t.slots ~bits:ex_bits ~len:ex_len;
   greedy t f
-[@@lint.allow "oracle hook: test/test_tasks.ml"]
-
-let picks t = t.picks [@@lint.allow "oracle hook: test/test_tasks.ml"]
-
-let picked t i = Prefix.of_key t.node_key.(t.chosen.(i))
-[@@lint.allow "oracle hook: test/test_tasks.ml"]
-
-let cost t = t.regs.cost [@@lint.allow "oracle hook: test/test_tasks.ml"]
 
 (* Merge at the last solve's picks, the last pick first. *)
 let apply_merges t m =

@@ -383,8 +383,6 @@ let bottlenecked t ~allocations =
 module Cover = struct
   type solution = { ancestors : Prefix.t list; cost : float }
 
-  type candidates = t
-
   let grown a n fill used =
     let b = Array.make n fill in
     Array.blit a 0 b 0 used;
@@ -505,10 +503,6 @@ module Cover = struct
     done;
     cv.regs.bound_acc
 
-  let min_cost_bound t f =
-    let f = mask_of_set t.topology f in
-    if f < 0 then Float.infinity else bound t.cover f
-
   (* The first live slot with the lowest cost per newly covered sub-filter
      (a later slot replaces the best only when [not (best <= ratio)], the
      fold's tie-break), left in [cv.best]; -1 when no slot covers any of
@@ -569,20 +563,6 @@ module Cover = struct
       done;
       greedy cv [] 0.0 f
     end
-
-  let solve_with t ~exclude f =
-    if Switch_id.Set.is_empty f then Some { ancestors = []; cost = 0.0 }
-    else begin
-      let f = mask_of_set t.topology f in
-      (* A switch the task never sees can never be freed. *)
-      if f < 0 then None
-      else
-        match exclude with
-        | None -> solve_mask t ~ex_bits:0 ~ex_len:(-1) f
-        | Some p -> solve_mask t ~ex_bits:(Prefix.bits p) ~ex_len:(Prefix.length p) f
-    end
-
-  let solve t ~exclude f = solve_with (build t) ~exclude f
 end
 
 (* ---- merge and divide ---- *)
@@ -646,6 +626,15 @@ let divide t heap ~leaf_length (c : Counter.t) =
     if not (Counter.is_exact left ~leaf_length) then Heap.push heap left;
     if not (Counter.is_exact right ~leaf_length) then Heap.push heap right
 
+(* Covers of two picks or more merged since a test last zeroed it: a
+   differential run reads it to know the greedy's drops between picks
+   were exercised. *)
+let multi_pick_merges = ref 0
+
+let apply_cover t (sol : Cover.solution) =
+  (match sol.Cover.ancestors with _ :: _ :: _ -> incr multi_pick_merges | _ -> ());
+  apply_merges t sol.Cover.ancestors
+
 (* ---- Algorithm 2 ---- *)
 
 let add_allocation _ v acc = acc + v
@@ -661,7 +650,7 @@ let shrink_to_fit t =
     if f <> 0 && guard > 0 then begin
       match Cover.solve_mask (Cover.build t) ~ex_bits:0 ~ex_len:(-1) f with
       | Some ({ Cover.ancestors = _ :: _; _ } as sol) ->
-        apply_merges t sol.Cover.ancestors;
+        apply_cover t sol;
         go (guard - 1)
       | Some { Cover.ancestors = []; _ } | None ->
         if t.n > 1 then begin
@@ -721,7 +710,7 @@ let rec divide_loop t heap ~leaf_length ~improvement_floor budget =
           else begin
             match Cover.solve_mask t ~ex_bits:lbits ~ex_len:(Prefix.length c.prefix) f with
             | Some sol when sol.Cover.cost +. improvement_floor < c.score ->
-              apply_merges t sol.Cover.ancestors;
+              apply_cover t sol;
               Cover.repair_all t sol.Cover.ancestors;
               (* Re-check: the merge must actually have freed room. *)
               if blocked t extra 0 0 = 0 then divide t heap ~leaf_length c;

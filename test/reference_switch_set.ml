@@ -4,7 +4,6 @@
 
 module Prefix = Dream_prefix.Prefix
 module Switch_id = Dream_traffic.Switch_id
-module Switch_mask = Dream_traffic.Switch_mask
 module Topology = Dream_traffic.Topology
 
 let switch_set topology p =
@@ -31,18 +30,13 @@ let bits_mask topology ~bits ~length =
   in
   go 0 0
 
-(* The two forms' conversions, through the sub-filter list. *)
+(* The set of the switches whose bits are in [mask], through the sub-filter
+   list. *)
 let set_of_mask topology mask =
   List.fold_left
     (fun (i, acc) (_, sw) ->
       (i + 1, if mask land (1 lsl i) <> 0 then Switch_id.Set.add sw acc else acc))
     (0, Switch_id.Set.empty) (Topology.subfilters topology)
-  |> snd
-
-let mask_of_set topology set =
-  List.fold_left
-    (fun (i, acc) (_, sw) -> (i + 1, if Switch_id.Set.mem sw set then acc lor (1 lsl i) else acc))
-    (0, Switch_mask.empty) (Topology.subfilters topology)
   |> snd
 
 (* A per-bit array as the per-switch map it replaces: the entries of the

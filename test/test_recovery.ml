@@ -1110,20 +1110,19 @@ let test_crash_recovery_sweep_clean () =
       total_epochs = 90;
     }
   in
-  let result =
-    Crash_recovery.run_once ~checkpoint_interval:15 ~fault_seed:211 ~crash_rate:0.08 scenario
-      (Allocator.Dream Dream_allocator.default_config)
+  let p =
+    match
+      Crash_recovery.sweep ~checkpoint_interval:15 ~seeds:[ 211 ] ~rates:[ 0.08 ] scenario
+        (Allocator.Dream Dream_allocator.default_config)
+    with
+    | [ p ] -> p
+    | _ -> Alcotest.fail "one point per rate"
   in
-  Alcotest.(check bool)
-    (Printf.sprintf "crashes injected (%d)" result.Crash_recovery.crashes)
-    true
-    (result.Crash_recovery.crashes > 0);
-  let rob = result.Crash_recovery.summary.Metrics.robustness in
-  Alcotest.(check int) "fail-overs survived" result.Crash_recovery.crashes
-    rob.Metrics.controller_crashes;
-  Alcotest.(check int) "zero invariant violations" 0 rob.Metrics.invariant_violations;
-  Alcotest.(check bool) "tasks completed" true
-    (result.Crash_recovery.summary.Metrics.completed > 0)
+  let crashes = int_of_float p.Crash_recovery.crashes in
+  Alcotest.(check bool) (Printf.sprintf "crashes injected (%d)" crashes) true (crashes > 0);
+  Alcotest.(check int) "fail-overs survived" crashes p.Crash_recovery.controller_crashes;
+  Alcotest.(check int) "zero invariant violations" 0 p.Crash_recovery.invariant_violations;
+  Alcotest.(check bool) "tasks completed" true (p.Crash_recovery.completed > 0)
 
 (* ---- invariant checker ---- *)
 

@@ -64,7 +64,7 @@ let example_aggregate () =
 
 let test_sketch_hh_perfect_recall () =
   (* A generously sized sketch detects exactly the true HHs. *)
-  let task = Sketch_hh.create ~spec:(F.spec ()) ~cells:4096 ~seed:1 () in
+  let task = Sketch_hh.create ~spec:(F.spec ()) ~cells:4096 ~seed:1 in
   Sketch_hh.observe_epoch task (example_aggregate ());
   (* Recall and precision both 1: the detections are exactly the true HHs. *)
   Alcotest.(check (float 1e-9)) "recall 1" 1.0
@@ -77,7 +77,7 @@ let test_sketch_hh_recall_never_below_one () =
      whatever the sketch size. *)
   List.iter
     (fun cells ->
-      let task = Sketch_hh.create ~spec:(F.spec ()) ~cells ~seed:2 () in
+      let task = Sketch_hh.create ~spec:(F.spec ()) ~cells ~seed:2 in
       Sketch_hh.observe_epoch task (example_aggregate ());
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "recall 1 at %d cells" cells)
@@ -87,8 +87,8 @@ let test_sketch_hh_recall_never_below_one () =
 
 let test_sketch_hh_small_sketch_lower_precision () =
   (* Tiny sketches collide: more detections, lower precision. *)
-  let small = Sketch_hh.create ~spec:(F.spec ()) ~cells:8 ~seed:3 () in
-  let large = Sketch_hh.create ~spec:(F.spec ()) ~cells:4096 ~seed:3 () in
+  let small = Sketch_hh.create ~spec:(F.spec ()) ~cells:8 ~seed:3 in
+  let large = Sketch_hh.create ~spec:(F.spec ()) ~cells:4096 ~seed:3 in
   Sketch_hh.observe_epoch small (example_aggregate ());
   Sketch_hh.observe_epoch large (example_aggregate ());
   Alcotest.(check bool) "small really less precise" true
@@ -176,7 +176,7 @@ let scan_epoch sketch =
     [ 777; 888 ]
 
 let test_spreader_detects_scanners () =
-  let sketch = Super_spreader.create ~cells:4096 ~threshold:50 ~seed:11 () in
+  let sketch = Super_spreader.create ~cells:4096 ~threshold:50 ~seed:11 in
   scan_epoch sketch;
   let detected = List.map fst (Super_spreader.detected sketch) in
   Alcotest.(check (list int)) "exactly the scanners" [ 777; 888 ] detected;
@@ -185,7 +185,7 @@ let test_spreader_detects_scanners () =
 
 let test_spreader_perfect_recall_small_sketch () =
   (* Collisions only inflate fan-out, so scanners are always detected. *)
-  let sketch = Super_spreader.create ~cells:16 ~threshold:50 ~seed:13 () in
+  let sketch = Super_spreader.create ~cells:16 ~threshold:50 ~seed:13 in
   scan_epoch sketch;
   let detected = List.map fst (Super_spreader.detected sketch) in
   Alcotest.(check bool) "777 detected" true (List.mem 777 detected);
@@ -195,7 +195,7 @@ let test_spreader_perfect_recall_small_sketch () =
     (Super_spreader.estimate_precision sketch < 1.0)
 
 let test_spreader_epoch_reset () =
-  let sketch = Super_spreader.create ~cells:4096 ~threshold:50 ~seed:11 () in
+  let sketch = Super_spreader.create ~cells:4096 ~threshold:50 ~seed:11 in
   scan_epoch sketch;
   Super_spreader.begin_epoch sketch;
   Alcotest.(check int) "no detections after reset" 0

@@ -267,103 +267,118 @@ let test_monitor_eight_switches () =
       allocations
   done
 
-(* ---- Cover ---- *)
+(* ---- Cover, through configure ---- *)
 
-(* cover()'s answer as a list of ancestors, the last pick first, read off
-   the pick column; [exclude] as an optional prefix. *)
-module Cover_list = struct
-  type solution = { ancestors : Prefix.t list; cost : float }
+(* cover() runs only inside configure, so each case drives a configure and
+   checks the monitor's checkpoint text against the boxed reference monitor
+   driven the same way: its per-slot bitmask cover() is the oracle.  The
+   text holds every counter's prefix and score, so a different pick shows
+   even where the divides that follow restore the same prefixes. *)
 
-  let solve_with dm ~exclude f =
-    let ex_bits, ex_len =
-      match exclude with None -> (0, -1) | Some p -> (Prefix.bits p, Prefix.length p)
-    in
-    if Divide_merge.solve_mask dm ~ex_bits ~ex_len f then begin
-      let n = Divide_merge.picks dm in
-      Some
-        {
-          ancestors = List.init n (fun i -> Divide_merge.picked dm (n - 1 - i));
-          cost = Divide_merge.cost dm;
-        }
-    end
-    else None
+module Reference = Reference_monitor
+module Codec = Dream_util.Codec
 
-  let solve m dm ~exclude f =
-    Divide_merge.build dm m;
-    solve_with dm ~exclude f
-end
+(* A monitor, its workspace and the reference, driven in lockstep. *)
+type twin = { m : Monitor.t; dm : Divide_merge.t; r : Reference.t }
+
+let twin ~spec ~topology =
+  let m, dm = with_divide_merge (Monitor.create ~storage:(fresh_storage ()) ~spec ~topology) in
+  { m; dm; r = Reference.create ~spec ~topology }
+
+let monitor_text m =
+  Codec.encode
+    (Monitor.codec ~spec:(Monitor.spec m) ~topology:(Monitor.topology m)
+       ~storage:(fresh_storage ()))
+    m
+
+let configure_both tw ~allocations =
+  Divide_merge.configure tw.dm tw.m ~allocations;
+  Reference.configure tw.r
+    ~allocations:
+      (Reference_switch_set.map_of_bits (Monitor.topology tw.m) (Monitor.switches tw.m)
+         allocations)
+
+(* Set slot [i]'s score to [s] in both. *)
+let set_score_both tw i s =
+  Monitor.set_score tw.m i s;
+  (List.nth (Reference.fold List.cons tw.r []) i).Reference.Counter.score <- s
+
+let check_reference tw =
+  Alcotest.(check string) "checkpoint text = reference" (Reference.emit tw.r) (monitor_text tw.m)
+
+(* The worked example's twin after five epochs at 8 entries a switch. *)
+let stepped_twin () =
+  let tw = twin ~spec:(spec ()) ~topology:(mk_topology ()) in
+  let allocations = allocations_of tw.m 8 in
+  for epoch = 0 to 4 do
+    let readings = Fixtures.readings_of tw.m (example_epoch ~epoch) in
+    Fixtures.ingest_readings tw.m readings;
+    Reference.ingest tw.r readings;
+    Score.apply tw.m;
+    Reference.rescore_all tw.r;
+    configure_both tw ~allocations
+  done;
+  check_reference tw;
+  tw
+
+(* The worked example's two per-bit allocations: each switch's usage, less
+   [less b] on bit [b]. *)
+let usage_less tw less = Array.init 2 (fun b -> Monitor.usage tw.m b - less b)
 
 let test_cover_empty_set () =
-  let m, dm = mk_monitor () in
-  match Cover_list.solve m dm ~exclude:None Switch_mask.empty with
-  | Some sol ->
-    Alcotest.(check int) "no ancestors" 0 (List.length sol.Cover_list.ancestors);
-    Alcotest.(check (float 1e-9)) "zero cost" 0.0 sol.Cover_list.cost
-  | None -> Alcotest.fail "empty set must be coverable"
+  (* No switch over its allocation and nothing worth dividing: the
+     configure covers the empty set and merges nothing. *)
+  let tw = stepped_twin () in
+  let before = List.map (Monitor.prefix tw.m) (counters tw.m) in
+  List.iter (fun i -> set_score_both tw i 0.0) (counters tw.m);
+  configure_both tw ~allocations:(usage_less tw (fun _ -> 0));
+  Alcotest.(check (list string)) "counters unchanged"
+    (List.map Prefix.to_string before)
+    (List.map (fun i -> Prefix.to_string (Monitor.prefix tw.m i)) (counters tw.m));
+  check_reference tw
 
 let test_cover_single_counter_uncoverable () =
-  let m, dm = mk_monitor () in
-  (* Only the filter counter exists: nothing can merge, so no cover. *)
-  Alcotest.(check bool) "uncoverable" true
-    (Cover_list.solve m dm ~exclude:None 1 = None)
+  (* One switch, one counter: dividing it needs a second entry on the
+     switch, and with nothing to merge no cover frees one, so the counter
+     stays whole. *)
+  let topology = Topology.create (Rng.create 1) ~filter ~num_switches:1 ~switches_per_task:1 in
+  let tw = twin ~spec:(spec ()) ~topology in
+  set_score_both tw 0 50.0;
+  configure_both tw ~allocations:[| 1 |];
+  Alcotest.(check int) "one counter" 1 (Monitor.num_counters tw.m);
+  Alcotest.(check string) "the filter" (Prefix.to_string filter)
+    (Prefix.to_string (Monitor.prefix tw.m 0));
+  check_reference tw
 
 let test_cover_finds_mergeable_ancestor () =
-  let m, dm = mk_monitor () in
-  let allocations = allocations_of m 8 in
-  for epoch = 0 to 4 do
-    step m dm ~allocations ~epoch
-  done;
-  (* Both switches have multiple counters now; a cover for either switch
-     must exist and actually free an entry there. *)
-  Switch_mask.iter (Monitor.topology m)
-    (fun _ b ->
-      if Monitor.usage m b >= 2 then begin
-        match Cover_list.solve m dm ~exclude:None (1 lsl b) with
-        | Some sol ->
-          Alcotest.(check bool) "non-empty" true (sol.Cover_list.ancestors <> []);
-          List.iter
-            (fun anc ->
-              Alcotest.(check bool) "ancestor within filter" true (Prefix.covers filter anc))
-            sol.Cover_list.ancestors
-        | None -> Alcotest.fail "expected a cover"
-      end)
-    (Monitor.switches m)
+  (* Every switch holds several counters: one entry less on either is
+     freed by merging at an ancestor inside the filter. *)
+  for b = 0 to 1 do
+    let tw = stepped_twin () in
+    let before = Monitor.usage tw.m b in
+    Alcotest.(check bool) "several counters" true (before >= 2);
+    configure_both tw ~allocations:(usage_less tw (fun b' -> if b' = b then 1 else 0));
+    Alcotest.(check bool) (Printf.sprintf "freed on %d" b) true (Monitor.usage tw.m b < before);
+    List.iter
+      (fun i ->
+        Alcotest.(check bool) "counter within filter" true
+          (Prefix.covers filter (Monitor.prefix tw.m i)))
+      (counters tw.m);
+    Alcotest.(check bool) "still a partition" true (Monitor.is_partition tw.m);
+    check_reference tw
+  done
 
 let test_cover_multi_switch () =
-  (* Cover a two-switch overload set: applying the merges must free at
-     least one entry on each requested switch. *)
-  let m, dm = mk_monitor () in
-  let allocations = allocations_of m 8 in
-  for epoch = 0 to 4 do
-    step m dm ~allocations ~epoch
-  done;
-  let f = Monitor.switches m in
-  if Monitor.usage m 0 >= 2 && Monitor.usage m 1 >= 2 then begin
-    let before0 = Monitor.usage m 0 and before1 = Monitor.usage m 1 in
-    match Cover_list.solve m dm ~exclude:None f with
-    | Some sol ->
-      (* Apply the merges by configuring with allocations one below the
-         current usage on both switches. *)
-      Alcotest.(check bool) "positive cost for real counters" true (sol.Cover_list.cost >= 0.0);
-      let tight = [| before0 - 1; before1 - 1 |] in
-      Divide_merge.configure dm m ~allocations:tight;
-      Alcotest.(check bool) "freed on 0" true (Monitor.usage m 0 <= before0 - 1);
-      Alcotest.(check bool) "freed on 1" true (Monitor.usage m 1 <= before1 - 1);
-      Alcotest.(check bool) "still a partition" true (Monitor.is_partition m)
-    | None -> Alcotest.fail "expected a multi-switch cover"
-  end
-
-(* ---- Differential: bitmask cover() against the Set-based oracle ---- *)
-
-let same_solution (a : Cover_list.solution option) (b : Reference_cover.solution option) =
-  match (a, b) with
-  | None, None -> true
-  | Some a, Some b ->
-    List.equal Prefix.equal a.Cover_list.ancestors b.Reference_cover.ancestors
-    && Int64.equal
-         (Int64.bits_of_float a.Cover_list.cost)
-         (Int64.bits_of_float b.Reference_cover.cost)
-  | Some _, None | None, Some _ -> false
+  (* Cover a two-switch overload set: the merges must free at least one
+     entry on each switch. *)
+  let tw = stepped_twin () in
+  let before0 = Monitor.usage tw.m 0 and before1 = Monitor.usage tw.m 1 in
+  Alcotest.(check bool) "several counters on both" true (before0 >= 2 && before1 >= 2);
+  configure_both tw ~allocations:(usage_less tw (fun _ -> 1));
+  Alcotest.(check bool) "freed on 0" true (Monitor.usage tw.m 0 <= before0 - 1);
+  Alcotest.(check bool) "freed on 1" true (Monitor.usage tw.m 1 <= before1 - 1);
+  Alcotest.(check bool) "still a partition" true (Monitor.is_partition tw.m);
+  check_reference tw
 
 (* Few distinct scores, so equal cost-per-switch ratios (and with them the
    greedy's tie-break) come up often. *)
@@ -374,18 +389,8 @@ let score_levels = [| 0.0; 0.5; 1.0; 1.5; 2.0; 3.0; 5.0 |]
    so the first slot of least ratio need not be the first of least cost. *)
 let rounding_tie_levels = [| 0.0; 1.5; Float.succ 1.5; Float.succ (Float.succ 1.5) |]
 
-let randomize_scores ?(levels = score_levels) rng m =
-  List.iter (fun i -> Monitor.set_score m i (Rng.pick rng levels)) (counters m)
-
-(* A random subset of the task's switches, in both forms. *)
-let random_switch_set rng m =
-  let topology = Monitor.topology m in
-  let f =
-    Switch_id.Set.filter
-      (fun _ -> coin rng)
-      (Reference_switch_set.set_of_mask topology (Monitor.switches m))
-  in
-  (Reference_switch_set.mask_of_set topology f, f)
+let randomize_scores rng m =
+  List.iter (fun i -> Monitor.set_score m i (Rng.pick rng score_levels)) (counters m)
 
 (* A random prefix inside the filter: a monitored counter, one of its
    ancestors, or an arbitrary prefix. *)
@@ -403,9 +408,6 @@ let random_prefix rng m ~filter =
       ~bits:(Prefix.bits filter lor Rng.int rng (1 lsl free))
       ~length:(Prefix.length filter + Rng.int rng (free + 1))
 
-let random_exclude rng m ~filter =
-  if coin rng then None else Some (random_prefix rng m ~filter)
-
 let oracle_filter = Prefix.of_string "10.1.2.0/24"
 
 (* A monitor over k sub-filters of [oracle_filter], among k + 2 switches. *)
@@ -422,115 +424,22 @@ let oracle_monitor ~k ~seed =
 
 (* Divide-and-merge under random scores and random per-switch allocations
    (zero leaves a switch inactive), then fresh random scores. *)
-let reshape ?levels rng m dm =
-  randomize_scores ?levels rng m;
+let reshape rng m dm =
+  randomize_scores rng m;
   let topology = Monitor.topology m in
   let allocations = Array.make (Topology.switches_per_task topology) 0 in
   Switch_mask.iter topology (fun _ b -> allocations.(b) <- Rng.int rng 10) (Monitor.switches m);
   Divide_merge.configure dm m ~allocations;
-  randomize_scores ?levels rng m
-
-(* Solves that uncovered all eight switches and took two picks or more,
-   over one run of [prop_cover_matches_oracle]: the greedy's drops must
-   leave its later picks exact, so the run must contain some. *)
-let multi_pick_solves = ref 0
-
-let prop_cover_matches_oracle =
-  QCheck.Test.make ~name:"bitmask cover() = Set-based oracle, bit for bit" ~count:150
-    QCheck.(pair (int_bound 2) (int_bound 1_000_000))
-    (fun (k_index, seed) ->
-      let k = [| 2; 4; 8 |].(k_index) in
-      let rng = Rng.create seed in
-      let filter = oracle_filter in
-      let levels = if seed land 1 = 0 then score_levels else rounding_tie_levels in
-      let m, dm = oracle_monitor ~k ~seed in
-      let ok = ref true in
-      let check what a b =
-        if not (same_solution a b) then begin
-          ok := false;
-          QCheck.Test.fail_reportf "%s differs (k=%d, seed=%d)" what k seed
-        end
-      in
-      for _ = 1 to 6 do
-        reshape ~levels rng m dm;
-        for round = 1 to 4 do
-          let mask, f =
-            if round = 1 then begin
-              let all = Monitor.switches m in
-              (all, Reference_switch_set.set_of_mask (Monitor.topology m) all)
-            end
-            else random_switch_set rng m
-          in
-          let exclude = random_exclude rng m ~filter in
-          let sol = Cover_list.solve m dm ~exclude mask in
-          check "solve" sol (Reference_cover.solve m ~exclude f);
-          match sol with
-          | Some { Cover_list.ancestors = _ :: _ :: _; _ } when round = 1 && k = 8 ->
-            incr multi_pick_solves
-          | _ -> ()
-        done;
-        (* Back to back on one table: each solve's drops are its own. *)
-        Divide_merge.build dm m;
-        let oracle = Reference_cover.build m in
-        for _ = 1 to 3 do
-          let mask, f = random_switch_set rng m in
-          let exclude = random_exclude rng m ~filter in
-          check "solve_with, table reused"
-            (Cover_list.solve_with dm ~exclude mask)
-            (Reference_cover.solve_with oracle ~exclude f)
-        done;
-        (* Repairs as the divide loop makes them: a solve, then the
-           candidates inside its picks dropped, on the oracle one merge
-           at a time at each picked ancestor. *)
-        Divide_merge.build dm m;
-        let oracle = ref (Reference_cover.build m) in
-        for _ = 1 to 3 do
-          let mask, f = random_switch_set rng m in
-          let exclude = random_exclude rng m ~filter in
-          let sol = Cover_list.solve_with dm ~exclude mask in
-          check "solve_with before repair" sol (Reference_cover.solve_with !oracle ~exclude f);
-          Option.iter
-            (fun (sol : Cover_list.solution) ->
-              Divide_merge.repair_picks dm;
-              oracle := List.fold_left Reference_cover.repair_after_merge !oracle sol.ancestors)
-            sol;
-          for _ = 1 to 3 do
-            let mask, f = random_switch_set rng m in
-            let exclude = random_exclude rng m ~filter in
-            Divide_merge.bound dm mask;
-            if
-              not
-                (Int64.equal
-                   (Int64.bits_of_float (Divide_merge.last_bound dm))
-                   (Int64.bits_of_float (Reference_cover.min_cost_bound !oracle f)))
-            then begin
-              ok := false;
-              QCheck.Test.fail_reportf "bound differs (k=%d, seed=%d)" k seed
-            end;
-            check "solve_with after repair"
-              (Cover_list.solve_with dm ~exclude mask)
-              (Reference_cover.solve_with !oracle ~exclude f)
-          done
-        done
-      done;
-      !ok)
-
-let test_cover_matches_oracle =
-  let name, speed, run = QCheck_alcotest.to_alcotest prop_cover_matches_oracle in
-  ( name,
-    speed,
-    fun () ->
-      multi_pick_solves := 0;
-      run ();
-      if !multi_pick_solves = 0 then
-        Alcotest.fail "no all-switch solve on 8 switches took two picks" )
+  randomize_scores rng m
 
 (* Two candidates of one T mask whose costs differ yet divide to the same
    ratio: the root, first in slot order, and its left child, an ulp
    cheaper.  Eight /27 sub-filters of a /24; the first three hold two /28
    counters each, the first of them scored [x], and one counter on the
    right half is scored an ulp's worth, so every candidate's cost per
-   sub-filter rounds to [x] and the greedy must take the root. *)
+   sub-filter rounds to [x] and the greedy must take the root.  One entry
+   a switch then merges at the root and divides it back to the eight /27s,
+   each an eighth of the root's score. *)
 let test_cover_rounding_tie () =
   let filter = oracle_filter in
   let topology =
@@ -539,37 +448,34 @@ let test_cover_rounding_tie () =
   let spec =
     Task_spec.make ~kind:Task_spec.Heavy_hitter ~filter ~leaf_length:28 ~threshold:4.0 ()
   in
-  let m, dm = with_divide_merge (Monitor.create ~storage:(fresh_storage ()) ~spec ~topology) in
+  let tw = twin ~spec ~topology in
   let first = Prefix.first_address filter in
   let low b = Prefix.first_address (Topology.subfilter_of_bit topology b) < first + 96 in
   (* Two entries where the first three sub-filters' switches see them,
      one elsewhere: those three drill to /28, the rest stop at /27. *)
-  Monitor.set_score m 0 1.0;
-  Divide_merge.configure dm m ~allocations:(Array.init 8 (fun b -> if low b then 2 else 1));
+  set_score_both tw 0 1.0;
+  configure_both tw ~allocations:(Array.init 8 (fun b -> if low b then 2 else 1));
   let x = 0.5 +. ldexp 3.0 (-53) in
   List.iter
     (fun i ->
-      let p = Monitor.prefix m i in
+      let p = Monitor.prefix tw.m i in
       let offset = Prefix.first_address p - first in
-      Monitor.set_score m i
+      set_score_both tw i
         (if Prefix.length p = 28 && offset land 16 = 0 then x
          else if offset = 128 then ldexp 1.0 (-52)
          else 0.0))
-    (counters m);
-  Alcotest.(check int) "counters" 11 (Monitor.num_counters m);
-  let u =
-    Switch_mask.fold topology
-      (fun _ b acc -> if low b then acc lor (1 lsl b) else acc)
-      (Monitor.switches m) 0
-  in
-  let f = Reference_switch_set.set_of_mask topology u in
-  let sol = Cover_list.solve m dm ~exclude:None u in
-  Alcotest.(check bool) "= oracle" true
-    (same_solution sol (Reference_cover.solve m ~exclude:None f));
-  match sol with
-  | Some { Cover_list.ancestors = [ p ]; _ } ->
-    Alcotest.(check string) "the root" (Prefix.to_string filter) (Prefix.to_string p)
-  | _ -> Alcotest.fail "expected one ancestor"
+    (counters tw.m);
+  Alcotest.(check int) "counters" 11 (Monitor.num_counters tw.m);
+  check_reference tw;
+  configure_both tw ~allocations:(Array.make 8 1);
+  check_reference tw;
+  Alcotest.(check int) "eight /27s" 8 (Monitor.num_counters tw.m);
+  let share = Monitor.score tw.m 0 in
+  List.iter
+    (fun i ->
+      Alcotest.(check bool) "an eighth of the root's score each" true
+        (Float.equal (Monitor.score tw.m i) share))
+    (counters tw.m)
 
 (* The work cover() does on a seeded run of divide-and-merge, exactly:
    the candidate slots its solves and repairs read. *)
@@ -742,8 +648,6 @@ let prop_counter_array_model =
 
 (* ---- Differential: the column table against the boxed reference ---- *)
 
-module Reference = Reference_monitor
-module Codec = Dream_util.Codec
 module Ewma = Dream_util.Ewma
 
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
@@ -789,9 +693,9 @@ let prop_columns_match_boxed_reference =
       let spec =
         Task_spec.make ~kind ~filter:oracle_filter ~leaf_length:32 ~threshold:4.0 ()
       in
-      let m, dm = with_divide_merge (Monitor.create ~storage:(fresh_storage ()) ~spec ~topology) in
-      let r = Reference.create ~spec ~topology in
-      let monitor_text = Codec.encode (Monitor.codec ~spec ~topology ~storage:(fresh_storage ())) in
+      let tw = twin ~spec ~topology in
+      let { m; r; _ } = tw in
+      let levels = if seed land 1 = 0 then score_levels else rounding_tie_levels in
       let rng = Rng.create seed in
       let fail what step = QCheck.Test.fail_reportf "%s after step %d (k=%d, seed=%d)" what step k seed in
       let check step =
@@ -830,7 +734,7 @@ let prop_columns_match_boxed_reference =
         | 3 ->
           List.iteri
             (fun i (c : Reference.Counter.t) ->
-              let s = Rng.pick rng score_levels in
+              let s = Rng.pick rng levels in
               Monitor.set_score m i s;
               c.score <- s)
             (Reference.fold List.cons r [])
@@ -839,10 +743,7 @@ let prop_columns_match_boxed_reference =
           Switch_mask.iter topology
             (fun _ b -> allocations.(b) <- Rng.int rng 12)
             (Monitor.switches m);
-          Divide_merge.configure dm m ~allocations;
-          let switches = Monitor.switches m in
-          Reference.configure r
-            ~allocations:(Reference_switch_set.map_of_bits topology switches allocations));
+          configure_both tw ~allocations);
         check step
       done;
       (* A checkpoint round trip re-emits the same text. *)
@@ -852,6 +753,17 @@ let prop_columns_match_boxed_reference =
       in
       if monitor_text restored <> text then fail "parse/emit round trip" 30;
       true)
+
+(* The run must merge covers of two picks or more, or the greedy's drops
+   between picks go unchecked: the reference counts them. *)
+let test_columns_match_boxed_reference =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_columns_match_boxed_reference in
+  ( name,
+    speed,
+    fun () ->
+      Reference.multi_pick_merges := 0;
+      run ();
+      if !Reference.multi_pick_merges = 0 then Alcotest.fail "no merged cover took two picks" )
 
 (* Score.apply writes the score column in one pass; Reference_score.of_slot
    is the per-slot definition it must agree with, bit for bit, on every counter
@@ -1276,14 +1188,13 @@ let () =
             test_cover_single_counter_uncoverable;
           Alcotest.test_case "finds mergeable ancestor" `Quick test_cover_finds_mergeable_ancestor;
           Alcotest.test_case "multi-switch cover" `Quick test_cover_multi_switch;
-          test_cover_matches_oracle;
           Alcotest.test_case "rounding tie takes the first slot" `Quick test_cover_rounding_tie;
           Alcotest.test_case "candidate slots read, pinned" `Quick test_cover_scans_pinned;
           Alcotest.test_case "a warmed configure allocates nothing" `Quick
             test_warm_configure_allocates_nothing;
           QCheck_alcotest.to_alcotest prop_rules_for_matches_s_sets;
           QCheck_alcotest.to_alcotest prop_counter_array_model;
-          QCheck_alcotest.to_alcotest prop_columns_match_boxed_reference;
+          test_columns_match_boxed_reference;
           QCheck_alcotest.to_alcotest prop_estimates_match_oracles;
           QCheck_alcotest.to_alcotest prop_recycled_storage_matches_fresh;
           QCheck_alcotest.to_alcotest prop_shared_workspace_matches_own;
