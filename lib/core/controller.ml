@@ -97,6 +97,15 @@ type t = {
   mutable next_id : int;
   mutable records : Metrics.record list;
   priced : priced; (* written only when a bundle is attached *)
+  (* A traced tick's bookkeeping, kept at its grown size so that a warmed
+     tick's tracing allocates nothing: the tasks observed this epoch in
+     fetch order with each one's scored accuracy (tasks.csv's rows), and
+     the round's snapshot, every live task's allocation per sub-filter bit
+     at [i * Topology.max_switches_per_task]. *)
+  mutable observed : Runtime.t array;
+  mutable scored : float array;
+  mutable observed_n : int;
+  mutable before : int array;
   rules_installed : Ctr.t;
   rules_fetched : Ctr.t;
   (* Registry handles registered on first use, when a lookup by name
@@ -167,6 +176,10 @@ let make ~config ~allocator ~switches ~faults ~breakers ~runtimes ~epoch ~next_i
     next_id;
     records;
     priced = { fetched = 0; installed = 0; removed = 0; touched = 0 };
+    observed = [||];
+    scored = [||];
+    observed_n = 0;
+    before = [||];
     rules_installed = Obs.Registry.counter registry "rules_installed";
     rules_fetched = Obs.Registry.counter registry "rules_fetched";
     tasks_admitted = lazy (Obs.Registry.counter registry "tasks_admitted");
@@ -463,35 +476,50 @@ let begin_epoch t =
     Tcam.reset_stats (Switch.tcam t.switches.(sw))
   done
 
-(* Fetch, report, estimate and score one task.  [scores] collects
-   (id, kind, scored, satisfied) for tasks.csv when tracing. *)
-let observe t scores (r : Runtime.t) =
+(* Fetch, report, estimate and score one task, and note it for tasks.csv
+   when tracing. *)
+let observe t (r : Runtime.t) =
   let data = Fetch.draw t.fetch r in
   Obs.Profile.start t.profile t.spans.fetch;
   let degraded = Fetch.read t.fetch r data in
   Obs.Profile.stop t.profile t.spans.fetch;
   Obs.Profile.start t.profile t.spans.estimate;
   let estimate = Task.estimate r.task ~epoch:t.epoch in
+  Task.smooth r.task estimate;
   Obs.Profile.stop t.profile t.spans.estimate;
   Fetch.bound_staleness t.fetch r degraded;
   Obs.Profile.start t.profile t.spans.ground_truth;
-  let real_accuracy = Ground_truth.evaluate r.ground_truth data (Task.items r.task) in
+  let truth = Ground_truth.evaluate r.ground_truth data (Task.items r.task) in
   Obs.Profile.stop t.profile t.spans.ground_truth;
   let spec = Task.spec r.task in
   let scored =
-    if t.config.Config.prototype then estimate.Dream_tasks.Accuracy.global else real_accuracy
+    if t.config.Config.prototype then estimate.(Dream_tasks.Accuracy.global)
+    else truth.Ground_truth.real
   in
   r.active_epochs <- r.active_epochs + 1;
   r.scores.accuracy_sum <- r.scores.accuracy_sum +. scored;
   let satisfied = scored >= spec.Task_spec.accuracy_bound in
   if satisfied then r.satisfied_epochs <- r.satisfied_epochs + 1;
-  if t.tel = None then scores
-  else (Runtime.id r, Task_spec.kind_to_string spec.Task_spec.kind, scored, satisfied) :: scores
+  if t.tel <> None then begin
+    t.observed.(t.observed_n) <- r;
+    t.scored.(t.observed_n) <- scored;
+    t.observed_n <- t.observed_n + 1
+  end
 
-let rec observe_from t order i scores =
-  if i = t.live_n then scores else observe_from t order (i + 1) (observe t scores order.(i))
+let rec observe_from t order i =
+  if i < t.live_n then begin
+    observe t order.(i);
+    observe_from t order (i + 1)
+  end
 
-let fetch_and_estimate t = observe_from t (Fetch.schedule t.fetch t.live t.live_n) 0 []
+let fetch_and_estimate t =
+  t.observed_n <- 0;
+  if t.tel <> None && Array.length t.observed < t.live_n then begin
+    let room = max t.live_n (2 * Array.length t.observed) in
+    t.observed <- Array.make room t.live.(0);
+    t.scored <- Array.make room 0.0
+  end;
+  observe_from t (Fetch.schedule t.fetch t.live t.live_n) 0
 
 (* The task's allocation per sub-filter bit, into [t.allocations]. *)
 let load_allocations t (r : Runtime.t) =
@@ -501,31 +529,38 @@ let load_allocations t (r : Runtime.t) =
       Allocator.allocation_on t.allocator ~task_id (Topology.switch_of_bit topology b)
   done
 
-(* The task's allocation per sub-filter bit, in a fresh array: the trace's
-   snapshot before a round. *)
-let allocation_of t (r : Runtime.t) =
-  load_allocations t r;
-  Array.sub t.allocations 0 (Topology.switches_per_task (Task.topology r.task))
+let stride = Topology.max_switches_per_task
 
-let rec changed_from old now b acc =
-  if b = Array.length old then acc
-  else changed_from old now (b + 1) (if old.(b) <> now.(b) then acc + 1 else acc)
+(* Every live task's allocation before a round, into [t.before]. *)
+let snapshot_allocations t =
+  let n = t.live_n * stride in
+  if Array.length t.before < n then t.before <- Array.make (max n (2 * Array.length t.before)) 0;
+  for i = 0 to t.live_n - 1 do
+    let r = t.live.(i) in
+    load_allocations t r;
+    Array.blit t.allocations 0 t.before (i * stride)
+      (Topology.switches_per_task (Task.topology r.task))
+  done
 
-(* Allocation entries that changed in a round, given each task's
-   allocation before it: churn made visible in the trace. *)
-let allocation_changes t before =
-  List.fold_left
-    (fun acc (r, old) ->
-      load_allocations t r;
-      changed_from old t.allocations 0 acc)
-    0 before
+(* Allocation entries that changed in a round, against the snapshot
+   before it: churn made visible in the trace. *)
+let allocation_changes t =
+  let changes = ref 0 in
+  for i = 0 to t.live_n - 1 do
+    let r = t.live.(i) in
+    load_allocations t r;
+    for b = 0 to Topology.switches_per_task (Task.topology r.task) - 1 do
+      if t.before.((i * stride) + b) <> t.allocations.(b) then incr changes
+    done
+  done;
+  !changes
 
 (* Allocation epoch: redistribute, then decide drops. *)
 let allocate_and_drop t =
   if t.epoch mod t.config.Config.allocation_interval = 0 then begin
     (* Snapshot allocations before the round so tracing can price churn;
        taken outside the timed region. *)
-    let before = if t.tel = None then [] else List.map (fun r -> (r, allocation_of t r)) (live_list t) in
+    if t.tel <> None then snapshot_allocations t;
     Obs.Profile.start t.profile t.spans.allocate;
     t.views.Task_view.rows <- t.live_n;
     for i = 0 to t.live_n - 1 do
@@ -534,7 +569,7 @@ let allocate_and_drop t =
     Allocator.reallocate t.allocator t.views;
     Obs.Profile.stop t.profile t.spans.allocate;
     if t.tel <> None then begin
-      let changes = allocation_changes t before in
+      let changes = allocation_changes t in
       if changes > 0 then begin
         Ctr.add (Lazy.force t.allocation_changes) changes;
         trace_event t ~name:"reallocate" [ ("changes", Tr.Int changes) ]
@@ -657,7 +692,7 @@ let phase_ms t = function
     Delay_model.save_ms ~installs:w.installed ~removals:w.removed ~switches:w.touched
   | Measured span -> Obs.Profile.epoch_ms t.profile span
 
-let record_telemetry t scores =
+let record_telemetry t =
   match t.tel with
   | None -> ()
   | Some tel ->
@@ -671,13 +706,18 @@ let record_telemetry t scores =
       t.phases;
     Obs.Profile.observe_epoch t.registry t.profile t.spans.epoch_span;
     List.iter
-      (fun (id, kind, accuracy, satisfied) ->
+      (fun ((r : Runtime.t), accuracy) ->
+        let spec = Task.spec r.task and id = Runtime.id r in
         Obs.Telemetry.record_task tel
-          { Obs.Telemetry.epoch; task = id; kind; accuracy; satisfied;
+          { Obs.Telemetry.epoch; task = id; kind = Task_spec.kind_to_string spec.Task_spec.kind;
+            accuracy; satisfied = accuracy >= spec.Task_spec.accuracy_bound;
             alloc = Allocator.total_of t.allocator ~task_id:id })
       (* task-id order regardless of the fetch schedule, so tasks.csv rows
          are stable across degraded-mode reorderings *)
-      (List.sort (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b) scores);
+      (List.sort
+         (fun ((a : Runtime.t), _) ((b : Runtime.t), _) ->
+           Int.compare (Runtime.id a) (Runtime.id b))
+         (List.init t.observed_n (fun i -> (t.observed.(i), t.scored.(i)))));
     Array.iter
       (fun sw ->
         let stats = Tcam.stats (Switch.tcam sw) in
@@ -697,14 +737,14 @@ let record_telemetry t scores =
    retire see exactly the survivors. *)
 let[@hot] tick t =
   begin_epoch t;
-  let scores = fetch_and_estimate t in
+  fetch_and_estimate t;
   allocate_and_drop t;
   configure t;
   sync_rules t;
   price t;
   retire t;
   Obs.Profile.stop t.profile t.spans.epoch_span;
-  record_telemetry t scores;
+  record_telemetry t;
   Obs.Profile.close_epoch t.profile;
   t.epoch <- t.epoch + 1
 

@@ -1,7 +1,6 @@
 module Switch_mask = Dream_traffic.Switch_mask
 module Topology = Dream_traffic.Topology
 module Task = Dream_tasks.Task
-module Task_spec = Dream_tasks.Task_spec
 module Allocator = Dream_alloc.Allocator
 
 (* Whether the allocator saw congestion on a switch of [switches], from
@@ -15,7 +14,7 @@ let rec congested_from allocator topology switches b =
 (* One round of [r]'s poor-streak bookkeeping; whether [r] may now be
    dropped. *)
 let candidate allocator threshold (r : Runtime.t) =
-  let poor = Task.smoothed_global r.task < (Task.spec r.task).Task_spec.accuracy_bound in
+  let poor = Task.poor r.task in
   let total = Allocator.total_of allocator ~task_id:(Runtime.id r) in
   (* A task still gaining resources is converging, not starved: only a
      poor task whose allocation has stopped growing accumulates a streak

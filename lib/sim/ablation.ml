@@ -99,7 +99,7 @@ let tcam_vs_sketch ~epochs =
         (* TCAM side. *)
         Task.read_traffic task data;
         ignore (Task.estimate task ~epoch);
-        let recall = Dream_tasks.Ground_truth.evaluate ground_truth data (Task.items task) in
+        let recall = (Dream_tasks.Ground_truth.evaluate ground_truth data (Task.items task)).real in
         Task.configure task ~workspace ~allocations;
         tcam_recalls := recall :: !tcam_recalls;
         (* Sketch side: same combined traffic, same resource count. *)

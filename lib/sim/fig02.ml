@@ -71,7 +71,7 @@ let recall_series ~seed ~resources ~epochs ~bin =
   let raw = ref [] in
   for epoch = 0 to epochs - 1 do
     let data = step s ~epoch in
-    raw := (epoch, Ground_truth.evaluate s.ground_truth data (Task.items s.task)) :: !raw
+    raw := (epoch, (Ground_truth.evaluate s.ground_truth data (Task.items s.task)).real) :: !raw
   done;
   Timeseries.binned !raw ~bin
 

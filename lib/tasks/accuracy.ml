@@ -1,7 +1,7 @@
-type t = { global : float; locals : float array }
+type t = float array
 
-let local t b = t.locals.(b)
+let create k = Array.make (k + 1) 1.0
 
-let overall t b = Float.max t.global (local t b)
+let global = 0
 
-let clamp v = if v < 0.0 then 0.0 else if v > 1.0 then 1.0 else v
+let[@inline] local b = b + 1

@@ -2,6 +2,8 @@ module Prefix = Dream_prefix.Prefix
 module Aggregate = Dream_traffic.Aggregate
 module Epoch_data = Dream_traffic.Epoch_data
 
+type score = { mutable real : float }
+
 (* Every column is an Items buffer in key order, reused across epochs. *)
 type t = {
   spec : Task_spec.t;
@@ -12,6 +14,7 @@ type t = {
   ret : float array; (* HHH walk: a node's unclaimed volume, by length *)
   key : int array; (* HHH walk: the one key of a volume read ... *)
   vol : float array; (* ... and its volume *)
+  score : score; (* the last [evaluate]'s, refilled by the next *)
 }
 
 (* The buffers are [storage]'s, with their room.  Only the CD means carry
@@ -27,6 +30,7 @@ let create ~(storage : Storage.t) spec =
     ret = Array.make (Prefix.address_bits + 1) 0.0;
     key = [| 0 |];
     vol = [| 0.0 |];
+    score = { real = nan };
   }
 
 (* The means column needs its keys to be distinct leaves under the
@@ -157,7 +161,7 @@ let changes t aggregate =
   t.next <- means;
   t.means <- next
 
-let ratio num den = if den = 0 then 1.0 else float_of_int num /. float_of_int den
+let[@inline] ratio num den = if den = 0 then 1.0 else float_of_int num /. float_of_int den
 
 let evaluate t epoch_data (reported : Items.t) =
   let aggregate = epoch_data.Epoch_data.combined in
@@ -167,9 +171,11 @@ let evaluate t epoch_data (reported : Items.t) =
   | Task_spec.Hierarchical_heavy_hitter -> hierarchical_heavy_hitters t aggregate
   | Task_spec.Change_detection -> changes t aggregate);
   let hits = Items.common reported t.truth in
-  match Task_spec.accuracy_metric t.spec with
-  | `Recall -> ratio hits t.truth.Items.n
-  | `Precision -> ratio hits reported.Items.n
+  t.score.real <-
+    (match Task_spec.accuracy_metric t.spec with
+    | `Recall -> ratio hits t.truth.Items.n
+    | `Precision -> ratio hits reported.Items.n);
+  t.score
 
 (* One epoch's truth in a fresh column, off the per-epoch path. *)
 let true_heavy_hitters spec aggregate =

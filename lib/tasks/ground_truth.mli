@@ -14,16 +14,21 @@
 
 type t
 
+type score = { mutable real : float }
+(** One cell holding a real accuracy unboxed: reading or writing [real]
+    allocates nothing. *)
+
 val create : storage:Storage.t -> Task_spec.t -> t
 (** Ground truth for a task, in [storage]'s key columns with the room they
     have: a task and its ground truth may share one storage.  Nothing the
     columns held is read. *)
 
-val evaluate : t -> Dream_traffic.Epoch_data.t -> Items.t -> float
+val evaluate : t -> Dream_traffic.Epoch_data.t -> Items.t -> score
 (** The real accuracy of one epoch's report items (strictly ascending
     keys, as {!Task.items} holds them) against the network-wide traffic:
     recall (HH, CD) or precision (HHH).  Accuracy is 1 when it is
-    undefined (no true items for recall, empty report for precision). *)
+    undefined (no true items for recall, empty report for precision).
+    The result is [t]'s own cell, overwritten by the next call. *)
 
 val true_heavy_hitters : Task_spec.t -> Dream_traffic.Aggregate.t -> Items.t
 (** Leaf prefixes whose volume exceeds the threshold, as a fresh key

@@ -21,11 +21,15 @@ type t = {
   could_hide : bool array;
       (* some child's unclaimed plus over-approximated volume exceeds the
          threshold: a true HHH could hide in it *)
+  k : int; (* sub-filter bits *)
+  accuracy : Accuracy.t; (* refilled by every [estimate] *)
+  seen : int array; (* per bit: the detections seeing its switch *)
 }
 
 let create m items =
   if not items.Items.values then invalid_arg "Hhh.create: a buffer without values";
   let spec = Monitor.spec m and depth = Prefix.address_bits + 2 in
+  let k = Topology.switches_per_task (Monitor.topology m) in
   {
     m;
     items;
@@ -36,6 +40,9 @@ let create m items =
     over = Array.make depth 0.0;
     detected = Array.make depth false;
     could_hide = Array.make depth false;
+    k;
+    accuracy = Accuracy.create k;
+    seen = Array.make k 0;
   }
 
 (* [Float.max 0.0 (residual - threshold)] for an uncertain detection, 0
@@ -116,43 +123,48 @@ let detect w =
   Items.reserve w.items (2 * n);
   visit w (Prefix.bits filter) (Prefix.length filter) 0 n
 
+(* The global figure is a mean of values in {0, 0.5, 1}: their sum is
+   exact and at most [n], so the quotient lies in [0, 1]. *)
 let estimate w ~allocations =
-  let monitor = w.m and items = w.items in
+  let monitor = w.m and items = w.items and accuracy = w.accuracy and seen = w.seen in
   let n = items.Items.n in
-  let global =
-    if n = 0 then 1.0
-    else begin
-      let sum = ref 0.0 in
-      for i = 0 to n - 1 do
-        sum := !sum +. items.Items.vals.(i)
-      done;
-      !sum /. float_of_int n
-    end
-  in
+  accuracy.(Accuracy.global) <-
+    (if n = 0 then 1.0
+     else begin
+       let sum = ref 0.0 in
+       for i = 0 to n - 1 do
+         sum := !sum +. items.Items.vals.(i)
+       done;
+       !sum /. float_of_int n
+     end);
   let topology = Monitor.topology monitor in
   let bottlenecks = Monitor.bottlenecked monitor ~allocations in
   let switches = Monitor.switches monitor in
-  let k = Topology.switches_per_task topology in
-  (* Running sums over the detections, per switch: [locals] holds the
-     value sum and [counts] the detections seeing the switch. *)
-  let locals = Array.make k 0.0 and counts = Array.make k 0.0 in
+  (* Running sums over the detections, per switch: the local cells hold
+     the value sum and [seen] the detections seeing the switch. *)
+  for b = 0 to w.k - 1 do
+    accuracy.(Accuracy.local b) <- 0.0;
+    seen.(b) <- 0
+  done;
   for i = 0 to n - 1 do
     let key = items.Items.keys.(i) in
     let mask =
       Topology.bits_mask topology ~bits:(Prefix.key_bits key) ~length:(Prefix.key_length key)
       land switches
     in
-    for b = 0 to k - 1 do
+    for b = 0 to w.k - 1 do
       if Switch_mask.mem_bit b mask then begin
         (* Only bottleneck switches inherit the uncertain value; others
            are scored 1 (Section 5.3). *)
-        locals.(b) <-
-          (locals.(b) +. if Switch_mask.mem_bit b bottlenecks then items.Items.vals.(i) else 1.0);
-        counts.(b) <- counts.(b) +. 1.0
+        let c = Accuracy.local b in
+        accuracy.(c) <-
+          (accuracy.(c) +. if Switch_mask.mem_bit b bottlenecks then items.Items.vals.(i) else 1.0);
+        seen.(b) <- seen.(b) + 1
       end
     done
   done;
-  for b = 0 to k - 1 do
-    locals.(b) <- (if counts.(b) > 0.0 then locals.(b) /. counts.(b) else 1.0)
+  for b = 0 to w.k - 1 do
+    let c = Accuracy.local b in
+    accuracy.(c) <- (if seen.(b) > 0 then accuracy.(c) /. float_of_int seen.(b) else 1.0)
   done;
-  { Accuracy.global = Accuracy.clamp global; locals }
+  accuracy

@@ -14,8 +14,8 @@
     detection. *)
 
 type t
-(** One task's detector: its monitor, report buffer and the walk's
-    per-depth accumulators, reused every epoch. *)
+(** One task's detector: its monitor, report buffer, the walk's
+    per-depth accumulators and the accuracy column, reused every epoch. *)
 
 val create : Monitor.t -> Items.t -> t
 (** @raise Invalid_argument on a buffer made without [~values:true]. *)
@@ -27,4 +27,5 @@ val detect : t -> unit
 
 val estimate : t -> allocations:int array -> Accuracy.t
 (** Estimated precision of this epoch's {!detect}, under allocations
-    indexed by sub-filter bit. *)
+    indexed by sub-filter bit, 1 on a bit no detection sees: the
+    detector's own column, refilled by the next call. *)

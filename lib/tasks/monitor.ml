@@ -210,7 +210,7 @@ let seeded t i = flag t i seeded_flag
 
 let has_volume t i b = flag t i (present b)
 
-(* Ewma.update's arithmetic, on the mean column. *)
+(* The EWMA's arithmetic (see Dream_util.Ewma), on the mean column. *)
 let update_means t =
   let h = Task_spec.cd_history in
   for i = 0 to t.n - 1 do

@@ -111,8 +111,9 @@ val has_volume : t -> int -> int -> bool
     this epoch. *)
 
 val update_means : t -> unit
-(** Fold every counter's total into its CD mean, with {!Dream_util.Ewma}'s
-    arithmetic and {!Task_spec.cd_history} (call after reporting). *)
+(** Fold every counter's total into its CD mean, an EWMA of history
+    weight {!Task_spec.cd_history} whose first sample seeds it (call after
+    reporting). *)
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 (** [fold f t init] is [f 0 (f 1 (... (f (n-1) init)))] over the slots,

@@ -10,10 +10,10 @@ let[@inline] missed_bound ~wildcards ~magnitude ~threshold =
     min by_volume by_leaves
   end
 
-(* One task's inputs and running counts, threaded through the counter
-   walks as their accumulator and kept across epochs.  The columns are the
-   monitor's own, re-read each epoch (a configure may grow them), so a
-   magnitude is read without boxing. *)
+(* One task's inputs, running counts and estimate, threaded through the
+   counter walks as their accumulator and kept across epochs.  The columns
+   are the monitor's own, re-read each epoch (a configure may grow them),
+   so a magnitude is read without boxing. *)
 type t = {
   monitor : Monitor.t;
   kind : magnitude;
@@ -27,15 +27,17 @@ type t = {
   mutable bit : int; (* the sub-filter bit a local walk counts for *)
   mutable detected : int;
   mutable missed : int;
+  accuracy : Accuracy.t; (* refilled by every [estimate] *)
 }
 
 let create monitor kind items =
+  let k = Dream_traffic.Topology.switches_per_task (Monitor.topology monitor) in
   {
     monitor;
     kind;
     items;
     threshold = (Monitor.spec monitor).Task_spec.threshold;
-    k = Dream_traffic.Topology.switches_per_task (Monitor.topology monitor);
+    k;
     totals = [||];
     means = [||];
     vols = [||];
@@ -43,6 +45,7 @@ let create monitor kind items =
     bit = 0;
     detected = 0;
     missed = 0;
+    accuracy = Accuracy.create k;
   }
 
 let read_columns w =
@@ -113,25 +116,29 @@ let count_local i w =
     w.missed <- w.missed + missed_under w i (magnitude_on w i b);
   w
 
+(* In [0, 1] as computed: [detected <= detected + missed], and a
+   correctly rounded quotient of two such non-negative floats is at most
+   1. *)
 let[@inline] recall w =
   if w.detected + w.missed = 0 then 1.0
   else float_of_int w.detected /. float_of_int (w.detected + w.missed)
 
 let estimate w ~allocations =
-  let monitor = w.monitor in
+  let monitor = w.monitor and accuracy = w.accuracy in
   read_columns w;
   w.bottlenecks <- Monitor.bottlenecked monitor ~allocations;
   w.detected <- 0;
   w.missed <- 0;
-  let global = recall (Monitor.fold count_global monitor w) in
+  accuracy.(Accuracy.global) <- recall (Monitor.fold count_global monitor w);
   let switches = Monitor.switches monitor in
-  let locals = Array.make w.k 1.0 in
   for b = 0 to w.k - 1 do
-    if Switch_mask.mem_bit b switches then begin
-      w.bit <- b;
-      w.detected <- 0;
-      w.missed <- 0;
-      locals.(b) <- recall (Monitor.fold_seeing count_local monitor b w)
-    end
+    accuracy.(Accuracy.local b) <-
+      (if Switch_mask.mem_bit b switches then begin
+         w.bit <- b;
+         w.detected <- 0;
+         w.missed <- 0;
+         recall (Monitor.fold_seeing count_local monitor b w)
+       end
+       else 1.0)
   done;
-  { Accuracy.global = Accuracy.clamp global; locals }
+  accuracy

@@ -18,7 +18,7 @@ type magnitude =
 
 type t
 (** One task's estimator: its monitor, magnitude and report buffer, and
-    the running counts it reuses every epoch. *)
+    the running counts and accuracy column it reuses every epoch. *)
 
 val create : Monitor.t -> magnitude -> Items.t -> t
 
@@ -27,4 +27,6 @@ val report : t -> unit
     the task's threshold, in slot (key) order. *)
 
 val estimate : t -> allocations:int array -> Accuracy.t
-(** Estimated recall under allocations indexed by sub-filter bit. *)
+(** Estimated recall under allocations indexed by sub-filter bit, 1 on a
+    bit outside the task's switches: the estimator's own column,
+    refilled by the next call. *)

@@ -34,11 +34,13 @@ type t = {
   spec : Task_spec.t;
   topology : Topology.t;
   monitor : Monitor.t;
-  global_acc : Ewma.t;
-  overall_acc : Ewma.t array; (* per sub-filter bit *)
+  smoothed : Accuracy.t;
+      (* the EWMAs the allocator reads, in an estimate's layout: the global
+         accuracy, and each bit's overall accuracy in its local cell *)
+  mutable seeded : int; (* the cells of [smoothed] holding an average: bit [c] for cell [c] *)
   mutable overall_used : Switch_mask.t;
-      (* the bits whose filter was ever read or fed: the checkpoint lists
-         only those *)
+      (* the bits whose overall average was ever read or fed: the
+         checkpoint lists only those *)
   accuracy_mode : accuracy_mode;
   allocations : int array; (* per sub-filter bit *)
   items : Items.t; (* the last report's items, refilled every epoch *)
@@ -57,8 +59,8 @@ let create ~id ~spec ~topology ?(accuracy_mode = Overall) ~storage () =
     spec;
     topology;
     monitor;
-    global_acc = Ewma.create ~history:accuracy_history;
-    overall_acc = Array.init k (fun _ -> Ewma.create ~history:accuracy_history);
+    smoothed = Accuracy.create k;
+    seeded = 0;
     overall_used = Switch_mask.empty;
     accuracy_mode;
     allocations = Array.init k (fun b -> if Switch_mask.mem_bit b switches then 1 else 0);
@@ -104,24 +106,18 @@ let read_traffic t data =
     (Monitor.switches m);
   Monitor.seal_readings m
 
-let overall_filter t b =
-  t.overall_used <- t.overall_used lor (1 lsl b);
-  t.overall_acc.(b)
+(* Ewma's arithmetic, on the cells of [smoothed]: a cell not yet seeded
+   takes its first sample as is. *)
+let[@inline] seeded t c = t.seeded land (1 lsl c) <> 0
 
-(* Fold a raw estimate into the smoothed accuracies the allocator reads. *)
-let smooth t accuracy =
-  ignore (Ewma.update t.global_acc accuracy.Accuracy.global);
-  let switches = Monitor.switches t.monitor in
-  for b = 0 to Array.length t.overall_acc - 1 do
-    if Switch_mask.mem_bit b switches then begin
-      let sample =
-        match t.accuracy_mode with
-        | Overall -> Accuracy.overall accuracy b
-        | Global_only -> accuracy.Accuracy.global
-      in
-      ignore (Ewma.update (overall_filter t b) sample)
-    end
-  done
+let[@inline] update t c x =
+  let h = accuracy_history in
+  t.smoothed.(c) <- (if seeded t c then (h *. t.smoothed.(c)) +. ((1.0 -. h) *. x) else x);
+  t.seeded <- t.seeded lor (1 lsl c)
+
+let[@inline] scale t c factor = if seeded t c then t.smoothed.(c) <- t.smoothed.(c) *. factor
+
+let[@inline] use_overall t b = t.overall_used <- t.overall_used lor (1 lsl b)
 
 (* The report goes into [items]; HHH detection runs once, and the report
    and the estimate share it.  A CD task then folds the epoch's volumes
@@ -139,8 +135,24 @@ let estimate t ~epoch =
   in
   if t.spec.Task_spec.kind = Task_spec.Change_detection then Monitor.update_means t.monitor;
   t.reported_at <- epoch;
-  smooth t accuracy;
   accuracy
+
+(* The overall sample of a bit is [Float.max global local], NaN and signed
+   zeros included. *)
+let smooth t (accuracy : Accuracy.t) =
+  let global = accuracy.(Accuracy.global) in
+  update t Accuracy.global global;
+  let switches = Monitor.switches t.monitor in
+  for b = 0 to Topology.switches_per_task t.topology - 1 do
+    if Switch_mask.mem_bit b switches then begin
+      use_overall t b;
+      let c = Accuracy.local b in
+      update t c
+        (match t.accuracy_mode with
+        | Overall -> Float.max global accuracy.(c)
+        | Global_only -> global)
+    end
+  done
 
 let items t = t.items
 
@@ -149,10 +161,17 @@ let last_report t =
   else Some (Report.of_items ~kind:t.spec.Task_spec.kind ~epoch:t.reported_at t.items)
 
 let decay_accuracy t ?bit ~factor () =
-  Ewma.scale t.global_acc factor;
-  match bit with None -> () | Some b -> Ewma.scale (overall_filter t b) factor
+  scale t Accuracy.global factor;
+  match bit with
+  | None -> ()
+  | Some b ->
+    use_overall t b;
+    scale t (Accuracy.local b) factor
 
-let smoothed_global t = Ewma.value_or t.global_acc 1.0
+let[@inline] smoothed_global t =
+  if seeded t Accuracy.global then t.smoothed.(Accuracy.global) else 1.0
+
+let poor t = smoothed_global t < t.spec.Task_spec.accuracy_bound
 
 let configure t ~workspace ~allocations =
   Array.blit allocations 0 t.allocations 0 (Array.length t.allocations);
@@ -168,13 +187,18 @@ let allocator_view t ~overall ~used ~pos ~num_switches =
       overall.(pos + sw) <- 1.0;
       used.(pos + sw) <- 0
     | b ->
-      overall.(pos + sw) <- Ewma.value_or t.overall_acc.(b) 1.0;
+      let c = Accuracy.local b in
+      overall.(pos + sw) <- (if seeded t c then t.smoothed.(c) else 1.0);
       used.(pos + sw) <- Monitor.usage t.monitor b
   done
 
 (* The (bit, value) pairs of the bits in [mask], in switch-id order. *)
 let by_bit topology mask value =
   List.rev (Switch_mask.fold topology (fun _ b acc -> (b, value b) :: acc) mask [])
+
+(* A smoothed cell as the checkpoint writes it: an Ewma. *)
+let ewma t c =
+  Ewma.restore ~history:accuracy_history ~avg:(if seeded t c then Some t.smoothed.(c) else None)
 
 let codec ~storage =
   let open Dream_util.Codec in
@@ -195,19 +219,27 @@ let codec ~storage =
             (enum ~what:"accuracy mode" "accuracy_mode"
                [ (Overall, "overall"); (Global_only, "global") ])
             (fun t -> t.accuracy_mode)
-        and+ global_acc = field acc (fun t -> t.global_acc)
+        and+ global_acc = field acc (fun t -> ewma t Accuracy.global)
         and+ overall =
           field
             (repeat "overall_acc" (pair (bit "an overall accuracy") acc))
-            (fun t -> by_bit topology t.overall_used (Array.get t.overall_acc))
+            (fun t -> by_bit topology t.overall_used (fun b -> ewma t (Accuracy.local b)))
         and+ allocated =
           field
             (repeat "allocations" (pair (bit "an allocation") (int "alloc")))
             (fun t -> by_bit topology (Monitor.switches t.monitor) (Array.get t.allocations))
         and+ monitor = field (Monitor.codec ~spec ~topology ~storage) (fun t -> t.monitor) in
         let k = Topology.switches_per_task topology in
-        let overall_acc = Array.init k (fun _ -> Ewma.create ~history:accuracy_history) in
-        List.iter (fun (b, e) -> overall_acc.(b) <- e) overall;
+        let smoothed = Accuracy.create k and seeded = ref 0 in
+        let seed c e =
+          match Ewma.value e with
+          | None -> seeded := !seeded land lnot (1 lsl c)
+          | Some v ->
+            smoothed.(c) <- v;
+            seeded := !seeded lor (1 lsl c)
+        in
+        seed Accuracy.global global_acc;
+        List.iter (fun (b, e) -> seed (Accuracy.local b) e) overall;
         let allocations = Array.make k 0 in
         List.iter (fun (b, a) -> allocations.(b) <- a) allocated;
         let items, estimator = estimator_for spec monitor storage in
@@ -216,8 +248,8 @@ let codec ~storage =
           spec;
           topology;
           monitor;
-          global_acc;
-          overall_acc;
+          smoothed;
+          seeded = !seeded;
           overall_used = List.fold_left (fun m (b, _) -> m lor (1 lsl b)) Switch_mask.empty overall;
           accuracy_mode;
           allocations;

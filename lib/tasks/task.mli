@@ -3,7 +3,7 @@
     The controller drives one of these per admitted task, each epoch:
     fetch (the switches' readings of the rules its monitor configured,
     delivered through {!Monitor.ingest}), {!estimate} (createReport and
-    estimateAccuracy, which also folds the raw estimates into the
+    estimateAccuracy), {!smooth} (the raw estimate folded into the
     EWMA-smoothed overall accuracies the allocator reads), then — after
     the allocator has decided — {!configure} (configureCounters) with the
     new per-switch allocations, and finally rule sync, which saves the
@@ -68,9 +68,18 @@ val read_traffic : t -> Dream_traffic.Epoch_data.t -> unit
 
 val estimate : t -> epoch:int -> Accuracy.t
 (** This epoch's report, written into {!items}, and raw accuracy
-    estimate, from one detection pass.  Also updates the smoothed
-    accuracies and, for CD tasks, folds this epoch's volumes into the
-    per-counter means.  Builds no list: the per-epoch path. *)
+    estimate, from one detection pass.  For CD tasks it also folds this
+    epoch's volumes into the per-counter means.  The estimate is the
+    estimator's own column, refilled by the next call.  Allocates nothing
+    once the task's buffers have grown: the per-epoch path. *)
+
+val smooth : t -> Accuracy.t -> unit
+(** Fold a raw estimate into the smoothed accuracies, each an EWMA of
+    history weight {!accuracy_history} whose first sample seeds it: the
+    global figure, and on each switch the task sees, the overall figure
+    [Float.max global local] ([global] under [Global_only]).  The
+    averages live unboxed in one float column, so this allocates
+    nothing. *)
 
 val items : t -> Items.t
 (** The items of the last {!estimate}'s report, in key order; refilled by
@@ -82,6 +91,11 @@ val last_report : t -> Report.t option
 
 val smoothed_global : t -> float
 (** EWMA-smoothed estimated global accuracy (1 before any estimate). *)
+
+val poor : t -> bool
+(** Whether {!smoothed_global} is below the spec's accuracy bound
+    (Section 5.2's poor task).  Unlike reading the float, this boxes
+    nothing. *)
 
 val decay_accuracy : t -> ?bit:int -> factor:float -> unit -> unit
 (** Scale the smoothed global accuracy (and, when [bit] is given, its

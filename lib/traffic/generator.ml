@@ -195,9 +195,10 @@ let advance_population t =
   churn_array t t.mediums;
   churn_array t t.smalls
 
-let[@inline] emit_volume t s =
-  if t.profile.Profile.jitter <= 0.0 then s.base
-  else s.base *. Rng.lognormal t.rng ~mu:0.0 ~sigma:t.profile.Profile.jitter
+(* A source's volume this epoch, into [vols.(i)]. *)
+let[@inline] emit_volume t s vols i =
+  if t.profile.Profile.jitter <= 0.0 then vols.(i) <- s.base
+  else Rng.lognormal_into t.rng ~mu:0.0 ~sigma:t.profile.Profile.jitter ~scale:s.base vols i
 
 let grow st b =
   let n = Array.length st.addrs.(b) in
@@ -217,7 +218,7 @@ let stage t s =
     let i = st.counts.(b) in
     if i = Array.length st.addrs.(b) then grow st b;
     st.addrs.(b).(i) <- s.addr;
-    st.volumes.(b).(i) <- emit_volume t s;
+    emit_volume t s st.volumes.(b) i;
     st.counts.(b) <- i + 1
   end
 

@@ -105,11 +105,13 @@ let rec thin_from t ~loss ~stddev ~keys ~vols n i kept =
 
 let[@hot] thin_jitter t ~loss ~stddev ~keys ~vols n = thin_from t ~loss ~stddev ~keys ~vols n 0 0
 
-(* [float t 1.0 < p] and [exp (mu +. (sigma *. g))] for a standard normal
-   [g], over the inlined draws above, so neither boxes a float inside. *)
+(* [float t 1.0 < p], and [scale *. exp (mu +. (sigma *. g))] for a
+   standard normal [g] written into its cell, over the inlined draws above,
+   so neither boxes a float. *)
 let bernoulli t p = unit_draw t < p
 
-let lognormal t ~mu ~sigma = exp (mu +. (sigma *. gaussian_draw t))
+let lognormal_into t ~mu ~sigma ~scale dst i =
+  dst.(i) <- scale *. exp (mu +. (sigma *. gaussian_draw t))
 
 let pareto t ~alpha ~xmin =
   let u = 1.0 -. float t 1.0 in

@@ -47,9 +47,12 @@ val thin_jitter :
     {!float}, but nothing is boxed: a call allocates nothing, whatever
     [n]. *)
 
-val lognormal : t -> mu:float -> sigma:float -> float
-(** [lognormal t ~mu ~sigma] is [exp (mu + sigma * g)], [g] the standard
-    normal {!thin_jitter} draws. *)
+val lognormal_into :
+  t -> mu:float -> sigma:float -> scale:float -> float array -> int -> unit
+(** [lognormal_into t ~mu ~sigma ~scale dst i] sets [dst.(i)] to
+    [scale *. exp (mu + sigma * g)], [g] the standard normal
+    {!thin_jitter} draws: a lognormal variate scaled by [scale].  Written
+    in place, the result is never boxed. *)
 
 val pareto : t -> alpha:float -> xmin:float -> float
 (** [pareto t ~alpha ~xmin] samples a Pareto(alpha) variate >= xmin. *)

@@ -78,10 +78,11 @@ let allocations_of task n =
       if Switch_mask.mem_bit b switches then n else 0)
 
 (* Feed one epoch of data through a task object (fetch, report, estimate,
-   configure), returning the report and the raw estimate. *)
+   smooth, configure), returning the report and the raw estimate. *)
 let drive_task task ~data ~allocations ~epoch =
   Task.read_traffic task data;
   let estimate = Task.estimate task ~epoch in
+  Task.smooth task estimate;
   let report = Option.get (Task.last_report task) in
   Task.configure task ~workspace ~allocations;
   (report, estimate)

@@ -9,6 +9,15 @@ module Task_spec = Dream_tasks.Task_spec
 module Report = Dream_tasks.Report
 module Accuracy = Dream_tasks.Accuracy
 
+let clamp v = if v < 0.0 then 0.0 else if v > 1.0 then 1.0 else v
+
+(* An estimate's column, as Accuracy lays it out. *)
+let column ~global locals =
+  let a = Accuracy.create (Array.length locals) in
+  a.(Accuracy.global) <- clamp global;
+  Array.iteri (fun b l -> a.(Accuracy.local b) <- l) locals;
+  a
+
 module Recall_estimator = struct
   module Switch_mask = Dream_traffic.Switch_mask
 
@@ -88,7 +97,7 @@ module Recall_estimator = struct
     for b = 0 to Array.length locals - 1 do
       if Switch_mask.mem_bit b switches then locals.(b) <- local monitor w b
     done;
-    { Accuracy.global = Accuracy.clamp global; locals }
+    column ~global locals
 end
 
 module Hh = struct
@@ -256,7 +265,7 @@ module Hhh = struct
           locals.(b) <- List.fold_left ( +. ) 0.0 values /. float_of_int (List.length values)
       end
     done;
-    { Accuracy.global = Accuracy.clamp global; locals }
+    column ~global locals
 end
 
 (* Task.report_and_estimate as it was: one detection pass, then report and

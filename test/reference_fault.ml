@@ -8,7 +8,7 @@
 module Rng = Dream_util.Rng
 
 (* A standard normal variate by Box-Muller, term for term as the library
-   draws it inside [thin_jitter] and [lognormal]. *)
+   draws it inside [thin_jitter] and [lognormal_into]. *)
 let gaussian rng =
   let u1 = Rng.float rng 1.0 +. 1e-12 and u2 = Rng.float rng 1.0 in
   sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)

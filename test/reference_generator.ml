@@ -159,7 +159,7 @@ let advance_population t =
 
 let emit_volume t s =
   if t.profile.Profile.jitter <= 0.0 then s.base
-  else s.base *. Rng.lognormal t.rng ~mu:0.0 ~sigma:t.profile.Profile.jitter
+  else s.base *. exp (0.0 +. (t.profile.Profile.jitter *. Reference_fault.gaussian t.rng))
 
 (* The old routing, a first-match scan of the sub-filters. *)
 let switch_of_address t addr =

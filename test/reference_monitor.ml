@@ -11,7 +11,7 @@ module Task_spec = Dream_tasks.Task_spec
 module Prefix = Prefix_ops
 module Switch_id = Dream_traffic.Switch_id
 module Topology = Dream_traffic.Topology
-module Ewma = Dream_util.Ewma
+module Ewma = Reference_ewma
 module Heap = Reference_heap
 
 module Counter = struct

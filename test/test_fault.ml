@@ -377,22 +377,10 @@ let test_down_switches_quarantined () =
 let test_stale_decay_bounds () =
   (* The exact contract the controller's stale-counter path relies on:
      decay scales the smoothed accuracy by the factor, compounds
-     multiplicatively, and never leaves [0, 1]. *)
-  let module Ewma = Dream_util.Ewma in
-  let e = Ewma.create ~history:0.4 in
-  ignore (Ewma.update e 0.8);
+     multiplicatively, and never leaves [0, 1].  Before any estimate it is
+     a no-op: the smoothed accuracy stays at its optimistic default
+     instead of collapsing. *)
   let factor = 0.9 in
-  Ewma.scale e factor;
-  Alcotest.(check (float 1e-9)) "one decay scales by the factor" (0.8 *. factor)
-    (Ewma.value_or e 1.0);
-  for _ = 1 to 9 do
-    Ewma.scale e factor
-  done;
-  Alcotest.(check (float 1e-9)) "ten decays compound" (0.8 *. (factor ** 10.0))
-    (Ewma.value_or e 1.0);
-  Alcotest.(check bool) "never negative" true (Ewma.value_or e 1.0 >= 0.0);
-  (* At the task level a decay before any estimate is a no-op: the smoothed
-     accuracy stays at its optimistic default instead of collapsing. *)
   let rng = Rng.create 9 in
   let filter = Prefix.nth_descendant Prefix.root ~length:12 7 in
   let topology = Topology.create rng ~filter ~num_switches:2 ~switches_per_task:2 in
@@ -408,7 +396,20 @@ let test_stale_decay_bounds () =
     (let overall = Array.make 2 0.0 and used = Array.make 2 0 in
      Dream_tasks.Task.allocator_view task ~overall ~used ~pos:0 ~num_switches:2;
      let a = overall.(Topology.switch_of_bit topology 0) in
-     a >= 0.0 && a <= 1.0)
+     a >= 0.0 && a <= 1.0);
+  let module Accuracy = Dream_tasks.Accuracy in
+  let estimate = Accuracy.create 2 in
+  estimate.(Accuracy.global) <- 0.8;
+  Dream_tasks.Task.smooth task estimate;
+  Dream_tasks.Task.decay_accuracy task ~factor ();
+  Alcotest.(check (float 1e-9)) "one decay scales by the factor" (0.8 *. factor)
+    (Dream_tasks.Task.smoothed_global task);
+  for _ = 1 to 9 do
+    Dream_tasks.Task.decay_accuracy task ~factor ()
+  done;
+  Alcotest.(check (float 1e-9)) "ten decays compound" (0.8 *. (factor ** 10.0))
+    (Dream_tasks.Task.smoothed_global task);
+  Alcotest.(check bool) "never negative" true (Dream_tasks.Task.smoothed_global task >= 0.0)
 
 let test_stale_run_decay_lowers_accuracy () =
   (* The allocator reads a task's per-switch smoothed accuracies
@@ -440,7 +441,7 @@ let test_stale_run_decay_lowers_accuracy () =
       ~source:(Dream_traffic.Source.replay [| data |]) ~duration:10 ~arrived_at:0
   in
   Task.read_traffic r.Runtime.task data;
-  ignore (Task.estimate r.Runtime.task ~epoch:0);
+  Task.smooth r.Runtime.task (Task.estimate r.Runtime.task ~epoch:0);
   let view () =
     let overall = Array.make num_switches 0.0 and used = Array.make num_switches 0 in
     Task.allocator_view r.Runtime.task ~overall ~used ~pos:0 ~num_switches;

@@ -1335,7 +1335,7 @@ let description_props =
   let module Monitor = Dream_tasks.Monitor in
   let module Breaker = Dream_switch.Breaker in
   let module Membership = Dream_alloc.Membership_allocator in
-  let module Ewma = Dream_util.Ewma in
+  let module Ewma = Reference_ewma in
   let generators seed =
     let rng = Rng.create seed in
     List.map

@@ -3,7 +3,7 @@
 
 module Rng = Dream_util.Rng
 module Codec = Dream_util.Codec
-module Ewma = Dream_util.Ewma
+module Ewma = Reference_ewma
 module Stats = Dream_util.Stats
 module Heap = Reference_heap
 module Timeseries = Dream_util.Timeseries
