@@ -20,50 +20,6 @@ let satisfaction_metric ~name v =
   Dream_obs.Bench_snapshot.metric ~unit_:"pct"
     ~direction:Dream_obs.Bench_snapshot.Higher_better name v
 
-let accuracy_signal_ablation ~base =
-  Table.heading "Ablation: per-switch allocation signal (max(global, local) vs global only)";
-  Table.row [ "signal"; "mean"; "p5"; "reject%"; "drop%" ];
-  List.map
-    (fun (label, metric_name, mode) ->
-      let config = { Config.default with Config.accuracy_mode = mode } in
-      let r = Experiment.run ~config base Experiment.dream_strategy in
-      let s = r.Experiment.summary in
-      Table.row
-        [
-          label;
-          Table.pct s.Metrics.mean_satisfaction;
-          Table.pct s.Metrics.p5_satisfaction;
-          Table.pct s.Metrics.rejection_pct;
-          Table.pct s.Metrics.drop_pct;
-        ];
-      satisfaction_metric
-        ~name:(Printf.sprintf "signal_%s_satisfaction" metric_name)
-        s.Metrics.mean_satisfaction)
-    [ ("max(g,l)", "overall", Task.Overall); ("global", "global_only", Task.Global_only) ]
-
-let step_policy_ablation ~base =
-  Table.heading "Ablation: step policy driving the full allocator";
-  Table.row [ "policy"; "mean"; "p5"; "reject%"; "drop%" ];
-  List.map
-    (fun policy ->
-      let strategy =
-        Allocator.Dream { Dream_allocator.default_config with Dream_allocator.policy }
-      in
-      let r = Experiment.run base strategy in
-      let s = r.Experiment.summary in
-      Table.row
-        [
-          Step_policy.to_string policy;
-          Table.pct s.Metrics.mean_satisfaction;
-          Table.pct s.Metrics.p5_satisfaction;
-          Table.pct s.Metrics.rejection_pct;
-          Table.pct s.Metrics.drop_pct;
-        ];
-      satisfaction_metric
-        ~name:(Printf.sprintf "policy_%s_satisfaction" (Step_policy.to_string policy))
-        s.Metrics.mean_satisfaction)
-    Step_policy.all
-
 (* One HH task measured three ways at the same resource count: the TCAM
    pipeline (entries), a Count-Min sketch (cells) and NetFlow-style flow
    sampling (records).  Their error shapes differ: TCAMs lose recall while
@@ -132,41 +88,59 @@ let tcam_vs_sketch ~epochs =
       else [])
     [ 64; 128; 256; 512; 1024 ]
 
-(* Why the paper abandoned its hardware switch: throttle the per-epoch
-   rule-update rate and watch satisfaction collapse (Section 6.1 measured
-   1 s for 256 rules on the Pica8 3290 — i.e. a budget of ~256 per 1 s
-   epoch, and a tenth of that for 512-rule batches). *)
-let hardware_ablation ~base =
-  Table.heading "Ablation: hardware rule-installation rate (updates per switch per epoch)";
-  Table.row [ "budget"; "mean"; "p5"; "drop%" ];
-  List.map
-    (fun (label, budget) ->
-      let config =
-        match budget with
-        | None -> Config.default
-        | Some installs_per_epoch -> Config.hardware ~installs_per_epoch
-      in
-      let r = Experiment.run ~config base Experiment.dream_strategy in
-      let s = r.Experiment.summary in
-      Table.row
-        [
-          label;
-          Table.pct s.Metrics.mean_satisfaction;
-          Table.pct s.Metrics.p5_satisfaction;
-          Table.pct s.Metrics.drop_pct;
-        ];
-      satisfaction_metric
-        ~name:(Printf.sprintf "hardware_%s_satisfaction" label)
-        s.Metrics.mean_satisfaction)
-    [ ("software", None); ("512", Some 512); ("256", Some 256); ("64", Some 64) ]
+(* The three Experiment.run ablations, each cell keyed by its headline
+   metric's name.  The signal table runs max(global, local) against global
+   accuracy alone; the step-policy table drives the full allocator with
+   each policy; the hardware table shows why the paper abandoned its
+   hardware switch: throttle the per-epoch rule-update rate and watch
+   satisfaction collapse (Section 6.1 measured 1 s for 256 rules on the
+   Pica8 3290 — i.e. a budget of ~256 per 1 s epoch, and a tenth of that
+   for 512-rule batches). *)
+let design_ablations ~base =
+  let cell group name label ?config strategy =
+    Sweep.cell ~group ?config ~key:(Printf.sprintf "%s_%s_satisfaction" group name) [ label ]
+      base strategy
+  in
+  let signal =
+    List.map
+      (fun (label, name, mode) ->
+        cell "signal" name label
+          ~config:{ Config.default with Config.accuracy_mode = mode }
+          Experiment.dream_strategy)
+      [ ("max(g,l)", "overall", Task.Overall); ("global", "global_only", Task.Global_only) ]
+  in
+  let policies =
+    List.map
+      (fun policy ->
+        let name = Step_policy.to_string policy in
+        cell "policy" name name
+          (Allocator.Dream { Dream_allocator.default_config with Dream_allocator.policy }))
+      Step_policy.all
+  in
+  let hardware =
+    List.map
+      (fun (label, config) -> cell "hardware" label label ~config Experiment.dream_strategy)
+      (("software", Config.default)
+      :: List.map
+           (fun n -> (string_of_int n, Config.hardware ~installs_per_epoch:n))
+           [ 512; 256; 64 ])
+  in
+  let all = [ Sweep.Mean; P5; Reject; Drop ] in
+  Sweep.run (signal @ policies @ hardware)
+    ~tables:
+      [
+        Sweep.table ~group:"signal"
+          "Ablation: per-switch allocation signal (max(global, local) vs global only)"
+          ~axes:[ "signal" ] all;
+        Sweep.table ~group:"policy" "Ablation: step policy driving the full allocator"
+          ~axes:[ "policy" ] all;
+        Sweep.table ~group:"hardware"
+          "Ablation: hardware rule-installation rate (updates per switch per epoch)"
+          ~axes:[ "budget" ] [ Mean; P5; Drop ];
+      ]
+  |> List.map (fun ((c : Sweep.cell), r) ->
+         satisfaction_metric ~name:c.key r.Experiment.summary.Metrics.mean_satisfaction)
 
 let run ~quick =
-  let base =
-    let s = if quick then Fig06.quick_scale Scenario.default else Scenario.default in
-    { s with Scenario.capacity = 1024 }
-  in
-  let signal = accuracy_signal_ablation ~base in
-  let policies = step_policy_ablation ~base in
-  let hardware = hardware_ablation ~base in
-  let sensors = tcam_vs_sketch ~epochs:(if quick then 60 else 150) in
-  signal @ policies @ hardware @ sensors
+  let design = design_ablations ~base:{ (Experiment.scenario ~quick) with Scenario.capacity = 1024 } in
+  design @ tcam_vs_sketch ~epochs:(if quick then 60 else 150)

@@ -167,7 +167,7 @@ let print_points points =
     points
 
 let run ~quick =
-  let scenario = if quick then Fig06.quick_scale Scenario.default else Scenario.default in
+  let scenario = Experiment.scenario ~quick in
   let seeds = if quick then [ 211; 499 ] else default_seeds in
   let rates = if quick then [ 0.0; 0.02; 0.05 ] else default_rates in
   Table.heading

@@ -115,7 +115,7 @@ let print_points points =
     points
 
 let run ~quick =
-  let base = if quick then Fig06.quick_scale Scenario.default else Scenario.default in
+  let base = Experiment.scenario ~quick in
   let levels = if quick then [ 0.0; 0.5; 1.0 ] else default_levels in
   Table.heading
     "degraded mode: fast-degrade (breakers + deadline shedding) vs stall-baseline, by adversity \

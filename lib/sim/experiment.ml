@@ -4,7 +4,7 @@ module Controller = Dream_core.Controller
 module Config = Dream_core.Config
 module Metrics = Dream_core.Metrics
 module Allocator = Dream_alloc.Allocator
-module Snapshot = Dream_obs.Bench_snapshot
+module Task_spec = Dream_tasks.Task_spec
 
 type result = {
   strategy : string;
@@ -17,6 +17,32 @@ type result = {
 let dream_strategy = Allocator.Dream Dream_alloc.Dream_allocator.default_config
 
 let standard_strategies = [ dream_strategy; Allocator.Equal; Allocator.Fixed 32 ]
+
+(* Quick mode shrinks the population and moderately shortens durations,
+   keeping the expected concurrency (and thus the contention regime) of the
+   full-scale scenario while cutting simulated task-epochs to ~30%. *)
+let quick_scale (s : Scenario.t) =
+  let num_tasks = max 8 (s.Scenario.num_tasks * 2 / 5) in
+  let window = max 40 (s.Scenario.arrival_window * 3 / 7) in
+  let duration = max 40 (s.Scenario.mean_duration * 5 / 7) in
+  {
+    s with
+    num_tasks;
+    arrival_window = window;
+    mean_duration = duration;
+    min_duration = max 30 (s.Scenario.min_duration * 5 / 7);
+    total_epochs = window + (2 * duration);
+  }
+
+let scenario ~quick = if quick then quick_scale Scenario.default else Scenario.default
+
+let workloads_of (base : Scenario.t) =
+  [
+    ("HH", Scenario.with_kind base Task_spec.Heavy_hitter);
+    ("HHH", Scenario.with_kind base Task_spec.Hierarchical_heavy_hitter);
+    ("CD", Scenario.with_kind base Task_spec.Change_detection);
+    ("Combined", base);
+  ]
 
 let run ?(config = Config.default) (scenario : Scenario.t) strategy =
   let drive = Drive.create ~config ~strategy scenario in
@@ -31,22 +57,3 @@ let run ?(config = Config.default) (scenario : Scenario.t) strategy =
     rules_installed = Controller.total_rules_installed controller;
     rules_fetched = Controller.total_rules_fetched controller;
   }
-
-(* Runs are seed-deterministic, so the summary percentages reproduce
-   exactly and gate on equality in the bench trajectory. *)
-let grouped_summary_metrics cells ~group_of ~summary_of =
-  let groups = List.sort_uniq compare (List.map group_of cells) in
-  List.concat_map
-    (fun g ->
-      let members = List.filter (fun c -> group_of c = g) cells in
-      let mean f = Dream_util.Stats.mean (List.map (fun c -> f (summary_of c)) members) in
-      let m name direction f =
-        Snapshot.metric ~unit_:"pct" ~direction (Printf.sprintf "%s:%s" g name) (mean f)
-      in
-      [
-        m "mean_satisfaction" Snapshot.Higher_better (fun s -> s.Metrics.mean_satisfaction);
-        m "p5_satisfaction" Snapshot.Higher_better (fun s -> s.Metrics.p5_satisfaction);
-        m "rejection_pct" Snapshot.Lower_better (fun s -> s.Metrics.rejection_pct);
-        m "drop_pct" Snapshot.Lower_better (fun s -> s.Metrics.drop_pct);
-      ])
-    groups

@@ -23,18 +23,13 @@ val dream_strategy : Dream_alloc.Allocator.strategy
 val standard_strategies : Dream_alloc.Allocator.strategy list
 (** The paper's comparison set: DREAM, Equal, Fixed_32. *)
 
-(** {1 Benchmark-snapshot helpers}
+val quick_scale : Dream_workload.Scenario.t -> Dream_workload.Scenario.t
+(** Time-compress a scenario (half window, durations and length) keeping
+    the same expected concurrency. *)
 
-    Figure harnesses report their headline numbers as
-    {!Dream_obs.Bench_snapshot.metric} values.  Simulation outputs are
-    seed-deterministic, so these carry a direction and must equal their
-    baseline exactly; wall-clock-derived numbers must instead be emitted
-    with {!Dream_obs.Bench_snapshot.Info} direction. *)
+val scenario : quick:bool -> Dream_workload.Scenario.t
+(** {!Dream_workload.Scenario.default}, through {!quick_scale} when
+    [quick]. *)
 
-val grouped_summary_metrics :
-  'a list ->
-  group_of:('a -> string) ->
-  summary_of:('a -> Dream_core.Metrics.summary) ->
-  Dream_obs.Bench_snapshot.metric list
-(** Mean satisfaction / rejection / drop per group (e.g. per strategy),
-    metric names ["<group>:<field>"]. *)
+val workloads_of : Dream_workload.Scenario.t -> (string * Dream_workload.Scenario.t) list
+(** The four workloads: HH, HHH, CD, Combined. *)

@@ -1,4 +1,3 @@
-module Scenario = Dream_workload.Scenario
 module Config = Dream_core.Config
 module Metrics = Dream_core.Metrics
 module Fault_model = Dream_fault.Fault_model
@@ -76,7 +75,7 @@ let print_aggregates aggs =
     aggs
 
 let run ~quick =
-  let base = if quick then Fig06.quick_scale Scenario.default else Scenario.default in
+  let base = Experiment.scenario ~quick in
   let seeds = if quick then [ 97; 193 ] else default_seeds in
   Table.heading "Fault sweep: satisfaction/accuracy degradation vs failure rate (combined workload)";
   List.concat_map

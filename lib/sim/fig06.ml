@@ -1,109 +1,61 @@
 module Scenario = Dream_workload.Scenario
-module Metrics = Dream_core.Metrics
-module Task_spec = Dream_tasks.Task_spec
+module Config = Dream_core.Config
 
-type cell = { workload : string; capacity : int; strategy : string; summary : Metrics.summary }
-
-(* Quick mode shrinks the population and moderately shortens durations,
-   keeping the expected concurrency (and thus the contention regime) of the
-   full-scale scenario while cutting simulated task-epochs to ~30%. *)
-let quick_scale (s : Scenario.t) =
-  let num_tasks = max 8 (s.Scenario.num_tasks * 2 / 5) in
-  let window = max 40 (s.Scenario.arrival_window * 3 / 7) in
-  let duration = max 40 (s.Scenario.mean_duration * 5 / 7) in
-  {
-    s with
-    num_tasks;
-    arrival_window = window;
-    mean_duration = duration;
-    min_duration = max 30 (s.Scenario.min_duration * 5 / 7);
-    total_epochs = window + (2 * duration);
-  }
-
-let workloads_of (base : Scenario.t) =
-  [
-    ("HH", Scenario.with_kind base Task_spec.Heavy_hitter);
-    ("HHH", Scenario.with_kind base Task_spec.Hierarchical_heavy_hitter);
-    ("CD", Scenario.with_kind base Task_spec.Change_detection);
-    ("Combined", base);
-  ]
-
-let sweep ?config ~base:_ ~capacities ~strategies ~workloads () =
-  List.concat_map
-    (fun (name, scenario) ->
-      List.concat_map
-        (fun capacity ->
-          List.map
-            (fun strategy ->
-              let scenario = { scenario with Scenario.capacity } in
-              let result = Experiment.run ?config scenario strategy in
-              {
-                workload = name;
-                capacity;
-                strategy = result.Experiment.strategy;
-                summary = result.Experiment.summary;
-              })
-            strategies)
-        capacities)
-    workloads
-
-let print_satisfaction ~title cells =
-  Table.heading title;
-  let workloads = List.sort_uniq compare (List.map (fun c -> c.workload) cells) in
-  List.iter
-    (fun w ->
-      Table.subheading (Printf.sprintf "%s workload: satisfaction (mean / 5th pct)" w);
-      Table.row [ "capacity"; "strategy"; "mean"; "p5" ];
-      List.iter
-        (fun c ->
-          if c.workload = w then
-            Table.row
-              [
-                string_of_int c.capacity;
-                c.strategy;
-                Table.pct c.summary.Metrics.mean_satisfaction;
-                Table.pct c.summary.Metrics.p5_satisfaction;
-              ])
-        cells)
-    workloads
-
-let print_rejection_drop ~title cells =
-  Table.heading title;
-  let workloads = List.sort_uniq compare (List.map (fun c -> c.workload) cells) in
-  List.iter
-    (fun w ->
-      Table.subheading (Printf.sprintf "%s workload: rejection and drop ratios" w);
-      Table.row [ "capacity"; "strategy"; "reject%"; "drop%" ];
-      List.iter
-        (fun c ->
-          if c.workload = w then
-            Table.row
-              [
-                string_of_int c.capacity;
-                c.strategy;
-                Table.pct c.summary.Metrics.rejection_pct;
-                Table.pct c.summary.Metrics.drop_pct;
-              ])
-        cells)
-    workloads
-
-let capacities = [ 256; 512; 1024; 2048 ]
-
-(* Headline numbers: per-strategy means across the whole (workload x
-   capacity) grid — coarse, but exactly reproducible from the seed. *)
-let cell_metrics cells =
-  Experiment.grouped_summary_metrics cells ~group_of:(fun c -> c.strategy)
-    ~summary_of:(fun c -> c.summary)
+(* Every (workload, capacity, strategy, mode) cell in that order, a mode
+   being a config and the suffix its strategy names carry; the tables hold
+   one section per workload, in name order. *)
+let by_capacity ~satisfaction ~rejection ~modes workloads =
+  let cells =
+    List.concat_map
+      (fun (group, scenario) ->
+        List.concat_map
+          (fun capacity ->
+            List.concat_map
+              (fun strategy ->
+                List.map
+                  (fun (config, suffix) ->
+                    Sweep.versus ~group ~config ~suffix (string_of_int capacity)
+                      { scenario with Scenario.capacity } strategy)
+                  modes)
+              Experiment.standard_strategies)
+          [ 256; 512; 1024; 2048 ])
+      workloads
+  in
+  let table heading what columns =
+    let section group =
+      {
+        Sweep.group;
+        subheading = Some (Printf.sprintf "%s workload: %s" group what);
+        axes = [ "capacity"; "strategy" ];
+      }
+    in
+    let groups = List.sort String.compare (List.map fst workloads) in
+    { Sweep.heading; sections = List.map section groups; columns }
+  in
+  Sweep.metrics
+    (Sweep.run cells
+       ~tables:
+         [
+           table satisfaction "satisfaction (mean / 5th pct)" [ Sweep.Mean; P5 ];
+           table rejection "rejection and drop ratios" [ Sweep.Reject; Drop ];
+         ])
 
 let run ~quick =
-  let base = if quick then quick_scale Scenario.default else Scenario.default in
-  let cells =
-    sweep ~base ~capacities ~strategies:Experiment.standard_strategies
-      ~workloads:(workloads_of base) ()
-  in
-  print_satisfaction ~title:"Figure 6: satisfaction vs switch capacity (prototype scale)" cells;
-  print_rejection_drop ~title:"Figure 7: rejection and drop vs switch capacity" cells;
-  cell_metrics cells
+  by_capacity ~modes:[ (Config.default, "") ]
+    ~satisfaction:"Figure 6: satisfaction vs switch capacity (prototype scale)"
+    ~rejection:"Figure 7: rejection and drop vs switch capacity"
+    (Experiment.workloads_of (Experiment.scenario ~quick))
+
+(* Each strategy's simulator row, then its prototype row. *)
+let run_prototype ~quick =
+  let base = Experiment.scenario ~quick in
+  by_capacity
+    ~modes:[ (Config.default, ""); (Config.prototype, "_p") ]
+    ~satisfaction:
+      "Figure 8: satisfaction, prototype (_p: delay model + estimated accuracy) vs simulator"
+    ~rejection:"Figure 9: rejection and drop, prototype vs simulator"
+    (if quick then [ ("Combined", base) ]
+     else List.sort (fun (a, _) (b, _) -> String.compare a b) (Experiment.workloads_of base))
 
 let large_base =
   {
@@ -115,11 +67,8 @@ let large_base =
   }
 
 let run_large ~quick =
-  let base = if quick then quick_scale large_base else large_base in
-  let workloads = if quick then [ ("Combined", base) ] else workloads_of base in
-  let cells =
-    sweep ~base ~capacities ~strategies:Experiment.standard_strategies ~workloads ()
-  in
-  print_satisfaction ~title:"Figure 10: satisfaction, large-scale simulation" cells;
-  print_rejection_drop ~title:"Figure 11: rejection and drop, large-scale simulation" cells;
-  cell_metrics cells
+  let base = if quick then Experiment.quick_scale large_base else large_base in
+  by_capacity ~modes:[ (Config.default, "") ]
+    ~satisfaction:"Figure 10: satisfaction, large-scale simulation"
+    ~rejection:"Figure 11: rejection and drop, large-scale simulation"
+    (if quick then [ ("Combined", base) ] else Experiment.workloads_of base)

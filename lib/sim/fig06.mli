@@ -1,41 +1,21 @@
-(** Figures 6 and 7 (and their large-scale siblings 10 and 11): per-task
-    satisfaction (mean and 5th percentile) and rejection/drop ratios versus
-    switch capacity, for each workload (HH, HHH, CD, combined) under DREAM,
-    Equal and Fixed_32.  Both figures come from the same runs, so one call
-    prints both. *)
-
-type cell = {
-  workload : string;
-  capacity : int;
-  strategy : string;
-  summary : Dream_core.Metrics.summary;
-}
-
-val sweep :
-  ?config:Dream_core.Config.t ->
-  base:Dream_workload.Scenario.t ->
-  capacities:int list ->
-  strategies:Dream_alloc.Allocator.strategy list ->
-  workloads:(string * Dream_workload.Scenario.t) list ->
-  unit ->
-  cell list
-
-val print_satisfaction : title:string -> cell list -> unit
-
-val print_rejection_drop : title:string -> cell list -> unit
-
-val cell_metrics : cell list -> Dream_obs.Bench_snapshot.metric list
-(** Per-strategy mean satisfaction / rejection / drop across a cell grid. *)
+(** Figures 6–11: per-task satisfaction (mean and 5th percentile) and
+    rejection/drop ratios versus switch capacity under DREAM, Equal and
+    Fixed_32.  Each pair of figures comes from one set of runs, so one
+    call prints both. *)
 
 val run : quick:bool -> Dream_obs.Bench_snapshot.metric list
-(** Prototype-scale sweep (Figs 6/7). *)
+(** Figs 6/7: prototype scale, each workload (HH, HHH, CD, combined). *)
+
+val run_prototype : quick:bool -> Dream_obs.Bench_snapshot.metric list
+(** Figs 8/9: simulator validation.  The paper runs the same workload
+    through its prototype (real switches, control-loop delay, satisfaction
+    scored with estimated accuracy) and its simulator (no delay, real
+    accuracy) and shows the curves agree, with the prototype's tail
+    slightly lower (missed traffic during rule updates) and its rejection
+    slightly lower.  The "_p" rows use {!Dream_core.Config.prototype},
+    plain rows the simulator configuration.  Quick mode runs the combined
+    workload only. *)
 
 val run_large : quick:bool -> Dream_obs.Bench_snapshot.metric list
-(** Large-scale sweep (Figs 10/11): more switches and tasks. *)
-
-val workloads_of : Dream_workload.Scenario.t -> (string * Dream_workload.Scenario.t) list
-(** The four workloads: HH, HHH, CD, Combined. *)
-
-val quick_scale : Dream_workload.Scenario.t -> Dream_workload.Scenario.t
-(** Time-compress a scenario (half window, durations and length) keeping
-    the same expected concurrency. *)
+(** Figs 10/11: large scale, more switches and tasks.  Quick mode runs
+    the combined workload only. *)

@@ -1,102 +1,60 @@
 module Scenario = Dream_workload.Scenario
-module Metrics = Dream_core.Metrics
 module Task_spec = Dream_tasks.Task_spec
 
-type sweep_cell = { x : string; strategy : string; summary : Metrics.summary }
-
-let run_sweep ~name ~variants =
-  List.concat_map
-    (fun (x, scenario) ->
-      List.map
-        (fun strategy ->
-          let result = Experiment.run scenario strategy in
-          { x; strategy = result.Experiment.strategy; summary = result.Experiment.summary })
-        Experiment.standard_strategies)
-    variants
-  |> fun cells -> (name, cells)
-
-let print_satisfaction sweeps =
-  Table.heading "Figure 12: parameter sensitivity, satisfaction (HHH tasks, capacity 1024)";
-  List.iter
-    (fun (name, cells) ->
-      Table.subheading (Printf.sprintf "(%s) satisfaction mean / 5th pct" name);
-      Table.row [ name; "strategy"; "mean"; "p5" ];
-      List.iter
-        (fun c ->
-          Table.row
-            [
-              c.x;
-              c.strategy;
-              Table.pct c.summary.Metrics.mean_satisfaction;
-              Table.pct c.summary.Metrics.p5_satisfaction;
-            ])
-        cells)
-    sweeps
-
-let print_rejection sweeps =
-  Table.heading "Figure 13: parameter sensitivity, rejection and drop";
-  List.iter
-    (fun (name, cells) ->
-      Table.subheading (Printf.sprintf "(%s) rejection / drop" name);
-      Table.row [ name; "strategy"; "reject%"; "drop%" ];
-      List.iter
-        (fun c ->
-          Table.row
-            [
-              c.x;
-              c.strategy;
-              Table.pct c.summary.Metrics.rejection_pct;
-              Table.pct c.summary.Metrics.drop_pct;
-            ])
-        cells)
-    sweeps
-
 let run ~quick =
-  let base =
-    Scenario.with_kind
-      (if quick then Fig06.quick_scale Scenario.default else Scenario.default)
-      Task_spec.Hierarchical_heavy_hitter
-  in
+  let base = Scenario.with_kind (Experiment.scenario ~quick) Task_spec.Hierarchical_heavy_hitter in
   let base = { base with Scenario.capacity = 1024 } in
+  let sweep name show set xs = (name, List.map (fun x -> (show x, set x)) xs) in
   let sweeps =
     [
-      run_sweep ~name:"accuracy bound"
-        ~variants:
-          (List.map
-             (fun b ->
-               (Printf.sprintf "%.0f%%" (b *. 100.0), { base with Scenario.accuracy_bound = b }))
-             [ 0.6; 0.7; 0.8; 0.9 ]);
-      run_sweep ~name:"threshold (Mb)"
-        ~variants:
-          (List.map
-             (fun th ->
-               (* Traffic stays calibrated to 8 Mb while the task threshold
-                  moves, so a smaller threshold genuinely means more (and
-                  smaller) HHHs to find. *)
-               ( Printf.sprintf "%.0f" th,
-                 {
-                   base with
-                   Scenario.threshold = th;
-                   profile_of = Scenario.fixed_traffic_profile ~calibration:8.0;
-                 } ))
-             [ 4.0; 8.0; 16.0; 32.0 ]);
-      run_sweep ~name:"switches per task"
-        ~variants:
-          (List.map
-             (fun k -> (string_of_int k, { base with Scenario.switches_per_task = k }))
-             [ 2; 4; 8 ]);
-      run_sweep ~name:"duration (epochs)"
-        ~variants:
-          (List.map
-             (fun factor ->
-               let d = base.Scenario.mean_duration * factor / 2 in
-               (string_of_int d, { base with Scenario.mean_duration = d }))
-             [ 1; 2; 4; 8 ]);
+      sweep "accuracy bound"
+        (fun b -> Printf.sprintf "%.0f%%" (b *. 100.0))
+        (fun b -> { base with Scenario.accuracy_bound = b })
+        [ 0.6; 0.7; 0.8; 0.9 ];
+      (* Traffic stays calibrated to 8 Mb while the task threshold moves,
+         so a smaller threshold genuinely means more (and smaller) HHHs to
+         find. *)
+      sweep "threshold (Mb)" (Printf.sprintf "%.0f")
+        (fun th ->
+          {
+            base with
+            Scenario.threshold = th;
+            profile_of = Scenario.fixed_traffic_profile ~calibration:8.0;
+          })
+        [ 4.0; 8.0; 16.0; 32.0 ];
+      sweep "switches per task" string_of_int
+        (fun k -> { base with Scenario.switches_per_task = k })
+        [ 2; 4; 8 ];
+      sweep "duration (epochs)" string_of_int
+        (fun d -> { base with Scenario.mean_duration = d })
+        (List.map (fun factor -> base.Scenario.mean_duration * factor / 2) [ 1; 2; 4; 8 ]);
     ]
   in
-  print_satisfaction sweeps;
-  print_rejection sweeps;
-  Experiment.grouped_summary_metrics
-    (List.concat_map snd sweeps)
-    ~group_of:(fun c -> c.strategy)
-    ~summary_of:(fun c -> c.summary)
+  let cells =
+    List.concat_map
+      (fun (group, variants) ->
+        List.concat_map
+          (fun (x, scenario) ->
+            List.map (Sweep.versus ~group x scenario) Experiment.standard_strategies)
+          variants)
+      sweeps
+  in
+  let table heading what columns =
+    let section (group, _) =
+      {
+        Sweep.group;
+        subheading = Some (Printf.sprintf "(%s) %s" group what);
+        axes = [ group; "strategy" ];
+      }
+    in
+    { Sweep.heading; sections = List.map section sweeps; columns }
+  in
+  Sweep.metrics
+    (Sweep.run cells
+       ~tables:
+         [
+           table "Figure 12: parameter sensitivity, satisfaction (HHH tasks, capacity 1024)"
+             "satisfaction mean / 5th pct" [ Sweep.Mean; P5 ];
+           table "Figure 13: parameter sensitivity, rejection and drop" "rejection / drop"
+             [ Sweep.Reject; Drop ];
+         ])

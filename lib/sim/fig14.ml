@@ -1,33 +1,19 @@
 module Scenario = Dream_workload.Scenario
-module Metrics = Dream_core.Metrics
 
 let run ~quick =
-  let base = if quick then Fig06.quick_scale Scenario.default else Scenario.default in
-  let base = { base with Scenario.capacity = 1024 } in
-  let arrivals = [ 16; 32; 64; 128 ] in
-  Table.heading "Figure 14: arrival-rate sensitivity (capacity 1024, combined workload)";
-  Table.row [ "arrivals"; "strategy"; "mean"; "p5"; "reject%"; "drop%" ];
+  let base = { (Experiment.scenario ~quick) with Scenario.capacity = 1024 } in
   let cells =
     List.concat_map
       (fun n ->
         List.map
-          (fun strategy ->
-            let scenario = { base with Scenario.num_tasks = n } in
-            let r = Experiment.run scenario strategy in
-            let s = r.Experiment.summary in
-            Table.row
-              [
-                string_of_int n;
-                r.Experiment.strategy;
-                Table.pct s.Metrics.mean_satisfaction;
-                Table.pct s.Metrics.p5_satisfaction;
-                Table.pct s.Metrics.rejection_pct;
-                Table.pct s.Metrics.drop_pct;
-              ];
-            r)
+          (Sweep.versus (string_of_int n) { base with Scenario.num_tasks = n })
           Experiment.standard_strategies)
-      arrivals
+      [ 16; 32; 64; 128 ]
   in
-  Experiment.grouped_summary_metrics cells
-    ~group_of:(fun r -> r.Experiment.strategy)
-    ~summary_of:(fun r -> r.Experiment.summary)
+  Sweep.metrics
+    (Sweep.run cells
+       ~tables:
+         [
+           Sweep.table "Figure 14: arrival-rate sensitivity (capacity 1024, combined workload)"
+             ~axes:[ "arrivals"; "strategy" ] [ Mean; P5; Reject; Drop ];
+         ])

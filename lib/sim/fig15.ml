@@ -1,40 +1,29 @@
 module Scenario = Dream_workload.Scenario
-module Metrics = Dream_core.Metrics
 module Allocator = Dream_alloc.Allocator
 module Dream_allocator = Dream_alloc.Dream_allocator
 module Config = Dream_core.Config
 
 let run ~quick =
-  let base = if quick then Fig06.quick_scale Scenario.default else Scenario.default in
-  let base = { base with Scenario.capacity = 1024 } in
-  let headrooms = [ ("none", 0.0); ("1%", 0.01); ("5%", 0.05); ("10%", 0.1) ] in
-  let intervals = [ 2; 4; 8; 16 ] in
-  Table.heading "Figure 15: headroom size x allocation interval (DREAM, capacity 1024)";
-  Table.row [ "headroom"; "interval"; "mean"; "p5"; "reject%"; "drop%" ];
+  let base = { (Experiment.scenario ~quick) with Scenario.capacity = 1024 } in
   let cells =
     List.concat_map
       (fun (label, fraction) ->
         List.map
           (fun interval ->
-            let strategy =
-              Allocator.Dream
-                { Dream_allocator.default_config with Dream_allocator.headroom_fraction = fraction }
-            in
-            let config = { Config.default with Config.allocation_interval = interval } in
-            let r = Experiment.run ~config base strategy in
-            let s = r.Experiment.summary in
-            Table.row
-              [
-                label;
-                string_of_int interval;
-                Table.pct s.Metrics.mean_satisfaction;
-                Table.pct s.Metrics.p5_satisfaction;
-                Table.pct s.Metrics.rejection_pct;
-                Table.pct s.Metrics.drop_pct;
-              ];
-            (Printf.sprintf "headroom_%s_interval_%d" label interval, r))
-          intervals)
-      headrooms
+            Sweep.cell
+              ~key:(Printf.sprintf "headroom_%s_interval_%d" label interval)
+              ~config:{ Config.default with Config.allocation_interval = interval }
+              [ label; string_of_int interval ]
+              base
+              (Allocator.Dream
+                 { Dream_allocator.default_config with Dream_allocator.headroom_fraction = fraction }))
+          [ 2; 4; 8; 16 ])
+      [ ("none", 0.0); ("1%", 0.01); ("5%", 0.05); ("10%", 0.1) ]
   in
-  Experiment.grouped_summary_metrics cells ~group_of:fst
-    ~summary_of:(fun (_, r) -> r.Experiment.summary)
+  Sweep.metrics
+    (Sweep.run cells
+       ~tables:
+         [
+           Sweep.table "Figure 15: headroom size x allocation interval (DREAM, capacity 1024)"
+             ~axes:[ "headroom"; "interval" ] [ Mean; P5; Reject; Drop ];
+         ])

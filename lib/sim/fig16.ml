@@ -1,33 +1,21 @@
 module Scenario = Dream_workload.Scenario
-module Metrics = Dream_core.Metrics
 module Allocator = Dream_alloc.Allocator
 
-let capacities = [ 256; 512; 1024; 2048 ]
-
 let run ~quick =
-  let base = if quick then Fig06.quick_scale Scenario.default else Scenario.default in
-  Table.heading "Figure 16: Fixed_k allocation configurations (combined workload)";
-  Table.row [ "capacity"; "strategy"; "mean"; "p5"; "reject%" ];
+  let base = Experiment.scenario ~quick in
   let cells =
     List.concat_map
       (fun capacity ->
         List.map
           (fun k ->
-            let scenario = { base with Scenario.capacity } in
-            let r = Experiment.run scenario (Allocator.Fixed k) in
-            let s = r.Experiment.summary in
-            Table.row
-              [
-                string_of_int capacity;
-                r.Experiment.strategy;
-                Table.pct s.Metrics.mean_satisfaction;
-                Table.pct s.Metrics.p5_satisfaction;
-                Table.pct s.Metrics.rejection_pct;
-              ];
-            r)
+            Sweep.versus (string_of_int capacity) { base with Scenario.capacity } (Allocator.Fixed k))
           [ 8; 16; 32; 64 ])
-      capacities
+      [ 256; 512; 1024; 2048 ]
   in
-  Experiment.grouped_summary_metrics cells
-    ~group_of:(fun r -> r.Experiment.strategy)
-    ~summary_of:(fun r -> r.Experiment.summary)
+  Sweep.metrics
+    (Sweep.run cells
+       ~tables:
+         [
+           Sweep.table "Figure 16: Fixed_k allocation configurations (combined workload)"
+             ~axes:[ "capacity"; "strategy" ] [ Mean; P5; Reject ];
+         ])

@@ -15,7 +15,7 @@ let traced_run scenario =
   fun phase -> Trace.spans (Telemetry.trace bundle) ~phase
 
 let run ~quick =
-  let base = if quick then Fig06.quick_scale Scenario.default else Scenario.default in
+  let base = Experiment.scenario ~quick in
   Table.heading "Figure 17a: control loop delay breakdown per epoch (ms)";
   Table.row [ "capacity"; "fetch"; "save"; "report"; "allocate"; "configure" ];
   (* Only fetch and save come from the deterministic delay model; report,

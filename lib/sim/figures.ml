@@ -11,7 +11,7 @@ let registry : (string * string * int list * (quick:bool -> Snapshot.metric list
     ("fig4", "step update policies (MM/AM/AA/MA) convergence", [], Fig04.run);
     ("fig6", "satisfaction + rejection/drop vs capacity (Figs 6 & 7)", [ scenario_seed ],
      Fig06.run);
-    ("fig8", "prototype-vs-simulator validation (Figs 8 & 9)", [ scenario_seed ], Fig08.run);
+    ("fig8", "prototype-vs-simulator validation (Figs 8 & 9)", [ scenario_seed ], Fig06.run_prototype);
     ("fig10", "large-scale satisfaction + rejection/drop (Figs 10 & 11)", [ 11 ],
      Fig06.run_large);
     ("fig12", "parameter sensitivity (Figs 12 & 13)", [ scenario_seed ], Fig12.run);

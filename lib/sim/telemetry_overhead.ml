@@ -11,7 +11,7 @@ module Snapshot = Dream_obs.Bench_snapshot
 (* A fault-injecting scenario so the event paths (crashes, retries, stale
    fallbacks) are part of what gets priced, not just the happy path. *)
 let scenario_of ~quick =
-  let s = if quick then Fig06.quick_scale Scenario.default else Scenario.default in
+  let s = Experiment.scenario ~quick in
   { s with Scenario.num_switches = 8 }
 
 let config_of ~telemetry =

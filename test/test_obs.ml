@@ -19,7 +19,6 @@ module Metrics = Dream_core.Metrics
 module Delay_model = Dream_switch.Delay_model
 module Fault_model = Dream_fault.Fault_model
 module Experiment = Dream_sim.Experiment
-module Fig06 = Dream_sim.Fig06
 module Degraded_mode = Dream_sim.Degraded_mode
 module Drive = Dream_workload.Drive
 
@@ -257,7 +256,7 @@ let test_manual_clock () =
 (* Small but eventful: compressed timeline, few switches, faults on so the
    crash/retry/reconcile paths all run. *)
 let scenario =
-  let s = Fig06.quick_scale Scenario.default in
+  let s = Experiment.scenario ~quick:true in
   { s with Scenario.num_switches = 8; num_tasks = 8; total_epochs = 40 }
 
 let config ~telemetry =
