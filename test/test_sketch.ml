@@ -1,6 +1,5 @@
 (* Tests for dream.sketch: Count-Min invariants (qcheck), sketch-based HH
-   detection on the worked example, distinct counting, sampled HH and the
-   super-spreader sketch. *)
+   detection on the worked example and sampled HH. *)
 
 module Prefix = Dream_prefix.Prefix
 module Flow = Dream_traffic.Flow
@@ -95,37 +94,6 @@ let test_sketch_hh_small_sketch_lower_precision () =
     (Sketch_hh.real_accuracy small (example_aggregate ()) ~precision:true
     <= Sketch_hh.real_accuracy large (example_aggregate ()) ~precision:true)
 
-(* ---- Distinct counting ---- *)
-
-module Distinct = Dream_sketch.Distinct
-module Super_spreader = Dream_sketch.Super_spreader
-
-let test_distinct_counts () =
-  let d = Distinct.create ~bits:1024 ~seed:3 in
-  for i = 1 to 100 do
-    Distinct.add d i
-  done;
-  (* Re-adding the same elements must not move the estimate. *)
-  for i = 1 to 100 do
-    Distinct.add d i
-  done;
-  let est = Distinct.estimate d in
-  Alcotest.(check bool)
-    (Printf.sprintf "estimate %.1f near 100" est)
-    true
-    (Float.abs (est -. 100.0) < 15.0)
-
-let test_distinct_empty_and_saturated () =
-  let d = Distinct.create ~bits:8 ~seed:1 in
-  Alcotest.(check (float 1e-9)) "empty" 0.0 (Distinct.estimate d);
-  for i = 0 to 999 do
-    Distinct.add d i
-  done;
-  (* Every bit set: the estimate saturates at bits * ln bits. *)
-  Alcotest.(check (float 1e-9)) "saturates" (8.0 *. Float.log 8.0) (Distinct.estimate d);
-  Distinct.reset d;
-  Alcotest.(check (float 1e-9)) "reset" 0.0 (Distinct.estimate d)
-
 (* ---- Sampled HH (NetFlow-style baseline) ---- *)
 
 module Sampled_hh = Dream_sketch.Sampled_hh
@@ -157,50 +125,6 @@ let test_sampled_invalid () =
   Alcotest.check_raises "budget 0" (Invalid_argument "Sampled_hh.create: budget must be positive")
     (fun () -> ignore (Sampled_hh.create ~spec:(F.spec ()) ~budget:0 ~seed:1 ()))
 
-(* ---- Super-spreader ---- *)
-
-let scan_epoch sketch =
-  Super_spreader.begin_epoch sketch;
-  (* 50 normal sources contacting 3 destinations each... *)
-  for src = 1 to 50 do
-    for dst = 1 to 3 do
-      Super_spreader.observe sketch ~src ~dst:((src * 100) + dst)
-    done
-  done;
-  (* ... and two scanners sweeping 200 destinations. *)
-  List.iter
-    (fun src ->
-      for dst = 1 to 200 do
-        Super_spreader.observe sketch ~src ~dst
-      done)
-    [ 777; 888 ]
-
-let test_spreader_detects_scanners () =
-  let sketch = Super_spreader.create ~cells:4096 ~threshold:50 ~seed:11 in
-  scan_epoch sketch;
-  let detected = List.map fst (Super_spreader.detected sketch) in
-  Alcotest.(check (list int)) "exactly the scanners" [ 777; 888 ] detected;
-  Alcotest.(check bool) "high estimated precision" true
-    (Super_spreader.estimate_precision sketch > 0.9)
-
-let test_spreader_perfect_recall_small_sketch () =
-  (* Collisions only inflate fan-out, so scanners are always detected. *)
-  let sketch = Super_spreader.create ~cells:16 ~threshold:50 ~seed:13 in
-  scan_epoch sketch;
-  let detected = List.map fst (Super_spreader.detected sketch) in
-  Alcotest.(check bool) "777 detected" true (List.mem 777 detected);
-  Alcotest.(check bool) "888 detected" true (List.mem 888 detected);
-  (* And the tiny sketch knows it may be over-reporting. *)
-  Alcotest.(check bool) "estimated precision drops" true
-    (Super_spreader.estimate_precision sketch < 1.0)
-
-let test_spreader_epoch_reset () =
-  let sketch = Super_spreader.create ~cells:4096 ~threshold:50 ~seed:11 in
-  scan_epoch sketch;
-  Super_spreader.begin_epoch sketch;
-  Alcotest.(check int) "no detections after reset" 0
-    (List.length (Super_spreader.detected sketch))
-
 let () =
   Alcotest.run "dream.sketch"
     [
@@ -219,22 +143,10 @@ let () =
           Alcotest.test_case "small sketch, lower precision" `Quick
             test_sketch_hh_small_sketch_lower_precision;
         ] );
-      ( "distinct",
-        [
-          Alcotest.test_case "counts" `Quick test_distinct_counts;
-          Alcotest.test_case "empty and saturated" `Quick test_distinct_empty_and_saturated;
-        ] );
       ( "sampled-hh",
         [
           Alcotest.test_case "full budget is exact" `Quick test_sampled_full_budget_exact;
           Alcotest.test_case "small budget is lossy" `Quick test_sampled_small_budget_lossy;
           Alcotest.test_case "invalid budget" `Quick test_sampled_invalid;
-        ] );
-      ( "super-spreader",
-        [
-          Alcotest.test_case "detects scanners" `Quick test_spreader_detects_scanners;
-          Alcotest.test_case "perfect recall on tiny sketch" `Quick
-            test_spreader_perfect_recall_small_sketch;
-          Alcotest.test_case "epoch reset" `Quick test_spreader_epoch_reset;
         ] );
     ]
