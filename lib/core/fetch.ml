@@ -429,7 +429,7 @@ let bound_staleness f (r : Runtime.t) degraded =
     let order = Topology.switch_order (Task.topology r.task) in
     for j = 0 to Array.length order - 1 do
       let bit = order.(j) in
-      if Switch_mask.mem_bit bit degraded then Task.decay_accuracy r.task ~bit ~factor ()
+      if Switch_mask.mem_bit bit degraded then Task.decay_accuracy r.task ~bit ~factor
     done
   | Some _ | None -> ());
   match f.staleness_hist with

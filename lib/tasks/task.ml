@@ -160,13 +160,10 @@ let last_report t =
   if t.reported_at < 0 then None
   else Some (Report.of_items ~kind:t.spec.Task_spec.kind ~epoch:t.reported_at t.items)
 
-let decay_accuracy t ?bit ~factor () =
+let decay_accuracy t ~bit ~factor =
   scale t Accuracy.global factor;
-  match bit with
-  | None -> ()
-  | Some b ->
-    use_overall t b;
-    scale t (Accuracy.local b) factor
+  use_overall t bit;
+  scale t (Accuracy.local bit) factor
 
 let[@inline] smoothed_global t =
   if seeded t Accuracy.global then t.smoothed.(Accuracy.global) else 1.0

@@ -97,9 +97,9 @@ val poor : t -> bool
     (Section 5.2's poor task).  Unlike reading the float, this boxes
     nothing. *)
 
-val decay_accuracy : t -> ?bit:int -> factor:float -> unit -> unit
-(** Scale the smoothed global accuracy (and, when [bit] is given, its
-    switch's smoothed overall accuracy) by [factor].  The controller calls
+val decay_accuracy : t -> bit:int -> factor:float -> unit
+(** Scale the smoothed global accuracy and sub-filter [bit]'s smoothed
+    overall accuracy by [factor].  The controller calls
     this when a task reports from stale counters — degraded visibility the
     estimators cannot see, which must still reach the allocator. *)
 

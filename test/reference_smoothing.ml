@@ -50,9 +50,9 @@ let smooth t ~switches (accuracy : Accuracy.t) =
     end
   done
 
-let decay t ?bit ~factor () =
+let decay t ~bit ~factor =
   Ewma.scale t.global_acc factor;
-  match bit with None -> () | Some b -> Ewma.scale (overall_filter t b) factor
+  Ewma.scale (overall_filter t bit) factor
 
 let smoothed_global t = Ewma.value_or t.global_acc 1.0
 

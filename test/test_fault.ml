@@ -389,7 +389,7 @@ let test_stale_decay_bounds () =
   in
   let storage = Dream_tasks.Storage.create () in
   let task = Dream_tasks.Task.create ~id:1 ~spec ~topology ~storage () in
-  Dream_tasks.Task.decay_accuracy task ~bit:0 ~factor ();
+  Dream_tasks.Task.decay_accuracy task ~bit:0 ~factor;
   Alcotest.(check (float 1e-9)) "no-op before the first estimate" 1.0
     (Dream_tasks.Task.smoothed_global task);
   Alcotest.(check bool) "switch-level accuracy bounded" true
@@ -401,11 +401,11 @@ let test_stale_decay_bounds () =
   let estimate = Accuracy.create 2 in
   estimate.(Accuracy.global) <- 0.8;
   Dream_tasks.Task.smooth task estimate;
-  Dream_tasks.Task.decay_accuracy task ~factor ();
+  Dream_tasks.Task.decay_accuracy task ~bit:0 ~factor;
   Alcotest.(check (float 1e-9)) "one decay scales by the factor" (0.8 *. factor)
     (Dream_tasks.Task.smoothed_global task);
   for _ = 1 to 9 do
-    Dream_tasks.Task.decay_accuracy task ~factor ()
+    Dream_tasks.Task.decay_accuracy task ~bit:0 ~factor
   done;
   Alcotest.(check (float 1e-9)) "ten decays compound" (0.8 *. (factor ** 10.0))
     (Dream_tasks.Task.smoothed_global task);

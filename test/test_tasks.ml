@@ -1003,9 +1003,9 @@ let prop_smoothing_matches_ewma_oracle =
       for step = 0 to 24 do
         (match Rng.int rng 3 with
         | 0 ->
-          let factor = draw () and bit = if coin rng then Some (Rng.int rng k) else None in
-          Task.decay_accuracy task ?bit ~factor ();
-          Reference_smoothing.decay oracle ?bit ~factor ()
+          let factor = draw () and bit = Rng.int rng k in
+          Task.decay_accuracy task ~bit ~factor;
+          Reference_smoothing.decay oracle ~bit ~factor
         | _ ->
           let raw = Accuracy.create k in
           Array.iteri (fun i _ -> raw.(i) <- draw ()) raw;
