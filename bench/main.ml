@@ -1,21 +1,9 @@
-(* Benchmark harness: regenerates every figure of the paper's evaluation
-   (Figs 2-17; Table 1's behaviours are exercised by the test suite) and
-   runs Bechamel micro-benchmarks of the hot controller paths.
+(* Bechamel micro-benchmarks of the hot controller paths.  The paper's
+   figures are regenerated by dream-figures (bin/dream_figures.ml).
 
    Usage:
-     bench/main.exe                 run all figures (quick scale) + micro-benchmarks
-     bench/main.exe fig6 fig17      run selected figures
-     bench/main.exe --full          full-scale figures (several minutes)
-     bench/main.exe --micro         micro-benchmarks only
-     bench/main.exe --list          list figure ids
-     bench/main.exe --snapshot-dir DIR
-                                    also write BENCH_<figure>.json snapshots into DIR *)
-
-module Figures = Dream_sim.Figures
-
-let list_figures () =
-  print_endline "figure ids:";
-  List.iter (fun (id, descr) -> Printf.printf "  %-6s %s\n" id descr) Figures.all
+     bench/main.exe                     run the micro-benchmarks
+     bench/main.exe --snapshot-dir DIR  also write BENCH_micro.json into DIR *)
 
 (* ---- Bechamel micro-benchmarks (Fig 17b's allocation-delay source) ---- *)
 
@@ -134,7 +122,7 @@ let micro_tests () =
   ]
   @
   (* Counter-store micro-benchmarks: one flow list and TCAM read set, so
-     `--micro` output shows the cost of the representation itself,
+     the output shows the cost of the representation itself,
      isolated from the control loop. *)
   let flows = Aggregate.fold agg ~init:[] ~f:(fun acc f -> f :: acc) in
   (* The builder sorts its columns in place, so each run refills them
@@ -164,9 +152,8 @@ let micro_tests () =
    the minor heap (words/run), each estimated by OLS against the run
    count.  The two are separate runs: sampling the GC counters inside the
    timed samples would add their cost to the ns rows. *)
-let run_micro ?snapshot_dir ~quick () =
+let run_micro ?snapshot_dir () =
   let open Bechamel in
-  print_newline ();
   print_endline "Micro-benchmarks (Bechamel, monotonic clock and minor words)";
   print_endline "============================================================";
   let clock = Toolkit.Instance.monotonic_clock and words = Toolkit.Instance.minor_allocated in
@@ -204,51 +191,17 @@ let run_micro ?snapshot_dir ~quick () =
             [ (name, "ns", ns); (name ^ " words", "words", w) ])
         (List.rev !estimates)
     in
-    let snap = Snapshot.make ~figure:"micro" ~quick ~metrics () in
+    let snap = Snapshot.make ~figure:"micro" ~quick:true ~metrics () in
     (match Snapshot.write snap ~dir with
     | Ok path -> Printf.printf "snapshot: %s\n%!" path
     | Error msg ->
       prerr_endline msg;
       exit 1)
 
-let rec snapshot_dir_of = function
-  | "--snapshot-dir" :: dir :: _ -> Some dir
-  | _ :: rest -> snapshot_dir_of rest
-  | [] -> None
-
-let rec drop_snapshot_dir = function
-  | "--snapshot-dir" :: _ :: rest -> drop_snapshot_dir rest
-  | a :: rest -> a :: drop_snapshot_dir rest
-  | [] -> []
-
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let snapshot_dir = snapshot_dir_of args in
-  let args = drop_snapshot_dir args in
-  let full = List.mem "--full" args in
-  let micro_only = List.mem "--micro" args in
-  let listing = List.mem "--list" args in
-  let ids = List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args in
-  let quick = not full in
-  if listing then list_figures ()
-  else if micro_only then run_micro ?snapshot_dir ~quick ()
-  else begin
-    (match ids with
-    | [] -> (
-      match Figures.run_all ?snapshot_dir ~quick () with
-      | Ok () -> ()
-      | Error msg ->
-        prerr_endline msg;
-        exit 1)
-    | _ :: _ ->
-      List.iter
-        (fun id ->
-          match Figures.run ?snapshot_dir ~quick id with
-          | Ok () -> ()
-          | Error msg ->
-            prerr_endline msg;
-            list_figures ();
-            exit 1)
-        ids);
-    if ids = [] then run_micro ?snapshot_dir ~quick ()
-  end
+  match List.tl (Array.to_list Sys.argv) with
+  | [] -> run_micro ()
+  | [ "--snapshot-dir"; dir ] -> run_micro ~snapshot_dir:dir ()
+  | _ ->
+    prerr_endline "usage: bench/main.exe [--snapshot-dir DIR]";
+    exit 124

@@ -36,9 +36,6 @@ let base_config ~seed =
     Config.default with
     Config.faults = Some { Fault_model.zero with Fault_model.seed = seed };
     degraded = Some Config.default_degraded;
-    (* The oracle layer runs the invariant suite itself and keeps the
-       violations' details; the in-tick tally would only duplicate it. *)
-    check_invariants = false;
   }
 
 let outcome_tag = function

@@ -15,8 +15,8 @@ val invariants : epoch:int -> Dream_core.Controller.t -> violation list
 (** The {!Dream_recovery.Invariant} suite (conservation, capacity,
     disjoint partition of filters, occupancy vs allocation, rule
     ownership, torn-epoch capacity) via
-    {!Dream_core.Controller.check_invariants_now} — identical semantics to
-    the controller's own in-tick check. *)
+    {!Dream_core.Controller.check_invariants_now}, the one audit of the
+    invariant suite; the controller's tick runs none. *)
 
 val breaker_transitions :
   epoch:int ->

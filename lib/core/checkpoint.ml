@@ -95,7 +95,6 @@ let config_codec =
             (fun c -> c.Config.accuracy_mode)
         and+ install_budget =
           field (option "install_budget" (int "install_budget")) (fun c -> c.Config.install_budget)
-        and+ check_invariants = field (bool "check_invariants") (fun c -> c.Config.check_invariants)
         and+ degraded = field (option "degraded" degraded) (fun c -> c.Config.degraded) in
         let config =
           {
@@ -106,7 +105,6 @@ let config_codec =
             install_budget;
             faults = None;
             degraded;
-            check_invariants;
             telemetry = None;
           }
         in

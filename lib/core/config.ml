@@ -10,7 +10,6 @@ type t = {
   install_budget : int option;
   faults : Dream_fault.Fault_model.spec option;
   degraded : degraded option;
-  check_invariants : bool;
   telemetry : Dream_obs.Telemetry.t option;
 }
 
@@ -23,7 +22,6 @@ let default =
     install_budget = None;
     faults = None;
     degraded = None;
-    check_invariants = false;
     telemetry = None;
   }
 

@@ -14,7 +14,9 @@
     ({!Dream_switch.Breaker}) and the staleness bound 4
     ({!Fetch.shed_max_staleness}), and under a fault spec the mean
     downtime 4, stale decay 0.9, retry budget 0.5, partition groups 4 and
-    storm size 6 ({!Dream_fault.Fault_model}). *)
+    storm size 6 ({!Dream_fault.Fault_model}).  The runtime invariant
+    audit is no setting either: no tick runs it, and callers audit
+    between ticks through {!Controller.check_invariants_now}. *)
 
 type degraded = {
   deadline_fraction : float;
@@ -68,10 +70,6 @@ type t = {
           retry loop.  With a zero-rate fault spec the degraded path is
           byte-identical to running without it: breakers never trip and
           the deadline is never hit. *)
-  check_invariants : bool;
-      (** run {!Dream_recovery.Invariant.check_all} at the end of every
-          epoch and tally violations in the robustness metrics.  Off by
-          default: the checks walk every task's rule sets each epoch. *)
   telemetry : Dream_obs.Telemetry.t option;
       (** when set, the controller times every control-loop phase against
           the bundle's clock, records spans/events in its trace and

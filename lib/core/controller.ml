@@ -28,7 +28,7 @@ type spans = {
   allocate : Obs.Profile.span;  (** the allocation round *)
   configure : Obs.Profile.span;  (** divide-and-merge, summed over tasks *)
   rule_sync : Obs.Profile.span;  (** both rule-sync passes *)
-  retire : Obs.Profile.span;  (** retirements and the invariant audit *)
+  retire : Obs.Profile.span;  (** retirements *)
 }
 
 let intern_spans profile =
@@ -301,9 +301,8 @@ let task_switches t ~task_id =
 
 let reachable t sw = Fetch.reachable t.fetch sw
 
-(* One definition of "the invariants hold right now", shared by the
-   in-tick tally (config.check_invariants) and external oracles (the chaos
-   harness), so they can never drift apart. *)
+(* The one definition of "the invariants hold right now"; callers (the
+   chaos harness, crash recovery) audit between ticks. *)
 let check_invariants_now t =
   let tasks = List.init t.live_n (fun i -> t.live.(i).Runtime.task) in
   Invariant.check_all ~allocator:t.allocator ~switches:t.switches ~up:(reachable t) ~tasks
@@ -665,20 +664,10 @@ let rec retire_from t i =
     else retire_from t (i + 1)
   end
 
-(* Retire tasks that reached their duration, then audit. *)
+(* Retire tasks that reached their duration. *)
 let retire t =
   Obs.Profile.start t.profile t.spans.retire;
   retire_from t 0;
-  if t.config.Config.check_invariants then begin
-    let violations = check_invariants_now t in
-    Ctr.add t.rob.invariant_violations (List.length violations);
-    match violations with
-    | [] -> ()
-    | first :: _ ->
-      trace_event t ~name:"invariant_violation"
-        [ ("count", Tr.Int (List.length violations));
-          ("first", Tr.Str (Invariant.to_string first)) ]
-  end;
   Obs.Profile.stop t.profile t.spans.retire
 
 (* This epoch's figure of a phase: Fig 17's modelled switch time (fault

@@ -160,9 +160,9 @@ val task_switches : t -> task_id:int -> Dream_traffic.Switch_id.t list option
 
 val check_invariants_now : t -> Dream_recovery.Invariant.violation list
 (** Run the runtime invariant checker against the controller's current
-    state, exactly as the in-tick check ([config.check_invariants]) does —
-    same task ordering, same reachability predicate.  Read-only; external
-    oracles (the chaos harness) call it between ticks. *)
+    state: live tasks in admission order, switches audited only when
+    {!reachable}.  Read-only; callers (the chaos harness, crash recovery,
+    tests) call it between ticks.  Nothing in {!tick} audits. *)
 
 val pooled_storage : t -> int
 (** Storage entries retired, dropped and rejected tasks handed back that

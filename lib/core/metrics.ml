@@ -39,7 +39,6 @@ type 'a tallies = {
   controller_crashes : 'a;
   reconcile_removed : 'a;
   reconcile_installed : 'a;
-  invariant_violations : 'a;
   partitions : 'a;
   partition_epochs : 'a;
   breaker_opens : 'a;
@@ -63,7 +62,6 @@ let names =
     controller_crashes = "controller_crashes";
     reconcile_removed = "reconcile_removed";
     reconcile_installed = "reconcile_installed";
-    invariant_violations = "invariant_violations";
     partitions = "partitions";
     partition_epochs = "partition_epochs";
     breaker_opens = "breaker_opens";
@@ -89,7 +87,6 @@ let map f t =
   let controller_crashes = f t.controller_crashes in
   let reconcile_removed = f t.reconcile_removed in
   let reconcile_installed = f t.reconcile_installed in
-  let invariant_violations = f t.invariant_violations in
   let partitions = f t.partitions in
   let partition_epochs = f t.partition_epochs in
   let breaker_opens = f t.breaker_opens in
@@ -98,14 +95,14 @@ let map f t =
   let sheds = f t.sheds in
   { crashes; recoveries; switch_down_epochs; fetch_timeouts; fetch_retries; fetch_failures;
     stale_epochs; counters_lost; install_failures; recovery_reinstalls; controller_crashes;
-    reconcile_removed; reconcile_installed; invariant_violations; partitions; partition_epochs;
+    reconcile_removed; reconcile_installed; partitions; partition_epochs;
     breaker_opens; breaker_probes; breaker_skips; sheds }
 
 let to_list t =
   [ t.crashes; t.recoveries; t.switch_down_epochs; t.fetch_timeouts; t.fetch_retries;
     t.fetch_failures; t.stale_epochs; t.counters_lost; t.install_failures;
     t.recovery_reinstalls; t.controller_crashes; t.reconcile_removed; t.reconcile_installed;
-    t.invariant_violations; t.partitions; t.partition_epochs; t.breaker_opens; t.breaker_probes;
+    t.partitions; t.partition_epochs; t.breaker_opens; t.breaker_probes;
     t.breaker_skips; t.sheds ]
 
 type robustness = int tallies
@@ -186,9 +183,7 @@ let pp_robustness ppf r =
   if r.breaker_opens > 0 || r.breaker_probes > 0 || r.breaker_skips > 0 then
     Format.fprintf ppf " breaker(opens=%d probes=%d skips=%d)" r.breaker_opens r.breaker_probes
       r.breaker_skips;
-  if r.sheds > 0 then Format.fprintf ppf " sheds=%d" r.sheds;
-  if r.invariant_violations > 0 then
-    Format.fprintf ppf " INVARIANT-VIOLATIONS=%d" r.invariant_violations
+  if r.sheds > 0 then Format.fprintf ppf " sheds=%d" r.sheds
 
 let pp_summary ppf s =
   Format.fprintf ppf

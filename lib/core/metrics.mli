@@ -23,7 +23,7 @@ val rejected : task_id:int -> kind:Dream_tasks.Task_spec.kind -> epoch:int -> re
 (** The robustness tallies, declared once: a record polymorphic in its
     cell type, so the values a run reports ({!robustness}), the registry
     counters that keep them ({!Tallies.t}) and their names ({!names}) are
-    the same twenty fields in the same order. *)
+    the same nineteen fields in the same order. *)
 type 'a tallies = {
   crashes : 'a;  (** switch crash events *)
   recoveries : 'a;  (** switches that came back up *)
@@ -38,7 +38,6 @@ type 'a tallies = {
   controller_crashes : 'a;  (** controller fail-overs survived *)
   reconcile_removed : 'a;  (** stray rules deleted by the post-crash switch audit *)
   reconcile_installed : 'a;  (** missing rules reinstalled by the post-crash switch audit *)
-  invariant_violations : 'a;  (** violations flagged by the runtime invariant checker *)
   partitions : 'a;  (** control-channel partition windows that opened *)
   partition_epochs : 'a;  (** sum over epochs of unreachable-switch count *)
   breaker_opens : 'a;  (** circuit-breaker trips (including probe-failure re-opens) *)
@@ -68,7 +67,7 @@ module Tallies : sig
   type t = Dream_obs.Registry.Counter.t tallies
 
   val of_registry : Dream_obs.Registry.t -> t
-  (** Find or create the twenty counters, named after their fields. *)
+  (** Find or create the nineteen counters, named after their fields. *)
 
   val set : t -> robustness -> unit
   (** Overwrite every counter — checkpoint restore only. *)

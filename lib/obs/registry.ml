@@ -60,19 +60,13 @@ type value = Counter_v of int | Gauge_v of float | Histogram_v of Histogram.t
 
 type instrument = C of Counter.t | G of Gauge.t | H of Histogram.t
 
-type t = {
-  tbl : (string * labels, instrument) Hashtbl.t;
-  help : (string, string) Hashtbl.t;  (** per metric name; first registration wins *)
-}
+type t = { tbl : (string * labels, instrument) Hashtbl.t }
 
-let create () = { tbl = Hashtbl.create 64; help = Hashtbl.create 16 }
+let create () = { tbl = Hashtbl.create 64 }
 
 let kind_name = function C _ -> "counter" | G _ -> "gauge" | H _ -> "histogram"
 
-let find_or_create t name labels ?help ~want ~make ~cast () =
-  (match help with
-  | Some text when not (Hashtbl.mem t.help name) -> Hashtbl.replace t.help name text
-  | Some _ | None -> ());
+let find_or_create t name labels ~want ~make ~cast =
   let key = (name, canon labels) in
   match Hashtbl.find_opt t.tbl key with
   | Some i -> (
@@ -86,23 +80,20 @@ let find_or_create t name labels ?help ~want ~make ~cast () =
     Hashtbl.replace t.tbl key v;
     (match cast v with Some x -> x | None -> assert false)
 
-let counter t ?(labels = []) ?help name =
-  find_or_create t name labels ?help ~want:"counter"
+let counter t ?(labels = []) name =
+  find_or_create t name labels ~want:"counter"
     ~make:(fun () -> C (Counter.make ()))
     ~cast:(function C c -> Some c | G _ | H _ -> None)
-    ()
 
-let gauge t ?(labels = []) ?help name =
-  find_or_create t name labels ?help ~want:"gauge"
+let gauge t ?(labels = []) name =
+  find_or_create t name labels ~want:"gauge"
     ~make:(fun () -> G (Gauge.make ()))
     ~cast:(function G g -> Some g | C _ | H _ -> None)
-    ()
 
-let histogram t ?(labels = []) ?help name =
-  find_or_create t name labels ?help ~want:"histogram"
+let histogram t ?(labels = []) name =
+  find_or_create t name labels ~want:"histogram"
     ~make:(fun () -> H (Histogram.make ()))
     ~cast:(function H h -> Some h | C _ | G _ -> None)
-    ()
 
 type sample = { name : string; labels : labels; value : value }
 
@@ -162,13 +153,6 @@ let prom_label_value v =
        (function '\\' -> "\\\\" | '"' -> "\\\"" | '\n' -> "\\n" | c -> String.make 1 c)
        (List.init (String.length v) (String.get v)))
 
-(* HELP text escaping: only backslash and newline (quotes are legal). *)
-let prom_help_text h =
-  String.concat ""
-    (List.map
-       (function '\\' -> "\\\\" | '\n' -> "\\n" | c -> String.make 1 c)
-       (List.init (String.length h) (String.get h)))
-
 let prom_labels ?extra labels =
   let labels = match extra with None -> labels | Some kv -> labels @ [ kv ] in
   match labels with
@@ -191,10 +175,6 @@ let to_prometheus t =
       in
       if not (Hashtbl.mem typed base) then begin
         Hashtbl.replace typed base ();
-        (match Hashtbl.find_opt t.help s.name with
-        | Some text ->
-          Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" base (prom_help_text text))
-        | None -> ());
         Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" base kind)
       end;
       match s.value with

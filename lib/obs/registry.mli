@@ -47,15 +47,13 @@ end
 
 val create : unit -> t
 
-val counter : t -> ?labels:labels -> ?help:string -> string -> Counter.t
-(** Find or create.  [help] attaches Prometheus [# HELP] text to the
-    metric name (the first registration's text wins; later ones are
-    ignored).  @raise Invalid_argument if (name, labels) already names a
-    gauge or histogram. *)
+val counter : t -> ?labels:labels -> string -> Counter.t
+(** Find or create.  @raise Invalid_argument if (name, labels) already
+    names a gauge or histogram. *)
 
-val gauge : t -> ?labels:labels -> ?help:string -> string -> Gauge.t
+val gauge : t -> ?labels:labels -> string -> Gauge.t
 
-val histogram : t -> ?labels:labels -> ?help:string -> string -> Histogram.t
+val histogram : t -> ?labels:labels -> string -> Histogram.t
 
 (** {1 Snapshots} *)
 
@@ -70,7 +68,7 @@ val to_prometheus : t -> string
 (** The whole registry in the Prometheus text exposition format.  Metric
     names are prefixed with [dream_]; counters gain the conventional
     [_total] suffix; histograms emit cumulative [_bucket] series plus
-    [_sum] and [_count].  Each family is preceded by its [# HELP] line
-    (when help text was registered) and a [# TYPE] line; label names are
-    sanitized to [[a-zA-Z_][a-zA-Z0-9_]*] and label values escape
-    backslash, double quote and newline per the exposition format. *)
+    [_sum] and [_count].  Each family is preceded by its [# TYPE] line;
+    label names are sanitized to [[a-zA-Z_][a-zA-Z0-9_]*] and label
+    values escape backslash, double quote and newline per the exposition
+    format. *)

@@ -9,8 +9,6 @@ module Dream_allocator = Dream_alloc.Dream_allocator
 
 type violation = { code : string; detail : string }
 
-let to_string v = Printf.sprintf "%s: %s" v.code v.detail
-
 let violation code fmt = Printf.ksprintf (fun detail -> { code; detail }) fmt
 
 let check_allocator ~allocator acc =

@@ -1,9 +1,9 @@
 (** Runtime invariant checker.
 
-    When enabled ({!Dream_core.Config} [check_invariants]), the controller
-    runs {!check_all} at the end of every epoch and tallies violations in
-    its robustness metrics.  The checks are properties the system must
-    uphold at every epoch boundary, fault or no fault:
+    Nothing in the controller's tick runs it: callers audit between
+    ticks through {!Dream_core.Controller.check_invariants_now} (the chaos
+    oracle, crash recovery, tests).  The checks are properties the system
+    must uphold at every epoch boundary, fault or no fault:
 
     - the DREAM allocator conserves capacity on every switch (allocations
       plus phantom headroom equal capacity, and headroom is never
@@ -20,8 +20,6 @@
     - a torn epoch never leaves a rule count above capacity. *)
 
 type violation = { code : string; detail : string }
-
-val to_string : violation -> string
 
 val check_all :
   allocator:Dream_alloc.Allocator.t ->

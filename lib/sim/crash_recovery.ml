@@ -13,6 +13,7 @@ type run_result = {
   crashes : int;
   reconverge_epochs : float list;
   accuracy_dips : float list;
+  violations : int;
 }
 
 type point = {
@@ -54,15 +55,12 @@ let mean_estimated_accuracy controller =
 
 let run_once ~checkpoint_interval ~fault_seed ~crash_rate (scenario : Scenario.t) strategy =
   let config =
-    {
-      Config.default with
-      Config.faults = Some (crash_spec ~seed:fault_seed crash_rate);
-      check_invariants = true;
-    }
+    { Config.default with Config.faults = Some (crash_spec ~seed:fault_seed crash_rate) }
   in
   let drive = Drive.create ~journal:(Journal.memory ()) ~config ~strategy scenario in
   Drive.checkpoint drive;
   let crashes = ref 0 in
+  let violations = ref 0 in
   let reconverge = ref [] in
   let dips = ref [] in
   (* (first post-recovery epoch, pre-crash accuracy) while reconverging *)
@@ -72,6 +70,8 @@ let run_once ~checkpoint_interval ~fault_seed ~crash_rate (scenario : Scenario.t
     Drive.arrive drive;
     let baseline = mean_estimated_accuracy (Drive.controller drive) in
     Drive.tick drive;
+    let audit = Controller.check_invariants_now (Drive.controller drive) in
+    violations := !violations + List.length audit;
     (match (!tracking, mean_estimated_accuracy (Drive.controller drive)) with
     | Some (since, target), Some acc when acc >= reconverge_target *. target ->
       reconverge := float_of_int (epoch - since + 1) :: !reconverge;
@@ -100,6 +100,7 @@ let run_once ~checkpoint_interval ~fault_seed ~crash_rate (scenario : Scenario.t
     crashes = !crashes;
     reconverge_epochs = List.rev !reconverge;
     accuracy_dips = List.rev !dips;
+    violations = !violations;
   }
 
 let sweep ?(checkpoint_interval = default_checkpoint_interval) ?(seeds = default_seeds)
@@ -126,7 +127,7 @@ let sweep ?(checkpoint_interval = default_checkpoint_interval) ?(seeds = default
         dip = Metrics.stat (List.concat_map (fun r -> r.accuracy_dips) runs);
         reconciled_removed = sum_rob (fun r -> r.Metrics.reconcile_removed);
         reconciled_installed = sum_rob (fun r -> r.Metrics.reconcile_installed);
-        invariant_violations = sum_rob (fun r -> r.Metrics.invariant_violations);
+        invariant_violations = List.fold_left (fun acc r -> acc + r.violations) 0 runs;
         controller_crashes = sum_rob (fun r -> r.Metrics.controller_crashes);
         completed = sum (fun s -> s.Metrics.completed);
       })

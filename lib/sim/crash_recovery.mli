@@ -12,7 +12,9 @@
     reconverge — epochs until the mean smoothed estimated accuracy is back
     within 5% of its pre-crash level.  Crashes whose tasks all end before
     reconverging are excluded from the reconvergence stat.  The runtime
-    invariant checker runs every epoch; its violation count must stay 0. *)
+    invariant checker ({!Dream_core.Controller.check_invariants_now})
+    audits the controller after every tick; its violation count must
+    stay 0. *)
 
 type point = {
   crash_rate : float;

@@ -444,7 +444,7 @@ let test_degraded_run_pinned () =
   (* Partitions keep tasks stale past the shed bound, so the decay stop runs. *)
   Alcotest.(check bool) "staleness passed the bound" true
     (!max_seen > Dream_core.Fetch.shed_max_staleness);
-  Alcotest.(check string) "digest" "820ff005c18fdf1e153f3d344ac46a79" (Digest.to_hex (Digest.string (Buffer.contents b)))
+  Alcotest.(check string) "digest" "680cb636606ed7adee9a728d56c3a492" (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 (* ---- Checkpointing degraded state ---- *)
 

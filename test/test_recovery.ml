@@ -707,9 +707,9 @@ let test_snapshot_bytes_pinned () =
       Controller.run controller ~epochs:6;
       Alcotest.(check string) name md5 (Digest.to_hex (Digest.string (Controller.snapshot controller))))
     [
-      ("prototype", Config.prototype, "0c61ab476850a51acdedfe8fc5f5e284");
-      ("hardware", Config.hardware ~installs_per_epoch:16, "b86f5f00c2e0a50dd857b0efde607a0c");
-      ("faults + degraded", degraded_config, "d4110223462d94987c32ebf6d892a4c2");
+      ("prototype", Config.prototype, "6cd500e66bad889281065c15bd67ac0c");
+      ("hardware", Config.hardware ~installs_per_epoch:16, "fcce0926a81e564730f02a718349fc65");
+      ("faults + degraded", degraded_config, "2c3ec2a20b13b7f92050191905d11a49");
     ]
 
 (* The key-path walk of a [dream-sim checkpoint --at 10 --epochs 40
@@ -781,11 +781,11 @@ let test_journal_bytes_pinned () =
    fault-free run keeps none in its checkpoint. *)
 (* Random non-negative tallies written into a controller's registry
    cells survive snapshot and restore, and the checkpoint lists the
-   twenty keys in Metrics' declaration order. *)
+   nineteen keys in Metrics' declaration order. *)
 let prop_tallies_roundtrip =
   QCheck.Test.make ~name:"tallies survive snapshot and restore, in declaration order"
     ~count:50
-    (QCheck.make QCheck.Gen.(list_repeat 20 (oneof [ small_nat; int_bound max_int ])))
+    (QCheck.make QCheck.Gen.(list_repeat 19 (oneof [ small_nat; int_bound max_int ])))
     (fun values ->
       let pending = ref values in
       let rob =
@@ -812,7 +812,7 @@ let prop_tallies_roundtrip =
              (fun (inside, acc) line ->
                match (line, String.index_opt line ' ') with
                | "[robustness]", _ -> (true, acc)
-               | _, Some sp when inside && List.length acc < 20 ->
+               | _, Some sp when inside && List.length acc < 19 ->
                  (true, String.sub line 0 sp :: acc)
                | _, _ -> (false, acc))
              (false, [])
@@ -1127,12 +1127,13 @@ let test_crash_recovery_sweep_clean () =
 (* ---- invariant checker ---- *)
 
 let test_invariant_clean_run () =
-  let config = { Config.default with Config.check_invariants = true } in
-  let controller = populated_controller ~config () in
-  Controller.run controller ~epochs:40;
-  Controller.finalize controller;
-  Alcotest.(check int) "no violations on a healthy run" 0
-    (Controller.robustness controller).Metrics.invariant_violations
+  let controller = populated_controller () in
+  let violations = ref 0 in
+  for _ = 1 to 40 do
+    Controller.tick controller;
+    violations := !violations + List.length (Controller.check_invariants_now controller)
+  done;
+  Alcotest.(check int) "no violations on a healthy run" 0 !violations
 
 let test_invariant_detects_orphan_rule () =
   let sw = Switch.create ~id:0 ~capacity:8 () in
@@ -1191,36 +1192,6 @@ let test_invariant_detects_rules_mismatch () =
   Alcotest.(check int) "two tables mismatch" 2
     (List.length (Controller.check_invariants_now controller));
   Alcotest.(check bool) "no column made by the check" true (tables () = before)
-
-(* The trace is the controller's only event channel, so the violation's
-   text travels on the [invariant_violation] event itself. *)
-let test_invariant_violation_traced () =
-  let bundle = Dream_obs.Telemetry.create () in
-  let config = { Config.default with Config.check_invariants = true; telemetry = Some bundle } in
-  let controller = populated_controller ~config () in
-  let sw = (Controller.switches controller).(0) in
-  let orphan = Prefix.nth_descendant Prefix.root ~length:8 1 in
-  (match Tcam.install (Switch.tcam sw) ~owner:999 (Prefix.key orphan) with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "install must fit");
-  Controller.tick controller;
-  let expected = Controller.check_invariants_now controller in
-  let events =
-    List.filter_map
-      (function
-        | Dream_obs.Trace.Event { name = "invariant_violation"; fields; _ } -> Some fields
-        | Dream_obs.Trace.Event _ | Dream_obs.Trace.Span _ -> None)
-      (Dream_obs.Trace.items (Dream_obs.Telemetry.trace bundle))
-  in
-  match (events, expected) with
-  | [ fields ], first :: _ ->
-    Alcotest.(check bool) "count field" true
-      (List.assoc_opt "count" fields = Some (Dream_obs.Trace.Int (List.length expected)));
-    Alcotest.(check bool) "first violation's text" true
-      (List.assoc_opt "first" fields = Some (Dream_obs.Trace.Str (Invariant.to_string first)))
-  | _ ->
-    Alcotest.failf "expected one invariant_violation event and a violation, got %d and %d"
-      (List.length events) (List.length expected)
 
 (* ---- descriptions ---- *)
 
@@ -1550,6 +1521,5 @@ let () =
           Alcotest.test_case "clean run has no violations" `Quick test_invariant_clean_run;
           Alcotest.test_case "orphan rule detected" `Quick test_invariant_detects_orphan_rule;
           Alcotest.test_case "rules mismatch detected" `Quick test_invariant_detects_rules_mismatch;
-          Alcotest.test_case "violation text traced" `Quick test_invariant_violation_traced;
         ] );
     ]
