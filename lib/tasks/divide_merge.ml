@@ -152,7 +152,7 @@ let cover_scans t = t.scans [@@lint.allow "oracle hook: test/test_tasks.ml"]
 (* Structural nodes are fewer than the counters, so the table grows at once
    to the monitor's capacity when that is more than double. *)
 let grow t (m : Monitor.t) =
-  let n = max m.cap (max 16 (2 * Array.length t.node_key)) and used = t.slots in
+  let n = max (Monitor.capacity m) (max 16 (2 * Array.length t.node_key)) and used = t.slots in
   t.node_key <- grown_ints t.node_key n used;
   t.node_end <- grown_ints t.node_end n used;
   t.node_cost <- grown_floats t.node_cost n used;
@@ -263,8 +263,10 @@ let rec visit t (m : Monitor.t) ~bits ~len =
    set, in the order the greedy breaks ties by, plus a per-sub-filter lower
    bound on the cost of a candidate freeing it.  A merge or divide leaves
    it stale, except for merges at the last solve's picks followed by
-   [repair_picks]. *)
+   [repair_picks].  It closes the monitor's gap first, so the walk reads
+   the counters as slots [0, n). *)
 let build t (m : Monitor.t) =
+  Monitor.settle m;
   t.slots <- 0;
   t.cursor <- 0;
   t.classes <- 0;
@@ -462,7 +464,7 @@ let apply_merges t m =
 (* A divide phase starts with at most one entry per counter: the heap, too,
    grows at once to the monitor's capacity when that is more. *)
 let heap_grow t (m : Monitor.t) =
-  let n = max m.cap (max 8 (2 * Array.length t.h_key)) in
+  let n = max (Monitor.capacity m) (max 8 (2 * Array.length t.h_key)) in
   t.h_score <- grown_floats t.h_score n t.h_size;
   t.h_key <- grown_ints t.h_key n t.h_size;
   t.h_stamp <- grown_ints t.h_stamp n t.h_size
@@ -524,11 +526,11 @@ let pop t =
 
 (* ---- Algorithm 2 ---- *)
 
-(* Divide the counter in slot [i] and queue whichever child can still be
-   divided. *)
-let divide t m ~leaf_length i =
+(* Divide the counter in slot [i], whose children have the S sets [left]
+   and [right], and queue whichever child can still be divided. *)
+let divide t m ~leaf_length i ~left ~right =
   let child = length_at m i + 1 in
-  Monitor.divide m i;
+  let i = Monitor.divide m i ~left ~right in
   if child < leaf_length then begin
     push t m i;
     push t m (i + 1)
@@ -567,6 +569,10 @@ let rec shrink_to_fit t (m : Monitor.t) alloc guard =
     end
   end
 
+(* The loop holds slots, not places in the table: the merges and divides
+   leave the monitor's gap open wherever they last edited, [slot_of_key]
+   finds a counter on either side of it, and a divide returns its left
+   child's slot, the right child's the next. *)
 let rec divide_loop t (m : Monitor.t) alloc ~leaf_length budget =
   if budget > 0 && pop t then begin
     (* Skip stale heap entries (counters merged away meanwhile, including
@@ -581,15 +587,15 @@ let rec divide_loop t (m : Monitor.t) alloc ~leaf_length budget =
       let child = len + 1 in
       let lbits = Prefix.key_bits (get m.keys i) in
       let rbits = lbits lor (1 lsl (Prefix.address_bits - child)) in
-      let s_l = Topology.bits_mask m.topology ~bits:lbits ~length:child land m.active_mask in
-      let s_r = Topology.bits_mask m.topology ~bits:rbits ~length:child land m.active_mask in
-      let extra = s_l land s_r in
+      let left = Topology.bits_mask m.topology ~bits:lbits ~length:child in
+      let right = Topology.bits_mask m.topology ~bits:rbits ~length:child in
+      let extra = left land right land m.active_mask in
       let f = blocked m alloc extra 0 0 in
       if f = 0 then begin
         (* A divide keeps built candidates conservatively valid: the
            divided counter's score equals its children's sum, S sets are
            unchanged, and T sets can only have grown. *)
-        divide t m ~leaf_length i;
+        divide t m ~leaf_length i ~left ~right;
         divide_loop t m alloc ~leaf_length (budget - 1)
       end
       else begin
@@ -611,6 +617,7 @@ let rec divide_loop t (m : Monitor.t) alloc ~leaf_length budget =
             if blocked m alloc extra 0 0 = 0 then
               divide t m ~leaf_length
                 (Monitor.slot_of_key m (Prefix.key_of ~bits:lbits ~length:len))
+                ~left ~right
           end;
           divide_loop t m alloc ~leaf_length (budget - 1)
         end
@@ -620,6 +627,7 @@ let rec divide_loop t (m : Monitor.t) alloc ~leaf_length budget =
 
 let[@hot] divide_phase t (m : Monitor.t) alloc =
   let leaf_length = m.spec.Task_spec.leaf_length in
+  Monitor.settle m;
   t.h_size <- 0;
   for i = 0 to m.n - 1 do
     if length_at m i < leaf_length then push t m i
@@ -639,4 +647,5 @@ let configure t (m : Monitor.t) ~allocations =
   t.regs.floor <- m.spec.Task_spec.threshold /. 16.0;
   Monitor.set_active m (granted m allocations 0 0);
   shrink_to_fit t m allocations (m.n + 8);
-  divide_phase t m allocations
+  divide_phase t m allocations;
+  Monitor.settle m

@@ -11,8 +11,10 @@
     changes what a configure does, so one workspace shared by many tasks
     gives the same counters, bit for bit, as a workspace of each task's
     own.  It edits the counters only through {!Monitor.merge} and
-    {!Monitor.divide}.  Switch sets are {!Dream_traffic.Switch_mask}
-    bitmasks over a monitor's sub-filters. *)
+    {!Monitor.divide}, and leaves the monitor's gap open only between
+    them: {!configure} returns the table settled ({!Monitor.settle}).
+    Switch sets are {!Dream_traffic.Switch_mask} bitmasks over a
+    monitor's sub-filters. *)
 
 type t
 

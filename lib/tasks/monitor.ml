@@ -10,7 +10,7 @@ type t = {
   topology : Topology.t;
   k : int;
   by_switch : int array;
-  mutable cap : int;
+  mutable gap : int;
   mutable n : int;
   mutable keys : Bytes.t;
   mutable masks : Bytes.t;
@@ -48,54 +48,76 @@ let[@inline] last_at t i = Prefix.key_last (get t.keys i)
 
 let[@inline] flag t i f = get t.flags i land f <> 0
 
-(* The columns grow by copying into larger ones. *)
-let grown_bytes col n used =
+(* Slots the columns hold: the [n] in use and the gap's [cap t - n] spare
+   ones, which lie in between slots [gap - 1] and [gap] of the table.
+   Only a configure opens the gap; everything else reads it settled, at
+   [n], where the table is slots [0, n). *)
+let[@inline] cap t = Bytes.length t.keys lsr 3
+
+let capacity = cap
+
+(* The slot holding the table's [l]th counter: past the gap, the spare
+   slots lie in between. *)
+let[@inline] slot t l = if l < t.gap then l else l + cap t - t.n
+
+(* The columns grow by copying into larger ones: the run left of the gap
+   to the start, the run right of it ([right, old)) to the end, so the
+   gap stays where it is and takes the new room. *)
+let grown_bytes col n ~left ~right ~old =
   let b = Bytes.create n in
-  Bytes.blit col 0 b 0 used;
+  Bytes.blit col 0 b 0 left;
+  Bytes.blit col right b (right + n - old) (old - right);
   b
 
-let grown_floats (a : float array) n used =
+let grown_floats (a : float array) n ~left ~right ~old =
   let b = Array.make n 0.0 in
-  Array.blit a 0 b 0 used;
+  Array.blit a 0 b 0 left;
+  Array.blit a right b (right + n - old) (old - right);
   b
 
-(* Copy slots [0, n) of every column into columns of [cap] slots. *)
-let resize t cap =
-  t.keys <- grown_bytes t.keys (cap lsl 3) (t.n lsl 3);
-  t.masks <- grown_bytes t.masks (cap lsl 3) (t.n lsl 3);
-  t.flags <- grown_bytes t.flags (cap lsl 3) (t.n lsl 3);
-  t.stamps <- grown_bytes t.stamps (cap lsl 3) (t.n lsl 3);
-  t.totals <- grown_floats t.totals cap t.n;
-  t.scores <- grown_floats t.scores cap t.n;
-  t.means <- grown_floats t.means cap t.n;
-  t.vols <- grown_floats t.vols (cap * t.k) (t.n * t.k);
-  t.cap <- cap
+(* Move the counters of every column into columns of [c] slots. *)
+let resize t c =
+  let old = cap t and k = t.k and left = t.gap in
+  let right = left + old - t.n in
+  let n = c lsl 3 and left8 = left lsl 3 and right8 = right lsl 3 and old8 = old lsl 3 in
+  t.keys <- grown_bytes t.keys n ~left:left8 ~right:right8 ~old:old8;
+  t.masks <- grown_bytes t.masks n ~left:left8 ~right:right8 ~old:old8;
+  t.flags <- grown_bytes t.flags n ~left:left8 ~right:right8 ~old:old8;
+  t.stamps <- grown_bytes t.stamps n ~left:left8 ~right:right8 ~old:old8;
+  t.totals <- grown_floats t.totals c ~left ~right ~old;
+  t.scores <- grown_floats t.scores c ~left ~right ~old;
+  t.means <- grown_floats t.means c ~left ~right ~old;
+  t.vols <- grown_floats t.vols (c * k) ~left:(left * k) ~right:(right * k) ~old:(old * k)
 
-(* Replace slots [lo, hi) by [len] slots whose contents the caller then
-   writes: one shift of the tail per column. *)
-let shift t ~lo ~hi ~len =
-  let n = t.n - (hi - lo) + len in
-  if n > t.cap then resize t (max n (2 * t.cap));
-  let tail = t.n - hi and dst = lo + len in
-  if tail > 0 && dst <> hi then begin
-    Bytes.blit t.keys (hi lsl 3) t.keys (dst lsl 3) (tail lsl 3);
-    Bytes.blit t.masks (hi lsl 3) t.masks (dst lsl 3) (tail lsl 3);
-    Bytes.blit t.flags (hi lsl 3) t.flags (dst lsl 3) (tail lsl 3);
-    Bytes.blit t.stamps (hi lsl 3) t.stamps (dst lsl 3) (tail lsl 3);
-    Array.blit t.totals hi t.totals dst tail;
-    Array.blit t.scores hi t.scores dst tail;
-    Array.blit t.means hi t.means dst tail;
-    Array.blit t.vols (hi * t.k) t.vols (dst * t.k) (tail * t.k)
+(* Copy slots [src, src + len) to [dst, dst + len) in every column. *)
+let move t ~src ~dst ~len =
+  Bytes.blit t.keys (src lsl 3) t.keys (dst lsl 3) (len lsl 3);
+  Bytes.blit t.masks (src lsl 3) t.masks (dst lsl 3) (len lsl 3);
+  Bytes.blit t.flags (src lsl 3) t.flags (dst lsl 3) (len lsl 3);
+  Bytes.blit t.stamps (src lsl 3) t.stamps (dst lsl 3) (len lsl 3);
+  Array.blit t.totals src t.totals dst len;
+  Array.blit t.scores src t.scores dst len;
+  Array.blit t.means src t.means dst len;
+  Array.blit t.vols (src * t.k) t.vols (dst * t.k) (len * t.k)
+
+(* Open the gap before the table's [g]th counter: the counters between
+   it and [g] cross it, one move of each column. *)
+let move_gap t g =
+  let spare = cap t - t.n in
+  if spare > 0 then begin
+    if g < t.gap then move t ~src:g ~dst:(g + spare) ~len:(t.gap - g)
+    else if g > t.gap then move t ~src:(t.gap + spare) ~dst:t.gap ~len:(g - t.gap)
   end;
-  t.n <- n
+  t.gap <- g
 
-(* Write a new counter's prefix and flags into slot [i], with a zero total
-   and a stamp of its own; the caller writes its score and mean (passing
-   them here would box them). *)
-let init_slot t i ~key ~flags =
+let settle t = move_gap t t.n
+
+(* Write a new counter's prefix, S set ([Topology.bits_mask] of the prefix)
+   and flags into slot [i], with a zero total and a stamp of its own; the
+   caller writes its score and mean (passing them here would box them). *)
+let init_slot t i ~key ~mask ~flags =
   set t.keys i key;
-  set t.masks i
-    (Topology.bits_mask t.topology ~bits:(Prefix.key_bits key) ~length:(Prefix.key_length key));
+  set t.masks i mask;
   set t.flags i flags;
   set t.stamps i t.next_stamp;
   t.next_stamp <- t.next_stamp + 1;
@@ -138,7 +160,7 @@ let make ~spec ~topology ~active ~(storage : Storage.t) =
     topology;
     k;
     by_switch = Topology.switch_order topology;
-    cap = storage.cap;
+    gap = 0;
     n = 0;
     keys = storage.keys;
     masks = storage.masks;
@@ -154,22 +176,35 @@ let make ~spec ~topology ~active ~(storage : Storage.t) =
     active_mask = active;
   }
 
-(* Room for at least [cap] slots. *)
-let reserve t cap = if t.cap < cap then resize t cap
+(* Room for at least [c] slots. *)
+let reserve t c = if cap t < c then resize t c
+
+(* A new last slot of a settled table, whose contents the caller then
+   writes: its index. *)
+let append t =
+  if t.n = cap t then resize t (max (t.n + 1) (2 * cap t));
+  let i = t.n in
+  t.n <- i + 1;
+  t.gap <- i + 1;
+  i
+
+(* The S set of a new counter on a prefix key. *)
+let mask_of t key =
+  Topology.bits_mask t.topology ~bits:(Prefix.key_bits key) ~length:(Prefix.key_length key)
 
 let create ~spec ~topology ~storage =
   let filter = spec.Task_spec.filter in
   let t = make ~spec ~topology ~active:(Topology.prefix_mask topology filter) ~storage in
   reserve t 16;
-  shift t ~lo:0 ~hi:0 ~len:1;
-  init_slot t 0 ~key:(Prefix.key filter) ~flags:fresh_flag;
-  t.scores.(0) <- 0.0;
-  t.means.(0) <- 0.0;
+  let i = append t and key = Prefix.key filter in
+  init_slot t i ~key ~mask:(mask_of t key) ~flags:fresh_flag;
+  t.scores.(i) <- 0.0;
+  t.means.(i) <- 0.0;
   recompute_usage t;
   t
 
 let release t (storage : Storage.t) =
-  storage.cap <- t.cap;
+  storage.cap <- cap t;
   storage.keys <- t.keys;
   storage.masks <- t.masks;
   storage.flags <- t.flags;
@@ -220,19 +255,36 @@ let update_means t =
     set t.flags i (fl lor seeded_flag)
   done
 
-(* The first slot in [lo, hi) whose counter starts at or after [addr], or
-   [hi]: keys order by first address first. *)
-let rec bisect t addr lo hi =
+(* The first slot in [lo, hi) whose key is at least [key], or [hi]. *)
+let rec seat t key lo hi =
   if lo >= hi then lo
   else begin
     let mid = (lo + hi) / 2 in
-    if bits_at t mid < addr then bisect t addr (mid + 1) hi else bisect t addr lo mid
+    if get t.keys mid < key then seat t key (mid + 1) hi else seat t key lo mid
   end
 
-(* The slot holding exactly the prefix of [key], or -1. *)
+(* The lowest key at an address: keys order by first address first, so a
+   counter starts at or after [addr] exactly when its key is at least
+   this one. *)
+let[@inline] lowest addr = Prefix.key_of ~bits:addr ~length:0
+
+let bisect t addr lo hi = seat t (lowest addr) lo hi
+
+(* [seat] over the table's counters from the [lo]th on, the gap open: a
+   bisect of the one run beside the gap that can hold the answer.  The
+   answer is the counter's place in the table, not its slot. *)
+let seat_counter t key lo =
+  let spare = cap t - t.n in
+  let right = t.gap + spare in
+  if lo >= t.gap then seat t key (lo + spare) (cap t) - spare
+  else if right < cap t && get t.keys right < key then seat t key right (cap t) - spare
+  else seat t key lo t.gap
+
+(* The slot holding exactly the prefix of [key], or -1, the gap open. *)
 let slot_of_key t key =
-  let i = bisect t (Prefix.key_bits key) 0 t.n in
-  if i < t.n && get t.keys i = key then i else -1
+  let l = seat_counter t key 0 in
+  let i = slot t l in
+  if l < t.n && get t.keys i = key then i else -1
 
 let rec fold_down f t ~first i acc = if i < first then acc else fold_down f t ~first (i - 1) (f i acc)
 
@@ -282,17 +334,17 @@ let clear_readings t =
    reading behind it (never from a TCAM) re-seats it with another.
    Readings for prefixes no longer monitored are stale: dropped.  A later
    reading of a slot replaces an earlier one. *)
-let rec advance t addr j = if j < t.n && bits_at t j < addr then advance t addr (j + 1) else j
+let rec advance t low j = if j < t.n && get t.keys j < low then advance t low (j + 1) else j
 
 (* Readings [i, n) merged from cursor [j] (-1 before the first bisect). *)
 let rec ingest_from t b keys vols n i j =
   if i < n then begin
     let key = keys.(i) in
-    let addr = Prefix.key_bits key in
+    let low = lowest (Prefix.key_bits key) in
     let j =
-      if j < 0 then bisect t addr 0 t.n
-      else if j > 0 && bits_at t (j - 1) >= addr then bisect t addr 0 j
-      else advance t addr j
+      if j < 0 then seat t low 0 t.n
+      else if j > 0 && get t.keys (j - 1) >= low then seat t low 0 j
+      else advance t low j
     in
     if j < t.n && get t.keys j = key then begin
       t.vols.((j * t.k) + b) <- vols.(i);
@@ -323,26 +375,31 @@ let bottlenecked t ~allocations = saturated t allocations 0 0
 (* ---- merge and divide ---- *)
 
 (* Replace every counter under [ancestor] by one counter on it, built in
-   place in the first victim's slot.  The victims are one run of slots in
-   prefix order, so the float sums below add in the same order whatever
+   place in the first victim's slot.  The victims are one run of the table
+   in prefix order, so the float sums below add in the same order whatever
    history built the configuration: score and CD mean from 0.0, and per
    sub-filter the volumes of the victims that have one (a sub-filter no
-   victim has a volume on stays absent). *)
+   victim has a volume on stays absent).  The gap moves in among the
+   victims, or to their nearer end, and takes the slots of all but the
+   first: the only counters moved are those between the gap and there. *)
 let[@hot] merge t ~abits ~alen =
-  let lo = bisect t abits 0 t.n in
-  let hi = bisect t (abits + (1 lsl (Prefix.address_bits - alen))) lo t.n in
+  let lo = seat_counter t (lowest abits) 0 in
+  let hi = seat_counter t (lowest (abits + (1 lsl (Prefix.address_bits - alen)))) lo in
+  let first = slot t lo in
   (* Otherwise a counter on or above [ancestor] already covers it. *)
   if
     lo < hi
-    && alen < length_at t lo
-    && Prefix.covers_bits ~abits ~alen ~bbits:(bits_at t lo) ~blen:(length_at t lo)
+    && alen < length_at t first
+    && Prefix.covers_bits ~abits ~alen ~bbits:(bits_at t first) ~blen:(length_at t first)
   then begin
+    move_gap t (max (lo + 1) (min t.gap hi));
     let k = t.k in
     let fl = get t.flags lo in
     bump t.usage (effective t lo) (-1) 0;
     t.scores.(lo) <- 0.0 +. t.scores.(lo);
     t.means.(lo) <- (if fl land seeded_flag <> 0 then 0.0 +. t.means.(lo) else 0.0);
-    for i = lo + 1 to hi - 1 do
+    for j = lo + 1 to hi - 1 do
+      let i = slot t j in
       let vf = get t.flags i and acc = get t.flags lo in
       bump t.usage (effective t i) (-1) 0;
       for b = 0 to k - 1 do
@@ -356,37 +413,46 @@ let[@hot] merge t ~abits ~alen =
       if vf land seeded_flag <> 0 then t.means.(lo) <- t.means.(lo) +. t.means.(i);
       set t.flags lo (acc lor (vf land (seeded_flag lor presence_mask k)))
     done;
-    init_slot t lo
-      ~key:(Prefix.key_of ~bits:abits ~length:alen)
-      ~flags:(get t.flags lo land lnot fresh_flag);
-    shift t ~lo:(lo + 1) ~hi ~len:0;
+    let key = Prefix.key_of ~bits:abits ~length:alen in
+    init_slot t lo ~key ~mask:(mask_of t key) ~flags:(get t.flags lo land lnot fresh_flag);
+    t.n <- t.n - (hi - lo - 1);
+    t.gap <- lo + 1;
     seal_total t lo;
     bump t.usage (effective t lo) 1 0
   end
 
-
-(* Replace the live counter in slot [i] by its two children, in one shift.
+(* Replace the live counter in slot [i] by its two children: the gap moves
+   to just after the counter and gives up one slot to the right child.
    Each child inherits half the parent's score and, when it has one, half
    its CD mean. *)
-let[@hot] divide t i =
+let[@hot] divide t i ~left ~right =
   let key = get t.keys i in
   let len = Prefix.key_length key in
-  if len < Prefix.address_bits then begin
+  if len = Prefix.address_bits then i
+  else begin
     let lbits = Prefix.key_bits key and child = len + 1 in
     let rbits = lbits lor (1 lsl (Prefix.address_bits - child)) in
     let fl = get t.flags i land seeded_flag in
     let half_score = t.scores.(i) /. 2.0 in
     let half_mean = if fl <> 0 then t.means.(i) /. 2.0 else 0.0 in
+    (* The counter's place in the table, which the moves below keep. *)
+    let l = if i < t.gap then i else i - (cap t - t.n) in
     bump t.usage (effective t i) (-1) 0;
-    shift t ~lo:(i + 1) ~hi:(i + 1) ~len:1;
-    init_slot t i ~key:(Prefix.key_of ~bits:lbits ~length:child) ~flags:(fl lor fresh_flag);
-    init_slot t (i + 1) ~key:(Prefix.key_of ~bits:rbits ~length:child) ~flags:(fl lor fresh_flag);
-    t.scores.(i) <- half_score;
-    t.scores.(i + 1) <- half_score;
-    t.means.(i) <- half_mean;
-    t.means.(i + 1) <- half_mean;
-    bump t.usage (effective t i) 1 0;
-    bump t.usage (effective t (i + 1)) 1 0
+    if t.n = cap t then resize t (max (t.n + 1) (2 * cap t));
+    move_gap t (l + 1);
+    t.n <- t.n + 1;
+    t.gap <- l + 2;
+    init_slot t l ~key:(Prefix.key_of ~bits:lbits ~length:child) ~mask:left
+      ~flags:(fl lor fresh_flag);
+    init_slot t (l + 1) ~key:(Prefix.key_of ~bits:rbits ~length:child) ~mask:right
+      ~flags:(fl lor fresh_flag);
+    t.scores.(l) <- half_score;
+    t.scores.(l + 1) <- half_score;
+    t.means.(l) <- half_mean;
+    t.means.(l + 1) <- half_mean;
+    bump t.usage (effective t l) 1 0;
+    bump t.usage (effective t (l + 1)) 1 0;
+    l
   end
 
 let set_active t mask =
@@ -437,8 +503,7 @@ let saved t i =
 
 (* [c] into a new last slot. *)
 let restore_counter t c =
-  let i = t.n in
-  shift t ~lo:i ~hi:i ~len:1;
+  let i = append t in
   let present_bits =
     List.fold_left
       (fun acc (b, v) ->
@@ -447,7 +512,8 @@ let restore_counter t c =
       0 c.vols
   in
   let seeded, avg = match Ewma.value c.avg with Some v -> (true, v) | None -> (false, 0.0) in
-  init_slot t i ~key:(Prefix.key c.at)
+  let key = Prefix.key c.at in
+  init_slot t i ~key ~mask:(mask_of t key)
     ~flags:
       (present_bits lor (if seeded then seeded_flag else 0)
       lor if c.is_fresh then fresh_flag else 0);

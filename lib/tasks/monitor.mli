@@ -11,12 +11,23 @@
     occupies one TCAM entry on every switch in its S set (the switches that
     can see its traffic).
 
-    The counters are one table of slots in prefix order, stored as unboxed
-    columns (DESIGN §3).  Since the counters partition the filter, the
-    counters under any prefix are one contiguous run of slots, so lookups,
-    merges, a switch's rules and trie walks are bisects over the table,
-    and a merge or divide is one shift of each column.  A slot index stays
-    valid until the next merge or divide, which move slots.
+    The counters are one table in prefix order, stored as unboxed columns
+    (DESIGN §3).  Since the counters partition the filter, the counters
+    under any prefix are one contiguous run of the table, so lookups,
+    merges, a switch's rules and trie walks are bisects over it.
+
+    The columns' spare slots are one gap, which {!merge} and {!divide}
+    move to where they edit: each moves only the counters between its
+    edit and the last one, one move of each column.  Only a configure
+    ({!Divide_merge.configure}) opens the gap, and it closes it
+    ({!settle}) before its cover build, before its divide phase and
+    before it returns.  Everywhere else the table is settled: the gap
+    sits at [n] and the counters are slots [0, n), which is all every
+    function here but {!merge}, {!divide}, {!slot_of_key} and {!settle}
+    reads.  While the gap is open the divide loop passes slots, not
+    places in the table: {!slot_of_key} finds a counter on either side of
+    the gap and {!divide} returns its left child's slot.  A slot stays
+    valid until the next merge, divide or settle, which move counters.
 
     Switch sets are {!Dream_traffic.Switch_mask} bitmasks over the task's
     sub-filters, and per-switch arguments are sub-filter bits; only the
@@ -25,9 +36,10 @@
 (** The table, readable in place by the modules that visit every slot
     in a configure or an epoch ({!Divide_merge}, the scorer and the
     estimators): lib builds with [-opaque], so a call into this module per
-    slot is never inlined, and a float it returns is boxed.  Only this
-    module writes a field, and nothing else writes a column except the
-    scorer, into [scores].  A column is replaced when it grows, and goes
+    slot is never inlined, and a float it returns is boxed.  They read it
+    settled, except the divide loop, which reads the slots {!slot_of_key}
+    and {!divide} hand it.  Only this module writes a field, and nothing
+    else writes a column except the scorer, into [scores].  A column is replaced when it grows, and goes
     back to the task's {!Storage} when the task retires ({!release}).
 
     Int columns are [Bytes], 8 bytes a slot ([Bytes.get_int64_ne] at
@@ -46,8 +58,11 @@ type t = private {
   topology : Dream_traffic.Topology.t;
   k : int;  (** sub-filters *)
   by_switch : int array;  (** [Topology.switch_order] *)
-  mutable cap : int;  (** slots allocated in every column *)
-  mutable n : int;  (** slots in use *)
+  mutable gap : int;
+      (** the counters in slots [0, gap) are the table's first [gap], and
+          the rest sit past the [capacity - n] spare slots from [gap] on;
+          [gap = n] when settled *)
+  mutable n : int;  (** counters *)
   mutable keys : Bytes.t;
   mutable masks : Bytes.t;
   mutable flags : Bytes.t;
@@ -86,7 +101,15 @@ val spec : t -> Task_spec.t
 val topology : t -> Dream_traffic.Topology.t
 
 val num_counters : t -> int
-(** The counters are slots [0 .. num_counters - 1], in prefix order. *)
+(** The counters are slots [0 .. num_counters - 1], in prefix order (the
+    table settled). *)
+
+val capacity : t -> int
+(** Slots allocated in every column: the counters and the gap. *)
+
+val settle : t -> unit
+(** Close the gap: move it to the table's end, so the counters are slots
+    [0, n) again. *)
 
 (** {2 Slots} *)
 
@@ -178,19 +201,26 @@ val bottlenecked : t -> allocations:int array -> Dream_traffic.Switch_mask.t
     5.3).  [allocations] is indexed by sub-filter bit. *)
 
 val slot_of_key : t -> int -> int
-(** The slot holding exactly the counter of a packed prefix key, or -1:
-    one bisect. *)
+(** The slot holding exactly the counter of a packed prefix key, or -1,
+    the gap open or not: one bisect of the run of slots on one side of
+    the gap. *)
 
 val merge : t -> abits:int -> alen:int -> unit
 (** Replace every counter under the prefix ([abits], [alen]) by one
     counter on it, unless a counter on or above it already covers it.
     Its score, CD mean and per-switch volumes are its victims' sums,
-    added in slot order. *)
+    added in prefix order.  Leaves the gap open after the merged
+    counter. *)
 
-val divide : t -> int -> unit
-(** Replace the counter in a slot by its two children, in that slot and
-    the next.  Each inherits half the parent's score and, when it has one,
-    half its CD mean. *)
+val divide :
+  t -> int -> left:Dream_traffic.Switch_mask.t -> right:Dream_traffic.Switch_mask.t -> int
+(** [divide t i ~left ~right] replaces the counter in slot [i] by its two
+    children and returns the left child's slot; the right child's is the
+    next.  [left] and [right] are the children's S sets,
+    [Topology.bits_mask] of each.  Each child inherits half the parent's
+    score and, when it has one, half its CD mean.  Leaves the gap open
+    after the children.  A counter at full length is left as it is, and
+    its slot returned. *)
 
 val set_active : t -> Dream_traffic.Switch_mask.t -> unit
 (** Install rules on these sub-filters' switches only ([active_mask]),

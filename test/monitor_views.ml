@@ -35,3 +35,12 @@ let cd_deviation t i =
   Float.abs (total -. if seeded t i then t.means.(i) else total)
 
 let active t = t.active_mask
+
+(* [divide] outside a configure, the children's S sets worked out as the
+   divide loop works them out: the left child's slot, the gap left open. *)
+let divide_slot t i =
+  let module P = Dream_prefix.Prefix in
+  let key = key t i in
+  let bits = P.key_bits key and child = P.key_length key + 1 in
+  let mask bits = Dream_traffic.Topology.bits_mask t.topology ~bits ~length:child in
+  divide t i ~left:(mask bits) ~right:(mask (bits lor (1 lsl (P.address_bits - child))))

@@ -1046,9 +1046,9 @@ let test_recycled_configures_grow_nothing () =
   ignore (run ~entries:1 donor);
   let m = Task.monitor donor.Runtime.task in
   Alcotest.(check bool)
-    (Printf.sprintf "the donor filled %d of %d slots" m.Monitor.n m.Monitor.cap)
+    (Printf.sprintf "the donor filled %d of %d slots" m.Monitor.n (Monitor.capacity m))
     true
-    (2 * m.Monitor.n < m.Monitor.cap);
+    (2 * m.Monitor.n < Monitor.capacity m);
   Runtime.recycle pool ~live:1 donor;
   Alcotest.(check int) "the pool keeps the donor's storage" 1 (Runtime.pooled pool);
   Alcotest.(check (float 0.0)) "words of the next task's configures" 0.0 (run (admit 3))

@@ -38,8 +38,10 @@ let recall_beside_leaf ~coarse ~volume =
   in
   (* 0***, 1*** -> 00**, 01**, 1*** -> 000*, 001*, ... -> 0000, 0001, ... *)
   for _ = 1 to 4 do
-    Dream_tasks.Monitor.divide m 0
+    ignore (Monitor_views.divide_slot m 0)
   done;
+  (* The estimators read a settled table. *)
+  Dream_tasks.Monitor.settle m;
   let vol_of q =
     if Prefix.equal q (F.leaf 0b0000) then 12.0 else if Prefix.equal q coarse then volume else 0.0
   in

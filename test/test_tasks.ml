@@ -764,6 +764,7 @@ let prop_columns_match_boxed_reference =
       Option.iter (set_up_tie tw) tie;
       let check step =
         let cs = Reference.fold List.cons r [] in
+        if m.gap <> Monitor.num_counters m then fail "gap left open" step;
         if Monitor.num_counters m <> List.length cs then fail "counter count" step;
         List.iteri
           (fun i (c : Reference.Counter.t) ->
@@ -828,6 +829,119 @@ let test_columns_match_boxed_reference =
       Reference.multi_pick_merges := 0;
       run ();
       if !Reference.multi_pick_merges = 0 then Alcotest.fail "no merged cover took two picks" )
+
+(* ---- The gap: merges and divides outside a configure ---- *)
+
+(* A CD twin over [oracle_filter]'s four sub-filters on a fresh storage
+   (16 slots), its root read once and its mean seeded, so that the halves
+   and sums of scores, means and volumes show in the checkpoint text. *)
+let gap_twin () =
+  let topology =
+    Topology.create (Rng.create 5) ~filter:oracle_filter ~num_switches:6 ~switches_per_task:4
+  in
+  let spec =
+    Task_spec.make ~kind:Task_spec.Change_detection ~filter:oracle_filter ~leaf_length:32
+      ~threshold:4.0 ()
+  in
+  let tw = twin ~spec ~topology in
+  let readings = random_fractional_readings (Rng.create 9) tw.m ~filter:oracle_filter in
+  Fixtures.ingest_readings tw.m readings;
+  Reference.ingest tw.r readings;
+  Monitor.update_means tw.m;
+  Reference.iter Reference.Counter.update_mean tw.r;
+  set_score_both tw 0 0.7;
+  tw
+
+let reference_counters tw = Reference.fold List.cons tw.r []
+
+(* Divide the counter on [p] in both; the slot the monitor returns holds
+   the left child, the next the right. *)
+let divide_both tw p =
+  let i = Monitor.slot_of_key tw.m (Prefix.key p) in
+  if i < 0 then Alcotest.failf "no slot holds %s" (Prefix.to_string p);
+  let j = Monitor.divide_slot tw.m i in
+  let l, r = Option.get (Prefix.children p) in
+  Alcotest.(check int) "left child at the returned slot" (Prefix.key l) (Monitor.key tw.m j);
+  Alcotest.(check int) "right child after it" (Prefix.key r) (Monitor.key tw.m (j + 1));
+  Reference.divide tw.r
+    (Reference_heap.create ~cmp:Reference.by_score)
+    ~leaf_length:32
+    (Option.get (Reference.find tw.r p))
+
+let merge_both tw p =
+  Monitor.merge tw.m ~abits:(Prefix.bits p) ~alen:(Prefix.length p);
+  Reference.merge tw.r p
+
+(* With the gap wherever the edits left it: every counter is found, in
+   prefix order, with the reference's score; then, settled, the whole
+   table is the reference's. *)
+let check_gapped tw =
+  let cs = reference_counters tw in
+  Alcotest.(check int) "counters" (List.length cs) (Monitor.num_counters tw.m);
+  let slots =
+    List.map
+      (fun (c : Reference.Counter.t) ->
+        let i = Monitor.slot_of_key tw.m (Prefix.key c.prefix) in
+        if i < 0 then Alcotest.failf "%s not found" (Prefix.to_string c.prefix);
+        if not (same_float (Monitor.score tw.m i) c.score) then
+          Alcotest.failf "score of %s" (Prefix.to_string c.prefix);
+        i)
+      cs
+  in
+  Alcotest.(check bool) "slots rise in prefix order" true (List.sort_uniq compare slots = slots);
+  Monitor.settle tw.m;
+  Alcotest.(check int) "settled: the gap at n" (Monitor.num_counters tw.m) tw.m.gap;
+  check_reference tw
+
+(* The table fills its 16 slots with the gap between the two halves of the
+   table; the next divide grows the columns, each run copied to its end
+   of the larger ones, and then moves the gap to the divided counter. *)
+let test_gap_resize_in_middle () =
+  let tw = gap_twin () in
+  Alcotest.(check int) "a fresh storage's slots" 16 (Monitor.capacity tw.m);
+  while Monitor.num_counters tw.m < 16 do
+    let cs = reference_counters tw in
+    let divisible (c : Reference.Counter.t) = Prefix.length c.prefix < 32 in
+    let c = List.nth cs (List.length cs / 2) in
+    divide_both tw (if divisible c then c else List.find divisible cs).prefix
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "full, the gap at %d of 16" tw.m.gap)
+    true
+    (Monitor.capacity tw.m = 16 && 0 < tw.m.gap && tw.m.gap < 16);
+  divide_both tw (List.hd (reference_counters tw)).prefix;
+  Alcotest.(check int) "grown" 32 (Monitor.capacity tw.m);
+  check_gapped tw
+
+(* A merge whose victims lie on both sides of the gap. *)
+let test_gap_merge_straddles () =
+  let tw = gap_twin () in
+  let at s = Prefix.of_string s in
+  List.iter (fun p -> divide_both tw (at p))
+    [ "10.1.2.0/24"; "10.1.2.0/25"; "10.1.2.0/26"; "10.1.2.64/26"; "10.1.2.0/27" ];
+  (* .0/28 .16/28 | gap | .32/27 .64/27 .96/27 .128/25: the victims of
+     .0/25 are the table's first five. *)
+  Alcotest.(check int) "the gap after the last divide's children" 2 tw.m.gap;
+  merge_both tw (at "10.1.2.0/25");
+  check_gapped tw
+
+(* Divides at the first and the last slot, one after the other: the gap
+   crosses the whole table each time. *)
+let test_gap_first_and_last () =
+  let tw = gap_twin () in
+  let first () = (List.hd (reference_counters tw)).prefix in
+  let last () = (List.hd (List.rev (reference_counters tw))).prefix in
+  List.iter
+    (fun pick ->
+      divide_both tw (pick ());
+      let cs = reference_counters tw in
+      List.iter
+        (fun (c : Reference.Counter.t) ->
+          if Monitor.slot_of_key tw.m (Prefix.key c.prefix) < 0 then
+            Alcotest.failf "%s lost" (Prefix.to_string c.prefix))
+        cs)
+    [ first; last; first; last; last; first ];
+  check_gapped tw
 
 (* Score.apply writes the score column in one pass; Reference_score.of_slot
    is the per-slot definition it must agree with, bit for bit, on every counter
@@ -1315,6 +1429,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_rules_for_matches_s_sets;
           QCheck_alcotest.to_alcotest prop_counter_array_model;
           test_columns_match_boxed_reference;
+          Alcotest.test_case "gap: a resize with the gap inside" `Quick test_gap_resize_in_middle;
+          Alcotest.test_case "gap: a merge straddling the gap" `Quick test_gap_merge_straddles;
+          Alcotest.test_case "gap: divides at the first and last slot" `Quick
+            test_gap_first_and_last;
           QCheck_alcotest.to_alcotest prop_estimates_match_oracles;
           QCheck_alcotest.to_alcotest prop_smoothing_matches_ewma_oracle;
           QCheck_alcotest.to_alcotest prop_recycled_storage_matches_fresh;
