@@ -1,14 +1,15 @@
 (* dream-bench: compare and trend BENCH_<figure>.json benchmark snapshots.
 
-     dream-bench diff BASE NEW [--format text|json]
+     dream-bench diff BASE NEW [--figures ID,...] [--format text|json]
      dream-bench trend DIR...
 
    [diff] compares a baseline snapshot (file or directory of snapshots)
    against a freshly generated one.  Every gated metric must equal its
-   baseline.  Exit codes are the CI perf gate's contract: 0 clean, 1 at
-   least one gated metric moved (either way) or is missing, 124 bad
-   input (unreadable snapshot, figure/scale mismatch, missing
-   counterpart).
+   baseline.  With [--figures], exactly the named figures are gated,
+   and each must be in both BASE and NEW; the others are ignored.  Exit
+   codes are the CI perf gate's contract: 0 clean, 1 at least one gated
+   metric moved (either way) or is missing, 124 bad input (unreadable
+   snapshot, figure/scale mismatch, missing counterpart).
 
    [trend] folds an ordered series of snapshot directories (or files)
    into per-metric trajectories for the nightly trend job. *)
@@ -68,9 +69,29 @@ let pair_by_figure bases currents =
     (Ok []) bases
   |> Result.map List.rev
 
-let diff_cmd base_path new_path format =
+(* The snapshots of the named figures, in name order; every name must
+   have one. *)
+let select ids snaps side =
+  List.fold_left
+    (fun acc id ->
+      let* acc = acc in
+      match List.find_opt (fun s -> s.Snapshot.figure = id) snaps with
+      | Some s -> Ok (s :: acc)
+      | None -> Error (Printf.sprintf "no snapshot for figure %S in %s" id side))
+    (Ok []) (List.sort_uniq compare ids)
+  |> Result.map List.rev
+
+let diff_cmd base_path new_path figures format =
   let* bases = load_path base_path in
   let* currents = load_path new_path in
+  let* bases, currents =
+    match figures with
+    | None -> Ok (bases, currents)
+    | Some ids ->
+      let* bases = select ids bases "BASE" in
+      let* currents = select ids currents "NEW" in
+      Ok (bases, currents)
+  in
   let* pairs = pair_by_figure bases currents in
   let* reports =
     List.fold_left
@@ -134,6 +155,15 @@ let new_path =
     & pos 1 (some string) None
     & info [] ~docv:"NEW" ~doc:"Freshly generated snapshot file or directory.")
 
+let figures =
+  Arg.(
+    value
+    & opt (some (list string)) None
+    & info [ "figures" ] ~docv:"ID,..."
+        ~doc:
+          "Gate exactly these figures, each of which must be in both BASE and NEW; the other \
+           snapshots are ignored.")
+
 let trend_dirs =
   Arg.(
     non_empty
@@ -141,7 +171,7 @@ let trend_dirs =
     & info [] ~docv:"DIR" ~doc:"Snapshot directories (or files) in series order.")
 
 let diff_term =
-  Term.term_result' ~usage:false Term.(const diff_cmd $ base_path $ new_path $ format)
+  Term.term_result' ~usage:false Term.(const diff_cmd $ base_path $ new_path $ figures $ format)
 
 let trend_term = Term.term_result' ~usage:false Term.(const trend_cmd $ trend_dirs)
 

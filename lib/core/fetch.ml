@@ -266,12 +266,13 @@ let charge_batch f =
   t.fault_ms <- t.fault_ms +. (t.base *. (t.latency -. 1.0));
   t.deadline <- t.deadline -. (t.base *. t.latency)
 
-(* Fetch the owner's counters on [sw] into the read buffers, retrying a
-   timed-out batch ([k] retries so far) with exponential backoff while the
-   retry budget and the deadline last.  [n >= 0] readings fetched; -1 the
-   switch went down; -2 unreachable or abandoned after retries. *)
-let rec attempt f sw ~owner aggregate k =
-  let n = Switch.read sw ~owner aggregate ~keys:f.keys ~vols:f.vols in
+(* Fetch the counters of the task's column [rules] on [sw] into the read
+   buffers, retrying a timed-out batch ([k] retries so far) with
+   exponential backoff while the retry budget and the deadline last.
+   [n >= 0] readings fetched; -1 the switch went down; -2 unreachable or
+   abandoned after retries. *)
+let rec attempt f sw rules aggregate k =
+  let n = Switch.read sw rules aggregate ~keys:f.keys ~vols:f.vols in
   let t = f.times in
   if n >= 0 then begin
     charge_batch f;
@@ -295,7 +296,7 @@ let rec attempt f sw ~owner aggregate k =
       t.fault_ms <- t.fault_ms +. backoff;
       t.deadline <- t.deadline -. backoff;
       Ctr.incr f.tallies.fetch_retries;
-      attempt f sw ~owner aggregate (k + 1)
+      attempt f sw rules aggregate (k + 1)
     end
     else begin
       Ctr.incr f.tallies.fetch_failures;
@@ -335,7 +336,8 @@ let read_switch f (r : Runtime.t) m data sw =
     if b >= 0 && Switch_mask.mem_bit b task_switches then use_stale f r m sw_id b
   end
   else begin
-    let rules = rules_on sw ~owner:id in
+    let column = Tcam.find (Switch.tcam sw) ~owner:id in
+    let rules = Tcam.count column in
     let armed = Array.length f.breakers > 0 in
     if rules > 0 && armed && not (Breaker.allow f.breakers.(sw_id)) then begin
       Ctr.incr f.tallies.breaker_skips;
@@ -346,7 +348,7 @@ let read_switch f (r : Runtime.t) m data sw =
       f.times.latency <- Switch.latency_factor sw;
       set_batch f rules;
       reserve f rules;
-      let n = attempt f sw ~owner:id aggregate 0 in
+      let n = attempt f sw column aggregate 0 in
       if n >= 0 then begin
         if armed then step_breaker f sw_id Breaker.record_success;
         let lost = rules - n in

@@ -8,7 +8,10 @@ module Ctr = Dream_obs.Registry.Counter
 (* A task's installed rules on a switch (its TCAM key column) and its
    desired rules there (a run of its monitor's slots) are both int columns
    in key order, so each pass is one two-cursor merge of the two: no list
-   or set is built to diff them.  The installed column is live — a removal
+   or set is built to diff them.  Each pass looks the column up once per
+   switch and edits it at the merge cursor ([Switch.remove_at],
+   [Switch.install_at]): the cursor is the edit's index, so no update
+   searches the table or the column.  The column is live — a removal
    closes it up under the cursor, an install opens it — so the cursor
    moves past exactly the keys that stay.  Each pass reads the monitor's
    run for the switch it is on (configure ran for every task before pass
@@ -44,23 +47,21 @@ let mark_recovered s sw = s.recovered.(sw) <- true
 (* Pass 1 on switch [i]: delete the installed rules in [have] that the
    monitor's slots [j, stop) do not hold, while the switch's update budget
    lasts.  [h] is the cursor into [have]. *)
-let rec remove_from_column s ~owner switch i m have h j stop removed =
+let rec remove_from_column s switch i m have h j stop removed =
   if h >= Tcam.count have || s.budgets.(i) <= 0 then removed
   else begin
     let key = Tcam.key have h in
     if j < stop && Monitor.key m j < key then
-      remove_from_column s ~owner switch i m have h (j + 1) stop removed
+      remove_from_column s switch i m have h (j + 1) stop removed
     else if j < stop && Monitor.key m j = key then
-      remove_from_column s ~owner switch i m have (h + 1) (j + 1) stop removed
+      remove_from_column s switch i m have (h + 1) (j + 1) stop removed
     else begin
-      match Switch.remove switch ~owner key with
-      | Ok gone ->
+      match Switch.remove_at switch have h with
+      | Ok () ->
         s.budgets.(i) <- s.budgets.(i) - 1;
         (* A removal closes the column up: the next key is at [h]. *)
-        let h = if gone then h else h + 1 in
-        remove_from_column s ~owner switch i m have h j stop (removed + 1)
-      | Error (`Down | `Unreachable) ->
-        remove_from_column s ~owner switch i m have (h + 1) j stop removed
+        remove_from_column s switch i m have h j stop (removed + 1)
+      | Error (`Down | `Unreachable) -> remove_from_column s switch i m have (h + 1) j stop removed
     end
   end
 
@@ -68,15 +69,13 @@ let rec remove_from s r i removed =
   if i = Array.length s.switches then removed
   else begin
     let switch = s.switches.(i) in
-    let owner = Runtime.id r in
-    let tcam = Switch.tcam switch in
+    let have = Tcam.find (Switch.tcam switch) ~owner:(Runtime.id r) in
     let removed =
-      if Tcam.used_by tcam ~owner = 0 then removed
+      if Tcam.count have = 0 then removed
       else begin
         let m = Task.monitor r.Runtime.task and sw = Switch.id switch in
         let first = Monitor.rules_start m sw in
-        remove_from_column s ~owner switch i m (Tcam.rules tcam ~owner) 0 first
-          (Monitor.rules_stop m sw first) removed
+        remove_from_column s switch i m have 0 first (Monitor.rules_stop m sw first) removed
       end
     in
     remove_from s r (i + 1) removed
@@ -105,29 +104,29 @@ let add_fresh (r : Runtime.t) b key =
    missing from [have], while the switch's update budget lasts.  Installs
    onto a switch that recovered this epoch are the full rule-set reinstall
    its crash demands. *)
-let rec install_into_column s (r : Runtime.t) ~owner switch i b m have h j stop =
+let rec install_into_column s (r : Runtime.t) switch i b m have h j stop =
   if j < stop && s.budgets.(i) > 0 then begin
     let key = Monitor.key m j in
     if h < Tcam.count have && Tcam.key have h < key then
-      install_into_column s r ~owner switch i b m have (h + 1) j stop
+      install_into_column s r switch i b m have (h + 1) j stop
     else if h < Tcam.count have && Tcam.key have h = key then
-      install_into_column s r ~owner switch i b m have (h + 1) (j + 1) stop
+      install_into_column s r switch i b m have (h + 1) (j + 1) stop
     else begin
-      match Switch.install switch ~owner key with
+      match Switch.install_at switch have h key with
       | Ok () ->
         s.budgets.(i) <- s.budgets.(i) - 1;
         if s.recovered.(Switch.id switch) then Ctr.incr s.tallies.recovery_reinstalls;
         add_fresh r b key;
         (* The rule opened the column at [h]. *)
-        install_into_column s r ~owner switch i b m have (h + 1) (j + 1) stop
+        install_into_column s r switch i b m have (h + 1) (j + 1) stop
       | Error `Failed ->
         (* The attempt consumed an update slot; the rule stays desired and
            is retried next epoch. *)
         s.budgets.(i) <- s.budgets.(i) - 1;
         Ctr.incr s.tallies.install_failures;
-        install_into_column s r ~owner switch i b m have h (j + 1) stop
-      | Error (`Capacity | `Duplicate | `Down | `Unreachable) ->
-        install_into_column s r ~owner switch i b m have h (j + 1) stop
+        install_into_column s r switch i b m have h (j + 1) stop
+      | Error (`Capacity | `Down | `Unreachable) ->
+        install_into_column s r switch i b m have h (j + 1) stop
     end
   end
 
@@ -140,10 +139,9 @@ let rec install_into s (r : Runtime.t) i =
     if first < stop then begin
       (* Rules are desired only where the monitor sees traffic: a switch
          of the task's topology. *)
-      let owner = Runtime.id r in
       let b = Topology.bit_of_switch (Task.topology r.task) sw in
-      install_into_column s r ~owner switch i b m
-        (Tcam.rules (Switch.tcam switch) ~owner)
+      install_into_column s r switch i b m
+        (Tcam.rules (Switch.tcam switch) ~owner:(Runtime.id r))
         0 first stop
     end;
     install_into s r (i + 1)

@@ -1,6 +1,6 @@
 module Fault_model = Dream_fault.Fault_model
 
-type install_error = [ `Capacity | `Duplicate | `Down | `Failed | `Unreachable ]
+type install_error = [ `Capacity | `Down | `Failed | `Unreachable ]
 
 type t = { id : Dream_traffic.Switch_id.t; tcam : Tcam.t; faults : Fault_model.t option }
 
@@ -34,7 +34,7 @@ let read_unreachable = -2
 
 let read_timeout = -3
 
-let read t ~owner aggregate ~keys ~vols =
+let read t rules aggregate ~keys ~vols =
   if down t then read_down
     (* A partition is not a timeout: nothing is routed, so the fetch is
        never issued, never priced, and consumes no data-stream draws.  The
@@ -44,7 +44,7 @@ let read t ~owner aggregate ~keys ~vols =
     (* The fetch is issued (and priced through the TCAM stats) before the
        timeout verdict: a timed-out batch costs the control loop the same
        wire time as a successful one. *)
-    let n = Tcam.read t.tcam ~owner aggregate ~keys ~vols in
+    let n = Tcam.read t.tcam rules aggregate ~keys ~vols in
     match t.faults with
     | None -> n
     | Some fm ->
@@ -52,20 +52,30 @@ let read t ~owner aggregate ~keys ~vols =
       else Fault_model.degrade fm t.id ~keys ~vols n
   end
 
-let install t ~owner key =
+(* The checks every update makes before the TCAM: the switch is down or
+   its channel partitioned. *)
+let channel t =
   if down t then (Error `Down [@alloc.allow "a static constant"])
   else if partitioned t then (Error `Unreachable [@alloc.allow "a static constant"])
-  else begin
+  else (Ok () [@alloc.allow "a static constant"])
+
+(* An install then draws from the fault model, which may fail it. *)
+let install_at t rules i key =
+  match channel t with
+  | Error _ as e -> (e :> (unit, install_error) result)
+  | Ok () as ok -> (
     match t.faults with
     | Some fm when Fault_model.install_fails fm t.id ->
       (Error `Failed [@alloc.allow "a static constant"])
-    | Some _ | None -> (Tcam.install t.tcam ~owner key :> (unit, install_error) result)
-  end
+    | Some _ | None ->
+      if Tcam.insert_at t.tcam rules i key then ok
+      else (Error `Capacity [@alloc.allow "a static constant"]))
 
-let remove t ~owner key =
-  if down t then (Error `Down [@alloc.allow "a static constant"])
-  else if partitioned t then (Error `Unreachable [@alloc.allow "a static constant"])
-  else if Tcam.remove t.tcam ~owner key then (Ok true [@alloc.allow "a static constant"])
-  else (Ok false [@alloc.allow "a static constant"])
+let remove_at t rules i =
+  match channel t with
+  | Ok () as ok ->
+    Tcam.remove_at t.tcam rules i;
+    ok
+  | Error _ as e -> e
 
 let crash t = Tcam.wipe t.tcam

@@ -13,7 +13,7 @@
     underlying {!Tcam} call — same results, same stats — so fault-free
     runs are bit-for-bit identical to driving the TCAM directly. *)
 
-type install_error = [ `Capacity | `Duplicate | `Down | `Failed | `Unreachable ]
+type install_error = [ `Capacity | `Down | `Failed | `Unreachable ]
 
 type t
 
@@ -47,12 +47,12 @@ val latency_factor : t -> float
 (** Control-channel latency multiplier for this switch (straggler
     inflation); 1.0 without a fault model. *)
 
-val read :
-  t -> owner:int -> Dream_traffic.Aggregate.t -> keys:int array -> vols:float array -> int
-(** Fetch one task's counters into the caller's buffers, as
-    {!Tcam.read} does (both must hold the owner's {!Tcam.used_by}
-    entries): the count [n >= 0] with the readings in [keys.(0 .. n-1)]
-    and [vols.(0 .. n-1)], in key order, or a negative code:
+val read : t -> Tcam.rules -> Dream_traffic.Aggregate.t -> keys:int array -> vols:float array -> int
+(** Fetch the counters of one task's column of this switch's TCAM
+    ({!Tcam.find}) into the caller's buffers, as {!Tcam.read} does (both
+    must hold the column's {!Tcam.count} entries): the count [n >= 0]
+    with the readings in [keys.(0 .. n-1)] and [vols.(0 .. n-1)], in key
+    order, or a negative code:
     {!read_down}, {!read_unreachable}, or any other for a timeout.  A timeout
     still prices the fetch in the TCAM stats (the bytes were sent; the
     reply never came), so retries cost modelled control-loop time.  On
@@ -66,11 +66,17 @@ val read_down : int
 val read_unreachable : int
 (** The control channel is partitioned: no fetch was issued. *)
 
-val install : t -> owner:int -> int -> (unit, install_error) result
-(** Install the rule of a prefix key ({!Dream_prefix.Prefix.key}). *)
+val install_at : t -> Tcam.rules -> int -> int -> (unit, install_error) result
+(** [install_at t rules i key] installs the rule of a prefix key
+    ({!Dream_prefix.Prefix.key}) at index [i] of one task's column of
+    this switch's TCAM, as {!Tcam.insert_at} does, unless the switch is
+    down, its channel partitioned, or the fault model fails the install,
+    checked in that order.  Only the last draws from the fault model. *)
 
-val remove : t -> owner:int -> int -> (bool, [ `Down | `Unreachable ]) result
-(** Remove the rule of a prefix key. *)
+val remove_at : t -> Tcam.rules -> int -> (unit, [ `Down | `Unreachable ]) result
+(** [remove_at t rules i] removes the rule at index [i] of one task's
+    column of this switch's TCAM, as {!Tcam.remove_at} does, unless the
+    switch is down or its channel partitioned. *)
 
 val crash : t -> unit
 (** Wipe the switch's TCAM (crash semantics: state lost, no priced

@@ -7,11 +7,13 @@
 
     Each owner's rules are one sorted column of packed prefix keys
     ({!Dream_prefix.Prefix.key}), the shape a programmable switch's
-    register arrays have: an install or removal is a bisect plus one shift
-    of the column, {!used_by} is a count, and {!read} writes the owner's
-    counters in key order into buffers the caller owns.  The controller
-    syncs a task's rules with {!remove} and {!install}, walking {!rules}
-    against the monitor's key column in one two-cursor merge.
+    register arrays have: an edit at an index ({!insert_at}, {!remove_at})
+    is one shift of the column, {!used_by} is a count, and {!read} writes
+    a column's counters in key order into buffers the caller owns.  The
+    controller looks an owner's column up once and syncs it by index,
+    walking it against the monitor's key column in one two-cursor merge
+    whose cursor is the index of each edit; the keyed {!install} and
+    {!remove} bisect for that index first.
 
     Counter values come from {!read}: the simulator stands in for the data
     plane by evaluating each rule's prefix against the epoch's traffic
@@ -41,13 +43,18 @@ val used_by : t -> owner:int -> int
 
 type rules
 (** The live column of one owner's rule keys, strictly increasing.  It
-    follows every {!install} and {!remove} of that owner, until a
-    {!remove_owner} or {!wipe} drops it. *)
+    follows every edit of that owner's rules, until a {!remove_owner} or
+    {!wipe} drops it. *)
 
 val rules : t -> owner:int -> rules
 (** The owner's column.  An owner with none gets an empty one: the column
     of the owner {!remove_owner} removed last, with the room it grew, or a
     fresh one when there is none. *)
+
+val find : t -> owner:int -> rules
+(** The owner's column, if it has one.  Unlike {!rules} it adds none: an
+    owner without one gets the table's empty column of no owner, which
+    can be read but not edited. *)
 
 val count : rules -> int
 
@@ -61,23 +68,37 @@ val fold_owners : (int -> rules -> 'a -> 'a) -> t -> 'a -> 'a
 
 (** {2 Updates and reads} *)
 
+val insert_at : t -> rules -> int -> int -> bool
+(** [insert_at t rules i key] installs the rule of [key] at index [i] of
+    an owner's column of [t] and returns [true], or returns [false] and
+    changes nothing when the table is full.  [key] must belong at [i]:
+    above the key at [i - 1] and below the one now at [i].
+    @raise Invalid_argument if it does not, or [rules] is the column of
+    no owner ({!find}). *)
+
+val remove_at : t -> rules -> int -> unit
+(** [remove_at t rules i] removes the rule at index [i] of an owner's
+    column of [t]; the keys above it move down one.
+    @raise Invalid_argument if [i] is not below [count rules]. *)
+
 val install : t -> owner:int -> int -> (unit, [ `Capacity | `Duplicate ]) result
-(** Install the rule of a prefix key. *)
+(** Install the rule of a prefix key: {!insert_at} at the index a bisect
+    of the owner's column finds. *)
 
 val remove : t -> owner:int -> int -> bool
-(** Remove the rule of a prefix key; [true] if it existed. *)
+(** Remove the rule of a prefix key, {!remove_at} the index a bisect
+    finds; [true] if it existed. *)
 
 val remove_owner : t -> owner:int -> int
 (** Delete all rules of a task (when it is dropped or ends); returns the
     number removed.  The owner's column is kept for the next owner
     {!rules} makes one for. *)
 
-val read :
-  t -> owner:int -> Dream_traffic.Aggregate.t -> keys:int array -> vols:float array -> int
-(** Per-rule counters of a task against this epoch's traffic at this
-    switch: the owner's keys in key order into [keys.(0 .. n-1)], their
-    volumes into [vols], and [n], the owner's {!used_by}, returned.  Both
-    buffers must hold [used_by] entries.  Counts one fetch per rule in the
+val read : t -> rules -> Dream_traffic.Aggregate.t -> keys:int array -> vols:float array -> int
+(** Per-rule counters of one owner's column of [t] against this epoch's
+    traffic at this switch: its keys in key order into [keys.(0 .. n-1)],
+    their volumes into [vols], and [n], its {!count}, returned.  Both
+    buffers must hold [count] entries.  Counts one fetch per rule in the
     stats. *)
 
 val wipe : t -> unit

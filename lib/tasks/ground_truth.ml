@@ -12,8 +12,6 @@ type t = {
   mutable means : Items.t; (* CD: leaf keys with history and their EWMA means *)
   mutable next : Items.t; (* the means being merged, swapped in after *)
   ret : float array; (* HHH walk: a node's unclaimed volume, by length *)
-  key : int array; (* HHH walk: the one key of a volume read ... *)
-  vol : float array; (* ... and its volume *)
   score : score; (* the last [evaluate]'s, refilled by the next *)
 }
 
@@ -28,8 +26,6 @@ let create ~(storage : Storage.t) spec =
     means = storage.truth_means;
     next = storage.truth_next;
     ret = Array.make (Prefix.address_bits + 1) 0.0;
-    key = [| 0 |];
-    vol = [| 0.0 |];
     score = { real = nan };
   }
 
@@ -88,26 +84,29 @@ let heavy_hitters t aggregate =
     if leaves.Items.mags.(i) > threshold then push t.truth leaves.Items.keys.(i)
   done
 
-(* The node (bits, len): its volume not claimed by true HHHs below goes to
+(* The node (bits, len), whose addresses are the aggregate's indices
+   [lo, hi): its volume not claimed by true HHHs below goes to
    [t.ret.(len)], and a node whose unclaimed volume exceeds the threshold
    is a true HHH, moved before the descendants written since entering it.
-   Subtrees whose total volume cannot hold an HHH are pruned. *)
-let rec hhh_walk t aggregate bits len =
-  let key = Prefix.key_of ~bits ~length:len in
-  t.key.(0) <- key;
-  Aggregate.read_keys aggregate ~keys:t.key ~n:1 t.vol;
-  t.ret.(len) <- t.vol.(0);
+   Subtrees whose total volume cannot hold an HHH are pruned.  A node
+   splits its range between its children with one search, as
+   {!Hhh.visit} splits the monitor's slots. *)
+let rec hhh_walk t aggregate bits len lo hi =
+  Aggregate.span_volume aggregate ~lo ~hi t.ret len;
   let threshold = t.spec.Task_spec.threshold in
   if not (t.ret.(len) <= threshold) then begin
+    let key = Prefix.key_of ~bits ~length:len in
     if len >= t.spec.Task_spec.leaf_length || len >= Prefix.address_bits then begin
       push t.truth key;
       t.ret.(len) <- 0.0
     end
     else begin
       let start = t.truth.Items.n in
-      hhh_walk t aggregate bits (len + 1);
+      let right = bits lor (1 lsl (Prefix.address_bits - 1 - len)) in
+      let mid = Aggregate.split aggregate right ~lo ~hi in
+      hhh_walk t aggregate bits (len + 1) lo mid;
       let left = t.ret.(len + 1) in
-      hhh_walk t aggregate (bits lor (1 lsl (Prefix.address_bits - 1 - len))) (len + 1);
+      hhh_walk t aggregate right (len + 1) mid hi;
       let unclaimed = left +. t.ret.(len + 1) in
       if unclaimed > threshold then begin
         push t.truth key;
@@ -119,8 +118,10 @@ let rec hhh_walk t aggregate bits len =
   end
 
 let hierarchical_heavy_hitters t aggregate =
-  let filter = t.spec.Task_spec.filter in
-  hhh_walk t aggregate (Prefix.bits filter) (Prefix.length filter)
+  let filter = t.spec.Task_spec.filter and n = Aggregate.num_addresses aggregate in
+  let lo = Aggregate.split aggregate (Prefix.first_address filter) ~lo:0 ~hi:n in
+  let hi = Aggregate.split aggregate (Prefix.last_address filter + 1) ~lo ~hi:n in
+  hhh_walk t aggregate (Prefix.bits filter) (Prefix.length filter) lo hi
 
 (* One merge of the means column against this epoch's leaves: a change is
    a leaf whose volume (0 when it sent nothing) deviates from its mean

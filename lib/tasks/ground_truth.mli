@@ -8,8 +8,9 @@
 
     Everything is a key column ({!Items}) in key order, reused across
     epochs: the epoch's leaf volumes are run sums over the aggregate's
-    sorted addresses, the HHH truth walk reads range volumes by key, the
-    CD means are a key column merged against the leaves, and hits are one
+    sorted addresses, the HHH truth walk carries each node's range of the
+    aggregate's address indices down and splits it between the children
+    with one search, the CD means are a key column merged against the leaves, and hits are one
     merge of the report's keys with the true ones. *)
 
 type t

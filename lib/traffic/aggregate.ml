@@ -248,25 +248,40 @@ let fold t ~init ~f =
   done;
   !acc
 
-(* Answer a batch of prefix-key queries in one pass.  TCAM rule columns
-   are in key order, whose first component is the first covered address,
-   so the running low bound [lo] below is a valid search floor for every
-   later query; an unordered batch resets the floor and the answer is
-   still exact, just not faster.  Each query computes the same (lo, hi)
-   index pair — hence the same float — as {!volume} would. *)
-let[@hot] read_keys t ~keys ~n vols =
-  let prev_first = ref min_int in
-  let prev_lo = ref 0 in
-  for i = 0 to n - 1 do
+(* The first index in [lo, n) whose address is >= [key], or [n], given
+   that every address before [lo] is below [key]: probe [lo], then slots
+   1, 2, 4, ... further on until one is >= [key], and bisect the last
+   stride.  A cursor that is already close costs a probe or two. *)
+let rec gallop (addrs : ints) key lo step n =
+  let probe = lo + step - 1 in
+  if probe >= n then lower_bound addrs key lo n
+  else if addrs.{probe} < key then gallop addrs key (probe + 1) (2 * step) n
+  else lower_bound addrs key lo probe
+
+(* Key [i] on: its [lo, hi) is found from the previous key's ([first_prev]
+   to [stop_prev], at indices [lo_prev, hi_prev)).  A key starting at or
+   past the previous stop (the next rule of a partition in key order)
+   gallops from [hi_prev], usually one probe; one starting inside the
+   previous range (nested) from [lo_prev]; one starting before it (an
+   unordered batch) from 0.  Every address before the start is below the
+   key's first address either way, so each key gets the same (lo, hi)
+   pair two fresh searches would, hence the same float. *)
+let rec read_from t keys n vols i first_prev stop_prev lo_prev hi_prev =
+  if i < n then begin
     let key = keys.(i) in
-    let first = Prefix.key_bits key in
-    let from = if first >= !prev_first then !prev_lo else 0 in
-    let lo = lower_bound t.addrs first from t.n in
-    let hi = lower_bound t.addrs (Prefix.key_last key + 1) lo t.n in
-    prev_first := first;
-    prev_lo := lo;
-    vols.(i) <- t.cumulative.{hi} -. t.cumulative.{lo}
-  done
+    let first = Prefix.key_bits key and stop = Prefix.key_last key + 1 in
+    let start = if first >= stop_prev then hi_prev else if first >= first_prev then lo_prev else 0 in
+    let lo = gallop t.addrs first start 1 t.n in
+    let hi = gallop t.addrs stop lo 1 t.n in
+    vols.(i) <- t.cumulative.{hi} -. t.cumulative.{lo};
+    read_from t keys n vols (i + 1) first stop lo hi
+  end
+
+let[@hot] read_keys t ~keys ~n vols = read_from t keys n vols 0 max_int max_int 0 0
+
+let split t addr ~lo ~hi = lower_bound t.addrs addr lo hi
+
+let span_volume t ~lo ~hi cells c = cells.(c) <- t.cumulative.{hi} -. t.cumulative.{lo}
 
 (* The index range of the addresses under a key's prefix: [key_lo] to
    [key_hi] exclusive, the two searches {!range} makes. *)

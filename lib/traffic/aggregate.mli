@@ -2,9 +2,9 @@
 
     An aggregate freezes the flows a switch saw during one epoch into a
     sorted address array with cumulative volume sums, so that reading a TCAM
-    counter for any prefix is a pair of binary searches.  This is the
-    simulator's stand-in for the switch data plane counting packets against
-    installed rules.
+    counter for any prefix is the difference of two sums at the two ends of
+    its address range.  This is the simulator's stand-in for the switch
+    data plane counting packets against installed rules.
 
     The payload lives in unboxed off-heap [Bigarray]s: building one
     allocates a constant handful of words on the OCaml heap however many
@@ -71,9 +71,32 @@ val fold : t -> init:'a -> f:('a -> Flow.t -> 'a) -> 'a
 val read_keys : t -> keys:int array -> n:int -> float array -> unit
 (** [read_keys t ~keys ~n vols] writes the {!volume} of the prefix of
     each key in [keys.(0 .. n-1)] ({!Dream_prefix.Prefix.key}) into the
-    same index of [vols], bit for bit what {!volume} returns.  A batch in
-    key order (a TCAM rule column) is answered in one narrowing pass, and
-    nothing is allocated. *)
+    same index of [vols], bit for bit what {!volume} returns.  Each key's
+    address range is found by galloping forward from the previous key's:
+    in a batch in key order whose prefixes do not overlap (a TCAM rule
+    column, which partitions its task's filter) a range starts where the
+    last one ended and is found in a probe or two.  Nested keys gallop
+    from the enclosing range's start, and a key before the previous one
+    starts over from the first address.  Any order gives the exact
+    volumes, and nothing is allocated. *)
+
+(** {2 Address ranges}
+
+    The addresses are indexed [0 .. num_addresses - 1] in ascending order,
+    so the addresses under a prefix are one index range [\[lo, hi)].  A
+    walk down the prefix trie splits a range into its two children's with
+    one search instead of two fresh ones per child. *)
+
+val split : t -> int -> lo:int -> hi:int -> int
+(** [split t addr ~lo ~hi] is the first index in [\[lo, hi)] holding an
+    address [>= addr], or [hi]: with [addr] the first address of a
+    prefix's right child, the index range of the prefix splits into its
+    children's at the result. *)
+
+val span_volume : t -> lo:int -> hi:int -> float array -> int -> unit
+(** [span_volume t ~lo ~hi cells c] writes the volume of the addresses at
+    indices [\[lo, hi)] into [cells.(c)]: for a prefix's range, the float
+    {!volume} returns for it.  Nothing is allocated. *)
 
 val count_leaves : t -> int -> leaf_length:int -> int
 (** The number of length-[leaf_length] leaves (at least the key's

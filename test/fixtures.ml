@@ -15,6 +15,11 @@ module Monitor = Monitor_views
 module Tcam = Dream_switch.Tcam
 module Score = Dream_tasks.Score
 
+(* A qcheck property as an alcotest case drawing from one fixed seed, so
+   a tier-1 run checks the same cases every time. *)
+let seeded_qcheck test = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2014 |]) test
+[@@lint.allow "determinism-random"]
+
 (* Fresh task storage, as a bare task or a restore starts on. *)
 let fresh_storage () = Dream_tasks.Storage.create ()
 

@@ -153,30 +153,33 @@ let test_data_plane_transparent_without_faults () =
   let sw = Switch.create ~id:0 ~capacity:16 () in
   Alcotest.(check bool) "never down" false (Switch.down sw);
   let p = Prefix.nth_descendant Prefix.root ~length:8 3 in
-  (match Switch.install sw ~owner:1 (Prefix.key p) with
+  let col = Tcam.rules (Switch.tcam sw) ~owner:1 in
+  (match Switch.install_at sw col 0 (Prefix.key p) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "install must succeed");
   Alcotest.(check int) "rule landed" 1 (Tcam.used_by (Switch.tcam sw) ~owner:1);
-  match Switch.remove sw ~owner:1 (Prefix.key p) with
-  | Ok true -> ()
-  | Ok false | Error (`Down | `Unreachable) -> Alcotest.fail "remove must find the rule"
+  match Switch.remove_at sw col 0 with
+  | Ok () -> Alcotest.(check int) "rule gone" 0 (Tcam.used_by (Switch.tcam sw) ~owner:1)
+  | Error (`Down | `Unreachable) -> Alcotest.fail "remove must reach the switch"
 
 let test_data_plane_down_refuses () =
   let fm = Fault_model.create Fault_model.zero ~num_switches:1 in
   Fault_model.schedule fm ~at:1 (Fault_model.Crash { switch = 0; downtime = 100 });
   let sw = Switch.create ~faults:fm ~id:0 ~capacity:16 () in
   let p = Prefix.nth_descendant Prefix.root ~length:8 1 in
-  (match Switch.install sw ~owner:1 (Prefix.key p) with
+  let col = Tcam.rules (Switch.tcam sw) ~owner:1 in
+  (match Switch.install_at sw col 0 (Prefix.key p) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "install before crash must succeed");
   ignore (Fault_model.begin_epoch fm);
   Alcotest.(check bool) "down after crash" true (Switch.down sw);
-  (match Switch.install sw ~owner:1 (Prefix.key p) with
+  let q = Prefix.nth_descendant Prefix.root ~length:8 2 in
+  (match Switch.install_at sw col 1 (Prefix.key q) with
   | Error `Down -> ()
   | Ok () | Error _ -> Alcotest.fail "install on a down switch must refuse");
-  match Switch.remove sw ~owner:1 (Prefix.key p) with
+  match Switch.remove_at sw col 0 with
   | Error (`Down | `Unreachable) -> ()
-  | Ok _ -> Alcotest.fail "remove on a down switch must refuse"
+  | Ok () -> Alcotest.fail "remove on a down switch must refuse"
 
 (* Minor words a faulty read allocates: none, since its result is the
    count (or a negative code), and nothing per counter.  A switch holding
@@ -193,9 +196,10 @@ let test_faulty_read_allocates_its_result () =
   let n = 1000 in
   let sw = Switch.create ~faults:fm ~id:0 ~capacity:n () in
   let rules = List.init n (fun i -> Prefix.nth_descendant Prefix.root ~length:24 i) in
-  List.iter
-    (fun p ->
-      match Switch.install sw ~owner:1 (Prefix.key p) with
+  let col = Tcam.rules (Switch.tcam sw) ~owner:1 in
+  List.iteri
+    (fun i p ->
+      match Switch.install_at sw col i (Prefix.key p) with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "install must succeed")
     rules;
@@ -208,7 +212,7 @@ let test_faulty_read_allocates_its_result () =
   let keys = Array.make n 0 and vols = Array.make n 0.0 in
   let survivors = ref 0 in
   let read () =
-    let kept = Switch.read sw ~owner:1 aggregate ~keys ~vols in
+    let kept = Switch.read sw col aggregate ~keys ~vols in
     if kept < 0 then Alcotest.fail "read must succeed";
     survivors := !survivors + kept
   in

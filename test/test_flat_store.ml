@@ -92,6 +92,118 @@ let prop_read_prefixes =
       in
       same sorted_rules && same rules)
 
+(* ---- cursor reads against the two-search oracle ---- *)
+
+let top = (1 lsl Prefix.address_bits) - 1
+
+(* Addresses over the whole space, clustered so that pieces of a
+   partition hold several: at and near 0, at and near the top, around one
+   base, and anywhere. *)
+let gen_wide_addr =
+  QCheck.Gen.(
+    oneof
+      [
+        int_bound 0xFF;
+        map (fun off -> top - off) (int_bound 0xFF);
+        map (fun off -> 0x0A000000 + off) (int_bound 0xFFF);
+        map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xFFFF) (int_bound 0xFFFF);
+      ])
+
+(* An empty aggregate, a single address, both ends of the space, or a
+   clustered spread. *)
+let gen_wide_flows =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return []);
+        (1, map2 (fun addr v -> [ flow addr v ]) gen_wide_addr gen_volume);
+        ( 1,
+          map3
+            (fun v0 v1 rest -> flow 0 v0 :: flow top v1 :: rest)
+            gen_volume gen_volume
+            (list_size (int_range 0 20) (map2 flow gen_wide_addr gen_volume)) );
+        (4, list_size (int_range 1 120) (map2 flow gen_wide_addr gen_volume));
+      ])
+
+(* A partition of the address space in key order, refined toward each
+   target address in turn: the piece holding it splits in two. *)
+let partition targets =
+  List.fold_left
+    (fun pieces addr ->
+      List.concat_map
+        (fun q ->
+          match Prefix.children q with
+          | Some (l, r) when Prefix.covers q (Prefix.of_address addr) -> [ l; r ]
+          | Some _ | None -> [ q ])
+        pieces)
+    [ Prefix.root ] targets
+
+(* The four shapes of a key batch: a partition in key order (each range
+   starts where the last ended), the same with gaps, with enclosing
+   prefixes and the last address of some pieces mixed in (nested: a range
+   starting inside the one before, at its first or last address), and all
+   of that in no order. *)
+let batches rng pieces =
+  let gapped = List.filter (fun _ -> Rng.int rng 2 = 0) pieces in
+  let nested =
+    List.sort_uniq Prefix.compare
+      (pieces
+      @ List.concat_map
+          (fun q ->
+            match Rng.int rng 4 with
+            | 0 -> [ Prefix.ancestor_at q (Rng.int rng (Prefix.length q + 1)) ]
+            | 1 -> [ Prefix.of_address (Prefix.last_address q) ]
+            | _ -> [])
+          pieces)
+  in
+  let unordered = Array.of_list nested in
+  Rng.shuffle rng unordered;
+  [
+    ("sorted-adjacent", pieces);
+    ("sorted-gapped", gapped);
+    ("nested", nested);
+    ("unordered", Array.to_list unordered);
+  ]
+
+let cursor_agrees a prefixes =
+  let keys = Array.of_list (List.map Prefix.key prefixes) in
+  let n = Array.length keys in
+  let got = Array.make n nan and want = Array.make n nan in
+  Aggregate.read_keys a ~keys ~n got;
+  Reference_search.read_keys a ~keys ~n want;
+  Array.for_all2 same_float got want
+
+let prop_cursor_reads =
+  QCheck.Test.make ~name:"cursor read_keys = two-search oracle, bitwise" ~count:400
+    (QCheck.make QCheck.Gen.(triple gen_wide_flows (list_size (int_range 0 80) gen_wide_addr) int))
+    (fun (flows, targets, seed) ->
+      let a = Aggregate.of_flows flows and rng = Rng.create seed in
+      List.for_all
+        (fun (shape, prefixes) ->
+          cursor_agrees a prefixes || QCheck.Test.fail_reportf "%s batch differs" shape)
+        (batches rng (partition targets)))
+
+(* Every shape of batch on the aggregates at the edges: none, one
+   address, and the first and last address of the space. *)
+let test_cursor_edges () =
+  let rng = Rng.create 7 in
+  List.iter
+    (fun (name, flows) ->
+      let a = Aggregate.of_flows flows in
+      let pieces = partition (List.map (fun (f : Flow.t) -> f.Flow.addr) (flows @ flows @ flows)) in
+      List.iter
+        (fun (shape, prefixes) ->
+          Alcotest.(check bool) (Printf.sprintf "%s, %s batch" name shape) true (cursor_agrees a prefixes))
+        (("whole space", [ Prefix.root; Prefix.of_address 0; Prefix.of_address top ])
+        :: ("last address inside", [ Prefix.root; Prefix.of_address top ])
+        :: batches rng pieces))
+    [
+      ("empty", []);
+      ("single address", [ flow 0x0A000001 0.25 ]);
+      ("both ends", [ flow 0 (1.0 /. 3.0); flow top (2.0 /. 3.0) ]);
+      ("ends and middle", [ flow 0 0.1; flow 1 0.2; flow 0x80000000 0.3; flow (top - 1) 0.4; flow top 0.5 ]);
+    ]
+
 (* The network-wide view of an epoch is the lib's only merge: switches
    listed in id order, shared addresses summed in that order.
    [Epoch_data.of_flows] takes each switch's flows newest first, so the
@@ -224,6 +336,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_merge;
           QCheck_alcotest.to_alcotest prop_merge_all;
           QCheck_alcotest.to_alcotest prop_flows_in;
+          Fixtures.seeded_qcheck prop_cursor_reads;
+          Alcotest.test_case "cursor reads at the edges" `Quick test_cursor_edges;
         ] );
       ( "edge-cases",
         [

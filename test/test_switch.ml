@@ -20,8 +20,9 @@ type sync_result = { added : int; removed : int; refused : int }
 (* Incremental sync the way the controller's rule sync does it: one
    two-cursor merge of the owner's live key column against the desired
    keys for the removals, then one of the desired keys against the column
-   for the installs; unchanged rules are untouched.  [on_remove] and
-   [on_install] see every key the walks try, in order. *)
+   for the installs, each edit made at the cursor; unchanged rules are
+   untouched.  [on_remove] and [on_install] see every key the walks try,
+   in order. *)
 let sync ?(on_remove = ignore) ?(on_install = ignore) t ~owner ~prefixes =
   let desired = Array.of_list (List.sort_uniq Int.compare (List.map Prefix.key prefixes)) in
   let have = Tcam.rules t ~owner in
@@ -34,7 +35,8 @@ let sync ?(on_remove = ignore) ?(on_install = ignore) t ~owner ~prefixes =
       else begin
         on_remove key;
         (* A removal closes the column up under the cursor. *)
-        if Tcam.remove t ~owner key then removals h j (n + 1) else removals (h + 1) j n
+        Tcam.remove_at t have h;
+        removals h j (n + 1)
       end
     end
   in
@@ -47,9 +49,8 @@ let sync ?(on_remove = ignore) ?(on_install = ignore) t ~owner ~prefixes =
       else if h < Tcam.count have && Tcam.key have h = key then installs (h + 1) (j + 1) (a, r)
       else begin
         on_install key;
-        match Tcam.install t ~owner key with
-        | Ok () -> installs (h + 1) (j + 1) (a + 1, r)
-        | Error _ -> installs h (j + 1) (a, r + 1)
+        if Tcam.insert_at t have h key then installs (h + 1) (j + 1) (a + 1, r)
+        else installs h (j + 1) (a, r + 1)
       end
     end
   in
@@ -162,7 +163,7 @@ let test_read_counters () =
       [ Flow.make ~addr:0x0A000001 ~volume:3.0; Flow.make ~addr:0x0A800001 ~volume:5.0 ]
   in
   let keys = Array.make 2 0 and vols = Array.make 2 0.0 in
-  let n = Tcam.read t ~owner:1 agg ~keys ~vols in
+  let n = Tcam.read t (Tcam.find t ~owner:1) agg ~keys ~vols in
   Alcotest.(check int) "two counters" 2 n;
   Alcotest.(check (list int)) "key order" [ k "10.0.0.0/9"; k "10.128.0.0/9" ] (Array.to_list keys);
   Alcotest.(check (float 1e-9)) "left" 3.0 vols.(0);
@@ -171,7 +172,7 @@ let test_read_counters () =
 let test_stats_tracking () =
   let t = Tcam.create ~capacity:8 in
   ignore (sync t ~owner:1 ~prefixes:[ p "10.0.0.0/8"; p "11.0.0.0/8" ]);
-  ignore (Tcam.read t ~owner:1 Aggregate.empty ~keys:(Array.make 2 0) ~vols:(Array.make 2 0.0));
+  ignore (Tcam.read t (Tcam.find t ~owner:1) Aggregate.empty ~keys:(Array.make 2 0) ~vols:(Array.make 2 0.0));
   ignore (sync t ~owner:1 ~prefixes:[ p "11.0.0.0/8" ]);
   let s = Tcam.stats t in
   Alcotest.(check int) "installs" 2 s.Tcam.installs;
@@ -283,6 +284,56 @@ let prop_sorted_merge_matches_set_diff =
       && d.added = List.length to_add
       && List.equal Prefix.equal (Fixtures.tcam_rules t ~owner:1) desired)
 
+(* Edits at the merge cursor leave the table as the keyed edits of the
+   same diff do, on columns beside another owner's and under any
+   capacity: the same columns, [used] and stats, and the same installs
+   refused. *)
+let prop_cursor_edits_match_keyed =
+  QCheck.Test.make ~name:"insert_at/remove_at at the cursor = keyed install/remove" ~count:500
+    QCheck.(quad sorted_prefixes sorted_prefixes sorted_prefixes (int_range 1 40))
+    (fun (other, installed, desired, capacity) ->
+      let filled () =
+        let t = Tcam.create ~capacity in
+        List.iter (fun q -> ignore (Tcam.install t ~owner:2 (Prefix.key q))) other;
+        List.iter (fun q -> ignore (Tcam.install t ~owner:1 (Prefix.key q))) installed;
+        t
+      in
+      let at_cursor = filled () and keyed = filled () in
+      let d = sync at_cursor ~owner:1 ~prefixes:desired in
+      let to_remove, to_add =
+        Reference_sync.plan ~installed:(Fixtures.tcam_rules keyed ~owner:1) ~desired
+      in
+      let removed = List.filter (fun q -> Tcam.remove keyed ~owner:1 (Prefix.key q)) to_remove in
+      let added = List.filter (fun q -> Tcam.install keyed ~owner:1 (Prefix.key q) = Ok ()) to_add in
+      let st = Tcam.stats at_cursor and sk = Tcam.stats keyed in
+      d.removed = List.length removed
+      && d.added = List.length added
+      && d.refused = List.length to_add - List.length added
+      && Tcam.dump at_cursor = Tcam.dump keyed
+      && Tcam.used at_cursor = Tcam.used keyed
+      && Tcam.used_by at_cursor ~owner:1 = Tcam.used_by keyed ~owner:1
+      && st = sk)
+
+(* An edit at an index the key does not belong at is refused, and the
+   column of no owner cannot be edited. *)
+let test_edit_at_refuses () =
+  let t = Tcam.create ~capacity:8 in
+  ignore (Tcam.install t ~owner:1 (k "10.0.0.0/8"));
+  ignore (Tcam.install t ~owner:1 (k "12.0.0.0/8"));
+  let col = Tcam.rules t ~owner:1 in
+  let refused f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  Alcotest.(check bool) "below its place" true (refused (fun () -> Tcam.insert_at t col 0 (k "11.0.0.0/8")));
+  Alcotest.(check bool) "above its place" true (refused (fun () -> Tcam.insert_at t col 2 (k "11.0.0.0/8")));
+  Alcotest.(check bool) "a duplicate" true (refused (fun () -> Tcam.insert_at t col 1 (k "12.0.0.0/8")));
+  Alcotest.(check bool) "past the end" true (refused (fun () -> Tcam.remove_at t col 2));
+  Alcotest.(check bool) "no owner's column" true
+    (refused (fun () -> Tcam.insert_at t (Tcam.find t ~owner:3) 0 (k "11.0.0.0/8")));
+  Alcotest.(check bool) "in its place" true (Tcam.insert_at t col 1 (k "11.0.0.0/8"));
+  Alcotest.(check (list int)) "column" [ k "10.0.0.0/8"; k "11.0.0.0/8"; k "12.0.0.0/8" ]
+    (List.init (Tcam.count col) (Tcam.key col));
+  Alcotest.(check int) "find adds no column" 1 (Tcam.fold_owners (fun _ _ n -> n + 1) t 0);
+  Alcotest.(check int) "used" 3 (Tcam.used t)
+
 (* ---- the set-based TCAM as a differential oracle ---- *)
 
 type op =
@@ -341,7 +392,7 @@ let step t r agg = function
   | Read owner ->
     let len = Tcam.used_by t ~owner in
     let keys = Array.make len 0 and vols = Array.make len 0.0 in
-    let n = Tcam.read t ~owner agg ~keys ~vols in
+    let n = Tcam.read t (Tcam.find t ~owner) agg ~keys ~vols in
     let expected = Reference_tcam.read r ~owner agg in
     n = List.length expected
     && List.for_all2
@@ -395,6 +446,8 @@ let () =
           Alcotest.test_case "rules sorted" `Quick test_rules_sorted;
           QCheck_alcotest.to_alcotest prop_sync_idempotent;
           QCheck_alcotest.to_alcotest prop_sorted_merge_matches_set_diff;
+          Fixtures.seeded_qcheck prop_cursor_edits_match_keyed;
+          Alcotest.test_case "an edit at a wrong index is refused" `Quick test_edit_at_refuses;
           QCheck_alcotest.to_alcotest prop_used_equals_sum_of_owners;
           QCheck_alcotest.to_alcotest prop_matches_set_oracle;
         ] );

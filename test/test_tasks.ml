@@ -1394,6 +1394,44 @@ let test_score_cd () =
   read_volume m 29.5;
   Alcotest.(check (float 1e-9)) "dead-calm scores zero" 0.0 (scored m)
 
+(* The HHH truth walk that carries each node's address range down and
+   splits it with one search lists the same true HHHs, in the same order,
+   as the per-node walk making two fresh searches at every node
+   (Reference_search.hhh_truth).  Filters from the whole space down to a
+   /28; flows inside and outside the filter, packed on a few leaves or
+   spread. *)
+let prop_hhh_range_descent =
+  QCheck.Test.make ~name:"HHH range descent = per-node search walk" ~count:300 QCheck.int
+    (fun seed ->
+      let rng = Rng.create seed in
+      let filter =
+        Prefix.of_string
+          (Rng.pick rng [| "0.0.0.0/0"; "10.0.0.0/8"; "10.1.2.0/24"; "10.1.2.16/28"; "255.255.255.0/24" |])
+      in
+      let leaf_length =
+        Prefix.length filter + 1 + Rng.int rng (Prefix.address_bits - Prefix.length filter)
+      in
+      let spec =
+        Task_spec.make ~kind:Task_spec.Hierarchical_heavy_hitter ~filter ~leaf_length
+          ~threshold:(Rng.pick rng [| 1.0; 15.0; 60.0; 400.0 |])
+          ()
+      in
+      let first = Prefix.first_address filter and span = Prefix.size filter in
+      let addr () =
+        match Rng.int rng 4 with
+        | 0 -> Rng.int rng (1 lsl 30) * 4
+        | 1 -> first + Rng.int rng (min span 16)
+        | _ -> first + Rng.int rng span
+      in
+      let flows = List.init (Rng.int rng 60) (fun _ -> { Flow.addr = addr (); volume = Rng.float rng 40.0 }) in
+      let data = Epoch_data.of_flows ~epoch:0 [ (0, flows) ] in
+      let storage = fresh_storage () in
+      ignore (Ground_truth.evaluate (Ground_truth.create ~storage spec) data (Items.create ()));
+      let got = storage.Dream_tasks.Storage.truth
+      and want = Reference_search.hhh_truth spec data.Epoch_data.combined in
+      got.Items.n = want.Items.n
+      && Array.sub got.Items.keys 0 got.Items.n = Array.sub want.Items.keys 0 want.Items.n)
+
 let () =
   Alcotest.run "dream.tasks"
     [
@@ -1504,5 +1542,9 @@ let () =
           Alcotest.test_case "hhh" `Quick test_score_hhh;
           Alcotest.test_case "cd" `Quick test_score_cd;
           QCheck_alcotest.to_alcotest prop_score_column_matches_of_slot;
+        ] );
+      ( "ground-truth",
+        [
+          Fixtures.seeded_qcheck prop_hhh_range_descent;
         ] );
     ]
