@@ -56,7 +56,7 @@ let load_path path =
 
 (* Pair base and new snapshots by figure id.  Every base figure must have
    a counterpart — the baseline is the coverage contract — while figures
-   only the new set carries are reported but never gate. *)
+   only the new set carries are not compared. *)
 let pair_by_figure bases currents =
   let find fig = List.find_opt (fun s -> s.Snapshot.figure = fig) currents in
   List.fold_left

@@ -31,10 +31,7 @@ let status_of direction ~base ~current =
   | Bench_snapshot.Lower_better -> if current > base then Regressed else Improved
   | Bench_snapshot.Higher_better -> if current < base then Regressed else Improved
 
-let fails = function Regressed | Improved | Missing -> true | Unchanged | Added -> false
-
-let alloc_words (gc : Gc_stats.reading) =
-  gc.Gc_stats.minor_words +. gc.Gc_stats.major_words -. gc.Gc_stats.promoted_words
+let fails = function Regressed | Improved | Missing | Added -> true | Unchanged -> false
 
 (* Phases become informational rows so wall/GC movement is visible in
    every diff without ever gating (machine noise must not fail CI). *)
@@ -67,7 +64,7 @@ let phase_rows (base : Profile.stat list) (current : Profile.stat list) =
       in
       [
         info "wall_ms" (fun s -> s.Profile.wall_ms);
-        info "alloc_words" (fun s -> alloc_words s.Profile.gc);
+        info "alloc_words" (fun s -> Gc_stats.allocated s.Profile.gc);
       ])
     paths
 
@@ -79,15 +76,21 @@ let diff ~(base : Bench_snapshot.t) (current : Bench_snapshot.t) =
   else if base.Bench_snapshot.quick <> current.Bench_snapshot.quick then
     Error "scale mismatch: one snapshot is quick, the other full"
   else begin
-    let find name (metrics : Bench_snapshot.metric list) =
-      List.find_opt (fun (m : Bench_snapshot.metric) -> String.equal m.Bench_snapshot.m_name name)
+    (* A metric is its name, unit and direction: a unit or direction
+       changed under one name is one metric lost and another added. *)
+    let find (m : Bench_snapshot.metric) (metrics : Bench_snapshot.metric list) =
+      List.find_opt
+        (fun (o : Bench_snapshot.metric) ->
+          String.equal o.Bench_snapshot.m_name m.Bench_snapshot.m_name
+          && String.equal o.Bench_snapshot.m_unit m.Bench_snapshot.m_unit
+          && o.Bench_snapshot.m_direction = m.Bench_snapshot.m_direction)
         metrics
     in
     let base_rows =
       List.map
         (fun (bm : Bench_snapshot.metric) ->
           let base_value = bm.Bench_snapshot.m_value in
-          match find bm.Bench_snapshot.m_name current.Bench_snapshot.metrics with
+          match find bm current.Bench_snapshot.metrics with
           | Some cm ->
             let current_value = cm.Bench_snapshot.m_value in
             {
@@ -113,7 +116,7 @@ let diff ~(base : Bench_snapshot.t) (current : Bench_snapshot.t) =
     let added =
       List.filter_map
         (fun (cm : Bench_snapshot.metric) ->
-          match find cm.Bench_snapshot.m_name base.Bench_snapshot.metrics with
+          match find cm base.Bench_snapshot.metrics with
           | Some _ -> None
           | None ->
             Some
@@ -143,7 +146,7 @@ let status_name = function
   | Improved -> "IMPROVED"
   | Regressed -> "REGRESSED"
   | Missing -> "MISSING"
-  | Added -> "added"
+  | Added -> "ADDED"
 
 (* The snapshot's own spelling, which tells every float apart, so a
    one-ulp move that fails the gate shows in the row. *)
@@ -156,8 +159,8 @@ let pp_report fmt r =
       Format.fprintf fmt "  %-9s %-42s %24s -> %-24s %+.2f%%%s@." (status_name row.r_status)
         row.r_name (opt_value row.r_base) (opt_value row.r_current) row.r_delta_pct
         (match row.r_status with
-        | Improved -> "  re-snapshot the baseline"
-        | Unchanged | Regressed | Missing | Added -> ""))
+        | Improved | Added -> "  re-snapshot the baseline"
+        | Unchanged | Regressed | Missing -> ""))
     r.d_rows
 
 let row_to_json row =
@@ -217,7 +220,7 @@ let trend series =
           push (Printf.sprintf "phase:%s wall_ms" p.Profile.path) "ms" p.Profile.wall_ms;
           push
             (Printf.sprintf "phase:%s alloc_words" p.Profile.path)
-            "words" (alloc_words p.Profile.gc))
+            "words" (Gc_stats.allocated p.Profile.gc))
         snap.Bench_snapshot.phases)
     series;
   List.rev_map

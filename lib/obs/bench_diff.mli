@@ -7,10 +7,12 @@
     its baseline exactly: seeded runs repeat bit for bit, so a move in the
     worse direction is a regression and a move in the better direction
     fails too, until the baseline is re-snapshotted — a stale baseline
-    would otherwise let a later regression back in unseen.  A metric
-    present in the base but missing from the new snapshot fails (lost
-    coverage), while a metric only the new snapshot carries is reported
-    as added and never gates.  {!Bench_snapshot.Info} metrics and the
+    would otherwise let a later regression back in unseen.  A metric is
+    matched on its name, unit and direction.  One present in the base but
+    missing from the new snapshot fails (lost coverage), and so does one
+    only the new snapshot carries: the baseline must be re-snapshotted to
+    hold it.  So a unit or direction changed under one name fails twice,
+    as missing and as added.  {!Bench_snapshot.Info} metrics and the
     phase rows (wall time and allocated words, which move with the
     machine and the collector) are informational and never gate.
 
@@ -22,7 +24,7 @@ type status =
   | Improved  (** gated and better than the baseline — fails until re-snapshotted *)
   | Regressed  (** gated and worse than the baseline — fails *)
   | Missing  (** in the base set but absent from the new one — fails *)
-  | Added  (** only in the new snapshot — reported, never gates *)
+  | Added  (** only in the new snapshot — fails until re-snapshotted *)
 
 type row = {
   r_name : string;
@@ -42,11 +44,11 @@ val diff : base:Bench_snapshot.t -> Bench_snapshot.t -> (report, string) result
     figure or scale (quick/full) mismatch. *)
 
 val failures : report list -> int
-(** Rows that fail the gate: regressed, improved or missing. *)
+(** Rows that fail the gate: regressed, improved, missing or added. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** One line per row: status, name, base, current, delta; an improved
-    row asks for the baseline to be re-snapshotted. *)
+    or added row asks for the baseline to be re-snapshotted. *)
 
 val report_to_json : report -> Json.t
 

@@ -37,6 +37,9 @@ let add a b =
     compactions = a.compactions + b.compactions;
   }
 
+(* Promoted words are counted in both the minor and the major count. *)
+let allocated r = r.minor_words +. r.major_words -. r.promoted_words
+
 type t = { read : unit -> reading }
 
 let read t = t.read ()

@@ -21,6 +21,10 @@ val sub : reading -> reading -> reading
 (** [sub after before] is the component-wise delta of two cumulative
     readings. *)
 
+val allocated : reading -> float
+(** Words allocated: minor plus major words, less the promoted words that
+    both of those count. *)
+
 type t
 
 val read : t -> reading

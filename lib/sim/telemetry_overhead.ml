@@ -73,33 +73,35 @@ let run ~quick =
   let identical = off.Experiment.summary = on.Experiment.summary in
   Format.fprintf Table.out "zero-diff check: summaries %s@."
     (if identical then "identical" else "DIVERGED — telemetry touched simulation state!");
-  (* One profiled run prices the epoch loop's allocations.  The epoch
-     span's words are exact (each Gc_stats read nets out the reads before
-     it), so two runs of one build agree to the word and epoch_alloc_words
-     gates on equality.  epochs/sec is wall clock and stays informational
-     like the other timings. *)
+  (* One profiled run prices the epoch loop's allocations, the whole
+     epoch and each phase span.  Span words are exact (each Gc_stats read
+     nets out the reads before it), so two runs of one build agree to the
+     word, whatever ran before them in the process, and every
+     <span>_alloc_words gates on equality.  epochs/sec is wall clock and
+     stays informational like the other timings. *)
   let profile = Profile.create () in
   let profiled_config = config_of ~telemetry:(Some (Telemetry.create ~profile ())) in
   let _, profiled_s = timed (fun () -> Experiment.run ~config:profiled_config scenario Experiment.dream_strategy) in
-  let epoch_alloc_words =
-    match Profile.find profile "epoch" with
-    | Some stat ->
-      let r = stat.Profile.gc in
-      (r.Gc_stats.minor_words +. r.Gc_stats.major_words -. r.Gc_stats.promoted_words)
-      /. float_of_int epochs
+  let words_per_epoch path =
+    match Profile.find profile path with
+    | Some stat -> Gc_stats.allocated stat.Profile.gc /. float_of_int epochs
     | None -> Float.nan
   in
   let epochs_per_sec =
     if profiled_s > 0.0 then float_of_int epochs /. profiled_s else 0.0
   in
   Format.fprintf Table.out "profiled: %.0f words allocated per epoch, %.1f epochs/s@."
-    epoch_alloc_words epochs_per_sec;
+    (words_per_epoch "epoch") epochs_per_sec;
   (* Wall-clock numbers are Info — tracked in every diff and trend, but a
      noisy machine must never fail the gate on them.  The deterministic
-     outputs (trace volume, the zero-diff bit) gate exactly. *)
+     outputs (trace volume, the zero-diff bit, the span words) gate exactly. *)
   let wall name v = Snapshot.metric ~unit_:"s" name v in
   let exact name v =
     Snapshot.metric ~unit_:"count" ~direction:Snapshot.Higher_better name (float_of_int v)
+  in
+  let alloc_words name span =
+    Snapshot.metric ~unit_:"words" ~direction:Snapshot.Lower_better (name ^ "_alloc_words")
+      (words_per_epoch span)
   in
   [
     Snapshot.metric ~unit_:"count" "epochs" (float_of_int epochs);
@@ -112,6 +114,8 @@ let run ~quick =
     exact "trace_items" trace_items;
     exact "zero_diff" (if identical then 1 else 0);
     Snapshot.metric ~unit_:"epochs/s" "epochs_per_sec" epochs_per_sec;
-    Snapshot.metric ~unit_:"words" ~direction:Snapshot.Lower_better "epoch_alloc_words"
-      epoch_alloc_words;
+    alloc_words "epoch" "epoch";
   ]
+  @ List.map
+      (fun phase -> alloc_words phase ("epoch/" ^ phase))
+      [ "fetch"; "estimate"; "ground_truth"; "allocate"; "configure"; "rule_sync"; "retire" ]

@@ -6,7 +6,9 @@
 
     The same numbers come back as benchmark-snapshot metrics (the figure
     runner writes [BENCH_telemetry_overhead.json]): wall-clock timings are
-    [Info] — tracked, never gating — while the trace volume and the
-    zero-diff bit gate exactly. *)
+    [Info] — tracked, never gating — while the trace volume, the
+    zero-diff bit and the words one profiled run allocates per epoch, in
+    the whole epoch ([epoch_alloc_words]) and in each of its phase spans
+    ([fetch_alloc_words], ..., [retire_alloc_words]), gate exactly. *)
 
 val run : quick:bool -> Dream_obs.Bench_snapshot.metric list

@@ -1,11 +1,10 @@
-(* Allocation-budget regression: every profiled control-loop phase must
-   stay under the per-phase word budgets committed in
-   bench/baseline/ALLOC_BUDGET.json for the flat counter store.  Seeded
-   runs allocate deterministically, so a budget miss is a real regression
-   (some scratch structure started being rebuilt per epoch), not noise —
-   the budgets carry ~15% headroom over the measured values recorded next
-   to them only so that small, deliberate feature work does not have to
-   touch the file. *)
+(* Properties of the exact span words.  The words themselves gate as
+   exact metrics of the telemetry-overhead figure (epoch_alloc_words and
+   one <phase>_alloc_words per phase span), which dream-bench diff
+   compares with bench/baseline/BENCH_telemetry_overhead.json.  Here: a
+   run's span words do not depend on the allocation history before it,
+   and a warmed tick on a fixed task set allocates nothing outside its
+   tasks' own configures and traffic draws. *)
 
 module Scenario = Dream_workload.Scenario
 module Config = Dream_core.Config
@@ -13,7 +12,6 @@ module Fault_model = Dream_fault.Fault_model
 module Telemetry = Dream_obs.Telemetry
 module Profile = Dream_obs.Profile
 module Gc_stats = Dream_obs.Gc_stats
-module Json = Dream_obs.Json
 module Experiment = Dream_sim.Experiment
 module Controller = Dream_core.Controller
 module Rng = Dream_util.Rng
@@ -24,15 +22,6 @@ module Traffic_profile = Dream_traffic.Profile
 module Source = Dream_traffic.Source
 module Task_spec = Dream_tasks.Task_spec
 
-(* dune runs tests from _build/default/test; a manual `./test_….exe` from
-   the repo root also works thanks to the second candidate. *)
-let budget_file =
-  let candidates = [ "../bench/baseline/ALLOC_BUDGET.json"; "bench/baseline/ALLOC_BUDGET.json" ] in
-  match List.find_opt Sys.file_exists candidates with
-  | Some f -> f
-  | None -> "../bench/baseline/ALLOC_BUDGET.json"
-
-(* Must match the "measured" scenario documented in the budget file. *)
 let epochs = 80
 
 let scenario = { Scenario.default with Scenario.num_tasks = 35; total_epochs = epochs }
@@ -40,28 +29,7 @@ let scenario = { Scenario.default with Scenario.num_tasks = 35; total_epochs = e
 let phases =
   [ "epoch"; "fetch"; "estimate"; "ground_truth"; "allocate"; "configure"; "rule_sync"; "retire" ]
 
-(* Only [budgets.flat] is read: one number per phase. *)
-let budgets_json =
-  Dream_util.Codec.(
-    let flat = section "flat" (record (rest (float "budget") Fun.id)) in
-    record (field (section "budgets" flat) Fun.id))
-
-let read_budgets () =
-  let contents = In_channel.with_open_text budget_file In_channel.input_all in
-  match Result.bind (Json.of_string contents) (Json.decode budgets_json) with
-  | Error e -> Alcotest.failf "unreadable %s: %s" budget_file e
-  | Ok flat ->
-    List.map
-      (fun phase ->
-        match List.assoc_opt phase flat with
-        | Some v -> (phase, v)
-        | None -> Alcotest.failf "%s: missing budgets.flat.%s" budget_file phase)
-      phases
-
 let span_of_phase = function "epoch" -> "epoch" | phase -> "epoch/" ^ phase
-
-let alloc_words (r : Gc_stats.reading) =
-  r.Gc_stats.minor_words +. r.Gc_stats.major_words -. r.Gc_stats.promoted_words
 
 let profiled_run ~pad =
   (* Allocation before the run moves where its minor collections and
@@ -84,17 +52,8 @@ let phase_words profile =
     (fun phase ->
       match Profile.find profile (span_of_phase phase) with
       | None -> Alcotest.failf "no %s span in profile" (span_of_phase phase)
-      | Some stat -> (phase, alloc_words stat.Profile.gc /. float_of_int epochs))
+      | Some stat -> (phase, Gc_stats.allocated stat.Profile.gc /. float_of_int epochs))
     phases
-
-let check_budgets () =
-  let measured = phase_words (profiled_run ~pad:0) in
-  List.iter
-    (fun (phase, budget) ->
-      let per_epoch = List.assoc phase measured in
-      if per_epoch > budget then
-        Alcotest.failf "%s allocates %.0f words/epoch, budget %.0f" phase per_epoch budget)
-    (read_budgets ())
 
 (* Span words are exact, so they do not depend on what ran before: a
    history padded by k words reads the same figures to the bit, whichever
@@ -153,7 +112,7 @@ let fixed_controller ~telemetry =
 (* Words each span took in each of the [measured_epochs] epochs. *)
 let span_words controller profile spans =
   let read name =
-    match Profile.find profile name with Some s -> alloc_words s.Profile.gc | None -> 0.0
+    match Profile.find profile name with Some s -> Gc_stats.allocated s.Profile.gc | None -> 0.0
   in
   List.init measured_epochs (fun _ ->
       let before = List.map read spans in
@@ -195,7 +154,6 @@ let () =
     [
       ( "budgets",
         [
-          Alcotest.test_case "flat backend under budget" `Slow check_budgets;
           Alcotest.test_case "span words independent of history" `Slow check_history_independent;
           Alcotest.test_case "a warmed tick allocates nothing outside its tasks" `Slow
             check_steady_state;

@@ -285,11 +285,30 @@ let test_diff_missing_and_added () =
   let brand_new = Snapshot.metric ~unit_:"count" "brand_new" 7.0 in
   let current = snap [ satisfaction 80.0; wall 120.0; brand_new ] in
   let report = diff_exn (snap base_metrics) current in
-  (* Lost coverage gates; new coverage is reported but never gates. *)
+  (* Lost coverage gates, and so does new coverage: the baseline must be
+     re-snapshotted to hold it. *)
   Alcotest.check status "lost metric is missing" Diff.Missing
     (row report "violations").Diff.r_status;
   Alcotest.check status "new metric is added" Diff.Added (row report "brand_new").Diff.r_status;
-  Alcotest.(check int) "only the loss gates" 1 report.Diff.d_failures
+  Alcotest.(check int) "both gate" 2 report.Diff.d_failures
+
+(* A metric is its name, unit and direction: the same value under a new
+   unit or a new direction is one metric missing and another added. *)
+let test_diff_unit_or_direction_moved () =
+  let moved what current =
+    let report = diff_exn (snap base_metrics) (snap [ satisfaction 80.0; current; wall 120.0 ]) in
+    let statuses =
+      List.filter_map
+        (fun r -> if r.Diff.r_name = "violations" then Some r.Diff.r_status else None)
+        report.Diff.d_rows
+    in
+    Alcotest.(check (list status)) (what ^ ": missing, then added") [ Diff.Missing; Diff.Added ]
+      statuses;
+    Alcotest.(check int) (what ^ ": both gate") 2 report.Diff.d_failures
+  in
+  moved "unit" (Snapshot.metric ~unit_:"1/epoch" ~direction:Snapshot.Lower_better "violations" 0.0);
+  moved "direction" (Snapshot.metric ~unit_:"count" ~direction:Snapshot.Higher_better "violations" 0.0);
+  moved "to info" (Snapshot.metric ~unit_:"count" "violations" 0.0)
 
 let test_diff_zero_baseline () =
   (* A zero baseline has no relative scale: a move off it reads as an
@@ -431,7 +450,8 @@ let () =
           Alcotest.test_case "identical snapshots" `Quick test_diff_identical;
           Alcotest.test_case "direction-aware gating" `Quick test_diff_gates_on_direction;
           Alcotest.test_case "any move of a gated metric fails" `Quick test_diff_any_move_fails;
-          Alcotest.test_case "missing gates, added does not" `Quick test_diff_missing_and_added;
+          Alcotest.test_case "missing and added both gate" `Quick test_diff_missing_and_added;
+          Alcotest.test_case "unit or direction moved" `Quick test_diff_unit_or_direction_moved;
           Alcotest.test_case "zero baseline" `Quick test_diff_zero_baseline;
           Alcotest.test_case "rejects mismatches" `Quick test_diff_rejects_mismatches;
           Alcotest.test_case "trend trajectories" `Quick test_trend;

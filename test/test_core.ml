@@ -979,8 +979,7 @@ let window f =
   let before = Gc_stats.read Gc_stats.real in
   f ();
   Gc.minor ();
-  let d = Gc_stats.sub (Gc_stats.read Gc_stats.real) before in
-  d.Gc_stats.minor_words +. d.Gc_stats.major_words -. d.Gc_stats.promoted_words
+  Gc_stats.allocated (Gc_stats.sub (Gc_stats.read Gc_stats.real) before)
 [@@lint.allow "determinism-gc"]
 
 (* ... net of what the reads themselves allocate. *)

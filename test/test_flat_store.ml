@@ -298,11 +298,13 @@ let test_flat_store_cumulative () =
     (same_float (0.25 +. 0.5) (Aggregate.volume a (p "0.0.0.0/29")));
   Alcotest.(check bool) "total bitwise" true (same_float (sum flows) (Aggregate.total a))
 
-(* ---- sortedness fast path ---- *)
+(* ---- distinct generator addresses ---- *)
 
-let test_generator_hits_fast_path () =
-  (* The generator emits per-switch flows already sorted and distinct; the
-     aggregate build must take the no-sort fast path, not re-run combine. *)
+let test_generator_combines_nothing () =
+  (* The generator hands each switch no address twice, so every
+     per-switch build combines nothing: [sorted_fast_path] says that no
+     duplicate addresses were summed.  The build may still have sorted
+     its columns; this does not ask whether it did. *)
   let rng = Rng.create 42 in
   let topology =
     Topology.create (Rng.split rng) ~filter:(p "10.16.0.0/12") ~num_switches:4
@@ -314,7 +316,7 @@ let test_generator_hits_fast_path () =
     Switch_id.Map.iter
       (fun sw agg ->
         Alcotest.(check bool)
-          (Printf.sprintf "epoch %d switch %d on the fast path" epoch sw)
+          (Printf.sprintf "epoch %d switch %d combined nothing" epoch sw)
           true (Aggregate.sorted_fast_path agg))
       data.Epoch_data.per_switch;
     (* And the data is actually non-trivial, or the assertion is vacuous. *)
@@ -349,7 +351,7 @@ let () =
         ] );
       ( "fast-path",
         [
-          Alcotest.test_case "generator output skips the sort" `Quick
-            test_generator_hits_fast_path;
+          Alcotest.test_case "generator output combines no address" `Quick
+            test_generator_combines_nothing;
         ] );
     ]

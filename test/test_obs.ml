@@ -42,9 +42,6 @@ let test_gc_minor_words_exact () =
   let list = minor_words_around (fun () -> conses 100 []) in
   Alcotest.(check (float 0.0)) "100 conses" 300.0 (list -. nothing)
 
-let alloc_words (r : Gc_stats.reading) =
-  r.Gc_stats.minor_words +. r.Gc_stats.major_words -. r.Gc_stats.promoted_words
-
 (* Words one profiled span is charged for running [f]. *)
 let span_words f =
   let profile = Profile.create ~clock:(fst (Clock.manual ())) () in
@@ -54,7 +51,7 @@ let span_words f =
   Profile.stop profile span;
   Profile.close_epoch profile;
   match Profile.find profile "probe" with
-  | Some s -> alloc_words s.Profile.gc
+  | Some s -> Gc_stats.allocated s.Profile.gc
   | None -> Alcotest.fail "no probe span"
 
 (* A 100,000-word array goes straight to the major heap: the span is
@@ -81,7 +78,7 @@ let test_child_fragments_charge_parent_nothing () =
   List.iter
     (fun path ->
       match Profile.find profile path with
-      | Some s -> Alcotest.(check (float 0.0)) path 0.0 (alloc_words s.Profile.gc)
+      | Some s -> Alcotest.(check (float 0.0)) path 0.0 (Gc_stats.allocated s.Profile.gc)
       | None -> Alcotest.failf "no %s span" path)
     [ "probe"; "probe/child" ]
 
